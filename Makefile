@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race cover bench bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fmt vet clean
+.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fmt vet clean
 
 all: build test
 
@@ -34,6 +34,12 @@ bench:
 		| tee /dev/stderr | $(GO) run ./cmd/benchreport -o $(BENCH_DIR)/BENCH_engines.json
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x -short . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchreport -o $(BENCH_DIR)/BENCH_tables.json
+
+# The end-to-end benchmark (bench/, BENCHMARK.json) is a nested module the
+# root `go test ./...` never compiles: vet and test it here so a change to an
+# API it uses (a server.Config field, say) cannot pass tier-1 and break it.
+bench-smoke:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Loopback server-datapath baseline: the full stack (wire decode, shard
 # queue, grouped view transaction, response encode, coalesced writes) across
@@ -117,7 +123,7 @@ fuzz-wal:
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZ_TIME) ./internal/wal
 
 # Wire parser fuzzing: request and response decoders (seed corpus includes
-# v4 SCAN frames — plain pages, continuations, degenerate ranges) must never
+# SCAN frames — plain pages, continuations, degenerate ranges) must never
 # panic and must re-encode/re-parse stably. FUZZ_TIME=0x replays the corpus.
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=$(FUZZ_TIME) ./wire

@@ -39,17 +39,12 @@ func main() {
 		addr      = flag.String("addr", ":7421", "TCP listen address")
 		shards    = flag.Int("shards", 8, "number of shards (one VOTM view each)")
 		words     = flag.Int("shard-words", 1<<15, "initial heap words per shard")
-		buckets   = flag.Int("buckets", 1024, "hash-map buckets per shard")
 		workers   = flag.Int("workers", 4, "transaction workers per shard (RAC quota bound N)")
 		queue     = flag.Int("queue", 128, "bounded per-shard request queue (overflow => BUSY)")
 		batchMax  = flag.Int("batch-max", 16, "max requests one worker group-commits per transaction (1 = no grouping)")
 		adaptive  = flag.Bool("adaptive-batch", false, "adapt group-commit depth per shard from queue depth and contention (delta, abort rate); -batch-max becomes the ceiling")
 		latBudget = flag.Duration("latency-budget", 20*time.Millisecond, "adaptive admission: reject (BUSY) when estimated queue delay exceeds this (needs -adaptive-batch)")
-		queueImpl = flag.String("queue-impl", server.QueueImplRing, "per-shard queue implementation: ring | channel")
 		maxVal    = flag.Int("max-value", 64<<10, "maximum value size in bytes")
-		respCh    = flag.Int("resp-channel", 64, "per-connection response channel capacity")
-		readBuf   = flag.Int("read-buf", 16<<10, "per-connection read buffer bytes")
-		writeBuf  = flag.Int("write-buf", 16<<10, "per-connection write coalescing buffer bytes")
 		engine    = flag.String("engine", "norec", "TM engine: norec | oreceager | tl2")
 		adjust    = flag.Int64("adjust-every", 0, "RAC adjustment window in attempts (0 = default)")
 		reqTO     = flag.Duration("request-timeout", 5*time.Second, "per-request transaction timeout")
@@ -127,17 +122,12 @@ func main() {
 		Addr:            *addr,
 		Shards:          *shards,
 		ShardWords:      *words,
-		Buckets:         *buckets,
 		WorkersPerShard: *workers,
 		QueueDepth:      *queue,
 		BatchMax:        *batchMax,
 		AdaptiveBatch:   *adaptive,
 		LatencyBudget:   *latBudget,
-		QueueImpl:       *queueImpl,
 		MaxValueLen:     *maxVal,
-		RespChannel:     *respCh,
-		ReadBufSize:     *readBuf,
-		WriteBufSize:    *writeBuf,
 		Engine:          kind,
 		AdjustEvery:     *adjust,
 		RequestTimeout:  *reqTO,

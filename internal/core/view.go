@@ -242,6 +242,10 @@ func (v *View) Controller() *rac.Controller { return v.ctl }
 // lock-mode writes).
 func (v *View) Heap() *stm.Heap { return v.heap }
 
+// AllocatedWords returns the words currently held by allocated blocks (leak
+// checks in tests: a failed operation must hand back what it pre-allocated).
+func (v *View) AllocatedWords() int { return v.alloc.InUse() }
+
 // Atomic implements the acquire_view/release_view pair: it admits the
 // calling thread under RAC, runs fn transactionally, and commits on return.
 // If the commit fails or a conflict unwinds fn, the attempt is rolled back

@@ -174,11 +174,12 @@ func BenchmarkServerDurable(b *testing.B) {
 	})
 	// The 2PC tax, measured: a three-sub ATOMIC batch whose keys span all
 	// three shards (every request is a prepare/commit group across three
-	// WALs) against the SAME batch shape with all three keys on one shard
-	// (a plain single-log append). Both cells run the identical server
+	// WALs, executed in a coordination round) against the SAME batch shape
+	// with all three keys on one shard (a member of the shard's group: one
+	// shared append and lagged flush). Both cells run the identical server
 	// config and rotate the coordinating shard, so the ops/sec ratio prices
-	// exactly the cross-shard protocol — the acceptance bar is
-	// xshard >= 0.5x sameshard.
+	// the cross-shard protocol — quiesce plus two-phase flush — against
+	// plain group commit.
 	for _, span := range []struct {
 		name   string
 		across bool

@@ -28,9 +28,9 @@ import (
 //     connections or views);
 //   - draining the battered server leaks no goroutines.
 //
-// The soak runs once per queue backend (the default MPSC ring, the channel
-// fallback) plus once with the adaptive group-commit controller driving the
-// ring — the storm doubles as the liveness soak for both dispatch paths.
+// The soak runs once with static batching and once with the adaptive
+// group-commit controller driving the ring — the storm doubles as the
+// liveness soak for the dispatch path.
 func TestServerChaos(t *testing.T) {
 	lanes := []struct {
 		name string
@@ -38,7 +38,6 @@ func TestServerChaos(t *testing.T) {
 	}{
 		{"ring", nil},
 		{"ring-adaptive", func(c *server.Config) { c.AdaptiveBatch = true }},
-		{"channel", func(c *server.Config) { c.QueueImpl = server.QueueImplChannel }},
 	}
 	for _, lane := range lanes {
 		t.Run(lane.name, func(t *testing.T) { runServerChaos(t, lane.mod) })

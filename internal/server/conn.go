@@ -31,7 +31,7 @@ type conn struct {
 }
 
 func (s *Server) serveConn(nc net.Conn) {
-	c := &conn{srv: s, nc: nc, out: make(chan *wire.Response, s.cfg.RespChannel)}
+	c := &conn{srv: s, nc: nc, out: make(chan *wire.Response, respChannel)}
 	s.trackConn(nc, true)
 	defer s.trackConn(nc, false)
 
@@ -52,7 +52,7 @@ func (s *Server) serveConn(nc net.Conn) {
 func (c *conn) send(r *wire.Response) { c.out <- r }
 
 func (c *conn) readLoop() {
-	br := bufio.NewReaderSize(c.nc, c.srv.cfg.ReadBufSize)
+	br := bufio.NewReaderSize(c.nc, readBufSize)
 	for {
 		if c.srv.draining.Load() {
 			return
@@ -142,8 +142,8 @@ func (c *conn) dispatch(req *wire.Request) {
 	case wire.OpAtomic:
 		// An ATOMIC batch may span shards: it is dispatched to its canonical
 		// coordinator (the first participant in the global acquisition
-		// order), whose worker executes it as one multi-view transaction
-		// (group.go runAtomicMulti).
+		// order), whose worker executes it in its group when every key is its
+		// own, else as one multi-view transaction (group.go runRound).
 		sh = s.atomicCoordinator(req)
 	case wire.OpScan:
 		// A SCAN page consults every sub-shard: it runs on the global scan
@@ -232,14 +232,14 @@ func respSizeHint(r *wire.Response) int {
 // writeLoop encodes and flushes responses. Frames are encoded into a
 // retained scratch buffer (no per-response allocation) and coalesced: after
 // one blocking receive it greedily drains whatever else is already pending,
-// so pipelined responses go out in one syscall. Frames at least WriteBufSize
+// so pipelined responses go out in one syscall. Frames at least writeBufSize
 // long are encoded into a second retained buffer and the two are written as
 // a writev (net.Buffers) — one syscall, no copying large payloads into the
 // coalescing buffer. Responses already complete out of order on a pipelined
 // connection, so the small-before-big write order is unobservable.
 func (c *conn) writeLoop(done chan struct{}) {
 	defer close(done)
-	threshold := c.srv.cfg.WriteBufSize
+	threshold := writeBufSize
 	small := make([]byte, 0, threshold) // coalesced sub-threshold frames
 	var big []byte                      // large frames for the writev path
 	failed := false

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"votm/client"
+	"votm/internal/faultinject"
 	"votm/internal/server"
 	"votm/internal/wal"
 	"votm/wire"
@@ -244,5 +246,152 @@ func verifyMatrixState(t *testing.T, addr string, gkeys, bkeys [matrixShards]uin
 		if got, err := c.Get(ctx, bkeys[s]); err != nil || string(got) != "base" {
 			t.Errorf("shard %d baseline key %d: got %q, %v", s, bkeys[s], got, err)
 		}
+	}
+}
+
+// TestCrossShardRecoveryOneTaskRound drives the live protocol where the
+// matrix above hand-builds its outcome: ONE three-shard ATOMIC — a round of
+// one task — runs against a real server whose disk fails at a chosen point
+// of the round's WAL traffic, the data directory is copied as a SIGKILL at
+// that instant would leave it, and the copy must recover all-or-nothing.
+// Two shapes: every participant written (a prepare/commit pair per log), and
+// a single written participant beside two that are only read (a plain batch
+// record, no prepare anywhere).
+func TestCrossShardRecoveryOneTaskRound(t *testing.T) {
+	var gkeys, bkeys [matrixShards]uint64
+	for s := 0; s < matrixShards; s++ {
+		gkeys[s] = keyOnShard(s, 100)
+		bkeys[s] = keyOnShard(s, 500)
+	}
+	allWritable := []wire.Sub{
+		{Kind: wire.SubPut, Key: gkeys[0], Value: []byte("g0")},
+		{Kind: wire.SubPut, Key: gkeys[1], Value: []byte("g1")},
+		{Kind: wire.SubPut, Key: gkeys[2], Value: []byte("g2")},
+	}
+	oneWritable := []wire.Sub{
+		{Kind: wire.SubPut, Key: gkeys[0], Value: []byte("g0")},
+		{Kind: wire.SubGet, Key: bkeys[1]},
+		{Kind: wire.SubGet, Key: bkeys[2]},
+	}
+
+	cases := []struct {
+		name string
+		subs []wire.Sub
+		// failAppend / failSync: the 1-based WAL append / fsync of the round
+		// to fail (0 = none). An all-writable round appends prepares as 1-3
+		// and commit records as 4-6; its first three fsyncs are phase 1.
+		failAppend, failSync int
+		prepares             uint64 // CrossShardPrepares summed over shards
+	}{
+		{name: "all writable, acknowledged", subs: allWritable, prepares: 3},
+		{name: "all writable, last prepare append fails", subs: allWritable, failAppend: 3, prepares: 2},
+		{name: "all writable, phase-1 fsync fails", subs: allWritable, failSync: 1, prepares: 3},
+		{name: "all writable, second commit append fails", subs: allWritable, failAppend: 5, prepares: 3},
+		{name: "one writable participant, acknowledged", subs: oneWritable},
+		{name: "one writable participant, append fails", subs: oneWritable, failAppend: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var armed atomic.Bool
+			var appends, syncs atomic.Int32
+			cfg := server.Config{
+				Shards:        matrixShards,
+				MaxValueLen:   1 << 10,
+				Durability:    server.DurabilityGroup,
+				DataDir:       t.TempDir(),
+				SnapshotEvery: time.Hour,
+				DiskFaultHook: func(op faultinject.DiskOp) error {
+					if !armed.Load() {
+						return nil
+					}
+					switch op {
+					case faultinject.DiskAppend:
+						if int(appends.Add(1)) == tc.failAppend {
+							return &faultinject.InjectedDiskFault{Op: op}
+						}
+					case faultinject.DiskSync:
+						if int(syncs.Add(1)) == tc.failSync {
+							return &faultinject.InjectedDiskFault{Op: op}
+						}
+					}
+					return nil
+				},
+			}
+			_, addr := startServer(t, cfg)
+			c := dialClient(t, addr, client.Options{})
+			ctx := context.Background()
+			for s := 0; s < matrixShards; s++ {
+				if _, err := c.Put(ctx, bkeys[s], []byte("base")); err != nil {
+					t.Fatalf("baseline put: %v", err)
+				}
+			}
+
+			armed.Store(true)
+			_, err := c.Atomic(ctx, tc.subs)
+			armed.Store(false)
+			faulty := tc.failAppend != 0 || tc.failSync != 0
+			if faulty && !errors.Is(err, wire.ErrTxFault) {
+				t.Fatalf("atomic with a failing disk: %v, want TX_FAULT", err)
+			}
+			if !faulty && err != nil {
+				t.Fatalf("atomic: %v", err)
+			}
+			stats, err := c.Stats(ctx, wire.AllShards)
+			if err != nil {
+				t.Fatalf("stats: %v", err)
+			}
+			var prepares uint64
+			for _, st := range stats {
+				prepares += st.CrossShardPrepares
+			}
+			if prepares != tc.prepares {
+				t.Errorf("CrossShardPrepares = %d, want %d", prepares, tc.prepares)
+			}
+
+			// SIGKILL now: boot a copy of the live directory.
+			crashed := t.TempDir()
+			copyTree(t, cfg.DataDir, crashed)
+			cfg2 := cfg
+			cfg2.DataDir, cfg2.DiskFaultHook = crashed, nil
+			_, addr2 := startServer(t, cfg2)
+			c2 := dialClient(t, addr2, client.Options{})
+			present, writes := 0, 0
+			for _, sub := range tc.subs {
+				if sub.Kind != wire.SubPut {
+					continue
+				}
+				writes++
+				switch got, err := c2.Get(ctx, sub.Key); {
+				case err == nil && string(got) == string(sub.Value):
+					present++
+				case !errors.Is(err, wire.ErrNotFound):
+					t.Errorf("group key %d: got %q, %v", sub.Key, got, err)
+				}
+			}
+			if present != 0 && present != writes {
+				t.Errorf("recovered %d of the batch's %d writes: not all-or-nothing", present, writes)
+			}
+			if !faulty && present != writes {
+				t.Errorf("acknowledged batch lost: %d of %d writes recovered", present, writes)
+			}
+			for s := 0; s < matrixShards; s++ {
+				if got, err := c2.Get(ctx, bkeys[s]); err != nil || string(got) != "base" {
+					t.Errorf("shard %d baseline key %d: got %q, %v", s, bkeys[s], got, err)
+				}
+			}
+
+			// Startup resolved whatever the crash left undecided: a second
+			// crash-restart from the recovered directory resolves nothing.
+			again := t.TempDir()
+			copyTree(t, crashed, again)
+			cfg3 := cfg2
+			cfg3.DataDir = again
+			srv3, _ := startServer(t, cfg3)
+			for s := 0; s < matrixShards; s++ {
+				if got := srv3.Recovery()[s].ResolvedPrepares; got != 0 {
+					t.Errorf("second boot shard %d: ResolvedPrepares = %d, want 0", s, got)
+				}
+			}
+		})
 	}
 }

@@ -383,15 +383,24 @@ func (s *Server) closeShardDurability(sh *shard, th *votm.Thread) {
 
 // --- redo-record building ------------------------------------------------
 
-// appendGroupRecords appends the redo records of a committed point-op group:
-// the post-images of every op that actually mutated state. valBuf backs
-// SubAdd-style synthesized values; both slices are scratch owned by the
-// caller and valid until the next group.
-func appendGroupRecords(recs []wal.Record, ops []groupOp) []wal.Record {
+// appendGroupRecords appends the redo records of a committed group: the
+// post-images of every member that actually mutated state, in member order.
+// valBuf backs the ATOMIC members' synthesized SubAdd values; both slices
+// are scratch owned by the caller and valid until the next group.
+func appendGroupRecords(recs []wal.Record, valBuf []byte, ops []groupOp) ([]wal.Record, []byte) {
 	for i := range ops {
 		op := &ops[i]
-		if op.skip || op.resp.Status != wire.StatusOK {
-			continue // NOT_FOUND / CAS_MISMATCH / failed ops changed nothing
+		if op.skip {
+			continue
+		}
+		if b := op.batch; b != nil {
+			if b.err == nil {
+				recs, valBuf = appendAtomicRecords(recs, valBuf, b, 0)
+			}
+			continue
+		}
+		if op.resp.Status != wire.StatusOK {
+			continue // NOT_FOUND / CAS_MISMATCH changed nothing
 		}
 		switch op.t.req.Op {
 		case wire.OpPut, wire.OpCAS:
@@ -400,48 +409,28 @@ func appendGroupRecords(recs []wal.Record, ops []groupOp) []wal.Record {
 			recs = append(recs, wal.Record{Kind: wal.RecDelete, Key: op.t.req.Key})
 		}
 	}
-	return recs
-}
-
-// appendAtomicRecords appends the redo records of a committed ATOMIC batch.
-// SubAdd's post-image is the committed Sum, serialized into valBuf (which
-// must have capacity for every add in the batch — the caller sizes it — so
-// earlier record slices are never invalidated by growth).
-func appendAtomicRecords(recs []wal.Record, valBuf []byte, subs []wire.Sub, results []wire.SubResult) ([]wal.Record, []byte) {
-	for i, sub := range subs {
-		switch sub.Kind {
-		case wire.SubPut:
-			recs = append(recs, wal.Record{Kind: wal.RecPut, Key: sub.Key, Value: sub.Value})
-		case wire.SubDelete:
-			if results[i].Status == wire.StatusOK {
-				recs = append(recs, wal.Record{Kind: wal.RecDelete, Key: sub.Key})
-			}
-		case wire.SubAdd:
-			start := len(valBuf)
-			valBuf = binary.LittleEndian.AppendUint64(valBuf, results[i].Sum)
-			recs = append(recs, wal.Record{Kind: wal.RecPut, Key: sub.Key, Value: valBuf[start:len(valBuf):len(valBuf)]})
-		}
-	}
 	return recs, valBuf
 }
 
-// appendAtomicRecordsOwned is appendAtomicRecords restricted to the subs a
-// single participant of a cross-shard batch owns (owner[i] == part).
-func appendAtomicRecordsOwned(recs []wal.Record, valBuf []byte, subs []wire.Sub, results []wire.SubResult, owner []int, part int) ([]wal.Record, []byte) {
-	for i, sub := range subs {
-		if owner[i] != part {
+// appendAtomicRecords appends the redo records of the subs participant part
+// owns in a committed ATOMIC batch. SubAdd's post-image is the committed
+// Sum, serialized into valBuf (a grown valBuf leaves the earlier records'
+// values intact in the old array).
+func appendAtomicRecords(recs []wal.Record, valBuf []byte, b *multiBatch, part int) ([]wal.Record, []byte) {
+	for i, sub := range b.subs {
+		if b.owner[i] != part {
 			continue
 		}
 		switch sub.Kind {
 		case wire.SubPut:
 			recs = append(recs, wal.Record{Kind: wal.RecPut, Key: sub.Key, Value: sub.Value})
 		case wire.SubDelete:
-			if results[i].Status == wire.StatusOK {
+			if b.results[i].Status == wire.StatusOK {
 				recs = append(recs, wal.Record{Kind: wal.RecDelete, Key: sub.Key})
 			}
 		case wire.SubAdd:
 			start := len(valBuf)
-			valBuf = binary.LittleEndian.AppendUint64(valBuf, results[i].Sum)
+			valBuf = binary.LittleEndian.AppendUint64(valBuf, b.results[i].Sum)
 			recs = append(recs, wal.Record{Kind: wal.RecPut, Key: sub.Key, Value: valBuf[start:len(valBuf):len(valBuf)]})
 		}
 	}

@@ -1,10 +1,21 @@
-// Group-commit execution: a shard worker drains up to Config.BatchMax
-// queued requests per wakeup and executes the whole group inside ONE view
-// transaction — one RAC admission, one begin/validate/commit (and at Q == 1
-// a single lock acquisition) amortized over K independent GET/PUT/DELETE/
-// CAS requests. Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created
-// flags) stay per-request statuses; a conflict abort re-executes the whole
-// group through the runtime's existing retry-budget/escalation path; an
+// Group-commit execution. A shard worker drains up to the controller's
+// group bound of queued requests per wakeup and runs them through one of
+// exactly two executors:
+//
+//   - the group (runGroup): ONE view transaction on the worker's own shard —
+//     one RAC admission, one begin/validate/commit (at Q == 1 a single lock
+//     acquisition), one WAL append and one lagged flush amortized over K
+//     members. Members are GET/PUT/DELETE/CAS requests and ATOMIC batches
+//     whose keys all live on this shard; an ATOMIC member is interpreted by
+//     multiBatch (store.go) with its own validate-before-first-write pass and
+//     its own verdict.
+//   - the round (runRound): every ATOMIC batch of the drain whose keys span
+//     sub-shards, executed back to back inside one quiesce of their union
+//     participant set (votm.AtomicAll) with one two-phase WAL flush.
+//
+// Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created flags, an ATOMIC's
+// BAD_REQUEST) stay per-request statuses; a conflict abort re-executes the
+// whole group through the runtime's retry-budget/escalation path; an
 // injected panic fails only the faulting group, with every member still
 // answered (StatusTxFault).
 //
@@ -29,18 +40,7 @@ import (
 	"votm/wire"
 )
 
-// xtask is one cross-shard (or foreign-participant) ATOMIC batch drained in
-// the current wakeup, queued so that every such batch in the drain executes
-// in ONE coordination round (runAtomicMultiBatch): a single quiesce of the
-// union participant set and a single two-phase WAL flush amortized over the
-// whole round.
-type xtask struct {
-	t     task
-	parts []*shard
-	owner []int
-}
-
-// groupOp is one point request's slot in a grouped transaction.
+// groupOp is one member's slot in a grouped transaction.
 type groupOp struct {
 	t    task
 	resp *wire.Response
@@ -48,6 +48,10 @@ type groupOp struct {
 	// skip excludes an op whose pre-allocation failed; its resp already
 	// carries the failure status and the transaction never sees it.
 	skip bool
+
+	// batch is the interpreter state of an ATOMIC member (nil for point
+	// ops); it owns that member's pre-allocations.
+	batch *multiBatch
 
 	// block/node are pre-allocated outside the transaction for PUT and CAS
 	// (alloc-outside / link-inside / free-after-commit discipline);
@@ -74,6 +78,13 @@ type pendingGroup struct {
 	seq uint64 // WAL sequence of the group's redo batch
 }
 
+// roundPair is one (task, participant) share of a round's redo records:
+// recs[lo:hi] of the worker's record scratch.
+type roundPair struct {
+	task, part int
+	lo, hi     int
+}
+
 // groupWorker is one shard worker's retained execution state: the op
 // slots, the commit-side free lists and the amortized request context are
 // all reused across groups, so the steady-state execution path allocates
@@ -83,11 +94,18 @@ type groupWorker struct {
 	sh *shard
 	th *votm.Thread
 
-	ops    []groupOp
-	xtasks []xtask // cross-shard ATOMICs of the current drain, run as one round
-	// frees collects every post-commit release of the current group —
-	// displaced value blocks, unlinked map nodes, unused pre-allocations —
-	// retired with one FreeBatch (one allocator lock) per group.
+	ops   []groupOp
+	round []roundTask // cross-shard ATOMICs of the current drain, run as one round
+	// self/selfTx are the group's one-participant view of the interpreter's
+	// (participants, handles) pair: this shard and the group transaction.
+	self   []*shard
+	selfTx []votm.Tx
+	// batchFree recycles ATOMIC interpreter state (and its scratch slices).
+	batchFree []*multiBatch
+	// frees collects every post-commit release of the current group's point
+	// ops — displaced value blocks, unlinked map nodes, unused
+	// pre-allocations — retired with one FreeBatch (one allocator lock) per
+	// group.
 	frees     []votm.Addr
 	sizes     []int       // pre-allocation size scratch (blocks and nodes)
 	blocks    []votm.Addr // pre-allocation result scratch
@@ -95,6 +113,7 @@ type groupWorker struct {
 	recs      []wal.Record // redo-record scratch (durability on)
 	valBuf    []byte       // SubAdd post-image scratch backing recs
 	prepBuf   []byte       // prepare-record payload scratch (cross-shard 2PC)
+	pairs     []roundPair  // round redo-record index (cross-shard 2PC)
 
 	// pending holds appended-but-unflushed groups (group-commit across
 	// groups: one fdatasync covers the whole list); opsFree recycles their
@@ -115,7 +134,7 @@ type groupWorker struct {
 }
 
 func newGroupWorker(s *Server, sh *shard, th *votm.Thread) *groupWorker {
-	return &groupWorker{s: s, sh: sh, th: th}
+	return &groupWorker{s: s, sh: sh, th: th, self: []*shard{sh}, selfTx: make([]votm.Tx, 1)}
 }
 
 func (w *groupWorker) close() {
@@ -139,12 +158,11 @@ func (w *groupWorker) ctx() context.Context {
 	return w.reqCtx
 }
 
-// run executes one drained batch: route-rechecked point ops execute as a
-// single grouped transaction, same-shard ATOMIC batches (their own
-// transactional contract) individually, and cross-shard ATOMIC batches
-// together as one coordination round. Every task is answered exactly once.
+// run executes one drained batch: route-rechecked point ops and same-shard
+// ATOMIC batches execute as a single grouped transaction, cross-shard ATOMIC
+// batches together as one coordination round. Every task is answered exactly
+// once.
 func (w *groupWorker) run(batch []task) {
-	w.ops = w.ops[:0]
 	for _, t := range batch {
 		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
 			// Cluster stream ops carry WAL sequences, not keys: they bypass
@@ -158,71 +176,85 @@ func (w *groupWorker) run(batch []task) {
 			}
 			continue
 		}
-		// A split between dispatch and execution may have moved this
-		// request's keys to another sub-shard: answer BUSY (retryable)
-		// instead of operating on a stale owner. Only the moved requests
-		// drop out; the rest of the group still executes and commits.
+		// A split between dispatch and execution may have moved an ATOMIC's
+		// or SCAN's coordinator: answer BUSY (retryable).
 		if resp := w.s.recheckRoute(w.sh, t.req); resp != nil {
 			w.finish(t, resp)
 			continue
 		}
-		if t.req.Op == wire.OpScan {
+		switch t.req.Op {
+		case wire.OpScan:
 			// A SCAN page pauses every view; settle lagged flushes first so
 			// the writes it reveals never outrun their durability answers.
 			w.flushPending()
 			w.runScan(t)
-			continue
-		}
-		if t.req.Op == wire.OpAtomic {
-			parts, owner := w.s.atomicPlan(t.req)
-			if len(parts) == 1 && parts[0] == w.sh {
-				// The ATOMIC flushes its own seq synchronously; settle older
-				// lagged groups first so its flush never reorders around them.
-				w.flushPending()
-				w.runAtomicSingle(t)
+		case wire.OpAtomic:
+			b := w.acquireBatch(t.req.Subs)
+			if len(b.parts) == 1 && b.parts[0] == w.sh {
+				w.ops = append(w.ops, groupOp{t: t, batch: b})
 				continue
 			}
 			// A batch spanning sub-shards — or whose plan resolved to a
 			// single FOREIGN participant after a routing move — takes the
 			// multi-view coordinator. Queue it: every such batch drained
 			// this wakeup shares one quiesce and one two-phase flush.
-			w.xtasks = append(w.xtasks, xtask{t: t, parts: parts, owner: owner})
-			continue
+			w.round = append(w.round, roundTask{t: t, batch: b})
+		default:
+			w.ops = append(w.ops, groupOp{t: t})
 		}
-		w.ops = append(w.ops, groupOp{t: t})
 	}
-	if len(w.xtasks) > 0 {
+	if len(w.round) > 0 {
 		w.flushPending()
-		w.runAtomicMultiBatch(w.xtasks)
-		for i := range w.xtasks {
-			w.xtasks[i] = xtask{}
+		w.runRound(w.round)
+		for i := range w.round {
+			w.round[i] = roundTask{}
 		}
-		w.xtasks = w.xtasks[:0]
+		w.round = w.round[:0]
 	}
-	if len(w.ops) > 0 {
-		if w.runGroup() {
-			// The group was stashed awaiting a shared flush and its op
-			// slice is now owned by the pending list: start a fresh one.
-			w.ops = w.acquireOps()
-			return
+	if len(w.ops) > 0 && w.runGroup() {
+		// The group was stashed awaiting a shared flush and its op slice is
+		// now owned by the pending list: start a fresh one.
+		w.ops = nil
+		if n := len(w.opsFree); n > 0 {
+			w.ops, w.opsFree = w.opsFree[n-1], w.opsFree[:n-1]
 		}
+		return
 	}
-	// Drop response references so the pool can recycle freely.
-	for i := range w.ops {
-		w.ops[i] = groupOp{}
-	}
-	w.ops = w.ops[:0]
+	w.ops = w.recycleOps(w.ops)
 }
 
-// acquireOps hands out a recycled op slice (or nil — append grows it once
-// and it then cycles through opsFree forever).
-func (w *groupWorker) acquireOps() []groupOp {
-	if n := len(w.opsFree); n > 0 {
-		ops := w.opsFree[n-1]
-		w.opsFree = w.opsFree[:n-1]
-		return ops
+// acquireBatch hands out recycled ATOMIC interpreter state bound to one
+// batch's subs, with its routing plan resolved.
+func (w *groupWorker) acquireBatch(subs []wire.Sub) *multiBatch {
+	var b *multiBatch
+	if n := len(w.batchFree); n > 0 {
+		b, w.batchFree = w.batchFree[n-1], w.batchFree[:n-1]
+	} else {
+		b = new(multiBatch)
 	}
-	return nil
+	b.subs = subs
+	w.s.atomicPlan(b)
+	return b
+}
+
+// releaseBatch recycles a settled batch, dropping every reference it holds
+// to its request and (through results) its response.
+func (w *groupWorker) releaseBatch(b *multiBatch) {
+	clear(b.parts)
+	*b = multiBatch{parts: b.parts, owner: b.owner, res: b.res, effLen: b.effLen, frees: b.frees, keysDelta: b.keysDelta}
+	w.batchFree = append(w.batchFree, b)
+}
+
+// recycleOps drops an answered group's request/response references so the
+// pools can recycle freely, and returns the emptied slice for reuse.
+func (w *groupWorker) recycleOps(ops []groupOp) []groupOp {
+	for i := range ops {
+		if b := ops[i].batch; b != nil {
+			w.releaseBatch(b)
+		}
+		ops[i] = groupOp{}
+	}
+	return ops[:0]
 }
 
 // flushPending settles every lagged group with one shared flush: a single
@@ -241,25 +273,17 @@ func (w *groupWorker) flushPending() {
 		// Semi-sync: the whole lag window waits on the newest sequence
 		// before any member answers (no-op outside cluster leadership).
 		w.repScratch = w.s.waitReplicated(w.sh, last, w.repScratch)
+	} else {
+		w.s.noteShardWALFault(w.sh, err)
 	}
 	for pi := range w.pending {
 		g := &w.pending[pi]
 		if err != nil {
-			w.noteWALFault(err)
-			for i := range g.ops {
-				op := &g.ops[i]
-				if op.skip {
-					continue
-				}
-				op.resp.Status = wire.StatusTxFault
-				op.resp.SetDetail("wal: " + err.Error())
-			}
+			w.failGroup(g.ops, wire.StatusTxFault, "wal: "+err.Error())
+		} else {
+			w.finishGroup(g.ops)
 		}
-		w.finishGroup(g.ops)
-		for i := range g.ops {
-			g.ops[i] = groupOp{}
-		}
-		w.opsFree = append(w.opsFree, g.ops[:0])
+		w.opsFree = append(w.opsFree, w.recycleOps(g.ops))
 		g.ops = nil
 	}
 	w.pending = w.pending[:0]
@@ -273,9 +297,17 @@ func (w *groupWorker) finish(t task, resp *wire.Response) {
 	t.req.Release()
 }
 
+// txFault is a panic recovered from a transaction body (an injected fault):
+// the runtime rolled the attempt back, and the members answer TxFault.
+type txFault struct{ v any }
+
+func (f txFault) Error() string { return fmt.Sprint(f.v) }
+
 // errStatus maps a transaction error to its wire status and detail.
 func errStatus(err error) (wire.Status, string) {
 	switch {
+	case errors.As(err, new(txFault)):
+		return wire.StatusTxFault, err.Error()
 	case errors.Is(err, errBadAdd):
 		return wire.StatusBadRequest, err.Error()
 	case errors.Is(err, errStaleRoute):
@@ -292,104 +324,18 @@ func errStatus(err error) (wire.Status, string) {
 	}
 }
 
-// runAtomicSingle executes one same-shard ATOMIC batch as its own
-// transaction (the batch is a client-visible atomicity contract; it is
-// never merged into a group). Panic-safe exactly like grouped execution.
-// With durability on, the batch's execution and WAL append run under the
-// shard's WAL mutex (commit order = log order) and the response waits for
-// the batch's fsync.
-func (w *groupWorker) runAtomicSingle(t task) {
-	sh := w.sh
-	resp := wire.NewResponse()
-	resp.Op, resp.ID = t.req.Op, t.req.ID
-	hasWrite := false
-	for _, sub := range t.req.Subs {
-		if sub.Kind != wire.SubGet {
-			hasWrite = true
-			break
-		}
-	}
-	durable := sh.log != nil && hasWrite
-	if durable && sh.readOnly.Load() {
-		resp.Status = wire.StatusTxFault
-		resp.SetDetail(errShardReadOnly)
-		w.finish(t, resp)
-		return
-	}
-	var (
-		walSeq uint64
-		walErr error
-	)
-	func() {
-		walLocked := false
-		defer func() {
-			if r := recover(); r != nil {
-				w.s.logf("votmd: shard %d: %v in ATOMIC transaction", sh.id, r)
-				resp.Subs = resp.Subs[:0]
-				resp.Status = wire.StatusTxFault
-				resp.SetDetail(fmt.Sprint(r))
-			}
-			if walLocked {
-				sh.walMu.Unlock()
-			}
-		}()
-		if durable {
-			sh.walMu.Lock()
-			walLocked = true
-			if w.movingBarrier() {
-				// The handoff capture acquires walMu after setting moving:
-				// reaching here with it set means this batch would commit
-				// behind the captured state — refuse instead.
-				resp.Status = wire.StatusBusy
-				resp.SetDetail(errShardMoving.Error())
-				return
-			}
-		}
-		subs, err := w.sh.doAtomic(w.ctx(), w.th, t.req.Subs, resp.Subs[:0])
-		if err != nil {
-			resp.Subs = resp.Subs[:0]
-			status, detail := errStatus(err)
-			resp.Status = status
-			resp.SetDetail(detail)
-			return
-		}
-		resp.Subs = subs
-		if durable {
-			w.recs, w.valBuf = appendAtomicRecords(w.recs[:0], w.valBuf[:0], t.req.Subs, subs)
-			if len(w.recs) > 0 {
-				walSeq, walErr = w.appendWAL(w.recs)
-			}
-		}
-	}()
-	// Fsync outside walMu: the next batch's execution overlaps this flush,
-	// and concurrent committers share fsyncs (wal.Log.Sync piggybacking).
-	if walErr == nil && walSeq != 0 {
-		walErr = sh.log.Sync(walSeq)
-		if walErr == nil {
-			w.repScratch = w.s.waitReplicated(sh, walSeq, w.repScratch)
-		}
-	}
-	if walErr != nil {
-		w.noteWALFault(walErr)
-		resp.Subs = resp.Subs[:0]
-		resp.Status = wire.StatusTxFault
-		resp.SetDetail("wal: " + walErr.Error())
-	}
-	w.finish(t, resp)
-}
-
 // errShardReadOnly is the TxFault detail for writes refused by a shard that
 // lost its WAL.
 const errShardReadOnly = "shard is read-only after a WAL failure"
 
-// appendWAL appends one committed group's redo batch and meters it.
-func (w *groupWorker) appendWAL(recs []wal.Record) (uint64, error) {
-	seq, n, err := w.sh.log.Append(recs)
+// appendWAL appends one redo batch to sh's log and meters it.
+func appendWAL(sh *shard, recs []wal.Record) (uint64, error) {
+	seq, n, err := sh.log.Append(recs)
 	if err != nil {
 		return 0, err
 	}
-	w.sh.walAppends.Add(1)
-	w.sh.walBytes.Add(uint64(n))
+	sh.walAppends.Add(1)
+	sh.walBytes.Add(uint64(n))
 	return seq, nil
 }
 
@@ -403,315 +349,72 @@ func (s *Server) noteShardWALFault(sh *shard, err error) {
 	}
 }
 
-// noteWALFault is noteShardWALFault for this worker's own shard.
-func (w *groupWorker) noteWALFault(err error) { w.s.noteShardWALFault(w.sh, err) }
-
-// runAtomicMulti executes an ATOMIC batch whose keys span sub-shards (or
-// wire-level shards) as ONE multi-view transaction: every participant view
-// is quiesced in canonical order and the batch runs with exclusive
-// lock-mode access to all of them (votm.AtomicAll), giving clients the same
-// all-or-nothing contract as a single-shard batch. Durability is two-phase:
-// each mutating participant appends a prepare record carrying its slice of
-// the redo batch, every prepare is fsynced, and only then does each log get
-// the commit record — so recovery (resolveCrossShard) applies the group on
-// all participants or none, no matter where a crash lands.
-func (w *groupWorker) runAtomicMulti(t task, parts []*shard, owner []int) {
-	s := w.s
-	resp := wire.NewResponse()
-	resp.Op, resp.ID = t.req.Op, t.req.ID
-
-	writable := make([]bool, len(parts))
-	hasWrite := false
-	for i, sub := range t.req.Subs {
-		if sub.Kind != wire.SubGet {
-			writable[owner[i]] = true
-			hasWrite = true
-		}
-	}
-	durable := hasWrite && parts[0].log != nil
-	if durable {
-		for i, p := range parts {
-			if writable[i] && p.readOnly.Load() {
-				resp.Status = wire.StatusTxFault
-				resp.SetDetail(errShardReadOnly)
-				w.finish(t, resp)
-				return
-			}
-		}
-	}
-
-	// Re-verified inside the paused body, where splits cannot publish: a
-	// false return there is authoritative for the whole execution.
-	stale := func() bool {
-		for i, sub := range t.req.Subs {
-			if s.shards[s.Shard(sub.Key)].route(sub.Key) != parts[owner[i]] {
-				return true
-			}
-		}
-		return false
-	}
-
-	var (
-		syncShards []*shard // commit (or plain-batch) records awaiting fsync
-		syncSeqs   []uint64
-		walErr     error
-	)
-	func() {
-		// Every mutating participant's walMu is taken in canonical order
-		// BEFORE any view is paused and held across execution plus the
-		// append of both 2PC records: each shard's log order equals its
-		// memory commit order, no batch can land between a group's prepare
-		// and commit, and — because single-shard writers hold their one
-		// walMu before entering the view — a paused view can never contain
-		// a transaction that waits on a mutex held here.
-		locked := make([]bool, len(parts))
-		defer func() {
-			for i := len(parts) - 1; i >= 0; i-- {
-				if locked[i] {
-					parts[i].walMu.Unlock()
-				}
-			}
-		}()
-		defer func() {
-			if r := recover(); r != nil {
-				s.logf("votmd: shard %d: %v in cross-shard ATOMIC transaction", w.sh.id, r)
-				resp.Subs = resp.Subs[:0]
-				resp.Status = wire.StatusTxFault
-				resp.SetDetail(fmt.Sprint(r))
-			}
-		}()
-		if durable {
-			for i, p := range parts {
-				if writable[i] {
-					p.walMu.Lock()
-					locked[i] = true
-				}
-			}
-			if cn := s.cluster; cn != nil {
-				for i, p := range parts {
-					if writable[i] && cn.states[p.id].moving.Load() {
-						resp.Status = wire.StatusBusy
-						resp.SetDetail(errShardMoving.Error())
-						return
-					}
-				}
-			}
-		}
-		results, err := doAtomicMulti(w.ctx(), w.th, parts, owner, !hasWrite, t.req.Subs, resp.Subs[:0], stale)
-		if err != nil {
-			resp.Subs = resp.Subs[:0]
-			status, detail := errStatus(err)
-			resp.Status = status
-			resp.SetDetail(detail)
-			return
-		}
-		resp.Subs = results
-		if durable {
-			syncShards, syncSeqs, walErr = w.appendCrossShard(t.req.Subs, results, parts, owner, writable)
-		}
-	}()
-	// Final fsyncs happen outside the mutexes (overlapping later groups,
-	// piggybacking across workers); the response still waits on every
-	// participant's durability point — and, under cluster leadership, every
-	// participant's semi-sync replication point.
-	if walErr == nil {
-		walErr = w.syncAll(syncShards, syncSeqs)
-		if walErr == nil {
-			for i := range syncShards {
-				w.repScratch = s.waitReplicated(syncShards[i], syncSeqs[i], w.repScratch)
-			}
-		}
-	}
-	if walErr != nil {
-		resp.Subs = resp.Subs[:0]
-		resp.Status = wire.StatusTxFault
-		resp.SetDetail("wal: " + walErr.Error())
-	}
-	if resp.Status == wire.StatusOK && len(parts) > 1 {
-		for _, p := range parts {
-			p.xsGroups.Add(1)
-		}
-	}
-	w.finish(t, resp)
-}
-
-// appendCrossShard makes a committed cross-shard batch durable. One shard
-// with redo records degenerates to a plain batch append (no other log needs
-// to agree with it); with two or more, every such participant appends a
-// prepare record carrying its slice of the redo batch, ALL prepares are
-// fsynced, and only then does each log get its commit record — still under
-// the walMus, so each log keeps the pair adjacent. Recovery applies a
-// prepare iff ANY participant's log holds the commit record.
-//
-// It returns the shards and sequences whose final records still await their
-// fsync (flushed by the caller outside the mutexes). On error, every
-// participant whose memory now diverges from its log has been flipped
-// read-only here.
-func (w *groupWorker) appendCrossShard(subs []wire.Sub, results []wire.SubResult, parts []*shard, owner []int, writable []bool) ([]*shard, []uint64, error) {
-	type partRecs struct {
-		p    *shard
-		recs []wal.Record
-	}
-	var wr []partRecs
-	w.valBuf = w.valBuf[:0]
-	for pi, p := range parts {
-		if !writable[pi] {
-			continue
-		}
-		var recs []wal.Record
-		recs, w.valBuf = appendAtomicRecordsOwned(nil, w.valBuf, subs, results, owner, pi)
-		if len(recs) > 0 {
-			wr = append(wr, partRecs{p: p, recs: recs})
-		}
-	}
-	switch len(wr) {
-	case 0:
-		return nil, nil, nil // nothing mutated state anywhere
-	case 1:
-		p := wr[0].p
-		seq, n, err := p.log.Append(wr[0].recs)
-		if err != nil {
-			w.s.noteShardWALFault(p, err)
-			return nil, nil, err
-		}
-		p.walAppends.Add(1)
-		p.walBytes.Add(uint64(n))
-		return []*shard{p}, []uint64{seq}, nil
-	}
-
-	xid := w.s.nextXID()
-	prepSeqs := make([]uint64, len(wr))
-	shs := make([]*shard, len(wr))
-	prepared := 0
-	abortPrepared := func(err error) {
-		// Memory holds the group on every mutating participant but the logs
-		// will not replay it: append the abort decision where possible (so
-		// the next recovery resolves instantly instead of hunting for a
-		// commit record) and flip every mutating participant read-only.
-		for i := 0; i < prepared; i++ {
-			_, _, _ = wr[i].p.log.Append([]wal.Record{{Kind: wal.RecAbort, Key: xid}})
-			wr[i].p.xsPrepareAborts.Add(1)
-		}
-		for _, e := range wr {
-			w.s.noteShardWALFault(e.p, err)
-		}
-	}
-	for i, e := range wr {
-		w.prepBuf = wal.AppendPrepareValue(w.prepBuf[:0], e.recs)
-		seq, n, err := e.p.log.Append([]wal.Record{{Kind: wal.RecPrepare, Key: xid, Value: w.prepBuf}})
-		if err != nil {
-			abortPrepared(err)
-			return nil, nil, err
-		}
-		e.p.walAppends.Add(1)
-		e.p.walBytes.Add(uint64(n))
-		e.p.xsPrepares.Add(1)
-		prepSeqs[i], shs[i] = seq, e.p
-		prepared++
-	}
-	// Phase-1 barrier: every prepare durable before any commit record can
-	// exist. (The walMus stay held; Sync never takes them.)
-	if err := w.syncAll(shs, prepSeqs); err != nil {
-		abortPrepared(err)
-		return nil, nil, err
-	}
-	// Phase 2: the decision. The group is committed the moment the first of
-	// these records becomes durable — the any-commit recovery rule is sound
-	// because phase 1 guaranteed every participant's prepare outlives it.
-	commitSeqs := make([]uint64, len(wr))
-	var firstErr error
-	for i, e := range wr {
-		seq, n, err := e.p.log.Append([]wal.Record{{Kind: wal.RecCommit, Key: xid}})
-		if err != nil {
-			w.s.noteShardWALFault(e.p, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		e.p.walAppends.Add(1)
-		e.p.walBytes.Add(uint64(n))
-		commitSeqs[i] = seq
-	}
-	if firstErr != nil {
-		// Some logs hold the commit record and some cannot: whether the
-		// group survives a restart is decided by the any-commit rule, not by
-		// what these shards' memory says — flip them all.
-		for _, e := range wr {
-			w.s.noteShardWALFault(e.p, firstErr)
-		}
-		return nil, nil, firstErr
-	}
-	return shs, commitSeqs, nil
-}
-
-// roundTask is one cross-shard ATOMIC's slot in a coordination round
-// (runAtomicMultiBatch): its queued task, the shared-round execution state,
-// and the mapping of its subs onto the round's union participant set.
+// roundTask is one cross-shard ATOMIC's slot in a coordination round: its
+// queued task, its interpreter state (ownership remapped onto the round's
+// union participant indices) and the union participants it mutates.
 type roundTask struct {
-	x        *xtask
+	t        task
 	resp     *wire.Response
 	batch    *multiBatch
-	uowner   []int  // owner remapped onto the union participant indices
-	writes   []bool // union participants this task mutates
+	writes   []bool
 	hasWrite bool
 }
 
-// runAtomicMultiBatch executes every cross-shard ATOMIC drained in one
-// wakeup as ONE coordination round: the union of their participant views is
-// quiesced once (canonical order), the batches run back to back inside it
-// with per-batch verdicts (doAtomicMultiGroup), and durability is a single
-// two-phase flush — every task's prepare records appended and fsynced
-// together, then every commit record. Cross-shard 2PC thus pays its fsyncs
-// per ROUND instead of per batch, which is what keeps the all-cross-shard
-// durable throughput cell within a small factor of the same-shard one
-// (BenchmarkServerDurable).
+// runRound executes every cross-shard ATOMIC drained in one wakeup — one or
+// many — as ONE coordination round: the union of their participant views is
+// quiesced once in canonical order (votm.AtomicAll), the batches run back to
+// back inside it with exclusive lock-mode access and per-batch verdicts, and
+// durability is a single two-phase flush — every task's prepare records
+// appended and fsynced together, then every commit record — so recovery
+// (resolveCrossShard) applies each batch on all its participants or none,
+// no matter where a crash lands. Cross-shard 2PC thus pays its quiesce and
+// its fsyncs per ROUND instead of per batch (BenchmarkServerDurable's xshard
+// cell).
 //
 // Correctness notes:
 //
-//   - Every writing task gets its OWN xid and prepare/commit pair — even one
-//     mutating a single shard, which alone would degenerate to a plain batch
-//     append. Uniform 2PC keeps replay order right: each participant's log
-//     holds the round as [P_t1..P_tk, C_t1..C_tk] in task order, a prepare's
-//     effects apply at its commit record's position (durability.go replay),
-//     so replayed effects land in task order — exactly the order the batches
-//     executed in memory. Tasks stay independent at recovery: each xid is
-//     resolved by the any-commit rule on its own.
-//   - Every writable participant's walMu is held from before the views pause
-//     until after the LAST commit record is appended, so any transaction
-//     observing a round task's writes logs after that task's commit record:
-//     an observer becoming durable implies the decision is durable.
+//   - A batch's failure (stale route, bad add, panic) lands in its own
+//     verdict and never touches its round-mates: validation precedes every
+//     write, so a failed batch wrote nothing. A round-level failure (pause
+//     error, cancellation, a panic before the body) means nothing executed
+//     and becomes every undecided batch's verdict.
+//   - Every writing task gets its OWN xid and prepare/commit pair. Uniform
+//     2PC keeps replay order right: each participant's log holds the round as
+//     [P_t1..P_tk, C_t1..C_tk] in task order, a prepare's effects apply at
+//     its commit record's position (durability.go replay), so replayed
+//     effects land in task order — exactly the order the batches executed in
+//     memory. Tasks stay independent at recovery: each xid is resolved by the
+//     any-commit rule on its own. The one exception is a round whose records
+//     all belong to one task on one participant (appendCrossShardRound).
+//   - Every writable participant's walMu is taken in canonical order BEFORE
+//     any view is paused and held until after the LAST commit record is
+//     appended: each shard's log order equals its memory commit order, any
+//     transaction observing a round task's writes logs after that task's
+//     commit record (an observer becoming durable implies the decision is
+//     durable), and — because group writers hold their one walMu before
+//     entering the view — a paused view can never contain a transaction that
+//     waits on a mutex held here.
 //   - A WAL failure anywhere in the round abandons the WHOLE round's
 //     durability (abort records where possible, writable participants flip
 //     read-only, writing tasks answer TxFault) — round-mates share the
-//     fault exactly as the members of a same-shard group share theirs.
-func (w *groupWorker) runAtomicMultiBatch(xs []xtask) {
-	if len(xs) == 1 {
-		w.runAtomicMulti(xs[0].t, xs[0].parts, xs[0].owner)
-		return
-	}
+//     fault exactly as the members of a group share theirs.
+func (w *groupWorker) runRound(tasks []roundTask) {
 	s := w.s
 
 	// Union of participants in canonical order: AtomicAll's acquisition
 	// order and the walMu lock order below must both match what every other
 	// acquirer uses.
 	var union []*shard
-	for i := range xs {
-		for _, p := range xs[i].parts {
-			seen := false
-			for _, u := range union {
-				if u == p {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+	uindex := make(map[*shard]int)
+	for i := range tasks {
+		for _, p := range tasks[i].batch.parts {
+			if _, seen := uindex[p]; !seen {
+				uindex[p] = 0
 				union = append(union, p)
 			}
 		}
 	}
 	sort.Slice(union, func(i, j int) bool { return shardLess(union[i], union[j]) })
-	uindex := make(map[*shard]int, len(union))
 	for i, p := range union {
 		uindex[p] = i
 	}
@@ -720,126 +423,111 @@ func (w *groupWorker) runAtomicMultiBatch(xs []xtask) {
 	// read-only refusal (a task writing a faulted shard drops out up front;
 	// its round-mates still run).
 	durable := union[0].log != nil
-	tasks := make([]*roundTask, 0, len(xs))
 	unionWrite := make([]bool, len(union))
 	hasWrite := false
-	for i := range xs {
-		x := &xs[i]
-		resp := wire.NewResponse()
-		resp.Op, resp.ID = x.t.req.Op, x.t.req.ID
-		uowner := make([]int, len(x.owner))
-		writes := make([]bool, len(union))
-		taskWrites := false
-		for si, sub := range x.t.req.Subs {
-			uowner[si] = uindex[x.parts[x.owner[si]]]
+	live := tasks[:0]
+	for _, rt := range tasks {
+		b := rt.batch
+		rt.resp = wire.NewResponse()
+		rt.resp.Op, rt.resp.ID = rt.t.req.Op, rt.t.req.ID
+		rt.writes = make([]bool, len(union))
+		refused := false
+		for si, sub := range b.subs {
+			ui := uindex[b.parts[b.owner[si]]]
+			b.owner[si] = ui
 			if sub.Kind != wire.SubGet {
-				writes[uowner[si]] = true
-				taskWrites = true
+				rt.writes[ui], rt.hasWrite = true, true
+				refused = refused || (durable && union[ui].readOnly.Load())
 			}
 		}
-		if durable && taskWrites {
-			refused := false
-			for pi, mutates := range writes {
-				if mutates && union[pi].readOnly.Load() {
-					resp.Status = wire.StatusTxFault
-					resp.SetDetail(errShardReadOnly)
-					w.finish(x.t, resp)
-					refused = true
-					break
-				}
-			}
-			if refused {
-				continue
-			}
+		if refused {
+			rt.resp.Status = wire.StatusTxFault
+			rt.resp.SetDetail(errShardReadOnly)
+			w.releaseBatch(b)
+			w.finish(rt.t, rt.resp)
+			continue
 		}
-		if taskWrites {
+		if rt.hasWrite {
 			hasWrite = true
-			for pi, mutates := range writes {
-				if mutates {
-					unionWrite[pi] = true
-				}
+			for pi, mutates := range rt.writes {
+				unionWrite[pi] = unionWrite[pi] || mutates
 			}
 		}
-		// Re-verified inside the paused body, where splits cannot publish:
-		// a false return there is authoritative for the whole round.
-		subs, parts, owner := x.t.req.Subs, x.parts, x.owner
-		stale := func() bool {
-			for si, sub := range subs {
-				if s.shards[s.Shard(sub.Key)].route(sub.Key) != parts[owner[si]] {
-					return true
-				}
-			}
-			return false
-		}
-		tasks = append(tasks, &roundTask{
-			x:        x,
-			resp:     resp,
-			uowner:   uowner,
-			writes:   writes,
-			hasWrite: taskWrites,
-			batch:    &multiBatch{subs: subs, owner: uowner, stale: stale, results: resp.Subs[:0]},
-		})
+		b.results = rt.resp.Subs[:0]
+		_ = b.alloc(union) // a failure is the batch's verdict
+		live = append(live, rt)
 	}
-	if len(tasks) == 0 {
+	if tasks = live; len(tasks) == 0 {
 		return
 	}
 	durable = durable && hasWrite
-
-	batches := make([]*multiBatch, len(tasks))
-	for i, rt := range tasks {
-		batches[i] = rt.batch
+	// undecided gives every batch without a verdict the round's.
+	undecided := func(err error) {
+		for i := range tasks {
+			if tasks[i].batch.err == nil {
+				tasks[i].batch.err = err
+			}
+		}
 	}
+
 	var (
-		syncShs  []*shard // commit records awaiting their fsync
+		syncShs  []*shard // final records awaiting their fsync
 		syncSeqs []uint64
 		walErr   error
 	)
 	func() {
-		// Same discipline as runAtomicMulti, over the union: every writable
-		// participant's walMu in canonical order BEFORE any view pauses,
-		// held across execution plus the append of both 2PC record batches.
-		locked := make([]bool, len(union))
+		locked := 0
 		defer func() {
-			for i := len(union) - 1; i >= 0; i-- {
-				if locked[i] {
+			for i := locked - 1; i >= 0; i-- {
+				if unionWrite[i] {
 					union[i].walMu.Unlock()
 				}
 			}
 		}()
 		defer func() {
+			// The one place ATOMIC pre-allocations are released, on every
+			// path: a panic that unwound AtomicAll (an injected admission
+			// fault — nothing executed) first becomes the verdict of every
+			// undecided batch, so their blocks and nodes are freed too.
 			if r := recover(); r != nil {
 				s.logf("votmd: shard %d: %v in cross-shard ATOMIC round", w.sh.id, r)
-				err := fmt.Errorf("cross-shard round: %v", r)
-				for _, rt := range tasks {
-					if rt.batch.err == nil {
-						rt.batch.err = err
-					}
-				}
+				undecided(txFault{r})
+			}
+			for i := range tasks {
+				tasks[i].batch.settle(union, true)
 			}
 		}()
 		if durable {
 			for i, p := range union {
 				if unionWrite[i] {
 					p.walMu.Lock()
-					locked[i] = true
 				}
+				locked = i + 1
 			}
-			if cn := s.cluster; cn != nil {
-				for i, p := range union {
-					if unionWrite[i] && cn.states[p.id].moving.Load() {
-						// A participant is quiesced for a handoff: refuse the
-						// whole round before anything executes (BUSY).
-						for _, rt := range tasks {
-							if rt.batch.err == nil {
-								rt.batch.err = errShardMoving
-							}
-						}
-						return
-					}
+			for i, p := range union {
+				if unionWrite[i] && s.moving(p) {
+					// A participant is quiesced for a handoff: refuse the
+					// whole round before anything executes (BUSY).
+					undecided(errShardMoving)
+					return
 				}
 			}
 		}
-		_ = doAtomicMultiGroup(w.ctx(), w.th, union, batches, !hasWrite)
+		views := make([]*votm.View, len(union))
+		for i, p := range union {
+			views[i] = p.view
+		}
+		err := votm.AtomicAll(w.ctx(), w.th, views, !hasWrite, func(txs []votm.Tx) error {
+			for i := range tasks {
+				if b := tasks[i].batch; b.err == nil {
+					b.err = execContained(b, s, union, txs)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			undecided(err)
+		}
 		if durable {
 			syncShs, syncSeqs, walErr = w.appendCrossShardRound(union, tasks)
 		}
@@ -856,30 +544,44 @@ func (w *groupWorker) runAtomicMultiBatch(xs []xtask) {
 			}
 		}
 	}
-	for _, rt := range tasks {
+	for i := range tasks {
+		rt := &tasks[i]
 		resp := rt.resp
 		switch {
 		case rt.batch.err != nil:
-			resp.Subs = resp.Subs[:0]
 			status, detail := errStatus(rt.batch.err)
 			resp.Status = status
 			resp.SetDetail(detail)
 		case walErr != nil && rt.hasWrite:
 			// A read-only task's result needs no durability point; a writing
 			// one cannot distinguish its own records from the round's fault.
-			resp.Subs = resp.Subs[:0]
 			resp.Status = wire.StatusTxFault
 			resp.SetDetail("wal: " + walErr.Error())
 		default:
 			resp.Subs = rt.batch.results
-			if len(rt.x.parts) > 1 {
-				for _, p := range rt.x.parts {
+			if len(rt.batch.parts) > 1 {
+				for _, p := range rt.batch.parts {
 					p.xsGroups.Add(1)
 				}
 			}
 		}
-		w.finish(rt.x.t, resp)
+		w.releaseBatch(rt.batch)
+		w.finish(rt.t, resp)
 	}
+}
+
+// execContained runs one round batch, containing a panic to that batch: its
+// round-mates already executed (or still can) inside the same irrevocable
+// quiesce, so the fault must not unwind them. (The forwarding guard cannot
+// fire here — routing is frozen and exec checked every key — so any panic
+// is a batch-local fault.)
+func execContained(b *multiBatch, s *Server, parts []*shard, txs []votm.Tx) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = txFault{r}
+		}
+	}()
+	return b.exec(s, parts, txs)
 }
 
 // appendCrossShardRound makes a round's committed batches durable with one
@@ -891,37 +593,58 @@ func (w *groupWorker) runAtomicMultiBatch(xs []xtask) {
 // any-commit rule, and a prepare's effects apply at its commit record's
 // position, keeping replay in task order.
 //
-// Returns the shards and sequences whose commit records await their fsync.
+// A round whose redo records all belong to ONE task on ONE participant
+// degenerates to a plain batch append: no other log has to agree with it and
+// nothing else in the round needs ordering against it.
+//
+// Returns the shards and sequences whose final records await their fsync.
 // On error the round's durability is abandoned wholesale: abort records are
 // appended where possible and every participant holding round records flips
 // read-only.
-func (w *groupWorker) appendCrossShardRound(union []*shard, tasks []*roundTask) ([]*shard, []uint64, error) {
-	prep := make([][]wal.Record, len(union))
-	commit := make([][]wal.Record, len(union))
-	for _, rt := range tasks {
+func (w *groupWorker) appendCrossShardRound(union []*shard, tasks []roundTask) ([]*shard, []uint64, error) {
+	w.recs, w.valBuf, w.pairs = w.recs[:0], w.valBuf[:0], w.pairs[:0]
+	for ti := range tasks {
+		rt := &tasks[ti]
 		if rt.batch.err != nil || !rt.hasWrite {
 			continue
 		}
-		var (
-			xid     uint64
-			haveXID bool
-		)
 		for pi := range union {
 			if !rt.writes[pi] {
 				continue
 			}
-			w.recs, w.valBuf = appendAtomicRecordsOwned(w.recs[:0], w.valBuf[:0], rt.batch.subs, rt.batch.results, rt.uowner, pi)
-			if len(w.recs) == 0 {
-				continue // e.g. only missed deletes landed here
+			lo := len(w.recs)
+			w.recs, w.valBuf = appendAtomicRecords(w.recs, w.valBuf, rt.batch, pi)
+			if len(w.recs) > lo { // else e.g. only missed deletes landed here
+				w.pairs = append(w.pairs, roundPair{task: ti, part: pi, lo: lo, hi: len(w.recs)})
 			}
-			if !haveXID {
-				xid, haveXID = w.s.nextXID(), true
-			}
-			// AppendPrepareValue copies the records' bytes, so the recs and
-			// valBuf scratch are free for the next participant.
-			prep[pi] = append(prep[pi], wal.Record{Kind: wal.RecPrepare, Key: xid, Value: wal.AppendPrepareValue(nil, w.recs)})
-			commit[pi] = append(commit[pi], wal.Record{Kind: wal.RecCommit, Key: xid})
 		}
+	}
+	switch len(w.pairs) {
+	case 0:
+		return nil, nil, nil // no task mutated state anywhere
+	case 1:
+		p := union[w.pairs[0].part]
+		seq, err := appendWAL(p, w.recs)
+		if err != nil {
+			w.s.noteShardWALFault(p, err)
+			return nil, nil, err
+		}
+		return []*shard{p}, []uint64{seq}, nil
+	}
+
+	prep := make([][]wal.Record, len(union))
+	commit := make([][]wal.Record, len(union))
+	w.prepBuf = w.prepBuf[:0]
+	var xid uint64
+	for i, pr := range w.pairs {
+		if i == 0 || pr.task != w.pairs[i-1].task {
+			xid = w.s.nextXID()
+		}
+		// A grown prepBuf leaves earlier values intact in the old array.
+		lo := len(w.prepBuf)
+		w.prepBuf = wal.AppendPrepareValue(w.prepBuf, w.recs[pr.lo:pr.hi])
+		prep[pr.part] = append(prep[pr.part], wal.Record{Kind: wal.RecPrepare, Key: xid, Value: w.prepBuf[lo:len(w.prepBuf):len(w.prepBuf)]})
+		commit[pr.part] = append(commit[pr.part], wal.Record{Kind: wal.RecCommit, Key: xid})
 	}
 
 	var (
@@ -953,18 +676,13 @@ func (w *groupWorker) appendCrossShardRound(union []*shard, tasks []*roundTask) 
 		if len(prep[pi]) == 0 {
 			continue
 		}
-		seq, n, err := p.log.Append(prep[pi])
+		seq, err := appendWAL(p, prep[pi])
 		if err != nil {
 			abortRound(err)
 			return nil, nil, err
 		}
-		p.walAppends.Add(1)
-		p.walBytes.Add(uint64(n))
 		p.xsPrepares.Add(uint64(len(prep[pi])))
 		prepShs, prepSeqs, prepIdx = append(prepShs, p), append(prepSeqs, seq), append(prepIdx, pi)
-	}
-	if len(prepShs) == 0 {
-		return nil, nil, nil // no task mutated state anywhere
 	}
 	// Phase-1 barrier: every prepare durable before any commit record can
 	// exist. (The walMus stay held; Sync never takes them.)
@@ -979,17 +697,10 @@ func (w *groupWorker) appendCrossShardRound(union []*shard, tasks []*roundTask) 
 	commitSeqs := make([]uint64, len(prepShs))
 	var firstErr error
 	for i, pi := range prepIdx {
-		p := union[pi]
-		seq, n, err := p.log.Append(commit[pi])
-		if err != nil {
-			w.s.noteShardWALFault(p, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		seq, err := appendWAL(union[pi], commit[pi])
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		p.walAppends.Add(1)
-		p.walBytes.Add(uint64(n))
 		commitSeqs[i] = seq
 	}
 	if firstErr != nil {
@@ -1009,26 +720,20 @@ func (w *groupWorker) appendCrossShardRound(union []*shard, tasks []*roundTask) 
 // the failing shard read-only — a sibling whose flush succeeded has its
 // records durable and stays consistent — and the first error is returned.
 func (w *groupWorker) syncAll(shs []*shard, seqs []uint64) error {
-	switch len(shs) {
-	case 0:
-		return nil
-	case 1:
-		if err := shs[0].log.Sync(seqs[0]); err != nil {
-			w.s.noteShardWALFault(shs[0], err)
-			return err
-		}
-		return nil
-	}
 	errs := make([]error, len(shs))
-	var wg sync.WaitGroup
-	for i := range shs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = shs[i].log.Sync(seqs[i])
-		}(i)
+	if len(shs) == 1 {
+		errs[0] = shs[0].log.Sync(seqs[0])
+	} else {
+		var wg sync.WaitGroup
+		for i := range shs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = shs[i].log.Sync(seqs[i])
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	var first error
 	for i, err := range errs {
 		if err != nil {
@@ -1046,14 +751,14 @@ func (w *groupWorker) syncAll(shs []*shard, seqs []uint64) error {
 // moves to the flush) and false when every member was answered inline.
 func (w *groupWorker) runGroup() bool {
 	sh, ops := w.sh, w.ops
-	live := 0
 	readonly := true
 
 	// Response slots and pre-allocation, outside the transaction. Blocks
-	// and spare nodes for the whole group are carved out in one allocator
-	// lock acquisition; if the batch cannot be satisfied (allocator
-	// pressure), fall back to per-op allocation so that only the op that
-	// actually fails is answered INTERNAL and skipped.
+	// and spare nodes for the group's point ops are carved out in one
+	// allocator lock acquisition; if the batch cannot be satisfied
+	// (allocator pressure), fall back to per-op allocation so that only the
+	// op that actually fails is answered INTERNAL and skipped. An ATOMIC
+	// member allocates through its interpreter.
 	w.sizes = w.sizes[:0]
 	for i := range ops {
 		op := &ops[i]
@@ -1061,15 +766,22 @@ func (w *groupWorker) runGroup() bool {
 		resp := wire.NewResponse()
 		resp.Op, resp.ID = req.Op, req.ID
 		op.resp = resp
-		if req.Op != wire.OpGet {
+		switch req.Op {
+		case wire.OpGet:
+		case wire.OpPut, wire.OpCAS:
 			readonly = false
-		}
-		if req.Op == wire.OpPut || req.Op == wire.OpCAS {
 			// Node words are key-dependent: the skip list's tower height is a
 			// deterministic function of the key.
 			w.sizes = append(w.sizes, enc.BlobWords(len(req.Value)), sh.idx.NodeWords(req.Key))
+		case wire.OpAtomic:
+			readonly = readonly && !op.batch.writes()
+			op.batch.results = resp.Subs[:0]
+			if err := op.batch.alloc(w.self); err != nil {
+				w.skipOp(op, err)
+			}
+		default:
+			readonly = false
 		}
-		live++
 	}
 	var batched bool
 	if len(w.sizes) > 0 {
@@ -1087,13 +799,11 @@ func (w *groupWorker) runGroup() bool {
 			}
 		}
 	}
-	if !batched {
-		for i := range ops {
-			op := &ops[i]
-			req := op.t.req
-			if req.Op != wire.OpPut && req.Op != wire.OpCAS {
-				continue
-			}
+	live := 0
+	for i := range ops {
+		op := &ops[i]
+		req := op.t.req
+		if !batched && (req.Op == wire.OpPut || req.Op == wire.OpCAS) {
 			block, err := sh.alloc(enc.BlobWords(len(req.Value)))
 			if err == nil {
 				op.block, op.hasBlock = block, true
@@ -1103,12 +813,11 @@ func (w *groupWorker) runGroup() bool {
 				}
 			}
 			if err != nil {
-				w.releaseOp(op)
-				op.resp.Status = wire.StatusInternal
-				op.resp.SetDetail(err.Error())
-				op.skip = true
-				live--
+				w.skipOp(op, err)
 			}
+		}
+		if !op.skip {
+			live++
 		}
 	}
 	if live == 0 {
@@ -1129,35 +838,18 @@ func (w *groupWorker) runGroup() bool {
 	// refuse the whole write group with TxFault rather than diverge.
 	durable := sh.log != nil && !readonly
 	if durable && sh.readOnly.Load() {
-		for i := range ops {
-			op := &ops[i]
-			if op.skip {
-				continue
-			}
-			w.releaseOp(op)
-			op.resp.Status = wire.StatusTxFault
-			op.resp.SetDetail(errShardReadOnly)
-		}
-		w.finishGroup(ops)
+		w.failGroup(ops, wire.StatusTxFault, errShardReadOnly)
 		return false
 	}
 
 	// The runtime rolls back and releases admission before a body panic
 	// (an injected fault) reaches us: fail just this group, but answer
-	// every member — no request may be lost to a chaos event.
+	// every member — no request may be lost to a chaos event — and release
+	// every member's pre-allocations.
 	defer func() {
 		if r := recover(); r != nil {
 			w.s.logf("votmd: shard %d: %v in grouped transaction of %d", sh.id, r, live)
-			for i := range ops {
-				op := &ops[i]
-				if op.skip {
-					continue
-				}
-				w.releaseOp(op)
-				op.resp.Status = wire.StatusTxFault
-				op.resp.SetDetail(fmt.Sprint(r))
-			}
-			w.finishGroup(ops)
+			w.failGroup(ops, wire.StatusTxFault, fmt.Sprint(r))
 		}
 	}()
 	walLocked := false
@@ -1171,20 +863,11 @@ func (w *groupWorker) runGroup() bool {
 	if durable {
 		sh.walMu.Lock()
 		walLocked = true
-		if w.movingBarrier() {
+		if w.s.moving(sh) {
 			// The handoff capture acquires walMu after setting moving:
 			// reaching here with it set means this group would commit behind
 			// the captured state — refuse every live op instead (BUSY).
-			for i := range ops {
-				op := &ops[i]
-				if op.skip {
-					continue
-				}
-				w.releaseOp(op)
-				op.resp.Status = wire.StatusBusy
-				op.resp.SetDetail(errShardMoving.Error())
-			}
-			w.finishGroup(ops)
+			w.failGroup(ops, wire.StatusBusy, errShardMoving.Error())
 			return false
 		}
 	}
@@ -1196,9 +879,17 @@ func (w *groupWorker) runGroup() bool {
 	// failures are statuses, never aborts.
 	fn := func(tx votm.Tx) error {
 		w.frees, w.keysDelta = w.frees[:0], 0
+		w.selfTx[0] = tx
 		for i := range ops {
 			op := &ops[i]
 			if op.skip {
+				continue
+			}
+			if b := op.batch; b != nil {
+				// The member keeps its own verdict: a refused batch wrote
+				// nothing (exec validates before its first write) and its
+				// group-mates carry on.
+				b.err = b.exec(w.s, w.self, w.selfTx)
 				continue
 			}
 			op.usedBlock, op.usedNode = false, false
@@ -1206,6 +897,15 @@ func (w *groupWorker) runGroup() bool {
 			resp.Status = wire.StatusOK
 			resp.Value = resp.Value[:0]
 			resp.Created = false
+			if w.s.shards[sh.id].route(req.Key) != sh {
+				// A split moved this key between dispatch and execution.
+				// Splits publish under this view's exclusive section, so the
+				// verdict is authoritative in here: answer BUSY (retryable)
+				// instead of operating on a stale owner. Only the moved
+				// requests drop out; the rest of the group still commits.
+				resp.Status = wire.StatusBusy
+				continue
+			}
 			switch req.Op {
 			case wire.OpGet:
 				if ref, ok := sh.idx.Get(tx, req.Key); ok {
@@ -1260,21 +960,12 @@ func (w *groupWorker) runGroup() bool {
 	}
 	if err != nil {
 		status, detail := errStatus(err)
-		for i := range ops {
-			op := &ops[i]
-			if op.skip {
-				continue
-			}
-			w.releaseOp(op)
-			op.resp.Status = status
-			op.resp.SetDetail(detail)
-		}
-		w.finishGroup(ops)
+		w.failGroup(ops, status, detail)
 		return false
 	}
 
-	// Committed. A durable group's redo batch — the post-images of every op
-	// that mutated state — is appended before walMu drops (so a later
+	// Committed. A durable group's redo batch — the post-images of every
+	// member that mutated state — is appended before walMu drops (so a later
 	// group's batch can never overtake it in the log); the flush happens
 	// after, at most once per group and shared whenever possible.
 	var (
@@ -1282,21 +973,33 @@ func (w *groupWorker) runGroup() bool {
 		walErr error
 	)
 	if durable {
-		w.recs = appendGroupRecords(w.recs[:0], ops)
+		w.recs, w.valBuf = appendGroupRecords(w.recs[:0], w.valBuf[:0], ops)
 		if len(w.recs) > 0 {
-			walSeq, walErr = w.appendWAL(w.recs)
+			walSeq, walErr = appendWAL(sh, w.recs)
 		}
 		sh.walMu.Unlock()
 		walLocked = false
 	}
 
 	// Release displaced storage and any pre-allocation the final attempt
-	// did not link — the whole effect list in one allocator lock
-	// acquisition. (A map node is a plain view block: FreeNode is view.Free
-	// by another name, so it batches with the rest.) This cleanup is due
-	// even when the WAL failed: the memory commit happened.
+	// did not link — the point ops' whole effect list in one allocator lock
+	// acquisition (a map node is a plain view block: FreeNode is view.Free
+	// by another name, so it batches with the rest), each ATOMIC member's
+	// through its interpreter, which also yields the member's answer. This
+	// cleanup is due even when the WAL failed: the memory commit happened.
 	for i := range ops {
 		op := &ops[i]
+		if b := op.batch; b != nil {
+			if b.err != nil {
+				status, detail := errStatus(b.err)
+				op.resp.Status = status
+				op.resp.SetDetail(detail)
+			} else {
+				op.resp.Subs = b.results
+			}
+			b.settle(w.self, true)
+			continue
+		}
 		if op.hasBlock && !op.usedBlock {
 			w.frees = append(w.frees, op.block)
 		}
@@ -1313,22 +1016,14 @@ func (w *groupWorker) runGroup() bool {
 		// memory with durability unknown — answer it TxFault, stop
 		// accepting writes, and settle the lagged groups (their flush will
 		// fail the same way and TxFault them too).
-		w.noteWALFault(walErr)
-		for i := range ops {
-			op := &ops[i]
-			if op.skip {
-				continue
-			}
-			op.resp.Status = wire.StatusTxFault
-			op.resp.SetDetail("wal: " + walErr.Error())
-		}
-		w.finishGroup(ops)
+		w.s.noteShardWALFault(sh, walErr)
+		w.failGroup(ops, wire.StatusTxFault, "wal: "+walErr.Error())
 		w.flushPending()
 		return false
 	}
 	if walSeq == 0 {
-		// Nothing mutated state (all NOT_FOUND / CAS_MISMATCH): no redo
-		// batch, no durability point to wait for.
+		// Nothing mutated state (all NOT_FOUND / CAS_MISMATCH / refused
+		// batches): no redo batch, no durability point to wait for.
 		w.finishGroup(ops)
 		return false
 	}
@@ -1346,8 +1041,21 @@ func (w *groupWorker) runGroup() bool {
 	return true
 }
 
-// releaseOp returns an op's unlinked pre-allocations (failure paths).
+// skipOp excludes a member whose pre-allocation failed from the group: it
+// is answered INTERNAL and the transaction never sees it.
+func (w *groupWorker) skipOp(op *groupOp, err error) {
+	w.releaseOp(op)
+	op.resp.Status = wire.StatusInternal
+	op.resp.SetDetail(err.Error())
+	op.skip = true
+}
+
+// releaseOp returns a member's unlinked pre-allocations (failure paths; a
+// no-op once the member's storage has been settled).
 func (w *groupWorker) releaseOp(op *groupOp) {
+	if op.batch != nil {
+		op.batch.settle(w.self, false)
+	}
 	if op.hasBlock {
 		_ = w.sh.view.Free(op.block)
 		op.hasBlock = false
@@ -1356,6 +1064,21 @@ func (w *groupWorker) releaseOp(op *groupOp) {
 		_ = w.sh.idx.FreeNode(op.node)
 		op.hasNode = false
 	}
+}
+
+// failGroup answers every live member of a group with one failure status,
+// releasing whatever pre-allocations they still hold.
+func (w *groupWorker) failGroup(ops []groupOp, status wire.Status, detail string) {
+	for i := range ops {
+		op := &ops[i]
+		if op.skip {
+			continue
+		}
+		w.releaseOp(op)
+		op.resp.Status = status
+		op.resp.SetDetail(detail)
+	}
+	w.finishGroup(ops)
 }
 
 // finishGroup answers every op of one group. Consecutive responses for the

@@ -3,6 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"io"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,13 +34,21 @@ func mkTask(s *Server, c *conn, op wire.Op, id uint32, key uint64, val, old []by
 	return task{req: req, c: c}
 }
 
+// mkAtomic builds one dispatched ATOMIC batch the same way.
+func mkAtomic(s *Server, c *conn, id uint32, subs ...wire.Sub) task {
+	t := mkTask(s, c, wire.OpAtomic, id, 0, nil, nil)
+	t.req.Subs = append(t.req.Subs[:0], subs...)
+	return t
+}
+
 // collect drains n responses from the test conn, keyed by request ID. The
-// responses are copied out (status, value, created) before release so the
-// pool can recycle them.
+// responses are copied out (status, value, created, sub-results) before
+// release so the pool can recycle them.
 type gotResp struct {
 	status  wire.Status
 	value   []byte
 	created bool
+	subs    []wire.SubResult
 }
 
 func collect(t *testing.T, c *conn, n int) map[uint32]gotResp {
@@ -49,7 +61,8 @@ func collect(t *testing.T, c *conn, n int) map[uint32]gotResp {
 			for r != nil {
 				next := r.Next
 				r.Next = nil
-				out[r.ID] = gotResp{status: r.Status, value: append([]byte(nil), r.Value...), created: r.Created}
+				out[r.ID] = gotResp{status: r.Status, value: append([]byte(nil), r.Value...), created: r.Created,
+					subs: append([]wire.SubResult(nil), r.Subs...)}
 				r.Release()
 				r = next
 			}
@@ -412,5 +425,294 @@ func TestSteadyStateGetAllocsDurable(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, run); n != 0 {
 		t.Errorf("durable steady-state GET allocates %.1f/op, want 0", n)
+	}
+}
+
+// shutdownServer drains s at test end.
+func shutdownServer(t *testing.T, s *Server) {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+}
+
+// copyTree copies src into dst, simulating the on-disk state a SIGKILL at
+// this instant would leave behind (acknowledged groups are fsynced, so they
+// are all present in the copy).
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if info.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		in, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		out, err := os.Create(target)
+		if err != nil {
+			return err
+		}
+		if _, err := io.Copy(out, in); err != nil {
+			out.Close()
+			return err
+		}
+		return out.Close()
+	})
+	if err != nil {
+		t.Fatalf("copy %s -> %s: %v", src, dst, err)
+	}
+}
+
+// CopyTree exports copyTree to the external test package.
+var CopyTree = copyTree
+
+// TestGroupMergedDrain drains point ops and same-shard ATOMIC batches in one
+// wakeup and checks they ran as ONE grouped transaction with ONE WAL append:
+// the ATOMIC members see their group-mates' writes, a batch refused by its
+// validation pass answers BAD_REQUEST having written nothing while its
+// drain-mates commit, and a crash-restart replays the group to the same
+// state.
+func TestGroupMergedDrain(t *testing.T) {
+	cfg := Config{
+		Shards: 1, ShardWords: 1 << 12, WorkersPerShard: 2,
+		Durability: DurabilityGroup, DataDir: t.TempDir(), SnapshotEvery: time.Hour,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	sh := (*s.shards[0].subs.Load())[0]
+	c := newTestConn(s, 16)
+	w := newGroupWorker(s, sh, th)
+	defer w.close()
+
+	// Seed through the worker so the seeds are in the log too: key 10 holds
+	// a 3-byte value (the bad ADD's target), key 3 the CAS's expectation.
+	w.run([]task{
+		mkTask(s, c, wire.OpPut, 1, 10, []byte("abc"), nil),
+		mkTask(s, c, wire.OpPut, 2, 3, []byte("gamma"), nil),
+	})
+	w.flushPending()
+	collect(t, c, 2)
+	before := sh.view.Snapshot().Totals
+	appends := sh.walAppends.Load()
+
+	w.run([]task{
+		mkTask(s, c, wire.OpPut, 11, 1, []byte("one"), nil),
+		mkTask(s, c, wire.OpGet, 12, 3, nil, nil),
+		mkAtomic(s, c, 13,
+			wire.Sub{Kind: wire.SubPut, Key: 20, Value: []byte("x")},
+			wire.Sub{Kind: wire.SubAdd, Key: 21, Delta: 5},
+			wire.Sub{Kind: wire.SubGet, Key: 1}), // sees PUT#11: same transaction
+		mkAtomic(s, c, 14,
+			wire.Sub{Kind: wire.SubPut, Key: 30, Value: []byte("never")},
+			wire.Sub{Kind: wire.SubAdd, Key: 10, Delta: 1}), // 3-byte value: refused
+		mkTask(s, c, wire.OpCAS, 15, 3, []byte("gamma2"), []byte("gamma")),
+	})
+	w.flushPending()
+	got := collect(t, c, 5)
+
+	for id, want := range map[uint32]wire.Status{
+		11: wire.StatusOK, 12: wire.StatusOK, 13: wire.StatusOK,
+		14: wire.StatusBadRequest, 15: wire.StatusOK,
+	} {
+		if got[id].status != want {
+			t.Errorf("request %d: status %v, want %v (%s)", id, got[id].status, want, got[id].value)
+		}
+	}
+	if string(got[12].value) != "gamma" {
+		t.Errorf("GET#12 = %q, want gamma", got[12].value)
+	}
+	if subs := got[13].subs; len(subs) != 3 || subs[1].Sum != 5 || string(subs[2].Value) != "one" {
+		t.Errorf("ATOMIC#13 results = %+v, want sum 5 and its group-mate's value", subs)
+	}
+	after := sh.view.Snapshot().Totals
+	if after.Groups != before.Groups+1 || after.GroupOps != before.GroupOps+5 {
+		t.Errorf("Totals Groups %d -> %d, GroupOps %d -> %d; want one group of 5",
+			before.Groups, after.Groups, before.GroupOps, after.GroupOps)
+	}
+	if n := sh.walAppends.Load(); n != appends+1 {
+		t.Errorf("walAppends grew by %d, want 1 (one redo batch per group)", n-appends)
+	}
+
+	sum5 := binary.LittleEndian.AppendUint64(nil, 5)
+	verify := func(name string, s *Server) {
+		t.Helper()
+		th := s.rt.RegisterThread()
+		defer th.Release()
+		sh := (*s.shards[0].subs.Load())[0]
+		for _, tc := range []struct {
+			key  uint64
+			want []byte // nil = absent
+		}{
+			{1, []byte("one")}, {3, []byte("gamma2")}, {10, []byte("abc")},
+			{20, []byte("x")}, {21, sum5}, {30, nil},
+		} {
+			val, found, err := sh.doGet(context.Background(), th, tc.key)
+			if err != nil || found != (tc.want != nil) || !bytes.Equal(val, tc.want) {
+				t.Errorf("%s: key %d = %q found=%v err=%v, want %q", name, tc.key, val, found, err, tc.want)
+			}
+		}
+		if n := sh.keys.Load(); n != 5 {
+			t.Errorf("%s: key counter = %d, want 5", name, n)
+		}
+	}
+	verify("live", s)
+
+	crashed := t.TempDir()
+	copyTree(t, cfg.DataDir, crashed)
+	cfg.DataDir = crashed
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	shutdownServer(t, s2)
+	if r := s2.Recovery()[0]; r.CleanStart || r.Replayed == 0 {
+		t.Fatalf("restart did not replay the log: %+v", r)
+	}
+	verify("replayed", s2)
+}
+
+// TestAtomicPanicFreesPreallocations injects a panic into a same-shard
+// ATOMIC (a group member) and into three-shard ATOMICs (a round): every task
+// answers TxFault, nothing commits, and every participant's allocator is
+// back at its pre-batch figure — the blocks and index nodes pre-allocated
+// for the batches were released on the panic path.
+func TestAtomicPanicFreesPreallocations(t *testing.T) {
+	var armed atomic.Int32 // the FaultOp to panic at, +1; 0 = disarmed
+	hook := func(op votm.FaultOp, thread int, addr stm.Addr) {
+		if armed.CompareAndSwap(int32(op)+1, 0) {
+			panic(votm.InjectedPanic{Seq: 1})
+		}
+	}
+	s, err := New(Config{Shards: 3, ShardWords: 1 << 12, WorkersPerShard: 2, FaultHook: hook})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	var shards [3]*shard
+	var keys [3][]uint64 // four keys per shard
+	for k := uint64(1); len(keys[0]) < 4 || len(keys[1]) < 4 || len(keys[2]) < 4; k++ {
+		if i := s.Shard(k); len(keys[i]) < 4 {
+			keys[i] = append(keys[i], k)
+		}
+	}
+	for i := range shards {
+		shards[i] = (*s.shards[i].subs.Load())[0]
+	}
+	c := newTestConn(s, 16)
+	w := newGroupWorker(s, shards[0], th) // shard 0 coordinates every batch below
+	defer w.close()
+
+	inUse := func() (n [3]int) {
+		for i, sh := range shards {
+			n[i] = sh.view.AllocatedWords()
+		}
+		return n
+	}
+	put := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubPut, Key: key, Value: []byte("payload")} }
+	add := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubAdd, Key: key, Delta: 1} }
+	spanning := func(id uint32, j int) task {
+		return mkAtomic(s, c, id, put(keys[0][j]), add(keys[1][j]), put(keys[2][j]))
+	}
+
+	for _, tc := range []struct {
+		name  string
+		at    votm.FaultOp
+		batch []task
+	}{
+		{"same-shard member of a group", votm.FaultStore, []task{
+			mkTask(s, c, wire.OpPut, 1, keys[0][3], []byte("mate"), nil),
+			mkAtomic(s, c, 2, put(keys[0][0]), add(keys[0][1]), put(keys[0][2])),
+		}},
+		{"one-task round", votm.FaultAdmit, []task{spanning(1, 0)}},
+		{"two-task round", votm.FaultAdmit, []task{spanning(1, 0), spanning(2, 1)}},
+	} {
+		before := inUse()
+		armed.Store(int32(tc.at) + 1)
+		w.run(tc.batch)
+		if armed.Load() != 0 {
+			t.Fatalf("%s: the fault never fired", tc.name)
+		}
+		for id, r := range collect(t, c, len(tc.batch)) {
+			if r.status != wire.StatusTxFault {
+				t.Errorf("%s: request %d: status %v, want TxFault", tc.name, id, r.status)
+			}
+		}
+		if after := inUse(); after != before {
+			t.Errorf("%s: allocated words %v -> %v: pre-allocations leaked", tc.name, before, after)
+		}
+		for i, sh := range shards {
+			if n := sh.keys.Load(); n != 0 {
+				t.Errorf("%s: shard %d holds %d keys after a faulted batch", tc.name, i, n)
+			}
+		}
+	}
+
+	// The worker survives: the same batches commit once the hook is quiet.
+	w.run([]task{spanning(1, 0), mkAtomic(s, c, 2, put(keys[0][2]), add(keys[0][3]))})
+	for id, r := range collect(t, c, 2) {
+		if r.status != wire.StatusOK {
+			t.Errorf("post-fault request %d: status %v (%s)", id, r.status, r.value)
+		}
+	}
+	if a, b, c := shards[0].keys.Load(), shards[1].keys.Load(), shards[2].keys.Load(); a != 3 || b != 1 || c != 1 {
+		t.Errorf("post-fault key counters = %d/%d/%d, want 3/1/1", a, b, c)
+	}
+}
+
+// TestSteadyStateAtomicAllocs pins the allocation cost of a 3-PUT same-shard
+// ATOMIC riding the group: the interpreter state, routing plan, effect lists
+// and response slots are all recycled, so it allocates nothing.
+func TestSteadyStateAtomicAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard: race instrumentation allocates on this path")
+	}
+	s, err := New(Config{Shards: 1, ShardWords: 1 << 12, WorkersPerShard: 2, RequestTimeout: time.Hour})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	sh := (*s.shards[0].subs.Load())[0]
+	c := newTestConn(s, 4)
+	w := newGroupWorker(s, sh, th)
+	defer w.close()
+	val := bytes.Repeat([]byte{0xCD}, 64)
+	batch := make([]task, 1)
+	run := func() {
+		batch[0] = mkAtomic(s, c, 1,
+			wire.Sub{Kind: wire.SubPut, Key: 1, Value: val},
+			wire.Sub{Kind: wire.SubPut, Key: 2, Value: val},
+			wire.Sub{Kind: wire.SubPut, Key: 3, Value: val})
+		w.run(batch)
+		r := <-c.out
+		if r.Status != wire.StatusOK || len(r.Subs) != 3 {
+			t.Fatalf("atomic: %+v", r)
+		}
+		r.Release()
+	}
+	for i := 0; i < 32; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Errorf("steady-state 3-PUT ATOMIC allocates %.1f/op, want 0", n)
 	}
 }

@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -32,42 +29,8 @@ func durableConfig(t testing.TB) server.Config {
 	}
 }
 
-// copyTree copies src into dst, simulating the on-disk state a SIGKILL at
-// this instant would leave behind (acknowledged groups are fsynced, so they
-// are all present in the copy).
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		out, err := os.Create(target)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
-	})
-	if err != nil {
-		t.Fatalf("copy %s -> %s: %v", src, dst, err)
-	}
-}
+// copyTree is the shared crash-copy helper (group_test.go).
+var copyTree = server.CopyTree
 
 func u64le(v uint64) []byte {
 	var b [8]byte

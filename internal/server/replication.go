@@ -582,13 +582,13 @@ func (s *Server) waitReplicated(sh *shard, seq uint64, scratch []*replica) []*re
 	return reps[:0]
 }
 
-// movingBarrier reports whether this worker's shard is quiesced for a live
-// handoff. Callers hold sh.walMu — the handoff capture takes it after
-// setting moving, so a true here means the current group must answer BUSY
-// rather than commit behind the captured state.
-func (w *groupWorker) movingBarrier() bool {
-	cn := w.s.cluster
-	return cn != nil && cn.states[w.sh.id].moving.Load()
+// moving reports whether sh is quiesced for a live handoff. Callers hold
+// sh.walMu — the handoff capture takes it after setting moving, so a true
+// here means the caller must answer BUSY rather than commit behind the
+// captured state.
+func (s *Server) moving(sh *shard) bool {
+	cn := s.cluster
+	return cn != nil && cn.states[sh.id].moving.Load()
 }
 
 // --- follower-side apply ---------------------------------------------------

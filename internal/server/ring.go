@@ -1,50 +1,17 @@
-// Bounded per-shard task queues. The default implementation is a lock-free
-// MPSC ring (ringQueue): connection read loops are the producers, the
-// shard's workers take turns as the single draining consumer. The previous
-// chan-based queue survives as chanQueue behind Config.QueueImpl — it is the
-// differential-testing oracle (ring_test.go) and a one-flag rollback path.
+// Bounded per-shard task queue: a lock-free MPSC ring (ringQueue).
+// Connection read loops are the producers, the shard's workers take turns as
+// the single draining consumer. Push never blocks (a full queue is the BUSY
+// backpressure signal); Pop blocks until a task arrives or the queue is
+// closed AND drained. Close may not race an in-flight TryPush — the server
+// guarantees it by closing queues only after reqWG has drained (shutdown).
+// The chan-based queue the ring replaced lives on in ring_test.go as the
+// differential-testing oracle.
 package server
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-// taskQueue is the bounded dispatch queue between connection readers and a
-// shard's workers. Push never blocks (a full queue is the BUSY backpressure
-// signal); Pop blocks until a task arrives or the queue is closed AND
-// drained. Close may not race an in-flight TryPush — the server guarantees
-// it by closing queues only after reqWG has drained (shutdown), exactly the
-// invariant the old close(chan) needed.
-type taskQueue interface {
-	// TryPush enqueues t, or reports false when the queue is full or closed.
-	TryPush(t task) bool
-	// TryPop dequeues one task without blocking; false means empty (or
-	// closed — callers disambiguate through the blocking Pop).
-	TryPop() (task, bool)
-	// Pop blocks for one task; false means closed and fully drained.
-	Pop() (task, bool)
-	// PopBatch appends queued tasks to dst without blocking until len(dst)
-	// reaches max or the queue is empty, returning the extended slice.
-	PopBatch(dst []task, max int) []task
-	// Len is the approximate queued-task count (monitoring, admission).
-	Len() int
-	// Cap is the queue bound.
-	Cap() int
-	// Close stops the queue: pushes fail, Pop drains the remainder then
-	// reports false. Idempotent.
-	Close()
-}
-
-// newTaskQueue builds the configured queue implementation. depth is rounded
-// up to a power of two by the ring (the documented default depths already
-// are); the channel honors it exactly.
-func newTaskQueue(impl string, depth int) taskQueue {
-	if impl == QueueImplChannel {
-		return &chanQueue{ch: make(chan task, depth)}
-	}
-	return newRingQueue(depth)
-}
 
 // cacheLine keeps the ring's producer and consumer cursors on separate
 // cache lines so producer CAS traffic never invalidates the consumer's.
@@ -113,6 +80,7 @@ func newRingQueue(depth int) *ringQueue {
 	return q
 }
 
+// Cap is the queue bound (depth rounded up to a power of two).
 func (q *ringQueue) Cap() int { return len(q.slots) }
 
 // Len is approximate: tail and head are read independently, so a racing
@@ -129,6 +97,7 @@ func (q *ringQueue) Len() int {
 	return int(n)
 }
 
+// TryPush enqueues t, or reports false when the queue is full or closed.
 func (q *ringQueue) TryPush(t task) bool {
 	if q.closed.Load() {
 		return false
@@ -184,6 +153,8 @@ func (q *ringQueue) popLocked(dst []task, max int) []task {
 	return dst
 }
 
+// TryPop dequeues one task without blocking; false means empty, closed, or
+// a rival consumer holding the drain.
 func (q *ringQueue) TryPop() (task, bool) {
 	if !q.consMu.TryLock() {
 		// A rival worker is draining (or parked); let it have this round.
@@ -198,6 +169,8 @@ func (q *ringQueue) TryPop() (task, bool) {
 	return task{}, false
 }
 
+// PopBatch appends queued tasks to dst without blocking until len(dst)
+// reaches max or the queue is empty, returning the extended slice.
 func (q *ringQueue) PopBatch(dst []task, max int) []task {
 	if len(dst) >= max || !q.consMu.TryLock() {
 		return dst
@@ -207,6 +180,7 @@ func (q *ringQueue) PopBatch(dst []task, max int) []task {
 	return dst
 }
 
+// Pop blocks for one task; false means closed and fully drained.
 func (q *ringQueue) Pop() (task, bool) {
 	q.consMu.Lock()
 	defer q.consMu.Unlock()
@@ -240,58 +214,10 @@ func (q *ringQueue) Pop() (task, bool) {
 	}
 }
 
+// Close stops the queue: pushes fail, Pop drains the remainder then reports
+// false. Idempotent.
 func (q *ringQueue) Close() {
 	if q.closed.CompareAndSwap(false, true) {
 		close(q.closedCh)
 	}
 }
-
-// chanQueue adapts the original chan-based queue to taskQueue. It is the
-// semantics oracle for the ring and the QueueImplChannel fallback.
-type chanQueue struct {
-	ch        chan task
-	closeOnce sync.Once
-}
-
-func (q *chanQueue) Cap() int { return cap(q.ch) }
-func (q *chanQueue) Len() int { return len(q.ch) }
-
-func (q *chanQueue) TryPush(t task) bool {
-	select {
-	case q.ch <- t:
-		return true
-	default:
-		return false
-	}
-}
-
-func (q *chanQueue) TryPop() (task, bool) {
-	select {
-	case t, ok := <-q.ch:
-		return t, ok
-	default:
-		return task{}, false
-	}
-}
-
-func (q *chanQueue) Pop() (task, bool) {
-	t, ok := <-q.ch
-	return t, ok
-}
-
-func (q *chanQueue) PopBatch(dst []task, max int) []task {
-	for len(dst) < max {
-		select {
-		case t, ok := <-q.ch:
-			if !ok {
-				return dst
-			}
-			dst = append(dst, t)
-		default:
-			return dst
-		}
-	}
-	return dst
-}
-
-func (q *chanQueue) Close() { q.closeOnce.Do(func() { close(q.ch) }) }

@@ -10,6 +10,78 @@ import (
 	"votm/wire"
 )
 
+// taskQueue is the queue contract the differential tests hold both
+// implementations to: the ring the server runs, and the chan-based queue it
+// replaced, kept here as the semantics oracle.
+type taskQueue interface {
+	TryPush(t task) bool
+	TryPop() (task, bool)
+	Pop() (task, bool)
+	PopBatch(dst []task, max int) []task
+	Len() int
+	Cap() int
+	Close()
+}
+
+// queueImpls builds each implementation at a given depth.
+var queueImpls = []struct {
+	name string
+	new  func(depth int) taskQueue
+}{
+	{"ring", func(depth int) taskQueue { return newRingQueue(depth) }},
+	{"channel", func(depth int) taskQueue { return &chanQueue{ch: make(chan task, depth)} }},
+}
+
+// chanQueue is the original chan-based queue: the reference the ring's
+// semantics are compared against.
+type chanQueue struct {
+	ch        chan task
+	closeOnce sync.Once
+}
+
+func (q *chanQueue) Cap() int { return cap(q.ch) }
+func (q *chanQueue) Len() int { return len(q.ch) }
+
+func (q *chanQueue) TryPush(t task) bool {
+	select {
+	case q.ch <- t:
+		return true
+	default:
+		return false
+	}
+}
+
+func (q *chanQueue) TryPop() (task, bool) {
+	select {
+	case t, ok := <-q.ch:
+		return t, ok
+	default:
+		return task{}, false
+	}
+}
+
+func (q *chanQueue) Pop() (task, bool) {
+	t, ok := <-q.ch
+	return t, ok
+}
+
+func (q *chanQueue) PopBatch(dst []task, max int) []task {
+	for len(dst) < max {
+		select {
+		case t, ok := <-q.ch:
+			if !ok {
+				return dst
+			}
+			dst = append(dst, t)
+		default:
+			return dst
+		}
+	}
+	return dst
+}
+
+func (q *chanQueue) Close() { q.closeOnce.Do(func() { close(q.ch) }) }
+
 // qtask builds a uniquely identifiable task: producer p's n-th push (the
 // wire ID is 32 bits: producer in the top byte, sequence below).
 func qtask(p, n int) task {
@@ -23,8 +95,8 @@ func qid(t task) (p, n int) {
 // TestTaskQueueFIFO checks single-threaded semantics on both implementations:
 // FIFO order, full => TryPush false, Close => drain then end-of-queue.
 func TestTaskQueueFIFO(t *testing.T) {
-	for _, impl := range []string{QueueImplRing, QueueImplChannel} {
-		q := newTaskQueue(impl, 8)
+	for _, qi := range queueImpls {
+		impl, q := qi.name, qi.new(8)
 		if q.Cap() < 8 {
 			t.Fatalf("%s: Cap() = %d, want >= 8", impl, q.Cap())
 		}
@@ -67,7 +139,7 @@ func TestTaskQueueFIFO(t *testing.T) {
 		q.Close()
 		// Pushing after Close is outside the contract (the server only closes
 		// after reqWG drains); the ring rejects it anyway, the channel cannot.
-		if impl == QueueImplRing && q.TryPush(qtask(0, 101)) {
+		if impl == "ring" && q.TryPush(qtask(0, 101)) {
 			t.Fatalf("%s: push accepted after Close", impl)
 		}
 		if tk, ok := q.Pop(); !ok || tk.req.ID != qtask(0, 100).req.ID {
@@ -116,8 +188,8 @@ func TestRingQueueMinSize(t *testing.T) {
 
 // TestTaskQueueCloseWakesPop checks Close unblocks a parked consumer.
 func TestTaskQueueCloseWakesPop(t *testing.T) {
-	for _, impl := range []string{QueueImplRing, QueueImplChannel} {
-		q := newTaskQueue(impl, 8)
+	for _, qi := range queueImpls {
+		impl, q := qi.name, qi.new(8)
 		done := make(chan bool, 1)
 		go func() {
 			_, ok := q.Pop()
@@ -148,9 +220,9 @@ func TestTaskQueueDifferential(t *testing.T) {
 	if testing.Short() {
 		perProducer = 2000
 	}
-	for _, impl := range []string{QueueImplRing, QueueImplChannel} {
+	for _, qi := range queueImpls {
 		for _, consumers := range []int{1, 3} {
-			q := newTaskQueue(impl, 64)
+			impl, q := qi.name, qi.new(64)
 			total := producers * perProducer
 
 			var wg sync.WaitGroup

@@ -1,6 +1,6 @@
 // Package server implements votmd: a sharded transactional key-value
 // service over TCP. Each shard is one VOTM view — its own STM instance and
-// RAC admission controller — holding a ds.HashMap; keys are hashed to
+// RAC admission controller — holding a ds.SkipList; keys are hashed to
 // shards and values are packed through enc. The network frontend gives the
 // paper's admission-control feedback loop (Eq. 5's δ(Q)) real independent
 // request streams: a hot shard's quota adapts under client contention while
@@ -41,14 +41,13 @@ type Config struct {
 	// ShardWords is each shard's initial heap size in words; shards grow on
 	// demand. Default 1 << 15.
 	ShardWords int
-	// Buckets is each shard's hash-map bucket count. Default 1024.
-	Buckets int
 
 	// WorkersPerShard is the number of transaction workers (and therefore
 	// the maximum admission quota N) per shard. Default 4.
 	WorkersPerShard int
-	// QueueDepth bounds each shard's dispatched-but-unstarted requests;
-	// overflow is answered with StatusBusy. Default 128.
+	// QueueDepth bounds each shard's dispatched-but-unstarted requests
+	// (rounded up to a power of two by the ring queue, ring.go); overflow is
+	// answered with StatusBusy. Default 128.
 	QueueDepth int
 	// BatchMax bounds the group a shard worker drains per wakeup and
 	// executes inside one view transaction — one RAC admission and one
@@ -67,24 +66,8 @@ type Config struct {
 	// time past it are shed with BUSY before the queue fills. Only
 	// meaningful with AdaptiveBatch. Default 20ms.
 	LatencyBudget time.Duration
-	// QueueImpl selects the per-shard dispatch queue: QueueImplRing
-	// (default; lock-free MPSC ring, see ring.go) or QueueImplChannel (the
-	// chan-based implementation, kept for differential testing and
-	// rollback). The ring rounds QueueDepth up to a power of two.
-	QueueImpl string
 	// MaxValueLen bounds value sizes. Default 64 KiB.
 	MaxValueLen int
-
-	// RespChannel is the per-connection response channel capacity: how many
-	// completed responses may await the connection's write loop before
-	// shard workers block on the send. Default 64.
-	RespChannel int
-	// ReadBufSize is the per-connection buffered-reader size. Default 16 KiB.
-	ReadBufSize int
-	// WriteBufSize is the per-connection write coalescing buffer size;
-	// responses at least this large bypass the coalescing buffer and are
-	// written through the writev (net.Buffers) path. Default 16 KiB.
-	WriteBufSize int
 
 	// Engine selects the TM algorithm backing every shard. Default NOrec.
 	Engine votm.EngineKind
@@ -104,16 +87,12 @@ type Config struct {
 	// long. Default 5m.
 	IdleTimeout time.Duration
 
-	// TraceLimit caps the quota-event recorder backing STATS QuotaEvents.
-	// Default 4096.
-	TraceLimit int
-
 	// AutoSplit enables automatic shard splitting (split.go): hot shards —
 	// by abort rate, queue pressure, or lock-mode collapse — are split into
 	// sub-shards with live key migration. An ATOMIC batch whose keys end up
 	// on different sub-shards after a split still executes with full
 	// atomicity, as one multi-view transaction over every participant
-	// (group.go runAtomicMulti); the cost is a quiescence of each involved
+	// (group.go runRound); the cost is a quiescence of each involved
 	// sub-shard, so point-op-dominated workloads split most profitably (see
 	// docs/PROTOCOL.md). Default off.
 	AutoSplit bool
@@ -190,9 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.ShardWords <= 0 {
 		c.ShardWords = 1 << 15
 	}
-	if c.Buckets <= 0 {
-		c.Buckets = 1024
-	}
 	if c.WorkersPerShard <= 0 {
 		c.WorkersPerShard = 4
 	}
@@ -208,20 +184,8 @@ func (c Config) withDefaults() Config {
 	if c.LatencyBudget <= 0 {
 		c.LatencyBudget = 20 * time.Millisecond
 	}
-	if c.QueueImpl == "" {
-		c.QueueImpl = QueueImplRing
-	}
 	if c.MaxValueLen <= 0 {
 		c.MaxValueLen = 64 << 10
-	}
-	if c.RespChannel <= 0 {
-		c.RespChannel = 64
-	}
-	if c.ReadBufSize <= 0 {
-		c.ReadBufSize = 16 << 10
-	}
-	if c.WriteBufSize <= 0 {
-		c.WriteBufSize = 16 << 10
 	}
 	if c.MaxConflictRetries == 0 {
 		c.MaxConflictRetries = 16
@@ -234,9 +198,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.TraceLimit <= 0 {
-		c.TraceLimit = 4096
 	}
 	if c.SplitCheckEvery <= 0 {
 		c.SplitCheckEvery = 250 * time.Millisecond
@@ -271,25 +232,15 @@ func (c Config) validate() error {
 	}{
 		{"Shards", c.Shards},
 		{"ShardWords", c.ShardWords},
-		{"Buckets", c.Buckets},
 		{"WorkersPerShard", c.WorkersPerShard},
 		{"QueueDepth", c.QueueDepth},
 		{"BatchMax", c.BatchMax},
 		{"MaxValueLen", c.MaxValueLen},
-		{"RespChannel", c.RespChannel},
-		{"ReadBufSize", c.ReadBufSize},
-		{"WriteBufSize", c.WriteBufSize},
 	}
 	for _, s := range sizes {
 		if s.v < 0 {
 			return fmt.Errorf("server: Config.%s must not be negative, got %d", s.name, s.v)
 		}
-	}
-	switch c.QueueImpl {
-	case "", QueueImplRing, QueueImplChannel:
-	default:
-		return fmt.Errorf("server: unknown Config.QueueImpl %q (want %q or %q)",
-			c.QueueImpl, QueueImplRing, QueueImplChannel)
 	}
 	if c.LatencyBudget < 0 {
 		return fmt.Errorf("server: Config.LatencyBudget must not be negative, got %v", c.LatencyBudget)
@@ -339,13 +290,20 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Config.QueueImpl values.
+// Fixed sizes no deployment has had a measured reason to change.
 const (
-	// QueueImplRing is the lock-free MPSC ring queue (ring.go), the default.
-	QueueImplRing = "ring"
-	// QueueImplChannel is the chan-based queue the ring replaced, kept
-	// selectable for differential testing and as a rollback path.
-	QueueImplChannel = "channel"
+	// respChannel is the per-connection response channel capacity: how many
+	// completed responses may await the connection's write loop before shard
+	// workers block on the send.
+	respChannel = 64
+	// readBufSize is the per-connection buffered-reader size.
+	readBufSize = 16 << 10
+	// writeBufSize is the per-connection write coalescing buffer size;
+	// responses at least this large bypass the coalescing buffer and are
+	// written through the writev (net.Buffers) path.
+	writeBufSize = 16 << 10
+	// traceLimit caps the quota-event recorder backing STATS QuotaEvents.
+	traceLimit = 4096
 )
 
 // ErrServerDraining is returned for operations attempted after Shutdown
@@ -354,9 +312,8 @@ var ErrServerDraining = errors.New("server: draining")
 
 // ShardOf maps a key to its shard index. It delegates to the cluster-wide
 // placement hash (internal/cluster): every node of a cluster — and the
-// routing client — must agree on it, and the mix deliberately differs from
-// ds.HashMap's bucket hash so one shard's keys still spread over that
-// shard's buckets.
+// routing client — must agree on it. Sub-shard routing (split.go subMix)
+// uses an independent mix, so one shard's keys still bisect evenly.
 func ShardOf(key uint64, shards int) int {
 	return cluster.ShardOf(key, shards)
 }
@@ -427,7 +384,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		rec:   votm.NewQuotaRecorder(cfg.TraceLimit),
+		rec:   votm.NewQuotaRecorder(traceLimit),
 		conns: make(map[net.Conn]struct{}),
 		start: time.Now(),
 	}
@@ -519,15 +476,15 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newShard builds one serving sub-shard wired to the configured queue
-// implementation and batching controller (New's seed shards and split-born
+// newShard builds one serving sub-shard with its dispatch ring and batching
+// controller (New's seed shards and split-born
 // children alike).
 func (s *Server) newShard(id int, v *votm.View, idx *ds.SkipList) *shard {
 	sh := &shard{
 		id:    id,
 		view:  v,
 		idx:   idx,
-		queue: newTaskQueue(s.cfg.QueueImpl, s.cfg.QueueDepth),
+		queue: newRingQueue(s.cfg.QueueDepth),
 	}
 	sh.ctl = newShardController(s.cfg.AdaptiveBatch, adaptParams{
 		BatchMax:        s.cfg.BatchMax,

@@ -23,9 +23,8 @@ import (
 	"votm/wire"
 )
 
-// subMix is the sub-shard routing hash. It must disagree with both ShardOf
-// (wire-level placement) and ds.HashMap's bucket mix, so splitting a shard
-// actually bisects its keys and each half still spreads over its buckets.
+// subMix is the sub-shard routing hash. It must disagree with ShardOf
+// (wire-level placement), so splitting a shard actually bisects its keys.
 func subMix(key uint64) uint64 {
 	h := key
 	h ^= h >> 30
@@ -82,11 +81,11 @@ func shardLess(a, b *shard) bool {
 }
 
 // atomicPlan resolves an ATOMIC batch's participant sub-shards in canonical
-// order, plus each sub's index into that order (owner[i] is the participant
-// owning subs[i]).
-func (s *Server) atomicPlan(req *wire.Request) (parts []*shard, owner []int) {
-	owner = make([]int, len(req.Subs))
-	for i, sub := range req.Subs {
+// order into b.parts, and each sub's index into that order into b.owner
+// (owner[i] is the participant owning subs[i]).
+func (s *Server) atomicPlan(b *multiBatch) {
+	parts, owner := b.parts[:0], b.owner[:0]
+	for _, sub := range b.subs {
 		sh := s.shards[s.Shard(sub.Key)].route(sub.Key)
 		idx := -1
 		for j, p := range parts {
@@ -99,7 +98,7 @@ func (s *Server) atomicPlan(req *wire.Request) (parts []*shard, owner []int) {
 			idx = len(parts)
 			parts = append(parts, sh)
 		}
-		owner[i] = idx
+		owner = append(owner, idx)
 	}
 	if len(parts) > 1 {
 		perm := make([]int, len(parts))
@@ -118,7 +117,7 @@ func (s *Server) atomicPlan(req *wire.Request) (parts []*shard, owner []int) {
 		}
 		parts = sorted
 	}
-	return parts, owner
+	b.parts, b.owner = parts, owner
 }
 
 // atomicCoordinator returns the sub-shard that executes an ATOMIC batch:
@@ -136,20 +135,14 @@ func (s *Server) atomicCoordinator(req *wire.Request) *shard {
 	return best
 }
 
-// recheckRoute re-resolves a dispatched request against the routing table
-// at execution time. A split between dispatch and execution may have moved
-// the keys: a point request now owned by a different sub-shard — or an
-// ATOMIC batch whose canonical coordinator moved — is answered BUSY
-// (retryable; the next dispatch routes correctly). The coordinator also
-// re-verifies the full ownership map inside the paused multi-view
-// transaction, so a stale answer here costs only a retry, never
-// correctness.
+// recheckRoute re-resolves a dispatched ATOMIC or SCAN against the routing
+// table at execution time. A split between dispatch and execution may have
+// moved the keys: a batch whose canonical coordinator moved is answered BUSY
+// (retryable; the next dispatch routes correctly). Both executors re-verify
+// every key's owner inside the transaction — as the group does for its
+// point ops — so a stale answer here costs only a retry, never correctness.
 func (s *Server) recheckRoute(sh *shard, req *wire.Request) *wire.Response {
 	switch req.Op {
-	case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpCAS:
-		if s.shards[sh.id].route(req.Key) == sh {
-			return nil
-		}
 	case wire.OpAtomic:
 		if s.atomicCoordinator(req) == sh {
 			return nil

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +33,7 @@ type shard struct {
 	id    int // wire-level shard index (the routing group)
 	view  *votm.View
 	idx   *ds.SkipList
-	queue taskQueue
+	queue *ringQueue
 	// ctl drives the shard's effective group size, flush-lag bound and
 	// admission threshold (adapt.go); in static mode it just pins BatchMax.
 	ctl  *shardController
@@ -78,7 +77,7 @@ type shard struct {
 	snapSeq    atomic.Uint64 // WAL seq covered by the last snapshot
 	lastSnap   atomic.Int64  // unix seconds of the last snapshot; 0 = never
 
-	// Cross-shard ATOMIC meters (group.go runAtomicMulti): committed
+	// Cross-shard ATOMIC meters (group.go runRound): committed
 	// multi-participant groups this shard took part in, prepare records it
 	// appended, and prepares that ended in an abort (validation failure or a
 	// mid-protocol WAL fault).
@@ -359,283 +358,139 @@ func (sh *shard) doCAS(ctx context.Context, th *votm.Thread, key uint64, expect,
 }
 
 // atomicResources are the blocks and nodes pre-allocated for one ATOMIC
-// sub-operation (SubPut and SubAdd may need to link a fresh entry).
+// sub-operation (SubPut and SubAdd may need to link a fresh entry), and
+// whether the executed attempt linked them.
 type atomicResources struct {
-	block    votm.Addr
-	hasBlock bool
-	node     ds.Ref
-	hasNode  bool
+	block               votm.Addr
+	hasBlock            bool
+	node                ds.Ref
+	hasNode             bool
+	usedBlock, usedNode bool
 }
 
-// doAtomic executes a whole batch as one transaction. All keys are known to
-// live in this shard (the dispatcher enforced it). On success it returns
-// the per-sub results appended to dst (pass a pooled response's Subs[:0] to
-// reuse its capacity); a SubAdd against a malformed value aborts the batch
-// with errBadAdd (mapped to StatusBadRequest by the caller).
-func (sh *shard) doAtomic(ctx context.Context, th *votm.Thread, subs []wire.Sub, dst []wire.SubResult) ([]wire.SubResult, error) {
-	res := make([]atomicResources, len(subs))
-	freeAll := func() {
-		for _, r := range res {
-			if r.hasBlock {
-				_ = sh.view.Free(r.block)
-			}
-			if r.hasNode {
-				_ = sh.idx.FreeNode(r.node)
-			}
-		}
-	}
-	for i, sub := range subs {
-		switch sub.Kind {
-		case wire.SubPut, wire.SubAdd:
-			words := enc.BlobWords(8)
-			if sub.Kind == wire.SubPut {
-				words = enc.BlobWords(len(sub.Value))
-			}
-			block, err := sh.alloc(words)
-			if err != nil {
-				freeAll()
-				return nil, err
-			}
-			node, err := sh.idx.NewNode(sub.Key)
-			if err != nil {
-				_ = sh.view.Free(block)
-				freeAll()
-				return nil, err
-			}
-			res[i] = atomicResources{block: block, hasBlock: true, node: node, hasNode: true}
-		}
-	}
-
-	var (
-		results   = dst
-		usedBlock []bool
-		usedNode  []bool
-		freeRefs  []uint64 // displaced value blocks, freed after commit
-		freeNodes []ds.Ref // unlinked map nodes, freed after commit
-		keysDelta int64
-	)
-	err := sh.view.Atomic(ctx, th, func(tx votm.Tx) error {
-		// Validation pass, strictly read-only: at Q == 1 the body runs in
-		// lock mode with no rollback, so a batch must be known-good before
-		// its first write or an aborting error would leave partial state.
-		// effLen tracks the length each key's value would have at this point
-		// of the batch (-1 = absent).
-		effLen := make(map[uint64]int, len(subs))
-		lenOf := func(key uint64) int {
-			if n, ok := effLen[key]; ok {
-				return n
-			}
-			if ref, ok := sh.idx.Get(tx, key); ok {
-				return int(tx.Load(votm.Addr(ref)))
-			}
-			return -1
-		}
-		for _, sub := range subs {
-			switch sub.Kind {
-			case wire.SubPut:
-				effLen[sub.Key] = len(sub.Value)
-			case wire.SubDelete:
-				effLen[sub.Key] = -1
-			case wire.SubAdd:
-				if n := lenOf(sub.Key); n != -1 && n != 8 {
-					return errBadAdd
-				}
-				effLen[sub.Key] = 8
-			}
-		}
-
-		// Write pass. The body may be re-executed after a conflict: rebuild
-		// every commit-side effect list from scratch on each attempt.
-		results = results[:0]
-		freeRefs, freeNodes = freeRefs[:0], freeNodes[:0]
-		usedBlock = make([]bool, len(subs))
-		usedNode = make([]bool, len(subs))
-		keysDelta = 0
-		for i, sub := range subs {
-			r := wire.SubResult{Kind: sub.Kind, Status: wire.StatusOK}
-			switch sub.Kind {
-			case wire.SubGet:
-				if ref, ok := sh.idx.Get(tx, sub.Key); ok {
-					r.Value = enc.LoadBlob(tx, votm.Addr(ref))
-				} else {
-					r.Status = wire.StatusNotFound
-				}
-			case wire.SubPut:
-				enc.StoreBlob(tx, res[i].block, sub.Value)
-				prev, existed, used := sh.idx.Swap(tx, sub.Key, uint64(res[i].block), res[i].node)
-				usedBlock[i], usedNode[i] = true, used
-				if existed {
-					freeRefs = append(freeRefs, prev)
-				} else {
-					keysDelta++
-				}
-			case wire.SubDelete:
-				ref, ok := sh.idx.Get(tx, sub.Key)
-				if !ok {
-					r.Status = wire.StatusNotFound
-					break
-				}
-				node, _ := sh.idx.Delete(tx, sub.Key)
-				freeRefs = append(freeRefs, ref)
-				freeNodes = append(freeNodes, node)
-				keysDelta--
-			case wire.SubAdd:
-				if ref, ok := sh.idx.Get(tx, sub.Key); ok {
-					base := votm.Addr(ref)
-					if tx.Load(base) != 8 {
-						return errBadAdd // unreachable: validated above
-					}
-					r.Sum = tx.Load(base+1) + sub.Delta
-					tx.Store(base+1, r.Sum)
-				} else {
-					r.Sum = sub.Delta
-					tx.Store(res[i].block, 8)
-					tx.Store(res[i].block+1, r.Sum)
-					_, _, used := sh.idx.Swap(tx, sub.Key, uint64(res[i].block), res[i].node)
-					usedBlock[i], usedNode[i] = true, used
-					keysDelta++
-				}
-			}
-			results = append(results, r)
-		}
-		return nil
-	})
-	if err != nil {
-		freeAll()
-		return nil, err
-	}
-	// Committed: release displaced storage and any pre-allocation the final
-	// attempt did not link.
-	for _, ref := range freeRefs {
-		_ = sh.view.Free(votm.Addr(ref))
-	}
-	for _, n := range freeNodes {
-		_ = sh.idx.FreeNode(n)
-	}
-	for i, r := range res {
-		if r.hasBlock && !usedBlock[i] {
-			_ = sh.view.Free(r.block)
-		}
-		if r.hasNode && !usedNode[i] {
-			_ = sh.idx.FreeNode(r.node)
-		}
-	}
-	sh.keys.Add(keysDelta)
-	return results, nil
+// partAddr is a block (value blob or index node — a node is a plain view
+// block) displaced by a batch, freed on its owning participant after commit.
+type partAddr struct {
+	part int
+	addr votm.Addr
 }
 
-// multiBatch is one ATOMIC batch's slot in a multi-view execution: its subs,
-// each sub's owner index into the shared participant slice, and the
-// attempt's commit-side effect lists — kept per batch so that when several
-// batches share one quiesced round (doAtomicMultiGroup) each settles its
-// storage independently of its round-mates' outcomes. err carries the
-// batch's own verdict; results are valid only when err is nil.
+// multiBatch is the one implementation of ATOMIC sub-op semantics: a
+// batch's subs, its routing plan, and the attempt's commit-side effect
+// lists. Both executors in
+// group.go run it — the group hands it its own shard as the single
+// participant and the view transaction's handle, the round the quiesced
+// union and their exclusive handles — and because the effect lists are per
+// batch, each batch settles its storage independently of its group- or
+// round-mates' outcomes. err carries the batch's own verdict; results are
+// valid only when err is nil. The scratch slices survive recycling through
+// the worker's free list, so steady-state execution allocates nothing here.
 type multiBatch struct {
-	subs    []wire.Sub
-	owner   []int // participant index per sub (into the shared parts)
-	stale   func() bool
+	subs []wire.Sub
+	// parts is the batch's own participant set in canonical order and owner
+	// each sub's participant index (atomicPlan). The group requires parts to
+	// be exactly its shard; the round remaps owner onto its union.
+	parts   []*shard
+	owner   []int
 	results []wire.SubResult
 	err     error
 
 	res       []atomicResources
-	usedBlock []bool
-	usedNode  []bool
-	freeRefs  []uint64 // displaced value blocks, freed after commit
-	freeOwner []int    // owning participant of each freeRefs entry
-	freeNodes []ds.Ref // unlinked map nodes, freed after commit
-	nodeOwner []int
+	effLen    map[uint64]int // validation scratch: value length per key, -1 = absent
+	frees     []partAddr
 	keysDelta []int64 // per participant
 }
 
-// alloc pre-allocates the blocks and nodes the batch may link (outside the
-// paused views, like doAtomic). On failure everything allocated so far is
-// freed and res is left empty, so settle stays a no-op for this batch.
+// writes reports whether any sub mutates state.
+func (b *multiBatch) writes() bool {
+	for _, sub := range b.subs {
+		if sub.Kind != wire.SubGet {
+			return true
+		}
+	}
+	return false
+}
+
+// alloc pre-allocates the blocks and nodes the batch may link, outside the
+// transaction. On failure everything allocated so far is freed and the
+// error is also left in b.err, so the executors skip the batch.
 func (b *multiBatch) alloc(parts []*shard) error {
-	res := make([]atomicResources, len(b.subs))
-	freePartial := func() {
-		for i, r := range res {
-			p := parts[b.owner[i]]
-			if r.hasBlock {
-				_ = p.view.Free(r.block)
-			}
-			if r.hasNode {
-				_ = p.idx.FreeNode(r.node)
-			}
-		}
-	}
+	b.res = append(b.res[:0], make([]atomicResources, len(b.subs))...)
 	for i, sub := range b.subs {
-		p := parts[b.owner[i]]
-		switch sub.Kind {
-		case wire.SubPut, wire.SubAdd:
-			words := enc.BlobWords(8)
-			if sub.Kind == wire.SubPut {
-				words = enc.BlobWords(len(sub.Value))
+		if sub.Kind != wire.SubPut && sub.Kind != wire.SubAdd {
+			continue
+		}
+		p, r := parts[b.owner[i]], &b.res[i]
+		words := enc.BlobWords(8)
+		if sub.Kind == wire.SubPut {
+			words = enc.BlobWords(len(sub.Value))
+		}
+		var err error
+		if r.block, err = p.alloc(words); err == nil {
+			r.hasBlock = true
+			if r.node, err = p.idx.NewNode(sub.Key); err == nil {
+				r.hasNode = true
 			}
-			block, err := p.alloc(words)
-			if err != nil {
-				freePartial()
-				return err
-			}
-			node, err := p.idx.NewNode(sub.Key)
-			if err != nil {
-				_ = p.view.Free(block)
-				freePartial()
-				return err
-			}
-			res[i] = atomicResources{block: block, hasBlock: true, node: node, hasNode: true}
+		}
+		if err != nil {
+			b.err = err
+			b.settle(parts, false)
+			return err
 		}
 	}
-	b.res = res
 	return nil
 }
 
-// exec runs the batch against the quiesced participants' exclusive handles:
-// the stale verdict first (routing is frozen while the views are paused, so
-// it holds for the whole execution), then doAtomic's validate-before-first-
-// write discipline — lock-mode execution has no rollback, so the batch must
-// be known-good before it writes anything.
-func (b *multiBatch) exec(parts []*shard, txs []votm.Tx) error {
-	if b.stale != nil && b.stale() {
-		return errStaleRoute
-	}
-	// Validation pass, strictly read-only (see doAtomic). A key routes to
-	// exactly one participant, so effLen can stay keyed by key alone.
-	effLen := make(map[uint64]int, len(b.subs))
-	lenOf := func(pi int, key uint64) int {
-		if n, ok := effLen[key]; ok {
-			return n
+// exec runs the batch against its participants' transaction handles. The
+// route verdict comes first — repartitioning publishes under the owning
+// view's exclusive section, so inside a transaction of every participant it
+// holds for the whole execution — then a strictly read-only validation
+// pass: at Q == 1 and in a quiesced round the body runs in lock mode with
+// no rollback, so the batch must be known-good before its first write. A
+// non-nil error therefore means the batch wrote nothing.
+func (b *multiBatch) exec(s *Server, parts []*shard, txs []votm.Tx) error {
+	for i, sub := range b.subs {
+		if s.shards[s.Shard(sub.Key)].route(sub.Key) != parts[b.owner[i]] {
+			return errStaleRoute
 		}
-		if ref, ok := parts[pi].idx.Get(txs[pi], key); ok {
-			return int(txs[pi].Load(votm.Addr(ref)))
-		}
-		return -1
 	}
+	// effLen tracks the length each key's value would have at this point of
+	// the batch. A key routes to exactly one participant, so it can stay
+	// keyed by key alone.
+	if b.effLen == nil {
+		b.effLen = make(map[uint64]int, len(b.subs))
+	}
+	clear(b.effLen)
 	for i, sub := range b.subs {
 		switch sub.Kind {
 		case wire.SubPut:
-			effLen[sub.Key] = len(sub.Value)
+			b.effLen[sub.Key] = len(sub.Value)
 		case wire.SubDelete:
-			effLen[sub.Key] = -1
+			b.effLen[sub.Key] = -1
 		case wire.SubAdd:
-			if n := lenOf(b.owner[i], sub.Key); n != -1 && n != 8 {
+			n, seen := b.effLen[sub.Key]
+			if !seen {
+				n = -1
+				pi := b.owner[i]
+				if ref, ok := parts[pi].idx.Get(txs[pi], sub.Key); ok {
+					n = int(txs[pi].Load(votm.Addr(ref)))
+				}
+			}
+			if n != -1 && n != 8 {
 				return errBadAdd
 			}
-			effLen[sub.Key] = 8
+			b.effLen[sub.Key] = 8
 		}
 	}
 
-	// Write pass. The body runs once, but keep doAtomic's rebuild-from-
-	// scratch discipline so the effect lists always describe exactly the
-	// executed attempt.
-	b.results = b.results[:0]
-	b.freeRefs, b.freeOwner = b.freeRefs[:0], b.freeOwner[:0]
-	b.freeNodes, b.nodeOwner = b.freeNodes[:0], b.nodeOwner[:0]
-	b.usedBlock = make([]bool, len(b.subs))
-	b.usedNode = make([]bool, len(b.subs))
-	b.keysDelta = make([]int64, len(parts))
+	// Write pass. The group's body may be re-executed after a conflict:
+	// rebuild every commit-side effect list from scratch on each attempt.
+	b.results, b.frees = b.results[:0], b.frees[:0]
+	b.keysDelta = append(b.keysDelta[:0], make([]int64, len(parts))...)
 	for i, sub := range b.subs {
 		pi := b.owner[i]
-		p, tx := parts[pi], txs[pi]
+		p, tx, res := parts[pi], txs[pi], &b.res[i]
+		res.usedBlock, res.usedNode = false, false
 		r := wire.SubResult{Kind: sub.Kind, Status: wire.StatusOK}
 		switch sub.Kind {
 		case wire.SubGet:
@@ -645,11 +500,11 @@ func (b *multiBatch) exec(parts []*shard, txs []votm.Tx) error {
 				r.Status = wire.StatusNotFound
 			}
 		case wire.SubPut:
-			enc.StoreBlob(tx, b.res[i].block, sub.Value)
-			prev, existed, used := p.idx.Swap(tx, sub.Key, uint64(b.res[i].block), b.res[i].node)
-			b.usedBlock[i], b.usedNode[i] = true, used
+			enc.StoreBlob(tx, res.block, sub.Value)
+			prev, existed, used := p.idx.Swap(tx, sub.Key, uint64(res.block), res.node)
+			res.usedBlock, res.usedNode = true, used
 			if existed {
-				b.freeRefs, b.freeOwner = append(b.freeRefs, prev), append(b.freeOwner, pi)
+				b.frees = append(b.frees, partAddr{pi, votm.Addr(prev)})
 			} else {
 				b.keysDelta[pi]++
 			}
@@ -660,8 +515,7 @@ func (b *multiBatch) exec(parts []*shard, txs []votm.Tx) error {
 				break
 			}
 			node, _ := p.idx.Delete(tx, sub.Key)
-			b.freeRefs, b.freeOwner = append(b.freeRefs, ref), append(b.freeOwner, pi)
-			b.freeNodes, b.nodeOwner = append(b.freeNodes, node), append(b.nodeOwner, pi)
+			b.frees = append(b.frees, partAddr{pi, votm.Addr(ref)}, partAddr{pi, votm.Addr(node)})
 			b.keysDelta[pi]--
 		case wire.SubAdd:
 			if ref, ok := p.idx.Get(tx, sub.Key); ok {
@@ -673,10 +527,10 @@ func (b *multiBatch) exec(parts []*shard, txs []votm.Tx) error {
 				tx.Store(base+1, r.Sum)
 			} else {
 				r.Sum = sub.Delta
-				tx.Store(b.res[i].block, 8)
-				tx.Store(b.res[i].block+1, r.Sum)
-				_, _, used := p.idx.Swap(tx, sub.Key, uint64(b.res[i].block), b.res[i].node)
-				b.usedBlock[i], b.usedNode[i] = true, used
+				tx.Store(res.block, 8)
+				tx.Store(res.block+1, r.Sum)
+				_, _, used := p.idx.Swap(tx, sub.Key, uint64(res.block), res.node)
+				res.usedBlock, res.usedNode = true, used
 				b.keysDelta[pi]++
 			}
 		}
@@ -685,118 +539,30 @@ func (b *multiBatch) exec(parts []*shard, txs []votm.Tx) error {
 	return nil
 }
 
-// settle releases the batch's commit-side storage after the round: on
-// success the displaced blocks, unlinked nodes and unused pre-allocations;
-// on failure every pre-allocation (an aborted batch linked nothing).
-func (b *multiBatch) settle(parts []*shard) {
-	if b.err != nil {
-		for i, r := range b.res {
-			p := parts[b.owner[i]]
-			if r.hasBlock {
-				_ = p.view.Free(r.block)
-			}
-			if r.hasNode {
-				_ = p.idx.FreeNode(r.node)
-			}
-		}
-		return
-	}
-	for i, ref := range b.freeRefs {
-		_ = parts[b.freeOwner[i]].view.Free(votm.Addr(ref))
-	}
-	for i, n := range b.freeNodes {
-		_ = parts[b.nodeOwner[i]].idx.FreeNode(n)
-	}
-	for i, r := range b.res {
-		p := parts[b.owner[i]]
-		if r.hasBlock && !b.usedBlock[i] {
+// settle releases the batch's storage once its transaction is over. A batch
+// that committed (its executor did, and its own verdict is nil) frees the
+// displaced blocks, the unlinked nodes and the pre-allocations the final
+// attempt did not link, and publishes its key-count deltas; any other batch
+// linked nothing and frees every pre-allocation. Idempotent: the lists are
+// emptied, so the executors' failure paths may settle unconditionally.
+func (b *multiBatch) settle(parts []*shard, committed bool) {
+	committed = committed && b.err == nil
+	for i := range b.res {
+		p, r := parts[b.owner[i]], &b.res[i]
+		if r.hasBlock && !(committed && r.usedBlock) {
 			_ = p.view.Free(r.block)
 		}
-		if r.hasNode && !b.usedNode[i] {
+		if r.hasNode && !(committed && r.usedNode) {
 			_ = p.idx.FreeNode(r.node)
 		}
 	}
-	for i, d := range b.keysDelta {
-		parts[i].keys.Add(d)
-	}
-}
-
-// doAtomicMulti executes an ATOMIC batch spanning sub-shards as one
-// multi-view transaction (votm.AtomicAll): every participant view is
-// quiesced in the caller's canonical order and the batch runs exactly once
-// with exclusive lock-mode access to all of them — the same
-// validate-before-first-write discipline as doAtomic, because lock-mode
-// execution has no rollback. owner[i] is the index in parts of the shard
-// owning subs[i]; stale is evaluated first thing inside the paused body,
-// where routing is frozen (splits publish under the owning view's exclusive
-// section), so its verdict holds for the whole execution.
-func doAtomicMulti(ctx context.Context, th *votm.Thread, parts []*shard, owner []int, readonly bool, subs []wire.Sub, dst []wire.SubResult, stale func() bool) ([]wire.SubResult, error) {
-	b := &multiBatch{subs: subs, owner: owner, stale: stale, results: dst}
-	if err := b.alloc(parts); err != nil {
-		return nil, err
-	}
-	views := make([]*votm.View, len(parts))
-	for i, p := range parts {
-		views[i] = p.view
-	}
-	b.err = votm.AtomicAll(ctx, th, views, readonly, func(txs []votm.Tx) error {
-		return b.exec(parts, txs)
-	})
-	b.settle(parts)
-	if b.err != nil {
-		return nil, b.err
-	}
-	return b.results, nil
-}
-
-// doAtomicMultiGroup executes several independent ATOMIC batches inside ONE
-// quiesce of their shared participant set: the views pause once and the
-// batches run back to back with exclusive access, each with its own stale
-// verdict, validation pass and effect lists. A batch's failure (stale route,
-// bad add, panic) lands in its own err and never touches its round-mates —
-// validation precedes every write, so a failed batch wrote nothing. The
-// returned error is round-level (pause failure, cancellation): when non-nil
-// it has been copied into every undecided batch's err.
-func doAtomicMultiGroup(ctx context.Context, th *votm.Thread, parts []*shard, batches []*multiBatch, readonly bool) error {
-	for _, b := range batches {
-		if b.err == nil {
-			if err := b.alloc(parts); err != nil {
-				b.err = err
-			}
+	if committed {
+		for _, f := range b.frees {
+			_ = parts[f.part].view.Free(f.addr)
+		}
+		for pi, d := range b.keysDelta {
+			parts[pi].keys.Add(d)
 		}
 	}
-	views := make([]*votm.View, len(parts))
-	for i, p := range parts {
-		views[i] = p.view
-	}
-	err := votm.AtomicAll(ctx, th, views, readonly, func(txs []votm.Tx) error {
-		for _, b := range batches {
-			if b.err != nil {
-				continue
-			}
-			func() {
-				defer func() {
-					// Contain a batch panic to its batch (the forwarding guard
-					// cannot fire here: routing is frozen and the stale check
-					// covered every key, so any panic is a batch-local fault).
-					if r := recover(); r != nil && b.err == nil {
-						b.err = fmt.Errorf("panic in atomic batch: %v", r)
-					}
-				}()
-				b.err = b.exec(parts, txs)
-			}()
-		}
-		return nil
-	})
-	if err != nil {
-		for _, b := range batches {
-			if b.err == nil {
-				b.err = err
-			}
-		}
-	}
-	for _, b := range batches {
-		b.settle(parts)
-	}
-	return err
+	b.res, b.frees, b.keysDelta = b.res[:0], b.frees[:0], b.keysDelta[:0]
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -88,29 +87,6 @@ func TestWrongShardError(t *testing.T) {
 	}
 	if got := WrongShardEpoch([]byte{1, 2}); got != 0 {
 		t.Errorf("WrongShardEpoch(short) = %d, want 0", got)
-	}
-}
-
-// TestClusterVersionGate: v5 opcodes stamped with an older version byte are
-// protocol violations in both directions.
-func TestClusterVersionGate(t *testing.T) {
-	for _, op := range []Op{OpShardMapGet, OpShardMapWatch, OpShardMapJoin, OpShardMapUpdate, OpReplicate, OpHandoff} {
-		frame, err := AppendRequest(nil, &Request{Op: op, ID: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame[4] = 4
-		if _, err := ReadRequest(bytes.NewReader(frame)); !errors.Is(err, ErrProtocol) {
-			t.Errorf("v4 %v request: got %v, want ErrProtocol", op, err)
-		}
-		respFrame, err := AppendResponse(nil, &Response{Op: op, ID: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		respFrame[4] = 4
-		if _, err := ReadResponse(bytes.NewReader(respFrame)); !errors.Is(err, ErrProtocol) {
-			t.Errorf("v4 %v response: got %v, want ErrProtocol", op, err)
-		}
 	}
 }
 

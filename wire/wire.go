@@ -21,25 +21,16 @@ import (
 )
 
 // Version is the protocol version byte written into every encoded frame.
-// Version 2 added the durability fields of ShardStats (WAL/snapshot meters);
-// version 3 added its cross-shard 2PC meters and made multi-shard ATOMIC
-// batches a served capability rather than a CROSS_SHARD rejection; version 4
-// added the SCAN opcode (ordered range reads with cursor continuation) and
-// ShardStats' scan meters; version 5 added the cluster control plane — the
-// SHARDMAP_* opcodes (epoch-versioned shard→node assignments), the
-// node-to-node REPLICATE/HANDOFF stream opcodes, the WRONG_SHARD status
-// (epoch-stamped redirect) and ShardStats' replication meters; version 6
-// added ShardStats' adaptive-batching meters (EffectiveBatch,
-// AdmissionRejects, RingFullEvents, QueueHighWaterWin). Request layouts of
-// the pre-existing opcodes are identical in versions 1-6; OpScan frames are
-// valid only at version 4+, the cluster opcodes only at version 5+.
-// Decoders accept any version in [MinVersion, Version] — an older STATS
-// frame simply carries fewer fields — and must reject frames outside that
-// range with StatusBadRequest (servers) or ErrProtocol (clients).
+// Versions 1-5 were the steps that grew the protocol to its current shape
+// (durability, cross-shard, scan, replication and adaptive-batching STATS
+// meters; multi-shard ATOMIC; SCAN; the cluster control plane); no deployed
+// peer speaks them, so decoders accept exactly [MinVersion, Version] = [6, 6]
+// and must reject any other version byte with StatusBadRequest (servers) or
+// ErrProtocol (clients).
 const Version = 6
 
 // MinVersion is the oldest protocol version decoders still accept.
-const MinVersion = 1
+const MinVersion = 6
 
 // MaxFrame bounds a frame's payload size; larger frames indicate a corrupt
 // or hostile stream and the connection must be closed.
@@ -332,8 +323,7 @@ func (k SubKind) valid() bool { return k >= SubGet && k <= SubAdd }
 
 // Sub is one sub-operation of an ATOMIC batch. The batch executes as one
 // transaction regardless of where its keys hash: a batch spanning shards is
-// run by a coordinating worker as a single multi-view transaction (votmd
-// ≥ protocol version 3; older servers answered CROSS_SHARD).
+// run by a coordinating worker as a single multi-view transaction.
 type Sub struct {
 	Kind  SubKind
 	Key   uint64
@@ -375,8 +365,7 @@ type ShardStats struct {
 	GroupOps       uint64
 	QueueHighWater uint64
 
-	// Durability meters (version 2; zero when decoding a version-1 frame or
-	// when the server runs with durability off). WalAppends counts WAL batch
+	// Durability meters (zero when the server runs with durability off). WalAppends counts WAL batch
 	// appends (one per durable write group), WalBytes the bytes they wrote,
 	// Fsyncs the fsync calls actually issued (≤ WalAppends thanks to
 	// group-commit piggybacking), SnapshotAgeSec the seconds since the
@@ -388,8 +377,7 @@ type ShardStats struct {
 	SnapshotAgeSec  uint64
 	ReplayedRecords uint64
 
-	// Cross-shard ATOMIC meters (version 3; zero when decoding an older
-	// frame). CrossShardGroups counts committed multi-shard groups this
+	// Cross-shard ATOMIC meters. CrossShardGroups counts committed multi-shard groups this
 	// shard participated in, CrossShardPrepares the 2PC prepare records it
 	// appended, and PrepareAborts the prepares that ended in an abort
 	// (mid-protocol WAL fault, or an undecided prepare aborted by startup
@@ -398,14 +386,12 @@ type ShardStats struct {
 	CrossShardPrepares uint64
 	PrepareAborts      uint64
 
-	// Scan meters (version 4; zero when decoding an older frame). Scans
-	// counts SCAN pages this shard coordinated; ScannedKeys the entries it
+	// Scan meters. Scans counts SCAN pages this shard coordinated; ScannedKeys the entries it
 	// contributed to any page's merge.
 	Scans       uint64
 	ScannedKeys uint64
 
-	// Replication meters (version 5; zero when decoding an older frame or
-	// outside cluster mode). FollowerAcks is the leader's acked-follower
+	// Replication meters (zero outside cluster mode). FollowerAcks is the leader's acked-follower
 	// watermark: the highest WAL sequence every live follower has durably
 	// acknowledged (0 with no followers attached). ReplicaLagRecords is the
 	// leader's last-appended sequence minus that watermark. Handoffs counts
@@ -414,8 +400,7 @@ type ShardStats struct {
 	ReplicaLagRecords uint64
 	Handoffs          uint64
 
-	// Adaptive-batching meters (version 6; zero when decoding an older
-	// frame). EffectiveBatch is the controller's current group-size bound
+	// Adaptive-batching meters. EffectiveBatch is the controller's current group-size bound
 	// (the static BatchMax when adaptive batching is off). AdmissionRejects
 	// counts BUSY answers from the latency-budget admission gate,
 	// RingFullEvents the ones from the dispatch queue actually being full.
@@ -1027,12 +1012,6 @@ func (req *Request) parse(p []byte) error {
 	if c.err == nil && (!op.valid() || op == OpError) {
 		return fmt.Errorf("%w: bad opcode %v", ErrProtocol, op)
 	}
-	if c.err == nil && op == OpScan && ver < 4 {
-		return fmt.Errorf("%w: SCAN requires version 4, frame is version %d", ErrProtocol, ver)
-	}
-	if c.err == nil && op >= OpShardMapGet && op <= OpHandoff && ver < 5 {
-		return fmt.Errorf("%w: %v requires version 5, frame is version %d", ErrProtocol, op, ver)
-	}
 	req.Op, req.ID = op, c.u32()
 	switch op {
 	case OpPing:
@@ -1163,12 +1142,6 @@ func (resp *Response) parse(p []byte) error {
 	if c.err == nil && !op.valid() {
 		return fmt.Errorf("%w: bad opcode %v", ErrProtocol, op)
 	}
-	if c.err == nil && op == OpScan && ver < 4 {
-		return fmt.Errorf("%w: SCAN requires version 4, frame is version %d", ErrProtocol, ver)
-	}
-	if c.err == nil && op >= OpShardMapGet && op <= OpHandoff && ver < 5 {
-		return fmt.Errorf("%w: %v requires version 5, frame is version %d", ErrProtocol, op, ver)
-	}
 	resp.Op, resp.ID, resp.Status = op, c.u32(), Status(c.u8())
 	if resp.Status != StatusOK {
 		resp.Value = c.bytes()
@@ -1235,33 +1208,23 @@ func (resp *Response) parse(p []byte) error {
 			s.Groups = c.u64()
 			s.GroupOps = c.u64()
 			s.QueueHighWater = c.u64()
-			if ver >= 2 {
-				s.WalAppends = c.u64()
-				s.WalBytes = c.u64()
-				s.Fsyncs = c.u64()
-				s.SnapshotAgeSec = c.u64()
-				s.ReplayedRecords = c.u64()
-			}
-			if ver >= 3 {
-				s.CrossShardGroups = c.u64()
-				s.CrossShardPrepares = c.u64()
-				s.PrepareAborts = c.u64()
-			}
-			if ver >= 4 {
-				s.Scans = c.u64()
-				s.ScannedKeys = c.u64()
-			}
-			if ver >= 5 {
-				s.FollowerAcks = c.u64()
-				s.ReplicaLagRecords = c.u64()
-				s.Handoffs = c.u64()
-			}
-			if ver >= 6 {
-				s.EffectiveBatch = c.u64()
-				s.AdmissionRejects = c.u64()
-				s.RingFullEvents = c.u64()
-				s.QueueHighWaterWin = c.u64()
-			}
+			s.WalAppends = c.u64()
+			s.WalBytes = c.u64()
+			s.Fsyncs = c.u64()
+			s.SnapshotAgeSec = c.u64()
+			s.ReplayedRecords = c.u64()
+			s.CrossShardGroups = c.u64()
+			s.CrossShardPrepares = c.u64()
+			s.PrepareAborts = c.u64()
+			s.Scans = c.u64()
+			s.ScannedKeys = c.u64()
+			s.FollowerAcks = c.u64()
+			s.ReplicaLagRecords = c.u64()
+			s.Handoffs = c.u64()
+			s.EffectiveBatch = c.u64()
+			s.AdmissionRejects = c.u64()
+			s.RingFullEvents = c.u64()
+			s.QueueHighWaterWin = c.u64()
 			resp.Stats = append(resp.Stats, s)
 		}
 	case OpShardMapGet, OpShardMapWatch, OpShardMapUpdate:

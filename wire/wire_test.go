@@ -175,208 +175,33 @@ func TestStatsNaNDelta(t *testing.T) {
 	}
 }
 
-// TestOldVersionRequestDecode: version-1 request frames have the identical
-// layout and must keep parsing after the version-2 bump.
-func TestOldVersionRequestDecode(t *testing.T) {
-	reqs := []*Request{
-		{Op: OpGet, ID: 2, Key: 0xdeadbeef},
-		{Op: OpPut, ID: 3, Key: 7, Value: []byte("hello")},
-		{Op: OpAtomic, ID: 7, Subs: []Sub{{Kind: SubAdd, Key: 4, Delta: 42}}},
-		{Op: OpStats, ID: 8, Shard: AllShards},
+// TestVersionRange: exactly version 6 is accepted. Every other version
+// byte — the retired 1-5, zero, and a future 7 — is a protocol violation for
+// both parsers, whatever the opcode.
+func TestVersionRange(t *testing.T) {
+	reqFrame, err := AppendRequest(nil, &Request{Op: OpGet, ID: 1, Key: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, req := range reqs {
-		frame, err := AppendRequest(nil, req)
-		if err != nil {
-			t.Fatal(err)
+	respFrame, err := AppendResponse(nil, &Response{Op: OpStats, ID: 1, Stats: []ShardStats{{Engine: "norec"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 7} {
+		reqFrame[4], respFrame[4] = ver, ver // version byte follows the 4-byte length
+		if _, err := ParseRequest(reqFrame[4:]); !errors.Is(err, ErrProtocol) {
+			t.Errorf("v%d request: got %v, want ErrProtocol", ver, err)
 		}
-		frame[4] = 1 // downgrade the version byte; the layout is unchanged
-		got, err := ReadRequest(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatalf("%v as v1: %v", req.Op, err)
-		}
-		if len(req.Value) == 0 {
-			req.Value, got.Value = nil, nil
-		}
-		if !reflect.DeepEqual(req, got) {
-			t.Errorf("%v as v1:\n got %+v\nwant %+v", req.Op, got, req)
+		if _, err := ParseResponse(respFrame[4:]); !errors.Is(err, ErrProtocol) {
+			t.Errorf("v%d response: got %v, want ErrProtocol", ver, err)
 		}
 	}
-}
-
-// TestOldVersionStatsDecode: a version-1 STATS response (no durability or
-// cross-shard fields) must decode with those fields zero.
-func TestOldVersionStatsDecode(t *testing.T) {
-	want := ShardStats{
-		Shard: 2, Engine: "norec", Quota: 4, SettledQuota: 2,
-		QuotaMoves: 5, Commits: 100, Aborts: 10, Escalations: 1,
-		Panics: 2, SuccessNs: 12345, AbortNs: 678, Delta: 0.25,
-		Keys: 50, QuotaEvents: 5, Repartitions: 3,
-		Groups: 6, GroupOps: 60, QueueHighWater: 12,
+	reqFrame[4], respFrame[4] = Version, Version
+	if _, err := ParseRequest(reqFrame[4:]); err != nil {
+		t.Errorf("v%d request: %v", Version, err)
 	}
-	stamped := want
-	stamped.WalAppends, stamped.WalBytes, stamped.Fsyncs = 9, 999, 9
-	stamped.SnapshotAgeSec, stamped.ReplayedRecords = 3, 33
-	stamped.CrossShardGroups, stamped.CrossShardPrepares, stamped.PrepareAborts = 7, 14, 1
-	stamped.Scans, stamped.ScannedKeys = 21, 2100
-	stamped.FollowerAcks, stamped.ReplicaLagRecords, stamped.Handoffs = 11, 2, 1
-	stamped.EffectiveBatch, stamped.AdmissionRejects = 8, 4
-	stamped.RingFullEvents, stamped.QueueHighWaterWin = 2, 6
-	frame, err := AppendResponse(nil, &Response{Op: OpStats, ID: 1, Stats: []ShardStats{stamped}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v6 frame as its v1 equivalent: drop the five durability,
-	// three cross-shard, two scan, three replication and four adaptive-
-	// batching trailing u64s, then downgrade the version byte.
-	const v1Trailing = (5 + 3 + 2 + 3 + 4) * 8
-	frame = frame[:len(frame)-v1Trailing]
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	frame[4] = 1
-	got, err := ReadResponse(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("v1 STATS decode: %v", err)
-	}
-	if len(got.Stats) != 1 || !reflect.DeepEqual(got.Stats[0], want) {
-		t.Errorf("v1 STATS decode:\n got %+v\nwant %+v", got.Stats, want)
-	}
-}
-
-// TestV2StatsDecode: a version-2 STATS response carries the durability fields
-// but predates the cross-shard 2PC meters; those must decode as zero.
-func TestV2StatsDecode(t *testing.T) {
-	want := ShardStats{
-		Shard: 1, Engine: "tl2", Quota: 8, Commits: 40, Delta: 0.5,
-		Keys: 9, Groups: 2, GroupOps: 17, QueueHighWater: 3,
-		WalAppends: 9, WalBytes: 999, Fsyncs: 9,
-		SnapshotAgeSec: 3, ReplayedRecords: 33,
-	}
-	stamped := want
-	stamped.CrossShardGroups, stamped.CrossShardPrepares, stamped.PrepareAborts = 4, 8, 2
-	stamped.Scans, stamped.ScannedKeys = 5, 500
-	stamped.FollowerAcks, stamped.ReplicaLagRecords, stamped.Handoffs = 7, 3, 2
-	stamped.EffectiveBatch, stamped.AdmissionRejects = 16, 9
-	stamped.RingFullEvents, stamped.QueueHighWaterWin = 5, 2
-	frame, err := AppendResponse(nil, &Response{Op: OpStats, ID: 2, Stats: []ShardStats{stamped}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v6 frame as its v2 equivalent: drop the three cross-shard,
-	// two scan, three replication and four adaptive-batching trailing u64s,
-	// then downgrade the version byte.
-	const xsBytes = (3 + 2 + 3 + 4) * 8
-	frame = frame[:len(frame)-xsBytes]
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	frame[4] = 2
-	got, err := ReadResponse(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("v2 STATS decode: %v", err)
-	}
-	if len(got.Stats) != 1 || !reflect.DeepEqual(got.Stats[0], want) {
-		t.Errorf("v2 STATS decode:\n got %+v\nwant %+v", got.Stats, want)
-	}
-}
-
-// TestV3StatsDecode: a version-3 STATS response carries the cross-shard 2PC
-// meters but predates the scan meters; those must decode as zero.
-func TestV3StatsDecode(t *testing.T) {
-	want := ShardStats{
-		Shard: 3, Engine: "norec", Quota: 2, Commits: 15, Delta: 0.75,
-		Keys: 4, Groups: 3, GroupOps: 21, QueueHighWater: 5,
-		WalAppends: 2, WalBytes: 256, Fsyncs: 1,
-		SnapshotAgeSec: 9, ReplayedRecords: 12,
-		CrossShardGroups: 4, CrossShardPrepares: 8, PrepareAborts: 2,
-	}
-	stamped := want
-	stamped.Scans, stamped.ScannedKeys = 6, 600
-	stamped.FollowerAcks, stamped.ReplicaLagRecords, stamped.Handoffs = 9, 1, 3
-	stamped.EffectiveBatch, stamped.AdmissionRejects = 4, 1
-	stamped.RingFullEvents, stamped.QueueHighWaterWin = 7, 3
-	frame, err := AppendResponse(nil, &Response{Op: OpStats, ID: 3, Stats: []ShardStats{stamped}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v6 frame as its v3 equivalent: drop the two scan, three
-	// replication and four adaptive-batching trailing u64s and downgrade the
-	// version byte.
-	const scanBytes = (2 + 3 + 4) * 8
-	frame = frame[:len(frame)-scanBytes]
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	frame[4] = 3
-	got, err := ReadResponse(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("v3 STATS decode: %v", err)
-	}
-	if len(got.Stats) != 1 || !reflect.DeepEqual(got.Stats[0], want) {
-		t.Errorf("v3 STATS decode:\n got %+v\nwant %+v", got.Stats, want)
-	}
-}
-
-// TestV4StatsDecode: a version-4 STATS response carries the scan meters but
-// predates the replication meters; those must decode as zero.
-func TestV4StatsDecode(t *testing.T) {
-	want := ShardStats{
-		Shard: 5, Engine: "tl2", Quota: 3, Commits: 27, Delta: 0.125,
-		Keys: 8, Groups: 4, GroupOps: 19, QueueHighWater: 6,
-		WalAppends: 3, WalBytes: 128, Fsyncs: 2,
-		SnapshotAgeSec: 4, ReplayedRecords: 7,
-		CrossShardGroups: 2, CrossShardPrepares: 4, PrepareAborts: 1,
-		Scans: 11, ScannedKeys: 1100,
-	}
-	stamped := want
-	stamped.FollowerAcks, stamped.ReplicaLagRecords, stamped.Handoffs = 42, 5, 2
-	stamped.EffectiveBatch, stamped.AdmissionRejects = 2, 3
-	stamped.RingFullEvents, stamped.QueueHighWaterWin = 1, 4
-	frame, err := AppendResponse(nil, &Response{Op: OpStats, ID: 4, Stats: []ShardStats{stamped}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v6 frame as its v4 equivalent: drop the three replication
-	// and four adaptive-batching trailing u64s and downgrade the version byte.
-	const replBytes = (3 + 4) * 8
-	frame = frame[:len(frame)-replBytes]
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	frame[4] = 4
-	got, err := ReadResponse(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("v4 STATS decode: %v", err)
-	}
-	if len(got.Stats) != 1 || !reflect.DeepEqual(got.Stats[0], want) {
-		t.Errorf("v4 STATS decode:\n got %+v\nwant %+v", got.Stats, want)
-	}
-}
-
-// TestV5StatsDecode: a version-5 STATS response carries the replication
-// meters but predates the adaptive-batching meters; those must decode as
-// zero.
-func TestV5StatsDecode(t *testing.T) {
-	want := ShardStats{
-		Shard: 6, Engine: "oreceager", Quota: 4, Commits: 33, Delta: 0.5,
-		Keys: 12, Groups: 5, GroupOps: 25, QueueHighWater: 9,
-		WalAppends: 6, WalBytes: 512, Fsyncs: 3,
-		SnapshotAgeSec: 2, ReplayedRecords: 1,
-		CrossShardGroups: 1, CrossShardPrepares: 2, PrepareAborts: 0,
-		Scans: 3, ScannedKeys: 300,
-		FollowerAcks: 17, ReplicaLagRecords: 4, Handoffs: 1,
-	}
-	stamped := want
-	stamped.EffectiveBatch, stamped.AdmissionRejects = 16, 21
-	stamped.RingFullEvents, stamped.QueueHighWaterWin = 8, 11
-	frame, err := AppendResponse(nil, &Response{Op: OpStats, ID: 5, Stats: []ShardStats{stamped}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v6 frame as its v5 equivalent: drop the four trailing
-	// adaptive-batching u64s and downgrade the version byte.
-	const adaptBytes = 4 * 8
-	frame = frame[:len(frame)-adaptBytes]
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	frame[4] = 5
-	got, err := ReadResponse(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("v5 STATS decode: %v", err)
-	}
-	if len(got.Stats) != 1 || !reflect.DeepEqual(got.Stats[0], want) {
-		t.Errorf("v5 STATS decode:\n got %+v\nwant %+v", got.Stats, want)
+	if _, err := ParseResponse(respFrame[4:]); err != nil {
+		t.Errorf("v%d response: %v", Version, err)
 	}
 }
 
@@ -435,8 +260,8 @@ func TestFramingViolations(t *testing.T) {
 	if _, err := ReadResponse(bytes.NewReader(respFrame)); !errors.Is(err, ErrProtocol) {
 		t.Errorf("unflagged response: got %v, want ErrProtocol", err)
 	}
-	// A frame that claims version 3 but is cut short of the cross-shard
-	// meters must be rejected, not misread as a v2 layout.
+	// A STATS frame cut short of its trailing meters must be rejected, not
+	// misread as a shorter layout.
 	statsFrame, err := AppendResponse(nil, &Response{
 		Op: OpStats, ID: 2,
 		Stats: []ShardStats{{Engine: "norec", CrossShardGroups: 5}},
@@ -447,7 +272,7 @@ func TestFramingViolations(t *testing.T) {
 	short := statsFrame[:len(statsFrame)-8]
 	binary.LittleEndian.PutUint32(short, uint32(len(short)-4))
 	if _, err := ReadResponse(bytes.NewReader(short)); !errors.Is(err, ErrProtocol) {
-		t.Errorf("short v3 STATS: got %v, want ErrProtocol", err)
+		t.Errorf("short STATS: got %v, want ErrProtocol", err)
 	}
 }
 
@@ -512,27 +337,6 @@ func TestScanLimitBound(t *testing.T) {
 	binary.LittleEndian.PutUint16(respFrame[11:], MaxScanKeys+1)
 	if _, err := ParseResponse(respFrame[4:]); !errors.Is(err, ErrProtocol) {
 		t.Errorf("parse page count=%d: got %v, want ErrProtocol", MaxScanKeys+1, err)
-	}
-}
-
-// TestScanVersionGate: OpScan frames stamped with a pre-v4 version byte are
-// protocol violations in both directions.
-func TestScanVersionGate(t *testing.T) {
-	frame, err := AppendRequest(nil, &Request{Op: OpScan, ID: 1, End: 10, Limit: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[4] = 3
-	if _, err := ReadRequest(bytes.NewReader(frame)); !errors.Is(err, ErrProtocol) {
-		t.Errorf("v3 SCAN request: got %v, want ErrProtocol", err)
-	}
-	respFrame, err := AppendResponse(nil, &Response{Op: OpScan, ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	respFrame[4] = 3
-	if _, err := ReadResponse(bytes.NewReader(respFrame)); !errors.Is(err, ErrProtocol) {
-		t.Errorf("v3 SCAN response: got %v, want ErrProtocol", err)
 	}
 }
 
