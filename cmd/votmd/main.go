@@ -185,6 +185,9 @@ func main() {
 					}
 					logger.Print(line)
 				}
+				rs := srv.RoundStats()
+				logger.Printf("cross-shard rounds: %d rounds, %d batches, %.1f tasks/round, largest %d, %d mixing coordinating shards",
+					rs.Rounds, rs.Tasks, rs.MeanTasks(), rs.Largest, rs.Mixed)
 			}
 		}()
 	}

@@ -422,6 +422,10 @@ func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 		// fsyncs per appended group: < 1 means piggybacking is sharing flushes
 		b.ReportMetric(float64(fsyncs)/float64(appends), "fsync-share")
 	}
+	if rs := srv.RoundStats(); rs.Rounds > 0 {
+		// Cross-shard ATOMICs combined per coordination round (the xshard cell).
+		b.ReportMetric(rs.MeanTasks(), "tasks/round")
+	}
 	if busyOK {
 		// Shed fraction: BUSY answers (admission gate or full queue) per
 		// request. The admission share of it is visible in admRej.

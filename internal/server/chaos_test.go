@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,13 @@ func TestServerChaos(t *testing.T) {
 	}
 }
 
+// roundCoordinators counts the live round-coordinator goroutines (one per
+// running server) by their entry frame.
+func roundCoordinators() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*roundCoordinator).loop")
+}
+
 func runServerChaos(t *testing.T, mod func(*server.Config)) {
 	const nClients = 8
 	rounds := 200
@@ -51,6 +59,7 @@ func runServerChaos(t *testing.T, mod func(*server.Config)) {
 		rounds = 60
 	}
 	baseGoroutines := runtime.NumGoroutine()
+	baseCoordinators := roundCoordinators()
 
 	inj := votm.NewFaultInjector(votm.FaultConfig{
 		ConflictEvery: 29,
@@ -72,7 +81,6 @@ func runServerChaos(t *testing.T, mod func(*server.Config)) {
 		mod(&cfg)
 	}
 	srv, addr := startServer(t, cfg)
-	_ = srv
 
 	keys := make([]uint64, 8)
 	for i := range keys {
@@ -101,12 +109,27 @@ func runServerChaos(t *testing.T, mod func(*server.Config)) {
 			for r := 0; r < rounds; r++ {
 				key := keys[rng.Intn(len(keys))]
 				var err error
-				if rng.Intn(4) == 0 {
+				switch op := rng.Intn(8); {
+				case op < 2:
 					_, err = c.Get(ctx, key)
 					if errors.Is(err, client.ErrNotFound) {
 						err = nil
 					}
-				} else {
+				case op == 2:
+					// A two-shard ADD pair: a round on the server's coordinator,
+					// so the storm's admission faults land there too.
+					other := keys[rng.Intn(len(keys))]
+					for srv.Shard(other) == srv.Shard(key) {
+						other = keys[rng.Intn(len(keys))]
+					}
+					delta := uint64(rng.Intn(500) + 1)
+					_, err = c.Atomic(ctx, []wire.Sub{
+						{Kind: wire.SubAdd, Key: key, Delta: delta}, {Kind: wire.SubAdd, Key: other, Delta: delta}})
+					if err == nil {
+						tallies[ci][key] += delta
+						tallies[ci][other] += delta
+					}
+				default:
 					delta := uint64(rng.Intn(500) + 1)
 					if _, err = c.Add(ctx, key, delta); err == nil {
 						tallies[ci][key] += delta
@@ -221,6 +244,13 @@ func runServerChaos(t *testing.T, mod func(*server.Config)) {
 				runtime.NumGoroutine(), baseGoroutines, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	// The count above has slack; the round coordinator is checked by name.
+	if n := roundCoordinators(); n != baseCoordinators {
+		t.Errorf("%d round coordinator goroutines after the drain, %d before the server started", n, baseCoordinators)
+	}
+	if rs := srv.RoundStats(); rs.Rounds == 0 {
+		t.Error("chaos soak completed without a single cross-shard round")
 	}
 	t.Logf("chaos: %d injected panics, %d client-visible faults, injector %+v",
 		stats.Panics, totalFaults, stats)

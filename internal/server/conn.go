@@ -143,7 +143,7 @@ func (c *conn) dispatch(req *wire.Request) {
 		// An ATOMIC batch may span shards: it is dispatched to its canonical
 		// coordinator (the first participant in the global acquisition
 		// order), whose worker executes it in its group when every key is its
-		// own, else as one multi-view transaction (group.go runRound).
+		// own, else hands it to the server's round coordinator (round.go).
 		sh = s.atomicCoordinator(req)
 	case wire.OpScan:
 		// A SCAN page consults every sub-shard: it runs on the global scan

@@ -226,6 +226,105 @@ func TestCrossShardRecoveryMatrix(t *testing.T) {
 			}
 		})
 	}
+
+	// A many-task round, as the server-wide coordinator lays it down: five
+	// tasks dispatched to two different coordinating shards (shard 0 for the
+	// tasks touching it, shard 1 for the rest) share ONE round, so each
+	// participant's log holds one prepare batch [P_t..] and one commit batch
+	// [C_t..] in task order, every task under its own xid. A crash inside
+	// that window must still resolve every task on its own, all or nothing,
+	// by the any-commit rule.
+	round := [][]int{{0, 1, 2}, {1, 2}, {0, 2}, {1, 2}, {0, 1}} // participants per task
+	xidOf := func(ti int) uint64 { return 0xbeef0000 + uint64(ti) }
+	rkey := func(ti, s int) uint64 { return keyOnShard(s, 1000+100*uint64(ti)) }
+	rval := func(ti, s int) string { return fmt.Sprintf("t%d-s%d", ti, s) }
+	// batches returns shard s's prepare batch and commit batch of the round.
+	batches := func(s int) (prep, commit []wal.Record) {
+		for ti, parts := range round {
+			for _, p := range parts {
+				if p == s {
+					prep = append(prep, wal.Record{Kind: wal.RecPrepare, Key: xidOf(ti),
+						Value: wal.AppendPrepareValue(nil, []wal.Record{{Kind: wal.RecPut, Key: rkey(ti, s), Value: []byte(rval(ti, s))}})})
+					commit = append(commit, wal.Record{Kind: wal.RecCommit, Key: xidOf(ti)})
+				}
+			}
+		}
+		return prep, commit
+	}
+	for _, tc := range []struct {
+		name string
+		// commitOn[s]: shard s's commit batch reached its log before the crash.
+		commitOn [matrixShards]bool
+		// committed[ti]: some participant of task ti holds its commit record.
+		committed []bool
+	}{
+		{"round: crash after the prepares", [matrixShards]bool{}, []bool{false, false, false, false, false}},
+		// Commit batches are appended in canonical participant order: the
+		// crash lands after shard 0's, so only the tasks touching shard 0 are
+		// decided — the two coordinated by shard 1 abort.
+		{"round: crash between commit appends", [matrixShards]bool{true, false, false}, []bool{true, false, true, false, true}},
+		// Every commit batch was appended but only shard 1's flush finished.
+		{"round: crash after one participant's flush", [matrixShards]bool{false, true, false}, []bool{true, true, false, true, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for s := 0; s < matrixShards; s++ {
+				prep, commit := batches(s)
+				logs := [][]wal.Record{baseline(s), prep}
+				if tc.commitOn[s] {
+					logs = append(logs, commit)
+				}
+				writeShardLog(t, dir, s, logs...)
+			}
+			cfg := server.Config{
+				Shards: matrixShards, MaxValueLen: 1 << 10,
+				Durability: server.DurabilityGroup, DataDir: dir, SnapshotEvery: time.Hour,
+			}
+			verify := func(addr string) {
+				t.Helper()
+				c := dialClient(t, addr, client.Options{})
+				ctx := context.Background()
+				for ti, parts := range round {
+					for _, s := range parts {
+						got, err := c.Get(ctx, rkey(ti, s))
+						if tc.committed[ti] && (err != nil || string(got) != rval(ti, s)) {
+							t.Errorf("task %d on shard %d: got %q, %v; want its committed value", ti, s, got, err)
+						}
+						if !tc.committed[ti] && !errors.Is(err, wire.ErrNotFound) {
+							t.Errorf("task %d on shard %d: got %q, %v; want NOT_FOUND (an undecided task leaked)", ti, s, got, err)
+						}
+					}
+				}
+				for s := 0; s < matrixShards; s++ {
+					if got, err := c.Get(ctx, bkeys[s]); err != nil || string(got) != "base" {
+						t.Errorf("shard %d baseline key %d: got %q, %v", s, bkeys[s], got, err)
+					}
+				}
+			}
+			srv, addr := startServer(t, cfg)
+			verify(addr)
+			for s := 0; s < matrixShards; s++ {
+				prep, _ := batches(s)
+				want := len(prep)
+				if tc.commitOn[s] {
+					want = 0 // decided in-log
+				}
+				if got := srv.Recovery()[s].ResolvedPrepares; got != want {
+					t.Errorf("shard %d: ResolvedPrepares = %d, want %d", s, got, want)
+				}
+			}
+			again := t.TempDir()
+			copyTree(t, dir, again)
+			cfg.DataDir = again
+			srv2, addr2 := startServer(t, cfg)
+			verify(addr2)
+			for s := 0; s < matrixShards; s++ {
+				if got := srv2.Recovery()[s].ResolvedPrepares; got != 0 {
+					t.Errorf("second boot shard %d: ResolvedPrepares = %d, want 0 (resolution not persisted)", s, got)
+				}
+			}
+		})
+	}
 }
 
 // verifyMatrixState asserts the group's three keys are all present (with

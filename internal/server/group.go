@@ -1,17 +1,16 @@
 // Group-commit execution. A shard worker drains up to the controller's
-// group bound of queued requests per wakeup and runs them through one of
-// exactly two executors:
+// group bound of queued requests per wakeup and runs them as the group
+// (runGroup): ONE view transaction on the worker's own shard — one RAC
+// admission, one begin/validate/commit (at Q == 1 a single lock acquisition),
+// one WAL append and one lagged flush amortized over K members. Members are
+// GET/PUT/DELETE/CAS requests and ATOMIC batches whose keys all live on this
+// shard; an ATOMIC member is interpreted by multiBatch (store.go) with its
+// own validate-before-first-write pass and its own verdict.
 //
-//   - the group (runGroup): ONE view transaction on the worker's own shard —
-//     one RAC admission, one begin/validate/commit (at Q == 1 a single lock
-//     acquisition), one WAL append and one lagged flush amortized over K
-//     members. Members are GET/PUT/DELETE/CAS requests and ATOMIC batches
-//     whose keys all live on this shard; an ATOMIC member is interpreted by
-//     multiBatch (store.go) with its own validate-before-first-write pass and
-//     its own verdict.
-//   - the round (runRound): every ATOMIC batch of the drain whose keys span
-//     sub-shards, executed back to back inside one quiesce of their union
-//     participant set (votm.AtomicAll) with one two-phase WAL flush.
+// An ATOMIC batch whose keys span sub-shards is not a worker's business: the
+// worker plans it, hands it to the server's round coordinator (round.go) and
+// carries on with its group — it neither waits for the round nor flushes
+// ahead of it. The group and the round are the server's only two executors.
 //
 // Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created flags, an ATOMIC's
 // BAD_REQUEST) stay per-request statuses; a conflict abort re-executes the
@@ -29,8 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"votm"
@@ -78,13 +75,6 @@ type pendingGroup struct {
 	seq uint64 // WAL sequence of the group's redo batch
 }
 
-// roundPair is one (task, participant) share of a round's redo records:
-// recs[lo:hi] of the worker's record scratch.
-type roundPair struct {
-	task, part int
-	lo, hi     int
-}
-
 // groupWorker is one shard worker's retained execution state: the op
 // slots, the commit-side free lists and the amortized request context are
 // all reused across groups, so the steady-state execution path allocates
@@ -94,14 +84,11 @@ type groupWorker struct {
 	sh *shard
 	th *votm.Thread
 
-	ops   []groupOp
-	round []roundTask // cross-shard ATOMICs of the current drain, run as one round
+	ops []groupOp
 	// self/selfTx are the group's one-participant view of the interpreter's
 	// (participants, handles) pair: this shard and the group transaction.
 	self   []*shard
 	selfTx []votm.Tx
-	// batchFree recycles ATOMIC interpreter state (and its scratch slices).
-	batchFree []*multiBatch
 	// frees collects every post-commit release of the current group's point
 	// ops — displaced value blocks, unlinked map nodes, unused
 	// pre-allocations — retired with one FreeBatch (one allocator lock) per
@@ -112,8 +99,6 @@ type groupWorker struct {
 	keysDelta int64
 	recs      []wal.Record // redo-record scratch (durability on)
 	valBuf    []byte       // SubAdd post-image scratch backing recs
-	prepBuf   []byte       // prepare-record payload scratch (cross-shard 2PC)
-	pairs     []roundPair  // round redo-record index (cross-shard 2PC)
 
 	// pending holds appended-but-unflushed groups (group-commit across
 	// groups: one fdatasync covers the whole list); opsFree recycles their
@@ -124,44 +109,52 @@ type groupWorker struct {
 	// repScratch recycles waitReplicated's follower snapshot (cluster mode).
 	repScratch []*replica
 
-	// reqCtx is the group-execution context. Creating context.WithTimeout
-	// per request would put two allocations and a timer on the hot path, so
-	// one context is reused until half its budget has elapsed: every group
-	// observes a deadline between RequestTimeout/2 and RequestTimeout away.
-	reqCtx    context.Context
-	reqCancel context.CancelFunc
-	renewAt   time.Time
+	reqContext
 }
 
 func newGroupWorker(s *Server, sh *shard, th *votm.Thread) *groupWorker {
-	return &groupWorker{s: s, sh: sh, th: th, self: []*shard{sh}, selfTx: make([]votm.Tx, 1)}
+	return &groupWorker{s: s, sh: sh, th: th, self: []*shard{sh}, selfTx: make([]votm.Tx, 1),
+		reqContext: reqContext{timeout: s.cfg.RequestTimeout}}
 }
 
 func (w *groupWorker) close() {
 	w.flushPending()
-	if w.reqCancel != nil {
-		w.reqCancel()
-	}
+	w.reqContext.close()
 }
 
-// ctx returns the amortized request context (see reqCtx).
-func (w *groupWorker) ctx() context.Context {
+// reqContext is an executor's amortized request context. Creating
+// context.WithTimeout per request would put two allocations and a timer on
+// the hot path, so one context is reused until half its budget has elapsed:
+// every group (and every round) observes a deadline between timeout/2 and
+// timeout away.
+type reqContext struct {
+	timeout time.Duration
+	cur     context.Context
+	cancel  context.CancelFunc
+	renewAt time.Time
+}
+
+// ctx returns the current context, renewing it when it is half spent.
+func (r *reqContext) ctx() context.Context {
 	now := time.Now()
-	if w.reqCtx == nil || now.After(w.renewAt) || w.reqCtx.Err() != nil {
-		if w.reqCancel != nil {
-			w.reqCancel()
-		}
-		timeout := w.s.cfg.RequestTimeout
-		w.reqCtx, w.reqCancel = context.WithTimeout(context.Background(), timeout)
-		w.renewAt = now.Add(timeout / 2)
+	if r.cur == nil || now.After(r.renewAt) || r.cur.Err() != nil {
+		r.close()
+		r.cur, r.cancel = context.WithTimeout(context.Background(), r.timeout)
+		r.renewAt = now.Add(r.timeout / 2)
 	}
-	return w.reqCtx
+	return r.cur
+}
+
+func (r *reqContext) close() {
+	if r.cancel != nil {
+		r.cancel()
+	}
 }
 
 // run executes one drained batch: route-rechecked point ops and same-shard
-// ATOMIC batches execute as a single grouped transaction, cross-shard ATOMIC
-// batches together as one coordination round. Every task is answered exactly
-// once.
+// ATOMIC batches execute as a single grouped transaction; cross-shard ATOMIC
+// batches are handed to the round coordinator, which answers them. Every
+// task is answered exactly once.
 func (w *groupWorker) run(batch []task) {
 	for _, t := range batch {
 		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
@@ -179,7 +172,7 @@ func (w *groupWorker) run(batch []task) {
 		// A split between dispatch and execution may have moved an ATOMIC's
 		// or SCAN's coordinator: answer BUSY (retryable).
 		if resp := w.s.recheckRoute(w.sh, t.req); resp != nil {
-			w.finish(t, resp)
+			w.s.finish(t, resp)
 			continue
 		}
 		switch t.req.Op {
@@ -189,27 +182,25 @@ func (w *groupWorker) run(batch []task) {
 			w.flushPending()
 			w.runScan(t)
 		case wire.OpAtomic:
-			b := w.acquireBatch(t.req.Subs)
+			b := w.s.acquireBatch(t.req.Subs)
 			if len(b.parts) == 1 && b.parts[0] == w.sh {
 				w.ops = append(w.ops, groupOp{t: t, batch: b})
 				continue
 			}
 			// A batch spanning sub-shards — or whose plan resolved to a
-			// single FOREIGN participant after a routing move — takes the
-			// multi-view coordinator. Queue it: every such batch drained
-			// this wakeup shares one quiesce and one two-phase flush.
-			w.round = append(w.round, roundTask{t: t, batch: b})
+			// single FOREIGN participant after a routing move — belongs to
+			// the round coordinator. The hand-off never blocks: a full round
+			// queue answers BUSY here, before anything executed.
+			if !w.s.rounds.submit(t, b) {
+				w.sh.ringFull.Add(1)
+				w.s.releaseBatch(b)
+				resp := wire.NewResponse()
+				resp.Op, resp.ID, resp.Status = t.req.Op, t.req.ID, wire.StatusBusy
+				w.s.finish(t, resp)
+			}
 		default:
 			w.ops = append(w.ops, groupOp{t: t})
 		}
-	}
-	if len(w.round) > 0 {
-		w.flushPending()
-		w.runRound(w.round)
-		for i := range w.round {
-			w.round[i] = roundTask{}
-		}
-		w.round = w.round[:0]
 	}
 	if len(w.ops) > 0 && w.runGroup() {
 		// The group was stashed awaiting a shared flush and its op slice is
@@ -224,25 +215,32 @@ func (w *groupWorker) run(batch []task) {
 }
 
 // acquireBatch hands out recycled ATOMIC interpreter state bound to one
-// batch's subs, with its routing plan resolved.
-func (w *groupWorker) acquireBatch(subs []wire.Sub) *multiBatch {
+// batch's subs, with its routing plan resolved. The free list is the
+// server's: a worker acquires every batch, and whoever settles it — the
+// worker for a group member, the round coordinator for a cross-shard batch —
+// releases it. An empty list allocates.
+func (s *Server) acquireBatch(subs []wire.Sub) *multiBatch {
 	var b *multiBatch
-	if n := len(w.batchFree); n > 0 {
-		b, w.batchFree = w.batchFree[n-1], w.batchFree[:n-1]
-	} else {
+	select {
+	case b = <-s.batchFree:
+	default:
 		b = new(multiBatch)
 	}
 	b.subs = subs
-	w.s.atomicPlan(b)
+	s.atomicPlan(b)
 	return b
 }
 
 // releaseBatch recycles a settled batch, dropping every reference it holds
-// to its request and (through results) its response.
-func (w *groupWorker) releaseBatch(b *multiBatch) {
+// to its request and (through results) its response. A full free list drops
+// the state: the list is bounded like the queues that feed it.
+func (s *Server) releaseBatch(b *multiBatch) {
 	clear(b.parts)
 	*b = multiBatch{parts: b.parts, owner: b.owner, res: b.res, effLen: b.effLen, frees: b.frees, keysDelta: b.keysDelta}
-	w.batchFree = append(w.batchFree, b)
+	select {
+	case s.batchFree <- b:
+	default:
+	}
 }
 
 // recycleOps drops an answered group's request/response references so the
@@ -250,7 +248,7 @@ func (w *groupWorker) releaseBatch(b *multiBatch) {
 func (w *groupWorker) recycleOps(ops []groupOp) []groupOp {
 	for i := range ops {
 		if b := ops[i].batch; b != nil {
-			w.releaseBatch(b)
+			w.s.releaseBatch(b)
 		}
 		ops[i] = groupOp{}
 	}
@@ -290,10 +288,10 @@ func (w *groupWorker) flushPending() {
 }
 
 // finish answers one task and retires its request.
-func (w *groupWorker) finish(t task, resp *wire.Response) {
+func (s *Server) finish(t task, resp *wire.Response) {
 	t.c.send(resp)
 	t.c.pending.Done()
-	w.s.reqWG.Done()
+	s.reqWG.Done()
 	t.req.Release()
 }
 
@@ -347,403 +345,6 @@ func (s *Server) noteShardWALFault(sh *shard, err error) {
 	if !sh.readOnly.Swap(true) {
 		s.logf("votmd: shard %d: WAL failure, shard now read-only: %v", sh.id, err)
 	}
-}
-
-// roundTask is one cross-shard ATOMIC's slot in a coordination round: its
-// queued task, its interpreter state (ownership remapped onto the round's
-// union participant indices) and the union participants it mutates.
-type roundTask struct {
-	t        task
-	resp     *wire.Response
-	batch    *multiBatch
-	writes   []bool
-	hasWrite bool
-}
-
-// runRound executes every cross-shard ATOMIC drained in one wakeup — one or
-// many — as ONE coordination round: the union of their participant views is
-// quiesced once in canonical order (votm.AtomicAll), the batches run back to
-// back inside it with exclusive lock-mode access and per-batch verdicts, and
-// durability is a single two-phase flush — every task's prepare records
-// appended and fsynced together, then every commit record — so recovery
-// (resolveCrossShard) applies each batch on all its participants or none,
-// no matter where a crash lands. Cross-shard 2PC thus pays its quiesce and
-// its fsyncs per ROUND instead of per batch (BenchmarkServerDurable's xshard
-// cell).
-//
-// Correctness notes:
-//
-//   - A batch's failure (stale route, bad add, panic) lands in its own
-//     verdict and never touches its round-mates: validation precedes every
-//     write, so a failed batch wrote nothing. A round-level failure (pause
-//     error, cancellation, a panic before the body) means nothing executed
-//     and becomes every undecided batch's verdict.
-//   - Every writing task gets its OWN xid and prepare/commit pair. Uniform
-//     2PC keeps replay order right: each participant's log holds the round as
-//     [P_t1..P_tk, C_t1..C_tk] in task order, a prepare's effects apply at
-//     its commit record's position (durability.go replay), so replayed
-//     effects land in task order — exactly the order the batches executed in
-//     memory. Tasks stay independent at recovery: each xid is resolved by the
-//     any-commit rule on its own. The one exception is a round whose records
-//     all belong to one task on one participant (appendCrossShardRound).
-//   - Every writable participant's walMu is taken in canonical order BEFORE
-//     any view is paused and held until after the LAST commit record is
-//     appended: each shard's log order equals its memory commit order, any
-//     transaction observing a round task's writes logs after that task's
-//     commit record (an observer becoming durable implies the decision is
-//     durable), and — because group writers hold their one walMu before
-//     entering the view — a paused view can never contain a transaction that
-//     waits on a mutex held here.
-//   - A WAL failure anywhere in the round abandons the WHOLE round's
-//     durability (abort records where possible, writable participants flip
-//     read-only, writing tasks answer TxFault) — round-mates share the
-//     fault exactly as the members of a group share theirs.
-func (w *groupWorker) runRound(tasks []roundTask) {
-	s := w.s
-
-	// Union of participants in canonical order: AtomicAll's acquisition
-	// order and the walMu lock order below must both match what every other
-	// acquirer uses.
-	var union []*shard
-	uindex := make(map[*shard]int)
-	for i := range tasks {
-		for _, p := range tasks[i].batch.parts {
-			if _, seen := uindex[p]; !seen {
-				uindex[p] = 0
-				union = append(union, p)
-			}
-		}
-	}
-	sort.Slice(union, func(i, j int) bool { return shardLess(union[i], union[j]) })
-	for i, p := range union {
-		uindex[p] = i
-	}
-
-	// Per-task setup: response, union-indexed ownership, write set, and the
-	// read-only refusal (a task writing a faulted shard drops out up front;
-	// its round-mates still run).
-	durable := union[0].log != nil
-	unionWrite := make([]bool, len(union))
-	hasWrite := false
-	live := tasks[:0]
-	for _, rt := range tasks {
-		b := rt.batch
-		rt.resp = wire.NewResponse()
-		rt.resp.Op, rt.resp.ID = rt.t.req.Op, rt.t.req.ID
-		rt.writes = make([]bool, len(union))
-		refused := false
-		for si, sub := range b.subs {
-			ui := uindex[b.parts[b.owner[si]]]
-			b.owner[si] = ui
-			if sub.Kind != wire.SubGet {
-				rt.writes[ui], rt.hasWrite = true, true
-				refused = refused || (durable && union[ui].readOnly.Load())
-			}
-		}
-		if refused {
-			rt.resp.Status = wire.StatusTxFault
-			rt.resp.SetDetail(errShardReadOnly)
-			w.releaseBatch(b)
-			w.finish(rt.t, rt.resp)
-			continue
-		}
-		if rt.hasWrite {
-			hasWrite = true
-			for pi, mutates := range rt.writes {
-				unionWrite[pi] = unionWrite[pi] || mutates
-			}
-		}
-		b.results = rt.resp.Subs[:0]
-		_ = b.alloc(union) // a failure is the batch's verdict
-		live = append(live, rt)
-	}
-	if tasks = live; len(tasks) == 0 {
-		return
-	}
-	durable = durable && hasWrite
-	// undecided gives every batch without a verdict the round's.
-	undecided := func(err error) {
-		for i := range tasks {
-			if tasks[i].batch.err == nil {
-				tasks[i].batch.err = err
-			}
-		}
-	}
-
-	var (
-		syncShs  []*shard // final records awaiting their fsync
-		syncSeqs []uint64
-		walErr   error
-	)
-	func() {
-		locked := 0
-		defer func() {
-			for i := locked - 1; i >= 0; i-- {
-				if unionWrite[i] {
-					union[i].walMu.Unlock()
-				}
-			}
-		}()
-		defer func() {
-			// The one place ATOMIC pre-allocations are released, on every
-			// path: a panic that unwound AtomicAll (an injected admission
-			// fault — nothing executed) first becomes the verdict of every
-			// undecided batch, so their blocks and nodes are freed too.
-			if r := recover(); r != nil {
-				s.logf("votmd: shard %d: %v in cross-shard ATOMIC round", w.sh.id, r)
-				undecided(txFault{r})
-			}
-			for i := range tasks {
-				tasks[i].batch.settle(union, true)
-			}
-		}()
-		if durable {
-			for i, p := range union {
-				if unionWrite[i] {
-					p.walMu.Lock()
-				}
-				locked = i + 1
-			}
-			for i, p := range union {
-				if unionWrite[i] && s.moving(p) {
-					// A participant is quiesced for a handoff: refuse the
-					// whole round before anything executes (BUSY).
-					undecided(errShardMoving)
-					return
-				}
-			}
-		}
-		views := make([]*votm.View, len(union))
-		for i, p := range union {
-			views[i] = p.view
-		}
-		err := votm.AtomicAll(w.ctx(), w.th, views, !hasWrite, func(txs []votm.Tx) error {
-			for i := range tasks {
-				if b := tasks[i].batch; b.err == nil {
-					b.err = execContained(b, s, union, txs)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			undecided(err)
-		}
-		if durable {
-			syncShs, syncSeqs, walErr = w.appendCrossShardRound(union, tasks)
-		}
-	}()
-	// Final fsyncs outside the mutexes (overlapping later groups,
-	// piggybacking across workers); every writing task's response still
-	// waits on every participant's durability point — and, under cluster
-	// leadership, every participant's semi-sync replication point.
-	if walErr == nil {
-		walErr = w.syncAll(syncShs, syncSeqs)
-		if walErr == nil {
-			for i := range syncShs {
-				w.repScratch = s.waitReplicated(syncShs[i], syncSeqs[i], w.repScratch)
-			}
-		}
-	}
-	for i := range tasks {
-		rt := &tasks[i]
-		resp := rt.resp
-		switch {
-		case rt.batch.err != nil:
-			status, detail := errStatus(rt.batch.err)
-			resp.Status = status
-			resp.SetDetail(detail)
-		case walErr != nil && rt.hasWrite:
-			// A read-only task's result needs no durability point; a writing
-			// one cannot distinguish its own records from the round's fault.
-			resp.Status = wire.StatusTxFault
-			resp.SetDetail("wal: " + walErr.Error())
-		default:
-			resp.Subs = rt.batch.results
-			if len(rt.batch.parts) > 1 {
-				for _, p := range rt.batch.parts {
-					p.xsGroups.Add(1)
-				}
-			}
-		}
-		w.releaseBatch(rt.batch)
-		w.finish(rt.t, resp)
-	}
-}
-
-// execContained runs one round batch, containing a panic to that batch: its
-// round-mates already executed (or still can) inside the same irrevocable
-// quiesce, so the fault must not unwind them. (The forwarding guard cannot
-// fire here — routing is frozen and exec checked every key — so any panic
-// is a batch-local fault.)
-func execContained(b *multiBatch, s *Server, parts []*shard, txs []votm.Tx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = txFault{r}
-		}
-	}()
-	return b.exec(s, parts, txs)
-}
-
-// appendCrossShardRound makes a round's committed batches durable with one
-// two-phase flush. Per writable participant it appends ONE record batch
-// holding every task's prepare (task order), fsyncs all participants once —
-// the phase-1 barrier — then appends each participant's commit records,
-// still under the walMus so the round stays contiguous in every log. Each
-// task has its own xid: recovery resolves every task independently by the
-// any-commit rule, and a prepare's effects apply at its commit record's
-// position, keeping replay in task order.
-//
-// A round whose redo records all belong to ONE task on ONE participant
-// degenerates to a plain batch append: no other log has to agree with it and
-// nothing else in the round needs ordering against it.
-//
-// Returns the shards and sequences whose final records await their fsync.
-// On error the round's durability is abandoned wholesale: abort records are
-// appended where possible and every participant holding round records flips
-// read-only.
-func (w *groupWorker) appendCrossShardRound(union []*shard, tasks []roundTask) ([]*shard, []uint64, error) {
-	w.recs, w.valBuf, w.pairs = w.recs[:0], w.valBuf[:0], w.pairs[:0]
-	for ti := range tasks {
-		rt := &tasks[ti]
-		if rt.batch.err != nil || !rt.hasWrite {
-			continue
-		}
-		for pi := range union {
-			if !rt.writes[pi] {
-				continue
-			}
-			lo := len(w.recs)
-			w.recs, w.valBuf = appendAtomicRecords(w.recs, w.valBuf, rt.batch, pi)
-			if len(w.recs) > lo { // else e.g. only missed deletes landed here
-				w.pairs = append(w.pairs, roundPair{task: ti, part: pi, lo: lo, hi: len(w.recs)})
-			}
-		}
-	}
-	switch len(w.pairs) {
-	case 0:
-		return nil, nil, nil // no task mutated state anywhere
-	case 1:
-		p := union[w.pairs[0].part]
-		seq, err := appendWAL(p, w.recs)
-		if err != nil {
-			w.s.noteShardWALFault(p, err)
-			return nil, nil, err
-		}
-		return []*shard{p}, []uint64{seq}, nil
-	}
-
-	prep := make([][]wal.Record, len(union))
-	commit := make([][]wal.Record, len(union))
-	w.prepBuf = w.prepBuf[:0]
-	var xid uint64
-	for i, pr := range w.pairs {
-		if i == 0 || pr.task != w.pairs[i-1].task {
-			xid = w.s.nextXID()
-		}
-		// A grown prepBuf leaves earlier values intact in the old array.
-		lo := len(w.prepBuf)
-		w.prepBuf = wal.AppendPrepareValue(w.prepBuf, w.recs[pr.lo:pr.hi])
-		prep[pr.part] = append(prep[pr.part], wal.Record{Kind: wal.RecPrepare, Key: xid, Value: w.prepBuf[lo:len(w.prepBuf):len(w.prepBuf)]})
-		commit[pr.part] = append(commit[pr.part], wal.Record{Kind: wal.RecCommit, Key: xid})
-	}
-
-	var (
-		prepShs  []*shard
-		prepSeqs []uint64
-		prepIdx  []int // union index per prepShs entry
-	)
-	abortRound := func(err error) {
-		// Memory holds every task's effects but the logs will not replay
-		// them: append the abort decisions where possible (so the next
-		// recovery resolves instantly instead of hunting for commit records)
-		// and flip every participant holding round records read-only.
-		for _, pi := range prepIdx {
-			p := union[pi]
-			aborts := make([]wal.Record, 0, len(prep[pi]))
-			for _, r := range prep[pi] {
-				aborts = append(aborts, wal.Record{Kind: wal.RecAbort, Key: r.Key})
-			}
-			_, _, _ = p.log.Append(aborts)
-			p.xsPrepareAborts.Add(uint64(len(aborts)))
-		}
-		for pi := range union {
-			if len(prep[pi]) > 0 {
-				w.s.noteShardWALFault(union[pi], err)
-			}
-		}
-	}
-	for pi, p := range union {
-		if len(prep[pi]) == 0 {
-			continue
-		}
-		seq, err := appendWAL(p, prep[pi])
-		if err != nil {
-			abortRound(err)
-			return nil, nil, err
-		}
-		p.xsPrepares.Add(uint64(len(prep[pi])))
-		prepShs, prepSeqs, prepIdx = append(prepShs, p), append(prepSeqs, seq), append(prepIdx, pi)
-	}
-	// Phase-1 barrier: every prepare durable before any commit record can
-	// exist. (The walMus stay held; Sync never takes them.)
-	if err := w.syncAll(prepShs, prepSeqs); err != nil {
-		abortRound(err)
-		return nil, nil, err
-	}
-	// Phase 2: the decisions, in task order per participant. A task's group
-	// is committed the moment the first of its commit records becomes
-	// durable — sound because phase 1 made every participant's prepare
-	// outlive it.
-	commitSeqs := make([]uint64, len(prepShs))
-	var firstErr error
-	for i, pi := range prepIdx {
-		seq, err := appendWAL(union[pi], commit[pi])
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		commitSeqs[i] = seq
-	}
-	if firstErr != nil {
-		// Some logs hold commit records and some cannot: whether each task
-		// survives a restart is decided by the any-commit rule, not by what
-		// these shards' memory says — flip them all.
-		for _, pi := range prepIdx {
-			w.s.noteShardWALFault(union[pi], firstErr)
-		}
-		return nil, nil, firstErr
-	}
-	return prepShs, commitSeqs, nil
-}
-
-// syncAll flushes one appended sequence per shard, concurrently (each Sync
-// piggybacks with that shard's other committers). A failed flush flips only
-// the failing shard read-only — a sibling whose flush succeeded has its
-// records durable and stays consistent — and the first error is returned.
-func (w *groupWorker) syncAll(shs []*shard, seqs []uint64) error {
-	errs := make([]error, len(shs))
-	if len(shs) == 1 {
-		errs[0] = shs[0].log.Sync(seqs[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range shs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = shs[i].log.Sync(seqs[i])
-			}(i)
-		}
-		wg.Wait()
-	}
-	var first error
-	for i, err := range errs {
-		if err != nil {
-			w.s.noteShardWALFault(shs[i], err)
-			if first == nil {
-				first = err
-			}
-		}
-	}
-	return first
 }
 
 // runGroup executes w.ops as one grouped transaction. It returns true when

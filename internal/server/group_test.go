@@ -41,6 +41,28 @@ func mkAtomic(s *Server, c *conn, id uint32, subs ...wire.Sub) task {
 	return t
 }
 
+// newTestCoordinator builds a round coordinator the test drives on its own
+// goroutine — admit and runRound called directly, nothing queued — so a test
+// decides exactly which tasks share a round. The server's own coordinator
+// stays parked on its empty queue.
+func newTestCoordinator(t testing.TB, s *Server) *roundCoordinator {
+	rc := newRoundCoordinator(s)
+	t.Cleanup(func() {
+		rc.reqContext.close()
+		rc.th.Release()
+	})
+	return rc
+}
+
+// roundOf plans each ATOMIC task the way a worker would and runs them all as
+// one round.
+func (rc *roundCoordinator) roundOf(tasks ...task) {
+	for _, t := range tasks {
+		rc.admit(roundTask{t: t, batch: rc.s.acquireBatch(t.req.Subs)})
+	}
+	rc.runRound()
+}
+
 // collect drains n responses from the test conn, keyed by request ID. The
 // responses are copied out (status, value, created, sub-results) before
 // release so the pool can recycle them.
@@ -632,21 +654,31 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 		return mkAtomic(s, c, id, put(keys[0][j]), add(keys[1][j]), put(keys[2][j]))
 	}
 
+	// The group cases go through the worker; the round cases are built as ONE
+	// round on a coordinator the test drives itself (the hand-off would let
+	// the server's coordinator split them into two, and only the first would
+	// meet the one-shot fault).
+	rc := newTestCoordinator(t, s)
 	for _, tc := range []struct {
 		name  string
 		at    votm.FaultOp
+		round bool
 		batch []task
 	}{
-		{"same-shard member of a group", votm.FaultStore, []task{
+		{"same-shard member of a group", votm.FaultStore, false, []task{
 			mkTask(s, c, wire.OpPut, 1, keys[0][3], []byte("mate"), nil),
 			mkAtomic(s, c, 2, put(keys[0][0]), add(keys[0][1]), put(keys[0][2])),
 		}},
-		{"one-task round", votm.FaultAdmit, []task{spanning(1, 0)}},
-		{"two-task round", votm.FaultAdmit, []task{spanning(1, 0), spanning(2, 1)}},
+		{"one-task round", votm.FaultAdmit, true, []task{spanning(1, 0)}},
+		{"two-task round", votm.FaultAdmit, true, []task{spanning(1, 0), spanning(2, 1)}},
 	} {
 		before := inUse()
 		armed.Store(int32(tc.at) + 1)
-		w.run(tc.batch)
+		if tc.round {
+			rc.roundOf(tc.batch...)
+		} else {
+			w.run(tc.batch)
+		}
 		if armed.Load() != 0 {
 			t.Fatalf("%s: the fault never fired", tc.name)
 		}
@@ -665,7 +697,8 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 		}
 	}
 
-	// The worker survives: the same batches commit once the hook is quiet.
+	// Worker and coordinator survive: the same batches commit once the hook
+	// is quiet — the spanning one through the hand-off this time.
 	w.run([]task{spanning(1, 0), mkAtomic(s, c, 2, put(keys[0][2]), add(keys[0][3]))})
 	for id, r := range collect(t, c, 2) {
 		if r.status != wire.StatusOK {

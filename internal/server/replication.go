@@ -606,19 +606,19 @@ func (w *groupWorker) runReplicate(t task) {
 	if clusterRole(st.role.Load()) == roleLeader {
 		resp.Status = wire.StatusWrongShard
 		resp.Value = wire.WrongShardDetail(resp.Value[:0], st.epoch.Load())
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 	if sh.log == nil {
 		resp.Status = wire.StatusBadRequest
 		resp.SetDetail("replication requires group durability")
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 	if sh.readOnly.Load() {
 		resp.Status = wire.StatusTxFault
 		resp.SetDetail(errShardReadOnly)
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 	if len(t.req.Value) == 0 {
@@ -626,7 +626,7 @@ func (w *groupWorker) runReplicate(t task) {
 		resp.Cursor = sh.log.NextSeq()
 		sh.walMu.Unlock()
 		resp.Status = wire.StatusOK
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 
@@ -641,7 +641,7 @@ func (w *groupWorker) runReplicate(t task) {
 			resp.Status = wire.StatusBadRequest
 		}
 		resp.SetDetail(appErr.Error())
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 	var applyErr error
@@ -656,7 +656,7 @@ func (w *groupWorker) runReplicate(t task) {
 		s.noteShardWALFault(sh, applyErr)
 		resp.Status = wire.StatusTxFault
 		resp.SetDetail(applyErr.Error())
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 	if last != 0 {
@@ -668,7 +668,7 @@ func (w *groupWorker) runReplicate(t task) {
 			s.noteShardWALFault(sh, err)
 			resp.Status = wire.StatusTxFault
 			resp.SetDetail("wal: " + err.Error())
-			w.finish(t, resp)
+			w.s.finish(t, resp)
 			return
 		}
 	}
@@ -677,7 +677,7 @@ func (w *groupWorker) runReplicate(t task) {
 	// re-sync. Everything up to Cursor-1 IS durable here.
 	resp.Status = wire.StatusOK
 	resp.Cursor = next
-	w.finish(t, resp)
+	w.s.finish(t, resp)
 }
 
 // errStopApply ends a DecodeFrames walk early (frames past the appended
@@ -743,7 +743,7 @@ func (w *groupWorker) runHandoff(t task) {
 	fail := func(status wire.Status, detail string) {
 		resp.Status = status
 		resp.SetDetail(detail)
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 	}
 	// Leadership rejects a NEW install (a stray bootstrap must not wipe a
 	// live leader) — but not the tail of one in progress: the map watch can
@@ -758,7 +758,7 @@ func (w *groupWorker) runHandoff(t task) {
 	if clusterRole(st.role.Load()) == roleLeader && (t.req.Phase == wire.HandoffBegin || !midInstall()) {
 		resp.Status = wire.StatusWrongShard
 		resp.Value = wire.WrongShardDetail(resp.Value[:0], st.epoch.Load())
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 	if sh.readOnly.Load() {
@@ -822,7 +822,7 @@ func (w *groupWorker) runHandoff(t task) {
 	}
 	resp.Status = wire.StatusOK
 	resp.Cursor = sh.log.NextSeq()
-	w.finish(t, resp)
+	w.s.finish(t, resp)
 }
 
 // clearShard wipes one shard for a snapshot install: stashed prepares,

@@ -1,0 +1,145 @@
+package server_test
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"votm/client"
+	"votm/internal/faultinject"
+	"votm/internal/server"
+	"votm/wire"
+)
+
+// TestRoundCombinesAcrossCoordinators is the combining proof for the
+// server-wide round coordinator. Four pipelined connections fire two-shard
+// transfers (ADD -x on one account, ADD +x on an account of another shard)
+// whose coordinating shards differ, against a durable 4-shard × 2-worker
+// server whose flush takes a millisecond — so tasks pile up behind the
+// running round. It asserts what a per-worker round could never show: rounds
+// that mix tasks dispatched to different coordinating shards, more than one
+// task per round on average, every transfer acknowledged, and the zero-sum
+// oracle intact (each transfer applied on both shards or neither).
+func TestRoundCombinesAcrossCoordinators(t *testing.T) {
+	const (
+		shards, conns  = 4, 4
+		window, bursts = 32, 6
+		perShard       = 64
+	)
+	srv, addr := startServer(t, server.Config{
+		Shards:          shards,
+		WorkersPerShard: 2,
+		QueueDepth:      256,
+		RequestTimeout:  30 * time.Second,
+		Durability:      server.DurabilityGroup,
+		DataDir:         t.TempDir(),
+		SnapshotEvery:   time.Hour,
+		DiskFaultHook: func(op faultinject.DiskOp) error {
+			if op == faultinject.DiskSync {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		},
+	})
+	var accounts [shards][]uint64
+	for s := range accounts {
+		accounts[s] = keysOnShard(srv, s, perShard, 1)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for ci := 0; ci < conns; ci++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- func() error {
+				nc, err := net.Dial("tcp", addr)
+				if err != nil {
+					return err
+				}
+				defer nc.Close()
+				br := bufio.NewReader(nc)
+				rng := rand.New(rand.NewSource(int64(ci) + 1))
+				req, resp := &wire.Request{}, wire.NewResponse()
+				defer resp.Release()
+				var buf []byte
+				for b := 0; b < bursts; b++ {
+					buf = buf[:0]
+					for i := 0; i < window; i++ {
+						// Any two distinct shards: the lower one coordinates,
+						// so connections keep every shard's worker handing off.
+						from := rng.Intn(shards)
+						to := (from + 1 + rng.Intn(shards-1)) % shards
+						x := uint64(rng.Intn(1000) + 1)
+						*req = wire.Request{Op: wire.OpAtomic, ID: uint32(b*window + i + 1), Subs: []wire.Sub{
+							{Kind: wire.SubAdd, Key: accounts[from][rng.Intn(perShard)], Delta: -x},
+							{Kind: wire.SubAdd, Key: accounts[to][rng.Intn(perShard)], Delta: x},
+						}}
+						if buf, err = wire.AppendRequest(buf, req); err != nil {
+							return err
+						}
+					}
+					if _, err := nc.Write(buf); err != nil {
+						return err
+					}
+					for i := 0; i < window; i++ {
+						if err := wire.ReadResponseReuse(br, resp); err != nil {
+							return err
+						}
+						if resp.Status != wire.StatusOK {
+							return fmt.Errorf("conn %d: transfer %d: status %v (%s)", ci, resp.ID, resp.Status, resp.Value)
+						}
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rs := srv.RoundStats()
+	if want := uint64(conns * window * bursts); rs.Tasks != want {
+		t.Errorf("rounds carried %d tasks, want every one of the %d transfers", rs.Tasks, want)
+	}
+	if rs.Mixed == 0 {
+		t.Errorf("no round mixed tasks of two coordinating shards: %+v", rs)
+	}
+	if rs.MeanTasks() <= 1 {
+		t.Errorf("mean tasks per round %.2f, want > 1: %+v", rs.MeanTasks(), rs)
+	}
+	t.Logf("%d rounds, %.1f tasks/round, largest %d, %d mixed", rs.Rounds, rs.MeanTasks(), rs.Largest, rs.Mixed)
+
+	c := dialClient(t, addr, client.Options{})
+	var sum uint64
+	for s := range accounts {
+		for _, k := range accounts[s] {
+			raw, err := c.Get(context.Background(), k)
+			if errors.Is(err, wire.ErrNotFound) {
+				continue // never drawn
+			}
+			if err != nil {
+				t.Fatalf("account %d: %v", k, err)
+			}
+			v, err := client.Counter(raw)
+			if err != nil {
+				t.Fatalf("account %d: %v", k, err)
+			}
+			sum += v
+		}
+	}
+	if sum != 0 {
+		t.Errorf("accounts sum to %d (mod 2^64), want 0: a transfer was half applied", sum)
+	}
+}

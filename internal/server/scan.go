@@ -12,7 +12,7 @@ package server
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"votm"
 	"votm/ds"
@@ -30,14 +30,14 @@ const scanByteBudget = 256 << 10
 
 // scanCoordinator returns the sub-shard whose worker executes SCAN pages:
 // the globally least serving sub-shard in canonical order. SCAN quiesces
-// every view, so — like the cross-shard ATOMIC coordinator — it must run
-// from the front of the global acquisition order to preserve AtomicAll's
-// deadlock-freedom contract.
+// every view in that order — the one the round coordinator pauses its
+// participants in, which is AtomicAll's deadlock-freedom contract — and runs
+// from the front of it.
 func (s *Server) scanCoordinator() *shard {
 	var best *shard
 	for _, g := range s.shards {
 		for _, sh := range *g.subs.Load() {
-			if best == nil || shardLess(sh, best) {
+			if best == nil || shardCompare(sh, best) < 0 {
 				best = sh
 			}
 		}
@@ -56,7 +56,7 @@ func (w *groupWorker) runScan(t task) {
 	resp.Op, resp.ID = req.Op, req.ID
 
 	parts := w.s.allSubShards()
-	sort.Slice(parts, func(a, b int) bool { return shardLess(parts[a], parts[b]) })
+	slices.SortFunc(parts, shardCompare)
 	views := make([]*votm.View, len(parts))
 	for i, p := range parts {
 		views[i] = p.view
@@ -147,7 +147,7 @@ func (w *groupWorker) runScan(t task) {
 		status, detail := errStatus(err)
 		resp.Status = status
 		resp.SetDetail(detail)
-		w.finish(t, resp)
+		w.s.finish(t, resp)
 		return
 	}
 	w.sh.scans.Add(1)
@@ -156,5 +156,5 @@ func (w *groupWorker) runScan(t task) {
 			parts[i].scannedKeys.Add(n)
 		}
 	}
-	w.finish(t, resp)
+	w.s.finish(t, resp)
 }

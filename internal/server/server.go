@@ -92,7 +92,7 @@ type Config struct {
 	// sub-shards with live key migration. An ATOMIC batch whose keys end up
 	// on different sub-shards after a split still executes with full
 	// atomicity, as one multi-view transaction over every participant
-	// (group.go runRound); the cost is a quiescence of each involved
+	// (round.go runRound); the cost is a quiescence of each involved
 	// sub-shard, so point-op-dominated workloads split most profitably (see
 	// docs/PROTOCOL.md). Default off.
 	AutoSplit bool
@@ -367,6 +367,13 @@ type Server struct {
 	reqMu    sync.Mutex
 	reqWG    sync.WaitGroup
 
+	// rounds is the server's one cross-shard ATOMIC executor (round.go);
+	// batchFree the ATOMIC interpreter-state free list its hand-off shares
+	// with the shard workers (group.go acquireBatch), bounded at QueueDepth
+	// like the queues in front of it.
+	rounds    *roundCoordinator
+	batchFree chan *multiBatch
+
 	workersWG sync.WaitGroup
 	connWG    sync.WaitGroup
 
@@ -449,6 +456,9 @@ func New(cfg Config) (*Server, error) {
 	s.hwWinStop = make(chan struct{})
 	s.hwWinWG.Add(1)
 	go s.hwWinLoop()
+	s.batchFree = make(chan *multiBatch, cfg.QueueDepth)
+	s.rounds = newRoundCoordinator(s)
+	go s.rounds.loop()
 	for _, sh := range seeds {
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			s.workersWG.Add(1)
@@ -673,6 +683,9 @@ func (s *Server) shutdown(ctx context.Context) error {
 		sh.queue.Close()
 	}
 	s.workersWG.Wait()
+	// The workers were the round queue's only senders, and every task they
+	// queued is answered (reqWG drained above): retire the coordinator.
+	s.rounds.stop()
 
 	// Nothing appends anymore: retire the replication senders.
 	if s.cluster != nil {

@@ -13,7 +13,7 @@ package server
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"votm"
@@ -69,66 +69,50 @@ func (g *shardGroup) route(key uint64) *shard {
 	return best
 }
 
-// shardLess is the canonical participant order of cross-shard ATOMIC
-// execution: wire shard id, then view ID. Every coordinator quiesces (and,
-// when durable, wal-locks) its participants in this one global order, which
-// is the deadlock-freedom contract of votm.AtomicAll.
-func shardLess(a, b *shard) bool {
+// shardCompare is the canonical participant order of cross-shard execution:
+// wire shard id, then view ID. Every acquirer of several shards — the round
+// coordinator, a SCAN page — quiesces (and, when durable, wal-locks) them in
+// this one global order, which is the deadlock-freedom contract of
+// votm.AtomicAll.
+func shardCompare(a, b *shard) int {
 	if a.id != b.id {
-		return a.id < b.id
+		return a.id - b.id
 	}
-	return a.view.ID() < b.view.ID()
+	return a.view.ID() - b.view.ID()
 }
 
 // atomicPlan resolves an ATOMIC batch's participant sub-shards in canonical
 // order into b.parts, and each sub's index into that order into b.owner
-// (owner[i] is the participant owning subs[i]).
+// (owner[i] is the participant owning subs[i]). A new participant is inserted
+// at its sorted position, so planning needs no scratch and allocates nothing
+// once the batch's slices are warm.
 func (s *Server) atomicPlan(b *multiBatch) {
 	parts, owner := b.parts[:0], b.owner[:0]
 	for _, sub := range b.subs {
 		sh := s.shards[s.Shard(sub.Key)].route(sub.Key)
-		idx := -1
-		for j, p := range parts {
-			if p == sh {
-				idx = j
-				break
+		idx, found := slices.BinarySearchFunc(parts, sh, shardCompare)
+		if !found {
+			parts = slices.Insert(parts, idx, sh)
+			for i, o := range owner {
+				if o >= idx {
+					owner[i] = o + 1
+				}
 			}
 		}
-		if idx < 0 {
-			idx = len(parts)
-			parts = append(parts, sh)
-		}
 		owner = append(owner, idx)
-	}
-	if len(parts) > 1 {
-		perm := make([]int, len(parts))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.Slice(perm, func(a, b int) bool { return shardLess(parts[perm[a]], parts[perm[b]]) })
-		sorted := make([]*shard, len(parts))
-		inv := make([]int, len(parts))
-		for to, from := range perm {
-			sorted[to] = parts[from]
-			inv[from] = to
-		}
-		for i, o := range owner {
-			owner[i] = inv[o]
-		}
-		parts = sorted
 	}
 	b.parts, b.owner = parts, owner
 }
 
-// atomicCoordinator returns the sub-shard that executes an ATOMIC batch:
-// the first participant in canonical order. Dispatch routes the batch
-// there; the coordinator's worker acquires the remaining participants
-// during execution.
+// atomicCoordinator returns the sub-shard an ATOMIC batch is dispatched to:
+// the first participant in canonical order. Its worker runs the batch in its
+// group when that is the only participant, and hands it to the round
+// coordinator otherwise.
 func (s *Server) atomicCoordinator(req *wire.Request) *shard {
 	var best *shard
 	for _, sub := range req.Subs {
 		sh := s.shards[s.Shard(sub.Key)].route(sub.Key)
-		if best == nil || shardLess(sh, best) {
+		if best == nil || shardCompare(sh, best) < 0 {
 			best = sh
 		}
 	}

@@ -50,8 +50,9 @@ type shard struct {
 
 	// Adaptive-batching rejection meters: admissionRejects counts BUSY
 	// answers from the controller's latency-budget gate, ringFull the ones
-	// from the queue actually being full (the only BUSY source before
-	// adaptive batching).
+	// from a queue actually being full: this shard's ring at dispatch, or
+	// the server's round queue when this shard's worker hands a cross-shard
+	// ATOMIC to the coordinator.
 	admissionRejects atomic.Uint64
 	ringFull         atomic.Uint64
 	// routeBits is the packed routing rule (packRoute): low 32 bits the
@@ -77,7 +78,7 @@ type shard struct {
 	snapSeq    atomic.Uint64 // WAL seq covered by the last snapshot
 	lastSnap   atomic.Int64  // unix seconds of the last snapshot; 0 = never
 
-	// Cross-shard ATOMIC meters (group.go runRound): committed
+	// Cross-shard ATOMIC meters (round.go runRound): committed
 	// multi-participant groups this shard took part in, prepare records it
 	// appended, and prepares that ended in an abort (validation failure or a
 	// mid-protocol WAL fault).
@@ -377,14 +378,13 @@ type partAddr struct {
 
 // multiBatch is the one implementation of ATOMIC sub-op semantics: a
 // batch's subs, its routing plan, and the attempt's commit-side effect
-// lists. Both executors in
-// group.go run it — the group hands it its own shard as the single
-// participant and the view transaction's handle, the round the quiesced
-// union and their exclusive handles — and because the effect lists are per
-// batch, each batch settles its storage independently of its group- or
-// round-mates' outcomes. err carries the batch's own verdict; results are
+// lists. Both executors run it — the group (group.go) hands it its own shard
+// as the single participant and the view transaction's handle, the round
+// (round.go) the quiesced union and their exclusive handles — and because
+// the effect lists are per batch, each batch settles its storage
+// independently of its group- or round-mates' outcomes. err carries the batch's own verdict; results are
 // valid only when err is nil. The scratch slices survive recycling through
-// the worker's free list, so steady-state execution allocates nothing here.
+// the server's free list, so steady-state execution allocates nothing here.
 type multiBatch struct {
 	subs []wire.Sub
 	// parts is the batch's own participant set in canonical order and owner

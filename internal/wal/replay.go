@@ -147,7 +147,7 @@ func nextBatch(b []byte, off int64) (seq uint64, body []byte, next int64, ok boo
 	}
 	n := int64(binary.LittleEndian.Uint32(b[off:]))
 	crc := binary.LittleEndian.Uint32(b[off+4:])
-	if n < 12 || n > maxBatchBody || off+batchHdrLen+n > int64(len(b)) {
+	if n < 12 || n > MaxBatchBody || off+batchHdrLen+n > int64(len(b)) {
 		return 0, nil, 0, false
 	}
 	body = b[off+batchHdrLen : off+batchHdrLen+n]

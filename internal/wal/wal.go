@@ -89,8 +89,12 @@ type Record struct {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	batchHdrLen  = 8       // u32 len + u32 crc
-	maxBatchBody = 1 << 26 // 64 MiB sanity bound on one batch body
+	batchHdrLen = 8 // u32 len + u32 crc
+	// MaxBatchBody is the sanity bound on one batch body: Append refuses a
+	// larger batch and replay treats a larger length as corruption. Exported
+	// so a caller that combines many transactions into one batch (the
+	// server's cross-shard round) can budget against it.
+	MaxBatchBody = 1 << 26 // 64 MiB
 
 	segPrefix = "wal-"
 	segSuffix = ".seg"
@@ -305,7 +309,7 @@ func (l *Log) Append(recs []Record) (seq uint64, n int, err error) {
 
 	seq = l.nextSeq
 	l.buf = appendBatch(l.buf[:0], seq, recs)
-	if len(l.buf) > batchHdrLen+maxBatchBody {
+	if len(l.buf) > batchHdrLen+MaxBatchBody {
 		return 0, 0, fmt.Errorf("wal: batch of %d bytes exceeds the body bound", len(l.buf))
 	}
 	if err := l.writeFrame(l.buf); err != nil {
@@ -344,8 +348,13 @@ func (l *Log) writeFrame(frame []byte) error {
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens the next
-// one. Called with l.mu held.
+// one. Called with l.mu held. It holds syncMu throughout: Sync flushes l.f
+// under syncMu alone, so swapping the file beneath a concurrent Sync would
+// hand fdatasync a closed descriptor. (Lock order l.mu → syncMu; Sync never
+// takes l.mu.)
 func (l *Log) rotateLocked() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	if err := l.syncFile(); err != nil {
 		return err
 	}
@@ -362,9 +371,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	// Everything appended so far is durable (the seal fsynced it).
-	l.syncMu.Lock()
 	l.synced = l.nextSeq - 1
-	l.syncMu.Unlock()
 	l.f, l.segSize = f, 0
 	return nil
 }

@@ -188,6 +188,51 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 	}
 }
 
+// TestSyncDuringRotation flushes from several goroutines while another
+// appends through tiny segments: a rotation closes the active file, and a
+// Sync that was about to fdatasync it must wait for the swap instead of
+// flushing a closed descriptor (which fails the log for good).
+func TestSyncDuringRotation(t *testing.T) {
+	l := openStarted(t, t.TempDir(), Options{SegmentBytes: 64})
+	const batches, syncers = 400, 3
+	seqs := make(chan uint64, batches)
+	errs := make(chan error, syncers+1)
+	var wg sync.WaitGroup
+	for g := 0; g < syncers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := range seqs {
+				if err := l.Sync(seq); err != nil {
+					errs <- fmt.Errorf("Sync(%d): %w", seq, err)
+					return
+				}
+			}
+		}()
+	}
+	val := bytes.Repeat([]byte("v"), 40)
+	for i := 1; i <= batches; i++ {
+		seq, _, err := l.Append([]Record{{Kind: RecPut, Key: uint64(i), Value: val}})
+		if err != nil {
+			errs <- fmt.Errorf("Append %d: %w", i, err)
+			break
+		}
+		seqs <- seq
+	}
+	close(seqs)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if l.Failed() {
+		t.Error("the log failed")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	l := openStarted(t, dir, Options{})
