@@ -425,6 +425,9 @@ func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 	if rs := srv.RoundStats(); rs.Rounds > 0 {
 		// Cross-shard ATOMICs combined per coordination round (the xshard cell).
 		b.ReportMetric(rs.MeanTasks(), "tasks/round")
+		if rs.Logged > 0 {
+			b.ReportMetric(rs.FlushesPerRound(), "flushes/round")
+		}
 	}
 	if busyOK {
 		// Shed fraction: BUSY answers (admission gate or full queue) per

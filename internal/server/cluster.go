@@ -59,10 +59,11 @@ type clShard struct {
 	mu        sync.Mutex
 	followers map[uint32]*replica
 
-	// pending stashes cross-shard prepare records streamed to a follower
-	// until their decision record arrives; guarded by the shard's walMu
-	// (REPLICATE apply and handoff installs both hold it).
-	pending map[uint64][]wal.Record
+	// redo applies the streamed log to a follower's memory, holding a
+	// cross-shard prepare and the records behind it until its decision
+	// streams in; guarded by the shard's walMu (REPLICATE apply and handoff
+	// installs both hold it).
+	redo redoApplier
 
 	// installing marks a handoff install in progress (between BEGIN and
 	// COMMIT); guarded by the shard's walMu.
@@ -102,11 +103,9 @@ func newClusterNode(s *Server) *clusterNode {
 	if s.cfg.ClusterSeed {
 		cn.svc = cluster.NewService(s.cfg.Shards, s.cfg.ClusterReplicas, s.logf)
 	}
-	for range s.shards {
-		cn.states = append(cn.states, &clShard{
-			followers: make(map[uint32]*replica),
-			pending:   make(map[uint64][]wal.Record),
-		})
+	for i := range s.shards {
+		cn.states = append(cn.states, &clShard{followers: make(map[uint32]*replica)})
+		cn.states[i].redo.sh = cn.shardFor(i)
 	}
 	return cn
 }
@@ -314,6 +313,7 @@ func (cn *clusterNode) reconcile(m wire.ShardMap) {
 		case r.Leader == me:
 			if clusterRole(st.role.Swap(uint32(roleLeader))) != roleLeader {
 				cn.s.logf("votmd: shard %d: this node now leads (epoch %d)", i, r.Epoch)
+				cn.commitHeld(i)
 			}
 			cn.ensureSenders(i, r.Replicas, &m)
 		case containsID(r.Replicas, me):
@@ -325,6 +325,25 @@ func (cn *clusterNode) reconcile(m wire.ShardMap) {
 			st.role.Store(uint32(roleNone))
 			cn.stopShardSenders(i)
 		}
+	}
+}
+
+// commitHeld settles what a promoted follower still holds: its leader died
+// before a round's annotation streamed. The leader acknowledged the held
+// records only once the round's flush succeeded and answered TxFault (outcome
+// unknown) if it failed, so committing loses nothing acknowledged; the
+// annotation makes the log self-contained again.
+func (cn *clusterNode) commitHeld(shardID int) {
+	sh, a := cn.shardFor(shardID), &cn.states[shardID].redo
+	sh.walMu.Lock()
+	defer sh.walMu.Unlock()
+	if a.xid == 0 {
+		return
+	}
+	th := cn.s.rt.RegisterThread()
+	defer th.Release()
+	if _, err := a.decide(context.Background(), th, wal.RecCommit); err != nil {
+		cn.s.noteShardWALFault(sh, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,22 +19,24 @@ import (
 )
 
 // The cross-shard recovery matrix: hand-built WAL states modelling a SIGKILL
-// at every distinct point in the 2PC window of a three-participant ATOMIC
-// group, booted and checked for all-or-nothing recovery. The states are
-// written with the wal package itself, so they are byte-identical to what a
-// dying votmd leaves behind:
+// at every distinct point of a three-participant round's window, booted and
+// checked for all-or-nothing recovery. The states are written with the wal
+// package itself, so they are byte-identical to what a dying votmd leaves
+// behind. A round is ONE prepare per participant — every task's records in
+// task order, plus the list of (participant, sequence) pairs — one flush, and
+// an unsynced commit annotation:
 //
-//   - prepares fsynced on some participants, missing on others  → abort
-//   - prepares everywhere, no commit record anywhere            → abort
-//   - a commit record on ONE participant only (the coordinator
-//     died mid phase two)                                       → commit all
-//   - commit records everywhere                                 → commit all
-//   - a commit record torn mid-frame on one participant         → commit all
-//     (the surviving participant's commit record decides)
+//   - some participants' prepares durable, others' missing     → abort all
+//   - prepares durable everywhere, no annotation anywhere      → commit all
+//   - annotations on some participants, torn or missing on
+//     the rest (the coordinator died between the appends)      → commit all
 //
-// The rule under test: an xid is committed iff ANY participant's log holds
-// its RecCommit — sound because every participant's prepare is fsynced
-// before the first commit record is written.
+// The rule under test: a round is committed iff EVERY listed participant's
+// log (or snapshot) reaches its listed sequence. Shard 0 also carries an
+// observer lane — a group batch logged behind the prepare, rewriting a key
+// the round wrote — which replays at the prepare's position when the round
+// commits (the observer's value wins, as it did in memory) and is voided
+// with the round when it aborts.
 
 const matrixShards = 3
 
@@ -101,94 +104,81 @@ func tearTail(t *testing.T, dataDir string, id int, n int64) {
 
 func TestCrossShardRecoveryMatrix(t *testing.T) {
 	const xid = 0xfeed0001
-	prep := func(key uint64, val string) []wal.Record {
-		return []wal.Record{{
-			Kind: wal.RecPrepare, Key: xid,
-			Value: wal.AppendPrepareValue(nil, []wal.Record{
-				{Kind: wal.RecPut, Key: key, Value: []byte(val)},
-			}),
-		}}
-	}
-	commit := []wal.Record{{Kind: wal.RecCommit, Key: xid}}
-
-	// Per-shard group payload keys and a baseline key that must survive
-	// every case regardless of the group's fate.
+	// Per-shard round keys and a baseline key that must survive every case
+	// regardless of the round's fate. Every shard's log is: the baseline batch
+	// (seq 1), the prepare (seq 2), then the observer batch and/or the commit
+	// annotation.
 	var gkeys, bkeys [matrixShards]uint64
+	var parts []wal.Participant
 	for s := 0; s < matrixShards; s++ {
 		gkeys[s] = keyOnShard(s, 100)
 		bkeys[s] = keyOnShard(s, 500)
+		parts = append(parts, wal.Participant{Shard: uint32(s), Seq: 2})
 	}
-	baseline := func(s int) []wal.Record {
-		return []wal.Record{{Kind: wal.RecPut, Key: bkeys[s], Value: []byte("base")}}
+	// The prepare nests two tasks' records in task order: the later task's
+	// PUT on the same key must win at replay as it did in memory.
+	prep := func(s int) []wal.Record {
+		return []wal.Record{{
+			Kind: wal.RecPrepare, Key: xid,
+			Value: wal.AppendPrepareValue(nil, parts, []wal.Record{
+				{Kind: wal.RecPut, Key: gkeys[s], Value: []byte("first task")},
+				{Kind: wal.RecPut, Key: gkeys[s], Value: []byte(fmt.Sprintf("g%d", s))},
+			}),
+		}}
 	}
+	observer := []wal.Record{{Kind: wal.RecPut, Key: gkeys[0], Value: []byte("observer")}}
+	commit := []wal.Record{{Kind: wal.RecCommit, Key: xid}}
 
+	// shardLog says what follows a shard's baseline batch.
+	type shardLog struct {
+		prepare, commit bool
+		tear            int64 // bytes torn off the tail
+	}
+	all := func(l shardLog) [matrixShards]shardLog { return [matrixShards]shardLog{l, l, l} }
 	cases := []struct {
-		name string
-		// build writes the three shard logs; every shard always gets its
-		// baseline batch first.
-		build     func(t *testing.T, dir string)
+		name      string
+		logs      [matrixShards]shardLog
 		committed bool
-		// resolved[s]: shard s's log left the prepare undecided and startup
-		// had to append a resolution record.
-		resolved [matrixShards]bool
 	}{
-		{
-			name: "prepare missing on one participant",
-			build: func(t *testing.T, dir string) {
-				writeShardLog(t, dir, 0, baseline(0), prep(gkeys[0], "g0"))
-				writeShardLog(t, dir, 1, baseline(1), prep(gkeys[1], "g1"))
-				writeShardLog(t, dir, 2, baseline(2))
-			},
-			committed: false,
-			resolved:  [matrixShards]bool{true, true, false},
-		},
-		{
-			name: "all prepared, no commit anywhere",
-			build: func(t *testing.T, dir string) {
-				for s := 0; s < matrixShards; s++ {
-					writeShardLog(t, dir, s, baseline(s), prep(gkeys[s], fmt.Sprintf("g%d", s)))
-				}
-			},
-			committed: false,
-			resolved:  [matrixShards]bool{true, true, true},
-		},
-		{
-			name: "commit flushed on one participant only",
-			build: func(t *testing.T, dir string) {
-				writeShardLog(t, dir, 0, baseline(0), prep(gkeys[0], "g0"), commit)
-				writeShardLog(t, dir, 1, baseline(1), prep(gkeys[1], "g1"))
-				writeShardLog(t, dir, 2, baseline(2), prep(gkeys[2], "g2"))
-			},
-			committed: true,
-			resolved:  [matrixShards]bool{false, true, true},
-		},
-		{
-			name: "commit flushed everywhere",
-			build: func(t *testing.T, dir string) {
-				for s := 0; s < matrixShards; s++ {
-					writeShardLog(t, dir, s, baseline(s), prep(gkeys[s], fmt.Sprintf("g%d", s)), commit)
-				}
-			},
-			committed: true,
-			resolved:  [matrixShards]bool{false, false, false},
-		},
-		{
-			name: "commit torn mid-frame on one participant",
-			build: func(t *testing.T, dir string) {
-				writeShardLog(t, dir, 0, baseline(0), prep(gkeys[0], "g0"), commit)
-				writeShardLog(t, dir, 1, baseline(1), prep(gkeys[1], "g1"), commit)
-				writeShardLog(t, dir, 2, baseline(2), prep(gkeys[2], "g2"))
-				tearTail(t, dir, 1, 3) // shard 1's commit frame is torn away
-			},
-			committed: true,
-			resolved:  [matrixShards]bool{false, true, true},
-		},
+		{"prepare missing on one participant", [matrixShards]shardLog{{prepare: true}, {prepare: true}, {}}, false},
+		{"all prepared, no commit anywhere", all(shardLog{prepare: true}), true},
+		{"commit flushed on one participant only", [matrixShards]shardLog{{prepare: true, commit: true}, {prepare: true}, {prepare: true}}, true},
+		{"commit flushed everywhere", all(shardLog{prepare: true, commit: true}), true},
+		{"commit torn mid-frame on one participant",
+			[matrixShards]shardLog{{prepare: true, commit: true}, {prepare: true, commit: true, tear: 3}, {prepare: true}}, true},
+		// The same windows as a live round leaves them: the flush of the
+		// prepares finished on one participant only (the others' frames are
+		// torn or absent), finished everywhere, and finished with the crash
+		// landing between the coordinator's annotation appends.
+		{"round: crash after one participant's flush",
+			[matrixShards]shardLog{{prepare: true, tear: 5}, {prepare: true}, {}}, false},
+		{"round: crash after the prepares", all(shardLog{prepare: true}), true},
+		{"round: crash between commit appends",
+			[matrixShards]shardLog{{prepare: true, commit: true}, {prepare: true, commit: true}, {prepare: true}}, true},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			tc.build(t, dir)
+			var resolved [matrixShards]bool
+			for s, l := range tc.logs {
+				batches := [][]wal.Record{{{Kind: wal.RecPut, Key: bkeys[s], Value: []byte("base")}}}
+				if l.prepare {
+					batches = append(batches, prep(s))
+					// A torn prepare frame is no prepare: nothing to resolve.
+					resolved[s] = !l.commit && l.tear == 0 || l.commit && l.tear != 0
+					if s == 0 && l.tear == 0 {
+						batches = append(batches, observer)
+					}
+				}
+				if l.commit {
+					batches = append(batches, commit)
+				}
+				writeShardLog(t, dir, s, batches...)
+				if l.tear != 0 {
+					tearTail(t, dir, s, l.tear)
+				}
+			}
 
 			cfg := server.Config{
 				Shards:        matrixShards,
@@ -199,20 +189,16 @@ func TestCrossShardRecoveryMatrix(t *testing.T) {
 			}
 			srv, addr := startServer(t, cfg)
 			verifyMatrixState(t, addr, gkeys, bkeys, tc.committed)
-
-			for s, want := range tc.resolved {
-				got := srv.Recovery()[s].ResolvedPrepares
-				if want && got != 1 {
-					t.Errorf("shard %d: ResolvedPrepares = %d, want 1", s, got)
-				}
-				if !want && got != 0 {
-					t.Errorf("shard %d: ResolvedPrepares = %d, want 0", s, got)
+			for s, want := range resolved {
+				if got := srv.Recovery()[s].ResolvedPrepares; (got == 1) != want || got > 1 {
+					t.Errorf("shard %d: ResolvedPrepares = %d, want resolved = %v", s, got, want)
 				}
 			}
 
 			// Startup appended resolution records, so a SECOND crash-restart
 			// from a copy of the live directory must reach the same state
-			// with nothing left to resolve: the logs are self-contained.
+			// with nothing left to resolve: the logs are self-contained (an
+			// abort record voids the observer batch in front of it too).
 			again := t.TempDir()
 			copyTree(t, dir, again)
 			cfg2 := cfg
@@ -226,121 +212,74 @@ func TestCrossShardRecoveryMatrix(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// A many-task round, as the server-wide coordinator lays it down: five
-	// tasks dispatched to two different coordinating shards (shard 0 for the
-	// tasks touching it, shard 1 for the rest) share ONE round, so each
-	// participant's log holds one prepare batch [P_t..] and one commit batch
-	// [C_t..] in task order, every task under its own xid. A crash inside
-	// that window must still resolve every task on its own, all or nothing,
-	// by the any-commit rule.
-	round := [][]int{{0, 1, 2}, {1, 2}, {0, 2}, {1, 2}, {0, 1}} // participants per task
-	xidOf := func(ti int) uint64 { return 0xbeef0000 + uint64(ti) }
-	rkey := func(ti, s int) uint64 { return keyOnShard(s, 1000+100*uint64(ti)) }
-	rval := func(ti, s int) string { return fmt.Sprintf("t%d-s%d", ti, s) }
-	// batches returns shard s's prepare batch and commit batch of the round.
-	batches := func(s int) (prep, commit []wal.Record) {
-		for ti, parts := range round {
-			for _, p := range parts {
-				if p == s {
-					prep = append(prep, wal.Record{Kind: wal.RecPrepare, Key: xidOf(ti),
-						Value: wal.AppendPrepareValue(nil, []wal.Record{{Kind: wal.RecPut, Key: rkey(ti, s), Value: []byte(rval(ti, s))}})})
-					commit = append(commit, wal.Record{Kind: wal.RecCommit, Key: xidOf(ti)})
-				}
-			}
-		}
-		return prep, commit
+// TestCrossShardRecoveryLegacyLog boots logs the previous votmd wrote — a
+// round as one prepare PER TASK ([P_t1 P_t2][C_t1 C_t2], the value a bare
+// record list), each task decided on its own. Decided in-log, they replay:
+// a task applies at its own decision and an abort drops that task alone. A
+// legacy prepare left UNdecided is a hard startup error naming the way out —
+// the any-commit rule that could decide it is gone.
+func TestCrossShardRecoveryLegacyLog(t *testing.T) {
+	k0, k1, k2 := keyOnShard(0, 100), keyOnShard(0, 200), keyOnShard(0, 300)
+	legacy := func(xid, key uint64, val string) wal.Record {
+		return wal.Record{Kind: wal.RecPrepare, Key: xid,
+			Value: wal.AppendRecords(nil, []wal.Record{{Kind: wal.RecPut, Key: key, Value: []byte(val)}})}
 	}
-	for _, tc := range []struct {
-		name string
-		// commitOn[s]: shard s's commit batch reached its log before the crash.
-		commitOn [matrixShards]bool
-		// committed[ti]: some participant of task ti holds its commit record.
-		committed []bool
-	}{
-		{"round: crash after the prepares", [matrixShards]bool{}, []bool{false, false, false, false, false}},
-		// Commit batches are appended in canonical participant order: the
-		// crash lands after shard 0's, so only the tasks touching shard 0 are
-		// decided — the two coordinated by shard 1 abort.
-		{"round: crash between commit appends", [matrixShards]bool{true, false, false}, []bool{true, false, true, false, true}},
-		// Every commit batch was appended but only shard 1's flush finished.
-		{"round: crash after one participant's flush", [matrixShards]bool{false, true, false}, []bool{true, true, false, true, true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			for s := 0; s < matrixShards; s++ {
-				prep, commit := batches(s)
-				logs := [][]wal.Record{baseline(s), prep}
-				if tc.commitOn[s] {
-					logs = append(logs, commit)
-				}
-				writeShardLog(t, dir, s, logs...)
-			}
-			cfg := server.Config{
-				Shards: matrixShards, MaxValueLen: 1 << 10,
-				Durability: server.DurabilityGroup, DataDir: dir, SnapshotEvery: time.Hour,
-			}
-			verify := func(addr string) {
-				t.Helper()
-				c := dialClient(t, addr, client.Options{})
-				ctx := context.Background()
-				for ti, parts := range round {
-					for _, s := range parts {
-						got, err := c.Get(ctx, rkey(ti, s))
-						if tc.committed[ti] && (err != nil || string(got) != rval(ti, s)) {
-							t.Errorf("task %d on shard %d: got %q, %v; want its committed value", ti, s, got, err)
-						}
-						if !tc.committed[ti] && !errors.Is(err, wire.ErrNotFound) {
-							t.Errorf("task %d on shard %d: got %q, %v; want NOT_FOUND (an undecided task leaked)", ti, s, got, err)
-						}
-					}
-				}
-				for s := 0; s < matrixShards; s++ {
-					if got, err := c.Get(ctx, bkeys[s]); err != nil || string(got) != "base" {
-						t.Errorf("shard %d baseline key %d: got %q, %v", s, bkeys[s], got, err)
-					}
-				}
-			}
-			srv, addr := startServer(t, cfg)
-			verify(addr)
-			for s := 0; s < matrixShards; s++ {
-				prep, _ := batches(s)
-				want := len(prep)
-				if tc.commitOn[s] {
-					want = 0 // decided in-log
-				}
-				if got := srv.Recovery()[s].ResolvedPrepares; got != want {
-					t.Errorf("shard %d: ResolvedPrepares = %d, want %d", s, got, want)
-				}
-			}
-			again := t.TempDir()
-			copyTree(t, dir, again)
-			cfg.DataDir = again
-			srv2, addr2 := startServer(t, cfg)
-			verify(addr2)
-			for s := 0; s < matrixShards; s++ {
-				if got := srv2.Recovery()[s].ResolvedPrepares; got != 0 {
-					t.Errorf("second boot shard %d: ResolvedPrepares = %d, want 0 (resolution not persisted)", s, got)
-				}
-			}
-		})
+	cfg := server.Config{
+		Shards: matrixShards, MaxValueLen: 1 << 10,
+		Durability: server.DurabilityGroup, SnapshotEvery: time.Hour,
+	}
+
+	cfg.DataDir = t.TempDir()
+	writeShardLog(t, cfg.DataDir, 0,
+		[]wal.Record{legacy(1, k0, "t1"), legacy(2, k1, "t2"), legacy(3, k2, "t3")},
+		// The crash cut the commit batch; that votmd's restart then decided
+		// each task by itself: t2 aborted between two commits.
+		[]wal.Record{{Kind: wal.RecCommit, Key: 1}}, []wal.Record{{Kind: wal.RecAbort, Key: 2}}, []wal.Record{{Kind: wal.RecCommit, Key: 3}},
+		[]wal.Record{{Kind: wal.RecPut, Key: k0, Value: []byte("later group")}})
+	srv, addr := startServer(t, cfg)
+	c := dialClient(t, addr, client.Options{})
+	ctx := context.Background()
+	for key, want := range map[uint64]string{k0: "later group", k2: "t3"} {
+		if got, err := c.Get(ctx, key); err != nil || string(got) != want {
+			t.Errorf("key %d: got %q, %v; want %q", key, got, err, want)
+		}
+	}
+	if got, err := c.Get(ctx, k1); !errors.Is(err, wire.ErrNotFound) {
+		t.Errorf("aborted legacy task's key %d: got %q, %v; want NOT_FOUND", k1, got, err)
+	}
+	if got := srv.Recovery()[0].ResolvedPrepares; got != 0 {
+		t.Errorf("ResolvedPrepares = %d, want 0: everything was decided in-log", got)
+	}
+
+	cfg.DataDir = t.TempDir()
+	writeShardLog(t, cfg.DataDir, 0, []wal.Record{legacy(1, k0, "t1")})
+	writeShardLog(t, cfg.DataDir, 1, []wal.Record{legacy(1, keyOnShard(1, 100), "t1")}, []wal.Record{{Kind: wal.RecCommit, Key: 1}})
+	if _, err := server.New(cfg); err == nil || !strings.Contains(err.Error(), "older votmd") {
+		t.Fatalf("New over an undecided legacy prepare: %v; want the error that names the older binary", err)
 	}
 }
 
-// verifyMatrixState asserts the group's three keys are all present (with
-// their per-shard values) or all absent, and the baselines always survived.
+// verifyMatrixState asserts the round's three keys are all present — each
+// with the later task's value, shard 0's overwritten by the observer — or all
+// absent, and the baselines always survived.
 func verifyMatrixState(t *testing.T, addr string, gkeys, bkeys [matrixShards]uint64, committed bool) {
 	t.Helper()
 	c := dialClient(t, addr, client.Options{})
 	ctx := context.Background()
 	for s := 0; s < matrixShards; s++ {
+		want := fmt.Sprintf("g%d", s)
+		if s == 0 {
+			want = "observer"
+		}
 		got, err := c.Get(ctx, gkeys[s])
 		if committed {
-			if err != nil || string(got) != fmt.Sprintf("g%d", s) {
-				t.Errorf("shard %d group key %d: got %q, %v; want committed value", s, gkeys[s], got, err)
+			if err != nil || string(got) != want {
+				t.Errorf("shard %d round key %d: got %q, %v; want %q", s, gkeys[s], got, err, want)
 			}
 		} else if !errors.Is(err, wire.ErrNotFound) {
-			t.Errorf("shard %d group key %d: got %q, %v; want NOT_FOUND (aborted group leaked)", s, gkeys[s], got, err)
+			t.Errorf("shard %d round key %d: got %q, %v; want NOT_FOUND (an aborted round or its observer leaked)", s, gkeys[s], got, err)
 		}
 		if got, err := c.Get(ctx, bkeys[s]); err != nil || string(got) != "base" {
 			t.Errorf("shard %d baseline key %d: got %q, %v", s, bkeys[s], got, err)
@@ -353,9 +292,9 @@ func verifyMatrixState(t *testing.T, addr string, gkeys, bkeys [matrixShards]uin
 // one task — runs against a real server whose disk fails at a chosen point
 // of the round's WAL traffic, the data directory is copied as a SIGKILL at
 // that instant would leave it, and the copy must recover all-or-nothing.
-// Two shapes: every participant written (a prepare/commit pair per log), and
-// a single written participant beside two that are only read (a plain batch
-// record, no prepare anywhere).
+// Two shapes: every participant written (a prepare and, once the one flush
+// returned, a commit annotation per log), and a single written participant
+// beside two that are only read (a plain batch record, no prepare anywhere).
 func TestCrossShardRecoveryOneTaskRound(t *testing.T) {
 	var gkeys, bkeys [matrixShards]uint64
 	for s := 0; s < matrixShards; s++ {
@@ -376,17 +315,21 @@ func TestCrossShardRecoveryOneTaskRound(t *testing.T) {
 	cases := []struct {
 		name string
 		subs []wire.Sub
-		// failAppend / failSync: the 1-based WAL append / fsync of the round
-		// to fail (0 = none). An all-writable round appends prepares as 1-3
-		// and commit records as 4-6; its first three fsyncs are phase 1.
+		// failAppend / failSync: the 1-based WAL append / fsync to fail (0 =
+		// none). An all-writable round appends its prepares as 1-3 and its
+		// three fsyncs are its one flush; the commit annotations ride the
+		// participants' next batches — 4 and 5 are the follow-up PUTs below.
 		failAppend, failSync int
-		prepares             uint64 // CrossShardPrepares summed over shards
+		// acked: the batch answers OK — an annotation that cannot be
+		// appended changes nothing about a round already durable.
+		acked    bool
+		prepares uint64 // CrossShardPrepares summed over shards
 	}{
-		{name: "all writable, acknowledged", subs: allWritable, prepares: 3},
+		{name: "all writable, acknowledged", subs: allWritable, acked: true, prepares: 3},
 		{name: "all writable, last prepare append fails", subs: allWritable, failAppend: 3, prepares: 2},
 		{name: "all writable, phase-1 fsync fails", subs: allWritable, failSync: 1, prepares: 3},
-		{name: "all writable, second commit append fails", subs: allWritable, failAppend: 5, prepares: 3},
-		{name: "one writable participant, acknowledged", subs: oneWritable},
+		{name: "all writable, second commit append fails", subs: allWritable, failAppend: 5, acked: true, prepares: 3},
+		{name: "one writable participant, acknowledged", subs: oneWritable, acked: true},
 		{name: "one writable participant, append fails", subs: oneWritable, failAppend: 1},
 	}
 	for _, tc := range cases {
@@ -427,12 +370,23 @@ func TestCrossShardRecoveryOneTaskRound(t *testing.T) {
 
 			armed.Store(true)
 			_, err := c.Atomic(ctx, tc.subs)
+			if tc.acked {
+				// A write group per participant carries the round's commit
+				// annotation in front of its own record; with failAppend 5
+				// the second of those batches fails and takes the annotation
+				// with it.
+				for s := 0; s < matrixShards; s++ {
+					_, perr := c.Put(ctx, bkeys[s], []byte("base"))
+					if failed := tc.failAppend == 4+s; failed != errors.Is(perr, wire.ErrTxFault) || (!failed && perr != nil) {
+						t.Errorf("follow-up put on shard %d: %v", s, perr)
+					}
+				}
+			}
 			armed.Store(false)
-			faulty := tc.failAppend != 0 || tc.failSync != 0
-			if faulty && !errors.Is(err, wire.ErrTxFault) {
+			if !tc.acked && !errors.Is(err, wire.ErrTxFault) {
 				t.Fatalf("atomic with a failing disk: %v, want TX_FAULT", err)
 			}
-			if !faulty && err != nil {
+			if tc.acked && err != nil {
 				t.Fatalf("atomic: %v", err)
 			}
 			stats, err := c.Stats(ctx, wire.AllShards)
@@ -470,7 +424,7 @@ func TestCrossShardRecoveryOneTaskRound(t *testing.T) {
 			if present != 0 && present != writes {
 				t.Errorf("recovered %d of the batch's %d writes: not all-or-nothing", present, writes)
 			}
-			if !faulty && present != writes {
+			if tc.acked && present != writes {
 				t.Errorf("acknowledged batch lost: %d of %d writes recovered", present, writes)
 			}
 			for s := 0; s < matrixShards; s++ {

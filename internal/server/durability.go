@@ -1,11 +1,12 @@
 // Durability: per-shard write-ahead logging and snapshots (internal/wal)
 // layered on the group-commit execution path. In "group" mode every
 // committed write group appends one redo batch and is answered only after
-// its fsync (piggybacked across workers — see wal.Log.Sync); "snapshot-only"
-// drops the log and keeps just the periodic snapshots. Startup recovery
-// loads the newest valid snapshot and replays the WAL tail; a clean-shutdown
-// marker written by a graceful drain lets the next startup skip replay
-// entirely.
+// its fsync (piggybacked across workers — see wal.Log.Sync) and that of the
+// cross-shard round it logged behind, if any (round.go); "snapshot-only"
+// keeps just the periodic snapshots. Startup recovery loads the newest valid
+// snapshot, replays the WAL tail through the one redo applier and decides an
+// undecided round by the all-prepared rule; a clean-shutdown marker written
+// by a graceful drain lets the next startup skip replay entirely.
 package server
 
 import (
@@ -44,7 +45,7 @@ type RecoveryStats struct {
 	Shard          int
 	SnapshotSeq    uint64 // WAL seq of the loaded snapshot (0 = none)
 	SnapshotKeys   int    // entries restored from the snapshot
-	Replayed       uint64 // redo records replayed from the WAL tail
+	Replayed       uint64 // redo records applied from the WAL tail (a prepare's counted when it commits)
 	TruncatedBytes int64  // torn/corrupt tail bytes removed
 	CleanStart     bool   // clean-shutdown marker found; tail replay skipped
 	// ResolvedPrepares counts cross-shard prepares this shard's log left
@@ -53,59 +54,105 @@ type RecoveryStats struct {
 	ResolvedPrepares int
 }
 
-// crossRecovery accumulates the cross-shard 2PC evidence found during
-// per-shard replay, resolved by resolveCrossShard once every log is read.
+// crossRecovery is what startup replay leaves for resolveCrossShard: every
+// shard's durable horizon — the newest sequence its snapshot or its valid
+// log covers — and the appliers whose log ended inside a held suffix.
 type crossRecovery struct {
-	committed map[uint64]bool // xid -> some log holds its commit record
-	dangling  []danglingPrepare
+	horizon  []uint64 // by shard id
+	dangling []*redoApplier
 }
 
-// danglingPrepare is a prepare record with no decision in its own log: the
-// crash landed inside the 2PC window and the verdict lives (or doesn't) in
-// the other participants' logs.
-type danglingPrepare struct {
-	sh   *shard
-	xid  uint64
-	recs []wal.Record // deep-copied: replay buffers don't outlive the scan
+// redoApplier applies one shard's log records to memory in log order: THE
+// redo state machine, run by startup replay and by a follower's REPLICATE
+// stream alike. Replay order must equal memory order, and in memory a round's
+// effects exist from its prepare on — the groups that logged behind it ran on
+// top of them. So from a RecPrepare until its decision the applier holds the
+// prepare's records and every record behind them (deep copies: the caller's
+// buffer does not outlive the call); RecCommit applies the lot in order,
+// RecAbort drops the lot — the suffix was computed on state that never became
+// durable. A log that ends inside a held suffix leaves the applier dangling.
+type redoApplier struct {
+	sh    *shard
+	xid   uint64            // the undecided prepare (0: nothing held)
+	from  uint64            // sequence of the batch that carried it
+	parts []wal.Participant // its participant list; empty in a legacy prepare
+	held  []wal.Record      // its own records, then the suffix
+	own   int               // len of the prepare's own records in held
+	dec   []wal.Record      // prepare-decoding scratch
+	n     uint64            // redo records applied to memory so far
 }
 
-// copyRecords deep-copies records out of a replay buffer (valid only during
-// the apply callback) for deferred application.
-func copyRecords(recs []wal.Record) []wal.Record {
-	out := make([]wal.Record, len(recs))
-	for i, r := range recs {
-		out[i] = wal.Record{Kind: r.Kind, Key: r.Key}
-		if len(r.Value) > 0 {
-			out[i].Value = append([]byte(nil), r.Value...)
-		}
-	}
-	return out
-}
-
-// applyRecords applies redo records through the ordinary do* helpers
-// (recovery runs WAL-free: nothing re-logs).
-func applyRecords(ctx context.Context, sh *shard, th *votm.Thread, recs []wal.Record) error {
+// apply feeds one batch (sequence seq) through the state machine.
+func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, recs []wal.Record) error {
 	for _, r := range recs {
-		switch r.Kind {
-		case wal.RecPut:
-			if _, err := sh.doPut(ctx, th, r.Key, r.Value); err != nil {
-				return err
+		var err error
+		switch {
+		case a.xid != 0 && r.Key == a.xid && (r.Kind == wal.RecCommit || r.Kind == wal.RecAbort):
+			held := a.held
+			switch {
+			case r.Kind == wal.RecCommit:
+			case len(a.parts) == 0:
+				// A legacy round gave every task its own xid and kept its
+				// tasks independent: an abort drops that task alone.
+				held = held[a.own:]
+			default:
+				held = nil
 			}
-		case wal.RecDelete:
-			if _, err := sh.doDelete(ctx, th, r.Key); err != nil {
-				return err
+			a.reset()
+			err = a.apply(ctx, th, seq, held)
+		case a.xid != 0:
+			a.held = append(a.held, copyRecord(r))
+		case r.Kind == wal.RecPut:
+			a.n++
+			_, err = a.sh.doPut(ctx, th, r.Key, r.Value)
+		case r.Kind == wal.RecDelete:
+			a.n++
+			_, err = a.sh.doDelete(ctx, th, r.Key)
+		case r.Kind == wal.RecPrepare:
+			if !wal.DecodePrepareValue(r.Value, &a.parts, &a.dec) {
+				return fmt.Errorf("xid %d: malformed prepare record", r.Key)
 			}
+			a.xid, a.from, a.own = r.Key, seq, len(a.dec)
+			for _, n := range a.dec {
+				a.held = append(a.held, copyRecord(n))
+			}
+		} // a decision with nothing held: its prepare lies behind the snapshot
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// decide appends kind as the held prepare's decision to the shard's own log
+// (the caller holds walMu, or runs before any worker) and applies it.
+func (a *redoApplier) decide(ctx context.Context, th *votm.Thread, kind wal.RecordKind) (uint64, error) {
+	dec := []wal.Record{{Kind: kind, Key: a.xid}}
+	seq, err := appendWAL(a.sh, dec)
+	if err == nil {
+		err = a.apply(ctx, th, seq, dec)
+	}
+	return seq, err
+}
+
+// reset forgets whatever is held (a decision arrived, or the shard is wiped).
+func (a *redoApplier) reset() {
+	a.xid, a.held, a.own, a.parts = 0, nil, 0, a.parts[:0]
+}
+
+// copyRecord deep-copies a record out of a decode buffer.
+func copyRecord(r wal.Record) wal.Record {
+	if len(r.Value) > 0 {
+		r.Value = append([]byte(nil), r.Value...)
+	}
+	return r
+}
+
 // initShardDurability recovers shard sh from its data directory and, in
 // group mode, leaves sh.log started and ready to append. It runs during New,
 // before any worker or connection exists, so it may apply state through the
-// ordinary do* helpers without WAL interposition. Cross-shard 2PC records
-// are accumulated into cr: prepares decided within this log (commit/abort
-// record follows) are settled here; undecided ones are stashed for
+// ordinary do* helpers without WAL interposition. A log that ends with a
+// cross-shard prepare undecided leaves its applier in cr for
 // resolveCrossShard.
 func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecovery) (RecoveryStats, error) {
 	st := RecoveryStats{Shard: sh.id}
@@ -155,58 +202,23 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 			nextSeq = cleanSeq + 1
 		}
 	} else {
-		// pending stashes prepares until their decision record arrives in
-		// this log; order keeps the stash deterministic for resolution.
-		pending := make(map[uint64][]wal.Record)
-		var order []uint64
+		redo := &redoApplier{sh: sh}
 		rst, err := log.Replay(nextSeq, func(seq uint64, recs []wal.Record) error {
-			for _, r := range recs {
-				switch r.Kind {
-				case wal.RecPut:
-					if _, err := sh.doPut(ctx, th, r.Key, r.Value); err != nil {
-						return err
-					}
-				case wal.RecDelete:
-					if _, err := sh.doDelete(ctx, th, r.Key); err != nil {
-						return err
-					}
-				case wal.RecPrepare:
-					var nested []wal.Record
-					if !wal.DecodePrepareValue(r.Value, &nested) {
-						return fmt.Errorf("xid %d: malformed prepare record", r.Key)
-					}
-					if _, ok := pending[r.Key]; !ok {
-						order = append(order, r.Key)
-					}
-					pending[r.Key] = copyRecords(nested)
-				case wal.RecCommit:
-					cr.committed[r.Key] = true
-					if nested, ok := pending[r.Key]; ok {
-						if err := applyRecords(ctx, sh, th, nested); err != nil {
-							return err
-						}
-						delete(pending, r.Key)
-					}
-				case wal.RecAbort:
-					delete(pending, r.Key)
-				}
-			}
-			return nil
+			return redo.apply(ctx, th, seq, recs)
 		})
 		if err != nil {
 			return st, fmt.Errorf("shard %d: replay wal: %w", sh.id, err)
 		}
-		st.Replayed, st.TruncatedBytes = rst.Records, rst.TruncatedBytes
-		sh.replayed.Store(rst.Records)
+		st.Replayed, st.TruncatedBytes = redo.n, rst.TruncatedBytes
+		sh.replayed.Store(redo.n)
 		if rst.LastSeq+1 > nextSeq {
 			nextSeq = rst.LastSeq + 1
 		}
-		for _, xid := range order {
-			if nested, ok := pending[xid]; ok {
-				cr.dangling = append(cr.dangling, danglingPrepare{sh: sh, xid: xid, recs: nested})
-			}
+		if redo.xid != 0 {
+			cr.dangling = append(cr.dangling, redo)
 		}
 	}
+	cr.horizon[sh.id] = nextSeq - 1
 	// The log is about to become dirty again: drop the marker before the
 	// first append so a crash between here and the next clean drain replays.
 	if err := wal.RemoveCleanMarker(sh.dataDir); err != nil {
@@ -219,42 +231,44 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 	return st, nil
 }
 
-// resolveCrossShard decides every prepare left undecided by a crash inside
-// the 2PC window: a cross-shard group is committed iff ANY participant's
-// log holds its commit record (phase 1 made every prepare durable before
-// the first commit record could exist, so the surviving logs agree).
-// Committed prepares are applied and a commit record appended to the
-// shard's own log; the rest get an abort record — either way each log
-// becomes self-contained and the next recovery needs no cross-log evidence
-// for the xid. Runs after every shard replayed, before the workers start.
+// resolveCrossShard decides every round a crash left undecided in some log,
+// by the all-prepared rule: the round is committed iff every participant its
+// prepare lists has a durable horizon at or past its listed sequence — the
+// condition the coordinator, and every group logged behind the prepare,
+// waited for before answering anyone, so an abort voids nothing that was
+// acknowledged. The verdict is appended (and flushed) as the log's own
+// decision record and fed to the held applier like any replayed one: each log
+// is self-contained from here on. A legacy prepare names no participants; the
+// commit-record-in-another-log rule that decided it is gone with its binary.
+// Runs after every shard replayed, before the workers start.
 func (s *Server) resolveCrossShard(th *votm.Thread, cr *crossRecovery) error {
 	ctx := context.Background()
-	for _, d := range cr.dangling {
-		kind, verdict := wal.RecAbort, "aborted"
-		if cr.committed[d.xid] {
-			kind, verdict = wal.RecCommit, "committed"
-			if err := applyRecords(ctx, d.sh, th, d.recs); err != nil {
-				return fmt.Errorf("shard %d: apply recovered prepare %d: %w", d.sh.id, d.xid, err)
+	for _, a := range cr.dangling {
+		sh, xid, held := a.sh, a.xid, len(a.held)
+		if len(a.parts) == 0 {
+			return fmt.Errorf("shard %d: cross-shard prepare %d was left undecided by an older votmd and names no participants: "+
+				"start the votmd that wrote this data directory on it once (it resolves the prepare), shut it down cleanly, then start this one", sh.id, xid)
+		}
+		kind, verdict := wal.RecCommit, "committed"
+		for _, p := range a.parts {
+			if int(p.Shard) >= len(cr.horizon) || cr.horizon[p.Shard] < p.Seq {
+				kind, verdict = wal.RecAbort, "aborted"
 			}
 		}
-		seq, n, err := d.sh.log.Append([]wal.Record{{Kind: kind, Key: d.xid}})
+		seq, err := a.decide(ctx, th, kind)
+		if err == nil {
+			err = sh.log.Sync(seq)
+		}
 		if err != nil {
-			return fmt.Errorf("shard %d: resolve prepare %d: %w", d.sh.id, d.xid, err)
+			return fmt.Errorf("shard %d: resolve prepare %d: %w", sh.id, xid, err)
 		}
-		if err := d.sh.log.Sync(seq); err != nil {
-			return fmt.Errorf("shard %d: sync resolution of prepare %d: %w", d.sh.id, d.xid, err)
+		if kind == wal.RecAbort {
+			sh.xsPrepareAborts.Add(1)
 		}
-		d.sh.walAppends.Add(1)
-		d.sh.walBytes.Add(uint64(n))
-		if kind == wal.RecCommit {
-			d.sh.replayed.Add(uint64(len(d.recs)))
-			s.recovery[d.sh.id].Replayed += uint64(len(d.recs))
-		} else {
-			d.sh.xsPrepareAborts.Add(1)
-		}
-		s.recovery[d.sh.id].ResolvedPrepares++
-		s.logf("votmd: shard %d: cross-shard prepare %d %s at startup (%d records)",
-			d.sh.id, d.xid, verdict, len(d.recs))
+		s.recovery[sh.id].Replayed = a.n
+		sh.replayed.Store(a.n)
+		s.recovery[sh.id].ResolvedPrepares++
+		s.logf("votmd: shard %d: cross-shard prepare %d %s at startup (%d records held)", sh.id, xid, verdict, held)
 	}
 	return nil
 }
@@ -263,9 +277,11 @@ func (s *Server) resolveCrossShard(th *votm.Thread, cr *crossRecovery) error {
 // transaction with walMu held, so the captured WAL sequence exactly matches
 // the captured state (writes execute under walMu). Shared by snapshots,
 // replication bootstraps and live handoffs — anything that needs a
-// consistent (state, seq) pair. The lockFn hook runs while walMu is still
-// held, before the walk; replication bootstraps use it to reset their frame
-// buffer inside the same critical section (see replication.go).
+// consistent (state, seq) pair, i.e. a durability claim: an in-doubt shard
+// is waited out first (the round's flush holds no mutex), and a follower
+// still holding a prepare claims only the log below it. The lockFn hook runs
+// while walMu is still held, before the walk; replication bootstraps use it
+// to reset their frame buffer inside the same critical section.
 func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([]wal.Entry, uint64, error) {
 	var (
 		entries []wal.Entry
@@ -273,11 +289,18 @@ func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([
 		seq     uint64
 	)
 	sh.walMu.Lock()
+	if err := s.awaitRound(sh.doubt); err != nil {
+		sh.walMu.Unlock()
+		return nil, 0, fmt.Errorf("shard %d: in doubt after a failed cross-shard round: %w", sh.id, err)
+	}
 	if lockFn != nil {
 		lockFn()
 	}
 	if sh.log != nil {
 		seq = sh.log.NextSeq() - 1
+		if cn := s.cluster; cn != nil && cn.states[sh.id].redo.xid != 0 {
+			seq = cn.states[sh.id].redo.from - 1
+		}
 	} else {
 		seq = sh.snapSeq.Load() + 1 // snapshot-only: a bare snapshot counter
 	}

@@ -73,6 +73,9 @@ const maxSyncLag = 4
 type pendingGroup struct {
 	ops []groupOp
 	seq uint64 // WAL sequence of the group's redo batch
+	// doubt is the shard's doubt mark when the batch was appended: the batch
+	// replays only if that round does, so its answers wait for the round too.
+	doubt uint64
 }
 
 // groupWorker is one shard worker's retained execution state: the op
@@ -258,9 +261,11 @@ func (w *groupWorker) recycleOps(ops []groupOp) []groupOp {
 // flushPending settles every lagged group with one shared flush: a single
 // wal.Log.Sync at the newest pending sequence (usually one fdatasync, often
 // zero when another worker's flush already covered it), then answers the
-// groups oldest-first. A flush failure is a WAL fault for all of them: the
-// memory commits happened, durability is unknown, every member answers
-// TxFault and the shard goes read-only.
+// groups oldest-first — each only once the round it logged behind, if any,
+// is durable on every participant (in steady state the same flush). A flush
+// failure, the group's or that round's, is a WAL fault: the memory commits
+// happened, durability is unknown, every member answers TxFault and the
+// shard goes read-only.
 func (w *groupWorker) flushPending() {
 	if len(w.pending) == 0 {
 		return
@@ -276,6 +281,9 @@ func (w *groupWorker) flushPending() {
 	}
 	for pi := range w.pending {
 		g := &w.pending[pi]
+		if err == nil {
+			err = w.s.awaitRound(g.doubt) // a faulted round fails the later groups too: the mark stays
+		}
 		if err != nil {
 			w.failGroup(g.ops, wire.StatusTxFault, "wal: "+err.Error())
 		} else {
@@ -326,8 +334,15 @@ func errStatus(err error) (wire.Status, string) {
 // lost its WAL.
 const errShardReadOnly = "shard is read-only after a WAL failure"
 
-// appendWAL appends one redo batch to sh's log and meters it.
+// appendWAL appends one redo batch to sh's log and meters it; the caller
+// holds walMu. A commit annotation the shard owes (shard.owed) rides in
+// front: recs may be shifted in place, or copied when it is full.
 func appendWAL(sh *shard, recs []wal.Record) (uint64, error) {
+	if sh.owed.Load() != 0 {
+		recs = append(recs, wal.Record{})
+		copy(recs[1:], recs)
+		recs[0] = wal.Record{Kind: wal.RecCommit, Key: sh.owed.Swap(0)}
+	}
 	seq, n, err := sh.log.Append(recs)
 	if err != nil {
 		return 0, err
@@ -570,14 +585,15 @@ func (w *groupWorker) runGroup() bool {
 	// group's batch can never overtake it in the log); the flush happens
 	// after, at most once per group and shared whenever possible.
 	var (
-		walSeq uint64
-		walErr error
+		walSeq, doubt uint64
+		walErr        error
 	)
 	if durable {
 		w.recs, w.valBuf = appendGroupRecords(w.recs[:0], w.valBuf[:0], ops)
 		if len(w.recs) > 0 {
 			walSeq, walErr = appendWAL(sh, w.recs)
 		}
+		doubt = sh.doubt
 		sh.walMu.Unlock()
 		walLocked = false
 	}
@@ -635,7 +651,7 @@ func (w *groupWorker) runGroup() bool {
 	// synchronous client (empty queue between requests) still flushes
 	// immediately. The lag bound caps the added commit latency; in adaptive
 	// latency-first mode (group size 1) it collapses to flush-per-group.
-	w.pending = append(w.pending, pendingGroup{ops: ops, seq: walSeq})
+	w.pending = append(w.pending, pendingGroup{ops: ops, seq: walSeq, doubt: doubt})
 	if len(w.pending) >= w.sh.ctl.lagBound() {
 		w.flushPending()
 	}

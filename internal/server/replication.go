@@ -501,8 +501,8 @@ func installState(shardID int, seq uint64, entries []wal.Entry, epoch uint64, do
 }
 
 // chunkEntries packs snapshot entries into ENTRIES payloads of at most
-// maxBytes, encoded with the prepare-record framing (RecPut per entry) the
-// follower decodes with wal.DecodePrepareValue.
+// maxBytes, encoded as nested record lists (RecPut per entry) the follower
+// decodes with wal.DecodeRecords.
 func chunkEntries(entries []wal.Entry, maxBytes int) [][]byte {
 	var (
 		chunks [][]byte
@@ -513,7 +513,7 @@ func chunkEntries(entries []wal.Entry, maxBytes int) [][]byte {
 		if len(recs) == 0 {
 			return
 		}
-		chunks = append(chunks, wal.AppendPrepareValue(nil, recs))
+		chunks = append(chunks, wal.AppendRecords(nil, recs))
 		recs, size = recs[:0], 0
 	}
 	for _, e := range entries {
@@ -603,30 +603,28 @@ func (w *groupWorker) runReplicate(t task) {
 	st := s.cluster.states[int(t.req.Shard)]
 	resp := wire.NewResponse()
 	resp.Op, resp.ID = t.req.Op, t.req.ID
-	if clusterRole(st.role.Load()) == roleLeader {
+	fail := func(status wire.Status, detail string) {
+		resp.Status = status
+		resp.SetDetail(detail)
+		s.finish(t, resp)
+	}
+	switch {
+	case clusterRole(st.role.Load()) == roleLeader:
 		resp.Status = wire.StatusWrongShard
 		resp.Value = wire.WrongShardDetail(resp.Value[:0], st.epoch.Load())
-		w.s.finish(t, resp)
+		s.finish(t, resp)
 		return
-	}
-	if sh.log == nil {
-		resp.Status = wire.StatusBadRequest
-		resp.SetDetail("replication requires group durability")
-		w.s.finish(t, resp)
+	case sh.log == nil:
+		fail(wire.StatusBadRequest, "replication requires group durability")
 		return
-	}
-	if sh.readOnly.Load() {
-		resp.Status = wire.StatusTxFault
-		resp.SetDetail(errShardReadOnly)
-		w.s.finish(t, resp)
+	case sh.readOnly.Load():
+		fail(wire.StatusTxFault, errShardReadOnly)
 		return
-	}
-	if len(t.req.Value) == 0 {
+	case len(t.req.Value) == 0:
 		sh.walMu.Lock()
 		resp.Cursor = sh.log.NextSeq()
 		sh.walMu.Unlock()
-		resp.Status = wire.StatusOK
-		w.s.finish(t, resp)
+		s.finish(t, resp) // StatusOK
 		return
 	}
 
@@ -634,14 +632,12 @@ func (w *groupWorker) runReplicate(t task) {
 	last, appErr := sh.log.AppendFrames(t.req.Value)
 	if appErr != nil && !errors.Is(appErr, wal.ErrFrameGap) {
 		sh.walMu.Unlock()
+		status := wire.StatusBadRequest
 		if sh.log.Failed() {
 			s.noteShardWALFault(sh, appErr)
-			resp.Status = wire.StatusTxFault
-		} else {
-			resp.Status = wire.StatusBadRequest
+			status = wire.StatusTxFault
 		}
-		resp.SetDetail(appErr.Error())
-		w.s.finish(t, resp)
+		fail(status, appErr.Error())
 		return
 	}
 	var applyErr error
@@ -654,9 +650,7 @@ func (w *groupWorker) runReplicate(t task) {
 		// The log holds records memory could not apply: stop serving writes
 		// (recovery replays the log and heals the divergence).
 		s.noteShardWALFault(sh, applyErr)
-		resp.Status = wire.StatusTxFault
-		resp.SetDetail(applyErr.Error())
-		w.s.finish(t, resp)
+		fail(wire.StatusTxFault, applyErr.Error())
 		return
 	}
 	if last != 0 {
@@ -666,62 +660,32 @@ func (w *groupWorker) runReplicate(t task) {
 		}
 		if err := sh.log.Sync(last); err != nil {
 			s.noteShardWALFault(sh, err)
-			resp.Status = wire.StatusTxFault
-			resp.SetDetail("wal: " + err.Error())
-			w.s.finish(t, resp)
+			fail(wire.StatusTxFault, "wal: "+err.Error())
 			return
 		}
 	}
 	// A frame gap still answers OK: Cursor tells the leader where this log
 	// actually ends, and the mismatch with its expectation triggers the
 	// re-sync. Everything up to Cursor-1 IS durable here.
-	resp.Status = wire.StatusOK
 	resp.Cursor = next
-	w.s.finish(t, resp)
+	s.finish(t, resp)
 }
 
 // errStopApply ends a DecodeFrames walk early (frames past the appended
 // prefix of a gapped batch must not apply).
 var errStopApply = errors.New("stop apply")
 
-// applyReplicatedFrames applies the frames with seq <= last to memory.
-// Caller holds walMu. Cross-shard prepares stash in st.pending until their
-// decision record streams in, mirroring recovery's replay rules.
+// applyReplicatedFrames applies the frames with seq <= last to memory through
+// the shard's redo applier — the state machine recovery replays with, so a
+// cross-shard prepare and the records behind it are held until the streamed
+// RecCommit. Caller holds walMu.
 func (w *groupWorker) applyReplicatedFrames(st *clShard, b []byte, last uint64) error {
 	ctx := context.Background()
-	sh := w.sh
 	err := wal.DecodeFrames(b, func(seq uint64, recs []wal.Record) error {
 		if seq > last {
 			return errStopApply
 		}
-		for _, r := range recs {
-			switch r.Kind {
-			case wal.RecPut:
-				if _, err := sh.doPut(ctx, w.th, r.Key, r.Value); err != nil {
-					return err
-				}
-			case wal.RecDelete:
-				if _, err := sh.doDelete(ctx, w.th, r.Key); err != nil {
-					return err
-				}
-			case wal.RecPrepare:
-				var nested []wal.Record
-				if !wal.DecodePrepareValue(r.Value, &nested) {
-					return fmt.Errorf("xid %d: malformed replicated prepare", r.Key)
-				}
-				st.pending[r.Key] = copyRecords(nested)
-			case wal.RecCommit:
-				if nested, ok := st.pending[r.Key]; ok {
-					if err := applyRecords(ctx, sh, w.th, nested); err != nil {
-						return err
-					}
-					delete(st.pending, r.Key)
-				}
-			case wal.RecAbort:
-				delete(st.pending, r.Key)
-			}
-		}
-		return nil
+		return st.redo.apply(ctx, w.th, seq, recs)
 	})
 	if errors.Is(err, errStopApply) {
 		return nil
@@ -731,7 +695,7 @@ func (w *groupWorker) applyReplicatedFrames(st *clShard, b []byte, last uint64) 
 
 // runHandoff serves one snapshot-install phase (replication bootstrap or
 // live handoff; only COMMIT's epoch distinguishes them). BEGIN wipes the
-// shard — state, stashed prepares, the log (reset past the captured seq) —
+// shard — state, a held prepare, the log (reset past the captured seq) —
 // ENTRIES installs the captured copy, and COMMIT snapshots it (the durable
 // baseline replacing the WAL history this node never saw) and, with a real
 // epoch, promotes this node to leader.
@@ -777,7 +741,7 @@ func (w *groupWorker) runHandoff(t task) {
 		}
 	case wire.HandoffEntries:
 		var recs []wal.Record
-		if !wal.DecodePrepareValue(t.req.Value, &recs) {
+		if !wal.DecodeRecords(t.req.Value, &recs) {
 			fail(wire.StatusBadRequest, "malformed handoff entries")
 			return
 		}
@@ -787,7 +751,7 @@ func (w *groupWorker) runHandoff(t task) {
 			fail(wire.StatusBadRequest, "no handoff install in progress")
 			return
 		}
-		err := applyRecords(context.Background(), sh, w.th, recs)
+		err := st.redo.apply(context.Background(), w.th, 0, recs) // nothing is held mid-install
 		sh.walMu.Unlock()
 		if err != nil {
 			fail(wire.StatusTxFault, "handoff install: "+err.Error())
@@ -825,14 +789,13 @@ func (w *groupWorker) runHandoff(t task) {
 	w.s.finish(t, resp)
 }
 
-// clearShard wipes one shard for a snapshot install: stashed prepares,
-// every key, old snapshots, and the log — reset to start at seq+1, the
-// first append after the captured state. Caller holds walMu.
+// clearShard wipes one shard for a snapshot install: a held prepare, every
+// key, old snapshots, and the log — reset to start at seq+1, the first
+// append after the captured state. Caller holds walMu.
 func (w *groupWorker) clearShard(st *clShard, seq uint64) error {
 	sh := w.sh
-	for xid := range st.pending {
-		delete(st.pending, xid)
-	}
+	st.redo.reset()
+	sh.owed.Store(0)
 	ctx := context.Background()
 	var keys []uint64
 	err := sh.view.AtomicRead(ctx, w.th, func(tx votm.Tx) error {

@@ -5,20 +5,37 @@
 // round queue and goes straight on to its group. A single coordinator
 // goroutine takes EVERYTHING queued and runs it as one round: one
 // canonical-order walMu acquisition, one quiesce of the union participant
-// set (votm.AtomicAll), the batches back to back inside it, and one
-// two-phase WAL flush — every task's prepare records appended and fsynced
-// together, then every commit record.
+// set (votm.AtomicAll), the batches back to back inside it, ONE prepare
+// record per writable participant — and then, with every mutex released, ONE
+// flush of all participants at once.
 //
-// Rounds exclude each other anyway — any two share participants, and a
-// durable round holds its participants' walMus across the phase-1 flush — so
-// the coordinator makes that Q = 1 explicit and turns the wait for the
-// running round into the time that fills the next one: under load a round
-// carries every cross-shard ATOMIC that arrived during its predecessor's two
-// flushes, whichever shard coordinates it. A round is a window of the
-// window-based contention managers (Sharma, Estrade, Busch; PAPERS.md): the
-// tasks of one window are made independent — a task that reads state an
-// earlier member wrote waits for the next window — so each commits or aborts
-// at recovery without reference to its round-mates.
+// The round is committed iff every participant's log is durable through the
+// sequence its prepare landed at (the all-prepared rule; each prepare lists
+// them all). There is no second phase and no second append: RecCommit is an
+// annotation each participant owes its log once the flush returned, riding
+// in front of whatever batch that log takes next (appendWAL), so only the
+// last round before a crash is ever undecided in its own log. Releasing
+// walMu before the flush is sound because of the in-doubt shard: from a
+// round's prepare append until the round is durable everywhere, anything
+// that turns the shard's state into a durability claim waits for the round
+// (Server.awaitRound) — a write group that appended behind the prepare
+// before it answers, a state capture before it walks. Three invariants:
+//
+//   - Replay order = memory order. A prepare's effects apply at the
+//     prepare's position; replay holds the prepare and everything behind it
+//     until the decision (redoApplier, durability.go).
+//   - Nothing voided was ever acknowledged. A group behind an undecided
+//     prepare answers only once the round's flush succeeded on every
+//     participant — exactly the condition under which recovery commits it.
+//   - One round in doubt at a time. The coordinator is one goroutine and owes
+//     round k's annotations before it builds round k+1, so in every log C_k
+//     precedes P_k+1 and a held suffix never contains a second prepare.
+//
+// A round is a window of the window-based contention managers (Sharma,
+// Estrade, Busch; PAPERS.md): rounds exclude each other anyway — any two
+// share participants — so the coordinator makes that Q = 1 explicit and fills
+// the next round while the running one flushes. A window is atomic as a
+// whole at recovery, so its tasks may depend on each other freely.
 package server
 
 import (
@@ -33,16 +50,15 @@ import (
 
 // roundBodyBudget bounds the redo bytes the coordinator admits into one
 // round. In the worst case every byte lands in ONE participant's prepare
-// batch, and wal.Log.Append refuses a batch above wal.MaxBatchBody — a
+// record, and wal.Log.Append refuses a batch above wal.MaxBatchBody — a
 // refusal that would flip the participant read-only. The budget is checked
-// before each dequeue, so a round overshoots by at most the deferred tasks it
-// inherited plus one task (a request frame is bounded by wire.MaxFrame).
+// before each dequeue, so a round overshoots by at most one task (a request
+// frame is bounded by wire.MaxFrame).
 const roundBodyBudget = wal.MaxBatchBody / 2
 
 // subRedoOverhead over-approximates the WAL framing one writing sub adds to
-// a prepare batch beyond its value bytes: the nested record header, an ADD's
-// 8-byte post-image and, for a participant's first sub, the prepare record
-// wrapping it.
+// a prepare record beyond its value bytes: the nested record header, an
+// ADD's 8-byte post-image and a share of the prepare wrapping it.
 const subRedoOverhead = 40
 
 // roundTask is one cross-shard ATOMIC's slot in a round: its queued task and
@@ -55,12 +71,9 @@ type roundTask struct {
 	hasWrite bool
 }
 
-// roundPair is one (task, participant) share of a round's redo records:
-// recs[lo:hi] of the coordinator's record scratch.
-type roundPair struct {
-	task, part int
-	lo, hi     int
-}
+// roundShare is one union participant's share of a round's redo records:
+// recs[lo:hi] of the coordinator's record scratch, from n tasks.
+type roundShare struct{ lo, hi, n int }
 
 // RoundStats counts the coordination rounds a server has run.
 type RoundStats struct {
@@ -70,14 +83,25 @@ type RoundStats struct {
 	// Mixed counts rounds that combined batches dispatched to different
 	// coordinating shards — what a per-worker round could never do.
 	Mixed uint64
+	// Logged counts the rounds that appended redo records, Flushes the flush
+	// barriers they waited on (one each on a healthy server), GroupWaits the
+	// write groups (and rare state captures) that, their own flush done,
+	// still had to wait for the in-doubt round they logged behind.
+	Logged, Flushes, GroupWaits uint64
 }
 
 // MeanTasks is the mean number of batches per round (0 before any round).
-func (r RoundStats) MeanTasks() float64 {
-	if r.Rounds == 0 {
+func (r RoundStats) MeanTasks() float64 { return ratio(r.Tasks, r.Rounds) }
+
+// FlushesPerRound is the mean number of flush barriers a logging round
+// waited on (0 before any).
+func (r RoundStats) FlushesPerRound() float64 { return ratio(r.Flushes, r.Logged) }
+
+func ratio(a, b uint64) float64 {
+	if b == 0 {
 		return 0
 	}
-	return float64(r.Tasks) / float64(r.Rounds)
+	return float64(a) / float64(b)
 }
 
 // RoundStats returns the server's round counters. In-process only: the wire
@@ -85,11 +109,58 @@ func (r RoundStats) MeanTasks() float64 {
 func (s *Server) RoundStats() RoundStats {
 	rc := s.rounds
 	return RoundStats{
-		Rounds:  rc.nRounds.Load(),
-		Tasks:   rc.nTasks.Load(),
-		Largest: rc.largest.Load(),
-		Mixed:   rc.nMixed.Load(),
+		Rounds:     rc.nRounds.Load(),
+		Tasks:      rc.nTasks.Load(),
+		Largest:    rc.largest.Load(),
+		Mixed:      rc.nMixed.Load(),
+		Logged:     rc.nLogged.Load(),
+		Flushes:    rc.nFlushes.Load(),
+		GroupWaits: s.gate.waits.Load(),
 	}
+}
+
+// roundGate is where durability claims wait out an in-doubt round. Rounds
+// are named by their xid, which only grows, and at most one is in doubt at a
+// time: settled is the newest round whose flush has returned, faults the
+// rounds (one per read-only flip at most) whose flush failed.
+type roundGate struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	settled uint64
+	faults  map[uint64]error
+	waits   atomic.Uint64
+}
+
+// settleRound ends round xid's doubt: err is its flush's verdict.
+func (s *Server) settleRound(xid uint64, err error) {
+	g := &s.gate
+	g.mu.Lock()
+	if err != nil {
+		g.faults[xid] = err
+	}
+	g.settled = xid
+	g.mu.Unlock()
+	g.cond.Broadcast()
+}
+
+// awaitRound blocks until round xid (a shard's doubt mark; 0 = never in a
+// round) is durable on every participant — the condition under which
+// recovery commits it and everything logged behind it — or returns the
+// fault that left it undecided.
+func (s *Server) awaitRound(xid uint64) error {
+	if xid == 0 {
+		return nil // the common case takes no server-wide mutex
+	}
+	g := &s.gate
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.settled < xid {
+		g.waits.Add(1)
+		for g.settled < xid {
+			g.cond.Wait()
+		}
+	}
+	return g.faults[xid]
 }
 
 // roundCoordinator owns the server's round queue and every piece of round
@@ -100,7 +171,7 @@ type roundCoordinator struct {
 	th *votm.Thread
 	reqContext
 	// durable: every shard has a WAL (Durability group), so a writing round
-	// logs and the per-task recovery rule of admit applies.
+	// logs.
 	durable bool
 
 	// queue is the server's one hand-off point from the shard workers. Its
@@ -109,15 +180,10 @@ type roundCoordinator struct {
 	queue chan roundTask
 	done  chan struct{}
 
-	nRounds, nTasks, largest, nMixed atomic.Uint64
+	nRounds, nTasks, largest, nMixed, nLogged, nFlushes atomic.Uint64
 
 	tasks []roundTask // the round being built or run
-	// carry holds dequeued tasks deferred to the next round because they read
-	// state an admitted task writes; written is that round's written key set
-	// and bytes its redo volume (see roundBodyBudget).
-	carry   []roundTask
-	written map[uint64]struct{}
-	bytes   int
+	bytes int         // its redo volume (see roundBodyBudget)
 
 	uindex     map[*shard]int // participant -> union index
 	union      []*shard
@@ -125,14 +191,16 @@ type roundCoordinator struct {
 	unionWrite []bool // per union participant: some task mutates it
 	writes     []bool // task-major matrix: writes[ti*len(union)+pi]
 
-	recs         []wal.Record // redo-record scratch
-	valBuf       []byte       // SubAdd post-image scratch backing recs
-	prepBuf      []byte       // prepare-record payload scratch
-	pairs        []roundPair
-	prep, commit [][]wal.Record // per union participant, task order
-	aborts       []wal.Record
-	// syncShs/syncSeqs name the appended sequences awaiting a flush: the
-	// prepares during phase 1, the final records after.
+	recs    []wal.Record // redo-record scratch, participant-major
+	valBuf  []byte       // SubAdd post-image scratch backing recs
+	shares  []roundShare // per union participant
+	parts   []wal.Participant
+	prepBuf []byte        // prepare-record payload scratch
+	rec     [2]wal.Record // a prepare batch: the prepare, and room for an owed annotation
+	// xid names the round while its prepares are in doubt (0: it logged a
+	// plain batch or nothing). syncShs/syncSeqs are the participants that
+	// logged and the sequences their answers wait on.
+	xid      uint64
 	syncShs  []*shard
 	syncSeqs []uint64
 	syncErrs []error
@@ -148,7 +216,6 @@ func newRoundCoordinator(s *Server) *roundCoordinator {
 		durable:    s.cfg.Durability == DurabilityGroup,
 		queue:      make(chan roundTask, s.cfg.QueueDepth),
 		done:       make(chan struct{}),
-		written:    make(map[uint64]struct{}),
 		uindex:     make(map[*shard]int),
 	}
 }
@@ -172,91 +239,49 @@ func (rc *roundCoordinator) stop() {
 }
 
 // loop is the coordinator goroutine: block for one task, take whatever else
-// is queued, run the lot as one round.
+// is queued until the queue is empty or the redo budget is spent, run the lot
+// as one round.
 func (rc *roundCoordinator) loop() {
 	defer close(rc.done)
 	defer rc.th.Release()
 	defer rc.reqContext.close()
 	for {
-		if len(rc.carry) == 0 {
-			rt, ok := <-rc.queue
-			if !ok {
-				return
-			}
-			rc.admit(rt)
+		rt, ok := <-rc.queue
+		if !ok {
+			return
 		}
-		rc.fill()
+		rc.admit(rt)
+	fill:
+		for rc.bytes < roundBodyBudget {
+			select {
+			case rt, ok := <-rc.queue:
+				if !ok {
+					break fill // the last round runs; the next receive ends the loop
+				}
+				rc.admit(rt)
+			default:
+				break fill
+			}
+		}
 		rc.runRound()
 	}
 }
 
-// fill builds the next round: the tasks the last round deferred first, in
-// their arrival order, then everything queued until the queue is empty or
-// the redo budget is spent.
-func (rc *roundCoordinator) fill() {
-	carried := rc.carry
-	rc.carry = rc.carry[:0] // admit re-defers in place: it never outruns the read
-	for _, rt := range carried {
-		rc.admit(rt)
-	}
-	for rc.bytes < roundBodyBudget {
-		select {
-		case rt, ok := <-rc.queue:
-			if !ok {
-				return
-			}
-			rc.admit(rt)
-		default:
-			return
-		}
-	}
-}
-
-// admit places one dequeued task: into the round being built, onto the carry
-// list when it depends on a round-mate, or — a durable write to a shard that
-// lost its WAL — straight to a TxFault answer.
-//
-// The dependency rule keeps recovery per task. Every task has its own xid
-// and is resolved by the any-commit rule on its own, so a crash between the
-// round's commit appends can keep a later task and drop an earlier one. That
-// is sound only if the later task's redo records do not embed the earlier
-// one's effects: an ADD's post-image (and a DELETE's found/missed verdict) on
-// a key a round-mate wrote would. Such a task waits one round; blind PUTs
-// never do.
+// admit places one dequeued task into the round being built. A durable write
+// to a shard that lost its WAL joins with its verdict already in (TxFault):
+// it executes nothing and is answered with the round.
 func (rc *roundCoordinator) admit(rt roundTask) {
-	b, durable := rt.batch, rc.durable
-	refused, dependent := false, false
+	b := rt.batch
 	for i, sub := range b.subs {
 		if sub.Kind != wire.SubGet {
 			rt.hasWrite = true
-			refused = refused || (durable && b.parts[b.owner[i]].readOnly.Load())
-		}
-		if durable && sub.Kind != wire.SubPut {
-			_, hit := rc.written[sub.Key]
-			dependent = dependent || hit
-		}
-	}
-	switch {
-	case refused:
-		resp := wire.NewResponse()
-		resp.Op, resp.ID = rt.t.req.Op, rt.t.req.ID
-		resp.Status = wire.StatusTxFault
-		resp.SetDetail(errShardReadOnly)
-		rc.s.releaseBatch(b)
-		rc.s.finish(rt.t, resp)
-	case dependent:
-		rc.carry = append(rc.carry, rt)
-	default:
-		if durable {
-			for _, sub := range b.subs {
-				if sub.Kind != wire.SubGet {
-					rc.written[sub.Key] = struct{}{}
-					rc.bytes += subRedoOverhead + len(sub.Value)
-				}
+			rc.bytes += subRedoOverhead + len(sub.Value)
+			if rc.durable && b.parts[b.owner[i]].readOnly.Load() {
+				b.err = txFault{errShardReadOnly}
 			}
 		}
-		rc.tasks = append(rc.tasks, rt)
 	}
+	rc.tasks = append(rc.tasks, rt)
 }
 
 // resized returns s with length n and every element zeroed, reallocating
@@ -294,12 +319,9 @@ func (rc *roundCoordinator) runBatches(txs []votm.Tx) error {
 // ONE coordination round: the union of their participant views is quiesced
 // once in canonical order (votm.AtomicAll), the batches run back to back
 // inside it with exclusive lock-mode access and per-batch verdicts, and
-// durability is a single two-phase flush, so recovery (resolveCrossShard)
-// applies each batch on all its participants or none, no matter where a
-// crash lands. Cross-shard 2PC thus pays its quiesce and its fsyncs per
-// ROUND instead of per batch.
-//
-// Correctness notes:
+// durability is one prepare per participant and one flush (appendRound), so
+// recovery (resolveCrossShard) applies the round on all its participants or
+// none, no matter where a crash lands.
 //
 //   - A batch's failure (stale route, bad add, panic) lands in its own
 //     verdict and never touches its round-mates: validation precedes every
@@ -309,31 +331,21 @@ func (rc *roundCoordinator) runBatches(txs []votm.Tx) error {
 //   - The plan a worker attached to a batch may be stale by now (a split
 //     between hand-off and round): exec re-verifies every key's owner inside
 //     the quiesce, before the batch's first write, and answers BUSY.
-//   - Every writing task gets its OWN xid and prepare/commit pair. Uniform
-//     2PC keeps replay order right: each participant's log holds the round as
-//     [P_t1..P_tk, C_t1..C_tk] in task order, a prepare's effects apply at
-//     its commit record's position (durability.go replay), so replayed
-//     effects land in task order — exactly the order the batches executed in
-//     memory. Tasks stay independent at recovery (see admit). The one
-//     exception is a round whose records all belong to one task on one
-//     participant (appendCrossShardRound).
 //   - Every writable participant's walMu is taken in canonical order BEFORE
-//     any view is paused and held until after the LAST commit record is
-//     appended: each shard's log order equals its memory commit order, any
-//     transaction observing a round task's writes logs after that task's
-//     commit record (an observer becoming durable implies the decision is
-//     durable), and — because group writers hold their one walMu before
-//     entering the view — a paused view can never contain a transaction that
-//     waits on a mutex held here.
-//   - A WAL failure anywhere in the round abandons the WHOLE round's
-//     durability (abort records where possible, writable participants flip
-//     read-only, writing tasks answer TxFault) — round-mates share the
-//     fault exactly as the members of a group share theirs.
+//     any view is paused and held until its prepare is appended — never
+//     across the flush: each shard's log order equals its memory commit
+//     order, and — because group writers hold their one walMu before entering
+//     the view — a paused view can never contain a transaction that waits on
+//     a mutex held here. Whatever executes on a participant after the
+//     release logs behind the prepare and inherits the round's doubt.
+//   - A WAL failure anywhere abandons the WHOLE round's durability: every
+//     participant flips read-only, writing tasks and the groups behind the
+//     prepares answer TxFault.
 func (rc *roundCoordinator) runRound() {
 	s, tasks := rc.s, rc.tasks
 	defer rc.reset()
 	if len(tasks) == 0 {
-		return // every dequeued task was refused or deferred
+		return
 	}
 
 	// Union of participants in canonical order: AtomicAll's acquisition
@@ -442,18 +454,31 @@ func (rc *roundCoordinator) runRound() {
 			rc.undecided(err)
 		}
 		if durable {
-			walErr = rc.appendCrossShardRound()
+			walErr = rc.appendRound()
 		}
 	}()
-	// Final fsyncs outside the mutexes (overlapping the shards' groups,
-	// piggybacking with their flushes); every writing task's response still
-	// waits on every participant's durability point — and, under cluster
-	// leadership, every participant's semi-sync replication point.
+	// The round's one flush, with no mutex held: the participants' groups
+	// execute and append meanwhile, gated on this round by their doubt mark,
+	// and their own flushes piggyback on this one.
+	if walErr == nil && len(rc.syncShs) > 0 {
+		rc.nLogged.Add(1)
+		walErr = rc.syncAll()
+	}
+	if rc.xid != 0 {
+		// Durable on every participant, or faulted: either way the doubt
+		// ends here. A durable round's annotation costs no append of its own:
+		// each participant owes it to the next batch its log takes
+		// (appendWAL) — certainly this coordinator's next prepare.
+		s.settleRound(rc.xid, walErr)
+	}
 	if walErr == nil {
-		if walErr = rc.syncAll(); walErr == nil {
-			for i, p := range rc.syncShs {
-				rc.repScratch = s.waitReplicated(p, rc.syncSeqs[i], rc.repScratch)
+		// Under cluster leadership every writing task's answer also waits on
+		// every participant's semi-sync replication point.
+		for i, p := range rc.syncShs {
+			if rc.xid != 0 {
+				p.owed.Store(rc.xid)
 			}
+			rc.repScratch = s.waitReplicated(p, rc.syncSeqs[i], rc.repScratch)
 		}
 	}
 	for i := range tasks {
@@ -489,8 +514,7 @@ func (rc *roundCoordinator) reset() {
 	clear(rc.tasks)
 	rc.tasks = rc.tasks[:0]
 	clear(rc.uindex)
-	clear(rc.written)
-	rc.bytes = 0
+	rc.bytes, rc.xid = 0, 0
 }
 
 // execContained runs one round batch, containing a panic to that batch: its
@@ -507,151 +531,93 @@ func execContained(b *multiBatch, s *Server, parts []*shard, txs []votm.Tx) (err
 	return b.exec(s, parts, txs)
 }
 
-// appendCrossShardRound makes the round's committed batches durable with one
-// two-phase flush. Per writable participant it appends ONE record batch
-// holding every task's prepare (task order), fsyncs all participants once —
-// the phase-1 barrier — then appends each participant's commit records,
-// still under the walMus so the round stays contiguous in every log. Each
-// task has its own xid: recovery resolves every task independently by the
-// any-commit rule, and a prepare's effects apply at its commit record's
-// position, keeping replay in task order.
+// appendRound logs the round's committed batches, under the participants'
+// walMus. Per participant it gathers every task's redo records in task order
+// — the order they executed in — and appends them as ONE prepare record
+// under the round's one xid, each prepare listing every participant with the
+// sequence its prepare lands at (stable: appenders hold walMu). Every
+// participant is marked in doubt (shard.doubt) before the mutexes drop. A
+// round whose records all land on ONE participant is a plain batch append —
+// atomic by its CRC frame, ordered by its own log — and puts no shard in
+// doubt. The participants that logged and the sequences awaiting the flush
+// are left in rc.syncShs/rc.syncSeqs.
 //
-// A round whose redo records all belong to ONE task on ONE participant
-// degenerates to a plain batch append: no other log has to agree with it and
-// nothing else in the round needs ordering against it.
-//
-// It leaves the shards and sequences whose final records await their fsync
-// in rc.syncShs/rc.syncSeqs. On error the round's durability is abandoned
-// wholesale: abort records are appended where possible and every participant
-// holding round records flips read-only.
-func (rc *roundCoordinator) appendCrossShardRound() error {
-	union, tasks, nu := rc.union, rc.tasks, len(rc.union)
-	rc.recs, rc.valBuf, rc.pairs = rc.recs[:0], rc.valBuf[:0], rc.pairs[:0]
-	for ti := range tasks {
-		rt := &tasks[ti]
-		if rt.batch.err != nil || !rt.hasWrite {
-			continue
+// A failed append abandons the round: the prepares that landed are annotated
+// aborted (the failing log never reaches its listed sequence, so no recovery
+// can find the round all-prepared), every participant flips read-only and
+// stays in doubt.
+func (rc *roundCoordinator) appendRound() error {
+	s, union, tasks, nu := rc.s, rc.union, rc.tasks, len(rc.union)
+	rc.recs, rc.valBuf = rc.recs[:0], rc.valBuf[:0]
+	rc.shares = resized(rc.shares, nu)
+	for pi, p := range union {
+		sh := &rc.shares[pi]
+		sh.lo = len(rc.recs)
+		for ti := range tasks {
+			if b := tasks[ti].batch; b.err == nil && rc.writes[ti*nu+pi] {
+				n := len(rc.recs)
+				rc.recs, rc.valBuf = appendAtomicRecords(rc.recs, rc.valBuf, b, pi)
+				if len(rc.recs) > n { // else e.g. only missed deletes landed here
+					sh.n++
+				}
+			}
 		}
-		for pi := range union {
-			if !rc.writes[ti*nu+pi] {
-				continue
-			}
-			lo := len(rc.recs)
-			rc.recs, rc.valBuf = appendAtomicRecords(rc.recs, rc.valBuf, rt.batch, pi)
-			if len(rc.recs) > lo { // else e.g. only missed deletes landed here
-				rc.pairs = append(rc.pairs, roundPair{task: ti, part: pi, lo: lo, hi: len(rc.recs)})
-			}
+		if sh.hi = len(rc.recs); sh.n > 0 {
+			rc.syncShs = append(rc.syncShs, p)
 		}
 	}
-	switch len(rc.pairs) {
+	switch len(rc.syncShs) {
 	case 0:
 		return nil // no task mutated state anywhere
 	case 1:
-		p := union[rc.pairs[0].part]
+		p := rc.syncShs[0]
 		seq, err := appendWAL(p, rc.recs)
 		if err != nil {
-			rc.s.noteShardWALFault(p, err)
+			s.noteShardWALFault(p, err)
+			rc.syncShs = rc.syncShs[:0]
 			return err
 		}
-		rc.syncShs, rc.syncSeqs = append(rc.syncShs, p), append(rc.syncSeqs, seq)
+		rc.syncSeqs = append(rc.syncSeqs, seq)
 		return nil
 	}
 
-	for len(rc.prep) < nu {
-		rc.prep, rc.commit = append(rc.prep, nil), append(rc.commit, nil)
+	rc.xid = s.nextXID()
+	rc.parts = rc.parts[:0]
+	for _, p := range rc.syncShs {
+		p.doubt = rc.xid
+		rc.parts = append(rc.parts, wal.Participant{Shard: uint32(p.id), Seq: p.log.NextSeq()})
 	}
-	prep, commit := rc.prep[:nu], rc.commit[:nu]
-	for pi := range prep {
-		prep[pi], commit[pi] = prep[pi][:0], commit[pi][:0]
-	}
-	rc.prepBuf = rc.prepBuf[:0]
-	var xid uint64
-	for i, pr := range rc.pairs {
-		if i == 0 || pr.task != rc.pairs[i-1].task {
-			xid = rc.s.nextXID()
-		}
-		// A grown prepBuf leaves earlier values intact in the old array.
-		lo := len(rc.prepBuf)
-		rc.prepBuf = wal.AppendPrepareValue(rc.prepBuf, rc.recs[pr.lo:pr.hi])
-		prep[pr.part] = append(prep[pr.part], wal.Record{Kind: wal.RecPrepare, Key: xid, Value: rc.prepBuf[lo:len(rc.prepBuf):len(rc.prepBuf)]})
-		commit[pr.part] = append(commit[pr.part], wal.Record{Kind: wal.RecCommit, Key: xid})
-	}
-
-	for pi, p := range union {
-		if len(prep[pi]) == 0 {
-			continue
-		}
-		seq, err := appendWAL(p, prep[pi])
+	for i, p := range rc.syncShs {
+		sh := rc.shares[rc.uindex[p]]
+		rc.prepBuf = wal.AppendPrepareValue(rc.prepBuf[:0], rc.parts, rc.recs[sh.lo:sh.hi])
+		rc.rec[0] = wal.Record{Kind: wal.RecPrepare, Key: rc.xid, Value: rc.prepBuf}
+		seq, err := appendWAL(p, rc.rec[:1])
 		if err != nil {
-			rc.abortRound(err)
+			rc.rec[0] = wal.Record{Kind: wal.RecAbort, Key: rc.xid}
+			for _, q := range rc.syncShs[:i] {
+				_, _, _ = q.log.Append(rc.rec[:1]) // best effort: recovery aborts it anyway
+				q.xsPrepareAborts.Add(1)
+			}
+			for _, q := range rc.syncShs {
+				s.noteShardWALFault(q, err)
+			}
+			rc.syncShs, rc.syncSeqs = rc.syncShs[:0], rc.syncSeqs[:0]
 			return err
 		}
-		p.xsPrepares.Add(uint64(len(prep[pi])))
-		rc.syncShs, rc.syncSeqs = append(rc.syncShs, p), append(rc.syncSeqs, seq)
-	}
-	// Phase-1 barrier: every prepare durable before any commit record can
-	// exist. (The walMus stay held; Sync never takes them.)
-	if err := rc.syncAll(); err != nil {
-		rc.abortRound(err)
-		return err
-	}
-	// Phase 2: the decisions, in task order per participant. A task's group
-	// is committed the moment the first of its commit records becomes
-	// durable — sound because phase 1 made every participant's prepare
-	// outlive it. The sequences awaiting the final flush replace phase 1's.
-	var firstErr error
-	for i, p := range rc.syncShs {
-		seq, err := appendWAL(p, commit[rc.uindex[p]])
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		rc.syncSeqs[i] = seq
-	}
-	if firstErr != nil {
-		// Some logs hold commit records and some cannot: whether each task
-		// survives a restart is decided by the any-commit rule, not by what
-		// these shards' memory says — flip them all.
-		for _, p := range rc.syncShs {
-			rc.s.noteShardWALFault(p, firstErr)
-		}
-		rc.syncShs, rc.syncSeqs = rc.syncShs[:0], rc.syncSeqs[:0]
-		return firstErr
+		p.xsPrepares.Add(uint64(sh.n))
+		rc.syncSeqs = append(rc.syncSeqs, seq)
 	}
 	return nil
 }
 
-// abortRound abandons a round whose phase 1 failed. Memory holds every
-// task's effects but the logs will not replay them: append the abort
-// decisions where the prepares landed (so the next recovery resolves
-// instantly instead of hunting for commit records) and flip every
-// participant holding round records read-only.
-func (rc *roundCoordinator) abortRound(err error) {
-	for _, p := range rc.syncShs {
-		rc.aborts = rc.aborts[:0]
-		for _, r := range rc.prep[rc.uindex[p]] {
-			rc.aborts = append(rc.aborts, wal.Record{Kind: wal.RecAbort, Key: r.Key})
-		}
-		_, _, _ = p.log.Append(rc.aborts) // best effort: recovery aborts an undecided prepare anyway
-		p.xsPrepareAborts.Add(uint64(len(rc.aborts)))
-	}
-	for pi, p := range rc.union {
-		if len(rc.prep[pi]) > 0 {
-			rc.s.noteShardWALFault(p, err)
-		}
-	}
-	rc.syncShs, rc.syncSeqs = rc.syncShs[:0], rc.syncSeqs[:0]
-}
-
 // syncAll flushes rc.syncSeqs[i] on rc.syncShs[i], concurrently (each Sync
 // piggybacks with that shard's other committers; the coordinator takes the
-// first itself). A failed flush flips only the failing shard read-only — a
-// sibling whose flush succeeded has its records durable and stays consistent
-// — and the first error is returned.
+// first itself). If any flush fails every participant flips read-only —
+// memory holds effects no log is known to replay — and the first error is
+// returned.
 func (rc *roundCoordinator) syncAll() error {
 	shs, seqs := rc.syncShs, rc.syncSeqs
-	if len(shs) == 0 {
-		return nil
-	}
+	rc.nFlushes.Add(1)
 	rc.syncErrs = resized(rc.syncErrs, len(shs))
 	errs := rc.syncErrs
 	var wg sync.WaitGroup
@@ -665,12 +631,14 @@ func (rc *roundCoordinator) syncAll() error {
 	errs[0] = shs[0].log.Sync(seqs[0])
 	wg.Wait()
 	var first error
-	for i, err := range errs {
-		if err != nil {
-			rc.s.noteShardWALFault(shs[i], err)
-			if first == nil {
-				first = err
-			}
+	for _, err := range errs {
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		for _, p := range shs {
+			rc.s.noteShardWALFault(p, first)
 		}
 	}
 	return first

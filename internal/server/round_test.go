@@ -3,10 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"votm"
+	"votm/internal/faultinject"
 	"votm/wire"
 )
 
@@ -221,45 +226,290 @@ func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	}
 }
 
-// TestRoundDefersDependentTask checks the per-task recovery rule: in a
-// durable server an ADD on a key an earlier task of the same round writes
-// waits for the next round (its post-image would embed that task's effect),
-// while blind PUTs on the same key share the round.
-func TestRoundDefersDependentTask(t *testing.T) {
-	f := newRoundFixture(t, Config{
+// bootCopy starts a second server on a copy of f's data directory — what a
+// SIGKILL at this instant would leave — after cut (if any) edited the copy.
+func (f *roundFixture) bootCopy(t *testing.T, cut func(dir string)) *roundFixture {
+	t.Helper()
+	cfg := f.s.cfg
+	cfg.DataDir, cfg.DiskFaultHook = t.TempDir(), nil
+	copyTree(t, f.s.cfg.DataDir, cfg.DataDir)
+	if cut != nil {
+		cut(cfg.DataDir)
+	}
+	return newRoundFixture(t, cfg, 1)
+}
+
+// counter reads key on shard i as an ADD counter (found = false: no key).
+func (f *roundFixture) counter(t *testing.T, i int, key uint64) (uint64, bool) {
+	t.Helper()
+	val, found, err := f.shards[i].doGet(context.Background(), f.w.th, key)
+	if err != nil || (found && len(val) != 8) {
+		t.Fatalf("key %d: %q, %v", key, val, err)
+	}
+	if !found {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(val), true
+}
+
+// heldRound is a durable round stopped inside its one flush: the fault hook
+// holds the first DiskSync it sees.
+type heldRound struct {
+	*roundFixture
+	rc      *roundCoordinator
+	release chan error    // the held flush's verdict
+	done    chan struct{} // closed when the round returned
+	fsyncs  [3]uint64     // per shard, before the round
+
+	// Set by twoShardRound: the participant whose flush is held, the other
+	// one, and the key the round PUT on each shard.
+	held, b int
+	key     [2]uint64
+}
+
+// newHeldRound runs the tasks build returns as one round and returns once
+// its flush is held: every prepare is appended, no walMu is held, nothing is
+// annotated or answered.
+func newHeldRound(t *testing.T, build func(f *roundFixture) []task) *heldRound {
+	var armed atomic.Bool
+	h := &heldRound{release: make(chan error, 1), done: make(chan struct{})}
+	holding := make(chan struct{})
+	h.roundFixture = newRoundFixture(t, Config{
 		ShardWords: 1 << 12, WorkersPerShard: 1,
 		Durability: DurabilityGroup, DataDir: t.TempDir(), SnapshotEvery: time.Hour,
+		DiskFaultHook: func(op faultinject.DiskOp) error {
+			if op == faultinject.DiskSync && armed.CompareAndSwap(true, false) {
+				close(holding)
+				return <-h.release
+			}
+			return nil
+		},
 	}, 2)
-	rc := newTestCoordinator(t, f.s)
-	k0, k1 := f.keys[0][0], f.keys[1][0]
-	add := func(id uint32, d uint64) task {
-		return mkAtomic(f.s, f.c, id,
-			wire.Sub{Kind: wire.SubAdd, Key: k0, Delta: d}, wire.Sub{Kind: wire.SubAdd, Key: k1, Delta: d})
+	t.Cleanup(func() {
+		select {
+		case h.release <- nil:
+		default:
+		}
+	})
+	h.rc = newTestCoordinator(t, h.s)
+	for i, sh := range h.shards {
+		h.fsyncs[i] = sh.log.Fsyncs()
 	}
-	put := func(id uint32, key uint64) task {
-		return mkAtomic(f.s, f.c, id,
-			wire.Sub{Kind: wire.SubPut, Key: key, Value: []byte("blind")}, wire.Sub{Kind: wire.SubPut, Key: f.keys[2][0], Value: []byte("blind")})
+	tasks := build(h.roundFixture)
+	armed.Store(true)
+	go func() {
+		defer close(h.done)
+		h.rc.roundOf(tasks...)
+	}()
+	<-holding
+	return h
+}
+
+// twoShardRound holds a round of one ATOMIC PUTting a key on shards 0 and 1
+// and works out which of the two participants' flushes is the held one.
+func twoShardRound(t *testing.T) *heldRound {
+	h := newHeldRound(t, func(f *roundFixture) []task {
+		return []task{mkAtomic(f.s, f.c, 1,
+			wire.Sub{Kind: wire.SubPut, Key: f.keys[0][0], Value: []byte("round")},
+			wire.Sub{Kind: wire.SubPut, Key: f.keys[1][0], Value: []byte("round")})}
+	})
+	h.key = [2]uint64{h.keys[0][0], h.keys[1][0]}
+	// The hook runs before the fsync is counted: the participant whose count
+	// moves is the one whose flush went through.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if h.shards[0].log.Fsyncs() != h.fsyncs[0] {
+			h.held, h.b = 1, 0
+			return h
+		}
+		if h.shards[1].log.Fsyncs() != h.fsyncs[1] {
+			h.held, h.b = 0, 1
+			return h
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("neither participant's flush went through")
+		}
 	}
-	for _, tk := range []task{add(1, 1), add(2, 10), put(3, f.keys[0][1]), add(4, 100), put(5, f.keys[0][1])} {
-		rc.admit(roundTask{t: tk, batch: f.s.acquireBatch(tk.req.Subs)})
+}
+
+// TestRoundSharesDependentTasks checks that a round is atomic as a whole:
+// ADDs on keys an earlier task of the same round wrote share the round —
+// their post-images embed the round-mates' effects — each participant logs
+// ONE prepare, the round takes ONE flush, and a crash inside the flush
+// recovers every task (all prepares reached the disk) or, with one
+// participant's prepare cut away, none.
+func TestRoundSharesDependentTasks(t *testing.T) {
+	var k0, k1 uint64
+	h := newHeldRound(t, func(f *roundFixture) []task {
+		k0, k1 = f.keys[0][0], f.keys[1][0]
+		add := func(id uint32, d uint64) task {
+			return mkAtomic(f.s, f.c, id,
+				wire.Sub{Kind: wire.SubAdd, Key: k0, Delta: d}, wire.Sub{Kind: wire.SubAdd, Key: k1, Delta: d})
+		}
+		put := func(id uint32) task {
+			return mkAtomic(f.s, f.c, id,
+				wire.Sub{Kind: wire.SubPut, Key: f.keys[0][1], Value: []byte("blind")}, wire.Sub{Kind: wire.SubPut, Key: f.keys[2][0], Value: []byte("blind")})
+		}
+		return []task{add(1, 1), add(2, 10), put(3), add(4, 100), put(5)}
+	})
+	whole := h.bootCopy(t, nil)
+	for i, key := range []uint64{k0, k1} {
+		if v, _ := whole.counter(t, i, key); v != 111 {
+			t.Errorf("crash image, all prepared: key %d = %d, want 111", key, v)
+		}
 	}
-	if len(rc.tasks) != 3 || len(rc.carry) != 2 {
-		t.Fatalf("first round admits %d and defers %d; want 3 (one ADD, both PUTs) and 2 (the later ADDs)", len(rc.tasks), len(rc.carry))
+	none := h.bootCopy(t, func(dir string) {
+		// Shard 1's log held nothing before the round: cut it all away.
+		segs, _ := filepath.Glob(filepath.Join(shardDataDir(dir, 1), "*.seg"))
+		if len(segs) != 1 || os.Truncate(segs[0], 0) != nil {
+			t.Fatalf("cannot cut shard 1's log: %v", segs)
+		}
+	})
+	for i, key := range []uint64{k0, k1, h.keys[2][0]} {
+		if _, found, _ := none.shards[i].doGet(context.Background(), none.w.th, key); found {
+			t.Errorf("crash image without shard 1's prepare: key %d survived on shard %d", key, i)
+		}
 	}
-	rounds := 0
-	for len(rc.tasks) > 0 || len(rc.carry) > 0 {
-		rc.runRound()
-		rounds++
-		rc.fill()
+
+	h.release <- nil
+	<-h.done
+	if r, l, fl := h.rc.nRounds.Load(), h.rc.nLogged.Load(), h.rc.nFlushes.Load(); r != 1 || l != 1 || fl != 1 {
+		t.Fatalf("%d rounds, %d logged, %d flushes; want one of each", r, l, fl)
 	}
-	if rounds != 3 {
-		t.Errorf("three ADDs on one key took %d rounds, want 3", rounds)
-	}
-	got := collect(t, f.c, 5)
+	got := collect(t, h.c, 5)
 	for id, want := range map[uint32]uint64{1: 1, 2: 11, 4: 111} {
 		if r := got[id]; r.status != wire.StatusOK || len(r.subs) != 2 || r.subs[0].Sum != want || r.subs[1].Sum != want {
 			t.Errorf("ADD %d: %+v, want both sums %d (arrival order kept)", id, r, want)
 		}
+	}
+	var prepares, appends uint64
+	for _, sh := range h.shards {
+		prepares, appends = prepares+sh.xsPrepares.Load(), appends+sh.walAppends.Load()
+	}
+	if prepares != 5+3+2 || appends != 3 {
+		t.Errorf("%d (task, participant) shares in %d appends; want 10 shares in one prepare per participant", prepares, appends)
+	}
+	for i, sh := range h.shards {
+		if sh.owed.Load() == 0 {
+			t.Errorf("shard %d owes no annotation after a durable round", i)
+		}
+	}
+}
+
+// putBehind runs a one-PUT write group on the un-held participant, on top of
+// the round's PUT, and starts its flush: the returned channel closes when
+// the group has been answered.
+func (h *heldRound) putBehind(t *testing.T) chan struct{} {
+	t.Helper()
+	sh := h.shards[h.b]
+	th := h.s.rt.RegisterThread()
+	w := newGroupWorker(h.s, sh, th)
+	appends := sh.walAppends.Load()
+	ran := make(chan struct{})
+	go func() {
+		w.run([]task{mkTask(h.s, h.c, wire.OpPut, 2, h.key[h.b], []byte("group"), nil)})
+		close(ran)
+	}()
+	// No walMu is held across the round's flush: the group executes and
+	// appends while the flush is still held.
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a participant's group cannot run while the round's flush is outstanding")
+	}
+	if sh.walAppends.Load() != appends+1 || len(w.pending) != 1 {
+		t.Fatalf("the group did not append behind the prepare: %d appends, %d pending", sh.walAppends.Load()-appends, len(w.pending))
+	}
+	answered := make(chan struct{})
+	go func() {
+		w.close() // flushes
+		th.Release()
+		close(answered)
+	}()
+	return answered
+}
+
+// TestRoundGatesGroupAck: a write group on one participant, appended behind
+// the round's prepare and flushed, is not answered while ANOTHER
+// participant's flush of that round is outstanding.
+func TestRoundGatesGroupAck(t *testing.T) {
+	h := twoShardRound(t)
+	answered := h.putBehind(t)
+	select {
+	case <-answered:
+		t.Fatal("a group behind an in-doubt prepare was answered before the round was durable everywhere")
+	case <-h.done:
+		t.Fatal("the round returned with a participant's flush held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	h.release <- nil
+	<-answered
+	<-h.done
+	for id, r := range collect(t, h.c, 2) {
+		if r.status != wire.StatusOK {
+			t.Errorf("request %d: status %v (%s)", id, r.status, r.value)
+		}
+	}
+	if rs := h.s.RoundStats(); rs.GroupWaits != 1 {
+		t.Errorf("GroupWaits = %d, want the one gated group", rs.GroupWaits)
+	}
+	// Replay order = memory order: the group's value wins in a crash image.
+	re := h.bootCopy(t, nil)
+	if val, _, _ := re.shards[h.b].doGet(context.Background(), re.w.th, h.key[h.b]); string(val) != "group" {
+		t.Errorf("crash image: key %d = %q, want the group's value", h.key[h.b], val)
+	}
+}
+
+// TestRoundGatesCapture: a state capture (snapshot, bootstrap, handoff) of an
+// in-doubt shard waits the round out, then captures a state whose sequence
+// covers the prepare.
+func TestRoundGatesCapture(t *testing.T) {
+	h := twoShardRound(t)
+	sh := h.shards[h.b]
+	prepSeq := sh.log.NextSeq() - 1
+	captured := make(chan error, 1)
+	go func() {
+		_, err := h.s.snapshotShard(sh, h.w.th)
+		captured <- err
+	}()
+	select {
+	case err := <-captured:
+		t.Fatalf("snapshot of an in-doubt shard returned (%v) before the round was durable", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	h.release <- nil
+	if err := <-captured; err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	<-h.done
+	if got := sh.snapSeq.Load(); got < prepSeq {
+		t.Errorf("snapshot seq %d does not cover the prepare at %d", got, prepSeq)
+	}
+	if r := collect(t, h.c, 1)[1]; r.status != wire.StatusOK {
+		t.Errorf("round: status %v (%s)", r.status, r.value)
+	}
+}
+
+// TestRoundFlushFaultVoidsGatedGroup: failing the held flush answers the
+// round's writers and the group behind the prepare TX_FAULT and flips both
+// participants read-only — the group's flush itself succeeded.
+func TestRoundFlushFaultVoidsGatedGroup(t *testing.T) {
+	h := twoShardRound(t)
+	answered := h.putBehind(t)
+	h.release <- &faultinject.InjectedDiskFault{Op: faultinject.DiskSync}
+	<-answered
+	<-h.done
+	for id, r := range collect(t, h.c, 2) {
+		if r.status != wire.StatusTxFault {
+			t.Errorf("request %d: status %v (%s), want TX_FAULT", id, r.status, r.value)
+		}
+	}
+	for _, i := range []int{h.held, h.b} {
+		if sh := h.shards[i]; !sh.readOnly.Load() || sh.owed.Load() != 0 {
+			t.Errorf("participant %d after the round's flush failed: read-only %v, owes annotation %d", i, sh.readOnly.Load(), sh.owed.Load())
+		}
+	}
+	if _, _, err := h.s.captureShardState(h.shards[h.b], h.w.th, nil); err == nil {
+		t.Error("a shard left in doubt by a failed round was captured")
 	}
 }
 

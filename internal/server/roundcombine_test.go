@@ -24,8 +24,9 @@ import (
 // server whose flush takes a millisecond — so tasks pile up behind the
 // running round. It asserts what a per-worker round could never show: rounds
 // that mix tasks dispatched to different coordinating shards, more than one
-// task per round on average, every transfer acknowledged, and the zero-sum
-// oracle intact (each transfer applied on both shards or neither).
+// task per round on average, one flush per round, every transfer
+// acknowledged, and the zero-sum oracle intact (each transfer applied on both
+// shards or neither).
 func TestRoundCombinesAcrossCoordinators(t *testing.T) {
 	const (
 		shards, conns  = 4, 4
@@ -119,7 +120,10 @@ func TestRoundCombinesAcrossCoordinators(t *testing.T) {
 	if rs.MeanTasks() <= 1 {
 		t.Errorf("mean tasks per round %.2f, want > 1: %+v", rs.MeanTasks(), rs)
 	}
-	t.Logf("%d rounds, %.1f tasks/round, largest %d, %d mixed", rs.Rounds, rs.MeanTasks(), rs.Largest, rs.Mixed)
+	if rs.Logged != rs.Rounds || rs.FlushesPerRound() != 1 {
+		t.Errorf("%d of %d rounds logged at %.2f flushes each, want every round at exactly one: %+v", rs.Logged, rs.Rounds, rs.FlushesPerRound(), rs)
+	}
+	t.Logf("%d rounds, %.1f tasks/round, largest %d, %d mixed, %d gated group waits", rs.Rounds, rs.MeanTasks(), rs.Largest, rs.Mixed, rs.GroupWaits)
 
 	c := dialClient(t, addr, client.Options{})
 	var sum uint64

@@ -337,14 +337,15 @@ type Server struct {
 	hwWinStop chan struct{}
 	hwWinWG   sync.WaitGroup
 
-	// xidBase makes cross-shard prepare IDs unique across process
+	// xidBase makes cross-shard round IDs unique across process
 	// incarnations: decided prepares stay behind in the logs, and recovery
 	// must never pair a stale prepare with a fresh decision. By the time new
 	// xids are issued, every prior incarnation's prepare has been resolved
 	// in-log (resolveCrossShard runs before the workers start), so the
-	// startup-stamped base plus a counter suffices.
+	// startup-stamped base plus a counter suffices; gate orders rounds by it.
 	xidBase uint64
 	xidCtr  atomic.Uint64
+	gate    roundGate
 
 	// Durability plumbing (durability.go); inert when Durability is off.
 	snapshotStop chan struct{}
@@ -407,7 +408,8 @@ func New(cfg Config) (*Server, error) {
 	s.xidBase = uint64(time.Now().UnixNano()) << 20
 	durable := cfg.Durability != DurabilityOff
 	var recoveryTh *votm.Thread
-	cr := &crossRecovery{committed: make(map[uint64]bool)}
+	s.gate.faults, s.gate.cond.L = make(map[uint64]error), &s.gate.mu
+	cr := &crossRecovery{horizon: make([]uint64, cfg.Shards)}
 	if durable {
 		recoveryTh = s.rt.RegisterThread()
 		defer recoveryTh.Release()
@@ -439,10 +441,10 @@ func New(cfg Config) (*Server, error) {
 		seeds = append(seeds, sh)
 	}
 	if durable {
-		// Cross-shard prepares left undecided by a crash need evidence from
-		// EVERY log (a group is committed iff any participant holds its
-		// commit record), so resolution runs only after all shards replayed —
-		// and before any worker can append new groups.
+		// A round left undecided by a crash needs every log's horizon (it is
+		// committed iff all its participants' prepares are durable), so
+		// resolution runs only after all shards replayed — and before any
+		// worker can append new groups.
 		if err := s.resolveCrossShard(recoveryTh, cr); err != nil {
 			return nil, err
 		}

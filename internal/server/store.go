@@ -68,6 +68,14 @@ type shard struct {
 	dataDir string
 	log     *wal.Log
 	walMu   sync.Mutex
+	// doubt is the xid of the newest cross-shard round that logged a prepare
+	// here (guarded by walMu): until Server.awaitRound passes it, whatever
+	// logs behind the prepare must not answer. owed is the xid of a round
+	// found durable whose RecCommit annotation this log still lacks: the next
+	// batch appended here carries it (appendWAL); a crash forgets it and
+	// recovery decides that round by the all-prepared rule.
+	doubt uint64
+	owed  atomic.Uint64
 	// readOnly flips on after a WAL append or fsync failure: the in-memory
 	// state may be ahead of the durable log, so further writes are refused
 	// (StatusTxFault) rather than widening the divergence.
@@ -79,9 +87,9 @@ type shard struct {
 	lastSnap   atomic.Int64  // unix seconds of the last snapshot; 0 = never
 
 	// Cross-shard ATOMIC meters (round.go runRound): committed
-	// multi-participant groups this shard took part in, prepare records it
-	// appended, and prepares that ended in an abort (validation failure or a
-	// mid-protocol WAL fault).
+	// multi-participant groups this shard took part in, the (task,
+	// participant) shares its prepare records carried, and prepares that
+	// ended in an abort (a mid-protocol WAL fault, or recovery's verdict).
 	xsGroups        atomic.Uint64
 	xsPrepares      atomic.Uint64
 	xsPrepareAborts atomic.Uint64

@@ -57,6 +57,16 @@ func FuzzReplay(f *testing.F) {
 	hdr := append([]byte(nil), seg...)
 	hdr[0] ^= 0xff // absurd length prefix
 	f.Add(hdr)
+	// A cross-shard round as the server logs it: a participant-listing
+	// prepare, a group batch behind it carrying the owed commit annotation in
+	// front — whole, and torn inside the prepare's value.
+	round := appendBatch(nil, 1, []Record{{Kind: RecPrepare, Key: 77, Value: AppendPrepareValue(nil,
+		[]Participant{{Shard: 0, Seq: 1}, {Shard: 2, Seq: 9}},
+		[]Record{{Kind: RecPut, Key: 5, Value: []byte("five")}, {Kind: RecDelete, Key: 6}})}})
+	tornAt := len(round) - 9
+	round = appendBatch(round, 2, []Record{{Kind: RecCommit, Key: 77}, {Kind: RecPut, Key: 5, Value: []byte("later")}})
+	f.Add(round)
+	f.Add(round[:tornAt])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -75,8 +85,13 @@ func FuzzReplay(f *testing.F) {
 			}
 			next = seq + 1
 			for _, r := range recs {
-				if r.Kind != RecPut && r.Kind != RecDelete {
+				if r.Kind < RecPut || r.Kind > RecAbort {
 					t.Fatalf("invalid record kind %d surfaced", r.Kind)
+				}
+				if r.Kind == RecPrepare {
+					var parts []Participant
+					var nested []Record
+					_ = DecodePrepareValue(r.Value, &parts, &nested) // any bytes: must not panic
 				}
 			}
 			applied++

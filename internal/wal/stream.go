@@ -118,7 +118,7 @@ func (l *Log) Reset(nextSeq uint64) error {
 	// commit runs fsyncs outside the caller's append serialization) must
 	// either finish against the old segment first or observe the swapped
 	// state, never fsync a closing file.
-	l.syncMu.Lock()
+	l.lockSync()
 	defer l.syncMu.Unlock()
 	if err := l.f.Close(); err != nil {
 		l.failed.Store(true)

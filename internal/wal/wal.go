@@ -21,7 +21,7 @@
 //
 //	u32 bodyLen | u32 crc32c(body) | body
 //	body = u64 seq | u32 count | count × record
-//	record = u8 kind | u64 key | (RecPut: u32 vlen | vlen bytes)
+//	record = u8 kind | u64 key | (RecPut, RecPrepare: u32 vlen | vlen bytes)
 //
 // little-endian throughout. Torn tails — a crash mid-write — are detected by
 // the length/CRC pair: replay stops at the first short or corrupt frame,
@@ -58,20 +58,23 @@ const (
 	// RecDelete removes a key.
 	RecDelete RecordKind = 2
 
-	// RecPrepare is phase one of a cross-shard ATOMIC group: Key carries the
-	// group's transaction ID (xid), Value the nested encoding
-	// (AppendPrepareValue) of this shard's share of the group's redo records.
-	// A prepare is a promise, not a decision: replay stashes it and applies
-	// the records only at the matching RecCommit.
+	// RecPrepare is one shard's share of a cross-shard ATOMIC round: Key
+	// carries the round's transaction ID (xid), Value (AppendPrepareValue)
+	// the round's participant list and this shard's redo records. The round
+	// is committed iff every listed participant's log is durable through its
+	// listed sequence. Until its decision is known, replay holds the prepare
+	// and every record behind it: they apply at the PREPARE's position.
 	RecPrepare RecordKind = 3
-	// RecCommit is the decision record for xid = Key: replay applies the
-	// stashed prepare at this point in the log. The coordinator appends every
-	// participant's commit only after ALL prepares are durable, so a commit
-	// record anywhere implies every participant can replay its share.
+	// RecCommit annotates xid = Key as committed: replay applies the held
+	// prepare, then the records held behind it, in log order. It is never
+	// the decision itself — it rides in front of the shard's next batch once
+	// the round's one flush returned — it only saves the next recovery the
+	// cross-log check.
 	RecCommit RecordKind = 4
-	// RecAbort drops the stashed prepare for xid = Key. Written by the
-	// mid-protocol failure path and by recovery when it resolves a dangling
-	// prepare, making each log self-contained afterwards.
+	// RecAbort annotates xid = Key as aborted: replay drops the held prepare
+	// AND the records held behind it (they were computed on top of effects
+	// that never became durable). Written when a prepare append fails midway
+	// and by recovery when it resolves a dangling prepare.
 	RecAbort RecordKind = 5
 )
 
@@ -142,8 +145,14 @@ type Log struct {
 	started  bool
 	appended atomic.Uint64 // last appended seq, read by Sync
 
-	syncMu sync.Mutex
-	synced uint64 // last seq known durable; guarded by syncMu
+	// The flush side. One Sync caller at a time is the flusher: it marks
+	// flushing under syncMu, flushes with the mutex RELEASED, and broadcasts;
+	// the others wait on syncCond and return the moment synced covers them,
+	// never queueing behind a flush they do not need.
+	syncMu   sync.Mutex
+	syncCond sync.Cond
+	flushing bool
+	synced   uint64 // last seq known durable
 
 	fsyncs atomic.Uint64 // segment fsyncs issued (piggybacking keeps this ≤ appends)
 	failed atomic.Bool
@@ -159,7 +168,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Log{dir: dir, opts: opts}, nil
+	l := &Log{dir: dir, opts: opts}
+	l.syncCond.L = &l.syncMu
+	return l, nil
 }
 
 // Dir returns the log's directory.
@@ -348,12 +359,11 @@ func (l *Log) writeFrame(frame []byte) error {
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens the next
-// one. Called with l.mu held. It holds syncMu throughout: Sync flushes l.f
-// under syncMu alone, so swapping the file beneath a concurrent Sync would
-// hand fdatasync a closed descriptor. (Lock order l.mu → syncMu; Sync never
-// takes l.mu.)
+// one. Called with l.mu held. It holds syncMu throughout, taken with no flush
+// in flight: swapping the file beneath a concurrent Sync would hand fdatasync
+// a closed descriptor. (Lock order l.mu → syncMu; Sync never takes l.mu.)
 func (l *Log) rotateLocked() error {
-	l.syncMu.Lock()
+	l.lockSync()
 	defer l.syncMu.Unlock()
 	if err := l.syncFile(); err != nil {
 		return err
@@ -391,29 +401,48 @@ func (l *Log) syncFile() error {
 // Fsyncs returns the number of segment fsyncs issued so far.
 func (l *Log) Fsyncs() uint64 { return l.fsyncs.Load() }
 
+// lockSync takes syncMu with no flush in flight: whoever swaps or closes the
+// active segment must not pull it from under a flusher.
+func (l *Log) lockSync() {
+	l.syncMu.Lock()
+	for l.flushing {
+		l.syncCond.Wait()
+	}
+}
+
 // Sync blocks until batch seq is durable. Concurrent callers share fsyncs:
-// whoever wins the sync mutex flushes everything appended so far, and the
-// queued callers find their sequence already covered — the group-commit
-// piggyback that keeps fsyncs at or below one per transaction group.
+// the flusher flushes everything appended so far, and every caller that
+// flush covers returns with it — the group-commit piggyback that keeps
+// fsyncs at or below one per transaction group. A caller it does not cover
+// flushes next.
 func (l *Log) Sync(seq uint64) error {
 	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	if l.synced >= seq {
-		return nil
+	for l.flushing && l.synced < seq {
+		l.syncCond.Wait()
 	}
-	if l.failed.Load() {
-		return ErrFailed
+	var err error
+	switch {
+	case l.synced >= seq:
+	case l.failed.Load():
+		err = ErrFailed
+	case l.closed.Load():
+		err = ErrClosed
+	default:
+		l.flushing = true
+		target := l.appended.Load()
+		l.syncMu.Unlock()
+		err = l.syncFile()
+		l.syncMu.Lock()
+		l.flushing = false
+		if err != nil {
+			l.failed.Store(true)
+		} else {
+			l.synced = max(l.synced, target)
+		}
+		l.syncCond.Broadcast()
 	}
-	if l.closed.Load() {
-		return ErrClosed
-	}
-	target := l.appended.Load()
-	if err := l.syncFile(); err != nil {
-		l.failed.Store(true)
-		return err
-	}
-	l.synced = target
-	return nil
+	l.syncMu.Unlock()
+	return err
 }
 
 // Failed reports whether the log hit an I/O failure and refuses writes.
@@ -456,6 +485,8 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
+	l.lockSync()
+	defer l.syncMu.Unlock()
 	var err error
 	if !l.failed.Load() {
 		err = l.syncFile()
@@ -521,11 +552,25 @@ func RemoveCleanMarker(dir string) error {
 
 // --- prepare-record payload ----------------------------------------------
 
-// AppendPrepareValue encodes recs — one shard's share of a cross-shard
-// group's redo records — as a RecPrepare value: u32 count followed by the
-// batch record encoding. Only RecPut and RecDelete may nest (a prepare never
-// contains another prepare or a decision record).
-func AppendPrepareValue(dst []byte, recs []Record) []byte {
+// Participant names one shard's share of a cross-shard round: the prepare it
+// logged sits at Seq of shard Shard's log. A round is committed iff every
+// participant's log is durable through its Seq (the all-prepared rule).
+type Participant struct {
+	Shard uint32
+	Seq   uint64
+}
+
+// prepareMark opens a RecPrepare value that carries a participant list: a
+// record count no legacy value (u32 count first) can hold, then a version
+// byte.
+const (
+	prepareMark    = 0xFFFFFFFF
+	prepareVersion = 1
+)
+
+// AppendRecords encodes recs as a nested record list: u32 count followed by
+// the batch record encoding. Only RecPut and RecDelete may nest.
+func AppendRecords(dst []byte, recs []Record) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(recs)))
 	for _, r := range recs {
 		dst = append(dst, byte(r.Kind))
@@ -538,10 +583,10 @@ func AppendPrepareValue(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// DecodePrepareValue parses a RecPrepare value into *recs (reusing its
+// DecodeRecords parses a nested record list into *recs (reusing its
 // capacity). It returns false on a malformed payload or a nested kind that
 // is not RecPut/RecDelete. Decoded values borrow the input buffer.
-func DecodePrepareValue(value []byte, recs *[]Record) bool {
+func DecodeRecords(value []byte, recs *[]Record) bool {
 	*recs = (*recs)[:0]
 	if len(value) < 4 {
 		return false
@@ -572,10 +617,49 @@ func DecodePrepareValue(value []byte, recs *[]Record) bool {
 		}
 		*recs = append(*recs, r)
 	}
-	if len(p) != 0 {
+	return len(p) == 0
+}
+
+// AppendPrepareValue encodes a RecPrepare value: the round's participant
+// list (every shard that logs a prepare for this xid, with the sequence it
+// lands at) and recs, this shard's share of the round's redo records in
+// execution order:
+//
+//	u32 prepareMark | u8 version | u32 n | n × (u32 shard | u64 seq) | records
+func AppendPrepareValue(dst []byte, parts []Participant, recs []Record) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, prepareMark)
+	dst = append(dst, prepareVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(parts)))
+	for _, p := range parts {
+		dst = binary.LittleEndian.AppendUint32(dst, p.Shard)
+		dst = binary.LittleEndian.AppendUint64(dst, p.Seq)
+	}
+	return AppendRecords(dst, recs)
+}
+
+// DecodePrepareValue parses a RecPrepare value into *parts and *recs
+// (reusing their capacity). A legacy value — a bare record list, written
+// before prepares named their participants — decodes with *parts empty: it
+// replays when its decision follows in the same log, and cannot be decided
+// otherwise. Decoded values borrow the input buffer.
+func DecodePrepareValue(value []byte, parts *[]Participant, recs *[]Record) bool {
+	*parts = (*parts)[:0]
+	if len(value) < 4 || binary.LittleEndian.Uint32(value) != prepareMark {
+		return DecodeRecords(value, recs)
+	}
+	if len(value) < 9 || value[4] != prepareVersion {
 		return false
 	}
-	return true
+	n := int(binary.LittleEndian.Uint32(value[5:]))
+	p := value[9:]
+	if n == 0 || n > len(p)/12 {
+		return false
+	}
+	for ; n > 0; n-- {
+		*parts = append(*parts, Participant{Shard: binary.LittleEndian.Uint32(p), Seq: binary.LittleEndian.Uint64(p[4:])})
+		p = p[12:]
+	}
+	return DecodeRecords(p, recs)
 }
 
 // writeFileSync writes path atomically enough for a marker: create, write,

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"votm/internal/faultinject"
 )
@@ -142,6 +144,107 @@ func TestSyncIdempotentAndPiggyback(t *testing.T) {
 	wg.Wait()
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestSyncCoveredWaiterSkipsNextFlush pins the piggyback's shape: a caller
+// the flush in flight covers returns when that flush does — it never queues
+// behind the flush an uncovered caller takes next.
+func TestSyncCoveredWaiterSkipsNextFlush(t *testing.T) {
+	entered, release := make(chan struct{}, 4), make(chan struct{})
+	l := openStarted(t, t.TempDir(), Options{Fault: func(op faultinject.DiskOp) error {
+		if op == faultinject.DiskSync {
+			entered <- struct{}{}
+			<-release
+		}
+		return nil
+	}})
+	put := func() uint64 {
+		seq, _, err := l.Append([]Record{{Kind: RecPut, Key: 1, Value: []byte("x")}})
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		return seq
+	}
+	first, second := put(), put()
+	done := make(chan uint64, 3)
+	syncTo := func(seq uint64) {
+		if err := l.Sync(seq); err != nil {
+			t.Errorf("Sync(%d): %v", seq, err)
+		}
+		done <- seq
+	}
+	go syncTo(second) // the flusher: covers both
+	<-entered
+	third := put() // appended behind the flush in flight
+	go syncTo(first)
+	go syncTo(third)
+	time.Sleep(10 * time.Millisecond) // let both park behind the flusher
+	release <- struct{}{}
+	<-entered // the uncovered caller flushes next, and is held there
+	for i := 0; i < 2; i++ {
+		select {
+		case seq := <-done:
+			if seq == third {
+				t.Fatal("the uncovered Sync returned without its flush")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a Sync the finished flush covers is stuck behind the next one")
+		}
+	}
+	release <- struct{}{}
+	if seq := <-done; seq != third {
+		t.Fatalf("last Sync to return was %d, want %d", seq, third)
+	}
+	if n := l.Fsyncs(); n != 2 {
+		t.Errorf("%d fsyncs for three Syncs, want 2", n)
+	}
+	go func() { <-entered; release <- struct{}{} }() // Close flushes once more
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestPrepareValueRoundTrip covers both shapes a RecPrepare value takes: the
+// participant-listing one this package writes, and the legacy bare record
+// list, which decodes with no participants.
+func TestPrepareValueRoundTrip(t *testing.T) {
+	recs := []Record{{Kind: RecPut, Key: 7, Value: []byte("seven")}, {Kind: RecDelete, Key: 8}, {Kind: RecPut, Key: 9}}
+	parts := []Participant{{Shard: 0, Seq: 41}, {Shard: 3, Seq: 1 << 40}}
+	var (
+		gotParts []Participant
+		got      []Record
+	)
+	check := func(value []byte, wantParts []Participant) {
+		t.Helper()
+		if !DecodePrepareValue(value, &gotParts, &got) {
+			t.Fatalf("DecodePrepareValue rejected %x", value)
+		}
+		if !reflect.DeepEqual(gotParts, wantParts) && (len(gotParts) != 0 || len(wantParts) != 0) {
+			t.Errorf("participants %v, want %v", gotParts, wantParts)
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("%d records, want %d", len(got), len(recs))
+		}
+		for i, r := range recs {
+			if got[i].Kind != r.Kind || got[i].Key != r.Key || !bytes.Equal(got[i].Value, r.Value) {
+				t.Errorf("record %d: %+v, want %+v", i, got[i], r)
+			}
+		}
+	}
+	value := AppendPrepareValue(nil, parts, recs)
+	check(value, parts)
+	check(AppendRecords(nil, recs), nil)
+	for cut := 1; cut < len(value); cut++ {
+		if DecodePrepareValue(value[:cut], &gotParts, &got) {
+			t.Errorf("a value cut to %d of %d bytes decoded", cut, len(value))
+		}
+	}
+	if DecodePrepareValue(AppendPrepareValue(nil, nil, recs), &gotParts, &got) {
+		t.Error("a marked prepare without participants decoded")
+	}
+	if DecodeRecords(AppendRecords(nil, []Record{{Kind: RecPrepare, Key: 1}}), &got) {
+		t.Error("a nested prepare decoded")
 	}
 }
 
