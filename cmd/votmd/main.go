@@ -186,8 +186,8 @@ func main() {
 					logger.Print(line)
 				}
 				rs := srv.RoundStats()
-				logger.Printf("cross-shard rounds: %d rounds, %d batches, %.1f tasks/round, largest %d, %d mixing coordinating shards, %.2f flushes/round, %d gated group waits",
-					rs.Rounds, rs.Tasks, rs.MeanTasks(), rs.Largest, rs.Mixed, rs.FlushesPerRound(), rs.GroupWaits)
+				logger.Printf("cross-shard rounds: %d rounds, %d tasks (%d SCAN pages), %.1f tasks/round, largest %d, %.2f flushes/round, %d gated group waits",
+					rs.Rounds, rs.Tasks, rs.Pages, rs.MeanTasks(), rs.Largest, rs.FlushesPerRound(), rs.GroupWaits)
 			}
 		}()
 	}

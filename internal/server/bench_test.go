@@ -423,7 +423,8 @@ func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 		b.ReportMetric(float64(fsyncs)/float64(appends), "fsync-share")
 	}
 	if rs := srv.RoundStats(); rs.Rounds > 0 {
-		// Cross-shard ATOMICs combined per coordination round (the xshard cell).
+		// Tasks (spanning ATOMICs; no cell here scans) combined per coordination
+		// round (the xshard cell).
 		b.ReportMetric(rs.MeanTasks(), "tasks/round")
 		if rs.Logged > 0 {
 			b.ReportMetric(rs.FlushesPerRound(), "flushes/round")

@@ -129,6 +129,20 @@ func runServerChaos(t *testing.T, mod func(*server.Config)) {
 						tallies[ci][key] += delta
 						tallies[ci][other] += delta
 					}
+				case op == 3:
+					// A SCAN page rides the same coordinator: every counter, in
+					// key order, or a typed fault.
+					sc, last, n := c.Scan(0, 1<<62, client.ScanOptions{PageSize: 4}), uint64(0), 0
+					for sc.Next(ctx) {
+						if k := sc.Entry().Key; n > 0 && k <= last {
+							err = fmt.Errorf("scan: key %d after %d", k, last)
+						} else {
+							last, n = k, n+1
+						}
+					}
+					if err == nil {
+						err = sc.Err()
+					}
 				default:
 					delta := uint64(rng.Intn(500) + 1)
 					if _, err = c.Add(ctx, key, delta); err == nil {
@@ -249,8 +263,8 @@ func runServerChaos(t *testing.T, mod func(*server.Config)) {
 	if n := roundCoordinators(); n != baseCoordinators {
 		t.Errorf("%d round coordinator goroutines after the drain, %d before the server started", n, baseCoordinators)
 	}
-	if rs := srv.RoundStats(); rs.Rounds == 0 {
-		t.Error("chaos soak completed without a single cross-shard round")
+	if rs := srv.RoundStats(); rs.Rounds == 0 || rs.Pages == 0 || rs.Pages == rs.Tasks {
+		t.Errorf("chaos soak left ATOMIC rounds or SCAN pages unexercised: %+v", rs)
 	}
 	t.Logf("chaos: %d injected panics, %d client-visible faults, injector %+v",
 		stats.Panics, totalFaults, stats)

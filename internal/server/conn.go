@@ -6,19 +6,23 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"votm/wire"
 )
 
 // conn is one client connection. A read goroutine parses frames and either
-// answers inline (PING, STATS, rejections) or dispatches to a shard queue;
-// shard workers push responses onto out, and a write goroutine flushes them
-// — so responses complete out of order and the connection pipelines.
+// answers inline (PING, STATS, rejections) or plans the request — the only
+// place a request is routed — and queues it on its executor: the owning
+// shard's ring for a point op or a same-shard ATOMIC, the round coordinator's
+// queue for a spanning ATOMIC or a SCAN page. The executors push responses
+// onto out, and a write goroutine flushes them — so responses complete out of
+// order and the connection pipelines.
 //
 // Requests and responses are pooled (wire.NewRequest/NewResponse) with
-// release-after-write ownership: a dispatched request belongs to the shard
-// worker, which releases it after answering; a response handed to send
+// release-after-write ownership: a dispatched request belongs to its
+// executor, which releases it after answering; a response handed to send
 // belongs to the write loop, which releases it after encoding.
 type conn struct {
 	srv *Server
@@ -88,9 +92,9 @@ func (c *conn) readLoop() {
 }
 
 // dispatch validates req and routes it: control ops answer inline, data ops
-// go to their shard's bounded queue (full queue => StatusBusy, draining
+// go to their executor's bounded queue (full queue => StatusBusy, draining
 // server => StatusShutdown). Inline paths release req here; a dispatched
-// req is released by the shard worker.
+// req is released by its executor.
 func (c *conn) dispatch(req *wire.Request) {
 	s := c.srv
 	// reject answers req inline and retires it.
@@ -137,45 +141,63 @@ func (c *conn) dispatch(req *wire.Request) {
 		return
 	}
 
-	var sh *shard
-	switch req.Op {
-	case wire.OpAtomic:
-		// An ATOMIC batch may span shards: it is dispatched to its canonical
-		// coordinator (the first participant in the global acquisition
-		// order), whose worker executes it in its group when every key is its
-		// own, else hands it to the server's round coordinator (round.go).
-		sh = s.atomicCoordinator(req)
-	case wire.OpScan:
-		// A SCAN page consults every sub-shard: it runs on the global scan
-		// coordinator, the front of the same acquisition order (scan.go).
-		sh = s.scanCoordinator()
-	default:
-		sh = s.shards[s.Shard(req.Key)].route(req.Key)
-	}
-
 	if !s.beginReq() {
 		reject(wire.StatusShutdown, "server draining")
 		return
 	}
 	c.pending.Add(1)
+
+	// The one plan. sh is the ring the task is queued on: the key's owner, or
+	// the single participant of an ATOMIC, which joins that shard's group
+	// with its plan attached. A nil sh means the request involves several
+	// sub-shards — a spanning ATOMIC, or a SCAN page, which consults them
+	// all — and goes straight to the round coordinator (round.go): it never
+	// enters a ring. Nothing re-plans after this; a plan a split made stale
+	// is caught by the executors' in-transaction route check (BUSY).
+	t := task{req: req, c: c}
+	var sh *shard
+	switch req.Op {
+	case wire.OpAtomic:
+		t.batch = s.acquireBatch(req.Subs)
+		if len(t.batch.parts) == 1 {
+			sh = t.batch.parts[0]
+		}
+	case wire.OpScan:
+	default:
+		sh = s.shards[s.Shard(req.Key)].route(req.Key)
+	}
+	// busy refuses the planned task before anything executed.
+	busy := func(meter *atomic.Uint64) {
+		meter.Add(1)
+		if t.batch != nil {
+			s.releaseBatch(t.batch)
+		}
+		c.pending.Done()
+		s.reqWG.Done()
+		reject(wire.StatusBusy, "")
+	}
 	switch {
+	case sh == nil:
+		if !s.rounds.submit(t) {
+			// The round queue is full. It belongs to no shard: meter an ATOMIC
+			// on its first participant, a page on the least sub-shard.
+			sh = s.leastSubShard()
+			if t.batch != nil {
+				sh = t.batch.parts[0]
+			}
+			busy(&sh.ringFull)
+		}
 	case sh.queue.Len() >= sh.ctl.admitLimit():
 		// Adaptive admission gate: the queue's estimated drain time already
 		// exceeds the latency budget, so shed this arrival with BUSY now —
 		// bounding p999 — instead of letting it queue toward the hard bound.
-		sh.admissionRejects.Add(1)
-		c.pending.Done()
-		s.reqWG.Done()
-		reject(wire.StatusBusy, "")
-	case sh.queue.TryPush(task{req: req, c: c}):
+		busy(&sh.admissionRejects)
+	case sh.queue.TryPush(t):
 		sh.noteDepth(uint64(sh.queue.Len()), s.hwWin.Load())
 	default:
 		// Bounded in-flight queue is full: reject now instead of queueing
 		// unboundedly. The client sees a typed BUSY and decides.
-		sh.ringFull.Add(1)
-		c.pending.Done()
-		s.reqWG.Done()
-		reject(wire.StatusBusy, "")
+		busy(&sh.ringFull)
 	}
 }
 

@@ -357,7 +357,7 @@ func (s *Server) snapshotLoop() {
 			return
 		case <-ticker.C:
 		}
-		for _, sh := range s.allSubShards() {
+		for _, sh := range s.appendSubShards(nil) {
 			if sh.readOnly.Load() {
 				continue // state may be ahead of the log; keep the old snapshot
 			}
@@ -416,7 +416,7 @@ func appendGroupRecords(recs []wal.Record, valBuf []byte, ops []groupOp) ([]wal.
 		if op.skip {
 			continue
 		}
-		if b := op.batch; b != nil {
+		if b := op.t.batch; b != nil {
 			if b.err == nil {
 				recs, valBuf = appendAtomicRecords(recs, valBuf, b, 0)
 			}

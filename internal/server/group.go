@@ -7,10 +7,13 @@
 // shard; an ATOMIC member is interpreted by multiBatch (store.go) with its
 // own validate-before-first-write pass and its own verdict.
 //
-// An ATOMIC batch whose keys span sub-shards is not a worker's business: the
-// worker plans it, hands it to the server's round coordinator (round.go) and
-// carries on with its group — it neither waits for the round nor flushes
-// ahead of it. The group and the round are the server's only two executors.
+// A worker plans nothing: the connection reader routed every request before
+// it entered this shard's ring (conn.dispatch), an ATOMIC member arrives with
+// its plan attached (task.batch), and work that involves several sub-shards —
+// a spanning ATOMIC, a SCAN page — never enters a ring: the reader hands it to
+// the server's round coordinator (round.go). The group and the round are the
+// server's only two executors, and a plan a split made stale is refused by
+// the in-transaction route check (BUSY), here as there.
 //
 // Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created flags, an ATOMIC's
 // BAD_REQUEST) stay per-request statuses; a conflict abort re-executes the
@@ -37,7 +40,8 @@ import (
 	"votm/wire"
 )
 
-// groupOp is one member's slot in a grouped transaction.
+// groupOp is one member's slot in a grouped transaction. An ATOMIC member's
+// interpreter state (t.batch) owns that member's pre-allocations.
 type groupOp struct {
 	t    task
 	resp *wire.Response
@@ -45,10 +49,6 @@ type groupOp struct {
 	// skip excludes an op whose pre-allocation failed; its resp already
 	// carries the failure status and the transaction never sees it.
 	skip bool
-
-	// batch is the interpreter state of an ATOMIC member (nil for point
-	// ops); it owns that member's pre-allocations.
-	batch *multiBatch
 
 	// block/node are pre-allocated outside the transaction for PUT and CAS
 	// (alloc-outside / link-inside / free-after-commit discipline);
@@ -154,16 +154,15 @@ func (r *reqContext) close() {
 	}
 }
 
-// run executes one drained batch: route-rechecked point ops and same-shard
-// ATOMIC batches execute as a single grouped transaction; cross-shard ATOMIC
-// batches are handed to the round coordinator, which answers them. Every
-// task is answered exactly once.
+// run executes one drained batch as a single grouped transaction — point
+// ops and same-shard ATOMIC batches alike — with cluster stream ops run one by
+// one ahead of it. Every task is answered exactly once.
 func (w *groupWorker) run(batch []task) {
 	for _, t := range batch {
 		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
-			// Cluster stream ops carry WAL sequences, not keys: they bypass
-			// the route recheck. Lagged groups settle first so AppendFrames
-			// and installs never interleave with an unflushed append.
+			// Cluster stream ops carry WAL sequences, not keys. Lagged groups
+			// settle first so AppendFrames and installs never interleave with
+			// an unflushed append.
 			w.flushPending()
 			if t.req.Op == wire.OpReplicate {
 				w.runReplicate(t)
@@ -172,38 +171,7 @@ func (w *groupWorker) run(batch []task) {
 			}
 			continue
 		}
-		// A split between dispatch and execution may have moved an ATOMIC's
-		// or SCAN's coordinator: answer BUSY (retryable).
-		if resp := w.s.recheckRoute(w.sh, t.req); resp != nil {
-			w.s.finish(t, resp)
-			continue
-		}
-		switch t.req.Op {
-		case wire.OpScan:
-			// A SCAN page pauses every view; settle lagged flushes first so
-			// the writes it reveals never outrun their durability answers.
-			w.flushPending()
-			w.runScan(t)
-		case wire.OpAtomic:
-			b := w.s.acquireBatch(t.req.Subs)
-			if len(b.parts) == 1 && b.parts[0] == w.sh {
-				w.ops = append(w.ops, groupOp{t: t, batch: b})
-				continue
-			}
-			// A batch spanning sub-shards — or whose plan resolved to a
-			// single FOREIGN participant after a routing move — belongs to
-			// the round coordinator. The hand-off never blocks: a full round
-			// queue answers BUSY here, before anything executed.
-			if !w.s.rounds.submit(t, b) {
-				w.sh.ringFull.Add(1)
-				w.s.releaseBatch(b)
-				resp := wire.NewResponse()
-				resp.Op, resp.ID, resp.Status = t.req.Op, t.req.ID, wire.StatusBusy
-				w.s.finish(t, resp)
-			}
-		default:
-			w.ops = append(w.ops, groupOp{t: t})
-		}
+		w.ops = append(w.ops, groupOp{t: t})
 	}
 	if len(w.ops) > 0 && w.runGroup() {
 		// The group was stashed awaiting a shared flush and its op slice is
@@ -219,9 +187,9 @@ func (w *groupWorker) run(batch []task) {
 
 // acquireBatch hands out recycled ATOMIC interpreter state bound to one
 // batch's subs, with its routing plan resolved. The free list is the
-// server's: a worker acquires every batch, and whoever settles it — the
-// worker for a group member, the round coordinator for a cross-shard batch —
-// releases it. An empty list allocates.
+// server's: a connection reader acquires every batch, and whoever settles it
+// — the worker for a group member, the round coordinator for a spanning
+// batch — releases it. An empty list allocates.
 func (s *Server) acquireBatch(subs []wire.Sub) *multiBatch {
 	var b *multiBatch
 	select {
@@ -250,7 +218,7 @@ func (s *Server) releaseBatch(b *multiBatch) {
 // pools can recycle freely, and returns the emptied slice for reuse.
 func (w *groupWorker) recycleOps(ops []groupOp) []groupOp {
 	for i := range ops {
-		if b := ops[i].batch; b != nil {
+		if b := ops[i].t.batch; b != nil {
 			w.s.releaseBatch(b)
 		}
 		ops[i] = groupOp{}
@@ -390,9 +358,10 @@ func (w *groupWorker) runGroup() bool {
 			// deterministic function of the key.
 			w.sizes = append(w.sizes, enc.BlobWords(len(req.Value)), sh.idx.NodeWords(req.Key))
 		case wire.OpAtomic:
-			readonly = readonly && !op.batch.writes()
-			op.batch.results = resp.Subs[:0]
-			if err := op.batch.alloc(w.self); err != nil {
+			b := op.t.batch
+			readonly = readonly && !b.writes()
+			b.results = resp.Subs[:0]
+			if err := b.alloc(w.self); err != nil {
 				w.skipOp(op, err)
 			}
 		default:
@@ -501,7 +470,7 @@ func (w *groupWorker) runGroup() bool {
 			if op.skip {
 				continue
 			}
-			if b := op.batch; b != nil {
+			if b := op.t.batch; b != nil {
 				// The member keeps its own verdict: a refused batch wrote
 				// nothing (exec validates before its first write) and its
 				// group-mates carry on.
@@ -606,7 +575,7 @@ func (w *groupWorker) runGroup() bool {
 	// cleanup is due even when the WAL failed: the memory commit happened.
 	for i := range ops {
 		op := &ops[i]
-		if b := op.batch; b != nil {
+		if b := op.t.batch; b != nil {
 			if b.err != nil {
 				status, detail := errStatus(b.err)
 				op.resp.Status = status
@@ -670,8 +639,8 @@ func (w *groupWorker) skipOp(op *groupOp, err error) {
 // releaseOp returns a member's unlinked pre-allocations (failure paths; a
 // no-op once the member's storage has been settled).
 func (w *groupWorker) releaseOp(op *groupOp) {
-	if op.batch != nil {
-		op.batch.settle(w.self, false)
+	if b := op.t.batch; b != nil {
+		b.settle(w.self, false)
 	}
 	if op.hasBlock {
 		_ = w.sh.view.Free(op.block)

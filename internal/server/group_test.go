@@ -23,22 +23,47 @@ func newTestConn(s *Server, depth int) *conn {
 	return &conn{srv: s, out: make(chan *wire.Response, depth)}
 }
 
-// mkTask builds one dispatched task the way the dispatcher would: a pooled
-// request owned by the worker, accounted in both WaitGroups.
+// mkTask builds one dispatched task the way the connection reader would: a
+// pooled request owned by its executor, accounted in both WaitGroups.
 func mkTask(s *Server, c *conn, op wire.Op, id uint32, key uint64, val, old []byte) task {
 	req := wire.NewRequest()
 	req.Op, req.ID, req.Key = op, id, key
 	req.Value, req.OldValue = val, old
-	c.pending.Add(1)
-	s.reqWG.Add(1)
-	return task{req: req, c: c}
+	return queued(s, c, req)
 }
 
-// mkAtomic builds one dispatched ATOMIC batch the same way.
-func mkAtomic(s *Server, c *conn, id uint32, subs ...wire.Sub) task {
-	t := mkTask(s, c, wire.OpAtomic, id, 0, nil, nil)
-	t.req.Subs = append(t.req.Subs[:0], subs...)
+// atomicReq builds a pooled ATOMIC request, as the frame decoder would; hand
+// it to conn.dispatch to go through the reader's real plan-and-queue path.
+func atomicReq(id uint32, subs ...wire.Sub) *wire.Request {
+	req := wire.NewRequest()
+	req.Op, req.ID = wire.OpAtomic, id
+	req.Subs = append(req.Subs[:0], subs...)
+	return req
+}
+
+// scanReq builds a pooled SCAN page request for [lo, end) the same way.
+func scanReq(id uint32, lo, end uint64, limit uint32) *wire.Request {
+	req := wire.NewRequest()
+	req.Op, req.ID, req.Key, req.End, req.Limit = wire.OpScan, id, lo, end, limit
+	return req
+}
+
+// queued wraps a request as a dispatched task, planned now — the routing
+// plan a reader attaches to an ATOMIC reflects the routing table as of this
+// call — for tests that hand-pick what shares a group or a round.
+func queued(s *Server, c *conn, req *wire.Request) task {
+	c.pending.Add(1)
+	s.reqWG.Add(1)
+	t := task{req: req, c: c}
+	if req.Op == wire.OpAtomic {
+		t.batch = s.acquireBatch(req.Subs)
+	}
 	return t
+}
+
+// mkAtomic builds one dispatched ATOMIC batch with its plan attached.
+func mkAtomic(s *Server, c *conn, id uint32, subs ...wire.Sub) task {
+	return queued(s, c, atomicReq(id, subs...))
 }
 
 // newTestCoordinator builds a round coordinator the test drives on its own
@@ -54,11 +79,10 @@ func newTestCoordinator(t testing.TB, s *Server) *roundCoordinator {
 	return rc
 }
 
-// roundOf plans each ATOMIC task the way a worker would and runs them all as
-// one round.
+// roundOf runs the tasks — planned ATOMICs and SCAN pages — as one round.
 func (rc *roundCoordinator) roundOf(tasks ...task) {
 	for _, t := range tasks {
-		rc.admit(roundTask{t: t, batch: rc.s.acquireBatch(t.req.Subs)})
+		rc.admit(t)
 	}
 	rc.runRound()
 }
@@ -71,6 +95,7 @@ type gotResp struct {
 	value   []byte
 	created bool
 	subs    []wire.SubResult
+	entries []wire.ScanEntry
 }
 
 func collect(t *testing.T, c *conn, n int) map[uint32]gotResp {
@@ -84,7 +109,7 @@ func collect(t *testing.T, c *conn, n int) map[uint32]gotResp {
 				next := r.Next
 				r.Next = nil
 				out[r.ID] = gotResp{status: r.Status, value: append([]byte(nil), r.Value...), created: r.Created,
-					subs: append([]wire.SubResult(nil), r.Subs...)}
+					subs: append([]wire.SubResult(nil), r.Subs...), entries: append([]wire.ScanEntry(nil), r.Entries...)}
 				r.Release()
 				r = next
 			}
@@ -236,7 +261,8 @@ func TestGroupAcrossSplitRouteChange(t *testing.T) {
 	}
 
 	// Dispatch-time state: every key routes to root. Build the batch, THEN
-	// split, then execute — exactly the race recheckRoute exists for.
+	// split, then execute — exactly the race the in-transaction route check
+	// exists for.
 	c := newTestConn(s, n)
 	w := newGroupWorker(s, root, th)
 	defer w.close()
@@ -639,7 +665,7 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 		shards[i] = (*s.shards[i].subs.Load())[0]
 	}
 	c := newTestConn(s, 16)
-	w := newGroupWorker(s, shards[0], th) // shard 0 coordinates every batch below
+	w := newGroupWorker(s, shards[0], th)
 	defer w.close()
 
 	inUse := func() (n [3]int) {
@@ -650,14 +676,15 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 	}
 	put := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubPut, Key: key, Value: []byte("payload")} }
 	add := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubAdd, Key: key, Delta: 1} }
-	spanning := func(id uint32, j int) task {
-		return mkAtomic(s, c, id, put(keys[0][j]), add(keys[1][j]), put(keys[2][j]))
+	spanningReq := func(id uint32, j int) *wire.Request {
+		return atomicReq(id, put(keys[0][j]), add(keys[1][j]), put(keys[2][j]))
 	}
+	spanning := func(id uint32, j int) task { return queued(s, c, spanningReq(id, j)) }
 
 	// The group cases go through the worker; the round cases are built as ONE
-	// round on a coordinator the test drives itself (the hand-off would let
-	// the server's coordinator split them into two, and only the first would
-	// meet the one-shot fault).
+	// round on a coordinator the test drives itself (the server's coordinator
+	// could split them into two, and only the first would meet the one-shot
+	// fault).
 	rc := newTestCoordinator(t, s)
 	for _, tc := range []struct {
 		name  string
@@ -698,8 +725,10 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 	}
 
 	// Worker and coordinator survive: the same batches commit once the hook
-	// is quiet — the spanning one through the hand-off this time.
-	w.run([]task{spanning(1, 0), mkAtomic(s, c, 2, put(keys[0][2]), add(keys[0][3]))})
+	// is quiet — the spanning one through the reader and the server's own
+	// coordinator this time.
+	c.dispatch(spanningReq(1, 0))
+	w.run([]task{mkAtomic(s, c, 2, put(keys[0][2]), add(keys[0][3]))})
 	for id, r := range collect(t, c, 2) {
 		if r.status != wire.StatusOK {
 			t.Errorf("post-fault request %d: status %v (%s)", id, r.status, r.value)

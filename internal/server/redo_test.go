@@ -15,7 +15,7 @@ import (
 // decision with nothing held is ignored.
 func TestRedoApplierHoldsSuffix(t *testing.T) {
 	f := newRoundFixture(t, Config{ShardWords: 1 << 12, WorkersPerShard: 1}, 2)
-	ctx, th, sh := context.Background(), f.w.th, f.shards[0]
+	ctx, th, sh := context.Background(), f.th, f.shards[0]
 	a, b := f.keys[0][0], f.keys[0][1]
 	put := func(key uint64, val string) wal.Record {
 		return wal.Record{Kind: wal.RecPut, Key: key, Value: []byte(val)}
@@ -81,22 +81,22 @@ func TestPromotionCommitsHeldSuffix(t *testing.T) {
 	} {
 		seq, err := appendWAL(sh, recs)
 		if err == nil {
-			err = cn.states[0].redo.apply(ctx, f.w.th, seq, recs)
+			err = cn.states[0].redo.apply(ctx, f.th, seq, recs)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, found, _ := sh.doGet(ctx, f.w.th, key); found {
+	if _, found, _ := sh.doGet(ctx, f.th, key); found {
 		t.Fatal("a held record reached memory")
 	}
 	cn.commitHeld(0)
-	if val, _, _ := sh.doGet(ctx, f.w.th, key); string(val) != "acked group" {
+	if val, _, _ := sh.doGet(ctx, f.th, key); string(val) != "acked group" {
 		t.Fatalf("after promotion: key = %q, want the held suffix applied", val)
 	}
 	// Shard 9 does not exist: only the annotation can make this replay commit.
 	re := f.bootCopy(t, nil)
-	if val, _, _ := re.shards[0].doGet(ctx, re.w.th, key); string(val) != "acked group" {
+	if val, _, _ := re.shards[0].doGet(ctx, re.th, key); string(val) != "acked group" {
 		t.Errorf("crash image of the promoted log: key = %q", val)
 	}
 	if n := re.s.Recovery()[0].ResolvedPrepares; n != 0 {

@@ -1,13 +1,16 @@
-// Cross-shard ATOMIC execution: one round coordinator per server.
+// Multi-shard execution: one round coordinator per server.
 //
-// A shard worker that plans an ATOMIC batch as cross-shard does not execute
-// it: it hands the task (request + routing plan) to the server's one bounded
-// round queue and goes straight on to its group. A single coordinator
-// goroutine takes EVERYTHING queued and runs it as one round: one
-// canonical-order walMu acquisition, one quiesce of the union participant
-// set (votm.AtomicAll), the batches back to back inside it, ONE prepare
+// Work that involves more than one sub-shard — an ATOMIC batch whose keys
+// span them, a SCAN page, which consults them all — is never a shard worker's
+// business: the connection reader that planned it (conn.dispatch) puts it on
+// the server's one bounded round queue. A single coordinator goroutine takes
+// EVERYTHING queued and runs it as one round: one canonical-order walMu
+// acquisition, one quiesce of the union participant set (votm.AtomicAll — the
+// server's only call of it), the tasks back to back inside it, ONE prepare
 // record per writable participant — and then, with every mutex released, ONE
-// flush of all participants at once.
+// flush of all participants at once. The coordinator is the only goroutine
+// that ever pauses more than one view, so the order it pauses them in is its
+// private business: no other acquirer exists to deadlock with.
 //
 // The round is committed iff every participant's log is durable through the
 // sequence its prepare landed at (the all-prepared rule; each prepare lists
@@ -44,6 +47,7 @@ import (
 	"sync/atomic"
 
 	"votm"
+	"votm/ds"
 	"votm/internal/wal"
 	"votm/wire"
 )
@@ -61,14 +65,23 @@ const roundBodyBudget = wal.MaxBatchBody / 2
 // ADD's 8-byte post-image and a share of the prepare wrapping it.
 const subRedoOverhead = 40
 
-// roundTask is one cross-shard ATOMIC's slot in a round: its queued task and
-// its interpreter state (ownership remapped onto the round's union
-// participant indices once the round starts).
+// roundTask is one task's slot in a round: a spanning ATOMIC (its plan's
+// ownership remapped onto the round's union participant indices once the
+// round starts) or a SCAN page (t.batch == nil).
 type roundTask struct {
 	t        task
-	batch    *multiBatch
 	resp     *wire.Response
 	hasWrite bool
+	pageErr  error // a page's verdict; a batch carries its own (multiBatch.err)
+}
+
+// verdict is where the task's verdict lives: nil there means the task may
+// (still) execute, or executed and is answered OK.
+func (rt *roundTask) verdict() *error {
+	if b := rt.t.batch; b != nil {
+		return &b.err
+	}
+	return &rt.pageErr
 }
 
 // roundShare is one union participant's share of a round's redo records:
@@ -78,11 +91,9 @@ type roundShare struct{ lo, hi, n int }
 // RoundStats counts the coordination rounds a server has run.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
-	Tasks   uint64 // cross-shard ATOMIC batches they carried
-	Largest uint64 // most batches in one round
-	// Mixed counts rounds that combined batches dispatched to different
-	// coordinating shards — what a per-worker round could never do.
-	Mixed uint64
+	Tasks   uint64 // tasks they carried: spanning ATOMIC batches and SCAN pages
+	Largest uint64 // most tasks in one round
+	Pages   uint64 // the SCAN pages among Tasks
 	// Logged counts the rounds that appended redo records, Flushes the flush
 	// barriers they waited on (one each on a healthy server), GroupWaits the
 	// write groups (and rare state captures) that, their own flush done,
@@ -90,7 +101,7 @@ type RoundStats struct {
 	Logged, Flushes, GroupWaits uint64
 }
 
-// MeanTasks is the mean number of batches per round (0 before any round).
+// MeanTasks is the mean number of tasks per round (0 before any round).
 func (r RoundStats) MeanTasks() float64 { return ratio(r.Tasks, r.Rounds) }
 
 // FlushesPerRound is the mean number of flush barriers a logging round
@@ -112,7 +123,7 @@ func (s *Server) RoundStats() RoundStats {
 		Rounds:     rc.nRounds.Load(),
 		Tasks:      rc.nTasks.Load(),
 		Largest:    rc.largest.Load(),
-		Mixed:      rc.nMixed.Load(),
+		Pages:      rc.nPages.Load(),
 		Logged:     rc.nLogged.Load(),
 		Flushes:    rc.nFlushes.Load(),
 		GroupWaits: s.gate.waits.Load(),
@@ -174,16 +185,19 @@ type roundCoordinator struct {
 	// logs.
 	durable bool
 
-	// queue is the server's one hand-off point from the shard workers. Its
-	// capacity is Config.QueueDepth — the bound a shard's own queue has — and
-	// a hand-off that finds it full answers BUSY.
-	queue chan roundTask
+	// queue is where the connection readers put planned multi-shard work.
+	// Its capacity is Config.QueueDepth — the bound a shard's own queue has —
+	// and a reader that finds it full answers BUSY.
+	queue chan task
 	done  chan struct{}
 
-	nRounds, nTasks, largest, nMixed, nLogged, nFlushes atomic.Uint64
+	nRounds, nTasks, largest, nPages, nLogged, nFlushes atomic.Uint64
 
 	tasks []roundTask // the round being built or run
 	bytes int         // its redo volume (see roundBodyBudget)
+	// pages counts the round's SCAN pages, pageKeys sums their limits: the
+	// merge work the pause may have to carry (see next).
+	pages, pageKeys int
 
 	uindex     map[*shard]int // participant -> union index
 	union      []*shard
@@ -206,6 +220,11 @@ type roundCoordinator struct {
 	syncErrs []error
 
 	repScratch []*replica // waitReplicated's follower snapshot (cluster mode)
+
+	// A page's k-way merge state, per union participant (scan.go).
+	cursors     []ds.Ref
+	keys        []uint64
+	contributed []uint64
 }
 
 func newRoundCoordinator(s *Server) *roundCoordinator {
@@ -214,70 +233,87 @@ func newRoundCoordinator(s *Server) *roundCoordinator {
 		th:         s.rt.RegisterThread(),
 		reqContext: reqContext{timeout: s.cfg.RequestTimeout},
 		durable:    s.cfg.Durability == DurabilityGroup,
-		queue:      make(chan roundTask, s.cfg.QueueDepth),
+		queue:      make(chan task, s.cfg.QueueDepth),
 		done:       make(chan struct{}),
 		uindex:     make(map[*shard]int),
 	}
 }
 
-// submit hands a planned cross-shard batch to the coordinator. False means
-// the round queue is full: nothing executed, and the caller answers BUSY.
-func (rc *roundCoordinator) submit(t task, b *multiBatch) bool {
+// submit queues a planned spanning ATOMIC or a SCAN page for the next round.
+// False means the round queue is full: nothing executed, and the reader
+// answers BUSY.
+func (rc *roundCoordinator) submit(t task) bool {
 	select {
-	case rc.queue <- roundTask{t: t, batch: b}:
+	case rc.queue <- t:
 		return true
 	default:
 		return false
 	}
 }
 
-// stop ends the coordinator once every queued task is answered. The shard
-// workers — the queue's only senders — must have exited.
+// stop ends the coordinator once every queued task is answered. The queue's
+// senders are the connection readers, each holding a reqWG count from before
+// its send until its task is answered: the caller must have seen reqWG drain
+// (with beginReq refusing), so nothing is queued and nobody can send.
 func (rc *roundCoordinator) stop() {
 	close(rc.queue)
 	<-rc.done
 }
 
-// loop is the coordinator goroutine: block for one task, take whatever else
-// is queued until the queue is empty or the redo budget is spent, run the lot
-// as one round.
+// loop is the coordinator goroutine.
 func (rc *roundCoordinator) loop() {
 	defer close(rc.done)
 	defer rc.th.Release()
 	defer rc.reqContext.close()
-	for {
-		rt, ok := <-rc.queue
-		if !ok {
-			return
-		}
-		rc.admit(rt)
-	fill:
-		for rc.bytes < roundBodyBudget {
-			select {
-			case rt, ok := <-rc.queue:
-				if !ok {
-					break fill // the last round runs; the next receive ends the loop
-				}
-				rc.admit(rt)
-			default:
-				break fill
-			}
-		}
-		rc.runRound()
+	for rc.next() {
 	}
+}
+
+// next blocks for one task, takes whatever else is queued and runs the lot as
+// one round; false means the queue is closed and empty. Dequeuing stops when
+// the queue is empty, the redo budget is spent, or the admitted pages' limits
+// sum to wire.MaxScanKeys — one maximal page of merge work per pause, the
+// most a single page could ask of it. Both bounds are checked before each
+// dequeue, so a round overshoots either by at most one task; what it leaves
+// queued runs in the next round.
+func (rc *roundCoordinator) next() bool {
+	t, ok := <-rc.queue
+	if !ok {
+		return false
+	}
+	rc.admit(t)
+fill:
+	for rc.bytes < roundBodyBudget && rc.pageKeys < wire.MaxScanKeys {
+		select {
+		case t, ok := <-rc.queue:
+			if !ok {
+				break fill // the last round runs; the next receive reports the close
+			}
+			rc.admit(t)
+		default:
+			break fill
+		}
+	}
+	rc.runRound()
+	return true
 }
 
 // admit places one dequeued task into the round being built. A durable write
 // to a shard that lost its WAL joins with its verdict already in (TxFault):
 // it executes nothing and is answered with the round.
-func (rc *roundCoordinator) admit(rt roundTask) {
-	b := rt.batch
-	for i, sub := range b.subs {
-		if sub.Kind != wire.SubGet {
-			rt.hasWrite = true
-			rc.bytes += subRedoOverhead + len(sub.Value)
-			if rc.durable && b.parts[b.owner[i]].readOnly.Load() {
-				b.err = txFault{errShardReadOnly}
+func (rc *roundCoordinator) admit(t task) {
+	rt := roundTask{t: t}
+	if b := t.batch; b == nil {
+		rc.pages++
+		rc.pageKeys += int(t.req.Limit)
+	} else {
+		for i, sub := range b.subs {
+			if sub.Kind != wire.SubGet {
+				rt.hasWrite = true
+				rc.bytes += subRedoOverhead + len(sub.Value)
+				if rc.durable && b.parts[b.owner[i]].readOnly.Load() {
+					b.err = txFault{errShardReadOnly}
+				}
 			}
 		}
 	}
@@ -295,49 +331,74 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
-// undecided gives every batch without a verdict the round's.
+// undecided gives every task without a verdict the round's.
 func (rc *roundCoordinator) undecided(err error) {
 	for i := range rc.tasks {
-		if b := rc.tasks[i].batch; b.err == nil {
-			b.err = err
+		if v := rc.tasks[i].verdict(); *v == nil {
+			*v = err
 		}
 	}
 }
 
-// runBatches is the round's body inside the quiesce: every batch that still
-// has no verdict executes, in task order, against the union's handles.
-func (rc *roundCoordinator) runBatches(txs []votm.Tx) error {
+// runTasks is the round's body inside the quiesce: every task that still has
+// no verdict executes, in task order, against the union's handles.
+func (rc *roundCoordinator) runTasks(txs []votm.Tx) error {
 	for i := range rc.tasks {
-		if b := rc.tasks[i].batch; b.err == nil {
-			b.err = execContained(b, rc.s, rc.union, txs)
+		if v := rc.tasks[i].verdict(); *v == nil {
+			*v = rc.execContained(&rc.tasks[i], txs)
 		}
 	}
 	return nil
 }
 
-// runRound executes rc.tasks — one or many cross-shard ATOMIC batches — as
-// ONE coordination round: the union of their participant views is quiesced
-// once in canonical order (votm.AtomicAll), the batches run back to back
-// inside it with exclusive lock-mode access and per-batch verdicts, and
-// durability is one prepare per participant and one flush (appendRound), so
-// recovery (resolveCrossShard) applies the round on all its participants or
-// none, no matter where a crash lands.
+// execContained runs one task of the round, containing a panic to that task:
+// its round-mates already executed (or still can) inside the same irrevocable
+// quiesce, so the fault must not unwind them. (The forwarding guard cannot
+// fire here — routing is frozen, exec checked every key and a page its
+// membership — so any panic is a task-local fault.)
+func (rc *roundCoordinator) execContained(rt *roundTask, txs []votm.Tx) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = txFault{r}
+		}
+	}()
+	if b := rt.t.batch; b != nil {
+		return b.exec(rc.s, rc.union, txs)
+	}
+	return rc.runPage(rt.t.req, rt.resp, txs)
+}
+
+// runRound executes rc.tasks — spanning ATOMIC batches and SCAN pages, one or
+// many — as ONE coordination round: the union of their participant views is
+// quiesced once (votm.AtomicAll), the tasks run back to back inside it with
+// exclusive lock-mode access and per-task verdicts, and durability is one
+// prepare per participant and one flush (appendRound), so recovery
+// (resolveCrossShard) applies the round on all its participants or none, no
+// matter where a crash lands.
 //
-//   - A batch's failure (stale route, bad add, panic) lands in its own
-//     verdict and never touches its round-mates: validation precedes every
-//     write, so a failed batch wrote nothing. A round-level failure (pause
-//     error, cancellation, a panic before the body) means nothing executed
-//     and becomes every undecided batch's verdict.
-//   - The plan a worker attached to a batch may be stale by now (a split
-//     between hand-off and round): exec re-verifies every key's owner inside
-//     the quiesce, before the batch's first write, and answers BUSY.
+//   - Only the union is paused. A page consults every serving sub-shard, so a
+//     round that carries one takes them all; a page-free round pauses exactly
+//     its batches' participants.
+//   - Task order is execution order: a page sees the batches queued before it
+//     and none queued after, and k queued pages share the one pause.
+//   - A task's failure (stale route, bad add, panic) lands in its own verdict
+//     and never touches its round-mates: validation precedes every write, so
+//     a failed batch wrote nothing. A round-level failure (pause error,
+//     cancellation, a panic before the body) means nothing executed and
+//     becomes every undecided task's verdict.
+//   - The plan the reader attached to a batch may be stale by now (a split
+//     between dispatch and round), and so may the sub-shard set a page's
+//     round snapshotted: exec re-verifies every key's owner inside the
+//     quiesce, before the batch's first write, a page the set's size before
+//     its first read, and either answers BUSY. Nothing re-plans.
 //   - Every writable participant's walMu is taken in canonical order BEFORE
 //     any view is paused and held until its prepare is appended — never
 //     across the flush: each shard's log order equals its memory commit
 //     order, and — because group writers hold their one walMu before entering
 //     the view — a paused view can never contain a transaction that waits on
 //     a mutex held here. Whatever executes on a participant after the
-//     release logs behind the prepare and inherits the round's doubt.
+//     release logs behind the prepare and inherits the round's doubt. A
+//     read-only round (pages, GET-only batches) takes no walMu at all.
 //   - A WAL failure anywhere abandons the WHOLE round's durability: every
 //     participant flips read-only, writing tasks and the groups behind the
 //     prepares answer TxFault.
@@ -348,18 +409,16 @@ func (rc *roundCoordinator) runRound() {
 		return
 	}
 
-	// Union of participants in canonical order: AtomicAll's acquisition
-	// order and the walMu lock order below must both match what every other
-	// multi-shard acquirer (a SCAN page) uses.
 	union := rc.union[:0]
-	mixed := false
-	for i := range tasks {
-		parts := tasks[i].batch.parts
-		mixed = mixed || parts[0] != tasks[0].batch.parts[0]
-		for _, p := range parts {
-			if _, seen := rc.uindex[p]; !seen {
-				rc.uindex[p] = 0
-				union = append(union, p)
+	if rc.pages > 0 {
+		union = s.appendSubShards(union)
+	} else {
+		for i := range tasks {
+			for _, p := range tasks[i].t.batch.parts {
+				if _, seen := rc.uindex[p]; !seen {
+					rc.uindex[p] = 0
+					union = append(union, p)
+				}
 			}
 		}
 	}
@@ -372,22 +431,23 @@ func (rc *roundCoordinator) runRound() {
 
 	rc.nRounds.Add(1)
 	rc.nTasks.Add(uint64(len(tasks)))
+	rc.nPages.Add(uint64(rc.pages))
 	maxInto(&rc.largest, uint64(len(tasks)))
-	if mixed {
-		rc.nMixed.Add(1)
-	}
 
-	// Per-task setup: response, union-indexed ownership, write set,
-	// pre-allocation.
+	// Per-task setup: response and, for a batch, union-indexed ownership,
+	// write set and pre-allocation.
 	rc.unionWrite = resized(rc.unionWrite, nu)
 	rc.writes = resized(rc.writes, len(tasks)*nu)
 	unionWrite, writes := rc.unionWrite, rc.writes
 	hasWrite := false
 	for ti := range tasks {
 		rt := &tasks[ti]
-		b := rt.batch
 		rt.resp = wire.NewResponse()
 		rt.resp.Op, rt.resp.ID = rt.t.req.Op, rt.t.req.ID
+		b := rt.t.batch
+		if b == nil {
+			continue
+		}
 		for si, sub := range b.subs {
 			ui := rc.uindex[b.parts[b.owner[si]]]
 			b.owner[si] = ui
@@ -416,13 +476,15 @@ func (rc *roundCoordinator) runRound() {
 			// The one place ATOMIC pre-allocations are released, on every
 			// path: a panic that unwound AtomicAll (an injected admission
 			// fault — nothing executed) first becomes the verdict of every
-			// undecided batch, so their blocks and nodes are freed too.
+			// undecided task, so their blocks and nodes are freed too.
 			if r := recover(); r != nil {
-				s.logf("votmd: %v in a cross-shard ATOMIC round of %d", r, len(tasks))
+				s.logf("votmd: %v in a round of %d", r, len(tasks))
 				rc.undecided(txFault{r})
 			}
 			for i := range tasks {
-				tasks[i].batch.settle(union, true)
+				if b := tasks[i].t.batch; b != nil {
+					b.settle(union, true)
+				}
 			}
 		}()
 		if durable {
@@ -440,7 +502,7 @@ func (rc *roundCoordinator) runRound() {
 				// would commit behind its captured state are refused before
 				// anything executes (BUSY); the rest of the round carries on.
 				for ti := range tasks {
-					if b := tasks[ti].batch; writes[ti*nu+pi] && b.err == nil {
+					if b := tasks[ti].t.batch; writes[ti*nu+pi] && b.err == nil {
 						b.err = errShardMoving
 					}
 				}
@@ -450,7 +512,7 @@ func (rc *roundCoordinator) runRound() {
 		for i, p := range union {
 			rc.views[i] = p.view
 		}
-		if err := votm.AtomicAll(rc.ctx(), rc.th, rc.views, !hasWrite, rc.runBatches); err != nil {
+		if err := votm.AtomicAll(rc.ctx(), rc.th, rc.views, !hasWrite, rc.runTasks); err != nil {
 			rc.undecided(err)
 		}
 		if durable {
@@ -483,10 +545,12 @@ func (rc *roundCoordinator) runRound() {
 	}
 	for i := range tasks {
 		rt := &tasks[i]
-		resp := rt.resp
-		switch {
-		case rt.batch.err != nil:
-			status, detail := errStatus(rt.batch.err)
+		resp, b := rt.resp, rt.t.batch
+		switch err := *rt.verdict(); {
+		case err != nil:
+			resp.Entries = resp.Entries[:0] // a page that faulted mid-merge
+			resp.More, resp.Cursor = false, 0
+			status, detail := errStatus(err)
 			resp.Status = status
 			resp.SetDetail(detail)
 		case walErr != nil && rt.hasWrite:
@@ -494,15 +558,15 @@ func (rc *roundCoordinator) runRound() {
 			// one cannot distinguish its own records from the round's fault.
 			resp.Status = wire.StatusTxFault
 			resp.SetDetail("wal: " + walErr.Error())
-		default:
-			resp.Subs = rt.batch.results
-			if len(rt.batch.parts) > 1 {
-				for _, p := range rt.batch.parts {
-					p.xsGroups.Add(1)
-				}
+		case b != nil:
+			resp.Subs = b.results
+			for _, p := range b.parts {
+				p.xsGroups.Add(1)
 			}
 		}
-		s.releaseBatch(rt.batch)
+		if b != nil {
+			s.releaseBatch(b)
+		}
 		s.finish(rt.t, resp)
 	}
 }
@@ -514,21 +578,7 @@ func (rc *roundCoordinator) reset() {
 	clear(rc.tasks)
 	rc.tasks = rc.tasks[:0]
 	clear(rc.uindex)
-	rc.bytes, rc.xid = 0, 0
-}
-
-// execContained runs one round batch, containing a panic to that batch: its
-// round-mates already executed (or still can) inside the same irrevocable
-// quiesce, so the fault must not unwind them. (The forwarding guard cannot
-// fire here — routing is frozen and exec checked every key — so any panic
-// is a batch-local fault.)
-func execContained(b *multiBatch, s *Server, parts []*shard, txs []votm.Tx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = txFault{r}
-		}
-	}()
-	return b.exec(s, parts, txs)
+	rc.bytes, rc.pages, rc.pageKeys, rc.xid = 0, 0, 0, 0
 }
 
 // appendRound logs the round's committed batches, under the participants'
@@ -554,7 +604,7 @@ func (rc *roundCoordinator) appendRound() error {
 		sh := &rc.shares[pi]
 		sh.lo = len(rc.recs)
 		for ti := range tasks {
-			if b := tasks[ti].batch; b.err == nil && rc.writes[ti*nu+pi] {
+			if b := tasks[ti].t.batch; rc.writes[ti*nu+pi] && b.err == nil {
 				n := len(rc.recs)
 				rc.recs, rc.valBuf = appendAtomicRecords(rc.recs, rc.valBuf, b, pi)
 				if len(rc.recs) > n { // else e.g. only missed deletes landed here

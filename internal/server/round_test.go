@@ -15,15 +15,15 @@ import (
 	"votm/wire"
 )
 
-// roundFixture is a three-shard server with four keys per shard, a detached
-// conn and a worker on shard 0 — the coordinating shard of every spanning
-// batch it builds.
+// roundFixture is a three-shard server with perShard keys per shard, a
+// detached conn whose dispatch is the reader's real plan-and-queue path, and
+// a runtime thread for reading state back.
 type roundFixture struct {
 	s      *Server
 	shards [3]*shard
 	keys   [3][]uint64
 	c      *conn
-	w      *groupWorker
+	th     *votm.Thread
 }
 
 func newRoundFixture(t testing.TB, cfg Config, perShard int) *roundFixture {
@@ -46,25 +46,26 @@ func newRoundFixture(t testing.TB, cfg Config, perShard int) *roundFixture {
 	for i := range f.shards {
 		f.shards[i] = (*s.shards[i].subs.Load())[0]
 	}
-	th := s.rt.RegisterThread()
-	f.w = newGroupWorker(s, f.shards[0], th)
-	t.Cleanup(func() {
-		f.w.close()
-		th.Release()
-	})
+	f.th = s.rt.RegisterThread()
+	t.Cleanup(f.th.Release)
 	return f
 }
 
-// spanning builds a three-shard ATOMIC of PUTs on the j-th key of each shard.
-func (f *roundFixture) spanning(id uint32, j int, val []byte) task {
-	return mkAtomic(f.s, f.c, id,
+// spanningReq builds a three-shard ATOMIC of PUTs on the j-th key of each
+// shard; spanning is the same request as a planned task.
+func (f *roundFixture) spanningReq(id uint32, j int, val []byte) *wire.Request {
+	return atomicReq(id,
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[0][j], Value: val},
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[1][j], Value: val},
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[2][j], Value: val})
 }
 
+func (f *roundFixture) spanning(id uint32, j int, val []byte) task {
+	return queued(f.s, f.c, f.spanningReq(id, j, val))
+}
+
 // waitRounds waits until the server's coordinator has started its n-th
-// round: that round's task set is closed, so whatever is handed off from now
+// round: that round's task set is closed, so whatever is dispatched from now
 // on queues behind it.
 func (f *roundFixture) waitRounds(t *testing.T, n uint64) {
 	t.Helper()
@@ -125,8 +126,9 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 
 // TestRoundQueueFullAnswersBusy stalls the coordinator inside a round (a
 // participant's walMu is held), fills the round queue behind it and checks
-// that the next hand-off answers BUSY at once, having executed nothing — and
-// that every queued task still commits once the coordinator moves again.
+// that the reader answers the next spanning ATOMIC and the next SCAN page BUSY
+// at once, having executed nothing and kept nothing — and that every queued
+// task still commits once the coordinator moves again.
 func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	f := newRoundFixture(t, Config{
 		ShardWords: 1 << 12, WorkersPerShard: 1, QueueDepth: 2,
@@ -144,27 +146,42 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	// The stalled round is a batch of DELETEs: it takes the walMus like any
 	// write but pre-allocates nothing, so the allocator figures below are
 	// still while the coordinator waits on shard 2.
-	f.w.run([]task{mkAtomic(f.s, f.c, 1,
+	f.c.dispatch(atomicReq(1,
 		wire.Sub{Kind: wire.SubDelete, Key: f.keys[0][0]},
 		wire.Sub{Kind: wire.SubDelete, Key: f.keys[1][0]},
-		wire.Sub{Kind: wire.SubDelete, Key: f.keys[2][0]})})
+		wire.Sub{Kind: wire.SubDelete, Key: f.keys[2][0]}))
 	f.waitRounds(t, 1)
-	f.w.run([]task{f.spanning(2, 1, val), f.spanning(3, 2, val)}) // fills the queue
+	f.c.dispatch(f.spanningReq(2, 1, val)) // these two fill the queue
+	f.c.dispatch(f.spanningReq(3, 2, val))
 	var before [3]int
 	for i, sh := range f.shards {
 		before[i] = sh.view.AllocatedWords()
 	}
-	f.w.run([]task{f.spanning(4, 3, val)})
-	if r := collect(t, f.c, 1)[4]; r.status != wire.StatusBusy {
-		t.Fatalf("hand-off to a full round queue: status %v, want BUSY", r.status)
+	free := len(f.s.batchFree)
+	// The refused batch's first participant is shard 1: that is where its
+	// rejection is metered. The refused page is metered on the least sub-shard.
+	f.c.dispatch(atomicReq(4,
+		wire.Sub{Kind: wire.SubPut, Key: f.keys[1][3], Value: val},
+		wire.Sub{Kind: wire.SubPut, Key: f.keys[2][3], Value: val}))
+	f.c.dispatch(scanReq(5, 0, 1<<62, 8))
+	for id, r := range collect(t, f.c, 2) {
+		if r.status != wire.StatusBusy {
+			t.Fatalf("request %d against a full round queue: status %v, want BUSY", id, r.status)
+		}
 	}
 	for i, sh := range f.shards {
 		if n := sh.view.AllocatedWords(); n != before[i] {
 			t.Errorf("shard %d: allocated words %d -> %d: the refused batch left something behind", i, before[i], n)
 		}
 	}
-	if n := f.shards[0].ringFull.Load(); n != 1 {
-		t.Errorf("coordinating shard counted %d full-queue rejections, want 1", n)
+	if n := len(f.s.batchFree); n != max(free, 1) {
+		t.Errorf("batch free list %d -> %d: the refused batch's plan was not released", free, n)
+	}
+	if a, p := f.shards[1].ringFull.Load(), f.shards[0].ringFull.Load(); a != 1 || p != 1 {
+		t.Errorf("full-queue rejections: %d on the batch's first participant, %d on the least sub-shard; want 1 and 1", a, p)
+	}
+	if n := f.shards[0].scans.Load(); n != 0 {
+		t.Errorf("the refused page was counted as served (%d)", n)
 	}
 
 	f.shards[2].walMu.Unlock()
@@ -174,20 +191,20 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 			t.Errorf("queued request %d: status %v (%s)", id, r.status, r.value)
 		}
 	}
-	th := f.w.th
 	for i, sh := range f.shards {
-		if _, found, _ := sh.doGet(context.Background(), th, f.keys[i][3]); found {
+		if _, found, _ := sh.doGet(context.Background(), f.th, f.keys[i][3]); found {
 			t.Errorf("shard %d holds the BUSY batch's key", i)
 		}
-		if _, found, _ := sh.doGet(context.Background(), th, f.keys[i][2]); !found {
+		if _, found, _ := sh.doGet(context.Background(), f.th, f.keys[i][2]); !found {
 			t.Errorf("shard %d lost a queued batch's key", i)
 		}
 	}
 }
 
 // TestShutdownAnswersQueuedRounds drains a server whose round queue holds
-// work behind a stalled round: Shutdown must wait, every queued task must be
-// answered, and the coordinator goroutine must be gone when it returns.
+// ATOMICs and SCAN pages behind a stalled round: Shutdown must wait, every
+// queued task must be answered, and the coordinator goroutine must be gone
+// when it returns.
 func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	f := newRoundFixture(t, Config{
 		ShardWords: 1 << 12, WorkersPerShard: 1,
@@ -195,9 +212,12 @@ func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	}, 4)
 	val := []byte("payload")
 	f.shards[1].walMu.Lock()
-	f.w.run([]task{f.spanning(1, 0, val)})
+	f.c.dispatch(f.spanningReq(1, 0, val))
 	f.waitRounds(t, 1)
-	f.w.run([]task{f.spanning(2, 1, val), f.spanning(3, 2, val), f.spanning(4, 3, val)})
+	f.c.dispatch(f.spanningReq(2, 1, val))
+	f.c.dispatch(scanReq(3, 0, 1<<62, 64))
+	f.c.dispatch(f.spanningReq(4, 2, val))
+	f.c.dispatch(scanReq(5, 0, 1<<62, 64))
 
 	shut := make(chan error, 1)
 	go func() {
@@ -207,17 +227,22 @@ func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	}()
 	select {
 	case err := <-shut:
-		t.Fatalf("Shutdown returned (%v) with four cross-shard ATOMICs unanswered", err)
+		t.Fatalf("Shutdown returned (%v) with five queued tasks unanswered", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	f.shards[1].walMu.Unlock()
 	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	for id, r := range collect(t, f.c, 4) {
+	got := collect(t, f.c, 5)
+	for id, r := range got {
 		if r.status != wire.StatusOK {
 			t.Errorf("request %d: status %v (%s)", id, r.status, r.value)
 		}
+	}
+	// Task order is execution order: each page sees the batches ahead of it.
+	if a, b := len(got[3].entries), len(got[5].entries); a != 6 || b != 9 {
+		t.Errorf("the queued pages returned %d and %d entries, want 6 and 9", a, b)
 	}
 	select {
 	case <-f.s.rounds.done:
@@ -242,7 +267,7 @@ func (f *roundFixture) bootCopy(t *testing.T, cut func(dir string)) *roundFixtur
 // counter reads key on shard i as an ADD counter (found = false: no key).
 func (f *roundFixture) counter(t *testing.T, i int, key uint64) (uint64, bool) {
 	t.Helper()
-	val, found, err := f.shards[i].doGet(context.Background(), f.w.th, key)
+	val, found, err := f.shards[i].doGet(context.Background(), f.th, key)
 	if err != nil || (found && len(val) != 8) {
 		t.Fatalf("key %d: %q, %v", key, val, err)
 	}
@@ -365,7 +390,7 @@ func TestRoundSharesDependentTasks(t *testing.T) {
 		}
 	})
 	for i, key := range []uint64{k0, k1, h.keys[2][0]} {
-		if _, found, _ := none.shards[i].doGet(context.Background(), none.w.th, key); found {
+		if _, found, _ := none.shards[i].doGet(context.Background(), none.th, key); found {
 			t.Errorf("crash image without shard 1's prepare: key %d survived on shard %d", key, i)
 		}
 	}
@@ -454,7 +479,7 @@ func TestRoundGatesGroupAck(t *testing.T) {
 	}
 	// Replay order = memory order: the group's value wins in a crash image.
 	re := h.bootCopy(t, nil)
-	if val, _, _ := re.shards[h.b].doGet(context.Background(), re.w.th, h.key[h.b]); string(val) != "group" {
+	if val, _, _ := re.shards[h.b].doGet(context.Background(), re.th, h.key[h.b]); string(val) != "group" {
 		t.Errorf("crash image: key %d = %q, want the group's value", h.key[h.b], val)
 	}
 }
@@ -468,7 +493,7 @@ func TestRoundGatesCapture(t *testing.T) {
 	prepSeq := sh.log.NextSeq() - 1
 	captured := make(chan error, 1)
 	go func() {
-		_, err := h.s.snapshotShard(sh, h.w.th)
+		_, err := h.s.snapshotShard(sh, h.th)
 		captured <- err
 	}()
 	select {
@@ -508,15 +533,18 @@ func TestRoundFlushFaultVoidsGatedGroup(t *testing.T) {
 			t.Errorf("participant %d after the round's flush failed: read-only %v, owes annotation %d", i, sh.readOnly.Load(), sh.owed.Load())
 		}
 	}
-	if _, _, err := h.s.captureShardState(h.shards[h.b], h.w.th, nil); err == nil {
+	if _, _, err := h.s.captureShardState(h.shards[h.b], h.th, nil); err == nil {
 		t.Error("a shard left in doubt by a failed round was captured")
 	}
 }
 
-// TestSplitRacingQueuedRound splits a participant between a cross-shard
-// batch's hand-off and its round: the plan the worker attached is stale, so
-// the round must answer BUSY — BUSY means nothing executed — and free what
-// was pre-allocated on the old owner.
+// TestSplitRacingQueuedRound splits a participant between the reader's plan
+// and execution. Nothing re-plans: a queued spanning batch's round, and the
+// group of a same-shard batch whose keys the split scattered, must each
+// answer BUSY from the in-transaction route check — BUSY means nothing
+// executed — and free what was pre-allocated on the old owner. The retry is
+// planned against the new routing (the scattered batch as cross-shard) and
+// commits.
 func TestSplitRacingQueuedRound(t *testing.T) {
 	s, err := New(Config{Shards: 2, ShardWords: 1 << 12, WorkersPerShard: 1})
 	if err != nil {
@@ -529,24 +557,28 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 	sh0, g1 := (*s.shards[0].subs.Load())[0], s.shards[1]
 	root1 := (*g1.subs.Load())[0]
 
-	// k0 lives on shard 0; k1 on shard 1, among the keys a split moves away.
-	var k0, k1 uint64
-	for k := uint64(1); k0 == 0 || k1 == 0; k++ {
+	// k0 lives on shard 0; k1 and kStay on shard 1, k1 among the keys a split
+	// moves away and kStay among those it leaves.
+	var k0, k1, kStay uint64
+	for k := uint64(1); k0 == 0 || k1 == 0 || kStay == 0; k++ {
 		switch {
 		case s.Shard(k) == 0 && k0 == 0:
 			k0 = k
 		case s.Shard(k) == 1 && subMix(k)&1 != 0 && k1 == 0:
 			k1 = k
+		case s.Shard(k) == 1 && subMix(k)&1 == 0 && kStay == 0:
+			kStay = k
 		}
 	}
 	for _, p := range []struct {
 		sh  *shard
 		key uint64
-	}{{sh0, k0}, {root1, k1}} {
+	}{{sh0, k0}, {root1, k1}, {root1, kStay}} {
 		if _, err := p.sh.doPut(ctx, th, p.key, []byte("seed")); err != nil {
 			t.Fatalf("seed %d: %v", p.key, err)
 		}
 	}
+	put := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubPut, Key: key, Value: []byte("new")} }
 
 	// Stall the coordinator at the front of the acquisition order: view 0 is
 	// held exclusively, so the round blocks before it pauses anything.
@@ -562,51 +594,208 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 	<-entered
 
 	c := newTestConn(s, 4)
-	w := newGroupWorker(s, sh0, th)
-	defer w.close()
-	words := sh0.view.AllocatedWords()
-	w.run([]task{mkAtomic(s, c, 1,
-		wire.Sub{Kind: wire.SubPut, Key: k0, Value: []byte("new")},
-		wire.Sub{Kind: wire.SubPut, Key: k1, Value: []byte("new")})})
+	words0 := sh0.view.AllocatedWords()
+	c.dispatch(atomicReq(1, put(k0), put(k1)))
 	for deadline := time.Now().Add(5 * time.Second); len(s.rounds.queue) > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the coordinator never took the queued task")
 		}
 	}
+	// Planned as a same-shard batch: both keys are root1's until the split.
+	scattered := mkAtomic(s, c, 2, put(k1), put(kStay))
+	if len(scattered.batch.parts) != 1 || scattered.batch.parts[0] != root1 {
+		t.Fatalf("the two shard-1 keys did not plan as a same-shard batch: %d participants", len(scattered.batch.parts))
+	}
 	if err := s.splitShard(g1, root1); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 	owner := g1.route(k1)
-	if owner == root1 {
-		t.Fatalf("the split left key %d on its old owner", k1)
+	if owner == root1 || g1.route(kStay) != root1 {
+		t.Fatalf("the split did not scatter keys %d and %d", k1, kStay)
 	}
 	close(release)
 	if err := <-held; err != nil {
 		t.Fatalf("exclusive section: %v", err)
 	}
-
 	if r := collect(t, c, 1)[1]; r.status != wire.StatusBusy {
 		t.Fatalf("round over a stale plan: status %v (%s), want BUSY", r.status, r.value)
+	}
+	words1 := root1.view.AllocatedWords()
+	w := newGroupWorker(s, root1, th)
+	defer w.close()
+	w.run([]task{scattered})
+	if r := collect(t, c, 1)[2]; r.status != wire.StatusBusy {
+		t.Fatalf("group member over a stale plan: status %v (%s), want BUSY", r.status, r.value)
 	}
 	for _, p := range []struct {
 		sh  *shard
 		key uint64
-	}{{sh0, k0}, {owner, k1}} {
+	}{{sh0, k0}, {owner, k1}, {root1, kStay}} {
 		if val, found, err := p.sh.doGet(ctx, th, p.key); err != nil || !found || string(val) != "seed" {
 			t.Errorf("key %d after BUSY: %q found=%v err=%v, want the seed", p.key, val, found, err)
 		}
 	}
-	if n := sh0.view.AllocatedWords(); n != words {
-		t.Errorf("shard 0: allocated words %d -> %d: the refused batch's pre-allocations leaked", words, n)
+	if a, b := sh0.view.AllocatedWords(), root1.view.AllocatedWords(); a != words0 || b != words1 {
+		t.Errorf("allocated words: shard 0 %d -> %d, shard 1 root %d -> %d: a refused batch's pre-allocations leaked", words0, a, words1, b)
 	}
-	// The retry plans against the new routing and commits.
-	w.run([]task{mkAtomic(s, c, 2,
-		wire.Sub{Kind: wire.SubPut, Key: k0, Value: []byte("new")},
-		wire.Sub{Kind: wire.SubPut, Key: k1, Value: []byte("new")})})
-	if r := collect(t, c, 1)[2]; r.status != wire.StatusOK {
-		t.Fatalf("retry after the split: status %v (%s)", r.status, r.value)
+	// The retries go through the reader again: both now plan as cross-shard.
+	c.dispatch(atomicReq(3, put(k0), put(k1)))
+	c.dispatch(atomicReq(4, put(k1), put(kStay)))
+	for id, r := range collect(t, c, 2) {
+		if r.status != wire.StatusOK {
+			t.Fatalf("retry %d after the split: status %v (%s)", id, r.status, r.value)
+		}
 	}
-	if val, _, _ := owner.doGet(ctx, th, k1); string(val) != "new" {
-		t.Errorf("key %d on its new owner = %q, want the retry's value", k1, val)
+	for _, p := range []struct {
+		sh  *shard
+		key uint64
+	}{{sh0, k0}, {owner, k1}, {root1, kStay}} {
+		if val, _, _ := p.sh.doGet(ctx, th, p.key); string(val) != "new" {
+			t.Errorf("key %d = %q, want the retry's value", p.key, val)
+		}
 	}
+	if rs := s.RoundStats(); rs.Tasks != 3 {
+		t.Errorf("rounds carried %d tasks, want 3: the stale batch and both retries", rs.Tasks)
+	}
+}
+
+// escalations reads every fixture shard's escalation count: AtomicAll accounts
+// one on each view it paused.
+func (f *roundFixture) escalations() (n [3]int64) {
+	for i, sh := range f.shards {
+		n[i] = int64(sh.view.Snapshot().Totals.Escalations)
+	}
+	return n
+}
+
+// TestRoundCarriesPages drives a private coordinator through the three shapes
+// a SCAN page gives a round. A page between two transfers executes between
+// them — task order is execution order — under the round's ONE pause, which
+// the page widens to every sub-shard while a page-free round pauses only its
+// union. Queued pages share one round, and stop sharing once their limits sum
+// to one maximal page.
+func TestRoundCarriesPages(t *testing.T) {
+	f := newRoundFixture(t, Config{ShardWords: 1 << 12, WorkersPerShard: 1}, 1)
+	rc := newTestCoordinator(t, f.s)
+	a, b := f.keys[0][0], f.keys[1][0]
+	transfer := func(id uint32, from, to uint64, d uint64) task {
+		return mkAtomic(f.s, f.c, id,
+			wire.Sub{Kind: wire.SubAdd, Key: from, Delta: -d}, wire.Sub{Kind: wire.SubAdd, Key: to, Delta: d})
+	}
+	page := func(id uint32, limit uint32) task { return queued(f.s, f.c, scanReq(id, 0, 1<<62, limit)) }
+
+	// A page-free round pauses its union only: shard 2 is left alone.
+	before := f.escalations()
+	rc.roundOf(mkAtomic(f.s, f.c, 1,
+		wire.Sub{Kind: wire.SubAdd, Key: a, Delta: 100}, wire.Sub{Kind: wire.SubAdd, Key: b, Delta: 100}))
+	if r := collect(t, f.c, 1)[1]; r.status != wire.StatusOK {
+		t.Fatalf("seed round: %v (%s)", r.status, r.value)
+	}
+	if got := f.escalations(); got != [3]int64{before[0] + 1, before[1] + 1, before[2]} {
+		t.Errorf("page-free round: escalations %v -> %v, want shards 0 and 1 paused once and shard 2 not at all", before, got)
+	}
+
+	before = f.escalations()
+	rc.roundOf(transfer(2, a, b, 10), page(3, 64), transfer(4, b, a, 5))
+	got := collect(t, f.c, 3)
+	for id, r := range got {
+		if r.status != wire.StatusOK {
+			t.Fatalf("mixed round: request %d: %v (%s)", id, r.status, r.value)
+		}
+	}
+	seen := map[uint64]uint64{}
+	for _, e := range got[3].entries {
+		seen[e.Key] = binary.LittleEndian.Uint64(e.Value)
+	}
+	if len(seen) != 2 || seen[a] != 90 || seen[b] != 110 {
+		t.Errorf("the page saw %v, want {%d: 90, %d: 110}: the transfer ahead of it and not the one behind", seen, a, b)
+	}
+	va, _ := f.counter(t, 0, a)
+	vb, _ := f.counter(t, 1, b)
+	if va != 95 || vb != 105 {
+		t.Errorf("after the round: %d and %d, want 95 and 105", va, vb)
+	}
+	if got := f.escalations(); got != [3]int64{before[0] + 1, before[1] + 1, before[2] + 1} {
+		t.Errorf("mixed round: escalations %v -> %v, want every shard paused exactly once", before, got)
+	}
+	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 2 || p != 1 {
+		t.Errorf("%d rounds carrying %d pages, want 2 and 1", r, p)
+	}
+
+	// Eight queued pages are one round.
+	for id := uint32(10); id < 18; id++ {
+		rc.submit(page(id, 32))
+	}
+	rc.next()
+	for id, r := range collect(t, f.c, 8) {
+		if r.status != wire.StatusOK || len(r.entries) != 2 {
+			t.Errorf("queued page %d: %v, %d entries", id, r.status, len(r.entries))
+		}
+	}
+	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 3 || p != 9 {
+		t.Errorf("%d rounds carrying %d pages after eight queued pages, want 3 and 9", r, p)
+	}
+
+	// Pages whose limits sum past one maximal page split across rounds: the
+	// coordinator stops admitting once the sum reaches wire.MaxScanKeys.
+	for id := uint32(20); id < 23; id++ {
+		rc.submit(page(id, wire.MaxScanKeys/2))
+	}
+	rc.next()
+	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 4 || p != 11 {
+		t.Errorf("%d rounds carrying %d pages, want the first two of three half-pages in round 4", r, p)
+	}
+	rc.next()
+	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 5 || p != 12 {
+		t.Errorf("%d rounds carrying %d pages, want the third half-page in round 5", r, p)
+	}
+	collect(t, f.c, 3)
+	if s := f.s.StatsAll(); s[0].Scans != 12 || s[1].Scans+s[2].Scans != 0 {
+		t.Errorf("Scans = %d/%d/%d, want all 12 pages counted on the least sub-shard", s[0].Scans, s[1].Scans, s[2].Scans)
+	}
+}
+
+// TestSteadyStateScanAllocs pins the page's allocation shape: all
+// per-participant merge scratch is pooled on the coordinator, so a 32-entry
+// page allocates the same at 2 shards and at 16 — the entries' values and
+// nothing that grows with the participant count.
+func TestSteadyStateScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard: race instrumentation allocates on this path")
+	}
+	perPage := func(shards int) float64 {
+		s, err := New(Config{Shards: shards, ShardWords: 1 << 12, WorkersPerShard: 1, RequestTimeout: time.Hour})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		shutdownServer(t, s)
+		th := s.rt.RegisterThread()
+		defer th.Release()
+		val := bytes.Repeat([]byte{0xAB}, 64)
+		for k := uint64(0); k < 64; k++ {
+			sh := s.shards[s.Shard(k)].route(k)
+			if _, err := sh.doPut(context.Background(), th, k, val); err != nil {
+				t.Fatalf("seed %d: %v", k, err)
+			}
+		}
+		c := newTestConn(s, 4)
+		rc := newTestCoordinator(t, s)
+		run := func() {
+			rc.roundOf(queued(s, c, scanReq(1, 0, 1<<62, 32)))
+			r := <-c.out
+			if r.Status != wire.StatusOK || len(r.Entries) != 32 || !r.More {
+				t.Fatalf("page at %d shards: %v, %d entries, more=%v", shards, r.Status, len(r.Entries), r.More)
+			}
+			r.Release()
+		}
+		for i := 0; i < 8; i++ {
+			run()
+		}
+		return testing.AllocsPerRun(50, run)
+	}
+	narrow, wide := perPage(2), perPage(16)
+	if narrow != wide {
+		t.Errorf("a 32-entry page allocates %.0f at 2 shards and %.0f at 16: allocations grow with the participant count", narrow, wide)
+	}
+	t.Logf("allocs per 32-entry page: %.0f at 2 shards, %.0f at 16", narrow, wide)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"votm/client"
+	"votm/internal/faultinject"
 	"votm/wire"
 )
 
@@ -340,5 +341,54 @@ func TestScanSnapshotSoak(t *testing.T) {
 	}
 	if pages < 3 {
 		t.Fatalf("only %d snapshot scans completed", pages)
+	}
+}
+
+// TestScanServesUnflushedWrites pins the SCAN durability contract on purpose:
+// a page, like a GET or a read-only ATOMIC, serves committed memory state and
+// does not wait for the durability of the writes it reveals. One shard's
+// flush is held in the disk fault hook; the PUT waiting on it is unanswered
+// while a page already returns its value.
+func TestScanServesUnflushedWrites(t *testing.T) {
+	var armed atomic.Bool
+	holding, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(release) }) }
+	f := newRoundFixture(t, Config{
+		ShardWords: 1 << 12, WorkersPerShard: 1,
+		Durability: DurabilityGroup, DataDir: t.TempDir(), SnapshotEvery: time.Hour,
+		DiskFaultHook: func(op faultinject.DiskOp) error {
+			if op == faultinject.DiskSync && armed.CompareAndSwap(true, false) {
+				close(holding)
+				<-release
+			}
+			return nil
+		},
+	}, 1)
+	t.Cleanup(unhold) // registered last: runs before the fixture's Shutdown
+
+	key := f.keys[1][0]
+	put := wire.NewRequest()
+	put.Op, put.ID, put.Key, put.Value = wire.OpPut, 1, key, append(put.Value[:0], "unflushed"...)
+	armed.Store(true)
+	f.c.dispatch(put)
+	<-holding // committed in memory and appended; its flush is held
+
+	f.c.dispatch(scanReq(2, 0, 1<<62, 8))
+	got := collect(t, f.c, 1)
+	if _, answered := got[1]; answered {
+		t.Fatal("the PUT was answered while its flush was held")
+	}
+	if r := got[2]; r.status != wire.StatusOK || len(r.entries) != 1 || r.entries[0].Key != key || string(r.entries[0].Value) != "unflushed" {
+		t.Fatalf("page beside an unflushed PUT: %v, entries %v; want the PUT's value", r.status, r.entries)
+	}
+	select {
+	case r := <-f.c.out:
+		t.Fatalf("request %d answered while the flush was held", r.ID)
+	case <-time.After(20 * time.Millisecond):
+	}
+	unhold()
+	if r := collect(t, f.c, 1)[1]; r.status != wire.StatusOK {
+		t.Fatalf("PUT after its flush: %v (%s)", r.status, r.value)
 	}
 }

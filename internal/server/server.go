@@ -368,10 +368,10 @@ type Server struct {
 	reqMu    sync.Mutex
 	reqWG    sync.WaitGroup
 
-	// rounds is the server's one cross-shard ATOMIC executor (round.go);
-	// batchFree the ATOMIC interpreter-state free list its hand-off shares
-	// with the shard workers (group.go acquireBatch), bounded at QueueDepth
-	// like the queues in front of it.
+	// rounds is the server's one multi-shard executor (round.go); batchFree
+	// the ATOMIC interpreter-state free list the connection readers acquire
+	// from and both executors release to (group.go acquireBatch), bounded at
+	// QueueDepth like the queues behind it.
 	rounds    *roundCoordinator
 	batchFree chan *multiBatch
 
@@ -506,14 +506,30 @@ func (s *Server) newShard(id int, v *votm.View, idx *ds.SkipList) *shard {
 	return sh
 }
 
-// allSubShards snapshots every serving sub-shard across all groups.
-func (s *Server) allSubShards() []*shard {
-	var out []*shard
+// appendSubShards appends a snapshot of every serving sub-shard, across all
+// groups, to dst.
+func (s *Server) appendSubShards(dst []*shard) []*shard {
 	for _, g := range s.shards {
-		out = append(out, *g.subs.Load()...)
+		dst = append(dst, *g.subs.Load()...)
 	}
-	return out
+	return dst
 }
+
+// subShardCount is len(appendSubShards(nil)). Sub-shard lists are append-only
+// (a failed split tears its child down before publication), so an unchanged
+// count means an unchanged set.
+func (s *Server) subShardCount() int {
+	n := 0
+	for _, g := range s.shards {
+		n += len(*g.subs.Load())
+	}
+	return n
+}
+
+// leastSubShard is the first sub-shard in canonical order (shardCompare):
+// shard 0's seed, whose view ID every split-born child's exceeds. Server-wide
+// SCAN meters are kept there.
+func (s *Server) leastSubShard() *shard { return (*s.shards[0].subs.Load())[0] }
 
 // Repartitions returns the total number of executed shard splits.
 func (s *Server) Repartitions() uint64 {
@@ -681,12 +697,13 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 
 	// All dispatched requests are answered: retire the worker pools.
-	for _, sh := range s.allSubShards() {
+	for _, sh := range s.appendSubShards(nil) {
 		sh.queue.Close()
 	}
 	s.workersWG.Wait()
-	// The workers were the round queue's only senders, and every task they
-	// queued is answered (reqWG drained above): retire the coordinator.
+	// The round queue's senders are the connection readers, and reqWG drained
+	// above: beginReq refuses from here on and every task a reader queued is
+	// answered, so no send can race the close. Retire the coordinator.
 	s.rounds.stop()
 
 	// Nothing appends anymore: retire the replication senders.
@@ -699,14 +716,14 @@ func (s *Server) shutdown(ctx context.Context) error {
 	// skips tail replay (snapshot-on-clean-drain).
 	if s.cfg.Durability != DurabilityOff {
 		th := s.rt.RegisterThread()
-		for _, sh := range s.allSubShards() {
+		for _, sh := range s.appendSubShards(nil) {
 			s.closeShardDurability(sh, th)
 		}
 		th.Release()
 	}
 
 	// Close the RAC controllers (and reject any straggling admission).
-	for _, sh := range s.allSubShards() {
+	for _, sh := range s.appendSubShards(nil) {
 		if err := s.rt.DestroyView(sh.view.ID()); err != nil {
 			s.logf("votmd: destroy view %d: %v", sh.view.ID(), err)
 		}

@@ -20,7 +20,6 @@ import (
 	"votm/ds"
 	"votm/enc"
 	"votm/internal/viewmgr"
-	"votm/wire"
 )
 
 // subMix is the sub-shard routing hash. It must disagree with ShardOf
@@ -69,11 +68,10 @@ func (g *shardGroup) route(key uint64) *shard {
 	return best
 }
 
-// shardCompare is the canonical participant order of cross-shard execution:
-// wire shard id, then view ID. Every acquirer of several shards — the round
-// coordinator, a SCAN page — quiesces (and, when durable, wal-locks) them in
-// this one global order, which is the deadlock-freedom contract of
-// votm.AtomicAll.
+// shardCompare is the canonical participant order: wire shard id, then view
+// ID. Plans list their participants in it, and the round coordinator — the
+// only goroutine that ever holds more than one shard — quiesces and wal-locks
+// its union in it.
 func shardCompare(a, b *shard) int {
 	if a.id != b.id {
 		return a.id - b.id
@@ -83,9 +81,11 @@ func shardCompare(a, b *shard) int {
 
 // atomicPlan resolves an ATOMIC batch's participant sub-shards in canonical
 // order into b.parts, and each sub's index into that order into b.owner
-// (owner[i] is the participant owning subs[i]). A new participant is inserted
-// at its sorted position, so planning needs no scratch and allocates nothing
-// once the batch's slices are warm.
+// (owner[i] is the participant owning subs[i]). It is the one place an ATOMIC's
+// keys are routed (conn.dispatch); exec verifies the result inside the
+// transaction. A new participant is inserted at its sorted position, so
+// planning needs no scratch and allocates nothing once the batch's slices are
+// warm.
 func (s *Server) atomicPlan(b *multiBatch) {
 	parts, owner := b.parts[:0], b.owner[:0]
 	for _, sub := range b.subs {
@@ -102,49 +102,6 @@ func (s *Server) atomicPlan(b *multiBatch) {
 		owner = append(owner, idx)
 	}
 	b.parts, b.owner = parts, owner
-}
-
-// atomicCoordinator returns the sub-shard an ATOMIC batch is dispatched to:
-// the first participant in canonical order. Its worker runs the batch in its
-// group when that is the only participant, and hands it to the round
-// coordinator otherwise.
-func (s *Server) atomicCoordinator(req *wire.Request) *shard {
-	var best *shard
-	for _, sub := range req.Subs {
-		sh := s.shards[s.Shard(sub.Key)].route(sub.Key)
-		if best == nil || shardCompare(sh, best) < 0 {
-			best = sh
-		}
-	}
-	return best
-}
-
-// recheckRoute re-resolves a dispatched ATOMIC or SCAN against the routing
-// table at execution time. A split between dispatch and execution may have
-// moved the keys: a batch whose canonical coordinator moved is answered BUSY
-// (retryable; the next dispatch routes correctly). Both executors re-verify
-// every key's owner inside the transaction — as the group does for its
-// point ops — so a stale answer here costs only a retry, never correctness.
-func (s *Server) recheckRoute(sh *shard, req *wire.Request) *wire.Response {
-	switch req.Op {
-	case wire.OpAtomic:
-		if s.atomicCoordinator(req) == sh {
-			return nil
-		}
-	case wire.OpScan:
-		// The scan coordinator is the least sub-shard in canonical order; a
-		// split only ever appends deeper sub-shards, so in practice it never
-		// moves — but the body's membership re-check is the real guard.
-		if s.scanCoordinator() == sh {
-			return nil
-		}
-	default:
-		return nil
-	}
-	resp := wire.NewResponse()
-	resp.Op, resp.ID = req.Op, req.ID
-	resp.Status = wire.StatusBusy
-	return resp
 }
 
 // monitor periodically scores every sub-shard with the viewmgr advisor and

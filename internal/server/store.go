@@ -50,9 +50,9 @@ type shard struct {
 
 	// Adaptive-batching rejection meters: admissionRejects counts BUSY
 	// answers from the controller's latency-budget gate, ringFull the ones
-	// from a queue actually being full: this shard's ring at dispatch, or
-	// the server's round queue when this shard's worker hands a cross-shard
-	// ATOMIC to the coordinator.
+	// from a queue actually being full: this shard's ring, or the server's
+	// round queue when this shard is the first participant of a refused
+	// cross-shard ATOMIC (a refused SCAN page counts on the least sub-shard).
 	admissionRejects atomic.Uint64
 	ringFull         atomic.Uint64
 	// routeBits is the packed routing rule (packRoute): low 32 bits the
@@ -94,8 +94,8 @@ type shard struct {
 	xsPrepares      atomic.Uint64
 	xsPrepareAborts atomic.Uint64
 
-	// Scan meters (scan.go): pages this shard coordinated, and entries it
-	// contributed to any page's merge.
+	// Scan meters (scan.go): pages served, counted on the least sub-shard,
+	// and entries this shard contributed to any page's merge.
 	scans       atomic.Uint64
 	scannedKeys atomic.Uint64
 }
@@ -164,11 +164,14 @@ type shardGroup struct {
 	splits  atomic.Uint64
 }
 
-// task is one dispatched request: executed by a shard worker, answered on
-// the originating connection.
+// task is one dispatched request: planned by its connection reader (conn.go),
+// executed by a shard worker or the round coordinator, answered on the
+// originating connection. batch is an ATOMIC's interpreter state with the
+// reader's routing plan attached; nil for every other op.
 type task struct {
-	req *wire.Request
-	c   *conn
+	req   *wire.Request
+	c     *conn
+	batch *multiBatch
 }
 
 // growQuantum is the minimum Brk step when a shard's heap fills up.
@@ -218,9 +221,9 @@ func (sh *shard) allocBatch(sizes []int, dst []votm.Addr) ([]votm.Addr, error) {
 // errBadAdd aborts an ATOMIC batch whose SubAdd hit a non-8-byte value.
 var errBadAdd = errors.New("server: ADD on a value that is not 8 bytes")
 
-// errStaleRoute aborts a cross-shard ATOMIC whose ownership map changed
-// between dispatch and the paused execution window (a concurrent split).
-// Mapped to StatusBusy: nothing executed, the client's retry re-routes.
+// errStaleRoute aborts an ATOMIC or a SCAN page whose ownership map changed
+// between the reader's plan and execution (a concurrent split). Mapped to
+// StatusBusy: nothing executed, the client's retry is planned afresh.
 var errStaleRoute = errors.New("server: batch keys moved by a concurrent repartition")
 
 // doGet returns the value stored under key, read in one read-only
@@ -396,8 +399,9 @@ type partAddr struct {
 type multiBatch struct {
 	subs []wire.Sub
 	// parts is the batch's own participant set in canonical order and owner
-	// each sub's participant index (atomicPlan). The group requires parts to
-	// be exactly its shard; the round remaps owner onto its union.
+	// each sub's participant index (atomicPlan, run once by the connection
+	// reader). A one-participant batch is queued on that shard's ring and
+	// runs in its group; the round remaps owner onto its union.
 	parts   []*shard
 	owner   []int
 	results []wire.SubResult

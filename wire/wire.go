@@ -323,7 +323,7 @@ func (k SubKind) valid() bool { return k >= SubGet && k <= SubAdd }
 
 // Sub is one sub-operation of an ATOMIC batch. The batch executes as one
 // transaction regardless of where its keys hash: a batch spanning shards is
-// run by a coordinating worker as a single multi-view transaction.
+// run by the server's round coordinator as a single multi-view transaction.
 type Sub struct {
 	Kind  SubKind
 	Key   uint64
