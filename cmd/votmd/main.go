@@ -38,7 +38,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7421", "TCP listen address")
 		shards    = flag.Int("shards", 8, "number of shards (one VOTM view each)")
-		words     = flag.Int("shard-words", 1<<15, "initial heap words per shard")
 		workers   = flag.Int("workers", 4, "transaction workers per shard (RAC quota bound N)")
 		queue     = flag.Int("queue", 128, "bounded per-shard request queue (overflow => BUSY)")
 		batchMax  = flag.Int("batch-max", 16, "max requests one worker group-commits per transaction (1 = no grouping)")
@@ -121,7 +120,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Addr:            *addr,
 		Shards:          *shards,
-		ShardWords:      *words,
 		WorkersPerShard: *workers,
 		QueueDepth:      *queue,
 		BatchMax:        *batchMax,

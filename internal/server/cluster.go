@@ -646,11 +646,11 @@ func (s *Server) Handoff(shardID int, target uint32) error {
 // handoffDialTimeout bounds each transfer-connection operation.
 const handoffDialTimeout = 5 * time.Second
 
-// shipState performs the wire half of a handoff: BEGIN/ENTRIES against the
-// target, then the seed reassignment (the commit point), self-demotion, and
-// the final COMMIT frame carrying the new epoch. commitFn runs between the
-// last entry chunk and the COMMIT so a reassignment failure aborts cleanly
-// (the target holds a consistent copy but no authority).
+// shipState performs the wire half of a handoff over its own connection:
+// installState's BEGIN/ENTRIES, then — as its before-commit step — the seed
+// reassignment (the commit point) and self-demotion, then the COMMIT frame
+// carrying the new epoch. A reassignment failure aborts cleanly (the target
+// holds a consistent copy but no authority).
 func (cn *clusterNode) shipState(addr string, shardID int, seq uint64, entries []wal.Entry, commitFn func() (uint64, error), st *clShard) error {
 	c, err := net.DialTimeout("tcp", addr, handoffDialTimeout)
 	if err != nil {
@@ -659,40 +659,41 @@ func (cn *clusterNode) shipState(addr string, shardID int, seq uint64, entries [
 	defer func() { _ = c.Close() }()
 	br := bufio.NewReader(c)
 	id := uint32(0)
-	do := func(req *wire.Request) error {
+	do := func(req *wire.Request) (*wire.Response, error) {
 		id++
 		req.ID = id
 		_ = c.SetDeadline(time.Now().Add(handoffDialTimeout))
 		if err := wire.WriteRequest(c, req); err != nil {
-			return err
+			return nil, err
 		}
 		resp, err := wire.ReadResponse(br)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return resp.Err()
+		return resp, resp.Err()
 	}
-	if err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffBegin, Key: seq}); err != nil {
-		return fmt.Errorf("server: handoff begin: %w", err)
-	}
-	for _, chunk := range chunkEntries(entries, handoffChunkBytes) {
-		if err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffEntries, Value: chunk}); err != nil {
-			return fmt.Errorf("server: handoff entries: %w", err)
+	reassigned := false
+	err = installState(shardID, seq, entries, func() (uint64, error) {
+		epoch, err := commitFn()
+		if err != nil {
+			return 0, fmt.Errorf("handoff reassignment: %w", err)
 		}
-	}
-	epoch, err := commitFn()
-	if err != nil {
-		return fmt.Errorf("server: handoff reassignment: %w", err)
-	}
-	// The reassignment is committed: this node no longer leads, whatever
-	// happens to the final frame. Demote before telling the target so no
-	// moment exists where both nodes serve writes.
-	st.role.Store(uint32(roleFollower))
-	st.epoch.Store(epoch)
-	if err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffCommit, Key: epoch}); err != nil {
+		// The reassignment is committed: this node no longer leads, whatever
+		// happens to the final frame. Demote before telling the target so no
+		// moment exists where both nodes serve writes.
+		st.role.Store(uint32(roleFollower))
+		st.epoch.Store(epoch)
+		reassigned = true
+		return epoch, nil
+	}, do)
+	switch {
+	case err == nil:
+	case reassigned:
 		// The target still learns its promotion from the map watch; the
 		// COMMIT frame only accelerates it (and its durability snapshot).
 		cn.s.logf("votmd: shard %d: handoff commit frame failed (target will promote via watch): %v", shardID, err)
+	default:
+		return fmt.Errorf("server: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -32,8 +33,8 @@ const clusterSoakShards = 3
 
 // startClusterNode pre-binds a loopback listener (the advertised address
 // must be known before New — joining happens inside it) and boots a
-// cluster member on it.
-func startClusterNode(t *testing.T, dir, seedAddr string, replicas int) (*server.Server, string) {
+// cluster member on it. mods adjust the configuration before New.
+func startClusterNode(t *testing.T, dir, seedAddr string, replicas int, mods ...func(*server.Config)) (*server.Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,6 +58,9 @@ func startClusterNode(t *testing.T, dir, seedAddr string, replicas int) (*server
 		cfg.ClusterSeed = true
 	} else {
 		cfg.ClusterJoin = seedAddr
+	}
+	for _, mod := range mods {
+		mod(&cfg)
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -286,4 +290,108 @@ func TestClusterHandoffSoak(t *testing.T) {
 	}
 	t.Logf("cluster soak: lanes acked %d/%d/%d/%d, %d handoffs recorded, final epoch %d",
 		lanes[0].acked, lanes[1].acked, lanes[2].acked, lanes[3].acked, hops, finalMap.Epoch)
+}
+
+// TestClusterFollowerPastInitialHeap takes a follower through all three ways
+// state reaches it — the bootstrap install of a leader that already holds far
+// more than a shard's initial heap, the REPLICATE stream of as much again,
+// and a live handoff that wipes and re-installs one shard — and then reads
+// every acknowledged key back, shard 0 from the promoted node. The follower's
+// redo used to allocate index nodes without growing the view: the install
+// failed at the first Brk boundary and the follower never attached.
+func TestClusterFollowerPastInitialHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node test; skipped in -short")
+	}
+	small := func(cfg *server.Config) { cfg.ShardWords = 1 << 10 }
+	srvA, addrA := startClusterNode(t, t.TempDir(), "", 2, small)
+	cl, err := client.DialCluster(addrA, client.Options{
+		PoolSize: 4, BusyRetries: 12, BusyBackoff: time.Millisecond, MapRetries: 8, RequestTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("DialCluster: %v", err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+
+	// Every other key holds 8 bytes, the rest 64..127: blocks as small as or a
+	// few times larger than index nodes, so either kind of allocation may be
+	// the one that meets a full heap. 800 keys a shard per phase, about 14
+	// words each: each phase crosses a growth boundary on every shard.
+	value := func(k uint64) []byte {
+		val := bytes.Repeat([]byte{byte(k), byte(k >> 8)}, 4+(int(k%2)*(28+int(k%32))))
+		binary.LittleEndian.PutUint64(val, k)
+		return val
+	}
+	load := func(lo, hi uint64) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := uint64(0); w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := lo + w; k < hi; k += 8 {
+					if _, err := cl.Put(ctx, k, value(k)); err != nil {
+						errs <- fmt.Errorf("put %d: %w", k, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	keysPerShard := func(srv *server.Server) (n [clusterSoakShards]uint64) {
+		for _, st := range srv.StatsAll() {
+			n[st.Shard] += st.Keys
+		}
+		return n
+	}
+	follows := func(srv *server.Server, what string) {
+		t.Helper()
+		want := keysPerShard(srvA)
+		deadline := time.Now().Add(20 * time.Second)
+		for keysPerShard(srv) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the follower holds %v keys per shard, the leader %v", what, keysPerShard(srv), want)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	const n = 2400
+	load(0, n)
+	srvB, addrB := startClusterNode(t, t.TempDir(), addrA, 2, small)
+	follows(srvB, "bootstrap install")
+	load(n, 2*n)
+	follows(srvB, "REPLICATE stream")
+
+	// A client dialled now sees B in the map; it also reads the keys back, so
+	// the reads prove a newcomer is routed to the promoted node.
+	cl2, err := client.DialCluster(addrA, client.Options{PoolSize: 1, BusyRetries: 12, BusyBackoff: time.Millisecond, MapRetries: 8})
+	if err != nil {
+		t.Fatalf("DialCluster: %v", err)
+	}
+	defer cl2.Close()
+	idB := nodeIDByAddr(t, cl2.Map(), addrB)
+	if err := srvA.Handoff(0, idB); err != nil {
+		t.Fatalf("handoff shard 0 -> B: %v", err)
+	}
+	if got, want := keysPerShard(srvB)[0], keysPerShard(srvA)[0]; got != want || want == 0 {
+		t.Fatalf("after the handoff B holds %d keys of shard 0, A shipped %d", got, want)
+	}
+	for k := uint64(0); k < 2*n; k++ {
+		val, err := cl2.Get(ctx, k)
+		if err != nil || !bytes.Equal(val, value(k)) {
+			t.Fatalf("key %d (shard %d) after the handoff: %d bytes, %v", k, cluster.ShardOf(k, clusterSoakShards), len(val), err)
+		}
+	}
+	finalMap := cl2.Map()
+	if rt := finalMap.Route(0); rt == nil || rt.Leader != idB {
+		t.Errorf("shard 0 leader = %+v, want node %d", rt, idB)
+	}
 }

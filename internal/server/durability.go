@@ -6,7 +6,10 @@
 // keeps just the periodic snapshots. Startup recovery loads the newest valid
 // snapshot, replays the WAL tail through the one redo applier and decides an
 // undecided round by the all-prepared rule; a clean-shutdown marker written
-// by a graceful drain lets the next startup skip replay entirely.
+// by a graceful drain lets the next startup skip replay entirely. Snapshot
+// and log reach memory as bounded groups through shard.applyRecords
+// (store.go) — the reservation there grows the heap, so a shard restarts at
+// whatever size it had reached.
 package server
 
 import (
@@ -82,9 +85,11 @@ type redoApplier struct {
 	n     uint64            // redo records applied to memory so far
 }
 
-// apply feeds one batch (sequence seq) through the state machine.
+// apply feeds one batch (sequence seq) through the state machine. A run of
+// data records with nothing held reaches memory as groups (shard.applyRecords).
 func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, recs []wal.Record) error {
-	for _, r := range recs {
+	for i := 0; i < len(recs); i++ {
+		r := recs[i]
 		var err error
 		switch {
 		case a.xid != 0 && r.Key == a.xid && (r.Kind == wal.RecCommit || r.Kind == wal.RecAbort):
@@ -102,12 +107,14 @@ func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, re
 			err = a.apply(ctx, th, seq, held)
 		case a.xid != 0:
 			a.held = append(a.held, copyRecord(r))
-		case r.Kind == wal.RecPut:
-			a.n++
-			_, err = a.sh.doPut(ctx, th, r.Key, r.Value)
-		case r.Kind == wal.RecDelete:
-			a.n++
-			_, err = a.sh.doDelete(ctx, th, r.Key)
+		case isData(r):
+			j := i + 1
+			for j < len(recs) && isData(recs[j]) {
+				j++
+			}
+			a.n += uint64(j - i)
+			err = a.sh.applyRecords(ctx, th, recs[i:j])
+			i = j - 1
 		case r.Kind == wal.RecPrepare:
 			if !wal.DecodePrepareValue(r.Value, &a.parts, &a.dec) {
 				return fmt.Errorf("xid %d: malformed prepare record", r.Key)
@@ -140,6 +147,10 @@ func (a *redoApplier) reset() {
 	a.xid, a.held, a.own, a.parts = 0, nil, 0, a.parts[:0]
 }
 
+// isData reports whether r carries a key's post-image (as opposed to a
+// cross-shard protocol record).
+func isData(r wal.Record) bool { return r.Kind == wal.RecPut || r.Kind == wal.RecDelete }
+
 // copyRecord deep-copies a record out of a decode buffer.
 func copyRecord(r wal.Record) wal.Record {
 	if len(r.Value) > 0 {
@@ -150,10 +161,9 @@ func copyRecord(r wal.Record) wal.Record {
 
 // initShardDurability recovers shard sh from its data directory and, in
 // group mode, leaves sh.log started and ready to append. It runs during New,
-// before any worker or connection exists, so it may apply state through the
-// ordinary do* helpers without WAL interposition. A log that ends with a
-// cross-shard prepare undecided leaves its applier in cr for
-// resolveCrossShard.
+// before any worker or connection exists, and applyRecords logs nothing, so
+// no WAL interposition is needed. A log that ends with a cross-shard prepare
+// undecided leaves its applier in cr for resolveCrossShard.
 func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecovery) (RecoveryStats, error) {
 	st := RecoveryStats{Shard: sh.id}
 	sh.dataDir = shardDataDir(s.cfg.DataDir, sh.id)
@@ -164,10 +174,12 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 		return st, fmt.Errorf("shard %d: load snapshot: %w", sh.id, err)
 	}
 	if haveSnap {
-		for _, e := range entries {
-			if _, err := sh.doPut(ctx, th, e.Key, e.Value); err != nil {
-				return st, fmt.Errorf("shard %d: restore snapshot key %d: %w", sh.id, e.Key, err)
-			}
+		recs := make([]wal.Record, len(entries))
+		for i, e := range entries {
+			recs[i] = wal.Record{Kind: wal.RecPut, Key: e.Key, Value: e.Value}
+		}
+		if err := sh.applyRecords(ctx, th, recs); err != nil {
+			return st, fmt.Errorf("shard %d: restore snapshot: %w", sh.id, err)
 		}
 		sh.snapSeq.Store(snapSeq)
 		sh.lastSnap.Store(time.Now().Unix())
@@ -413,9 +425,6 @@ func (s *Server) closeShardDurability(sh *shard, th *votm.Thread) {
 func appendGroupRecords(recs []wal.Record, valBuf []byte, ops []groupOp) ([]wal.Record, []byte) {
 	for i := range ops {
 		op := &ops[i]
-		if op.skip {
-			continue
-		}
 		if b := op.t.batch; b != nil {
 			if b.err == nil {
 				recs, valBuf = appendAtomicRecords(recs, valBuf, b, 0)

@@ -5,7 +5,10 @@
 // one WAL append and one lagged flush amortized over K members. Members are
 // GET/PUT/DELETE/CAS requests and ATOMIC batches whose keys all live on this
 // shard; an ATOMIC member is interpreted by multiBatch (store.go) with its
-// own validate-before-first-write pass and its own verdict.
+// own validate-before-first-write pass and its own verdict. The group
+// orchestrates — statuses, the WAL append, the lagged flush — and implements
+// no store verb: it reserves once for all its members, calls the shard's
+// kernel (store.go) per member inside the transaction, and settles once.
 //
 // A worker plans nothing: the connection reader routed every request before
 // it entered this shard's ring (conn.dispatch), an ATOMIC member arrives with
@@ -34,30 +37,17 @@ import (
 	"time"
 
 	"votm"
-	"votm/ds"
-	"votm/enc"
 	"votm/internal/wal"
 	"votm/wire"
 )
 
-// groupOp is one member's slot in a grouped transaction. An ATOMIC member's
-// interpreter state (t.batch) owns that member's pre-allocations.
+// groupOp is one member of a grouped transaction.
 type groupOp struct {
 	t    task
 	resp *wire.Response
-
-	// skip excludes an op whose pre-allocation failed; its resp already
-	// carries the failure status and the transaction never sees it.
-	skip bool
-
-	// block/node are pre-allocated outside the transaction for PUT and CAS
-	// (alloc-outside / link-inside / free-after-commit discipline);
-	// usedBlock/usedNode record whether the committed attempt linked them.
-	block               votm.Addr
-	hasBlock            bool
-	node                ds.Ref
-	hasNode             bool
-	usedBlock, usedNode bool
+	// slot is a PUT's or CAS's slot in the worker's effects (an ATOMIC
+	// member's are in its interpreter state, t.batch).
+	slot int
 }
 
 // maxSyncLag bounds how many committed-and-appended write groups a worker
@@ -88,20 +78,16 @@ type groupWorker struct {
 	th *votm.Thread
 
 	ops []groupOp
-	// self/selfTx are the group's one-participant view of the interpreter's
-	// (participants, handles) pair: this shard and the group transaction.
+	// self/selfTx/fx are the group's one-participant view of the
+	// interpreter's (participants, handles, effects) triple: this shard, the
+	// group transaction, and the group's one reservation and effect list —
+	// every member's, point op or ATOMIC, so a group takes the allocator lock
+	// once to reserve and once to settle.
 	self   []*shard
 	selfTx []votm.Tx
-	// frees collects every post-commit release of the current group's point
-	// ops — displaced value blocks, unlinked map nodes, unused
-	// pre-allocations — retired with one FreeBatch (one allocator lock) per
-	// group.
-	frees     []votm.Addr
-	sizes     []int       // pre-allocation size scratch (blocks and nodes)
-	blocks    []votm.Addr // pre-allocation result scratch
-	keysDelta int64
-	recs      []wal.Record // redo-record scratch (durability on)
-	valBuf    []byte       // SubAdd post-image scratch backing recs
+	fx     []effects
+	recs   []wal.Record // redo-record scratch (durability on)
+	valBuf []byte       // SubAdd post-image scratch backing recs
 
 	// pending holds appended-but-unflushed groups (group-commit across
 	// groups: one fdatasync covers the whole list); opsFree recycles their
@@ -116,7 +102,7 @@ type groupWorker struct {
 }
 
 func newGroupWorker(s *Server, sh *shard, th *votm.Thread) *groupWorker {
-	return &groupWorker{s: s, sh: sh, th: th, self: []*shard{sh}, selfTx: make([]votm.Tx, 1),
+	return &groupWorker{s: s, sh: sh, th: th, self: []*shard{sh}, selfTx: make([]votm.Tx, 1), fx: make([]effects, 1),
 		reqContext: reqContext{timeout: s.cfg.RequestTimeout}}
 }
 
@@ -207,7 +193,7 @@ func (s *Server) acquireBatch(subs []wire.Sub) *multiBatch {
 // the state: the list is bounded like the queues that feed it.
 func (s *Server) releaseBatch(b *multiBatch) {
 	clear(b.parts)
-	*b = multiBatch{parts: b.parts, owner: b.owner, res: b.res, effLen: b.effLen, frees: b.frees, keysDelta: b.keysDelta}
+	*b = multiBatch{parts: b.parts, owner: b.owner, slots: b.slots, effLen: b.effLen}
 	select {
 	case s.batchFree <- b:
 	default:
@@ -334,16 +320,11 @@ func (s *Server) noteShardWALFault(sh *shard, err error) {
 // the committed group was stashed on the pending list (ownership of w.ops
 // moves to the flush) and false when every member was answered inline.
 func (w *groupWorker) runGroup() bool {
-	sh, ops := w.sh, w.ops
+	// Response slots and the group's ONE reservation, outside the
+	// transaction: a slot per PUT, CAS and linking ATOMIC sub, carved out in
+	// one allocator lock acquisition.
+	sh, ops, fx := w.sh, w.ops, &w.fx[0]
 	readonly := true
-
-	// Response slots and pre-allocation, outside the transaction. Blocks
-	// and spare nodes for the group's point ops are carved out in one
-	// allocator lock acquisition; if the batch cannot be satisfied
-	// (allocator pressure), fall back to per-op allocation so that only the
-	// op that actually fails is answered INTERNAL and skipped. An ATOMIC
-	// member allocates through its interpreter.
-	w.sizes = w.sizes[:0]
 	for i := range ops {
 		op := &ops[i]
 		req := op.t.req
@@ -354,59 +335,21 @@ func (w *groupWorker) runGroup() bool {
 		case wire.OpGet:
 		case wire.OpPut, wire.OpCAS:
 			readonly = false
-			// Node words are key-dependent: the skip list's tower height is a
-			// deterministic function of the key.
-			w.sizes = append(w.sizes, enc.BlobWords(len(req.Value)), sh.idx.NodeWords(req.Key))
+			op.slot = fx.want(sh, req.Key, len(req.Value))
 		case wire.OpAtomic:
 			b := op.t.batch
 			readonly = readonly && !b.writes()
 			b.results = resp.Subs[:0]
-			if err := b.alloc(w.self); err != nil {
-				w.skipOp(op, err)
-			}
+			b.want(w.self, w.fx)
 		default:
 			readonly = false
 		}
 	}
-	var batched bool
-	if len(w.sizes) > 0 {
-		var err error
-		if w.blocks, err = sh.allocBatch(w.sizes, w.blocks[:0]); err == nil {
-			batched = true
-			next := 0
-			for i := range ops {
-				op := &ops[i]
-				if o := op.t.req.Op; o == wire.OpPut || o == wire.OpCAS {
-					op.block, op.hasBlock = w.blocks[next], true
-					op.node, op.hasNode = ds.Ref(w.blocks[next+1]), true
-					next += 2
-				}
-			}
-		}
-	}
-	live := 0
-	for i := range ops {
-		op := &ops[i]
-		req := op.t.req
-		if !batched && (req.Op == wire.OpPut || req.Op == wire.OpCAS) {
-			block, err := sh.alloc(enc.BlobWords(len(req.Value)))
-			if err == nil {
-				op.block, op.hasBlock = block, true
-				var node ds.Ref
-				if node, err = sh.idx.NewNode(req.Key); err == nil {
-					op.node, op.hasNode = node, true
-				}
-			}
-			if err != nil {
-				w.skipOp(op, err)
-			}
-		}
-		if !op.skip {
-			live++
-		}
-	}
-	if live == 0 {
-		w.finishGroup(ops)
+	if err := sh.reserve(fx); err != nil {
+		// reserve grows a live view, so this one is gone (the server is
+		// shutting down) and the group's transaction could only fail too.
+		status, detail := errStatus(err)
+		w.abortGroup(ops, status, detail)
 		return false
 	}
 
@@ -423,18 +366,18 @@ func (w *groupWorker) runGroup() bool {
 	// refuse the whole write group with TxFault rather than diverge.
 	durable := sh.log != nil && !readonly
 	if durable && sh.readOnly.Load() {
-		w.failGroup(ops, wire.StatusTxFault, errShardReadOnly)
+		w.abortGroup(ops, wire.StatusTxFault, errShardReadOnly)
 		return false
 	}
 
 	// The runtime rolls back and releases admission before a body panic
 	// (an injected fault) reaches us: fail just this group, but answer
-	// every member — no request may be lost to a chaos event — and release
-	// every member's pre-allocations.
+	// every member — no request may be lost to a chaos event — and hand the
+	// group's reservation back.
 	defer func() {
 		if r := recover(); r != nil {
-			w.s.logf("votmd: shard %d: %v in grouped transaction of %d", sh.id, r, live)
-			w.failGroup(ops, wire.StatusTxFault, fmt.Sprint(r))
+			w.s.logf("votmd: shard %d: %v in grouped transaction of %d", sh.id, r, len(ops))
+			w.abortGroup(ops, wire.StatusTxFault, fmt.Sprint(r))
 		}
 	}()
 	walLocked := false
@@ -451,33 +394,29 @@ func (w *groupWorker) runGroup() bool {
 		if w.s.moving(sh) {
 			// The handoff capture acquires walMu after setting moving:
 			// reaching here with it set means this group would commit behind
-			// the captured state — refuse every live op instead (BUSY).
-			w.failGroup(ops, wire.StatusBusy, errShardMoving.Error())
+			// the captured state — refuse every op instead (BUSY).
+			w.abortGroup(ops, wire.StatusBusy, errShardMoving.Error())
 			return false
 		}
 	}
 
-	// The body may be re-executed after a conflict: every per-op outcome
-	// and commit-side effect list is rebuilt from scratch on each attempt.
-	// No path returns a non-nil error after a write, so the group is safe
-	// under Q == 1 lock-mode execution (which has no rollback): per-op
-	// failures are statuses, never aborts.
+	// The body may be re-executed after a conflict: every per-op outcome is
+	// rebuilt, and the effects forget the earlier attempt (begin). No path
+	// returns a non-nil error after a write, so the group is safe under
+	// Q == 1 lock-mode execution (which has no rollback): per-op failures are
+	// statuses, never aborts.
 	fn := func(tx votm.Tx) error {
-		w.frees, w.keysDelta = w.frees[:0], 0
+		fx.begin()
 		w.selfTx[0] = tx
 		for i := range ops {
 			op := &ops[i]
-			if op.skip {
-				continue
-			}
 			if b := op.t.batch; b != nil {
 				// The member keeps its own verdict: a refused batch wrote
 				// nothing (exec validates before its first write) and its
 				// group-mates carry on.
-				b.err = b.exec(w.s, w.self, w.selfTx)
+				b.err = b.exec(w.s, w.self, w.selfTx, w.fx)
 				continue
 			}
-			op.usedBlock, op.usedNode = false, false
 			req, resp := op.t.req, op.resp
 			resp.Status = wire.StatusOK
 			resp.Value = resp.Value[:0]
@@ -491,47 +430,19 @@ func (w *groupWorker) runGroup() bool {
 				resp.Status = wire.StatusBusy
 				continue
 			}
+			found := true
 			switch req.Op {
 			case wire.OpGet:
-				if ref, ok := sh.idx.Get(tx, req.Key); ok {
-					resp.Value = enc.AppendBlob(resp.Value, tx, votm.Addr(ref))
-				} else {
-					resp.Status = wire.StatusNotFound
-				}
+				resp.Value, found = sh.get(tx, req.Key, resp.Value)
 			case wire.OpPut:
-				enc.StoreBlob(tx, op.block, req.Value)
-				prev, existed, used := sh.idx.Swap(tx, req.Key, uint64(op.block), op.node)
-				op.usedBlock, op.usedNode = true, used
-				if existed {
-					w.frees = append(w.frees, votm.Addr(prev))
-				} else {
-					w.keysDelta++
-				}
-				resp.Created = !existed
+				resp.Created = sh.put(tx, fx, op.slot, req.Key, req.Value)
 			case wire.OpDelete:
-				if ref, ok := sh.idx.Get(tx, req.Key); ok {
-					node, _ := sh.idx.Delete(tx, req.Key)
-					w.frees = append(w.frees, votm.Addr(ref), votm.Addr(node))
-					w.keysDelta--
-				} else {
-					resp.Status = wire.StatusNotFound
-				}
+				found = sh.del(tx, fx, req.Key)
 			case wire.OpCAS:
-				ref, ok := sh.idx.Get(tx, req.Key)
-				if !ok {
-					resp.Status = wire.StatusNotFound
-					break
-				}
-				base := votm.Addr(ref)
-				if !enc.BlobEqual(tx, base, req.OldValue) {
-					resp.Status = wire.StatusCASMismatch
-					resp.Value = enc.AppendBlob(resp.Value, tx, base)
-					break
-				}
-				enc.StoreBlob(tx, op.block, req.Value)
-				prev, _, used := sh.idx.Swap(tx, req.Key, uint64(op.block), op.node)
-				op.usedBlock, op.usedNode = true, used
-				w.frees = append(w.frees, votm.Addr(prev))
+				resp.Status, resp.Value = sh.cas(tx, fx, op.slot, req.Key, req.OldValue, req.Value, resp.Value)
+			}
+			if !found {
+				resp.Status = wire.StatusNotFound
 			}
 		}
 		return nil
@@ -539,13 +450,13 @@ func (w *groupWorker) runGroup() bool {
 
 	var err error
 	if readonly {
-		err = sh.view.AtomicReadGroup(w.ctx(), w.th, live, fn)
+		err = sh.view.AtomicReadGroup(w.ctx(), w.th, len(ops), fn)
 	} else {
-		err = sh.view.AtomicGroup(w.ctx(), w.th, live, fn)
+		err = sh.view.AtomicGroup(w.ctx(), w.th, len(ops), fn)
 	}
 	if err != nil {
 		status, detail := errStatus(err)
-		w.failGroup(ops, status, detail)
+		w.abortGroup(ops, status, detail)
 		return false
 	}
 
@@ -567,35 +478,23 @@ func (w *groupWorker) runGroup() bool {
 		walLocked = false
 	}
 
-	// Release displaced storage and any pre-allocation the final attempt
-	// did not link — the point ops' whole effect list in one allocator lock
-	// acquisition (a map node is a plain view block: FreeNode is view.Free
-	// by another name, so it batches with the rest), each ATOMIC member's
-	// through its interpreter, which also yields the member's answer. This
-	// cleanup is due even when the WAL failed: the memory commit happened.
+	// Settle the group's storage — every member's unlinked slots and
+	// displaced blocks in one allocator lock acquisition, the key counter —
+	// and give each ATOMIC member its answer. The settle is due even when the
+	// WAL failed: the memory commit happened.
+	sh.settle(fx, true)
 	for i := range ops {
 		op := &ops[i]
-		if b := op.t.batch; b != nil {
-			if b.err != nil {
-				status, detail := errStatus(b.err)
-				op.resp.Status = status
-				op.resp.SetDetail(detail)
-			} else {
-				op.resp.Subs = b.results
-			}
-			b.settle(w.self, true)
-			continue
+		switch b := op.t.batch; {
+		case b == nil:
+		case b.err != nil:
+			status, detail := errStatus(b.err)
+			op.resp.Status = status
+			op.resp.SetDetail(detail)
+		default:
+			op.resp.Subs = b.results
 		}
-		if op.hasBlock && !op.usedBlock {
-			w.frees = append(w.frees, op.block)
-		}
-		if op.hasNode && !op.usedNode {
-			w.frees = append(w.frees, votm.Addr(op.node))
-		}
-		op.hasBlock, op.hasNode = false, false
 	}
-	_ = sh.view.FreeBatch(w.frees)
-	sh.keys.Add(w.keysDelta)
 
 	if walErr != nil {
 		// The append failed before any flush: this group is applied in
@@ -627,42 +526,18 @@ func (w *groupWorker) runGroup() bool {
 	return true
 }
 
-// skipOp excludes a member whose pre-allocation failed from the group: it
-// is answered INTERNAL and the transaction never sees it.
-func (w *groupWorker) skipOp(op *groupOp, err error) {
-	w.releaseOp(op)
-	op.resp.Status = wire.StatusInternal
-	op.resp.SetDetail(err.Error())
-	op.skip = true
+// abortGroup fails a group whose transaction did not commit: the reservation
+// goes back and every member is answered with the one status.
+func (w *groupWorker) abortGroup(ops []groupOp, status wire.Status, detail string) {
+	w.sh.settle(&w.fx[0], false)
+	w.failGroup(ops, status, detail)
 }
 
-// releaseOp returns a member's unlinked pre-allocations (failure paths; a
-// no-op once the member's storage has been settled).
-func (w *groupWorker) releaseOp(op *groupOp) {
-	if b := op.t.batch; b != nil {
-		b.settle(w.self, false)
-	}
-	if op.hasBlock {
-		_ = w.sh.view.Free(op.block)
-		op.hasBlock = false
-	}
-	if op.hasNode {
-		_ = w.sh.idx.FreeNode(op.node)
-		op.hasNode = false
-	}
-}
-
-// failGroup answers every live member of a group with one failure status,
-// releasing whatever pre-allocations they still hold.
+// failGroup answers every member of a group with one failure status.
 func (w *groupWorker) failGroup(ops []groupOp, status wire.Status, detail string) {
 	for i := range ops {
-		op := &ops[i]
-		if op.skip {
-			continue
-		}
-		w.releaseOp(op)
-		op.resp.Status = status
-		op.resp.SetDetail(detail)
+		ops[i].resp.Status = status
+		ops[i].resp.SetDetail(detail)
 	}
 	w.finishGroup(ops)
 }

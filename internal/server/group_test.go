@@ -121,9 +121,10 @@ func collect(t *testing.T, c *conn, n int) map[uint32]gotResp {
 }
 
 // TestGroupedExecutionOracle runs one mixed batch through groupWorker.run
-// and checks every per-request outcome against the single-op helpers'
-// semantics: statuses stay per-request, intra-group ops observe each other
-// (one transaction), and the committed state matches a sequential oracle.
+// and checks every per-request outcome against the protocol's per-request
+// semantics, written out as literals: statuses stay per-request,
+// intra-group ops observe each other (one transaction), and the committed
+// state matches a sequential oracle.
 func TestGroupedExecutionOracle(t *testing.T) {
 	s, err := New(Config{Shards: 1, ShardWords: 1 << 12, WorkersPerShard: 2})
 	if err != nil {
@@ -139,15 +140,15 @@ func TestGroupedExecutionOracle(t *testing.T) {
 	defer th.Release()
 	sh := (*s.shards[0].subs.Load())[0]
 
-	// Seed through the single-op helpers (they stay the reference
-	// semantics grouped execution must preserve).
-	if created, err := sh.doPut(ctx, th, 1, []byte("alpha")); err != nil || !created {
+	// Seed with one kernel verb per transaction (store_test.go), outside any
+	// group.
+	if created, err := sh.testPut(ctx, th, 1, []byte("alpha")); err != nil || !created {
 		t.Fatalf("seed put: created=%v err=%v", created, err)
 	}
-	if _, err := sh.doPut(ctx, th, 3, []byte("gamma")); err != nil {
+	if _, err := sh.testPut(ctx, th, 3, []byte("gamma")); err != nil {
 		t.Fatalf("seed put: %v", err)
 	}
-	if _, err := sh.doPut(ctx, th, 4, []byte("delta")); err != nil {
+	if _, err := sh.testPut(ctx, th, 4, []byte("delta")); err != nil {
 		t.Fatalf("seed put: %v", err)
 	}
 
@@ -194,7 +195,7 @@ func TestGroupedExecutionOracle(t *testing.T) {
 		t.Errorf("created flags: put#2=%v put#3=%v, want true/false", got[2].created, got[3].created)
 	}
 
-	// Committed state, read back through the reference helpers.
+	// Committed state, read back one key per transaction.
 	for _, tc := range []struct {
 		key   uint64
 		want  string
@@ -202,7 +203,7 @@ func TestGroupedExecutionOracle(t *testing.T) {
 	}{
 		{1, "", false}, {3, "gamma2", true}, {4, "delta", true}, {5, "newer", true},
 	} {
-		val, found, err := sh.doGet(ctx, th, tc.key)
+		val, found, err := sh.testGet(ctx, th, tc.key)
 		if err != nil {
 			t.Fatalf("oracle get %d: %v", tc.key, err)
 		}
@@ -210,12 +211,12 @@ func TestGroupedExecutionOracle(t *testing.T) {
 			t.Errorf("key %d: %q found=%v, want %q found=%v", tc.key, val, found, tc.want, tc.found)
 		}
 	}
-	// And the reference CAS agrees with the group's CAS result.
-	if outcome, _, err := sh.doCAS(ctx, th, 3, []byte("gamma2"), []byte("gamma3")); err != nil || outcome != casOK {
-		t.Fatalf("doCAS after group: outcome=%v err=%v", outcome, err)
+	// And a CAS on its own sees the value the group's CAS left.
+	if outcome, _, err := sh.testCAS(ctx, th, 3, []byte("gamma2"), []byte("gamma3")); err != nil || outcome != wire.StatusOK {
+		t.Fatalf("CAS after group: outcome=%v err=%v", outcome, err)
 	}
-	if found, err := sh.doDelete(ctx, th, 5); err != nil || !found {
-		t.Fatalf("doDelete after group: found=%v err=%v", found, err)
+	if found, err := sh.testDelete(ctx, th, 5); err != nil || !found {
+		t.Fatalf("DELETE after group: found=%v err=%v", found, err)
 	}
 
 	// Group accounting: one grouped transaction of 9 ops (the helper calls
@@ -255,7 +256,7 @@ func TestGroupAcrossSplitRouteChange(t *testing.T) {
 
 	const n = 32
 	for k := uint64(0); k < n; k++ {
-		if _, err := root.doPut(ctx, th, k, []byte("seed")); err != nil {
+		if _, err := root.testPut(ctx, th, k, []byte("seed")); err != nil {
 			t.Fatalf("seed %d: %v", k, err)
 		}
 	}
@@ -293,7 +294,7 @@ func TestGroupAcrossSplitRouteChange(t *testing.T) {
 		if owner != root {
 			want = "seed"
 		}
-		val, found, err := owner.doGet(ctx, th, k)
+		val, found, err := owner.testGet(ctx, th, k)
 		if err != nil || !found {
 			t.Fatalf("get %d on owner: found=%v err=%v", k, found, err)
 		}
@@ -331,7 +332,7 @@ func TestGroupPanicAnswersEveryRequest(t *testing.T) {
 	th := s.rt.RegisterThread()
 	defer th.Release()
 	sh := (*s.shards[0].subs.Load())[0]
-	if _, err := sh.doPut(ctx, th, 1, []byte("before")); err != nil {
+	if _, err := sh.testPut(ctx, th, 1, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -353,11 +354,11 @@ func TestGroupPanicAnswersEveryRequest(t *testing.T) {
 	}
 	// Nothing committed: the runtime rolled the instrumented transaction
 	// back before the panic reached the group runner.
-	val, found, err := sh.doGet(ctx, th, 1)
+	val, found, err := sh.testGet(ctx, th, 1)
 	if err != nil || !found || string(val) != "before" {
 		t.Fatalf("key 1 after contained panic: %q found=%v err=%v", val, found, err)
 	}
-	if _, found, _ := sh.doGet(ctx, th, 2); found {
+	if _, found, _ := sh.testGet(ctx, th, 2); found {
 		t.Fatal("key 2 exists; the faulted group partially committed")
 	}
 
@@ -397,7 +398,7 @@ func TestSteadyStateGetAllocs(t *testing.T) {
 	th := s.rt.RegisterThread()
 	defer th.Release()
 	sh := (*s.shards[0].subs.Load())[0]
-	if _, err := sh.doPut(ctx, th, 7, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+	if _, err := sh.testPut(ctx, th, 7, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -451,7 +452,7 @@ func TestSteadyStateGetAllocsDurable(t *testing.T) {
 	if sh.log == nil {
 		t.Fatal("durable shard has no WAL")
 	}
-	if _, err := sh.doPut(ctx, th, 7, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+	if _, err := sh.testPut(ctx, th, 7, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -610,7 +611,7 @@ func TestGroupMergedDrain(t *testing.T) {
 			{1, []byte("one")}, {3, []byte("gamma2")}, {10, []byte("abc")},
 			{20, []byte("x")}, {21, sum5}, {30, nil},
 		} {
-			val, found, err := sh.doGet(context.Background(), th, tc.key)
+			val, found, err := sh.testGet(context.Background(), th, tc.key)
 			if err != nil || found != (tc.want != nil) || !bytes.Equal(val, tc.want) {
 				t.Errorf("%s: key %d = %q found=%v err=%v, want %q", name, tc.key, val, found, err, tc.want)
 			}

@@ -26,7 +26,7 @@ func TestRedoApplierHoldsSuffix(t *testing.T) {
 	}
 	want := func(step string, key uint64, val string) {
 		t.Helper()
-		got, found, err := sh.doGet(ctx, th, key)
+		got, found, err := sh.testGet(ctx, th, key)
 		if err != nil || found != (val != "") || string(got) != val {
 			t.Fatalf("%s: key %d = %q (found %v, %v), want %q", step, key, got, found, err, val)
 		}
@@ -87,16 +87,16 @@ func TestPromotionCommitsHeldSuffix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, found, _ := sh.doGet(ctx, f.th, key); found {
+	if _, found, _ := sh.testGet(ctx, f.th, key); found {
 		t.Fatal("a held record reached memory")
 	}
 	cn.commitHeld(0)
-	if val, _, _ := sh.doGet(ctx, f.th, key); string(val) != "acked group" {
+	if val, _, _ := sh.testGet(ctx, f.th, key); string(val) != "acked group" {
 		t.Fatalf("after promotion: key = %q, want the held suffix applied", val)
 	}
 	// Shard 9 does not exist: only the annotation can make this replay commit.
 	re := f.bootCopy(t, nil)
-	if val, _, _ := re.shards[0].doGet(ctx, re.th, key); string(val) != "acked group" {
+	if val, _, _ := re.shards[0].testGet(ctx, re.th, key); string(val) != "acked group" {
 		t.Errorf("crash image of the promoted log: key = %q", val)
 	}
 	if n := re.s.Recovery()[0].ResolvedPrepares; n != 0 {

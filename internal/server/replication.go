@@ -11,8 +11,10 @@
 // continuity (buffer overflow, an oversized frame, a seq gap, a follower
 // restarted into a different position) degrades to a snapshot re-sync: the
 // sender captures the shard under walMu, installs it through the same
-// BEGIN/ENTRIES/COMMIT sequence a live handoff uses, and streams on from the
-// captured sequence.
+// BEGIN/ENTRIES/COMMIT sequence a live handoff uses (installState, its one
+// writer), and streams on from the captured sequence. Whatever the follower
+// applies — streamed frames, installed entries, the wipe before an install —
+// goes through the redo applier into shard.applyRecords (store.go).
 //
 // Lock order (tightest first): shard.walMu > wal.Log's internal mutex >
 // clShard.mu > replica.mu. The tee runs with the first two held and takes
@@ -473,7 +475,8 @@ func (cn *clusterNode) bootstrap(sh *shard, th *votm.Thread, r *replica, do func
 	if err != nil {
 		return 0, err
 	}
-	if err := installState(r.shardID, seq, entries, 0, do); err != nil {
+	noPromotion := func() (uint64, error) { return 0, nil }
+	if err := installState(r.shardID, seq, entries, noPromotion, do); err != nil {
 		return 0, err
 	}
 	cn.s.logf("votmd: shard %d: bootstrapped follower %d (%d keys, seq %d)",
@@ -482,10 +485,12 @@ func (cn *clusterNode) bootstrap(sh *shard, th *votm.Thread, r *replica, do func
 }
 
 // installState ships one captured shard state through the three handoff
-// phases. epoch 0 installs a follower copy; a real epoch promotes the
-// receiver (live handoff, cluster.go shipState drives that variant itself
-// to interleave the seed reassignment).
-func installState(shardID int, seq uint64, entries []wal.Entry, epoch uint64, do func(*wire.Request) (*wire.Response, error)) error {
+// phases — the one writer of BEGIN / ENTRIES / COMMIT. beforeCommit runs once
+// the last entry chunk is acknowledged and yields the epoch COMMIT carries: 0
+// installs a follower copy (a replication bootstrap), a real epoch promotes
+// the receiver (a live handoff, whose before-commit step is the seed
+// reassignment: cluster.go shipState).
+func installState(shardID int, seq uint64, entries []wal.Entry, beforeCommit func() (uint64, error), do func(*wire.Request) (*wire.Response, error)) error {
 	if _, err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffBegin, Key: seq}); err != nil {
 		return fmt.Errorf("handoff begin: %w", err)
 	}
@@ -493,6 +498,10 @@ func installState(shardID int, seq uint64, entries []wal.Entry, epoch uint64, do
 		if _, err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffEntries, Value: chunk}); err != nil {
 			return fmt.Errorf("handoff entries: %w", err)
 		}
+	}
+	epoch, err := beforeCommit()
+	if err != nil {
+		return err
 	}
 	if _, err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffCommit, Key: epoch}); err != nil {
 		return fmt.Errorf("handoff commit: %w", err)
@@ -797,19 +806,17 @@ func (w *groupWorker) clearShard(st *clShard, seq uint64) error {
 	st.redo.reset()
 	sh.owed.Store(0)
 	ctx := context.Background()
-	var keys []uint64
+	var dels []wal.Record
 	err := sh.view.AtomicRead(ctx, w.th, func(tx votm.Tx) error {
-		keys = keys[:0]
-		sh.idx.ForEach(tx, func(key, val uint64) { keys = append(keys, key) })
+		dels = dels[:0]
+		sh.idx.ForEach(tx, func(key, val uint64) { dels = append(dels, wal.Record{Kind: wal.RecDelete, Key: key}) })
 		return nil
 	})
+	if err == nil {
+		err = sh.applyRecords(ctx, w.th, dels)
+	}
 	if err != nil {
 		return err
-	}
-	for _, key := range keys {
-		if _, err := sh.doDelete(ctx, w.th, key); err != nil {
-			return err
-		}
 	}
 	if sh.log != nil {
 		if err := sh.log.Reset(seq + 1); err != nil {

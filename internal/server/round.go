@@ -204,6 +204,10 @@ type roundCoordinator struct {
 	views      []*votm.View
 	unionWrite []bool // per union participant: some task mutates it
 	writes     []bool // task-major matrix: writes[ti*len(union)+pi]
+	// fx is the round's reservation and effect list on each union participant
+	// (store.go): every batch's slots there are reserved together and settled
+	// together, one allocator lock each.
+	fx []effects
 
 	recs    []wal.Record // redo-record scratch, participant-major
 	valBuf  []byte       // SubAdd post-image scratch backing recs
@@ -363,7 +367,7 @@ func (rc *roundCoordinator) execContained(rt *roundTask, txs []votm.Tx) (err err
 		}
 	}()
 	if b := rt.t.batch; b != nil {
-		return b.exec(rc.s, rc.union, txs)
+		return b.exec(rc.s, rc.union, txs, rc.fx)
 	}
 	return rc.runPage(rt.t.req, rt.resp, txs)
 }
@@ -435,7 +439,10 @@ func (rc *roundCoordinator) runRound() {
 	maxInto(&rc.largest, uint64(len(tasks)))
 
 	// Per-task setup: response and, for a batch, union-indexed ownership,
-	// write set and pre-allocation.
+	// write set and the slots it wants; then ONE reservation per participant.
+	for len(rc.fx) < nu {
+		rc.fx = append(rc.fx, effects{})
+	}
 	rc.unionWrite = resized(rc.unionWrite, nu)
 	rc.writes = resized(rc.writes, len(tasks)*nu)
 	unionWrite, writes := rc.unionWrite, rc.writes
@@ -457,7 +464,14 @@ func (rc *roundCoordinator) runRound() {
 		}
 		hasWrite = hasWrite || rt.hasWrite
 		b.results = rt.resp.Subs[:0]
-		_ = b.alloc(union) // a failure is the batch's verdict
+		b.want(union, rc.fx)
+	}
+	for pi, p := range union {
+		if err := p.reserve(&rc.fx[pi]); err != nil {
+			// reserve grows a live view, so this one is gone (the server is
+			// shutting down) and the quiesce could only fail too.
+			rc.undecided(err)
+		}
 	}
 	durable := hasWrite && rc.durable
 
@@ -473,18 +487,18 @@ func (rc *roundCoordinator) runRound() {
 			}
 		}()
 		defer func() {
-			// The one place ATOMIC pre-allocations are released, on every
-			// path: a panic that unwound AtomicAll (an injected admission
-			// fault — nothing executed) first becomes the verdict of every
-			// undecided task, so their blocks and nodes are freed too.
+			// The one place a round's reservations are settled, on every path.
+			// The body runs once, in lock mode, so the slots record exactly
+			// what was linked — everything a refused batch asked for goes
+			// back, and after a panic that unwound AtomicAll (an injected
+			// admission fault: nothing executed, every undecided task gets it
+			// as its verdict) so does everything.
 			if r := recover(); r != nil {
 				s.logf("votmd: %v in a round of %d", r, len(tasks))
 				rc.undecided(txFault{r})
 			}
-			for i := range tasks {
-				if b := tasks[i].t.batch; b != nil {
-					b.settle(union, true)
-				}
+			for pi, p := range union {
+				p.settle(&rc.fx[pi], true)
 			}
 		}()
 		if durable {

@@ -192,10 +192,10 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 		}
 	}
 	for i, sh := range f.shards {
-		if _, found, _ := sh.doGet(context.Background(), f.th, f.keys[i][3]); found {
+		if _, found, _ := sh.testGet(context.Background(), f.th, f.keys[i][3]); found {
 			t.Errorf("shard %d holds the BUSY batch's key", i)
 		}
-		if _, found, _ := sh.doGet(context.Background(), f.th, f.keys[i][2]); !found {
+		if _, found, _ := sh.testGet(context.Background(), f.th, f.keys[i][2]); !found {
 			t.Errorf("shard %d lost a queued batch's key", i)
 		}
 	}
@@ -267,7 +267,7 @@ func (f *roundFixture) bootCopy(t *testing.T, cut func(dir string)) *roundFixtur
 // counter reads key on shard i as an ADD counter (found = false: no key).
 func (f *roundFixture) counter(t *testing.T, i int, key uint64) (uint64, bool) {
 	t.Helper()
-	val, found, err := f.shards[i].doGet(context.Background(), f.th, key)
+	val, found, err := f.shards[i].testGet(context.Background(), f.th, key)
 	if err != nil || (found && len(val) != 8) {
 		t.Fatalf("key %d: %q, %v", key, val, err)
 	}
@@ -390,7 +390,7 @@ func TestRoundSharesDependentTasks(t *testing.T) {
 		}
 	})
 	for i, key := range []uint64{k0, k1, h.keys[2][0]} {
-		if _, found, _ := none.shards[i].doGet(context.Background(), none.th, key); found {
+		if _, found, _ := none.shards[i].testGet(context.Background(), none.th, key); found {
 			t.Errorf("crash image without shard 1's prepare: key %d survived on shard %d", key, i)
 		}
 	}
@@ -479,7 +479,7 @@ func TestRoundGatesGroupAck(t *testing.T) {
 	}
 	// Replay order = memory order: the group's value wins in a crash image.
 	re := h.bootCopy(t, nil)
-	if val, _, _ := re.shards[h.b].doGet(context.Background(), re.th, h.key[h.b]); string(val) != "group" {
+	if val, _, _ := re.shards[h.b].testGet(context.Background(), re.th, h.key[h.b]); string(val) != "group" {
 		t.Errorf("crash image: key %d = %q, want the group's value", h.key[h.b], val)
 	}
 }
@@ -574,7 +574,7 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 		sh  *shard
 		key uint64
 	}{{sh0, k0}, {root1, k1}, {root1, kStay}} {
-		if _, err := p.sh.doPut(ctx, th, p.key, []byte("seed")); err != nil {
+		if _, err := p.sh.testPut(ctx, th, p.key, []byte("seed")); err != nil {
 			t.Fatalf("seed %d: %v", p.key, err)
 		}
 	}
@@ -631,7 +631,7 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 		sh  *shard
 		key uint64
 	}{{sh0, k0}, {owner, k1}, {root1, kStay}} {
-		if val, found, err := p.sh.doGet(ctx, th, p.key); err != nil || !found || string(val) != "seed" {
+		if val, found, err := p.sh.testGet(ctx, th, p.key); err != nil || !found || string(val) != "seed" {
 			t.Errorf("key %d after BUSY: %q found=%v err=%v, want the seed", p.key, val, found, err)
 		}
 	}
@@ -650,7 +650,7 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 		sh  *shard
 		key uint64
 	}{{sh0, k0}, {owner, k1}, {root1, kStay}} {
-		if val, _, _ := p.sh.doGet(ctx, th, p.key); string(val) != "new" {
+		if val, _, _ := p.sh.testGet(ctx, th, p.key); string(val) != "new" {
 			t.Errorf("key %d = %q, want the retry's value", p.key, val)
 		}
 	}
@@ -774,7 +774,7 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		val := bytes.Repeat([]byte{0xAB}, 64)
 		for k := uint64(0); k < 64; k++ {
 			sh := s.shards[s.Shard(k)].route(k)
-			if _, err := sh.doPut(context.Background(), th, k, val); err != nil {
+			if _, err := sh.testPut(context.Background(), th, k, val); err != nil {
 				t.Fatalf("seed %d: %v", k, err)
 			}
 		}

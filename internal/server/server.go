@@ -426,8 +426,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		sh := s.newShard(i, v, idx)
 		if durable {
-			// Recover before any worker or connection exists: the do* helpers
-			// apply snapshot entries and replayed records WAL-free.
+			// Recover before any worker or connection exists: applyRecords
+			// takes snapshot entries and replayed records WAL-free.
 			rst, err := s.initShardDurability(sh, recoveryTh, cr)
 			if err != nil {
 				return nil, err

@@ -5,10 +5,12 @@
 // map + worker pool takes over half the key space (extendible-hashing
 // style, one more bit of a dedicated key mix per split) and the keys are
 // migrated under the parent view's exclusive quiescence, so no transaction
-// ever observes a half-moved key. Requests already queued for the old
-// owner are answered StatusBusy after the route check — the typed signal
-// the client retry layer (client.Options.BusyRetries) converts into a
-// transparent redo against the new owner.
+// ever observes a half-moved key. The migration owns no store code: the
+// child receives the half as redo records (applyRecords), the parent sheds
+// it through the kernel's del and settle (store.go). Requests already queued
+// for the old owner are answered StatusBusy after the route check — the
+// typed signal the client retry layer (client.Options.BusyRetries) converts
+// into a transparent redo against the new owner.
 package server
 
 import (
@@ -20,6 +22,7 @@ import (
 	"votm/ds"
 	"votm/enc"
 	"votm/internal/viewmgr"
+	"votm/internal/wal"
 )
 
 // subMix is the sub-shard routing hash. It must disagree with ShardOf
@@ -147,17 +150,6 @@ func (s *Server) monitor() {
 	}
 }
 
-// movedEntry is one key migrating from parent to child during a split.
-type movedEntry struct {
-	key           uint64
-	parentRef     uint64 // value block in the parent view (freed after)
-	val           []byte
-	childRef      votm.Addr // value block allocated in the child view
-	childNode     ds.Ref
-	parentNode    ds.Ref // unlinked parent map node (freed after)
-	hasParentNode bool
-}
-
 // splitShard moves the half of sh's keys whose next subMix bit is 1 into a
 // brand-new sub-shard. The whole migration runs inside the parent view's
 // Exclusive section (paused admission, drained in-flight transactions), so
@@ -188,37 +180,26 @@ func (s *Server) splitShard(g *shardGroup, sh *shard) error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	var moved []movedEntry
+	// moved is the migrating half as redo records, fx what the parent owes
+	// its allocator once it has shed them.
+	var (
+		moved []wal.Record
+		fx    effects
+	)
+	th := s.rt.RegisterThread()
+	defer th.Release()
 	err = sh.view.Exclusive(ctx, func(ptx votm.Tx) error {
 		// Pass 1: find the migrating entries and snapshot their values. The
 		// parent is quiescent, so the snapshot cannot go stale.
 		sh.idx.ForEach(ptx, func(key, ref uint64) {
 			if subMix(key)&(1<<depth) != 0 {
-				moved = append(moved, movedEntry{
-					key:       key,
-					parentRef: ref,
-					val:       enc.LoadBlob(ptx, votm.Addr(ref)),
-				})
+				moved = append(moved, wal.Record{Kind: wal.RecPut, Key: key, Value: enc.LoadBlob(ptx, votm.Addr(ref))})
 			}
 		})
 
-		// Pass 2: populate the child (its own exclusive section — it serves
-		// nothing yet, so this never blocks).
-		for i := range moved {
-			if moved[i].childRef, err = child.alloc(enc.BlobWords(len(moved[i].val))); err != nil {
-				return err
-			}
-			if moved[i].childNode, err = child.idx.NewNode(moved[i].key); err != nil {
-				return err
-			}
-		}
-		if err := child.view.Exclusive(ctx, func(ctx2 votm.Tx) error {
-			for _, e := range moved {
-				enc.StoreBlob(ctx2, e.childRef, e.val)
-				child.idx.Put(ctx2, e.key, uint64(e.childRef), e.childNode)
-			}
-			return nil
-		}); err != nil {
+		// Pass 2: populate the child (it serves nothing yet, so its own
+		// transactions never wait).
+		if err := child.applyRecords(ctx, th, moved); err != nil {
 			return err
 		}
 
@@ -227,32 +208,21 @@ func (s *Server) splitShard(g *shardGroup, sh *shard) error {
 		newSubs := append(append([]*shard(nil), *g.subs.Load()...), child)
 		g.subs.Store(&newSubs)
 		sh.routeBits.Store(packRoute(prefix, depth+1))
-		for i := range moved {
-			node, ok := sh.idx.Delete(ptx, moved[i].key)
-			if ok {
-				moved[i].parentNode, moved[i].hasParentNode = node, true
-			}
+		for _, m := range moved {
+			sh.del(ptx, &fx, m.Key)
 		}
 		return nil
 	})
 	if err != nil {
-		// Migration failed before publication (create/alloc errors): tear the
-		// child down. Publication itself cannot fail.
+		// Migration failed before publication (the child could not be
+		// populated): tear the child down. Publication itself cannot fail.
 		_ = s.rt.DestroyView(vid)
 		return err
 	}
 
 	// Committed: free the parent-side storage and bring up the child's
 	// worker pool.
-	for _, e := range moved {
-		if e.hasParentNode {
-			_ = sh.idx.FreeNode(e.parentNode)
-		}
-		_ = sh.view.Free(votm.Addr(e.parentRef))
-	}
-	n := int64(len(moved))
-	sh.keys.Add(-n)
-	child.keys.Store(n)
+	sh.settle(&fx, true)
 	for w := 0; w < s.cfg.WorkersPerShard; w++ {
 		s.workersWG.Add(1)
 		go s.worker(child)

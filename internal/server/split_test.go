@@ -25,8 +25,15 @@ func listenLocal(t *testing.T) net.Listener {
 
 // TestSplitShardMigratesKeys exercises splitShard white-box: keys bisect by
 // the subMix bit, values survive, counters agree, and routing is a
-// partition (every key routes to exactly one sub-shard that holds it).
+// partition (every key routes to exactly one sub-shard that holds it). The
+// second case migrates a half several times the child's initial heap: the
+// child's populate must grow it.
 func TestSplitShardMigratesKeys(t *testing.T) {
+	t.Run("100 keys", func(t *testing.T) { testSplitShardMigratesKeys(t, 100) })
+	t.Run("past the child's initial heap", func(t *testing.T) { testSplitShardMigratesKeys(t, 4000) })
+}
+
+func testSplitShardMigratesKeys(t *testing.T, n uint64) {
 	s, err := New(Config{Shards: 1, ShardWords: 1 << 12, WorkersPerShard: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -42,11 +49,10 @@ func TestSplitShardMigratesKeys(t *testing.T) {
 	defer th.Release()
 
 	g := s.shards[0]
-	const n = 100
 	value := func(k uint64) []byte { return []byte(fmt.Sprintf("value-%d", k)) }
 	root := (*g.subs.Load())[0]
 	for k := uint64(0); k < n; k++ {
-		if _, err := root.doPut(ctx, th, k, value(k)); err != nil {
+		if _, err := root.testPut(ctx, th, k, value(k)); err != nil {
 			t.Fatalf("put %d: %v", k, err)
 		}
 	}
@@ -71,7 +77,7 @@ func TestSplitShardMigratesKeys(t *testing.T) {
 	perSub := make(map[*shard]int64)
 	for k := uint64(0); k < n; k++ {
 		owner := g.route(k)
-		got, found, err := owner.doGet(ctx, th, k)
+		got, found, err := owner.testGet(ctx, th, k)
 		if err != nil || !found {
 			t.Fatalf("key %d: get on routed owner: found=%v err=%v", k, found, err)
 		}
@@ -84,7 +90,7 @@ func TestSplitShardMigratesKeys(t *testing.T) {
 			if sh == owner {
 				continue
 			}
-			if _, stale, _ := sh.doGet(ctx, th, k); stale {
+			if _, stale, _ := sh.testGet(ctx, th, k); stale {
 				t.Fatalf("key %d: present on non-owner sub-shard too", k)
 			}
 		}
@@ -95,7 +101,7 @@ func TestSplitShardMigratesKeys(t *testing.T) {
 		}
 		total += sh.keys.Load()
 	}
-	if total != n {
+	if total != int64(n) {
 		t.Fatalf("key counters sum to %d, want %d", total, n)
 	}
 	if len(perSub) < 2 {

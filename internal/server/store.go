@@ -2,13 +2,14 @@
 // to a value-block reference, with the value bytes packed through enc. The
 // ordered index is what makes wire-level SCAN a per-shard Seek/Next merge
 // (see scan.go); point ops pay a modest constant over the old hash map for
-// it. The ops below follow the repo's memory discipline — blocks and index
-// nodes are allocated outside transactions, linked inside, and freed only
-// after the transaction commits — so retried bodies stay side-effect free.
+// it. This file holds the shard and its store kernel — the one reservation
+// path, the five verbs (get, put, del, cas, add), the one settle — and the two
+// things built directly on it: applyRecords, how redo reaches a shard, and
+// multiBatch, the ATOMIC interpreter. Reads that mutate nothing (a SCAN
+// page's merge, a state capture's walk) use the index directly.
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -177,48 +178,8 @@ type task struct {
 // growQuantum is the minimum Brk step when a shard's heap fills up.
 const growQuantum = 1 << 14 // 16 Ki words = 128 KiB
 
-// alloc reserves words from the shard's view, growing the view when the
-// allocator is exhausted (the serving layer has no a-priori size bound).
-func (sh *shard) alloc(words int) (votm.Addr, error) {
-	for attempt := 0; ; attempt++ {
-		a, err := sh.view.Alloc(words)
-		if err == nil || attempt == 3 || !errors.Is(err, memheap.ErrOutOfMemory) {
-			return a, err
-		}
-		grow := words
-		if grow < growQuantum {
-			grow = growQuantum
-		}
-		if berr := sh.view.Brk(grow); berr != nil {
-			return 0, berr
-		}
-	}
-}
-
-// allocBatch reserves one block per entry of sizes in a single allocator
-// lock acquisition, appending to dst, growing the view when exhausted. The
-// batch is all-or-nothing; callers fall back to per-op alloc to keep per-op
-// failure granularity when it cannot be satisfied.
-func (sh *shard) allocBatch(sizes []int, dst []votm.Addr) ([]votm.Addr, error) {
-	for attempt := 0; ; attempt++ {
-		out, err := sh.view.AllocBatch(sizes, dst)
-		if err == nil || attempt == 3 || !errors.Is(err, memheap.ErrOutOfMemory) {
-			return out, err
-		}
-		grow := 0
-		for _, w := range sizes {
-			grow += w
-		}
-		if grow < growQuantum {
-			grow = growQuantum
-		}
-		if berr := sh.view.Brk(grow); berr != nil {
-			return dst, berr
-		}
-	}
-}
-
-// errBadAdd aborts an ATOMIC batch whose SubAdd hit a non-8-byte value.
+// errBadAdd refuses an ADD on a value that is not 8 bytes; it aborts the
+// ATOMIC batch that carried it (BAD_REQUEST).
 var errBadAdd = errors.New("server: ADD on a value that is not 8 bytes")
 
 // errStaleRoute aborts an ATOMIC or a SCAN page whose ownership map changed
@@ -226,176 +187,270 @@ var errBadAdd = errors.New("server: ADD on a value that is not 8 bytes")
 // StatusBusy: nothing executed, the client's retry is planned afresh.
 var errStaleRoute = errors.New("server: batch keys moved by a concurrent repartition")
 
-// doGet returns the value stored under key, read in one read-only
-// transaction (consistent length + payload snapshot).
-func (sh *shard) doGet(ctx context.Context, th *votm.Thread, key uint64) ([]byte, bool, error) {
-	var (
-		val   []byte
-		found bool
-	)
-	err := sh.view.AtomicRead(ctx, th, func(tx votm.Tx) error {
-		val, found = nil, false
-		if ref, ok := sh.idx.Get(tx, key); ok {
-			val = enc.LoadBlob(tx, votm.Addr(ref))
-			found = true
-		}
-		return nil
-	})
-	return val, found, err
+// --- the store kernel ------------------------------------------------------
+//
+// Everything that changes a shard's keys goes through the functions below,
+// and nothing else in the package allocates, links or frees shard memory.
+// The discipline is the paper's (malloc_block and brk_view are not
+// transactional): RESERVE a value block and an index node per mutation
+// outside the transaction, growing the view when it is full; LINK them inside
+// — a verb only ever records what it linked and what it displaced, so a
+// re-executed or aborted attempt leaves no trace outside the heap words the
+// engine rolls back; SETTLE after the transaction ended, retiring what the
+// final attempt did not link and what it displaced in one FreeBatch, and
+// publishing the key counter. The executors (group.go, round.go, the ATOMIC
+// interpreter and the redo path below) decide what runs, in which
+// transaction and with which verdict; they hold one effects value per shard
+// they write and call reserve -> begin -> verbs -> settle on it.
+
+// slot is one mutation's reservation: a value block and an index node (a
+// plain view block sized for the mutation's key), and which of the two the
+// last attempt linked.
+type slot struct {
+	block, node             votm.Addr
+	linkedBlock, linkedNode bool
 }
 
-// doPut sets key to val, reporting whether the key was created. The new
-// value block and a spare map node are allocated up front; whichever of the
-// old block / spare node the committed transaction displaced is freed after
-// commit, and everything is released on failure.
-func (sh *shard) doPut(ctx context.Context, th *votm.Thread, key uint64, val []byte) (bool, error) {
-	block, err := sh.alloc(enc.BlobWords(len(val)))
-	if err != nil {
-		return false, err
-	}
-	node, err := sh.idx.NewNode(key)
-	if err != nil {
-		_ = sh.view.Free(block)
-		return false, err
-	}
-	var (
-		prev          uint64
-		existed, used bool
-	)
-	err = sh.view.Atomic(ctx, th, func(tx votm.Tx) error {
-		enc.StoreBlob(tx, block, val)
-		prev, existed, used = sh.idx.Swap(tx, key, uint64(block), node)
+// effects is one executor's state on one shard across one transaction: the
+// slots it reserved, and what the last attempt owes the shard once it
+// commits — the blocks it displaced or unlinked, and the key-count delta.
+// Every slice survives settle, so a warm executor allocates nothing here.
+type effects struct {
+	sizes []int       // the reservation's request: blob words, node words per slot
+	addrs []votm.Addr // and its result, before it is cut into slots
+	slots []slot
+	frees []votm.Addr
+	keys  int64
+}
+
+// want asks for a slot able to hold a val-byte value under key and returns
+// its index, valid once reserve succeeded. Node words are key-dependent: the
+// skip list's tower height is a deterministic function of the key.
+func (fx *effects) want(sh *shard, key uint64, val int) int {
+	fx.sizes = append(fx.sizes, enc.BlobWords(val), sh.idx.NodeWords(key))
+	return len(fx.sizes)/2 - 1
+}
+
+// reserve carves out every slot asked of fx in one allocator lock
+// acquisition, all or nothing, growing the view when it is exhausted (the
+// serving layer has no a-priori size bound). Brk cannot fail on a live view
+// and makes room for the whole request, so an error means the view is gone.
+func (sh *shard) reserve(fx *effects) (err error) {
+	sizes := fx.sizes
+	fx.sizes = fx.sizes[:0]
+	if len(sizes) == 0 {
 		return nil
-	})
-	if err != nil {
-		_ = sh.view.Free(block)
-		_ = sh.idx.FreeNode(node)
-		return false, err
 	}
+	for attempt := 0; ; attempt++ {
+		if fx.addrs, err = sh.view.AllocBatch(sizes, fx.addrs[:0]); err == nil {
+			break
+		}
+		if attempt == 3 || !errors.Is(err, memheap.ErrOutOfMemory) {
+			return err
+		}
+		grow := 0
+		for _, w := range sizes {
+			grow += w
+		}
+		if err = sh.view.Brk(max(grow, growQuantum)); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < len(fx.addrs); i += 2 {
+		fx.slots = append(fx.slots, slot{block: fx.addrs[i], node: fx.addrs[i+1]})
+	}
+	return nil
+}
+
+// begin starts one attempt of the transaction body. The body may be
+// re-executed after a conflict, so whatever an earlier attempt recorded is
+// forgotten: the engine rolled its writes back.
+func (fx *effects) begin() {
+	for i := range fx.slots {
+		fx.slots[i].linkedBlock, fx.slots[i].linkedNode = false, false
+	}
+	fx.frees, fx.keys = fx.frees[:0], 0
+}
+
+// settle ends the transaction's memory accounting, once per executor and
+// shard whatever the outcome. Committed: the slots the last attempt left
+// unlinked and the blocks it displaced are retired in one allocator lock
+// acquisition and the key counter is published. Otherwise nothing is linked
+// and every slot goes back. fx is left empty, so settling twice is harmless.
+func (sh *shard) settle(fx *effects, committed bool) {
+	if !committed {
+		fx.begin()
+	}
+	for _, sl := range fx.slots {
+		if !sl.linkedBlock {
+			fx.frees = append(fx.frees, sl.block)
+		}
+		if !sl.linkedNode {
+			fx.frees = append(fx.frees, sl.node)
+		}
+	}
+	_ = sh.view.FreeBatch(fx.frees)
+	if fx.keys != 0 { // a read group settles too: spare it the atomic
+		sh.keys.Add(fx.keys)
+	}
+	fx.slots, fx.frees, fx.keys = fx.slots[:0], fx.frees[:0], 0
+}
+
+// get appends key's value to dst (the caller's buffer: the GET path
+// allocates nothing once it is warm).
+func (sh *shard) get(tx votm.Tx, key uint64, dst []byte) ([]byte, bool) {
+	ref, ok := sh.idx.Get(tx, key)
+	if !ok {
+		return dst, false
+	}
+	return enc.AppendBlob(dst, tx, votm.Addr(ref)), true
+}
+
+// valueLen is the length of key's value, -1 when the key is absent.
+func (sh *shard) valueLen(tx votm.Tx, key uint64) int {
+	if ref, ok := sh.idx.Get(tx, key); ok {
+		return int(tx.Load(votm.Addr(ref)))
+	}
+	return -1
+}
+
+// put sets key to val through slot si, reporting whether the key was created.
+func (sh *shard) put(tx votm.Tx, fx *effects, si int, key uint64, val []byte) bool {
+	sl := &fx.slots[si]
+	enc.StoreBlob(tx, sl.block, val)
+	return sh.link(tx, fx, sl, key)
+}
+
+// link makes sl's block key's value: the displaced block is owed a free, or
+// sl's node is linked and the shard has one key more.
+func (sh *shard) link(tx votm.Tx, fx *effects, sl *slot, key uint64) (created bool) {
+	prev, existed, used := sh.idx.Swap(tx, key, uint64(sl.block), ds.Ref(sl.node))
+	sl.linkedBlock, sl.linkedNode = true, used
 	if existed {
-		_ = sh.view.Free(votm.Addr(prev))
+		fx.frees = append(fx.frees, votm.Addr(prev))
 	} else {
-		sh.keys.Add(1)
+		fx.keys++
 	}
-	if !used {
-		_ = sh.idx.FreeNode(node)
-	}
-	return !existed, nil
+	return !existed
 }
 
-// doDelete removes key, freeing its node and value block after commit.
-func (sh *shard) doDelete(ctx context.Context, th *votm.Thread, key uint64) (bool, error) {
-	var (
-		valRef uint64
-		node   ds.Ref
-		found  bool
-	)
-	err := sh.view.Atomic(ctx, th, func(tx votm.Tx) error {
-		valRef, node, found = 0, ds.NilRef, false
-		ref, ok := sh.idx.Get(tx, key)
-		if !ok {
-			return nil
-		}
-		n, ok := sh.idx.Delete(tx, key)
-		if !ok {
-			return nil // unreachable: same transaction as the Get
-		}
-		valRef, node, found = ref, n, true
-		return nil
-	})
-	if err != nil || !found {
-		return false, err
+// del removes key, reporting whether it existed.
+func (sh *shard) del(tx votm.Tx, fx *effects, key uint64) bool {
+	ref, ok := sh.idx.Get(tx, key)
+	if !ok {
+		return false
 	}
-	_ = sh.idx.FreeNode(node)
-	_ = sh.view.Free(votm.Addr(valRef))
-	sh.keys.Add(-1)
-	return true, nil
+	node, _ := sh.idx.Delete(tx, key)
+	fx.frees = append(fx.frees, votm.Addr(ref), votm.Addr(node))
+	fx.keys--
+	return true
 }
 
-// casOutcome classifies a doCAS transaction.
-type casOutcome int
+// cas replaces key's value with val through slot si iff its current bytes
+// equal expect: OK, NOT_FOUND, or CAS_MISMATCH with the current value
+// appended to dst.
+func (sh *shard) cas(tx votm.Tx, fx *effects, si int, key uint64, expect, val, dst []byte) (wire.Status, []byte) {
+	ref, ok := sh.idx.Get(tx, key)
+	if !ok {
+		return wire.StatusNotFound, dst
+	}
+	if !enc.BlobEqual(tx, votm.Addr(ref), expect) {
+		return wire.StatusCASMismatch, enc.AppendBlob(dst, tx, votm.Addr(ref))
+	}
+	sh.put(tx, fx, si, key, val)
+	return wire.StatusOK, dst
+}
 
+// add adds delta to key's 8-byte counter in place and returns the sum; an
+// absent key is created through slot si holding delta. A value that is not 8
+// bytes is errBadAdd, with nothing written.
+func (sh *shard) add(tx votm.Tx, fx *effects, si int, key uint64, delta uint64) (uint64, error) {
+	if ref, ok := sh.idx.Get(tx, key); ok {
+		base := votm.Addr(ref)
+		if tx.Load(base) != 8 {
+			return 0, errBadAdd
+		}
+		sum := tx.Load(base+1) + delta
+		tx.Store(base+1, sum)
+		return sum, nil
+	}
+	sl := &fx.slots[si]
+	tx.Store(sl.block, 8)
+	tx.Store(sl.block+1, delta)
+	sh.link(tx, fx, sl, key)
+	return delta, nil
+}
+
+// --- redo: records applied as groups ---------------------------------------
+
+// applyChunkRecords and applyChunkBytes bound one redo transaction, so a huge
+// prepare or a million-entry snapshot applies as a sequence of bounded
+// transactions: a group large enough to amortize admission and commit, small
+// enough for an STM write set when the view is not in lock mode. (A single
+// record may exceed the byte bound; it then forms a chunk alone.)
 const (
-	casOK casOutcome = iota
-	casMissing
-	casMismatch
+	applyChunkRecords = 512
+	applyChunkBytes   = 1 << 20
 )
 
-// doCAS replaces key's value with newVal iff its current bytes equal
-// expect. On mismatch it returns the current value.
-func (sh *shard) doCAS(ctx context.Context, th *votm.Thread, key uint64, expect, newVal []byte) (casOutcome, []byte, error) {
-	block, err := sh.alloc(enc.BlobWords(len(newVal)))
-	if err != nil {
-		return casOK, nil, err
-	}
-	node, err := sh.idx.NewNode(key)
-	if err != nil {
-		_ = sh.view.Free(block)
-		return casOK, nil, err
-	}
-	var (
-		outcome casOutcome
-		current []byte
-		prev    uint64
-		used    bool
-	)
-	err = sh.view.Atomic(ctx, th, func(tx votm.Tx) error {
-		outcome, current, prev, used = casOK, nil, 0, false
-		ref, ok := sh.idx.Get(tx, key)
-		if !ok {
-			outcome = casMissing
-			return nil
+// applyRecords applies RecPut / RecDelete records to the shard in order: per
+// chunk one reservation, ONE grouped transaction, one settle. It is the only
+// way state that did not arrive as a request gets into a shard — startup
+// replay, a follower's REPLICATE stream and handoff/bootstrap ENTRIES (through
+// redoApplier), snapshot restore, the wipe before an install, a split's child.
+// Nothing is logged: the records come from a log or a capture. On error the
+// chunks before the failing one stay applied.
+func (sh *shard) applyRecords(ctx context.Context, th *votm.Thread, recs []wal.Record) error {
+	var fx effects
+	for len(recs) > 0 {
+		n, size := 0, 0
+		for n < len(recs) && n < applyChunkRecords && (n == 0 || size+len(recs[n].Value) <= applyChunkBytes) {
+			size += len(recs[n].Value)
+			n++
 		}
-		cur := enc.LoadBlob(tx, votm.Addr(ref))
-		if !bytes.Equal(cur, expect) {
-			outcome, current = casMismatch, cur
-			return nil
+		chunk := recs[:n]
+		recs = recs[n:]
+		for _, r := range chunk {
+			if r.Kind == wal.RecPut {
+				fx.want(sh, r.Key, len(r.Value))
+			}
 		}
-		enc.StoreBlob(tx, block, newVal)
-		var existed bool
-		prev, existed, used = sh.idx.Swap(tx, key, uint64(block), node)
-		_ = existed // necessarily true: the key was just read in this tx
-		return nil
-	})
-	if err != nil || outcome != casOK {
-		_ = sh.view.Free(block)
-		_ = sh.idx.FreeNode(node)
-		return outcome, current, err
+		err := sh.reserve(&fx)
+		if err == nil {
+			err = sh.view.AtomicGroup(ctx, th, n, func(tx votm.Tx) error {
+				fx.begin()
+				si := 0
+				for _, r := range chunk {
+					switch r.Kind {
+					case wal.RecPut:
+						sh.put(tx, &fx, si, r.Key, r.Value)
+						si++
+					case wal.RecDelete:
+						sh.del(tx, &fx, r.Key)
+					}
+				}
+				return nil
+			})
+		}
+		sh.settle(&fx, err == nil)
+		if err != nil {
+			return err
+		}
 	}
-	_ = sh.view.Free(votm.Addr(prev))
-	if !used {
-		_ = sh.idx.FreeNode(node)
-	}
-	return casOK, nil, nil
+	return nil
 }
 
-// atomicResources are the blocks and nodes pre-allocated for one ATOMIC
-// sub-operation (SubPut and SubAdd may need to link a fresh entry), and
-// whether the executed attempt linked them.
-type atomicResources struct {
-	block               votm.Addr
-	hasBlock            bool
-	node                ds.Ref
-	hasNode             bool
-	usedBlock, usedNode bool
-}
+// --- the ATOMIC interpreter ------------------------------------------------
 
-// partAddr is a block (value blob or index node — a node is a plain view
-// block) displaced by a batch, freed on its owning participant after commit.
-type partAddr struct {
-	part int
-	addr votm.Addr
-}
-
-// multiBatch is the one implementation of ATOMIC sub-op semantics: a
-// batch's subs, its routing plan, and the attempt's commit-side effect
-// lists. Both executors run it — the group (group.go) hands it its own shard
-// as the single participant and the view transaction's handle, the round
-// (round.go) the quiesced union and their exclusive handles — and because
-// the effect lists are per batch, each batch settles its storage
-// independently of its group- or round-mates' outcomes. err carries the batch's own verdict; results are
-// valid only when err is nil. The scratch slices survive recycling through
-// the server's free list, so steady-state execution allocates nothing here.
+// multiBatch is the one implementation of ATOMIC batch semantics over the
+// kernel's verbs: a batch's subs, its routing plan and its verdict. Both
+// executors run it — the group (group.go) hands it its own shard as the
+// single participant with the view transaction's handle and effects, the
+// round (round.go) the quiesced union with their exclusive handles and one
+// effects per participant. err carries the batch's own verdict, independent
+// of its group- or round-mates'; results are valid only when err is nil. The
+// scratch survives recycling through the server's free list, so steady-state
+// execution allocates nothing here.
 type multiBatch struct {
 	subs []wire.Sub
 	// parts is the batch's own participant set in canonical order and owner
@@ -407,10 +462,8 @@ type multiBatch struct {
 	results []wire.SubResult
 	err     error
 
-	res       []atomicResources
-	effLen    map[uint64]int // validation scratch: value length per key, -1 = absent
-	frees     []partAddr
-	keysDelta []int64 // per participant
+	slots  []int          // per sub: its slot in its owner's effects; -1 for a sub that links nothing
+	effLen map[uint64]int // validation scratch: value length per key, -1 = absent
 }
 
 // writes reports whether any sub mutates state.
@@ -423,34 +476,20 @@ func (b *multiBatch) writes() bool {
 	return false
 }
 
-// alloc pre-allocates the blocks and nodes the batch may link, outside the
-// transaction. On failure everything allocated so far is freed and the
-// error is also left in b.err, so the executors skip the batch.
-func (b *multiBatch) alloc(parts []*shard) error {
-	b.res = append(b.res[:0], make([]atomicResources, len(b.subs))...)
+// want asks each owner's effects for the slot a SubPut or SubAdd may link;
+// the executor reserves them all at once, per participant.
+func (b *multiBatch) want(parts []*shard, fxs []effects) {
+	b.slots = b.slots[:0]
 	for i, sub := range b.subs {
-		if sub.Kind != wire.SubPut && sub.Kind != wire.SubAdd {
-			continue
+		si, pi := -1, b.owner[i]
+		switch sub.Kind {
+		case wire.SubPut:
+			si = fxs[pi].want(parts[pi], sub.Key, len(sub.Value))
+		case wire.SubAdd:
+			si = fxs[pi].want(parts[pi], sub.Key, 8)
 		}
-		p, r := parts[b.owner[i]], &b.res[i]
-		words := enc.BlobWords(8)
-		if sub.Kind == wire.SubPut {
-			words = enc.BlobWords(len(sub.Value))
-		}
-		var err error
-		if r.block, err = p.alloc(words); err == nil {
-			r.hasBlock = true
-			if r.node, err = p.idx.NewNode(sub.Key); err == nil {
-				r.hasNode = true
-			}
-		}
-		if err != nil {
-			b.err = err
-			b.settle(parts, false)
-			return err
-		}
+		b.slots = append(b.slots, si)
 	}
-	return nil
 }
 
 // exec runs the batch against its participants' transaction handles. The
@@ -459,8 +498,9 @@ func (b *multiBatch) alloc(parts []*shard) error {
 // holds for the whole execution — then a strictly read-only validation
 // pass: at Q == 1 and in a quiesced round the body runs in lock mode with
 // no rollback, so the batch must be known-good before its first write. A
-// non-nil error therefore means the batch wrote nothing.
-func (b *multiBatch) exec(s *Server, parts []*shard, txs []votm.Tx) error {
+// non-nil error therefore means the batch wrote nothing and recorded nothing
+// in fxs.
+func (b *multiBatch) exec(s *Server, parts []*shard, txs []votm.Tx, fxs []effects) error {
 	for i, sub := range b.subs {
 		if s.shards[s.Shard(sub.Key)].route(sub.Key) != parts[b.owner[i]] {
 			return errStaleRoute
@@ -482,11 +522,7 @@ func (b *multiBatch) exec(s *Server, parts []*shard, txs []votm.Tx) error {
 		case wire.SubAdd:
 			n, seen := b.effLen[sub.Key]
 			if !seen {
-				n = -1
-				pi := b.owner[i]
-				if ref, ok := parts[pi].idx.Get(txs[pi], sub.Key); ok {
-					n = int(txs[pi].Load(votm.Addr(ref)))
-				}
+				n = parts[b.owner[i]].valueLen(txs[b.owner[i]], sub.Key)
 			}
 			if n != -1 && n != 8 {
 				return errBadAdd
@@ -495,86 +531,29 @@ func (b *multiBatch) exec(s *Server, parts []*shard, txs []votm.Tx) error {
 		}
 	}
 
-	// Write pass. The group's body may be re-executed after a conflict:
-	// rebuild every commit-side effect list from scratch on each attempt.
-	b.results, b.frees = b.results[:0], b.frees[:0]
-	b.keysDelta = append(b.keysDelta[:0], make([]int64, len(parts))...)
+	b.results = b.results[:0]
 	for i, sub := range b.subs {
 		pi := b.owner[i]
-		p, tx, res := parts[pi], txs[pi], &b.res[i]
-		res.usedBlock, res.usedNode = false, false
+		p, tx, fx := parts[pi], txs[pi], &fxs[pi]
 		r := wire.SubResult{Kind: sub.Kind, Status: wire.StatusOK}
+		found := true
 		switch sub.Kind {
 		case wire.SubGet:
-			if ref, ok := p.idx.Get(tx, sub.Key); ok {
-				r.Value = enc.LoadBlob(tx, votm.Addr(ref))
-			} else {
-				r.Status = wire.StatusNotFound
-			}
+			r.Value, found = p.get(tx, sub.Key, nil)
 		case wire.SubPut:
-			enc.StoreBlob(tx, res.block, sub.Value)
-			prev, existed, used := p.idx.Swap(tx, sub.Key, uint64(res.block), res.node)
-			res.usedBlock, res.usedNode = true, used
-			if existed {
-				b.frees = append(b.frees, partAddr{pi, votm.Addr(prev)})
-			} else {
-				b.keysDelta[pi]++
-			}
+			p.put(tx, fx, b.slots[i], sub.Key, sub.Value)
 		case wire.SubDelete:
-			ref, ok := p.idx.Get(tx, sub.Key)
-			if !ok {
-				r.Status = wire.StatusNotFound
-				break
-			}
-			node, _ := p.idx.Delete(tx, sub.Key)
-			b.frees = append(b.frees, partAddr{pi, votm.Addr(ref)}, partAddr{pi, votm.Addr(node)})
-			b.keysDelta[pi]--
+			found = p.del(tx, fx, sub.Key)
 		case wire.SubAdd:
-			if ref, ok := p.idx.Get(tx, sub.Key); ok {
-				base := votm.Addr(ref)
-				if tx.Load(base) != 8 {
-					return errBadAdd // unreachable: validated above
-				}
-				r.Sum = tx.Load(base+1) + sub.Delta
-				tx.Store(base+1, r.Sum)
-			} else {
-				r.Sum = sub.Delta
-				tx.Store(res.block, 8)
-				tx.Store(res.block+1, r.Sum)
-				_, _, used := p.idx.Swap(tx, sub.Key, uint64(res.block), res.node)
-				res.usedBlock, res.usedNode = true, used
-				b.keysDelta[pi]++
+			var err error
+			if r.Sum, err = p.add(tx, fx, b.slots[i], sub.Key, sub.Delta); err != nil {
+				return err // unreachable: validated above
 			}
+		}
+		if !found {
+			r.Status = wire.StatusNotFound
 		}
 		b.results = append(b.results, r)
 	}
 	return nil
-}
-
-// settle releases the batch's storage once its transaction is over. A batch
-// that committed (its executor did, and its own verdict is nil) frees the
-// displaced blocks, the unlinked nodes and the pre-allocations the final
-// attempt did not link, and publishes its key-count deltas; any other batch
-// linked nothing and frees every pre-allocation. Idempotent: the lists are
-// emptied, so the executors' failure paths may settle unconditionally.
-func (b *multiBatch) settle(parts []*shard, committed bool) {
-	committed = committed && b.err == nil
-	for i := range b.res {
-		p, r := parts[b.owner[i]], &b.res[i]
-		if r.hasBlock && !(committed && r.usedBlock) {
-			_ = p.view.Free(r.block)
-		}
-		if r.hasNode && !(committed && r.usedNode) {
-			_ = p.idx.FreeNode(r.node)
-		}
-	}
-	if committed {
-		for _, f := range b.frees {
-			_ = parts[f.part].view.Free(f.addr)
-		}
-		for pi, d := range b.keysDelta {
-			parts[pi].keys.Add(d)
-		}
-	}
-	b.res, b.frees, b.keysDelta = b.res[:0], b.frees[:0], b.keysDelta[:0]
 }
