@@ -46,10 +46,10 @@ bench-smoke:
 # workload x engine x BatchMax. The batch1/batch16 pairs are the group-commit
 # proof; the write-heavy norec pair is the headline ratio in README.md. The
 # adaptive cells and the Overload pair are the adaptive-batching proof
-# (scripts/check_adaptive_bars.py checks the ISSUE 10 bars against the
-# JSON; throughput deltas under ~1-2% are scheduler noise on this host). The
-# Durable cells measure the same stack with the per-shard WAL on (-durability
-# group): every write group appended and answered only after its flush — the
+# (compare cells only within one sitting: the same cell has read 158K and
+# 258K ops/s in two). The Durable cells measure the same stack with the
+# per-shard WAL on (-durability group): every write group appended, and
+# answered by the shard's acknowledgement stage once its flush returned — the
 # sameshard/xshard ATOMIC pair is the cross-shard 2PC overhead ratio. The
 # eigenbench cross-view δ(Q) cells ride the same JSON (benchreport keys on
 # the pkg: headers). Every cell also reports closed-loop tail latency

@@ -2,10 +2,12 @@
 // contention-feedback loop at the batching layer. RAC already samples the
 // signals — Eq. 5's δ(Q), the window abort rate, the quota — and the queue
 // provides the rest (depth, per-group service time); the controller turns
-// them into the effective group size, the WAL flush-lag bound, and an
-// admission threshold each drain cycle. Deep standing queues with low
-// contention deepen batching toward BatchMax; shallow queues or contended
-// windows collapse it to latency-first (group size 1, flush per group). The
+// them into the effective group size and an admission threshold each drain
+// cycle. Deep standing queues with low contention deepen batching toward
+// BatchMax; shallow queues or contended windows collapse it to latency-first
+// (group size 1). How many groups share a flush is not the controller's to
+// set: the shard log's flusher (group.go) takes whatever was appended when a
+// flush starts, one group on an idle log and many on a busy one. The
 // admission threshold bounds the queueing delay a request can accumulate, so
 // the shard sheds load with BUSY before p999 explodes rather than only when
 // the bounded queue finally fills.
@@ -79,7 +81,10 @@ type batchObs struct {
 	Depth int
 	// GroupOps is how many requests the drain executed.
 	GroupOps int
-	// ServiceNs is the wall time the drain's execution took.
+	// ServiceNs is the time the drain's execution took — execution only: a
+	// worker's run contains no flush, and the worker subtracts any stall on a
+	// full completion list, so the admission estimate (depth × per-op
+	// service) prices the shard's work, not the disk's.
 	ServiceNs int64
 	// Delta is the RAC window δ(Q); NaN means no signal (Q ≤ 1 or no
 	// completed window).
@@ -230,16 +235,6 @@ func (sc *shardController) admitLimit() int {
 		return admitUnbounded
 	}
 	return int(sc.admit.Load())
-}
-
-// lagBound is the WAL flush-lag window (group.go): latency-first mode
-// (group size 1) flushes every group, deepened batching keeps the full
-// maxSyncLag amortization.
-func (sc *shardController) lagBound() int {
-	if sc.groupSize() == 1 && sc.adaptive() {
-		return 1
-	}
-	return maxSyncLag
 }
 
 // observe feeds one drain cycle and republishes the outputs. No-op in

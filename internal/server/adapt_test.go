@@ -190,9 +190,6 @@ func TestShardControllerModes(t *testing.T) {
 	if got := static.admitLimit(); got != admitUnbounded {
 		t.Fatalf("static admit limit = %d, want unbounded", got)
 	}
-	if got := static.lagBound(); got != maxSyncLag {
-		t.Fatalf("static lag bound = %d, want maxSyncLag %d", got, maxSyncLag)
-	}
 	// Observations must not move a static controller.
 	static.observe(1000, 4, time.Millisecond, rac.Signal{Delta: math.NaN()})
 	if got := static.groupSize(); got != 16 {
@@ -206,15 +203,9 @@ func TestShardControllerModes(t *testing.T) {
 	if got := ad.groupSize(); got != 1 {
 		t.Fatalf("adaptive initial group size = %d, want 1", got)
 	}
-	if got := ad.lagBound(); got != 1 {
-		t.Fatalf("latency-first lag bound = %d, want 1 (flush per group)", got)
-	}
 	ad.observe(1000, 4, 4*time.Microsecond, rac.Signal{Delta: math.NaN()})
 	if got := ad.groupSize(); got != 2 {
 		t.Fatalf("adaptive group size = %d after deep observation, want 2", got)
-	}
-	if got := ad.lagBound(); got != maxSyncLag {
-		t.Fatalf("deepened lag bound = %d, want maxSyncLag %d", got, maxSyncLag)
 	}
 
 	var nilCtl *shardController

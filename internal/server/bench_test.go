@@ -137,15 +137,11 @@ func BenchmarkServerDurable(b *testing.B) {
 	}
 	// The controller on the durable path: the same shape as the headline
 	// batch512/workers1 cell with the group size found adaptively (ceiling
-	// 512). The interaction under test is lagBound(): collapsed mode would
-	// flush every group, but under this standing window the controller must
-	// deepen and keep the full flush-lag amortization, so the cell should
-	// land at the static batch512 figure, not the batch16 one. The latency
-	// budget is pinned wide open: the controller's first service samples
-	// come from flush-per-group warmup drains (one fsync per op), which
-	// would shed the already-queued window as BUSY before the EWMA
-	// converges — admission behavior is the Overload cells' subject, not
-	// this one's.
+	// 512). Under this standing window the controller must deepen — how many
+	// groups share a flush is the shard flusher's business at any depth — so
+	// the cell should land at the static batch512 figure, not the batch16
+	// one. The latency budget is pinned wide open: admission behavior is the
+	// Overload cells' subject, not this one's.
 	b.Run("writeheavy/norec/adaptive512/workers1/group", func(b *testing.B) {
 		cfg := benchConfig(votm.NOrec, 512)
 		cfg.AdaptiveBatch = true
@@ -176,7 +172,7 @@ func BenchmarkServerDurable(b *testing.B) {
 	// three shards (every request is a prepare/commit group across three
 	// WALs, executed in a coordination round) against the SAME batch shape
 	// with all three keys on one shard (a member of the shard's group: one
-	// shared append and lagged flush). Both cells run the identical server
+	// shared append and listing). Both cells run the identical server
 	// config and rotate the coordinating shard, so the ops/sec ratio prices
 	// the cross-shard protocol — quiesce plus two-phase flush — against
 	// plain group commit.

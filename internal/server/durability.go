@@ -1,9 +1,10 @@
 // Durability: per-shard write-ahead logging and snapshots (internal/wal)
 // layered on the group-commit execution path. In "group" mode every
-// committed write group appends one redo batch and is answered only after
-// its fsync (piggybacked across workers — see wal.Log.Sync) and that of the
-// cross-shard round it logged behind, if any (round.go); "snapshot-only"
-// keeps just the periodic snapshots. Startup recovery loads the newest valid
+// committed write group appends one redo batch and is answered — by the
+// shard's acknowledgement stage (group.go), never by a waiting worker — only
+// once the log's flusher has flushed it and the cross-shard round it logged
+// behind, if any (round.go), is settled; "snapshot-only" keeps just the
+// periodic snapshots. Startup recovery loads the newest valid
 // snapshot, replays the WAL tail through the one redo applier and decides an
 // undecided round by the all-prepared rule; a clean-shutdown marker written
 // by a graceful drain lets the next startup skip replay entirely. Snapshot
@@ -290,7 +291,8 @@ func (s *Server) resolveCrossShard(th *votm.Thread, cr *crossRecovery) error {
 // the captured state (writes execute under walMu). Shared by snapshots,
 // replication bootstraps and live handoffs — anything that needs a
 // consistent (state, seq) pair, i.e. a durability claim: an in-doubt shard
-// is waited out first (the round's flush holds no mutex), and a follower
+// is waited out first (ackStage.awaitRound; the round's flush holds no mutex
+// and its settling needs none of ours), and a follower
 // still holding a prepare claims only the log below it. The lockFn hook runs
 // while walMu is still held, before the walk; replication bootstraps use it
 // to reset their frame buffer inside the same critical section.
@@ -301,7 +303,7 @@ func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([
 		seq     uint64
 	)
 	sh.walMu.Lock()
-	if err := s.awaitRound(sh.doubt); err != nil {
+	if err := sh.ack.awaitRound(sh.doubt); err != nil {
 		sh.walMu.Unlock()
 		return nil, 0, fmt.Errorf("shard %d: in doubt after a failed cross-shard round: %w", sh.id, err)
 	}

@@ -1,39 +1,40 @@
 // Group-commit execution. A shard worker drains up to the controller's
 // group bound of queued requests per wakeup and runs them as the group
 // (runGroup): ONE view transaction on the worker's own shard — one RAC
-// admission, one begin/validate/commit (at Q == 1 a single lock acquisition),
-// one WAL append and one lagged flush amortized over K members. Members are
-// GET/PUT/DELETE/CAS requests and ATOMIC batches whose keys all live on this
-// shard; an ATOMIC member is interpreted by multiBatch (store.go) with its
-// own validate-before-first-write pass and its own verdict. The group
-// orchestrates — statuses, the WAL append, the lagged flush — and implements
-// no store verb: it reserves once for all its members, calls the shard's
-// kernel (store.go) per member inside the transaction, and settles once.
+// admission, one begin/validate/commit (at Q == 1 a single lock acquisition)
+// and one WAL append amortized over K members: GET/PUT/DELETE/CAS requests
+// and ATOMIC batches whose keys all live on this shard, each interpreted by
+// multiBatch (store.go) with its own validation pass and verdict. The group
+// orchestrates and implements no store verb: it reserves once for all its
+// members, calls the shard's kernel per member inside the transaction, and
+// settles once. It plans nothing either: the connection reader routed every
+// request (conn.dispatch), work spanning sub-shards went to the round
+// coordinator (round.go) — the server's only other executor — and a plan a
+// split made stale is refused by the in-transaction route check (BUSY).
 //
-// A worker plans nothing: the connection reader routed every request before
-// it entered this shard's ring (conn.dispatch), an ATOMIC member arrives with
-// its plan attached (task.batch), and work that involves several sub-shards —
-// a spanning ATOMIC, a SCAN page — never enters a ring: the reader hands it to
-// the server's round coordinator (round.go). The group and the round are the
-// server's only two executors, and a plan a split made stale is refused by
-// the in-transaction route check (BUSY), here as there.
+// No worker waits on a flush. A durable group's built responses go on the
+// shard's completion list (ackStage), keyed by (WAL seq, doubt xid), and the
+// worker returns to its ring; the log's one flusher flushes while anything
+// listed is unflushed, and a group is answered — by the flusher, or by the
+// round coordinator right after it settles a round — once its seq is flushed,
+// replicated under cluster leadership, and the round it logged behind is
+// settled. The list holds at most Config.QueueDepth unanswered ops: a worker
+// that finds it full waits for a release, its ring fills, dispatch says BUSY.
 //
 // Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created flags, an ATOMIC's
 // BAD_REQUEST) stay per-request statuses; a conflict abort re-executes the
-// whole group through the runtime's retry-budget/escalation path; an
-// injected panic fails only the faulting group, with every member still
-// answered (StatusTxFault).
-//
-// Grouping is a server-side throughput optimization, not a protocol
-// feature: clients observe the same per-request semantics as ungrouped
-// execution, except that requests grouped together commit atomically as a
-// side effect (never less isolation, sometimes more).
+// whole group through the runtime's retry-budget/escalation path; an injected
+// panic fails only the faulting group, every member still answered (TxFault).
+// Grouping is a throughput optimization, not a protocol feature: clients see
+// ungrouped per-request semantics, except that requests grouped together
+// commit atomically as a side effect (never less isolation, sometimes more).
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"votm"
@@ -50,22 +51,265 @@ type groupOp struct {
 	slot int
 }
 
-// maxSyncLag bounds how many committed-and-appended write groups a worker
-// may hold back awaiting one shared flush (see pending). Lag turns the
-// per-group fdatasync into a per-lag-window one under a standing queue; the
-// bound keeps the added commit latency to a few group executions.
-const maxSyncLag = 4
+// ackGroup is a committed write group on its shard's completion list: batch
+// appended, memory effects applied, responses built. Its answer waits for seq
+// to be flushed (and replicated, leading a cluster shard) and for round doubt
+// — the shard's doubt mark at the append — to be settled: the batch replays
+// only if that round does. The list owns ops until release recycles it.
+type ackGroup struct {
+	ops        []groupOp
+	seq, doubt uint64
+	flushed    bool
+}
 
-// pendingGroup is a committed write group whose redo batch is appended but
-// not yet flushed: its responses are built and its memory effects applied,
-// only the durability point is outstanding. The ops slice is owned by the
-// pending list until flushPending answers and recycles it.
-type pendingGroup struct {
-	ops []groupOp
-	seq uint64 // WAL sequence of the group's redo batch
-	// doubt is the shard's doubt mark when the batch was appended: the batch
-	// replays only if that round does, so its answers wait for the round too.
-	doubt uint64
+// AckStats counts the acknowledgement stages' work over the durable shards:
+// flush cycles started, listed groups released (answered or failed), those
+// (and rare state captures) that found the round they logged behind still in
+// doubt, the most unanswered ops one list held, workers that found a list full
+// and waited, and the time the flushers spent parked out of the time they
+// existed.
+type AckStats struct {
+	Flushes, Groups, Gated, HighWater, Stalls, IdleNs, UpNs uint64
+}
+
+// AckStats returns the stage counters. In-process only, like RoundStats; all
+// zero when no shard has a WAL.
+func (s *Server) AckStats() (sum AckStats) {
+	for _, sh := range s.appendSubShards(nil) {
+		if a := sh.ack; a != nil {
+			a.mu.Lock()
+			st := a.stats
+			a.mu.Unlock()
+			sum.Flushes, sum.Groups, sum.Gated, sum.Stalls = sum.Flushes+st.Flushes, sum.Groups+st.Groups, sum.Gated+st.Gated, sum.Stalls+st.Stalls
+			sum.HighWater = max(sum.HighWater, st.HighWater)
+			sum.IdleNs, sum.UpNs = sum.IdleNs+st.IdleNs, sum.UpNs+uint64(time.Since(s.start))
+		}
+	}
+	return sum
+}
+
+// ackStage is a durable shard's acknowledgement stage: the completion list
+// and the one flusher goroutine of the shard's log (docs/ALGORITHMS.md, "Flush
+// amortization"). New builds it only for a shard with a WAL, so a
+// durability-off server runs none of this; a nil stage has nothing listed.
+type ackStage struct {
+	s  *Server
+	sh *shard
+
+	mu sync.Mutex
+	// cond is broadcast on every change: a listing wakes the parked flusher, a
+	// release a stalled worker or a drain barrier.
+	cond sync.Cond
+	list []ackGroup // in seq order; at most s.cfg.QueueDepth ops in all
+	ops  int
+	free [][]groupOp // released groups' op slices: listing allocates nothing in steady state
+	// settled is the newest settled round among those that logged a prepare
+	// here (xids only grow and one round is in doubt at a time); faulted the
+	// one whose flush failed, roundErr its fault (it left the shard read-only
+	// and in doubt, so there is at most one).
+	settled, faulted uint64
+	roundErr         error
+	quit             bool
+	stats            AckStats
+	done             chan struct{} // closed when the flusher has exited
+}
+
+func newAckStage(s *Server, sh *shard) *ackStage {
+	a := &ackStage{s: s, sh: sh, done: make(chan struct{})}
+	a.cond.L = &a.mu
+	go a.flusher()
+	return a
+}
+
+// add lists a committed group behind its appended batch and wakes the
+// flusher; the worker gets a recycled op slice for its next group and the
+// time it stalled. A full list makes it wait for a release first — the shard's
+// back-pressure: its ring fills meanwhile and dispatch answers BUSY.
+func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp, stalled time.Duration) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if bound := a.s.cfg.QueueDepth - len(ops); a.ops > max(bound, 0) {
+		a.stats.Stalls++
+		t := time.Now()
+		for a.ops > max(bound, 0) {
+			a.cond.Wait()
+		}
+		stalled = time.Since(t)
+	}
+	// Rival workers append under walMu but list after it: keep seq order.
+	i := len(a.list)
+	for a.list = append(a.list, ackGroup{}); i > 0 && a.list[i-1].seq > seq; i-- {
+		a.list[i] = a.list[i-1]
+	}
+	a.list[i] = ackGroup{ops: ops, seq: seq, doubt: doubt}
+	if a.ops += len(ops); doubt > a.settled {
+		a.stats.Gated++
+	}
+	a.stats.HighWater = max(a.stats.HighWater, uint64(a.ops))
+	if n := len(a.free); n > 0 {
+		next, a.free = a.free[n-1], a.free[:n-1]
+	}
+	a.cond.Broadcast()
+	return next, stalled
+}
+
+// drain is the one wait on a flush a worker has left, the barrier in front of
+// whatever rewrites the log beneath the list (a REPLICATE or HANDOFF stream
+// op) and at worker close: it returns once every listed group is flushed and
+// off the list.
+func (a *ackStage) drain() {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	for len(a.list) > 0 {
+		a.cond.Wait()
+	}
+	a.mu.Unlock()
+}
+
+// stop retires the flusher; the caller has seen the list drain for good.
+func (a *ackStage) stop() {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.quit = true
+	a.cond.Broadcast()
+	a.mu.Unlock()
+	<-a.done
+}
+
+// settleRound ends round xid's doubt on this shard — err is its flush's
+// verdict — and releases the flushed groups that waited for exactly that.
+func (a *ackStage) settleRound(xid uint64, err error) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	if a.settled = xid; err != nil {
+		a.faulted, a.roundErr = xid, err
+	}
+	a.cond.Broadcast()
+	a.mu.Unlock()
+	a.release()
+}
+
+// awaitRound blocks until round xid (the shard's doubt mark; 0 = never in a
+// round, the only value a shard without a stage has) is durable on every
+// participant — the condition under which recovery commits it and everything
+// logged behind it — and returns the fault that left it undecided, if any.
+// Only a state capture waits here; a listed group is released instead.
+func (a *ackStage) awaitRound(xid uint64) error {
+	if xid == 0 {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.settled < xid {
+		a.stats.Gated++
+		for a.settled < xid {
+			a.cond.Wait()
+		}
+	}
+	if xid == a.faulted {
+		return a.roundErr
+	}
+	return nil
+}
+
+// unflushed is the newest listed sequence no flush cycle has covered yet, 0
+// when there is none; the caller holds mu.
+func (a *ackStage) unflushed() uint64 {
+	for i := len(a.list) - 1; i >= 0; i-- {
+		if !a.list[i].flushed {
+			return a.list[i].seq
+		}
+	}
+	return 0
+}
+
+// flusher is the shard log's one flusher. While anything listed is unflushed
+// it flushes through the newest such sequence — a flush cycle is a window:
+// whatever was appended when it starts commits with it — waits out the
+// followers under cluster leadership, marks what the cycle covered and
+// releases; with nothing to flush it parks. A failed flush is a WAL fault: the
+// memory commits happened, durability is unknown, the shard goes read-only
+// and release fails everything listed.
+func (a *ackStage) flusher() {
+	defer close(a.done)
+	var reps []*replica
+	for {
+		a.mu.Lock()
+		target := a.unflushed()
+		for ; target == 0 && !a.quit; target = a.unflushed() {
+			t := time.Now()
+			a.cond.Wait()
+			a.stats.IdleNs += uint64(time.Since(t))
+		}
+		if target != 0 {
+			a.stats.Flushes++
+		}
+		a.mu.Unlock()
+		if target == 0 {
+			return
+		}
+		if err := a.sh.log.Sync(target); err != nil {
+			a.s.noteShardWALFault(a.sh, err)
+		} else {
+			reps = a.s.waitReplicated(a.sh, target, reps)
+		}
+		a.mu.Lock()
+		for i := range a.list {
+			a.list[i].flushed = a.list[i].flushed || a.list[i].seq <= target
+		}
+		a.mu.Unlock()
+		a.release()
+	}
+}
+
+// release answers, oldest first, every leading listed group that is flushed
+// and whose round, if it logged behind one, is settled — TxFault when that
+// round's flush failed, or this log's: a failed log makes nothing more
+// durable, so everything listed goes. The flusher calls it after each cycle
+// and the round coordinator when it settles a round (settleRound): whichever
+// of a group's conditions comes true last releases it.
+func (a *ackStage) release() {
+	var ops []groupOp // the group just answered, on its way to the free list
+	for {
+		a.mu.Lock()
+		if ops != nil {
+			a.free = append(a.free, ops)
+		}
+		if len(a.list) == 0 {
+			a.mu.Unlock()
+			return
+		}
+		g := a.list[0]
+		var err error
+		switch {
+		case a.sh.log.Failed():
+			err = wal.ErrFailed
+		case !g.flushed || a.settled < g.doubt:
+			a.mu.Unlock()
+			return
+		case g.doubt != 0 && g.doubt == a.faulted:
+			err = a.roundErr
+		}
+		ops = g.ops
+		n := copy(a.list, a.list[1:])
+		a.list[n], a.list = ackGroup{}, a.list[:n]
+		a.ops -= len(ops)
+		a.stats.Groups++
+		a.cond.Broadcast()
+		a.mu.Unlock()
+		if err != nil {
+			a.s.failGroup(ops, wire.StatusTxFault, "wal: "+err.Error())
+		} else {
+			a.s.finishGroup(ops)
+		}
+		ops = a.s.recycleOps(ops)
+	}
 }
 
 // groupWorker is one shard worker's retained execution state: the op
@@ -89,14 +333,9 @@ type groupWorker struct {
 	recs   []wal.Record // redo-record scratch (durability on)
 	valBuf []byte       // SubAdd post-image scratch backing recs
 
-	// pending holds appended-but-unflushed groups (group-commit across
-	// groups: one fdatasync covers the whole list); opsFree recycles their
-	// op slices so lagging allocates nothing in steady state.
-	pending []pendingGroup
-	opsFree [][]groupOp
-
-	// repScratch recycles waitReplicated's follower snapshot (cluster mode).
-	repScratch []*replica
+	// stalled sums the time spent waiting on a full completion list, so the
+	// adaptive controller can be fed execution time alone (server.go worker).
+	stalled time.Duration
 
 	reqContext
 }
@@ -107,7 +346,7 @@ func newGroupWorker(s *Server, sh *shard, th *votm.Thread) *groupWorker {
 }
 
 func (w *groupWorker) close() {
-	w.flushPending()
+	w.sh.ack.drain()
 	w.reqContext.close()
 }
 
@@ -146,10 +385,10 @@ func (r *reqContext) close() {
 func (w *groupWorker) run(batch []task) {
 	for _, t := range batch {
 		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
-			// Cluster stream ops carry WAL sequences, not keys. Lagged groups
-			// settle first so AppendFrames and installs never interleave with
-			// an unflushed append.
-			w.flushPending()
+			// Cluster stream ops carry WAL sequences, not keys. Listed groups
+			// are answered first so AppendFrames and installs never interleave
+			// with an unflushed append.
+			w.sh.ack.drain()
 			if t.req.Op == wire.OpReplicate {
 				w.runReplicate(t)
 			} else {
@@ -160,15 +399,9 @@ func (w *groupWorker) run(batch []task) {
 		w.ops = append(w.ops, groupOp{t: t})
 	}
 	if len(w.ops) > 0 && w.runGroup() {
-		// The group was stashed awaiting a shared flush and its op slice is
-		// now owned by the pending list: start a fresh one.
-		w.ops = nil
-		if n := len(w.opsFree); n > 0 {
-			w.ops, w.opsFree = w.opsFree[n-1], w.opsFree[:n-1]
-		}
-		return
+		return // listed: the completion list owns that op slice now
 	}
-	w.ops = w.recycleOps(w.ops)
+	w.ops = w.s.recycleOps(w.ops)
 }
 
 // acquireBatch hands out recycled ATOMIC interpreter state bound to one
@@ -202,51 +435,14 @@ func (s *Server) releaseBatch(b *multiBatch) {
 
 // recycleOps drops an answered group's request/response references so the
 // pools can recycle freely, and returns the emptied slice for reuse.
-func (w *groupWorker) recycleOps(ops []groupOp) []groupOp {
+func (s *Server) recycleOps(ops []groupOp) []groupOp {
 	for i := range ops {
 		if b := ops[i].t.batch; b != nil {
-			w.s.releaseBatch(b)
+			s.releaseBatch(b)
 		}
 		ops[i] = groupOp{}
 	}
 	return ops[:0]
-}
-
-// flushPending settles every lagged group with one shared flush: a single
-// wal.Log.Sync at the newest pending sequence (usually one fdatasync, often
-// zero when another worker's flush already covered it), then answers the
-// groups oldest-first — each only once the round it logged behind, if any,
-// is durable on every participant (in steady state the same flush). A flush
-// failure, the group's or that round's, is a WAL fault: the memory commits
-// happened, durability is unknown, every member answers TxFault and the
-// shard goes read-only.
-func (w *groupWorker) flushPending() {
-	if len(w.pending) == 0 {
-		return
-	}
-	last := w.pending[len(w.pending)-1].seq
-	err := w.sh.log.Sync(last)
-	if err == nil {
-		// Semi-sync: the whole lag window waits on the newest sequence
-		// before any member answers (no-op outside cluster leadership).
-		w.repScratch = w.s.waitReplicated(w.sh, last, w.repScratch)
-	} else {
-		w.s.noteShardWALFault(w.sh, err)
-	}
-	for pi := range w.pending {
-		g := &w.pending[pi]
-		if err == nil {
-			err = w.s.awaitRound(g.doubt) // a faulted round fails the later groups too: the mark stays
-		}
-		if err != nil {
-			w.failGroup(g.ops, wire.StatusTxFault, "wal: "+err.Error())
-		} else {
-			w.finishGroup(g.ops)
-		}
-		w.opsFree = append(w.opsFree, w.recycleOps(g.ops))
-		g.ops = nil
-	}
-	w.pending = w.pending[:0]
 }
 
 // finish answers one task and retires its request.
@@ -317,8 +513,8 @@ func (s *Server) noteShardWALFault(sh *shard, err error) {
 }
 
 // runGroup executes w.ops as one grouped transaction. It returns true when
-// the committed group was stashed on the pending list (ownership of w.ops
-// moves to the flush) and false when every member was answered inline.
+// the committed group went on the shard's completion list (w.ops is then a
+// fresh slice) and false when every member was answered inline.
 func (w *groupWorker) runGroup() bool {
 	// Response slots and the group's ONE reservation, outside the
 	// transaction: a slot per PUT, CAS and linking ATOMIC sub, carved out in
@@ -351,13 +547,6 @@ func (w *groupWorker) runGroup() bool {
 		status, detail := errStatus(err)
 		w.abortGroup(ops, status, detail)
 		return false
-	}
-
-	// A read group serves committed memory state and never waits on a
-	// flush; settle this worker's lagged write groups first so a client
-	// that saw its write acknowledged cannot then read older state.
-	if readonly {
-		w.flushPending()
 	}
 
 	// A durable write group runs its execution and WAL append under walMu —
@@ -462,8 +651,8 @@ func (w *groupWorker) runGroup() bool {
 
 	// Committed. A durable group's redo batch — the post-images of every
 	// member that mutated state — is appended before walMu drops (so a later
-	// group's batch can never overtake it in the log); the flush happens
-	// after, at most once per group and shared whenever possible.
+	// group's batch can never overtake it in the log); the flush is the
+	// flusher's business.
 	var (
 		walSeq, doubt uint64
 		walErr        error
@@ -498,31 +687,25 @@ func (w *groupWorker) runGroup() bool {
 
 	if walErr != nil {
 		// The append failed before any flush: this group is applied in
-		// memory with durability unknown — answer it TxFault, stop
-		// accepting writes, and settle the lagged groups (their flush will
-		// fail the same way and TxFault them too).
+		// memory with durability unknown — answer it TxFault and stop
+		// accepting writes (the listed groups' flush fails the same way).
 		w.s.noteShardWALFault(sh, walErr)
-		w.failGroup(ops, wire.StatusTxFault, "wal: "+walErr.Error())
-		w.flushPending()
+		w.s.failGroup(ops, wire.StatusTxFault, "wal: "+walErr.Error())
 		return false
 	}
 	if walSeq == 0 {
 		// Nothing mutated state (all NOT_FOUND / CAS_MISMATCH / refused
 		// batches): no redo batch, no durability point to wait for.
-		w.finishGroup(ops)
+		w.s.finishGroup(ops)
 		return false
 	}
 
-	// Stash the group behind its appended redo batch: the worker loop
-	// flushes the moment the shard would go idle, so a standing queue pays
-	// one fdatasync per lag window instead of one per group, while a
-	// synchronous client (empty queue between requests) still flushes
-	// immediately. The lag bound caps the added commit latency; in adaptive
-	// latency-first mode (group size 1) it collapses to flush-per-group.
-	w.pending = append(w.pending, pendingGroup{ops: ops, seq: walSeq, doubt: doubt})
-	if len(w.pending) >= w.sh.ctl.lagBound() {
-		w.flushPending()
-	}
+	// The answer is the acknowledgement stage's: an idle log flushes at once
+	// (a synchronous client waits one flush), a busy one takes every group
+	// appended during the flush in flight into the next.
+	var stalled time.Duration
+	w.ops, stalled = sh.ack.add(ops, walSeq, doubt)
+	w.stalled += stalled
 	return true
 }
 
@@ -530,16 +713,16 @@ func (w *groupWorker) runGroup() bool {
 // goes back and every member is answered with the one status.
 func (w *groupWorker) abortGroup(ops []groupOp, status wire.Status, detail string) {
 	w.sh.settle(&w.fx[0], false)
-	w.failGroup(ops, status, detail)
+	w.s.failGroup(ops, status, detail)
 }
 
 // failGroup answers every member of a group with one failure status.
-func (w *groupWorker) failGroup(ops []groupOp, status wire.Status, detail string) {
+func (s *Server) failGroup(ops []groupOp, status wire.Status, detail string) {
 	for i := range ops {
 		ops[i].resp.Status = status
 		ops[i].resp.SetDetail(detail)
 	}
-	w.finishGroup(ops)
+	s.finishGroup(ops)
 }
 
 // finishGroup answers every op of one group. Consecutive responses for the
@@ -547,7 +730,7 @@ func (w *groupWorker) failGroup(ops []groupOp, status wire.Status, detail string
 // a pipelined burst from one client costs one hand-off per group instead of
 // one per request. The sends complete before any pending.Done so a graceful
 // drain can never close an out channel with a chain still in flight.
-func (w *groupWorker) finishGroup(ops []groupOp) {
+func (s *Server) finishGroup(ops []groupOp) {
 	for i := 0; i < len(ops); {
 		c := ops[i].t.c
 		head, tail := ops[i].resp, ops[i].resp
@@ -559,7 +742,7 @@ func (w *groupWorker) finishGroup(ops []groupOp) {
 		c.send(head)
 		for ; i < j; i++ {
 			c.pending.Done()
-			w.s.reqWG.Done()
+			s.reqWG.Done()
 			ops[i].t.req.Release()
 		}
 	}

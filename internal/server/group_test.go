@@ -555,7 +555,6 @@ func TestGroupMergedDrain(t *testing.T) {
 		mkTask(s, c, wire.OpPut, 1, 10, []byte("abc"), nil),
 		mkTask(s, c, wire.OpPut, 2, 3, []byte("gamma"), nil),
 	})
-	w.flushPending()
 	collect(t, c, 2)
 	before := sh.view.Snapshot().Totals
 	appends := sh.walAppends.Load()
@@ -572,7 +571,6 @@ func TestGroupMergedDrain(t *testing.T) {
 			wire.Sub{Kind: wire.SubAdd, Key: 10, Delta: 1}), // 3-byte value: refused
 		mkTask(s, c, wire.OpCAS, 15, 3, []byte("gamma2"), []byte("gamma")),
 	})
-	w.flushPending()
 	got := collect(t, c, 5)
 
 	for id, want := range map[uint32]wire.Status{

@@ -605,8 +605,9 @@ func (s *Server) moving(sh *shard) bool {
 // runReplicate serves one REPLICATE frame batch (or, with an empty payload,
 // a probe for where this log ends). Frames are appended verbatim, applied to
 // memory under walMu (so snapshots always capture state matching their seq),
-// and fsynced before the ack — the returned Cursor is this log's NextSeq,
-// which doubles as the resync signal when it is not what the leader expected.
+// and flushed before the ack, which the completion list releases like a write
+// group's — the returned Cursor is this log's NextSeq, which doubles as the
+// resync signal when it is not what the leader expected.
 func (w *groupWorker) runReplicate(t task) {
 	s, sh := w.s, w.sh
 	st := s.cluster.states[int(t.req.Shard)]
@@ -662,22 +663,19 @@ func (w *groupWorker) runReplicate(t task) {
 		fail(wire.StatusTxFault, applyErr.Error())
 		return
 	}
-	if last != 0 {
-		sh.walAppends.Add(1)
-		if appErr == nil {
-			sh.walBytes.Add(uint64(len(t.req.Value)))
-		}
-		if err := sh.log.Sync(last); err != nil {
-			s.noteShardWALFault(sh, err)
-			fail(wire.StatusTxFault, "wal: "+err.Error())
-			return
-		}
-	}
 	// A frame gap still answers OK: Cursor tells the leader where this log
 	// actually ends, and the mismatch with its expectation triggers the
-	// re-sync. Everything up to Cursor-1 IS durable here.
+	// re-sync. Everything up to Cursor-1 IS durable here when the ack leaves.
 	resp.Cursor = next
-	s.finish(t, resp)
+	if last == 0 {
+		s.finish(t, resp)
+		return
+	}
+	sh.walAppends.Add(1)
+	if appErr == nil {
+		sh.walBytes.Add(uint64(len(t.req.Value)))
+	}
+	sh.ack.add([]groupOp{{t: t, resp: resp}}, last, 0)
 }
 
 // errStopApply ends a DecodeFrames walk early (frames past the appended

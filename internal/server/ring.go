@@ -1,7 +1,9 @@
 // Bounded per-shard task queue: a lock-free MPSC ring (ringQueue).
 // Connection read loops are the producers, the shard's workers take turns as
-// the single draining consumer. Push never blocks (a full queue is the BUSY
-// backpressure signal); Pop blocks until a task arrives or the queue is
+// the single draining consumer: each blocks in Pop for one task, then takes
+// what else is queued with PopBatch. Push never blocks (a full queue is the
+// BUSY backpressure signal — also how a full completion list, group.go,
+// reaches the client); Pop blocks until a task arrives or the queue is
 // closed AND drained. Close may not race an in-flight TryPush — the server
 // guarantees it by closing queues only after reqWG has drained (shutdown).
 // The chan-based queue the ring replaced lives on in ring_test.go as the
@@ -54,9 +56,9 @@ type ringQueue struct {
 	// consMu serializes consumers (a shard runs WorkersPerShard of them).
 	// A blocking Pop parks on wake while KEEPING it: rival consumers queue
 	// on the mutex, so at most one parker exists and the waiting flag has a
-	// single owner — no lost wakeup with N workers. The non-blocking pops
-	// use TryLock so a worker probing the queue never blocks behind a
-	// parked rival (its lagged WAL flushes must not wait on traffic).
+	// single owner — no lost wakeup with N workers. PopBatch uses TryLock:
+	// its caller already holds a task and must run it, not queue behind a
+	// parked rival.
 	consMu sync.Mutex
 }
 
@@ -153,24 +155,9 @@ func (q *ringQueue) popLocked(dst []task, max int) []task {
 	return dst
 }
 
-// TryPop dequeues one task without blocking; false means empty, closed, or
-// a rival consumer holding the drain.
-func (q *ringQueue) TryPop() (task, bool) {
-	if !q.consMu.TryLock() {
-		// A rival worker is draining (or parked); let it have this round.
-		return task{}, false
-	}
-	var buf [1]task
-	got := q.popLocked(buf[:0], 1)
-	q.consMu.Unlock()
-	if len(got) == 1 {
-		return got[0], true
-	}
-	return task{}, false
-}
-
 // PopBatch appends queued tasks to dst without blocking until len(dst)
-// reaches max or the queue is empty, returning the extended slice.
+// reaches max, the queue is empty or a rival consumer holds the drain,
+// returning the extended slice.
 func (q *ringQueue) PopBatch(dst []task, max int) []task {
 	if len(dst) >= max || !q.consMu.TryLock() {
 		return dst

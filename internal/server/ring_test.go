@@ -15,7 +15,6 @@ import (
 // replaced, kept here as the semantics oracle.
 type taskQueue interface {
 	TryPush(t task) bool
-	TryPop() (task, bool)
 	Pop() (task, bool)
 	PopBatch(dst []task, max int) []task
 	Len() int
@@ -48,15 +47,6 @@ func (q *chanQueue) TryPush(t task) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-func (q *chanQueue) TryPop() (task, bool) {
-	select {
-	case t, ok := <-q.ch:
-		return t, ok
-	default:
-		return task{}, false
 	}
 }
 
@@ -114,9 +104,9 @@ func TestTaskQueueFIFO(t *testing.T) {
 		// Drain half one-at-a-time, half batched: order must be push order.
 		next := 0
 		for ; next < q.Cap()/2; next++ {
-			tk, ok := q.TryPop()
+			tk, ok := q.Pop()
 			if !ok {
-				t.Fatalf("%s: TryPop empty with %d queued", impl, q.Len())
+				t.Fatalf("%s: Pop reports closed with %d queued", impl, q.Len())
 			}
 			if _, n := qid(tk); n != next {
 				t.Fatalf("%s: popped %d, want %d (FIFO)", impl, n, next)
@@ -167,18 +157,14 @@ func TestRingQueueMinSize(t *testing.T) {
 		// With >= 2 slots a second push may land before the first pop...
 		q.TryPush(qtask(0, 1000+i))
 		// ...and both must come out, in order, without loss.
-		tk, ok := q.TryPop()
+		tk, ok := q.Pop()
 		if !ok {
 			t.Fatalf("round %d: pushed task lost", i)
 		}
 		if _, n := qid(tk); n != i {
 			t.Fatalf("round %d: popped %d, want %d", i, n, i)
 		}
-		for {
-			tk, ok := q.TryPop()
-			if !ok {
-				break
-			}
+		for _, tk := range q.PopBatch(nil, 2) {
 			if _, n := qid(tk); n != 1000+i {
 				t.Fatalf("round %d: second pop = %d, want %d", i, n, 1000+i)
 			}
@@ -247,17 +233,13 @@ func TestTaskQueueDifferential(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					buf := make([]task, 0, 16)
 					for {
-						switch rng.Intn(3) {
+						switch rng.Intn(2) {
 						case 0:
 							tk, ok := q.Pop()
 							if !ok {
 								return
 							}
 							got <- tk
-						case 1:
-							if tk, ok := q.TryPop(); ok {
-								got <- tk
-							}
 						default:
 							buf = q.PopBatch(buf[:0], 1+rng.Intn(16))
 							for _, tk := range buf {

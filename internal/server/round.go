@@ -20,9 +20,11 @@
 // last round before a crash is ever undecided in its own log. Releasing
 // walMu before the flush is sound because of the in-doubt shard: from a
 // round's prepare append until the round is durable everywhere, anything
-// that turns the shard's state into a durability claim waits for the round
-// (Server.awaitRound) — a write group that appended behind the prepare
-// before it answers, a state capture before it walks. Three invariants:
+// that turns the shard's state into a durability claim waits for the round —
+// a write group that appended behind the prepare stays on its completion list
+// until the coordinator settles the round there (ackStage.settleRound
+// releases it, or the shard's flusher, whichever comes last), a state capture
+// waits before it walks (ackStage.awaitRound). Three invariants:
 //
 //   - Replay order = memory order. A prepare's effects apply at the
 //     prepare's position; replay holds the prepare and everything behind it
@@ -95,10 +97,9 @@ type RoundStats struct {
 	Largest uint64 // most tasks in one round
 	Pages   uint64 // the SCAN pages among Tasks
 	// Logged counts the rounds that appended redo records, Flushes the flush
-	// barriers they waited on (one each on a healthy server), GroupWaits the
-	// write groups (and rare state captures) that, their own flush done,
-	// still had to wait for the in-doubt round they logged behind.
-	Logged, Flushes, GroupWaits uint64
+	// barriers they waited on (one each on a healthy server); the write
+	// groups a round in doubt held back are AckStats.Gated.
+	Logged, Flushes uint64
 }
 
 // MeanTasks is the mean number of tasks per round (0 before any round).
@@ -120,58 +121,13 @@ func ratio(a, b uint64) float64 {
 func (s *Server) RoundStats() RoundStats {
 	rc := s.rounds
 	return RoundStats{
-		Rounds:     rc.nRounds.Load(),
-		Tasks:      rc.nTasks.Load(),
-		Largest:    rc.largest.Load(),
-		Pages:      rc.nPages.Load(),
-		Logged:     rc.nLogged.Load(),
-		Flushes:    rc.nFlushes.Load(),
-		GroupWaits: s.gate.waits.Load(),
+		Rounds:  rc.nRounds.Load(),
+		Tasks:   rc.nTasks.Load(),
+		Largest: rc.largest.Load(),
+		Pages:   rc.nPages.Load(),
+		Logged:  rc.nLogged.Load(),
+		Flushes: rc.nFlushes.Load(),
 	}
-}
-
-// roundGate is where durability claims wait out an in-doubt round. Rounds
-// are named by their xid, which only grows, and at most one is in doubt at a
-// time: settled is the newest round whose flush has returned, faults the
-// rounds (one per read-only flip at most) whose flush failed.
-type roundGate struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	settled uint64
-	faults  map[uint64]error
-	waits   atomic.Uint64
-}
-
-// settleRound ends round xid's doubt: err is its flush's verdict.
-func (s *Server) settleRound(xid uint64, err error) {
-	g := &s.gate
-	g.mu.Lock()
-	if err != nil {
-		g.faults[xid] = err
-	}
-	g.settled = xid
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// awaitRound blocks until round xid (a shard's doubt mark; 0 = never in a
-// round) is durable on every participant — the condition under which
-// recovery commits it and everything logged behind it — or returns the
-// fault that left it undecided.
-func (s *Server) awaitRound(xid uint64) error {
-	if xid == 0 {
-		return nil // the common case takes no server-wide mutex
-	}
-	g := &s.gate
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.settled < xid {
-		g.waits.Add(1)
-		for g.settled < xid {
-			g.cond.Wait()
-		}
-	}
-	return g.faults[xid]
 }
 
 // roundCoordinator owns the server's round queue and every piece of round
@@ -535,7 +491,7 @@ func (rc *roundCoordinator) runRound() {
 	}()
 	// The round's one flush, with no mutex held: the participants' groups
 	// execute and append meanwhile, gated on this round by their doubt mark,
-	// and their own flushes piggyback on this one.
+	// and their flushers share this flush (wal.Log.Sync).
 	if walErr == nil && len(rc.syncShs) > 0 {
 		rc.nLogged.Add(1)
 		walErr = rc.syncAll()
@@ -545,7 +501,9 @@ func (rc *roundCoordinator) runRound() {
 		// ends here. A durable round's annotation costs no append of its own:
 		// each participant owes it to the next batch its log takes
 		// (appendWAL) — certainly this coordinator's next prepare.
-		s.settleRound(rc.xid, walErr)
+		for _, p := range rc.union {
+			p.ack.settleRound(rc.xid, walErr)
+		}
 	}
 	if walErr == nil {
 		// Under cluster leadership every writing task's answer also waits on

@@ -420,18 +420,18 @@ func TestRoundSharesDependentTasks(t *testing.T) {
 	}
 }
 
-// putBehind runs a one-PUT write group on the un-held participant, on top of
-// the round's PUT, and starts its flush: the returned channel closes when
-// the group has been answered.
-func (h *heldRound) putBehind(t *testing.T) chan struct{} {
+// putBehind runs a one-PUT write group on participant which (h.b: the un-held
+// one), on top of the round's PUT: it lands on the completion list, and the
+// returned channel closes when it has been answered.
+func (h *heldRound) putBehind(t *testing.T, which int) chan struct{} {
 	t.Helper()
-	sh := h.shards[h.b]
+	sh := h.shards[which]
 	th := h.s.rt.RegisterThread()
 	w := newGroupWorker(h.s, sh, th)
 	appends := sh.walAppends.Load()
 	ran := make(chan struct{})
 	go func() {
-		w.run([]task{mkTask(h.s, h.c, wire.OpPut, 2, h.key[h.b], []byte("group"), nil)})
+		w.run([]task{mkTask(h.s, h.c, wire.OpPut, 2, h.key[which], []byte("group"), nil)})
 		close(ran)
 	}()
 	// No walMu is held across the round's flush: the group executes and
@@ -441,12 +441,15 @@ func (h *heldRound) putBehind(t *testing.T) chan struct{} {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a participant's group cannot run while the round's flush is outstanding")
 	}
-	if sh.walAppends.Load() != appends+1 || len(w.pending) != 1 {
-		t.Fatalf("the group did not append behind the prepare: %d appends, %d pending", sh.walAppends.Load()-appends, len(w.pending))
+	sh.ack.mu.Lock()
+	listed := len(sh.ack.list)
+	sh.ack.mu.Unlock()
+	if sh.walAppends.Load() != appends+1 || listed != 1 {
+		t.Fatalf("the group did not append behind the prepare: %d appends, %d listed", sh.walAppends.Load()-appends, listed)
 	}
 	answered := make(chan struct{})
 	go func() {
-		w.close() // flushes
+		w.close() // the drain barrier: returns once the list is empty
 		th.Release()
 		close(answered)
 	}()
@@ -458,7 +461,7 @@ func (h *heldRound) putBehind(t *testing.T) chan struct{} {
 // participant's flush of that round is outstanding.
 func TestRoundGatesGroupAck(t *testing.T) {
 	h := twoShardRound(t)
-	answered := h.putBehind(t)
+	answered := h.putBehind(t, h.b)
 	select {
 	case <-answered:
 		t.Fatal("a group behind an in-doubt prepare was answered before the round was durable everywhere")
@@ -474,8 +477,8 @@ func TestRoundGatesGroupAck(t *testing.T) {
 			t.Errorf("request %d: status %v (%s)", id, r.status, r.value)
 		}
 	}
-	if rs := h.s.RoundStats(); rs.GroupWaits != 1 {
-		t.Errorf("GroupWaits = %d, want the one gated group", rs.GroupWaits)
+	if as := h.s.AckStats(); as.Gated != 1 {
+		t.Errorf("AckStats.Gated = %d, want the one gated group", as.Gated)
 	}
 	// Replay order = memory order: the group's value wins in a crash image.
 	re := h.bootCopy(t, nil)
@@ -519,7 +522,7 @@ func TestRoundGatesCapture(t *testing.T) {
 // participants read-only — the group's flush itself succeeded.
 func TestRoundFlushFaultVoidsGatedGroup(t *testing.T) {
 	h := twoShardRound(t)
-	answered := h.putBehind(t)
+	answered := h.putBehind(t, h.b)
 	h.release <- &faultinject.InjectedDiskFault{Op: faultinject.DiskSync}
 	<-answered
 	<-h.done

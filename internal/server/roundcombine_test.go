@@ -117,7 +117,7 @@ func TestRoundCombinesAcrossConnections(t *testing.T) {
 	if rs.Logged != rs.Rounds || rs.FlushesPerRound() != 1 {
 		t.Errorf("%d of %d rounds logged at %.2f flushes each, want every round at exactly one: %+v", rs.Logged, rs.Rounds, rs.FlushesPerRound(), rs)
 	}
-	t.Logf("%d rounds, %.1f tasks/round, largest %d, %d gated group waits", rs.Rounds, rs.MeanTasks(), rs.Largest, rs.GroupWaits)
+	t.Logf("%d rounds, %.1f tasks/round, largest %d, %d gated group waits", rs.Rounds, rs.MeanTasks(), rs.Largest, srv.AckStats().Gated)
 
 	c := dialClient(t, addr, client.Options{})
 	var sum uint64

@@ -55,8 +55,8 @@ type Config struct {
 	// group (see group.go). 1 disables grouping. Default 16. With
 	// AdaptiveBatch it is the ceiling the controller may deepen to.
 	BatchMax int
-	// AdaptiveBatch drives the effective group size, flush-lag bound and
-	// queue admission from a per-shard controller fed by the signals RAC
+	// AdaptiveBatch drives the effective group size and queue admission from
+	// a per-shard controller fed by the signals RAC
 	// already samples — δ(Q), abort rate, queue depth, per-group service
 	// time (adapt.go) — instead of batching statically at BatchMax.
 	// Default off.
@@ -293,8 +293,8 @@ func (c Config) validate() error {
 // Fixed sizes no deployment has had a measured reason to change.
 const (
 	// respChannel is the per-connection response channel capacity: how many
-	// completed responses may await the connection's write loop before shard
-	// workers block on the send.
+	// completed responses may await the connection's write loop before
+	// whoever answers (worker, flusher, coordinator) blocks on the send.
 	respChannel = 64
 	// readBufSize is the per-connection buffered-reader size.
 	readBufSize = 16 << 10
@@ -342,10 +342,10 @@ type Server struct {
 	// must never pair a stale prepare with a fresh decision. By the time new
 	// xids are issued, every prior incarnation's prepare has been resolved
 	// in-log (resolveCrossShard runs before the workers start), so the
-	// startup-stamped base plus a counter suffices; gate orders rounds by it.
+	// startup-stamped base plus a counter suffices; the completion lists order
+	// rounds by it (ackStage.settled).
 	xidBase uint64
 	xidCtr  atomic.Uint64
-	gate    roundGate
 
 	// Durability plumbing (durability.go); inert when Durability is off.
 	snapshotStop chan struct{}
@@ -408,7 +408,6 @@ func New(cfg Config) (*Server, error) {
 	s.xidBase = uint64(time.Now().UnixNano()) << 20
 	durable := cfg.Durability != DurabilityOff
 	var recoveryTh *votm.Thread
-	s.gate.faults, s.gate.cond.L = make(map[uint64]error), &s.gate.mu
 	cr := &crossRecovery{horizon: make([]uint64, cfg.Shards)}
 	if durable {
 		recoveryTh = s.rt.RegisterThread()
@@ -462,6 +461,9 @@ func New(cfg Config) (*Server, error) {
 	s.rounds = newRoundCoordinator(s)
 	go s.rounds.loop()
 	for _, sh := range seeds {
+		if sh.log != nil {
+			sh.ack = newAckStage(s, sh) // before the workers: they read it unsynchronized
+		}
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			s.workersWG.Add(1)
 			go s.worker(sh)
@@ -637,7 +639,8 @@ func (s *Server) beginReq() bool {
 // requests, finish and answer every dispatched transaction, stop the shard
 // workers, then destroy the views (closing their RAC controllers) and wait
 // for the connections to flush. If ctx expires first, remaining connections
-// are force-closed and ctx.Err() is returned.
+// are force-closed and ctx.Err() is returned; the drain then finishes in the
+// background as the in-flight work completes.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() { s.shutdownErr = s.shutdown(ctx) })
 	return s.shutdownErr
@@ -684,27 +687,41 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	drained := make(chan struct{})
+	// The rest of the drain waits on in-flight work, so it runs beside the
+	// deadline: when ctx expires first the connections are force-closed and
+	// retire finishes on its own once that work completes — the stragglers'
+	// answers go to closed sockets, and no goroutine outlives them.
+	retired := make(chan struct{})
 	go func() {
-		s.reqWG.Wait()
-		close(drained)
+		defer close(retired)
+		s.retire()
 	}()
 	select {
-	case <-drained:
+	case <-retired:
+		return nil
 	case <-ctx.Done():
 		s.forceCloseConns()
 		return ctx.Err()
 	}
+}
 
-	// All dispatched requests are answered: retire the worker pools.
+// retire is the waiting half of a drain, in dependency order.
+func (s *Server) retire() {
+	// All dispatched requests answered — which empties every completion
+	// list: a listed op holds its reqWG count — then retire the worker pools.
+	s.reqWG.Wait()
 	for _, sh := range s.appendSubShards(nil) {
 		sh.queue.Close()
 	}
 	s.workersWG.Wait()
 	// The round queue's senders are the connection readers, and reqWG drained
 	// above: beginReq refuses from here on and every task a reader queued is
-	// answered, so no send can race the close. Retire the coordinator.
+	// answered, so no send can race the close. Retire the coordinator, then
+	// the flushers: nothing lists anymore.
 	s.rounds.stop()
+	for _, sh := range s.appendSubShards(nil) {
+		sh.ack.stop()
+	}
 
 	// Nothing appends anymore: retire the replication senders.
 	if s.cluster != nil {
@@ -728,19 +745,7 @@ func (s *Server) shutdown(ctx context.Context) error {
 			s.logf("votmd: destroy view %d: %v", sh.view.ID(), err)
 		}
 	}
-
-	connsDone := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(connsDone)
-	}()
-	select {
-	case <-connsDone:
-		return nil
-	case <-ctx.Done():
-		s.forceCloseConns()
-		return ctx.Err()
-	}
+	s.connWG.Wait()
 }
 
 func (s *Server) forceCloseConns() {
@@ -754,11 +759,12 @@ func (s *Server) forceCloseConns() {
 // worker is one shard transaction worker: it owns a runtime thread handle
 // and a retained groupWorker, blocks for one task, then drains up to the
 // controller's group bound without blocking and executes the whole group as
-// one transaction (group.go). At drain the closed queue first yields its
-// buffered remainder — grouped like any other batch, every request answered
-// — and then ends the loop. With AdaptiveBatch each drain cycle is timed and
-// fed back to the shard controller, which moves the group bound and the
-// admission threshold for the next one.
+// one transaction (group.go). It never waits on a flush: a durable group's
+// answers are the acknowledgement stage's. At drain the closed queue first
+// yields its buffered remainder — grouped like any other batch, every request
+// answered — and then ends the loop. With AdaptiveBatch each drain cycle is
+// timed and fed back to the shard controller, which moves the group bound and
+// the admission threshold for the next one.
 func (s *Server) worker(sh *shard) {
 	defer s.workersWG.Done()
 	th := s.rt.RegisterThread()
@@ -769,15 +775,9 @@ func (s *Server) worker(sh *shard) {
 	batch := make([]task, 0, s.cfg.BatchMax)
 	drains := 0
 	for {
-		// No committed group may wait on a flush across a blocking receive:
-		// take the next task without flushing while the queue stays hot, but
-		// settle every lagged group the moment the shard would go idle.
-		t, ok := sh.queue.TryPop()
+		t, ok := sh.queue.Pop()
 		if !ok {
-			w.flushPending()
-			if t, ok = sh.queue.Pop(); !ok {
-				return
-			}
+			return
 		}
 		batch = append(batch[:0], t)
 		batch = sh.queue.PopBatch(batch, sh.ctl.groupSize())
@@ -789,9 +789,11 @@ func (s *Server) worker(sh *shard) {
 			w.run(batch)
 			continue
 		}
-		start := time.Now()
+		start, stalled := time.Now(), w.stalled
 		w.run(batch)
-		sh.ctl.observe(sh.queue.Len(), len(batch), time.Since(start), sh.view.Controller().Signal())
+		// Execution time only: run contains no flush, and a stall on a full
+		// completion list is the disk's time, not the group's.
+		sh.ctl.observe(sh.queue.Len(), len(batch), time.Since(start)-(w.stalled-stalled), sh.view.Controller().Signal())
 	}
 }
 

@@ -35,8 +35,8 @@ type shard struct {
 	view  *votm.View
 	idx   *ds.SkipList
 	queue *ringQueue
-	// ctl drives the shard's effective group size, flush-lag bound and
-	// admission threshold (adapt.go); in static mode it just pins BatchMax.
+	// ctl drives the shard's effective group size and admission threshold
+	// (adapt.go); in static mode it just pins BatchMax.
 	ctl  *shardController
 	keys atomic.Int64
 	// queueHW is the lifetime high-water mark of the queue depth observed
@@ -64,14 +64,16 @@ type shard struct {
 	// Durability state (durability.go); all zero when the server runs
 	// memory-only. walMu serializes write-group execution with the WAL
 	// append so commit order equals log order; the fsync happens outside it,
-	// overlapping the next group's execution. log is nil in snapshot-only
-	// mode (snapshots need only dataDir and snapSeq).
+	// on the log's flusher, and ack — the acknowledgement stage (group.go),
+	// non-nil exactly when log is — answers the groups it covers. log is nil
+	// in snapshot-only mode (snapshots need only dataDir and snapSeq).
 	dataDir string
 	log     *wal.Log
+	ack     *ackStage
 	walMu   sync.Mutex
 	// doubt is the xid of the newest cross-shard round that logged a prepare
-	// here (guarded by walMu): until Server.awaitRound passes it, whatever
-	// logs behind the prepare must not answer. owed is the xid of a round
+	// here (guarded by walMu): until that round is settled here (ackStage.settleRound),
+	// whatever logs behind the prepare must not answer. owed is the xid of a round
 	// found durable whose RecCommit annotation this log still lacks: the next
 	// batch appended here carries it (appendWAL); a crash forgets it and
 	// recovery decides that round by the all-prepared rule.

@@ -104,7 +104,6 @@ func TestRestartPastInitialHeap(t *testing.T) {
 	run := func(batch []task) {
 		t.Helper()
 		w.run(batch)
-		w.flushPending()
 		for id, r := range collect(t, c, len(batch)) {
 			if r.status != wire.StatusOK {
 				t.Fatalf("request %d: status %v (%s)", id, r.status, r.value)
@@ -439,7 +438,6 @@ func TestStoreKernelDifferential(t *testing.T) {
 			}
 		}
 		workers[si].run(batch)
-		workers[si].flushPending()
 		got := collect(t, f.c, n)
 		for _, req := range reqs {
 			what := fmt.Sprintf("step %d group member %d (%v key %d)", step, req.ID, req.Op, req.Key)
