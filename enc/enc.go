@@ -14,35 +14,28 @@
 package enc
 
 import (
+	"encoding/binary"
+
 	"votm"
 )
 
 // Words returns the number of words needed to hold n bytes.
 func Words(n int) int { return (n + 7) / 8 }
 
-// StoreBytes writes data at byte offset off relative to base.
+// StoreBytes writes data at byte offset off relative to base: whole words
+// where the offset is word-aligned, a read-modify-write for the ragged ends.
 func StoreBytes(tx votm.Tx, base votm.Addr, off int, data []byte) {
-	i := 0
-	for i < len(data) {
-		wordIdx := (off + i) / 8
-		byteIdx := (off + i) % 8
-		addr := base + votm.Addr(wordIdx)
-		var word uint64
+	for i := 0; i < len(data); {
+		addr, byteIdx := base+votm.Addr((off+i)/8), (off+i)%8
 		if byteIdx == 0 && len(data)-i >= 8 {
-			// Full-word fast path: no read-modify-write needed.
-			for k := 7; k >= 0; k-- {
-				word = word<<8 | uint64(data[i+k])
-			}
-			tx.Store(addr, word)
+			tx.Store(addr, binary.LittleEndian.Uint64(data[i:]))
 			i += 8
 			continue
 		}
-		word = tx.Load(addr)
-		for byteIdx < 8 && i < len(data) {
+		word := tx.Load(addr)
+		for ; byteIdx < 8 && i < len(data); byteIdx, i = byteIdx+1, i+1 {
 			shift := uint(byteIdx * 8)
 			word = (word &^ (0xff << shift)) | uint64(data[i])<<shift
-			byteIdx++
-			i++
 		}
 		tx.Store(addr, word)
 	}
@@ -55,16 +48,18 @@ func LoadBytes(tx votm.Tx, base votm.Addr, off, n int) []byte {
 
 // AppendBytes appends n bytes read from byte offset off (relative to base)
 // to dst and returns the extended slice — LoadBytes without the allocation
-// when dst already has capacity (votmd's reused response buffers).
+// when dst already has capacity (votmd's reused response buffers). Like
+// StoreBytes it moves whole words where the offset is word-aligned.
 func AppendBytes(dst []byte, tx votm.Tx, base votm.Addr, off, n int) []byte {
 	for i := 0; i < n; {
-		wordIdx := (off + i) / 8
-		byteIdx := (off + i) % 8
-		word := tx.Load(base + votm.Addr(wordIdx))
-		for byteIdx < 8 && i < n {
+		word, byteIdx := tx.Load(base+votm.Addr((off+i)/8)), (off+i)%8
+		if byteIdx == 0 && n-i >= 8 {
+			dst = binary.LittleEndian.AppendUint64(dst, word)
+			i += 8
+			continue
+		}
+		for ; byteIdx < 8 && i < n; byteIdx, i = byteIdx+1, i+1 {
 			dst = append(dst, byte(word>>(uint(byteIdx)*8)))
-			byteIdx++
-			i++
 		}
 	}
 	return dst

@@ -96,7 +96,9 @@ next:
 // beside TestScanServesUnflushedWrites: the memory commit precedes every
 // acknowledgement, so a GET and a read-only ATOMIC serve a write whose flush
 // is still held — on another connection, through the same one worker — while
-// the PUT itself stays unanswered.
+// the PUT itself stays unanswered. The same holds between rounds: a read-only
+// spanning ATOMIC, a round of its own that takes no flight, reads what a
+// round still in doubt committed.
 func TestGetServesUnflushedWrites(t *testing.T) {
 	h := newHeldFlush(t, Config{})
 	key := h.keys[1][0]
@@ -114,10 +116,94 @@ func TestGetServesUnflushedWrites(t *testing.T) {
 	if r := got[3]; r.status != wire.StatusOK || len(r.subs) != 1 || string(r.subs[0].Value) != "unflushed" {
 		t.Errorf("read-only ATOMIC beside an unflushed PUT: %v %+v", r.status, r.subs)
 	}
+
+	// Round k's share on shard 1 sits behind the held flush: k is in doubt.
+	h.c.dispatch(h.spanningReq(4, 1, []byte("in doubt")))
+	h.waitRounds(t, 1) // its task set is closed: the read below is a round of its own
+	other.dispatch(atomicReq(5, wire.Sub{Kind: wire.SubGet, Key: h.keys[0][1]}, wire.Sub{Kind: wire.SubGet, Key: h.keys[1][1]}))
+	if r := collect(t, other, 1)[5]; r.status != wire.StatusOK || len(r.subs) != 2 ||
+		string(r.subs[0].Value) != "in doubt" || string(r.subs[1].Value) != "in doubt" {
+		t.Errorf("read-only spanning ATOMIC behind a round in doubt: %v %+v", r.status, r.subs)
+	}
 	unanswered(t, h.c, "while its flush was held")
 	h.release <- nil
-	if r := collect(t, h.c, 1)[1]; r.status != wire.StatusOK {
-		t.Fatalf("PUT after its flush: %v (%s)", r.status, r.value)
+	for id, r := range collect(t, h.c, 2) {
+		if r.status != wire.StatusOK {
+			t.Fatalf("request %d after its flush: %v (%s)", id, r.status, r.value)
+		}
+	}
+}
+
+// TestCoordinatorNeverWaitsOnFlush: with one participant's flush held, the
+// first spanning ATOMIC is in doubt and a second one still executes and
+// appends — its PUT is readable on another connection, every participant's
+// log advanced — because the coordinator handed the first round to the
+// flushers. A third does not start until the first settles: two rounds in
+// doubt is the bound, and waiting for a flight record is the coordinator's
+// only wait — its goroutine is in no flush and no replication wait. On release
+// the rounds are answered first round first.
+func TestCoordinatorNeverWaitsOnFlush(t *testing.T) {
+	h := newHeldFlush(t, Config{})
+	appended := func() (n [3]uint64) {
+		for i, sh := range h.shards {
+			n[i] = sh.walAppends.Load()
+		}
+		return n
+	}
+	waitAppends := func(what string, want [3]uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); appended() != want; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: appends per shard %v, want %v", what, appended(), want)
+			}
+		}
+	}
+	other := newTestConn(h.s, 4)
+	readable := func(id uint32, j int) bool {
+		other.dispatch(pointReq(wire.OpGet, id, h.keys[2][j], ""))
+		return collect(t, other, 1)[id].status == wire.StatusOK
+	}
+
+	h.armed.Store(true)
+	h.c.dispatch(h.spanningReq(1, 0, []byte("first")))
+	<-h.holding
+	waitAppends("the first round", [3]uint64{1, 1, 1})
+	h.c.dispatch(h.spanningReq(2, 1, []byte("second")))
+	waitAppends("the second round, the first one's flush held", [3]uint64{2, 2, 2})
+	if !readable(10, 1) {
+		t.Error("the second round's PUT is not readable while the first round is in doubt")
+	}
+	h.c.dispatch(h.spanningReq(3, 2, []byte("third")))
+	h.waitRounds(t, 3)
+	unanswered(t, h.c, "with the first round's flush held")
+	if got := appended(); got != [3]uint64{2, 2, 2} || readable(11, 2) {
+		t.Errorf("the third round started with two rounds in doubt: appends per shard %v", got)
+	}
+	for _, wait := range []string{"wal.(*Log).Sync(", ".waitReplicated("} {
+		if n := serverGoroutines("(*roundCoordinator).loop(", wait); n != 0 {
+			t.Errorf("%d coordinator goroutines inside %s", n, wait)
+		}
+	}
+	if n := serverGoroutines("(*roundCoordinator).loop(", ".takeFlight("); n != 1 {
+		t.Errorf("%d coordinator goroutines waiting for a flight record, want 1", n)
+	}
+
+	h.release <- nil
+	for want := uint32(1); want <= 3; want++ {
+		select {
+		case r := <-h.c.out:
+			if r.ID != want || r.Status != wire.StatusOK || r.Next != nil {
+				t.Fatalf("answer %d (%v) arrived, want request %d OK: first round first", r.ID, r.Status, want)
+			}
+			r.Release()
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d never answered", want)
+		}
+	}
+	// (The third round overlaps the second only if it took its flight before
+	// the second one's last share was flushed.)
+	if rs := h.s.RoundStats(); rs.Rounds != 3 || rs.Logged != 3 || rs.Overlapped < 1 || rs.InDoubtHigh != 2 || rs.FlightWaitNs == 0 {
+		t.Errorf("round counters %+v; want 3 logged rounds, the second beside the first one's flush, 2 in doubt at most, a wait for a flight", rs)
 	}
 }
 
@@ -248,10 +334,12 @@ func TestAckListBoundsUnansweredOps(t *testing.T) {
 // image was copied mid-flush, the state a kill at that instant leaves —
 // releases nothing as OK. Every listed group answers TX_FAULT, the shard turns
 // read-only, and the crash image restarts with every acknowledged write (it
-// promises nothing about the rest).
+// promises nothing about the rest). A round's share is listed like a group:
+// the round whose prepare sits on the failing log answers TX_FAULT too, and
+// takes its other participants read-only with it.
 func TestFlushFaultReleasesNothing(t *testing.T) {
 	h := newHeldFlush(t, Config{})
-	sh, keys := h.shards[1], h.keys[1]
+	keys := h.keys[1]
 	h.c.dispatch(pointReq(wire.OpPut, 1, keys[0], "acked"))
 	if r := collect(t, h.c, 1)[1]; r.status != wire.StatusOK {
 		t.Fatalf("seed PUT: %v (%s)", r.status, r.value)
@@ -261,6 +349,12 @@ func TestFlushFaultReleasesNothing(t *testing.T) {
 	<-h.holding
 	h.putExecuted(t, h.c, 1, 3, keys[2], "lost?")
 	h.putExecuted(t, h.c, 1, 4, keys[0], "lost?")
+	h.c.dispatch(h.spanningReq(7, 3, []byte("lost?")))
+	for deadline := time.Now().Add(5 * time.Second); h.s.RoundStats().Logged != 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the spanning ATOMIC did not execute while shard 1's flush was held")
+		}
+	}
 
 	killed := h.bootCopy(t, nil)
 	if val, found, err := killed.shards[1].testGet(context.Background(), killed.th, keys[0]); err != nil || !found ||
@@ -269,13 +363,15 @@ func TestFlushFaultReleasesNothing(t *testing.T) {
 	}
 
 	h.release <- &faultinject.InjectedDiskFault{Op: faultinject.DiskSync}
-	for id, r := range collect(t, h.c, 3) {
+	for id, r := range collect(t, h.c, 4) {
 		if r.status != wire.StatusTxFault {
 			t.Errorf("request %d after its flush failed: %v (%s), want TX_FAULT", id, r.status, r.value)
 		}
 	}
-	if !sh.readOnly.Load() {
-		t.Error("the shard still accepts writes after a failed flush")
+	for i, p := range h.shards {
+		if !p.readOnly.Load() {
+			t.Errorf("shard %d still accepts writes after the flush failed under a round it took part in", i)
+		}
 	}
 	h.c.dispatch(pointReq(wire.OpPut, 5, keys[3], "refused"))
 	if r := collect(t, h.c, 1)[5]; r.status != wire.StatusTxFault {
@@ -313,9 +409,10 @@ func TestRoundGatesGroupAckFlusherLast(t *testing.T) {
 }
 
 // TestForcedShutdownLeaksNothing: a Shutdown whose deadline expires with a
-// flush still held returns the context's error, and once the flush returns
-// the drain it left behind completes — flushers stopped after the lists
-// emptied, before the logs closed — with no server goroutine left.
+// flush still held — a PUT listed behind it, and two rounds in flight whose
+// shares on that log wait for it — returns the context's error, and once the
+// flush returns the drain it left behind completes — flushers stopped after
+// the lists emptied, before the logs closed — with no server goroutine left.
 func TestForcedShutdownLeaksNothing(t *testing.T) {
 	entries := []string{"(*Server).worker(", "(*ackStage).flusher(", "(*roundCoordinator).loop(", "(*Server).retire("}
 	// The baseline is whatever earlier tests' servers left running; theirs
@@ -333,6 +430,14 @@ func TestForcedShutdownLeaksNothing(t *testing.T) {
 	h.armed.Store(true)
 	h.c.dispatch(pointReq(wire.OpPut, 1, h.keys[1][0], "held"))
 	<-h.holding
+	h.c.dispatch(h.spanningReq(2, 1, []byte("in flight")))
+	h.waitRounds(t, 1)
+	h.c.dispatch(h.spanningReq(3, 2, []byte("in flight")))
+	for deadline := time.Now().Add(5 * time.Second); h.s.RoundStats().Logged != 2; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("two rounds did not get in flight behind the held flush: %+v", h.s.RoundStats())
+		}
+	}
 	// One flusher per shard log (a goroutine that has not run yet shows no
 	// entry frame: wait for all three).
 	for deadline := time.Now().Add(5 * time.Second); serverGoroutines(entries[1])-base[1] != len(h.shards); time.Sleep(time.Millisecond) {
@@ -347,8 +452,10 @@ func TestForcedShutdownLeaksNothing(t *testing.T) {
 		t.Fatalf("Shutdown with a flush held: %v, want the deadline", err)
 	}
 	h.release <- nil
-	if r := collect(t, h.c, 1)[1]; r.status != wire.StatusOK {
-		t.Errorf("the held PUT: %v (%s)", r.status, r.value)
+	for id, r := range collect(t, h.c, 3) {
+		if r.status != wire.StatusOK {
+			t.Errorf("request %d, listed or in flight behind the held flush: %v (%s)", id, r.status, r.value)
+		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		left := 0

@@ -423,7 +423,9 @@ func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 		// round (the xshard cell).
 		b.ReportMetric(rs.MeanTasks(), "tasks/round")
 		if rs.Logged > 0 {
-			b.ReportMetric(rs.FlushesPerRound(), "flushes/round")
+			// The share of logging rounds that executed beside an earlier
+			// round's flush.
+			b.ReportMetric(float64(rs.Overlapped)/float64(rs.Logged), "overlapped/round")
 		}
 	}
 	if busyOK {

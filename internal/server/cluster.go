@@ -329,10 +329,11 @@ func (cn *clusterNode) reconcile(m wire.ShardMap) {
 }
 
 // commitHeld settles what a promoted follower still holds: its leader died
-// before a round's annotation streamed. The leader acknowledged the held
-// records only once the round's flush succeeded and answered TxFault (outcome
-// unknown) if it failed, so committing loses nothing acknowledged; the
-// annotation makes the log self-contained again.
+// before a round's annotation streamed — or overlapped rounds', a later
+// prepare held in the first one's suffix, so it commits until nothing is held.
+// The leader acknowledged the held records only once the round's flush
+// succeeded and answered TxFault (outcome unknown) if it failed, so committing
+// loses nothing acknowledged; the annotations make the log self-contained.
 func (cn *clusterNode) commitHeld(shardID int) {
 	sh, a := cn.shardFor(shardID), &cn.states[shardID].redo
 	sh.walMu.Lock()
@@ -342,8 +343,11 @@ func (cn *clusterNode) commitHeld(shardID int) {
 	}
 	th := cn.s.rt.RegisterThread()
 	defer th.Release()
-	if _, err := a.decide(context.Background(), th, wal.RecCommit); err != nil {
-		cn.s.noteShardWALFault(sh, err)
+	for a.xid != 0 {
+		if _, err := a.decide(context.Background(), th, wal.RecCommit); err != nil {
+			cn.s.noteShardWALFault(sh, err)
+			return
+		}
 	}
 }
 

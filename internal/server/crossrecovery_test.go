@@ -2,11 +2,13 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,6 +39,10 @@ import (
 // the round wrote — which replays at the prepare's position when the round
 // commits (the observer's value wins, as it did in memory) and is voided
 // with the round when it aborts.
+//
+// Rounds overlap, so a crash can also find TWO rounds in doubt, the second
+// built on the first: that half of the matrix (twoRoundsInDoubt) takes its
+// logs from a live server stopped inside a held flush and cuts copies of them.
 
 const matrixShards = 3
 
@@ -211,6 +217,389 @@ func TestCrossShardRecoveryMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+	twoRoundsInDoubt(t)
+	t.Run("three rounds: the first faulted and gone, the third built on the second", faultedRoundLeavesQueue)
+}
+
+// cutFrames truncates shard id's only WAL segment to its first keep batch
+// frames: the log as it would be had the later appends never reached the disk.
+func cutFrames(t *testing.T, dataDir string, id, keep int) {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dataDir, fmt.Sprintf("shard-%04d", id), "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("shard %d: segments %v, want one", id, segs)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for ; keep > 0; keep-- {
+		if off+8 > len(b) {
+			t.Fatalf("shard %d: log ends before frame boundary %d", id, off)
+		}
+		off += 8 + int(binary.LittleEndian.Uint32(b[off:])) // u32 bodyLen | u32 crc | body
+	}
+	if err := os.Truncate(segs[0], int64(off)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// logRecords lists the records of shard id's log in a scratch copy of dataDir.
+func logRecords(t *testing.T, dataDir string, id int) (recs []wal.Record) {
+	t.Helper()
+	dir := t.TempDir()
+	copyTree(t, dataDir, dir)
+	log, err := wal.Open(filepath.Join(dir, fmt.Sprintf("shard-%04d", id)), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Replay(1, func(_ uint64, batch []wal.Record) error {
+		for _, r := range batch {
+			recs = append(recs, wal.Record{Kind: r.Kind, Key: r.Key})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// twoRoundsInDoubt is the matrix for overlapped rounds. A live server, every
+// flush held, runs round k = {A, B} and, back to back, round k+1 = {B, C} —
+// k+1 rewrites the key k wrote on B — with a write group on B logged between
+// the two prepares and one behind P_k+1. Nothing is answered; the data
+// directory is what a SIGKILL would leave, and each case boots a copy of it
+// with some log cut short:
+//
+//	(a) every log whole                    → both rounds, both groups
+//	(b) C's log without P_k+1              → k and the group between; k+1 aborts
+//	                                         on B too, the group behind it with it
+//	(c) A's log without P_k                → neither round — also not on C, which
+//	                                         never saw P_k: P_k+1 lists k's
+//	                                         participants, and that alone aborts it
+//	(e) a second boot of (b)'s directory   → the same state, nothing to resolve
+//
+// and, after the flushes were let go and one more batch logged on B,
+//
+//	(d) B holds P_k, P_k+1, C_k+1 and no C_k (the owed annotation was
+//	    overwritten before a batch took it)  → both apply on B, in order, from
+//	    the watermark alone
+func twoRoundsInDoubt(t *testing.T) {
+	const A, B, C = 0, 1, 2
+	kA, kB, kC := keyOnShard(A, 100), keyOnShard(B, 100), keyOnShard(C, 100)
+	between, behind, later := keyOnShard(B, 200), keyOnShard(B, 300), keyOnShard(B, 400)
+	var base [matrixShards]uint64
+	for s := range base {
+		base[s] = keyOnShard(s, 500)
+	}
+
+	var armed atomic.Bool
+	hold := make(chan struct{})
+	var letGo sync.Once
+	cfg := server.Config{
+		Shards:        matrixShards,
+		MaxValueLen:   1 << 10,
+		Durability:    server.DurabilityGroup,
+		DataDir:       t.TempDir(),
+		SnapshotEvery: time.Hour,
+		DiskFaultHook: func(op faultinject.DiskOp) error {
+			if op == faultinject.DiskSync && armed.Load() {
+				<-hold
+			}
+			return nil
+		},
+	}
+	srv, addr := startServer(t, cfg)
+	t.Cleanup(func() { letGo.Do(func() { close(hold) }) }) // before the server's Shutdown
+	ctx := context.Background()
+	c := dialClient(t, addr, client.Options{})
+	for s := range base {
+		if _, err := c.Put(ctx, base[s], []byte("base")); err != nil {
+			t.Fatalf("baseline put: %v", err)
+		}
+	}
+
+	// Each step's request stays unanswered behind the held flushes; the step is
+	// over once the logs it writes to have taken one more append.
+	appends := func() (n [matrixShards]uint64) {
+		for _, st := range srv.StatsAll() {
+			n[st.Shard] = st.WalAppends
+		}
+		return n
+	}
+	var answers []chan error
+	step := func(what string, logs []int, do func(c *client.Client) error) {
+		t.Helper()
+		want := appends()
+		for _, s := range logs {
+			want[s]++
+		}
+		cl, done := dialClient(t, addr, client.Options{}), make(chan error, 1)
+		answers = append(answers, done)
+		go func() { done <- do(cl) }()
+		for deadline := time.Now().Add(5 * time.Second); appends() != want; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: appends per shard %v, want %v", what, appends(), want)
+			}
+		}
+	}
+	put := func(key uint64, val string) func(*client.Client) error {
+		return func(c *client.Client) error { _, err := c.Put(ctx, key, []byte(val)); return err }
+	}
+	atomicPuts := func(val string, keys ...uint64) func(*client.Client) error {
+		return func(c *client.Client) error {
+			var subs []wire.Sub
+			for _, k := range keys {
+				subs = append(subs, wire.Sub{Kind: wire.SubPut, Key: k, Value: []byte(val)})
+			}
+			_, err := c.Atomic(ctx, subs)
+			return err
+		}
+	}
+	armed.Store(true)
+	step("round k", []int{A, B}, atomicPuts("k", kA, kB))
+	step("the group between the prepares", []int{B}, put(between, "between"))
+	step("round k+1, round k in doubt", []int{B, C}, atomicPuts("k+1", kB, kC))
+	step("the group behind P_k+1", []int{B}, put(behind, "behind"))
+	if rs := srv.RoundStats(); rs.Rounds != 2 || rs.Overlapped != 1 || rs.InDoubtHigh != 2 {
+		t.Fatalf("round counters %+v; want round k+1 built while round k was in doubt", rs)
+	}
+	image := t.TempDir()
+	copyTree(t, cfg.DataDir, image)
+
+	// boot starts a server on a copy of from, cut first, and checks every key:
+	// "" means the key must be absent.
+	boot := func(t *testing.T, from string, cut func(dir string), want map[uint64]string, resolved [matrixShards]int) string {
+		t.Helper()
+		cfg2 := cfg
+		cfg2.DataDir, cfg2.DiskFaultHook = t.TempDir(), nil
+		copyTree(t, from, cfg2.DataDir)
+		if cut != nil {
+			cut(cfg2.DataDir)
+		}
+		srv2, addr2 := startServer(t, cfg2)
+		c2 := dialClient(t, addr2, client.Options{})
+		for s := range base {
+			want[base[s]] = "base"
+		}
+		for key, val := range want {
+			got, err := c2.Get(ctx, key)
+			switch {
+			case val == "" && !errors.Is(err, wire.ErrNotFound):
+				t.Errorf("key %d (shard %d): got %q, %v; want NOT_FOUND", key, server.ShardOf(key, matrixShards), got, err)
+			case val != "" && (err != nil || string(got) != val):
+				t.Errorf("key %d (shard %d): got %q, %v; want %q", key, server.ShardOf(key, matrixShards), got, err, val)
+			}
+		}
+		for s, n := range resolved {
+			if got := srv2.Recovery()[s].ResolvedPrepares; got != n {
+				t.Errorf("shard %d: ResolvedPrepares = %d, want %d", s, got, n)
+			}
+		}
+		return cfg2.DataDir
+	}
+	// Every log is: the baseline batch, then what the steps appended.
+	t.Run("two rounds: all prepared", func(t *testing.T) {
+		boot(t, image, nil,
+			map[uint64]string{kA: "k", kB: "k+1", kC: "k+1", between: "between", behind: "behind"}, [matrixShards]int{1, 2, 1})
+	})
+	t.Run("two rounds: second round's prepare missing on one participant", func(t *testing.T) {
+		want := func() map[uint64]string {
+			return map[uint64]string{kA: "k", kB: "k", kC: "", between: "between", behind: ""}
+		}
+		dir := boot(t, image, func(dir string) { cutFrames(t, dir, C, 1) }, want(), [matrixShards]int{1, 2, 0})
+		// (e) The verdicts were appended: a second crash-restart replays them.
+		boot(t, dir, nil, want(), [matrixShards]int{})
+	})
+	t.Run("two rounds: first round's prepare missing on one participant", func(t *testing.T) {
+		boot(t, image, func(dir string) { cutFrames(t, dir, A, 1) },
+			map[uint64]string{kA: "", kB: "", kC: "", between: "", behind: ""}, [matrixShards]int{0, 1, 1})
+	})
+
+	// Let the flushes go: both rounds settle, first k — B owes C_k — then k+1,
+	// whose annotation overwrites it; the next batch B's log takes carries C_k+1.
+	letGo.Do(func() { close(hold) })
+	for i, done := range answers {
+		if err := <-done; err != nil {
+			t.Fatalf("step %d after the flushes were let go: %v", i+1, err)
+		}
+	}
+	if _, err := c.Put(ctx, later, []byte("later")); err != nil {
+		t.Fatalf("put after both rounds settled: %v", err)
+	}
+	t.Run("two rounds: only the later round's annotation in a log", func(t *testing.T) {
+		var prepares, commits []uint64
+		for _, r := range logRecords(t, cfg.DataDir, B) {
+			switch r.Kind {
+			case wal.RecPrepare:
+				prepares = append(prepares, r.Key)
+			case wal.RecCommit:
+				commits = append(commits, r.Key)
+			}
+		}
+		if len(prepares) != 2 || len(commits) != 1 || commits[0] != prepares[1] {
+			t.Fatalf("log B: prepares %x, commit annotations %x; want P_k, P_k+1 and C_k+1 alone", prepares, commits)
+		}
+		boot(t, cfg.DataDir, nil,
+			map[uint64]string{kA: "k", kB: "k+1", kC: "k+1", between: "between", behind: "behind", later: "later"}, [matrixShards]int{1, 0, 1})
+	})
+}
+
+// faultedRoundLeavesQueue is the matrix case for a round that settles with a
+// fault while a round built on it is still in flight. Round k = {A, B} loses
+// A's flush; round k+1 = {B, C} is appended behind it and C's flush stays held,
+// so when k settles — A and B read-only, its flight free — C is still writable;
+// then round k+2 = {C, D} arrives. Its prepare would list k+1's participants
+// and not k's: with A's log cut below P_k, recovery aborts k and k+1, drops
+// P_k+2 with k+1's held suffix on C — and would commit k+2 on D, where every
+// listed sequence is durable. So the coordinator refuses k+2 on C, read-only
+// from the moment k+1 inherited the fault: the image restarts with no round.
+//
+// Every armed flush posts its own verdict channel, and the steps are ordered
+// so that only one flusher can be arriving: whose call it is, is known.
+func faultedRoundLeavesQueue(t *testing.T) {
+	const A, B, C, D = 0, 1, 2, 3
+	var armed atomic.Bool
+	calls, quit := make(chan chan error, 16), make(chan struct{})
+	cfg := server.Config{
+		Shards:        4,
+		MaxValueLen:   1 << 10,
+		Durability:    server.DurabilityGroup,
+		DataDir:       t.TempDir(),
+		SnapshotEvery: time.Hour,
+		DiskFaultHook: func(op faultinject.DiskOp) error {
+			if op != faultinject.DiskSync || !armed.Load() {
+				return nil
+			}
+			verdict := make(chan error, 1)
+			calls <- verdict
+			select {
+			case err := <-verdict:
+				return err
+			case <-quit:
+				return nil
+			}
+		},
+	}
+	srv, addr := startServer(t, cfg)
+	var letGo sync.Once
+	t.Cleanup(func() { letGo.Do(func() { close(quit) }) }) // before the server's Shutdown
+	key := func(shard int, start uint64) uint64 { return keysOnShard(srv, shard, 1, start)[0] }
+	pre, kA, kB, k1B, k1C, k2C, k2D := key(A, 50), key(A, 100), key(B, 100), key(B, 200), key(C, 200), key(C, 300), key(D, 300)
+
+	ctx := context.Background()
+	appends := func() (n [4]uint64) {
+		for _, st := range srv.StatsAll() {
+			n[st.Shard] = st.WalAppends
+		}
+		return n
+	}
+	// start sends a request that stays unanswered and returns once the logs it
+	// writes to have taken one more append each.
+	start := func(what string, logs []int, subs ...wire.Sub) chan error {
+		t.Helper()
+		want := appends()
+		for _, s := range logs {
+			want[s]++
+		}
+		cl, done := dialClient(t, addr, client.Options{}), make(chan error, 1)
+		go func() {
+			if len(subs) == 1 {
+				_, err := cl.Put(ctx, subs[0].Key, subs[0].Value)
+				done <- err
+				return
+			}
+			_, err := cl.Atomic(ctx, subs)
+			done <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); appends() != want; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: appends per shard %v, want %v", what, appends(), want)
+			}
+		}
+		return done
+	}
+	put := func(key uint64, val string) wire.Sub {
+		return wire.Sub{Kind: wire.SubPut, Key: key, Value: []byte(val)}
+	}
+	flush := func(whose string) chan error {
+		t.Helper()
+		select {
+		case verdict := <-calls:
+			return verdict
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never started", whose)
+			return nil
+		}
+	}
+
+	armed.Store(true)
+	// A group on A parks A's flusher in the hook, so round k's share there waits
+	// for a later cycle: the next call is B's, the one after that C's.
+	preDone := start("the group on A", []int{A}, put(pre, "pre"))
+	flushA := flush("A's flush of the group")
+	roundK := start("round k", []int{A, B}, put(kA, "k"), put(kB, "k"))
+	flushB := flush("B's flush of P_k")
+	roundK1 := start("round k+1, round k in doubt", []int{B, C}, put(k1B, "k+1"), put(k1C, "k+1"))
+	flush("C's flush of P_k+1") // held to the end
+
+	flushA <- nil
+	if err := <-preDone; err != nil {
+		t.Fatalf("the group on A: %v", err)
+	}
+	flush("A's flush of P_k") <- &faultinject.InjectedDiskFault{Op: faultinject.DiskSync}
+	flushB <- nil
+	if err := <-roundK; !errors.Is(err, wire.ErrTxFault) {
+		t.Fatalf("round k, a participant's flush failed: %v, want TX_FAULT", err)
+	}
+	flush("B's flush of P_k+1") <- nil
+
+	// Round k is off the queue, round k+1 waits for C. Round k+2 takes the free
+	// flight; the read-only ATOMIC sent once k+2's task set is closed runs in
+	// the round after it, which takes no flight: its answer says k+2 is built.
+	before := appends()
+	cl, roundK2 := dialClient(t, addr, client.Options{}), make(chan error, 1)
+	go func() {
+		_, err := cl.Atomic(ctx, []wire.Sub{put(k2C, "k+2"), put(k2D, "k+2")})
+		roundK2 <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.RoundStats().Rounds < 3; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("round k+2 never started: the coordinator waits for a flight round k gave back")
+		}
+	}
+	if _, err := dialClient(t, addr, client.Options{}).Atomic(ctx, []wire.Sub{{Kind: wire.SubGet, Key: k2C}, {Kind: wire.SubGet, Key: k2D}}); err != nil {
+		t.Fatalf("a read-only round behind round k+2: %v", err)
+	}
+	if after := appends(); after != before {
+		t.Errorf("round k+2 logged on a participant of a faulted round in flight: appends per shard %v -> %v", before, after)
+	}
+
+	// The crash image: A's log is the group and P_k — cut the prepare away.
+	image := t.TempDir()
+	copyTree(t, cfg.DataDir, image)
+	cutFrames(t, image, A, 1)
+	cfg2 := cfg
+	cfg2.DataDir, cfg2.DiskFaultHook = image, nil
+	_, addr2 := startServer(t, cfg2)
+	c2 := dialClient(t, addr2, client.Options{})
+	if got, err := c2.Get(ctx, pre); err != nil || string(got) != "pre" {
+		t.Errorf("the group in front of P_k: got %q, %v", got, err)
+	}
+	for _, k := range []uint64{kA, kB, k1B, k1C, k2C, k2D} {
+		if got, err := c2.Get(ctx, k); !errors.Is(err, wire.ErrNotFound) {
+			t.Errorf("key %d (shard %d) without A's P_k: got %q, %v; want NOT_FOUND — no round, on any log", k, srv.Shard(k), got, err)
+		}
+	}
+
+	// C's flush returns: k+1 settles with k's fault, k+2 behind it was refused.
+	letGo.Do(func() { close(quit) })
+	for name, done := range map[string]chan error{"k+1": roundK1, "k+2": roundK2} {
+		if err := <-done; !errors.Is(err, wire.ErrTxFault) {
+			t.Errorf("round %s: %v, want TX_FAULT", name, err)
+		}
 	}
 }
 

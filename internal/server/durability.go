@@ -72,18 +72,31 @@ type crossRecovery struct {
 // effects exist from its prepare on — the groups that logged behind it ran on
 // top of them. So from a RecPrepare until its decision the applier holds the
 // prepare's records and every record behind them (deep copies: the caller's
-// buffer does not outlive the call); RecCommit applies the lot in order,
-// RecAbort drops the lot — the suffix was computed on state that never became
-// durable. A log that ends inside a held suffix leaves the applier dangling.
+// buffer does not outlive the call), each with its batch's sequence; a commit
+// applies the lot in order, RecAbort drops the lot — the suffix was computed
+// on state that never became durable. A held suffix may contain the next
+// round's prepare (rounds overlap, round.go): applying re-feeds the suffix
+// batch by batch, that prepare starts a second hold at its own batch, and the
+// same RecCommit{x} — a watermark — decides it too if it is x or older. A log
+// that ends inside a held suffix leaves the applier dangling.
 type redoApplier struct {
 	sh    *shard
 	xid   uint64            // the undecided prepare (0: nothing held)
 	from  uint64            // sequence of the batch that carried it
 	parts []wal.Participant // its participant list; empty in a legacy prepare
 	held  []wal.Record      // its own records, then the suffix
+	seqs  []uint64          // held[i]'s batch sequence
 	own   int               // len of the prepare's own records in held
 	dec   []wal.Record      // prepare-decoding scratch
 	n     uint64            // redo records applied to memory so far
+}
+
+// decides reports whether r is the held prepare's decision: its own commit or
+// abort record, or the commit of a later round (not for a legacy prepare,
+// whose tasks were decided one by one, in no promised order).
+func (a *redoApplier) decides(r wal.Record) bool {
+	return (r.Kind == wal.RecCommit || r.Kind == wal.RecAbort) && r.Key == a.xid ||
+		r.Kind == wal.RecCommit && r.Key > a.xid && len(a.parts) > 0
 }
 
 // apply feeds one batch (sequence seq) through the state machine. A run of
@@ -93,21 +106,28 @@ func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, re
 		r := recs[i]
 		var err error
 		switch {
-		case a.xid != 0 && r.Key == a.xid && (r.Kind == wal.RecCommit || r.Kind == wal.RecAbort):
-			held := a.held
+		case a.xid != 0 && a.decides(r):
+			held, seqs := a.held, a.seqs
 			switch {
 			case r.Kind == wal.RecCommit:
 			case len(a.parts) == 0:
 				// A legacy round gave every task its own xid and kept its
 				// tasks independent: an abort drops that task alone.
-				held = held[a.own:]
+				held, seqs = held[a.own:], seqs[a.own:]
 			default:
 				held = nil
 			}
 			a.reset()
-			err = a.apply(ctx, th, seq, held)
+			for lo, hi := 0, 0; lo < len(held) && err == nil; lo = hi {
+				for hi = lo + 1; hi < len(held) && seqs[hi] == seqs[lo]; hi++ {
+				}
+				err = a.apply(ctx, th, seqs[lo], held[lo:hi])
+			}
+			if err == nil && a.xid != 0 && r.Kind == wal.RecCommit {
+				i-- // the suffix started a second hold: the watermark may cover it too
+			}
 		case a.xid != 0:
-			a.held = append(a.held, copyRecord(r))
+			a.held, a.seqs = append(a.held, copyRecord(r)), append(a.seqs, seq)
 		case isData(r):
 			j := i + 1
 			for j < len(recs) && isData(recs[j]) {
@@ -122,7 +142,7 @@ func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, re
 			}
 			a.xid, a.from, a.own = r.Key, seq, len(a.dec)
 			for _, n := range a.dec {
-				a.held = append(a.held, copyRecord(n))
+				a.held, a.seqs = append(a.held, copyRecord(n)), append(a.seqs, seq)
 			}
 		} // a decision with nothing held: its prepare lies behind the snapshot
 		if err != nil {
@@ -145,7 +165,7 @@ func (a *redoApplier) decide(ctx context.Context, th *votm.Thread, kind wal.Reco
 
 // reset forgets whatever is held (a decision arrived, or the shard is wiped).
 func (a *redoApplier) reset() {
-	a.xid, a.held, a.own, a.parts = 0, nil, 0, a.parts[:0]
+	a.xid, a.held, a.seqs, a.own, a.parts = 0, nil, nil, 0, a.parts[:0]
 }
 
 // isData reports whether r carries a key's post-image (as opposed to a
@@ -249,39 +269,44 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 // prepare lists has a durable horizon at or past its listed sequence — the
 // condition the coordinator, and every group logged behind the prepare,
 // waited for before answering anyone, so an abort voids nothing that was
-// acknowledged. The verdict is appended (and flushed) as the log's own
-// decision record and fed to the held applier like any replayed one: each log
-// is self-contained from here on. A legacy prepare names no participants; the
-// commit-record-in-another-log rule that decided it is gone with its binary.
-// Runs after every shard replayed, before the workers start.
+// acknowledged. The list includes the rounds it was built on (round.go), so
+// it aborts wherever one of those does. The verdict is appended (and flushed)
+// as the log's own decision record and fed to the held applier like any
+// replayed one: each log is self-contained from here on. That can start the
+// next hold, so a log is decided until it holds nothing. A legacy prepare
+// names no participants; the commit-record-in-another-log rule that decided
+// it is gone with its binary. Runs after every shard replayed, before the
+// workers start.
 func (s *Server) resolveCrossShard(th *votm.Thread, cr *crossRecovery) error {
 	ctx := context.Background()
 	for _, a := range cr.dangling {
-		sh, xid, held := a.sh, a.xid, len(a.held)
-		if len(a.parts) == 0 {
-			return fmt.Errorf("shard %d: cross-shard prepare %d was left undecided by an older votmd and names no participants: "+
-				"start the votmd that wrote this data directory on it once (it resolves the prepare), shut it down cleanly, then start this one", sh.id, xid)
-		}
-		kind, verdict := wal.RecCommit, "committed"
-		for _, p := range a.parts {
-			if int(p.Shard) >= len(cr.horizon) || cr.horizon[p.Shard] < p.Seq {
-				kind, verdict = wal.RecAbort, "aborted"
+		for a.xid != 0 {
+			sh, xid, held := a.sh, a.xid, len(a.held)
+			if len(a.parts) == 0 {
+				return fmt.Errorf("shard %d: cross-shard prepare %d was left undecided by an older votmd and names no participants: "+
+					"start the votmd that wrote this data directory on it once (it resolves the prepare), shut it down cleanly, then start this one", sh.id, xid)
 			}
+			kind, verdict := wal.RecCommit, "committed"
+			for _, p := range a.parts {
+				if int(p.Shard) >= len(cr.horizon) || cr.horizon[p.Shard] < p.Seq {
+					kind, verdict = wal.RecAbort, "aborted"
+				}
+			}
+			seq, err := a.decide(ctx, th, kind)
+			if err == nil {
+				err = sh.log.Sync(seq)
+			}
+			if err != nil {
+				return fmt.Errorf("shard %d: resolve prepare %d: %w", sh.id, xid, err)
+			}
+			if kind == wal.RecAbort {
+				sh.xsPrepareAborts.Add(1)
+			}
+			s.recovery[sh.id].Replayed = a.n
+			sh.replayed.Store(a.n)
+			s.recovery[sh.id].ResolvedPrepares++
+			s.logf("votmd: shard %d: cross-shard prepare %d %s at startup (%d records held)", sh.id, xid, verdict, held)
 		}
-		seq, err := a.decide(ctx, th, kind)
-		if err == nil {
-			err = sh.log.Sync(seq)
-		}
-		if err != nil {
-			return fmt.Errorf("shard %d: resolve prepare %d: %w", sh.id, xid, err)
-		}
-		if kind == wal.RecAbort {
-			sh.xsPrepareAborts.Add(1)
-		}
-		s.recovery[sh.id].Replayed = a.n
-		sh.replayed.Store(a.n)
-		s.recovery[sh.id].ResolvedPrepares++
-		s.logf("votmd: shard %d: cross-shard prepare %d %s at startup (%d records held)", sh.id, xid, verdict, held)
 	}
 	return nil
 }

@@ -15,11 +15,13 @@
 // No worker waits on a flush. A durable group's built responses go on the
 // shard's completion list (ackStage), keyed by (WAL seq, doubt xid), and the
 // worker returns to its ring; the log's one flusher flushes while anything
-// listed is unflushed, and a group is answered — by the flusher, or by the
-// round coordinator right after it settles a round — once its seq is flushed,
-// replicated under cluster leadership, and the round it logged behind is
-// settled. The list holds at most Config.QueueDepth unanswered ops: a worker
-// that finds it full waits for a release, its ring fills, dispatch says BUSY.
+// listed is unflushed, and a group is answered — by the flusher, or by
+// whoever settles a round — once its seq is flushed, replicated under cluster
+// leadership, and the round it logged behind is settled. A cross-shard
+// round's share of the log is listed the same way (addShare): the last share
+// released settles the round (round.go). The list holds at most
+// Config.QueueDepth unanswered ops: a worker that finds it full waits for a
+// release, its ring fills, dispatch says BUSY.
 //
 // Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created flags, an ATOMIC's
 // BAD_REQUEST) stay per-request statuses; a conflict abort re-executes the
@@ -55,9 +57,12 @@ type groupOp struct {
 // appended, memory effects applied, responses built. Its answer waits for seq
 // to be flushed (and replicated, leading a cluster shard) and for round doubt
 // — the shard's doubt mark at the append — to be settled: the batch replays
-// only if that round does. The list owns ops until release recycles it.
+// only if that round does. The list owns ops until release recycles it. An
+// entry with round set is that round's share of this log — what it appended
+// at seq — and releasing it tells the flight (roundCoordinator.shareDone).
 type ackGroup struct {
 	ops        []groupOp
+	round      *flight
 	seq, doubt uint64
 	flushed    bool
 }
@@ -104,9 +109,9 @@ type ackStage struct {
 	ops  int
 	free [][]groupOp // released groups' op slices: listing allocates nothing in steady state
 	// settled is the newest settled round among those that logged a prepare
-	// here (xids only grow and one round is in doubt at a time); faulted the
-	// one whose flush failed, roundErr its fault (it left the shard read-only
-	// and in doubt, so there is at most one).
+	// here: rounds settle in xid order, so it only grows and covers every
+	// earlier one. faulted is the first round that settled with a fault,
+	// roundErr the fault, sticky from that xid upward (round.go).
 	settled, faulted uint64
 	roundErr         error
 	quit             bool
@@ -153,6 +158,16 @@ func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp, stalle
 	return next, stalled
 }
 
+// addShare lists round fl's share of this log, just appended at seq, for the
+// flusher to cover like a group's batch. The caller holds walMu, so seq is the
+// newest listed; a share holds no ops, so the list's bound never blocks it.
+func (a *ackStage) addShare(fl *flight, seq uint64) {
+	a.mu.Lock()
+	a.list = append(a.list, ackGroup{round: fl, seq: seq})
+	a.cond.Broadcast()
+	a.mu.Unlock()
+}
+
 // drain is the one wait on a flush a worker has left, the barrier in front of
 // whatever rewrites the log beneath the list (a REPLICATE or HANDOFF stream
 // op) and at worker close: it returns once every listed group is flushed and
@@ -180,14 +195,12 @@ func (a *ackStage) stop() {
 	<-a.done
 }
 
-// settleRound ends round xid's doubt on this shard — err is its flush's
+// settleRound ends round xid's doubt on this shard — err is the round's
 // verdict — and releases the flushed groups that waited for exactly that.
+// Rounds settle in xid order (roundCoordinator.shareDone).
 func (a *ackStage) settleRound(xid uint64, err error) {
-	if a == nil {
-		return
-	}
 	a.mu.Lock()
-	if a.settled = xid; err != nil {
+	if a.settled = xid; err != nil && a.faulted == 0 {
 		a.faulted, a.roundErr = xid, err
 	}
 	a.cond.Broadcast()
@@ -212,7 +225,7 @@ func (a *ackStage) awaitRound(xid uint64) error {
 			a.cond.Wait()
 		}
 	}
-	if xid == a.faulted {
+	if a.faulted != 0 && xid >= a.faulted {
 		return a.roundErr
 	}
 	return nil
@@ -270,16 +283,18 @@ func (a *ackStage) flusher() {
 
 // release answers, oldest first, every leading listed group that is flushed
 // and whose round, if it logged behind one, is settled — TxFault when that
-// round's flush failed, or this log's: a failed log makes nothing more
-// durable, so everything listed goes. The flusher calls it after each cycle
-// and the round coordinator when it settles a round (settleRound): whichever
-// of a group's conditions comes true last releases it.
+// round faulted, or this log did: a failed log makes nothing more durable, so
+// everything listed goes. A round's share leaves the list the same way and
+// tells its flight. The flusher calls release after each cycle and whoever
+// settles a round right after (settleRound): whichever of a group's
+// conditions comes true last releases it.
 func (a *ackStage) release() {
 	var ops []groupOp // the group just answered, on its way to the free list
 	for {
 		a.mu.Lock()
 		if ops != nil {
 			a.free = append(a.free, ops)
+			ops = nil
 		}
 		if len(a.list) == 0 {
 			a.mu.Unlock()
@@ -293,22 +308,27 @@ func (a *ackStage) release() {
 		case !g.flushed || a.settled < g.doubt:
 			a.mu.Unlock()
 			return
-		case g.doubt != 0 && g.doubt == a.faulted:
+		case a.faulted != 0 && g.doubt >= a.faulted:
 			err = a.roundErr
 		}
-		ops = g.ops
 		n := copy(a.list, a.list[1:])
 		a.list[n], a.list = ackGroup{}, a.list[:n]
-		a.ops -= len(ops)
-		a.stats.Groups++
+		if g.round == nil {
+			a.ops -= len(g.ops)
+			a.stats.Groups++
+		}
 		a.cond.Broadcast()
 		a.mu.Unlock()
-		if err != nil {
-			a.s.failGroup(ops, wire.StatusTxFault, "wal: "+err.Error())
-		} else {
-			a.s.finishGroup(ops)
+		switch {
+		case g.round != nil:
+			g.round.rc.shareDone(g.round, err)
+			continue
+		case err != nil:
+			a.s.failGroup(g.ops, wire.StatusTxFault, "wal: "+err.Error())
+		default:
+			a.s.finishGroup(g.ops)
 		}
-		ops = a.s.recycleOps(ops)
+		ops = a.s.recycleOps(g.ops)
 	}
 }
 

@@ -79,12 +79,34 @@ func newTestCoordinator(t testing.TB, s *Server) *roundCoordinator {
 	return rc
 }
 
-// roundOf runs the tasks — planned ATOMICs and SCAN pages — as one round.
+// roundOf runs the tasks — planned ATOMICs and SCAN pages — as one round and
+// returns once it is answered.
 func (rc *roundCoordinator) roundOf(tasks ...task) {
+	rc.startRound(tasks...)
+	rc.idle()
+}
+
+// startRound runs the tasks as one round and returns as the coordinator
+// would: a logging round is appended, its shares listed, nothing answered.
+func (rc *roundCoordinator) startRound(tasks ...task) {
 	for _, t := range tasks {
 		rc.admit(t)
 	}
 	rc.runRound()
+}
+
+// idle returns once no round is in flight: a flight leaves the queue after its
+// last answer.
+func (rc *roundCoordinator) idle() {
+	for {
+		rc.fmu.Lock()
+		n := len(rc.inflight)
+		rc.fmu.Unlock()
+		if n == 0 {
+			return
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }
 
 // collect drains n responses from the test conn, keyed by request ID. The

@@ -7,46 +7,63 @@
 // EVERYTHING queued and runs it as one round: one canonical-order walMu
 // acquisition, one quiesce of the union participant set (votm.AtomicAll — the
 // server's only call of it), the tasks back to back inside it, ONE prepare
-// record per writable participant — and then, with every mutex released, ONE
-// flush of all participants at once. The coordinator is the only goroutine
-// that ever pauses more than one view, so the order it pauses them in is its
+// record per writable participant — and then, every mutex released, goes
+// straight on to the next round. The coordinator is the only goroutine that
+// ever pauses more than one view, so the order it pauses them in is its
 // private business: no other acquirer exists to deadlock with.
+//
+// The coordinator never waits on a flush. A logging round rides a flight
+// record from its walMus to its answers: each participant's share of the
+// round — its prepare's sequence — goes on that shard's completion list, the
+// shard's own flusher covers it like a write group's batch, and the last
+// share released settles the round. Flights settle in xid order, one at a
+// time; the coordinator takes one of maxInDoubt records before it takes any
+// walMu, so round k+1 executes and appends while round k flushes.
 //
 // The round is committed iff every participant's log is durable through the
 // sequence its prepare landed at (the all-prepared rule; each prepare lists
-// them all). There is no second phase and no second append: RecCommit is an
-// annotation each participant owes its log once the flush returned, riding
-// in front of whatever batch that log takes next (appendWAL), so only the
-// last round before a crash is ever undecided in its own log. Releasing
-// walMu before the flush is sound because of the in-doubt shard: from a
-// round's prepare append until the round is durable everywhere, anything
-// that turns the shard's state into a durability claim waits for the round —
-// a write group that appended behind the prepare stays on its completion list
-// until the coordinator settles the round there (ackStage.settleRound
-// releases it, or the shard's flusher, whichever comes last), a state capture
-// waits before it walks (ackStage.awaitRound). Three invariants:
+// them all). A prepare appended while earlier rounds are in flight lists their
+// participants after its own: round k+1 executed on top of round k, so "every
+// listed sequence is durable" for k+1 implies it for k on every log — also
+// one that never saw P_k — and an aborted k takes k+1 with it everywhere. A
+// settled round is not listed: durable, it needs no listing; faulted, it left
+// its participants read-only and its fault with every flight behind it, and
+// theirs go read-only before the next round takes a walMu (takeFlight) — no
+// later prepare shares a log with a round whose fate hangs on one it does not
+// list. There is no second phase and no second append: RecCommit is an
+// annotation each participant owes its log once the round settled, riding in
+// front of whatever batch that log takes next (appendWAL); a later round's may
+// overwrite it first, so RecCommit{x} is a watermark deciding every held
+// round ≤ x. Releasing walMu before the flush is sound because of the
+// in-doubt shard: until a round is durable everywhere, whatever turns a
+// participant's state into a durability claim waits for it — a write group
+// behind the prepare stays on its completion list until the round is settled
+// there, a state capture waits before it walks (awaitRound). Three invariants:
 //
-//   - Replay order = memory order. A prepare's effects apply at the
-//     prepare's position; replay holds the prepare and everything behind it
-//     until the decision (redoApplier, durability.go).
+//   - Replay order = memory order. A prepare's effects apply at the prepare's
+//     position; replay holds the prepare and everything behind it until the
+//     decision (redoApplier, durability.go).
 //   - Nothing voided was ever acknowledged. A group behind an undecided
-//     prepare answers only once the round's flush succeeded on every
-//     participant — exactly the condition under which recovery commits it.
-//   - One round in doubt at a time. The coordinator is one goroutine and owes
-//     round k's annotations before it builds round k+1, so in every log C_k
-//     precedes P_k+1 and a held suffix never contains a second prepare.
+//     prepare answers only once that round and every round before it are
+//     durable on every participant. A fault is sticky from the first faulted
+//     xid upward: that round, every round in flight behind it and every group
+//     behind their prepares answer TxFault, and their participants go
+//     read-only.
+//   - At most maxInDoubt rounds in doubt, chained. A held suffix may contain
+//     the next round's prepare, so the applier, recovery and a promoted
+//     follower decide until nothing is held; none of them knows the bound.
 //
 // A round is a window of the window-based contention managers (Sharma,
-// Estrade, Busch; PAPERS.md): rounds exclude each other anyway — any two
-// share participants — so the coordinator makes that Q = 1 explicit and fills
-// the next round while the running one flushes. A window is atomic as a
-// whole at recovery, so its tasks may depend on each other freely.
+// Estrade, Busch; PAPERS.md): windows execute one after another — any two
+// share participants, so Q = 1 is explicit — but window k+1 does not wait
+// for window k's disk.
 package server
 
 import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"votm"
 	"votm/ds"
@@ -90,43 +107,59 @@ func (rt *roundTask) verdict() *error {
 // recs[lo:hi] of the coordinator's record scratch, from n tasks.
 type roundShare struct{ lo, hi, n int }
 
+// maxInDoubt bounds the logging rounds in flight: one flushes while the next
+// executes. Four measured no better (EXPERIMENTS.md, PR 23).
+const maxInDoubt = 2
+
+// flight carries a logging round from its walMus to its answers. Only the
+// coordinator writes xid, shs and own, building the round; from the hand-over
+// (shareDone) on the tasks are the settling goroutine's.
+type flight struct {
+	rc    *roundCoordinator
+	tasks []roundTask
+	// xid names the round while its prepares are in doubt (0: it logged a plain
+	// batch or nothing). shs are the participants that logged, own[i] where
+	// shs[i]'s share was listed (empty after a failed append).
+	xid uint64
+	shs []*shard
+	own []wal.Participant
+	// pending counts the build and every listed share; err is the first fault
+	// among them, or an earlier flight's. Both guarded by rc.fmu.
+	pending int
+	err     error
+}
+
 // RoundStats counts the coordination rounds a server has run.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
 	Tasks   uint64 // tasks they carried: spanning ATOMIC batches and SCAN pages
 	Largest uint64 // most tasks in one round
 	Pages   uint64 // the SCAN pages among Tasks
-	// Logged counts the rounds that appended redo records, Flushes the flush
-	// barriers they waited on (one each on a healthy server); the write
-	// groups a round in doubt held back are AckStats.Gated.
-	Logged, Flushes uint64
+	// Logged counts the rounds that appended redo records; the write groups a
+	// round in doubt held back are AckStats.Gated.
+	Logged uint64
+	// Overlapped counts the rounds that executed while an earlier one was in
+	// flight, InDoubtHigh the most flights out at once (≤ maxInDoubt),
+	// FlightWaitNs the coordinator's wait for a free one — its only disk wait.
+	Overlapped, InDoubtHigh, FlightWaitNs uint64
 }
 
 // MeanTasks is the mean number of tasks per round (0 before any round).
-func (r RoundStats) MeanTasks() float64 { return ratio(r.Tasks, r.Rounds) }
-
-// FlushesPerRound is the mean number of flush barriers a logging round
-// waited on (0 before any).
-func (r RoundStats) FlushesPerRound() float64 { return ratio(r.Flushes, r.Logged) }
-
-func ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
+func (r RoundStats) MeanTasks() float64 { return float64(r.Tasks) / float64(max(r.Rounds, 1)) }
 
 // RoundStats returns the server's round counters. In-process only: the wire
 // STATS frame is per shard and a round belongs to none.
 func (s *Server) RoundStats() RoundStats {
 	rc := s.rounds
 	return RoundStats{
-		Rounds:  rc.nRounds.Load(),
-		Tasks:   rc.nTasks.Load(),
-		Largest: rc.largest.Load(),
-		Pages:   rc.nPages.Load(),
-		Logged:  rc.nLogged.Load(),
-		Flushes: rc.nFlushes.Load(),
+		Rounds:       rc.nRounds.Load(),
+		Tasks:        rc.nTasks.Load(),
+		Largest:      rc.largest.Load(),
+		Pages:        rc.nPages.Load(),
+		Logged:       rc.nLogged.Load(),
+		Overlapped:   rc.nOverlapped.Load(),
+		InDoubtHigh:  rc.inDoubtHigh.Load(),
+		FlightWaitNs: rc.flightWaitNs.Load(),
 	}
 }
 
@@ -147,7 +180,15 @@ type roundCoordinator struct {
 	queue chan task
 	done  chan struct{}
 
-	nRounds, nTasks, largest, nPages, nLogged, nFlushes atomic.Uint64
+	nRounds, nTasks, largest, nPages, nLogged atomic.Uint64
+	nOverlapped, inDoubtHigh, flightWaitNs    atomic.Uint64
+
+	// free holds the flight records not in use; inflight the rounds that took
+	// one, in xid order, settling that shareDone is at its head (both under fmu).
+	free     chan *flight
+	fmu      sync.Mutex
+	inflight []*flight
+	settling bool
 
 	tasks []roundTask // the round being built or run
 	bytes int         // its redo volume (see roundBodyBudget)
@@ -165,21 +206,14 @@ type roundCoordinator struct {
 	// together, one allocator lock each.
 	fx []effects
 
-	recs    []wal.Record // redo-record scratch, participant-major
-	valBuf  []byte       // SubAdd post-image scratch backing recs
-	shares  []roundShare // per union participant
-	parts   []wal.Participant
-	prepBuf []byte        // prepare-record payload scratch
-	rec     [2]wal.Record // a prepare batch: the prepare, and room for an owed annotation
-	// xid names the round while its prepares are in doubt (0: it logged a
-	// plain batch or nothing). syncShs/syncSeqs are the participants that
-	// logged and the sequences their answers wait on.
-	xid      uint64
-	syncShs  []*shard
-	syncSeqs []uint64
-	syncErrs []error
-
-	repScratch []*replica // waitReplicated's follower snapshot (cluster mode)
+	recs   []wal.Record // redo-record scratch, participant-major
+	valBuf []byte       // SubAdd post-image scratch backing recs
+	shares []roundShare // per union participant
+	// parts is a prepare's participant list: the round's own, then deps, those
+	// of the rounds in doubt when it took its flight.
+	parts, deps []wal.Participant
+	prepBuf     []byte        // prepare-record payload scratch
+	rec         [2]wal.Record // a prepare batch: the prepare, and room for an owed annotation
 
 	// A page's k-way merge state, per union participant (scan.go).
 	cursors     []ds.Ref
@@ -188,7 +222,7 @@ type roundCoordinator struct {
 }
 
 func newRoundCoordinator(s *Server) *roundCoordinator {
-	return &roundCoordinator{
+	rc := &roundCoordinator{
 		s:          s,
 		th:         s.rt.RegisterThread(),
 		reqContext: reqContext{timeout: s.cfg.RequestTimeout},
@@ -196,7 +230,12 @@ func newRoundCoordinator(s *Server) *roundCoordinator {
 		queue:      make(chan task, s.cfg.QueueDepth),
 		done:       make(chan struct{}),
 		uindex:     make(map[*shard]int),
+		free:       make(chan *flight, maxInDoubt),
 	}
+	for i := 0; i < maxInDoubt; i++ {
+		rc.free <- &flight{rc: rc}
+	}
+	return rc
 }
 
 // submit queues a planned spanning ATOMIC or a SCAN page for the next round.
@@ -258,22 +297,17 @@ fill:
 	return true
 }
 
-// admit places one dequeued task into the round being built. A durable write
-// to a shard that lost its WAL joins with its verdict already in (TxFault):
-// it executes nothing and is answered with the round.
+// admit places one dequeued task into the round being built.
 func (rc *roundCoordinator) admit(t task) {
 	rt := roundTask{t: t}
 	if b := t.batch; b == nil {
 		rc.pages++
 		rc.pageKeys += int(t.req.Limit)
 	} else {
-		for i, sub := range b.subs {
+		for _, sub := range b.subs {
 			if sub.Kind != wire.SubGet {
 				rt.hasWrite = true
 				rc.bytes += subRedoOverhead + len(sub.Value)
-				if rc.durable && b.parts[b.owner[i]].readOnly.Load() {
-					b.err = txFault{errShardReadOnly}
-				}
 			}
 		}
 	}
@@ -332,9 +366,8 @@ func (rc *roundCoordinator) execContained(rt *roundTask, txs []votm.Tx) (err err
 // many — as ONE coordination round: the union of their participant views is
 // quiesced once (votm.AtomicAll), the tasks run back to back inside it with
 // exclusive lock-mode access and per-task verdicts, and durability is one
-// prepare per participant and one flush (appendRound), so recovery
-// (resolveCrossShard) applies the round on all its participants or none, no
-// matter where a crash lands.
+// prepare per participant (appendRound), flushed by the participants' own
+// flushers: a logging round returns appended and unanswered (see the header).
 //
 //   - Only the union is paused. A page consults every serving sub-shard, so a
 //     round that carries one takes them all; a page-free round pauses exactly
@@ -356,12 +389,14 @@ func (rc *roundCoordinator) execContained(rt *roundTask, txs []votm.Tx) (err err
 //     across the flush: each shard's log order equals its memory commit
 //     order, and — because group writers hold their one walMu before entering
 //     the view — a paused view can never contain a transaction that waits on
-//     a mutex held here. Whatever executes on a participant after the
-//     release logs behind the prepare and inherits the round's doubt. A
-//     read-only round (pages, GET-only batches) takes no walMu at all.
-//   - A WAL failure anywhere abandons the WHOLE round's durability: every
-//     participant flips read-only, writing tasks and the groups behind the
-//     prepares answer TxFault.
+//     a mutex held here. A read-only round (pages, GET-only batches) takes no
+//     walMu and no flight: it is answered at once, and may have read an
+//     earlier round's committed, not yet durable writes — what GET and SCAN
+//     promise too.
+//   - A WAL failure anywhere abandons the WHOLE round's durability and that of
+//     every round in flight behind it (the header's sticky fault); a later one
+//     is refused the read-only participants under the walMus, before
+//     anything executes.
 func (rc *roundCoordinator) runRound() {
 	s, tasks := rc.s, rc.tasks
 	defer rc.reset()
@@ -429,10 +464,13 @@ func (rc *roundCoordinator) runRound() {
 			rc.undecided(err)
 		}
 	}
-	durable := hasWrite && rc.durable
+	// A logging round takes its flight before any walMu.
+	var fl *flight
+	if hasWrite && rc.durable {
+		fl = rc.takeFlight()
+	}
 
 	var walErr error
-	rc.syncShs, rc.syncSeqs = rc.syncShs[:0], rc.syncSeqs[:0]
 	func() {
 		locked := 0
 		defer func() {
@@ -457,7 +495,7 @@ func (rc *roundCoordinator) runRound() {
 				p.settle(&rc.fx[pi], true)
 			}
 		}()
-		if durable {
+		if fl != nil {
 			for i, p := range union {
 				if unionWrite[i] {
 					p.walMu.Lock()
@@ -465,15 +503,21 @@ func (rc *roundCoordinator) runRound() {
 				locked = i + 1
 			}
 			for pi, p := range union {
-				if !unionWrite[pi] || !s.moving(p) {
+				// A participant lost its WAL or is quiesced for a handoff: the
+				// tasks that write it are refused before anything executes
+				// (TxFault, BUSY); the rest of the round carries on.
+				var refusal error
+				if p.readOnly.Load() {
+					refusal = txFault{errShardReadOnly}
+				} else if s.moving(p) {
+					refusal = errShardMoving
+				}
+				if refusal == nil || !unionWrite[pi] {
 					continue
 				}
-				// A participant is quiesced for a handoff: the tasks that
-				// would commit behind its captured state are refused before
-				// anything executes (BUSY); the rest of the round carries on.
 				for ti := range tasks {
 					if b := tasks[ti].t.batch; writes[ti*nu+pi] && b.err == nil {
-						b.err = errShardMoving
+						b.err = refusal
 					}
 				}
 			}
@@ -485,36 +529,113 @@ func (rc *roundCoordinator) runRound() {
 		if err := votm.AtomicAll(rc.ctx(), rc.th, rc.views, !hasWrite, rc.runTasks); err != nil {
 			rc.undecided(err)
 		}
-		if durable {
-			walErr = rc.appendRound()
+		if fl != nil {
+			walErr = rc.appendRound(fl)
 		}
 	}()
-	// The round's one flush, with no mutex held: the participants' groups
-	// execute and append meanwhile, gated on this round by their doubt mark,
-	// and their flushers share this flush (wal.Log.Sync).
-	if walErr == nil && len(rc.syncShs) > 0 {
+	if fl == nil {
+		rc.answer(tasks, nil)
+		return
+	}
+	// The hand-over, with no mutex held: the last thing this round waited for —
+	// possibly this very call — settles it.
+	if walErr == nil && len(fl.own) > 0 {
 		rc.nLogged.Add(1)
-		walErr = rc.syncAll()
 	}
-	if rc.xid != 0 {
-		// Durable on every participant, or faulted: either way the doubt
-		// ends here. A durable round's annotation costs no append of its own:
-		// each participant owes it to the next batch its log takes
-		// (appendWAL) — certainly this coordinator's next prepare.
-		for _, p := range rc.union {
-			p.ack.settleRound(rc.xid, walErr)
+	fl.tasks, rc.tasks = tasks, fl.tasks
+	rc.shareDone(fl, walErr)
+}
+
+// takeFlight takes a free flight record — waiting, at the bound, for the
+// oldest round in flight to settle — queues it and notes in rc.deps the
+// participants of the rounds still in flight: this round executes on top of
+// them. Those of a flight already carrying a fault go read-only here (it may
+// be an earlier, unlisted round's: see the header), so runRound refuses
+// whatever would write there.
+func (rc *roundCoordinator) takeFlight() *flight {
+	t := time.Now()
+	fl := <-rc.free
+	rc.flightWaitNs.Add(uint64(time.Since(t)))
+	fl.xid, fl.shs, fl.own, rc.deps = 0, fl.shs[:0], fl.own[:0], rc.deps[:0]
+	rc.fmu.Lock()
+	if len(rc.inflight) > 0 {
+		rc.nOverlapped.Add(1)
+	}
+	for _, f := range rc.inflight {
+		if f.xid != 0 {
+			rc.deps = append(rc.deps, f.own...)
 		}
-	}
-	if walErr == nil {
-		// Under cluster leadership every writing task's answer also waits on
-		// every participant's semi-sync replication point.
-		for i, p := range rc.syncShs {
-			if rc.xid != 0 {
-				p.owed.Store(rc.xid)
+		if f.err != nil {
+			for _, p := range f.shs {
+				rc.s.noteShardWALFault(p, f.err)
 			}
-			rc.repScratch = s.waitReplicated(p, rc.syncSeqs[i], rc.repScratch)
 		}
 	}
+	fl.pending, fl.err = 1, nil
+	rc.inflight = append(rc.inflight, fl)
+	maxInto(&rc.inDoubtHigh, uint64(len(rc.inflight)))
+	rc.fmu.Unlock()
+	return fl
+}
+
+// shareDone notes that one thing flight fl waited for is over — the build or
+// a listed share (its completion list released it: flushed and replicated, or
+// err) — and then settles, oldest first, every flight at the head of the
+// queue that waits for nothing more, one goroutine at a time; a faulted flight
+// passes its fault to every flight behind it before it leaves the queue.
+func (rc *roundCoordinator) shareDone(fl *flight, err error) {
+	rc.fmu.Lock()
+	defer rc.fmu.Unlock()
+	if fl.pending--; err != nil && fl.err == nil {
+		fl.err = err
+	}
+	if rc.settling {
+		return
+	}
+	rc.settling = true
+	for len(rc.inflight) > 0 && rc.inflight[0].pending == 0 {
+		head := rc.inflight[0]
+		rc.fmu.Unlock()
+		rc.settle(head, head.err)
+		rc.fmu.Lock()
+		n := copy(rc.inflight, rc.inflight[1:])
+		rc.inflight[n], rc.inflight = nil, rc.inflight[:n]
+		for _, f := range rc.inflight {
+			if f.err == nil {
+				f.err = head.err
+			}
+		}
+		rc.free <- head // never blocks: the channel holds every record
+	}
+	rc.settling = false
+}
+
+// settle ends a flight: every share is flushed and replicated, or err left the
+// round's outcome to the next recovery — then its participants flip read-only
+// first, so whoever sees the flight gone sees that too. The doubt ends on
+// every participant, a durable round's annotation is owed, the tasks answered.
+func (rc *roundCoordinator) settle(fl *flight, err error) {
+	for _, p := range fl.shs {
+		if err != nil {
+			rc.s.noteShardWALFault(p, err)
+		}
+		if fl.xid != 0 {
+			if err == nil {
+				p.owed.Store(fl.xid)
+			}
+			p.ack.settleRound(fl.xid, err)
+		}
+	}
+	rc.answer(fl.tasks, err)
+	clear(fl.tasks)
+	fl.tasks = fl.tasks[:0]
+}
+
+// answer builds and sends every task's response. walErr is the round's WAL
+// fault, if any: a read-only task's result needs no durability point; a
+// writing one cannot distinguish its own records from the round's fault.
+func (rc *roundCoordinator) answer(tasks []roundTask, walErr error) {
+	s := rc.s
 	for i := range tasks {
 		rt := &tasks[i]
 		resp, b := rt.resp, rt.t.batch
@@ -526,8 +647,6 @@ func (rc *roundCoordinator) runRound() {
 			resp.Status = status
 			resp.SetDetail(detail)
 		case walErr != nil && rt.hasWrite:
-			// A read-only task's result needs no durability point; a writing
-			// one cannot distinguish its own records from the round's fault.
 			resp.Status = wire.StatusTxFault
 			resp.SetDetail("wal: " + walErr.Error())
 		case b != nil:
@@ -550,25 +669,25 @@ func (rc *roundCoordinator) reset() {
 	clear(rc.tasks)
 	rc.tasks = rc.tasks[:0]
 	clear(rc.uindex)
-	rc.bytes, rc.pages, rc.pageKeys, rc.xid = 0, 0, 0, 0
+	rc.bytes, rc.pages, rc.pageKeys = 0, 0, 0
 }
 
 // appendRound logs the round's committed batches, under the participants'
 // walMus. Per participant it gathers every task's redo records in task order
 // — the order they executed in — and appends them as ONE prepare record
 // under the round's one xid, each prepare listing every participant with the
-// sequence its prepare lands at (stable: appenders hold walMu). Every
-// participant is marked in doubt (shard.doubt) before the mutexes drop. A
-// round whose records all land on ONE participant is a plain batch append —
-// atomic by its CRC frame, ordered by its own log — and puts no shard in
-// doubt. The participants that logged and the sequences awaiting the flush
-// are left in rc.syncShs/rc.syncSeqs.
+// sequence its prepare lands at (stable: appenders hold walMu) and, behind
+// them, rc.deps. Every participant is marked in doubt (shard.doubt) and its
+// share listed on its completion list before the mutexes drop. A round whose
+// records all land on ONE participant is a plain batch append — atomic by its
+// CRC frame, ordered by its own log — and puts no shard in doubt. The
+// participants that logged and where are left in fl.shs/fl.own.
 //
 // A failed append abandons the round: the prepares that landed are annotated
 // aborted (the failing log never reaches its listed sequence, so no recovery
 // can find the round all-prepared), every participant flips read-only and
-// stays in doubt.
-func (rc *roundCoordinator) appendRound() error {
+// stays in doubt; no share is listed, and the flight settles with the fault.
+func (rc *roundCoordinator) appendRound(fl *flight) error {
 	s, union, tasks, nu := rc.s, rc.union, rc.tasks, len(rc.union)
 	rc.recs, rc.valBuf = rc.recs[:0], rc.valBuf[:0]
 	rc.shares = resized(rc.shares, nu)
@@ -585,83 +704,49 @@ func (rc *roundCoordinator) appendRound() error {
 			}
 		}
 		if sh.hi = len(rc.recs); sh.n > 0 {
-			rc.syncShs = append(rc.syncShs, p)
+			fl.shs = append(fl.shs, p)
+			fl.own = append(fl.own, wal.Participant{Shard: uint32(p.id), Seq: p.log.NextSeq()})
 		}
 	}
-	switch len(rc.syncShs) {
+	switch len(fl.shs) {
 	case 0:
 		return nil // no task mutated state anywhere
 	case 1:
-		p := rc.syncShs[0]
-		seq, err := appendWAL(p, rc.recs)
-		if err != nil {
-			s.noteShardWALFault(p, err)
-			rc.syncShs = rc.syncShs[:0]
+		if _, err := appendWAL(fl.shs[0], rc.recs); err != nil {
+			s.noteShardWALFault(fl.shs[0], err)
+			fl.own = fl.own[:0]
 			return err
 		}
-		rc.syncSeqs = append(rc.syncSeqs, seq)
-		return nil
-	}
-
-	rc.xid = s.nextXID()
-	rc.parts = rc.parts[:0]
-	for _, p := range rc.syncShs {
-		p.doubt = rc.xid
-		rc.parts = append(rc.parts, wal.Participant{Shard: uint32(p.id), Seq: p.log.NextSeq()})
-	}
-	for i, p := range rc.syncShs {
-		sh := rc.shares[rc.uindex[p]]
-		rc.prepBuf = wal.AppendPrepareValue(rc.prepBuf[:0], rc.parts, rc.recs[sh.lo:sh.hi])
-		rc.rec[0] = wal.Record{Kind: wal.RecPrepare, Key: rc.xid, Value: rc.prepBuf}
-		seq, err := appendWAL(p, rc.rec[:1])
-		if err != nil {
-			rc.rec[0] = wal.Record{Kind: wal.RecAbort, Key: rc.xid}
-			for _, q := range rc.syncShs[:i] {
-				_, _, _ = q.log.Append(rc.rec[:1]) // best effort: recovery aborts it anyway
-				q.xsPrepareAborts.Add(1)
-			}
-			for _, q := range rc.syncShs {
-				s.noteShardWALFault(q, err)
-			}
-			rc.syncShs, rc.syncSeqs = rc.syncShs[:0], rc.syncSeqs[:0]
-			return err
+	default:
+		fl.xid = s.nextXID()
+		rc.parts = append(append(rc.parts[:0], fl.own...), rc.deps...)
+		for _, p := range fl.shs {
+			p.doubt = fl.xid
 		}
-		p.xsPrepares.Add(uint64(sh.n))
-		rc.syncSeqs = append(rc.syncSeqs, seq)
+		for i, p := range fl.shs {
+			sh := rc.shares[rc.uindex[p]]
+			rc.prepBuf = wal.AppendPrepareValue(rc.prepBuf[:0], rc.parts, rc.recs[sh.lo:sh.hi])
+			rc.rec[0] = wal.Record{Kind: wal.RecPrepare, Key: fl.xid, Value: rc.prepBuf}
+			if _, err := appendWAL(p, rc.rec[:1]); err != nil {
+				rc.rec[0] = wal.Record{Kind: wal.RecAbort, Key: fl.xid}
+				for _, q := range fl.shs[:i] {
+					_, _, _ = q.log.Append(rc.rec[:1]) // best effort: recovery aborts it anyway
+					q.xsPrepareAborts.Add(1)
+				}
+				for _, q := range fl.shs {
+					s.noteShardWALFault(q, err)
+				}
+				fl.own = fl.own[:0]
+				return err
+			}
+			p.xsPrepares.Add(uint64(sh.n))
+		}
+	}
+	rc.fmu.Lock()
+	fl.pending += len(fl.shs)
+	rc.fmu.Unlock()
+	for i, p := range fl.shs {
+		p.ack.addShare(fl, fl.own[i].Seq)
 	}
 	return nil
-}
-
-// syncAll flushes rc.syncSeqs[i] on rc.syncShs[i], concurrently (each Sync
-// piggybacks with that shard's other committers; the coordinator takes the
-// first itself). If any flush fails every participant flips read-only —
-// memory holds effects no log is known to replay — and the first error is
-// returned.
-func (rc *roundCoordinator) syncAll() error {
-	shs, seqs := rc.syncShs, rc.syncSeqs
-	rc.nFlushes.Add(1)
-	rc.syncErrs = resized(rc.syncErrs, len(shs))
-	errs := rc.syncErrs
-	var wg sync.WaitGroup
-	for i := 1; i < len(shs); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = shs[i].log.Sync(seqs[i])
-		}()
-	}
-	errs[0] = shs[0].log.Sync(seqs[0])
-	wg.Wait()
-	var first error
-	for _, err := range errs {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		for _, p := range shs {
-			rc.s.noteShardWALFault(p, first)
-		}
-	}
-	return first
 }

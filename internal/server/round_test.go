@@ -264,6 +264,15 @@ func (f *roundFixture) bootCopy(t *testing.T, cut func(dir string)) *roundFixtur
 	return newRoundFixture(t, cfg, 1)
 }
 
+// emptyLog truncates shard i's one log segment under dir to nothing.
+func emptyLog(t *testing.T, dir string, i int) {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(shardDataDir(dir, i), "*.seg"))
+	if len(segs) != 1 || os.Truncate(segs[0], 0) != nil {
+		t.Fatalf("cannot cut shard %d's log: %v", i, segs)
+	}
+}
+
 // counter reads key on shard i as an ADD counter (found = false: no key).
 func (f *roundFixture) counter(t *testing.T, i int, key uint64) (uint64, bool) {
 	t.Helper()
@@ -294,10 +303,12 @@ type heldRound struct {
 
 // newHeldRound runs the tasks build returns as one round and returns once
 // its flush is held: every prepare is appended, no walMu is held, nothing is
-// annotated or answered.
+// annotated or answered, and the coordinator is free to build the next round
+// (h.rc.startRound).
 func newHeldRound(t *testing.T, build func(f *roundFixture) []task) *heldRound {
 	var armed atomic.Bool
 	h := &heldRound{release: make(chan error, 1), done: make(chan struct{})}
+	started := make(chan struct{})
 	holding := make(chan struct{})
 	h.roundFixture = newRoundFixture(t, Config{
 		ShardWords: 1 << 12, WorkersPerShard: 1,
@@ -324,9 +335,12 @@ func newHeldRound(t *testing.T, build func(f *roundFixture) []task) *heldRound {
 	armed.Store(true)
 	go func() {
 		defer close(h.done)
-		h.rc.roundOf(tasks...)
+		h.rc.startRound(tasks...)
+		close(started)
+		h.rc.idle()
 	}()
 	<-holding
+	<-started
 	return h
 }
 
@@ -382,13 +396,8 @@ func TestRoundSharesDependentTasks(t *testing.T) {
 			t.Errorf("crash image, all prepared: key %d = %d, want 111", key, v)
 		}
 	}
-	none := h.bootCopy(t, func(dir string) {
-		// Shard 1's log held nothing before the round: cut it all away.
-		segs, _ := filepath.Glob(filepath.Join(shardDataDir(dir, 1), "*.seg"))
-		if len(segs) != 1 || os.Truncate(segs[0], 0) != nil {
-			t.Fatalf("cannot cut shard 1's log: %v", segs)
-		}
-	})
+	// Shard 1's log held nothing before the round: cut it all away.
+	none := h.bootCopy(t, func(dir string) { emptyLog(t, dir, 1) })
 	for i, key := range []uint64{k0, k1, h.keys[2][0]} {
 		if _, found, _ := none.shards[i].testGet(context.Background(), none.th, key); found {
 			t.Errorf("crash image without shard 1's prepare: key %d survived on shard %d", key, i)
@@ -397,8 +406,8 @@ func TestRoundSharesDependentTasks(t *testing.T) {
 
 	h.release <- nil
 	<-h.done
-	if r, l, fl := h.rc.nRounds.Load(), h.rc.nLogged.Load(), h.rc.nFlushes.Load(); r != 1 || l != 1 || fl != 1 {
-		t.Fatalf("%d rounds, %d logged, %d flushes; want one of each", r, l, fl)
+	if r, l := h.rc.nRounds.Load(), h.rc.nLogged.Load(); r != 1 || l != 1 {
+		t.Fatalf("%d rounds, %d logged; want one of each", r, l)
 	}
 	got := collect(t, h.c, 5)
 	for id, want := range map[uint32]uint64{1: 1, 2: 11, 4: 111} {
@@ -425,13 +434,33 @@ func TestRoundSharesDependentTasks(t *testing.T) {
 // returned channel closes when it has been answered.
 func (h *heldRound) putBehind(t *testing.T, which int) chan struct{} {
 	t.Helper()
-	sh := h.shards[which]
+	return h.putOn(t, which, 2, h.key[which])
+}
+
+// listedGroups counts the write groups on sh's completion list, leaving out
+// the shares rounds listed there.
+func listedGroups(sh *shard) (n int) {
+	sh.ack.mu.Lock()
+	defer sh.ack.mu.Unlock()
+	for _, g := range sh.ack.list {
+		if g.round == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// putOn runs request id, a one-PUT write group, on shard i behind whatever
+// the rounds in flight appended there.
+func (h *heldRound) putOn(t *testing.T, i int, id uint32, key uint64) chan struct{} {
+	t.Helper()
+	sh := h.shards[i]
 	th := h.s.rt.RegisterThread()
 	w := newGroupWorker(h.s, sh, th)
-	appends := sh.walAppends.Load()
+	appends, listed := sh.walAppends.Load(), listedGroups(sh)
 	ran := make(chan struct{})
 	go func() {
-		w.run([]task{mkTask(h.s, h.c, wire.OpPut, 2, h.key[which], []byte("group"), nil)})
+		w.run([]task{mkTask(h.s, h.c, wire.OpPut, id, key, []byte("group"), nil)})
 		close(ran)
 	}()
 	// No walMu is held across the round's flush: the group executes and
@@ -441,11 +470,8 @@ func (h *heldRound) putBehind(t *testing.T, which int) chan struct{} {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a participant's group cannot run while the round's flush is outstanding")
 	}
-	sh.ack.mu.Lock()
-	listed := len(sh.ack.list)
-	sh.ack.mu.Unlock()
-	if sh.walAppends.Load() != appends+1 || listed != 1 {
-		t.Fatalf("the group did not append behind the prepare: %d appends, %d listed", sh.walAppends.Load()-appends, listed)
+	if a, l := sh.walAppends.Load()-appends, listedGroups(sh)-listed; a != 1 || l != 1 {
+		t.Fatalf("the group did not append behind the prepare: %d appends, %d listed", a, l)
 	}
 	answered := make(chan struct{})
 	go func() {
@@ -538,6 +564,64 @@ func TestRoundFlushFaultVoidsGatedGroup(t *testing.T) {
 	}
 	if _, _, err := h.s.captureShardState(h.shards[h.b], h.th, nil); err == nil {
 		t.Error("a shard left in doubt by a failed round was captured")
+	}
+}
+
+// TestRoundFlushFaultCascades: round k = {held, b} sits in its held flush and
+// round k+1 = {b, 2} is already appended behind it when that flush fails. The
+// fault is sticky from k upward: both rounds' writers, the group logged
+// between the prepares on b and the group behind P_k+1 on shard 2 — which
+// never saw P_k and whose own flushes all succeeded — answer TX_FAULT, all
+// three participants go read-only and owe nothing. The disk image such a
+// failure leaves — the held log without its prepare — restarts with neither
+// round: k+1 lists k's participants, so it aborts on shard 2 as well.
+func TestRoundFlushFaultCascades(t *testing.T) {
+	h := twoShardRound(t)
+	betweenPrepares := h.putBehind(t, h.b)
+	k1b, k1c := h.keys[h.b][1], h.keys[2][0]
+	h.rc.startRound(mkAtomic(h.s, h.c, 3,
+		wire.Sub{Kind: wire.SubPut, Key: k1b, Value: []byte("next round")},
+		wire.Sub{Kind: wire.SubPut, Key: k1c, Value: []byte("next round")}))
+	if rs := h.rc.nOverlapped.Load(); rs != 1 || h.shards[2].doubt == 0 {
+		t.Fatalf("round k+1 did not execute and append beside round k's held flush: %d overlapped, shard 2 doubt %d", rs, h.shards[2].doubt)
+	}
+	behindNext := h.putOn(t, 2, 4, h.keys[2][1])
+	unanswered(t, h.c, "with round k's flush held")
+
+	h.release <- &faultinject.InjectedDiskFault{Op: faultinject.DiskSync}
+	<-betweenPrepares
+	<-behindNext
+	<-h.done
+	for id, r := range collect(t, h.c, 4) {
+		if r.status != wire.StatusTxFault {
+			t.Errorf("request %d: status %v (%s), want TX_FAULT", id, r.status, r.value)
+		}
+	}
+	for i, sh := range h.shards {
+		if !sh.readOnly.Load() || sh.owed.Load() != 0 {
+			t.Errorf("participant %d after round k's flush failed: read-only %v, owes annotation %d", i, sh.readOnly.Load(), sh.owed.Load())
+		}
+	}
+	if _, _, err := h.s.captureShardState(h.shards[2], h.th, nil); err == nil {
+		t.Error("a shard left in doubt by a round built on a failed one was captured")
+	}
+	// A later round is refused on every one of them before it executes.
+	h.rc.roundOf(mkAtomic(h.s, h.c, 5,
+		wire.Sub{Kind: wire.SubPut, Key: h.keys[0][1], Value: []byte("late")},
+		wire.Sub{Kind: wire.SubPut, Key: h.keys[2][1], Value: []byte("late")}))
+	if r := collect(t, h.c, 1)[5]; r.status != wire.StatusTxFault {
+		t.Errorf("a round on read-only participants: status %v (%s), want TX_FAULT", r.status, r.value)
+	}
+
+	// The held participant's log held nothing before round k.
+	re := h.bootCopy(t, func(dir string) { emptyLog(t, dir, h.held) })
+	for _, k := range []struct {
+		shard int
+		key   uint64
+	}{{0, h.key[0]}, {1, h.key[1]}, {h.b, k1b}, {2, k1c}, {2, h.keys[2][1]}} {
+		if val, found, _ := re.shards[k.shard].testGet(context.Background(), re.th, k.key); found {
+			t.Errorf("crash image without round k's held prepare: key %d on shard %d = %q, want neither round", k.key, k.shard, val)
+		}
 	}
 }
 

@@ -114,10 +114,11 @@ func TestRoundCombinesAcrossConnections(t *testing.T) {
 	if rs.MeanTasks() <= 1 {
 		t.Errorf("mean tasks per round %.2f, want > 1: %+v", rs.MeanTasks(), rs)
 	}
-	if rs.Logged != rs.Rounds || rs.FlushesPerRound() != 1 {
-		t.Errorf("%d of %d rounds logged at %.2f flushes each, want every round at exactly one: %+v", rs.Logged, rs.Rounds, rs.FlushesPerRound(), rs)
+	if rs.Logged != rs.Rounds || rs.InDoubtHigh > 2 {
+		t.Errorf("%d of %d rounds logged, %d in flight at most; want every round logged and never more than two in doubt: %+v", rs.Logged, rs.Rounds, rs.InDoubtHigh, rs)
 	}
-	t.Logf("%d rounds, %.1f tasks/round, largest %d, %d gated group waits", rs.Rounds, rs.MeanTasks(), rs.Largest, srv.AckStats().Gated)
+	t.Logf("%d rounds (%d beside an earlier round's flush), %.1f tasks/round, largest %d, %d gated group waits",
+		rs.Rounds, rs.Overlapped, rs.MeanTasks(), rs.Largest, srv.AckStats().Gated)
 
 	c := dialClient(t, addr, client.Options{})
 	var sum uint64

@@ -708,7 +708,8 @@ func (s *Server) shutdown(ctx context.Context) error {
 // retire is the waiting half of a drain, in dependency order.
 func (s *Server) retire() {
 	// All dispatched requests answered — which empties every completion
-	// list: a listed op holds its reqWG count — then retire the worker pools.
+	// list and settles every round in flight: a listed op and a round's task
+	// hold their reqWG counts — then retire the worker pools.
 	s.reqWG.Wait()
 	for _, sh := range s.appendSubShards(nil) {
 		sh.queue.Close()
@@ -717,7 +718,8 @@ func (s *Server) retire() {
 	// The round queue's senders are the connection readers, and reqWG drained
 	// above: beginReq refuses from here on and every task a reader queued is
 	// answered, so no send can race the close. Retire the coordinator, then
-	// the flushers: nothing lists anymore.
+	// the flushers — nothing lists anymore, and a flusher that settled the
+	// last round has returned from it once it exits.
 	s.rounds.stop()
 	for _, sh := range s.appendSubShards(nil) {
 		sh.ack.stop()

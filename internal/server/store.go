@@ -73,10 +73,11 @@ type shard struct {
 	walMu   sync.Mutex
 	// doubt is the xid of the newest cross-shard round that logged a prepare
 	// here (guarded by walMu): until that round is settled here (ackStage.settleRound),
-	// whatever logs behind the prepare must not answer. owed is the xid of a round
-	// found durable whose RecCommit annotation this log still lacks: the next
-	// batch appended here carries it (appendWAL); a crash forgets it and
-	// recovery decides that round by the all-prepared rule.
+	// whatever logs behind the prepare must not answer. owed is the xid of the
+	// newest round found durable whose RecCommit annotation this log still
+	// lacks: the next batch appended here carries it (appendWAL) — a watermark,
+	// so a round that settles before any batch came simply overwrites it; a
+	// crash forgets it and recovery decides by the all-prepared rule.
 	doubt uint64
 	owed  atomic.Uint64
 	// readOnly flips on after a WAL append or fsync failure: the in-memory

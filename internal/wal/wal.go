@@ -60,16 +60,18 @@ const (
 
 	// RecPrepare is one shard's share of a cross-shard ATOMIC round: Key
 	// carries the round's transaction ID (xid), Value (AppendPrepareValue)
-	// the round's participant list and this shard's redo records. The round
-	// is committed iff every listed participant's log is durable through its
-	// listed sequence. Until its decision is known, replay holds the prepare
-	// and every record behind it: they apply at the PREPARE's position.
+	// the round's participant list — followed by the lists of the rounds it
+	// was built on while they were in doubt — and this shard's redo records.
+	// The round is committed iff every listed participant's log is durable
+	// through its listed sequence. Until its decision is known, replay holds
+	// the prepare and every record behind it: they apply at the PREPARE's
+	// position.
 	RecPrepare RecordKind = 3
-	// RecCommit annotates xid = Key as committed: replay applies the held
-	// prepare, then the records held behind it, in log order. It is never
-	// the decision itself — it rides in front of the shard's next batch once
-	// the round's one flush returned — it only saves the next recovery the
-	// cross-log check.
+	// RecCommit annotates xid = Key, and every round before it, as committed
+	// (rounds settle in xid order): replay applies the held prepare, then the
+	// records held behind it, in log order. It is never the decision itself —
+	// it rides in front of the shard's next batch once the round settled — it
+	// only saves the next recovery the cross-log check.
 	RecCommit RecordKind = 4
 	// RecAbort annotates xid = Key as aborted: replay drops the held prepare
 	// AND the records held behind it (they were computed on top of effects
@@ -622,8 +624,8 @@ func DecodeRecords(value []byte, recs *[]Record) bool {
 
 // AppendPrepareValue encodes a RecPrepare value: the round's participant
 // list (every shard that logs a prepare for this xid, with the sequence it
-// lands at) and recs, this shard's share of the round's redo records in
-// execution order:
+// lands at; then, the same for every round this one depends on) and recs,
+// this shard's share of the round's redo records in execution order:
 //
 //	u32 prepareMark | u8 version | u32 n | n × (u32 shard | u64 seq) | records
 func AppendPrepareValue(dst []byte, parts []Participant, recs []Record) []byte {

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // The datapath contract: once buffers have warmed up, encoding a frame into
@@ -137,5 +139,82 @@ func TestBorrowedDecodeDoesNotAlias(t *testing.T) {
 	}
 	if string(req.Value) != "second" {
 		t.Fatalf("second parse: %q", req.Value)
+	}
+}
+
+// fillStruct sets every field of the struct v points to — unexported ones
+// included — to a non-zero value.
+func fillStruct(t *testing.T, v any) {
+	t.Helper()
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 2, 4))
+		case reflect.Ptr:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Struct:
+			fillStruct(t, f.Addr().Interface())
+		default:
+			t.Fatalf("field %s: kind %v is not handled — teach fillStruct and reset about it", rv.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestResetClearsEveryField guards the field-by-field resets: a pooled
+// object's reset must leave nothing of its last use behind but the retained
+// buffers, so a field added to Request or Response and forgotten there fails
+// here.
+func TestResetClearsEveryField(t *testing.T) {
+	var req Request
+	fillStruct(t, &req)
+	req.reset()
+	if cap(req.frame) == 0 || cap(req.Subs) == 0 {
+		t.Errorf("Request.reset dropped a retained buffer: frame cap %d, Subs cap %d", cap(req.frame), cap(req.Subs))
+	}
+	req.frame, req.Subs = nil, nil
+	if !reflect.DeepEqual(req, Request{}) {
+		t.Errorf("Request.reset left %+v", req)
+	}
+
+	var resp Response
+	fillStruct(t, &resp)
+	resp.reset()
+	if cap(resp.frame) == 0 || cap(resp.Value) == 0 || cap(resp.Subs) == 0 || cap(resp.Entries) == 0 {
+		t.Errorf("Response.reset dropped a retained buffer: frame %d, Value %d, Subs %d, Entries %d",
+			cap(resp.frame), cap(resp.Value), cap(resp.Subs), cap(resp.Entries))
+	}
+	if len(resp.Value) != 0 || len(resp.Subs) != 0 || len(resp.Entries) != 0 {
+		t.Errorf("Response.reset kept %d value bytes, %d subs, %d entries", len(resp.Value), len(resp.Subs), len(resp.Entries))
+	}
+	resp.frame, resp.Value, resp.Subs, resp.Entries = nil, nil, nil, nil
+	if !reflect.DeepEqual(resp, Response{}) {
+		t.Errorf("Response.reset left %+v", resp)
+	}
+
+	// The *Reuse parsers clear whatever they are handed, parsed before or not.
+	reqFrame, _ := AppendRequest(nil, &Request{Op: OpGet, ID: 7, Key: 9})
+	respFrame, _ := AppendResponse(nil, &Response{Op: OpPing, ID: 7})
+	fillStruct(t, &req)
+	fillStruct(t, &resp)
+	if err := ParseRequestReuse(&req, reqFrame[4:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ParseResponseReuse(&resp, respFrame[4:]); err != nil {
+		t.Fatal(err)
+	}
+	req.frame, req.Subs = nil, nil
+	resp.frame, resp.Value, resp.Subs, resp.Entries = nil, nil, nil, nil
+	if want := (Request{Op: OpGet, ID: 7, Key: 9}); !reflect.DeepEqual(req, want) {
+		t.Errorf("ParseRequestReuse into a caller-filled request left %+v", req)
+	}
+	if want := (Response{Op: OpPing, ID: 7}); !reflect.DeepEqual(resp, want) {
+		t.Errorf("ParseResponseReuse into a caller-filled response left %+v", resp)
 	}
 }

@@ -535,12 +535,14 @@ func (r *Request) Release() {
 	requestPool.Put(r)
 }
 
+// reset clears every field but the retained buffers (frame, Subs capacity) one
+// by one: assigning a whole Request copies it twice (TestResetClearsEveryField).
 func (r *Request) reset() {
-	frame, subs := r.frame, r.Subs
-	for i := range subs {
-		subs[i] = Sub{} // drop value aliases
-	}
-	*r = Request{frame: frame, Subs: subs[:0]}
+	clear(r.Subs) // drop value aliases
+	r.Op, r.ID, r.Key, r.Shard = 0, 0, 0, 0
+	r.Value, r.OldValue, r.Subs = nil, nil, r.Subs[:0]
+	r.End, r.Cursor, r.Limit, r.HasCursor = 0, 0, 0, false
+	r.Phase = 0
 }
 
 // NewResponse returns a pooled Response. Release it after encoding (the
@@ -554,15 +556,15 @@ func (r *Response) Release() {
 	responsePool.Put(r)
 }
 
+// reset is Request.reset's twin; Value and Entries keep their capacity too.
 func (r *Response) reset() {
-	val, subs, entries, frame := r.Value[:0], r.Subs, r.Entries, r.frame
-	for i := range subs {
-		subs[i] = SubResult{}
-	}
-	for i := range entries {
-		entries[i] = ScanEntry{} // drop value aliases
-	}
-	*r = Response{Value: val, Subs: subs[:0], Entries: entries[:0], frame: frame}
+	clear(r.Subs)
+	clear(r.Entries) // drop value aliases
+	r.Op, r.ID, r.Status, r.Created = 0, 0, 0, false
+	r.Value, r.Subs, r.Entries, r.Stats = r.Value[:0], r.Subs[:0], r.Entries[:0], nil
+	r.More, r.Cursor = false, 0
+	r.Map.Epoch, r.Map.Nodes, r.Map.Shards = 0, nil, nil
+	r.Next = nil
 }
 
 // --- encoding ----------------------------------------------------------
@@ -990,10 +992,9 @@ func ParseRequest(p []byte) (*Request, error) {
 }
 
 // ParseRequestReuse decodes a request payload into req, reusing its Subs
-// capacity. req's byte fields borrow p.
+// capacity. req's byte fields borrow p; whatever req held is cleared first.
 func ParseRequestReuse(req *Request, p []byte) error {
-	frame, subs := req.frame, req.Subs[:0]
-	*req = Request{frame: frame, Subs: subs}
+	req.reset()
 	if err := req.parse(p); err != nil {
 		// Leave no stale borrowed slices behind a parse error.
 		req.reset()
@@ -1117,10 +1118,10 @@ func ParseResponse(p []byte) (*Response, error) {
 }
 
 // ParseResponseReuse decodes a response payload into resp, reusing its
-// Subs capacity. resp's byte fields borrow p.
+// Subs capacity. resp's byte fields borrow p; whatever resp held is cleared
+// first.
 func ParseResponseReuse(resp *Response, p []byte) error {
-	frame, subs := resp.frame, resp.Subs[:0]
-	*resp = Response{frame: frame, Subs: subs}
+	resp.reset()
 	if err := resp.parse(p); err != nil {
 		resp.reset()
 		return err
