@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fmt vet clean
+.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fmt vet clean
 
 all: build test
 
@@ -128,6 +128,13 @@ fuzz-wal:
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=$(FUZZ_TIME) ./wire
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=$(FUZZ_TIME) ./wire
+
+# View allocator fuzzing: an op program over Alloc/Free/Grow, the batch
+# calls (failing batches and bad frees included) and a split/merge cycle
+# (Evict, Restrict, Adopt, Release) is checked against a per-word owner map.
+# FUZZ_TIME=0x replays the corpus.
+fuzz-memheap:
+	$(GO) test -run='^$$' -fuzz=FuzzAllocFree -fuzztime=$(FUZZ_TIME) ./internal/memheap
 
 fmt:
 	gofmt -w .

@@ -3,11 +3,26 @@
 // the transactional word heap (in ordinary Go memory), so allocator metadata
 // can never conflict with transactional data — matching the paper's API, in
 // which allocation is not transactional.
+//
+// The bookkeeping is three structures. A size table, one uint32 per heap
+// word, holds the size of the block based at that word and 0 everywhere
+// else: Free, BlockSize and the ErrBadFree check are one indexed load (4
+// bytes per heap word, whatever the number of live blocks). Exact-size bins:
+// a freed block of at most binLimit words is pushed on the LIFO of its size
+// and the next allocation of that size pops it. A base-sorted, coalescing
+// span list is the one slow path: it serves bin misses first-fit, holds the
+// blocks above the bin limit and the wilderness Grow adds, and is all that
+// partition.go reasons about. A block sitting in a bin is not coalesced with
+// its neighbours, so the bins are merged back into the span list (sorted
+// once, coalesced) before ErrOutOfMemory is reported and at the top of every
+// partitioning operation: binned space is reused by size or by address, never
+// stranded.
 package memheap
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,18 +36,25 @@ var ErrOutOfMemory = errors.New("memheap: out of view memory (consider Brk)")
 // block base.
 var ErrBadFree = errors.New("memheap: free of unallocated address")
 
+// binLimit is the largest block, in words, that is reused by exact size:
+// every index node and every value of up to 504 bytes.
+const binLimit = 64
+
 type span struct {
 	base, size int
 }
 
-// Allocator hands out word spans from [0, limit) with first-fit placement
-// and free-list coalescing. It is safe for concurrent use.
+// Allocator hands out word spans from [0, limit): a freed small block is
+// reused by the next allocation of its size, everything else is placed first
+// fit in a coalescing free list. It is safe for concurrent use.
 type Allocator struct {
-	mu        sync.Mutex
-	limit     int
-	free      []span // sorted by base, no two adjacent
-	allocated map[stm.Addr]int
-	inUse     int
+	mu     sync.Mutex
+	limit  int
+	free   []span                   // sorted by base, no two adjacent
+	bins   [binLimit + 1][]stm.Addr // bins[n]: bases of free n-word blocks
+	binned int                      // words held in bins
+	sizes  []uint32                 // per heap word: size of the block based there, else 0
+	inUse  int
 }
 
 // New creates an allocator over a heap of limit words.
@@ -41,8 +63,8 @@ func New(limit int) *Allocator {
 		panic("memheap: negative limit")
 	}
 	a := &Allocator{
-		allocated: make(map[stm.Addr]int),
-		limit:     limit,
+		sizes: make([]uint32, limit),
+		limit: limit,
 	}
 	if limit > 0 {
 		a.free = []span{{base: 0, size: limit}}
@@ -61,6 +83,25 @@ func (a *Allocator) Alloc(words int) (stm.Addr, error) {
 }
 
 func (a *Allocator) allocLocked(words int) (stm.Addr, error) {
+	base, ok := 0, false
+	if words <= binLimit && len(a.bins[words]) > 0 {
+		bin := a.bins[words]
+		base, ok = int(bin[len(bin)-1]), true
+		a.bins[words] = bin[:len(bin)-1]
+		a.binned -= words
+	} else if base, ok = a.firstFitLocked(words); !ok && a.binned > 0 {
+		a.mergeBinsLocked()
+		base, ok = a.firstFitLocked(words)
+	}
+	if !ok {
+		return 0, ErrOutOfMemory
+	}
+	a.sizes[base] = uint32(words)
+	a.inUse += words
+	return stm.Addr(base), nil
+}
+
+func (a *Allocator) firstFitLocked(words int) (int, bool) {
 	for i := range a.free {
 		if a.free[i].size >= words {
 			base := a.free[i].base
@@ -69,20 +110,43 @@ func (a *Allocator) allocLocked(words int) (stm.Addr, error) {
 			if a.free[i].size == 0 {
 				a.free = append(a.free[:i], a.free[i+1:]...)
 			}
-			a.allocated[stm.Addr(base)] = words
-			a.inUse += words
-			return stm.Addr(base), nil
+			return base, true
 		}
 	}
-	return 0, ErrOutOfMemory
+	return 0, false
+}
+
+// mergeBinsLocked empties the bins into the span list, which then holds all
+// free space again, coalesced.
+func (a *Allocator) mergeBinsLocked() {
+	if a.binned == 0 {
+		return
+	}
+	for size := range a.bins {
+		for _, base := range a.bins[size] {
+			a.free = append(a.free, span{base: int(base), size: size})
+		}
+		a.bins[size] = a.bins[size][:0]
+	}
+	a.binned = 0
+	slices.SortFunc(a.free, func(x, y span) int { return x.base - y.base })
+	merged := a.free[:1]
+	for _, s := range a.free[1:] {
+		if last := &merged[len(merged)-1]; last.base+last.size == s.base {
+			last.size += s.size
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	a.free = merged
 }
 
 // AllocBatch allocates one block per entry of sizes under a single lock
 // acquisition, appending the addresses to dst. It is all-or-nothing: if any
-// allocation fails, the blocks already carved out are returned to the free
-// list and dst is returned unextended. The group-commit execution path uses
-// this to pre-allocate a whole group's blocks with one mutex round-trip
-// instead of one per block.
+// allocation fails, the blocks already carved out are freed again and dst is
+// returned unextended. The group-commit execution path uses this to
+// pre-allocate a whole group's blocks with one mutex round-trip instead of
+// one per block.
 func (a *Allocator) AllocBatch(sizes []int, dst []stm.Addr) ([]stm.Addr, error) {
 	for _, words := range sizes {
 		if words <= 0 {
@@ -96,10 +160,7 @@ func (a *Allocator) AllocBatch(sizes []int, dst []stm.Addr) ([]stm.Addr, error) 
 		ad, err := a.allocLocked(words)
 		if err != nil {
 			for _, done := range dst[start:] {
-				size := a.allocated[done]
-				delete(a.allocated, done)
-				a.inUse -= size
-				a.insertFreeLocked(span{base: int(done), size: size})
+				a.freeLocked(done)
 			}
 			return dst[:start], err
 		}
@@ -108,17 +169,13 @@ func (a *Allocator) AllocBatch(sizes []int, dst []stm.Addr) ([]stm.Addr, error) 
 	return dst, nil
 }
 
-// Free releases the block whose base address is addr, coalescing neighbours.
+// Free releases the block whose base address is addr.
 func (a *Allocator) Free(addr stm.Addr) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	size, ok := a.allocated[addr]
-	if !ok {
+	if !a.freeLocked(addr) {
 		return fmt.Errorf("%w: %d", ErrBadFree, addr)
 	}
-	delete(a.allocated, addr)
-	a.inUse -= size
-	a.insertFreeLocked(span{base: int(addr), size: size})
 	return nil
 }
 
@@ -131,18 +188,29 @@ func (a *Allocator) FreeBatch(addrs []stm.Addr) error {
 	defer a.mu.Unlock()
 	var firstErr error
 	for _, ad := range addrs {
-		size, ok := a.allocated[ad]
-		if !ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %d", ErrBadFree, ad)
-			}
-			continue
+		if !a.freeLocked(ad) && firstErr == nil {
+			firstErr = fmt.Errorf("%w: %d", ErrBadFree, ad)
 		}
-		delete(a.allocated, ad)
-		a.inUse -= size
-		a.insertFreeLocked(span{base: int(ad), size: size})
 	}
 	return firstErr
+}
+
+// freeLocked releases the block based at addr — to the bin of its size, or
+// to the span list above the bin limit — and reports whether there was one.
+func (a *Allocator) freeLocked(addr stm.Addr) bool {
+	if int(addr) >= len(a.sizes) || a.sizes[addr] == 0 {
+		return false
+	}
+	size := int(a.sizes[addr])
+	a.sizes[addr] = 0
+	a.inUse -= size
+	if size <= binLimit {
+		a.bins[size] = append(a.bins[size], addr)
+		a.binned += size
+	} else {
+		a.insertFreeLocked(span{base: int(addr), size: size})
+	}
+	return true
 }
 
 func (a *Allocator) insertFreeLocked(s span) {
@@ -170,6 +238,8 @@ func (a *Allocator) Grow(extra int) {
 	defer a.mu.Unlock()
 	a.insertFreeLocked(span{base: a.limit, size: extra})
 	a.limit += extra
+	a.sizes = slices.Grow(a.sizes, extra)[:a.limit]
+	clear(a.sizes[a.limit-extra:])
 }
 
 // InUse returns the number of currently allocated words.
@@ -179,11 +249,16 @@ func (a *Allocator) InUse() int {
 	return a.inUse
 }
 
-// FreeWords returns the number of unallocated words.
+// FreeWords returns the number of allocatable words: what is neither
+// allocated nor evicted.
 func (a *Allocator) FreeWords() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.limit - a.inUse
+	n := a.binned
+	for _, s := range a.free {
+		n += s.size
+	}
+	return n
 }
 
 // Limit returns the current allocatable size in words.
@@ -198,12 +273,8 @@ func (a *Allocator) Limit() int {
 func (a *Allocator) BlockSize(addr stm.Addr) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.allocated[addr]
-}
-
-// Blocks returns the number of live allocations.
-func (a *Allocator) Blocks() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.allocated)
+	if int(addr) >= len(a.sizes) {
+		return 0
+	}
+	return int(a.sizes[addr])
 }

@@ -29,9 +29,6 @@ func TestAllocBasic(t *testing.T) {
 	if a.FreeWords() != 70 {
 		t.Errorf("FreeWords = %d, want 70", a.FreeWords())
 	}
-	if a.Blocks() != 2 {
-		t.Errorf("Blocks = %d, want 2", a.Blocks())
-	}
 	if a.BlockSize(b1) != 10 || a.BlockSize(b2) != 20 {
 		t.Error("BlockSize wrong")
 	}
@@ -272,4 +269,99 @@ func TestNewNegativePanics(t *testing.T) {
 		}
 	}()
 	New(-1)
+}
+
+func TestSmallBlockReusedBySize(t *testing.T) {
+	a := New(256)
+	b1, _ := a.Alloc(9)
+	b2, _ := a.Alloc(9)
+	if _, err := a.Alloc(12); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FreeBatch([]stm.Addr{b1, b2}); err != nil {
+		t.Fatal(err)
+	}
+	// Another size does not take the freed 9-word blocks; the next two
+	// allocations of 9 words do, last freed first.
+	if b, _ := a.Alloc(8); b == b1 || b == b2 {
+		t.Errorf("Alloc(8) took the freed 9-word block at %d", b)
+	}
+	if got, err := a.AllocBatch([]int{9, 9}, nil); err != nil || got[0] != b2 || got[1] != b1 {
+		t.Errorf("AllocBatch(9, 9) = %v, %v; want [%d %d]", got, err, b2, b1)
+	}
+}
+
+// A block in a bin is not coalesced with its neighbours, so an allocator
+// whose free words all sit in bins must merge them before it refuses.
+func TestBinsMergedBeforeOutOfMemory(t *testing.T) {
+	a := New(64)
+	var blocks []stm.Addr
+	for i := 0; i < 8; i++ {
+		b, err := a.Alloc(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	for _, k := range []int{0, 1, 3, 5, 7} {
+		if err := a.Free(blocks[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.FreeWords() != 40 || a.InUse() != 24 {
+		t.Fatalf("free=%d inUse=%d, want 40 and 24", a.FreeWords(), a.InUse())
+	}
+	if b, err := a.Alloc(16); err != nil || b != blocks[0] {
+		t.Errorf("Alloc(16) over two binned neighbours = %d, %v", b, err)
+	}
+	if _, err := a.Alloc(9); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("Alloc(9) with only 8-word holes left: %v", err)
+	}
+	if a.FreeWords() != 24 {
+		t.Errorf("free after a refused allocation = %d, want 24", a.FreeWords())
+	}
+}
+
+func TestFreeRejectsWhatIsNoBlockBase(t *testing.T) {
+	a := New(64)
+	b, _ := a.Alloc(16)
+	for _, bad := range []stm.Addr{b + 1, b + 15, 16, 63, 64, 1 << 20} {
+		if err := a.Free(bad); !errors.Is(err, ErrBadFree) {
+			t.Errorf("Free(%d): %v, want ErrBadFree", bad, err)
+		}
+		if err := a.FreeBatch([]stm.Addr{bad}); !errors.Is(err, ErrBadFree) {
+			t.Errorf("FreeBatch(%d): %v, want ErrBadFree", bad, err)
+		}
+		if a.BlockSize(bad) != 0 {
+			t.Errorf("BlockSize(%d) = %d", bad, a.BlockSize(bad))
+		}
+	}
+	if a.InUse() != 16 || a.BlockSize(b) != 16 || a.FreeWords() != 48 {
+		t.Errorf("after bad frees: inUse=%d block=%d free=%d", a.InUse(), a.BlockSize(b), a.FreeWords())
+	}
+}
+
+// The group path reserves and retires through AllocBatch and FreeBatch on
+// every write group: warm, neither may allocate (bins and the size table are
+// reused).
+func TestWarmBatchAllocatesNothing(t *testing.T) {
+	a := New(1 << 12)
+	sizes := make([]int, 32)
+	for i := range sizes {
+		sizes[i] = 3 + i%12
+	}
+	addrs := make([]stm.Addr, 0, len(sizes))
+	cycle := func() {
+		var err error
+		if addrs, err = a.AllocBatch(sizes, addrs[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if err = a.FreeBatch(addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("warm AllocBatch+FreeBatch allocates %v times per cycle", n)
+	}
 }

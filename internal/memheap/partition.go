@@ -17,8 +17,10 @@ import (
 // the evicted blocks in the child). A merge is the inverse: Evict on the
 // child, Release on the parent, Adopt on the parent.
 //
-// All multi-range operations validate fully before mutating, so a failed call
-// leaves the allocator unchanged.
+// Every operation first merges the bins into the span list, so that the list
+// and the size table together account for every word; all of them then
+// validate fully before mutating, so a failed call leaves the allocator's
+// blocks, free words and counters unchanged.
 
 // ErrStraddle is returned when a range boundary cuts through an allocated
 // block; blocks are moved whole or not at all.
@@ -79,6 +81,24 @@ func (a *Allocator) freeWordsInLocked(lo, hi int) int {
 	return n
 }
 
+// overlapLocked returns the first allocated block with a word in [lo, hi):
+// one based below lo that reaches past it, else the first based inside. The
+// size table marks only block bases, so finding the former walks down from lo
+// to the nearest base: for validating rare operations.
+func (a *Allocator) overlapLocked(lo, hi int) (base, size int, ok bool) {
+	for base = lo - 1; base >= 0 && size == 0; base-- {
+		if size = int(a.sizes[base]); base+size > lo {
+			return base, size, true
+		}
+	}
+	for base = lo; base < hi; base++ {
+		if size = int(a.sizes[base]); size != 0 {
+			return base, size, true
+		}
+	}
+	return 0, 0, false
+}
+
 // carveFreeLocked removes [lo, hi) from the free list. Every word of the
 // range must be free (checked by the caller).
 func (a *Allocator) carveFreeLocked(lo, hi int) {
@@ -118,38 +138,41 @@ func (a *Allocator) Evict(ranges []Range) ([]Block, error) {
 	if rs[len(rs)-1].Hi > a.limit {
 		return nil, fmt.Errorf("%w: [%d,%d) beyond limit %d", ErrNotOwned, rs[len(rs)-1].Lo, rs[len(rs)-1].Hi, a.limit)
 	}
-	// Validate: no straddling blocks, and full coverage (free + allocated).
+	a.mergeBinsLocked()
+	// Validate: every word of a range is free or in a block that lies wholly
+	// inside the range.
 	var blocks []Block
-	covered := make([]int, len(rs))
-	for base, size := range a.allocated {
-		bl, bh := int(base), int(base)+size
-		for i, r := range rs {
-			l, h := max(bl, r.Lo), min(bh, r.Hi)
-			if l >= h {
+	for _, r := range rs {
+		covered := a.freeWordsInLocked(r.Lo, r.Hi)
+		for i := r.Lo; i < r.Hi; {
+			size := int(a.sizes[i])
+			if size == 0 {
+				i++
 				continue
 			}
-			if bl < r.Lo || bh > r.Hi {
-				return nil, fmt.Errorf("%w: block [%d,%d) vs range [%d,%d)", ErrStraddle, bl, bh, r.Lo, r.Hi)
+			if i+size > r.Hi {
+				return nil, fmt.Errorf("%w: block [%d,%d) vs range [%d,%d)", ErrStraddle, i, i+size, r.Lo, r.Hi)
 			}
-			blocks = append(blocks, Block{Base: base, Size: size})
-			covered[i] += size
+			blocks = append(blocks, Block{Base: stm.Addr(i), Size: size})
+			covered += size
+			i += size
 		}
-	}
-	for i, r := range rs {
-		covered[i] += a.freeWordsInLocked(r.Lo, r.Hi)
-		if covered[i] != r.Hi-r.Lo {
-			return nil, fmt.Errorf("%w: [%d,%d) has %d of %d words present", ErrNotOwned, r.Lo, r.Hi, covered[i], r.Hi-r.Lo)
+		if covered == r.Hi-r.Lo {
+			continue
 		}
+		if base, size, ok := a.overlapLocked(r.Lo, r.Hi); ok && base < r.Lo {
+			return nil, fmt.Errorf("%w: block [%d,%d) vs range [%d,%d)", ErrStraddle, base, base+size, r.Lo, r.Hi)
+		}
+		return nil, fmt.Errorf("%w: [%d,%d) has %d of %d words present", ErrNotOwned, r.Lo, r.Hi, covered, r.Hi-r.Lo)
 	}
 	// Apply.
 	for _, r := range rs {
 		a.carveFreeLocked(r.Lo, r.Hi)
 	}
 	for _, b := range blocks {
-		delete(a.allocated, b.Base)
+		a.sizes[b.Base] = 0
 		a.inUse -= b.Size
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Base < blocks[j].Base })
 	return blocks, nil
 }
 
@@ -166,14 +189,13 @@ func (a *Allocator) Release(ranges []Range) error {
 	if rs[len(rs)-1].Hi > a.limit {
 		return fmt.Errorf("%w: [%d,%d) beyond limit %d", ErrNotOwned, rs[len(rs)-1].Lo, rs[len(rs)-1].Hi, a.limit)
 	}
+	a.mergeBinsLocked()
 	for _, r := range rs {
 		if a.freeWordsInLocked(r.Lo, r.Hi) != 0 {
 			return fmt.Errorf("memheap: release of [%d,%d) overlaps free space", r.Lo, r.Hi)
 		}
-		for base, size := range a.allocated {
-			if max(int(base), r.Lo) < min(int(base)+size, r.Hi) {
-				return fmt.Errorf("memheap: release of [%d,%d) overlaps allocated block at %d", r.Lo, r.Hi, base)
-			}
+		if base, _, ok := a.overlapLocked(r.Lo, r.Hi); ok {
+			return fmt.Errorf("memheap: release of [%d,%d) overlaps allocated block at %d", r.Lo, r.Hi, base)
 		}
 	}
 	for _, r := range rs {
@@ -192,9 +214,10 @@ func (a *Allocator) Restrict(keep []Range) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.allocated) != 0 {
+	if a.inUse != 0 {
 		return errors.New("memheap: Restrict on allocator with live allocations")
 	}
+	a.mergeBinsLocked()
 	if rs[len(rs)-1].Hi > a.limit {
 		return fmt.Errorf("%w: [%d,%d) beyond limit %d", ErrNotOwned, rs[len(rs)-1].Lo, rs[len(rs)-1].Hi, a.limit)
 	}
@@ -223,11 +246,12 @@ func (a *Allocator) Adopt(base stm.Addr, size int) error {
 	if hi > a.limit {
 		return fmt.Errorf("%w: adopt [%d,%d) beyond limit %d", ErrNotOwned, lo, hi, a.limit)
 	}
+	a.mergeBinsLocked()
 	if a.freeWordsInLocked(lo, hi) != hi-lo {
 		return fmt.Errorf("%w: adopt [%d,%d) not fully free", ErrNotOwned, lo, hi)
 	}
 	a.carveFreeLocked(lo, hi)
-	a.allocated[base] = size
+	a.sizes[base] = uint32(size)
 	a.inUse += size
 	return nil
 }

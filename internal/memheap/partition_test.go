@@ -7,6 +7,15 @@ import (
 	"votm/internal/stm"
 )
 
+// conserved checks the allocator's conservation law: every word below the
+// limit is allocated, allocatable or evicted.
+func conserved(t *testing.T, a *Allocator, evicted int) {
+	t.Helper()
+	if inUse, free := a.InUse(), a.FreeWords(); inUse+free+evicted != a.Limit() {
+		t.Errorf("inUse %d + free %d + evicted %d != limit %d", inUse, free, evicted, a.Limit())
+	}
+}
+
 func TestEvictMovesBlocksAndFreeSpace(t *testing.T) {
 	a := New(256)
 	b1, _ := a.Alloc(16) // [0,16)
@@ -25,6 +34,11 @@ func TestEvictMovesBlocksAndFreeSpace(t *testing.T) {
 	if a.InUse() != 16 || a.BlockSize(b1) != 16 || a.BlockSize(b2) != 0 {
 		t.Errorf("post-evict: inUse=%d b1=%d b2=%d", a.InUse(), a.BlockSize(b1), a.BlockSize(b2))
 	}
+	// Evicted words are not free words: [128,256) is what is left to allocate.
+	if a.FreeWords() != 128 {
+		t.Errorf("free after evicting [16,128) = %d, want 128", a.FreeWords())
+	}
+	conserved(t, a, 112)
 	// The evicted range is gone: an allocation that would need it fails.
 	if _, err := a.Alloc(200); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("Alloc(200) after evict: %v", err)
@@ -47,6 +61,7 @@ func TestEvictRejectsStraddlingBlock(t *testing.T) {
 	if a.InUse() != 16 || a.FreeWords() != 48 {
 		t.Errorf("after failed evict: inUse=%d free=%d", a.InUse(), a.FreeWords())
 	}
+	conserved(t, a, 0)
 }
 
 func TestEvictRejectsAbsentWords(t *testing.T) {
@@ -61,6 +76,7 @@ func TestEvictRejectsAbsentWords(t *testing.T) {
 	if _, err := a.Evict([]Range{{Lo: 32, Hi: 80}}); !errors.Is(err, ErrNotOwned) {
 		t.Fatalf("beyond-limit evict: %v", err)
 	}
+	conserved(t, a, 32)
 }
 
 func TestReleaseRestoresEvictedRange(t *testing.T) {
@@ -68,9 +84,11 @@ func TestReleaseRestoresEvictedRange(t *testing.T) {
 	if _, err := a.Evict([]Range{{Lo: 0, Hi: 32}}); err != nil {
 		t.Fatal(err)
 	}
+	conserved(t, a, 32)
 	if err := a.Release([]Range{{Lo: 0, Hi: 32}}); err != nil {
 		t.Fatal(err)
 	}
+	conserved(t, a, 0)
 	if a.FreeWords() != 64 {
 		t.Errorf("free after release = %d", a.FreeWords())
 	}
@@ -108,6 +126,8 @@ func TestRestrictAndAdoptShapeChildAllocator(t *testing.T) {
 	if child.InUse() != 8 || child.BlockSize(stm.Addr(8)) != 8 {
 		t.Errorf("child after adopt: inUse=%d size=%d", child.InUse(), child.BlockSize(stm.Addr(8)))
 	}
+	conserved(t, parent, 56)
+	conserved(t, child, 128-56)
 	// Child allocations land inside its ranges only.
 	addr, err := child.Alloc(48)
 	if err != nil || addr != 16 {
@@ -151,4 +171,31 @@ func TestNormalizeRangesRejectsBadInput(t *testing.T) {
 	if len(got) != 1 || got[0] != (Range{Lo: 0, Hi: 24}) {
 		t.Errorf("merged = %v", got)
 	}
+}
+
+// A freed small block waits in a bin, outside the span list the partition
+// calls reason about: each of them must still see its words as free.
+func TestPartitionCallsSeeBinnedWords(t *testing.T) {
+	binned := func() *Allocator { // [0,8) in a bin, [8,64) in the span list
+		a := New(64)
+		b, _ := a.Alloc(8)
+		if err := a.Free(b); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	if err := binned().Adopt(0, 8); err != nil {
+		t.Errorf("Adopt over binned words: %v", err)
+	}
+	if err := binned().Restrict([]Range{{Lo: 0, Hi: 16}}); err != nil {
+		t.Errorf("Restrict over binned words: %v", err)
+	}
+	if err := binned().Release([]Range{{Lo: 0, Hi: 8}}); err == nil {
+		t.Error("Release over binned words succeeded")
+	}
+	a := binned()
+	if blocks, err := a.Evict([]Range{{Lo: 0, Hi: 16}}); err != nil || len(blocks) != 0 {
+		t.Errorf("Evict over binned words = %v, %v", blocks, err)
+	}
+	conserved(t, a, 16)
 }

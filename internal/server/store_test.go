@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"votm"
+	"votm/enc"
 	"votm/wire"
 )
 
@@ -184,6 +185,93 @@ func TestRestartPastInitialHeap(t *testing.T) {
 			t.Errorf("clean restart: %+v, want a clean start from a %d-key snapshot", r, len(want))
 		}
 	})
+}
+
+// TestValueSizeChurnStrandsNoMemory is the fragmentation row of
+// docs/ALGORITHMS.md's limits table. A shard that starts at 1 Ki words is
+// preloaded with 64-byte values and then, round after round, takes every key
+// through ≈ 200-, 64-, ≈ 300- and 64-byte values on the group path, with
+// deletes mixed in. The two large sizes step down a word per round, so each
+// pass frees blocks of a size no later pass asks for: the allocator's
+// exact-size bins fill with blocks that can only be reused by address. It
+// must merge them back before it reports out-of-memory: the allocated words
+// equal the map oracle's after every round, and the view, once it has grown
+// to hold the first and largest round, stops growing — no Brk in the second
+// half of the rounds.
+func TestValueSizeChurnStrandsNoMemory(t *testing.T) {
+	s, err := New(growthConfig(1))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	sh := (*s.shards[0].subs.Load())[0]
+	c := newTestConn(s, 64)
+	w := newGroupWorker(s, sh, th)
+	defer w.close()
+
+	const keys, rounds = 600, 12
+	empty := sh.view.AllocatedWords()
+	oracle := make(map[uint64]int, keys) // key -> value length
+	value := func(k uint64, n int) []byte { return bytes.Repeat([]byte{byte(k)}, n) }
+	var batch []task
+	run := func() {
+		t.Helper()
+		w.run(batch)
+		for id, r := range collect(t, c, len(batch)) {
+			if r.status != wire.StatusOK && r.status != wire.StatusNotFound {
+				t.Fatalf("request %d: status %v (%s)", id, r.status, r.value)
+			}
+		}
+		batch = batch[:0]
+	}
+	// pass puts every key at n bytes, except that every seventh key (a
+	// different seventh each pass) is deleted and left to the next pass.
+	pass := func(n, salt int) {
+		t.Helper()
+		for k := uint64(0); k < keys; k++ {
+			if (int(k)+salt)%7 == 0 {
+				delete(oracle, k)
+				batch = append(batch, mkTask(s, c, wire.OpDelete, uint32(len(batch)+1), k, nil, nil))
+			} else {
+				oracle[k] = n
+				batch = append(batch, mkTask(s, c, wire.OpPut, uint32(len(batch)+1), k, value(k, n), nil))
+			}
+			if len(batch) == 32 {
+				run()
+			}
+		}
+		run()
+	}
+	pass(64, 1) // the preload; its deletes find nothing and answer NOT_FOUND
+	sizes := make([]int, 0, rounds)
+	for round := 0; round < rounds; round++ {
+		for i, n := range []int{200 - 8*round, 64, 304 - 8*round, 64} {
+			pass(n, 4*round+i)
+		}
+		want := empty
+		for k, n := range oracle {
+			want += enc.BlobWords(n) + sh.idx.NodeWords(k)
+		}
+		if got := sh.view.AllocatedWords(); got != want {
+			t.Fatalf("round %d: %d words allocated, the oracle's %d keys need %d", round, got, len(oracle), want)
+		}
+		sizes = append(sizes, sh.view.Size())
+	}
+	t.Logf("view words after each round: %v", sizes)
+	if sizes[0] <= growthConfig(1).ShardWords {
+		t.Fatalf("heap is %d words: the test never crossed a growth boundary", sizes[0])
+	}
+	if sizes[rounds-1] != sizes[rounds/2-1] {
+		t.Errorf("the view kept growing under a steady key set: sizes per round %v", sizes)
+	}
+	for k, n := range oracle {
+		val, found, err := sh.testGet(context.Background(), th, k)
+		if err != nil || !found || !bytes.Equal(val, value(k, n)) {
+			t.Fatalf("key %d = %d bytes found=%v err=%v, want %d bytes", k, len(val), found, err, n)
+		}
+	}
 }
 
 // TestAtomicCreatesKeysPastInitialHeap creates keys through ATOMIC batches
