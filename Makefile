@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fmt vet clean
+.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fuzz-skiplist fmt vet clean
 
 all: build test
 
@@ -135,6 +135,13 @@ fuzz-wire:
 # FUZZ_TIME=0x replays the corpus.
 fuzz-memheap:
 	$(GO) test -run='^$$' -fuzz=FuzzAllocFree -fuzztime=$(FUZZ_TIME) ./internal/memheap
+
+# Shard index fuzzing: an op program over Put/Swap/Get/Delete/Seek, in lock
+# mode or under NOrec, grows the skip list's hash directory from 16 to 256
+# buckets and is checked against a map oracle and the directory's chain
+# invariants after every op. FUZZ_TIME=0x replays the corpus.
+fuzz-skiplist:
+	$(GO) test -run='^$$' -fuzz=FuzzSkipList -fuzztime=$(FUZZ_TIME) ./internal/stmds
 
 fmt:
 	gofmt -w .

@@ -39,7 +39,9 @@ type Queue = stmds.Queue
 type HashMap = stmds.HashMap
 
 // SkipList is a transactional ordered map in view memory with deterministic
-// tower heights and in-order iteration.
+// tower heights and in-order iteration. A hash directory threaded through its
+// nodes answers Get and Delete's lookup in a few loads; it grows through
+// NewDir (allocate outside the transaction) and GrowDir (install inside it).
 type SkipList = stmds.SkipList
 
 // NewList allocates a list header in v.
@@ -56,7 +58,9 @@ func NewHashMap(v *votm.View, nbuckets int) (*HashMap, error) {
 }
 
 // NewSkipList allocates a skip list in v. maxLevel <= 0 selects the
-// default maximum tower height.
+// default maximum tower height. The first hash directory is allocated with
+// the header, about one word per 16 of v's free words and at least 16, so a
+// view without room for the header and 16 words returns ErrOutOfMemory.
 func NewSkipList(v *votm.View, maxLevel int) (*SkipList, error) {
 	return stmds.NewSkipList(v, maxLevel)
 }

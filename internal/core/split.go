@@ -60,10 +60,14 @@ func (e *MovedError) Error() string {
 // retry loop converts it into the typed *MovedError instead of re-raising.
 type movedPanic struct{ err *MovedError }
 
-// fwdRange is one forwarded range [lo, hi) → view dst.
+// fwdRange is one forwarded range [lo, hi) → view dst. A down-link (up
+// false) names a child the range was split to; an up-link sends a split
+// child's accesses to words it was never given (or a retired child's, to all
+// of them) back to the view they came from. MergeViews walks down-links only.
 type fwdRange struct {
 	lo, hi stm.Addr
 	dst    int
+	up     bool
 }
 
 // fwdTable is an immutable, epoch-stamped forwarding table. A view's table
@@ -192,7 +196,10 @@ func toMemRanges(rs []AddrRange) []memheap.Range {
 // the given engine ("" inherits the parent's) and quota (< 1 = adaptive).
 // The child's heap is identity-mapped: every moved word keeps its address.
 // The parent is quiesced for the duration of the move; afterwards accesses
-// to moved addresses through the parent return *MovedError.
+// to moved addresses through the parent return *MovedError, and so do
+// accesses through the child to words of the parent's heap outside ranges
+// (a handle Locate returned for one address must not serve another from a
+// private copy).
 //
 // A range must not cut through an allocated block (blocks move whole), and
 // must not overlap words already moved by an earlier split.
@@ -291,7 +298,22 @@ func (v *View) Split(ctx context.Context, childID int, ranges []AddrRange, engin
 		}
 	}
 
-	// Publish the forwarding epoch, then release.
+	// Guard the child's complement with up-links to the parent, then publish
+	// the parent's forwarding epoch and release.
+	up := &fwdTable{epoch: 1}
+	lo := stm.Addr(0)
+	for _, r := range rs {
+		if lo < r.Lo {
+			up.ranges = append(up.ranges, fwdRange{lo: lo, hi: r.Lo, dst: v.id, up: true})
+		}
+		lo = r.Hi
+	}
+	if lo < stm.Addr(n) {
+		up.ranges = append(up.ranges, fwdRange{lo: lo, hi: stm.Addr(n), dst: v.id, up: true})
+	}
+	if len(up.ranges) > 0 {
+		child.fwd.Store(up)
+	}
 	nt := &fwdTable{epoch: 1}
 	if old != nil {
 		nt.epoch = old.epoch + 1
@@ -341,14 +363,15 @@ func (r *Runtime) MergeViews(ctx context.Context, dstID, srcID int) error {
 		dst.ctl.Resume()
 	}()
 
-	// Validate under quiescence: dst must forward at least one range to src.
+	// Validate under quiescence: dst must forward at least one range down to
+	// src (a child's up-links name its parent, which is not its to merge).
 	dt := dst.fwd.Load()
 	if dt == nil {
 		return fmt.Errorf("%w: view %d forwards nothing", ErrNotSplitFamily, dstID)
 	}
 	var toSrc []AddrRange
 	for _, f := range dt.ranges {
-		if f.dst == srcID {
+		if f.dst == srcID && !f.up {
 			toSrc = append(toSrc, AddrRange{Lo: f.lo, Hi: f.hi})
 		}
 	}
@@ -425,7 +448,7 @@ func (r *Runtime) MergeViews(ctx context.Context, dstID, srcID int) error {
 	}
 	src.fwd.Store(&fwdTable{
 		epoch:  srcEpoch,
-		ranges: []fwdRange{{lo: 0, hi: stm.Addr(src.heap.Len()), dst: dstID}},
+		ranges: []fwdRange{{lo: 0, hi: stm.Addr(src.heap.Len()), dst: dstID, up: true}},
 	})
 	return nil
 }

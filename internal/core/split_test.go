@@ -91,6 +91,51 @@ func TestSplitMovesWordsAndForwards(t *testing.T) {
 	}
 }
 
+// TestSplitChildGuardsWordsItWasNeverGiven pins the child's side of the
+// forwarding guard: a word of the parent's heap outside the child's ranges
+// answers *MovedError naming the parent (a handle Locate returned for one
+// address, reused for another, must not commit into the child's private copy),
+// and the up-link is not a split family: the child cannot merge its parent.
+func TestSplitChildGuardsWordsItWasNeverGiven(t *testing.T) {
+	rt := newRT(t, core.NOrec, 4)
+	v, err := rt.CreateView(1, 256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := rt.RegisterThread()
+	mustWrite(t, v, th, 10, 111)
+	child, err := v.Split(context.Background(), 2, []core.AddrRange{{Lo: 64, Hi: 128}}, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []stm.Addr{10, 200} {
+		err := child.Atomic(context.Background(), th, func(tx core.Tx) error {
+			tx.Store(a, tx.Load(a)+1)
+			return nil
+		})
+		var me *core.MovedError
+		if !errors.As(err, &me) || me.View != 2 || me.NewView != 1 || me.Addr != a {
+			t.Fatalf("child access to word %d it was never given: %v (want *MovedError to view 1)", a, err)
+		}
+		if vid, err := rt.Locate(2, a); err != nil || vid != 1 {
+			t.Errorf("Locate(2, %d) = %d, %v", a, vid, err)
+		}
+	}
+	if got, err := readWord(v, th, 10); err != nil || got != 111 {
+		t.Errorf("parent word 10 = %d, %v after a refused child access", got, err)
+	}
+	mustWrite(t, child, th, 100, 7) // its own words still serve
+	if err := rt.MergeViews(context.Background(), 2, 1); !errors.Is(err, core.ErrNotSplitFamily) {
+		t.Fatalf("MergeViews(child, parent) = %v, want ErrNotSplitFamily", err)
+	}
+	if err := rt.MergeViews(context.Background(), 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readWord(v, th, 100); err != nil || got != 7 {
+		t.Errorf("parent word 100 after merge = %d, %v", got, err)
+	}
+}
+
 func TestSplitGuardInLockMode(t *testing.T) {
 	rt := newRT(t, core.NOrec, 4)
 	v, err := rt.CreateView(1, 128, 1) // Q = 1: every run is lock mode

@@ -125,6 +125,12 @@ func TestTableIVShapeIntruderOrecEager(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run skipped in -short mode")
 	}
+	// The Intruder input is already fixed (intruder.Params.Seed), so no seed
+	// reproduces a miss here: both assertions measure one goroutine schedule,
+	// two wall-clock runs of a few milliseconds and the aborted time between
+	// them. On a 2-vCPU box alone, about one sweep in 75 (5 of 320 runs) had
+	// Q = N take 3-4x its usual time (24 ms against 6.4 ms at Q = 1); beside
+	// the other packages of `go test ./...`, δ(Q = 2) read 1.21 once.
 	_, sweep, err := TableIV(testScale())
 	if err != nil {
 		t.Fatal(err)

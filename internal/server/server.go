@@ -228,14 +228,16 @@ func (c Config) withDefaults() Config {
 func (c Config) validate() error {
 	sizes := []struct {
 		name string
-		v    int
+		v    int64
 	}{
-		{"Shards", c.Shards},
-		{"ShardWords", c.ShardWords},
-		{"WorkersPerShard", c.WorkersPerShard},
-		{"QueueDepth", c.QueueDepth},
-		{"BatchMax", c.BatchMax},
-		{"MaxValueLen", c.MaxValueLen},
+		{"Shards", int64(c.Shards)},
+		{"ShardWords", int64(c.ShardWords)},
+		{"WorkersPerShard", int64(c.WorkersPerShard)},
+		{"QueueDepth", int64(c.QueueDepth)},
+		{"BatchMax", int64(c.BatchMax)},
+		{"MaxValueLen", int64(c.MaxValueLen)},
+		{"WALSegmentBytes", c.WALSegmentBytes},
+		{"ClusterReplicas", int64(c.ClusterReplicas)},
 	}
 	for _, s := range sizes {
 		if s.v < 0 {
@@ -262,12 +264,6 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("server: unknown Config.Durability %q (want %q, %q or %q)",
 			c.Durability, DurabilityOff, DurabilityGroup, DurabilitySnapshotOnly)
-	}
-	if c.WALSegmentBytes < 0 {
-		return fmt.Errorf("server: Config.WALSegmentBytes must not be negative, got %d", c.WALSegmentBytes)
-	}
-	if c.ClusterReplicas < 0 {
-		return fmt.Errorf("server: Config.ClusterReplicas must not be negative, got %d", c.ClusterReplicas)
 	}
 	if c.ClusterSeed || c.ClusterJoin != "" {
 		if c.ClusterSeed && c.ClusterJoin != "" {

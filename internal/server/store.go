@@ -1,12 +1,12 @@
-// Shard store: each shard is one VOTM view holding a ds.SkipList from key
-// to a value-block reference, with the value bytes packed through enc. The
-// ordered index is what makes wire-level SCAN a per-shard Seek/Next merge
-// (see scan.go); point ops pay a modest constant over the old hash map for
-// it. This file holds the shard and its store kernel — the one reservation
-// path, the five verbs (get, put, del, cas, add), the one settle — and the two
-// things built directly on it: applyRecords, how redo reaches a shard, and
-// multiBatch, the ATOMIC interpreter. Reads that mutate nothing (a SCAN
-// page's merge, a state capture's walk) use the index directly.
+// Shard store: each shard is one VOTM view holding a ds.SkipList from key to
+// a value-block reference, with the value bytes packed through enc. The ordered
+// index makes wire-level SCAN a per-shard Seek/Next merge (scan.go), and its
+// hash directory finds any looked-up key in a few loads (only a PUT's overwrite
+// walks the tower). This file holds the shard and its store kernel — the one
+// reservation path, the five verbs (get, put, del, cas, add), the one settle —
+// and what is built directly on it: applyRecords, how redo reaches a shard, and
+// multiBatch, the ATOMIC interpreter. Reads that mutate nothing (a SCAN page's
+// merge, a state capture's walk) use the index directly.
 package server
 
 import (
@@ -224,6 +224,10 @@ type effects struct {
 	slots []slot
 	frees []votm.Addr
 	keys  int64
+
+	dir       votm.Addr // a bigger index directory reserved beside the slots,
+	dirWords  int       // of dirWords words (none when 0),
+	dirLinked bool      // and whether the last attempt installed it
 }
 
 // want asks for a slot able to hold a val-byte value under key and returns
@@ -244,6 +248,10 @@ func (sh *shard) reserve(fx *effects) (err error) {
 	if len(sizes) == 0 {
 		return nil
 	}
+	dirWords := sh.idx.NewDir(int(sh.keys.Load()) + len(sizes)/2) // each slot may create a key
+	if dirWords > 0 {
+		sizes = append(sizes, dirWords)
+	}
 	for attempt := 0; ; attempt++ {
 		if fx.addrs, err = sh.view.AllocBatch(sizes, fx.addrs[:0]); err == nil {
 			break
@@ -259,10 +267,24 @@ func (sh *shard) reserve(fx *effects) (err error) {
 			return err
 		}
 	}
+	if fx.dirWords = dirWords; dirWords > 0 {
+		fx.dir, fx.addrs = fx.addrs[len(fx.addrs)-1], fx.addrs[:len(fx.addrs)-1]
+	}
 	for i := 0; i < len(fx.addrs); i += 2 {
 		fx.slots = append(fx.slots, slot{block: fx.addrs[i], node: fx.addrs[i+1]})
 	}
 	return nil
+}
+
+// growIndex installs reserve's directory at the attempt's first put or add, key
+// created or not, and owes the array it replaces a free.
+func (sh *shard) growIndex(tx votm.Tx, fx *effects) {
+	if fx.dirWords > 0 && !fx.dirLinked {
+		old, used := sh.idx.GrowDir(tx, ds.Ref(fx.dir), fx.dirWords)
+		if fx.dirLinked = used; used {
+			fx.frees = append(fx.frees, votm.Addr(old))
+		}
+	}
 }
 
 // begin starts one attempt of the transaction body. The body may be
@@ -272,7 +294,7 @@ func (fx *effects) begin() {
 	for i := range fx.slots {
 		fx.slots[i].linkedBlock, fx.slots[i].linkedNode = false, false
 	}
-	fx.frees, fx.keys = fx.frees[:0], 0
+	fx.frees, fx.keys, fx.dirLinked = fx.frees[:0], 0, false
 }
 
 // settle ends the transaction's memory accounting, once per executor and
@@ -292,11 +314,15 @@ func (sh *shard) settle(fx *effects, committed bool) {
 			fx.frees = append(fx.frees, sl.node)
 		}
 	}
+	if fx.dirWords > 0 && !fx.dirLinked {
+		fx.frees = append(fx.frees, fx.dir)
+	}
 	_ = sh.view.FreeBatch(fx.frees)
 	if fx.keys != 0 { // a read group settles too: spare it the atomic
 		sh.keys.Add(fx.keys)
 	}
 	fx.slots, fx.frees, fx.keys = fx.slots[:0], fx.frees[:0], 0
+	fx.dirWords, fx.dirLinked = 0, false
 }
 
 // get appends key's value to dst (the caller's buffer: the GET path
@@ -319,6 +345,7 @@ func (sh *shard) valueLen(tx votm.Tx, key uint64) int {
 
 // put sets key to val through slot si, reporting whether the key was created.
 func (sh *shard) put(tx votm.Tx, fx *effects, si int, key uint64, val []byte) bool {
+	sh.growIndex(tx, fx)
 	sl := &fx.slots[si]
 	enc.StoreBlob(tx, sl.block, val)
 	return sh.link(tx, fx, sl, key)
@@ -339,12 +366,11 @@ func (sh *shard) link(tx votm.Tx, fx *effects, sl *slot, key uint64) (created bo
 
 // del removes key, reporting whether it existed.
 func (sh *shard) del(tx votm.Tx, fx *effects, key uint64) bool {
-	ref, ok := sh.idx.Get(tx, key)
+	node, ok := sh.idx.Delete(tx, key)
 	if !ok {
 		return false
 	}
-	node, _ := sh.idx.Delete(tx, key)
-	fx.frees = append(fx.frees, votm.Addr(ref), votm.Addr(node))
+	fx.frees = append(fx.frees, votm.Addr(sh.idx.NodeVal(tx, node)), votm.Addr(node))
 	fx.keys--
 	return true
 }
@@ -365,23 +391,21 @@ func (sh *shard) cas(tx votm.Tx, fx *effects, si int, key uint64, expect, val, d
 }
 
 // add adds delta to key's 8-byte counter in place and returns the sum; an
-// absent key is created through slot si holding delta. A value that is not 8
-// bytes is errBadAdd, with nothing written.
-func (sh *shard) add(tx votm.Tx, fx *effects, si int, key uint64, delta uint64) (uint64, error) {
+// absent key is created through slot si holding delta. The caller has refused
+// a value that is not 8 bytes (errBadAdd) before the batch's first write.
+func (sh *shard) add(tx votm.Tx, fx *effects, si int, key uint64, delta uint64) uint64 {
+	sh.growIndex(tx, fx)
 	if ref, ok := sh.idx.Get(tx, key); ok {
 		base := votm.Addr(ref)
-		if tx.Load(base) != 8 {
-			return 0, errBadAdd
-		}
 		sum := tx.Load(base+1) + delta
 		tx.Store(base+1, sum)
-		return sum, nil
+		return sum
 	}
 	sl := &fx.slots[si]
 	tx.Store(sl.block, 8)
 	tx.Store(sl.block+1, delta)
 	sh.link(tx, fx, sl, key)
-	return delta, nil
+	return delta
 }
 
 // --- redo: records applied as groups ---------------------------------------
@@ -548,10 +572,7 @@ func (b *multiBatch) exec(s *Server, parts []*shard, txs []votm.Tx, fxs []effect
 		case wire.SubDelete:
 			found = p.del(tx, fx, sub.Key)
 		case wire.SubAdd:
-			var err error
-			if r.Sum, err = p.add(tx, fx, b.slots[i], sub.Key, sub.Delta); err != nil {
-				return err // unreachable: validated above
-			}
+			r.Sum = p.add(tx, fx, b.slots[i], sub.Key, sub.Delta)
 		}
 		if !found {
 			r.Status = wire.StatusNotFound

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +42,17 @@ func (sh *shard) testGet(ctx context.Context, th *votm.Thread, key uint64) (val 
 		return nil
 	})
 	return val, found, err
+}
+
+// testBuckets is the size in words of sh's index directory, which follows the
+// shard's peak key count rather than its live keys. NewDir(k) is 0 exactly
+// when k keys fit the current directory, and bucket counts are powers of two.
+func (sh *shard) testBuckets() int {
+	b := 1
+	for sh.idx.NewDir(2*b) == 0 {
+		b *= 2
+	}
+	return b
 }
 
 func (sh *shard) testPut(ctx context.Context, th *votm.Thread, key uint64, val []byte) (created bool, err error) {
@@ -212,7 +224,7 @@ func TestValueSizeChurnStrandsNoMemory(t *testing.T) {
 	defer w.close()
 
 	const keys, rounds = 600, 12
-	empty := sh.view.AllocatedWords()
+	empty := sh.view.AllocatedWords() - sh.testBuckets()
 	oracle := make(map[uint64]int, keys) // key -> value length
 	value := func(k uint64, n int) []byte { return bytes.Repeat([]byte{byte(k)}, n) }
 	var batch []task
@@ -250,7 +262,7 @@ func TestValueSizeChurnStrandsNoMemory(t *testing.T) {
 		for i, n := range []int{200 - 8*round, 64, 304 - 8*round, 64} {
 			pass(n, 4*round+i)
 		}
-		want := empty
+		want := empty + sh.testBuckets()
 		for k, n := range oracle {
 			want += enc.BlobWords(n) + sh.idx.NodeWords(k)
 		}
@@ -342,6 +354,113 @@ func TestAtomicCreatesKeysPastInitialHeap(t *testing.T) {
 			t.Fatalf("shard 1 counter %d = %d found=%v", f.keys[1][j], sum, found)
 		}
 	}
+}
+
+// TestIndexDirectoryGrowsOnEveryPath is the directory-growth row of
+// docs/ALGORITHMS.md's limits table. Shards of 1 Ki words start with a
+// 64-bucket directory; keys then arrive through write groups (shard 0),
+// rounds of spanning ATOMICs (all three shards), a crash-copy restart that
+// replays the whole log, and a split that hands half a grown shard to a child.
+// Each path must grow the directory — shard 0 through at least three
+// doublings — so no shard ends with more keys than buckets, and no lookup may
+// miss a live key.
+func TestIndexDirectoryGrowsOnEveryPath(t *testing.T) {
+	const perShard = 700
+	cfg := growthConfig(3)
+	cfg.Durability, cfg.DataDir = DurabilityGroup, t.TempDir()
+	f := newRoundFixture(t, cfg, perShard)
+	w := newGroupWorker(f.s, f.shards[0], f.th)
+	defer w.close()
+	rc := newTestCoordinator(t, f.s)
+	initial := f.shards[0].testBuckets()
+
+	answered := func(name string, n int) {
+		t.Helper()
+		for id, r := range collect(t, f.c, n) {
+			if r.status != wire.StatusOK {
+				t.Fatalf("%s: request %d: status %v (%s)", name, id, r.status, r.value)
+			}
+		}
+	}
+	var batch []task
+	for j := 0; j < perShard/2; j++ { // groups of 32 PUTs on shard 0
+		key := f.keys[0][j]
+		batch = append(batch, mkTask(f.s, f.c, wire.OpPut, uint32(len(batch)+1), key, growthValue(key, 0), nil))
+		if len(batch) == 32 || j == perShard/2-1 {
+			w.run(batch)
+			answered("group", len(batch))
+			batch = batch[:0]
+		}
+	}
+	put := func(i, j int) wire.Sub {
+		return wire.Sub{Kind: wire.SubPut, Key: f.keys[i][j], Value: growthValue(f.keys[i][j], 0)}
+	}
+	for j := perShard / 2; j < perShard; j++ { // rounds of four spanning ATOMICs
+		batch = append(batch, queued(f.s, f.c, atomicReq(uint32(len(batch)+1), put(0, j), put(1, j), put(2, j))))
+		if len(batch) == 4 || j == perShard-1 {
+			rc.roundOf(batch...)
+			answered("round", len(batch))
+			batch = batch[:0]
+		}
+	}
+
+	// verify: every key of shards serves, and no shard has more keys than
+	// buckets.
+	verify := func(name string, shards []*shard, th *votm.Thread, keys func(i int) []uint64) {
+		t.Helper()
+		for i, sh := range shards {
+			for _, key := range keys(i) {
+				if val, found, err := sh.testGet(context.Background(), th, key); err != nil || !found || !bytes.Equal(val, growthValue(key, 0)) {
+					t.Fatalf("%s: shard %d key %d = %x found=%v err=%v", name, i, key, val, found, err)
+				}
+			}
+			if n, b := sh.keys.Load(), sh.testBuckets(); n != int64(len(keys(i))) || n > int64(b) {
+				t.Errorf("%s: shard %d holds %d keys (want %d) in %d buckets", name, i, n, len(keys(i)), b)
+			}
+		}
+	}
+	live := func(i int) []uint64 { // shards 1 and 2 took only the rounds' keys
+		if i == 0 {
+			return f.keys[0]
+		}
+		return f.keys[i][perShard/2:]
+	}
+	verify("executed", f.shards[:], f.th, live)
+	if b := f.shards[0].testBuckets(); b < 8*initial {
+		t.Errorf("shard 0 grew from %d to %d buckets: fewer than three doublings", initial, b)
+	}
+	re := f.bootCopy(t, nil)
+	verify("replayed", re.shards[:], re.th, live)
+
+	// A split: the child is populated through applyRecords, the parent sheds
+	// half its keys and keeps its directory.
+	s, err := New(growthConfig(1))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	g, root := s.shards[0], (*s.shards[0].subs.Load())[0]
+	sw := newGroupWorker(s, root, f.th)
+	defer sw.close()
+	c := newTestConn(s, 64)
+	for k := uint64(0); k < perShard; k++ {
+		batch = append(batch, mkTask(s, c, wire.OpPut, uint32(len(batch)+1), k, growthValue(k, 0), nil))
+		if len(batch) == 32 || k == perShard-1 {
+			sw.run(batch)
+			collect(t, c, len(batch))
+			batch = batch[:0]
+		}
+	}
+	if err := s.splitShard(g, root); err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	subs := *g.subs.Load()
+	owned := make([][]uint64, len(subs))
+	for k := uint64(0); k < perShard; k++ {
+		i := slices.Index(subs, g.route(k))
+		owned[i] = append(owned[i], k)
+	}
+	verify("split", subs, f.th, func(i int) []uint64 { return owned[i] })
 }
 
 // kvOracle is the differential test's reference: a plain Go map that shares
@@ -578,13 +697,19 @@ func TestStoreKernelDifferential(t *testing.T) {
 			if a, b := sh.view.AllocatedWords(), f.shards[i].view.AllocatedWords(); a != b {
 				t.Errorf("%s: shard %d holds %d allocated words, the executed shard %d", name, i, a, b)
 			}
+			if a, b := sh.testBuckets(), f.shards[i].testBuckets(); a != b {
+				t.Errorf("%s: shard %d has %d index buckets, the executed shard %d", name, i, a, b)
+			}
 		}
 		if total != int64(len(oracle)) {
 			t.Errorf("%s: key counters sum to %d, the oracle holds %d keys", name, total, len(oracle))
 		}
 	}
 	// And the executed shards hold exactly what a shard that was only ever
-	// told the final state holds: nothing leaked along the way.
+	// told the final state holds: nothing leaked along the way. The index
+	// directory follows the peak key count, not the live one, but 12 keys a
+	// shard never outgrow the first one, so every side compared here holds
+	// the same directory (checked) and the word counts compare like for like.
 	fresh := newRoundFixture(t, growthConfig(3), 1)
 	for i, sh := range fresh.shards {
 		for _, key := range f.keys[i] {
@@ -596,6 +721,9 @@ func TestStoreKernelDifferential(t *testing.T) {
 		}
 		if a, b := f.shards[i].view.AllocatedWords(), sh.view.AllocatedWords(); a != b {
 			t.Errorf("shard %d: %d words allocated after the stream, %d on a shard holding the same keys", i, a, b)
+		}
+		if a, b := f.shards[i].testBuckets(), sh.testBuckets(); a != b {
+			t.Errorf("shard %d: %d index buckets after the stream, %d on a shard holding the same keys", i, a, b)
 		}
 	}
 	t.Logf("%d steps, %d refused batches, %d live keys, %d rounds", steps, refused, len(oracle), rc.nRounds.Load())

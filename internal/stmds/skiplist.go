@@ -10,11 +10,16 @@ import (
 // in-order iteration (First/Seek/Next/ForEach). votmd's shards use it as
 // their key index so wire-level SCAN can serve ordered, consistent pages.
 //
-// Layout: header [maxLevel, level, head_0 .. head_{maxLevel-1}] where level
-// is the highest tower height ever linked (searches descend from it, not
-// from maxLevel, so a small list costs a few loads rather than a full-height
-// descent); each node is [key, val, next_0 .. next_{h-1}] where h is the
-// node's tower height.
+// Layout: header [maxLevel, level, dir, mask, head_0 .. head_{maxLevel-1}]
+// where level is the highest tower height ever linked (searches descend from
+// it, not from maxLevel, so a small list costs a few loads rather than a
+// full-height descent); each node is [key, val, hnext, next_0 .. next_{h-1}]
+// where h is the node's tower height.
+//
+// A hash directory is threaded through the same nodes: dir names mask+1
+// bucket words and hnext chains a node into its key's bucket (push-front on
+// insert; a doubling, NewDir then GrowDir, rebuilds the chains from level 0),
+// so Get and Delete find a key in about three loads, not a tower descent.
 //
 // Towers are DETERMINISTIC: a key's height is a pure function of the key
 // (trailing one-bits of a dedicated 64-bit mix, p = 1/2 per level), not of
@@ -24,6 +29,7 @@ import (
 // byte-deterministic: the same operation sequence rebuilds the same towers.
 type SkipList struct {
 	v        view
+	heap     *stm.Heap
 	base     stm.Addr
 	maxLevel int
 }
@@ -33,12 +39,21 @@ const (
 	// list is far beyond a shard's capacity.
 	slMaxTower = 24
 
-	slKey  = 0 // node word 0: the key
-	slVal  = 1 // node word 1: the value
-	slNext = 2 // node words 2..: forward pointers, level 0 first
+	slKey   = 0 // node word 0: the key
+	slVal   = 1 // node word 1: the value
+	slHnext = 2 // node word 2: the next node in the key's bucket chain
+	slNext  = 3 // node words 3..: forward pointers, level 0 first
 
 	slHdrLevel = 1 // header word 1: current highest linked level
-	slHdrHeads = 2 // header words 2..: per-level head pointers
+	slHdrDir   = 2 // header word 2: the bucket array
+	slHdrMask  = 3 // header word 3: bucket count - 1 (a power of two - 1)
+	slHdrHeads = 4 // header words 4..: per-level head pointers
+
+	// The first directory has a bucket per slDirHeapWords free words of the
+	// view's heap (about one per small-valued key it holds), and at least
+	// slDirMin.
+	slDirHeapWords = 16
+	slDirMin       = 16
 )
 
 // slHeadRef is the internal "predecessor is the header" sentinel used while
@@ -48,7 +63,9 @@ const slHeadRef Ref = NilRef - 1
 
 // NewSkipList allocates a skip list with the given maximum tower height in
 // v. maxLevel <= 0 selects the default (16); values above the cap (24) are
-// clamped.
+// clamped. Beside the header it allocates the first directory up front: a
+// bucket word per slDirHeapWords of v's free words, at least slDirMin, so a
+// view without room for the header and slDirMin words is ErrOutOfMemory.
 func NewSkipList(v *core.View, maxLevel int) (*SkipList, error) {
 	if maxLevel <= 0 {
 		maxLevel = 16
@@ -56,22 +73,34 @@ func NewSkipList(v *core.View, maxLevel int) (*SkipList, error) {
 	if maxLevel > slMaxTower {
 		maxLevel = slMaxTower
 	}
-	base, err := v.Alloc(slHdrHeads + maxLevel)
+	buckets := slDirMin
+	for buckets*slDirHeapWords < v.Size()-v.AllocatedWords() {
+		buckets <<= 1
+	}
+	blocks, err := v.AllocBatch([]int{slHdrHeads + maxLevel, buckets}, nil)
 	if err != nil {
 		return nil, err
 	}
+	base, dir := blocks[0], blocks[1]
 	h := v.Heap()
 	h.Store(base, uint64(maxLevel))
 	h.Store(base+slHdrLevel, 1)
+	h.Store(base+slHdrDir, uint64(dir))
+	h.Store(base+slHdrMask, uint64(buckets-1))
 	for i := 0; i < maxLevel; i++ {
 		h.Store(base+slHdrHeads+stm.Addr(i), NilRef)
 	}
-	return &SkipList{v: v, base: base, maxLevel: maxLevel}, nil
+	for i := 0; i < buckets; i++ {
+		h.Store(dir+stm.Addr(i), NilRef)
+	}
+	return &SkipList{v: v, heap: h, base: base, maxLevel: maxLevel}, nil
 }
 
-// slMix is the tower-height hash. Its constants deliberately differ from
-// every other key mix in the tree (shard placement, sub-shard routing,
-// HashMap buckets) so tower heights stay independent of key placement.
+// slMix is the tower-height and bucket hash: heights take its low bits,
+// buckets its high half. Its constants deliberately differ from every other
+// key mix in the tree (shard placement, sub-shard routing, HashMap buckets),
+// so neither heights nor buckets correlate with key placement — a split
+// child's keys share subMix's low bits and must not share buckets.
 func slMix(key uint64) uint64 {
 	h := key
 	h ^= h >> 31
@@ -176,6 +205,21 @@ func (sl *SkipList) seek(tx core.Tx, key uint64) Ref {
 	return tx.Load(sl.nextWord(pred, 0))
 }
 
+// bucket is the address of key's bucket word in a directory of mask+1 words.
+func bucket(dir Ref, mask, key uint64) stm.Addr {
+	return addr(dir) + stm.Addr(slMix(key)>>32&mask)
+}
+
+// chain walks key's bucket chain and returns key's node (NilRef if absent)
+// and the word that points at it — the bucket word or a predecessor's hnext.
+func (sl *SkipList) chain(tx core.Tx, key uint64) (w stm.Addr, n Ref) {
+	w = bucket(tx.Load(sl.base+slHdrDir), tx.Load(sl.base+slHdrMask), key)
+	for n = tx.Load(w); n != NilRef && tx.Load(addr(n)+slKey) != key; n = tx.Load(w) {
+		w = addr(n) + slHnext
+	}
+	return w, n
+}
+
 // Put sets key to val. If the key is absent it links the pre-allocated
 // spare node (which MUST have been allocated with NewNode(key) — its tower
 // is sized for that key) and returns used=true; the caller must then not
@@ -188,10 +232,14 @@ func (sl *SkipList) Put(tx core.Tx, key, val uint64, spare Ref) (used bool) {
 // Swap sets key to val and reports what it displaced: if the key existed,
 // prev is its previous value (existed=true) and the entry is updated in
 // place; otherwise the pre-allocated spare node — sized by NewNode(key) for
-// this same key — is linked (used=true). The caller must not reuse spare
-// when used, and frees whatever prev referenced only after the transaction
-// commits.
+// this same key — is linked into the tower and pushed onto its bucket chain
+// (used=true). The caller must not reuse spare when used, and frees whatever
+// prev referenced only after the transaction commits.
 func (sl *SkipList) Swap(tx core.Tx, key, val uint64, spare Ref) (prev uint64, existed, used bool) {
+	// The overwrite walks the tower on purpose: through chain it measured
+	// +2.5 … +34 % on kv-scan-writers, +11 … +20 % on kv-point and -10 … -27 %
+	// on kv-durable-atomic, whose modelled flush (a Go timer sleep) runs late
+	// as the CPU idles more (EXPERIMENTS.md, "O(1) point reads").
 	var update [slMaxTower]stm.Addr
 	cand := sl.findPreds(tx, key, &update)
 	if cand != NilRef && tx.Load(addr(cand)+slKey) == key {
@@ -209,33 +257,75 @@ func (sl *SkipList) Swap(tx core.Tx, key, val uint64, spare Ref) (prev uint64, e
 	if h > sl.level(tx) {
 		tx.Store(sl.base+slHdrLevel, uint64(h))
 	}
+	b := bucket(tx.Load(sl.base+slHdrDir), tx.Load(sl.base+slHdrMask), key)
+	tx.Store(addr(spare)+slHnext, tx.Load(b))
+	tx.Store(b, spare)
 	return 0, false, true
 }
 
 // Get returns the value stored under key.
 func (sl *SkipList) Get(tx core.Tx, key uint64) (uint64, bool) {
-	n := sl.seek(tx, key)
-	if n != NilRef && tx.Load(addr(n)+slKey) == key {
+	if _, n := sl.chain(tx, key); n != NilRef {
 		return tx.Load(addr(n) + slVal), true
 	}
 	return 0, false
 }
 
-// Delete unlinks key's node at every level of its tower, returning it for
-// freeing after commit.
+// Delete unlinks key's node from its bucket chain and at every level of its
+// tower, returning it for freeing after commit.
 func (sl *SkipList) Delete(tx core.Tx, key uint64) (Ref, bool) {
-	var update [slMaxTower]stm.Addr
-	cand := sl.findPreds(tx, key, &update)
-	if cand == NilRef || tx.Load(addr(cand)+slKey) != key {
+	w, n := sl.chain(tx, key)
+	if n == NilRef {
 		return NilRef, false
 	}
+	tx.Store(w, tx.Load(addr(n)+slHnext))
+	var update [slMaxTower]stm.Addr
+	sl.findPreds(tx, key, &update)
 	h := sl.height(key)
 	for lvl := 0; lvl < h; lvl++ {
-		// Keys are unique and cand is linked at every level < h, so the
-		// recorded pointer word necessarily targets cand here.
-		tx.Store(update[lvl], tx.Load(addr(cand)+slNext+stm.Addr(lvl)))
+		// Keys are unique and n is linked at every level < h, so the
+		// recorded pointer word necessarily targets n here.
+		tx.Store(update[lvl], tx.Load(addr(n)+slNext+stm.Addr(lvl)))
 	}
-	return cand, true
+	return n, true
+}
+
+// NewDir returns the words of the directory a list of keys entries needs —
+// the bucket count doubled until it covers keys — or 0 if the current one
+// does. It reads the header outside any transaction: a hint for the caller to
+// allocate by, as it allocates nodes; GrowDir decides inside the transaction.
+func (sl *SkipList) NewDir(keys int) int {
+	b := int(sl.heap.Load(sl.base+slHdrMask)) + 1
+	if keys <= b {
+		return 0
+	}
+	for b < keys {
+		b <<= 1
+	}
+	return b
+}
+
+// GrowDir installs dir, words words sized by NewDir, as the directory and
+// rebuilds every chain from level 0, returning the array it replaced for
+// freeing after commit (used=true). If the directory is already as large (a
+// concurrent grower committed first) it changes nothing; the caller frees dir.
+func (sl *SkipList) GrowDir(tx core.Tx, dir Ref, words int) (old Ref, used bool) {
+	if uint64(words) <= tx.Load(sl.base+slHdrMask)+1 {
+		return NilRef, false
+	}
+	mask := uint64(words - 1)
+	for i := 0; i < words; i++ {
+		tx.Store(addr(dir)+stm.Addr(i), NilRef)
+	}
+	for n := sl.First(tx); n != NilRef; n = sl.Next(tx, n) {
+		b := bucket(dir, mask, tx.Load(addr(n)+slKey))
+		tx.Store(addr(n)+slHnext, tx.Load(b))
+		tx.Store(b, n)
+	}
+	old = tx.Load(sl.base + slHdrDir)
+	tx.Store(sl.base+slHdrDir, dir)
+	tx.Store(sl.base+slHdrMask, mask)
+	return old, true
 }
 
 // First returns the least-keyed node, NilRef when empty.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"votm/internal/core"
+	"votm/internal/stm"
 	"votm/internal/stmds"
 )
 
@@ -231,7 +232,7 @@ func TestSkipListOrderedIteration(t *testing.T) {
 
 // TestSkipListDeterministicLayout checks NodeWords is a pure function of
 // the key, identical across independent lists — the property whole-server
-// replay relies on.
+// replay relies on. A node is [key, val, hnext] followed by its tower.
 func TestSkipListDeterministicLayout(t *testing.T) {
 	rt, v := newView(t, core.NOrec, 2, 1<<14, 2)
 	defer rt.RegisterThread().Release()
@@ -243,10 +244,11 @@ func TestSkipListDeterministicLayout(t *testing.T) {
 		if wa != wb {
 			t.Fatalf("NodeWords(%d) differs across instances: %d vs %d", k, wa, wb)
 		}
-		if wa < 3 {
+		const header = 3
+		if wa < header+1 {
 			t.Fatalf("NodeWords(%d) = %d, below minimum node size", k, wa)
 		}
-		heights[wa-2]++
+		heights[wa-header]++
 	}
 	// Geometric(1/2) heights: roughly half the keys at height 1, and some
 	// spread above it. Loose sanity bounds, not a distribution test.
@@ -258,60 +260,239 @@ func TestSkipListDeterministicLayout(t *testing.T) {
 	}
 }
 
-// TestSkipListQuickVsModel drives a random op sequence against a Go map
-// oracle, including interleaved deletes, then verifies content and order.
-func TestSkipListQuickVsModel(t *testing.T) {
-	rt, v := newView(t, core.NOrec, 2, 1<<18, 2)
-	th := rt.RegisterThread()
-	sl := newSkipList(t, v)
+// slHarness drives a skip list the way votmd's store kernel does — a node and,
+// when NewDir asks for one, a larger directory allocated outside the
+// transaction, linked inside it, and whatever was displaced freed after the
+// commit — and holds it to a map oracle and the directory invariants
+// (CheckChains) after every step.
+type slHarness struct {
+	t         *testing.T
+	v         *core.View
+	th        *core.Thread
+	sl        *stmds.SkipList
+	model     map[uint64]uint64
+	doublings int
+}
 
-	model := map[uint64]uint64{}
+// newSLHarness builds a list whose first directory has the minimum 16 buckets
+// (a 256-word view) on a heap then grown to hold the 256 keys the tests use.
+// quota 1 runs every transaction in lock mode; more runs the STM engine.
+func newSLHarness(t *testing.T, kind core.EngineKind, quota int) *slHarness {
+	rt, v := newView(t, kind, 2, 1<<8, quota)
+	sl := newSkipList(t, v)
+	if err := v.Brk(1 << 13); err != nil {
+		t.Fatal(err)
+	}
+	return &slHarness{t: t, v: v, th: rt.RegisterThread(), sl: sl, model: map[uint64]uint64{}}
+}
+
+// put sets key through Swap (or Put), growing the directory in the same
+// transaction — before the link for odd keys, after it for even ones.
+func (h *slHarness) put(key, val uint64, swap bool) {
+	t := h.t
+	t.Helper()
+	spare, err := h.sl.NewNode(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dir stm.Addr
+	words := h.sl.NewDir(len(h.model) + 1)
+	if words > 0 {
+		if dir, err = h.v.Alloc(words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		prev, old           uint64
+		existed, used, grew bool
+	)
+	run(t, h.v, h.th, func(tx core.Tx) error {
+		grew = false
+		if words > 0 && key%2 == 1 {
+			old, grew = h.sl.GrowDir(tx, stmds.Ref(dir), words)
+		}
+		if swap {
+			prev, existed, used = h.sl.Swap(tx, key, val, spare)
+		} else {
+			used = h.sl.Put(tx, key, val, spare)
+			existed = !used
+		}
+		if words > 0 && key%2 == 0 {
+			old, grew = h.sl.GrowDir(tx, stmds.Ref(dir), words)
+		}
+		return nil
+	})
+	frees := []stm.Addr{}
+	if !used {
+		frees = append(frees, stm.Addr(spare))
+	}
+	if grew {
+		frees = append(frees, stm.Addr(old))
+		h.doublings++
+	} else if words > 0 {
+		frees = append(frees, dir)
+	}
+	if err := h.v.FreeBatch(frees); err != nil {
+		t.Fatal(err)
+	}
+	want, found := h.model[key]
+	if existed != found || used == found || (swap && found && prev != want) {
+		t.Fatalf("put(%d): existed=%v used=%v prev=%d; model holds (%d,%v)", key, existed, used, prev, want, found)
+	}
+	h.model[key] = val
+}
+
+func (h *slHarness) get(key uint64) {
+	h.t.Helper()
+	run(h.t, h.v, h.th, func(tx core.Tx) error {
+		got, ok := h.sl.Get(tx, key)
+		if want, found := h.model[key]; ok != found || got != want {
+			h.t.Fatalf("Get(%d) = (%d,%v), model (%d,%v)", key, got, ok, want, found)
+		}
+		return nil
+	})
+}
+
+func (h *slHarness) delete(key uint64) {
+	h.t.Helper()
+	var (
+		node  stmds.Ref
+		found bool
+	)
+	run(h.t, h.v, h.th, func(tx core.Tx) error {
+		node, found = h.sl.Delete(tx, key)
+		return nil
+	})
+	if _, want := h.model[key]; found != want {
+		h.t.Fatalf("Delete(%d) found=%v, model says %v", key, found, want)
+	}
+	if found {
+		if err := h.sl.FreeNode(node); err != nil {
+			h.t.Fatal(err)
+		}
+		delete(h.model, key)
+	}
+}
+
+// seek checks that Seek(from) lands on the model's least key >= from.
+func (h *slHarness) seek(from uint64) {
+	h.t.Helper()
+	want, ok := uint64(0), false
+	for k := range h.model {
+		if k >= from && (!ok || k < want) {
+			want, ok = k, true
+		}
+	}
+	run(h.t, h.v, h.th, func(tx core.Tx) error {
+		n := h.sl.Seek(tx, from)
+		if (n != stmds.NilRef) != ok || (ok && h.sl.NodeKey(tx, n) != want) {
+			h.t.Fatalf("Seek(%d) = node %d; the model's least key >= it is (%d,%v)", from, n, want, ok)
+		}
+		return nil
+	})
+}
+
+// check holds the directory to the level-0 list, and the list to the model.
+func (h *slHarness) check() {
+	h.t.Helper()
+	run(h.t, h.v, h.th, func(tx core.Tx) error {
+		if err := h.sl.CheckChains(tx); err != nil {
+			h.t.Fatal(err)
+		}
+		if n := h.sl.Len(tx); n != len(h.model) {
+			h.t.Fatalf("Len = %d, model holds %d", n, len(h.model))
+		}
+		if b := h.sl.Buckets(tx); len(h.model) > b {
+			h.t.Fatalf("%d keys in %d buckets: a put did not grow the directory", len(h.model), b)
+		}
+		return nil
+	})
+}
+
+// TestSkipListQuickVsModel drives a random op sequence against a Go map
+// oracle, including interleaved deletes, across four doublings of the
+// directory (16 to 256 buckets), checking the chains after every step, then
+// verifies content and order.
+func TestSkipListQuickVsModel(t *testing.T) {
+	h := newSLHarness(t, core.NOrec, 2)
 	rng := rand.New(rand.NewSource(88))
 	for i := 0; i < 2000; i++ {
 		key := uint64(rng.Intn(256))
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0, 1:
-			val := uint64(i)
-			slPut(t, v, th, sl, key, val)
-			model[key] = val
+			h.put(key, uint64(i), rng.Intn(2) == 0)
+		case 2:
+			h.get(key)
 		default:
-			var (
-				node  stmds.Ref
-				found bool
-			)
-			run(t, v, th, func(tx core.Tx) error {
-				node, found = sl.Delete(tx, key)
-				return nil
-			})
-			if _, want := model[key]; found != want {
-				t.Fatalf("Delete(%d) found=%v, model says %v", key, found, want)
-			}
-			if found {
-				if err := sl.FreeNode(node); err != nil {
-					t.Fatal(err)
-				}
-				delete(model, key)
-			}
+			h.delete(key)
 		}
+		h.check()
 	}
-	run(t, v, th, func(tx core.Tx) error {
+	if h.doublings < 3 {
+		t.Errorf("the directory doubled %d times, want >= 3", h.doublings)
+	}
+	run(t, h.v, h.th, func(tx core.Tx) error {
 		var prev uint64
 		first := true
 		count := 0
-		sl.ForEach(tx, func(k, val uint64) {
+		h.sl.ForEach(tx, func(k, val uint64) {
 			if !first && k <= prev {
 				t.Errorf("order broken: %d after %d", k, prev)
 			}
 			first, prev = false, k
 			count++
-			if want, ok := model[k]; !ok || val != want {
+			if want, ok := h.model[k]; !ok || val != want {
 				t.Errorf("key %d = %d, model (%d,%v)", k, val, want, ok)
 			}
 		})
-		if count != len(model) {
-			t.Errorf("list holds %d keys, model %d", count, len(model))
+		if count != len(h.model) {
+			t.Errorf("list holds %d keys, model %d", count, len(h.model))
 		}
 		return nil
+	})
+}
+
+// FuzzSkipList runs an op program — Put, Swap, Get, Delete and Seek over 256
+// keys, so the directory doubles from 16 buckets up to 256 — against the map
+// oracle, with CheckChains after every op. The first byte picks lock mode or
+// NOrec.
+func FuzzSkipList(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 5, 1, 5, 2, 5, 3, 5, 4, 0})
+	grow := []byte{0}
+	for k := 0; k < 200; k++ {
+		grow = append(grow, byte(k%2), byte(k))
+	}
+	for k := 0; k < 200; k += 3 {
+		grow = append(grow, 3, byte(k), 2, byte(k+1), 4, byte(k))
+	}
+	f.Add(grow)
+	f.Add(append([]byte{1}, grow[1:]...))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		quota := 1
+		if prog[0]%2 == 1 {
+			quota = 2
+		}
+		h := newSLHarness(t, core.NOrec, quota)
+		for i := 1; i+1 < len(prog); i += 2 {
+			key := uint64(prog[i+1])
+			switch prog[i] % 5 {
+			case 0:
+				h.put(key, uint64(i), false)
+			case 1:
+				h.put(key, uint64(i), true)
+			case 2:
+				h.get(key)
+			case 3:
+				h.delete(key)
+			case 4:
+				h.seek(key)
+			}
+			h.check()
+		}
 	})
 }
 
