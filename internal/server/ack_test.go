@@ -46,9 +46,10 @@ func newHeldFlush(t *testing.T, cfg Config) *heldFlush {
 	return h
 }
 
-func pointReq(op wire.Op, id uint32, key uint64, val string) *wire.Request {
-	req := wire.NewRequest()
-	req.Op, req.ID, req.Key, req.Value = op, id, key, append(req.Value[:0], val...)
+// pointReq builds a point request from c's stock.
+func (c *conn) pointReq(op wire.Op, id uint32, key uint64, val string) *wire.Request {
+	req := c.testReq(op, id)
+	req.Key, req.Value = key, []byte(val)
 	return req
 }
 
@@ -58,7 +59,7 @@ func (h *heldFlush) putExecuted(t *testing.T, c *conn, shard int, id uint32, key
 	t.Helper()
 	sh := h.shards[shard]
 	appends := sh.walAppends.Load()
-	c.dispatch(pointReq(wire.OpPut, id, key, val))
+	c.dispatch(c.pointReq(wire.OpPut, id, key, val))
 	for deadline := time.Now().Add(5 * time.Second); sh.walAppends.Load() == appends; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("PUT %d did not execute while an earlier flush was held", id)
@@ -103,12 +104,12 @@ func TestGetServesUnflushedWrites(t *testing.T) {
 	h := newHeldFlush(t, Config{})
 	key := h.keys[1][0]
 	h.armed.Store(true)
-	h.c.dispatch(pointReq(wire.OpPut, 1, key, "unflushed"))
+	h.c.dispatch(h.c.pointReq(wire.OpPut, 1, key, "unflushed"))
 	<-h.holding
 
 	other := newTestConn(h.s, 4)
-	other.dispatch(pointReq(wire.OpGet, 2, key, ""))
-	other.dispatch(atomicReq(3, wire.Sub{Kind: wire.SubGet, Key: key}))
+	other.dispatch(other.pointReq(wire.OpGet, 2, key, ""))
+	other.dispatch(other.atomicReq(3, wire.Sub{Kind: wire.SubGet, Key: key}))
 	got := collect(t, other, 2)
 	if r := got[2]; r.status != wire.StatusOK || string(r.value) != "unflushed" {
 		t.Errorf("GET beside an unflushed PUT: %v %q", r.status, r.value)
@@ -120,7 +121,7 @@ func TestGetServesUnflushedWrites(t *testing.T) {
 	// Round k's share on shard 1 sits behind the held flush: k is in doubt.
 	h.c.dispatch(h.spanningReq(4, 1, []byte("in doubt")))
 	h.waitRounds(t, 1) // its task set is closed: the read below is a round of its own
-	other.dispatch(atomicReq(5, wire.Sub{Kind: wire.SubGet, Key: h.keys[0][1]}, wire.Sub{Kind: wire.SubGet, Key: h.keys[1][1]}))
+	other.dispatch(other.atomicReq(5, wire.Sub{Kind: wire.SubGet, Key: h.keys[0][1]}, wire.Sub{Kind: wire.SubGet, Key: h.keys[1][1]}))
 	if r := collect(t, other, 1)[5]; r.status != wire.StatusOK || len(r.subs) != 2 ||
 		string(r.subs[0].Value) != "in doubt" || string(r.subs[1].Value) != "in doubt" {
 		t.Errorf("read-only spanning ATOMIC behind a round in doubt: %v %+v", r.status, r.subs)
@@ -160,7 +161,7 @@ func TestCoordinatorNeverWaitsOnFlush(t *testing.T) {
 	}
 	other := newTestConn(h.s, 4)
 	readable := func(id uint32, j int) bool {
-		other.dispatch(pointReq(wire.OpGet, id, h.keys[2][j], ""))
+		other.dispatch(other.pointReq(wire.OpGet, id, h.keys[2][j], ""))
 		return collect(t, other, 1)[id].status == wire.StatusOK
 	}
 
@@ -195,7 +196,7 @@ func TestCoordinatorNeverWaitsOnFlush(t *testing.T) {
 			if r.ID != want || r.Status != wire.StatusOK || r.Next != nil {
 				t.Fatalf("answer %d (%v) arrived, want request %d OK: first round first", r.ID, r.Status, want)
 			}
-			r.Release()
+			h.c.recycle(r)
 		case <-time.After(5 * time.Second):
 			t.Fatalf("request %d never answered", want)
 		}
@@ -287,7 +288,7 @@ func TestAckListBoundsUnansweredOps(t *testing.T) {
 	}
 	for i := 0; i < sh.queue.Cap(); i++ {
 		id++
-		h.c.dispatch(pointReq(wire.OpPut, id, keys[0], "queued"))
+		h.c.dispatch(h.c.pointReq(wire.OpPut, id, keys[0], "queued"))
 	}
 	accepted := id
 	unanswered(t, h.c, "with the list full and the flush held")
@@ -300,11 +301,11 @@ func TestAckListBoundsUnansweredOps(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	const offered = 50000
 	for i := 0; i < offered; i++ {
-		flood.dispatch(pointReq(wire.OpPut, uint32(i), keys[0], val))
+		flood.dispatch(flood.pointReq(wire.OpPut, uint32(i), keys[0], val))
 		if r := <-flood.out; r.Status != wire.StatusBusy {
 			t.Fatalf("request %d past the bound: %v, want BUSY", i, r.Status)
 		} else {
-			r.Release()
+			flood.recycle(r)
 		}
 	}
 	runtime.GC()
@@ -340,7 +341,7 @@ func TestAckListBoundsUnansweredOps(t *testing.T) {
 func TestFlushFaultReleasesNothing(t *testing.T) {
 	h := newHeldFlush(t, Config{})
 	keys := h.keys[1]
-	h.c.dispatch(pointReq(wire.OpPut, 1, keys[0], "acked"))
+	h.c.dispatch(h.c.pointReq(wire.OpPut, 1, keys[0], "acked"))
 	if r := collect(t, h.c, 1)[1]; r.status != wire.StatusOK {
 		t.Fatalf("seed PUT: %v (%s)", r.status, r.value)
 	}
@@ -373,11 +374,11 @@ func TestFlushFaultReleasesNothing(t *testing.T) {
 			t.Errorf("shard %d still accepts writes after the flush failed under a round it took part in", i)
 		}
 	}
-	h.c.dispatch(pointReq(wire.OpPut, 5, keys[3], "refused"))
+	h.c.dispatch(h.c.pointReq(wire.OpPut, 5, keys[3], "refused"))
 	if r := collect(t, h.c, 1)[5]; r.status != wire.StatusTxFault {
 		t.Errorf("PUT on the read-only shard: %v, want TX_FAULT", r.status)
 	}
-	h.c.dispatch(pointReq(wire.OpGet, 6, keys[1], ""))
+	h.c.dispatch(h.c.pointReq(wire.OpGet, 6, keys[1], ""))
 	if r := collect(t, h.c, 1)[6]; r.status != wire.StatusOK || string(r.value) != "lost?" {
 		t.Errorf("GET on the read-only shard: %v %q, want the memory state", r.status, r.value)
 	}
@@ -428,7 +429,7 @@ func TestForcedShutdownLeaksNothing(t *testing.T) {
 	}
 	h := newHeldFlush(t, Config{})
 	h.armed.Store(true)
-	h.c.dispatch(pointReq(wire.OpPut, 1, h.keys[1][0], "held"))
+	h.c.dispatch(h.c.pointReq(wire.OpPut, 1, h.keys[1][0], "held"))
 	<-h.holding
 	h.c.dispatch(h.spanningReq(2, 1, []byte("in flight")))
 	h.waitRounds(t, 1)
@@ -505,9 +506,7 @@ func TestSteadyStateDurablePutAllocs(t *testing.T) {
 		if r.Status != wire.StatusOK || r.Next == nil {
 			t.Fatalf("durable group: %+v", r)
 		}
-		r.Next.Release()
-		r.Next = nil
-		r.Release()
+		c.recycle(r)
 	}
 	for i := 0; i < 32; i++ {
 		run()

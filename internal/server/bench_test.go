@@ -330,8 +330,7 @@ func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 	var nBusy int64
 	b.ResetTimer()
 	go func() {
-		resp := wire.NewResponse()
-		defer resp.Release()
+		resp := &wire.Response{}
 		done := 0
 		for i := 0; i < b.N; i++ {
 			if err := wire.ReadResponseReuse(br, resp); err != nil {

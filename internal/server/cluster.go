@@ -434,86 +434,67 @@ func (cn *clusterNode) stopSenders() {
 }
 
 // dispatch intercepts cluster opcodes and gates data ops by role; it
-// returns true when the request was fully handled here. Runs on the
-// connection read goroutine, before validate — cluster frames carry WAL
-// payloads, not client values.
-func (cn *clusterNode) dispatch(c *conn, req *wire.Request) bool {
+// returns true when the request was fully handled here, answered in resp.
+// Runs on the connection read goroutine, before validate — cluster frames
+// carry WAL payloads, not client values.
+func (cn *clusterNode) dispatch(c *conn, req *wire.Request, resp *wire.Response) bool {
 	s := cn.s
-	reject := func(status wire.Status, detail string) {
-		resp := wire.NewResponse()
-		resp.Op, resp.ID, resp.Status = req.Op, req.ID, status
-		if detail != "" {
-			resp.SetDetail(detail)
-		}
-		req.Release()
-		c.send(resp)
-	}
 	wrongShard := func(epoch uint64) {
-		resp := wire.NewResponse()
-		resp.Op, resp.ID, resp.Status = req.Op, req.ID, wire.StatusWrongShard
 		resp.Value = wire.WrongShardDetail(resp.Value[:0], epoch)
-		req.Release()
-		c.send(resp)
+		c.reply(req, resp, wire.StatusWrongShard, "")
 	}
 
 	switch req.Op {
 	case wire.OpShardMapGet, wire.OpShardMapJoin, wire.OpShardMapUpdate:
 		if cn.svc == nil {
-			reject(wire.StatusBadRequest, "not the shard-map seed")
+			c.reply(req, resp, wire.StatusBadRequest, "not the shard-map seed")
 			return true
 		}
-		resp := wire.NewResponse()
-		resp.Op, resp.ID = req.Op, req.ID
 		cluster.HandleMapOp(cn.svc, req, resp)
-		req.Release()
-		c.send(resp)
+		c.reply(req, resp, resp.Status, "")
 		return true
 	case wire.OpShardMapWatch:
 		if cn.svc == nil {
-			reject(wire.StatusBadRequest, "not the shard-map seed")
+			c.reply(req, resp, wire.StatusBadRequest, "not the shard-map seed")
 			return true
 		}
-		// The long-poll must not stall the read loop; it is tracked by the
-		// connection's pending count (so the out channel outlives it) but
-		// NOT by reqWG — a graceful drain closes the service, which answers
-		// these immediately with StatusShutdown.
-		c.pending.Add(1)
+		// The long-poll must not stall the read loop. It is charged to the
+		// connection like a queued request, so the connection's drain
+		// registration outlives it; the drain does not wait out WatchWait, as
+		// Shutdown first closes the service, answering every watch SHUTDOWN.
+		c.charge()
 		go func() {
-			defer c.pending.Done()
-			resp := wire.NewResponse()
-			resp.Op, resp.ID = req.Op, req.ID
 			cluster.HandleMapOp(cn.svc, req, resp)
-			req.Release()
-			c.send(resp)
+			s.finish(task{req: req, resp: resp, c: c})
 		}()
 		return true
 	case wire.OpReplicate, wire.OpHandoff:
 		if int(req.Shard) >= len(s.shards) {
-			reject(wire.StatusBadRequest, fmt.Sprintf("shard %d out of range", req.Shard))
+			c.reply(req, resp, wire.StatusBadRequest, fmt.Sprintf("shard %d out of range", req.Shard))
 			return true
 		}
 		sh := cn.shardFor(int(req.Shard))
-		if !s.beginReq() {
-			reject(wire.StatusShutdown, "server draining")
+		if s.draining.Load() {
+			c.reply(req, resp, wire.StatusShutdown, "server draining")
 			return true
 		}
 		// Replication and handoff streams bypass the adaptive admission gate
 		// (shedding them would stall followers, not shorten client tails);
 		// only a genuinely full queue pushes back.
-		c.pending.Add(1)
-		if sh.queue.TryPush(task{req: req, c: c}) {
+		c.charge()
+		t := task{req: req, resp: resp, c: c}
+		if sh.queue.TryPush(t) {
 			sh.noteDepth(uint64(sh.queue.Len()), s.hwWin.Load())
 		} else {
 			sh.ringFull.Add(1)
-			c.pending.Done()
-			s.reqWG.Done()
-			reject(wire.StatusBusy, "")
+			resp.Status = wire.StatusBusy
+			s.finish(t)
 		}
 		return true
 	case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpCAS:
 		st := cn.states[s.Shard(req.Key)]
 		if st.moving.Load() {
-			reject(wire.StatusBusy, "shard handoff in progress")
+			c.reply(req, resp, wire.StatusBusy, "shard handoff in progress")
 			return true
 		}
 		if clusterRole(st.role.Load()) != roleLeader {
@@ -529,7 +510,7 @@ func (cn *clusterNode) dispatch(c *conn, req *wire.Request) bool {
 		for _, sub := range req.Subs {
 			st := cn.states[s.Shard(sub.Key)]
 			if st.moving.Load() {
-				reject(wire.StatusBusy, "shard handoff in progress")
+				c.reply(req, resp, wire.StatusBusy, "shard handoff in progress")
 				return true
 			}
 			if clusterRole(st.role.Load()) != roleLeader {
@@ -548,7 +529,7 @@ func (cn *clusterNode) dispatch(c *conn, req *wire.Request) bool {
 		// leading all of them (a single-node cluster, or before any handoff).
 		for _, st := range cn.states {
 			if st.moving.Load() {
-				reject(wire.StatusBusy, "shard handoff in progress")
+				c.reply(req, resp, wire.StatusBusy, "shard handoff in progress")
 				return true
 			}
 			if clusterRole(st.role.Load()) != roleLeader {

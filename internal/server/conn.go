@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"votm/wire"
 )
@@ -20,18 +21,93 @@ import (
 // onto out, and a write goroutine flushes them — so responses complete out of
 // order and the connection pipelines.
 //
-// Requests and responses are pooled (wire.NewRequest/NewResponse) with
-// release-after-write ownership: a dispatched request belongs to its
-// executor, which releases it after answering; a response handed to send
-// belongs to the write loop, which releases it after encoding.
+// Between decode and encode a request touches only its connection's memory
+// (docs/ALGORITHMS.md, "Request lifecycle"): the connection holds the drain
+// registration, pending is charged in blocks and discharged per answered
+// chain, and the reader takes requests and responses from the connection's
+// free lists, which the executors and the writer give them back to.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	out chan *wire.Response
-	// pending counts dispatched-but-unanswered requests; the out channel is
-	// closed only after the read loop has exited AND pending drained, so a
-	// graceful drain never loses an in-flight response.
+	// pending counts dispatched-but-unanswered requests plus the reader's
+	// unused credits; out is closed only after the reader has exited,
+	// returned its credits and pending drained, so a graceful drain never
+	// loses an in-flight response.
 	pending sync.WaitGroup
+	credits int // the reader's: pending charged but not yet used
+
+	reqs  freeList[wire.Request]
+	resps freeList[wire.Response]
+}
+
+// freeList is one connection's idle requests or responses, at most stockMax
+// at each end. The reader takes from own without a lock and, once own runs
+// dry, swaps it for shared, where executors and the writer put back under mu
+// — one critical section per answered chain or per write.
+type freeList[T any] struct {
+	own    []*T
+	mu     sync.Mutex
+	shared []*T
+}
+
+func (l *freeList[T]) take() *T {
+	if len(l.own) == 0 {
+		l.mu.Lock()
+		l.own, l.shared = l.shared, l.own
+		l.mu.Unlock()
+		if len(l.own) == 0 {
+			return new(T)
+		}
+	}
+	n := len(l.own) - 1
+	x := l.own[n]
+	l.own[n], l.own = nil, l.own[:n]
+	return x
+}
+
+// put returns x to the shared end; the caller holds mu.
+func (l *freeList[T]) put(x *T) {
+	if len(l.shared) < stockMax {
+		l.shared = append(l.shared, x)
+	}
+}
+
+// reqFits reports whether req may be kept. Its frame buffer is as long as the
+// largest frame ever read into it and the check follows every use, so bounding
+// what the last frame decoded to, framing included, bounds the buffer.
+func reqFits(req *wire.Request) bool {
+	n := 64 + len(req.Value) + len(req.OldValue) + cap(req.Subs)*int(unsafe.Sizeof(wire.Sub{}))
+	for i := range req.Subs {
+		n += len(req.Subs[i].Value)
+	}
+	return n <= retainMax
+}
+
+// clearResponse readies r for reuse, keeping its Value, Subs and Entries
+// arrays, or reports false, leaving r alone, when they hold more than
+// retainMax bytes. Server-built responses carry no decode frame.
+func clearResponse(r *wire.Response) bool {
+	if cap(r.Value)+cap(r.Subs)*int(unsafe.Sizeof(wire.SubResult{}))+cap(r.Entries)*int(unsafe.Sizeof(wire.ScanEntry{})) > retainMax {
+		return false
+	}
+	clear(r.Subs)
+	clear(r.Entries) // drop value aliases
+	r.Op, r.ID, r.Status, r.Created, r.More, r.Cursor = 0, 0, 0, false, false, 0
+	r.Value, r.Subs, r.Entries, r.Stats = r.Value[:0], r.Subs[:0], r.Entries[:0], nil
+	r.Map, r.Next = wire.ShardMap{}, nil
+	return true
+}
+
+// giveResps returns one write's responses, cleared, in one critical section.
+func (c *conn) giveResps(rs []*wire.Response) {
+	c.resps.mu.Lock()
+	for _, r := range rs {
+		if clearResponse(r) {
+			c.resps.put(r)
+		}
+	}
+	c.resps.mu.Unlock()
 }
 
 func (s *Server) serveConn(nc net.Conn) {
@@ -44,10 +120,30 @@ func (s *Server) serveConn(nc net.Conn) {
 
 	c.readLoop()
 
-	c.pending.Wait()
+	c.hangUp()
 	close(c.out)
 	<-writerDone
 	_ = nc.Close()
+}
+
+// hangUp ends the reader's side: it returns the unused credits, waits until
+// every request the reader dispatched has been answered, and gives the
+// connection's drain registration back.
+func (c *conn) hangUp() {
+	c.pending.Add(-c.credits)
+	c.credits = 0
+	c.pending.Wait()
+	c.srv.reqWG.Done()
+}
+
+// charge counts one request into pending before it leaves the reader, taking
+// credits pendingBlock at a time: one atomic per block, not per request.
+func (c *conn) charge() {
+	if c.credits == 0 {
+		c.credits = pendingBlock
+		c.pending.Add(pendingBlock)
+	}
+	c.credits--
 }
 
 // send queues a response for the writer, transferring ownership. It may
@@ -55,12 +151,20 @@ func (s *Server) serveConn(nc net.Conn) {
 // until it is closed, so the send cannot deadlock.
 func (c *conn) send(r *wire.Response) { c.out <- r }
 
+// reply answers req inline with status and detail, if any; it settles like
+// an executor's answer.
+func (c *conn) reply(req *wire.Request, resp *wire.Response, status wire.Status, detail string) {
+	resp.Status = status
+	if detail != "" {
+		resp.SetDetail(detail)
+	}
+	c.charge()
+	c.srv.finish(task{req: req, resp: resp, c: c})
+}
+
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, readBufSize)
 	for {
-		if c.srv.draining.Load() {
-			return
-		}
 		// Re-arm the idle deadline only when the next read can actually
 		// block on the socket. A pipelined burst is served straight out of
 		// the bufio buffer — paying a runtime timer update per frame there
@@ -71,14 +175,19 @@ func (c *conn) readLoop() {
 		if br.Buffered() == 0 {
 			_ = c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
 		}
-		req := wire.NewRequest()
+		// Checked after the arm: Shutdown stores draining before it sets every
+		// deadline to now, so a re-arm that lands after that wake-up is seen
+		// here instead of sleeping out IdleTimeout in the read below.
+		if c.srv.draining.Load() {
+			return
+		}
+		req := c.reqs.take()
 		if err := wire.ReadRequestReuse(br, req); err != nil {
-			req.Release()
 			if errors.Is(err, wire.ErrProtocol) {
 				// The stream is unframed from here on: answer once with the
 				// reserved OpError/ID-0 frame — which no pipelined request
 				// can be demuxed onto — and hang up (docs/PROTOCOL.md).
-				resp := wire.NewResponse()
+				resp := c.resps.take()
 				resp.Op, resp.Status = wire.OpError, wire.StatusBadRequest
 				resp.SetDetail(err.Error())
 				c.send(resp)
@@ -93,29 +202,20 @@ func (c *conn) readLoop() {
 
 // dispatch validates req and routes it: control ops answer inline, data ops
 // go to their executor's bounded queue (full queue => StatusBusy, draining
-// server => StatusShutdown). Inline paths release req here; a dispatched
-// req is released by its executor.
+// server => StatusShutdown). A dispatched task carries req and its response
+// to the executor, which answers it.
 func (c *conn) dispatch(req *wire.Request) {
 	s := c.srv
-	// reject answers req inline and retires it.
-	reject := func(status wire.Status, detail string) {
-		resp := wire.NewResponse()
-		resp.Op, resp.ID, resp.Status = req.Op, req.ID, status
-		if detail != "" {
-			resp.SetDetail(detail)
-		}
-		req.Release()
-		c.send(resp)
-	}
+	resp := c.resps.take()
+	resp.Op, resp.ID = req.Op, req.ID
 
 	switch req.Op {
 	case wire.OpPing:
-		reject(wire.StatusOK, "")
+		c.reply(req, resp, wire.StatusOK, "")
 		return
 	case wire.OpStats:
-		resp := s.statsResponse(req)
-		req.Release()
-		c.send(resp)
+		s.statsResponse(req.Shard, resp)
+		c.reply(req, resp, resp.Status, "")
 		return
 	}
 
@@ -123,7 +223,7 @@ func (c *conn) dispatch(req *wire.Request) {
 		// Cluster mode: map ops answer here, replication/handoff streams
 		// queue to their shard, and data ops gate on this node's role
 		// (WRONG_SHARD redirect / handoff BUSY) before normal dispatch.
-		if s.cluster.dispatch(c, req) {
+		if s.cluster.dispatch(c, req, resp) {
 			return
 		}
 	} else {
@@ -131,21 +231,21 @@ func (c *conn) dispatch(req *wire.Request) {
 		case wire.OpShardMapGet, wire.OpShardMapWatch, wire.OpShardMapJoin,
 			wire.OpShardMapUpdate, wire.OpReplicate, wire.OpHandoff:
 			// Typed refusal: these would otherwise be misrouted as data ops.
-			reject(wire.StatusBadRequest, "not a cluster member")
+			c.reply(req, resp, wire.StatusBadRequest, "not a cluster member")
 			return
 		}
 	}
 
 	if status, msg := c.validate(req); status != wire.StatusOK {
-		reject(status, msg)
+		c.reply(req, resp, status, msg)
 		return
 	}
 
-	if !s.beginReq() {
-		reject(wire.StatusShutdown, "server draining")
+	if s.draining.Load() {
+		c.reply(req, resp, wire.StatusShutdown, "server draining")
 		return
 	}
-	c.pending.Add(1)
+	c.charge()
 
 	// The one plan. sh is the ring the task is queued on: the key's owner, or
 	// the single participant of an ATOMIC, which joins that shard's group
@@ -154,7 +254,7 @@ func (c *conn) dispatch(req *wire.Request) {
 	// all — and goes straight to the round coordinator (round.go): it never
 	// enters a ring. Nothing re-plans after this; a plan a split made stale
 	// is caught by the executors' in-transaction route check (BUSY).
-	t := task{req: req, c: c}
+	t := task{req: req, resp: resp, c: c}
 	var sh *shard
 	switch req.Op {
 	case wire.OpAtomic:
@@ -172,9 +272,8 @@ func (c *conn) dispatch(req *wire.Request) {
 		if t.batch != nil {
 			s.releaseBatch(t.batch)
 		}
-		c.pending.Done()
-		s.reqWG.Done()
-		reject(wire.StatusBusy, "")
+		resp.Status = wire.StatusBusy
+		s.finish(t)
 	}
 	switch {
 	case sh == nil:
@@ -258,42 +357,35 @@ func respSizeHint(r *wire.Response) int {
 // long are encoded into a second retained buffer and the two are written as
 // a writev (net.Buffers) — one syscall, no copying large payloads into the
 // coalescing buffer. Responses already complete out of order on a pipelined
-// connection, so the small-before-big write order is unobservable.
+// connection, so the small-before-big write order is unobservable. The
+// responses of one write go back to the connection together once it is done.
 func (c *conn) writeLoop(done chan struct{}) {
 	defer close(done)
 	threshold := writeBufSize
 	small := make([]byte, 0, threshold) // coalesced sub-threshold frames
 	var big []byte                      // large frames for the writev path
+	var sent []*wire.Response           // this write's responses
 	failed := false
 	for r := range c.out {
-		if failed {
-			for r != nil { // keep draining so senders never block forever
-				next := r.Next
-				r.Next = nil
-				r.Release()
-				r = next
-			}
-			continue
-		}
-		small, big = small[:0], big[:0]
+		small, big, sent = small[:0], big[:0], sent[:0]
 		// encode consumes r and any responses chained behind it (a group
 		// worker hands a whole group's responses over as one chain — one
-		// channel hand-off instead of one per response).
+		// channel hand-off instead of one per response). Once the stream has
+		// failed it only collects them: out is drained until it is closed, so
+		// senders never block forever.
 		encode := func(r *wire.Response) {
-			for r != nil {
-				next := r.Next
-				r.Next = nil
+			for ; r != nil; r = r.Next {
+				sent = append(sent, r)
+				if failed {
+					continue
+				}
 				var err error
 				if respSizeHint(r) >= threshold {
 					big, err = wire.AppendResponse(big, r)
 				} else {
 					small, err = wire.AppendResponse(small, r)
 				}
-				r.Release()
-				if err != nil {
-					failed = true // unencodable response: the stream cannot continue
-				}
-				r = next
+				failed = err != nil // unencodable response: the stream cannot continue
 			}
 		}
 		encode(r)
@@ -309,22 +401,21 @@ func (c *conn) writeLoop(done chan struct{}) {
 				break fill
 			}
 		}
-		if failed {
-			continue
+		if !failed {
+			_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+			var err error
+			switch {
+			case len(big) == 0:
+				_, err = c.nc.Write(small)
+			case len(small) == 0:
+				_, err = c.nc.Write(big)
+			default:
+				bufs := net.Buffers{small, big}
+				_, err = bufs.WriteTo(c.nc)
+			}
+			failed = err != nil
 		}
-		_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-		var err error
-		switch {
-		case len(big) == 0:
-			_, err = c.nc.Write(small)
-		case len(small) == 0:
-			_, err = c.nc.Write(big)
-		default:
-			bufs := net.Buffers{small, big}
-			_, err = bufs.WriteTo(c.nc)
-		}
-		if err != nil {
-			failed = true
-		}
+		c.giveResps(sent)
+		clear(sent)
 	}
 }

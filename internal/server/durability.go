@@ -458,7 +458,7 @@ func appendGroupRecords(recs []wal.Record, valBuf []byte, ops []groupOp) ([]wal.
 			}
 			continue
 		}
-		if op.resp.Status != wire.StatusOK {
+		if op.t.resp.Status != wire.StatusOK {
 			continue // NOT_FOUND / CAS_MISMATCH changed nothing
 		}
 		switch op.t.req.Op {

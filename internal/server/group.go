@@ -46,8 +46,7 @@ import (
 
 // groupOp is one member of a grouped transaction.
 type groupOp struct {
-	t    task
-	resp *wire.Response
+	t task
 	// slot is a PUT's or CAS's slot in the worker's effects (an ATOMIC
 	// member's are in its interpreter state, t.batch).
 	slot int
@@ -453,8 +452,8 @@ func (s *Server) releaseBatch(b *multiBatch) {
 	}
 }
 
-// recycleOps drops an answered group's request/response references so the
-// pools can recycle freely, and returns the emptied slice for reuse.
+// recycleOps drops an answered group's references (its requests and responses
+// are back with their connections) and returns the emptied slice for reuse.
 func (s *Server) recycleOps(ops []groupOp) []groupOp {
 	for i := range ops {
 		if b := ops[i].t.batch; b != nil {
@@ -465,13 +464,8 @@ func (s *Server) recycleOps(ops []groupOp) []groupOp {
 	return ops[:0]
 }
 
-// finish answers one task and retires its request.
-func (s *Server) finish(t task, resp *wire.Response) {
-	t.c.send(resp)
-	t.c.pending.Done()
-	s.reqWG.Done()
-	t.req.Release()
-}
+// finish answers one task.
+func (s *Server) finish(t task) { s.finishGroup([]groupOp{{t: t}}) }
 
 // txFault is a panic recovered from a transaction body (an injected fault):
 // the runtime rolled the attempt back, and the members answer TxFault.
@@ -536,17 +530,14 @@ func (s *Server) noteShardWALFault(sh *shard, err error) {
 // the committed group went on the shard's completion list (w.ops is then a
 // fresh slice) and false when every member was answered inline.
 func (w *groupWorker) runGroup() bool {
-	// Response slots and the group's ONE reservation, outside the
-	// transaction: a slot per PUT, CAS and linking ATOMIC sub, carved out in
-	// one allocator lock acquisition.
+	// The group's ONE reservation, outside the transaction: a slot per PUT,
+	// CAS and linking ATOMIC sub, carved out in one allocator lock
+	// acquisition.
 	sh, ops, fx := w.sh, w.ops, &w.fx[0]
 	readonly := true
 	for i := range ops {
 		op := &ops[i]
 		req := op.t.req
-		resp := wire.NewResponse()
-		resp.Op, resp.ID = req.Op, req.ID
-		op.resp = resp
 		switch req.Op {
 		case wire.OpGet:
 		case wire.OpPut, wire.OpCAS:
@@ -555,7 +546,7 @@ func (w *groupWorker) runGroup() bool {
 		case wire.OpAtomic:
 			b := op.t.batch
 			readonly = readonly && !b.writes()
-			b.results = resp.Subs[:0]
+			b.results = op.t.resp.Subs[:0]
 			b.want(w.self, w.fx)
 		default:
 			readonly = false
@@ -626,7 +617,7 @@ func (w *groupWorker) runGroup() bool {
 				b.err = b.exec(w.s, w.self, w.selfTx, w.fx)
 				continue
 			}
-			req, resp := op.t.req, op.resp
+			req, resp := op.t.req, op.t.resp
 			resp.Status = wire.StatusOK
 			resp.Value = resp.Value[:0]
 			resp.Created = false
@@ -698,10 +689,10 @@ func (w *groupWorker) runGroup() bool {
 		case b == nil:
 		case b.err != nil:
 			status, detail := errStatus(b.err)
-			op.resp.Status = status
-			op.resp.SetDetail(detail)
+			op.t.resp.Status = status
+			op.t.resp.SetDetail(detail)
 		default:
-			op.resp.Subs = b.results
+			op.t.resp.Subs = b.results
 		}
 	}
 
@@ -739,8 +730,8 @@ func (w *groupWorker) abortGroup(ops []groupOp, status wire.Status, detail strin
 // failGroup answers every member of a group with one failure status.
 func (s *Server) failGroup(ops []groupOp, status wire.Status, detail string) {
 	for i := range ops {
-		ops[i].resp.Status = status
-		ops[i].resp.SetDetail(detail)
+		ops[i].t.resp.Status = status
+		ops[i].t.resp.SetDetail(detail)
 	}
 	s.finishGroup(ops)
 }
@@ -748,22 +739,28 @@ func (s *Server) failGroup(ops []groupOp, status wire.Status, detail string) {
 // finishGroup answers every op of one group. Consecutive responses for the
 // same connection are chained and handed to its writer in one channel send —
 // a pipelined burst from one client costs one hand-off per group instead of
-// one per request. The sends complete before any pending.Done so a graceful
-// drain can never close an out channel with a chain still in flight.
+// one per request — and the chain settles with its connection once: its
+// requests go back in one critical section, and pending drops by the chain's
+// length after the send, so a graceful drain can never close an out channel
+// with a chain still in flight.
 func (s *Server) finishGroup(ops []groupOp) {
 	for i := 0; i < len(ops); {
 		c := ops[i].t.c
-		head, tail := ops[i].resp, ops[i].resp
+		head, tail := ops[i].t.resp, ops[i].t.resp
 		j := i + 1
 		for ; j < len(ops) && ops[j].t.c == c; j++ {
-			tail.Next = ops[j].resp
-			tail = ops[j].resp
+			tail.Next = ops[j].t.resp
+			tail = ops[j].t.resp
 		}
+		c.reqs.mu.Lock()
+		for k := i; k < j; k++ {
+			if reqFits(ops[k].t.req) {
+				c.reqs.put(ops[k].t.req)
+			}
+		}
+		c.reqs.mu.Unlock()
 		c.send(head)
-		for ; i < j; i++ {
-			c.pending.Done()
-			s.reqWG.Done()
-			ops[i].t.req.Release()
-		}
+		c.pending.Add(i - j)
+		i = j
 	}
 }

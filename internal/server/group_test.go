@@ -18,33 +18,62 @@ import (
 
 // newTestConn builds a detached conn whose out channel the test reads
 // directly — no socket, no write loop — for driving groupWorker.run with
-// hand-built batches.
+// hand-built batches. The test's goroutine is its reader: the conn takes the
+// server's drain registration as serveConn does, and hangs up once the
+// server starts draining.
 func newTestConn(s *Server, depth int) *conn {
-	return &conn{srv: s, out: make(chan *wire.Response, depth)}
+	c := &conn{srv: s, out: make(chan *wire.Response, depth)}
+	if s.beginReq() {
+		go func() {
+			for !s.draining.Load() {
+				time.Sleep(time.Millisecond)
+			}
+			c.hangUp()
+		}()
+	}
+	return c
 }
 
-// mkTask builds one dispatched task the way the connection reader would: a
-// pooled request owned by its executor, accounted in both WaitGroups.
-func mkTask(s *Server, c *conn, op wire.Op, id uint32, key uint64, val, old []byte) task {
-	req := wire.NewRequest()
-	req.Op, req.ID, req.Key = op, id, key
-	req.Value, req.OldValue = val, old
-	return queued(s, c, req)
-}
-
-// atomicReq builds a pooled ATOMIC request, as the frame decoder would; hand
-// it to conn.dispatch to go through the reader's real plan-and-queue path.
-func atomicReq(id uint32, subs ...wire.Sub) *wire.Request {
-	req := wire.NewRequest()
-	req.Op, req.ID = wire.OpAtomic, id
-	req.Subs = append(req.Subs[:0], subs...)
+// testReq takes a request from c's stock as the reader does before a decode,
+// and clears it as the decode would.
+func (c *conn) testReq(op wire.Op, id uint32) *wire.Request {
+	req := c.reqs.take()
+	*req = wire.Request{Op: op, ID: id, Subs: req.Subs[:0]}
 	return req
 }
 
-// scanReq builds a pooled SCAN page request for [lo, end) the same way.
-func scanReq(id uint32, lo, end uint64, limit uint32) *wire.Request {
-	req := wire.NewRequest()
-	req.Op, req.ID, req.Key, req.End, req.Limit = wire.OpScan, id, lo, end, limit
+// recycle gives a received chain back to c the way the write loop does.
+func (c *conn) recycle(r *wire.Response) {
+	var buf [4]*wire.Response
+	chain := buf[:0]
+	for ; r != nil; r = r.Next {
+		chain = append(chain, r)
+	}
+	c.giveResps(chain)
+}
+
+// mkTask builds one dispatched task the way the connection reader would: a
+// request and a response from the connection's stock, charged to its pending
+// count.
+func mkTask(s *Server, c *conn, op wire.Op, id uint32, key uint64, val, old []byte) task {
+	req := c.testReq(op, id)
+	req.Key, req.Value, req.OldValue = key, val, old
+	return queued(s, c, req)
+}
+
+// atomicReq builds an ATOMIC request from c's stock, as the frame decoder
+// would; hand it to c.dispatch to go through the reader's real plan-and-queue
+// path.
+func (c *conn) atomicReq(id uint32, subs ...wire.Sub) *wire.Request {
+	req := c.testReq(wire.OpAtomic, id)
+	req.Subs = append(req.Subs, subs...)
+	return req
+}
+
+// scanReq builds a SCAN page request for [lo, end) the same way.
+func (c *conn) scanReq(id uint32, lo, end uint64, limit uint32) *wire.Request {
+	req := c.testReq(wire.OpScan, id)
+	req.Key, req.End, req.Limit = lo, end, limit
 	return req
 }
 
@@ -52,9 +81,9 @@ func scanReq(id uint32, lo, end uint64, limit uint32) *wire.Request {
 // plan a reader attaches to an ATOMIC reflects the routing table as of this
 // call — for tests that hand-pick what shares a group or a round.
 func queued(s *Server, c *conn, req *wire.Request) task {
-	c.pending.Add(1)
-	s.reqWG.Add(1)
-	t := task{req: req, c: c}
+	c.charge()
+	t := task{req: req, resp: c.resps.take(), c: c}
+	t.resp.Op, t.resp.ID = req.Op, req.ID
 	if req.Op == wire.OpAtomic {
 		t.batch = s.acquireBatch(req.Subs)
 	}
@@ -63,7 +92,7 @@ func queued(s *Server, c *conn, req *wire.Request) task {
 
 // mkAtomic builds one dispatched ATOMIC batch with its plan attached.
 func mkAtomic(s *Server, c *conn, id uint32, subs ...wire.Sub) task {
-	return queued(s, c, atomicReq(id, subs...))
+	return queued(s, c, c.atomicReq(id, subs...))
 }
 
 // newTestCoordinator builds a round coordinator the test drives on its own
@@ -110,8 +139,8 @@ func (rc *roundCoordinator) idle() {
 }
 
 // collect drains n responses from the test conn, keyed by request ID. The
-// responses are copied out (status, value, created, sub-results) before
-// release so the pool can recycle them.
+// responses are copied out (status, value, created, sub-results) before they
+// go back to the conn for reuse.
 type gotResp struct {
 	status  wire.Status
 	value   []byte
@@ -127,14 +156,11 @@ func collect(t *testing.T, c *conn, n int) map[uint32]gotResp {
 		select {
 		case r := <-c.out:
 			// A group's responses for one conn arrive as a single chain.
-			for r != nil {
-				next := r.Next
-				r.Next = nil
+			for r := r; r != nil; r = r.Next {
 				out[r.ID] = gotResp{status: r.Status, value: append([]byte(nil), r.Value...), created: r.Created,
 					subs: append([]wire.SubResult(nil), r.Subs...), entries: append([]wire.ScanEntry(nil), r.Entries...)}
-				r.Release()
-				r = next
 			}
+			c.recycle(r)
 		case <-time.After(5 * time.Second):
 			t.Fatalf("only %d/%d responses arrived", len(out), n)
 		}
@@ -435,7 +461,7 @@ func TestSteadyStateGetAllocs(t *testing.T) {
 		if r.Status != wire.StatusOK || len(r.Value) != 64 {
 			t.Fatalf("get: %+v", r)
 		}
-		r.Release()
+		c.recycle(r)
 	}
 	for i := 0; i < 32; i++ {
 		run() // warm the pools, the tx descriptor and the response Value
@@ -489,7 +515,7 @@ func TestSteadyStateGetAllocsDurable(t *testing.T) {
 		if r.Status != wire.StatusOK || len(r.Value) != 64 {
 			t.Fatalf("get: %+v", r)
 		}
-		r.Release()
+		c.recycle(r)
 	}
 	for i := 0; i < 32; i++ {
 		run()
@@ -698,7 +724,7 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 	put := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubPut, Key: key, Value: []byte("payload")} }
 	add := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubAdd, Key: key, Delta: 1} }
 	spanningReq := func(id uint32, j int) *wire.Request {
-		return atomicReq(id, put(keys[0][j]), add(keys[1][j]), put(keys[2][j]))
+		return c.atomicReq(id, put(keys[0][j]), add(keys[1][j]), put(keys[2][j]))
 	}
 	spanning := func(id uint32, j int) task { return queued(s, c, spanningReq(id, j)) }
 
@@ -790,7 +816,7 @@ func TestSteadyStateAtomicAllocs(t *testing.T) {
 		if r.Status != wire.StatusOK || len(r.Subs) != 3 {
 			t.Fatalf("atomic: %+v", r)
 		}
-		r.Release()
+		c.recycle(r)
 	}
 	for i := 0; i < 32; i++ {
 		run()

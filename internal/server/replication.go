@@ -611,18 +611,17 @@ func (s *Server) moving(sh *shard) bool {
 func (w *groupWorker) runReplicate(t task) {
 	s, sh := w.s, w.sh
 	st := s.cluster.states[int(t.req.Shard)]
-	resp := wire.NewResponse()
-	resp.Op, resp.ID = t.req.Op, t.req.ID
+	resp := t.resp
 	fail := func(status wire.Status, detail string) {
 		resp.Status = status
 		resp.SetDetail(detail)
-		s.finish(t, resp)
+		s.finish(t)
 	}
 	switch {
 	case clusterRole(st.role.Load()) == roleLeader:
 		resp.Status = wire.StatusWrongShard
 		resp.Value = wire.WrongShardDetail(resp.Value[:0], st.epoch.Load())
-		s.finish(t, resp)
+		s.finish(t)
 		return
 	case sh.log == nil:
 		fail(wire.StatusBadRequest, "replication requires group durability")
@@ -634,7 +633,7 @@ func (w *groupWorker) runReplicate(t task) {
 		sh.walMu.Lock()
 		resp.Cursor = sh.log.NextSeq()
 		sh.walMu.Unlock()
-		s.finish(t, resp) // StatusOK
+		s.finish(t) // StatusOK
 		return
 	}
 
@@ -668,14 +667,14 @@ func (w *groupWorker) runReplicate(t task) {
 	// re-sync. Everything up to Cursor-1 IS durable here when the ack leaves.
 	resp.Cursor = next
 	if last == 0 {
-		s.finish(t, resp)
+		s.finish(t)
 		return
 	}
 	sh.walAppends.Add(1)
 	if appErr == nil {
 		sh.walBytes.Add(uint64(len(t.req.Value)))
 	}
-	sh.ack.add([]groupOp{{t: t, resp: resp}}, last, 0)
+	sh.ack.add([]groupOp{{t: t}}, last, 0)
 }
 
 // errStopApply ends a DecodeFrames walk early (frames past the appended
@@ -709,12 +708,11 @@ func (w *groupWorker) applyReplicatedFrames(st *clShard, b []byte, last uint64) 
 func (w *groupWorker) runHandoff(t task) {
 	s, sh := w.s, w.sh
 	st := s.cluster.states[int(t.req.Shard)]
-	resp := wire.NewResponse()
-	resp.Op, resp.ID = t.req.Op, t.req.ID
+	resp := t.resp
 	fail := func(status wire.Status, detail string) {
 		resp.Status = status
 		resp.SetDetail(detail)
-		w.s.finish(t, resp)
+		w.s.finish(t)
 	}
 	// Leadership rejects a NEW install (a stray bootstrap must not wipe a
 	// live leader) — but not the tail of one in progress: the map watch can
@@ -729,7 +727,7 @@ func (w *groupWorker) runHandoff(t task) {
 	if clusterRole(st.role.Load()) == roleLeader && (t.req.Phase == wire.HandoffBegin || !midInstall()) {
 		resp.Status = wire.StatusWrongShard
 		resp.Value = wire.WrongShardDetail(resp.Value[:0], st.epoch.Load())
-		w.s.finish(t, resp)
+		w.s.finish(t)
 		return
 	}
 	if sh.readOnly.Load() {
@@ -793,7 +791,7 @@ func (w *groupWorker) runHandoff(t task) {
 	}
 	resp.Status = wire.StatusOK
 	resp.Cursor = sh.log.NextSeq()
-	w.s.finish(t, resp)
+	w.s.finish(t)
 }
 
 // clearShard wipes one shard for a snapshot install: a held prepare, every

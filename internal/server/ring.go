@@ -5,7 +5,7 @@
 // BUSY backpressure signal — also how a full completion list, group.go,
 // reaches the client); Pop blocks until a task arrives or the queue is
 // closed AND drained. Close may not race an in-flight TryPush — the server
-// guarantees it by closing queues only after reqWG has drained (shutdown).
+// guarantees it by closing queues only after every connection hung up (reqWG).
 // The chan-based queue the ring replaced lives on in ring_test.go as the
 // differential-testing oracle.
 package server

@@ -89,7 +89,6 @@ const subRedoOverhead = 40
 // round starts) or a SCAN page (t.batch == nil).
 type roundTask struct {
 	t        task
-	resp     *wire.Response
 	hasWrite bool
 	pageErr  error // a page's verdict; a batch carries its own (multiBatch.err)
 }
@@ -251,9 +250,9 @@ func (rc *roundCoordinator) submit(t task) bool {
 }
 
 // stop ends the coordinator once every queued task is answered. The queue's
-// senders are the connection readers, each holding a reqWG count from before
-// its send until its task is answered: the caller must have seen reqWG drain
-// (with beginReq refusing), so nothing is queued and nobody can send.
+// senders are the connection readers, and a connection holds its reqWG count
+// until its reader exited and its tasks are answered: the caller must have
+// seen reqWG drain (beginReq refusing), so nothing is queued, nobody can send.
 func (rc *roundCoordinator) stop() {
 	close(rc.queue)
 	<-rc.done
@@ -359,7 +358,7 @@ func (rc *roundCoordinator) execContained(rt *roundTask, txs []votm.Tx) (err err
 	if b := rt.t.batch; b != nil {
 		return b.exec(rc.s, rc.union, txs, rc.fx)
 	}
-	return rc.runPage(rt.t.req, rt.resp, txs)
+	return rc.runPage(rt.t.req, rt.t.resp, txs)
 }
 
 // runRound executes rc.tasks — spanning ATOMIC batches and SCAN pages, one or
@@ -429,8 +428,8 @@ func (rc *roundCoordinator) runRound() {
 	rc.nPages.Add(uint64(rc.pages))
 	maxInto(&rc.largest, uint64(len(tasks)))
 
-	// Per-task setup: response and, for a batch, union-indexed ownership,
-	// write set and the slots it wants; then ONE reservation per participant.
+	// Per-task setup: a batch's union-indexed ownership, write set and the
+	// slots it wants; then ONE reservation per participant.
 	for len(rc.fx) < nu {
 		rc.fx = append(rc.fx, effects{})
 	}
@@ -440,8 +439,6 @@ func (rc *roundCoordinator) runRound() {
 	hasWrite := false
 	for ti := range tasks {
 		rt := &tasks[ti]
-		rt.resp = wire.NewResponse()
-		rt.resp.Op, rt.resp.ID = rt.t.req.Op, rt.t.req.ID
 		b := rt.t.batch
 		if b == nil {
 			continue
@@ -454,7 +451,7 @@ func (rc *roundCoordinator) runRound() {
 			}
 		}
 		hasWrite = hasWrite || rt.hasWrite
-		b.results = rt.resp.Subs[:0]
+		b.results = rt.t.resp.Subs[:0]
 		b.want(union, rc.fx)
 	}
 	for pi, p := range union {
@@ -638,7 +635,7 @@ func (rc *roundCoordinator) answer(tasks []roundTask, walErr error) {
 	s := rc.s
 	for i := range tasks {
 		rt := &tasks[i]
-		resp, b := rt.resp, rt.t.batch
+		resp, b := rt.t.resp, rt.t.batch
 		switch err := *rt.verdict(); {
 		case err != nil:
 			resp.Entries = resp.Entries[:0] // a page that faulted mid-merge
@@ -658,13 +655,13 @@ func (rc *roundCoordinator) answer(tasks []roundTask, walErr error) {
 		if b != nil {
 			s.releaseBatch(b)
 		}
-		s.finish(rt.t, resp)
+		s.finish(rt.t)
 	}
 }
 
-// reset drops the finished round's references — requests, responses and
-// interpreter state are back in their pools — and empties the per-round
-// sets, keeping every backing array.
+// reset drops the finished round's references — requests and responses are
+// back with their connections, interpreter state on the batch free list — and
+// empties the per-round sets, keeping every backing array.
 func (rc *roundCoordinator) reset() {
 	clear(rc.tasks)
 	rc.tasks = rc.tasks[:0]

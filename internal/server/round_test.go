@@ -54,7 +54,7 @@ func newRoundFixture(t testing.TB, cfg Config, perShard int) *roundFixture {
 // spanningReq builds a three-shard ATOMIC of PUTs on the j-th key of each
 // shard; spanning is the same request as a planned task.
 func (f *roundFixture) spanningReq(id uint32, j int, val []byte) *wire.Request {
-	return atomicReq(id,
+	return f.c.atomicReq(id,
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[0][j], Value: val},
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[1][j], Value: val},
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[2][j], Value: val})
@@ -106,7 +106,7 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 				if r.Status != wire.StatusOK || len(r.Subs) != 3 {
 					t.Fatalf("round of %d: %+v", k, r)
 				}
-				r.Release()
+				f.c.recycle(r)
 			}
 		}
 	}
@@ -146,7 +146,7 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	// The stalled round is a batch of DELETEs: it takes the walMus like any
 	// write but pre-allocates nothing, so the allocator figures below are
 	// still while the coordinator waits on shard 2.
-	f.c.dispatch(atomicReq(1,
+	f.c.dispatch(f.c.atomicReq(1,
 		wire.Sub{Kind: wire.SubDelete, Key: f.keys[0][0]},
 		wire.Sub{Kind: wire.SubDelete, Key: f.keys[1][0]},
 		wire.Sub{Kind: wire.SubDelete, Key: f.keys[2][0]}))
@@ -160,10 +160,10 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	free := len(f.s.batchFree)
 	// The refused batch's first participant is shard 1: that is where its
 	// rejection is metered. The refused page is metered on the least sub-shard.
-	f.c.dispatch(atomicReq(4,
+	f.c.dispatch(f.c.atomicReq(4,
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[1][3], Value: val},
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[2][3], Value: val}))
-	f.c.dispatch(scanReq(5, 0, 1<<62, 8))
+	f.c.dispatch(f.c.scanReq(5, 0, 1<<62, 8))
 	for id, r := range collect(t, f.c, 2) {
 		if r.status != wire.StatusBusy {
 			t.Fatalf("request %d against a full round queue: status %v, want BUSY", id, r.status)
@@ -215,9 +215,9 @@ func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	f.c.dispatch(f.spanningReq(1, 0, val))
 	f.waitRounds(t, 1)
 	f.c.dispatch(f.spanningReq(2, 1, val))
-	f.c.dispatch(scanReq(3, 0, 1<<62, 64))
+	f.c.dispatch(f.c.scanReq(3, 0, 1<<62, 64))
 	f.c.dispatch(f.spanningReq(4, 2, val))
-	f.c.dispatch(scanReq(5, 0, 1<<62, 64))
+	f.c.dispatch(f.c.scanReq(5, 0, 1<<62, 64))
 
 	shut := make(chan error, 1)
 	go func() {
@@ -682,7 +682,7 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 
 	c := newTestConn(s, 4)
 	words0 := sh0.view.AllocatedWords()
-	c.dispatch(atomicReq(1, put(k0), put(k1)))
+	c.dispatch(c.atomicReq(1, put(k0), put(k1)))
 	for deadline := time.Now().Add(5 * time.Second); len(s.rounds.queue) > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the coordinator never took the queued task")
@@ -726,8 +726,8 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 		t.Errorf("allocated words: shard 0 %d -> %d, shard 1 root %d -> %d: a refused batch's pre-allocations leaked", words0, a, words1, b)
 	}
 	// The retries go through the reader again: both now plan as cross-shard.
-	c.dispatch(atomicReq(3, put(k0), put(k1)))
-	c.dispatch(atomicReq(4, put(k1), put(kStay)))
+	c.dispatch(c.atomicReq(3, put(k0), put(k1)))
+	c.dispatch(c.atomicReq(4, put(k1), put(kStay)))
 	for id, r := range collect(t, c, 2) {
 		if r.status != wire.StatusOK {
 			t.Fatalf("retry %d after the split: status %v (%s)", id, r.status, r.value)
@@ -769,7 +769,7 @@ func TestRoundCarriesPages(t *testing.T) {
 		return mkAtomic(f.s, f.c, id,
 			wire.Sub{Kind: wire.SubAdd, Key: from, Delta: -d}, wire.Sub{Kind: wire.SubAdd, Key: to, Delta: d})
 	}
-	page := func(id uint32, limit uint32) task { return queued(f.s, f.c, scanReq(id, 0, 1<<62, limit)) }
+	page := func(id uint32, limit uint32) task { return queued(f.s, f.c, f.c.scanReq(id, 0, 1<<62, limit)) }
 
 	// A page-free round pauses its union only: shard 2 is left alone.
 	before := f.escalations()
@@ -868,12 +868,12 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		c := newTestConn(s, 4)
 		rc := newTestCoordinator(t, s)
 		run := func() {
-			rc.roundOf(queued(s, c, scanReq(1, 0, 1<<62, 32)))
+			rc.roundOf(queued(s, c, c.scanReq(1, 0, 1<<62, 32)))
 			r := <-c.out
 			if r.Status != wire.StatusOK || len(r.Entries) != 32 || !r.More {
 				t.Fatalf("page at %d shards: %v, %d entries, more=%v", shards, r.Status, len(r.Entries), r.More)
 			}
-			r.Release()
+			c.recycle(r)
 		}
 		for i := 0; i < 8; i++ {
 			run()

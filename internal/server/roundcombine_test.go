@@ -65,8 +65,7 @@ func TestRoundCombinesAcrossConnections(t *testing.T) {
 				defer nc.Close()
 				br := bufio.NewReader(nc)
 				rng := rand.New(rand.NewSource(int64(ci) + 1))
-				req, resp := &wire.Request{}, wire.NewResponse()
-				defer resp.Release()
+				req, resp := &wire.Request{}, &wire.Response{}
 				var buf []byte
 				for b := 0; b < bursts; b++ {
 					buf = buf[:0]

@@ -368,13 +368,11 @@ func TestScanServesUnflushedWrites(t *testing.T) {
 	t.Cleanup(unhold) // registered last: runs before the fixture's Shutdown
 
 	key := f.keys[1][0]
-	put := wire.NewRequest()
-	put.Op, put.ID, put.Key, put.Value = wire.OpPut, 1, key, append(put.Value[:0], "unflushed"...)
 	armed.Store(true)
-	f.c.dispatch(put)
+	f.c.dispatch(f.c.pointReq(wire.OpPut, 1, key, "unflushed"))
 	<-holding // committed in memory and appended; its flush is held
 
-	f.c.dispatch(scanReq(2, 0, 1<<62, 8))
+	f.c.dispatch(f.c.scanReq(2, 0, 1<<62, 8))
 	got := collect(t, f.c, 1)
 	if _, answered := got[1]; answered {
 		t.Fatal("the PUT was answered while its flush was held")

@@ -300,6 +300,13 @@ const (
 	writeBufSize = 16 << 10
 	// traceLimit caps the quota-event recorder backing STATS QuotaEvents.
 	traceLimit = 4096
+	// pendingBlock is the number of requests one conn.charge covers.
+	pendingBlock = 64
+	// stockMax bounds each end of a connection's free lists, above a client's
+	// pipelining window; an object holding a buffer past retainMax bytes (a
+	// large value, a long page or batch) is dropped instead of kept.
+	stockMax  = 256
+	retainMax = 8 << 10
 )
 
 // ErrServerDraining is returned for operations attempted after Shutdown
@@ -359,7 +366,7 @@ type Server struct {
 
 	// draining + reqMu guard the stop-the-world handshake of Shutdown:
 	// beginReq refuses once draining is set, so reqWG.Wait cannot race a
-	// late Add.
+	// late Add. reqWG counts connections until they hang up (conn.hangUp).
 	draining atomic.Bool
 	reqMu    sync.Mutex
 	reqWG    sync.WaitGroup
@@ -591,6 +598,12 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Registered before its goroutine exists, so ordered before retire's
+		// waits; a connection accepted after the drain began is closed unread.
+		if !s.beginReq() {
+			_ = nc.Close()
+			continue
+		}
 		s.connWG.Add(1)
 		go func() {
 			defer s.connWG.Done()
@@ -619,8 +632,8 @@ func (s *Server) trackConn(nc net.Conn, add bool) {
 	}
 }
 
-// beginReq registers an in-flight request; it fails once draining started,
-// so Shutdown's reqWG.Wait can never race a late Add.
+// beginReq registers a connection with the drain; it fails once draining
+// started, so Shutdown's reqWG.Wait can never race a late Add.
 func (s *Server) beginReq() bool {
 	s.reqMu.Lock()
 	defer s.reqMu.Unlock()
@@ -677,7 +690,8 @@ func (s *Server) shutdown(ctx context.Context) error {
 	// Unblock readers parked in a frame read; they observe draining and
 	// stop reading (no request is lost: anything fully read before this
 	// deadline was either dispatched — and will be answered — or rejected
-	// with a typed status).
+	// with a typed status). A reader re-arms its idle deadline before it
+	// checks draining, so none can re-arm after this wake-up unseen.
 	for nc := range s.conns {
 		_ = nc.SetReadDeadline(time.Now())
 	}
@@ -703,19 +717,19 @@ func (s *Server) shutdown(ctx context.Context) error {
 
 // retire is the waiting half of a drain, in dependency order.
 func (s *Server) retire() {
-	// All dispatched requests answered — which empties every completion
-	// list and settles every round in flight: a listed op and a round's task
-	// hold their reqWG counts — then retire the worker pools.
+	// Every connection stopped reading and was answered — which empties every
+	// completion list and settles every round in flight: a listed op and a
+	// round's task hold their connection's count — then retire the workers.
 	s.reqWG.Wait()
 	for _, sh := range s.appendSubShards(nil) {
 		sh.queue.Close()
 	}
 	s.workersWG.Wait()
 	// The round queue's senders are the connection readers, and reqWG drained
-	// above: beginReq refuses from here on and every task a reader queued is
-	// answered, so no send can race the close. Retire the coordinator, then
-	// the flushers — nothing lists anymore, and a flusher that settled the
-	// last round has returned from it once it exits.
+	// above: every reader exited and every task it queued is answered, so no
+	// send can race the close. Retire the coordinator, then the flushers —
+	// nothing lists anymore, and a flusher that settled the last round has
+	// returned from it once it exits.
 	s.rounds.stop()
 	for _, sh := range s.appendSubShards(nil) {
 		sh.ack.stop()
@@ -820,26 +834,26 @@ func (s *Server) hwWinLoop() {
 // request for wire.AllShards serves — for in-process consumers (the daemon's
 // periodic stats log, tests).
 func (s *Server) StatsAll() []wire.ShardStats {
-	return s.statsResponse(&wire.Request{Op: wire.OpStats, Shard: wire.AllShards}).Stats
+	resp := new(wire.Response)
+	s.statsResponse(wire.AllShards, resp)
+	return resp.Stats
 }
 
-// statsResponse builds an OpStats reply. It runs inline on the connection's
-// read goroutine — health and metrics must answer even when every shard
-// queue is saturated — and needs no transaction: quota/Totals come from the
-// view snapshot accessor and the key count from the shard's counter.
-func (s *Server) statsResponse(req *wire.Request) *wire.Response {
-	resp := wire.NewResponse()
-	resp.Op, resp.ID = wire.OpStats, req.ID
+// statsResponse fills resp with an OpStats reply. It runs inline on the
+// connection's read goroutine — health and metrics must answer even when every
+// shard queue is saturated — and needs no transaction: quota/Totals come from
+// the view snapshot accessor and the key count from the shard's counter.
+func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 	var sel []*shardGroup
 	switch {
-	case req.Shard == wire.AllShards:
+	case shard == wire.AllShards:
 		sel = s.shards
-	case int(req.Shard) < len(s.shards):
-		sel = s.shards[req.Shard : req.Shard+1]
+	case int(shard) < len(s.shards):
+		sel = s.shards[shard : shard+1]
 	default:
 		resp.Status = wire.StatusBadRequest
-		resp.SetDetail(fmt.Sprintf("shard %d out of range", req.Shard))
-		return resp
+		resp.SetDetail(fmt.Sprintf("shard %d out of range", shard))
+		return
 	}
 	perView := s.rec.PerView()
 	for _, g := range sel {
@@ -900,5 +914,4 @@ func (s *Server) statsResponse(req *wire.Request) *wire.Response {
 			st.FollowerAcks, st.ReplicaLagRecords = s.cluster.replStats(g.id)
 		}
 	}
-	return resp
 }

@@ -170,10 +170,12 @@ type shardGroup struct {
 
 // task is one dispatched request: planned by its connection reader (conn.go),
 // executed by a shard worker or the round coordinator, answered on the
-// originating connection. batch is an ATOMIC's interpreter state with the
-// reader's routing plan attached; nil for every other op.
+// originating connection. resp is the response the reader took for it, with
+// Op and ID set; batch is an ATOMIC's interpreter state with the reader's
+// routing plan attached, nil for every other op.
 type task struct {
 	req   *wire.Request
+	resp  *wire.Response
 	c     *conn
 	batch *multiBatch
 }

@@ -322,7 +322,7 @@ func TestAtomicCreatesKeysPastInitialHeap(t *testing.T) {
 	// Round path: the second half of every shard's keys, four spanning batches
 	// per round.
 	for j := perShard / 2; j < perShard; j++ {
-		batch = append(batch, queued(f.s, f.c, atomicReq(uint32(len(batch)+1), put(f.keys[0][j]), add(f.keys[1][j]), put(f.keys[2][j]))))
+		batch = append(batch, queued(f.s, f.c, f.c.atomicReq(uint32(len(batch)+1), put(f.keys[0][j]), add(f.keys[1][j]), put(f.keys[2][j]))))
 		if len(batch) == 4 || j == perShard-1 {
 			rc.roundOf(batch...)
 			answered("round", len(batch))
@@ -396,7 +396,7 @@ func TestIndexDirectoryGrowsOnEveryPath(t *testing.T) {
 		return wire.Sub{Kind: wire.SubPut, Key: f.keys[i][j], Value: growthValue(f.keys[i][j], 0)}
 	}
 	for j := perShard / 2; j < perShard; j++ { // rounds of four spanning ATOMICs
-		batch = append(batch, queued(f.s, f.c, atomicReq(uint32(len(batch)+1), put(0, j), put(1, j), put(2, j))))
+		batch = append(batch, queued(f.s, f.c, f.c.atomicReq(uint32(len(batch)+1), put(0, j), put(1, j), put(2, j))))
 		if len(batch) == 4 || j == perShard-1 {
 			rc.roundOf(batch...)
 			answered("round", len(batch))
@@ -600,7 +600,7 @@ func TestStoreKernelDifferential(t *testing.T) {
 					subs = append(subs, sub(f.keys[rng.Intn(3)][rng.Intn(perShard)]))
 				}
 				all = append(all, subs)
-				tasks = append(tasks, queued(f.s, f.c, atomicReq(uint32(len(tasks)+1), subs...)))
+				tasks = append(tasks, queued(f.s, f.c, f.c.atomicReq(uint32(len(tasks)+1), subs...)))
 			}
 			rc.roundOf(tasks...)
 			got := collect(t, f.c, len(tasks))

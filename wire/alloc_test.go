@@ -8,7 +8,7 @@ import (
 )
 
 // The datapath contract: once buffers have warmed up, encoding a frame into
-// a retained scratch buffer and decoding one into a pooled object allocate
+// a retained scratch buffer and decoding one into a reused object allocate
 // nothing. These guards keep the zero-allocation wire path honest — a
 // regression here silently reintroduces per-request garbage on the server's
 // hot loop.
@@ -54,8 +54,7 @@ func TestParseRequestReuseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := frame[4:] // ParseRequestReuse takes the length-stripped payload
-	req := NewRequest()
-	defer req.Release()
+	req := new(Request)
 	// Warm the Subs capacity once, then the steady state must be clean.
 	if err := ParseRequestReuse(req, payload); err != nil {
 		t.Fatal(err)
@@ -76,8 +75,7 @@ func TestParseResponseReuseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := frame[4:]
-	resp := NewResponse()
-	defer resp.Release()
+	resp := new(Response)
 	if err := ParseResponseReuse(resp, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +97,7 @@ func TestReadRequestReuseSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := NewRequest()
-	defer req.Release()
+	req := new(Request)
 	var r bytes.Reader
 	r.Reset(frame)
 	if err := ReadRequestReuse(&r, req); err != nil {
@@ -126,8 +123,7 @@ func TestReadRequestReuseSteadyState(t *testing.T) {
 func TestBorrowedDecodeDoesNotAlias(t *testing.T) {
 	f1, _ := AppendRequest(nil, &Request{Op: OpPut, ID: 1, Key: 1, Value: []byte("first-value")})
 	f2, _ := AppendRequest(nil, &Request{Op: OpPut, ID: 2, Key: 2, Value: []byte("second")})
-	req := NewRequest()
-	defer req.Release()
+	req := new(Request)
 	if err := ParseRequestReuse(req, f1[4:]); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +163,7 @@ func fillStruct(t *testing.T, v any) {
 	}
 }
 
-// TestResetClearsEveryField guards the field-by-field resets: a pooled
+// TestResetClearsEveryField guards the field-by-field resets: a reused
 // object's reset must leave nothing of its last use behind but the retained
 // buffers, so a field added to Request or Response and forgotten there fails
 // here.

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 )
 
 // Version is the protocol version byte written into every encoded frame.
@@ -426,8 +425,10 @@ const AllShards = ^uint32(0)
 // Decoded byte fields (Value, OldValue, Sub.Value) borrow the parsed
 // payload: they are sub-slices of the buffer handed to ParseRequest /
 // ParseRequestReuse and stay valid only as long as that buffer does. A
-// request obtained from NewRequest owns its frame buffer, so its borrowed
-// fields live until Release or the next ReadRequestReuse.
+// request read by ReadRequestReuse owns its frame buffer, so its borrowed
+// fields live until the next ReadRequestReuse into it: a caller that reuses
+// requests (the server keeps them per connection) must be done with every
+// borrowed slice before it reads into one again.
 type Request struct {
 	Op       Op
 	ID       uint32
@@ -457,7 +458,7 @@ type Request struct {
 	// per-phase Key/Value (see HandoffPhase).
 	Phase HandoffPhase
 
-	// frame is the retained frame-payload buffer of a pooled request
+	// frame is the retained frame-payload buffer of a reused request
 	// (ReadRequestReuse reads into it; the byte fields above borrow it).
 	frame []byte
 }
@@ -498,42 +499,21 @@ type Response struct {
 
 	// Next chains responses for batched producer→writer hand-off (a group
 	// worker sends a whole group's responses for one connection as a single
-	// chain). It is transport plumbing, never encoded, and reset on Release.
+	// chain). It is transport plumbing, never encoded, and cleared by whoever
+	// reuses the response.
 	Next *Response
 
-	frame []byte // retained frame buffer of a pooled response (ReadResponseReuse)
+	frame []byte // retained frame buffer of a reused response (ReadResponseReuse)
 }
 
 // Err returns the response's typed error, nil for StatusOK. The returned
-// error's Detail aliases r.Value; callers that outlive r (pooled responses)
+// error's Detail aliases r.Value; callers that outlive r (a reused response)
 // must copy it.
 func (r *Response) Err() error { return r.Status.Err(r.Value) }
 
 // SetDetail sets r.Value to the bytes of s, reusing r.Value's capacity —
-// the pooled-response-friendly way to attach a status detail.
+// the reuse-friendly way to attach a status detail.
 func (r *Response) SetDetail(s string) { r.Value = append(r.Value[:0], s...) }
-
-// --- object pooling ----------------------------------------------------
-
-// Request and Response objects are pooled so the steady-state server and
-// client datapaths allocate nothing per frame: a pooled object keeps its
-// frame buffer, its Value scratch and its Subs backing array across
-// recycles. Ownership is explicit — whoever holds the object calls Release
-// exactly once, after which every borrowed sub-slice is invalid.
-
-var requestPool = sync.Pool{New: func() any { return new(Request) }}
-var responsePool = sync.Pool{New: func() any { return new(Response) }}
-
-// NewRequest returns a pooled Request. Release it when the request and
-// every slice borrowed from it are no longer referenced.
-func NewRequest() *Request { return requestPool.Get().(*Request) }
-
-// Release resets r (keeping its frame and Subs capacity) and returns it to
-// the pool. r and its borrowed slices must not be used afterwards.
-func (r *Request) Release() {
-	r.reset()
-	requestPool.Put(r)
-}
 
 // reset clears every field but the retained buffers (frame, Subs capacity) one
 // by one: assigning a whole Request copies it twice (TestResetClearsEveryField).
@@ -543,17 +523,6 @@ func (r *Request) reset() {
 	r.Value, r.OldValue, r.Subs = nil, nil, r.Subs[:0]
 	r.End, r.Cursor, r.Limit, r.HasCursor = 0, 0, 0, false
 	r.Phase = 0
-}
-
-// NewResponse returns a pooled Response. Release it after encoding (the
-// server's write loop) or once its fields are no longer referenced.
-func NewResponse() *Response { return responsePool.Get().(*Response) }
-
-// Release resets r (keeping its Value and Subs capacity) and returns it to
-// the pool.
-func (r *Response) Release() {
-	r.reset()
-	responsePool.Put(r)
 }
 
 // reset is Request.reset's twin; Value and Entries keep their capacity too.
@@ -903,26 +872,6 @@ func (c *cursor) done() error {
 	return nil
 }
 
-// readFrame reads one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for clean stream end
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrProtocol, n)
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return p, nil
-}
-
 // readFrameReuse reads one length-prefixed payload into buf, growing it
 // only when the frame exceeds its capacity.
 func readFrameReuse(r io.Reader, buf []byte) ([]byte, error) {
@@ -957,21 +906,17 @@ func readFrameReuse(r io.Reader, buf []byte) ([]byte, error) {
 // ReadRequest reads and decodes one request frame. io.EOF means the peer
 // closed cleanly between frames.
 func ReadRequest(r io.Reader) (*Request, error) {
-	p, err := readFrame(r)
+	p, err := readFrameReuse(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	req := new(Request)
-	if err := req.parse(p); err != nil {
-		return nil, err
-	}
-	return req, nil
+	return ParseRequest(p)
 }
 
 // ReadRequestReuse reads one request frame into req's retained buffer and
 // parses it in place — the allocation-free server read path. req's decoded
 // fields borrow that buffer and stay valid until the next ReadRequestReuse
-// on req or req.Release.
+// on req.
 func ReadRequestReuse(r io.Reader, req *Request) error {
 	frame, err := readFrameReuse(r, req.frame)
 	req.frame = frame
@@ -1083,21 +1028,17 @@ func (req *Request) parse(p []byte) error {
 
 // ReadResponse reads and decodes one response frame.
 func ReadResponse(r io.Reader) (*Response, error) {
-	p, err := readFrame(r)
+	p, err := readFrameReuse(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp := new(Response)
-	if err := resp.parse(p); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return ParseResponse(p)
 }
 
 // ReadResponseReuse reads one response frame into resp's retained buffer
 // and parses it in place — the allocation-free client read path. resp's
 // decoded fields borrow that buffer and stay valid until the next
-// ReadResponseReuse on resp or resp.Release.
+// ReadResponseReuse on resp.
 func ReadResponseReuse(r io.Reader, resp *Response) error {
 	frame, err := readFrameReuse(r, resp.frame)
 	resp.frame = frame
