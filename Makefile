@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fuzz-skiplist fmt vet clean
+.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fuzz-skiplist fuzz-enc fmt vet clean
 
 all: build test
 
@@ -30,7 +30,7 @@ BENCH_DIR ?= .
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x \
-		./internal/stm/... ./internal/rac ./internal/memheap ./internal/stmds \
+		./internal/stm/... ./internal/rac ./internal/memheap ./internal/stmds ./enc \
 		| tee /dev/stderr | $(GO) run ./cmd/benchreport -o $(BENCH_DIR)/BENCH_engines.json
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x -short . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchreport -o $(BENCH_DIR)/BENCH_tables.json
@@ -142,6 +142,14 @@ fuzz-memheap:
 # invariants after every op. FUZZ_TIME=0x replays the corpus.
 fuzz-skiplist:
 	$(GO) test -run='^$$' -fuzz=FuzzSkipList -fuzztime=$(FUZZ_TIME) ./internal/stmds
+
+# Byte-codec fuzzing: every payload goes through a lock-mode view, whose
+# handle moves whole words as runs, and a NOrec view, word by word — across
+# the heap's chunk edge too — and both must round-trip and leave the same
+# words behind. FUZZ_TIME=0x replays the corpus.
+fuzz-enc:
+	$(GO) test -run='^$$' -fuzz=FuzzBytesRoundTrip -fuzztime=$(FUZZ_TIME) ./enc
+	$(GO) test -run='^$$' -fuzz=FuzzBlobRoundTrip -fuzztime=$(FUZZ_TIME) ./enc
 
 fmt:
 	gofmt -w .

@@ -22,12 +22,27 @@ import (
 // Words returns the number of words needed to hold n bytes.
 func Words(n int) int { return (n + 7) / 8 }
 
+// wordRuns is offered by a handle that moves a run of whole words at once —
+// a lock-mode (Q = 1) transaction's; StoreBytes and AppendBytes hand it their
+// word-aligned part. Other handles move word by word.
+type wordRuns interface {
+	AppendWords(dst []byte, a votm.Addr, n int) []byte
+	StoreWords(a votm.Addr, src []byte)
+}
+
 // StoreBytes writes data at byte offset off relative to base: whole words
 // where the offset is word-aligned, a read-modify-write for the ragged ends.
 func StoreBytes(tx votm.Tx, base votm.Addr, off int, data []byte) {
+	r, runs := tx.(wordRuns)
 	for i := 0; i < len(data); {
 		addr, byteIdx := base+votm.Addr((off+i)/8), (off+i)%8
 		if byteIdx == 0 && len(data)-i >= 8 {
+			if runs {
+				n := (len(data) - i) &^ 7
+				r.StoreWords(addr, data[i:i+n])
+				i += n
+				continue
+			}
 			tx.Store(addr, binary.LittleEndian.Uint64(data[i:]))
 			i += 8
 			continue
@@ -51,8 +66,16 @@ func LoadBytes(tx votm.Tx, base votm.Addr, off, n int) []byte {
 // when dst already has capacity (votmd's reused response buffers). Like
 // StoreBytes it moves whole words where the offset is word-aligned.
 func AppendBytes(dst []byte, tx votm.Tx, base votm.Addr, off, n int) []byte {
+	r, runs := tx.(wordRuns)
 	for i := 0; i < n; {
-		word, byteIdx := tx.Load(base+votm.Addr((off+i)/8)), (off+i)%8
+		addr, byteIdx := base+votm.Addr((off+i)/8), (off+i)%8
+		if runs && byteIdx == 0 && n-i >= 8 {
+			words := (n - i) / 8
+			dst = r.AppendWords(dst, addr, words)
+			i += 8 * words
+			continue
+		}
+		word := tx.Load(addr)
 		if byteIdx == 0 && n-i >= 8 {
 			dst = binary.LittleEndian.AppendUint64(dst, word)
 			i += 8

@@ -249,6 +249,69 @@ func TestReadOnlyLockModeStorePanics(t *testing.T) {
 	})
 }
 
+// wordRuns is the run interface package enc looks for on a handle.
+type wordRuns interface {
+	AppendWords(dst []byte, a stm.Addr, n int) []byte
+	StoreWords(a stm.Addr, src []byte)
+}
+
+// TestReadOnlyLockModeStoreWordsPanics: the read-only lock-mode handle
+// refuses a run of words as it refuses one word, before any word moves.
+func TestReadOnlyLockModeStoreWordsPanics(t *testing.T) {
+	rt := newRT(t, core.NOrec, 2)
+	v, _ := rt.CreateView(1, 16, 1) // lock mode
+	th := rt.RegisterThread()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("StoreWords in lock-mode AtomicRead did not panic")
+			}
+		}()
+		_ = v.AtomicRead(context.Background(), th, func(tx core.Tx) error {
+			r, ok := tx.(wordRuns)
+			if !ok {
+				t.Fatal("the lock-mode read handle offers no word runs")
+			}
+			r.StoreWords(0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+			return nil
+		})
+	}()
+	if got := v.Heap().Load(0); got != 0 {
+		t.Errorf("word 0 = %#x after a refused StoreWords", got)
+	}
+}
+
+// TestWordRunsOnlyOnLockHandle: only the bare lock-mode handle moves runs of
+// words; a TM transaction, its read-only wrapper and a split parent's guarded
+// lock-mode handle move word by word.
+func TestWordRunsOnlyOnLockHandle(t *testing.T) {
+	rt := newRT(t, core.NOrec, 2)
+	lock, _ := rt.CreateView(1, 256, 1)
+	tm, _ := rt.CreateView(2, 256, 2)
+	th := rt.RegisterThread()
+	offers := func(v *core.View, read bool) (ok bool) {
+		body := func(tx core.Tx) error { _, ok = tx.(wordRuns); return nil }
+		if read {
+			_ = v.AtomicRead(context.Background(), th, body)
+		} else {
+			_ = v.Atomic(context.Background(), th, body)
+		}
+		return ok
+	}
+	if !offers(lock, false) || !offers(lock, true) {
+		t.Error("the lock-mode handles offer no word runs")
+	}
+	if offers(tm, false) || offers(tm, true) {
+		t.Error("a TM handle offers word runs")
+	}
+	if _, err := lock.Split(context.Background(), 3, []core.AddrRange{{Lo: 128, Hi: 256}}, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	if offers(lock, false) {
+		t.Error("a split parent's guarded handle offers word runs")
+	}
+}
+
 func TestAtomicReadSeesCommittedState(t *testing.T) {
 	rt := newRT(t, core.NOrec, 2)
 	v, _ := rt.CreateView(1, 16, 2)

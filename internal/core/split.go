@@ -388,7 +388,7 @@ func (r *Runtime) MergeViews(ctx context.Context, dstID, srcID int) error {
 		lo := rg.Lo
 		if st != nil {
 			for _, f := range st.ranges {
-				flo, fhi := maxAddr(f.lo, rg.Lo), minAddr(f.hi, rg.Hi)
+				flo, fhi := max(f.lo, rg.Lo), min(f.hi, rg.Hi)
 				if flo >= fhi {
 					continue
 				}
@@ -476,18 +476,4 @@ func (r *Runtime) Locate(vid int, addr stm.Addr) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: forwarding chain from view %d for address %d too deep", vid, addr)
-}
-
-func maxAddr(a, b stm.Addr) stm.Addr {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minAddr(a, b stm.Addr) stm.Addr {
-	if a < b {
-		return a
-	}
-	return b
 }

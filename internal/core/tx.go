@@ -25,13 +25,29 @@ type lockTx struct {
 	readonly bool
 }
 
+// errReadOnlyStore is the panic value of a write through a read-only handle.
+const errReadOnlyStore = "votm: Store inside a read-only (AtomicRead) transaction"
+
 func (t *lockTx) Load(a stm.Addr) uint64 { return t.heap.Load(a) }
 
 func (t *lockTx) Store(a stm.Addr, v uint64) {
 	if t.readonly {
-		panic("votm: Store inside a read-only (AtomicRead) transaction")
+		panic(errReadOnlyStore)
 	}
 	t.heap.Store(a, v)
+}
+
+// AppendWords and StoreWords move a run of whole words (package enc's aligned
+// part); every wrapper and every TM engine moves word by word.
+func (t *lockTx) AppendWords(dst []byte, a stm.Addr, n int) []byte {
+	return t.heap.AppendWords(dst, a, n)
+}
+
+func (t *lockTx) StoreWords(a stm.Addr, src []byte) {
+	if t.readonly {
+		panic(errReadOnlyStore)
+	}
+	t.heap.StoreWords(a, src)
 }
 
 // roTx enforces read-only semantics over an instrumented transaction.
@@ -41,6 +57,4 @@ type roTx struct {
 
 func (t *roTx) Load(a stm.Addr) uint64 { return t.inner.Load(a) }
 
-func (t *roTx) Store(stm.Addr, uint64) {
-	panic("votm: Store inside a read-only (AtomicRead) transaction")
-}
+func (t *roTx) Store(stm.Addr, uint64) { panic(errReadOnlyStore) }

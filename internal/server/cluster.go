@@ -480,15 +480,15 @@ func (cn *clusterNode) dispatch(c *conn, req *wire.Request, resp *wire.Response)
 		}
 		// Replication and handoff streams bypass the adaptive admission gate
 		// (shedding them would stall followers, not shorten client tails);
-		// only a genuinely full queue pushes back.
+		// only a genuinely full queue pushes back. The stream keeps its place
+		// behind what this reader staged before it.
 		c.charge()
+		c.publish()
 		t := task{req: req, resp: resp, c: c}
-		if sh.queue.TryPush(t) {
-			sh.noteDepth(uint64(sh.queue.Len()), s.hwWin.Load())
+		if sh.queue.PushBatch([]task{t}) == 1 {
+			sh.noteDepth(uint64(sh.queue.Len()))
 		} else {
-			sh.ringFull.Add(1)
-			resp.Status = wire.StatusBusy
-			s.finish(t)
+			s.busy(t, &sh.ringFull)
 		}
 		return true
 	case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpCAS:

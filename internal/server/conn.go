@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -39,6 +40,19 @@ type conn struct {
 
 	reqs  freeList[wire.Request]
 	resps freeList[wire.Response]
+
+	// runs are the reader's staged ring tasks, one run per sub-shard, and
+	// more tells dispatch that the next frame is already wholly buffered, so
+	// publishing them can wait (docs/ALGORITHMS.md, "Request lifecycle").
+	runs []shardRun
+	more bool
+}
+
+// shardRun is the tasks a reader staged for one sub-shard's ring, in arrival
+// order.
+type shardRun struct {
+	sh    *shard
+	tasks []task
 }
 
 // freeList is one connection's idle requests or responses, at most stockMax
@@ -126,10 +140,11 @@ func (s *Server) serveConn(nc net.Conn) {
 	_ = nc.Close()
 }
 
-// hangUp ends the reader's side: it returns the unused credits, waits until
-// every request the reader dispatched has been answered, and gives the
-// connection's drain registration back.
+// hangUp ends the reader's side: it publishes the staged runs, returns the
+// unused credits, waits until every request the reader dispatched has been
+// answered, and gives the connection's drain registration back.
 func (c *conn) hangUp() {
+	c.publish()
 	c.pending.Add(-c.credits)
 	c.credits = 0
 	c.pending.Wait()
@@ -196,15 +211,28 @@ func (c *conn) readLoop() {
 			// drain wake-up. Either way the read side is done.
 			return
 		}
+		// more: the whole next frame is buffered, so reading it cannot block.
+		hdr, _ := br.Peek(min(4, br.Buffered()))
+		c.more = len(hdr) == 4 && 4+int(binary.LittleEndian.Uint32(hdr)) <= br.Buffered()
 		c.dispatch(req)
 	}
 }
 
-// dispatch validates req and routes it: control ops answer inline, data ops
-// go to their executor's bounded queue (full queue => StatusBusy, draining
-// server => StatusShutdown). A dispatched task carries req and its response
-// to the executor, which answers it.
+// dispatch plans req, then publishes the staged runs unless the reader has
+// said that another frame is wholly buffered.
 func (c *conn) dispatch(req *wire.Request) {
+	c.plan(req)
+	if !c.more {
+		c.publish()
+	}
+}
+
+// plan validates req and routes it: control ops answer inline, data ops go to
+// their executor's bounded queue — staged on the shard's run, or submitted to
+// the round coordinator (full queue => StatusBusy, draining server =>
+// StatusShutdown). A planned task carries req and its response to the
+// executor, which answers it.
+func (c *conn) plan(req *wire.Request) {
 	s := c.srv
 	resp := c.resps.take()
 	resp.Op, resp.ID = req.Op, req.ID
@@ -247,7 +275,7 @@ func (c *conn) dispatch(req *wire.Request) {
 	}
 	c.charge()
 
-	// The one plan. sh is the ring the task is queued on: the key's owner, or
+	// The one plan. sh is the ring the task is staged for: the key's owner, or
 	// the single participant of an ATOMIC, which joins that shard's group
 	// with its plan attached. A nil sh means the request involves several
 	// sub-shards — a spanning ATOMIC, or a SCAN page, which consults them
@@ -266,38 +294,78 @@ func (c *conn) dispatch(req *wire.Request) {
 	default:
 		sh = s.shards[s.Shard(req.Key)].route(req.Key)
 	}
-	// busy refuses the planned task before anything executed.
-	busy := func(meter *atomic.Uint64) {
-		meter.Add(1)
+	if sh != nil {
+		c.stage(sh, t)
+		return
+	}
+	// A round must not overtake what this reader planned before it.
+	c.publish()
+	if !s.rounds.submit(t) {
+		// The round queue is full. It belongs to no shard: meter an ATOMIC
+		// on its first participant, a page on the least sub-shard.
+		sh = s.leastSubShard()
 		if t.batch != nil {
-			s.releaseBatch(t.batch)
+			sh = t.batch.parts[0]
 		}
-		resp.Status = wire.StatusBusy
-		s.finish(t)
+		s.busy(t, &sh.ringFull)
 	}
-	switch {
-	case sh == nil:
-		if !s.rounds.submit(t) {
-			// The round queue is full. It belongs to no shard: meter an ATOMIC
-			// on its first participant, a page on the least sub-shard.
-			sh = s.leastSubShard()
-			if t.batch != nil {
-				sh = t.batch.parts[0]
-			}
-			busy(&sh.ringFull)
+}
+
+// busy refuses a planned task before anything executed, counting it on meter.
+func (s *Server) busy(t task, meter *atomic.Uint64) {
+	meter.Add(1)
+	if t.batch != nil {
+		s.releaseBatch(t.batch)
+	}
+	t.resp.Status = wire.StatusBusy
+	s.finish(t)
+}
+
+// stage puts t on its sub-shard's run, publishing the run once it holds a
+// full group.
+func (c *conn) stage(sh *shard, t task) {
+	i := 0
+	for i < len(c.runs) && c.runs[i].sh != sh {
+		i++
+	}
+	if i == len(c.runs) {
+		c.runs = append(c.runs, shardRun{sh: sh})
+	}
+	r := &c.runs[i]
+	r.tasks = append(r.tasks, t)
+	if len(r.tasks) >= sh.ctl.groupSize() {
+		c.publishRun(r)
+	}
+}
+
+// publish hands every staged run to its ring.
+func (c *conn) publish() {
+	for i := range c.runs {
+		if len(c.runs[i].tasks) > 0 {
+			c.publishRun(&c.runs[i])
 		}
-	case sh.queue.Len() >= sh.ctl.admitLimit():
-		// Adaptive admission gate: the queue's estimated drain time already
-		// exceeds the latency budget, so shed this arrival with BUSY now —
-		// bounding p999 — instead of letting it queue toward the hard bound.
-		busy(&sh.admissionRejects)
-	case sh.queue.TryPush(t):
-		sh.noteDepth(uint64(sh.queue.Len()), s.hwWin.Load())
-	default:
-		// Bounded in-flight queue is full: reject now instead of queueing
-		// unboundedly. The client sees a typed BUSY and decides.
-		busy(&sh.ringFull)
 	}
+}
+
+// publishRun pushes the prefix of r the shard admits and answers the rest
+// BUSY: past the adaptive gate's limit (the queue's estimated drain time
+// exceeds the latency budget — shedding now bounds p999) or past a full ring.
+func (c *conn) publishRun(r *shardRun) {
+	sh, ts := r.sh, r.tasks
+	admit := min(len(ts), max(sh.ctl.admitLimit()-sh.queue.Len(), 0))
+	n := sh.queue.PushBatch(ts[:admit])
+	if n > 0 {
+		sh.noteDepth(uint64(sh.queue.Len()))
+	}
+	for i := n; i < len(ts); i++ {
+		meter := &sh.admissionRejects
+		if i < admit {
+			meter = &sh.ringFull
+		}
+		c.srv.busy(ts[i], meter)
+	}
+	clear(ts)
+	r.tasks = ts[:0]
 }
 
 // validate applies size and shape limits a shard should never see violated.

@@ -639,31 +639,456 @@ func TestClearResponseClearsEveryField(t *testing.T) {
 	}
 }
 
-// countingSink is the write side of a connection that discards what it is
-// sent and tells how many frames each write carried.
-type countingSink struct {
-	net.Conn
-	credits chan int
+// pipeServe serves one in-memory connection on s, as Serve does after an
+// accept, and returns the client's end. The reader takes in one read all that
+// one client Write carries, so a Write is a burst.
+func pipeServe(t *testing.T, s *Server) net.Conn {
+	t.Helper()
+	cli, srv := net.Pipe()
+	if !s.beginReq() {
+		t.Fatal("server already draining")
+	}
+	go s.serveConn(srv)
+	t.Cleanup(func() { _ = cli.Close() })
+	return cli
 }
 
-func (s *countingSink) Write(p []byte) (int, error) {
+// encode appends the frames of reqs to one buffer.
+func encode(t *testing.T, reqs ...wire.Request) []byte {
+	t.Helper()
+	var buf []byte
+	for i := range reqs {
+		var err error
+		if buf, err = wire.AppendRequest(buf, &reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
+// answers reads n responses from cli, failing on a deadline or on a second
+// answer to one request.
+func answers(t *testing.T, cli net.Conn, n int) map[uint32]*wire.Response {
+	t.Helper()
+	_ = cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make(map[uint32]*wire.Response, n)
+	for len(got) < n {
+		r, err := wire.ReadResponse(cli)
+		if err != nil {
+			t.Fatalf("%d of %d answers, then: %v", len(got), n, err)
+		}
+		if _, dup := got[r.ID]; dup {
+			t.Fatalf("request %d answered twice", r.ID)
+		}
+		got[r.ID] = r
+	}
+	return got
+}
+
+// keysOn returns n keys of each of s's shards.
+func keysOn(s *Server, n int) [][]uint64 {
+	keys := make([][]uint64, len(s.shards))
+	for k, full := uint64(1), 0; full < len(keys); k++ {
+		i := s.Shard(k)
+		if keys[i] = append(keys[i], k); len(keys[i]) == n {
+			full++
+		}
+	}
+	for i := range keys {
+		keys[i] = keys[i][:n]
+	}
+	return keys
+}
+
+func put(id uint32, key uint64, val string) wire.Request {
+	return wire.Request{Op: wire.OpPut, ID: id, Key: key, Value: []byte(val)}
+}
+
+// stagingServer is the two-shard, one-worker server the staging tests share,
+// shut down with the test.
+func stagingServer(t *testing.T) *Server {
+	t.Helper()
+	s, err := New(Config{Shards: 2, WorkersPerShard: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	return s
+}
+
+// blockReader writes reqs and 256 STATS behind them to cli as one burst and
+// returns once the reader is blocked handing answers to a client that is not
+// reading (the writer holds a full buffer of them, the response channel is
+// full): whatever reqs the reader staged and has not published stays staged.
+// It returns every request written.
+func blockReader(t *testing.T, cli net.Conn, reqs []wire.Request) []wire.Request {
+	t.Helper()
+	for id, last := uint32(len(reqs)+1), uint32(len(reqs)+256); id <= last; id++ {
+		reqs = append(reqs, wire.Request{Op: wire.OpStats, ID: id, Shard: wire.AllShards})
+	}
+	burst := encode(t, reqs...)
+	go func() { _, _ = cli.Write(burst) }()
+	for deadline := time.Now().Add(5 * time.Second); serverGoroutines("[chan send", "(*conn).readLoop(") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never blocked on its answers")
+		}
+	}
+	return reqs
+}
+
+// TestStagedRunsPublishBeforeBlockingRead: a client writes k PUTs and part of
+// one more frame, then waits. The reader must publish what it staged before it
+// reads on — the buffer is not empty, but the next frame is not whole — so all
+// k answers arrive before the rest of the frame is sent.
+func TestStagedRunsPublishBeforeBlockingRead(t *testing.T) {
+	s := stagingServer(t)
+	const k = 6
+	for _, part := range []int{2, 9} { // inside the length prefix, inside the body
+		cli := pipeServe(t, s)
+		var reqs []wire.Request
+		for i := uint32(1); i <= k+1; i++ {
+			reqs = append(reqs, put(i, uint64(part)<<8|uint64(i), "v"))
+		}
+		burst := encode(t, reqs...)
+		cut := len(burst) - len(encode(t, reqs[k])) + part
+		if _, err := cli.Write(burst[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		for id, r := range answers(t, cli, k) {
+			if r.Status != wire.StatusOK {
+				t.Fatalf("cut %d bytes into the last frame: request %d answered %v", part, id, r.Status)
+			}
+		}
+		if _, err := cli.Write(burst[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		if r := answers(t, cli, 1)[k+1]; r == nil || r.Status != wire.StatusOK {
+			t.Fatalf("the straddling frame: %v", r)
+		}
+	}
+}
+
+// TestStagedRunAdmissionPrefix: a burst whose run for one shard crosses the
+// shard's admission limit has the prefix up to the limit pushed and the rest
+// answered BUSY — unexecuted, on the admission meter — while the other shard's
+// run is untouched; every request is answered exactly once.
+func TestStagedRunAdmissionPrefix(t *testing.T) {
+	s := stagingServer(t)
+	keys := keysOn(s, 8)
+	gated, other := (*s.shards[0].subs.Load())[0], (*s.shards[1].subs.Load())[0]
+	const limit = 3
+	gated.ctl.admit.Store(limit) // static controllers never republish it
+	cli := pipeServe(t, s)
+	var reqs []wire.Request
+	for i := 0; i < 8; i++ {
+		reqs = append(reqs, put(uint32(2*i+1), keys[0][i], "gated"))
+		if i < 5 {
+			reqs = append(reqs, put(uint32(2*i+2), keys[1][i], "other"))
+		}
+	}
+	if _, err := cli.Write(encode(t, reqs...)); err != nil {
+		t.Fatal(err)
+	}
+	got := answers(t, cli, len(reqs))
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	for _, req := range reqs {
+		want, onGated := wire.StatusOK, req.ID%2 == 1
+		if onGated && req.ID > 2*limit {
+			want = wire.StatusBusy
+		}
+		if st := got[req.ID].Status; st != want {
+			t.Fatalf("request %d (gated shard %v): %v, want %v", req.ID, onGated, st, want)
+		}
+		sh := other
+		if onGated {
+			sh = gated
+		}
+		if _, ok, _ := sh.testGet(context.Background(), th, req.Key); ok != (want == wire.StatusOK) {
+			t.Errorf("request %d answered %v, but its key exists: %v", req.ID, want, ok)
+		}
+	}
+	if a, r := gated.admissionRejects.Load(), gated.ringFull.Load(); a != 8-limit || r != 0 {
+		t.Errorf("gated shard metered %d admission rejects and %d ring-full, want %d and 0", a, r, 8-limit)
+	}
+	if a, r := other.admissionRejects.Load(), other.ringFull.Load(); a != 0 || r != 0 {
+		t.Errorf("the other shard metered %d admission rejects and %d ring-full", a, r)
+	}
+}
+
+// TestStagedRunsAnsweredOnReaderExit: however the reader leaves in the
+// middle of a burst, every request it staged is published and answered.
+func TestStagedRunsAnsweredOnReaderExit(t *testing.T) {
+	puts := func(n int) (reqs []wire.Request) {
+		for i := uint32(1); i <= uint32(n); i++ {
+			reqs = append(reqs, put(i, uint64(i), "staged"))
+		}
+		return reqs
+	}
+	allOK := func(t *testing.T, got map[uint32]*wire.Response, n int) {
+		for id := uint32(1); id <= uint32(n); id++ {
+			if r := got[id]; r == nil || r.Status != wire.StatusOK {
+				t.Fatalf("staged request %d: %v", id, r)
+			}
+		}
+	}
+
+	// A protocol error: the staged PUTs sit before a whole frame that fails to
+	// parse, so the reader leaves with them staged.
+	t.Run("protocol error", func(t *testing.T) {
+		cli := pipeServe(t, stagingServer(t))
+		bad := encode(t, wire.Request{Op: wire.OpPing})
+		bad[4] = 0xEE // version
+		if _, err := cli.Write(append(encode(t, puts(6)...), bad...)); err != nil {
+			t.Fatal(err)
+		}
+		got := answers(t, cli, 7)
+		allOK(t, got, 6)
+		if r := got[0]; r == nil || r.Op != wire.OpError {
+			t.Fatalf("no OpError frame for the bad frame: %v", r)
+		}
+	})
+
+	// EOF: the client half-closes after a burst that ends inside a frame.
+	t.Run("EOF", func(t *testing.T) {
+		s := stagingServer(t)
+		addr, _ := serveOn(t, s, func(ln net.Listener) net.Listener { return ln })
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer nc.Close()
+		burst := encode(t, puts(7)...)
+		if _, err := nc.Write(burst[:len(burst)-5]); err != nil {
+			t.Fatal(err)
+		}
+		if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		allOK(t, answers(t, nc, 6), 6)
+		if r, err := wire.ReadResponse(nc); err == nil {
+			t.Fatalf("an answer to the torn frame: %+v", r)
+		}
+	})
+
+	// Shutdown: the reader stages two PUTs and blocks (blockReader); the
+	// drain begins; the client reads. The reader stops at the next frame, as
+	// a drain has it stop, and leaves with the two PUTs staged: they execute
+	// and are answered, beside every frame it read.
+	t.Run("shutdown", func(t *testing.T) {
+		s := stagingServer(t)
+		cli := pipeServe(t, s)
+		reqs := blockReader(t, cli, puts(2))
+		drained := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			drained <- s.Shutdown(ctx)
+		}()
+		for !s.draining.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		_ = cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got := map[uint32]*wire.Response{}
+		for {
+			r, err := wire.ReadResponse(cli)
+			if err != nil {
+				if !errors.Is(err, io.EOF) {
+					t.Fatalf("after %d answers: %v", len(got), err)
+				}
+				break
+			}
+			if got[r.ID] != nil {
+				t.Fatalf("request %d answered twice", r.ID)
+			}
+			got[r.ID] = r
+		}
+		if len(got) < 3 || len(got) == len(reqs) {
+			t.Fatalf("%d of %d frames answered: the drain did not stop the reader mid-burst", len(got), len(reqs))
+		}
+		allOK(t, got, len(got))
+		if err := <-drained; err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		if n := serverKeys(s); n != 2 {
+			t.Errorf("%d keys after the drain, want the 2 staged PUTs", n)
+		}
+	})
+}
+
+// TestStagedRunsPublishedWhileReaderBlocks: a run is published once it holds
+// the shard's group bound, and before the reader hands a spanning ATOMIC to
+// the round coordinator — not only when the burst ends. The reader stages
+// PUTs and blocks (blockReader); the PUTs must execute meanwhile.
+func TestStagedRunsPublishedWhileReaderBlocks(t *testing.T) {
+	s := stagingServer(t)
+	keys := keysOn(s, 20)
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	sh := (*s.shards[0].subs.Load())[0]
+	full := make([]wire.Request, s.cfg.BatchMax)
+	for i := range full {
+		full[i] = put(uint32(i+1), keys[0][i], "a full group")
+	}
+	spanning := wire.Request{Op: wire.OpAtomic, ID: 2,
+		Subs: []wire.Sub{{Kind: wire.SubGet, Key: keys[0][19]}, {Kind: wire.SubGet, Key: keys[1][19]}}}
+	for name, reqs := range map[string][]wire.Request{
+		"group bound":  full,
+		"before round": {put(1, keys[0][18], "before the round"), spanning},
+	} {
+		cli := pipeServe(t, s)
+		reqs = blockReader(t, cli, reqs)
+		for _, req := range reqs {
+			for deadline := time.Now().Add(5 * time.Second); req.Op == wire.OpPut; time.Sleep(time.Millisecond) {
+				if _, ok, _ := sh.testGet(context.Background(), th, req.Key); ok {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: PUT %d stayed staged while the reader was blocked", name, req.ID)
+				}
+			}
+		}
+		for id, r := range answers(t, cli, len(reqs)) {
+			if r.Status != wire.StatusOK {
+				t.Fatalf("%s: request %d answered %v", name, id, r.Status)
+			}
+		}
+		_ = cli.Close()
+	}
+}
+
+// TestStagedRunsKeepArrivalOrder: staging keeps a connection's order on each
+// ring. A PUT and a GET of one key in one burst read the PUT's value, on
+// every shard and across runs published at the group bound.
+func TestStagedRunsKeepArrivalOrder(t *testing.T) {
+	s := stagingServer(t)
+	cli := pipeServe(t, s)
+	var reqs []wire.Request
+	for i := uint32(0); i < 40; i++ {
+		reqs = append(reqs, put(2*i+1, uint64(i), fmt.Sprint("v", i)), wire.Request{Op: wire.OpGet, ID: 2*i + 2, Key: uint64(i)})
+	}
+	if _, err := cli.Write(encode(t, reqs...)); err != nil {
+		t.Fatal(err)
+	}
+	got := answers(t, cli, len(reqs))
+	for i := uint32(0); i < 40; i++ {
+		if r := got[2*i+2]; r.Status != wire.StatusOK || string(r.Value) != fmt.Sprint("v", i) {
+			t.Fatalf("GET %d behind its PUT: %v %q", i, r.Status, r.Value)
+		}
+	}
+}
+
+// bareServer is a server of shard rings with nothing behind them — no view,
+// no worker, no coordinator: the caller drains the rings.
+func bareServer(shards int) *Server {
+	s := &Server{cfg: Config{Shards: shards, QueueDepth: 1024}.withDefaults()}
+	for i := 0; i < shards; i++ {
+		g := &shardGroup{id: i}
+		subs := []*shard{s.newShard(i, nil, nil)}
+		g.subs.Store(&subs)
+		s.shards = append(s.shards, g)
+	}
+	return s
+}
+
+// TestReplicateKeepsRingOrder: a REPLICATE stream interleaved with data ops on
+// one shard lands on the ring in arrival order — each stream frame is pushed
+// behind the data ops staged before it.
+func TestReplicateKeepsRingOrder(t *testing.T) {
+	s := bareServer(1)
+	s.cluster = newClusterNode(s)
+	s.cluster.states[0].role.Store(uint32(roleLeader))
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	if !s.beginReq() {
+		t.Fatal("draining")
+	}
+	c := &conn{srv: s, nc: srv, out: make(chan *wire.Response, respChannel)}
+	writerDone := make(chan struct{})
+	go c.writeLoop(writerDone)
+	go func() {
+		c.readLoop()
+		c.hangUp()
+		close(c.out)
+	}()
+	var reqs []wire.Request
+	for id := uint32(1); id <= 9; id++ {
+		if id%3 == 0 {
+			reqs = append(reqs, wire.Request{Op: wire.OpReplicate, ID: id, Key: uint64(id), Value: []byte("frames")})
+		} else {
+			reqs = append(reqs, put(id, uint64(id), "v"))
+		}
+	}
+	if _, err := cli.Write(encode(t, reqs...)); err != nil {
+		t.Fatal(err)
+	}
+	q := (*s.shards[0].subs.Load())[0].queue
+	for deadline := time.Now().Add(5 * time.Second); q.Len() < len(reqs); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests reached the ring", q.Len(), len(reqs))
+		}
+	}
+	ts := q.PopBatch(nil, len(reqs))
+	for i, tk := range ts {
+		if tk.req.ID != uint32(i+1) {
+			t.Errorf("ring slot %d holds request %d (%v), want %d", i, tk.req.ID, tk.req.Op, i+1)
+		}
+	}
+	for _, tk := range ts {
+		s.finish(tk)
+	}
+	_ = cli.Close()
+	<-writerDone
+}
+
+// memConn is a client connection in memory: each Read delivers a burst of up
+// to frames encoded requests, once the answers to all but window of those
+// delivered have come back through Write, until left requests were sent.
+type memConn struct {
+	net.Conn
+	burst            []byte // frames identical-length request frames
+	frames, window   int
+	left, sent, done int
+	rest             []byte
+	credits          chan int // frames per Write
+}
+
+func (m *memConn) Read(p []byte) (int, error) {
+	if len(m.rest) == 0 {
+		if m.left == 0 {
+			return 0, io.EOF
+		}
+		k := min(m.frames, m.left)
+		for m.sent+k-m.done > m.window {
+			m.done += <-m.credits
+		}
+		m.left, m.sent, m.rest = m.left-k, m.sent+k, m.burst[:k*len(m.burst)/m.frames]
+	}
+	n := copy(p, m.rest)
+	m.rest = m.rest[n:]
+	return n, nil
+}
+
+func (m *memConn) Write(p []byte) (int, error) {
 	frames := 0
 	for off := 0; off < len(p); off += 4 + int(binary.LittleEndian.Uint32(p[off:])) {
 		frames++
 	}
-	s.credits <- frames
+	m.credits <- frames
 	return len(p), nil
 }
 
-func (s *countingSink) SetWriteDeadline(time.Time) error { return nil }
+func (*memConn) SetReadDeadline(time.Time) error  { return nil }
+func (*memConn) SetWriteDeadline(time.Time) error { return nil }
 
-// BenchmarkRequestLifecycle times what a request costs between decode and
-// encode with no store work behind it: per connection, a reader dispatches
-// pre-decoded GETs through conn.dispatch into the shard rings, up to a
-// pipelining window; one executor per shard drains its ring and answers what
-// it took in chains through finishGroup, without a transaction; the
-// connection's write loop encodes into a sink that discards and returns the
-// window. It runs {1, 2, 4} connections × {1, 4} executors.
+// BenchmarkRequestLifecycle times what a request costs between the socket
+// read and the socket write with no store work behind it: per connection, the
+// real read loop takes bursts of 64 encoded GETs from an in-memory client
+// that keeps 128 in flight, decodes them and stages and publishes them onto
+// the shard rings; one executor per shard drains its ring and answers what it
+// took in chains through finishGroup, without a transaction; the
+// connection's write loop encodes into the client, which counts the answers.
+// It runs {1, 2, 4} connections × {1, 4} executors.
 func BenchmarkRequestLifecycle(b *testing.B) {
 	for _, conns := range []int{1, 2, 4} {
 		for _, execs := range []int{1, 4} {
@@ -675,14 +1100,8 @@ func BenchmarkRequestLifecycle(b *testing.B) {
 }
 
 func benchLifecycle(b *testing.B, conns, execs int) {
-	const window = 128
-	s := &Server{cfg: Config{Shards: execs, QueueDepth: 1024}.withDefaults()}
-	for i := 0; i < execs; i++ {
-		g := &shardGroup{id: i}
-		subs := []*shard{s.newShard(i, nil, nil)}
-		g.subs.Store(&subs)
-		s.shards = append(s.shards, g)
-	}
+	const window, burst = 128, 64
+	s := bareServer(execs)
 	var executors sync.WaitGroup
 	for _, g := range s.shards {
 		sh := (*g.subs.Load())[0]
@@ -712,32 +1131,25 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 	b.ResetTimer()
 	var readers sync.WaitGroup
 	for ci := 0; ci < conns; ci++ {
-		n := b.N / conns
+		// At most window answers are ever unaccounted for, and each write
+		// carries at least one: the writer never waits on credits.
+		mc := &memConn{frames: burst, window: window, left: b.N / conns, credits: make(chan int, window)}
 		if ci == 0 {
-			n += b.N % conns
+			mc.left += b.N % conns
+		}
+		for i := 0; i < burst; i++ {
+			mc.burst, _ = wire.AppendRequest(mc.burst, &wire.Request{Op: wire.OpGet, ID: uint32(i + 1), Key: uint64(i*conns + ci)})
 		}
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			sink := &countingSink{credits: make(chan int, window+1)}
 			if !s.beginReq() {
 				panic("bench server draining")
 			}
-			c := &conn{srv: s, nc: sink, out: make(chan *wire.Response, respChannel)}
+			c := &conn{srv: s, nc: mc, out: make(chan *wire.Response, respChannel)}
 			writerDone := make(chan struct{})
 			go c.writeLoop(writerDone)
-			answered := 0
-			for i := 0; i < n; i++ {
-				for i-answered >= window {
-					answered += <-sink.credits
-				}
-				req := c.testReq(wire.OpGet, uint32(i+1))
-				req.Key = uint64(i*conns + ci)
-				c.dispatch(req)
-			}
-			for answered < n {
-				answered += <-sink.credits
-			}
+			c.readLoop()
 			c.hangUp()
 			close(c.out)
 			<-writerDone

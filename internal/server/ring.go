@@ -1,11 +1,13 @@
 // Bounded per-shard task queue: a lock-free MPSC ring (ringQueue).
-// Connection read loops are the producers, the shard's workers take turns as
-// the single draining consumer: each blocks in Pop for one task, then takes
-// what else is queued with PopBatch. Push never blocks (a full queue is the
-// BUSY backpressure signal — also how a full completion list, group.go,
-// reaches the client); Pop blocks until a task arrives or the queue is
-// closed AND drained. Close may not race an in-flight TryPush — the server
-// guarantees it by closing queues only after every connection hung up (reqWG).
+// Connection read loops are the producers, each pushing a run of tasks at a
+// time; the shard's workers take turns as the single draining consumer: each
+// blocks in Pop for one task, then takes what else is queued with PopBatch.
+// PushBatch never blocks (what a full queue refuses is the BUSY backpressure
+// signal — also how a full completion list, group.go, reaches the client);
+// Pop blocks until a task arrives or the queue is closed AND drained. Close
+// may not race an in-flight PushBatch — the server guarantees it by closing
+// queues only after every connection hung up (reqWG), and a reader publishes
+// what it staged before it hangs up.
 // The chan-based queue the ring replaced lives on in ring_test.go as the
 // differential-testing oracle.
 package server
@@ -28,8 +30,8 @@ type ringSlot struct {
 	t   task
 }
 
-// ringQueue is a bounded MPSC ring. Producers claim slots with one CAS on
-// tail and publish via the slot's sequence number — no lock and no per-task
+// ringQueue is a bounded MPSC ring. Producers claim a run of slots with one
+// CAS on tail and publish via the slots' sequence numbers — no lock and no
 // consumer wakeup while a consumer is running (the wake channel is touched
 // only when a consumer has announced it is parked). The consumer side is
 // serialized by consMu: whichever worker holds it drains an entire batch
@@ -99,36 +101,44 @@ func (q *ringQueue) Len() int {
 	return int(n)
 }
 
-// TryPush enqueues t, or reports false when the queue is full or closed.
-func (q *ringQueue) TryPush(t task) bool {
-	if q.closed.Load() {
-		return false
+// PushBatch enqueues the longest prefix of ts the queue has room for and
+// returns its length: 0 when the queue is full or closed. The prefix is
+// claimed with one CAS on tail, then filled and published slot by slot, and a
+// parked consumer is woken once.
+func (q *ringQueue) PushBatch(ts []task) int {
+	if len(ts) == 0 || q.closed.Load() {
+		return 0
 	}
-	pos := q.tail.Load()
 	for {
-		slot := &q.slots[pos&q.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == pos:
-			if q.tail.CompareAndSwap(pos, pos+1) {
-				slot.t = t
-				slot.seq.Store(pos + 1)
-				if q.waiting.Load() != 0 {
-					select {
-					case q.wake <- struct{}{}:
-					default:
-					}
-				}
-				return true
-			}
-			pos = q.tail.Load()
-		case seq < pos:
-			// The slot one lap back is still unconsumed: full.
-			return false
-		default:
-			// A racing producer advanced past us; reload and retry.
-			pos = q.tail.Load()
+		pos := q.tail.Load()
+		// Slot pos+n is free for this lap while its seq reads pos+n; a smaller
+		// seq is the unconsumed task one lap back (the ring is full there), a
+		// larger one a rival that claimed past pos (the CAS below fails).
+		n := 0
+		for n < len(ts) && q.slots[(pos+uint64(n))&q.mask].seq.Load() == pos+uint64(n) {
+			n++
 		}
+		if n == 0 {
+			if q.slots[pos&q.mask].seq.Load() < pos {
+				return 0
+			}
+			continue
+		}
+		if !q.tail.CompareAndSwap(pos, pos+uint64(n)) {
+			continue
+		}
+		for i, t := range ts[:n] {
+			slot := &q.slots[(pos+uint64(i))&q.mask]
+			slot.t = t
+			slot.seq.Store(pos + uint64(i) + 1)
+		}
+		if q.waiting.Load() != 0 {
+			select {
+			case q.wake <- struct{}{}:
+			default:
+			}
+		}
+		return n
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // implementations to: the ring the server runs, and the chan-based queue it
 // replaced, kept here as the semantics oracle.
 type taskQueue interface {
-	TryPush(t task) bool
+	PushBatch(ts []task) int
 	Pop() (task, bool)
 	PopBatch(dst []task, max int) []task
 	Len() int
@@ -41,13 +42,17 @@ type chanQueue struct {
 func (q *chanQueue) Cap() int { return cap(q.ch) }
 func (q *chanQueue) Len() int { return len(q.ch) }
 
-func (q *chanQueue) TryPush(t task) bool {
-	select {
-	case q.ch <- t:
-		return true
-	default:
-		return false
+// PushBatch has the ring's prefix semantics: it enqueues tasks in order until
+// the channel is full and returns how many it took.
+func (q *chanQueue) PushBatch(ts []task) int {
+	for i, t := range ts {
+		select {
+		case q.ch <- t:
+		default:
+			return i
+		}
 	}
+	return len(ts)
 }
 
 func (q *chanQueue) Pop() (task, bool) {
@@ -82,20 +87,34 @@ func qid(t task) (p, n int) {
 	return int(t.req.ID >> 24), int(t.req.ID & (1<<24 - 1))
 }
 
+// push1 pushes a run of one.
+func push1(q taskQueue, t task) bool { return q.PushBatch([]task{t}) == 1 }
+
+// run builds producer p's tasks n, n+1, ... n+k-1.
+func run(p, n, k int) []task {
+	ts := make([]task, k)
+	for i := range ts {
+		ts[i] = qtask(p, n+i)
+	}
+	return ts
+}
+
 // TestTaskQueueFIFO checks single-threaded semantics on both implementations:
-// FIFO order, full => TryPush false, Close => drain then end-of-queue.
+// FIFO order, a run that meets a full queue pushes the prefix that fits,
+// Close => drain then end-of-queue.
 func TestTaskQueueFIFO(t *testing.T) {
 	for _, qi := range queueImpls {
 		impl, q := qi.name, qi.new(8)
-		if q.Cap() < 8 {
-			t.Fatalf("%s: Cap() = %d, want >= 8", impl, q.Cap())
+		if q.Cap() != 8 {
+			t.Fatalf("%s: Cap() = %d, want 8", impl, q.Cap())
 		}
-		for i := 0; i < q.Cap(); i++ {
-			if !q.TryPush(qtask(0, i)) {
-				t.Fatalf("%s: push %d rejected below capacity", impl, i)
-			}
+		if n := q.PushBatch(run(0, 0, 5)); n != 5 {
+			t.Fatalf("%s: a run of 5 on an empty queue pushed %d", impl, n)
 		}
-		if q.TryPush(qtask(0, 99)) {
+		if n := q.PushBatch(run(0, 5, 5)); n != 3 {
+			t.Fatalf("%s: a run of 5 with room for 3 pushed %d", impl, n)
+		}
+		if push1(q, qtask(0, 99)) {
 			t.Fatalf("%s: push accepted on a full queue", impl)
 		}
 		if got := q.Len(); got != q.Cap() {
@@ -123,13 +142,13 @@ func TestTaskQueueFIFO(t *testing.T) {
 			next++
 		}
 		// Close with one task queued: Pop drains it, then reports closed.
-		if !q.TryPush(qtask(0, 100)) {
+		if !push1(q, qtask(0, 100)) {
 			t.Fatalf("%s: push rejected on empty queue", impl)
 		}
 		q.Close()
 		// Pushing after Close is outside the contract (the server only closes
 		// after reqWG drains); the ring rejects it anyway, the channel cannot.
-		if impl == "ring" && q.TryPush(qtask(0, 101)) {
+		if impl == "ring" && push1(q, qtask(0, 101)) {
 			t.Fatalf("%s: push accepted after Close", impl)
 		}
 		if tk, ok := q.Pop(); !ok || tk.req.ID != qtask(0, 100).req.ID {
@@ -151,11 +170,11 @@ func TestRingQueueMinSize(t *testing.T) {
 		t.Fatalf("Cap() = %d, want >= 2 (size-1 rings degenerate)", q.Cap())
 	}
 	for i := 0; i < 100; i++ {
-		if !q.TryPush(qtask(0, i)) {
+		if !push1(q, qtask(0, i)) {
 			t.Fatalf("push %d rejected on empty ring", i)
 		}
 		// With >= 2 slots a second push may land before the first pop...
-		q.TryPush(qtask(0, 1000+i))
+		push1(q, qtask(0, 1000+i))
 		// ...and both must come out, in order, without loss.
 		tk, ok := q.Pop()
 		if !ok {
@@ -194,12 +213,14 @@ func TestTaskQueueCloseWakesPop(t *testing.T) {
 	}
 }
 
-// TestTaskQueueDifferential is the differential fuzz: N producers hammer the
-// queue while consumers drain it with the same mixed pop calls the worker
-// loop uses, on BOTH implementations — the channel is the semantics oracle
-// the ring must match. Invariants: every accepted push is consumed exactly
-// once (no loss, no duplication), and with a single consumer each producer's
-// tasks arrive in its push order.
+// TestTaskQueueDifferential is the differential fuzz: N producers push runs
+// of random length (1–32) while consumers drain the queue with the same mixed
+// pop calls the worker loop uses, on BOTH implementations — the channel is
+// the semantics oracle the ring must match. A run that meets a full queue
+// pushes a prefix, and its producer pushes the refused suffix again later.
+// Invariants: every task is consumed exactly once (no loss, no duplication —
+// so a refused suffix is exactly what was not claimed), and with a single
+// consumer each producer's tasks arrive in its push order.
 func TestTaskQueueDifferential(t *testing.T) {
 	producers := 4
 	perProducer := 20000
@@ -212,14 +233,22 @@ func TestTaskQueueDifferential(t *testing.T) {
 			total := producers * perProducer
 
 			var wg sync.WaitGroup
+			var partial atomic.Int64
 			for p := 0; p < producers; p++ {
 				wg.Add(1)
 				go func(p int) {
 					defer wg.Done()
-					for n := 0; n < perProducer; n++ {
-						for !q.TryPush(qtask(p, n)) {
+					rng := rand.New(rand.NewSource(int64(p)))
+					for n := 0; n < perProducer; {
+						k := min(1+rng.Intn(32), perProducer-n)
+						pushed := q.PushBatch(run(p, n, k))
+						switch {
+						case pushed == 0:
 							runtime.Gosched() // full: the BUSY path, just retry here
+						case pushed < k:
+							partial.Add(1)
 						}
+						n += pushed
 					}
 				}(p)
 			}
@@ -280,6 +309,7 @@ func TestTaskQueueDifferential(t *testing.T) {
 					t.Fatalf("%s/%dc: task %x consumed %d times", impl, consumers, id, c)
 				}
 			}
+			t.Logf("%s/%dc: %d runs pushed a prefix", impl, consumers, partial.Load())
 		}
 	}
 }
@@ -308,7 +338,7 @@ func TestRingQueueWakeup(t *testing.T) {
 		}
 	}()
 	for i := 0; i < rounds; i++ {
-		for !q.TryPush(qtask(0, i)) {
+		for !push1(q, qtask(0, i)) {
 			runtime.Gosched()
 		}
 		// Let the consumer drain and park again some of the time.

@@ -333,13 +333,6 @@ type Server struct {
 	monitorStop chan struct{}
 	monitorWG   sync.WaitGroup
 
-	// hwWin is the current queue-high-water window index, advanced by a
-	// coarse-clock ticker goroutine so the per-request enqueue path
-	// (shard.noteDepth) never reads the real clock.
-	hwWin     atomic.Int64
-	hwWinStop chan struct{}
-	hwWinWG   sync.WaitGroup
-
 	// xidBase makes cross-shard round IDs unique across process
 	// incarnations: decided prepares stay behind in the logs, and recovery
 	// must never pair a stale prepare with a fresh decision. By the time new
@@ -456,10 +449,6 @@ func New(cfg Config) (*Server, error) {
 		// without further synchronization.
 		s.cluster = newClusterNode(s)
 	}
-	s.hwWin.Store(time.Now().UnixNano() / int64(hwWindow))
-	s.hwWinStop = make(chan struct{})
-	s.hwWinWG.Add(1)
-	go s.hwWinLoop()
 	s.batchFree = make(chan *multiBatch, cfg.QueueDepth)
 	s.rounds = newRoundCoordinator(s)
 	go s.rounds.loop()
@@ -667,10 +656,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 		close(s.monitorStop)
 		s.monitorWG.Wait()
 	}
-	if s.hwWinStop != nil {
-		close(s.hwWinStop)
-		s.hwWinWG.Wait()
-	}
 	if s.snapshotStop != nil {
 		close(s.snapshotStop)
 		s.snapshotWG.Wait()
@@ -812,23 +797,6 @@ func (s *Server) worker(sh *shard) {
 // observeEvery is the worker's drain-cycle sampling stride for the adaptive
 // batch controller.
 const observeEvery = 8
-
-// hwWinLoop advances the coarse high-water window clock. Ticking at a
-// quarter window keeps the worst-case misfiling well inside the ±1-window
-// slack the meter already tolerates.
-func (s *Server) hwWinLoop() {
-	defer s.hwWinWG.Done()
-	tick := time.NewTicker(hwWindow / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.hwWinStop:
-			return
-		case now := <-tick.C:
-			s.hwWin.Store(now.UnixNano() / int64(hwWindow))
-		}
-	}
-}
 
 // StatsAll returns every shard's statistics snapshot — what an OpStats
 // request for wire.AllShards serves — for in-process consumers (the daemon's

@@ -107,16 +107,19 @@ type shard struct {
 // hwWindow is the rotation period of the windowed queue high-water mark.
 const hwWindow = 15 * time.Second
 
-// noteDepth records the queue depth seen right after an enqueue, in both the
-// lifetime and the current-window high-water marks. win is the caller's
-// window index — the dispatch paths pass the server's coarse ticker-driven
-// clock (Server.hwWin) rather than reading time.Now here: this runs once
-// per enqueued request, and a clock read costs a measurable slice of the
-// whole datapath (it showed up as several percent on the loopback
-// benchmark).
-func (sh *shard) noteDepth(depth uint64, win int64) {
+// hwEpoch anchors the windows: time.Since reads the monotonic clock only.
+var hwEpoch = time.Now()
+
+// hwNow is the current high-water window index.
+func hwNow() int64 { return int64(time.Since(hwEpoch) / hwWindow) }
+
+// noteDepth records the queue depth seen right after a push, in both the
+// lifetime and the current-window high-water marks. A reader pushes a run of
+// requests at a time, so the clock read here is paid once per run, not per
+// request.
+func (sh *shard) noteDepth(depth uint64) {
 	maxInto(&sh.queueHW, depth)
-	sh.rotateHW(win)
+	sh.rotateHW(hwNow())
 	maxInto(&sh.queueHWCur, depth)
 }
 
@@ -154,7 +157,7 @@ func (sh *shard) rotateHW(win int64) {
 // queueHWRecent is the high-water over the current and previous windows —
 // the decayed pressure signal STATS serves beside the lifetime mark.
 func (sh *shard) queueHWRecent() uint64 {
-	sh.rotateHW(time.Now().UnixNano() / int64(hwWindow))
+	sh.rotateHW(hwNow())
 	return max(sh.queueHWCur.Load(), sh.queueHWPrev.Load())
 }
 

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -84,6 +85,49 @@ func (h *Heap) Load(a Addr) uint64 { return atomic.LoadUint64(h.word(a)) }
 
 // Store atomically writes v to the word at a.
 func (h *Heap) Store(a Addr, v uint64) { atomic.StoreUint64(h.word(a), v) }
+
+// run returns the n words from a as one slice of a chunk, or nil when the run
+// is empty or crosses a chunk edge. A run past the heap's end panics with
+// BoundsError before any word moves. size is read before the directory, which
+// Grow publishes first, so the directory covers it.
+func (h *Heap) run(a Addr, n int) []uint64 {
+	size := h.size.Load()
+	if int64(a)+int64(n) > size {
+		panic(&BoundsError{Addr: Addr(max(int64(a), size)), Len: int(size)})
+	}
+	if off := int(a) & chunkMask; n > 0 && off+n <= chunkWords {
+		return (*h.dir.Load())[int(a)>>chunkShift][off : off+n]
+	}
+	return nil
+}
+
+// AppendWords appends the n words from a to dst, 8 little-endian bytes each,
+// for one bounds check and one directory lookup; each word is still read
+// atomically, and a run across a chunk edge is read word by word.
+func (h *Heap) AppendWords(dst []byte, a Addr, n int) []byte {
+	ws := h.run(a, n)
+	for i := 0; i < n; i++ {
+		if ws == nil {
+			dst = binary.LittleEndian.AppendUint64(dst, h.Load(a+Addr(i)))
+		} else {
+			dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&ws[i]))
+		}
+	}
+	return dst
+}
+
+// StoreWords writes src, len(src)/8 little-endian words, from a on: the
+// inverse of AppendWords, at the same cost.
+func (h *Heap) StoreWords(a Addr, src []byte) {
+	ws := h.run(a, len(src)/8)
+	for i := 0; i < len(src)/8; i++ {
+		if v := binary.LittleEndian.Uint64(src[8*i:]); ws == nil {
+			h.Store(a+Addr(i), v)
+		} else {
+			atomic.StoreUint64(&ws[i], v)
+		}
+	}
+}
 
 // CompareAndSwap atomically CASes the word at a.
 func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {

@@ -1,6 +1,8 @@
 package stm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -76,6 +78,59 @@ func TestHeapOutOfBoundsPanics(t *testing.T) {
 		}
 	}()
 	h.Load(4)
+}
+
+// TestHeapWordRuns holds AppendWords and StoreWords to per-word Load and
+// Store: inside one chunk, and across the chunk edge, where the run falls
+// back to word-by-word access.
+func TestHeapWordRuns(t *testing.T) {
+	h := NewHeap(chunkWords + 64)
+	for _, base := range []Addr{0, 5, chunkWords - 64, chunkWords - 3, chunkWords - 2, chunkWords} {
+		for _, n := range []int{0, 1, 3, 64} {
+			src := make([]byte, 8*n)
+			for i := range src {
+				src[i] = byte(int(base) + 7*i + n)
+			}
+			h.StoreWords(base, src)
+			for i := 0; i < n; i++ {
+				if got, want := h.Load(base+Addr(i)), binary.LittleEndian.Uint64(src[8*i:]); got != want {
+					t.Fatalf("base %d n %d: word %d = %#x after StoreWords, want %#x", base, n, i, got, want)
+				}
+			}
+			prefix := []byte("head")
+			if got := h.AppendWords(prefix, base, n); !bytes.Equal(got, append(prefix, src...)) {
+				t.Fatalf("base %d n %d: AppendWords = %x, want %x", base, n, got[len(prefix):], src)
+			}
+		}
+	}
+}
+
+// TestHeapWordRunPastEndPanics: a run that starts inside the heap and ends
+// past it panics with *BoundsError naming the first word past the end, and
+// no word of it moved.
+func TestHeapWordRunPastEndPanics(t *testing.T) {
+	h := NewHeap(16)
+	for a := Addr(13); a < 16; a++ {
+		h.Store(a, 0xAB)
+	}
+	for name, fn := range map[string]func(){
+		"StoreWords":  func() { h.StoreWords(13, make([]byte, 8*4)) },
+		"AppendWords": func() { h.AppendWords(nil, 13, 4) },
+	} {
+		func() {
+			defer func() {
+				if be, ok := recover().(*BoundsError); !ok || be.Addr != 16 || be.Len != 16 {
+					t.Errorf("%s past the end: recovered %v, want *BoundsError at 16", name, be)
+				}
+			}()
+			fn()
+		}()
+	}
+	for a := Addr(13); a < 16; a++ {
+		if got := h.Load(a); got != 0xAB {
+			t.Fatalf("word %d = %#x after a refused run, want it untouched", a, got)
+		}
+	}
 }
 
 func TestHeapBoundsErrorMessage(t *testing.T) {
@@ -204,11 +259,8 @@ func TestIsConflict(t *testing.T) {
 		defer func() { got = recover() }()
 		Throw("x")
 	}()
-	if !IsConflict(got) {
-		t.Error("IsConflict(sentinel) = false")
-	}
-	if IsConflict("other") {
-		t.Error("IsConflict(string) = true")
+	if _, ok := got.(conflictSignal); !ok {
+		t.Errorf("Throw panicked with %v, not the conflict sentinel", got)
 	}
 	if s, ok := got.(interface{ String() string }); !ok || s.String() == "" {
 		t.Error("sentinel stringer missing")

@@ -111,13 +111,6 @@ func Catch(fn func()) (completed bool) {
 	return true
 }
 
-// IsConflict reports whether a recovered panic value is the conflict
-// sentinel. Exposed for tests.
-func IsConflict(r any) bool {
-	_, ok := r.(conflictSignal)
-	return ok
-}
-
 // UserPanic captures a panic raised by user code inside a transaction body —
 // any panic that is not the engines' conflict sentinel. The runtime uses it
 // to roll the transaction back and release admission before re-raising the

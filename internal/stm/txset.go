@@ -77,10 +77,6 @@ func (t *Table[V]) slots() []tslot[V] {
 // Len returns the number of live entries.
 func (t *Table[V]) Len() int { return t.n }
 
-// Spilled reports whether the table has moved to its growable spill table
-// (it stays spilled across Reset). Exposed for tests and diagnostics.
-func (t *Table[V]) Spilled() bool { return t.big != nil }
-
 // Get returns the value stored for a.
 func (t *Table[V]) Get(a Addr) (V, bool) {
 	if t.n == 0 {

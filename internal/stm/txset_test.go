@@ -33,18 +33,18 @@ func TestTableSpillBoundary(t *testing.T) {
 	var tb Table[uint64]
 	for i := Addr(0); i < tableSmallMax; i++ {
 		tb.Put(i*7, uint64(i))
-		if tb.Spilled() {
+		if tb.big != nil {
 			t.Fatalf("spilled after %d inserts, threshold is %d", i+1, tableSmallMax)
 		}
 	}
 	// Updates at the boundary must not force a spill.
 	tb.Put(0, 1000)
-	if tb.Spilled() {
+	if tb.big != nil {
 		t.Fatal("update of an existing key forced a spill")
 	}
 	// The next distinct key crosses the threshold.
 	tb.Put(9999, 42)
-	if !tb.Spilled() {
+	if tb.big == nil {
 		t.Fatalf("not spilled after %d distinct keys", tableSmallMax+1)
 	}
 	if got := tb.Len(); got != tableSmallMax+1 {
