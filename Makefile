@@ -45,10 +45,11 @@ bench-smoke:
 # queue, grouped view transaction, response encode, coalesced writes) across
 # workload x engine x BatchMax. The batch1/batch16 pairs are the group-commit
 # proof; the write-heavy norec pair is the headline ratio in README.md. The
-# adaptive cells and the Overload pair are the adaptive-batching proof
-# (compare cells only within one sitting: the same cell has read 158K and
-# 258K ops/s in two). The Durable cells measure the same stack with the
-# per-shard WAL on (-durability group): every write group appended, and
+# Overload pair is the backpressure proof: a 512-slot ring sheds the excess
+# of a 4096-deep window with BUSY (compare cells only within one sitting: the
+# same cell has read 158K and 258K ops/s in two). The Durable cells measure
+# the same stack with the per-shard WAL on (-durability group): every write
+# group appended, and
 # answered by the shard's acknowledgement stage once its flush returned — the
 # sameshard/xshard ATOMIC pair is the cross-shard 2PC overhead ratio. The
 # eigenbench cross-view δ(Q) cells ride the same JSON (benchreport keys on

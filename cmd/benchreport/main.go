@@ -7,11 +7,17 @@
 //	go test -run='^$' -bench=. -benchmem ./internal/stm/... |
 //	    benchreport -o BENCH_engines.json      # capture a baseline
 //	benchreport -totext BENCH_engines.json     # replay it for benchstat
+//	benchreport pair HEAD~1 kv-point 5         # alternating end-to-end pairs
 //
 // In -totext mode every benchmark name is qualified with its package path
 // (slashes folded to underscores) so identically-named benchmarks from
 // different packages — the three engines all export BenchmarkReadOnlyTx —
 // stay distinct rows in a benchstat table.
+//
+// The pair subcommand (pair.go) judges a change the way BENCHMARK.json does:
+// alternating `bash bench/run.sh` launches of a parent ref and of the working
+// tree, summarised per end-to-end metric by both medians, their ratio, the
+// pairs the change won and the parent's interquartile range.
 package main
 
 import (
@@ -47,6 +53,13 @@ type Report struct {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "pair" {
+		if err := runPair(os.Args[2:], os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "benchreport:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	out := flag.String("o", "", "write JSON to this file (default stdout)")
 	totext := flag.String("totext", "", "read JSON from this file and emit benchmark text for benchstat")
 	flag.Parse()

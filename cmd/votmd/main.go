@@ -36,30 +36,23 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":7421", "TCP listen address")
-		shards    = flag.Int("shards", 8, "number of shards (one VOTM view each)")
-		workers   = flag.Int("workers", 4, "transaction workers per shard (RAC quota bound N)")
-		queue     = flag.Int("queue", 128, "bounded per-shard request queue (overflow => BUSY)")
-		batchMax  = flag.Int("batch-max", 16, "max requests one worker group-commits per transaction (1 = no grouping)")
-		adaptive  = flag.Bool("adaptive-batch", false, "adapt group-commit depth per shard from queue depth and contention (delta, abort rate); -batch-max becomes the ceiling")
-		latBudget = flag.Duration("latency-budget", 20*time.Millisecond, "adaptive admission: reject (BUSY) when estimated queue delay exceeds this (needs -adaptive-batch)")
-		maxVal    = flag.Int("max-value", 64<<10, "maximum value size in bytes")
-		engine    = flag.String("engine", "norec", "TM engine: norec | oreceager | tl2")
-		adjust    = flag.Int64("adjust-every", 0, "RAC adjustment window in attempts (0 = default)")
-		reqTO     = flag.Duration("request-timeout", 5*time.Second, "per-request transaction timeout")
-		idleTO    = flag.Duration("idle-timeout", 5*time.Minute, "idle connection timeout")
-		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
-		statsSec  = flag.Duration("stats-every", 0, "log per-shard stats at this interval (0 = off)")
+		addr     = flag.String("addr", ":7421", "TCP listen address")
+		shards   = flag.Int("shards", 8, "number of shards (one VOTM view each)")
+		workers  = flag.Int("workers", 4, "transaction workers per shard (RAC quota bound N)")
+		queue    = flag.Int("queue", 128, "bounded per-shard request queue (overflow => BUSY)")
+		batchMax = flag.Int("batch-max", 16, "max requests one worker group-commits per transaction (1 = no grouping)")
+		maxVal   = flag.Int("max-value", 64<<10, "maximum value size in bytes")
+		engine   = flag.String("engine", "norec", "TM engine: norec | oreceager | tl2")
+		reqTO    = flag.Duration("request-timeout", 5*time.Second, "per-request transaction timeout")
+		idleTO   = flag.Duration("idle-timeout", 5*time.Minute, "idle connection timeout")
+		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
+		statsSec = flag.Duration("stats-every", 0, "log per-shard stats at this interval (0 = off)")
 
-		autoSplit  = flag.Bool("auto-split", false, "split hot shards online (live key migration; ATOMIC batches spanning sub-shards commit via the multi-view 2PC coordinator)")
-		splitEvery = flag.Duration("split-check-every", 250*time.Millisecond, "hot-shard advisor polling period")
-		splitKeys  = flag.Int64("split-min-keys", 0, "never split shards below this many keys (0 = default 1024)")
-		splitMax   = flag.Int("split-max-subshards", 8, "maximum sub-shards per shard (power of two)")
+		autoSplit = flag.Bool("auto-split", false, "split hot shards online, every 250ms, shards of 1024 keys and more, up to 8 sub-shards (live key migration; ATOMIC batches spanning sub-shards commit via the multi-view 2PC coordinator)")
 
 		durability = flag.String("durability", server.DurabilityOff, "crash durability: off | group (per-shard WAL, fsync per write group) | snapshot-only")
 		dataDir    = flag.String("data-dir", "", "durability root directory (required unless -durability off)")
 		snapEvery  = flag.Duration("snapshot-every", 30*time.Second, "periodic per-shard snapshot interval")
-		walSegMB   = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 64 MiB)")
 
 		clusterSeed = flag.Bool("cluster-seed", false, "host the cluster shard-map service; with -durability group this node also serves data as the first member, with -durability off it runs the map service standalone (no data plane)")
 		join        = flag.String("join", "", "seed node address to join as a cluster member (requires -durability group; mutually exclusive with -cluster-seed)")
@@ -123,23 +116,15 @@ func main() {
 		WorkersPerShard: *workers,
 		QueueDepth:      *queue,
 		BatchMax:        *batchMax,
-		AdaptiveBatch:   *adaptive,
-		LatencyBudget:   *latBudget,
 		MaxValueLen:     *maxVal,
 		Engine:          kind,
-		AdjustEvery:     *adjust,
 		RequestTimeout:  *reqTO,
 		IdleTimeout:     *idleTO,
+		AutoSplit:       *autoSplit,
 
-		AutoSplit:         *autoSplit,
-		SplitCheckEvery:   *splitEvery,
-		SplitMinKeys:      *splitKeys,
-		SplitMaxSubShards: *splitMax,
-
-		Durability:      *durability,
-		DataDir:         *dataDir,
-		SnapshotEvery:   *snapEvery,
-		WALSegmentBytes: *walSegMB,
+		Durability:    *durability,
+		DataDir:       *dataDir,
+		SnapshotEvery: *snapEvery,
 
 		ClusterSeed:      *clusterSeed,
 		ClusterJoin:      *join,
@@ -166,9 +151,9 @@ func main() {
 		go func() {
 			for range time.Tick(*statsSec) {
 				for _, r := range srv.StatsAll() {
-					line := fmt.Sprintf("shard %d [%s]: Q=%d commits=%d aborts=%d keys=%d delta=%.3f splits=%d scans=%d scannedKeys=%d effBatch=%d admRej=%d ringFull=%d qhwWin=%d",
+					line := fmt.Sprintf("shard %d [%s]: Q=%d commits=%d aborts=%d keys=%d delta=%.3f splits=%d scans=%d scannedKeys=%d ringFull=%d qhwWin=%d",
 						r.Shard, r.Engine, r.Quota, r.Commits, r.Aborts, r.Keys, r.Delta, r.Repartitions, r.Scans, r.ScannedKeys,
-						r.EffectiveBatch, r.AdmissionRejects, r.RingFullEvents, r.QueueHighWaterWin)
+						r.RingFullEvents, r.QueueHighWaterWin)
 					if durable {
 						age := "never"
 						if r.SnapshotAgeSec != wire.SnapshotNever {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -185,27 +184,6 @@ func (t Totals) Delta(q int) float64 {
 	return float64(t.AbortNs) / (float64(t.SuccessNs) * float64(q-1))
 }
 
-// Signal is the controller's most recently published contention sample: the
-// quota in force plus the last completed adjustment window's δ(Q) and abort
-// rate. It is published through an atomic pointer so hot paths — votmd's
-// adaptive batcher reads it once per drain cycle — never touch the
-// controller mutex.
-type Signal struct {
-	// Quota is the current admission quota Q.
-	Quota int
-	// Delta is the last window's δ(Q), evaluated at the quota the window
-	// ran under. NaN is the no-signal sentinel (Q ≤ 1, where Eq. 5 is
-	// undefined, or no window completed yet); like Totals.Delta, callers
-	// must never compare it — all comparisons with NaN are false.
-	Delta float64
-	// AbortRate is the last window's aborted share of completed attempts
-	// (0 before any window completes).
-	AbortRate float64
-	// Windows counts completed adjustment windows, so pollers can tell a
-	// fresh sample from a re-read.
-	Windows int64
-}
-
 // Controller is one view's admission controller.
 type Controller struct {
 	mu         sync.Mutex
@@ -228,16 +206,8 @@ type Controller struct {
 	// adjustment window
 	winSuccessNs int64
 	winAbortNs   int64
-	winCommits   int64
-	winAborts    int64
 	winDone      int64
-	windows      int64 // completed adjustment windows
-	lockWindows  int   // consecutive windows spent at Q == 1
-
-	// sig is the lock-free contention sample (see Signal); never nil after
-	// New. adjustLocked publishes a full sample per window; setQuotaLocked
-	// refreshes the quota between windows (manual SetQuota, lock probes).
-	sig atomic.Pointer[Signal]
+	lockWindows  int // consecutive windows spent at Q == 1
 
 	// quota residence tracking (time spent at each Q)
 	residence  map[int]time.Duration
@@ -248,7 +218,7 @@ type Controller struct {
 // New creates a controller. See Params for the adaptive-policy contract.
 func New(p Params) *Controller {
 	p.fill()
-	c := &Controller{
+	return &Controller{
 		params:     p,
 		q:          p.InitialQuota,
 		gate:       make(chan struct{}),
@@ -256,13 +226,7 @@ func New(p Params) *Controller {
 		residence:  make(map[int]time.Duration),
 		lastChange: time.Now(),
 	}
-	c.sig.Store(&Signal{Quota: c.q, Delta: math.NaN()})
-	return c
 }
-
-// Signal returns the most recent contention sample with a single atomic
-// pointer load — no lock, safe on worker hot paths.
-func (c *Controller) Signal() Signal { return *c.sig.Load() }
 
 // Enter blocks until the caller is admitted to the view or ctx is done.
 // The returned Mode tells the caller whether it may run uninstrumented.
@@ -323,12 +287,10 @@ func (c *Controller) Exit(mode Mode, outcome Outcome, d time.Duration) {
 		c.totals.Commits++
 		c.totals.SuccessNs += ns
 		c.winSuccessNs += ns
-		c.winCommits++
 	case Aborted:
 		c.totals.Aborts++
 		c.totals.AbortNs += ns
 		c.winAbortNs += ns
-		c.winAborts++
 	}
 	c.winDone++
 	if c.params.Adaptive && c.winDone >= c.params.AdjustEvery {
@@ -342,10 +304,6 @@ func (c *Controller) Exit(mode Mode, outcome Outcome, d time.Duration) {
 func (c *Controller) adjustLocked() {
 	winTotals := Totals{SuccessNs: c.winSuccessNs, AbortNs: c.winAbortNs}
 	delta := winTotals.Delta(c.q)
-	abortRate := 0.0
-	if total := c.winCommits + c.winAborts; total > 0 {
-		abortRate = float64(c.winAborts) / float64(total)
-	}
 	switch {
 	case c.q == 1:
 		c.lockWindows++
@@ -366,11 +324,7 @@ func (c *Controller) adjustLocked() {
 			c.setQuotaLocked(c.q * 2)
 		}
 	}
-	c.windows++
-	// Publish the window sample at the quota it ran under, paired with the
-	// quota now in force (δ at the pre-adjust Q is what moved it).
-	c.sig.Store(&Signal{Quota: c.q, Delta: delta, AbortRate: abortRate, Windows: c.windows})
-	c.winSuccessNs, c.winAbortNs, c.winCommits, c.winAborts, c.winDone = 0, 0, 0, 0, 0
+	c.winSuccessNs, c.winAbortNs, c.winDone = 0, 0, 0
 }
 
 func (c *Controller) setQuotaLocked(q int) {
@@ -392,10 +346,6 @@ func (c *Controller) setQuotaLocked(q int) {
 	if q != 1 {
 		c.lockWindows = 0
 	}
-	// Refresh the published quota, keeping the last window's δ/abort-rate
-	// sample (a full sample is published once per window by adjustLocked).
-	old := c.sig.Load()
-	c.sig.Store(&Signal{Quota: q, Delta: old.Delta, AbortRate: old.AbortRate, Windows: old.Windows})
 	if c.params.OnQuotaChange != nil {
 		c.params.OnQuotaChange(prev, q)
 	}

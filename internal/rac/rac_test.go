@@ -380,112 +380,3 @@ func TestAccessors(t *testing.T) {
 		t.Error("Mode stringer wrong")
 	}
 }
-
-// TestSignalTable drives the lock-free Signal() accessor through its life
-// cycle: the pre-window sentinel, a published window sample, the Q=1 NaN
-// sentinel, and quota refreshes preserving the last sample.
-func TestSignalTable(t *testing.T) {
-	t.Run("fresh", func(t *testing.T) {
-		c := New(Params{Threads: 8, InitialQuota: 4, Adaptive: true, AdjustEvery: 8})
-		sig := c.Signal()
-		if sig.Quota != 4 {
-			t.Errorf("Quota = %d, want 4", sig.Quota)
-		}
-		if !math.IsNaN(sig.Delta) {
-			t.Errorf("pre-window Delta = %v, want NaN sentinel", sig.Delta)
-		}
-		if sig.AbortRate != 0 || sig.Windows != 0 {
-			t.Errorf("fresh sample = %+v, want zero abort rate and windows", sig)
-		}
-	})
-
-	t.Run("window", func(t *testing.T) {
-		c := New(Params{Threads: 8, InitialQuota: 4, Adaptive: true, AdjustEvery: 8})
-		// Hot window: half the attempts abort, each abort 100ms vs 1µs
-		// commits, so δ at Q=4 is far above HighDelta and the quota halves.
-		driveWindow(c, time.Microsecond, 100*time.Millisecond)
-		sig := c.Signal()
-		if sig.Windows != 1 {
-			t.Fatalf("Windows = %d, want 1", sig.Windows)
-		}
-		if sig.Quota != 2 || c.Quota() != 2 {
-			t.Errorf("published Quota = %d (controller %d), want halved to 2", sig.Quota, c.Quota())
-		}
-		if sig.AbortRate != 0.5 {
-			t.Errorf("AbortRate = %v, want 0.5 (4 aborts of 8)", sig.AbortRate)
-		}
-		// δ = winAbortNs/(winSuccessNs·(Q−1)) at the pre-adjust Q=4.
-		want := float64(4*100*time.Millisecond) / (float64(4*time.Microsecond) * 3)
-		if math.Abs(sig.Delta-want)/want > 1e-9 {
-			t.Errorf("Delta = %v, want %v", sig.Delta, want)
-		}
-	})
-
-	t.Run("q1-nan-sentinel", func(t *testing.T) {
-		c := New(Params{Threads: 4, InitialQuota: 1, Adaptive: true,
-			AdjustEvery: 8, ProbeAtLockEvery: -1})
-		driveWindow(c, time.Millisecond, 0)
-		sig := c.Signal()
-		if sig.Windows != 1 || sig.Quota != 1 {
-			t.Fatalf("sample = %+v, want one window at Q=1", sig)
-		}
-		// Eq. 5 divides by (Q−1): at Q=1 δ is N/A, published as NaN. Every
-		// comparison against NaN is false, so consumers (the adaptive batch
-		// controller's HighDelta vote, the split advisor) read it as "no
-		// signal" without a special case.
-		if !math.IsNaN(sig.Delta) {
-			t.Fatalf("Delta at Q=1 = %v, want NaN sentinel", sig.Delta)
-		}
-		if sig.Delta > 1.0 {
-			t.Error("NaN delta compared true against a threshold")
-		}
-		if sig.AbortRate != 0 {
-			t.Errorf("AbortRate = %v, want 0 (commit-only window)", sig.AbortRate)
-		}
-	})
-
-	t.Run("setquota-preserves-sample", func(t *testing.T) {
-		c := New(Params{Threads: 8, InitialQuota: 4, Adaptive: true, AdjustEvery: 8})
-		driveWindow(c, time.Microsecond, 100*time.Millisecond)
-		before := c.Signal()
-		c.SetQuota(8)
-		sig := c.Signal()
-		if sig.Quota != 8 {
-			t.Errorf("Quota = %d, want refreshed to 8", sig.Quota)
-		}
-		if sig.Delta != before.Delta || sig.AbortRate != before.AbortRate || sig.Windows != before.Windows {
-			t.Errorf("SetQuota rewrote the window sample: %+v -> %+v", before, sig)
-		}
-	})
-
-	t.Run("concurrent-reads", func(t *testing.T) {
-		// The accessor is advertised lock-free on hot paths: hammer it from
-		// readers while windows publish (the -race lane proves the claim).
-		c := New(Params{Threads: 8, InitialQuota: 4, Adaptive: true, AdjustEvery: 4})
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						sig := c.Signal()
-						if sig.Quota < 1 || sig.Quota > 8 {
-							t.Errorf("torn signal: %+v", sig)
-							return
-						}
-					}
-				}
-			}()
-		}
-		for w := 0; w < 50; w++ {
-			driveWindow(c, time.Microsecond, time.Microsecond)
-		}
-		close(stop)
-		wg.Wait()
-	})
-}

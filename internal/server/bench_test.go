@@ -57,50 +57,32 @@ func BenchmarkServerThroughput(b *testing.B) {
 					benchServer(b, benchConfig(eng.kind, batch), wl.build)
 				})
 			}
-			// The adaptive cell answers the sweep's open question: the
-			// controller must find batch16's throughput on its own under this
-			// standing window (deep queue, uncontended or contended) without
-			// giving back batch1's latency floor. BatchMax stays 16 — it is
-			// the ceiling the controller deepens toward.
-			b.Run(wl.name+"/"+eng.name+"/adaptive", func(b *testing.B) {
-				cfg := benchConfig(eng.kind, 16)
-				cfg.AdaptiveBatch = true
-				benchServer(b, cfg, wl.build)
-			})
 		}
 	}
 }
 
-// BenchmarkServerOverload is the admission-control proof: the pipelining
-// window (4096 deep) far exceeds what one worker can drain inside any sane
-// latency budget, the regime where a bounded queue alone lets p999 grow to
-// the full queue drain time. The static cell accepts everything and lets
-// closed-loop latency balloon toward window × per-op; the adaptive cell
-// (LatencyBudget 500µs) caps the standing queue at the admission gate and
-// sheds the excess with BUSY, so the queueing delay an accepted request can
-// accumulate is bounded — p50/p99/p999 all land well under the static cell,
-// busy-share reporting the shed fraction. (The measured tail sits above the
-// budget itself: the generator's write coalescing and the kernel socket
-// buffers queue ahead of the gate, and this no-backoff closed loop re-offers
-// every shed request instantly — a worst case for admission control, not the
-// intended client behavior.) Captured into BENCH_server.json by
-// `make bench-server`.
+// BenchmarkServerOverload is the backpressure proof: the pipelining window
+// (4096 deep) far exceeds what one worker drains in half a millisecond, the
+// regime where the queue bound alone sets the queueing delay an accepted
+// request can accumulate. static16's ring holds the whole window, so nothing
+// is shed and closed-loop latency grows toward window × per-op. queue512's
+// ring holds 512 requests (≈ 500 µs of work at ≈ 1 µs/op): the excess is
+// answered BUSY on the ring bound, busy-share reports the shed fraction, and
+// p50/p99/p999 land under static16's. (This no-backoff closed loop re-offers
+// every shed request at once — a worst case for shedding, not the intended
+// client behavior.) Captured into BENCH_server.json by `make bench-server`.
 func BenchmarkServerOverload(b *testing.B) {
 	const overloadWindow = 4096
 	for _, cell := range []struct {
-		name     string
-		adaptive bool
+		name  string
+		queue int
 	}{
-		{"static16", false},
-		{"adaptive", true},
+		{"static16", 8192}, // the generator window fits: BUSY never fires
+		{"queue512", 512},
 	} {
 		b.Run("writeheavy/norec/"+cell.name+"/overload", func(b *testing.B) {
 			cfg := benchConfig(votm.NOrec, 16)
-			cfg.QueueDepth = 8192 // the generator window fits: full-queue BUSY never fires
-			if cell.adaptive {
-				cfg.AdaptiveBatch = true
-				cfg.LatencyBudget = 500 * time.Microsecond
-			}
+			cfg.QueueDepth = cell.queue
 			benchServerOpts(b, cfg, overloadWindow, true, benchWriteHeavy)
 		})
 	}
@@ -135,24 +117,6 @@ func BenchmarkServerDurable(b *testing.B) {
 			})
 		}
 	}
-	// The controller on the durable path: the same shape as the headline
-	// batch512/workers1 cell with the group size found adaptively (ceiling
-	// 512). Under this standing window the controller must deepen — how many
-	// groups share a flush is the shard flusher's business at any depth — so
-	// the cell should land at the static batch512 figure, not the batch16
-	// one. The latency budget is pinned wide open: admission behavior is the
-	// Overload cells' subject, not this one's.
-	b.Run("writeheavy/norec/adaptive512/workers1/group", func(b *testing.B) {
-		cfg := benchConfig(votm.NOrec, 512)
-		cfg.AdaptiveBatch = true
-		cfg.LatencyBudget = time.Minute
-		cfg.WorkersPerShard = 1
-		cfg.QueueDepth = 8192
-		cfg.Durability = server.DurabilityGroup
-		cfg.DataDir = b.TempDir()
-		cfg.SnapshotEvery = time.Hour
-		benchServerWindow(b, cfg, 6*max(512, benchChunk), benchWriteHeavy)
-	})
 	// Same-shape in-memory baseline for the headline durable cell: identical
 	// window and queue depth, WAL off. The gap to .../batch512/workers1/group
 	// is the whole durability tax.
@@ -266,9 +230,8 @@ func benchServerWindow(b *testing.B, cfg server.Config, window int,
 
 // benchServerOpts is the full harness. busyOK additionally accepts
 // StatusBusy responses — the overload cells drive the server past its
-// latency budget on purpose, and a shed request answered BUSY is the
-// behavior under test, not an error; the shed fraction is reported as
-// busy-share.
+// queue bound on purpose, and a shed request answered BUSY is the behavior
+// under test, not an error; the shed fraction is reported as busy-share.
 func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 	build func(*wire.Request, *rand.Rand, []byte)) {
 	srv, addr := startServer(b, cfg)
@@ -402,13 +365,12 @@ func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 		b.ReportMetric(pctlNS(latNS, 990), "p99-ns")
 		b.ReportMetric(pctlNS(latNS, 999), "p999-ns")
 	}
-	var groups, groupOps, appends, fsyncs, admRej uint64
+	var groups, groupOps, appends, fsyncs uint64
 	for _, st := range srv.StatsAll() {
 		groups += st.Groups
 		groupOps += st.GroupOps
 		appends += st.WalAppends
 		fsyncs += st.Fsyncs
-		admRej += st.AdmissionRejects
 	}
 	if groups > 0 {
 		b.ReportMetric(float64(groupOps)/float64(groups), "group-size")
@@ -428,10 +390,8 @@ func benchServerOpts(b *testing.B, cfg server.Config, window int, busyOK bool,
 		}
 	}
 	if busyOK {
-		// Shed fraction: BUSY answers (admission gate or full queue) per
-		// request. The admission share of it is visible in admRej.
+		// Shed fraction: BUSY answers (a full ring) per request.
 		b.ReportMetric(float64(nBusy)/float64(b.N), "busy-share")
-		b.ReportMetric(float64(admRej), "adm-rejects")
 	}
 }
 

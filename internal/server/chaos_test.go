@@ -29,20 +29,9 @@ import (
 //     connections or views);
 //   - draining the battered server leaks no goroutines.
 //
-// The soak runs once with static batching and once with the adaptive
-// group-commit controller driving the ring — the storm doubles as the
-// liveness soak for the dispatch path.
+// The storm doubles as the liveness soak for the dispatch path.
 func TestServerChaos(t *testing.T) {
-	lanes := []struct {
-		name string
-		mod  func(*server.Config)
-	}{
-		{"ring", nil},
-		{"ring-adaptive", func(c *server.Config) { c.AdaptiveBatch = true }},
-	}
-	for _, lane := range lanes {
-		t.Run(lane.name, func(t *testing.T) { runServerChaos(t, lane.mod) })
-	}
+	t.Run("ring", runServerChaos)
 }
 
 // roundCoordinators counts the live round-coordinator goroutines (one per
@@ -52,7 +41,7 @@ func roundCoordinators() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*roundCoordinator).loop")
 }
 
-func runServerChaos(t *testing.T, mod func(*server.Config)) {
+func runServerChaos(t *testing.T) {
 	const nClients = 8
 	rounds := 200
 	if testing.Short() {
@@ -76,9 +65,6 @@ func runServerChaos(t *testing.T, mod func(*server.Config)) {
 		MaxConflictRetries: 8,
 		RequestTimeout:     30 * time.Second,
 		FaultHook:          inj.Hook(),
-	}
-	if mod != nil {
-		mod(&cfg)
 	}
 	srv, addr := startServer(t, cfg)
 

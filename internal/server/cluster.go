@@ -478,18 +478,11 @@ func (cn *clusterNode) dispatch(c *conn, req *wire.Request, resp *wire.Response)
 			c.reply(req, resp, wire.StatusShutdown, "server draining")
 			return true
 		}
-		// Replication and handoff streams bypass the adaptive admission gate
-		// (shedding them would stall followers, not shorten client tails);
-		// only a genuinely full queue pushes back. The stream keeps its place
-		// behind what this reader staged before it.
+		// The stream keeps its place behind what this reader staged before
+		// it, and goes out at once: only a full ring pushes back.
 		c.charge()
+		c.stage(sh, task{req: req, resp: resp, c: c})
 		c.publish()
-		t := task{req: req, resp: resp, c: c}
-		if sh.queue.PushBatch([]task{t}) == 1 {
-			sh.noteDepth(uint64(sh.queue.Len()))
-		} else {
-			s.busy(t, &sh.ringFull)
-		}
 		return true
 	case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpCAS:
 		st := cn.states[s.Shard(req.Key)]

@@ -333,7 +333,7 @@ func (c *conn) stage(sh *shard, t task) {
 	}
 	r := &c.runs[i]
 	r.tasks = append(r.tasks, t)
-	if len(r.tasks) >= sh.ctl.groupSize() {
+	if len(r.tasks) >= c.srv.cfg.BatchMax {
 		c.publishRun(r)
 	}
 }
@@ -347,22 +347,16 @@ func (c *conn) publish() {
 	}
 }
 
-// publishRun pushes the prefix of r the shard admits and answers the rest
-// BUSY: past the adaptive gate's limit (the queue's estimated drain time
-// exceeds the latency budget — shedding now bounds p999) or past a full ring.
+// publishRun pushes the prefix of r the shard's ring has room for and answers
+// the rest BUSY, unexecuted: a full ring is the one bound on a shard's queue.
 func (c *conn) publishRun(r *shardRun) {
 	sh, ts := r.sh, r.tasks
-	admit := min(len(ts), max(sh.ctl.admitLimit()-sh.queue.Len(), 0))
-	n := sh.queue.PushBatch(ts[:admit])
+	n := sh.queue.PushBatch(ts)
 	if n > 0 {
 		sh.noteDepth(uint64(sh.queue.Len()))
 	}
-	for i := n; i < len(ts); i++ {
-		meter := &sh.admissionRejects
-		if i < admit {
-			meter = &sh.ringFull
-		}
-		c.srv.busy(ts[i], meter)
+	for _, t := range ts[n:] {
+		c.srv.busy(t, &sh.ringFull)
 	}
 	clear(ts)
 	r.tasks = ts[:0]

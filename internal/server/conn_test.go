@@ -768,20 +768,43 @@ func TestStagedRunsPublishBeforeBlockingRead(t *testing.T) {
 	}
 }
 
-// TestStagedRunAdmissionPrefix: a burst whose run for one shard crosses the
-// shard's admission limit has the prefix up to the limit pushed and the rest
-// answered BUSY — unexecuted, on the admission meter — while the other shard's
-// run is untouched; every request is answered exactly once.
+// TestStagedRunAdmissionPrefix: a burst whose run for one shard finds that
+// shard's ring with room for only part of it has the prefix that fits pushed
+// and the rest answered BUSY — unexecuted, on the ring-full meter — while the
+// other shard's run is untouched; every request is answered exactly once.
 func TestStagedRunAdmissionPrefix(t *testing.T) {
-	s := stagingServer(t)
-	keys := keysOn(s, 8)
-	gated, other := (*s.shards[0].subs.Load())[0], (*s.shards[1].subs.Load())[0]
-	const limit = 3
-	gated.ctl.admit.Store(limit) // static controllers never republish it
+	s, err := New(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 8})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	keys := keysOn(s, 16)
+	full, other := (*s.shards[0].subs.Load())[0], (*s.shards[1].subs.Load())[0]
+	const room = 3
+
+	// Park full's one worker in its view's admission with a first filler PUT,
+	// then queue fillers behind it until room slots are left.
+	ctl := full.view.Controller()
+	if err := ctl.PauseAndDrain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Resume() // a second Resume releases nothing
+	filler := newTestConn(s, 64)
+	filler.dispatch(filler.pointReq(wire.OpPut, 1, keys[0][8], "filler"))
+	for deadline := time.Now().Add(5 * time.Second); serverGoroutines("(*Server).worker(", "(*Controller).Enter(") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never parked in admission")
+		}
+	}
+	fillers := 1 + full.queue.Cap() - room
+	for id := 2; id <= fillers; id++ {
+		filler.dispatch(filler.pointReq(wire.OpPut, uint32(id), keys[0][7+id], "filler"))
+	}
+
 	cli := pipeServe(t, s)
 	var reqs []wire.Request
 	for i := 0; i < 8; i++ {
-		reqs = append(reqs, put(uint32(2*i+1), keys[0][i], "gated"))
+		reqs = append(reqs, put(uint32(2*i+1), keys[0][i], "full"))
 		if i < 5 {
 			reqs = append(reqs, put(uint32(2*i+2), keys[1][i], "other"))
 		}
@@ -789,30 +812,36 @@ func TestStagedRunAdmissionPrefix(t *testing.T) {
 	if _, err := cli.Write(encode(t, reqs...)); err != nil {
 		t.Fatal(err)
 	}
-	got := answers(t, cli, len(reqs))
+	got := answers(t, cli, len(reqs)-room) // all but the pushed prefix
+	ctl.Resume()
+	for id, r := range answers(t, cli, room) {
+		got[id] = r
+	}
+	collect(t, filler, fillers)
+
 	th := s.rt.RegisterThread()
 	defer th.Release()
 	for _, req := range reqs {
-		want, onGated := wire.StatusOK, req.ID%2 == 1
-		if onGated && req.ID > 2*limit {
+		want, onFull := wire.StatusOK, req.ID%2 == 1
+		if onFull && req.ID > 2*room {
 			want = wire.StatusBusy
 		}
 		if st := got[req.ID].Status; st != want {
-			t.Fatalf("request %d (gated shard %v): %v, want %v", req.ID, onGated, st, want)
+			t.Fatalf("request %d (full shard %v): %v, want %v", req.ID, onFull, st, want)
 		}
 		sh := other
-		if onGated {
-			sh = gated
+		if onFull {
+			sh = full
 		}
 		if _, ok, _ := sh.testGet(context.Background(), th, req.Key); ok != (want == wire.StatusOK) {
 			t.Errorf("request %d answered %v, but its key exists: %v", req.ID, want, ok)
 		}
 	}
-	if a, r := gated.admissionRejects.Load(), gated.ringFull.Load(); a != 8-limit || r != 0 {
-		t.Errorf("gated shard metered %d admission rejects and %d ring-full, want %d and 0", a, r, 8-limit)
+	if n := full.ringFull.Load(); n != 8-room {
+		t.Errorf("full shard metered %d ring-full, want %d", n, 8-room)
 	}
-	if a, r := other.admissionRejects.Load(), other.ringFull.Load(); a != 0 || r != 0 {
-		t.Errorf("the other shard metered %d admission rejects and %d ring-full", a, r)
+	if n := other.ringFull.Load(); n != 0 {
+		t.Errorf("the other shard metered %d ring-full", n)
 	}
 }
 

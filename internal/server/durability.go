@@ -211,8 +211,7 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 	}
 
 	log, err := wal.Open(sh.dataDir, wal.Options{
-		SegmentBytes: s.cfg.WALSegmentBytes,
-		Fault:        s.cfg.DiskFaultHook,
+		Fault: s.cfg.DiskFaultHook,
 		// The tee feeds the cluster replication senders (replication.go).
 		// s.cluster is assigned before any worker starts appending and stays
 		// nil outside cluster mode, where the indirection is a nil check.

@@ -126,19 +126,17 @@ func newAckStage(s *Server, sh *shard) *ackStage {
 }
 
 // add lists a committed group behind its appended batch and wakes the
-// flusher; the worker gets a recycled op slice for its next group and the
-// time it stalled. A full list makes it wait for a release first — the shard's
-// back-pressure: its ring fills meanwhile and dispatch answers BUSY.
-func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp, stalled time.Duration) {
+// flusher; the worker gets a recycled op slice for its next group. A full
+// list makes it wait for a release first — the shard's back-pressure: its ring
+// fills meanwhile and dispatch answers BUSY.
+func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if bound := a.s.cfg.QueueDepth - len(ops); a.ops > max(bound, 0) {
 		a.stats.Stalls++
-		t := time.Now()
 		for a.ops > max(bound, 0) {
 			a.cond.Wait()
 		}
-		stalled = time.Since(t)
 	}
 	// Rival workers append under walMu but list after it: keep seq order.
 	i := len(a.list)
@@ -154,7 +152,7 @@ func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp, stalle
 		next, a.free = a.free[n-1], a.free[:n-1]
 	}
 	a.cond.Broadcast()
-	return next, stalled
+	return next
 }
 
 // addShare lists round fl's share of this log, just appended at seq, for the
@@ -351,10 +349,6 @@ type groupWorker struct {
 	fx     []effects
 	recs   []wal.Record // redo-record scratch (durability on)
 	valBuf []byte       // SubAdd post-image scratch backing recs
-
-	// stalled sums the time spent waiting on a full completion list, so the
-	// adaptive controller can be fed execution time alone (server.go worker).
-	stalled time.Duration
 
 	reqContext
 }
@@ -714,9 +708,7 @@ func (w *groupWorker) runGroup() bool {
 	// The answer is the acknowledgement stage's: an idle log flushes at once
 	// (a synchronous client waits one flush), a busy one takes every group
 	// appended during the flush in flight into the next.
-	var stalled time.Duration
-	w.ops, stalled = sh.ack.add(ops, walSeq, doubt)
-	w.stalled += stalled
+	w.ops = sh.ack.add(ops, walSeq, doubt)
 	return true
 }
 

@@ -47,7 +47,6 @@ func TestDurabilityConfigValidation(t *testing.T) {
 		{"missing data dir", server.Config{Durability: server.DurabilityGroup}, "DataDir"},
 		{"unknown mode", server.Config{Durability: "paranoid", DataDir: t.TempDir()}, "paranoid"},
 		{"autosplit conflict", server.Config{Durability: server.DurabilityGroup, DataDir: t.TempDir(), AutoSplit: true}, "AutoSplit"},
-		{"negative segment bytes", server.Config{Durability: server.DurabilityGroup, DataDir: t.TempDir(), WALSegmentBytes: -1}, "WALSegmentBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,20 +52,8 @@ type Config struct {
 	// BatchMax bounds the group a shard worker drains per wakeup and
 	// executes inside one view transaction — one RAC admission and one
 	// begin/commit (at Q=1, one lock acquisition) amortized over the whole
-	// group (see group.go). 1 disables grouping. Default 16. With
-	// AdaptiveBatch it is the ceiling the controller may deepen to.
+	// group (see group.go). 1 disables grouping. Default 16.
 	BatchMax int
-	// AdaptiveBatch drives the effective group size and queue admission from
-	// a per-shard controller fed by the signals RAC
-	// already samples — δ(Q), abort rate, queue depth, per-group service
-	// time (adapt.go) — instead of batching statically at BatchMax.
-	// Default off.
-	AdaptiveBatch bool
-	// LatencyBudget is the adaptive admission gate's target bound on
-	// queueing delay: arrivals that would push the queue's estimated drain
-	// time past it are shed with BUSY before the queue fills. Only
-	// meaningful with AdaptiveBatch. Default 20ms.
-	LatencyBudget time.Duration
 	// MaxValueLen bounds value sizes. Default 64 KiB.
 	MaxValueLen int
 
@@ -94,16 +82,10 @@ type Config struct {
 	// atomicity, as one multi-view transaction over every participant
 	// (round.go runRound); the cost is a quiescence of each involved
 	// sub-shard, so point-op-dominated workloads split most profitably (see
-	// docs/PROTOCOL.md). Default off.
+	// docs/PROTOCOL.md). The advisor runs every splitCheckEvery with the
+	// viewmgr defaults (no shard under 1024 keys splits), and a wire-level
+	// shard splits into at most splitMaxSubShards sub-shards. Default off.
 	AutoSplit bool
-	// SplitCheckEvery is the advisor polling period. Default 250ms.
-	SplitCheckEvery time.Duration
-	// SplitMinKeys gates splitting on shard size; shards below it are never
-	// split. Zero takes the viewmgr advisor default (1024).
-	SplitMinKeys int64
-	// SplitMaxSubShards caps the sub-shards per wire-level shard (must be a
-	// power of two). Default 8.
-	SplitMaxSubShards int
 
 	// Durability selects the crash-durability mode: DurabilityOff (default;
 	// memory-only fast path, nothing below applies), DurabilityGroup
@@ -119,9 +101,6 @@ type Config struct {
 	DataDir string
 	// SnapshotEvery is the periodic snapshot interval. Default 30s.
 	SnapshotEvery time.Duration
-	// WALSegmentBytes is the WAL segment rotation threshold; zero takes the
-	// wal package default (64 MiB).
-	WALSegmentBytes int64
 	// DiskFaultHook, when non-nil, is threaded into every shard's WAL for
 	// chaos testing (see internal/faultinject). Leave nil in production.
 	DiskFaultHook faultinject.DiskHook
@@ -181,9 +160,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax > c.QueueDepth {
 		c.BatchMax = c.QueueDepth
 	}
-	if c.LatencyBudget <= 0 {
-		c.LatencyBudget = 20 * time.Millisecond
-	}
 	if c.MaxValueLen <= 0 {
 		c.MaxValueLen = 64 << 10
 	}
@@ -198,12 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.SplitCheckEvery <= 0 {
-		c.SplitCheckEvery = 250 * time.Millisecond
-	}
-	if c.SplitMaxSubShards <= 0 {
-		c.SplitMaxSubShards = 8
 	}
 	if c.Durability == "" {
 		c.Durability = DurabilityOff
@@ -236,16 +206,12 @@ func (c Config) validate() error {
 		{"QueueDepth", int64(c.QueueDepth)},
 		{"BatchMax", int64(c.BatchMax)},
 		{"MaxValueLen", int64(c.MaxValueLen)},
-		{"WALSegmentBytes", c.WALSegmentBytes},
 		{"ClusterReplicas", int64(c.ClusterReplicas)},
 	}
 	for _, s := range sizes {
 		if s.v < 0 {
 			return fmt.Errorf("server: Config.%s must not be negative, got %d", s.name, s.v)
 		}
-	}
-	if c.LatencyBudget < 0 {
-		return fmt.Errorf("server: Config.LatencyBudget must not be negative, got %v", c.LatencyBudget)
 	}
 	// A maximal value must still encode into one frame (key, status and
 	// framing overhead stay well under 1 KiB).
@@ -307,6 +273,10 @@ const (
 	// large value, a long page or batch) is dropped instead of kept.
 	stockMax  = 256
 	retainMax = 8 << 10
+	// splitCheckEvery is the split advisor's polling period, and
+	// splitMaxSubShards the most sub-shards one wire-level shard splits into.
+	splitCheckEvery   = 250 * time.Millisecond
+	splitMaxSubShards = 8
 )
 
 // ErrServerDraining is returned for operations attempted after Shutdown
@@ -482,22 +452,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newShard builds one serving sub-shard with its dispatch ring and batching
-// controller (New's seed shards and split-born
-// children alike).
+// newShard builds one serving sub-shard with its dispatch ring (New's seed
+// shards and split-born children alike).
 func (s *Server) newShard(id int, v *votm.View, idx *ds.SkipList) *shard {
-	sh := &shard{
-		id:    id,
-		view:  v,
-		idx:   idx,
-		queue: newRingQueue(s.cfg.QueueDepth),
-	}
-	sh.ctl = newShardController(s.cfg.AdaptiveBatch, adaptParams{
-		BatchMax:        s.cfg.BatchMax,
-		QueueCap:        sh.queue.Cap(),
-		LatencyBudgetNs: int64(s.cfg.LatencyBudget),
-	})
-	return sh
+	return &shard{id: id, view: v, idx: idx, queue: newRingQueue(s.cfg.QueueDepth)}
 }
 
 // appendSubShards appends a snapshot of every serving sub-shard, across all
@@ -754,49 +712,28 @@ func (s *Server) forceCloseConns() {
 }
 
 // worker is one shard transaction worker: it owns a runtime thread handle
-// and a retained groupWorker, blocks for one task, then drains up to the
-// controller's group bound without blocking and executes the whole group as
-// one transaction (group.go). It never waits on a flush: a durable group's
-// answers are the acknowledgement stage's. At drain the closed queue first
-// yields its buffered remainder — grouped like any other batch, every request
-// answered — and then ends the loop. With AdaptiveBatch each drain cycle is
-// timed and fed back to the shard controller, which moves the group bound and
-// the admission threshold for the next one.
+// and a retained groupWorker, blocks for one task, then drains up to BatchMax
+// without blocking and executes the whole group as one transaction
+// (group.go). It never waits on a flush: a durable group's answers are the
+// acknowledgement stage's. At drain the closed queue first yields its
+// buffered remainder — grouped like any other batch, every request answered —
+// and then ends the loop.
 func (s *Server) worker(sh *shard) {
 	defer s.workersWG.Done()
 	th := s.rt.RegisterThread()
 	defer th.Release()
 	w := newGroupWorker(s, sh, th)
 	defer w.close()
-	adaptive := sh.ctl.adaptive()
 	batch := make([]task, 0, s.cfg.BatchMax)
-	drains := 0
 	for {
 		t, ok := sh.queue.Pop()
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], t)
-		batch = sh.queue.PopBatch(batch, sh.ctl.groupSize())
-		// Sample every observeEvery-th drain: the clock reads and the
-		// controller mutex would otherwise tax every group by a steady
-		// percent, and the controller's hysteresis only needs a stream of
-		// representative cycles, not all of them.
-		if drains++; !adaptive || drains%observeEvery != 0 {
-			w.run(batch)
-			continue
-		}
-		start, stalled := time.Now(), w.stalled
+		batch = sh.queue.PopBatch(append(batch[:0], t), s.cfg.BatchMax)
 		w.run(batch)
-		// Execution time only: run contains no flush, and a stall on a full
-		// completion list is the disk's time, not the group's.
-		sh.ctl.observe(sh.queue.Len(), len(batch), time.Since(start)-(w.stalled-stalled), sh.view.Controller().Signal())
 	}
 }
-
-// observeEvery is the worker's drain-cycle sampling stride for the adaptive
-// batch controller.
-const observeEvery = 8
 
 // StatsAll returns every shard's statistics snapshot — what an OpStats
 // request for wire.AllShards serves — for in-process consumers (the daemon's
@@ -857,8 +794,7 @@ func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 				GroupOps:       uint64(snap.Totals.GroupOps),
 				QueueHighWater: sh.queueHW.Load(),
 
-				EffectiveBatch:    uint64(sh.ctl.groupSize()),
-				AdmissionRejects:  sh.admissionRejects.Load(),
+				EffectiveBatch:    uint64(s.cfg.BatchMax),
 				RingFullEvents:    sh.ringFull.Load(),
 				QueueHighWaterWin: sh.queueHWRecent(),
 

@@ -656,3 +656,36 @@ func TestProtocolErrorReply(t *testing.T) {
 		t.Error("connection still serving after protocol abort")
 	}
 }
+
+// TestStatsStaticBatchMeters: STATS reports the one batching path. Every
+// shard's effectiveBatch is the configured BatchMax (clamped to QueueDepth),
+// and admissionRejects, kept in the v6 layout, reads 0.
+func TestStatsStaticBatchMeters(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  server.Config
+		want uint64
+	}{
+		{server.Config{Shards: 2}, 16},
+		{server.Config{Shards: 2, BatchMax: 4}, 4},
+		{server.Config{Shards: 2, BatchMax: 64, QueueDepth: 32}, 32},
+	} {
+		_, addr := startServer(t, tc.cfg)
+		c := dialClient(t, addr, client.Options{})
+		ctx := context.Background()
+		for k := uint64(0); k < 64; k++ {
+			if _, err := c.Put(ctx, k, []byte("v")); err != nil {
+				t.Fatalf("put %d: %v", k, err)
+			}
+		}
+		stats, err := c.Stats(ctx, wire.AllShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stats {
+			if st.EffectiveBatch != tc.want || st.AdmissionRejects != 0 {
+				t.Errorf("BatchMax %d, QueueDepth %d: shard %d reports effectiveBatch %d, admissionRejects %d; want %d and 0",
+					tc.cfg.BatchMax, tc.cfg.QueueDepth, st.Shard, st.EffectiveBatch, st.AdmissionRejects, tc.want)
+			}
+		}
+	}
+}

@@ -112,9 +112,8 @@ func (s *Server) atomicPlan(b *multiBatch) {
 // serialized per group by splitMu.
 func (s *Server) monitor() {
 	defer s.monitorWG.Done()
-	ticker := time.NewTicker(s.cfg.SplitCheckEvery)
+	ticker := time.NewTicker(splitCheckEvery)
 	defer ticker.Stop()
-	advisor := viewmgr.AdvisorConfig{MinKeys: s.cfg.SplitMinKeys}
 	for {
 		select {
 		case <-s.monitorStop:
@@ -124,7 +123,7 @@ func (s *Server) monitor() {
 		for _, g := range s.shards {
 			for _, sh := range *g.subs.Load() {
 				_, depth := unpackRoute(sh.routeBits.Load())
-				if 1<<(depth+1) > uint64(s.cfg.SplitMaxSubShards) {
+				if 1<<(depth+1) > splitMaxSubShards {
 					continue
 				}
 				snap := sh.view.Snapshot()
@@ -138,7 +137,7 @@ func (s *Server) monitor() {
 				if total := snap.Totals.Commits + snap.Totals.Aborts; total > 0 {
 					load.AbortRate = float64(snap.Totals.Aborts) / float64(total)
 				}
-				if ok, why := viewmgr.ShouldSplit(load, advisor); ok {
+				if ok, why := viewmgr.ShouldSplit(load, viewmgr.AdvisorConfig{}); ok {
 					if err := s.splitShard(g, sh); err != nil {
 						s.logf("votmd: shard %d split (%s): %v", g.id, why, err)
 					} else {

@@ -35,27 +35,21 @@ type shard struct {
 	view  *votm.View
 	idx   *ds.SkipList
 	queue *ringQueue
-	// ctl drives the shard's effective group size and admission threshold
-	// (adapt.go); in static mode it just pins BatchMax.
-	ctl  *shardController
-	keys atomic.Int64
+	keys  atomic.Int64
 	// queueHW is the lifetime high-water mark of the queue depth observed
 	// at dispatch. Because it never decays, STATS also serves a windowed
-	// variant (queueHWCur/queueHWPrev, rotated every hwWindow): operators
-	// and the adaptive controller see *current* pressure, not a startup
-	// burst from an hour ago.
+	// variant (queueHWCur/queueHWPrev, rotated every hwWindow), so an
+	// operator sees *current* pressure, not a startup burst from an hour ago.
 	queueHW      atomic.Uint64
 	queueHWCur   atomic.Uint64
 	queueHWPrev  atomic.Uint64
 	queueHWStamp atomic.Int64 // window index of queueHWCur
 
-	// Adaptive-batching rejection meters: admissionRejects counts BUSY
-	// answers from the controller's latency-budget gate, ringFull the ones
-	// from a queue actually being full: this shard's ring, or the server's
-	// round queue when this shard is the first participant of a refused
-	// cross-shard ATOMIC (a refused SCAN page counts on the least sub-shard).
-	admissionRejects atomic.Uint64
-	ringFull         atomic.Uint64
+	// ringFull counts BUSY answers from a full queue: this shard's ring, or
+	// the server's round queue when this shard is the first participant of a
+	// refused cross-shard ATOMIC (a refused SCAN page counts on the least
+	// sub-shard).
+	ringFull atomic.Uint64
 	// routeBits is the packed routing rule (packRoute): low 32 bits the
 	// prefix, high bits the depth. Published atomically by splitShard while
 	// the view is quiescent; {0, 0} matches every key.

@@ -728,3 +728,53 @@ func TestStoreKernelDifferential(t *testing.T) {
 	}
 	t.Logf("%d steps, %d refused batches, %d live keys, %d rounds", steps, refused, len(oracle), rc.nRounds.Load())
 }
+
+// TestQueueHighWaterWindow drives the windowed high-water rotation with
+// explicit window indices: the mark decays two windows after the load does
+// (current + previous are reported), while the lifetime mark never decays —
+// the regression for the forever-monotonic STATS gauge.
+func TestQueueHighWaterWindow(t *testing.T) {
+	sh := &shard{}
+	recent := func() uint64 { return max(sh.queueHWCur.Load(), sh.queueHWPrev.Load()) }
+
+	sh.rotateHW(100)
+	maxInto(&sh.queueHW, 9)
+	maxInto(&sh.queueHWCur, 9)
+	if got := recent(); got != 9 {
+		t.Fatalf("same window: recent = %d, want 9", got)
+	}
+
+	// Next window: the finished window's mark is still reported...
+	sh.rotateHW(101)
+	if got := recent(); got != 9 {
+		t.Fatalf("one window later: recent = %d, want 9 (previous window counts)", got)
+	}
+	maxInto(&sh.queueHWCur, 3)
+	if got := recent(); got != 9 {
+		t.Fatalf("recent = %d, want 9 (max of windows)", got)
+	}
+
+	// ...and a window with no higher load lets it decay.
+	sh.rotateHW(102)
+	if got := recent(); got != 3 {
+		t.Fatalf("two windows later: recent = %d, want decayed to 3", got)
+	}
+
+	// An idle gap (several windows with no traffic) reports zero: nothing
+	// recent happened, regardless of how bad the spike once was.
+	sh.rotateHW(110)
+	if got := recent(); got != 0 {
+		t.Fatalf("after idle gap: recent = %d, want 0", got)
+	}
+	if got := sh.queueHW.Load(); got != 9 {
+		t.Fatalf("lifetime mark = %d, want 9 (never decays)", got)
+	}
+
+	// Stale rotation attempts (an older window index racing in) must not
+	// clobber the current window.
+	maxInto(&sh.queueHWCur, 5)
+	sh.rotateHW(109)
+	if got := recent(); got != 5 {
+		t.Fatalf("stale rotate clobbered the window: recent = %d, want 5", got)
+	}
+}

@@ -21,7 +21,7 @@ import (
 
 // Version is the protocol version byte written into every encoded frame.
 // Versions 1-5 were the steps that grew the protocol to its current shape
-// (durability, cross-shard, scan, replication and adaptive-batching STATS
+// (durability, cross-shard, scan, replication and batching STATS
 // meters; multi-shard ATOMIC; SCAN; the cluster control plane); no deployed
 // peer speaks them, so decoders accept exactly [MinVersion, Version] = [6, 6]
 // and must reject any other version byte with StatusBadRequest (servers) or
@@ -399,12 +399,11 @@ type ShardStats struct {
 	ReplicaLagRecords uint64
 	Handoffs          uint64
 
-	// Adaptive-batching meters. EffectiveBatch is the controller's current group-size bound
-	// (the static BatchMax when adaptive batching is off). AdmissionRejects
-	// counts BUSY answers from the latency-budget admission gate,
-	// RingFullEvents the ones from the dispatch queue actually being full.
-	// QueueHighWaterWin is the queue high-water over the last two 15 s
-	// windows — the decayed companion to the lifetime QueueHighWater.
+	// Batching meters. EffectiveBatch is the group-size bound, the server's
+	// BatchMax. AdmissionRejects is always 0: it stays in the v6 layout, but
+	// a full dispatch queue is the one source of BUSY, counted by
+	// RingFullEvents. QueueHighWaterWin is the queue high-water over the last
+	// two 15 s windows — the decayed companion to the lifetime QueueHighWater.
 	EffectiveBatch    uint64
 	AdmissionRejects  uint64
 	RingFullEvents    uint64

@@ -128,7 +128,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			WalAppends: 5, Fsyncs: 2,
 			CrossShardGroups: 3, CrossShardPrepares: 6, PrepareAborts: 1,
 		}}},
-		// v6 STATS: the adaptive-batching meters must survive the round trip.
+		// v6 STATS: the batching meters must survive the round trip.
 		{Op: OpStats, ID: 20, Stats: []ShardStats{{
 			Shard: 3, Engine: "oreceager", Quota: 4, Commits: 21,
 			Groups: 2, GroupOps: 18, QueueHighWater: 40,
