@@ -113,7 +113,7 @@ soak-recovery:
 # follower with every leader-acked write intact.
 soak-cluster:
 	$(GO) test -race -count=1 -timeout 600s \
-		-run 'TestClusterHandoffSoak|TestClusterLeaderKillPromotion' -v ./internal/server
+		-run 'TestClusterHandoffSoak|TestClusterLeaderKillPromotion' -v ./internal/cluster
 
 # WAL torn-tail recovery fuzzing: mutated segment files (truncations, bit
 # flips) must replay to an intact prefix, truncate the damage idempotently,

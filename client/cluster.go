@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"votm/internal/cluster"
 	"votm/wire"
 )
 
@@ -424,7 +423,7 @@ func shardOfKey(m *wire.ShardMap, key uint64) uint32 {
 	if len(m.Shards) == 0 {
 		return 0
 	}
-	return uint32(cluster.ShardOf(key, len(m.Shards)))
+	return uint32(wire.ShardOf(key, len(m.Shards)))
 }
 
 // leaderAddr resolves the advertised address of the node leading shard.

@@ -63,6 +63,7 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "votmd: ", log.LstdFlags|log.Lmicroseconds)
+	logf := func(f string, a ...any) { logger.Printf(f, a...) }
 	clustered := *clusterSeed || *join != ""
 	if *advertise == "" {
 		*advertise = *addr
@@ -77,8 +78,8 @@ func main() {
 		if err != nil {
 			logger.Fatalf("listen: %v", err)
 		}
-		svc := cluster.NewService(*shards, *replicas, func(f string, a ...any) { logger.Printf(f, a...) })
-		svc.StartHealth(2*time.Second, 3, time.Second)
+		svc := cluster.NewService(*shards, *replicas, logf)
+		svc.StartHealth(cluster.HealthEvery, cluster.HealthFailures, cluster.HealthTimeout)
 		done := make(chan error, 1)
 		go func() { done <- cluster.Serve(ln, svc) }()
 		logger.Printf("shard-map service (standalone seed): %d shards, %d replicas, on %s", *shards, *replicas, *addr)
@@ -110,7 +111,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		Addr:            *addr,
 		Shards:          *shards,
 		WorkersPerShard: *workers,
@@ -126,14 +127,17 @@ func main() {
 		DataDir:       *dataDir,
 		SnapshotEvery: *snapEvery,
 
-		ClusterSeed:      *clusterSeed,
-		ClusterJoin:      *join,
-		ClusterReplicas:  *replicas,
-		ClusterAdvertise: *advertise,
-		ReplTimeout:      *replTO,
-
-		Logf: func(f string, a ...any) { logger.Printf(f, a...) },
-	})
+		Logf: logf,
+	}
+	if clustered {
+		m, err := cluster.NewMember(cluster.Config{Seed: *clusterSeed, Join: *join, Replicas: *replicas,
+			Advertise: *advertise, ReplTimeout: *replTO, Logf: logf})
+		if err != nil {
+			logger.Fatalf("init: %v", err)
+		}
+		cfg.Cluster = m
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		logger.Fatalf("init: %v", err)
 	}

@@ -1,11 +1,14 @@
-// Package cluster is votmd's control plane: the shard-map service that
+// Package cluster is votmd's cluster plane: the shard-map service that
 // assigns wire shards to nodes, the standalone seed server that exposes it
-// over the v5 SHARDMAP_* opcodes, and the node-health monitor that promotes
-// a follower when a leader dies.
+// over the SHARDMAP_* opcodes, the node-health monitor that promotes a
+// follower when a leader dies, and the Member a votmd node runs — routing by
+// role, WAL-stream replication and live handoff (member.go, replication.go).
 //
-// The data plane — WAL-stream replication, WRONG_SHARD redirects, live
-// handoff — lives in internal/server; this package holds only the placement
-// state machine and is imported by both the server and the cluster client.
+// A Member is the server's Config.Cluster: it plugs into the one seam
+// internal/server declares (server.Cluster) and reaches each shard only
+// through its *server.Shard handle. It reaches the map through a Seed: the
+// in-process *Service on the node hosting it, a *Remote everywhere else.
+// Placement itself is protocol (wire.ShardOf).
 //
 // # Epoch semantics
 //
@@ -18,16 +21,3 @@
 // epoch means the client raced a node that has not caught up yet, and a
 // bounded retry against the freshly fetched map resolves it either way.
 package cluster
-
-// ShardOf maps a key to its wire shard index — the cluster-wide placement
-// hash, shared by every node and by the routing client (server.ShardOf
-// delegates here). The mix deliberately differs from ds.HashMap's bucket
-// hash so one shard's keys still spread over that shard's buckets, and from
-// the server's subMix so auto-split bisection stays independent.
-func ShardOf(key uint64, shards int) int {
-	h := key
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % uint64(shards))
-}

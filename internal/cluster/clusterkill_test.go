@@ -1,4 +1,4 @@
-package server_test
+package cluster_test
 
 import (
 	"bytes"
@@ -17,6 +17,7 @@ import (
 	"votm/client"
 	"votm/internal/cluster"
 	"votm/internal/server"
+	"votm/wire"
 )
 
 // The leader-kill test runs the cluster failure path for real: two votmd
@@ -41,6 +42,7 @@ const (
 	clusterChildSeedEnv = "VOTM_CLUSTER_SEED"
 
 	clusterKillShards = 2
+	addrFileName      = "addr"
 )
 
 // TestClusterNodeChild is the re-executed child: one votmd cluster member
@@ -56,20 +58,21 @@ func TestClusterNodeChild(t *testing.T) {
 		t.Fatalf("child: listen: %v", err)
 	}
 	addr := ln.Addr().String()
+	// Never detach the follower in-test: an acked write must imply the
+	// follower has it, or the promotion oracle below is vacuous.
+	m, err := cluster.NewMember(cluster.Config{Join: seed, Replicas: 1, Advertise: addr, ReplTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("child: member: %v", err)
+	}
 	srv, err := server.New(server.Config{
-		Addr:             addr,
-		Shards:           clusterKillShards,
-		WorkersPerShard:  2,
-		BatchMax:         8,
-		Durability:       server.DurabilityGroup,
-		DataDir:          dir,
-		SnapshotEvery:    time.Hour,
-		ClusterJoin:      seed,
-		ClusterAdvertise: addr,
-		ClusterReplicas:  1,
-		// Never detach the follower in-test: an acked write must imply the
-		// follower has it, or the promotion oracle below is vacuous.
-		ReplTimeout: 30 * time.Second,
+		Addr:            addr,
+		Shards:          clusterKillShards,
+		WorkersPerShard: 2,
+		BatchMax:        8,
+		Durability:      server.DurabilityGroup,
+		DataDir:         dir,
+		SnapshotEvery:   time.Hour,
+		Cluster:         m,
 	})
 	if err != nil {
 		t.Fatalf("child: server.New: %v", err)
@@ -201,7 +204,7 @@ func TestClusterLeaderKillPromotion(t *testing.T) {
 	lanes := make([]*lane, clusterKillShards)
 	for sh := range lanes {
 		k := uint64(1_000 * (sh + 1))
-		for cluster.ShardOf(k, clusterKillShards) != sh {
+		for wire.ShardOf(k, clusterKillShards) != sh {
 			k++
 		}
 		lanes[sh] = &lane{key: k}

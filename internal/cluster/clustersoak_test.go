@@ -1,4 +1,4 @@
-package server_test
+package cluster_test
 
 import (
 	"bytes"
@@ -34,7 +34,7 @@ const clusterSoakShards = 3
 // startClusterNode pre-binds a loopback listener (the advertised address
 // must be known before New — joining happens inside it) and boots a
 // cluster member on it. mods adjust the configuration before New.
-func startClusterNode(t *testing.T, dir, seedAddr string, replicas int, mods ...func(*server.Config)) (*server.Server, string) {
+func startClusterNode(t *testing.T, dir, seedAddr string, replicas int, mods ...func(*server.Config)) (*server.Server, *cluster.Member, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -42,23 +42,21 @@ func startClusterNode(t *testing.T, dir, seedAddr string, replicas int, mods ...
 	}
 	addr := ln.Addr().String()
 	cfg := server.Config{
-		Addr:             addr,
-		Shards:           clusterSoakShards,
-		WorkersPerShard:  2,
-		BatchMax:         8,
-		Durability:       server.DurabilityGroup,
-		DataDir:          dir,
-		SnapshotEvery:    time.Hour, // the drain writes final snapshots
-		ClusterAdvertise: addr,
-		ClusterReplicas:  replicas,
-		ReplTimeout:      5 * time.Second,
-		Logf:             t.Logf,
+		Addr:            addr,
+		Shards:          clusterSoakShards,
+		WorkersPerShard: 2,
+		BatchMax:        8,
+		Durability:      server.DurabilityGroup,
+		DataDir:         dir,
+		SnapshotEvery:   time.Hour, // the drain writes final snapshots
+		Logf:            t.Logf,
 	}
-	if seedAddr == "" {
-		cfg.ClusterSeed = true
-	} else {
-		cfg.ClusterJoin = seedAddr
+	m, err := cluster.NewMember(cluster.Config{Seed: seedAddr == "", Join: seedAddr, Replicas: replicas,
+		Advertise: addr, ReplTimeout: 5 * time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Cluster = m
 	for _, mod := range mods {
 		mod(&cfg)
 	}
@@ -79,7 +77,7 @@ func startClusterNode(t *testing.T, dir, seedAddr string, replicas int, mods ...
 			t.Errorf("node %s serve: %v", addr, err)
 		}
 	})
-	return srv, addr
+	return srv, m, addr
 }
 
 // nodeIDByAddr resolves a node's seed-assigned id from its advertised addr.
@@ -97,7 +95,7 @@ func nodeIDByAddr(t *testing.T, m wire.ShardMap, addr string) uint32 {
 // soakKeyOnShard returns the first key >= base that routes to shard.
 func soakKeyOnShard(shard int, base uint64) uint64 {
 	for k := base; ; k++ {
-		if cluster.ShardOf(k, clusterSoakShards) == shard {
+		if wire.ShardOf(k, clusterSoakShards) == shard {
 			return k
 		}
 	}
@@ -109,10 +107,9 @@ func TestClusterHandoffSoak(t *testing.T) {
 	}
 	baseGoroutines := runtime.NumGoroutine()
 
-	srvA, addrA := startClusterNode(t, t.TempDir(), "", 2)
-	srvB, addrB := startClusterNode(t, t.TempDir(), addrA, 2)
-	srvC, addrC := startClusterNode(t, t.TempDir(), addrA, 2)
-	_ = srvC
+	srvA, mA, addrA := startClusterNode(t, t.TempDir(), "", 2)
+	srvB, mB, addrB := startClusterNode(t, t.TempDir(), addrA, 2)
+	srvC, _, addrC := startClusterNode(t, t.TempDir(), addrA, 2)
 
 	cl, err := client.DialCluster(addrA, client.Options{
 		PoolSize:       2,
@@ -175,11 +172,11 @@ func TestClusterHandoffSoak(t *testing.T) {
 	// Live handoffs while the lanes write: shard 0 A->B, shard 1 A->C,
 	// then shard 0 again B->C (the second hop must be issued on B, the
 	// leader the first hop installed).
-	hop := func(srv *server.Server, shard int, target uint32) {
+	hop := func(m *cluster.Member, shard int, target uint32) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			err := srv.Handoff(shard, target)
+			err := m.Handoff(shard, target)
 			if err == nil {
 				return
 			}
@@ -190,11 +187,11 @@ func TestClusterHandoffSoak(t *testing.T) {
 		}
 	}
 	time.Sleep(100 * time.Millisecond) // let the lanes get going
-	hop(srvA, 0, idB)
+	hop(mA, 0, idB)
 	time.Sleep(100 * time.Millisecond)
-	hop(srvA, 1, idC)
+	hop(mA, 1, idC)
 	time.Sleep(100 * time.Millisecond)
-	hop(srvB, 0, idC)
+	hop(mB, 0, idC)
 	time.Sleep(200 * time.Millisecond) // traffic across the settled map
 
 	close(stop)
@@ -260,7 +257,6 @@ func TestClusterHandoffSoak(t *testing.T) {
 	for _, st := range statsA {
 		hops += st.Handoffs
 	}
-	_ = srvB
 	_ = statsA
 
 	// Drain everything (cleanups re-run Shutdown idempotently) and verify
@@ -304,7 +300,7 @@ func TestClusterFollowerPastInitialHeap(t *testing.T) {
 		t.Skip("multi-node test; skipped in -short")
 	}
 	small := func(cfg *server.Config) { cfg.ShardWords = 1 << 10 }
-	srvA, addrA := startClusterNode(t, t.TempDir(), "", 2, small)
+	srvA, mA, addrA := startClusterNode(t, t.TempDir(), "", 2, small)
 	cl, err := client.DialCluster(addrA, client.Options{
 		PoolSize: 4, BusyRetries: 12, BusyBackoff: time.Millisecond, MapRetries: 8, RequestTimeout: 5 * time.Second,
 	})
@@ -365,7 +361,7 @@ func TestClusterFollowerPastInitialHeap(t *testing.T) {
 
 	const n = 2400
 	load(0, n)
-	srvB, addrB := startClusterNode(t, t.TempDir(), addrA, 2, small)
+	srvB, _, addrB := startClusterNode(t, t.TempDir(), addrA, 2, small)
 	follows(srvB, "bootstrap install")
 	load(n, 2*n)
 	follows(srvB, "REPLICATE stream")
@@ -378,7 +374,7 @@ func TestClusterFollowerPastInitialHeap(t *testing.T) {
 	}
 	defer cl2.Close()
 	idB := nodeIDByAddr(t, cl2.Map(), addrB)
-	if err := srvA.Handoff(0, idB); err != nil {
+	if err := mA.Handoff(0, idB); err != nil {
 		t.Fatalf("handoff shard 0 -> B: %v", err)
 	}
 	if got, want := keysPerShard(srvB)[0], keysPerShard(srvA)[0]; got != want || want == 0 {
@@ -387,7 +383,7 @@ func TestClusterFollowerPastInitialHeap(t *testing.T) {
 	for k := uint64(0); k < 2*n; k++ {
 		val, err := cl2.Get(ctx, k)
 		if err != nil || !bytes.Equal(val, value(k)) {
-			t.Fatalf("key %d (shard %d) after the handoff: %d bytes, %v", k, cluster.ShardOf(k, clusterSoakShards), len(val), err)
+			t.Fatalf("key %d (shard %d) after the handoff: %d bytes, %v", k, wire.ShardOf(k, clusterSoakShards), len(val), err)
 		}
 	}
 	finalMap := cl2.Map()

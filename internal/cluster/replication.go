@@ -1,5 +1,5 @@
-// Replication data plane for the cluster layer (cluster.go holds the
-// control plane): per-follower WAL-stream senders fed by the log's tee,
+// Replication data plane of a Member (member.go holds the control plane):
+// per-follower WAL-stream senders fed by the log's tee,
 // semi-synchronous commit waits, the follower-side frame apply, and the
 // snapshot install shared by replication bootstraps and live handoffs.
 //
@@ -10,28 +10,28 @@
 // to its acked watermark, and recovery needs no special cases. Any loss of
 // continuity (buffer overflow, an oversized frame, a seq gap, a follower
 // restarted into a different position) degrades to a snapshot re-sync: the
-// sender captures the shard under walMu, installs it through the same
+// sender captures the shard under its WAL lock, installs it through the same
 // BEGIN/ENTRIES/COMMIT sequence a live handoff uses (installState, its one
 // writer), and streams on from the captured sequence. Whatever the follower
 // applies — streamed frames, installed entries, the wipe before an install —
-// goes through the redo applier into shard.applyRecords (store.go).
+// goes through the shard's redo applier (server.Shard.AppendFrames, Redo).
 //
-// Lock order (tightest first): shard.walMu > wal.Log's internal mutex >
-// clShard.mu > replica.mu. The tee runs with the first two held and takes
-// the last two; everything else takes clShard.mu or replica.mu alone.
-package server
+// Lock order across the seam (tightest first): the shard's WAL lock
+// (server shard.walMu) > wal.Log's internal mutex > shardState.mu >
+// replica.mu. The tee runs with the first two held and takes the last two;
+// everything else here takes shardState.mu or replica.mu alone.
+package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"votm"
+	"votm/internal/server"
 	"votm/internal/wal"
 	"votm/wire"
 )
@@ -46,27 +46,24 @@ const (
 	// handoffChunkBytes splits a snapshot install's entries into ENTRIES
 	// frames comfortably under the wire's MaxFrame.
 	handoffChunkBytes = 512 << 10
-	// replIOTimeout bounds each replication/handoff wire operation.
+	// replIOTimeout bounds each exchange of a replication sender.
 	replIOTimeout = 10 * time.Second
 	// replBackoffMin/Max pace a sender's reconnect attempts.
 	replBackoffMin = 50 * time.Millisecond
 	replBackoffMax = 2 * time.Second
 )
 
-// errReplicaClosed aborts sender IO against a retired replica.
-var errReplicaClosed = errors.New("server: replica retired")
-
-// errShardMoving refuses writes quiesced by a live handoff; mapped to
-// StatusBusy (nothing executed, the client's retry re-routes).
-var errShardMoving = errors.New("server: shard handoff in progress")
+// readOnlyDetail is the TxFault detail of a stream op refused by a shard
+// that lost its WAL.
+const readOnlyDetail = "shard is read-only after a WAL failure"
 
 // replica is the leader's view of one follower of one shard: the stream
 // buffer the tee fills, the sender that drains it, and the acked watermark
 // semi-sync commits wait on.
 type replica struct {
 	node    uint32
-	addr    string
 	shardID int
+	peer    peer // the follower; closed to unblock sender IO
 
 	mu     sync.Mutex
 	cond   *sync.Cond // armed on buffered frames, resync, close
@@ -76,7 +73,6 @@ type replica struct {
 	next   uint64     // seq the next teed frame must carry (0 = unknown)
 	resync bool       // continuity lost: the sender must snapshot re-sync
 	closed bool
-	conn   net.Conn // live transfer connection, closed to unblock sender IO
 
 	done chan struct{} // closed exactly once by close()
 
@@ -90,8 +86,8 @@ type replica struct {
 func newReplica(node uint32, addr string, shardID int) *replica {
 	r := &replica{
 		node:    node,
-		addr:    addr,
 		shardID: shardID,
+		peer:    peer{addr: addr, timeout: replIOTimeout},
 		done:    make(chan struct{}),
 		ackCh:   make(chan struct{}),
 	}
@@ -190,9 +186,7 @@ func (r *replica) close() {
 		return
 	}
 	r.closed = true
-	if r.conn != nil {
-		_ = r.conn.Close()
-	}
+	r.peer.close()
 	close(r.done)
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -258,18 +252,18 @@ func (r *replica) adopt(followerNext, leaderNext uint64) bool {
 
 // attachReplica records a follower-durable watermark and re-engages the
 // semi-sync wait if the follower had been detached.
-func (cn *clusterNode) attachReplica(r *replica, seq uint64) {
+func (m *Member) attachReplica(r *replica, seq uint64) {
 	r.acked.Store(seq)
 	if r.detached.Swap(false) {
-		cn.s.logf("votmd: shard %d: follower %d re-attached at seq %d", r.shardID, r.node, seq)
+		m.logf("votmd: shard %d: follower %d re-attached at seq %d", r.shardID, r.node, seq)
 	}
 	r.bump()
 }
 
-// tee fans one appended frame out to every follower of the shard. Runs on
-// the appending worker with walMu and the log's mutex held (wal.Options.Tee).
-func (cn *clusterNode) tee(shardID int, seq uint64, frame []byte) {
-	st := cn.states[shardID]
+// Tee fans one appended frame out to every follower of the shard. It runs on
+// the appending worker with the WAL lock and the log's mutex held.
+func (m *Member) Tee(shardID int, seq uint64, frame []byte) {
+	st := m.states[shardID]
 	st.mu.Lock()
 	for _, r := range st.followers {
 		r.offer(seq, frame)
@@ -279,9 +273,9 @@ func (cn *clusterNode) tee(shardID int, seq uint64, frame []byte) {
 
 // ensureSenders reconciles the shard's sender set against the mapped
 // replica list: new followers get a sender, removed ones are retired.
-func (cn *clusterNode) ensureSenders(shardID int, replicas []uint32, m *wire.ShardMap) {
-	st := cn.states[shardID]
-	me := cn.nodeID.Load()
+func (m *Member) ensureSenders(shardID int, replicas []uint32, mp *wire.ShardMap) {
+	st := m.states[shardID]
+	me := m.nodeID.Load()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, id := range replicas {
@@ -291,17 +285,17 @@ func (cn *clusterNode) ensureSenders(shardID int, replicas []uint32, m *wire.Sha
 		if _, ok := st.followers[id]; ok {
 			continue
 		}
-		n := m.Node(id)
+		n := mp.Node(id)
 		if n == nil {
 			continue
 		}
 		r := newReplica(id, n.Addr, shardID)
 		st.followers[id] = r
-		cn.senderWG.Add(1)
-		go cn.runSender(r)
+		m.senderWG.Add(1)
+		go m.runSender(r)
 	}
 	for id, r := range st.followers {
-		if id == me || !containsID(replicas, id) {
+		if id == me || !containsNode(replicas, id) {
 			r.close()
 			delete(st.followers, id)
 		}
@@ -309,8 +303,8 @@ func (cn *clusterNode) ensureSenders(shardID int, replicas []uint32, m *wire.Sha
 }
 
 // stopShardSenders retires every sender of one shard.
-func (cn *clusterNode) stopShardSenders(shardID int) {
-	st := cn.states[shardID]
+func (m *Member) stopShardSenders(shardID int) {
+	st := m.states[shardID]
 	st.mu.Lock()
 	for id, r := range st.followers {
 		r.close()
@@ -325,66 +319,17 @@ func (cn *clusterNode) stopShardSenders(shardID int) {
 // each confirmation. Any transport error detaches the follower (semi-sync
 // commits stop waiting) and retries with backoff; a successful re-sync
 // re-attaches it.
-func (cn *clusterNode) runSender(r *replica) {
-	defer cn.senderWG.Done()
-	sh := cn.shardFor(r.shardID)
-	th := cn.s.rt.RegisterThread()
-	defer th.Release()
-
-	var (
-		c     net.Conn
-		br    *bufio.Reader
-		reqID uint32
-	)
-	disconnect := func() {
-		r.mu.Lock()
-		r.conn = nil
-		r.mu.Unlock()
-		if c != nil {
-			_ = c.Close()
-			c, br = nil, nil
-		}
-	}
-	defer disconnect()
-
-	do := func(req *wire.Request) (*wire.Response, error) {
-		if c == nil {
-			nc, err := net.DialTimeout("tcp", r.addr, seedDialTimeout)
-			if err != nil {
-				return nil, err
-			}
-			r.mu.Lock()
-			if r.closed {
-				r.mu.Unlock()
-				_ = nc.Close()
-				return nil, errReplicaClosed
-			}
-			r.conn = nc
-			r.mu.Unlock()
-			c, br = nc, bufio.NewReader(nc)
-		}
-		reqID++
-		req.ID = reqID
-		_ = c.SetDeadline(time.Now().Add(replIOTimeout))
-		if err := wire.WriteRequest(c, req); err != nil {
-			return nil, err
-		}
-		resp, err := wire.ReadResponse(br)
-		if err != nil {
-			return nil, err
-		}
-		if err := resp.Err(); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	}
+func (m *Member) runSender(r *replica) {
+	defer m.senderWG.Done()
+	defer r.peer.close()
+	sh := m.shards[r.shardID]
 
 	backoff := replBackoffMin
 	// fail detaches the follower and paces the retry; false means retired.
 	fail := func(err error) bool {
-		disconnect()
+		r.peer.drop()
 		if !r.detached.Swap(true) {
-			cn.s.logf("votmd: shard %d: follower %d detached (%v); commits stop waiting for it",
+			m.logf("votmd: shard %d: follower %d detached (%v); commits stop waiting for it",
 				r.shardID, r.node, err)
 		}
 		r.bump()
@@ -393,9 +338,7 @@ func (cn *clusterNode) runSender(r *replica) {
 			return false
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > replBackoffMax {
-			backoff = replBackoffMax
-		}
+		backoff = min(2*backoff, replBackoffMax)
 		return true
 	}
 
@@ -406,8 +349,8 @@ func (cn *clusterNode) runSender(r *replica) {
 			return
 		}
 		if !synced {
-			leaderNext := sh.log.NextSeq()
-			probe, err := do(&wire.Request{Op: wire.OpReplicate, Shard: uint32(r.shardID)})
+			leaderNext := sh.NextSeq()
+			probe, err := r.peer.do(context.Background(), &wire.Request{Op: wire.OpReplicate, Shard: uint32(r.shardID)})
 			if err != nil {
 				if !fail(err) {
 					return
@@ -416,7 +359,7 @@ func (cn *clusterNode) runSender(r *replica) {
 			}
 			base := probe.Cursor - 1
 			if !r.adopt(probe.Cursor, leaderNext) {
-				seq, err := cn.bootstrap(sh, th, r, do)
+				seq, err := m.bootstrap(sh, r)
 				if err != nil {
 					if !fail(err) {
 						return
@@ -425,7 +368,7 @@ func (cn *clusterNode) runSender(r *replica) {
 				}
 				base = seq
 			}
-			cn.attachReplica(r, base)
+			m.attachReplica(r, base)
 			synced = true
 			backoff = replBackoffMin
 		}
@@ -438,7 +381,7 @@ func (cn *clusterNode) runSender(r *replica) {
 			synced = false
 			continue
 		}
-		resp, err := do(&wire.Request{Op: wire.OpReplicate, Shard: uint32(r.shardID), Key: start, Value: frames})
+		resp, err := r.peer.do(context.Background(), &wire.Request{Op: wire.OpReplicate, Shard: uint32(r.shardID), Key: start, Value: frames})
 		spare = frames[:0]
 		if err != nil {
 			// The taken run is dropped; the next probe decides between
@@ -454,18 +397,18 @@ func (cn *clusterNode) runSender(r *replica) {
 			synced = false
 			continue
 		}
-		cn.attachReplica(r, expected-1)
+		m.attachReplica(r, expected-1)
 	}
 }
 
 // bootstrap re-syncs one follower from a snapshot: capture the shard under
-// walMu — resetting the stream buffer in the same critical section, so the
-// buffer's first frame is exactly the first append after the captured state
-// — then install the copy through the handoff sequence (epoch 0: no
+// its WAL lock — resetting the stream buffer in the same critical section, so
+// the buffer's first frame is exactly the first append after the captured
+// state — then install the copy through the handoff sequence (epoch 0: no
 // promotion). Returns the captured seq, the follower's new durable baseline.
-func (cn *clusterNode) bootstrap(sh *shard, th *votm.Thread, r *replica, do func(*wire.Request) (*wire.Response, error)) (uint64, error) {
-	entries, seq, err := cn.s.captureShardState(sh, th, func() {
-		next := sh.log.NextSeq()
+func (m *Member) bootstrap(sh *server.Shard, r *replica) (uint64, error) {
+	entries, seq, err := sh.Capture(func() {
+		next := sh.NextSeq()
 		r.mu.Lock()
 		r.resync = false
 		r.buf, r.ends = r.buf[:0], r.ends[:0]
@@ -476,26 +419,96 @@ func (cn *clusterNode) bootstrap(sh *shard, th *votm.Thread, r *replica, do func
 		return 0, err
 	}
 	noPromotion := func() (uint64, error) { return 0, nil }
-	if err := installState(r.shardID, seq, entries, noPromotion, do); err != nil {
+	if err := installState(&r.peer, r.shardID, seq, entries, noPromotion); err != nil {
 		return 0, err
 	}
-	cn.s.logf("votmd: shard %d: bootstrapped follower %d (%d keys, seq %d)",
+	m.logf("votmd: shard %d: bootstrapped follower %d (%d keys, seq %d)",
 		r.shardID, r.node, len(entries), seq)
 	return seq, nil
 }
 
-// installState ships one captured shard state through the three handoff
+// Handoff moves leadership of one wire shard from this node to target,
+// live: quiesce the shard (the moving gate + the WAL lock barrier), capture
+// its full state, ship it (BEGIN/ENTRIES), commit the reassignment at the
+// seed, then finalize the target (COMMIT with the new epoch) and demote this
+// node to a follower. In-flight and straggling requests answer BUSY or
+// WRONG_SHARD with the new epoch; a routing client refetches the map and
+// retries. A reassignment failure aborts cleanly (the target holds a
+// consistent copy but no authority).
+func (m *Member) Handoff(shardID int, target uint32) error {
+	if shardID < 0 || shardID >= len(m.states) {
+		return fmt.Errorf("cluster: shard %d out of range", shardID)
+	}
+	st, sh := m.states[shardID], m.shards[shardID]
+	if !st.leads() {
+		return fmt.Errorf("cluster: shard %d is not led by this node", shardID)
+	}
+	if target == m.nodeID.Load() {
+		return errors.New("cluster: handoff target is this node")
+	}
+	addr, ok := m.nodeAddr(target)
+	if !ok {
+		return fmt.Errorf("cluster: unknown target node %d", target)
+	}
+	if !sh.Moving().CompareAndSwap(false, true) {
+		return fmt.Errorf("cluster: shard %d handoff already in progress", shardID)
+	}
+	defer sh.Moving().Store(false)
+
+	// The outgoing senders would fight the install (their re-sync bootstrap
+	// is itself a handoff-shaped transfer); stop them — the new leader
+	// re-streams to every follower, this node included.
+	m.stopShardSenders(shardID)
+
+	// The WAL lock taken by the capture is the quiesce barrier: every
+	// mutation holds it and rechecks the gate under it, so nothing commits
+	// after the captured state.
+	entries, seq, err := sh.Capture(nil)
+	if err != nil {
+		return fmt.Errorf("cluster: handoff capture: %w", err)
+	}
+	p := &peer{addr: addr, timeout: ctlTimeout}
+	defer p.close()
+	reassigned := false
+	err = installState(p, shardID, seq, entries, func() (uint64, error) {
+		epoch, err := m.reassign(shardID, target)
+		if err != nil {
+			return 0, fmt.Errorf("handoff reassignment: %w", err)
+		}
+		// The reassignment is committed: this node no longer leads, whatever
+		// happens to the final frame. Demote before telling the target so no
+		// moment exists where both nodes serve writes.
+		st.role.Store(uint32(roleFollower))
+		st.epoch.Store(epoch)
+		reassigned = true
+		return epoch, nil
+	})
+	switch {
+	case err == nil:
+	case reassigned:
+		// The target still learns its promotion from the map watch; the
+		// COMMIT frame only accelerates it (and its durability snapshot).
+		m.logf("votmd: shard %d: handoff commit frame failed (target will promote via watch): %v", shardID, err)
+	default:
+		return fmt.Errorf("cluster: %w", err)
+	}
+	st.handoffs.Add(1)
+	m.logf("votmd: shard %d: handed off to node %d (%d keys, seq %d)", shardID, target, len(entries), seq)
+	return nil
+}
+
+// installState ships one captured shard state to p through the three handoff
 // phases — the one writer of BEGIN / ENTRIES / COMMIT. beforeCommit runs once
 // the last entry chunk is acknowledged and yields the epoch COMMIT carries: 0
 // installs a follower copy (a replication bootstrap), a real epoch promotes
 // the receiver (a live handoff, whose before-commit step is the seed
-// reassignment: cluster.go shipState).
-func installState(shardID int, seq uint64, entries []wal.Entry, beforeCommit func() (uint64, error), do func(*wire.Request) (*wire.Response, error)) error {
-	if _, err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffBegin, Key: seq}); err != nil {
+// reassignment).
+func installState(p *peer, shardID int, seq uint64, entries []wal.Entry, beforeCommit func() (uint64, error)) error {
+	if _, err := p.do(context.Background(), &wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffBegin, Key: seq}); err != nil {
 		return fmt.Errorf("handoff begin: %w", err)
 	}
 	for _, chunk := range chunkEntries(entries, handoffChunkBytes) {
-		if _, err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffEntries, Value: chunk}); err != nil {
+		if _, err := p.do(context.Background(), &wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffEntries, Value: chunk}); err != nil {
 			return fmt.Errorf("handoff entries: %w", err)
 		}
 	}
@@ -503,7 +516,7 @@ func installState(shardID int, seq uint64, entries []wal.Entry, beforeCommit fun
 	if err != nil {
 		return err
 	}
-	if _, err := do(&wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffCommit, Key: epoch}); err != nil {
+	if _, err := p.do(context.Background(), &wire.Request{Op: wire.OpHandoff, Shard: uint32(shardID), Phase: wire.HandoffCommit, Key: epoch}); err != nil {
 		return fmt.Errorf("handoff commit: %w", err)
 	}
 	return nil
@@ -536,30 +549,23 @@ func chunkEntries(entries []wal.Entry, maxBytes int) [][]byte {
 	return chunks
 }
 
-// waitReplicated blocks a committed-and-synced write group until every
+// WaitReplicated blocks a committed-and-flushed write group until every
 // attached follower of the shard has acked seq, or the replication deadline
 // passes — in which case the laggard is detached (logged) and commits stop
-// waiting for it until it catches back up. scratch recycles the follower
-// snapshot between calls; the (possibly grown) slice is returned emptied.
-func (s *Server) waitReplicated(sh *shard, seq uint64, scratch []*replica) []*replica {
-	cn := s.cluster
-	if cn == nil || seq == 0 {
-		return scratch
-	}
-	st := cn.states[sh.id]
-	if clusterRole(st.role.Load()) != roleLeader {
-		return scratch
+// waiting for it until it catches back up. Only the shard's flusher calls it,
+// so the follower snapshot's scratch is the shard's.
+func (m *Member) WaitReplicated(shardID int, seq uint64) {
+	st := m.states[shardID]
+	if seq == 0 || !st.leads() {
+		return
 	}
 	st.mu.Lock()
-	reps := scratch[:0]
+	reps := st.waiting[:0]
 	for _, r := range st.followers {
 		reps = append(reps, r)
 	}
 	st.mu.Unlock()
-	if len(reps) == 0 {
-		return reps
-	}
-	deadline := time.Now().Add(s.cfg.ReplTimeout)
+	deadline := time.Now().Add(m.cfg.ReplTimeout)
 	for _, r := range reps {
 		for r.acked.Load() < seq && !r.detached.Load() {
 			ch := r.barrier()
@@ -571,8 +577,8 @@ func (s *Server) waitReplicated(sh *shard, seq uint64, scratch []*replica) []*re
 			d := time.Until(deadline)
 			if d <= 0 {
 				if !r.detached.Swap(true) {
-					s.logf("votmd: shard %d: follower %d missed the replication deadline (acked %d, need %d); detached",
-						sh.id, r.node, r.acked.Load(), seq)
+					m.logf("votmd: shard %d: follower %d missed the replication deadline (acked %d, need %d); detached",
+						shardID, r.node, r.acked.Load(), seq)
 				}
 				r.bump()
 				break
@@ -585,248 +591,145 @@ func (s *Server) waitReplicated(sh *shard, seq uint64, scratch []*replica) []*re
 			t.Stop()
 		}
 	}
-	for i := range reps {
-		reps[i] = nil
-	}
-	return reps[:0]
-}
-
-// moving reports whether sh is quiesced for a live handoff. Callers hold
-// sh.walMu — the handoff capture takes it after setting moving, so a true
-// here means the caller must answer BUSY rather than commit behind the
-// captured state.
-func (s *Server) moving(sh *shard) bool {
-	cn := s.cluster
-	return cn != nil && cn.states[sh.id].moving.Load()
+	clear(reps)
+	st.waiting = reps[:0]
 }
 
 // --- follower-side apply ---------------------------------------------------
 
-// runReplicate serves one REPLICATE frame batch (or, with an empty payload,
-// a probe for where this log ends). Frames are appended verbatim, applied to
-// memory under walMu (so snapshots always capture state matching their seq),
-// and flushed before the ack, which the completion list releases like a write
-// group's — the returned Cursor is this log's NextSeq, which doubles as the
-// resync signal when it is not what the leader expected.
-func (w *groupWorker) runReplicate(t task) {
-	s, sh := w.s, w.sh
-	st := s.cluster.states[int(t.req.Shard)]
-	resp := t.resp
-	fail := func(status wire.Status, detail string) {
-		resp.Status = status
-		resp.SetDetail(detail)
-		s.finish(t)
+// Stream runs a REPLICATE or HANDOFF request on its shard's worker.
+func (m *Member) Stream(th *votm.Thread, req *wire.Request, resp *wire.Response) uint64 {
+	if req.Op == wire.OpReplicate {
+		return m.replicate(th, req, resp)
 	}
-	switch {
-	case clusterRole(st.role.Load()) == roleLeader:
-		resp.Status = wire.StatusWrongShard
-		resp.Value = wire.WrongShardDetail(resp.Value[:0], st.epoch.Load())
-		s.finish(t)
-		return
-	case sh.log == nil:
-		fail(wire.StatusBadRequest, "replication requires group durability")
-		return
-	case sh.readOnly.Load():
-		fail(wire.StatusTxFault, errShardReadOnly)
-		return
-	case len(t.req.Value) == 0:
-		sh.walMu.Lock()
-		resp.Cursor = sh.log.NextSeq()
-		sh.walMu.Unlock()
-		s.finish(t) // StatusOK
-		return
-	}
+	m.handoff(th, req, resp)
+	return 0
+}
 
-	sh.walMu.Lock()
-	last, appErr := sh.log.AppendFrames(t.req.Value)
-	if appErr != nil && !errors.Is(appErr, wal.ErrFrameGap) {
-		sh.walMu.Unlock()
+// replicate serves one REPLICATE frame batch (or, with an empty payload, a
+// probe for where this log ends). Frames are appended verbatim and applied to
+// memory under the WAL lock (so snapshots always capture state matching their
+// seq), and flushed before the ack: the returned seq holds it on the
+// completion list like a write group's. The answer's Cursor is this log's
+// next sequence, which doubles as the resync signal when it is not what the
+// leader expected.
+func (m *Member) replicate(th *votm.Thread, req *wire.Request, resp *wire.Response) (last uint64) {
+	st, sh := m.states[req.Shard], m.shards[req.Shard]
+	switch {
+	case st.leads():
+		wrongShard(resp, st.epoch.Load())
+		return 0
+	case sh.ReadOnly():
+		answer(resp, wire.StatusTxFault, readOnlyDetail)
+		return 0
+	}
+	var err error
+	sh.Lock()
+	if len(req.Value) > 0 {
+		last, err = sh.AppendFrames(th, req.Value)
+	}
+	next := sh.NextSeq()
+	sh.Unlock()
+	if err != nil {
 		status := wire.StatusBadRequest
-		if sh.log.Failed() {
-			s.noteShardWALFault(sh, appErr)
+		if sh.ReadOnly() {
 			status = wire.StatusTxFault
 		}
-		fail(status, appErr.Error())
-		return
-	}
-	var applyErr error
-	if last != 0 {
-		applyErr = w.applyReplicatedFrames(st, t.req.Value, last)
-	}
-	next := sh.log.NextSeq()
-	sh.walMu.Unlock()
-	if applyErr != nil {
-		// The log holds records memory could not apply: stop serving writes
-		// (recovery replays the log and heals the divergence).
-		s.noteShardWALFault(sh, applyErr)
-		fail(wire.StatusTxFault, applyErr.Error())
-		return
+		answer(resp, status, err.Error())
+		return 0
 	}
 	// A frame gap still answers OK: Cursor tells the leader where this log
 	// actually ends, and the mismatch with its expectation triggers the
 	// re-sync. Everything up to Cursor-1 IS durable here when the ack leaves.
 	resp.Cursor = next
-	if last == 0 {
-		s.finish(t)
-		return
-	}
-	sh.walAppends.Add(1)
-	if appErr == nil {
-		sh.walBytes.Add(uint64(len(t.req.Value)))
-	}
-	sh.ack.add([]groupOp{{t: t}}, last, 0)
+	return last
 }
 
-// errStopApply ends a DecodeFrames walk early (frames past the appended
-// prefix of a gapped batch must not apply).
-var errStopApply = errors.New("stop apply")
-
-// applyReplicatedFrames applies the frames with seq <= last to memory through
-// the shard's redo applier — the state machine recovery replays with, so a
-// cross-shard prepare and the records behind it are held until the streamed
-// RecCommit. Caller holds walMu.
-func (w *groupWorker) applyReplicatedFrames(st *clShard, b []byte, last uint64) error {
-	ctx := context.Background()
-	err := wal.DecodeFrames(b, func(seq uint64, recs []wal.Record) error {
-		if seq > last {
-			return errStopApply
-		}
-		return st.redo.apply(ctx, w.th, seq, recs)
-	})
-	if errors.Is(err, errStopApply) {
-		return nil
-	}
-	return err
-}
-
-// runHandoff serves one snapshot-install phase (replication bootstrap or
-// live handoff; only COMMIT's epoch distinguishes them). BEGIN wipes the
-// shard — state, a held prepare, the log (reset past the captured seq) —
-// ENTRIES installs the captured copy, and COMMIT snapshots it (the durable
-// baseline replacing the WAL history this node never saw) and, with a real
-// epoch, promotes this node to leader.
-func (w *groupWorker) runHandoff(t task) {
-	s, sh := w.s, w.sh
-	st := s.cluster.states[int(t.req.Shard)]
-	resp := t.resp
-	fail := func(status wire.Status, detail string) {
-		resp.Status = status
-		resp.SetDetail(detail)
-		w.s.finish(t)
-	}
+// handoff serves one snapshot-install phase (replication bootstrap or live
+// handoff; only COMMIT's epoch distinguishes them). BEGIN wipes the shard —
+// state, a held prepare, the log (reset past the captured seq) — ENTRIES
+// installs the captured copy, and COMMIT snapshots it (the durable baseline
+// replacing the WAL history this node never saw) and, with a real epoch,
+// promotes this node to leader.
+func (m *Member) handoff(th *votm.Thread, req *wire.Request, resp *wire.Response) {
+	st, sh := m.states[req.Shard], m.shards[req.Shard]
 	// Leadership rejects a NEW install (a stray bootstrap must not wipe a
 	// live leader) — but not the tail of one in progress: the map watch can
 	// promote this node between the last ENTRIES and the COMMIT, and the
 	// COMMIT must still land (it writes the installed state's durability
-	// baseline). The installing flag is walMu-guarded; re-read it per phase.
+	// baseline). The installing flag is guarded by the WAL lock; re-read it
+	// per phase.
 	midInstall := func() bool {
-		sh.walMu.Lock()
-		defer sh.walMu.Unlock()
+		sh.Lock()
+		defer sh.Unlock()
 		return st.installing
 	}
-	if clusterRole(st.role.Load()) == roleLeader && (t.req.Phase == wire.HandoffBegin || !midInstall()) {
-		resp.Status = wire.StatusWrongShard
-		resp.Value = wire.WrongShardDetail(resp.Value[:0], st.epoch.Load())
-		w.s.finish(t)
+	if st.leads() && (req.Phase == wire.HandoffBegin || !midInstall()) {
+		wrongShard(resp, st.epoch.Load())
 		return
 	}
-	if sh.readOnly.Load() {
-		fail(wire.StatusTxFault, errShardReadOnly)
+	if sh.ReadOnly() {
+		answer(resp, wire.StatusTxFault, readOnlyDetail)
 		return
 	}
-	switch t.req.Phase {
+	switch req.Phase {
 	case wire.HandoffBegin:
-		sh.walMu.Lock()
-		err := w.clearShard(st, t.req.Key)
-		sh.walMu.Unlock()
+		sh.Lock()
+		err := sh.Clear(th, req.Key)
+		if err == nil {
+			st.installing = true
+		}
+		sh.Unlock()
 		if err != nil {
-			s.noteShardWALFault(sh, err)
-			fail(wire.StatusTxFault, "handoff begin: "+err.Error())
+			sh.Fault(err)
+			answer(resp, wire.StatusTxFault, "handoff begin: "+err.Error())
 			return
 		}
 	case wire.HandoffEntries:
 		var recs []wal.Record
-		if !wal.DecodeRecords(t.req.Value, &recs) {
-			fail(wire.StatusBadRequest, "malformed handoff entries")
+		if !wal.DecodeRecords(req.Value, &recs) {
+			answer(resp, wire.StatusBadRequest, "malformed handoff entries")
 			return
 		}
-		sh.walMu.Lock()
+		sh.Lock()
 		if !st.installing {
-			sh.walMu.Unlock()
-			fail(wire.StatusBadRequest, "no handoff install in progress")
+			sh.Unlock()
+			answer(resp, wire.StatusBadRequest, "no handoff install in progress")
 			return
 		}
-		err := st.redo.apply(context.Background(), w.th, 0, recs) // nothing is held mid-install
-		sh.walMu.Unlock()
+		err := sh.Redo(th, recs) // nothing is held mid-install
+		sh.Unlock()
 		if err != nil {
-			fail(wire.StatusTxFault, "handoff install: "+err.Error())
+			answer(resp, wire.StatusTxFault, "handoff install: "+err.Error())
 			return
 		}
 	case wire.HandoffCommit:
-		sh.walMu.Lock()
+		sh.Lock()
 		installing := st.installing
 		st.installing = false
-		sh.walMu.Unlock()
+		sh.Unlock()
 		if !installing {
-			fail(wire.StatusBadRequest, "no handoff install in progress")
+			answer(resp, wire.StatusBadRequest, "no handoff install in progress")
 			return
 		}
 		// The snapshot is the installed state's durability baseline: the log
 		// starts past the captured seq and replays nothing below it. Without
 		// it a crash here would lose the install, so its failure fails the
 		// handoff.
-		if _, err := s.snapshotShard(sh, w.th); err != nil {
-			fail(wire.StatusTxFault, "handoff snapshot: "+err.Error())
+		if err := sh.Snapshot(th); err != nil {
+			answer(resp, wire.StatusTxFault, "handoff snapshot: "+err.Error())
 			return
 		}
-		if epoch := t.req.Key; epoch != 0 {
+		if epoch := req.Key; epoch != 0 {
 			st.epoch.Store(epoch)
-			if clusterRole(st.role.Swap(uint32(roleLeader))) != roleLeader {
-				s.logf("votmd: shard %d: promoted to leader by handoff (epoch %d)", int(t.req.Shard), epoch)
+			if role(st.role.Swap(uint32(roleLeader))) != roleLeader {
+				m.logf("votmd: shard %d: promoted to leader by handoff (epoch %d)", req.Shard, epoch)
 			}
 		}
 	default:
-		fail(wire.StatusBadRequest, "bad handoff phase")
+		answer(resp, wire.StatusBadRequest, "bad handoff phase")
 		return
 	}
 	resp.Status = wire.StatusOK
-	resp.Cursor = sh.log.NextSeq()
-	w.s.finish(t)
-}
-
-// clearShard wipes one shard for a snapshot install: a held prepare, every
-// key, old snapshots, and the log — reset to start at seq+1, the first
-// append after the captured state. Caller holds walMu.
-func (w *groupWorker) clearShard(st *clShard, seq uint64) error {
-	sh := w.sh
-	st.redo.reset()
-	sh.owed.Store(0)
-	ctx := context.Background()
-	var dels []wal.Record
-	err := sh.view.AtomicRead(ctx, w.th, func(tx votm.Tx) error {
-		dels = dels[:0]
-		sh.idx.ForEach(tx, func(key, val uint64) { dels = append(dels, wal.Record{Kind: wal.RecDelete, Key: key}) })
-		return nil
-	})
-	if err == nil {
-		err = sh.applyRecords(ctx, w.th, dels)
-	}
-	if err != nil {
-		return err
-	}
-	if sh.log != nil {
-		if err := sh.log.Reset(seq + 1); err != nil {
-			return err
-		}
-	}
-	sh.snapSeq.Store(seq)
-	if sh.dataDir != "" {
-		// Pre-install snapshots describe the wiped lineage; a crash before
-		// the COMMIT-phase snapshot must find none of them.
-		if err := wal.PruneSnapshots(sh.dataDir, seq); err != nil {
-			return err
-		}
-	}
-	st.installing = true
-	return nil
+	resp.Cursor = sh.NextSeq()
 }

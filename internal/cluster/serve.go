@@ -10,11 +10,21 @@ import (
 	"votm/wire"
 )
 
-// WatchWait bounds a SHARDMAP_WATCH long-poll: if the epoch does not
-// advance within this window the server answers with the current map and
-// the watcher re-arms. Bounding the poll keeps graceful drains from
+// WatchWait bounds a SHARDMAP_WATCH long-poll (Service.Wait): if the epoch
+// does not advance within this window the server answers with the current
+// map and the watcher re-arms. Bounding the poll keeps graceful drains from
 // hanging on idle watchers.
 const WatchWait = 10 * time.Second
+
+// The health schedule of every production map service, hosted by a votmd
+// node or standalone: each mapped node is pinged every HealthEvery, a probe
+// gives up after HealthTimeout, and HealthFailures misses in a row mark the
+// node dead — about 5 s after it stopped answering.
+const (
+	HealthEvery    = time.Second
+	HealthFailures = 5
+	HealthTimeout  = time.Second
+)
 
 // HandleMapOp answers one SHARDMAP_* request against svc, filling resp's
 // Status, Map and Cursor (the caller sets Op and ID). OpShardMapWatch
@@ -33,15 +43,11 @@ func HandleMapOp(svc *Service, req *wire.Request, resp *wire.Response) {
 		resp.Status = wire.StatusOK
 		resp.Map = svc.Snapshot()
 	case wire.OpShardMapWatch:
-		ctx, cancel := context.WithTimeout(context.Background(), WatchWait)
-		m, err := svc.Wait(ctx, req.Key)
-		cancel()
-		if errors.Is(err, ErrServiceClosed) {
+		m, err := svc.Wait(context.Background(), req.Key)
+		if err != nil {
 			fail(err)
 			return
 		}
-		// Context expiry still answers with the current map: the bounded
-		// long-poll contract.
 		resp.Status = wire.StatusOK
 		resp.Map = m
 	case wire.OpShardMapJoin:
@@ -58,12 +64,13 @@ func HandleMapOp(svc *Service, req *wire.Request, resp *wire.Response) {
 			fail(errors.New("cluster: node id out of range"))
 			return
 		}
-		if _, err := svc.ReassignLeader(req.Shard, uint32(req.Key)); err != nil {
+		m, err := svc.Reassign(req.Shard, uint32(req.Key))
+		if err != nil {
 			fail(err)
 			return
 		}
 		resp.Status = wire.StatusOK
-		resp.Map = svc.Snapshot()
+		resp.Map = m
 	default:
 		resp.Status = wire.StatusBadRequest
 		resp.SetDetail("not a shard-map opcode")
@@ -107,7 +114,10 @@ func serveConn(c net.Conn, svc *Service) {
 	go func() {
 		select {
 		case <-svc.Done():
-			_ = c.Close() // unblock the read loop on shutdown
+			// Unblock the read loop on shutdown; requests in flight (a parked
+			// watch) still get their SHUTDOWN answer before the close.
+			_ = c.SetReadDeadline(time.Now())
+			_ = c.SetWriteDeadline(time.Now().Add(ctlTimeout))
 		case <-stop:
 		}
 	}()
@@ -184,15 +194,8 @@ func (s *Service) StartHealth(every time.Duration, failures int, timeout time.Du
 
 // pingNode dials addr and exchanges one PING within timeout.
 func pingNode(addr string, timeout time.Duration) bool {
-	c, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return false
-	}
-	defer func() { _ = c.Close() }()
-	_ = c.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteRequest(c, &wire.Request{Op: wire.OpPing, ID: 1}); err != nil {
-		return false
-	}
-	resp, err := wire.ReadResponse(c)
-	return err == nil && resp.Status == wire.StatusOK
+	p := &peer{addr: addr, timeout: timeout}
+	defer p.close()
+	_, err := p.do(context.Background(), &wire.Request{Op: wire.OpPing})
+	return err == nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"votm/wire"
 )
@@ -32,6 +33,7 @@ type Service struct {
 	done     chan struct{}
 	closed   bool
 	logf     func(string, ...any)
+	wait     time.Duration // Wait's long-poll bound: WatchWait
 }
 
 // NewService returns a Service for the given shard count. replicas is the
@@ -48,6 +50,7 @@ func NewService(shards, replicas int, logf func(string, ...any)) *Service {
 		changed:  make(chan struct{}),
 		done:     make(chan struct{}),
 		logf:     logf,
+		wait:     WatchWait,
 	}
 	for i := 0; i < shards; i++ {
 		s.m.Shards = append(s.m.Shards, wire.ShardRoute{Shard: uint32(i), Epoch: 1})
@@ -104,30 +107,33 @@ func (s *Service) bumpLocked() {
 }
 
 // Wait blocks until the map epoch exceeds after, returning the new map.
-// On context expiry it returns the CURRENT map and the context's error —
-// the bounded-long-poll shape SHARDMAP_WATCH wants: answer with whatever
-// is current so the watcher can re-arm.
+// After the long-poll bound (WatchWait) it returns the CURRENT map, and on
+// context expiry the current map and the context's error — the bounded
+// long-poll shape SHARDMAP_WATCH wants: answer with whatever is current so
+// the watcher can re-arm.
 func (s *Service) Wait(ctx context.Context, after uint64) (wire.ShardMap, error) {
-	for {
+	bound := time.NewTimer(s.wait)
+	defer bound.Stop()
+	var err error
+	for expired := false; ; {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			return wire.ShardMap{}, ErrServiceClosed
 		}
-		if s.m.Epoch > after {
+		if s.m.Epoch > after || expired {
 			m := cloneMap(&s.m)
 			s.mu.Unlock()
-			return m, nil
+			return m, err
 		}
 		ch := s.changed
 		s.mu.Unlock()
 		select {
 		case <-ch:
+		case <-bound.C:
+			expired = true
 		case <-ctx.Done():
-			s.mu.Lock()
-			m := cloneMap(&s.m)
-			s.mu.Unlock()
-			return m, ctx.Err()
+			expired, err = true, ctx.Err()
 		}
 	}
 }
@@ -237,6 +243,14 @@ func (s *Service) ReassignLeader(shard uint32, node uint32) (uint64, error) {
 	route.Epoch = s.m.Epoch
 	s.logf("cluster: shard %d leader %d -> %d (epoch %d)", shard, old, node, s.m.Epoch)
 	return route.Epoch, nil
+}
+
+// Reassign is ReassignLeader answering with the map it left.
+func (s *Service) Reassign(shard, node uint32) (wire.ShardMap, error) {
+	if _, err := s.ReassignLeader(shard, node); err != nil {
+		return wire.ShardMap{}, err
+	}
+	return s.Snapshot(), nil
 }
 
 // MarkDead removes a node: every shard it led is promoted to its first

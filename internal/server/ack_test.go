@@ -180,7 +180,7 @@ func TestCoordinatorNeverWaitsOnFlush(t *testing.T) {
 	if got := appended(); got != [3]uint64{2, 2, 2} || readable(11, 2) {
 		t.Errorf("the third round started with two rounds in doubt: appends per shard %v", got)
 	}
-	for _, wait := range []string{"wal.(*Log).Sync(", ".waitReplicated("} {
+	for _, wait := range []string{"wal.(*Log).Sync(", ".WaitReplicated("} {
 		if n := serverGoroutines("(*roundCoordinator).loop(", wait); n != 0 {
 			t.Errorf("%d coordinator goroutines inside %s", n, wait)
 		}
@@ -235,7 +235,7 @@ func TestNoWorkerWaitsOnFlush(t *testing.T) {
 	if n := serverGoroutines("(*ackStage).flusher(", "wal.(*Log).Sync("); n != 1 {
 		t.Errorf("%d flusher goroutines inside the held flush, want 1", n)
 	}
-	for _, wait := range []string{"wal.(*Log).Sync(", ".awaitRound(", ".waitReplicated("} {
+	for _, wait := range []string{"wal.(*Log).Sync(", ".awaitRound(", ".WaitReplicated("} {
 		if n := serverGoroutines("(*Server).worker(", wait); n != 0 {
 			t.Errorf("%d worker goroutines inside %s", n, wait)
 		}

@@ -247,21 +247,31 @@ func (c *conn) plan(req *wire.Request) {
 		return
 	}
 
-	if s.cluster != nil {
-		// Cluster mode: map ops answer here, replication/handoff streams
-		// queue to their shard, and data ops gate on this node's role
-		// (WRONG_SHARD redirect / handoff BUSY) before normal dispatch.
-		if s.cluster.dispatch(c, req, resp) {
+	// Cluster mode: the plane answers map ops and gates data ops on this
+	// node's role (WRONG_SHARD redirect, handoff BUSY).
+	stream := false
+	if m := s.cfg.Cluster; m != nil {
+		switch m.Gate(req, resp) {
+		case GateAnswered:
+			c.reply(req, resp, resp.Status, "")
 			return
-		}
-	} else {
-		switch req.Op {
-		case wire.OpShardMapGet, wire.OpShardMapWatch, wire.OpShardMapJoin,
-			wire.OpShardMapUpdate, wire.OpReplicate, wire.OpHandoff:
-			// Typed refusal: these would otherwise be misrouted as data ops.
-			c.reply(req, resp, wire.StatusBadRequest, "not a cluster member")
+		case GateServe:
+			// The long-poll must not stall the reader. Charged like a queued
+			// request, it holds the connection's drain registration; Shutdown
+			// stops the control plane first, which answers it SHUTDOWN.
+			c.charge()
+			go func() {
+				m.Serve(req, resp)
+				s.finish(task{req: req, resp: resp, c: c})
+			}()
 			return
+		case GateStream:
+			stream = true
 		}
+	} else if req.Op >= wire.OpShardMapGet && req.Op <= wire.OpHandoff {
+		// Typed refusal: these would otherwise be misrouted as data ops.
+		c.reply(req, resp, wire.StatusBadRequest, "not a cluster member")
+		return
 	}
 
 	if status, msg := c.validate(req); status != wire.StatusOK {
@@ -283,6 +293,13 @@ func (c *conn) plan(req *wire.Request) {
 	// enters a ring. Nothing re-plans after this; a plan a split made stale
 	// is caught by the executors' in-transaction route check (BUSY).
 	t := task{req: req, resp: resp, c: c}
+	if stream {
+		// A stream keeps its place behind what this reader staged before it
+		// and goes out at once: only a full ring pushes back.
+		c.stage((*s.shards[req.Shard].subs.Load())[0], t)
+		c.publish()
+		return
+	}
 	var sh *shard
 	switch req.Op {
 	case wire.OpAtomic:

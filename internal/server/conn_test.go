@@ -16,6 +16,7 @@ import (
 	"time"
 	"unsafe"
 
+	"votm"
 	"votm/wire"
 )
 
@@ -337,59 +338,6 @@ func TestDrainPipeliningConnections(t *testing.T) {
 	}
 }
 
-// TestDrainAnswersMapWatch: a SHARDMAP_WATCH parked in its long-poll holds
-// its connection's drain registration, and the drain answers it SHUTDOWN at
-// once instead of waiting out the poll.
-func TestDrainAnswersMapWatch(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	s, err := New(Config{Shards: 1, WorkersPerShard: 1, Durability: DurabilityGroup, DataDir: t.TempDir(),
-		SnapshotEvery: time.Hour, ClusterSeed: true, ClusterAdvertise: ln.Addr().String()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	shutdownServer(t, s)
-	served := make(chan error, 1)
-	go func() { served <- s.Serve(ln) }()
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer nc.Close()
-	if err := wire.WriteRequest(nc, &wire.Request{Op: wire.OpShardMapGet, ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.ReadResponse(nc)
-	if err != nil || m.Status != wire.StatusOK {
-		t.Fatalf("map get: %v %v", m, err)
-	}
-	if err := wire.WriteRequest(nc, &wire.Request{Op: wire.OpShardMapWatch, ID: 2, Key: m.Map.Epoch}); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); serverGoroutines("HandleMapOp(", "(*Service).Wait(") == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the watch never parked")
-		}
-	}
-
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown with a watch parked: %v", err)
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if r, err := wire.ReadResponse(nc); err != nil || r.ID != 2 || r.Status != wire.StatusShutdown {
-		t.Fatalf("the parked watch: %v %v, want SHUTDOWN", r, err)
-	}
-	t.Logf("drained in %v with a watch parked", time.Since(start))
-}
-
 // failingConn refuses its first write, closing wrote: a writer's stream
 // failing. The writer never writes again.
 type failingConn struct {
@@ -448,14 +396,8 @@ func (c *conn) gatherStock() {
 // finish, an inline reply — and so does every response a failed writer
 // drains.
 func TestSteadyStateConnRecycling(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
 	f := newRoundFixture(t, Config{ShardWords: 1 << 12, WorkersPerShard: 1, RequestTimeout: time.Hour,
-		Durability: DurabilityGroup, DataDir: t.TempDir(), SnapshotEvery: time.Hour,
-		ClusterSeed: true, ClusterAdvertise: ln.Addr().String()}, 2)
+		Durability: DurabilityGroup, DataDir: t.TempDir(), SnapshotEvery: time.Hour, Cluster: stubCluster{}}, 2)
 	c, val := f.c, []byte("value")
 	put := func(k uint64) wire.Sub { return wire.Sub{Kind: wire.SubPut, Key: k, Value: val} }
 	round := func() {
@@ -1020,13 +962,39 @@ func bareServer(shards int) *Server {
 	return s
 }
 
+// stubCluster is a plane that leads every shard and does nothing else: it
+// passes every data op, sends REPLICATE and HANDOFF to their shard's worker
+// and answers them there WRONG_SHARD, as a leader refuses a stream.
+type stubCluster struct{}
+
+func (stubCluster) Start([]*Shard) error { return nil }
+
+func (stubCluster) Gate(req *wire.Request, _ *wire.Response) Verdict {
+	if req.Op == wire.OpReplicate || req.Op == wire.OpHandoff {
+		return GateStream
+	}
+	return GatePass
+}
+
+func (stubCluster) Stream(_ *votm.Thread, _ *wire.Request, resp *wire.Response) uint64 {
+	resp.Status = wire.StatusWrongShard
+	resp.Value = wire.WrongShardDetail(resp.Value[:0], 7)
+	return 0
+}
+
+func (stubCluster) Serve(*wire.Request, *wire.Response) {}
+func (stubCluster) Tee(int, uint64, []byte)             {}
+func (stubCluster) WaitReplicated(int, uint64)          {}
+func (stubCluster) StopControl()                        {}
+func (stubCluster) StopSenders()                        {}
+func (stubCluster) Stats(int, *wire.ShardStats)         {}
+
 // TestReplicateKeepsRingOrder: a REPLICATE stream interleaved with data ops on
 // one shard lands on the ring in arrival order — each stream frame is pushed
 // behind the data ops staged before it.
 func TestReplicateKeepsRingOrder(t *testing.T) {
 	s := bareServer(1)
-	s.cluster = newClusterNode(s)
-	s.cluster.states[0].role.Store(uint32(roleLeader))
+	s.cfg.Cluster = stubCluster{}
 	cli, srv := net.Pipe()
 	defer cli.Close()
 	if !s.beginReq() {

@@ -66,19 +66,19 @@ type crossRecovery struct {
 	dangling []*redoApplier
 }
 
-// redoApplier applies one shard's log records to memory in log order: THE
-// redo state machine, run by startup replay and by a follower's REPLICATE
-// stream alike. Replay order must equal memory order, and in memory a round's
-// effects exist from its prepare on — the groups that logged behind it ran on
-// top of them. So from a RecPrepare until its decision the applier holds the
-// prepare's records and every record behind them (deep copies: the caller's
-// buffer does not outlive the call), each with its batch's sequence; a commit
-// applies the lot in order, RecAbort drops the lot — the suffix was computed
-// on state that never became durable. A held suffix may contain the next
-// round's prepare (rounds overlap, round.go): applying re-feeds the suffix
-// batch by batch, that prepare starts a second hold at its own batch, and the
-// same RecCommit{x} — a watermark — decides it too if it is x or older. A log
-// that ends inside a held suffix leaves the applier dangling.
+// redoApplier applies one shard's log records to memory in log order: THE redo
+// state machine, one per shard (shard.redo), run by startup replay and by a
+// follower's REPLICATE stream alike. Replay order must equal memory order, and
+// in memory a round's effects exist from its prepare on — the groups that
+// logged behind it ran on top of them. So from a RecPrepare until its decision
+// the applier holds the prepare's records and every record behind them (deep
+// copies: the caller's buffer does not outlive the call), each with its batch's
+// sequence; a commit applies the lot in order, RecAbort drops the lot — the
+// suffix was computed on state that never became durable. A held suffix may
+// contain the next round's prepare (rounds overlap, round.go): applying
+// re-feeds the suffix batch by batch, that prepare starts a second hold at its
+// own batch, and the same RecCommit{x} — a watermark — decides it too if it is
+// x or older. A log that ends inside a held suffix leaves the applier dangling.
 type redoApplier struct {
 	sh    *shard
 	xid   uint64            // the undecided prepare (0: nothing held)
@@ -210,17 +210,8 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 		return st, nil
 	}
 
-	log, err := wal.Open(sh.dataDir, wal.Options{
-		Fault: s.cfg.DiskFaultHook,
-		// The tee feeds the cluster replication senders (replication.go).
-		// s.cluster is assigned before any worker starts appending and stays
-		// nil outside cluster mode, where the indirection is a nil check.
-		Tee: func(seq uint64, frame []byte) {
-			if cn := s.cluster; cn != nil {
-				cn.tee(sh.id, seq, frame)
-			}
-		},
-	})
+	// The tee feeds the cluster plane's replication senders (nil without one).
+	log, err := wal.Open(sh.dataDir, wal.Options{Fault: s.cfg.DiskFaultHook, Tee: s.tee(sh.id)})
 	if err != nil {
 		return st, fmt.Errorf("shard %d: open wal: %w", sh.id, err)
 	}
@@ -234,7 +225,7 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 			nextSeq = cleanSeq + 1
 		}
 	} else {
-		redo := &redoApplier{sh: sh}
+		redo := &sh.redo
 		rst, err := log.Replay(nextSeq, func(seq uint64, recs []wal.Record) error {
 			return redo.apply(ctx, th, seq, recs)
 		})
@@ -336,8 +327,8 @@ func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([
 	}
 	if sh.log != nil {
 		seq = sh.log.NextSeq() - 1
-		if cn := s.cluster; cn != nil && cn.states[sh.id].redo.xid != 0 {
-			seq = cn.states[sh.id].redo.from - 1
+		if sh.redo.xid != 0 {
+			seq = sh.redo.from - 1 // a follower holding a prepare
 		}
 	} else {
 		seq = sh.snapSeq.Load() + 1 // snapshot-only: a bare snapshot counter

@@ -248,7 +248,6 @@ func (a *ackStage) unflushed() uint64 {
 // and release fails everything listed.
 func (a *ackStage) flusher() {
 	defer close(a.done)
-	var reps []*replica
 	for {
 		a.mu.Lock()
 		target := a.unflushed()
@@ -266,8 +265,8 @@ func (a *ackStage) flusher() {
 		}
 		if err := a.sh.log.Sync(target); err != nil {
 			a.s.noteShardWALFault(a.sh, err)
-		} else {
-			reps = a.s.waitReplicated(a.sh, target, reps)
+		} else if m := a.s.cfg.Cluster; m != nil {
+			m.WaitReplicated(a.sh.id, target)
 		}
 		a.mu.Lock()
 		for i := range a.list {
@@ -402,10 +401,10 @@ func (w *groupWorker) run(batch []task) {
 			// are answered first so AppendFrames and installs never interleave
 			// with an unflushed append.
 			w.sh.ack.drain()
-			if t.req.Op == wire.OpReplicate {
-				w.runReplicate(t)
+			if seq := w.s.cfg.Cluster.Stream(w.th, t.req, t.resp); seq != 0 {
+				w.sh.ack.add([]groupOp{{t: t}}, seq, 0)
 			} else {
-				w.runHandoff(t)
+				w.s.finish(t)
 			}
 			continue
 		}
@@ -491,6 +490,10 @@ func errStatus(err error) (wire.Status, string) {
 // errShardReadOnly is the TxFault detail for writes refused by a shard that
 // lost its WAL.
 const errShardReadOnly = "shard is read-only after a WAL failure"
+
+// errShardMoving refuses writes quiesced by a live handoff (Shard.Moving);
+// mapped to StatusBusy: nothing executed, the client's retry re-routes.
+var errShardMoving = errors.New("server: shard handoff in progress")
 
 // appendWAL appends one redo batch to sh's log and meters it; the caller
 // holds walMu. A commit annotation the shard owes (shard.owed) rides in
@@ -585,7 +588,7 @@ func (w *groupWorker) runGroup() bool {
 	if durable {
 		sh.walMu.Lock()
 		walLocked = true
-		if w.s.moving(sh) {
+		if sh.moving.Load() {
 			// The handoff capture acquires walMu after setting moving:
 			// reaching here with it set means this group would commit behind
 			// the captured state — refuse every op instead (BUSY).

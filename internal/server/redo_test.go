@@ -148,15 +148,14 @@ func TestRedoApplierNestedHold(t *testing.T) {
 
 // TestPromotionCommitsHeldSuffix: a follower promoted while it still holds a
 // prepare — the leader died before the annotation streamed — applies what it
-// holds and annotates its own log, so the log it now leads is self-contained.
-// Rounds overlap, so it may hold two, the second inside the first one's suffix:
-// it commits both.
+// holds and annotates its own log (Shard.CommitHeld, what the plane calls on
+// promotion), so the log it now leads is self-contained. Rounds overlap, so
+// it may hold two, the second inside the first one's suffix: it commits both.
 func TestPromotionCommitsHeldSuffix(t *testing.T) {
 	f := newRoundFixture(t, Config{
 		ShardWords: 1 << 12, WorkersPerShard: 1,
 		Durability: DurabilityGroup, DataDir: t.TempDir(), SnapshotEvery: time.Hour,
 	}, 1)
-	cn := newClusterNode(f.s)
 	ctx, sh, key := context.Background(), f.shards[0], f.keys[0][0]
 	// What REPLICATE leaves behind: the frames in the log, their records held.
 	for _, recs := range [][]wal.Record{
@@ -169,7 +168,7 @@ func TestPromotionCommitsHeldSuffix(t *testing.T) {
 	} {
 		seq, err := appendWAL(sh, recs)
 		if err == nil {
-			err = cn.states[0].redo.apply(ctx, f.th, seq, recs)
+			err = sh.redo.apply(ctx, f.th, seq, recs)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -178,11 +177,11 @@ func TestPromotionCommitsHeldSuffix(t *testing.T) {
 	if _, found, _ := sh.testGet(ctx, f.th, key); found {
 		t.Fatal("a held record reached memory")
 	}
-	cn.commitHeld(0)
+	(&Shard{s: f.s, sh: sh}).CommitHeld()
 	if val, _, _ := sh.testGet(ctx, f.th, key); string(val) != "acked group" {
 		t.Fatalf("after promotion: key = %q, want both held rounds and their suffixes applied", val)
 	}
-	if a := &cn.states[0].redo; a.xid != 0 || a.n != 4 {
+	if a := &sh.redo; a.xid != 0 || a.n != 4 {
 		t.Fatalf("after promotion: holding %d, %d records applied; want nothing held and all 4 applied", a.xid, a.n)
 	}
 	// Shard 9 does not exist: only the annotations can make this replay commit.

@@ -506,7 +506,7 @@ func (rc *roundCoordinator) runRound() {
 				var refusal error
 				if p.readOnly.Load() {
 					refusal = txFault{errShardReadOnly}
-				} else if s.moving(p) {
+				} else if p.moving.Load() {
 					refusal = errShardMoving
 				}
 				if refusal == nil || !unionWrite[pi] {

@@ -26,7 +26,6 @@ import (
 
 	"votm"
 	"votm/ds"
-	"votm/internal/cluster"
 	"votm/internal/faultinject"
 	"votm/wire"
 )
@@ -93,8 +92,7 @@ type Config struct {
 	// group, responses released only after the group's durability point) or
 	// DurabilitySnapshotOnly (periodic snapshots, no WAL). Durable modes
 	// require DataDir and are mutually exclusive with AutoSplit: the data
-	// layout is one directory per wire-level shard, and live repartitioning
-	// of durable shards is a later (replication-era) concern.
+	// layout is one directory per wire-level shard.
 	Durability string
 	// DataDir is the durability root; shard i's WAL segments and snapshots
 	// live in DataDir/shard-%04d. Required when Durability is not off.
@@ -109,30 +107,10 @@ type Config struct {
 	// testing (see internal/faultinject). Leave nil in production.
 	FaultHook votm.FaultHook
 
-	// ClusterSeed makes this node host the shard-map service (package
-	// internal/cluster) on its data listener and join it in-process: the
-	// first seed-hosted node leads every shard. Mutually exclusive with
-	// ClusterJoin. Cluster mode (either field) requires DurabilityGroup —
-	// replication streams the per-shard WAL — and ClusterAdvertise; it is
-	// incompatible with AutoSplit (placement is by wire-level shard id: the
-	// cluster routes on the parent shard, and sub-shard fan-out below one
-	// node would make the shipped WAL streams ambiguous).
-	ClusterSeed bool
-	// ClusterJoin is the seed node's address; a non-empty value joins this
-	// node to that cluster at startup.
-	ClusterJoin string
-	// ClusterReplicas is the desired follower count per shard, honored by
-	// the hosted shard-map service (seed node only). Default 1 in cluster
-	// mode.
-	ClusterReplicas int
-	// ClusterAdvertise is the address other nodes and routing clients use
-	// to reach this node. Required in cluster mode.
-	ClusterAdvertise string
-	// ReplTimeout bounds the leader's semi-synchronous wait for follower
-	// acknowledgement after a group's fsync; a follower that misses it is
-	// detached (logged) and no longer blocks commits until it catches up.
-	// Default 2s.
-	ReplTimeout time.Duration
+	// Cluster, when non-nil, makes this node a cluster member: the plane
+	// behind the seam in cluster.go (internal/cluster builds it). It requires
+	// DurabilityGroup: replication streams the per-shard WAL.
+	Cluster Cluster
 
 	// Logf, when non-nil, receives server log lines.
 	Logf func(format string, args ...any)
@@ -181,14 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 30 * time.Second
 	}
-	if c.ClusterSeed || c.ClusterJoin != "" {
-		if c.ClusterReplicas == 0 {
-			c.ClusterReplicas = 1
-		}
-		if c.ReplTimeout <= 0 {
-			c.ReplTimeout = 2 * time.Second
-		}
-	}
 	return c
 }
 
@@ -206,7 +176,6 @@ func (c Config) validate() error {
 		{"QueueDepth", int64(c.QueueDepth)},
 		{"BatchMax", int64(c.BatchMax)},
 		{"MaxValueLen", int64(c.MaxValueLen)},
-		{"ClusterReplicas", int64(c.ClusterReplicas)},
 	}
 	for _, s := range sizes {
 		if s.v < 0 {
@@ -231,23 +200,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("server: unknown Config.Durability %q (want %q, %q or %q)",
 			c.Durability, DurabilityOff, DurabilityGroup, DurabilitySnapshotOnly)
 	}
-	if c.ClusterSeed || c.ClusterJoin != "" {
-		if c.ClusterSeed && c.ClusterJoin != "" {
-			return errors.New("server: Config.ClusterSeed and Config.ClusterJoin are mutually exclusive")
-		}
-		if c.Durability != DurabilityGroup {
-			return fmt.Errorf("server: cluster mode requires Config.Durability %q (replication streams the per-shard WAL), got %q",
-				DurabilityGroup, c.Durability)
-		}
-		if c.ClusterAdvertise == "" {
-			return errors.New("server: cluster mode requires Config.ClusterAdvertise")
-		}
-		if c.AutoSplit {
-			// Unreachable today (DurabilityGroup already rejects AutoSplit),
-			// but the constraint is independent: cluster placement routes on
-			// the wire-level shard id.
-			return errors.New("server: cluster mode is incompatible with Config.AutoSplit (placement is per wire-level shard)")
-		}
+	if c.Cluster != nil && c.Durability != DurabilityGroup {
+		return fmt.Errorf("server: cluster mode requires Config.Durability %q (replication streams the per-shard WAL), got %q",
+			DurabilityGroup, c.Durability)
 	}
 	return nil
 }
@@ -264,8 +219,6 @@ const (
 	// responses at least this large bypass the coalescing buffer and are
 	// written through the writev (net.Buffers) path.
 	writeBufSize = 16 << 10
-	// traceLimit caps the quota-event recorder backing STATS QuotaEvents.
-	traceLimit = 4096
 	// pendingBlock is the number of requests one conn.charge covers.
 	pendingBlock = 64
 	// stockMax bounds each end of a connection's free lists, above a client's
@@ -283,19 +236,14 @@ const (
 // began (e.g. a shard split racing the drain).
 var ErrServerDraining = errors.New("server: draining")
 
-// ShardOf maps a key to its shard index. It delegates to the cluster-wide
-// placement hash (internal/cluster): every node of a cluster — and the
-// routing client — must agree on it. Sub-shard routing (split.go subMix)
-// uses an independent mix, so one shard's keys still bisect evenly.
-func ShardOf(key uint64, shards int) int {
-	return cluster.ShardOf(key, shards)
-}
+// ShardOf maps a key to its shard index: the cluster-wide placement hash,
+// wire.ShardOf.
+func ShardOf(key uint64, shards int) int { return wire.ShardOf(key, shards) }
 
 // Server is a votmd instance.
 type Server struct {
 	cfg    Config
 	rt     *votm.Runtime
-	rec    *votm.QuotaRecorder
 	shards []*shardGroup
 	start  time.Time
 
@@ -317,11 +265,6 @@ type Server struct {
 	snapshotStop chan struct{}
 	snapshotWG   sync.WaitGroup
 	recovery     []RecoveryStats
-
-	// cluster is non-nil when this node is part of a cluster (cluster.go);
-	// it is assigned in New before any worker starts, so workers and WAL
-	// tees may read it without synchronization.
-	cluster *clusterNode
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -358,7 +301,6 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		rec:   votm.NewQuotaRecorder(traceLimit),
 		conns: make(map[net.Conn]struct{}),
 		start: time.Now(),
 	}
@@ -367,7 +309,6 @@ func New(cfg Config) (*Server, error) {
 		Engine:             cfg.Engine,
 		AdjustEvery:        cfg.AdjustEvery,
 		MaxConflictRetries: cfg.MaxConflictRetries,
-		QuotaTrace:         s.rec.Hook(),
 		FaultHook:          cfg.FaultHook,
 	})
 	s.nextViewID.Store(int64(cfg.Shards)) // IDs 1..Shards are the seed views
@@ -414,11 +355,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if cfg.ClusterSeed || cfg.ClusterJoin != "" {
-		// Assigned before any worker starts: tees and workers read s.cluster
-		// without further synchronization.
-		s.cluster = newClusterNode(s)
-	}
 	s.batchFree = make(chan *multiBatch, cfg.QueueDepth)
 	s.rounds = newRoundCoordinator(s)
 	go s.rounds.loop()
@@ -441,10 +377,12 @@ func New(cfg Config) (*Server, error) {
 		s.monitorWG.Add(1)
 		go s.monitor()
 	}
-	if s.cluster != nil {
-		// Joining dials the seed (or the in-process service) and applies the
-		// first map; the watch loop then tracks placement changes.
-		if err := s.cluster.start(); err != nil {
+	if m := cfg.Cluster; m != nil {
+		handles := make([]*Shard, len(seeds))
+		for i, sh := range seeds {
+			handles[i] = &Shard{s: s, sh: sh}
+		}
+		if err := m.Start(handles); err != nil {
 			_ = s.Shutdown(context.Background())
 			return nil, err
 		}
@@ -455,7 +393,9 @@ func New(cfg Config) (*Server, error) {
 // newShard builds one serving sub-shard with its dispatch ring (New's seed
 // shards and split-born children alike).
 func (s *Server) newShard(id int, v *votm.View, idx *ds.SkipList) *shard {
-	return &shard{id: id, view: v, idx: idx, queue: newRingQueue(s.cfg.QueueDepth)}
+	sh := &shard{id: id, view: v, idx: idx, queue: newRingQueue(s.cfg.QueueDepth)}
+	sh.redo.sh = sh
+	return sh
 }
 
 // appendSubShards appends a snapshot of every serving sub-shard, across all
@@ -492,15 +432,9 @@ func (s *Server) Repartitions() uint64 {
 	return n
 }
 
-// Recorder exposes the quota-event recorder backing STATS (tests, metrics).
-func (s *Server) Recorder() *votm.QuotaRecorder { return s.rec }
-
 // Recovery returns the per-shard startup-recovery summaries, in shard
 // order; empty when durability is off.
 func (s *Server) Recovery() []RecoveryStats { return s.recovery }
-
-// NumShards returns the shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
 
 // Shard returns the shard index serving key.
 func (s *Server) Shard(key uint64) int { return ShardOf(key, len(s.shards)) }
@@ -618,12 +552,10 @@ func (s *Server) shutdown(ctx context.Context) error {
 		close(s.snapshotStop)
 		s.snapshotWG.Wait()
 	}
-	if s.cluster != nil {
-		// Stop the control plane now (pending SHARDMAP_WATCHes answer
-		// Shutdown immediately) but keep the replication senders alive: the
-		// drain below still commits groups, and their semi-sync waits need
-		// live followers.
-		s.cluster.stopControl()
+	if m := s.cfg.Cluster; m != nil {
+		// Pending SHARDMAP_WATCHes answer SHUTDOWN now; the replication
+		// senders stay up, as the drain's semi-sync waits need followers.
+		m.StopControl()
 	}
 
 	s.mu.Lock()
@@ -679,8 +611,8 @@ func (s *Server) retire() {
 	}
 
 	// Nothing appends anymore: retire the replication senders.
-	if s.cluster != nil {
-		s.cluster.stopSenders()
+	if m := s.cfg.Cluster; m != nil {
+		m.StopSenders()
 	}
 
 	// Workers are quiescent and every answered write is on disk: write the
@@ -760,7 +692,6 @@ func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 		resp.SetDetail(fmt.Sprintf("shard %d out of range", shard))
 		return
 	}
-	perView := s.rec.PerView()
 	for _, g := range sel {
 		// One entry per serving sub-shard; a never-split shard reports
 		// exactly one, so the pre-split response shape is unchanged.
@@ -788,7 +719,7 @@ func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 				AbortNs:        uint64(snap.Totals.AbortNs),
 				Delta:          snap.Delta,
 				Keys:           uint64(sh.keys.Load()),
-				QuotaEvents:    uint64(len(perView[sh.view.ID()])),
+				QuotaEvents:    uint64(snap.QuotaMoves),
 				Repartitions:   g.splits.Load(),
 				Groups:         uint64(snap.Totals.Groups),
 				GroupOps:       uint64(snap.Totals.GroupOps),
@@ -812,10 +743,8 @@ func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 				ScannedKeys: sh.scannedKeys.Load(),
 			})
 		}
-		if s.cluster != nil {
-			st := &resp.Stats[len(resp.Stats)-1]
-			st.Handoffs = s.cluster.states[g.id].handoffs.Load()
-			st.FollowerAcks, st.ReplicaLagRecords = s.cluster.replStats(g.id)
+		if m := s.cfg.Cluster; m != nil {
+			m.Stats(g.id, &resp.Stats[len(resp.Stats)-1])
 		}
 	}
 }

@@ -77,7 +77,12 @@ type shard struct {
 	// readOnly flips on after a WAL append or fsync failure: the in-memory
 	// state may be ahead of the durable log, so further writes are refused
 	// (StatusTxFault) rather than widening the divergence.
-	readOnly   atomic.Bool
+	readOnly atomic.Bool
+	// redo is the log's redo applier: startup replay's, then a follower's
+	// REPLICATE stream's (guarded by walMu). moving is the live-handoff gate:
+	// writers check it under walMu and answer BUSY.
+	redo       redoApplier
+	moving     atomic.Bool
 	walAppends atomic.Uint64
 	walBytes   atomic.Uint64
 	replayed   atomic.Uint64 // redo records replayed at startup

@@ -274,6 +274,17 @@ type ShardRoute struct {
 	Replicas []uint32
 }
 
+// ShardOf maps a key to its wire shard: the placement every node of a cluster
+// and every routing client agree on. Its mix differs from ds.HashMap's and
+// from the server's sub-shard mix, so a shard's keys spread over both.
+func ShardOf(key uint64, shards int) int {
+	h := key
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return int(h % uint64(shards))
+}
+
 // ShardMap is the cluster's epoch-versioned shard→node assignment, served
 // by the shard-map service over OpShardMapGet/Watch. Epoch increases on
 // every change; a ShardRoute's Epoch records the map epoch at which that
@@ -353,7 +364,7 @@ type ShardStats struct {
 	AbortNs      uint64
 	Delta        float64 // δ(Q) estimate; NaN encoded as its IEEE bits
 	Keys         uint64  // live keys in the shard
-	QuotaEvents  uint64  // quota changes recorded by the server's trace.Recorder
+	QuotaEvents  uint64  // quota changes of the shard's view; equals QuotaMoves
 	Repartitions uint64  // online splits executed on this shard (0 unless auto-split is on)
 
 	// Batching meters (group-commit shard workers): Groups counts committed
