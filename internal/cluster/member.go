@@ -87,6 +87,9 @@ type Member struct {
 
 	shards []*server.Shard
 	states []*shardState
+	// started publishes shards and states: startup recovery appends (and so
+	// tees) before Start, when there are no followers to feed.
+	started atomic.Bool
 
 	nodeID atomic.Uint32
 	epoch  atomic.Uint64 // last reconciled map epoch
@@ -135,6 +138,7 @@ func (m *Member) Start(shards []*server.Shard) error {
 	for range shards {
 		m.states = append(m.states, &shardState{followers: make(map[uint32]*replica)})
 	}
+	m.started.Store(true)
 	if m.cfg.Seed {
 		m.svc = NewService(len(shards), m.cfg.Replicas, m.logf)
 		m.svc.StartHealth(HealthEvery, HealthFailures, HealthTimeout)
@@ -254,7 +258,7 @@ func (m *Member) nodeAddr(id uint32) (string, bool) {
 // reassign moves a shard's leadership at the seed (the handoff commit
 // point) and returns the shard's new route epoch.
 func (m *Member) reassign(shardID int, node uint32) (uint64, error) {
-	mp, err := m.seed.Reassign(uint32(shardID), node)
+	mp, err := m.seed.ReassignLeader(uint32(shardID), node)
 	if err != nil {
 		return 0, err
 	}

@@ -20,8 +20,8 @@ type Seed interface {
 	// Wait answers once the map epoch exceeds after, or with the current map
 	// when the long-poll bound (WatchWait) passes first.
 	Wait(ctx context.Context, after uint64) (wire.ShardMap, error)
-	// Reassign moves a shard's leadership to node: the map it leaves.
-	Reassign(shard, node uint32) (wire.ShardMap, error)
+	// ReassignLeader moves a shard's leadership to node: the map it leaves.
+	ReassignLeader(shard, node uint32) (wire.ShardMap, error)
 }
 
 // Remote is the shard-map service at addr, reached over the SHARDMAP_*
@@ -64,7 +64,7 @@ func (r *Remote) Wait(ctx context.Context, after uint64) (wire.ShardMap, error) 
 	return resp.Map, nil
 }
 
-func (r *Remote) Reassign(shard, node uint32) (wire.ShardMap, error) {
+func (r *Remote) ReassignLeader(shard, node uint32) (wire.ShardMap, error) {
 	resp, err := r.do(&wire.Request{Op: wire.OpShardMapUpdate, Shard: shard, Key: uint64(node)})
 	if err != nil {
 		return wire.ShardMap{}, err

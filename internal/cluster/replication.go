@@ -261,8 +261,12 @@ func (m *Member) attachReplica(r *replica, seq uint64) {
 }
 
 // Tee fans one appended frame out to every follower of the shard. It runs on
-// the appending worker with the WAL lock and the log's mutex held.
+// the appending worker with the WAL lock and the log's mutex held; before
+// Start it has no follower to feed.
 func (m *Member) Tee(shardID int, seq uint64, frame []byte) {
+	if !m.started.Load() {
+		return
+	}
 	st := m.states[shardID]
 	st.mu.Lock()
 	for _, r := range st.followers {
@@ -555,8 +559,11 @@ func chunkEntries(entries []wal.Entry, maxBytes int) [][]byte {
 // waiting for it until it catches back up. Only the shard's flusher calls it,
 // so the follower snapshot's scratch is the shard's.
 func (m *Member) WaitReplicated(shardID int, seq uint64) {
+	if seq == 0 || !m.started.Load() {
+		return
+	}
 	st := m.states[shardID]
-	if seq == 0 || !st.leads() {
+	if !st.leads() {
 		return
 	}
 	st.mu.Lock()

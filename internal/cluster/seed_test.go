@@ -86,14 +86,14 @@ func TestSeedConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			m, err := seed.Reassign(0, 2)
+			m, err := seed.ReassignLeader(0, 2)
 			if r := m.Route(0); err != nil || r.Leader != 2 || r.Epoch != m.Epoch || m.Epoch != svc.Epoch() {
 				t.Fatalf("reassign: %+v, %v", m, err)
 			}
 			if m.Route(1).Leader != 1 {
 				t.Fatalf("shard 1 moved: %+v", m.Route(1))
 			}
-			if _, err := seed.Reassign(0, 9); err == nil {
+			if _, err := seed.ReassignLeader(0, 9); err == nil {
 				t.Fatal("reassignment to an unknown node succeeded")
 			}
 		}},

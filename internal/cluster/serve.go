@@ -64,7 +64,7 @@ func HandleMapOp(svc *Service, req *wire.Request, resp *wire.Response) {
 			fail(errors.New("cluster: node id out of range"))
 			return
 		}
-		m, err := svc.Reassign(req.Shard, uint32(req.Key))
+		m, err := svc.ReassignLeader(req.Shard, uint32(req.Key))
 		if err != nil {
 			fail(err)
 			return

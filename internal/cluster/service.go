@@ -208,14 +208,14 @@ func removeNode(ids []uint32, id uint32) []uint32 {
 
 // ReassignLeader moves a shard's leadership to node, demoting the old
 // leader to a follower (it is fully caught up — it WAS the log). Returns
-// the shard's new epoch. Reassigning to the current leader is idempotent.
+// the map it leaves. Reassigning to the current leader is idempotent.
 // This is the commit point of a live handoff: the source calls it once the
 // target has acked the full stream.
-func (s *Service) ReassignLeader(shard uint32, node uint32) (uint64, error) {
+func (s *Service) ReassignLeader(shard, node uint32) (wire.ShardMap, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, ErrServiceClosed
+		return wire.ShardMap{}, ErrServiceClosed
 	}
 	var route *wire.ShardRoute
 	for i := range s.m.Shards {
@@ -225,13 +225,13 @@ func (s *Service) ReassignLeader(shard uint32, node uint32) (uint64, error) {
 		}
 	}
 	if route == nil {
-		return 0, fmt.Errorf("cluster: no route for shard %d", shard)
+		return wire.ShardMap{}, fmt.Errorf("cluster: no route for shard %d", shard)
 	}
 	if s.m.Node(node) == nil {
-		return 0, fmt.Errorf("cluster: unknown node %d", node)
+		return wire.ShardMap{}, fmt.Errorf("cluster: unknown node %d", node)
 	}
 	if route.Leader == node {
-		return route.Epoch, nil
+		return cloneMap(&s.m), nil
 	}
 	old := route.Leader
 	route.Replicas = removeNode(route.Replicas, node)
@@ -242,15 +242,7 @@ func (s *Service) ReassignLeader(shard uint32, node uint32) (uint64, error) {
 	s.bumpLocked()
 	route.Epoch = s.m.Epoch
 	s.logf("cluster: shard %d leader %d -> %d (epoch %d)", shard, old, node, s.m.Epoch)
-	return route.Epoch, nil
-}
-
-// Reassign is ReassignLeader answering with the map it left.
-func (s *Service) Reassign(shard, node uint32) (wire.ShardMap, error) {
-	if _, err := s.ReassignLeader(shard, node); err != nil {
-		return wire.ShardMap{}, err
-	}
-	return s.Snapshot(), nil
+	return cloneMap(&s.m), nil
 }
 
 // MarkDead removes a node: every shard it led is promoted to its first

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -73,25 +74,27 @@ func TestReassignLeader(t *testing.T) {
 	svc.Join("n1:1")
 	svc.Join("n2:1")
 
-	epoch, err := svc.ReassignLeader(0, 2)
+	m, err := svc.ReassignLeader(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := svc.Snapshot()
+	if cur := svc.Snapshot(); !reflect.DeepEqual(m, cur) {
+		t.Fatalf("reassign returned %+v, the service holds %+v", m, cur)
+	}
 	r := m.Route(0)
 	if r.Leader != 2 || len(r.Replicas) != 1 || r.Replicas[0] != 1 {
 		t.Fatalf("after reassign: %+v", r)
 	}
-	if r.Epoch != epoch || m.Epoch != epoch {
-		t.Fatalf("epochs: route %d, map %d, returned %d", r.Epoch, m.Epoch, epoch)
+	if r.Epoch != m.Epoch {
+		t.Fatalf("epochs: route %d, map %d", r.Epoch, m.Epoch)
 	}
 	// Shard 1 is untouched.
 	if m.Route(1).Leader != 1 {
 		t.Fatalf("shard 1 moved: %+v", m.Route(1))
 	}
 	// Idempotent.
-	if e2, err := svc.ReassignLeader(0, 2); err != nil || e2 != epoch {
-		t.Fatalf("re-reassign: %d %v", e2, err)
+	if m2, err := svc.ReassignLeader(0, 2); err != nil || m2.Epoch != m.Epoch {
+		t.Fatalf("re-reassign: %+v %v", m2, err)
 	}
 	// Unknown node and shard fail typed.
 	if _, err := svc.ReassignLeader(0, 9); err == nil {

@@ -30,8 +30,9 @@ type Cluster interface {
 	// whose thread th is, and answers it in resp. A nonzero seq holds the
 	// answer until the shard's log is flushed through seq.
 	Stream(th *votm.Thread, req *wire.Request, resp *wire.Response) (seq uint64)
-	// Tee hands the frame just appended at seq to shard id's log to its
-	// followers, under the WAL lock and the log's mutex: it must not block.
+	// Tee hands the frame appended at seq to shard id's log to its followers,
+	// under the WAL lock and the log's mutex: it must not block. It runs before
+	// Start too, when recovery logs the decisions of rounds a crash left open.
 	Tee(id int, seq uint64, frame []byte)
 	// WaitReplicated holds shard id's flush through seq until its followers
 	// acknowledged seq or missed their deadline.
