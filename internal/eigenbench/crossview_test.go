@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"votm/internal/core"
+	"votm/internal/progress"
 )
 
 // TestCrossViewRequiresMultiView: the cross-view option rides the multi-view
 // escalation path (core.AtomicAll), which needs admission control and two
 // views — every other mode must be rejected up front.
 func TestCrossViewRequiresMultiView(t *testing.T) {
-	for _, mode := range []Mode{SingleView, MultiTM, PlainTM} {
-		_, err := Run(RunConfig{
+	for _, mode := range []progress.Mode{progress.SingleView, progress.MultiTM, progress.PlainTM} {
+		_, err := Run(progress.RunConfig{
 			Engine:         core.NOrec,
 			Mode:           mode,
 			CrossViewEvery: 4,
@@ -30,9 +31,9 @@ func TestCrossViewRequiresMultiView(t *testing.T) {
 // per-view escalation counters expose at least one escalation per batch.
 func TestCrossViewCommitsAndEscalations(t *testing.T) {
 	const threads, loops, every = 4, 28, 8
-	res, err := Run(RunConfig{
+	res, err := Run(progress.RunConfig{
 		Engine:         core.NOrec,
-		Mode:           MultiView,
+		Mode:           progress.MultiView,
 		Quotas:         [2]int{4, 4},
 		CrossViewEvery: every,
 		StallWindow:    5 * time.Second,
@@ -62,9 +63,9 @@ func TestCrossViewCommitsAndEscalations(t *testing.T) {
 // must still report a defined δ(Q) on both views — the escalated batches are
 // charged into the same Equation 5 inputs as ordinary transactions.
 func TestCrossViewDeltaDefined(t *testing.T) {
-	res, err := Run(RunConfig{
+	res, err := Run(progress.RunConfig{
 		Engine:         core.NOrec,
-		Mode:           MultiView,
+		Mode:           progress.MultiView,
 		Quotas:         [2]int{4, 4},
 		CrossViewEvery: 6,
 		StallWindow:    5 * time.Second,
@@ -100,9 +101,9 @@ func BenchmarkCrossViewDelta(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var commits int64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(RunConfig{
+				res, err := Run(progress.RunConfig{
 					Engine:         core.NOrec,
-					Mode:           MultiView,
+					Mode:           progress.MultiView,
 					Quotas:         [2]int{4, 4},
 					CrossViewEvery: c.every,
 					StallWindow:    5 * time.Second,

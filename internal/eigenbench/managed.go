@@ -2,21 +2,15 @@ package eigenbench
 
 import (
 	"context"
-	"errors"
-	"math/rand"
-	"runtime"
-	"sync"
-	"time"
 
 	"votm/internal/core"
 	"votm/internal/progress"
-	"votm/internal/stm"
 	"votm/internal/viewmgr"
 )
 
-// ManagedResult extends Result with what the view manager did to the run.
+// ManagedResult extends the run's result with what the view manager did.
 type ManagedResult struct {
-	Result
+	progress.Result
 	// Splits and Merges count executed repartitions.
 	Splits, Merges int
 	// Events is the full repartition log.
@@ -30,197 +24,45 @@ type ManagedResult struct {
 }
 
 // RunManaged executes the paper's Observation 2 worst case — the hot and the
-// cold object fused into ONE RAC-controlled view (the single-view layout) —
-// with the online view manager enabled. The manager's affinity sampler sees
-// that the two objects never co-occur in a transaction, the planner flags
-// the Observation 2 violation, and the executor splits the cold object's
-// address range into its own view: the run should converge to the paper's
-// hand-partitioned multi-view layout at runtime. Workers retry through
-// MovedError by re-resolving their object's owning view with Runtime.Locate
-// — the same protocol real applications use.
-func RunManaged(cfg RunConfig, p Params, mcfg viewmgr.Config) (ManagedResult, error) {
-	cfg.fill()
-	if p.Threads <= 0 {
-		return ManagedResult{}, errors.New("eigenbench: Threads must be positive")
-	}
-
-	rt := core.NewRuntime(core.Config{
-		Threads:          p.Threads,
-		Engine:           cfg.Engine,
-		Orecs:            cfg.Orecs,
-		SuicideCM:        cfg.SuicideCM,
-		AdjustEvery:      cfg.AdjustEvery,
-		ProbeAtLockEvery: cfg.ProbeAtLockEvery,
+// cold object fused into ONE RAC-controlled view (the single-view layout;
+// cfg.Mode is ignored) — with the online view manager enabled. The
+// manager's affinity sampler sees that the two objects never co-occur in a
+// transaction, the planner flags the Observation 2 violation, and the
+// executor splits the cold object's address range into its own view: the
+// run should converge to the paper's hand-partitioned multi-view layout at
+// runtime. Workers follow a split through MovedError (worker.atomic).
+func RunManaged(cfg progress.RunConfig, p Params, mcfg viewmgr.Config) (ManagedResult, error) {
+	cfg.Mode = progress.SingleView
+	var rt *core.Runtime
+	var mgr *viewmgr.Manager
+	res, moved, err := run(cfg, p, func(r *core.Runtime, views []*core.View) error {
+		rt, mgr = r, viewmgr.New(r, mcfg)
+		if err := mgr.Manage(context.Background(), views[0]); err != nil {
+			return err
+		}
+		mgr.Start()
+		return nil
 	})
-
-	// Fused layout: object 0 then object 1 in one view, exactly like
-	// Mode == SingleView.
-	size := p.Views[0].words() + p.Views[1].words()
-	root, err := rt.CreateView(1, size, cfg.Quotas[0])
 	if err != nil {
 		return ManagedResult{}, err
 	}
-	regions := [2]objRegion{
-		{hotBase: 0, mildBase: stm.Addr(p.Views[0].A1)},
-		{hotBase: stm.Addr(p.Views[0].words()), mildBase: stm.Addr(p.Views[0].words() + p.Views[1].A1)},
-	}
-
-	mgr := viewmgr.New(rt, mcfg)
-	if err := mgr.Manage(context.Background(), root); err != nil {
-		return ManagedResult{}, err
-	}
-	mgr.Start()
-
-	sampleCommits := func() int64 {
-		var n int64
-		for _, v := range rt.Views() {
-			n += v.Totals().Commits
-		}
-		return n
-	}
-	ctx, wd := progress.Watch(context.Background(), sampleCommits, cfg.StallWindow, cfg.Deadline)
-
-	var moved int64
-	var movedMu sync.Mutex
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < p.Threads; w++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			n := runManagedWorker(ctx, rt, p, cfg, regions, idx)
-			movedMu.Lock()
-			moved += n
-			movedMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	livelocked := wd.Stop()
 	mgr.Stop()
 
-	res := ManagedResult{
-		Result: Result{Elapsed: elapsed, Livelock: livelocked, Reason: wd.Reason()},
-		Events: mgr.Events(),
-		Moved:  moved,
-	}
-	for _, e := range res.Events {
+	out := ManagedResult{Result: res, Events: mgr.Events(), Moved: moved}
+	for _, e := range out.Events {
 		switch e.Kind {
 		case viewmgr.EventSplit:
-			res.Splits++
+			out.Splits++
 		case viewmgr.EventMerge:
-			res.Merges++
+			out.Merges++
 		}
 	}
-	for obj := 0; obj < 2; obj++ {
-		vid, err := rt.Locate(1, regions[obj].hotBase)
+	for obj, r := range layout(p, false) {
+		vid, err := rt.Locate(1, r.hotBase)
 		if err != nil {
-			return res, err
+			return out, err
 		}
-		res.FinalViews[obj] = vid
+		out.FinalViews[obj] = vid
 	}
-	for _, v := range rt.Views() {
-		s := v.Snapshot()
-		res.Views = append(res.Views, ViewStats{
-			Commits:    s.Totals.Commits,
-			Aborts:     s.Totals.Aborts,
-			SuccessNs:  s.Totals.SuccessNs,
-			AbortNs:    s.Totals.AbortNs,
-			Delta:      s.Delta,
-			Quota:      s.EffectiveQuota,
-			QuotaMoves: s.QuotaMoves,
-		})
-	}
-	return res, nil
-}
-
-// runManagedWorker is one benchmark thread against a repartitioning
-// runtime: it caches the view owning each object and re-resolves through
-// Runtime.Locate whenever a transaction lands on a stale view. Returns the
-// number of MovedError retries it absorbed.
-func runManagedWorker(ctx context.Context, rt *core.Runtime, p Params, cfg RunConfig,
-	regions [2]objRegion, idx int) int64 {
-
-	rng := rand.New(rand.NewSource(p.Seed + int64(idx)*7919))
-	th := rt.RegisterThread()
-	defer th.Release()
-	yield := cfg.yieldEnabled(p.Threads)
-
-	// Per-object view cache, re-resolved on MovedError.
-	views := [2]*core.View{}
-	viewIDs := [2]int{1, 1}
-	for obj := 0; obj < 2; obj++ {
-		v, err := rt.View(1)
-		if err != nil {
-			return 0
-		}
-		views[obj] = v
-	}
-
-	cold := [2][]uint64{
-		make([]uint64, max(p.Views[0].A3, 1)),
-		make([]uint64, max(p.Views[1].A3, 1)),
-	}
-	maxOps := max(p.Views[0].sharedAccesses(), p.Views[1].sharedAccesses())
-	ops := make([]op, 0, maxOps)
-	var sink uint64
-	var moved int64
-
-	sched := schedule(rng, p.Views[0].Loops, p.Views[1].Loops)
-	for _, obj := range sched {
-		if ctx.Err() != nil {
-			return moved
-		}
-		vp := p.Views[obj]
-		region := regions[obj]
-
-		body := func(tx core.Tx) error {
-			ops = genOps(ops, rng, vp, region, idx, p.Threads)
-			s := sink
-			for k := range ops {
-				o := ops[k]
-				if o.write {
-					tx.Store(o.addr, s)
-				} else {
-					s += tx.Load(o.addr)
-				}
-				if vp.R3i > 0 || vp.W3i > 0 || vp.NOPi > 0 {
-					localWork(cold[obj], rng, vp.R3i, vp.W3i, vp.NOPi, &s)
-				}
-				if yield {
-					runtime.Gosched()
-				}
-			}
-			sink = s
-			return nil
-		}
-		for {
-			err := views[obj].Atomic(ctx, th, body)
-			if err == nil {
-				break
-			}
-			var me *core.MovedError
-			if errors.As(err, &me) {
-				// Ownership moved mid-run: follow the forwarding chain and
-				// retry on the new owner.
-				vid, lerr := rt.Locate(viewIDs[obj], me.Addr)
-				if lerr != nil {
-					return moved
-				}
-				v, verr := rt.View(vid)
-				if verr != nil {
-					return moved
-				}
-				views[obj], viewIDs[obj] = v, vid
-				moved++
-				continue
-			}
-			return moved // cancelled (watchdog or deadline)
-		}
-
-		if vp.R3o > 0 || vp.W3o > 0 || vp.NOPo > 0 {
-			localWork(cold[obj], rng, vp.R3o, vp.W3o, vp.NOPo, &sink)
-		}
-	}
-	return moved
+	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"votm/internal/core"
+	"votm/internal/progress"
 	"votm/internal/viewmgr"
 )
 
@@ -31,9 +32,9 @@ func managedParams() Params {
 // multi-view baseline.
 func TestRunManagedConvergesToPartition(t *testing.T) {
 	p := managedParams()
-	cfg := RunConfig{
+	cfg := progress.RunConfig{
 		Engine:      core.NOrec,
-		Mode:        SingleView, // layout reference only; RunManaged is always fused
+		Mode:        progress.SingleView, // layout reference only; RunManaged is always fused
 		StallWindow: 10 * time.Second,
 		Deadline:    60 * time.Second,
 	}
@@ -70,9 +71,9 @@ func TestRunManagedConvergesToPartition(t *testing.T) {
 	// comparisons are noisy at this scale, so the bound is deliberately
 	// loose: the managed run (which pays for sampling, quiescence and
 	// MovedError retries) must stay within 3× of multi-view time.
-	base, err := Run(RunConfig{
+	base, err := Run(progress.RunConfig{
 		Engine:      core.NOrec,
-		Mode:        MultiView,
+		Mode:        progress.MultiView,
 		StallWindow: 10 * time.Second,
 		Deadline:    60 * time.Second,
 	}, p)
@@ -105,7 +106,7 @@ func TestRunManagedNoFalseSplit(t *testing.T) {
 		},
 		Seed: 7,
 	}
-	cfg := RunConfig{
+	cfg := progress.RunConfig{
 		Engine:      core.NOrec,
 		StallWindow: 10 * time.Second,
 		Deadline:    60 * time.Second,

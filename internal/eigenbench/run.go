@@ -1,12 +1,13 @@
 package eigenbench
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"votm/internal/core"
@@ -15,335 +16,175 @@ import (
 	"votm/internal/stm"
 )
 
-// Mode selects which of the paper's four program versions to run.
-type Mode int
-
-const (
-	// SingleView: both objects in one RAC-controlled view.
-	SingleView Mode = iota
-	// MultiView: one RAC-controlled view per object.
-	MultiView
-	// MultiTM: one view per object, RAC disabled.
-	MultiTM
-	// PlainTM: one view, RAC disabled (the plain RSTM baseline).
-	PlainTM
-)
-
-func (m Mode) String() string {
-	switch m {
-	case SingleView:
-		return "single-view"
-	case MultiView:
-		return "multi-view"
-	case MultiTM:
-		return "multi-TM"
-	default:
-		return "TM"
-	}
+// Run executes the benchmark in cfg.Mode and returns its statistics
+// (progress.Run); the deadline defaults to 60s.
+func Run(cfg progress.RunConfig, p Params) (progress.Result, error) {
+	res, _, err := run(cfg, p, nil)
+	return res, err
 }
 
-// RAC reports whether the mode uses admission control.
-func (m Mode) RAC() bool { return m == SingleView || m == MultiView }
-
-// MultipleViews reports whether the mode partitions data into two views.
-func (m Mode) MultipleViews() bool { return m == MultiView || m == MultiTM }
-
-// YieldMode controls cooperative yield points inside transaction bodies —
-// the simulated-parallelism substitution for under-provisioned hosts
-// (package simpar, DESIGN.md §2).
-type YieldMode = simpar.Mode
-
-// Yield-point policies (see simpar).
-const (
-	YieldAuto = simpar.Auto
-	YieldOn   = simpar.On
-	YieldOff  = simpar.Off
-)
-
-// RunConfig selects the engine, version and quota policy of one run.
-type RunConfig struct {
-	Engine core.EngineKind
-	Mode   Mode
-	// Quotas are the fixed per-view quotas (single-view modes use
-	// Quotas[0] only). 0 selects adaptive RAC. Ignored when RAC is off.
-	Quotas [2]int
-	// Orecs and SuicideCM forward to the OrecEagerRedo engine config.
-	Orecs     int
-	SuicideCM bool
-	// AdjustEvery and ProbeAtLockEvery tune adaptive RAC (see rac.Params);
-	// zero keeps the defaults.
-	AdjustEvery      int64
-	ProbeAtLockEvery int
-	// Yield simulates hardware parallelism on under-provisioned hosts.
-	Yield YieldMode
-	// StallWindow declares livelock when no transaction commits for this
-	// long (default 1s). Deadline caps the whole run (default 60s).
-	StallWindow time.Duration
-	Deadline    time.Duration
-	// OnViews, when non-nil, is called with the created views after setup
-	// and before the workers start — the hook for attaching δ samplers or
-	// quota recorders to a run.
-	OnViews func(views []*core.View)
-	// CrossViewEvery, when positive, replaces every Nth scheduled
-	// transaction with a batch spanning BOTH views: the thread's view-1 and
-	// view-2 access sequences run as one multi-view transaction through the
-	// escalation path (core.AtomicAll, ascending-view-ID canonical order).
-	// Each participating view accounts the batch as an escalated commit, so
-	// δ(Q) keeps charging the serial time cross-view work imposes. Requires
-	// the multi-view mode (AtomicAll needs admission control).
-	CrossViewEvery int
-}
-
-func (c *RunConfig) fill() {
-	if c.StallWindow == 0 {
-		c.StallWindow = time.Second
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 60 * time.Second
-	}
-}
-
-// yieldEnabled resolves YieldAuto against the host.
-func (c *RunConfig) yieldEnabled(threads int) bool {
-	return simpar.Enabled(c.Yield, threads)
-}
-
-// ViewStats is one view's table row fragment (paper Tables III, V, VII, IX).
-type ViewStats struct {
-	Commits    int64   // #tx
-	Aborts     int64   // #abort
-	SuccessNs  int64   // CPUcycles_successful_tx (ns proxy)
-	AbortNs    int64   // CPUcycles_aborted_tx (ns proxy)
-	Delta      float64 // δ(Q) per Equation 5; NaN when Q ≤ 1
-	Quota      int     // final/settled Q
-	QuotaMoves int64   // number of adaptive quota changes
-	// Escalations counts transactions this view executed through the
-	// exclusive escalation path — retry-budget escalations plus every
-	// cross-view batch it participated in (CrossViewEvery).
-	Escalations int64
-}
-
-// Result of one Eigenbench run.
-type Result struct {
-	Elapsed  time.Duration
-	Livelock bool
-	Reason   string // watchdog reason when Livelock
-	Views    []ViewStats
-}
-
-// TotalCommits sums commits across views.
-func (r Result) TotalCommits() int64 {
-	var n int64
-	for _, v := range r.Views {
-		n += v.Commits
-	}
-	return n
-}
-
-// TotalAborts sums aborts across views.
-func (r Result) TotalAborts() int64 {
-	var n int64
-	for _, v := range r.Views {
-		n += v.Aborts
-	}
-	return n
-}
-
-// Run executes the benchmark and returns its statistics. A livelocked run
-// returns with Livelock=true and the partial statistics collected so far
-// (the paper prints "livelock" for those cells).
-func Run(cfg RunConfig, p Params) (Result, error) {
-	cfg.fill()
-	if p.Threads <= 0 {
-		return Result{}, errors.New("eigenbench: Threads must be positive")
-	}
+// run drives the workload through progress.Run. setup, when non-nil, sees
+// the runtime and views before the workers start. The count returned is
+// the MovedError retries the workers absorbed.
+func run(cfg progress.RunConfig, p Params, setup func(*core.Runtime, []*core.View) error) (progress.Result, int64, error) {
 	for i, vp := range p.Views {
 		if vp.sharedAccesses() > 0 && (vp.A1 <= 0 || vp.A2 <= 0) {
-			return Result{}, fmt.Errorf("eigenbench: view %d has shared accesses but empty arrays", i+1)
+			return progress.Result{}, 0, fmt.Errorf("eigenbench: view %d has shared accesses but empty arrays", i+1)
 		}
 	}
-	if cfg.CrossViewEvery > 0 && cfg.Mode != MultiView {
-		return Result{}, errors.New("eigenbench: CrossViewEvery requires the multi-view mode")
+	if cfg.CrossViewEvery > 0 && cfg.Mode != progress.MultiView {
+		return progress.Result{}, 0, errors.New("eigenbench: CrossViewEvery requires the multi-view mode")
 	}
-
-	rt := core.NewRuntime(core.Config{
-		Threads:          p.Threads,
-		Engine:           cfg.Engine,
-		NoAdmission:      !cfg.Mode.RAC(),
-		Orecs:            cfg.Orecs,
-		SuicideCM:        cfg.SuicideCM,
-		AdjustEvery:      cfg.AdjustEvery,
-		ProbeAtLockEvery: cfg.ProbeAtLockEvery,
-	})
-
-	// Lay out views and object regions.
-	views := make([]*core.View, 0, 2)
-	regions := make([]objRegion, 2)
-	viewOf := [2]int{0, 0} // object index -> view slice index
-	if cfg.Mode.MultipleViews() {
-		for i := 0; i < 2; i++ {
-			v, err := rt.CreateView(i+1, p.Views[i].words(), cfg.Quotas[i])
-			if err != nil {
-				return Result{}, err
+	cfg.Deadline = cmp.Or(cfg.Deadline, 60*time.Second)
+	regions := layout(p, cfg.Mode.MultipleViews())
+	var moved atomic.Int64
+	res, err := progress.Run(cfg, p.Threads, [2]int{p.Views[0].words(), p.Views[1].words()},
+		func(rt *core.Runtime, views []*core.View) (progress.Worker, error) {
+			if setup != nil {
+				if err := setup(rt, views); err != nil {
+					return nil, err
+				}
 			}
-			views = append(views, v)
-			regions[i] = objRegion{hotBase: 0, mildBase: stm.Addr(p.Views[i].A1)}
-			viewOf[i] = i
-		}
-	} else {
-		size := p.Views[0].words() + p.Views[1].words()
-		v, err := rt.CreateView(1, size, cfg.Quotas[0])
-		if err != nil {
-			return Result{}, err
-		}
-		views = append(views, v)
-		off := 0
-		for i := 0; i < 2; i++ {
-			regions[i] = objRegion{
-				hotBase:  stm.Addr(off),
-				mildBase: stm.Addr(off + p.Views[i].A1),
-			}
-			off += p.Views[i].words()
-			viewOf[i] = 0
-		}
-	}
-
-	if cfg.OnViews != nil {
-		cfg.OnViews(views)
-	}
-
-	sampleCommits := func() int64 {
-		var n int64
-		for _, v := range views {
-			n += v.Totals().Commits
-		}
-		return n
-	}
-	ctx, wd := progress.Watch(context.Background(), sampleCommits, cfg.StallWindow, cfg.Deadline)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < p.Threads; w++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			runWorker(ctx, rt, p, cfg, views, regions, viewOf, idx)
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	livelocked := wd.Stop()
-
-	res := Result{Elapsed: elapsed, Livelock: livelocked, Reason: wd.Reason()}
-	for _, v := range views {
-		s := v.Snapshot()
-		res.Views = append(res.Views, ViewStats{
-			Commits:     s.Totals.Commits,
-			Aborts:      s.Totals.Aborts,
-			SuccessNs:   s.Totals.SuccessNs,
-			AbortNs:     s.Totals.AbortNs,
-			Delta:       s.Delta,
-			Quota:       s.EffectiveQuota,
-			QuotaMoves:  s.QuotaMoves,
-			Escalations: s.Totals.Escalations,
+			return func(ctx context.Context, th *core.Thread, idx int) {
+				w := &worker{
+					p: p, idx: idx, rt: rt, regions: regions,
+					views: [2]*core.View{views[0], views[len(views)-1]},
+					rng:   rand.New(rand.NewSource(p.Seed + int64(idx)*7919)),
+					yield: simpar.Enabled(cfg.Yield, p.Threads),
+					cold: [2][]uint64{
+						make([]uint64, max(p.Views[0].A3, 1)),
+						make([]uint64, max(p.Views[1].A3, 1)),
+					},
+					ops: make([]op, 0, max(p.Views[0].sharedAccesses(), p.Views[1].sharedAccesses())),
+				}
+				w.ids = [2]int{w.views[0].ID(), w.views[1].ID()}
+				w.run(ctx, th, cfg.CrossViewEvery, views)
+				moved.Add(w.moved)
+			}, nil
 		})
-	}
-	return res, nil
+	return res, moved.Load(), err
 }
 
-// runWorker is one of the N benchmark threads (paper Figure 3 main loop).
-func runWorker(ctx context.Context, rt *core.Runtime, p Params, cfg RunConfig,
-	views []*core.View, regions []objRegion, viewOf [2]int, idx int) {
-
-	rng := rand.New(rand.NewSource(p.Seed + int64(idx)*7919))
-	th := rt.RegisterThread()
-	defer th.Release() // recycle descriptors into the engines' pools
-	yield := cfg.yieldEnabled(p.Threads)
-
-	cold := [2][]uint64{
-		make([]uint64, max(p.Views[0].A3, 1)),
-		make([]uint64, max(p.Views[1].A3, 1)),
+// layout places the two objects: each at the base of its own view in the
+// multi-view modes, back to back in one view otherwise.
+func layout(p Params, multi bool) [2]objRegion {
+	var r [2]objRegion
+	off := 0
+	for i := range r {
+		if multi {
+			off = 0
+		}
+		r[i] = objRegion{hotBase: stm.Addr(off), mildBase: stm.Addr(off + p.Views[i].A1)}
+		off += p.Views[i].words()
 	}
-	maxOps := max(p.Views[0].sharedAccesses(), p.Views[1].sharedAccesses())
-	ops := make([]op, 0, maxOps)
-	var sink uint64
+	return r
+}
 
-	sched := schedule(rng, p.Views[0].Loops, p.Views[1].Loops)
+// worker is one of the N benchmark threads (paper Figure 3 main loop).
+type worker struct {
+	p       Params
+	idx     int
+	rt      *core.Runtime
+	regions [2]objRegion
+	views   [2]*core.View // the view owning each object
+	ids     [2]int
+	rng     *rand.Rand
+	yield   bool
+	cold    [2][]uint64
+	ops     []op
+	sink    uint64
+	moved   int64
+}
+
+func (w *worker) run(ctx context.Context, th *core.Thread, crossEvery int, views []*core.View) {
+	sched := schedule(w.rng, w.p.Views[0].Loops, w.p.Views[1].Loops)
 	for n, obj := range sched {
 		if ctx.Err() != nil {
 			return
 		}
-		if cfg.CrossViewEvery > 0 && (n+1)%cfg.CrossViewEvery == 0 {
-			// Cross-view batch: both objects' access sequences as one
-			// multi-view transaction. views is already in ascending
-			// view-ID order (IDs 1, 2) — the canonical AtomicAll order
-			// every concurrent acquirer must share.
-			xerr := core.AtomicAll(ctx, th, views, false, func(txs []core.Tx) error {
-				s := sink
-				for o := 0; o < 2; o++ {
-					ops = genOps(ops, rng, p.Views[o], regions[o], idx, p.Threads)
-					tx := txs[viewOf[o]]
-					for k := range ops {
-						if ops[k].write {
-							tx.Store(ops[k].addr, s)
-						} else {
-							s += tx.Load(ops[k].addr)
-						}
-					}
-					if yield {
-						runtime.Gosched()
-					}
-				}
-				sink = s
+		if crossEvery > 0 && (n+1)%crossEvery == 0 {
+			// Cross-view batch: both objects' bodies as one multi-view
+			// transaction. views is in ascending view-ID order (IDs 1, 2)
+			// — the canonical AtomicAll order every concurrent acquirer
+			// must share.
+			err := core.AtomicAll(ctx, th, views, false, func(txs []core.Tx) error {
+				s := w.body(txs[0], 0, w.sink)
+				w.sink = w.body(txs[1], 1, s)
 				return nil
 			})
-			if xerr != nil {
+			if err != nil {
 				return // cancelled (livelock watchdog or deadline)
 			}
 			continue
 		}
-		vp := p.Views[obj]
-		view := views[viewOf[obj]]
-		region := regions[obj]
-
-		// The access sequence is drawn inside the body, so a retried
-		// (aborted) transaction touches fresh random addresses — exactly
-		// like Eigenbench's rand_r inside the transaction. Without this,
-		// two conflicting transactions replay identical address sets and
-		// can starve each other forever.
-		body := func(tx core.Tx) error {
-			ops = genOps(ops, rng, vp, region, idx, p.Threads)
-			s := sink
-			for k := range ops {
-				o := ops[k]
-				if o.write {
-					tx.Store(o.addr, s)
-				} else {
-					s += tx.Load(o.addr)
-				}
-				if vp.R3i > 0 || vp.W3i > 0 || vp.NOPi > 0 {
-					localWork(cold[obj], rng, vp.R3i, vp.W3i, vp.NOPi, &s)
-				}
-				if yield {
-					runtime.Gosched()
-				}
-			}
-			sink = s
-			return nil
-		}
-		if err := view.Atomic(ctx, th, body); err != nil {
+		if err := w.atomic(ctx, th, int(obj)); err != nil {
 			return // cancelled (livelock watchdog or deadline)
 		}
-
 		// Activities outside transactions (Figure 3).
-		if vp.R3o > 0 || vp.W3o > 0 || vp.NOPo > 0 {
-			localWork(cold[obj], rng, vp.R3o, vp.W3o, vp.NOPo, &sink)
+		if vp := w.p.Views[obj]; vp.R3o > 0 || vp.W3o > 0 || vp.NOPo > 0 {
+			localWork(w.cold[obj], w.rng, vp.R3o, vp.W3o, vp.NOPo, &w.sink)
 		}
 	}
 }
 
+// atomic runs one transaction on object obj. A MovedError — the object's
+// range moved to another view under live repartitioning — re-resolves the
+// owning view through Runtime.Locate and retries there, the protocol real
+// applications use.
+func (w *worker) atomic(ctx context.Context, th *core.Thread, obj int) error {
+	body := func(tx core.Tx) error {
+		w.sink = w.body(tx, obj, w.sink)
+		return nil
+	}
+	for {
+		err := w.views[obj].Atomic(ctx, th, body)
+		if err == nil {
+			return nil
+		}
+		var me *core.MovedError
+		if !errors.As(err, &me) {
+			return err
+		}
+		vid, err := w.rt.Locate(w.ids[obj], me.Addr)
+		if err != nil {
+			return err
+		}
+		v, err := w.rt.View(vid)
+		if err != nil {
+			return err
+		}
+		w.views[obj], w.ids[obj] = v, vid
+		w.moved++
+	}
+}
+
+// body is the transaction on object obj: its shared accesses with cold work
+// and yield points between them, s carrying the read sum. The access
+// sequence is drawn inside the body, so a retried (aborted) transaction
+// touches fresh random addresses — exactly like Eigenbench's rand_r inside
+// the transaction. Without this, two conflicting transactions replay
+// identical address sets and can starve each other forever.
+func (w *worker) body(tx core.Tx, obj int, s uint64) uint64 {
+	vp := w.p.Views[obj]
+	w.ops = genOps(w.ops, w.rng, vp, w.regions[obj], w.idx, w.p.Threads)
+	for _, o := range w.ops {
+		if o.write {
+			tx.Store(o.addr, s)
+		} else {
+			s += tx.Load(o.addr)
+		}
+		if vp.R3i > 0 || vp.W3i > 0 || vp.NOPi > 0 {
+			localWork(w.cold[obj], w.rng, vp.R3i, vp.W3i, vp.NOPi, &s)
+		}
+		if w.yield {
+			runtime.Gosched()
+		}
+	}
+	return s
+}
+
 // Describe summarizes a run config for logs and table captions.
-func Describe(cfg RunConfig) string {
+func Describe(cfg progress.RunConfig) string {
 	q := "adaptive"
 	if cfg.Mode.RAC() && (cfg.Quotas[0] > 0 || cfg.Quotas[1] > 0) {
 		q = fmt.Sprintf("Q1=%d Q2=%d", cfg.Quotas[0], cfg.Quotas[1])

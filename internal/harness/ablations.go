@@ -5,8 +5,7 @@ import (
 	"time"
 
 	"votm/internal/core"
-	"votm/internal/eigenbench"
-	"votm/internal/intruder"
+	"votm/internal/progress"
 	"votm/internal/rac"
 	"votm/internal/racsim"
 )
@@ -23,7 +22,6 @@ func AblationCM(s Scale) (*Table, error) {
 	}
 	qs := s.clippedQs()
 	t.Header = append([]string{"CM \\ Q"}, intsToStrings(qs)...)
-	p := s.eigenParams()
 	for _, suicide := range []bool{false, true} {
 		name := "aggressive"
 		if suicide {
@@ -31,9 +29,9 @@ func AblationCM(s Scale) (*Table, error) {
 		}
 		row := []string{name}
 		for _, q := range qs {
-			cfg := s.eigenCfg(core.OrecEagerRedo, eigenbench.SingleView, q, q)
+			cfg := s.cfg(core.OrecEagerRedo, progress.SingleView, q, q)
 			cfg.SuicideCM = suicide
-			res, err := eigenbench.Run(cfg, p)
+			res, err := eigenRun(s, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -63,14 +61,12 @@ func AblationClock(s Scale) (*Table, error) {
 	for _, n := range threadCounts {
 		t.Header = append(t.Header, fmt.Sprintf("%d", n))
 	}
-	for _, mode := range []intruder.Mode{intruder.PlainTM, intruder.MultiTM} {
+	for _, mode := range []progress.Mode{progress.PlainTM, progress.MultiTM} {
 		row := []string{mode.String()}
 		for _, n := range threadCounts {
 			ts := s
 			ts.Threads = n
-			p := ts.intruderParams()
-			w := intruder.Generate(p)
-			res, err := intruder.Run(ts.intruderCfg(core.NOrec, mode, n, n), p, w)
+			res, err := intruderRun(ts, ts.cfg(core.NOrec, mode, n, n))
 			if err != nil {
 				return nil, err
 			}
@@ -97,11 +93,10 @@ func AblationAdjust(s Scale) (*Table, error) {
 	}
 	windows := []int64{32, 128, 512, 2048}
 	t.Header = []string{"AdjustEvery", "runtime(s)", "settled Q1", "settled Q2", "#abort", "Q moves"}
-	p := s.eigenParams()
 	for _, w := range windows {
-		cfg := s.eigenCfg(core.OrecEagerRedo, eigenbench.MultiView, 0, 0)
+		cfg := s.cfg(core.OrecEagerRedo, progress.MultiView, 0, 0)
 		cfg.AdjustEvery = w
-		res, err := eigenbench.Run(cfg, p)
+		res, err := eigenRun(s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -133,12 +128,11 @@ func AblationEngines(s Scale) (*Table, error) {
 	}
 	t.Header = []string{"engine", "Eigenbench", "Intruder"}
 	engines := []core.EngineKind{core.NOrec, core.TL2, core.OrecEagerRedo}
-	ep := s.eigenParams()
-	ip := s.intruderParams()
 	for _, eng := range engines {
 		row := []string{string(eng)}
 
-		eres, err := eigenbench.Run(s.eigenCfg(eng, eigenbench.SingleView, s.Threads, s.Threads), ep)
+		cfg := s.cfg(eng, progress.SingleView, s.Threads, s.Threads)
+		eres, err := eigenRun(s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -148,8 +142,7 @@ func AblationEngines(s Scale) (*Table, error) {
 		}
 		row = append(row, cell+" ("+FormatCount(eres.TotalAborts())+" ab)")
 
-		w := intruder.Generate(ip)
-		ires, err := intruder.Run(s.intruderCfg(eng, intruder.SingleView, s.Threads, s.Threads), ip, w)
+		ires, err := intruderRun(s, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -1,39 +1,33 @@
 package harness
 
 import (
-	"fmt"
+	"strconv"
 
 	"votm/internal/core"
 	"votm/internal/eigenbench"
 	"votm/internal/intruder"
+	"votm/internal/progress"
 )
 
 // cyclesNote documents the rdtsc→nanoseconds substitution on every table.
 const cyclesNote = "CPU-cycle columns are monotonic-nanosecond totals (δ is a ratio, so the unit cancels); 'livelock' = watchdog verdict"
 
-// EigenSweep holds a fixed-quota sweep over Eigenbench.
-type EigenSweep struct {
+// Sweep holds a fixed-quota sweep: one result per Q.
+type Sweep struct {
 	Qs      []int
-	Results []eigenbench.Result
-}
-
-// IntruderSweep holds a fixed-quota sweep over Intruder.
-type IntruderSweep struct {
-	Qs      []int
-	Results []intruder.Result
+	Results []progress.Result
 }
 
 // AdaptiveSet holds the four program versions under adaptive RAC for both
 // applications (the shape of Tables VI and X).
 type AdaptiveSet struct {
-	EigenModes []eigenbench.Mode
-	Eigen      []eigenbench.Result
-	IntrModes  []intruder.Mode
-	Intr       []intruder.Result
+	Modes []progress.Mode
+	Eigen []progress.Result
+	Intr  []intruder.Result
 }
 
-func (s Scale) eigenCfg(engine core.EngineKind, mode eigenbench.Mode, q1, q2 int) eigenbench.RunConfig {
-	return eigenbench.RunConfig{
+func (s Scale) cfg(engine core.EngineKind, mode progress.Mode, q1, q2 int) progress.RunConfig {
+	return progress.RunConfig{
 		Engine:      engine,
 		Mode:        mode,
 		Quotas:      [2]int{q1, q2},
@@ -43,267 +37,138 @@ func (s Scale) eigenCfg(engine core.EngineKind, mode eigenbench.Mode, q1, q2 int
 	}
 }
 
-func (s Scale) intruderCfg(engine core.EngineKind, mode intruder.Mode, q1, q2 int) intruder.RunConfig {
-	return intruder.RunConfig{
-		Engine:      engine,
-		Mode:        mode,
-		Quotas:      [2]int{q1, q2},
-		Yield:       s.Yield,
-		StallWindow: s.StallWindow,
-		Deadline:    s.Deadline,
-	}
+// eigenRun and intruderRun run one cell of each application at scale s.
+func eigenRun(s Scale, cfg progress.RunConfig) (progress.Result, error) {
+	return eigenbench.Run(cfg, s.eigenParams())
 }
 
-// RunEigenSingleSweep runs the single-view Eigenbench at each fixed Q
-// (Tables III and VII).
-func RunEigenSingleSweep(s Scale, engine core.EngineKind) (EigenSweep, error) {
-	sweep := EigenSweep{Qs: s.clippedQs()}
-	p := s.eigenParams()
-	for _, q := range sweep.Qs {
-		res, err := eigenbench.Run(s.eigenCfg(engine, eigenbench.SingleView, q, q), p)
-		if err != nil {
-			return sweep, err
-		}
-		sweep.Results = append(sweep.Results, res)
-	}
-	return sweep, nil
-}
-
-// RunEigenMultiSweep runs the multi-view Eigenbench sweeping Q1 with Q2
-// fixed at N (Tables V and IX).
-func RunEigenMultiSweep(s Scale, engine core.EngineKind) (EigenSweep, error) {
-	sweep := EigenSweep{Qs: s.clippedQs()}
-	p := s.eigenParams()
-	for _, q1 := range sweep.Qs {
-		res, err := eigenbench.Run(s.eigenCfg(engine, eigenbench.MultiView, q1, s.Threads), p)
-		if err != nil {
-			return sweep, err
-		}
-		sweep.Results = append(sweep.Results, res)
-	}
-	return sweep, nil
-}
-
-// RunIntruderSweep runs the single-view Intruder at each fixed Q
-// (Tables IV and VIII).
-func RunIntruderSweep(s Scale, engine core.EngineKind) (IntruderSweep, error) {
-	sweep := IntruderSweep{Qs: s.clippedQs()}
+func intruderRun(s Scale, cfg progress.RunConfig) (intruder.Result, error) {
 	p := s.intruderParams()
-	for _, q := range sweep.Qs {
-		w := intruder.Generate(p)
-		res, err := intruder.Run(s.intruderCfg(engine, intruder.SingleView, q, q), p, w)
-		if err != nil {
-			return sweep, err
+	return intruder.Run(cfg, p, intruder.Generate(p))
+}
+
+func intruderCell(s Scale, cfg progress.RunConfig) (progress.Result, error) {
+	res, err := intruderRun(s, cfg)
+	return res.Result, err
+}
+
+// sweepTable runs app at each fixed Q and renders the sweep in the paper's
+// layout. The single-view tables (III, IV, VII, VIII) sweep Q; the
+// multi-view tables (V, IX) sweep Q1 with Q2 fixed at N.
+func sweepTable(s Scale, id, title string, app func(Scale, progress.RunConfig) (progress.Result, error),
+	engine core.EngineKind, mode progress.Mode) (*Table, Sweep, error) {
+
+	sw := Sweep{Qs: s.clippedQs()}
+	for _, q := range sw.Qs {
+		q2 := q
+		if mode.MultipleViews() {
+			q2 = s.Threads
 		}
-		sweep.Results = append(sweep.Results, res)
+		res, err := app(s, s.cfg(engine, mode, q, q2))
+		if err != nil {
+			return nil, sw, err
+		}
+		sw.Results = append(sw.Results, res)
 	}
-	return sweep, nil
+	return sweepLayout(id, title, sw, mode.MultipleViews()), sw, nil
+}
+
+// sweepLayout renders a sweep with metrics as rows and Q values as
+// columns: the one view's rows, or both views' rows suffixed 1 and 2.
+func sweepLayout(id, title string, sw Sweep, multi bool) *Table {
+	t := &Table{ID: id, Title: title, Note: cyclesNote}
+	q, suffixes := "Q", []string{""}
+	if multi {
+		t.Note += "; Q2 fixed at N"
+		q, suffixes = "Q1", []string{"1", "2"}
+	}
+	t.Header = append([]string{q}, intsToStrings(sw.Qs)...)
+	row := func(name string, f func(progress.Result) string) {
+		r := []string{name}
+		for _, res := range sw.Results {
+			r = append(r, cell(res, f))
+		}
+		t.Rows = append(t.Rows, r)
+	}
+	row("Runtime(s)", seconds)
+	for i, sfx := range suffixes {
+		view := func(f func(progress.ViewStats) string) func(progress.Result) string {
+			return func(r progress.Result) string { return f(r.Views[i]) }
+		}
+		row("#abort"+sfx, view(func(v progress.ViewStats) string { return FormatCount(v.Aborts) }))
+		row("#tx"+sfx, view(func(v progress.ViewStats) string { return FormatCount(v.Commits) }))
+		row("t_aborted_tx"+sfx, view(func(v progress.ViewStats) string { return FormatNs(v.AbortNs) }))
+		row("t_successful_tx"+sfx, view(func(v progress.ViewStats) string { return FormatNs(v.SuccessNs) }))
+		row("delta(Q"+sfx+")", view(func(v progress.ViewStats) string { return FormatDelta(v.Delta) }))
+	}
+	return t
+}
+
+// cell renders f(res), or "livelock" for a livelocked run.
+func cell(res progress.Result, f func(progress.Result) string) string {
+	if res.Livelock {
+		return "livelock"
+	}
+	return f(res)
+}
+
+func seconds(r progress.Result) string { return FormatSeconds(r.Elapsed) }
+
+func aborts(r progress.Result) string { return FormatCount(r.TotalAborts()) }
+
+func quota(view int) func(progress.Result) string {
+	return func(r progress.Result) string { return strconv.Itoa(r.Views[view].Quota) }
+}
+
+// TableIII: single-view Eigenbench with VOTM-OrecEagerRedo, fixed Q sweep.
+func TableIII(s Scale) (*Table, Sweep, error) {
+	return sweepTable(s, "III", "single-view Eigenbench with VOTM-OrecEagerRedo", eigenRun, core.OrecEagerRedo, progress.SingleView)
+}
+
+// TableIV: single-view Intruder with VOTM-OrecEagerRedo, fixed Q sweep.
+func TableIV(s Scale) (*Table, Sweep, error) {
+	return sweepTable(s, "IV", "single-view Intruder with VOTM-OrecEagerRedo", intruderCell, core.OrecEagerRedo, progress.SingleView)
+}
+
+// TableV: multi-view Eigenbench with VOTM-OrecEagerRedo (Q1 sweep, Q2=N).
+func TableV(s Scale) (*Table, Sweep, error) {
+	return sweepTable(s, "V", "multi-view Eigenbench with VOTM-OrecEagerRedo", eigenRun, core.OrecEagerRedo, progress.MultiView)
+}
+
+// TableVII: single-view Eigenbench with VOTM-NOrec, fixed Q sweep.
+func TableVII(s Scale) (*Table, Sweep, error) {
+	return sweepTable(s, "VII", "single-view Eigenbench with VOTM-NOrec", eigenRun, core.NOrec, progress.SingleView)
+}
+
+// TableVIII: single-view Intruder with VOTM-NOrec, fixed Q sweep.
+func TableVIII(s Scale) (*Table, Sweep, error) {
+	return sweepTable(s, "VIII", "single-view Intruder with VOTM-NOrec", intruderCell, core.NOrec, progress.SingleView)
+}
+
+// TableIX: multi-view Eigenbench with VOTM-NOrec (Q1 sweep, Q2=N).
+func TableIX(s Scale) (*Table, Sweep, error) {
+	return sweepTable(s, "IX", "multi-view Eigenbench with VOTM-NOrec", eigenRun, core.NOrec, progress.MultiView)
 }
 
 // RunAdaptiveSet runs both applications in all four versions with adaptive
 // RAC (Tables VI and X).
 func RunAdaptiveSet(s Scale, engine core.EngineKind) (AdaptiveSet, error) {
-	set := AdaptiveSet{
-		EigenModes: []eigenbench.Mode{eigenbench.SingleView, eigenbench.MultiView, eigenbench.MultiTM, eigenbench.PlainTM},
-		IntrModes:  []intruder.Mode{intruder.SingleView, intruder.MultiView, intruder.MultiTM, intruder.PlainTM},
-	}
-	ep := s.eigenParams()
-	for _, m := range set.EigenModes {
-		res, err := eigenbench.Run(s.eigenCfg(engine, m, 0, 0), ep)
+	set := AdaptiveSet{Modes: []progress.Mode{progress.SingleView, progress.MultiView, progress.MultiTM, progress.PlainTM}}
+	for _, m := range set.Modes {
+		res, err := eigenRun(s, s.cfg(engine, m, 0, 0))
 		if err != nil {
 			return set, err
 		}
 		set.Eigen = append(set.Eigen, res)
 	}
-	ip := s.intruderParams()
-	for _, m := range set.IntrModes {
-		w := intruder.Generate(ip)
-		res, err := intruder.Run(s.intruderCfg(engine, m, 0, 0), ip, w)
+	for _, m := range set.Modes {
+		res, err := intruderRun(s, s.cfg(engine, m, 0, 0))
 		if err != nil {
 			return set, err
 		}
 		set.Intr = append(set.Intr, res)
 	}
 	return set, nil
-}
-
-// --- Table builders -------------------------------------------------------
-
-// singleSweepTable renders a single-view sweep in the paper's layout
-// (metrics as rows, Q values as columns).
-func singleSweepTable(id, title string, qs []int, runtime []string,
-	stats []eigenbench.ViewStats, livelock []bool) *Table {
-
-	t := &Table{ID: id, Title: title, Note: cyclesNote}
-	t.Header = append([]string{"Q"}, intsToStrings(qs)...)
-	cell := func(i int, f func(eigenbench.ViewStats) string) string {
-		if livelock[i] {
-			return "livelock"
-		}
-		return f(stats[i])
-	}
-	row := func(name string, f func(eigenbench.ViewStats) string) {
-		r := []string{name}
-		for i := range qs {
-			r = append(r, cell(i, f))
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	r := []string{"Runtime(s)"}
-	r = append(r, runtime...)
-	t.Rows = append(t.Rows, r)
-	row("#abort", func(v eigenbench.ViewStats) string { return FormatCount(v.Aborts) })
-	row("#tx", func(v eigenbench.ViewStats) string { return FormatCount(v.Commits) })
-	row("t_aborted_tx", func(v eigenbench.ViewStats) string { return FormatNs(v.AbortNs) })
-	row("t_successful_tx", func(v eigenbench.ViewStats) string { return FormatNs(v.SuccessNs) })
-	row("delta(Q)", func(v eigenbench.ViewStats) string { return FormatDelta(v.Delta) })
-	return t
-}
-
-func eigenRuntimeCells(sweep EigenSweep) ([]string, []eigenbench.ViewStats, []bool) {
-	rt := make([]string, len(sweep.Results))
-	stats := make([]eigenbench.ViewStats, len(sweep.Results))
-	lv := make([]bool, len(sweep.Results))
-	for i, res := range sweep.Results {
-		lv[i] = res.Livelock
-		if res.Livelock {
-			rt[i] = "livelock"
-		} else {
-			rt[i] = FormatSeconds(res.Elapsed)
-		}
-		if len(res.Views) > 0 {
-			stats[i] = res.Views[0]
-		}
-	}
-	return rt, stats, lv
-}
-
-// TableIII: single-view Eigenbench with VOTM-OrecEagerRedo, fixed Q sweep.
-func TableIII(s Scale) (*Table, EigenSweep, error) {
-	sweep, err := RunEigenSingleSweep(s, core.OrecEagerRedo)
-	if err != nil {
-		return nil, sweep, err
-	}
-	rt, stats, lv := eigenRuntimeCells(sweep)
-	return singleSweepTable("III", "single-view Eigenbench with VOTM-OrecEagerRedo",
-		sweep.Qs, rt, stats, lv), sweep, nil
-}
-
-// TableVII: single-view Eigenbench with VOTM-NOrec, fixed Q sweep.
-func TableVII(s Scale) (*Table, EigenSweep, error) {
-	sweep, err := RunEigenSingleSweep(s, core.NOrec)
-	if err != nil {
-		return nil, sweep, err
-	}
-	rt, stats, lv := eigenRuntimeCells(sweep)
-	return singleSweepTable("VII", "single-view Eigenbench with VOTM-NOrec",
-		sweep.Qs, rt, stats, lv), sweep, nil
-}
-
-func intruderSweepTable(id, title string, sweep IntruderSweep) *Table {
-	t := &Table{ID: id, Title: title, Note: cyclesNote}
-	t.Header = append([]string{"Q"}, intsToStrings(sweep.Qs)...)
-	cell := func(i int, f func(intruder.ViewStats) string) string {
-		if sweep.Results[i].Livelock {
-			return "livelock"
-		}
-		return f(sweep.Results[i].Views[0])
-	}
-	row := func(name string, f func(intruder.ViewStats) string) {
-		r := []string{name}
-		for i := range sweep.Qs {
-			r = append(r, cell(i, f))
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	r := []string{"Runtime(s)"}
-	for _, res := range sweep.Results {
-		if res.Livelock {
-			r = append(r, "livelock")
-		} else {
-			r = append(r, FormatSeconds(res.Elapsed))
-		}
-	}
-	t.Rows = append(t.Rows, r)
-	row("#abort", func(v intruder.ViewStats) string { return FormatCount(v.Aborts) })
-	row("#tx", func(v intruder.ViewStats) string { return FormatCount(v.Commits) })
-	row("t_aborted_tx", func(v intruder.ViewStats) string { return FormatNs(v.AbortNs) })
-	row("t_successful_tx", func(v intruder.ViewStats) string { return FormatNs(v.SuccessNs) })
-	row("delta(Q)", func(v intruder.ViewStats) string { return FormatDelta(v.Delta) })
-	return t
-}
-
-// TableIV: single-view Intruder with VOTM-OrecEagerRedo, fixed Q sweep.
-func TableIV(s Scale) (*Table, IntruderSweep, error) {
-	sweep, err := RunIntruderSweep(s, core.OrecEagerRedo)
-	if err != nil {
-		return nil, sweep, err
-	}
-	return intruderSweepTable("IV", "single-view Intruder with VOTM-OrecEagerRedo", sweep), sweep, nil
-}
-
-// TableVIII: single-view Intruder with VOTM-NOrec, fixed Q sweep.
-func TableVIII(s Scale) (*Table, IntruderSweep, error) {
-	sweep, err := RunIntruderSweep(s, core.NOrec)
-	if err != nil {
-		return nil, sweep, err
-	}
-	return intruderSweepTable("VIII", "single-view Intruder with VOTM-NOrec", sweep), sweep, nil
-}
-
-func multiSweepTable(id, title string, sweep EigenSweep) *Table {
-	t := &Table{ID: id, Title: title, Note: cyclesNote + "; Q2 fixed at N"}
-	t.Header = append([]string{"Q1"}, intsToStrings(sweep.Qs)...)
-	cell := func(i, view int, f func(eigenbench.ViewStats) string) string {
-		res := sweep.Results[i]
-		if res.Livelock {
-			return "livelock"
-		}
-		return f(res.Views[view])
-	}
-	row := func(name string, view int, f func(eigenbench.ViewStats) string) {
-		r := []string{name}
-		for i := range sweep.Qs {
-			r = append(r, cell(i, view, f))
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	r := []string{"Runtime(s)"}
-	for _, res := range sweep.Results {
-		if res.Livelock {
-			r = append(r, "livelock")
-		} else {
-			r = append(r, FormatSeconds(res.Elapsed))
-		}
-	}
-	t.Rows = append(t.Rows, r)
-	for view := 0; view < 2; view++ {
-		sfx := fmt.Sprintf("%d", view+1)
-		row("#abort"+sfx, view, func(v eigenbench.ViewStats) string { return FormatCount(v.Aborts) })
-		row("#tx"+sfx, view, func(v eigenbench.ViewStats) string { return FormatCount(v.Commits) })
-		row("t_aborted_tx"+sfx, view, func(v eigenbench.ViewStats) string { return FormatNs(v.AbortNs) })
-		row("t_successful_tx"+sfx, view, func(v eigenbench.ViewStats) string { return FormatNs(v.SuccessNs) })
-		row("delta(Q"+sfx+")", view, func(v eigenbench.ViewStats) string { return FormatDelta(v.Delta) })
-	}
-	return t
-}
-
-// TableV: multi-view Eigenbench with VOTM-OrecEagerRedo (Q1 sweep, Q2=N).
-func TableV(s Scale) (*Table, EigenSweep, error) {
-	sweep, err := RunEigenMultiSweep(s, core.OrecEagerRedo)
-	if err != nil {
-		return nil, sweep, err
-	}
-	return multiSweepTable("V", "multi-view Eigenbench with VOTM-OrecEagerRedo", sweep), sweep, nil
-}
-
-// TableIX: multi-view Eigenbench with VOTM-NOrec (Q1 sweep, Q2=N).
-func TableIX(s Scale) (*Table, EigenSweep, error) {
-	sweep, err := RunEigenMultiSweep(s, core.NOrec)
-	if err != nil {
-		return nil, sweep, err
-	}
-	return multiSweepTable("IX", "multi-view Eigenbench with VOTM-NOrec", sweep), sweep, nil
 }
 
 func adaptiveTable(id, title string, set AdaptiveSet) *Table {
@@ -313,51 +178,28 @@ func adaptiveTable(id, title string, set AdaptiveSet) *Table {
 		"mv time(s)", "mv Q1", "mv Q2", "mv #abort",
 		"mtm time(s)", "mtm #abort",
 		"tm time(s)", "tm #abort"}
-
-	eCell := func(res eigenbench.Result, f func(eigenbench.Result) string) string {
-		if res.Livelock {
-			return "livelock"
-		}
-		return f(res)
+	intr := make([]progress.Result, len(set.Intr))
+	for i, r := range set.Intr {
+		intr[i] = r.Result
 	}
-	er := set.Eigen
-	eigenRow := []string{"Eigenbench",
-		eCell(er[0], func(r eigenbench.Result) string { return FormatSeconds(r.Elapsed) }),
-		eCell(er[0], func(r eigenbench.Result) string { return fmt.Sprintf("%d", r.Views[0].Quota) }),
-		eCell(er[0], func(r eigenbench.Result) string { return FormatCount(r.TotalAborts()) }),
-		eCell(er[1], func(r eigenbench.Result) string { return FormatSeconds(r.Elapsed) }),
-		eCell(er[1], func(r eigenbench.Result) string { return fmt.Sprintf("%d", r.Views[0].Quota) }),
-		eCell(er[1], func(r eigenbench.Result) string { return fmt.Sprintf("%d", r.Views[1].Quota) }),
-		eCell(er[1], func(r eigenbench.Result) string { return FormatCount(r.TotalAborts()) }),
-		eCell(er[2], func(r eigenbench.Result) string { return FormatSeconds(r.Elapsed) }),
-		eCell(er[2], func(r eigenbench.Result) string { return FormatCount(r.TotalAborts()) }),
-		eCell(er[3], func(r eigenbench.Result) string { return FormatSeconds(r.Elapsed) }),
-		eCell(er[3], func(r eigenbench.Result) string { return FormatCount(r.TotalAborts()) }),
-	}
-	t.Rows = append(t.Rows, eigenRow)
-
-	iCell := func(res intruder.Result, f func(intruder.Result) string) string {
-		if res.Livelock {
-			return "livelock"
-		}
-		return f(res)
-	}
-	ir := set.Intr
-	intrRow := []string{"Intruder",
-		iCell(ir[0], func(r intruder.Result) string { return FormatSeconds(r.Elapsed) }),
-		iCell(ir[0], func(r intruder.Result) string { return fmt.Sprintf("%d", r.Views[0].Quota) }),
-		iCell(ir[0], func(r intruder.Result) string { return FormatCount(r.TotalAborts()) }),
-		iCell(ir[1], func(r intruder.Result) string { return FormatSeconds(r.Elapsed) }),
-		iCell(ir[1], func(r intruder.Result) string { return fmt.Sprintf("%d", r.Views[0].Quota) }),
-		iCell(ir[1], func(r intruder.Result) string { return fmt.Sprintf("%d", r.Views[1].Quota) }),
-		iCell(ir[1], func(r intruder.Result) string { return FormatCount(r.TotalAborts()) }),
-		iCell(ir[2], func(r intruder.Result) string { return FormatSeconds(r.Elapsed) }),
-		iCell(ir[2], func(r intruder.Result) string { return FormatCount(r.TotalAborts()) }),
-		iCell(ir[3], func(r intruder.Result) string { return FormatSeconds(r.Elapsed) }),
-		iCell(ir[3], func(r intruder.Result) string { return FormatCount(r.TotalAborts()) }),
-	}
-	t.Rows = append(t.Rows, intrRow)
+	t.Rows = [][]string{adaptiveRow("Eigenbench", set.Eigen), adaptiveRow("Intruder", intr)}
 	return t
+}
+
+// adaptiveRow renders one application's four versions (single-view,
+// multi-view, multi-TM, TM) as a Table VI/X row.
+func adaptiveRow(app string, rs []progress.Result) []string {
+	row := []string{app}
+	add := func(res progress.Result, fs ...func(progress.Result) string) {
+		for _, f := range fs {
+			row = append(row, cell(res, f))
+		}
+	}
+	add(rs[0], seconds, quota(0), aborts)
+	add(rs[1], seconds, quota(0), quota(1), aborts)
+	add(rs[2], seconds, aborts)
+	add(rs[3], seconds, aborts)
+	return row
 }
 
 // TableVI: adaptive RAC with VOTM-OrecEagerRedo across all four versions.
@@ -378,54 +220,48 @@ func TableX(s Scale) (*Table, AdaptiveSet, error) {
 	return adaptiveTable("X", "performance of adaptive RAC in VOTM-NOrec", set), set, nil
 }
 
+// tables is the evaluation in paper order, Table III first.
+var tables = []struct {
+	id    string
+	build func(Scale) (*Table, error)
+}{
+	{"III", func(s Scale) (*Table, error) { t, _, err := TableIII(s); return t, err }},
+	{"IV", func(s Scale) (*Table, error) { t, _, err := TableIV(s); return t, err }},
+	{"V", func(s Scale) (*Table, error) { t, _, err := TableV(s); return t, err }},
+	{"VI", func(s Scale) (*Table, error) { t, _, err := TableVI(s); return t, err }},
+	{"VII", func(s Scale) (*Table, error) { t, _, err := TableVII(s); return t, err }},
+	{"VIII", func(s Scale) (*Table, error) { t, _, err := TableVIII(s); return t, err }},
+	{"IX", func(s Scale) (*Table, error) { t, _, err := TableIX(s); return t, err }},
+	{"X", func(s Scale) (*Table, error) { t, _, err := TableX(s); return t, err }},
+}
+
 // AllTables regenerates every evaluation table in paper order.
 func AllTables(s Scale) ([]*Table, error) {
-	var tables []*Table
-	builders := []func(Scale) (*Table, error){
-		func(s Scale) (*Table, error) { t, _, err := TableIII(s); return t, err },
-		func(s Scale) (*Table, error) { t, _, err := TableIV(s); return t, err },
-		func(s Scale) (*Table, error) { t, _, err := TableV(s); return t, err },
-		func(s Scale) (*Table, error) { t, _, err := TableVI(s); return t, err },
-		func(s Scale) (*Table, error) { t, _, err := TableVII(s); return t, err },
-		func(s Scale) (*Table, error) { t, _, err := TableVIII(s); return t, err },
-		func(s Scale) (*Table, error) { t, _, err := TableIX(s); return t, err },
-		func(s Scale) (*Table, error) { t, _, err := TableX(s); return t, err },
-	}
-	for _, b := range builders {
-		t, err := b(s)
+	var out []*Table
+	for _, e := range tables {
+		t, err := e.build(s)
 		if err != nil {
-			return tables, err
+			return out, err
 		}
-		tables = append(tables, t)
+		out = append(out, t)
 	}
-	return tables, nil
+	return out, nil
 }
 
 // ByID returns the builder for one table ("3"/"III" style accepted).
 func ByID(id string) (func(Scale) (*Table, error), bool) {
-	m := map[string]func(Scale) (*Table, error){
-		"3":  func(s Scale) (*Table, error) { t, _, err := TableIII(s); return t, err },
-		"4":  func(s Scale) (*Table, error) { t, _, err := TableIV(s); return t, err },
-		"5":  func(s Scale) (*Table, error) { t, _, err := TableV(s); return t, err },
-		"6":  func(s Scale) (*Table, error) { t, _, err := TableVI(s); return t, err },
-		"7":  func(s Scale) (*Table, error) { t, _, err := TableVII(s); return t, err },
-		"8":  func(s Scale) (*Table, error) { t, _, err := TableVIII(s); return t, err },
-		"9":  func(s Scale) (*Table, error) { t, _, err := TableIX(s); return t, err },
-		"10": func(s Scale) (*Table, error) { t, _, err := TableX(s); return t, err },
+	for i, e := range tables {
+		if id == e.id || id == strconv.Itoa(i+3) {
+			return e.build, true
+		}
 	}
-	roman := map[string]string{"III": "3", "IV": "4", "V": "5", "VI": "6",
-		"VII": "7", "VIII": "8", "IX": "9", "X": "10"}
-	if r, ok := roman[id]; ok {
-		id = r
-	}
-	f, ok := m[id]
-	return f, ok
+	return nil, false
 }
 
 func intsToStrings(xs []int) []string {
 	out := make([]string, len(xs))
 	for i, x := range xs {
-		out[i] = fmt.Sprintf("%d", x)
+		out[i] = strconv.Itoa(x)
 	}
 	return out
 }

@@ -214,15 +214,15 @@ func TestAdaptiveSetCompletes(t *testing.T) {
 	}
 	for i, res := range set.Eigen {
 		if res.Livelock {
-			t.Errorf("NOrec adaptive eigen %v livelocked", set.EigenModes[i])
+			t.Errorf("NOrec adaptive eigen %v livelocked", set.Modes[i])
 		}
 	}
 	for i, res := range set.Intr {
 		if res.Livelock {
-			t.Errorf("NOrec adaptive intruder %v livelocked", set.IntrModes[i])
+			t.Errorf("NOrec adaptive intruder %v livelocked", set.Modes[i])
 		}
 		if res.ChecksumErrors != 0 {
-			t.Errorf("intruder %v checksum errors: %d", set.IntrModes[i], res.ChecksumErrors)
+			t.Errorf("intruder %v checksum errors: %d", set.Modes[i], res.ChecksumErrors)
 		}
 	}
 	if !strings.Contains(tab.Render(), "Intruder") {

@@ -1,11 +1,11 @@
 package intruder
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,88 +17,10 @@ import (
 	"votm/internal/stmds"
 )
 
-// Mode mirrors the paper's four program versions (see eigenbench.Mode).
-type Mode int
-
-const (
-	// SingleView: queue and dictionary in one RAC-controlled view.
-	SingleView Mode = iota
-	// MultiView: queue view + dictionary view, each with its own RAC.
-	MultiView
-	// MultiTM: two views, RAC disabled.
-	MultiTM
-	// PlainTM: one view, RAC disabled.
-	PlainTM
-)
-
-func (m Mode) String() string {
-	switch m {
-	case SingleView:
-		return "single-view"
-	case MultiView:
-		return "multi-view"
-	case MultiTM:
-		return "multi-TM"
-	default:
-		return "TM"
-	}
-}
-
-// RAC reports whether the mode uses admission control.
-func (m Mode) RAC() bool { return m == SingleView || m == MultiView }
-
-// MultipleViews reports whether queue and dictionary live in separate views.
-func (m Mode) MultipleViews() bool { return m == MultiView || m == MultiTM }
-
-// RunConfig selects engine, version and quotas for one Intruder run.
-type RunConfig struct {
-	Engine core.EngineKind
-	Mode   Mode
-	// Quotas[0] guards the queue view, Quotas[1] the dictionary view
-	// (single-view modes use Quotas[0] only). 0 ⇒ adaptive RAC.
-	Quotas    [2]int
-	Orecs     int
-	SuicideCM bool
-	// AdjustEvery and ProbeAtLockEvery tune adaptive RAC (see rac.Params).
-	AdjustEvery      int64
-	ProbeAtLockEvery int
-	Yield            simpar.Mode
-	// StallWindow and Deadline drive the livelock watchdog
-	// (defaults 1s / 120s).
-	StallWindow time.Duration
-	Deadline    time.Duration
-	// OnViews, when non-nil, is called with the created views (queue view
-	// first) after setup and before the workers start — the hook for
-	// attaching δ samplers or quota recorders.
-	OnViews func(views []*core.View)
-}
-
-func (c *RunConfig) fill() {
-	if c.StallWindow == 0 {
-		c.StallWindow = time.Second
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 120 * time.Second
-	}
-}
-
-// ViewStats is one view's statistics row (same shape as the paper's tables).
-type ViewStats struct {
-	Name      string // "queue", "dictionary" or "all"
-	Commits   int64
-	Aborts    int64
-	SuccessNs int64
-	AbortNs   int64
-	Delta     float64
-	Quota     int
-}
-
-// Result of one Intruder run.
+// Result of one Intruder run: the shared statistics plus the workload's
+// own counters.
 type Result struct {
-	Elapsed  time.Duration
-	Livelock bool
-	Reason   string
-	Views    []ViewStats
+	progress.Result
 
 	FlowsCompleted int64
 	AttacksFound   int64
@@ -111,165 +33,66 @@ type Result struct {
 	ChecksumErrors int64
 }
 
-// TotalCommits sums commits across views.
-func (r Result) TotalCommits() int64 {
-	var n int64
-	for _, v := range r.Views {
-		n += v.Commits
-	}
-	return n
-}
-
-// TotalAborts sums aborts across views.
-func (r Result) TotalAborts() int64 {
-	var n int64
-	for _, v := range r.Views {
-		n += v.Aborts
-	}
-	return n
-}
-
 // flow descriptor block layout inside the dictionary view:
 // [arrivedBytes, totalLen, payloadWord0 …]
 const flowHdrWords = 2
 
 func payloadWords(flowLen int) int { return (flowLen + 7) / 8 }
 
-// Run executes the Intruder benchmark over a pre-generated workload.
-func Run(cfg RunConfig, p Params, w *Workload) (Result, error) {
-	cfg.fill()
+// Run executes the Intruder benchmark over a pre-generated workload in
+// cfg.Mode (progress.Run): object 1 is the capture queue, object 2 the
+// reassembly dictionary. The deadline defaults to 120s.
+func Run(cfg progress.RunConfig, p Params, w *Workload) (Result, error) {
 	p.fill()
-	if p.Threads <= 0 {
-		return Result{}, errors.New("intruder: Threads must be positive")
-	}
 	if w == nil || len(w.Fragments) == 0 {
 		return Result{}, errors.New("intruder: empty workload")
 	}
-
-	rt := core.NewRuntime(core.Config{
-		Threads:          p.Threads,
-		Engine:           cfg.Engine,
-		NoAdmission:      !cfg.Mode.RAC(),
-		Orecs:            cfg.Orecs,
-		SuicideCM:        cfg.SuicideCM,
-		AdjustEvery:      cfg.AdjustEvery,
-		ProbeAtLockEvery: cfg.ProbeAtLockEvery,
+	cfg.Deadline = cmp.Or(cfg.Deadline, 120*time.Second)
+	st := &sharedState{w: w, yield: simpar.Enabled(cfg.Yield, p.Threads)}
+	sizes := [2]int{3 + len(w.Fragments) + 16, dictFootprint(w, p)}
+	res, err := progress.Run(cfg, p.Threads, sizes, func(rt *core.Runtime, views []*core.View) (progress.Worker, error) {
+		if err := st.setup(rt, views[0], views[len(views)-1], p); err != nil {
+			return nil, err
+		}
+		return st.worker, nil
 	})
+	return Result{
+		Result:         res,
+		FlowsCompleted: st.flowsDone.Load(),
+		AttacksFound:   st.attacks.Load(),
+		AllocErrors:    st.allocErrs.Load(),
+		ChecksumErrors: st.sumErrs.Load(),
+	}, err
+}
 
-	queueWords := 3 + len(w.Fragments) + 16
-	dictWords := dictFootprint(w, p)
-
-	var qView, dView *core.View
+// setup builds the queue and dictionary and pre-fills the capture queue
+// with the shuffled arrival stream (sequential, before timing starts).
+func (s *sharedState) setup(rt *core.Runtime, qView, dView *core.View, p Params) error {
 	var err error
-	if cfg.Mode.MultipleViews() {
-		if qView, err = rt.CreateView(1, queueWords, cfg.Quotas[0]); err != nil {
-			return Result{}, err
-		}
-		if dView, err = rt.CreateView(2, dictWords, cfg.Quotas[1]); err != nil {
-			return Result{}, err
-		}
-	} else {
-		v, cerr := rt.CreateView(1, queueWords+dictWords, cfg.Quotas[0])
-		if cerr != nil {
-			return Result{}, cerr
-		}
-		qView, dView = v, v
+	s.qView, s.dView = qView, dView
+	if s.queue, err = stmds.NewQueue(qView, len(s.w.Fragments)); err != nil {
+		return fmt.Errorf("intruder: queue: %w", err)
 	}
-
-	queue, err := stmds.NewQueue(qView, len(w.Fragments))
-	if err != nil {
-		return Result{}, fmt.Errorf("intruder: queue: %w", err)
+	if s.dict, err = stmds.NewHashMap(dView, p.NumFlows/4+1); err != nil {
+		return fmt.Errorf("intruder: dict: %w", err)
 	}
-	nbuckets := p.NumFlows/4 + 1
-	dict, err := stmds.NewHashMap(dView, nbuckets)
-	if err != nil {
-		return Result{}, fmt.Errorf("intruder: dict: %w", err)
-	}
-
-	// Pre-fill the capture queue with the shuffled arrival stream
-	// (sequential setup, before timing starts).
-	setupTh := rt.RegisterThread()
+	th := rt.RegisterThread()
 	const batch = 512
-	for lo := 0; lo < len(w.Fragments); lo += batch {
-		hi := lo + batch
-		if hi > len(w.Fragments) {
-			hi = len(w.Fragments)
-		}
-		err := qView.Atomic(context.Background(), setupTh, func(tx core.Tx) error {
+	for lo := 0; lo < len(s.w.Fragments); lo += batch {
+		hi := min(lo+batch, len(s.w.Fragments))
+		err := qView.Atomic(context.Background(), th, func(tx core.Tx) error {
 			for i := lo; i < hi; i++ {
-				if !queue.Enqueue(tx, uint64(i)) {
+				if !s.queue.Enqueue(tx, uint64(i)) {
 					return errors.New("intruder: queue overflow during setup")
 				}
 			}
 			return nil
 		})
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-
-	if cfg.OnViews != nil {
-		if qView == dView {
-			cfg.OnViews([]*core.View{qView})
-		} else {
-			cfg.OnViews([]*core.View{qView, dView})
-		}
-	}
-
-	st := &sharedState{
-		rt: rt, cfg: cfg, p: p, w: w,
-		qView: qView, dView: dView,
-		queue: queue, dict: dict,
-		yield: simpar.Enabled(cfg.Yield, p.Threads),
-	}
-
-	sample := func() int64 { return qView.Totals().Commits + dView.Totals().Commits }
-	if qView == dView {
-		sample = func() int64 { return qView.Totals().Commits }
-	}
-	ctx, wd := progress.Watch(context.Background(), sample, cfg.StallWindow, cfg.Deadline)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < p.Threads; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.worker(ctx)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	livelocked := wd.Stop()
-
-	res := Result{
-		Elapsed:        elapsed,
-		Livelock:       livelocked,
-		Reason:         wd.Reason(),
-		FlowsCompleted: st.flowsDone.Load(),
-		AttacksFound:   st.attacks.Load(),
-		AllocErrors:    st.allocErrs.Load(),
-		ChecksumErrors: st.sumErrs.Load(),
-	}
-	appendStats := func(name string, v *core.View) {
-		s := v.Snapshot()
-		res.Views = append(res.Views, ViewStats{
-			Name:      name,
-			Commits:   s.Totals.Commits,
-			Aborts:    s.Totals.Aborts,
-			SuccessNs: s.Totals.SuccessNs,
-			AbortNs:   s.Totals.AbortNs,
-			Delta:     s.Delta,
-			Quota:     s.EffectiveQuota,
-		})
-	}
-	if cfg.Mode.MultipleViews() {
-		appendStats("queue", qView)
-		appendStats("dictionary", dView)
-	} else {
-		appendStats("all", qView)
-	}
-	return res, nil
+	return nil
 }
 
 // dictFootprint sizes the dictionary view: hash header + per-flow node and
@@ -287,9 +110,6 @@ func dictFootprint(w *Workload, p Params) int {
 }
 
 type sharedState struct {
-	rt    *core.Runtime
-	cfg   RunConfig
-	p     Params
 	w     *Workload
 	qView *core.View
 	dView *core.View
@@ -322,9 +142,7 @@ func (s *sharedState) allocOrGrow(words int) (stm.Addr, error) {
 
 // worker is one detector thread: capture → reassemble → detect, looping
 // until the capture queue drains.
-func (s *sharedState) worker(ctx context.Context) {
-	th := s.rt.RegisterThread()
-	defer th.Release() // recycle descriptors into the engines' pools
+func (s *sharedState) worker(ctx context.Context, th *core.Thread, _ int) {
 	for {
 		if ctx.Err() != nil {
 			return

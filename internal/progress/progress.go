@@ -1,9 +1,12 @@
-// Package progress provides the livelock watchdog used by the experiment
-// drivers. The paper reports "livelock" cells for configurations where the
-// encounter-time-locking TM stops making progress (Section III-D); the
-// watchdog turns "no commits for a while" (or an absolute deadline) into a
-// cancelled context plus a livelock verdict, so a run can be reported the
-// way the paper's tables report it.
+// Package progress runs the paper's experiments. Run owns what Eigenbench
+// and Intruder share: the four program versions (Mode), the runtime and
+// view layout, the worker threads and the per-view statistics; each
+// application supplies only its workload. Watch is the livelock watchdog
+// every run uses. The paper reports "livelock" cells for configurations
+// where the encounter-time-locking TM stops making progress (Section
+// III-D); the watchdog turns "no commits for a while" (or an absolute
+// deadline) into a cancelled context plus a livelock verdict, so a run can
+// be reported the way the paper's tables report it.
 package progress
 
 import (

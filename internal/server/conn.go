@@ -481,7 +481,7 @@ func (c *conn) writeLoop(done chan struct{}) {
 			}
 		}
 		if !failed {
-			_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+			_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			var err error
 			switch {
 			case len(big) == 0:

@@ -68,8 +68,6 @@ type Config struct {
 	// RequestTimeout bounds one transaction's execution (admission wait
 	// included). Default 5s.
 	RequestTimeout time.Duration
-	// WriteTimeout bounds one response write. Default 10s.
-	WriteTimeout time.Duration
 	// IdleTimeout closes a connection with no complete request for this
 	// long. Default 5m.
 	IdleTimeout time.Duration
@@ -147,9 +145,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
 	}
@@ -213,6 +208,8 @@ const (
 	// completed responses may await the connection's write loop before
 	// whoever answers (worker, flusher, coordinator) blocks on the send.
 	respChannel = 64
+	// writeTimeout bounds one response write.
+	writeTimeout = 10 * time.Second
 	// readBufSize is the per-connection buffered-reader size.
 	readBufSize = 16 << 10
 	// writeBufSize is the per-connection write coalescing buffer size;
