@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fuzz-skiplist fuzz-enc fmt vet clean
+.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve smoke-votmd replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fuzz-skiplist fuzz-enc fmt vet clean
 
 all: build test
 
@@ -91,6 +91,12 @@ SERVE_FLAGS ?= -addr :7421 -stats-every 30s
 
 serve:
 	$(GO) run ./cmd/votmd $(SERVE_FLAGS)
+
+# The votmd binary end to end: a durable start on a free port, a clean drain
+# on SIGTERM, a restart that skips replay, removed flags refused with exit
+# status 2, and the standalone shard-map seed started and stopped.
+smoke-votmd:
+	bash cmd/votmd/smoke.sh
 
 # Repartition chaos soak: live split/merge racing fault injection, checked
 # against a sequential oracle, with admission- and goroutine-leak checks.

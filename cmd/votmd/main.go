@@ -5,7 +5,10 @@
 //
 // votmd drains gracefully on SIGTERM/SIGINT: it stops accepting, finishes
 // every in-flight transaction and answers it, then closes the RAC
-// controllers and exits.
+// controllers and exits, within a fixed 30 s budget. Values are capped at
+// 64 KiB, idle connections close after 5 minutes and durable shards snapshot
+// every 30 s; none of these is a flag. The startup log names the bound
+// address, so -addr 127.0.0.1:0 picks a free port.
 //
 // Usage:
 //
@@ -34,6 +37,9 @@ import (
 	"votm/wire"
 )
 
+// drainTimeout is the graceful drain budget on SIGTERM/SIGINT.
+const drainTimeout = 30 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":7421", "TCP listen address")
@@ -41,18 +47,14 @@ func main() {
 		workers  = flag.Int("workers", 4, "transaction workers per shard (RAC quota bound N)")
 		queue    = flag.Int("queue", 128, "bounded per-shard request queue (overflow => BUSY)")
 		batchMax = flag.Int("batch-max", 16, "max requests one worker group-commits per transaction (1 = no grouping)")
-		maxVal   = flag.Int("max-value", 64<<10, "maximum value size in bytes")
 		engine   = flag.String("engine", "norec", "TM engine: norec | oreceager | tl2")
 		reqTO    = flag.Duration("request-timeout", 5*time.Second, "per-request transaction timeout")
-		idleTO   = flag.Duration("idle-timeout", 5*time.Minute, "idle connection timeout")
-		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		statsSec = flag.Duration("stats-every", 0, "log per-shard stats at this interval (0 = off)")
 
 		autoSplit = flag.Bool("auto-split", false, "split hot shards online, every 250ms, shards of 1024 keys and more, up to 8 sub-shards (live key migration; ATOMIC batches spanning sub-shards commit via the multi-view 2PC coordinator)")
 
 		durability = flag.String("durability", server.DurabilityOff, "crash durability: off | group (per-shard WAL, fsync per write group) | snapshot-only")
 		dataDir    = flag.String("data-dir", "", "durability root directory (required unless -durability off)")
-		snapEvery  = flag.Duration("snapshot-every", 30*time.Second, "periodic per-shard snapshot interval")
 
 		clusterSeed = flag.Bool("cluster-seed", false, "host the cluster shard-map service; with -durability group this node also serves data as the first member, with -durability off it runs the map service standalone (no data plane)")
 		join        = flag.String("join", "", "seed node address to join as a cluster member (requires -durability group; mutually exclusive with -cluster-seed)")
@@ -69,20 +71,20 @@ func main() {
 		*advertise = *addr
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Fatalf("listen: %v", err)
+	}
 	// Standalone control plane: -cluster-seed without a data plane runs only
 	// the shard-map service — the process data nodes join and routing clients
 	// bootstrap from. Shard count and replica target come from the same flags
 	// the members use.
 	if *clusterSeed && *durability == server.DurabilityOff {
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			logger.Fatalf("listen: %v", err)
-		}
 		svc := cluster.NewService(*shards, *replicas, logf)
 		svc.StartHealth(cluster.HealthEvery, cluster.HealthFailures, cluster.HealthTimeout)
 		done := make(chan error, 1)
 		go func() { done <- cluster.Serve(ln, svc) }()
-		logger.Printf("shard-map service (standalone seed): %d shards, %d replicas, on %s", *shards, *replicas, *addr)
+		logger.Printf("shard-map service (standalone seed): %d shards, %d replicas, on %s", *shards, *replicas, ln.Addr())
 		sigCh := make(chan os.Signal, 1)
 		signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 		select {
@@ -112,20 +114,16 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Addr:            *addr,
 		Shards:          *shards,
 		WorkersPerShard: *workers,
 		QueueDepth:      *queue,
 		BatchMax:        *batchMax,
-		MaxValueLen:     *maxVal,
 		Engine:          kind,
 		RequestTimeout:  *reqTO,
-		IdleTimeout:     *idleTO,
 		AutoSplit:       *autoSplit,
 
-		Durability:    *durability,
-		DataDir:       *dataDir,
-		SnapshotEvery: *snapEvery,
+		Durability: *durability,
+		DataDir:    *dataDir,
 
 		Logf: logf,
 	}
@@ -184,15 +182,15 @@ func main() {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe() }()
-	logger.Printf("serving %d shards (%s, %d workers each) on %s", *shards, *engine, *workers, *addr)
+	go func() { done <- srv.Serve(ln) }()
+	logger.Printf("serving %d shards (%s, %d workers each) on %s", *shards, *engine, *workers, ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigCh:
-		logger.Printf("received %v: draining (budget %v)", sig, *drainTO)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+		logger.Printf("received %v: draining (budget %v)", sig, drainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			logger.Fatalf("drain incomplete: %v", err)

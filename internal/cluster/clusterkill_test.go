@@ -65,7 +65,6 @@ func TestClusterNodeChild(t *testing.T) {
 		t.Fatalf("child: member: %v", err)
 	}
 	srv, err := server.New(server.Config{
-		Addr:            addr,
 		Shards:          clusterKillShards,
 		WorkersPerShard: 2,
 		BatchMax:        8,

@@ -42,7 +42,6 @@ func startClusterNode(t *testing.T, dir, seedAddr string, replicas int, mods ...
 	}
 	addr := ln.Addr().String()
 	cfg := server.Config{
-		Addr:            addr,
 		Shards:          clusterSoakShards,
 		WorkersPerShard: 2,
 		BatchMax:        8,

@@ -42,20 +42,14 @@ type Config struct {
 	// "TM" baselines): admission is free, statistics are still collected.
 	NoAdmission bool
 
-	// Orecs is the ownership-record table size per view (OrecEagerRedo
-	// only). Default 2048.
-	Orecs int
 	// SuicideCM selects the non-stealing contention manager for
 	// OrecEagerRedo (ablation; default is the paper-faithful aggressive
 	// kill/steal policy).
 	SuicideCM bool
 
-	// HighDelta, LowDelta, AdjustEvery, ProbeAtLockEvery tune adaptive RAC;
-	// zero values take the defaults documented in package rac.
-	HighDelta        float64
-	LowDelta         float64
-	AdjustEvery      int64
-	ProbeAtLockEvery int
+	// AdjustEvery is adaptive RAC's adjustment window in completed attempts;
+	// zero takes package rac's default.
+	AdjustEvery int64
 
 	// QuotaTrace, when non-nil, is invoked after every admission-quota
 	// change on any view with (viewID, previousQ, newQ). It runs on the
@@ -112,9 +106,9 @@ func (c *Config) newEngineHooked(kind EngineKind, heap *stm.Heap, extra faultinj
 		if c.SuicideCM {
 			pol = oreceager.Suicide
 		}
-		eng = oreceager.New(heap, oreceager.Config{Orecs: c.Orecs, Policy: pol})
+		eng = oreceager.New(heap, oreceager.Config{Policy: pol})
 	case TL2:
-		eng = tl2.New(heap, tl2.Config{Orecs: c.Orecs})
+		eng = tl2.New(heap, tl2.Config{})
 	default:
 		eng = norec.New(heap)
 	}

@@ -501,7 +501,7 @@ func TestConflictRetryReexecutesBody(t *testing.T) {
 }
 
 func TestHeapAccessorAndConfig(t *testing.T) {
-	cfg := core.Config{Threads: 3, Engine: core.OrecEagerRedo, Orecs: 64, SuicideCM: true}
+	cfg := core.Config{Threads: 3, Engine: core.OrecEagerRedo, SuicideCM: true}
 	rt := core.NewRuntime(cfg)
 	if rt.Config().Threads != 3 {
 		t.Error("Config accessor wrong")

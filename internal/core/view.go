@@ -68,13 +68,10 @@ func newView(rt *Runtime, vid, sizeWords, quota int, kind EngineKind) *View {
 		heap:  heap,
 		alloc: memheap.New(sizeWords),
 		ctl: rac.New(rac.Params{
-			Threads:          rt.cfg.Threads,
-			InitialQuota:     quota,
-			HighDelta:        rt.cfg.HighDelta,
-			LowDelta:         rt.cfg.LowDelta,
-			AdjustEvery:      rt.cfg.AdjustEvery,
-			ProbeAtLockEvery: rt.cfg.ProbeAtLockEvery,
-			OnQuotaChange:    onChange,
+			Threads:       rt.cfg.Threads,
+			InitialQuota:  quota,
+			AdjustEvery:   rt.cfg.AdjustEvery,
+			OnQuotaChange: onChange,
 		}),
 	}
 	v.ltx = lockTx{heap: heap}

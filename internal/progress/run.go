@@ -52,13 +52,11 @@ type RunConfig struct {
 	// Quotas are the fixed quotas of views 1 and 2 (single-view modes use
 	// Quotas[0] only). 0 selects adaptive RAC. Ignored when RAC is off.
 	Quotas [2]int
-	// Orecs and SuicideCM forward to the OrecEagerRedo engine config.
-	Orecs     int
+	// SuicideCM forwards to the OrecEagerRedo engine config.
 	SuicideCM bool
-	// AdjustEvery and ProbeAtLockEvery tune adaptive RAC (see rac.Params);
-	// zero keeps the defaults.
-	AdjustEvery      int64
-	ProbeAtLockEvery int
+	// AdjustEvery tunes adaptive RAC (see rac.Params); zero keeps the
+	// default.
+	AdjustEvery int64
 	// Yield simulates hardware parallelism on under-provisioned hosts.
 	Yield simpar.Mode
 	// StallWindow declares livelock when no transaction commits for this
@@ -141,13 +139,11 @@ func Run(cfg RunConfig, threads int, sizes [2]int,
 		return Result{}, errors.New("progress: threads must be positive")
 	}
 	rt := core.NewRuntime(core.Config{
-		Threads:          threads,
-		Engine:           cfg.Engine,
-		NoAdmission:      !cfg.Mode.RAC(),
-		Orecs:            cfg.Orecs,
-		SuicideCM:        cfg.SuicideCM,
-		AdjustEvery:      cfg.AdjustEvery,
-		ProbeAtLockEvery: cfg.ProbeAtLockEvery,
+		Threads:     threads,
+		Engine:      cfg.Engine,
+		NoAdmission: !cfg.Mode.RAC(),
+		SuicideCM:   cfg.SuicideCM,
+		AdjustEvery: cfg.AdjustEvery,
 	})
 	var views []*core.View
 	if cfg.Mode.MultipleViews() {

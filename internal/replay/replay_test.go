@@ -29,7 +29,7 @@ var update = flag.Bool("update", false, "regenerate the committed golden trace a
 func replayServerConfig() server.Config {
 	return server.Config{
 		Shards: 2, ShardWords: 1 << 14, WorkersPerShard: 1,
-		QueueDepth: 256, MaxValueLen: 1 << 10,
+		QueueDepth: 256,
 	}
 }
 

@@ -188,11 +188,11 @@ func (c *conn) readLoop() {
 		// earlier than the last time the socket went quiet; mid-burst that
 		// is at most one buffer's processing time ago.
 		if br.Buffered() == 0 {
-			_ = c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
+			_ = c.nc.SetReadDeadline(time.Now().Add(idleTimeout))
 		}
 		// Checked after the arm: Shutdown stores draining before it sets every
 		// deadline to now, so a re-arm that lands after that wake-up is seen
-		// here instead of sleeping out IdleTimeout in the read below.
+		// here instead of sleeping out idleTimeout in the read below.
 		if c.srv.draining.Load() {
 			return
 		}
@@ -381,23 +381,22 @@ func (c *conn) publishRun(r *shardRun) {
 
 // validate applies size and shape limits a shard should never see violated.
 func (c *conn) validate(req *wire.Request) (wire.Status, string) {
-	max := c.srv.cfg.MaxValueLen
 	switch req.Op {
 	case wire.OpPut:
-		if len(req.Value) > max {
-			return wire.StatusTooLarge, fmt.Sprintf("value of %d bytes exceeds %d", len(req.Value), max)
+		if len(req.Value) > maxValueLen {
+			return wire.StatusTooLarge, fmt.Sprintf("value of %d bytes exceeds %d", len(req.Value), maxValueLen)
 		}
 	case wire.OpCAS:
-		if len(req.Value) > max || len(req.OldValue) > max {
-			return wire.StatusTooLarge, fmt.Sprintf("value exceeds %d bytes", max)
+		if len(req.Value) > maxValueLen || len(req.OldValue) > maxValueLen {
+			return wire.StatusTooLarge, fmt.Sprintf("value exceeds %d bytes", maxValueLen)
 		}
 	case wire.OpAtomic:
 		if len(req.Subs) == 0 {
 			return wire.StatusBadRequest, "empty atomic batch"
 		}
 		for _, sub := range req.Subs {
-			if len(sub.Value) > max {
-				return wire.StatusTooLarge, fmt.Sprintf("value exceeds %d bytes", max)
+			if len(sub.Value) > maxValueLen {
+				return wire.StatusTooLarge, fmt.Sprintf("value exceeds %d bytes", maxValueLen)
 			}
 		}
 	case wire.OpScan:

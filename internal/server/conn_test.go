@@ -75,7 +75,7 @@ func serveOn(t *testing.T, s *Server, wrap func(net.Listener) net.Listener) (str
 
 // TestDrainIdleRearmRace: a reader that checked draining just before
 // Shutdown stored it, and re-armed its idle deadline just after Shutdown's
-// wake-up, must not sleep out IdleTimeout in its read — the graceful drain
+// wake-up, must not sleep out idleTimeout in its read — the graceful drain
 // returns well inside its deadline.
 func TestDrainIdleRearmRace(t *testing.T) {
 	s, err := New(Config{Shards: 1, WorkersPerShard: 1})
@@ -460,7 +460,7 @@ func TestSteadyStateConnRecycling(t *testing.T) {
 	}
 }
 
-// TestConnRetentionBound: after a connection carried a MaxValueLen value both
+// TestConnRetentionBound: after a connection carried a maxValueLen value both
 // ways and a full SCAN page, none of the requests and responses it keeps for
 // reuse holds a buffer of more than retainMax bytes — the large ones were
 // dropped — while it still keeps the small ones.
@@ -495,7 +495,7 @@ func TestConnRetentionBound(t *testing.T) {
 		close(c.out)
 		<-writerDone
 	}()
-	big := bytes.Repeat([]byte{0xB1}, s.cfg.MaxValueLen)
+	big := bytes.Repeat([]byte{0xB1}, maxValueLen)
 	for i, tc := range []struct {
 		req  wire.Request
 		want func(*wire.Response) bool

@@ -58,11 +58,9 @@ func TestCrashRecoveryChild(t *testing.T) {
 		t.Skip("crash-soak child; driven by TestCrashRecoverySoak")
 	}
 	srv, err := server.New(server.Config{
-		Addr:            "127.0.0.1:0",
 		Shards:          soakShards,
 		WorkersPerShard: 2,
 		BatchMax:        16,
-		MaxValueLen:     1 << 10,
 		Durability:      server.DurabilityGroup,
 		DataDir:         dir,
 		SnapshotEvery:   200 * time.Millisecond, // exercise snapshot+tail recovery

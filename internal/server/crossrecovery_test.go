@@ -188,7 +188,6 @@ func TestCrossShardRecoveryMatrix(t *testing.T) {
 
 			cfg := server.Config{
 				Shards:        matrixShards,
-				MaxValueLen:   1 << 10,
 				Durability:    server.DurabilityGroup,
 				DataDir:       dir,
 				SnapshotEvery: time.Hour,
@@ -300,7 +299,6 @@ func twoRoundsInDoubt(t *testing.T) {
 	var letGo sync.Once
 	cfg := server.Config{
 		Shards:        matrixShards,
-		MaxValueLen:   1 << 10,
 		Durability:    server.DurabilityGroup,
 		DataDir:       t.TempDir(),
 		SnapshotEvery: time.Hour,
@@ -465,7 +463,6 @@ func faultedRoundLeavesQueue(t *testing.T) {
 	calls, quit := make(chan chan error, 16), make(chan struct{})
 	cfg := server.Config{
 		Shards:        4,
-		MaxValueLen:   1 << 10,
 		Durability:    server.DurabilityGroup,
 		DataDir:       t.TempDir(),
 		SnapshotEvery: time.Hour,
@@ -616,7 +613,7 @@ func TestCrossShardRecoveryLegacyLog(t *testing.T) {
 			Value: wal.AppendRecords(nil, []wal.Record{{Kind: wal.RecPut, Key: key, Value: []byte(val)}})}
 	}
 	cfg := server.Config{
-		Shards: matrixShards, MaxValueLen: 1 << 10,
+		Shards:     matrixShards,
 		Durability: server.DurabilityGroup, SnapshotEvery: time.Hour,
 	}
 
@@ -727,7 +724,6 @@ func TestCrossShardRecoveryOneTaskRound(t *testing.T) {
 			var appends, syncs atomic.Int32
 			cfg := server.Config{
 				Shards:        matrixShards,
-				MaxValueLen:   1 << 10,
 				Durability:    server.DurabilityGroup,
 				DataDir:       t.TempDir(),
 				SnapshotEvery: time.Hour,

@@ -22,7 +22,6 @@ import (
 func durableConfig(t testing.TB) server.Config {
 	return server.Config{
 		Shards:        1,
-		MaxValueLen:   1 << 10,
 		Durability:    server.DurabilityGroup,
 		DataDir:       t.TempDir(),
 		SnapshotEvery: time.Hour,
@@ -38,7 +37,7 @@ func u64le(v uint64) []byte {
 	return b[:]
 }
 
-func TestDurabilityConfigValidation(t *testing.T) {
+func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  server.Config
@@ -47,10 +46,20 @@ func TestDurabilityConfigValidation(t *testing.T) {
 		{"missing data dir", server.Config{Durability: server.DurabilityGroup}, "DataDir"},
 		{"unknown mode", server.Config{Durability: "paranoid", DataDir: t.TempDir()}, "paranoid"},
 		{"autosplit conflict", server.Config{Durability: server.DurabilityGroup, DataDir: t.TempDir(), AutoSplit: true}, "AutoSplit"},
+		// Zero means the default; a negative value is an error, never a
+		// silent default or a disabled mechanism.
+		{"negative shards", server.Config{Shards: -1}, "Shards must not be negative"},
+		{"negative shard words", server.Config{ShardWords: -1}, "ShardWords must not be negative"},
+		{"negative workers", server.Config{WorkersPerShard: -1}, "WorkersPerShard must not be negative"},
+		{"negative queue depth", server.Config{QueueDepth: -1}, "QueueDepth must not be negative"},
+		{"negative batch max", server.Config{BatchMax: -1}, "BatchMax must not be negative"},
+		{"negative adjust window", server.Config{AdjustEvery: -1}, "AdjustEvery must not be negative"},
+		{"negative conflict retries", server.Config{MaxConflictRetries: -1}, "MaxConflictRetries must not be negative"},
+		{"negative request timeout", server.Config{RequestTimeout: -time.Second}, "RequestTimeout must not be negative, got -1s"},
+		{"negative snapshot interval", server.Config{SnapshotEvery: -time.Second}, "SnapshotEvery must not be negative, got -1s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Addr = "127.0.0.1:0"
 			_, err := server.New(tc.cfg)
 			if err == nil {
 				t.Fatalf("New accepted invalid config %+v", tc.cfg)

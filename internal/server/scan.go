@@ -22,7 +22,7 @@ import (
 
 // scanByteBudget caps the value bytes packed into one SCAN page. The entry
 // count is already bounded by wire.MaxScanKeys, but 1024 values of
-// MaxValueLen would overrun wire.MaxFrame; the byte budget keeps a full
+// maxValueLen would overrun wire.MaxFrame; the byte budget keeps a full
 // page's frame a small multiple of this (budget + one value) regardless of
 // the configured limits. The budget is checked after an entry is added, so
 // a page always carries at least one entry when the range is non-empty.

@@ -32,9 +32,6 @@ import (
 
 // Config configures a Server. Zero values select the documented defaults.
 type Config struct {
-	// Addr is the TCP listen address for ListenAndServe. Default ":7421".
-	Addr string
-
 	// Shards is the number of serving shards (one view each). Default 8.
 	Shards int
 	// ShardWords is each shard's initial heap size in words; shards grow on
@@ -53,8 +50,6 @@ type Config struct {
 	// begin/commit (at Q=1, one lock acquisition) amortized over the whole
 	// group (see group.go). 1 disables grouping. Default 16.
 	BatchMax int
-	// MaxValueLen bounds value sizes. Default 64 KiB.
-	MaxValueLen int
 
 	// Engine selects the TM algorithm backing every shard. Default NOrec.
 	Engine votm.EngineKind
@@ -68,9 +63,6 @@ type Config struct {
 	// RequestTimeout bounds one transaction's execution (admission wait
 	// included). Default 5s.
 	RequestTimeout time.Duration
-	// IdleTimeout closes a connection with no complete request for this
-	// long. Default 5m.
-	IdleTimeout time.Duration
 
 	// AutoSplit enables automatic shard splitting (split.go): hot shards —
 	// by abort rate, queue pressure, or lock-mode collapse — are split into
@@ -115,9 +107,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Addr == "" {
-		c.Addr = ":7421"
-	}
 	if c.Shards <= 0 {
 		c.Shards = 8
 	}
@@ -136,17 +125,11 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax > c.QueueDepth {
 		c.BatchMax = c.QueueDepth
 	}
-	if c.MaxValueLen <= 0 {
-		c.MaxValueLen = 64 << 10
-	}
 	if c.MaxConflictRetries == 0 {
 		c.MaxConflictRetries = 16
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
 	}
 	if c.Durability == "" {
 		c.Durability = DurabilityOff
@@ -161,26 +144,25 @@ func (c Config) withDefaults() Config {
 // It runs on the raw config — zero means "use the default", negative is an
 // error — plus cross-field constraints that survive defaulting.
 func (c Config) validate() error {
-	sizes := []struct {
+	numbers := []struct {
 		name string
-		v    int64
+		neg  bool
+		v    any
 	}{
-		{"Shards", int64(c.Shards)},
-		{"ShardWords", int64(c.ShardWords)},
-		{"WorkersPerShard", int64(c.WorkersPerShard)},
-		{"QueueDepth", int64(c.QueueDepth)},
-		{"BatchMax", int64(c.BatchMax)},
-		{"MaxValueLen", int64(c.MaxValueLen)},
+		{"Shards", c.Shards < 0, c.Shards},
+		{"ShardWords", c.ShardWords < 0, c.ShardWords},
+		{"WorkersPerShard", c.WorkersPerShard < 0, c.WorkersPerShard},
+		{"QueueDepth", c.QueueDepth < 0, c.QueueDepth},
+		{"BatchMax", c.BatchMax < 0, c.BatchMax},
+		{"AdjustEvery", c.AdjustEvery < 0, c.AdjustEvery},
+		{"MaxConflictRetries", c.MaxConflictRetries < 0, c.MaxConflictRetries},
+		{"RequestTimeout", c.RequestTimeout < 0, c.RequestTimeout},
+		{"SnapshotEvery", c.SnapshotEvery < 0, c.SnapshotEvery},
 	}
-	for _, s := range sizes {
-		if s.v < 0 {
-			return fmt.Errorf("server: Config.%s must not be negative, got %d", s.name, s.v)
+	for _, n := range numbers {
+		if n.neg {
+			return fmt.Errorf("server: Config.%s must not be negative, got %v", n.name, n.v)
 		}
-	}
-	// A maximal value must still encode into one frame (key, status and
-	// framing overhead stay well under 1 KiB).
-	if c.MaxValueLen > wire.MaxFrame-1024 {
-		return fmt.Errorf("server: Config.MaxValueLen (%d) exceeds the wire frame budget (%d)", c.MaxValueLen, wire.MaxFrame-1024)
 	}
 	switch c.Durability {
 	case "", DurabilityOff:
@@ -210,6 +192,13 @@ const (
 	respChannel = 64
 	// writeTimeout bounds one response write.
 	writeTimeout = 10 * time.Second
+	// idleTimeout closes a connection with no complete request for this long.
+	idleTimeout = 5 * time.Minute
+	// maxValueLen bounds value sizes (PUT and CAS values, ATOMIC sub-values).
+	// A maximal value must still encode into one frame beside its key, status
+	// and framing (well under 1 KiB): the next line fails the build if not.
+	maxValueLen = 64 << 10
+	_           = uint(wire.MaxFrame - 1024 - maxValueLen)
 	// readBufSize is the per-connection buffered-reader size.
 	readBufSize = 16 << 10
 	// writeBufSize is the per-connection write coalescing buffer size;
@@ -290,7 +279,7 @@ type Server struct {
 
 // New builds a server: one runtime, Shards views (IDs 1..Shards, adaptive
 // RAC quota each) and their worker pools. The server is not yet listening;
-// call Serve or ListenAndServe.
+// call Serve.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -444,15 +433,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// ListenAndServe listens on cfg.Addr and serves until Shutdown.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until it is closed. It returns nil when

@@ -21,12 +21,11 @@ import (
 // drain explicitly still compose).
 func startServer(t testing.TB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
-	cfg.Addr = "127.0.0.1:0"
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -70,10 +69,7 @@ func keysOnShard(srv *server.Server, shard, n int, start uint64) []uint64 {
 // connection: every opcode, every user-facing status, and value-codec round
 // trips at the word boundaries the enc packing must get right.
 func TestServerBasicOps(t *testing.T) {
-	srv, addr := startServer(t, server.Config{
-		Shards:      4,
-		MaxValueLen: 1 << 10,
-	})
+	srv, addr := startServer(t, server.Config{Shards: 4})
 	c := dialClient(t, addr, client.Options{})
 	ctx := context.Background()
 
@@ -232,7 +228,7 @@ func TestServerBasicOps(t *testing.T) {
 	}
 
 	// Size limit.
-	if _, err := c.Put(ctx, 1, make([]byte, 1<<10+1)); !errors.Is(err, client.ErrTooLarge) {
+	if _, err := c.Put(ctx, 1, make([]byte, 64<<10+1)); !errors.Is(err, client.ErrTooLarge) {
 		t.Fatalf("oversized put: %v, want ErrTooLarge", err)
 	}
 

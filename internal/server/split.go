@@ -137,7 +137,7 @@ func (s *Server) monitor() {
 				if total := snap.Totals.Commits + snap.Totals.Aborts; total > 0 {
 					load.AbortRate = float64(snap.Totals.Aborts) / float64(total)
 				}
-				if ok, why := viewmgr.ShouldSplit(load, viewmgr.AdvisorConfig{}); ok {
+				if ok, why := viewmgr.ShouldSplit(load); ok {
 					if err := s.splitShard(g, sh); err != nil {
 						s.logf("votmd: shard %d split (%s): %v", g.id, why, err)
 					} else {

@@ -74,12 +74,7 @@ func (s *Sampler) record(view ViewProbe) {
 	q := view.Quota()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dSuccess := cur.SuccessNs - s.prev.SuccessNs
-	dAbort := cur.AbortNs - s.prev.AbortNs
-	delta := math.NaN()
-	if q > 1 && dSuccess > 0 {
-		delta = float64(dAbort) / (float64(dSuccess) * float64(q-1))
-	}
+	window := rac.Totals{SuccessNs: cur.SuccessNs - s.prev.SuccessNs, AbortNs: cur.AbortNs - s.prev.AbortNs}
 	s.samples = append(s.samples, Sample{
 		Offset:      time.Since(s.start),
 		Quota:       q,
@@ -87,7 +82,7 @@ func (s *Sampler) record(view ViewProbe) {
 		Aborts:      cur.Aborts,
 		Escalations: cur.Escalations,
 		Panics:      cur.Panics,
-		Delta:       delta,
+		Delta:       window.Delta(q),
 	})
 	s.prev = cur
 }

@@ -226,7 +226,6 @@ func TestVacationChaos(t *testing.T) {
 func TestVacationDurableRestart(t *testing.T) {
 	cfg := server.Config{
 		Shards: 2, ShardWords: 1 << 15, WorkersPerShard: 2,
-		MaxValueLen:   1 << 10,
 		Durability:    server.DurabilityGroup,
 		DataDir:       t.TempDir(),
 		SnapshotEvery: time.Hour,

@@ -19,41 +19,27 @@ type ShardLoad struct {
 	Quota     int     // current admission quota
 }
 
-// AdvisorConfig tunes ShouldSplit.
-type AdvisorConfig struct {
-	// MinKeys gates splitting until the shard holds at least this many keys
-	// (splitting a near-empty shard moves nothing). Default 1024.
-	MinKeys int64
-	// HotAbortRate marks the shard contended. Default 0.25.
-	HotAbortRate float64
-	// HotQueueFrac marks the shard overloaded when the queue is at least
-	// this full. Default 0.5.
-	HotQueueFrac float64
-}
-
-func (c *AdvisorConfig) withDefaults() {
-	if c.MinKeys == 0 {
-		c.MinKeys = 1024
-	}
-	if c.HotAbortRate == 0 {
-		c.HotAbortRate = 0.25
-	}
-	if c.HotQueueFrac == 0 {
-		c.HotQueueFrac = 0.5
-	}
-}
+const (
+	// minSplitKeys gates splitting until the shard holds at least this many
+	// keys (splitting a near-empty shard moves nothing).
+	minSplitKeys = 1024
+	// hotAbortRate marks the shard contended.
+	hotAbortRate = 0.25
+	// hotQueueFrac marks the shard overloaded when the queue is at least
+	// this full.
+	hotQueueFrac = 0.5
+)
 
 // ShouldSplit reports whether the shard should be split in two, and why.
-func ShouldSplit(l ShardLoad, cfg AdvisorConfig) (bool, string) {
-	cfg.withDefaults()
-	if l.Keys < cfg.MinKeys {
-		return false, fmt.Sprintf("only %d keys (< %d)", l.Keys, cfg.MinKeys)
+func ShouldSplit(l ShardLoad) (bool, string) {
+	if l.Keys < minSplitKeys {
+		return false, fmt.Sprintf("only %d keys (< %d)", l.Keys, minSplitKeys)
 	}
-	if l.AbortRate >= cfg.HotAbortRate {
-		return true, fmt.Sprintf("abort rate %.3f >= %.3f", l.AbortRate, cfg.HotAbortRate)
+	if l.AbortRate >= hotAbortRate {
+		return true, fmt.Sprintf("abort rate %.3f >= %.3f", l.AbortRate, hotAbortRate)
 	}
-	if l.QueueCap > 0 && float64(l.QueueLen) >= cfg.HotQueueFrac*float64(l.QueueCap) {
-		return true, fmt.Sprintf("queue %d/%d >= %.0f%%", l.QueueLen, l.QueueCap, cfg.HotQueueFrac*100)
+	if l.QueueCap > 0 && float64(l.QueueLen) >= hotQueueFrac*float64(l.QueueCap) {
+		return true, fmt.Sprintf("queue %d/%d >= %.0f%%", l.QueueLen, l.QueueCap, hotQueueFrac*100)
 	}
 	// Quota pinned at 1 with work queued: RAC already gave up on optimism;
 	// spreading the keys is the remaining lever.

@@ -44,30 +44,15 @@ type Config struct {
 	Planner PlannerConfig
 	// Interval is the background planning period for Start. Default 100ms.
 	Interval time.Duration
-	// FirstChildID is the first view ID handed to split children; each
-	// split takes the next free ID at or above it. Default 1 << 20.
-	FirstChildID int
-	// StepTimeout bounds one planning pass (each quiesce inherits it).
-	// Default 5s.
-	StepTimeout time.Duration
-	// Profile overrides how a view's workload profile is derived (tests);
-	// nil derives it from the view snapshot and sketch.
-	Profile func(v *core.View, sk Sketch) autotm.Profile
-	// OnEvent, when non-nil, observes every executed repartition.
-	OnEvent func(Event)
 }
 
-func (c *Config) withDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.FirstChildID <= 0 {
-		c.FirstChildID = 1 << 20
-	}
-	if c.StepTimeout <= 0 {
-		c.StepTimeout = 5 * time.Second
-	}
-}
+const (
+	// firstChildID is the first view ID handed to split children; each
+	// split takes the next free ID at or above it.
+	firstChildID = 1 << 20
+	// stepTimeout bounds one planning pass (each quiesce inherits it).
+	stepTimeout = 5 * time.Second
+)
 
 // EventKind distinguishes repartition events.
 type EventKind int
@@ -100,13 +85,15 @@ func (e Event) String() string {
 // New creates a manager. Call Manage for each view to watch, then Start (or
 // drive Step yourself).
 func New(rt *core.Runtime, cfg Config) *Manager {
-	cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 100 * time.Millisecond
+	}
 	return &Manager{
 		rt:       rt,
 		cfg:      cfg,
 		views:    make(map[int]*managedView),
 		families: make(map[int]int),
-		nextID:   cfg.FirstChildID,
+		nextID:   firstChildID,
 	}
 }
 
@@ -159,17 +146,10 @@ func (m *Manager) Repartitions() int {
 func (m *Manager) record(e Event) {
 	m.mu.Lock()
 	m.events = append(m.events, e)
-	cb := m.cfg.OnEvent
 	m.mu.Unlock()
-	if cb != nil {
-		cb(e)
-	}
 }
 
 func (m *Manager) profile(v *core.View, sk Sketch) autotm.Profile {
-	if m.cfg.Profile != nil {
-		return m.cfg.Profile(v, sk)
-	}
 	snap := v.Snapshot()
 	meanAcc := 0.0
 	if sk.SampledTx > 0 {
@@ -227,7 +207,7 @@ func (m *Manager) stepView(ctx context.Context, mv *managedView) (int, error) {
 	m.nextID++
 	m.mu.Unlock()
 
-	cctx, cancel := context.WithTimeout(ctx, m.cfg.StepTimeout)
+	cctx, cancel := context.WithTimeout(ctx, stepTimeout)
 	child, err := mv.view.Split(cctx, childID, plan.Ranges, plan.Engine, plan.QuotaHint)
 	cancel()
 	if err != nil {
@@ -237,7 +217,7 @@ func (m *Manager) stepView(ctx context.Context, mv *managedView) (int, error) {
 	m.mu.Lock()
 	m.families[childID] = plan.View
 	m.mu.Unlock()
-	mctx, mcancel := context.WithTimeout(ctx, m.cfg.StepTimeout)
+	mctx, mcancel := context.WithTimeout(ctx, stepTimeout)
 	err = m.Manage(mctx, child)
 	mcancel()
 	if err != nil {
@@ -270,7 +250,7 @@ func (m *Manager) stepMerges(ctx context.Context, firstErr *error) int {
 		if plan == nil {
 			continue
 		}
-		cctx, cancel := context.WithTimeout(ctx, m.cfg.StepTimeout)
+		cctx, cancel := context.WithTimeout(ctx, stepTimeout)
 		err := m.rt.MergeViews(cctx, pr.parent, pr.child)
 		cancel()
 		if err != nil {
@@ -311,7 +291,7 @@ func (m *Manager) loop(stop <-chan struct{}, done chan<- struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.StepTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), stepTimeout)
 			m.Step(ctx) //nolint:errcheck // planning is best-effort; errors surface via Events gaps
 			cancel()
 		}

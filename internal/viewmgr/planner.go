@@ -52,40 +52,35 @@ type PlannerConfig struct {
 	// MinSamples gates planning until the sketch holds at least this many
 	// sampled transactions. Default 32.
 	MinSamples uint64
-	// HotFactor sets the hot/cold boundary: segment heats are sorted and
-	// the largest ratio between consecutive heats marks the gap; when that
-	// ratio is at least HotFactor the segments above the gap are hot.
-	// A view without such a gap (no bimodality) is never split. Default 2.
-	HotFactor float64
-	// CoAccessEps is the clustering threshold: segments a and b are linked
-	// when pairs(a,b) ≥ CoAccessEps · min(heat(a), heat(b)). Below it the
-	// co-access is considered "near zero" (Observation 2's premise).
-	// Default 0.05.
-	CoAccessEps float64
-	// MergeAbortRate and MergeDelta: a split family is merged back when both
-	// sides are uncontended — abort rate below MergeAbortRate and δ(Q)
-	// below MergeDelta (or NaN). Defaults 0.05 and 0.25.
+	// MergeAbortRate: a split family is merged back when both sides are
+	// uncontended — abort rate below MergeAbortRate and δ(Q) below
+	// mergeDelta (or NaN). Default 0.05.
 	MergeAbortRate float64
-	MergeDelta     float64
 }
 
 func (c *PlannerConfig) withDefaults() {
 	if c.MinSamples == 0 {
 		c.MinSamples = 32
 	}
-	if c.HotFactor == 0 {
-		c.HotFactor = 2
-	}
-	if c.CoAccessEps == 0 {
-		c.CoAccessEps = 0.05
-	}
 	if c.MergeAbortRate == 0 {
 		c.MergeAbortRate = 0.05
 	}
-	if c.MergeDelta == 0 {
-		c.MergeDelta = 0.25
-	}
 }
+
+const (
+	// hotFactor sets the hot/cold boundary: segment heats are sorted and
+	// the largest ratio between consecutive heats marks the gap; when that
+	// ratio is at least hotFactor the segments above the gap are hot.
+	// A view without such a gap (no bimodality) is never split.
+	hotFactor = 2
+	// coAccessEps is the clustering threshold: segments a and b are linked
+	// when pairs(a,b) ≥ coAccessEps · min(heat(a), heat(b)). Below it the
+	// co-access is considered "near zero" (Observation 2's premise).
+	coAccessEps = 0.05
+	// mergeDelta is the δ(Q) a split family's sides must stay below to be
+	// merged back.
+	mergeDelta = 0.25
+)
 
 // SplitPlan says: move MoveSegs (equivalently Ranges) out of view View into
 // a new child view with the recommended engine and quota.
@@ -131,7 +126,7 @@ func PlanSplit(sk Sketch, prof autotm.Profile, cfg PlannerConfig) *SplitPlan {
 			gapAt, gapRatio = i, r
 		}
 	}
-	if gapAt < 0 || gapRatio < cfg.HotFactor {
+	if gapAt < 0 || gapRatio < hotFactor {
 		return nil // no bimodality: Observation 2 does not apply
 	}
 	hotMin := heats[gapAt] // everything at or above the gap is hot
@@ -148,7 +143,7 @@ func PlanSplit(sk Sketch, prof autotm.Profile, cfg PlannerConfig) *SplitPlan {
 	for k, c := range sk.Pairs {
 		a, b := k.Segs()
 		ha, hb := sk.Heat[a], sk.Heat[b]
-		lim := math.Min(float64(ha), float64(hb)) * cfg.CoAccessEps
+		lim := math.Min(float64(ha), float64(hb)) * coAccessEps
 		if float64(c) >= lim && c > 0 {
 			uf.union(a, b)
 		}
@@ -220,7 +215,7 @@ func PlanMerge(parent, child Sketch, parentProf, childProf autotm.Profile, cfg P
 		if p.AbortRate >= cfg.MergeAbortRate {
 			return false
 		}
-		return math.IsNaN(p.DeltaQ) || p.DeltaQ < cfg.MergeDelta
+		return math.IsNaN(p.DeltaQ) || p.DeltaQ < mergeDelta
 	}
 	if !calm(parentProf) || !calm(childProf) {
 		return nil

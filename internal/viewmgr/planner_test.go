@@ -147,20 +147,38 @@ func TestSegRangesCoalesce(t *testing.T) {
 }
 
 func TestShouldSplitAdvisor(t *testing.T) {
-	cfg := AdvisorConfig{MinKeys: 100}
-	if ok, why := ShouldSplit(ShardLoad{Keys: 10, AbortRate: 0.9}, cfg); ok {
+	if ok, why := ShouldSplit(ShardLoad{Keys: 10, AbortRate: 0.9}); ok {
 		t.Errorf("split a near-empty shard: %s", why)
 	}
-	if ok, _ := ShouldSplit(ShardLoad{Keys: 1000, AbortRate: 0.5}, cfg); !ok {
+	if ok, _ := ShouldSplit(ShardLoad{Keys: 2048, AbortRate: 0.5}); !ok {
 		t.Error("no split for a contended shard")
 	}
-	if ok, _ := ShouldSplit(ShardLoad{Keys: 1000, QueueLen: 100, QueueCap: 128}, cfg); !ok {
+	if ok, _ := ShouldSplit(ShardLoad{Keys: 2048, QueueLen: 100, QueueCap: 128}); !ok {
 		t.Error("no split for an overloaded queue")
 	}
-	if ok, _ := ShouldSplit(ShardLoad{Keys: 1000, Quota: 1, QueueLen: 5, QueueCap: 128}, cfg); !ok {
+	if ok, _ := ShouldSplit(ShardLoad{Keys: 2048, Quota: 1, QueueLen: 5, QueueCap: 128}); !ok {
 		t.Error("no split for a lock-mode shard with queued work")
 	}
-	if ok, why := ShouldSplit(ShardLoad{Keys: 1000, AbortRate: 0.01, Quota: 4}, cfg); ok {
+	if ok, why := ShouldSplit(ShardLoad{Keys: 2048, AbortRate: 0.01, Quota: 4}); ok {
 		t.Errorf("split a calm shard: %s", why)
+	}
+
+	// The fixed thresholds, at their boundaries: 1024 keys, abort rate 0.25,
+	// a half-full queue.
+	bounds := []struct {
+		load ShardLoad
+		want bool
+	}{
+		{ShardLoad{Keys: 1023, AbortRate: 0.9}, false},
+		{ShardLoad{Keys: 1024, AbortRate: 0.9}, true},
+		{ShardLoad{Keys: 1024, AbortRate: 0.25}, true},
+		{ShardLoad{Keys: 1024, AbortRate: 0.249}, false},
+		{ShardLoad{Keys: 1024, QueueLen: 64, QueueCap: 128}, true},
+		{ShardLoad{Keys: 1024, QueueLen: 63, QueueCap: 128, Quota: 4}, false},
+	}
+	for _, b := range bounds {
+		if ok, why := ShouldSplit(b.load); ok != b.want {
+			t.Errorf("ShouldSplit(%+v) = %v (%s), want %v", b.load, ok, why, b.want)
+		}
 	}
 }
