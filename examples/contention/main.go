@@ -38,14 +38,12 @@ func main() {
 }
 
 func run(noAdmission bool, budget time.Duration) int64 {
-	// The quota recorder captures every RAC decision as it happens.
-	rec := votm.NewQuotaRecorder(0)
+	// The runtime's decision log captures every RAC quota move as it happens.
 	rt := votm.New(votm.Config{
 		Threads:     threads,
 		Engine:      votm.OrecEagerRedo,
 		NoAdmission: noAdmission,
 		AdjustEvery: 128,
-		QuotaTrace:  rec.Hook(),
 	})
 	view, err := rt.CreateView(1, hotWords, votm.AdaptiveQuota)
 	if err != nil {
@@ -89,19 +87,12 @@ func run(noAdmission bool, budget time.Duration) int64 {
 	}
 	wg.Wait()
 	if !noAdmission {
-		fmt.Printf("  quota timeline: %s\n", rec.Timeline(1))
+		fmt.Printf("  quota timeline: %s\n", rt.Decisions().Timeline(1))
 	}
 
 	tot := view.Totals()
 	fmt.Printf("  elapsed %v: commits=%d aborts=%d (%.1f aborts/commit)\n",
 		time.Since(start).Round(time.Millisecond), tot.Commits, tot.Aborts,
-		float64(tot.Aborts)/float64(max64(tot.Commits, 1)))
+		float64(tot.Aborts)/float64(max(tot.Commits, 1)))
 	return completed.Load()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -88,21 +88,21 @@ func TestPublicAPISwitchEngine(t *testing.T) {
 	}
 }
 
-func TestPublicAPIQuotaTrace(t *testing.T) {
-	rec := votm.NewQuotaRecorder(0)
-	rt := votm.New(votm.Config{Threads: 8, QuotaTrace: rec.Hook()})
+func TestPublicAPIDecisionLog(t *testing.T) {
+	rt := votm.New(votm.Config{Threads: 8})
 	v, _ := rt.CreateView(1, 8, 8)
 	v.SetQuota(2)
 	v.SetQuota(8)
-	if rec.Len() != 2 {
-		t.Fatalf("recorded %d events, want 2", rec.Len())
+	log := rt.Decisions()
+	if n := len(log.Entries()); n != 2 || log.Count(votm.DecisionQuota) != 2 {
+		t.Fatalf("logged %d decisions (%d quota moves), want 2", n, log.Count(votm.DecisionQuota))
 	}
-	tl := rec.Timeline(1)
+	tl := log.Timeline(1)
 	if !strings.Contains(tl, "-> 2") || !strings.Contains(tl, "-> 8") {
 		t.Errorf("timeline = %q", tl)
 	}
-	ev := rec.Events()
-	if ev[0].ViewID != 1 || ev[0].From != 8 || ev[0].To != 2 {
+	ev := log.Entries()
+	if ev[0].Subject != 1 || ev[0].From != 8 || ev[0].To != 2 {
 		t.Errorf("event = %+v", ev[0])
 	}
 }

@@ -153,17 +153,9 @@ func serveConn(c net.Conn, svc *Service) {
 // StartHealth monitors every mapped node by pinging its advertised address
 // each interval; a node missing `failures` consecutive probes is marked
 // dead, which promotes a surviving follower for every shard it led. The
-// monitor stops when the service closes.
+// monitor stops when the service closes. All three values must be positive
+// (votmd and Member pass HealthEvery, HealthFailures and HealthTimeout).
 func (s *Service) StartHealth(every time.Duration, failures int, timeout time.Duration) {
-	if every <= 0 {
-		every = 500 * time.Millisecond
-	}
-	if failures <= 0 {
-		failures = 3
-	}
-	if timeout <= 0 {
-		timeout = every
-	}
 	go func() {
 		misses := make(map[uint32]int)
 		t := time.NewTicker(every)

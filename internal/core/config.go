@@ -51,12 +51,6 @@ type Config struct {
 	// zero takes package rac's default.
 	AdjustEvery int64
 
-	// QuotaTrace, when non-nil, is invoked after every admission-quota
-	// change on any view with (viewID, previousQ, newQ). It runs on the
-	// hot path with the view's controller lock held: keep it fast and do
-	// not call back into the runtime. Pair it with trace.Recorder.
-	QuotaTrace func(viewID, from, to int)
-
 	// MaxConflictRetries is the per-transaction conflict-retry budget K:
 	// after K consecutive conflict aborts, the transaction escalates to an
 	// irrevocable exclusive execution (admissions drained, Q = 1 semantics,

@@ -3,12 +3,14 @@ package core_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"votm/internal/core"
 	"votm/internal/stm"
+	"votm/internal/trace"
 )
 
 var engines = []core.EngineKind{core.NOrec, core.OrecEagerRedo, core.TL2}
@@ -514,10 +516,7 @@ func TestHeapAccessorAndConfig(t *testing.T) {
 }
 
 func TestQuotaAccessorsAndTrace(t *testing.T) {
-	var events [][3]int
-	rt := core.NewRuntime(core.Config{Threads: 8, QuotaTrace: func(vid, from, to int) {
-		events = append(events, [3]int{vid, from, to})
-	}})
+	rt := core.NewRuntime(core.Config{Threads: 8})
 	v, _ := rt.CreateView(9, 8, 8)
 	v.SetQuota(2)
 	if v.Quota() != 2 {
@@ -529,8 +528,12 @@ func TestQuotaAccessorsAndTrace(t *testing.T) {
 	if got := v.SettledQuota(); got != 8 && got != 2 {
 		t.Errorf("SettledQuota = %d", got)
 	}
-	if len(events) != 1 || events[0] != [3]int{9, 8, 2} {
+	events := rt.Decisions().Entries()
+	if len(events) != 1 || events[0].Subject != 9 || events[0].From != 8 || events[0].To != 2 {
 		t.Errorf("trace events = %v", events)
+	}
+	if d := events[0]; d.Loop != trace.Quota || d.Reason != "set" || !math.IsNaN(d.Delta) {
+		t.Errorf("manual set logged as %+v", d)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"votm/internal/trace"
 )
 
 // ErrViewExists is returned by CreateView for a duplicate view ID.
@@ -20,6 +22,7 @@ type Runtime struct {
 	mu      sync.Mutex
 	views   map[int]*View
 	threads atomic.Int64
+	log     *trace.Log
 }
 
 // NewRuntime creates a runtime. It panics on an invalid config (programming
@@ -28,11 +31,16 @@ func NewRuntime(cfg Config) *Runtime {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &Runtime{cfg: cfg, views: make(map[int]*View)}
+	return &Runtime{cfg: cfg, views: make(map[int]*View), log: trace.NewLog()}
 }
 
 // Config returns the runtime's configuration.
 func (r *Runtime) Config() Config { return r.cfg }
+
+// Decisions returns the runtime's decision log: every quota move of its
+// views, and the splits, merges and shard splits the view manager and
+// votmd make on them.
+func (r *Runtime) Decisions() *trace.Log { return r.log }
 
 // CreateView implements create_view(vid, size, q): it creates a view of
 // sizeWords words whose admission quota is quota. quota < 1 selects the

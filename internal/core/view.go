@@ -11,6 +11,7 @@ import (
 	"votm/internal/memheap"
 	"votm/internal/rac"
 	"votm/internal/stm"
+	"votm/internal/trace"
 )
 
 // ErrViewDestroyed is returned when using a destroyed view.
@@ -57,21 +58,18 @@ type engineHolder struct {
 
 func newView(rt *Runtime, vid, sizeWords, quota int, kind EngineKind) *View {
 	heap := stm.NewHeap(sizeWords)
-	var onChange func(from, to int)
-	if rt.cfg.QuotaTrace != nil {
-		qt := rt.cfg.QuotaTrace
-		onChange = func(from, to int) { qt(vid, from, to) }
-	}
 	v := &View{
 		id:    vid,
 		rt:    rt,
 		heap:  heap,
 		alloc: memheap.New(sizeWords),
 		ctl: rac.New(rac.Params{
-			Threads:       rt.cfg.Threads,
-			InitialQuota:  quota,
-			AdjustEvery:   rt.cfg.AdjustEvery,
-			OnQuotaChange: onChange,
+			Threads:      rt.cfg.Threads,
+			InitialQuota: quota,
+			AdjustEvery:  rt.cfg.AdjustEvery,
+			OnQuotaChange: func(from, to int, delta float64, rule rac.Rule) {
+				rt.log.Add(trace.Decision{Loop: trace.Quota, Subject: vid, From: from, To: to, Delta: delta, Reason: string(rule)})
+			},
 		}),
 	}
 	v.ltx = lockTx{heap: heap}
@@ -225,7 +223,8 @@ func (v *View) SetQuota(q int) { v.ctl.SetQuota(q) }
 // SettledQuota returns the quota the adaptive policy spent the most time at.
 func (v *View) SettledQuota() int { return v.ctl.SettledQuota() }
 
-// QuotaMoves returns how many adaptive quota changes have occurred.
+// QuotaMoves returns how many times the view's quota changed, adaptively
+// or by SetQuota.
 func (v *View) QuotaMoves() int64 { return v.ctl.QuotaMoves() }
 
 // Totals returns the view's cumulative transaction statistics.

@@ -5,6 +5,7 @@ import (
 
 	"votm/internal/core"
 	"votm/internal/progress"
+	"votm/internal/trace"
 	"votm/internal/viewmgr"
 )
 
@@ -13,8 +14,8 @@ type ManagedResult struct {
 	progress.Result
 	// Splits and Merges count executed repartitions.
 	Splits, Merges int
-	// Events is the full repartition log.
-	Events []viewmgr.Event
+	// Events are the split and merge decisions the runtime's log kept.
+	Events []trace.Decision
 	// FinalViews maps each object index to the view ID owning its hot base
 	// address when the run ended (1 = still fused).
 	FinalViews [2]int
@@ -48,13 +49,11 @@ func RunManaged(cfg progress.RunConfig, p Params, mcfg viewmgr.Config) (ManagedR
 	}
 	mgr.Stop()
 
-	out := ManagedResult{Result: res, Events: mgr.Events(), Moved: moved}
-	for _, e := range out.Events {
-		switch e.Kind {
-		case viewmgr.EventSplit:
-			out.Splits++
-		case viewmgr.EventMerge:
-			out.Merges++
+	log := rt.Decisions()
+	out := ManagedResult{Result: res, Splits: int(log.Count(trace.Split)), Merges: int(log.Count(trace.Merge)), Moved: moved}
+	for _, d := range log.Entries() {
+		if d.Loop == trace.Split || d.Loop == trace.Merge {
+			out.Events = append(out.Events, d)
 		}
 	}
 	for obj, r := range layout(p, false) {

@@ -6,6 +6,7 @@ import (
 
 	"votm/internal/core"
 	"votm/internal/progress"
+	"votm/internal/trace"
 	"votm/internal/viewmgr"
 )
 
@@ -59,6 +60,16 @@ func TestRunManagedConvergesToPartition(t *testing.T) {
 	}
 	if res.FinalViews[0] == res.FinalViews[1] {
 		t.Fatalf("objects still share view %d after %d splits", res.FinalViews[0], res.Splits)
+	}
+	// The decisions the runtime's log kept are the splits counted, each with
+	// the planner's reason (merges are pinned off).
+	if res.Merges != 0 || len(res.Events) > res.Splits {
+		t.Fatalf("%d splits, %d merges, %d kept decisions", res.Splits, res.Merges, len(res.Events))
+	}
+	for _, d := range res.Events {
+		if d.Loop != trace.Split || d.From != d.Subject || d.Reason == "" {
+			t.Errorf("repartition decision = %+v", d)
+		}
 	}
 	wantTx := int64(p.Threads * (p.Views[0].Loops + p.Views[1].Loops))
 	if got := res.TotalCommits(); got < wantTx {

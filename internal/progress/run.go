@@ -66,7 +66,7 @@ type RunConfig struct {
 	Deadline    time.Duration
 	// OnViews, when non-nil, is called with the created views (view-ID
 	// order) after setup and before the workers start — the hook for
-	// attaching δ samplers or quota recorders to a run.
+	// attaching δ samplers to a run.
 	OnViews func(views []*core.View)
 	// CrossViewEvery (Eigenbench only), when positive, replaces every Nth
 	// scheduled transaction with a batch spanning BOTH views: the thread's

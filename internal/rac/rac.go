@@ -100,14 +100,29 @@ type Params struct {
 	// (sticky lock mode); 0 takes the default of 8.
 	ProbeAtLockEvery int
 	// OnQuotaChange, when non-nil, is invoked after every quota change
-	// (adaptive or manual) with the previous and new values. It runs with
-	// the controller's lock held: it must be fast and must not call back
-	// into the controller.
-	OnQuotaChange func(from, to int)
+	// (adaptive or manual) with the previous and new values, the window
+	// δ(Q) the move acted on (NaN for a probe or a manual set) and the rule
+	// that fired. It runs with the controller's lock held: it must be fast
+	// and must not call back into the controller.
+	OnQuotaChange func(from, to int, delta float64, rule Rule)
 	// Policy selects the adaptive movement rule. Default HalveDouble
 	// (the paper's RAC); LockElision is the §IV-B adaptive-lock baseline.
 	Policy Policy
 }
+
+// Rule names the adjustment rule behind a quota change.
+type Rule string
+
+const (
+	// RuleHigh: the window's δ(Q) exceeded HighDelta, so Q fell.
+	RuleHigh Rule = "δ > high"
+	// RuleLow: the window's δ(Q) fell below LowDelta, so Q rose.
+	RuleLow Rule = "δ < low"
+	// RuleProbe: ProbeAtLockEvery windows at Q = 1 raised Q to 2.
+	RuleProbe Rule = "probe"
+	// RuleSet: SetQuota.
+	RuleSet Rule = "set"
+)
 
 func (p *Params) fill() {
 	if p.Threads <= 0 {
@@ -169,6 +184,18 @@ func (t Totals) MeanGroup() float64 {
 	return float64(t.GroupOps) / float64(t.Groups)
 }
 
+// account adds one attempt of ns nanoseconds; the caller holds the owning
+// controller's lock.
+func (t *Totals) account(outcome Outcome, ns int64) {
+	if outcome == Committed {
+		t.Commits++
+		t.SuccessNs += ns
+	} else {
+		t.Aborts++
+		t.AbortNs += ns
+	}
+}
+
 // Delta evaluates Equation 5 over the totals at quota q.
 //
 // It returns NaN when q <= 1 or nothing has committed yet: Eq. 5 divides by
@@ -203,11 +230,9 @@ type Controller struct {
 
 	totals Totals
 
-	// adjustment window
-	winSuccessNs int64
-	winAbortNs   int64
-	winDone      int64
-	lockWindows  int // consecutive windows spent at Q == 1
+	// adjustment window: the attempts Exit accounted since the last one
+	win         Totals
+	lockWindows int // consecutive windows spent at Q == 1
 
 	// quota residence tracking (time spent at each Q)
 	residence  map[int]time.Duration
@@ -282,18 +307,9 @@ func (c *Controller) Exit(mode Mode, outcome Outcome, d time.Duration) {
 	if mode == ModeLock {
 		c.lockActive = false
 	}
-	switch outcome {
-	case Committed:
-		c.totals.Commits++
-		c.totals.SuccessNs += ns
-		c.winSuccessNs += ns
-	case Aborted:
-		c.totals.Aborts++
-		c.totals.AbortNs += ns
-		c.winAbortNs += ns
-	}
-	c.winDone++
-	if c.params.Adaptive && c.winDone >= c.params.AdjustEvery {
+	c.totals.account(outcome, ns)
+	c.win.account(outcome, ns)
+	if c.params.Adaptive && c.win.Commits+c.win.Aborts >= c.params.AdjustEvery {
 		c.adjustLocked()
 	}
 	c.broadcastLocked()
@@ -302,32 +318,31 @@ func (c *Controller) Exit(mode Mode, outcome Outcome, d time.Duration) {
 
 // adjustLocked applies Observation 1 to the finished window. Caller holds mu.
 func (c *Controller) adjustLocked() {
-	winTotals := Totals{SuccessNs: c.winSuccessNs, AbortNs: c.winAbortNs}
-	delta := winTotals.Delta(c.q)
+	delta := c.win.Delta(c.q)
 	switch {
 	case c.q == 1:
 		c.lockWindows++
 		if c.params.ProbeAtLockEvery > 0 && c.lockWindows >= c.params.ProbeAtLockEvery {
-			c.setQuotaLocked(2)
+			c.setQuotaLocked(2, delta, RuleProbe)
 			c.lockWindows = 0
 		}
 	case delta > c.params.HighDelta:
 		if c.params.Policy == LockElision {
-			c.setQuotaLocked(1)
+			c.setQuotaLocked(1, delta, RuleHigh)
 		} else {
-			c.setQuotaLocked(c.q / 2)
+			c.setQuotaLocked(c.q/2, delta, RuleHigh)
 		}
 	case delta < c.params.LowDelta:
 		if c.params.Policy == LockElision {
-			c.setQuotaLocked(c.params.Threads)
+			c.setQuotaLocked(c.params.Threads, delta, RuleLow)
 		} else {
-			c.setQuotaLocked(c.q * 2)
+			c.setQuotaLocked(c.q*2, delta, RuleLow)
 		}
 	}
-	c.winSuccessNs, c.winAbortNs, c.winDone = 0, 0, 0
+	c.win = Totals{}
 }
 
-func (c *Controller) setQuotaLocked(q int) {
+func (c *Controller) setQuotaLocked(q int, delta float64, rule Rule) {
 	if q < 1 {
 		q = 1
 	}
@@ -347,7 +362,7 @@ func (c *Controller) setQuotaLocked(q int) {
 		c.lockWindows = 0
 	}
 	if c.params.OnQuotaChange != nil {
-		c.params.OnQuotaChange(prev, q)
+		c.params.OnQuotaChange(prev, q, delta, rule)
 	}
 }
 
@@ -428,17 +443,9 @@ func (c *Controller) Close() {
 // exhausted its conflict-retry budget and ran in exclusive lock mode while
 // admissions were drained (so it never passed Enter/Exit).
 func (c *Controller) RecordEscalated(outcome Outcome, d time.Duration) {
-	ns := d.Nanoseconds()
 	c.mu.Lock()
 	c.totals.Escalations++
-	switch outcome {
-	case Committed:
-		c.totals.Commits++
-		c.totals.SuccessNs += ns
-	case Aborted:
-		c.totals.Aborts++
-		c.totals.AbortNs += ns
-	}
+	c.totals.account(outcome, d.Nanoseconds())
 	c.mu.Unlock()
 }
 
@@ -466,16 +473,8 @@ func (c *Controller) RecordPanic() {
 // "multi-TM" and plain "TM" versions), so their table statistics are
 // collected identically to RAC-controlled views.
 func (c *Controller) Record(outcome Outcome, d time.Duration) {
-	ns := d.Nanoseconds()
 	c.mu.Lock()
-	switch outcome {
-	case Committed:
-		c.totals.Commits++
-		c.totals.SuccessNs += ns
-	case Aborted:
-		c.totals.Aborts++
-		c.totals.AbortNs += ns
-	}
+	c.totals.account(outcome, d.Nanoseconds())
 	c.mu.Unlock()
 }
 
@@ -490,7 +489,7 @@ func (c *Controller) Quota() int {
 func (c *Controller) SetQuota(q int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.setQuotaLocked(q)
+	c.setQuotaLocked(q, math.NaN(), RuleSet)
 	c.broadcastLocked()
 }
 
@@ -514,7 +513,8 @@ func (c *Controller) Totals() Totals {
 	return c.totals
 }
 
-// QuotaMoves returns how many times the adaptive policy changed Q.
+// QuotaMoves returns how many times Q changed, by the adaptive policy or by
+// SetQuota.
 func (c *Controller) QuotaMoves() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

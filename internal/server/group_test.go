@@ -319,7 +319,7 @@ func TestGroupAcrossSplitRouteChange(t *testing.T) {
 	for k := uint64(0); k < n; k++ {
 		batch = append(batch, mkTask(s, c, wire.OpPut, uint32(k+1), k, []byte("updated"), nil))
 	}
-	if err := s.splitShard(g, root); err != nil {
+	if err := s.splitShard(g, root, "test"); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 	w.run(batch)

@@ -693,7 +693,7 @@ func TestSplitRacingQueuedRound(t *testing.T) {
 	if len(scattered.batch.parts) != 1 || scattered.batch.parts[0] != root1 {
 		t.Fatalf("the two shard-1 keys did not plan as a same-shard batch: %d participants", len(scattered.batch.parts))
 	}
-	if err := s.splitShard(g1, root1); err != nil {
+	if err := s.splitShard(g1, root1, "test"); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 	owner := g1.route(k1)

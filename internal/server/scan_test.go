@@ -327,7 +327,7 @@ func TestScanSnapshotSoak(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		time.Sleep(100 * time.Millisecond)
 		for _, g := range s.shards {
-			if err := s.splitShard(g, (*g.subs.Load())[0]); err != nil {
+			if err := s.splitShard(g, (*g.subs.Load())[0], "test"); err != nil {
 				t.Errorf("split round %d: %v", round, err)
 			}
 		}

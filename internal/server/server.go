@@ -409,14 +409,9 @@ func (s *Server) subShardCount() int {
 // SCAN meters are kept there.
 func (s *Server) leastSubShard() *shard { return (*s.shards[0].subs.Load())[0] }
 
-// Repartitions returns the total number of executed shard splits.
-func (s *Server) Repartitions() uint64 {
-	var n uint64
-	for _, g := range s.shards {
-		n += g.splits.Load()
-	}
-	return n
-}
+// Repartitions returns the total number of executed shard splits: each
+// added one sub-shard to a wire shard that started with one.
+func (s *Server) Repartitions() uint64 { return uint64(s.subShardCount() - len(s.shards)) }
 
 // Recovery returns the per-shard startup-recovery summaries, in shard
 // order; empty when durability is off.
@@ -672,7 +667,8 @@ func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 	for _, g := range sel {
 		// One entry per serving sub-shard; a never-split shard reports
 		// exactly one, so the pre-split response shape is unchanged.
-		for _, sh := range *g.subs.Load() {
+		subs := *g.subs.Load()
+		for _, sh := range subs {
 			snap := sh.view.Snapshot()
 			var fsyncs uint64
 			if sh.log != nil {
@@ -697,7 +693,7 @@ func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 				Delta:          snap.Delta,
 				Keys:           uint64(sh.keys.Load()),
 				QuotaEvents:    uint64(snap.QuotaMoves),
-				Repartitions:   g.splits.Load(),
+				Repartitions:   uint64(len(subs) - 1),
 				Groups:         uint64(snap.Totals.Groups),
 				GroupOps:       uint64(snap.Totals.GroupOps),
 				QueueHighWater: sh.queueHW.Load(),

@@ -21,6 +21,7 @@ import (
 	"votm"
 	"votm/ds"
 	"votm/enc"
+	"votm/internal/trace"
 	"votm/internal/viewmgr"
 	"votm/internal/wal"
 )
@@ -138,10 +139,8 @@ func (s *Server) monitor() {
 					load.AbortRate = float64(snap.Totals.Aborts) / float64(total)
 				}
 				if ok, why := viewmgr.ShouldSplit(load); ok {
-					if err := s.splitShard(g, sh); err != nil {
+					if err := s.splitShard(g, sh, why); err != nil {
 						s.logf("votmd: shard %d split (%s): %v", g.id, why, err)
-					} else {
-						s.logf("votmd: shard %d split (%s): %d sub-shards", g.id, why, len(*g.subs.Load()))
 					}
 				}
 			}
@@ -154,14 +153,17 @@ func (s *Server) monitor() {
 // Exclusive section (paused admission, drained in-flight transactions), so
 // concurrent transactions observe either the old or the new ownership,
 // never a key caught mid-move; the new routing is published before the
-// parent's copies are deleted and before the parent resumes.
-func (s *Server) splitShard(g *shardGroup, sh *shard) error {
+// parent's copies are deleted and before the parent resumes. A split that
+// completes is a shard-split decision in the runtime's log, with why as its
+// reason, and is logged from there.
+func (s *Server) splitShard(g *shardGroup, sh *shard, why string) error {
 	g.splitMu.Lock()
 	defer g.splitMu.Unlock()
 	if s.draining.Load() {
 		return ErrServerDraining
 	}
 	prefix, depth := unpackRoute(sh.routeBits.Load())
+	subs := *g.subs.Load() // only splits, under splitMu, publish a new list
 
 	vid := int(s.nextViewID.Add(1))
 	v, err := s.rt.CreateView(vid, s.cfg.ShardWords, votm.AdaptiveQuota)
@@ -204,7 +206,7 @@ func (s *Server) splitShard(g *shardGroup, sh *shard) error {
 
 		// Pass 3: publish the routing — child first (deepest match wins), then
 		// narrow the parent — and only then delete the parent's copies.
-		newSubs := append(append([]*shard(nil), *g.subs.Load()...), child)
+		newSubs := append(append([]*shard(nil), subs...), child)
 		g.subs.Store(&newSubs)
 		sh.routeBits.Store(packRoute(prefix, depth+1))
 		for _, m := range moved {
@@ -226,6 +228,6 @@ func (s *Server) splitShard(g *shardGroup, sh *shard) error {
 		s.workersWG.Add(1)
 		go s.worker(child)
 	}
-	g.splits.Add(1)
+	s.logf("votmd: %v", s.rt.Decisions().Add(trace.Decision{Loop: trace.ShardSplit, Subject: g.id, From: len(subs), To: len(subs) + 1, Reason: why}))
 	return nil
 }

@@ -161,13 +161,12 @@ func (sh *shard) queueHWRecent() uint64 {
 }
 
 // shardGroup is one wire-level shard: the copy-on-write set of sub-shards
-// serving it. Splits are serialized by splitMu; the splits counter feeds
-// STATS Repartitions.
+// serving it. Splits are serialized by splitMu; each adds one sub-shard, so
+// len(subs) − 1 is the group's STATS Repartitions.
 type shardGroup struct {
 	id      int
 	subs    atomic.Pointer[[]*shard]
 	splitMu sync.Mutex
-	splits  atomic.Uint64
 }
 
 // task is one dispatched request: planned by its connection reader (conn.go),

@@ -451,7 +451,7 @@ func TestIndexDirectoryGrowsOnEveryPath(t *testing.T) {
 			batch = batch[:0]
 		}
 	}
-	if err := s.splitShard(g, root); err != nil {
+	if err := s.splitShard(g, root, "test"); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 	subs := *g.subs.Load()

@@ -5,115 +5,119 @@ import (
 	"testing"
 )
 
-// TestRecorderConcurrentEmitters hammers one Recorder from many goroutines,
-// each emitting a monotone quota walk for its own view, and checks the
-// per-view ordering invariant the runtime depends on: within a view, event
-// k's From equals event k−1's To (chained transitions, no drops, no
-// reorders). An unbounded recorder must retain every event.
+// emit walks a quota for one subject of loop: up steps, then down steps,
+// so From/To form a chain unique to the (loop, subject) pair.
+func emit(l *Log, loop Loop, subject, up, down int) {
+	q := 1
+	for i := 0; i < up; i++ {
+		l.Add(Decision{Loop: loop, Subject: subject, From: q, To: q + 1})
+		q++
+	}
+	for i := 0; i < down; i++ {
+		l.Add(Decision{Loop: loop, Subject: subject, From: q, To: q - 1})
+		q--
+	}
+}
+
+// chains groups entries by (loop, subject) and checks the ordering invariant
+// the runtime depends on: within a subject, entry k's From equals entry
+// k−1's To (chained transitions, no reorders, no drops inside what is kept).
+func chains(t *testing.T, ev []Decision) map[[2]int][]Decision {
+	t.Helper()
+	by := make(map[[2]int][]Decision)
+	for _, d := range ev {
+		k := [2]int{int(d.Loop), d.Subject}
+		if prev := by[k]; len(prev) > 0 && d.From != prev[len(prev)-1].To {
+			t.Fatalf("%v subject %d: From=%d does not chain from prior To=%d (reordered or dropped)",
+				d.Loop, d.Subject, d.From, prev[len(prev)-1].To)
+		}
+		by[k] = append(by[k], d)
+	}
+	// Global order must also be time-consistent: the lock serializes Add and
+	// stamps inside it, so append order is the emitters' happens-before order.
+	for i := 1; i < len(ev); i++ {
+		if ev[i].At < ev[i-1].At {
+			t.Fatalf("entry %d stamped before its predecessor", i)
+		}
+	}
+	return by
+}
+
+// TestRecorderConcurrentEmitters hammers one Log from eight goroutines,
+// each walking a quota for its own view, with exactly Capacity decisions in
+// all: below the capacity nothing is dropped and every chain is intact.
 func TestRecorderConcurrentEmitters(t *testing.T) {
 	const (
 		emitters = 8
-		perView  = 500
+		perView  = Capacity / emitters / 2
 	)
-	r := NewRecorder(0) // unbounded
-
+	l := NewLog()
 	var wg sync.WaitGroup
 	for v := 0; v < emitters; v++ {
 		wg.Add(1)
 		go func(viewID int) {
 			defer wg.Done()
-			hook := r.Hook()
-			// Walk Q up then down so From/To form a chain unique to the
-			// view: 1→2→…→perView→…→1.
-			q := 1
-			for i := 0; i < perView; i++ {
-				hook(viewID, q, q+1)
-				q++
-			}
-			for i := 0; i < perView; i++ {
-				hook(viewID, q, q-1)
-				q--
-			}
+			emit(l, Quota, viewID, perView, perView)
 		}(v)
 	}
 	wg.Wait()
 
-	want := emitters * perView * 2
-	if got := r.Len(); got != want {
-		t.Fatalf("recorder retained %d events, want %d (dropped under concurrency)", got, want)
+	ev := l.Entries()
+	if len(ev) != Capacity || l.Count(Quota) != Capacity {
+		t.Fatalf("log kept %d decisions, counted %d, want %d (dropped under concurrency)",
+			len(ev), l.Count(Quota), Capacity)
 	}
-
-	perViewEvents := r.PerView()
-	if len(perViewEvents) != emitters {
-		t.Fatalf("events span %d views, want %d", len(perViewEvents), emitters)
+	by := chains(t, ev)
+	if len(by) != emitters {
+		t.Fatalf("decisions span %d views, want %d", len(by), emitters)
 	}
-	for viewID, evs := range perViewEvents {
+	for k, evs := range by {
 		if len(evs) != perView*2 {
-			t.Errorf("view %d has %d events, want %d", viewID, len(evs), perView*2)
+			t.Errorf("view %d has %d decisions, want %d", k[1], len(evs), perView*2)
 			continue
 		}
 		if evs[0].From != 1 {
-			t.Errorf("view %d first event From = %d, want 1", viewID, evs[0].From)
-		}
-		for k := 1; k < len(evs); k++ {
-			if evs[k].From != evs[k-1].To {
-				t.Fatalf("view %d: event %d From=%d does not chain from prior To=%d (reordered or dropped)",
-					viewID, k, evs[k].From, evs[k-1].To)
-			}
+			t.Errorf("view %d first From = %d, want 1", k[1], evs[0].From)
 		}
 		if last := evs[len(evs)-1]; last.To != 1 {
-			t.Errorf("view %d final To = %d, want 1", viewID, last.To)
-		}
-	}
-
-	// Global order must also be time-consistent: When values non-decreasing
-	// as appended (the mutex serializes Record, so append order is the
-	// happens-before order of the emitters).
-	all := r.Events()
-	for i := 1; i < len(all); i++ {
-		if all[i].When.Before(all[i-1].When) {
-			t.Fatalf("event %d timestamped before its predecessor", i)
+			t.Errorf("view %d final To = %d, want 1", k[1], last.To)
 		}
 	}
 }
 
-// TestRecorderLimitKeepsNewest: a bounded recorder under concurrent load
-// keeps exactly the newest `limit` events and the per-view chain property
-// still holds on what survives.
+// TestRecorderLimitKeepsNewest: eight emitters on all four loops add far
+// more than Capacity decisions. The log keeps exactly the newest Capacity,
+// the chains hold on what survives, and each loop's count stays exact.
 func TestRecorderLimitKeepsNewest(t *testing.T) {
-	const limit = 64
-	r := NewRecorder(limit)
-
+	const (
+		emitters = 8
+		steps    = 1000
+	)
+	l := NewLog()
 	var wg sync.WaitGroup
-	for v := 0; v < 4; v++ {
+	for v := 0; v < emitters; v++ {
 		wg.Add(1)
-		go func(viewID int) {
+		go func(subject int) {
 			defer wg.Done()
-			q := 1
-			for i := 0; i < 1000; i++ {
-				r.Record(viewID, q, q+1)
-				q++
-			}
+			emit(l, Loop(subject%int(numLoops)), subject, steps, 0)
 		}(v)
 	}
 	wg.Wait()
 
-	if got := r.Len(); got != limit {
-		t.Fatalf("bounded recorder retained %d events, want %d", got, limit)
+	ev := l.Entries()
+	if len(ev) != Capacity {
+		t.Fatalf("log kept %d decisions, want %d", len(ev), Capacity)
 	}
-	for viewID, evs := range r.PerView() {
-		for k := 1; k < len(evs); k++ {
-			// Within a view each emitter's walk is strictly increasing, so
-			// even a truncated suffix must chain.
-			if evs[k].From != evs[k-1].To {
-				t.Fatalf("view %d: surviving events broke the chain: %v then %v",
-					viewID, evs[k-1], evs[k])
-			}
+	for loop := Loop(0); loop < numLoops; loop++ {
+		if got, want := l.Count(loop), int64(emitters/int(numLoops)*steps); got != want {
+			t.Errorf("%v count = %d, want %d", loop, got, want)
 		}
-		// The retained suffix must be from the top of the walk — the newest
-		// events — not an arbitrary window.
-		if last := evs[len(evs)-1]; last.To != 1001 {
-			t.Fatalf("view %d newest retained To = %d, want 1001", viewID, last.To)
+	}
+	for k, evs := range chains(t, ev) {
+		// Each emitter's walk is strictly increasing, so the newest kept
+		// decision is the top of the walk, not an arbitrary window.
+		if last := evs[len(evs)-1]; last.To != steps+1 {
+			t.Fatalf("%v subject %d newest kept To = %d, want %d", Loop(k[0]), k[1], last.To, steps+1)
 		}
 	}
 }

@@ -1,118 +1,125 @@
-// Package trace records RAC quota timelines. The paper's analysis is about
-// *when* admission control reacts ("RAC will promptly drive Q down"), so
-// the library can emit an event for every quota move; Recorder collects
-// them and renders a human-readable timeline, which the contention example
-// and the adjustment-window ablation use.
+// Package trace records why the control loops acted. The paper's analysis
+// is about *when* admission control reacts ("RAC will promptly drive Q
+// down") and *how* repartitioning helps, so every runtime keeps a Log of its
+// quota moves, view splits and merges, and votmd shard splits; the
+// contention example prints a quota timeline from it. Sampler records a
+// view's quota and windowed δ(Q) as a time series.
 package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
 )
 
-// QuotaEvent is one admission-quota change on one view.
-type QuotaEvent struct {
-	When   time.Time
-	ViewID int
-	From   int
-	To     int
+// Loop names the control loop that made a decision.
+type Loop uint8
+
+const (
+	// Quota: RAC moved a view's admission quota (Observation 1, Eq. 5).
+	Quota Loop = iota
+	// Split: the view manager carved a child view out of a view.
+	Split
+	// Merge: the view manager folded a split child back into its parent.
+	Merge
+	// ShardSplit: votmd split a wire shard into one more sub-shard.
+	ShardSplit
+	numLoops
+)
+
+func (l Loop) String() string {
+	return [numLoops]string{"quota", "split", "merge", "shard split"}[l]
 }
 
-func (e QuotaEvent) String() string {
-	return fmt.Sprintf("view %d: Q %d -> %d", e.ViewID, e.From, e.To)
+// Decision is one control-loop decision.
+type Decision struct {
+	At      time.Duration // since the log's start
+	Loop    Loop
+	Subject int // the view decided about, or the wire shard for ShardSplit
+	// From → To is what changed: the quota (Quota), the view the words left
+	// and the view they went to (Split: parent → child, Merge: child →
+	// parent), or the wire shard's sub-shard count (ShardSplit).
+	From, To int
+	Delta    float64 // the window δ(Q) a Quota move acted on; NaN otherwise
+	Reason   string  // the rule or plan that fired
 }
 
-// Recorder collects quota events; safe for concurrent use. The zero value
-// is unbounded; NewRecorder caps retention (oldest dropped first).
-type Recorder struct {
+func (d Decision) String() string {
+	return fmt.Sprintf("%s %d: %d -> %d (%s)", d.Loop, d.Subject, d.From, d.To, d.Reason)
+}
+
+// Capacity is how many decisions a Log keeps: the oldest go first.
+const Capacity = 1024
+
+// Log is a bounded decision log, safe for concurrent use: the last Capacity
+// decisions, allocated as it fills, and an exact count per loop. It never
+// calls out while it holds its lock, so loops add with their own locks held.
+// The zero value is ready; its clock then starts at the first Add.
+type Log struct {
 	mu     sync.Mutex
-	events []QuotaEvent
-	limit  int
 	start  time.Time
+	kept   []Decision
+	oldest int // once kept is full, the slot the next Add overwrites
+	counts [numLoops]int64
 }
 
-// NewRecorder creates a recorder retaining at most limit events
-// (limit <= 0 means unbounded).
-func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit, start: time.Now()}
-}
+// NewLog creates a log whose clock starts now.
+func NewLog() *Log { return &Log{start: time.Now()} }
 
-// Record appends an event; it is shaped to plug directly into the runtime's
-// QuotaTrace callback via Hook.
-func (r *Recorder) Record(viewID, from, to int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.start.IsZero() {
-		r.start = time.Now()
+// Add stamps d with its offset from the log's start (and a NaN Delta unless
+// it is a quota move), keeps it, and returns it as kept.
+func (l *Log) Add(d Decision) Decision {
+	if d.Loop != Quota {
+		d.Delta = math.NaN()
 	}
-	r.events = append(r.events, QuotaEvent{
-		When: time.Now(), ViewID: viewID, From: from, To: to,
-	})
-	if r.limit > 0 && len(r.events) > r.limit {
-		r.events = r.events[len(r.events)-r.limit:]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	now := time.Now()
+	if l.start.IsZero() {
+		l.start = now
 	}
+	d.At = now.Sub(l.start)
+	l.counts[d.Loop]++
+	if len(l.kept) < Capacity {
+		l.kept = append(l.kept, d)
+	} else {
+		l.kept[l.oldest] = d
+		l.oldest = (l.oldest + 1) % Capacity
+	}
+	return d
 }
 
-// Hook returns the Record method in the runtime callback shape.
-func (r *Recorder) Hook() func(viewID, from, to int) {
-	return r.Record
+// Entries returns a copy of the kept decisions, oldest first.
+func (l *Log) Entries() []Decision {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append(append([]Decision(nil), l.kept[l.oldest:]...), l.kept[:l.oldest]...)
 }
 
-// Events returns a copy of the recorded events in order.
-func (r *Recorder) Events() []QuotaEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]QuotaEvent, len(r.events))
-	copy(out, r.events)
-	return out
+// Count returns how many decisions loop has made, dropped ones included.
+func (l *Log) Count(loop Loop) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.counts[loop]
 }
 
-// Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// Reset clears the recorder and restarts its clock.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = r.events[:0]
-	r.start = time.Now()
-}
-
-// Timeline renders the events of one view as "Q0 -(t)-> Q1 -(t)-> Q2" with
-// millisecond offsets from the recorder's start.
-func (r *Recorder) Timeline(viewID int) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// Timeline renders the kept quota moves of view subject as
+// "Q0 -(t)-> Q1 -(t)-> Q2", t in milliseconds since the log's start.
+func (l *Log) Timeline(subject int) string {
 	var b strings.Builder
-	first := true
-	for _, e := range r.events {
-		if e.ViewID != viewID {
+	for _, d := range l.Entries() {
+		if d.Loop != Quota || d.Subject != subject {
 			continue
 		}
-		if first {
-			fmt.Fprintf(&b, "%d", e.From)
-			first = false
+		if b.Len() == 0 {
+			fmt.Fprintf(&b, "%d", d.From)
 		}
-		fmt.Fprintf(&b, " -(%dms)-> %d",
-			e.When.Sub(r.start).Milliseconds(), e.To)
+		fmt.Fprintf(&b, " -(%dms)-> %d", d.At.Milliseconds(), d.To)
 	}
-	if first {
+	if b.Len() == 0 {
 		return "(no quota changes)"
 	}
 	return b.String()
-}
-
-// PerView groups events by view ID.
-func (r *Recorder) PerView() map[int][]QuotaEvent {
-	out := make(map[int][]QuotaEvent)
-	for _, e := range r.Events() {
-		out[e.ViewID] = append(out[e.ViewID], e)
-	}
-	return out
 }

@@ -1,56 +1,87 @@
 package trace
 
 import (
+	"math"
 	"strings"
-	"sync"
 	"testing"
 )
 
+func quota(subject, from, to int) Decision {
+	return Decision{Loop: Quota, Subject: subject, From: from, To: to, Delta: 1.5, Reason: "δ > high"}
+}
+
 func TestRecordAndEvents(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(1, 16, 8)
-	r.Record(1, 8, 4)
-	r.Record(2, 16, 16)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
+	l := NewLog()
+	l.Add(quota(1, 16, 8))
+	l.Add(quota(1, 8, 4))
+	l.Add(quota(2, 16, 16))
+	split := l.Add(Decision{Loop: Split, Subject: 2, From: 2, To: 7, Delta: 3, Reason: "cold segments"})
+	if !math.IsNaN(split.Delta) {
+		t.Errorf("split kept δ %v, want NaN", split.Delta)
 	}
-	ev := r.Events()
-	if ev[0].From != 16 || ev[0].To != 8 || ev[0].ViewID != 1 {
+	ev := l.Entries()
+	if len(ev) != 4 {
+		t.Fatalf("Entries = %d", len(ev))
+	}
+	if ev[0].From != 16 || ev[0].To != 8 || ev[0].Subject != 1 || ev[0].Delta != 1.5 {
 		t.Errorf("event 0 = %+v", ev[0])
 	}
-	if ev[0].String() == "" {
-		t.Error("empty event string")
+	for _, d := range ev {
+		if d.String() == "" {
+			t.Error("empty decision string")
+		}
 	}
-	// Events() must be a copy.
-	ev[0].ViewID = 99
-	if r.Events()[0].ViewID != 1 {
-		t.Error("Events leaked internal slice")
+	if got := ev[3].String(); !strings.Contains(got, "split") || !strings.Contains(got, "cold segments") {
+		t.Errorf("split string = %q", got)
+	}
+	// Entries() must be a copy.
+	ev[0].Subject = 99
+	if l.Entries()[0].Subject != 1 {
+		t.Error("Entries leaked internal slice")
+	}
+	if l.Count(Quota) != 3 || l.Count(Split) != 1 || l.Count(Merge) != 0 {
+		t.Errorf("counts = %d/%d/%d", l.Count(Quota), l.Count(Split), l.Count(Merge))
 	}
 }
 
+// TestLimitDropsOldest: past Capacity the oldest decisions go first, the
+// rest stay in order, and the per-loop counts stay exact.
 func TestLimitDropsOldest(t *testing.T) {
-	r := NewRecorder(2)
-	r.Record(1, 4, 3)
-	r.Record(1, 3, 2)
-	r.Record(1, 2, 1)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
+	l := NewLog()
+	const n = Capacity + 2
+	for i := 0; i < n; i++ {
+		l.Add(quota(1, i, i+1))
 	}
-	ev := r.Events()
-	if ev[0].To != 2 || ev[1].To != 1 {
-		t.Errorf("retained wrong events: %+v", ev)
+	l.Add(Decision{Loop: ShardSplit, From: 1, To: 2})
+	ev := l.Entries()
+	if len(ev) != Capacity {
+		t.Fatalf("kept %d, want %d", len(ev), Capacity)
+	}
+	if ev[0].From != 3 {
+		t.Errorf("oldest kept From = %d, want 3", ev[0].From)
+	}
+	for k := 1; k < Capacity-1; k++ {
+		if ev[k].From != ev[k-1].To {
+			t.Fatalf("entry %d out of order: %+v after %+v", k, ev[k], ev[k-1])
+		}
+	}
+	if last := ev[Capacity-1]; last.Loop != ShardSplit {
+		t.Errorf("newest kept = %+v", last)
+	}
+	if l.Count(Quota) != n || l.Count(ShardSplit) != 1 {
+		t.Errorf("counts = %d quota, %d shard split", l.Count(Quota), l.Count(ShardSplit))
 	}
 }
 
 func TestTimeline(t *testing.T) {
-	r := NewRecorder(0)
-	if got := r.Timeline(1); got != "(no quota changes)" {
+	l := NewLog()
+	if got := l.Timeline(1); got != "(no quota changes)" {
 		t.Errorf("empty timeline = %q", got)
 	}
-	r.Record(1, 16, 8)
-	r.Record(2, 16, 4) // other view: excluded
-	r.Record(1, 8, 4)
-	tl := r.Timeline(1)
+	l.Add(quota(1, 16, 8))
+	l.Add(quota(2, 16, 4)) // other view: excluded
+	l.Add(quota(1, 8, 4))
+	tl := l.Timeline(1)
 	if !strings.HasPrefix(tl, "16 ") || !strings.Contains(tl, "-> 8") || !strings.Contains(tl, "-> 4") {
 		t.Errorf("timeline = %q", tl)
 	}
@@ -59,49 +90,27 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
+// TestPerView: a view's timeline shows its own quota moves only — not other
+// views', and not the splits and merges made on it.
 func TestPerView(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(1, 16, 8)
-	r.Record(2, 16, 4)
-	r.Record(1, 8, 16)
-	pv := r.PerView()
-	if len(pv[1]) != 2 || len(pv[2]) != 1 {
-		t.Errorf("PerView = %v", pv)
+	l := NewLog()
+	l.Add(quota(1, 16, 8))
+	l.Add(quota(2, 16, 4))
+	l.Add(Decision{Loop: Split, Subject: 1, From: 1, To: 1 << 20})
+	l.Add(Decision{Loop: Merge, Subject: 1, From: 1 << 20, To: 1})
+	l.Add(quota(1, 8, 16))
+	if tl := l.Timeline(1); strings.Count(tl, "->") != 2 || !strings.HasSuffix(tl, "-> 16") {
+		t.Errorf("view 1 timeline = %q", tl)
 	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(1, 2, 1)
-	r.Reset()
-	if r.Len() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestHookAndConcurrency(t *testing.T) {
-	r := NewRecorder(0)
-	hook := r.Hook()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				hook(id, i, i+1)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() != 800 {
-		t.Errorf("Len = %d, want 800", r.Len())
+	if tl := l.Timeline(2); strings.Count(tl, "->") != 1 || !strings.HasSuffix(tl, "-> 4") {
+		t.Errorf("view 2 timeline = %q", tl)
 	}
 }
 
 func TestZeroValueRecorder(t *testing.T) {
-	var r Recorder
-	r.Record(1, 2, 1)
-	if r.Len() != 1 {
-		t.Error("zero-value recorder unusable")
+	var l Log
+	d := l.Add(quota(1, 2, 1))
+	if len(l.Entries()) != 1 || d.At != 0 {
+		t.Errorf("zero-value log unusable: %d entries, first at %v", len(l.Entries()), d.At)
 	}
 }

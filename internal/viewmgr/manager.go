@@ -9,6 +9,7 @@ import (
 
 	"votm/internal/autotm"
 	"votm/internal/core"
+	"votm/internal/trace"
 )
 
 // Manager drives the sampler → planner → executor loop over a set of
@@ -16,7 +17,8 @@ import (
 // sketches, asks the planner for Split/Merge plans, and executes them with
 // core.View.Split / core.Runtime.MergeViews. Split children are managed
 // automatically; merged children are retired (left forwarding) and
-// unmanaged.
+// unmanaged. Every executed split and merge is a decision in the runtime's
+// log (core.Runtime.Decisions), with the planner's reason.
 type Manager struct {
 	rt  *core.Runtime
 	cfg Config
@@ -25,7 +27,6 @@ type Manager struct {
 	views    map[int]*managedView
 	families map[int]int // child view ID → parent view ID
 	nextID   int
-	events   []Event
 
 	stop chan struct{}
 	done chan struct{}
@@ -53,34 +54,6 @@ const (
 	// stepTimeout bounds one planning pass (each quiesce inherits it).
 	stepTimeout = 5 * time.Second
 )
-
-// EventKind distinguishes repartition events.
-type EventKind int
-
-const (
-	// EventSplit records a view split.
-	EventSplit EventKind = iota
-	// EventMerge records a split family merged back.
-	EventMerge
-)
-
-// Event is one executed repartition.
-type Event struct {
-	Kind   EventKind
-	Parent int
-	Child  int
-	Ranges []core.AddrRange // split only
-	Reason string
-}
-
-func (e Event) String() string {
-	switch e.Kind {
-	case EventSplit:
-		return fmt.Sprintf("split view %d -> child %d (%d ranges): %s", e.Parent, e.Child, len(e.Ranges), e.Reason)
-	default:
-		return fmt.Sprintf("merge child %d -> view %d: %s", e.Child, e.Parent, e.Reason)
-	}
-}
 
 // New creates a manager. Call Manage for each view to watch, then Start (or
 // drive Step yourself).
@@ -125,28 +98,6 @@ func (m *Manager) Sampler(vid int) *Sampler {
 		return mv.sampler
 	}
 	return nil
-}
-
-// Events returns a copy of the executed repartition events, in order.
-func (m *Manager) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Event, len(m.events))
-	copy(out, m.events)
-	return out
-}
-
-// Repartitions returns the number of executed repartitions.
-func (m *Manager) Repartitions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.events)
-}
-
-func (m *Manager) record(e Event) {
-	m.mu.Lock()
-	m.events = append(m.events, e)
-	m.mu.Unlock()
 }
 
 func (m *Manager) profile(v *core.View, sk Sketch) autotm.Profile {
@@ -213,6 +164,7 @@ func (m *Manager) stepView(ctx context.Context, mv *managedView) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("viewmgr: split of view %d failed: %w", plan.View, err)
 	}
+	m.rt.Decisions().Add(trace.Decision{Loop: trace.Split, Subject: plan.View, From: plan.View, To: childID, Reason: plan.Reason})
 	mv.sampler.Reset()
 	m.mu.Lock()
 	m.families[childID] = plan.View
@@ -223,7 +175,6 @@ func (m *Manager) stepView(ctx context.Context, mv *managedView) (int, error) {
 	if err != nil {
 		return 1, fmt.Errorf("viewmgr: sampler install on child %d failed: %w", childID, err)
 	}
-	m.record(Event{Kind: EventSplit, Parent: plan.View, Child: childID, Ranges: plan.Ranges, Reason: plan.Reason})
 	return 1, nil
 }
 
@@ -259,12 +210,12 @@ func (m *Manager) stepMerges(ctx context.Context, firstErr *error) int {
 			}
 			continue
 		}
+		m.rt.Decisions().Add(trace.Decision{Loop: trace.Merge, Subject: pr.parent, From: pr.child, To: pr.parent, Reason: plan.Reason})
 		pv.sampler.Reset()
 		m.mu.Lock()
 		delete(m.families, pr.child)
 		delete(m.views, pr.child) // retired: forwards everything to parent
 		m.mu.Unlock()
-		m.record(Event{Kind: EventMerge, Parent: pr.parent, Child: pr.child, Reason: plan.Reason})
 		executed++
 	}
 	return executed
@@ -292,7 +243,7 @@ func (m *Manager) loop(stop <-chan struct{}, done chan<- struct{}) {
 			return
 		case <-t.C:
 			ctx, cancel := context.WithTimeout(context.Background(), stepTimeout)
-			m.Step(ctx) //nolint:errcheck // planning is best-effort; errors surface via Events gaps
+			m.Step(ctx) //nolint:errcheck // planning is best-effort; a failed step leaves no decision
 			cancel()
 		}
 	}

@@ -7,7 +7,19 @@ import (
 
 	"votm/internal/core"
 	"votm/internal/stm"
+	"votm/internal/trace"
 )
+
+// repartitions returns the split and merge decisions in rt's log.
+func repartitions(rt *core.Runtime) []trace.Decision {
+	var out []trace.Decision
+	for _, d := range rt.Decisions().Entries() {
+		if d.Loop == trace.Split || d.Loop == trace.Merge {
+			out = append(out, d)
+		}
+	}
+	return out
+}
 
 // TestManagerSplitsFusedView drives the full loop end to end: a fused
 // hot+cold view (the paper's worst case), a workload whose transactions
@@ -55,16 +67,17 @@ func TestManagerSplitsFusedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || m.Repartitions() != 1 {
-		t.Fatalf("Step executed %d repartitions (events %d), want 1", n, m.Repartitions())
+	log := rt.Decisions()
+	if n != 1 || log.Count(trace.Split)+log.Count(trace.Merge) != 1 {
+		t.Fatalf("Step executed %d repartitions (events %d), want 1", n, log.Count(trace.Split)+log.Count(trace.Merge))
 	}
-	ev := m.Events()[0]
-	if ev.Kind != EventSplit || ev.Parent != 1 {
+	ev := repartitions(rt)[0]
+	if ev.Loop != trace.Split || ev.Subject != 1 || ev.From != 1 || ev.Reason == "" {
 		t.Fatalf("event = %+v", ev)
 	}
 
 	// The hot pair (segments 0–1, the smaller side) moved to the child.
-	childID := ev.Child
+	childID := ev.To
 	if vid, err := rt.Locate(1, 10); err != nil || vid != childID {
 		t.Errorf("Locate(1, 10) = %d, %v (child %d)", vid, err, childID)
 	}
@@ -140,7 +153,7 @@ func TestManagerMergesCalmFamily(t *testing.T) {
 	if n, err := m.Step(ctx); err != nil || n != 1 {
 		t.Fatalf("split step = %d, %v", n, err)
 	}
-	childID := m.Events()[0].Child
+	childID := repartitions(rt)[0].To
 	child, err := rt.View(childID)
 	if err != nil {
 		t.Fatal(err)
@@ -153,9 +166,9 @@ func TestManagerMergesCalmFamily(t *testing.T) {
 	if n, err := m.Step(ctx); err != nil || n != 1 {
 		t.Fatalf("merge step = %d, %v", n, err)
 	}
-	evs := m.Events()
+	evs := repartitions(rt)
 	last := evs[len(evs)-1]
-	if last.Kind != EventMerge || last.Parent != 1 || last.Child != childID {
+	if last.Loop != trace.Merge || last.Subject != 1 || last.To != 1 || last.From != childID {
 		t.Fatalf("merge event = %+v", last)
 	}
 	// The parent owns everything again; the retired child is unmanaged.

@@ -17,7 +17,7 @@ import (
 // TestSoakEverything is a kitchen-sink integration soak: three views with
 // different engines, concurrent workers mixing counters, data structures
 // and byte buffers, a background engine switcher, adaptive RAC on the hot
-// view, allocation churn, and a quota recorder — all invariants checked at
+// view, allocation churn, and the decision log — all invariants checked at
 // the end. Skipped in -short mode.
 func TestSoakEverything(t *testing.T) {
 	if testing.Short() {
@@ -29,12 +29,10 @@ func TestSoakEverything(t *testing.T) {
 		accounts = 16
 	)
 	ctx := context.Background()
-	rec := votm.NewQuotaRecorder(0)
 	rt := votm.New(votm.Config{
 		Threads:     workers,
 		Engine:      votm.NOrec,
 		AdjustEvery: 128,
-		QuotaTrace:  rec.Hook(),
 	})
 
 	// View 1: hot counters under adaptive RAC (engine switched live).
@@ -206,12 +204,16 @@ func TestSoakEverything(t *testing.T) {
 		return nil
 	})
 
-	// Invariant 3: recorder saw the adaptive churn without corruption.
-	for _, ev := range rec.Events() {
-		if ev.From == ev.To || ev.From < 1 || ev.To < 1 || ev.From > workers || ev.To > workers {
+	// Invariant 3: the decision log saw the adaptive churn without corruption.
+	events := rt.Decisions().Entries()
+	for _, ev := range events {
+		if ev.Loop != votm.DecisionQuota || ev.From == ev.To || ev.From < 1 || ev.To < 1 || ev.From > workers || ev.To > workers {
 			t.Errorf("bogus quota event %+v", ev)
 		}
 	}
+	if got, want := rt.Decisions().Count(votm.DecisionQuota), hot.QuotaMoves()+dict.QuotaMoves()+blobs.QuotaMoves(); got != want {
+		t.Errorf("decision log counted %d quota moves, views made %d", got, want)
+	}
 	t.Logf("soak: inserted=%d deleted=%d quotaEvents=%d hotEngine=%s",
-		inserted.Load(), deleted.Load(), rec.Len(), hot.EngineName())
+		inserted.Load(), deleted.Load(), len(events), hot.EngineName())
 }

@@ -132,21 +132,22 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 	return core.AtomicAll(ctx, th, views, readonly, fn)
 }
 
-// QuotaRecorder collects admission-quota changes; wire it into a Runtime
-// with Config.QuotaTrace:
+// Decision is one entry of a Runtime's decision log, Runtime.Decisions: a
+// quota move, a view split or merge, or a votmd shard split, with when it
+// happened, old → new and why. The log keeps the last 1024 decisions:
 //
-//	rec := votm.NewQuotaRecorder(0)
-//	rt := votm.New(votm.Config{Threads: 8, QuotaTrace: rec.Hook()})
+//	rt := votm.New(votm.Config{Threads: 8})
 //	...
-//	fmt.Println(rec.Timeline(viewID))
-type QuotaRecorder = trace.Recorder
+//	fmt.Println(rt.Decisions().Timeline(viewID)) // "8 -(12ms)-> 4 -(40ms)-> 2"
+type Decision = trace.Decision
 
-// QuotaEvent is one recorded admission-quota change.
-type QuotaEvent = trace.QuotaEvent
-
-// NewQuotaRecorder creates a recorder retaining at most limit events
-// (limit <= 0 means unbounded).
-func NewQuotaRecorder(limit int) *QuotaRecorder { return trace.NewRecorder(limit) }
+// The control loops a Decision comes from.
+const (
+	DecisionQuota      = trace.Quota
+	DecisionSplit      = trace.Split
+	DecisionMerge      = trace.Merge
+	DecisionShardSplit = trace.ShardSplit
+)
 
 // DeltaSampler periodically records a view's quota and windowed δ(Q) — the
 // time series behind the paper's "when and how" analysis. Stop it to get
@@ -257,20 +258,12 @@ type SamplerConfig = viewmgr.SamplerConfig
 // PlannerConfig tunes the split/merge decision rule (ViewManagerConfig.Planner).
 type PlannerConfig = viewmgr.PlannerConfig
 
-// RepartitionEvent is one executed split or merge.
-type RepartitionEvent = viewmgr.Event
-
-// Repartition event kinds.
-const (
-	RepartitionSplit = viewmgr.EventSplit
-	RepartitionMerge = viewmgr.EventMerge
-)
-
 // EnableViewManager starts online view management on rt: every currently
 // existing view gets an affinity sampler (engines are rebuilt with the
 // sampling hook — a brief quiescence per view), and a background loop
 // periodically plans and executes splits and merges. Stop the returned
-// manager to halt the loop; samplers stay installed until removed with
+// manager to halt the loop; every executed split and merge is a Decision in
+// rt.Decisions(). Samplers stay installed until removed with
 // Manager.Unmanage. Views created later are not managed automatically —
 // register them with Manager.Manage (split children are managed
 // automatically).
