@@ -121,13 +121,16 @@ soak-cluster:
 	$(GO) test -race -count=1 -timeout 600s \
 		-run 'TestClusterHandoffSoak|TestClusterLeaderKillPromotion' -v ./internal/cluster
 
-# WAL torn-tail recovery fuzzing: mutated segment files (truncations, bit
-# flips) must replay to an intact prefix, truncate the damage idempotently,
-# and leave the log appendable. FUZZ_TIME=0x replays only the corpus.
+# WAL fuzzing: mutated segment files (truncations, bit flips) must replay to
+# an intact prefix, truncate the damage idempotently, and leave the log
+# appendable; CRC-valid snapshot files with any header (absurd entry counts
+# included) must load without panicking and re-encode to the same entries.
+# FUZZ_TIME=0x replays only the corpus.
 FUZZ_TIME ?= 30s
 
 fuzz-wal:
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZ_TIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=$(FUZZ_TIME) ./internal/wal
 
 # Wire parser fuzzing: request and response decoders (seed corpus includes
 # SCAN frames — plain pages, continuations, degenerate ranges) must never

@@ -176,11 +176,9 @@ func (c *Client) CAS(ctx context.Context, key uint64, expect, newVal []byte) err
 }
 
 // Atomic executes subs as one transaction, regardless of which shards the
-// keys hash to. Servers speaking protocol version 3 or later run a
-// multi-shard batch as a single multi-view transaction (two-phase commit
-// across the participating shard WALs when durability is on); older servers
-// reject such batches with ErrCrossShard. The whole batch commits or
-// none of it does.
+// keys hash to: the server runs a multi-shard batch as a single multi-view
+// transaction (two-phase commit across the participating shard WALs when
+// durability is on). The whole batch commits or none of it does.
 func (c *Client) Atomic(ctx context.Context, subs []wire.Sub) ([]wire.SubResult, error) {
 	resp, err := c.do(ctx, &wire.Request{Op: wire.OpAtomic, Subs: subs})
 	if err != nil {

@@ -100,25 +100,12 @@ func main() {
 		return
 	}
 
-	var kind votm.EngineKind
-	switch *engine {
-	case "norec":
-		kind = votm.NOrec
-	case "oreceager":
-		kind = votm.OrecEagerRedo
-	case "tl2":
-		kind = votm.TL2
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q (norec | oreceager | tl2)\n", *engine)
-		os.Exit(2)
-	}
-
 	cfg := server.Config{
 		Shards:          *shards,
 		WorkersPerShard: *workers,
 		QueueDepth:      *queue,
 		BatchMax:        *batchMax,
-		Engine:          kind,
+		Engine:          votm.EngineKind(*engine),
 		RequestTimeout:  *reqTO,
 		AutoSplit:       *autoSplit,
 

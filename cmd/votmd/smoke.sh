@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the votmd binary itself: a durable start on a free port, a
 # clean drain on SIGTERM, a restart that skips replay, the refusal of flags
-# that no longer exist, and the standalone shard-map seed.
+# that no longer exist and of an unknown engine, and the standalone shard-map
+# seed.
 #
 # Usage (from the repository root): bash cmd/votmd/smoke.sh
 set -euo pipefail
@@ -67,6 +68,16 @@ for f in -max-value=1024 -idle-timeout=1s -drain-timeout=1s -snapshot-every=1s; 
 	fi
 	expect_log "$tmp/flag.log" 'flag provided but not defined'
 done
+
+# An unknown engine is refused by the server's config check, naming it.
+status=0
+"$tmp/votmd" -engine bogus -addr 127.0.0.1:0 2>"$tmp/engine.log" || status=$?
+if [ "$status" -eq 0 ]; then
+	echo "votmd -engine bogus: exit status 0, want non-zero"
+	cat "$tmp/engine.log"
+	exit 1
+fi
+expect_log "$tmp/engine.log" 'unknown Config.Engine "bogus"'
 
 run_until_term "$tmp/seed.log" 'shard-map service (standalone seed): .* on 127\.0\.0\.1:[1-9]' \
 	-addr 127.0.0.1:0 -cluster-seed -durability off

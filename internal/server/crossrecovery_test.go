@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -600,51 +601,99 @@ func faultedRoundLeavesQueue(t *testing.T) {
 	}
 }
 
-// TestCrossShardRecoveryLegacyLog boots logs the previous votmd wrote — a
-// round as one prepare PER TASK ([P_t1 P_t2][C_t1 C_t2], the value a bare
-// record list), each task decided on its own. Decided in-log, they replay:
-// a task applies at its own decision and an abort drops that task alone. A
-// legacy prepare left UNdecided is a hard startup error naming the way out —
-// the any-commit rule that could decide it is gone.
-func TestCrossShardRecoveryLegacyLog(t *testing.T) {
+// TestCrossShardRecoveryRefusesUnmarkedPrepare boots logs whose prepare
+// value is a bare record list, one prepare per task ([P_t1 P_t2][C_t1
+// C_t2]): the layout before prepares listed their participants. Decided in
+// the log or not, New refuses it with the one error that names the prepare
+// layout, and leaves every file as it found it — the refusal truncates
+// nothing — so a second New fails the same way. A data directory closed
+// cleanly holds no log: its snapshot is the state, and it boots.
+func TestCrossShardRecoveryRefusesUnmarkedPrepare(t *testing.T) {
 	k0, k1, k2 := keyOnShard(0, 100), keyOnShard(0, 200), keyOnShard(0, 300)
-	legacy := func(xid, key uint64, val string) wal.Record {
+	unmarked := func(xid, key uint64, val string) wal.Record {
 		return wal.Record{Kind: wal.RecPrepare, Key: xid,
 			Value: wal.AppendRecords(nil, []wal.Record{{Kind: wal.RecPut, Key: key, Value: []byte(val)}})}
+	}
+	decided := func(dataDir string) {
+		writeShardLog(t, dataDir, 0,
+			[]wal.Record{unmarked(1, k0, "t1"), unmarked(2, k1, "t2"), unmarked(3, k2, "t3")},
+			[]wal.Record{{Kind: wal.RecCommit, Key: 1}}, []wal.Record{{Kind: wal.RecAbort, Key: 2}}, []wal.Record{{Kind: wal.RecCommit, Key: 3}},
+			[]wal.Record{{Kind: wal.RecPut, Key: k0, Value: []byte("later group")}})
+	}
+	undecided := func(dataDir string) {
+		writeShardLog(t, dataDir, 0, []wal.Record{unmarked(1, k0, "t1")})
+		writeShardLog(t, dataDir, 1, []wal.Record{unmarked(1, keyOnShard(1, 100), "t1")}, []wal.Record{{Kind: wal.RecCommit, Key: 1}})
 	}
 	cfg := server.Config{
 		Shards:     matrixShards,
 		Durability: server.DurabilityGroup, SnapshotEvery: time.Hour,
 	}
 
-	cfg.DataDir = t.TempDir()
-	writeShardLog(t, cfg.DataDir, 0,
-		[]wal.Record{legacy(1, k0, "t1"), legacy(2, k1, "t2"), legacy(3, k2, "t3")},
-		// The crash cut the commit batch; that votmd's restart then decided
-		// each task by itself: t2 aborted between two commits.
-		[]wal.Record{{Kind: wal.RecCommit, Key: 1}}, []wal.Record{{Kind: wal.RecAbort, Key: 2}}, []wal.Record{{Kind: wal.RecCommit, Key: 3}},
-		[]wal.Record{{Kind: wal.RecPut, Key: k0, Value: []byte("later group")}})
-	srv, addr := startServer(t, cfg)
-	c := dialClient(t, addr, client.Options{})
-	ctx := context.Background()
-	for key, want := range map[uint64]string{k0: "later group", k2: "t3"} {
-		if got, err := c.Get(ctx, key); err != nil || string(got) != want {
-			t.Errorf("key %d: got %q, %v; want %q", key, got, err, want)
-		}
-	}
-	if got, err := c.Get(ctx, k1); !errors.Is(err, wire.ErrNotFound) {
-		t.Errorf("aborted legacy task's key %d: got %q, %v; want NOT_FOUND", k1, got, err)
-	}
-	if got := srv.Recovery()[0].ResolvedPrepares; got != 0 {
-		t.Errorf("ResolvedPrepares = %d, want 0: everything was decided in-log", got)
+	for name, write := range map[string]func(string){"decided": decided, "undecided": undecided} {
+		t.Run(name, func(t *testing.T) {
+			cfg := cfg
+			cfg.DataDir = t.TempDir()
+			write(cfg.DataDir)
+			before := readTree(t, cfg.DataDir)
+			for boot := 1; boot <= 2; boot++ {
+				_, err := server.New(cfg)
+				if !errors.Is(err, wal.ErrPrepareLayout) ||
+					!strings.Contains(err.Error(), "u32 0xFFFFFFFF | u8 version 1 | participants | records") {
+					t.Fatalf("boot %d: New over an unmarked prepare: %v; want the error naming the prepare layout", boot, err)
+				}
+				if after := readTree(t, cfg.DataDir); !reflect.DeepEqual(after, before) {
+					t.Fatalf("boot %d: the refused New changed the data directory: %d files before, %d after", boot, len(before), len(after))
+				}
+			}
+		})
 	}
 
-	cfg.DataDir = t.TempDir()
-	writeShardLog(t, cfg.DataDir, 0, []wal.Record{legacy(1, k0, "t1")})
-	writeShardLog(t, cfg.DataDir, 1, []wal.Record{legacy(1, keyOnShard(1, 100), "t1")}, []wal.Record{{Kind: wal.RecCommit, Key: 1}})
-	if _, err := server.New(cfg); err == nil || !strings.Contains(err.Error(), "older votmd") {
-		t.Fatalf("New over an undecided legacy prepare: %v; want the error that names the older binary", err)
+	t.Run("closed cleanly", func(t *testing.T) {
+		cfg := cfg
+		cfg.DataDir = t.TempDir()
+		decided(cfg.DataDir)
+		// The drain of the binary that wrote the log: snapshot, then the
+		// clean-shutdown marker, which removes every segment.
+		dir := filepath.Join(cfg.DataDir, "shard-0000")
+		if err := wal.WriteSnapshot(dir, 5, []wal.Entry{{Key: k0, Value: []byte("later group")}, {Key: k2, Value: []byte("t3")}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.MarkClean(dir, 5); err != nil {
+			t.Fatal(err)
+		}
+		srv, addr := startServer(t, cfg)
+		if rst := srv.Recovery()[0]; !rst.CleanStart || rst.SnapshotKeys != 2 {
+			t.Errorf("shard 0 recovery %+v; want a clean start from a 2-key snapshot", rst)
+		}
+		c := dialClient(t, addr, client.Options{})
+		ctx := context.Background()
+		for key, want := range map[uint64]string{k0: "later group", k2: "t3"} {
+			if got, err := c.Get(ctx, key); err != nil || string(got) != want {
+				t.Errorf("key %d: got %q, %v; want %q", key, got, err, want)
+			}
+		}
+		if got, err := c.Get(ctx, k1); !errors.Is(err, wire.ErrNotFound) {
+			t.Errorf("key %d: got %q, %v; want NOT_FOUND", k1, got, err)
+		}
+	})
+}
+
+// readTree maps every file under root (by relative path) to its bytes.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, root)] = b
+		return err
+	})
+	if err != nil {
+		t.Fatalf("read %s: %v", root, err)
 	}
+	return files
 }
 
 // verifyMatrixState asserts the round's three keys are all present — each

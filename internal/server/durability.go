@@ -83,20 +83,17 @@ type redoApplier struct {
 	sh    *shard
 	xid   uint64            // the undecided prepare (0: nothing held)
 	from  uint64            // sequence of the batch that carried it
-	parts []wal.Participant // its participant list; empty in a legacy prepare
+	parts []wal.Participant // its participant list
 	held  []wal.Record      // its own records, then the suffix
 	seqs  []uint64          // held[i]'s batch sequence
-	own   int               // len of the prepare's own records in held
 	dec   []wal.Record      // prepare-decoding scratch
 	n     uint64            // redo records applied to memory so far
 }
 
-// decides reports whether r is the held prepare's decision: its own commit or
-// abort record, or the commit of a later round (not for a legacy prepare,
-// whose tasks were decided one by one, in no promised order).
+// decides reports whether r is the held prepare's decision: the commit of
+// its round or a later one, or its own abort record.
 func (a *redoApplier) decides(r wal.Record) bool {
-	return (r.Kind == wal.RecCommit || r.Kind == wal.RecAbort) && r.Key == a.xid ||
-		r.Kind == wal.RecCommit && r.Key > a.xid && len(a.parts) > 0
+	return r.Kind == wal.RecCommit && r.Key >= a.xid || r.Kind == wal.RecAbort && r.Key == a.xid
 }
 
 // apply feeds one batch (sequence seq) through the state machine. A run of
@@ -108,13 +105,7 @@ func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, re
 		switch {
 		case a.xid != 0 && a.decides(r):
 			held, seqs := a.held, a.seqs
-			switch {
-			case r.Kind == wal.RecCommit:
-			case len(a.parts) == 0:
-				// A legacy round gave every task its own xid and kept its
-				// tasks independent: an abort drops that task alone.
-				held, seqs = held[a.own:], seqs[a.own:]
-			default:
+			if r.Kind == wal.RecAbort {
 				held = nil
 			}
 			a.reset()
@@ -138,9 +129,9 @@ func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, re
 			i = j - 1
 		case r.Kind == wal.RecPrepare:
 			if !wal.DecodePrepareValue(r.Value, &a.parts, &a.dec) {
-				return fmt.Errorf("xid %d: malformed prepare record", r.Key)
+				return fmt.Errorf("xid %d: %w", r.Key, wal.ErrPrepareLayout)
 			}
-			a.xid, a.from, a.own = r.Key, seq, len(a.dec)
+			a.xid, a.from = r.Key, seq
 			for _, n := range a.dec {
 				a.held, a.seqs = append(a.held, copyRecord(n)), append(a.seqs, seq)
 			}
@@ -165,7 +156,7 @@ func (a *redoApplier) decide(ctx context.Context, th *votm.Thread, kind wal.Reco
 
 // reset forgets whatever is held (a decision arrived, or the shard is wiped).
 func (a *redoApplier) reset() {
-	a.xid, a.held, a.seqs, a.own, a.parts = 0, nil, nil, 0, a.parts[:0]
+	a.xid, a.held, a.seqs, a.parts = 0, nil, nil, a.parts[:0]
 }
 
 // isData reports whether r carries a key's post-image (as opposed to a
@@ -263,19 +254,13 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 // it aborts wherever one of those does. The verdict is appended (and flushed)
 // as the log's own decision record and fed to the held applier like any
 // replayed one: each log is self-contained from here on. That can start the
-// next hold, so a log is decided until it holds nothing. A legacy prepare
-// names no participants; the commit-record-in-another-log rule that decided
-// it is gone with its binary. Runs after every shard replayed, before the
-// workers start.
+// next hold, so a log is decided until it holds nothing. Runs after every
+// shard replayed, before the workers start.
 func (s *Server) resolveCrossShard(th *votm.Thread, cr *crossRecovery) error {
 	ctx := context.Background()
 	for _, a := range cr.dangling {
 		for a.xid != 0 {
 			sh, xid, held := a.sh, a.xid, len(a.held)
-			if len(a.parts) == 0 {
-				return fmt.Errorf("shard %d: cross-shard prepare %d was left undecided by an older votmd and names no participants: "+
-					"start the votmd that wrote this data directory on it once (it resolves the prepare), shut it down cleanly, then start this one", sh.id, xid)
-			}
 			kind, verdict := wal.RecCommit, "committed"
 			for _, p := range a.parts {
 				if int(p.Shard) >= len(cr.horizon) || cr.horizon[p.Shard] < p.Seq {

@@ -45,6 +45,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"missing data dir", server.Config{Durability: server.DurabilityGroup}, "DataDir"},
 		{"unknown mode", server.Config{Durability: "paranoid", DataDir: t.TempDir()}, "paranoid"},
+		{"unknown engine", server.Config{Engine: "bogus"}, `unknown Config.Engine "bogus"`},
 		{"autosplit conflict", server.Config{Durability: server.DurabilityGroup, DataDir: t.TempDir(), AutoSplit: true}, "AutoSplit"},
 		// Zero means the default; a negative value is an error, never a
 		// silent default or a disabled mechanism.

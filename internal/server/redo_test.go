@@ -119,9 +119,13 @@ func TestRedoApplierNestedHold(t *testing.T) {
 	overlapped()
 	feed(6, wal.Record{Kind: wal.RecCommit, Key: 7})
 	want("k committed, k+1 held", map[uint64]string{a: "k", b: "k", g1: "between", g2: ""})
-	if redo.xid != 8 || redo.from != 4 || len(redo.parts) != 4 || redo.own != 1 {
-		t.Fatalf("second hold: xid %d from seq %d, %d participants, %d own records; want 8 from P_k+1's batch 4, 4, 1",
-			redo.xid, redo.from, len(redo.parts), redo.own)
+	if redo.xid != 8 || redo.from != 4 || len(redo.parts) != 4 || len(redo.held) != 3 {
+		t.Fatalf("second hold: xid %d from seq %d, %d participants, %d records held; want 8 from P_k+1's batch 4, 4, 3",
+			redo.xid, redo.from, len(redo.parts), len(redo.held))
+	}
+	// P_k+1's own record, then g2's group and k's commit, re-held behind it.
+	if r := redo.held[0]; r.Key != b || string(r.Value) != "k+1" || redo.seqs[0] != 4 {
+		t.Fatalf("second hold starts with %+v at seq %d; want P_k+1's own put of key %d at seq 4", r, redo.seqs[0], b)
 	}
 	feed(7, wal.Record{Kind: wal.RecAbort, Key: 8})
 	want("k+1 aborted", map[uint64]string{a: "k", b: "k", g1: "between", g2: ""})

@@ -164,6 +164,11 @@ func (c Config) validate() error {
 			return fmt.Errorf("server: Config.%s must not be negative, got %v", n.name, n.v)
 		}
 	}
+	switch c.Engine {
+	case "", votm.NOrec, votm.OrecEagerRedo, votm.TL2:
+	default:
+		return fmt.Errorf("server: unknown Config.Engine %q (want %q, %q or %q)", c.Engine, votm.NOrec, votm.OrecEagerRedo, votm.TL2)
+	}
 	switch c.Durability {
 	case "", DurabilityOff:
 	case DurabilityGroup, DurabilitySnapshotOnly:

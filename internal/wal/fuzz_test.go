@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -67,6 +70,10 @@ func FuzzReplay(f *testing.F) {
 	round = appendBatch(round, 2, []Record{{Kind: RecCommit, Key: 77}, {Kind: RecPut, Key: 5, Value: []byte("later")}})
 	f.Add(round)
 	f.Add(round[:tornAt])
+	// A prepare whose value is a bare record list, in an intact batch: the
+	// frame replays, and the value must not decode.
+	f.Add(appendBatch(nil, 1, []Record{{Kind: RecPrepare, Key: 78,
+		Value: AppendRecords(nil, []Record{{Kind: RecPut, Key: 5, Value: []byte("five")}})}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -91,7 +98,10 @@ func FuzzReplay(f *testing.F) {
 				if r.Kind == RecPrepare {
 					var parts []Participant
 					var nested []Record
-					_ = DecodePrepareValue(r.Value, &parts, &nested) // any bytes: must not panic
+					// Any bytes: must not panic, and only a marked value decodes.
+					if DecodePrepareValue(r.Value, &parts, &nested) && !bytes.HasPrefix(r.Value, prepareHead) {
+						t.Fatalf("prepare value %x decoded without the mark", r.Value)
+					}
 				}
 			}
 			applied++
@@ -135,6 +145,62 @@ func FuzzReplay(f *testing.F) {
 		}
 		if st3.Batches != st.Batches+1 {
 			t.Fatalf("post-repair append lost: %d batches, want %d", st3.Batches, st.Batches+1)
+		}
+	})
+}
+
+// prepareHead is how every prepare value the decoder accepts begins.
+var prepareHead = []byte{0xff, 0xff, 0xff, 0xff, prepareVersion}
+
+// sealSnapshot frames body as a snapshot file: the magic in front, the CRC
+// over both behind.
+func sealSnapshot(body []byte) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, snapMagic)
+	b = append(b, body...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes, sealed with the snapshot magic and
+// a valid CRC, to the snapshot loader as the only snapshot file: whatever the
+// header claims, loading never panics, and a file that loads re-encodes to
+// the same sequence and entries. A count the file cannot hold is just an
+// invalid snapshot.
+func FuzzLoadSnapshot(f *testing.F) {
+	dir := f.TempDir()
+	if err := WriteSnapshot(dir, 41, []Entry{{Key: 1, Value: []byte("one")}, {Key: 2}, {Key: 1 << 60, Value: bytes.Repeat([]byte{7}, 300)}}); err != nil {
+		f.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, snapName(41)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file[8 : len(file)-4])                              // a valid snapshot
+	f.Add(file[8 : len(file)-9])                              // cut inside the last value
+	f.Add(binary.LittleEndian.AppendUint64(file[8:16:16], 0)) // empty
+	huge := binary.LittleEndian.AppendUint64(file[8:16:16], 1<<62)
+	f.Add(huge)                                  // a count no memory holds
+	f.Add(append(huge, file[24:len(file)-4]...)) // the same count before real entries
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapName(9)), sealSnapshot(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seq, entries, ok, err := LoadNewestSnapshot(dir)
+		if err != nil {
+			t.Fatalf("LoadNewestSnapshot: %v", err)
+		}
+		if !ok {
+			return
+		}
+		again := t.TempDir()
+		if err := WriteSnapshot(again, seq, entries); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		seq2, entries2, ok, err := LoadNewestSnapshot(again)
+		if err != nil || !ok || seq2 != seq || !reflect.DeepEqual(entries2, entries) {
+			t.Fatalf("re-encoded snapshot loads as seq %d, %d entries (ok %v, %v); want seq %d, %d entries",
+				seq2, len(entries2), ok, err, seq, len(entries))
 		}
 	})
 }

@@ -130,7 +130,9 @@ func readSnapshot(path string) ([]Entry, bool) {
 	}
 	count := binary.LittleEndian.Uint64(body[16:])
 	p := body[snapHdrLen:]
-	entries := make([]Entry, 0, count)
+	// An entry takes at least 12 bytes: the file, not its count, bounds the
+	// capacity (the CRC vouches for the bytes, not for the writer).
+	entries := make([]Entry, 0, min(count, uint64(len(p)/12)))
 	for i := uint64(0); i < count; i++ {
 		if len(p) < 12 {
 			return nil, false

@@ -562,13 +562,16 @@ type Participant struct {
 	Seq   uint64
 }
 
-// prepareMark opens a RecPrepare value that carries a participant list: a
-// record count no legacy value (u32 count first) can hold, then a version
-// byte.
+// prepareMark opens every RecPrepare value, then a version byte: together
+// they tell a value of another layout, or a corrupt one, from a prepare.
 const (
 	prepareMark    = 0xFFFFFFFF
 	prepareVersion = 1
 )
+
+// ErrPrepareLayout refuses a RecPrepare value DecodePrepareValue cannot
+// parse. It names the one layout a prepare has.
+var ErrPrepareLayout = errors.New("wal: prepare record not in the layout u32 0xFFFFFFFF | u8 version 1 | participants | records")
 
 // AppendRecords encodes recs as a nested record list: u32 count followed by
 // the batch record encoding. Only RecPut and RecDelete may nest.
@@ -640,16 +643,12 @@ func AppendPrepareValue(dst []byte, parts []Participant, recs []Record) []byte {
 }
 
 // DecodePrepareValue parses a RecPrepare value into *parts and *recs
-// (reusing their capacity). A legacy value — a bare record list, written
-// before prepares named their participants — decodes with *parts empty: it
-// replays when its decision follows in the same log, and cannot be decided
-// otherwise. Decoded values borrow the input buffer.
+// (reusing their capacity). It returns false on any value not in the
+// AppendPrepareValue layout, including one that lists no participants.
+// Decoded values borrow the input buffer.
 func DecodePrepareValue(value []byte, parts *[]Participant, recs *[]Record) bool {
 	*parts = (*parts)[:0]
-	if len(value) < 4 || binary.LittleEndian.Uint32(value) != prepareMark {
-		return DecodeRecords(value, recs)
-	}
-	if len(value) < 9 || value[4] != prepareVersion {
+	if len(value) < 9 || binary.LittleEndian.Uint32(value) != prepareMark || value[4] != prepareVersion {
 		return false
 	}
 	n := int(binary.LittleEndian.Uint32(value[5:]))

@@ -220,7 +220,7 @@ func TestPrepareValueRoundTrip(t *testing.T) {
 		if !DecodePrepareValue(value, &gotParts, &got) {
 			t.Fatalf("DecodePrepareValue rejected %x", value)
 		}
-		if !reflect.DeepEqual(gotParts, wantParts) && (len(gotParts) != 0 || len(wantParts) != 0) {
+		if !reflect.DeepEqual(gotParts, wantParts) {
 			t.Errorf("participants %v, want %v", gotParts, wantParts)
 		}
 		if len(got) != len(recs) {
@@ -234,7 +234,10 @@ func TestPrepareValueRoundTrip(t *testing.T) {
 	}
 	value := AppendPrepareValue(nil, parts, recs)
 	check(value, parts)
-	check(AppendRecords(nil, recs), nil)
+	// A bare record list has no mark: it is not a prepare.
+	if DecodePrepareValue(AppendRecords(nil, recs), &gotParts, &got) {
+		t.Error("an unmarked record list decoded as a prepare")
+	}
 	for cut := 1; cut < len(value); cut++ {
 		if DecodePrepareValue(value[:cut], &gotParts, &got) {
 			t.Errorf("a value cut to %d of %d bytes decoded", cut, len(value))
@@ -245,6 +248,59 @@ func TestPrepareValueRoundTrip(t *testing.T) {
 	}
 	if DecodeRecords(AppendRecords(nil, []Record{{Kind: RecPrepare, Key: 1}}), &got) {
 		t.Error("a nested prepare decoded")
+	}
+}
+
+// TestReplayApplyErrorTruncatesNothing: an error from apply — the server's
+// refusal of a prepare it cannot decode — stops Replay and comes back as-is,
+// with the log untouched: not the refused batch, not the batches behind it,
+// not even a torn tail past them is cut.
+func TestReplayApplyErrorTruncatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	l := openStarted(t, dir, Options{})
+	bare := Record{Kind: RecPrepare, Key: 9, Value: AppendRecords(nil, []Record{{Kind: RecPut, Key: 1, Value: []byte("v")}})}
+	for _, recs := range [][]Record{{{Kind: RecPut, Key: 1, Value: []byte("a")}}, {bare}, {{Kind: RecCommit, Key: 9}}} {
+		if _, _, err := l.Append(recs); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	path := filepath.Join(dir, segName(1))
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{7, 0, 0}); err != nil { // a torn frame header
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var parts []Participant
+	var nested []Record
+	var applied []uint64
+	_, err = mustOpen(t, dir).Replay(1, func(seq uint64, recs []Record) error {
+		applied = append(applied, seq)
+		for _, r := range recs {
+			if r.Kind == RecPrepare && !DecodePrepareValue(r.Value, &parts, &nested) {
+				return fmt.Errorf("xid %d: %w", r.Key, ErrPrepareLayout)
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrPrepareLayout) {
+		t.Fatalf("Replay over an unmarked prepare: %v; want the apply error", err)
+	}
+	if !reflect.DeepEqual(applied, []uint64{1, 2}) {
+		t.Errorf("applied batches %v, want [1 2]: replay stops at the refused one", applied)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("segment changed by a refused replay (%d bytes before, %d after, %v)", len(before), len(after), err)
 	}
 }
 

@@ -126,7 +126,7 @@ const (
 	StatusNotFound    Status = 1 // GET/DELETE/CAS on an absent key
 	StatusBusy        Status = 2 // shard in-flight bound exceeded: backpressure
 	StatusCASMismatch Status = 3 // CAS expectation failed; detail = current value
-	StatusCrossShard  Status = 4 // legacy (pre-v3): servers now execute multi-shard ATOMIC
+	StatusCrossShard  Status = 4 // no server sends it: the cluster client's refusal of a batch spanning leaders
 	StatusBadRequest  Status = 5 // malformed or semantically invalid request
 	StatusTooLarge    Status = 6 // value exceeds the server's value bound
 	StatusTxFault     Status = 7 // transaction died server-side (e.g. injected panic)
