@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -90,7 +91,7 @@ func runEigen(args []string) {
 	loops := fs.Int("loops", 1000, "transactions per thread per view")
 	adaptive := fs.Bool("adaptive", false, "force adaptive RAC on both views")
 	seed := fs.Int64("seed", 1, "workload seed")
-	traceCSV := fs.String("tracecsv", "", "write a per-view δ(Q)/quota time series to FILE.<view>.csv")
+	traceCSV := fs.String("tracecsv", "", "write each view's quota moves (at_ms,from,to,delta,rule) to FILE.<view>.csv")
 	_ = fs.Parse(args)
 
 	cfg := rf.config()
@@ -99,35 +100,41 @@ func runEigen(args []string) {
 	}
 	p := eigenbench.Scaled(rf.threads, *loops)
 	p.Seed = *seed
-	var samplers []*trace.Sampler
-	if *traceCSV != "" {
-		cfg.OnViews = func(views []*core.View) {
-			for _, v := range views {
-				samplers = append(samplers, trace.StartSampler(v, 10*time.Millisecond))
-			}
-		}
-	}
 
 	fmt.Println(eigenbench.Describe(cfg))
 	res, err := eigenbench.Run(cfg, p)
 	if err != nil {
 		fail(1, "error: %v", err)
 	}
-	for i, s := range samplers {
-		s.Stop()
-		name := fmt.Sprintf("%s.%d.csv", *traceCSV, i+1)
-		f, ferr := os.Create(name)
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", ferr)
-			continue
-		}
-		if werr := s.WriteCSV(f); werr != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", werr)
-		}
-		_ = f.Close()
-		fmt.Printf("view %d quota sparkline: %s  (series: %s)\n", i+1, s.Sparkline(), name)
+	if *traceCSV != "" {
+		writeSeries(res.Decisions, len(res.Views), *traceCSV)
 	}
 	printRun(res, []string{"1", "2"}, "")
+}
+
+// writeSeries writes the quota moves of views 1..views from the run's
+// decision log to prefix.<view>.csv and prints each view's quota timeline.
+// The log keeps the last trace.Capacity decisions: when it dropped quota
+// moves, the series start late, and the run says so.
+func writeSeries(log *trace.Log, views int, prefix string) {
+	kept := int64(0)
+	for _, d := range log.Entries() {
+		if d.Loop == trace.Quota {
+			kept++
+		}
+	}
+	if dropped := log.Count(trace.Quota) - kept; dropped > 0 {
+		fmt.Printf("trace: the decision log dropped the %d oldest quota moves; the series hold the last %d\n", dropped, kept)
+	}
+	for id := 1; id <= views; id++ {
+		name := fmt.Sprintf("%s.%d.csv", prefix, id)
+		var b bytes.Buffer
+		_ = log.WriteCSV(&b, id) // a buffer takes every write
+		if err := os.WriteFile(name, b.Bytes(), 0o644); err != nil {
+			fail(1, "trace: %v", err)
+		}
+		fmt.Printf("view %d quota timeline: %s  (series: %s)\n", id, log.Timeline(id), name)
+	}
 }
 
 // runIntruder runs the STAMP-Intruder reproduction (paper §III-B). Flags

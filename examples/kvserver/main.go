@@ -133,8 +133,8 @@ func main() {
 	}
 	fmt.Println("per-shard STATS (each shard = one VOTM view + RAC controller):")
 	for _, s := range stats {
-		fmt.Printf("  shard %d [%s]: commits=%-5d aborts=%-4d Q=%d settled=%d keys=%d quotaEvents=%d\n",
-			s.Shard, s.Engine, s.Commits, s.Aborts, s.Quota, s.SettledQuota, s.Keys, s.QuotaEvents)
+		fmt.Printf("  shard %d [%s]: commits=%-5d aborts=%-4d Q=%d settled=%d keys=%d quotaMoves=%d\n",
+			s.Shard, s.Engine, s.Commits, s.Aborts, s.Quota, s.SettledQuota, s.Keys, s.QuotaMoves)
 	}
 
 	// Graceful drain: in-flight work finishes, then the views close.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"votm"
 )
@@ -130,32 +129,5 @@ func TestPublicAPIDeltaHelper(t *testing.T) {
 	tot := votm.Totals{SuccessNs: 100, AbortNs: 300}
 	if got := tot.Delta(4); got != 1.0 {
 		t.Errorf("Delta = %v", got)
-	}
-}
-
-func TestPublicAPIDeltaSampler(t *testing.T) {
-	ctx := context.Background()
-	rt := votm.New(votm.Config{Threads: 2})
-	v, _ := rt.CreateView(1, 16, 2)
-	th := rt.RegisterThread()
-	s := votm.StartDeltaSampler(v, time.Millisecond)
-	for i := 0; i < 50; i++ {
-		_ = v.Atomic(ctx, th, func(tx votm.Tx) error {
-			tx.Store(0, tx.Load(0)+1)
-			return nil
-		})
-	}
-	time.Sleep(5 * time.Millisecond)
-	series := s.Stop()
-	if len(series) == 0 {
-		t.Fatal("no samples")
-	}
-	last := series[len(series)-1]
-	if last.Commits != 50 || last.Quota != 2 {
-		t.Errorf("last sample = %+v", last)
-	}
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil || !strings.Contains(sb.String(), "offset_ms") {
-		t.Errorf("CSV: %v %q", err, sb.String())
 	}
 }

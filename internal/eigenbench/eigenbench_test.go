@@ -152,29 +152,30 @@ func TestModePredicates(t *testing.T) {
 	}
 }
 
-// TestOnViewsHook: Eigenbench's run hands the hook the views its
-// transactions commit in.
+// TestOnViewsHook: Eigenbench's run reports the two views its transactions
+// commit in, one per Table II column, and the runtime's decision log.
 func TestOnViewsHook(t *testing.T) {
-	var got []*core.View
 	res, err := Run(progress.RunConfig{
 		Engine: core.NOrec,
 		Mode:   progress.MultiView,
 		Quotas: [2]int{4, 4},
-		OnViews: func(views []*core.View) {
-			got = append(got, views...)
-		},
 	}, tiny(2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("hook saw %d views, want 2", len(got))
+	if len(res.Views) != 2 {
+		t.Fatalf("result has %d views, want 2", len(res.Views))
+	}
+	for i, v := range res.Views {
+		if v.Commits != 2*10 {
+			t.Errorf("view %d committed %d, want %d", i, v.Commits, 2*10)
+		}
 	}
 	if res.TotalCommits() != 2*10*2 {
 		t.Errorf("commits = %d", res.TotalCommits())
 	}
-	if got[0].Totals().Commits+got[1].Totals().Commits != res.TotalCommits() {
-		t.Error("hook views are not the run's views")
+	if res.Decisions == nil {
+		t.Error("result carries no decision log")
 	}
 }
 

@@ -49,7 +49,7 @@ func RunManaged(cfg progress.RunConfig, p Params, mcfg viewmgr.Config) (ManagedR
 	}
 	mgr.Stop()
 
-	log := rt.Decisions()
+	log := res.Decisions
 	out := ManagedResult{Result: res, Splits: int(log.Count(trace.Split)), Merges: int(log.Count(trace.Merge)), Moved: moved}
 	for _, d := range log.Entries() {
 		if d.Loop == trace.Split || d.Loop == trace.Merge {

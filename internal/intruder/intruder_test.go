@@ -176,26 +176,22 @@ func TestModePredicates(t *testing.T) {
 	}
 }
 
-// TestOnViewsHook: Intruder's run calls the hook once, with two views in
-// the multi-view mode and one in the single-view mode.
+// TestOnViewsHook: Intruder's run reports two views in the multi-view mode
+// and one in the single-view mode, and the runtime's decision log.
 func TestOnViewsHook(t *testing.T) {
 	p := Scaled(2, 40)
-	var seen [][]*core.View
-	hook := func(views []*core.View) { seen = append(seen, views) }
-	if _, err := Run(progress.RunConfig{Engine: core.NOrec, Mode: progress.MultiView,
-		Quotas: [2]int{2, 2}, OnViews: hook}, p, Generate(p)); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || len(seen[0]) != 2 {
-		t.Fatalf("multi-view hook saw %v", seen)
-	}
-	seen = nil
-	if _, err := Run(progress.RunConfig{Engine: core.NOrec, Mode: progress.SingleView,
-		Quotas: [2]int{2, 2}, OnViews: hook}, p, Generate(p)); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || len(seen[0]) != 1 {
-		t.Fatalf("single-view hook saw %v", seen)
+	for mode, want := range map[progress.Mode]int{progress.MultiView: 2, progress.SingleView: 1} {
+		res, err := Run(progress.RunConfig{Engine: core.NOrec, Mode: mode,
+			Quotas: [2]int{2, 2}}, p, Generate(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Views) != want {
+			t.Fatalf("%v: result has %d views, want %d", mode, len(res.Views), want)
+		}
+		if res.Decisions == nil {
+			t.Errorf("%v: result carries no decision log", mode)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"votm/internal/core"
 	"votm/internal/simpar"
+	"votm/internal/trace"
 )
 
 // Mode selects which of the paper's four program versions to run.
@@ -64,10 +65,6 @@ type RunConfig struct {
 	// sets its own default.
 	StallWindow time.Duration
 	Deadline    time.Duration
-	// OnViews, when non-nil, is called with the created views (view-ID
-	// order) after setup and before the workers start — the hook for
-	// attaching δ samplers to a run.
-	OnViews func(views []*core.View)
 	// CrossViewEvery (Eigenbench only), when positive, replaces every Nth
 	// scheduled transaction with a batch spanning BOTH views: the thread's
 	// view-1 and view-2 transaction bodies run as one multi-view
@@ -100,6 +97,9 @@ type Result struct {
 	Livelock bool
 	Reason   string // watchdog reason when Livelock
 	Views    []ViewStats
+	// Decisions is the runtime's decision log: RAC's quota moves, and the
+	// splits and merges of a managed run.
+	Decisions *trace.Log
 }
 
 // TotalCommits sums commits across views.
@@ -129,9 +129,9 @@ type Worker func(ctx context.Context, th *core.Thread, idx int)
 // the multi-view modes, one view of the summed size otherwise — then hands
 // the views to setup, which returns the worker body. The livelock watchdog
 // and threads workers run until every worker returns, and the result holds
-// every live view's statistics in view-ID order. A livelocked run returns
-// Livelock=true and the statistics collected so far (the paper prints
-// "livelock" for those cells).
+// every live view's statistics in view-ID order and the runtime's decision
+// log. A livelocked run returns Livelock=true and the statistics collected
+// so far (the paper prints "livelock" for those cells).
 func Run(cfg RunConfig, threads int, sizes [2]int,
 	setup func(rt *core.Runtime, views []*core.View) (Worker, error)) (Result, error) {
 
@@ -165,9 +165,6 @@ func Run(cfg RunConfig, threads int, sizes [2]int,
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.OnViews != nil {
-		cfg.OnViews(views)
-	}
 
 	commits := func() int64 {
 		var n int64
@@ -189,7 +186,7 @@ func Run(cfg RunConfig, threads int, sizes [2]int,
 		}()
 	}
 	wg.Wait()
-	res := Result{Elapsed: time.Since(start), Livelock: wd.Stop(), Reason: wd.Reason()}
+	res := Result{Elapsed: time.Since(start), Livelock: wd.Stop(), Reason: wd.Reason(), Decisions: rt.Decisions()}
 	for _, s := range rt.Snapshot() {
 		res.Views = append(res.Views, ViewStats{
 			Commits:     s.Totals.Commits,

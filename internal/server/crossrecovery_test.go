@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -648,6 +649,52 @@ func TestCrossShardRecoveryRefusesUnmarkedPrepare(t *testing.T) {
 		})
 	}
 
+	// Shard 0 closed cleanly, shard 1 holds a valid log, and only shard 2's
+	// holds the unmarked prepare: the refusal comes after the first two
+	// replayed, and must still write nothing — shard 0 keeps its marker, no
+	// shard gains a segment — so once shard 2's log is gone, shard 0 starts
+	// clean.
+	t.Run("refused on the last shard", func(t *testing.T) {
+		cfg := cfg
+		cfg.DataDir = t.TempDir()
+		k1 := keyOnShard(1, 100)
+		writeShardLog(t, cfg.DataDir, 0, []wal.Record{{Kind: wal.RecPut, Key: k0, Value: []byte("snap")}})
+		dir0 := filepath.Join(cfg.DataDir, "shard-0000")
+		if err := wal.WriteSnapshot(dir0, 5, []wal.Entry{{Key: k0, Value: []byte("snap")}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.MarkClean(dir0, 5); err != nil {
+			t.Fatal(err)
+		}
+		writeShardLog(t, cfg.DataDir, 1, []wal.Record{{Kind: wal.RecPut, Key: k1, Value: []byte("logged")}})
+		writeShardLog(t, cfg.DataDir, 2, []wal.Record{unmarked(1, keyOnShard(2, 100), "t1")})
+		before := readTree(t, cfg.DataDir)
+		for boot := 1; boot <= 2; boot++ {
+			if _, err := server.New(cfg); !errors.Is(err, wal.ErrPrepareLayout) {
+				t.Fatalf("boot %d: New over shard 2's unmarked prepare: %v; want %v", boot, err, wal.ErrPrepareLayout)
+			}
+			if after := readTree(t, cfg.DataDir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("boot %d: the refused New changed the data directory:\nbefore %v\nafter  %v", boot, fileNames(before), fileNames(after))
+			}
+		}
+		segs, _ := filepath.Glob(filepath.Join(cfg.DataDir, "shard-0002", "*.seg"))
+		for _, seg := range segs {
+			if err := os.Remove(seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, addr := startServer(t, cfg)
+		if rst := srv.Recovery()[0]; !rst.CleanStart || rst.SnapshotKeys != 1 {
+			t.Errorf("shard 0 recovery %+v; want a clean start from its 1-key snapshot", rst)
+		}
+		c := dialClient(t, addr, client.Options{})
+		for key, want := range map[uint64]string{k0: "snap", k1: "logged"} {
+			if got, err := c.Get(context.Background(), key); err != nil || string(got) != want {
+				t.Errorf("key %d: got %q, %v; want %q", key, got, err, want)
+			}
+		}
+	})
+
 	t.Run("closed cleanly", func(t *testing.T) {
 		cfg := cfg
 		cfg.DataDir = t.TempDir()
@@ -694,6 +741,16 @@ func readTree(t *testing.T, root string) map[string][]byte {
 		t.Fatalf("read %s: %v", root, err)
 	}
 	return files
+}
+
+// fileNames lists a readTree map's paths, sorted.
+func fileNames(tree map[string][]byte) []string {
+	names := make([]string, 0, len(tree))
+	for name := range tree {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // verifyMatrixState asserts the round's three keys are all present — each

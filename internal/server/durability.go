@@ -171,12 +171,16 @@ func copyRecord(r wal.Record) wal.Record {
 	return r
 }
 
-// initShardDurability recovers shard sh from its data directory and, in
-// group mode, leaves sh.log started and ready to append. It runs during New,
-// before any worker or connection exists, and applyRecords logs nothing, so
-// no WAL interposition is needed. A log that ends with a cross-shard prepare
-// undecided leaves its applier in cr for resolveCrossShard.
-func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecovery) (RecoveryStats, error) {
+// recoverShard is recovery's first phase for shard sh: it loads the newest
+// snapshot and replays the log's tail into memory, records the shard's
+// durable horizon in cr and, in group mode, leaves sh.log opened but not
+// started. It writes nothing but the torn-tail truncation replay performs,
+// so a refusal on a later shard leaves this one as it found it. It runs
+// during New, before any worker or connection exists, and applyRecords logs
+// nothing, so no WAL interposition is needed. A log that ends with a
+// cross-shard prepare undecided leaves its applier in cr for
+// resolveCrossShard.
+func (s *Server) recoverShard(sh *shard, th *votm.Thread, cr *crossRecovery) (RecoveryStats, error) {
 	st := RecoveryStats{Shard: sh.id}
 	sh.dataDir = shardDataDir(s.cfg.DataDir, sh.id)
 	ctx := context.Background()
@@ -233,16 +237,38 @@ func (s *Server) initShardDurability(sh *shard, th *votm.Thread, cr *crossRecove
 		}
 	}
 	cr.horizon[sh.id] = nextSeq - 1
-	// The log is about to become dirty again: drop the marker before the
-	// first append so a crash between here and the next clean drain replays.
-	if err := wal.RemoveCleanMarker(sh.dataDir); err != nil {
-		return st, fmt.Errorf("shard %d: remove clean marker: %w", sh.id, err)
-	}
-	if err := log.Start(nextSeq); err != nil {
-		return st, fmt.Errorf("shard %d: start wal: %w", sh.id, err)
-	}
 	sh.log = log
 	return st, nil
+}
+
+// startShardLogs is recovery's second phase, run once every shard has
+// replayed: startup's first writes. Each shard's log becomes dirty again, so
+// its clean marker goes before the first append (a crash between here and
+// the next clean drain replays), and the log starts a fresh segment past the
+// shard's horizon. Then resolveCrossShard decides the rounds a crash left
+// undecided. On error every log is closed.
+func (s *Server) startShardLogs(shards []*shard, th *votm.Thread, cr *crossRecovery) (err error) {
+	defer func() {
+		if err != nil {
+			for _, sh := range shards {
+				if sh.log != nil {
+					_ = sh.log.Close()
+				}
+			}
+		}
+	}()
+	for _, sh := range shards {
+		if sh.log == nil {
+			continue // snapshot-only
+		}
+		if err := wal.RemoveCleanMarker(sh.dataDir); err != nil {
+			return fmt.Errorf("shard %d: remove clean marker: %w", sh.id, err)
+		}
+		if err := sh.log.Start(cr.horizon[sh.id] + 1); err != nil {
+			return fmt.Errorf("shard %d: start wal: %w", sh.id, err)
+		}
+	}
+	return s.resolveCrossShard(th, cr)
 }
 
 // resolveCrossShard decides every round a crash left undecided in some log,

@@ -325,7 +325,7 @@ func New(cfg Config) (*Server, error) {
 		if durable {
 			// Recover before any worker or connection exists: applyRecords
 			// takes snapshot entries and replayed records WAL-free.
-			rst, err := s.initShardDurability(sh, recoveryTh, cr)
+			rst, err := s.recoverShard(sh, recoveryTh, cr)
 			if err != nil {
 				return nil, err
 			}
@@ -338,11 +338,12 @@ func New(cfg Config) (*Server, error) {
 		seeds = append(seeds, sh)
 	}
 	if durable {
-		// A round left undecided by a crash needs every log's horizon (it is
-		// committed iff all its participants' prepares are durable), so
-		// resolution runs only after all shards replayed — and before any
-		// worker can append new groups.
-		if err := s.resolveCrossShard(recoveryTh, cr); err != nil {
+		// Nothing is written until every shard has replayed, so a log New
+		// refuses leaves every shard's files as it found them. A round left
+		// undecided by a crash needs every log's horizon too (it is committed
+		// iff all its participants' prepares are durable), so resolution
+		// runs here as well — before any worker can append new groups.
+		if err := s.startShardLogs(seeds, recoveryTh, cr); err != nil {
 			return nil, err
 		}
 	}

@@ -2,13 +2,16 @@
 // is about *when* admission control reacts ("RAC will promptly drive Q
 // down") and *how* repartitioning helps, so every runtime keeps a Log of its
 // quota moves, view splits and merges, and votmd shard splits; the
-// contention example prints a quota timeline from it. Sampler records a
-// view's quota and windowed δ(Q) as a time series.
+// contention example prints a quota timeline from it, and votm-bench writes
+// each view's quota moves as a CSV series.
 package trace
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -105,14 +108,22 @@ func (l *Log) Count(loop Loop) int64 {
 	return l.counts[loop]
 }
 
+// moves returns the kept quota moves of view subject, oldest first.
+func (l *Log) moves(subject int) []Decision {
+	var out []Decision
+	for _, d := range l.Entries() {
+		if d.Loop == Quota && d.Subject == subject {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // Timeline renders the kept quota moves of view subject as
 // "Q0 -(t)-> Q1 -(t)-> Q2", t in milliseconds since the log's start.
 func (l *Log) Timeline(subject int) string {
 	var b strings.Builder
-	for _, d := range l.Entries() {
-		if d.Loop != Quota || d.Subject != subject {
-			continue
-		}
+	for _, d := range l.moves(subject) {
 		if b.Len() == 0 {
 			fmt.Fprintf(&b, "%d", d.From)
 		}
@@ -122,4 +133,23 @@ func (l *Log) Timeline(subject int) string {
 		return "(no quota changes)"
 	}
 	return b.String()
+}
+
+// WriteCSV writes the kept quota moves of view subject as CSV, oldest
+// first, under the header "at_ms,from,to,delta,rule": the move's offset from
+// the log's start, the quota before and after, the window δ(Q) it acted on
+// (NaN for a probe or a manual set) and the rule that fired.
+func (l *Log) WriteCSV(w io.Writer, subject int) error {
+	cw := csv.NewWriter(w)
+	// A failed write sticks: cw.Error reports it after the Flush.
+	_ = cw.Write([]string{"at_ms", "from", "to", "delta", "rule"})
+	for _, d := range l.moves(subject) {
+		_ = cw.Write([]string{
+			strconv.FormatFloat(float64(d.At)/float64(time.Millisecond), 'f', 3, 64),
+			strconv.Itoa(d.From), strconv.Itoa(d.To),
+			strconv.FormatFloat(d.Delta, 'f', 6, 64), d.Reason,
+		})
+	}
+	cw.Flush()
+	return cw.Error()
 }

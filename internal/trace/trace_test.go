@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -112,5 +113,41 @@ func TestZeroValueRecorder(t *testing.T) {
 	d := l.Add(quota(1, 2, 1))
 	if len(l.Entries()) != 1 || d.At != 0 {
 		t.Errorf("zero-value log unusable: %d entries, first at %v", len(l.Entries()), d.At)
+	}
+}
+
+// TestWriteCSV: a view's series holds its own quota moves only — not other
+// views', and not the splits and merges made on it — oldest first, with NaN
+// for a move that acted on no window.
+func TestWriteCSV(t *testing.T) {
+	l := NewLog()
+	l.Add(quota(1, 16, 8))
+	l.Add(quota(2, 16, 4))
+	l.Add(Decision{Loop: Split, Subject: 1, From: 1, To: 1 << 20, Reason: "cold segments"})
+	l.Add(Decision{Loop: Quota, Subject: 1, From: 8, To: 2, Delta: math.NaN(), Reason: "set"})
+	l.Add(Decision{Loop: Merge, Subject: 1, From: 1 << 20, To: 1, Reason: "co-accessed"})
+	l.Add(quota(1, 2, 1))
+	var b strings.Builder
+	if err := l.WriteCSV(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(rows) != 4 || rows[0] != "at_ms,from,to,delta,rule" {
+		t.Fatalf("view 1 CSV = %q; want the header and 3 rows", b.String())
+	}
+	want := []string{",16,8,1.500000,δ > high", ",8,2,NaN,set", ",2,1,1.500000,δ > high"}
+	for i, w := range want {
+		at, rest, _ := strings.Cut(rows[i+1], ",")
+		if ","+rest != w {
+			t.Errorf("row %d = %q; want …%q", i+1, rows[i+1], w)
+		}
+		if _, err := strconv.ParseFloat(at, 64); err != nil {
+			t.Errorf("row %d at_ms %q: %v", i+1, at, err)
+		}
+	}
+	b.Reset()
+	if err := l.WriteCSV(&b, 2); err != nil || strings.Count(b.String(), "\n") != 2 ||
+		!strings.HasSuffix(b.String(), ",16,4,1.500000,δ > high\n") {
+		t.Errorf("view 2 CSV = %q, %v; want the header and its one move", b.String(), err)
 	}
 }

@@ -37,7 +37,6 @@ package votm
 
 import (
 	"context"
-	"time"
 
 	"votm/internal/autotm"
 	"votm/internal/core"
@@ -139,6 +138,7 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 //	rt := votm.New(votm.Config{Threads: 8})
 //	...
 //	fmt.Println(rt.Decisions().Timeline(viewID)) // "8 -(12ms)-> 4 -(40ms)-> 2"
+//	_ = rt.Decisions().WriteCSV(f, viewID)      // at_ms,from,to,delta,rule
 type Decision = trace.Decision
 
 // The control loops a Decision comes from.
@@ -148,19 +148,6 @@ const (
 	DecisionMerge      = trace.Merge
 	DecisionShardSplit = trace.ShardSplit
 )
-
-// DeltaSampler periodically records a view's quota and windowed δ(Q) — the
-// time series behind the paper's "when and how" analysis. Stop it to get
-// the series; WriteCSV and Sparkline render it.
-type DeltaSampler = trace.Sampler
-
-// DeltaSample is one point of a DeltaSampler series.
-type DeltaSample = trace.Sample
-
-// StartDeltaSampler samples v every interval (≤0 means 10ms) until Stop.
-func StartDeltaSampler(v *View, interval time.Duration) *DeltaSampler {
-	return trace.StartSampler(v, interval)
-}
 
 // Errors re-exported from the runtime core.
 var (
