@@ -48,7 +48,7 @@ bench-smoke:
 # Overload pair is the backpressure proof: a 512-slot ring sheds the excess
 # of a 4096-deep window with BUSY (compare cells only within one sitting: the
 # same cell has read 158K and 258K ops/s in two). The Durable cells measure
-# the same stack with the per-shard WAL on (-durability group): every write
+# the same stack with the per-shard WAL on (votmd -data-dir): every write
 # group appended, and
 # answered by the shard's acknowledgement stage once its flush returned — the
 # sameshard/xshard ATOMIC pair is the cross-shard 2PC overhead ratio. The

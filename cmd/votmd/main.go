@@ -10,14 +10,19 @@
 // every 30 s; none of these is a flag. The startup log names the bound
 // address, so -addr 127.0.0.1:0 picks a free port.
 //
+// votmd is memory-only unless -data-dir names a directory: then every shard
+// logs its write groups to its own WAL there (group durability) and recovers
+// from it at the next start.
+//
 // Usage:
 //
 //	votmd -addr :7421 -shards 8 -workers 4 -engine norec
+//	votmd -addr :7421 -data-dir /var/lib/votmd
 //
 // Cluster mode (docs/PROTOCOL.md §Cluster): `-cluster-seed` hosts the
-// shard-map service (standalone with -durability off, or as the first data
-// node with -durability group); `-join addr` joins an existing cluster as a
-// member whose shards replicate leader WAL streams.
+// shard-map service (standalone without -data-dir, or as the first data
+// node with it); `-join addr` joins an existing cluster as a member whose
+// shards replicate leader WAL streams.
 package main
 
 import (
@@ -53,11 +58,10 @@ func main() {
 
 		autoSplit = flag.Bool("auto-split", false, "split hot shards online, every 250ms, shards of 1024 keys and more, up to 8 sub-shards (live key migration; ATOMIC batches spanning sub-shards commit via the multi-view 2PC coordinator)")
 
-		durability = flag.String("durability", server.DurabilityOff, "crash durability: off | group (per-shard WAL, fsync per write group) | snapshot-only")
-		dataDir    = flag.String("data-dir", "", "durability root directory (required unless -durability off)")
+		dataDir = flag.String("data-dir", "", "durability root directory; setting it turns on crash durability (per-shard WAL, at most one fsync per write group), empty = memory-only")
 
-		clusterSeed = flag.Bool("cluster-seed", false, "host the cluster shard-map service; with -durability group this node also serves data as the first member, with -durability off it runs the map service standalone (no data plane)")
-		join        = flag.String("join", "", "seed node address to join as a cluster member (requires -durability group; mutually exclusive with -cluster-seed)")
+		clusterSeed = flag.Bool("cluster-seed", false, "host the cluster shard-map service; with -data-dir this node also serves data as the first member, without it the map service runs standalone (no data plane)")
+		join        = flag.String("join", "", "seed node address to join as a cluster member (requires -data-dir; mutually exclusive with -cluster-seed)")
 		replicas    = flag.Int("replicas", 1, "desired WAL-stream followers per shard in cluster mode")
 		advertise   = flag.String("advertise", "", "address other nodes and routing clients reach this node at (defaults to -addr)")
 		replTO      = flag.Duration("repl-timeout", 2*time.Second, "semi-synchronous replication wait before a lagging follower is detached")
@@ -67,19 +71,34 @@ func main() {
 	logger := log.New(os.Stderr, "votmd: ", log.LstdFlags|log.Lmicroseconds)
 	logf := func(f string, a ...any) { logger.Printf(f, a...) }
 	clustered := *clusterSeed || *join != ""
+	durable := *dataDir != ""
 	if *advertise == "" {
 		*advertise = *addr
+	}
+	// Standalone control plane: -cluster-seed without a data plane runs only
+	// the shard-map service — the process data nodes join and routing clients
+	// bootstrap from. Shard count and replica target come from the same flags
+	// the members use, and are refused where a member would refuse them.
+	standalone := *clusterSeed && !durable
+	if standalone {
+		switch {
+		case *join != "":
+			logger.Fatalf("init: -cluster-seed and -join are mutually exclusive")
+		case *shards < 1:
+			logger.Fatalf("init: -shards must be at least 1, got %d", *shards)
+		case *replicas < 0:
+			logger.Fatalf("init: -replicas must not be negative, got %d", *replicas)
+		}
+	}
+	if *join != "" && !durable {
+		logger.Fatalf("init: -join requires -data-dir (a member's shards replicate their WAL)")
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Fatalf("listen: %v", err)
 	}
-	// Standalone control plane: -cluster-seed without a data plane runs only
-	// the shard-map service — the process data nodes join and routing clients
-	// bootstrap from. Shard count and replica target come from the same flags
-	// the members use.
-	if *clusterSeed && *durability == server.DurabilityOff {
+	if standalone {
 		svc := cluster.NewService(*shards, *replicas, logf)
 		svc.StartHealth(cluster.HealthEvery, cluster.HealthFailures, cluster.HealthTimeout)
 		done := make(chan error, 1)
@@ -108,11 +127,12 @@ func main() {
 		Engine:          votm.EngineKind(*engine),
 		RequestTimeout:  *reqTO,
 		AutoSplit:       *autoSplit,
-
-		Durability: *durability,
-		DataDir:    *dataDir,
+		DataDir:         *dataDir,
 
 		Logf: logf,
+	}
+	if durable {
+		cfg.Durability = server.DurabilityGroup
 	}
 	if clustered {
 		m, err := cluster.NewMember(cluster.Config{Seed: *clusterSeed, Join: *join, Replicas: *replicas,
@@ -136,7 +156,6 @@ func main() {
 	}
 
 	if *statsSec > 0 {
-		durable := *durability != server.DurabilityOff
 		go func() {
 			for range time.Tick(*statsSec) {
 				for _, r := range srv.StatsAll() {

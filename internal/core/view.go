@@ -263,35 +263,6 @@ func (v *View) AtomicRead(ctx context.Context, th *Thread, fn func(Tx) error) er
 	return v.atomic(ctx, th, fn, true)
 }
 
-// AtomicGroup is Atomic for group-commit execution: fn performs ops
-// independent logical operations inside one admission and one transaction,
-// amortizing the per-transaction overhead (RAC Enter/Exit, begin/commit; at
-// Q == 1 a single lock acquisition) across the group. Retry, escalation and
-// panic semantics are exactly Atomic's — a conflict re-executes the whole
-// group — and a committed group is additionally accounted in the view's
-// Totals (Groups++, GroupOps += ops) so mean group size is observable.
-//
-// The lock-mode caveat sharpens for groups: at Q == 1 there is no rollback,
-// so fn must not return a non-nil error after its first write — per-item
-// failures should be recorded in fn's own results, not surfaced as an
-// aborting error.
-func (v *View) AtomicGroup(ctx context.Context, th *Thread, ops int, fn func(Tx) error) error {
-	err := v.atomic(ctx, th, fn, false)
-	if err == nil {
-		v.ctl.RecordGroup(int64(ops))
-	}
-	return err
-}
-
-// AtomicReadGroup is AtomicGroup with read-only semantics (Store panics).
-func (v *View) AtomicReadGroup(ctx context.Context, th *Thread, ops int, fn func(Tx) error) error {
-	err := v.atomic(ctx, th, fn, true)
-	if err == nil {
-		v.ctl.RecordGroup(int64(ops))
-	}
-	return err
-}
-
 // attemptOutcome classifies one TM-mode transaction attempt.
 type attemptOutcome int
 

@@ -164,24 +164,6 @@ type Totals struct {
 	// Panics counts user panics that unwound a transaction body; every one
 	// was rolled back and its admission slot released before re-raising.
 	Panics int64
-
-	// Groups counts committed group transactions — single admissions that
-	// carried several independent logical operations (votmd's group-commit
-	// shard workers). GroupOps is the total operation count across them, so
-	// GroupOps/Groups is the mean group size: how much per-transaction
-	// overhead (one RAC admission, one begin/commit, at Q = 1 one lock
-	// acquisition) the batching amortized.
-	Groups   int64
-	GroupOps int64
-}
-
-// MeanGroup returns the mean committed group size (GroupOps / Groups), or
-// NaN when no group has committed.
-func (t Totals) MeanGroup() float64 {
-	if t.Groups == 0 {
-		return math.NaN()
-	}
-	return float64(t.GroupOps) / float64(t.Groups)
 }
 
 // account adds one attempt of ns nanoseconds; the caller holds the owning
@@ -446,16 +428,6 @@ func (c *Controller) RecordEscalated(outcome Outcome, d time.Duration) {
 	c.mu.Lock()
 	c.totals.Escalations++
 	c.totals.account(outcome, d.Nanoseconds())
-	c.mu.Unlock()
-}
-
-// RecordGroup accounts one committed group transaction of ops independent
-// logical operations. The attempt itself is accounted normally via Exit (or
-// RecordEscalated); this only feeds the Groups/GroupOps batching meters.
-func (c *Controller) RecordGroup(ops int64) {
-	c.mu.Lock()
-	c.totals.Groups++
-	c.totals.GroupOps += ops
 	c.mu.Unlock()
 }
 

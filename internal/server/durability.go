@@ -1,10 +1,10 @@
 // Durability: per-shard write-ahead logging and snapshots (internal/wal)
-// layered on the group-commit execution path. In "group" mode every
-// committed write group appends one redo batch and is answered — by the
+// layered on the group-commit execution path. Every durable shard has a log:
+// each committed write group appends one redo batch and is answered — by the
 // shard's acknowledgement stage (group.go), never by a waiting worker — only
 // once the log's flusher has flushed it and the cross-shard round it logged
-// behind, if any (round.go), is settled; "snapshot-only" keeps just the
-// periodic snapshots. Startup recovery loads the newest valid
+// behind, if any (round.go), is settled; periodic snapshots bound the log
+// replay has to read. Startup recovery loads the newest valid
 // snapshot, replays the WAL tail through the one redo applier and decides an
 // undecided round by the all-prepared rule; a clean-shutdown marker written
 // by a graceful drain lets the next startup skip replay entirely. Snapshot
@@ -34,9 +34,6 @@ const (
 	// append and at most one fsync per group; responses release only after
 	// the group's durability point.
 	DurabilityGroup = "group"
-	// DurabilitySnapshotOnly writes periodic snapshots but no WAL: writes
-	// since the last snapshot are lost on a crash.
-	DurabilitySnapshotOnly = "snapshot-only"
 )
 
 // shardDataDir is shard id's durability directory under the data root.
@@ -173,9 +170,9 @@ func copyRecord(r wal.Record) wal.Record {
 
 // recoverShard is recovery's first phase for shard sh: it loads the newest
 // snapshot and replays the log's tail into memory, records the shard's
-// durable horizon in cr and, in group mode, leaves sh.log opened but not
-// started. It writes nothing but the torn-tail truncation replay performs,
-// so a refusal on a later shard leaves this one as it found it. It runs
+// durable horizon in cr and leaves sh.log opened but not started. It writes
+// nothing but the torn-tail truncation replay performs, so a refusal on a
+// later shard leaves this one as it found it. It runs
 // during New, before any worker or connection exists, and applyRecords logs
 // nothing, so no WAL interposition is needed. A log that ends with a
 // cross-shard prepare undecided leaves its applier in cr for
@@ -200,9 +197,6 @@ func (s *Server) recoverShard(sh *shard, th *votm.Thread, cr *crossRecovery) (Re
 		sh.snapSeq.Store(snapSeq)
 		sh.lastSnap.Store(time.Now().Unix())
 		st.SnapshotSeq, st.SnapshotKeys = snapSeq, len(entries)
-	}
-	if s.cfg.Durability == DurabilitySnapshotOnly {
-		return st, nil
 	}
 
 	// The tee feeds the cluster plane's replication senders (nil without one).
@@ -251,16 +245,11 @@ func (s *Server) startShardLogs(shards []*shard, th *votm.Thread, cr *crossRecov
 	defer func() {
 		if err != nil {
 			for _, sh := range shards {
-				if sh.log != nil {
-					_ = sh.log.Close()
-				}
+				_ = sh.log.Close()
 			}
 		}
 	}()
 	for _, sh := range shards {
-		if sh.log == nil {
-			continue // snapshot-only
-		}
 		if err := wal.RemoveCleanMarker(sh.dataDir); err != nil {
 			return fmt.Errorf("shard %d: remove clean marker: %w", sh.id, err)
 		}
@@ -326,7 +315,6 @@ func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([
 	var (
 		entries []wal.Entry
 		blobs   []byte
-		seq     uint64
 	)
 	sh.walMu.Lock()
 	if err := sh.ack.awaitRound(sh.doubt); err != nil {
@@ -336,13 +324,9 @@ func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([
 	if lockFn != nil {
 		lockFn()
 	}
-	if sh.log != nil {
-		seq = sh.log.NextSeq() - 1
-		if sh.redo.xid != 0 {
-			seq = sh.redo.from - 1 // a follower holding a prepare
-		}
-	} else {
-		seq = sh.snapSeq.Load() + 1 // snapshot-only: a bare snapshot counter
+	seq := sh.log.NextSeq() - 1
+	if sh.redo.xid != 0 {
+		seq = sh.redo.from - 1 // a follower holding a prepare
 	}
 	err := sh.view.AtomicRead(context.Background(), th, func(tx votm.Tx) error {
 		entries, blobs = entries[:0], blobs[:0]
@@ -376,10 +360,8 @@ func (s *Server) snapshotShard(sh *shard, th *votm.Thread) (int, error) {
 	if err := wal.PruneSnapshots(sh.dataDir, seq); err != nil {
 		return 0, err
 	}
-	if sh.log != nil {
-		if err := sh.log.Prune(seq); err != nil {
-			return 0, err
-		}
+	if err := sh.log.Prune(seq); err != nil {
+		return 0, err
 	}
 	return len(entries), nil
 }
@@ -416,21 +398,14 @@ func (s *Server) snapshotLoop() {
 // of diverged state.
 func (s *Server) closeShardDurability(sh *shard, th *votm.Thread) {
 	if sh.readOnly.Load() {
-		if sh.log != nil {
-			_ = sh.log.Close()
-		}
+		_ = sh.log.Close()
 		return
 	}
 	n, err := s.snapshotShard(sh, th)
 	if err != nil {
 		s.logf("votmd: shard %d: final snapshot: %v", sh.id, err)
-		if sh.log != nil {
-			_ = sh.log.Close()
-		}
+		_ = sh.log.Close()
 		return
-	}
-	if sh.log == nil {
-		return // snapshot-only: the snapshot is the whole story
 	}
 	seq := sh.snapSeq.Load()
 	if err := sh.log.Close(); err != nil {

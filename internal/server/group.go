@@ -647,15 +647,17 @@ func (w *groupWorker) runGroup() bool {
 
 	var err error
 	if readonly {
-		err = sh.view.AtomicReadGroup(w.ctx(), w.th, len(ops), fn)
+		err = sh.view.AtomicRead(w.ctx(), w.th, fn)
 	} else {
-		err = sh.view.AtomicGroup(w.ctx(), w.th, len(ops), fn)
+		err = sh.view.Atomic(w.ctx(), w.th, fn)
 	}
 	if err != nil {
 		status, detail := errStatus(err)
 		w.abortGroup(ops, status, detail)
 		return false
 	}
+	sh.groups.Add(1)
+	sh.groupOps.Add(uint64(len(ops)))
 
 	// Committed. A durable group's redo batch — the post-images of every
 	// member that mutated state — is appended before walMu drops (so a later

@@ -269,12 +269,12 @@ func TestGroupedExecutionOracle(t *testing.T) {
 
 	// Group accounting: one grouped transaction of 9 ops (the helper calls
 	// above are not grouped).
-	totals := sh.view.Snapshot().Totals
-	if totals.Groups != 1 || totals.GroupOps != 9 {
-		t.Errorf("Totals Groups=%d GroupOps=%d, want 1 and 9", totals.Groups, totals.GroupOps)
+	groups, groupOps := sh.groups.Load(), sh.groupOps.Load()
+	if groups != 1 || groupOps != 9 {
+		t.Errorf("groups=%d groupOps=%d, want 1 and 9", groups, groupOps)
 	}
-	if mg := totals.MeanGroup(); mg != 9 {
-		t.Errorf("MeanGroup = %v, want 9", mg)
+	if groups != 0 && groupOps/groups != 9 {
+		t.Errorf("groupOps/groups = %d, want 9", groupOps/groups)
 	}
 
 	// The key counter survived the churn: keys 3 and 4 remain.
@@ -604,7 +604,7 @@ func TestGroupMergedDrain(t *testing.T) {
 		mkTask(s, c, wire.OpPut, 2, 3, []byte("gamma"), nil),
 	})
 	collect(t, c, 2)
-	before := sh.view.Snapshot().Totals
+	groups, groupOps := sh.groups.Load(), sh.groupOps.Load()
 	appends := sh.walAppends.Load()
 
 	w.run([]task{
@@ -635,10 +635,8 @@ func TestGroupMergedDrain(t *testing.T) {
 	if subs := got[13].subs; len(subs) != 3 || subs[1].Sum != 5 || string(subs[2].Value) != "one" {
 		t.Errorf("ATOMIC#13 results = %+v, want sum 5 and its group-mate's value", subs)
 	}
-	after := sh.view.Snapshot().Totals
-	if after.Groups != before.Groups+1 || after.GroupOps != before.GroupOps+5 {
-		t.Errorf("Totals Groups %d -> %d, GroupOps %d -> %d; want one group of 5",
-			before.Groups, after.Groups, before.GroupOps, after.GroupOps)
+	if g, ops := sh.groups.Load(), sh.groupOps.Load(); g != groups+1 || ops != groupOps+5 {
+		t.Errorf("groups %d -> %d, groupOps %d -> %d; want one group of 5", groups, g, groupOps, ops)
 	}
 	if n := sh.walAppends.Load(); n != appends+1 {
 		t.Errorf("walAppends grew by %d, want 1 (one redo batch per group)", n-appends)

@@ -45,6 +45,8 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"missing data dir", server.Config{Durability: server.DurabilityGroup}, "DataDir"},
 		{"unknown mode", server.Config{Durability: "paranoid", DataDir: t.TempDir()}, "paranoid"},
+		// A removed mode is refused, never reinterpreted as another.
+		{"removed mode", server.Config{Durability: "snapshot-only", DataDir: t.TempDir()}, `unknown Config.Durability "snapshot-only"`},
 		{"unknown engine", server.Config{Engine: "bogus"}, `unknown Config.Engine "bogus"`},
 		{"autosplit conflict", server.Config{Durability: server.DurabilityGroup, DataDir: t.TempDir(), AutoSplit: true}, "AutoSplit"},
 		// Zero means the default; a negative value is an error, never a
@@ -188,6 +190,10 @@ func TestDurableDirtyRestartReplaysTail(t *testing.T) {
 	if rec[0].Replayed == 0 {
 		t.Error("no records replayed from a dirty WAL")
 	}
+	// Replay reaches memory as groups, and STATS counts them like any group.
+	if st := srv2.StatsAll()[0]; st.Groups == 0 || st.GroupOps != rec[0].Replayed {
+		t.Errorf("after replay: groups=%d groupOps=%d, want >0 groups carrying the %d replayed records", st.Groups, st.GroupOps, rec[0].Replayed)
+	}
 	c2 := dialClient(t, addr2, client.Options{})
 	for k, want := range oracle {
 		got, err := c2.Get(ctx, k)
@@ -201,41 +207,6 @@ func TestDurableDirtyRestartReplaysTail(t *testing.T) {
 	for k := uint64(0); k < 128; k += 5 {
 		if _, err := c2.Get(ctx, k); !errors.Is(err, wire.ErrNotFound) {
 			t.Errorf("deleted key %d resurrected: err=%v", k, err)
-		}
-	}
-}
-
-// TestSnapshotOnlyRestart checks the WAL-free mode: a graceful drain writes a
-// final snapshot and a restart restores from it (losing nothing because the
-// drain was clean).
-func TestSnapshotOnlyRestart(t *testing.T) {
-	cfg := durableConfig(t)
-	cfg.Durability = server.DurabilitySnapshotOnly
-	srv, addr := startServer(t, cfg)
-	c := dialClient(t, addr, client.Options{})
-	ctx := context.Background()
-
-	for k := uint64(0); k < 64; k++ {
-		if _, err := c.Put(ctx, k, []byte(fmt.Sprintf("snap-%d", k))); err != nil {
-			t.Fatalf("put %d: %v", k, err)
-		}
-	}
-	shCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-
-	srv2, addr2 := startServer(t, cfg)
-	rec := srv2.Recovery()
-	if len(rec) != 1 || rec[0].SnapshotKeys != 64 {
-		t.Fatalf("recovery = %+v, want 64 snapshot keys", rec)
-	}
-	c2 := dialClient(t, addr2, client.Options{})
-	for k := uint64(0); k < 64; k++ {
-		got, err := c2.Get(ctx, k)
-		if err != nil || string(got) != fmt.Sprintf("snap-%d", k) {
-			t.Fatalf("key %d after snapshot-only restart: %q, %v", k, got, err)
 		}
 	}
 }

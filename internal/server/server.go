@@ -77,12 +77,12 @@ type Config struct {
 	AutoSplit bool
 
 	// Durability selects the crash-durability mode: DurabilityOff (default;
-	// memory-only fast path, nothing below applies), DurabilityGroup
+	// memory-only fast path, nothing below applies) or DurabilityGroup
 	// (per-shard WAL, one append and at most one fsync per committed write
-	// group, responses released only after the group's durability point) or
-	// DurabilitySnapshotOnly (periodic snapshots, no WAL). Durable modes
-	// require DataDir and are mutually exclusive with AutoSplit: the data
-	// layout is one directory per wire-level shard.
+	// group, responses released only after the group's durability point,
+	// periodic snapshots). Group durability requires DataDir and is mutually
+	// exclusive with AutoSplit: the data layout is one directory per
+	// wire-level shard.
 	Durability string
 	// DataDir is the durability root; shard i's WAL segments and snapshots
 	// live in DataDir/shard-%04d. Required when Durability is not off.
@@ -171,7 +171,7 @@ func (c Config) validate() error {
 	}
 	switch c.Durability {
 	case "", DurabilityOff:
-	case DurabilityGroup, DurabilitySnapshotOnly:
+	case DurabilityGroup:
 		if c.DataDir == "" {
 			return fmt.Errorf("server: Config.Durability %q requires Config.DataDir", c.Durability)
 		}
@@ -179,8 +179,7 @@ func (c Config) validate() error {
 			return fmt.Errorf("server: Config.Durability %q is incompatible with Config.AutoSplit (the durable data layout is one directory per wire-level shard)", c.Durability)
 		}
 	default:
-		return fmt.Errorf("server: unknown Config.Durability %q (want %q, %q or %q)",
-			c.Durability, DurabilityOff, DurabilityGroup, DurabilitySnapshotOnly)
+		return fmt.Errorf("server: unknown Config.Durability %q (want %q or %q)", c.Durability, DurabilityOff, DurabilityGroup)
 	}
 	if c.Cluster != nil && c.Durability != DurabilityGroup {
 		return fmt.Errorf("server: cluster mode requires Config.Durability %q (replication streams the per-shard WAL), got %q",
@@ -700,8 +699,8 @@ func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
 				Keys:           uint64(sh.keys.Load()),
 				QuotaEvents:    uint64(snap.QuotaMoves),
 				Repartitions:   uint64(len(subs) - 1),
-				Groups:         uint64(snap.Totals.Groups),
-				GroupOps:       uint64(snap.Totals.GroupOps),
+				Groups:         sh.groups.Load(),
+				GroupOps:       sh.groupOps.Load(),
 				QueueHighWater: sh.queueHW.Load(),
 
 				EffectiveBatch:    uint64(s.cfg.BatchMax),

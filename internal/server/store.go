@@ -56,11 +56,11 @@ type shard struct {
 	routeBits atomic.Uint64
 
 	// Durability state (durability.go); all zero when the server runs
-	// memory-only. walMu serializes write-group execution with the WAL
-	// append so commit order equals log order; the fsync happens outside it,
-	// on the log's flusher, and ack — the acknowledgement stage (group.go),
-	// non-nil exactly when log is — answers the groups it covers. log is nil
-	// in snapshot-only mode (snapshots need only dataDir and snapSeq).
+	// memory-only, and log is non-nil on every durable shard. walMu
+	// serializes write-group execution with the WAL append so commit order
+	// equals log order; the fsync happens outside it, on the log's flusher,
+	// and ack — the acknowledgement stage (group.go), non-nil exactly when
+	// log is — answers the groups it covers.
 	dataDir string
 	log     *wal.Log
 	ack     *ackStage
@@ -88,6 +88,13 @@ type shard struct {
 	replayed   atomic.Uint64 // redo records replayed at startup
 	snapSeq    atomic.Uint64 // WAL seq covered by the last snapshot
 	lastSnap   atomic.Int64  // unix seconds of the last snapshot; 0 = never
+
+	// Group meters, counted in every durability mode: committed group
+	// transactions (a worker's group, a redo chunk of applyRecords) and the
+	// requests or records they carried, so groupOps/groups is the mean
+	// group size STATS serves.
+	groups   atomic.Uint64
+	groupOps atomic.Uint64
 
 	// Cross-shard ATOMIC meters (round.go runRound): committed
 	// multi-participant groups this shard took part in, the (task,
@@ -447,7 +454,7 @@ func (sh *shard) applyRecords(ctx context.Context, th *votm.Thread, recs []wal.R
 		}
 		err := sh.reserve(&fx)
 		if err == nil {
-			err = sh.view.AtomicGroup(ctx, th, n, func(tx votm.Tx) error {
+			err = sh.view.Atomic(ctx, th, func(tx votm.Tx) error {
 				fx.begin()
 				si := 0
 				for _, r := range chunk {
@@ -466,6 +473,8 @@ func (sh *shard) applyRecords(ctx context.Context, th *votm.Thread, recs []wal.R
 		if err != nil {
 			return err
 		}
+		sh.groups.Add(1)
+		sh.groupOps.Add(uint64(n))
 	}
 	return nil
 }
