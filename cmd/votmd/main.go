@@ -177,8 +177,8 @@ func main() {
 					logger.Print(line)
 				}
 				rs := srv.RoundStats()
-				logger.Printf("cross-shard rounds: %d rounds, %d tasks (%d SCAN pages), %.1f tasks/round, largest %d; %d logged, %d beside an earlier round's flush, %d in flight at most, coordinator waited %v for a flight",
-					rs.Rounds, rs.Tasks, rs.Pages, rs.MeanTasks(), rs.Largest, rs.Logged, rs.Overlapped, rs.InDoubtHigh, time.Duration(rs.FlightWaitNs))
+				logger.Printf("cross-shard rounds: %d rounds, %d tasks (%d SCAN pages), %.1f tasks/round, largest %d; %d logged, %d beside an earlier round's flush, %d in flight at most, coordinator waited %v for a flight, views paused %v",
+					rs.Rounds, rs.Tasks, rs.Pages, rs.MeanTasks(), rs.Largest, rs.Logged, rs.Overlapped, rs.InDoubtHigh, time.Duration(rs.FlightWaitNs), time.Duration(rs.PausedNs))
 				if as := srv.AckStats(); as.Flushes > 0 {
 					logger.Printf("ack stage: %d flush cycles, %.1f groups/flush, %d groups behind a round in doubt, %d unanswered ops at most, %d back-pressure waits, flushers idle %.0f%%",
 						as.Flushes, float64(as.Groups)/float64(as.Flushes), as.Gated, as.HighWater, as.Stalls, 100*float64(as.IdleNs)/float64(as.UpNs))

@@ -44,7 +44,8 @@ func callGuardedAll(fn func([]Tx) error, txs []Tx) (err error) {
 // about the serial time cross-view work imposes.
 //
 // The pauses are released in reverse order on every path, including a body
-// panic. ctx cancels the drain; on error no view stays paused.
+// panic. ctx cancels the drain; on error no view stays paused. txs belongs
+// to th and is reused by its next AtomicAll: fn must not keep it.
 func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn func(txs []Tx) error) (err error) {
 	if th == nil {
 		return errors.New("core: nil thread handle")
@@ -94,11 +95,13 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 	if h := rt.cfg.FaultHook; h != nil {
 		h(faultinject.OpAdmit, th.id, 0)
 	}
-	txs := make([]Tx, len(views))
-	for i, v := range views {
-		txs[i] = v.guardBody(v.lockBody(readonly))
+	txs := th.all[:0]
+	for _, v := range views {
+		txs = append(txs, v.guardBody(v.lockBody(readonly)))
 	}
+	th.all = txs
 	err = callGuardedAll(fn, txs)
+	clear(txs)
 	settled = true
 	outcome := rac.Committed
 	if err != nil {

@@ -18,6 +18,8 @@ type Thread struct {
 	// Thread runs one transaction at a time, so one wrapper suffices and the
 	// read path stays allocation-free.
 	ro roTx
+	// all is AtomicAll's handle slice, reused for the same reason.
+	all []Tx
 }
 
 type txCacheEntry struct {

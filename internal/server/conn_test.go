@@ -461,9 +461,10 @@ func TestSteadyStateConnRecycling(t *testing.T) {
 }
 
 // TestConnRetentionBound: after a connection carried a maxValueLen value both
-// ways and a full SCAN page, none of the requests and responses it keeps for
-// reuse holds a buffer of more than retainMax bytes — the large ones were
-// dropped — while it still keeps the small ones.
+// ways, a full SCAN page and a one-entry SCAN page of the large value (whose
+// values buffer alone passes retainMax), none of the requests and responses
+// it keeps for reuse holds a buffer of more than retainMax bytes — the large
+// ones were dropped — while it still keeps the small ones.
 func TestConnRetentionBound(t *testing.T) {
 	s, err := New(Config{Shards: 2, WorkersPerShard: 1})
 	if err != nil {
@@ -505,6 +506,14 @@ func TestConnRetentionBound(t *testing.T) {
 		{wire.Request{Op: wire.OpScan, End: 1 << 62, Limit: wire.MaxScanKeys}, func(r *wire.Response) bool { return len(r.Entries) == wire.MaxScanKeys }},
 		{wire.Request{Op: wire.OpPut, Key: 4, Value: []byte("after")}, nil},
 		{wire.Request{Op: wire.OpGet, Key: 4}, func(r *wire.Response) bool { return string(r.Value) == "after" }},
+		{wire.Request{Op: wire.OpScan, Key: 3, End: 4, Limit: 1}, func(r *wire.Response) bool {
+			return len(r.Entries) == 1 && bytes.Equal(r.Entries[0].Value, big)
+		}},
+		// A small page next: had the large page's response been kept, this
+		// one would reuse it and keep its buffer once more.
+		{wire.Request{Op: wire.OpScan, Key: 4, End: 5, Limit: 1}, func(r *wire.Response) bool {
+			return len(r.Entries) == 1 && string(r.Entries[0].Value) == "after"
+		}},
 	} {
 		tc.req.ID = uint32(i + 1)
 		if err := wire.WriteRequest(cli, &tc.req); err != nil {

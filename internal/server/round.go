@@ -141,6 +141,9 @@ type RoundStats struct {
 	// flight, InDoubtHigh the most flights out at once (≤ maxInDoubt),
 	// FlightWaitNs the coordinator's wait for a free one — its only disk wait.
 	Overlapped, InDoubtHigh, FlightWaitNs uint64
+	// PausedNs sums the wall time of the rounds' quiesces (votm.AtomicAll,
+	// pause and drain included): the time their views served nothing else.
+	PausedNs uint64
 }
 
 // MeanTasks is the mean number of tasks per round (0 before any round).
@@ -159,6 +162,7 @@ func (s *Server) RoundStats() RoundStats {
 		Overlapped:   rc.nOverlapped.Load(),
 		InDoubtHigh:  rc.inDoubtHigh.Load(),
 		FlightWaitNs: rc.flightWaitNs.Load(),
+		PausedNs:     rc.pausedNs.Load(),
 	}
 }
 
@@ -181,6 +185,7 @@ type roundCoordinator struct {
 
 	nRounds, nTasks, largest, nPages, nLogged atomic.Uint64
 	nOverlapped, inDoubtHigh, flightWaitNs    atomic.Uint64
+	pausedNs                                  atomic.Uint64
 
 	// free holds the flight records not in use; inflight the rounds that took
 	// one, in xid order, settling that shareDone is at its head (both under fmu).
@@ -523,7 +528,10 @@ func (rc *roundCoordinator) runRound() {
 		for i, p := range union {
 			rc.views[i] = p.view
 		}
-		if err := votm.AtomicAll(rc.ctx(), rc.th, rc.views, !hasWrite, rc.runTasks); err != nil {
+		t := time.Now()
+		err := votm.AtomicAll(rc.ctx(), rc.th, rc.views, !hasWrite, rc.runTasks)
+		rc.pausedNs.Add(uint64(time.Since(t)))
+		if err != nil {
 			rc.undecided(err)
 		}
 		if fl != nil {

@@ -842,10 +842,10 @@ func TestRoundCarriesPages(t *testing.T) {
 	}
 }
 
-// TestSteadyStateScanAllocs pins the page's allocation shape: all
-// per-participant merge scratch is pooled on the coordinator, so a 32-entry
-// page allocates the same at 2 shards and at 16 — the entries' values and
-// nothing that grows with the participant count.
+// TestSteadyStateScanAllocs pins the page's allocation floor at zero, at 2
+// shards and at 16: the per-participant merge scratch is pooled on the
+// coordinator, the quiesce's handle slice on its thread, and the entries'
+// values are copied into the buffer the recycled response keeps.
 func TestSteadyStateScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard: race instrumentation allocates on this path")
@@ -881,8 +881,44 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		return testing.AllocsPerRun(50, run)
 	}
 	narrow, wide := perPage(2), perPage(16)
-	if narrow != wide {
-		t.Errorf("a 32-entry page allocates %.0f at 2 shards and %.0f at 16: allocations grow with the participant count", narrow, wide)
+	if narrow != 0 || wide != 0 {
+		t.Errorf("a 32-entry page allocates %.0f at 2 shards and %.0f at 16, want 0 at both", narrow, wide)
 	}
 	t.Logf("allocs per 32-entry page: %.0f at 2 shards, %.0f at 16", narrow, wide)
+}
+
+// TestRoundPausedTime: RoundStats.PausedNs reads 0 while only point ops run —
+// they never quiesce a view — and grows with every SCAN page's round.
+func TestRoundPausedTime(t *testing.T) {
+	s, err := New(Config{Shards: 2, WorkersPerShard: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	c := newTestConn(s, 4)
+	answer := func(req *wire.Request) {
+		t.Helper()
+		c.dispatch(req)
+		r := <-c.out
+		if r.Status != wire.StatusOK {
+			t.Fatalf("%v: %v (%s)", r.Op, r.Status, r.Value)
+		}
+		c.recycle(r)
+	}
+	for k := uint64(0); k < 16; k++ {
+		answer(c.pointReq(wire.OpPut, uint32(k+1), k, "v"))
+		answer(c.pointReq(wire.OpGet, uint32(k+1), k, ""))
+	}
+	if rs := s.RoundStats(); rs.Rounds != 0 || rs.PausedNs != 0 {
+		t.Fatalf("after point ops alone: %d rounds, %d ns paused; want 0 and 0", rs.Rounds, rs.PausedNs)
+	}
+	var last uint64
+	for id := uint32(100); id < 103; id++ {
+		answer(c.scanReq(id, 0, 1<<62, 8))
+		rs := s.RoundStats()
+		if rs.Pages != uint64(id-99) || rs.PausedNs <= last {
+			t.Fatalf("after page %d: %d pages, %d ns paused (was %d); want the paused time to grow", id-99, rs.Pages, rs.PausedNs, last)
+		}
+		last = rs.PausedNs
+	}
 }

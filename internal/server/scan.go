@@ -63,7 +63,12 @@ func (rc *roundCoordinator) runPage(req *wire.Request, resp *wire.Response, txs 
 		}
 	}
 
-	valBytes := 0
+	// The page's values are copied back to back into the capacity of the
+	// response's Value, which an OK SCAN frame does not carry: one buffer the
+	// connection keeps with the response (within retainMax) instead of an
+	// allocation per entry. The entries alias it until the writer has encoded
+	// them and the response is recycled.
+	buf, valBytes := resp.Value[:0], 0
 	for len(resp.Entries) < limit && valBytes < scanByteBudget {
 		// Routing partitions keys across sub-shards, so the minimum is
 		// unique: no tie-breaking needed.
@@ -81,14 +86,23 @@ func (rc *roundCoordinator) runPage(req *wire.Request, resp *wire.Response, txs 
 		}
 		p, tx := parts[best], txs[best]
 		ref := p.idx.NodeVal(tx, cursors[best])
-		val := enc.LoadBlob(tx, votm.Addr(ref))
-		resp.Entries = append(resp.Entries, wire.ScanEntry{Key: keys[best], Value: val})
+		buf = enc.AppendBlob(buf, tx, votm.Addr(ref))
+		resp.Entries = append(resp.Entries, wire.ScanEntry{Key: keys[best], Value: buf[valBytes:]})
 		contributed[best]++
-		valBytes += len(val)
+		valBytes = len(buf)
 		if cursors[best] = p.idx.Next(tx, cursors[best]); cursors[best] != ds.NilRef {
 			keys[best] = p.idx.NodeKey(tx, cursors[best])
 		}
 	}
+	// An append that grew buf left the entries before it on the old array;
+	// their lengths still hold, so re-slice them all from the final one.
+	off := 0
+	for i := range resp.Entries {
+		n := len(resp.Entries[i].Value)
+		resp.Entries[i].Value = buf[off : off+n : off+n]
+		off += n
+	}
+	resp.Value = buf[:0] // kept for its capacity; the frame holds no Value
 
 	// Name the resume point if anything remains.
 	for i, n := range cursors {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -388,5 +390,119 @@ func TestScanServesUnflushedWrites(t *testing.T) {
 	unhold()
 	if r := collect(t, f.c, 1)[1]; r.status != wire.StatusOK {
 		t.Fatalf("PUT after its flush: %v (%s)", r.status, r.value)
+	}
+}
+
+// heldConn holds the first Write until release is closed, announcing it on
+// writing: a connection writer stalled on its socket mid-stream.
+type heldConn struct {
+	net.Conn
+	writing, release chan struct{}
+	once             sync.Once
+}
+
+func (h *heldConn) Write(p []byte) (int, error) {
+	h.once.Do(func() {
+		close(h.writing)
+		<-h.release
+	})
+	return h.Conn.Write(p)
+}
+
+// TestScanPageOutlivesNextPage: a page's values live in its own response, so
+// they are byte-exact when the writer finally encodes them — here after the
+// coordinator has served the connection's next page and the page's keys have
+// been overwritten. The writer is held on an earlier PING's write meanwhile.
+func TestScanPageOutlivesNextPage(t *testing.T) {
+	s, err := New(Config{Shards: 2, WorkersPerShard: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	shutdownServer(t, s)
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	const keys, perPage = 64, 16
+	value := func(k uint64, fill byte) []byte {
+		v := bytes.Repeat([]byte{fill}, 40)
+		binary.LittleEndian.PutUint64(v, k)
+		return v
+	}
+	put := func(fill func(k uint64) byte) {
+		for k := uint64(0); k < keys; k++ {
+			sh := s.shards[s.Shard(k)].route(k)
+			if _, err := sh.testPut(context.Background(), th, k, value(k, fill(k))); err != nil {
+				t.Fatalf("put %d: %v", k, err)
+			}
+		}
+	}
+	put(func(k uint64) byte { return byte(k + 1) })
+
+	// serveConn's body on a pipe whose first write is held.
+	cli, srv := net.Pipe()
+	held := &heldConn{Conn: srv, writing: make(chan struct{}), release: make(chan struct{})}
+	if !s.beginReq() {
+		t.Fatal("server already draining")
+	}
+	c := &conn{srv: s, nc: held, out: make(chan *wire.Response, respChannel)}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		writerDone := make(chan struct{})
+		go c.writeLoop(writerDone)
+		c.readLoop()
+		c.hangUp()
+		close(c.out)
+		<-writerDone
+	}()
+	release := sync.OnceFunc(func() { close(held.release) })
+	defer func() {
+		release() // a failed test must not leave the writer held
+		_ = cli.Close()
+		<-served
+	}()
+
+	if err := wire.WriteRequest(cli, &wire.Request{Op: wire.OpPing, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-held.writing
+	pages := []wire.Request{
+		{Op: wire.OpScan, ID: 2, End: keys, Limit: perPage},
+		{Op: wire.OpScan, ID: 3, End: keys, Limit: perPage, HasCursor: true, Cursor: perPage},
+	}
+	for i := range pages {
+		if err := wire.WriteRequest(cli, &pages[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(c.out) < len(pages); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d pages answered behind the held writer", len(c.out), len(pages))
+		}
+	}
+	put(func(uint64) byte { return 0xEE })
+	release()
+
+	seen := 0
+	for i := 0; i <= len(pages); i++ {
+		r, err := wire.ReadResponse(cli)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Op != wire.OpScan {
+			continue
+		}
+		seen++
+		lo := uint64(r.ID-2) * perPage
+		if r.Status != wire.StatusOK || len(r.Entries) != perPage {
+			t.Fatalf("page %d: %v, %d entries", r.ID, r.Status, len(r.Entries))
+		}
+		for j, e := range r.Entries {
+			if k := lo + uint64(j); e.Key != k || !bytes.Equal(e.Value, value(k, byte(k+1))) {
+				t.Errorf("page %d entry %d: key %d = %x, want key %d = %x", r.ID, j, e.Key, e.Value, k, value(k, byte(k+1)))
+			}
+		}
+	}
+	if seen != len(pages) {
+		t.Errorf("%d pages answered, want %d", seen, len(pages))
 	}
 }

@@ -277,12 +277,15 @@ func TestLoopbackSoak(t *testing.T) {
 		rounds = 40
 	}
 
-	// A single-key write through the ordered index spans ~50 instrumented
-	// ops (a tower walk per access), so the conflict period is calibrated to
-	// inject roughly one abort every couple of attempts — enough pressure to
-	// drive delta(Q) and move the quota, low enough that transactions retry
-	// and commit instead of all burning straight through the retry budget
-	// into escalation (which starves the controller of commit signal).
+	// An ADD of an existing key makes 15 hook calls: 12 loads (its length
+	// check and the add each read the key's bucket chain, then the counter),
+	// one store, the commit, and the admission, which never conflicts. A
+	// conflict every 37th call thus aborts about two single-ADD attempts in
+	// five (a write group of several ADDs more) — enough pressure to drive
+	// delta(Q) and move the quota, low enough that transactions retry and
+	// commit instead of all burning straight through the retry budget into
+	// escalation (which starves the controller of commit signal). Twenty
+	// runs saw 102–544 hot-shard aborts (41–228 under -short).
 	inj := votm.NewFaultInjector(votm.FaultConfig{
 		ConflictEvery: 37,
 		LatencyEvery:  151,

@@ -19,7 +19,8 @@ import (
 // A hash directory is threaded through the same nodes: dir names mask+1
 // bucket words and hnext chains a node into its key's bucket (push-front on
 // insert; a doubling, NewDir then GrowDir, rebuilds the chains from level 0),
-// so Get and Delete find a key in about three loads, not a tower descent.
+// so Get, Delete and Swap's overwrite find a key in about three loads, not a
+// tower descent; only an insert walks the tower, to link the new node.
 //
 // Towers are DETERMINISTIC: a key's height is a pure function of the key
 // (trailing one-bits of a dedicated 64-bit mix, p = 1/2 per level), not of
@@ -165,11 +166,10 @@ func (sl *SkipList) level(tx core.Tx) int {
 
 // findPreds descends the tower from the current level filling update[lvl]
 // with the address of the forward-pointer word to rewrite at each level
-// (header words above the current level — nothing is linked there), and
-// returns the level-0 successor: the first node with key >= the probe
-// (NilRef if none). update is caller-stack scratch so searches allocate
-// nothing.
-func (sl *SkipList) findPreds(tx core.Tx, key uint64, update *[slMaxTower]stm.Addr) Ref {
+// (header words above the current level — nothing is linked there): the
+// word that points at the first node with key >= the probe. update is
+// caller-stack scratch so searches allocate nothing.
+func (sl *SkipList) findPreds(tx core.Tx, key uint64, update *[slMaxTower]stm.Addr) {
 	top := sl.level(tx)
 	for lvl := sl.maxLevel - 1; lvl >= top; lvl-- {
 		update[lvl] = sl.nextWord(slHeadRef, lvl)
@@ -187,7 +187,6 @@ func (sl *SkipList) findPreds(tx core.Tx, key uint64, update *[slMaxTower]stm.Ad
 		}
 		update[lvl] = w
 	}
-	return tx.Load(update[0])
 }
 
 // seek is findPreds without recording the update path (read-only walks).
@@ -229,24 +228,21 @@ func (sl *SkipList) Put(tx core.Tx, key, val uint64, spare Ref) (used bool) {
 	return used
 }
 
-// Swap sets key to val and reports what it displaced: if the key existed,
-// prev is its previous value (existed=true) and the entry is updated in
-// place; otherwise the pre-allocated spare node — sized by NewNode(key) for
-// this same key — is linked into the tower and pushed onto its bucket chain
-// (used=true). The caller must not reuse spare when used, and frees whatever
-// prev referenced only after the transaction commits.
+// Swap sets key to val and reports what it displaced: if the key existed —
+// found through its bucket chain, without a tower walk — prev is its previous
+// value (existed=true) and the entry is updated in place; otherwise the
+// pre-allocated spare node — sized by NewNode(key) for this same key — is
+// linked into the tower and pushed onto its bucket chain (used=true). The
+// caller must not reuse spare when used, and frees whatever prev referenced
+// only after the transaction commits.
 func (sl *SkipList) Swap(tx core.Tx, key, val uint64, spare Ref) (prev uint64, existed, used bool) {
-	// The overwrite walks the tower on purpose: through chain it measured
-	// +2.5 … +34 % on kv-scan-writers, +11 … +20 % on kv-point and -10 … -27 %
-	// on kv-durable-atomic, whose modelled flush (a Go timer sleep) runs late
-	// as the CPU idles more (EXPERIMENTS.md, "O(1) point reads").
-	var update [slMaxTower]stm.Addr
-	cand := sl.findPreds(tx, key, &update)
-	if cand != NilRef && tx.Load(addr(cand)+slKey) == key {
-		prev = tx.Load(addr(cand) + slVal)
-		tx.Store(addr(cand)+slVal, val)
+	if _, n := sl.chain(tx, key); n != NilRef {
+		prev = tx.Load(addr(n) + slVal)
+		tx.Store(addr(n)+slVal, val)
 		return prev, true, false
 	}
+	var update [slMaxTower]stm.Addr
+	sl.findPreds(tx, key, &update)
 	tx.Store(addr(spare)+slKey, key)
 	tx.Store(addr(spare)+slVal, val)
 	h := sl.height(key)

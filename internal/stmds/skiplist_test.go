@@ -3,6 +3,7 @@ package stmds_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -450,6 +451,70 @@ func TestSkipListQuickVsModel(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestSkipListOverwriteAfterDoubling fills a list past directory doublings,
+// then overwrites every key through Swap: each call must find the key (on its
+// rebuilt chain), take no spare node and leave the count, the chains and the
+// level-0 nodes in place, value words aside.
+func TestSkipListOverwriteAfterDoubling(t *testing.T) {
+	for _, q := range []struct {
+		name  string
+		quota int
+	}{{"lock", 1}, {"norec", 2}} {
+		t.Run(q.name, func(t *testing.T) {
+			h := newSLHarness(t, core.NOrec, q.quota)
+			const n = 200
+			for k := uint64(0); k < n; k++ {
+				h.put(k*7, k, true)
+			}
+			if h.doublings < 1 {
+				t.Fatalf("the directory doubled %d times, want >= 1", h.doublings)
+			}
+			level0 := func() []stmds.Ref {
+				var nodes []stmds.Ref
+				run(t, h.v, h.th, func(tx core.Tx) error {
+					nodes = nodes[:0]
+					for nd := h.sl.First(tx); nd != stmds.NilRef; nd = h.sl.Next(tx, nd) {
+						nodes = append(nodes, nd)
+					}
+					return nil
+				})
+				return nodes
+			}
+			before := level0()
+
+			for k := uint64(0); k < n; k++ {
+				spare, err := h.sl.NewNode(k * 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var (
+					prev          uint64
+					existed, used bool
+				)
+				run(t, h.v, h.th, func(tx core.Tx) error {
+					prev, existed, used = h.sl.Swap(tx, k*7, k+1000, spare)
+					return nil
+				})
+				if !existed || used || prev != k {
+					t.Fatalf("overwrite of key %d: Swap = (%d,%v,%v), want (%d,true,false)", k*7, prev, existed, used, k)
+				}
+				if err := h.sl.FreeNode(spare); err != nil {
+					t.Fatal(err)
+				}
+				h.model[k*7] = k + 1000
+			}
+
+			h.check() // CheckChains, and Len against the model's n keys
+			if after := level0(); !slices.Equal(after, before) {
+				t.Errorf("level 0 changed under overwrites: %d nodes before, %d after", len(before), len(after))
+			}
+			for k := uint64(0); k < n; k++ {
+				h.get(k * 7)
+			}
+		})
+	}
 }
 
 // FuzzSkipList runs an op program — Put, Swap, Get, Delete and Seek over 256

@@ -126,7 +126,8 @@ func NewTMProfile(threads int, t Totals, deltaQ, meanReads, meanWrites float64) 
 // views[i]), and the pauses release in reverse order even on a panic. All
 // concurrent multi-view callers must order their views identically, or two
 // of them can deadlock; there is no rollback, so fn must validate before its
-// first write. Each view accounts the run as an escalation.
+// first write. Each view accounts the run as an escalation. txs is reused by
+// th's next AtomicAll, so fn must not keep it.
 func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn func(txs []Tx) error) error {
 	return core.AtomicAll(ctx, th, views, readonly, fn)
 }
