@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve smoke-votmd replay soak-viewmgr soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fuzz-skiplist fuzz-enc fmt vet clean
+.PHONY: all build test short race cover bench bench-smoke bench-server bench-vacation tables ablations serve smoke-votmd replay soak-recovery soak-cluster fuzz-wal fuzz-wire fuzz-memheap fuzz-skiplist fuzz-enc fmt vet clean
 
 all: build test
 
@@ -98,11 +98,6 @@ serve:
 smoke-votmd:
 	bash cmd/votmd/smoke.sh
 
-# Repartition chaos soak: live split/merge racing fault injection, checked
-# against a sequential oracle, with admission- and goroutine-leak checks.
-soak-viewmgr:
-	$(GO) test -race -count=1 -timeout 600s -run TestRepartitionChaosSoak -v .
-
 # Crash-recovery soak: SIGKILL a durable child server mid-burst, restart it
 # on the same data directory, and check the recovered state against an
 # ambiguity-aware oracle (no partially-applied group, no acknowledged write
@@ -139,9 +134,9 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=$(FUZZ_TIME) ./wire
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=$(FUZZ_TIME) ./wire
 
-# View allocator fuzzing: an op program over Alloc/Free/Grow, the batch
-# calls (failing batches and bad frees included) and a split/merge cycle
-# (Evict, Restrict, Adopt, Release) is checked against a per-word owner map.
+# View allocator fuzzing: an op program over Alloc/Free/Grow and the batch
+# calls (failing batches and bad frees included) is checked against a
+# per-word owner map.
 # FUZZ_TIME=0x replays the corpus.
 fuzz-memheap:
 	$(GO) test -run='^$$' -fuzz=FuzzAllocFree -fuzztime=$(FUZZ_TIME) ./internal/memheap

@@ -12,10 +12,11 @@ tmp=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; wait; rm -rf "$tmp"' EXIT
 go build -o "$tmp/votmd" ./cmd/votmd
 
-# wait_log FILE PATTERN: wait up to 30 s for PATTERN to appear in FILE.
+# wait_log FILE PATTERN: wait up to 30 s for PATTERN to appear in FILE
+# (-s: the backgrounded votmd may not have created FILE yet).
 wait_log() {
 	for _ in $(seq 300); do
-		grep -q "$2" "$1" && return 0
+		grep -qs "$2" "$1" && return 0
 		sleep 0.1
 	done
 	echo "timed out waiting for '$2' in $1:"

@@ -3,7 +3,6 @@ package enc_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -253,35 +252,6 @@ func TestAppendBlobReusesCapacity(t *testing.T) {
 		if err := v.Free(base); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestBlobThroughSplitParentMoves: once a lock-mode view has split part of a
-// blob off to a child, reading the blob through the parent still answers
-// *MovedError naming the first moved word — the parent's guarded handle moves
-// word by word and checks each, never as one unchecked run.
-func TestBlobThroughSplitParentMoves(t *testing.T) {
-	rt := votm.New(votm.Config{Threads: 1})
-	v, err := rt.CreateView(1, 256, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.RegisterThread()
-	ctx := context.Background()
-	base, data := votm.Addr(128), bytes.Repeat([]byte{0x5C}, 64)
-	if err := v.Atomic(ctx, th, func(tx votm.Tx) error { enc.StoreBlob(tx, base, data); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Split(ctx, 2, []votm.AddrRange{{Lo: base + 2, Hi: 256}}, "", 0); err != nil {
-		t.Fatal(err)
-	}
-	err = v.AtomicRead(ctx, th, func(tx votm.Tx) error {
-		_ = enc.AppendBlob(nil, tx, base)
-		return nil
-	})
-	var me *votm.MovedError
-	if !errors.As(err, &me) || me.NewView != 2 || me.Addr != base+2 {
-		t.Fatalf("reading a blob half split away through the parent: %v, want *MovedError at word %d", err, base+2)
 	}
 }
 

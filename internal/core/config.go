@@ -83,16 +83,9 @@ func (c *Config) validate() error {
 }
 
 // newEngine builds one TM instance of the given kind over heap, applying
-// the runtime's engine tuning and fault hook.
+// the runtime's engine tuning and fault hook. With no FaultHook the engine
+// hands out plain, uninstrumented descriptors.
 func (c *Config) newEngine(kind EngineKind, heap *stm.Heap) stm.Engine {
-	return c.newEngineHooked(kind, heap, nil)
-}
-
-// newEngineHooked is newEngine with an extra per-view access hook (the
-// viewmgr affinity sampler) composed in front of the runtime-wide FaultHook.
-// When both are nil the engine hands out plain, uninstrumented descriptors —
-// the zero-cost-when-off discipline shared with fault injection.
-func (c *Config) newEngineHooked(kind EngineKind, heap *stm.Heap, extra faultinject.Hook) stm.Engine {
 	var eng stm.Engine
 	switch kind {
 	case OrecEagerRedo:
@@ -106,24 +99,8 @@ func (c *Config) newEngineHooked(kind EngineKind, heap *stm.Heap, extra faultinj
 	default:
 		eng = norec.New(heap)
 	}
-	if hook := composeHooks(extra, c.FaultHook); hook != nil {
-		eng.(interface{ SetFaultHook(faultinject.Hook) }).SetFaultHook(hook)
+	if c.FaultHook != nil {
+		eng.(interface{ SetFaultHook(faultinject.Hook) }).SetFaultHook(c.FaultHook)
 	}
 	return eng
-}
-
-// composeHooks chains two fault hooks, skipping nils. The extra (sampling)
-// hook runs first so it observes the access even when the fault hook then
-// throws a synthetic conflict.
-func composeHooks(a, b faultinject.Hook) faultinject.Hook {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(op faultinject.Op, thread int, addr stm.Addr) {
-		a(op, thread, addr)
-		b(op, thread, addr)
-	}
 }

@@ -283,9 +283,8 @@ func TestReadOnlyLockModeStoreWordsPanics(t *testing.T) {
 	}
 }
 
-// TestWordRunsOnlyOnLockHandle: only the bare lock-mode handle moves runs of
-// words; a TM transaction, its read-only wrapper and a split parent's guarded
-// lock-mode handle move word by word.
+// TestWordRunsOnlyOnLockHandle: only the lock-mode handle moves runs of
+// words; a TM transaction and its read-only wrapper move word by word.
 func TestWordRunsOnlyOnLockHandle(t *testing.T) {
 	rt := newRT(t, core.NOrec, 2)
 	lock, _ := rt.CreateView(1, 256, 1)
@@ -305,12 +304,6 @@ func TestWordRunsOnlyOnLockHandle(t *testing.T) {
 	}
 	if offers(tm, false) || offers(tm, true) {
 		t.Error("a TM handle offers word runs")
-	}
-	if _, err := lock.Split(context.Background(), 3, []core.AddrRange{{Lo: 128, Hi: 256}}, "", 0); err != nil {
-		t.Fatal(err)
-	}
-	if offers(lock, false) {
-		t.Error("a split parent's guarded handle offers word runs")
 	}
 }
 
@@ -570,4 +563,38 @@ func TestAtomicCancelDuringRetryWait(t *testing.T) {
 		t.Fatal("cancelled Atomic never returned")
 	}
 	close(release)
+}
+
+func TestExclusiveQuiescesView(t *testing.T) {
+	rt := newRT(t, core.NOrec, 4)
+	v, err := rt.CreateView(1, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Exclusive(context.Background(), func(tx core.Tx) error {
+		tx.Store(5, 55)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	th := rt.RegisterThread()
+	var got uint64
+	if err := v.AtomicRead(context.Background(), th, func(tx core.Tx) error {
+		got = tx.Load(5)
+		return nil
+	}); err != nil || got != 55 {
+		t.Errorf("read after Exclusive = %d, %v", got, err)
+	}
+	// A panicking body must release the quiescence.
+	func() {
+		defer func() { recover() }()
+		v.Exclusive(context.Background(), func(core.Tx) error { panic("boom") })
+	}()
+	// Would hang if the pause leaked.
+	if err := v.Atomic(context.Background(), th, func(tx core.Tx) error {
+		tx.Store(6, 66)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -19,21 +19,6 @@ import (
 	"votm/internal/rac"
 )
 
-// callGuardedAll invokes fn(txs), converting a forwarding-guard panic from
-// any view into its typed error. Every other panic keeps unwinding.
-func callGuardedAll(fn func([]Tx) error, txs []Tx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if mp, ok := r.(movedPanic); ok {
-				err = mp.err
-				return
-			}
-			panic(r)
-		}
-	}()
-	return fn(txs)
-}
-
 // AtomicAll quiesces every view of views — in the given order, which all
 // concurrent multi-view callers must share — and runs fn exactly once with
 // one exclusive, uninstrumented, irrevocable access handle per view
@@ -97,10 +82,10 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 	}
 	txs := th.all[:0]
 	for _, v := range views {
-		txs = append(txs, v.guardBody(v.lockBody(readonly)))
+		txs = append(txs, v.lockBody(readonly))
 	}
 	th.all = txs
-	err = callGuardedAll(fn, txs)
+	err = fn(txs)
 	clear(txs)
 	settled = true
 	outcome := rac.Committed

@@ -15,10 +15,10 @@ type ViewSnapshot struct {
 	ViewID int
 	Engine EngineKind
 
-	// Quota is the current admission quota Q; SettledQuota is the quota the
-	// adaptive policy spent the most time at. EffectiveQuota is the one the
-	// paper's tables report: SettledQuota when the view is adaptive, the
-	// (static) current quota otherwise.
+	// Quota is the current admission quota Q; SettledQuota is the quota with
+	// the largest makespan residence. EffectiveQuota is the one the paper's
+	// tables report: SettledQuota when the view is adaptive, the (static)
+	// current quota otherwise.
 	Quota          int
 	SettledQuota   int
 	EffectiveQuota int

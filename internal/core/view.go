@@ -28,15 +28,6 @@ type View struct {
 	engh  atomic.Pointer[engineHolder]
 	ctl   *rac.Controller
 
-	// fwd is the address-forwarding table installed by Split/MergeViews;
-	// nil on views that never repartitioned (see split.go).
-	fwd atomic.Pointer[fwdTable]
-
-	// hook is the per-view access hook (viewmgr affinity sampling). It is
-	// only written while the view is quiesced and takes effect by rebuilding
-	// the engine, so the hot path never checks it directly.
-	hook faultinject.Hook
-
 	// ltx / ltxRO are the shared lock-mode transaction handles. A lockTx is
 	// immutable after construction (heap pointer + readonly flag) and lock
 	// mode is exclusive by the RAC interlock, so both handles can be shared
@@ -123,39 +114,28 @@ func (v *View) SwitchEngine(ctx context.Context, kind EngineKind) error {
 	if err := v.ctl.PauseAndDrain(ctx); err != nil {
 		return err
 	}
-	v.engh.Store(&engineHolder{kind: kind, eng: v.buildEngine(kind)})
+	v.engh.Store(&engineHolder{kind: kind, eng: v.rt.cfg.newEngine(kind, v.heap)})
 	v.ctl.Resume()
 	return nil
 }
 
-// buildEngine constructs a TM instance for this view, composing the view's
-// access hook (if any) with the runtime's fault hook.
-func (v *View) buildEngine(kind EngineKind) stm.Engine {
-	return v.rt.cfg.newEngineHooked(kind, v.heap, v.hook)
-}
-
-// SetAccessHook installs (or, with nil, removes) a per-view access hook that
-// observes every transactional Load/Store/Commit — the instrumentation point
-// used by viewmgr's affinity sampler. The view is quiesced and its engine
-// rebuilt over the same heap, exactly like SwitchEngine: with no hook the
-// engine hands out plain descriptors, so sampling off costs nothing on the
-// hot path. The hook must not panic and must be safe for concurrent calls
-// from multiple threads.
-func (v *View) SetAccessHook(ctx context.Context, hook faultinject.Hook) error {
+// Exclusive quiesces the view and runs fn with exclusive, uninstrumented,
+// irrevocable access (Q = 1 semantics, like an escalated transaction, but
+// not accounted in the view's RAC statistics). It is the management
+// primitive behind key migration in votmd: nothing else can be inside the
+// view while fn runs. Writes performed before an error or panic remain.
+func (v *View) Exclusive(ctx context.Context, fn func(Tx) error) error {
 	if v.destroyed.Load() {
 		return ErrViewDestroyed
 	}
 	if v.rt.cfg.NoAdmission {
-		return errors.New("core: SetAccessHook requires admission control")
+		return errors.New("core: Exclusive requires admission control")
 	}
 	if err := v.ctl.PauseAndDrain(ctx); err != nil {
 		return err
 	}
-	v.hook = hook
-	kind := v.engine().kind
-	v.engh.Store(&engineHolder{kind: kind, eng: v.buildEngine(kind)})
-	v.ctl.Resume()
-	return nil
+	defer v.ctl.Resume()
+	return fn(v.lockBody(false))
 }
 
 // Alloc implements malloc_block(vid, size): it reserves words words of the
@@ -220,7 +200,8 @@ func (v *View) Quota() int { return v.ctl.Quota() }
 // SetQuota sets the view's admission quota manually.
 func (v *View) SetQuota(q int) { v.ctl.SetQuota(q) }
 
-// SettledQuota returns the quota the adaptive policy spent the most time at.
+// SettledQuota returns the quota with the largest makespan residence (Σ d/Q
+// over the attempts accounted at it; rac.Controller.SettledQuota).
 func (v *View) SettledQuota() int { return v.ctl.SettledQuota() }
 
 // QuotaMoves returns how many times the view's quota changed, adaptively
@@ -355,20 +336,10 @@ func (v *View) attemptTM(th *Thread, fn func(Tx) error, readonly bool, mode rac.
 		th.ro.inner = tx
 		body = &th.ro
 	}
-	body = v.guardBody(body)
 	var userErr error
 	conflicted, up := stm.CatchBody(func() { userErr = fn(body) })
 	switch {
 	case up != nil:
-		if mp, ok := up.Value.(movedPanic); ok {
-			// Forwarding guard tripped: the address moved to another view.
-			// Roll back and surface the typed error — not a user bug, so it
-			// is not accounted as a panic.
-			tx.Abort()
-			settled = true
-			v.exit(mode, rac.Aborted, start)
-			return attemptUserErr, mp.err
-		}
 		// User panic inside the body: roll back, release admission, then
 		// re-raise the original panic value.
 		tx.Abort()
@@ -415,7 +386,7 @@ func (v *View) runLock(th *Thread, fn func(Tx) error, readonly bool, start time.
 	if h := v.rt.cfg.FaultHook; h != nil {
 		h(faultinject.OpAdmit, th.id, 0)
 	}
-	err = callGuarded(fn, v.guardBody(v.lockBody(readonly)))
+	err = fn(v.lockBody(readonly))
 	settled = true
 	outcome := rac.Committed
 	if err != nil {
@@ -446,7 +417,7 @@ func (v *View) runEscalated(ctx context.Context, th *Thread, fn func(Tx) error, 
 	if h := v.rt.cfg.FaultHook; h != nil {
 		h(faultinject.OpAdmit, th.id, 0)
 	}
-	err = callGuarded(fn, v.guardBody(v.lockBody(readonly)))
+	err = fn(v.lockBody(readonly))
 	settled = true
 	outcome := rac.Committed
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"votm/internal/core"
@@ -19,35 +18,21 @@ import (
 // Run executes the benchmark in cfg.Mode and returns its statistics
 // (progress.Run); the deadline defaults to 60s.
 func Run(cfg progress.RunConfig, p Params) (progress.Result, error) {
-	res, _, err := run(cfg, p, nil)
-	return res, err
-}
-
-// run drives the workload through progress.Run. setup, when non-nil, sees
-// the runtime and views before the workers start. The count returned is
-// the MovedError retries the workers absorbed.
-func run(cfg progress.RunConfig, p Params, setup func(*core.Runtime, []*core.View) error) (progress.Result, int64, error) {
 	for i, vp := range p.Views {
 		if vp.sharedAccesses() > 0 && (vp.A1 <= 0 || vp.A2 <= 0) {
-			return progress.Result{}, 0, fmt.Errorf("eigenbench: view %d has shared accesses but empty arrays", i+1)
+			return progress.Result{}, fmt.Errorf("eigenbench: view %d has shared accesses but empty arrays", i+1)
 		}
 	}
 	if cfg.CrossViewEvery > 0 && cfg.Mode != progress.MultiView {
-		return progress.Result{}, 0, errors.New("eigenbench: CrossViewEvery requires the multi-view mode")
+		return progress.Result{}, errors.New("eigenbench: CrossViewEvery requires the multi-view mode")
 	}
 	cfg.Deadline = cmp.Or(cfg.Deadline, 60*time.Second)
 	regions := layout(p, cfg.Mode.MultipleViews())
-	var moved atomic.Int64
-	res, err := progress.Run(cfg, p.Threads, [2]int{p.Views[0].words(), p.Views[1].words()},
-		func(rt *core.Runtime, views []*core.View) (progress.Worker, error) {
-			if setup != nil {
-				if err := setup(rt, views); err != nil {
-					return nil, err
-				}
-			}
+	return progress.Run(cfg, p.Threads, [2]int{p.Views[0].words(), p.Views[1].words()},
+		func(_ *core.Runtime, views []*core.View) (progress.Worker, error) {
 			return func(ctx context.Context, th *core.Thread, idx int) {
 				w := &worker{
-					p: p, idx: idx, rt: rt, regions: regions,
+					p: p, idx: idx, regions: regions,
 					views: [2]*core.View{views[0], views[len(views)-1]},
 					rng:   rand.New(rand.NewSource(p.Seed + int64(idx)*7919)),
 					yield: simpar.Enabled(cfg.Yield, p.Threads),
@@ -57,12 +42,9 @@ func run(cfg progress.RunConfig, p Params, setup func(*core.Runtime, []*core.Vie
 					},
 					ops: make([]op, 0, max(p.Views[0].sharedAccesses(), p.Views[1].sharedAccesses())),
 				}
-				w.ids = [2]int{w.views[0].ID(), w.views[1].ID()}
 				w.run(ctx, th, cfg.CrossViewEvery, views)
-				moved.Add(w.moved)
 			}, nil
 		})
-	return res, moved.Load(), err
 }
 
 // layout places the two objects: each at the base of its own view in the
@@ -84,16 +66,13 @@ func layout(p Params, multi bool) [2]objRegion {
 type worker struct {
 	p       Params
 	idx     int
-	rt      *core.Runtime
 	regions [2]objRegion
 	views   [2]*core.View // the view owning each object
-	ids     [2]int
 	rng     *rand.Rand
 	yield   bool
 	cold    [2][]uint64
 	ops     []op
 	sink    uint64
-	moved   int64
 }
 
 func (w *worker) run(ctx context.Context, th *core.Thread, crossEvery int, views []*core.View) {
@@ -127,35 +106,12 @@ func (w *worker) run(ctx context.Context, th *core.Thread, crossEvery int, views
 	}
 }
 
-// atomic runs one transaction on object obj. A MovedError — the object's
-// range moved to another view under live repartitioning — re-resolves the
-// owning view through Runtime.Locate and retries there, the protocol real
-// applications use.
+// atomic runs one transaction on object obj.
 func (w *worker) atomic(ctx context.Context, th *core.Thread, obj int) error {
-	body := func(tx core.Tx) error {
+	return w.views[obj].Atomic(ctx, th, func(tx core.Tx) error {
 		w.sink = w.body(tx, obj, w.sink)
 		return nil
-	}
-	for {
-		err := w.views[obj].Atomic(ctx, th, body)
-		if err == nil {
-			return nil
-		}
-		var me *core.MovedError
-		if !errors.As(err, &me) {
-			return err
-		}
-		vid, err := w.rt.Locate(w.ids[obj], me.Addr)
-		if err != nil {
-			return err
-		}
-		v, err := w.rt.View(vid)
-		if err != nil {
-			return err
-		}
-		w.views[obj], w.ids[obj] = v, vid
-		w.moved++
-	}
+	})
 }
 
 // body is the transaction on object obj: its shared accesses with cold work

@@ -10,13 +10,12 @@
 // bytes per heap word, whatever the number of live blocks). Exact-size bins:
 // a freed block of at most binLimit words is pushed on the LIFO of its size
 // and the next allocation of that size pops it. A base-sorted, coalescing
-// span list is the one slow path: it serves bin misses first-fit, holds the
-// blocks above the bin limit and the wilderness Grow adds, and is all that
-// partition.go reasons about. A block sitting in a bin is not coalesced with
-// its neighbours, so the bins are merged back into the span list (sorted
-// once, coalesced) before ErrOutOfMemory is reported and at the top of every
-// partitioning operation: binned space is reused by size or by address, never
-// stranded.
+// span list is the one slow path: it serves bin misses first-fit and holds
+// the blocks above the bin limit and the wilderness Grow adds. A block
+// sitting in a bin is not coalesced with its neighbours, so the bins are
+// merged back into the span list (sorted once, coalesced) before
+// ErrOutOfMemory is reported: binned space is reused by size or by address,
+// never stranded.
 package memheap
 
 import (
@@ -249,8 +248,7 @@ func (a *Allocator) InUse() int {
 	return a.inUse
 }
 
-// FreeWords returns the number of allocatable words: what is neither
-// allocated nor evicted.
+// FreeWords returns the number of allocatable words that are not allocated.
 func (a *Allocator) FreeWords() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

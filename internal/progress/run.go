@@ -97,8 +97,7 @@ type Result struct {
 	Livelock bool
 	Reason   string // watchdog reason when Livelock
 	Views    []ViewStats
-	// Decisions is the runtime's decision log: RAC's quota moves, and the
-	// splits and merges of a managed run.
+	// Decisions is the runtime's decision log: RAC's quota moves.
 	Decisions *trace.Log
 }
 

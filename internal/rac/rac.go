@@ -216,9 +216,11 @@ type Controller struct {
 	win         Totals
 	lockWindows int // consecutive windows spent at Q == 1
 
-	// quota residence tracking (time spent at each Q)
-	residence  map[int]time.Duration
-	lastChange time.Time
+	// Makespan residence per quota: Σ d/Q (ns) over the attempts Exit
+	// accounted at each Q. cur is Σ d at the current quota, divided by Q and
+	// folded into residence when Q moves, so Exit only adds.
+	residence  map[int]int64
+	cur        int64
 	quotaMoves int64
 }
 
@@ -226,12 +228,11 @@ type Controller struct {
 func New(p Params) *Controller {
 	p.fill()
 	return &Controller{
-		params:     p,
-		q:          p.InitialQuota,
-		gate:       make(chan struct{}),
-		pauseSem:   make(chan struct{}, 1),
-		residence:  make(map[int]time.Duration),
-		lastChange: time.Now(),
+		params:    p,
+		q:         p.InitialQuota,
+		gate:      make(chan struct{}),
+		pauseSem:  make(chan struct{}, 1),
+		residence: make(map[int]int64),
 	}
 }
 
@@ -291,6 +292,7 @@ func (c *Controller) Exit(mode Mode, outcome Outcome, d time.Duration) {
 	}
 	c.totals.account(outcome, ns)
 	c.win.account(outcome, ns)
+	c.cur += ns
 	if c.params.Adaptive && c.win.Commits+c.win.Aborts >= c.params.AdjustEvery {
 		c.adjustLocked()
 	}
@@ -334,9 +336,8 @@ func (c *Controller) setQuotaLocked(q int, delta float64, rule Rule) {
 	if q == c.q {
 		return
 	}
-	now := time.Now()
-	c.residence[c.q] += now.Sub(c.lastChange)
-	c.lastChange = now
+	c.residence[c.q] += c.cur / int64(c.q)
+	c.cur = 0
 	prev := c.q
 	c.q = q
 	c.quotaMoves++
@@ -493,21 +494,22 @@ func (c *Controller) QuotaMoves() int64 {
 	return c.quotaMoves
 }
 
-// SettledQuota returns the quota the controller spent the most time at —
-// the value reported in the paper's adaptive tables (Table VI and X "Q"
-// columns) — breaking ties toward the current quota.
+// SettledQuota returns the quota with the largest makespan residence: the
+// Σ d/Q of the attempts Exit accounted while it was in force (Eq. 1–2's
+// parallel completion time, split by quota). It is the value reported in
+// the paper's adaptive tables (Table VI and X "Q" columns). Ties go to the
+// current quota, then to the lower one; a controller that accounted nothing
+// reports its current quota.
 func (c *Controller) SettledQuota() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res := make(map[int]time.Duration, len(c.residence)+1)
-	for q, d := range c.residence {
-		res[q] = d
-	}
-	res[c.q] += time.Since(c.lastChange)
-	best, bestD := c.q, res[c.q]
-	for q, d := range res {
-		if d > bestD {
-			best, bestD = q, d
+	best, bestR := c.q, c.residence[c.q]+c.cur/int64(c.q)
+	for q, r := range c.residence {
+		if q == c.q {
+			continue
+		}
+		if r > bestR || (r == bestR && best != c.q && q < best) {
+			best, bestR = q, r
 		}
 	}
 	return best

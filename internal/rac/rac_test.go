@@ -328,19 +328,43 @@ func TestSetQuotaClamps(t *testing.T) {
 	}
 }
 
+// TestSettledQuota: quotas are ranked by makespan residence, each accounted
+// attempt adding d/Q at the quota in force, and ties go to the current quota,
+// then to the lower one — no clock is read.
 func TestSettledQuota(t *testing.T) {
 	c := New(Params{Threads: 8, InitialQuota: 4})
 	if got := c.SettledQuota(); got != 4 {
 		t.Errorf("SettledQuota = %d, want 4", got)
 	}
-	c.SetQuota(2)
-	time.Sleep(30 * time.Millisecond)
-	// Q=2 has now accumulated more residence than Q=4 had.
-	if got := c.SettledQuota(); got != 2 {
-		t.Errorf("SettledQuota = %d, want 2", got)
+	run := func(d time.Duration) {
+		t.Helper()
+		mode, err := c.Enter(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Exit(mode, Committed, d)
 	}
-	if c.QuotaMoves() != 1 {
-		t.Errorf("QuotaMoves = %d, want 1", c.QuotaMoves())
+	run(40 * time.Millisecond) // 10ms at Q=4
+	c.SetQuota(2)
+	if got := c.SettledQuota(); got != 4 {
+		t.Errorf("SettledQuota = %d, want 4 (Q=2 has accounted nothing)", got)
+	}
+	run(20 * time.Millisecond) // 10ms at Q=2: a tie, the current quota wins
+	if got := c.SettledQuota(); got != 2 {
+		t.Errorf("SettledQuota = %d, want 2 on a tie with the current quota", got)
+	}
+	c.SetQuota(8)
+	for i := 0; i < 100; i++ { // map order must not decide the tie
+		if got := c.SettledQuota(); got != 2 {
+			t.Fatalf("SettledQuota = %d, want 2, the lower of the tied quotas", got)
+		}
+	}
+	run(100 * time.Millisecond) // 12.5ms at Q=8
+	if got := c.SettledQuota(); got != 8 {
+		t.Errorf("SettledQuota = %d, want 8", got)
+	}
+	if c.QuotaMoves() != 2 {
+		t.Errorf("QuotaMoves = %d, want 2", c.QuotaMoves())
 	}
 }
 

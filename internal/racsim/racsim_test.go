@@ -49,12 +49,29 @@ func TestColdStaysAtN(t *testing.T) {
 	}
 }
 
+// TestDeterministicBySeed: a run is a pure function of its seed — the
+// settled quota included, which the controller ranks by the attempts' own
+// durations rather than by a clock. The interior workloads with probing move
+// the quota often, so a tie or a wall-clock read would show here.
 func TestDeterministicBySeed(t *testing.T) {
-	a := Run(Config{Threads: 8, Rounds: 100, Seed: 7}, Hot(8))
-	b := Run(Config{Threads: 8, Rounds: 100, Seed: 7}, Hot(8))
-	if a.Commits != b.Commits || a.Aborts != b.Aborts || a.VirtualTime != b.VirtualTime {
-		t.Errorf("same seed diverged: %+v vs %+v", a, b)
+	cases := map[string]struct {
+		cfg Config
+		w   Workload
+	}{
+		"hot":              {Config{Threads: 8, Rounds: 100, Seed: 7}, Hot(8)},
+		"interior":         {Config{Threads: 16, Rounds: 400, Seed: 11, Probe: 2}, interiorOptimal()},
+		"interior-elision": {Config{Threads: 16, Rounds: 400, Seed: 11, Probe: 2, Policy: rac.LockElision}, interiorOptimal()},
 	}
+	for name, c := range cases {
+		a, b := Run(c.cfg, c.w), Run(c.cfg, c.w)
+		if a != b {
+			t.Errorf("%s: same seed diverged: %+v vs %+v", name, a, b)
+		}
+		if name != "hot" && a.QuotaMoves < 2 {
+			t.Errorf("%s: quota moved %d times; the case checks nothing", name, a.QuotaMoves)
+		}
+	}
+	a := Run(Config{Threads: 8, Rounds: 100, Seed: 7}, Hot(8))
 	c := Run(Config{Threads: 8, Rounds: 100, Seed: 8}, Hot(8))
 	if a.Aborts == c.Aborts && a.VirtualTime == c.VirtualTime {
 		t.Log("different seeds coincided (possible but unlikely)")

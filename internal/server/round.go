@@ -351,9 +351,9 @@ func (rc *roundCoordinator) runTasks(txs []votm.Tx) error {
 
 // execContained runs one task of the round, containing a panic to that task:
 // its round-mates already executed (or still can) inside the same irrevocable
-// quiesce, so the fault must not unwind them. (The forwarding guard cannot
-// fire here — routing is frozen, exec checked every key and a page its
-// membership — so any panic is a task-local fault.)
+// quiesce, so the fault must not unwind them. (Routing is frozen, exec
+// checked every key and a page its membership, so any panic is a task-local
+// fault.)
 func (rc *roundCoordinator) execContained(rt *roundTask, txs []votm.Tx) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -71,9 +71,10 @@ type Config struct {
 	// atomicity, as one multi-view transaction over every participant
 	// (round.go runRound); the cost is a quiescence of each involved
 	// sub-shard, so point-op-dominated workloads split most profitably (see
-	// docs/PROTOCOL.md). The advisor runs every splitCheckEvery with the
-	// viewmgr defaults (no shard under 1024 keys splits), and a wire-level
-	// shard splits into at most splitMaxSubShards sub-shards. Default off.
+	// docs/PROTOCOL.md). The advisor (shouldSplit) runs every
+	// splitCheckEvery with fixed thresholds (no shard under 1024 keys
+	// splits), and a wire-level shard splits into at most splitMaxSubShards
+	// sub-shards. Default off.
 	AutoSplit bool
 
 	// Durability selects the crash-durability mode: DurabilityOff (default;

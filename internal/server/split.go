@@ -1,20 +1,21 @@
-// Automatic shard splitting: the serving-layer consumer of the viewmgr
-// advisor. A wire-level shard starts as one sub-shard (one view); when the
-// advisor flags it hot — abort rate, queue pressure, or a lock-mode
-// collapse with queued work — the server splits it: a fresh view + hash
-// map + worker pool takes over half the key space (extendible-hashing
-// style, one more bit of a dedicated key mix per split) and the keys are
-// migrated under the parent view's exclusive quiescence, so no transaction
-// ever observes a half-moved key. The migration owns no store code: the
-// child receives the half as redo records (applyRecords), the parent sheds
-// it through the kernel's del and settle (store.go). Requests already queued
-// for the old owner are answered StatusBusy after the route check — the
-// typed signal the client retry layer (client.Options.BusyRetries) converts
-// into a transparent redo against the new owner.
+// Automatic shard splitting. A wire-level shard starts as one sub-shard (one
+// view); when the split advisor (shouldSplit) flags it hot — abort rate,
+// queue pressure, or a lock-mode collapse with queued work — the server
+// splits it: a fresh view + hash map + worker pool takes over half the key
+// space (extendible-hashing style, one more bit of a dedicated key mix per
+// split) and the keys are migrated under the parent view's exclusive
+// quiescence, so no transaction ever observes a half-moved key. The
+// migration owns no store code: the child receives the half as redo records
+// (applyRecords), the parent sheds it through the kernel's del and settle
+// (store.go). Requests already queued for the old owner are answered
+// StatusBusy after the route check — the typed signal the client retry layer
+// (client.Options.BusyRetries) converts into a transparent redo against the
+// new owner.
 package server
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"time"
 
@@ -22,7 +23,6 @@ import (
 	"votm/ds"
 	"votm/enc"
 	"votm/internal/trace"
-	"votm/internal/viewmgr"
 	"votm/internal/wal"
 )
 
@@ -108,8 +108,55 @@ func (s *Server) atomicPlan(b *multiBatch) {
 	b.parts, b.owner = parts, owner
 }
 
-// monitor periodically scores every sub-shard with the viewmgr advisor and
-// splits the ones it flags. One goroutine per server; splits are rare and
+// A KV shard cannot split by address range — hash-map nodes and value blobs
+// for unrelated keys interleave freely in the heap — so the server splits at
+// the key level (a new view plus key migration) and only needs a pure,
+// testable answer to "is this shard hot enough that splitting pays?". The
+// signal is the same one RAC acts on: measured contention, not
+// configuration.
+
+// shardLoad summarizes one shard for shouldSplit.
+type shardLoad struct {
+	Keys      int64   // live keys in the shard
+	QueueLen  int     // current request-queue depth
+	QueueCap  int     // request-queue capacity
+	AbortRate float64 // aborts / (commits + aborts)
+	Delta     float64 // δ(Q); NaN when undefined (Q ≤ 1)
+	Quota     int     // current admission quota
+}
+
+const (
+	// minSplitKeys gates splitting until the shard holds at least this many
+	// keys (splitting a near-empty shard moves nothing).
+	minSplitKeys = 1024
+	// hotAbortRate marks the shard contended.
+	hotAbortRate = 0.25
+	// hotQueueFrac marks the shard overloaded when the queue is at least
+	// this full.
+	hotQueueFrac = 0.5
+)
+
+// shouldSplit reports whether the shard should be split in two, and why.
+func shouldSplit(l shardLoad) (bool, string) {
+	if l.Keys < minSplitKeys {
+		return false, fmt.Sprintf("only %d keys (< %d)", l.Keys, minSplitKeys)
+	}
+	if l.AbortRate >= hotAbortRate {
+		return true, fmt.Sprintf("abort rate %.3f >= %.3f", l.AbortRate, hotAbortRate)
+	}
+	if l.QueueCap > 0 && float64(l.QueueLen) >= hotQueueFrac*float64(l.QueueCap) {
+		return true, fmt.Sprintf("queue %d/%d >= %.0f%%", l.QueueLen, l.QueueCap, hotQueueFrac*100)
+	}
+	// Quota pinned at 1 with work queued: RAC already gave up on optimism;
+	// spreading the keys is the remaining lever.
+	if l.Quota == 1 && l.QueueLen > 0 {
+		return true, "quota locked at 1 with queued work"
+	}
+	return false, "not contended"
+}
+
+// monitor periodically scores every sub-shard with shouldSplit and splits
+// the ones it flags. One goroutine per server; splits are rare and
 // serialized per group by splitMu.
 func (s *Server) monitor() {
 	defer s.monitorWG.Done()
@@ -128,7 +175,7 @@ func (s *Server) monitor() {
 					continue
 				}
 				snap := sh.view.Snapshot()
-				load := viewmgr.ShardLoad{
+				load := shardLoad{
 					Keys:     sh.keys.Load(),
 					QueueLen: sh.queue.Len(),
 					QueueCap: sh.queue.Cap(),
@@ -138,7 +185,7 @@ func (s *Server) monitor() {
 				if total := snap.Totals.Commits + snap.Totals.Aborts; total > 0 {
 					load.AbortRate = float64(snap.Totals.Aborts) / float64(total)
 				}
-				if ok, why := viewmgr.ShouldSplit(load); ok {
+				if ok, why := shouldSplit(load); ok {
 					if err := s.splitShard(g, sh, why); err != nil {
 						s.logf("votmd: shard %d split (%s): %v", g.id, why, err)
 					}

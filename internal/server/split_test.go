@@ -244,3 +244,40 @@ func TestSplitUnderClientLoad(t *testing.T) {
 		t.Fatalf("shard 0 Repartitions = %d, want 2", reps)
 	}
 }
+
+func TestShouldSplitAdvisor(t *testing.T) {
+	if ok, why := shouldSplit(shardLoad{Keys: 10, AbortRate: 0.9}); ok {
+		t.Errorf("split a near-empty shard: %s", why)
+	}
+	if ok, _ := shouldSplit(shardLoad{Keys: 2048, AbortRate: 0.5}); !ok {
+		t.Error("no split for a contended shard")
+	}
+	if ok, _ := shouldSplit(shardLoad{Keys: 2048, QueueLen: 100, QueueCap: 128}); !ok {
+		t.Error("no split for an overloaded queue")
+	}
+	if ok, _ := shouldSplit(shardLoad{Keys: 2048, Quota: 1, QueueLen: 5, QueueCap: 128}); !ok {
+		t.Error("no split for a lock-mode shard with queued work")
+	}
+	if ok, why := shouldSplit(shardLoad{Keys: 2048, AbortRate: 0.01, Quota: 4}); ok {
+		t.Errorf("split a calm shard: %s", why)
+	}
+
+	// The fixed thresholds, at their boundaries: 1024 keys, abort rate 0.25,
+	// a half-full queue.
+	bounds := []struct {
+		load shardLoad
+		want bool
+	}{
+		{shardLoad{Keys: 1023, AbortRate: 0.9}, false},
+		{shardLoad{Keys: 1024, AbortRate: 0.9}, true},
+		{shardLoad{Keys: 1024, AbortRate: 0.25}, true},
+		{shardLoad{Keys: 1024, AbortRate: 0.249}, false},
+		{shardLoad{Keys: 1024, QueueLen: 64, QueueCap: 128}, true},
+		{shardLoad{Keys: 1024, QueueLen: 63, QueueCap: 128, Quota: 4}, false},
+	}
+	for _, b := range bounds {
+		if ok, why := shouldSplit(b.load); ok != b.want {
+			t.Errorf("shouldSplit(%+v) = %v (%s), want %v", b.load, ok, why, b.want)
+		}
+	}
+}

@@ -1,9 +1,8 @@
 // Package trace records why the control loops acted. The paper's analysis
 // is about *when* admission control reacts ("RAC will promptly drive Q
-// down") and *how* repartitioning helps, so every runtime keeps a Log of its
-// quota moves, view splits and merges, and votmd shard splits; the
-// contention example prints a quota timeline from it, and votm-bench writes
-// each view's quota moves as a CSV series.
+// down"), so every runtime keeps a Log of its quota moves and votmd shard
+// splits; the contention example prints a quota timeline from it, and
+// votm-bench writes each view's quota moves as a CSV series.
 package trace
 
 import (
@@ -23,17 +22,13 @@ type Loop uint8
 const (
 	// Quota: RAC moved a view's admission quota (Observation 1, Eq. 5).
 	Quota Loop = iota
-	// Split: the view manager carved a child view out of a view.
-	Split
-	// Merge: the view manager folded a split child back into its parent.
-	Merge
 	// ShardSplit: votmd split a wire shard into one more sub-shard.
 	ShardSplit
 	numLoops
 )
 
 func (l Loop) String() string {
-	return [numLoops]string{"quota", "split", "merge", "shard split"}[l]
+	return [numLoops]string{"quota", "shard split"}[l]
 }
 
 // Decision is one control-loop decision.
@@ -41,9 +36,8 @@ type Decision struct {
 	At      time.Duration // since the log's start
 	Loop    Loop
 	Subject int // the view decided about, or the wire shard for ShardSplit
-	// From → To is what changed: the quota (Quota), the view the words left
-	// and the view they went to (Split: parent → child, Merge: child →
-	// parent), or the wire shard's sub-shard count (ShardSplit).
+	// From → To is what changed: the quota (Quota) or the wire shard's
+	// sub-shard count (ShardSplit).
 	From, To int
 	Delta    float64 // the window δ(Q) a Quota move acted on; NaN otherwise
 	Reason   string  // the rule or plan that fired

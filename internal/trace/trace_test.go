@@ -16,7 +16,7 @@ func TestRecordAndEvents(t *testing.T) {
 	l.Add(quota(1, 16, 8))
 	l.Add(quota(1, 8, 4))
 	l.Add(quota(2, 16, 16))
-	split := l.Add(Decision{Loop: Split, Subject: 2, From: 2, To: 7, Delta: 3, Reason: "cold segments"})
+	split := l.Add(Decision{Loop: ShardSplit, Subject: 2, From: 1, To: 2, Delta: 3, Reason: "queue 100/128 >= 50%"})
 	if !math.IsNaN(split.Delta) {
 		t.Errorf("split kept δ %v, want NaN", split.Delta)
 	}
@@ -32,7 +32,7 @@ func TestRecordAndEvents(t *testing.T) {
 			t.Error("empty decision string")
 		}
 	}
-	if got := ev[3].String(); !strings.Contains(got, "split") || !strings.Contains(got, "cold segments") {
+	if got := ev[3].String(); !strings.Contains(got, "shard split") || !strings.Contains(got, "queue 100/128") {
 		t.Errorf("split string = %q", got)
 	}
 	// Entries() must be a copy.
@@ -40,8 +40,8 @@ func TestRecordAndEvents(t *testing.T) {
 	if l.Entries()[0].Subject != 1 {
 		t.Error("Entries leaked internal slice")
 	}
-	if l.Count(Quota) != 3 || l.Count(Split) != 1 || l.Count(Merge) != 0 {
-		t.Errorf("counts = %d/%d/%d", l.Count(Quota), l.Count(Split), l.Count(Merge))
+	if l.Count(Quota) != 3 || l.Count(ShardSplit) != 1 {
+		t.Errorf("counts = %d/%d", l.Count(Quota), l.Count(ShardSplit))
 	}
 }
 
@@ -92,13 +92,12 @@ func TestTimeline(t *testing.T) {
 }
 
 // TestPerView: a view's timeline shows its own quota moves only — not other
-// views', and not the splits and merges made on it.
+// views', and not a shard split with the same subject.
 func TestPerView(t *testing.T) {
 	l := NewLog()
 	l.Add(quota(1, 16, 8))
 	l.Add(quota(2, 16, 4))
-	l.Add(Decision{Loop: Split, Subject: 1, From: 1, To: 1 << 20})
-	l.Add(Decision{Loop: Merge, Subject: 1, From: 1 << 20, To: 1})
+	l.Add(Decision{Loop: ShardSplit, Subject: 1, From: 1, To: 2})
 	l.Add(quota(1, 8, 16))
 	if tl := l.Timeline(1); strings.Count(tl, "->") != 2 || !strings.HasSuffix(tl, "-> 16") {
 		t.Errorf("view 1 timeline = %q", tl)
@@ -117,15 +116,14 @@ func TestZeroValueRecorder(t *testing.T) {
 }
 
 // TestWriteCSV: a view's series holds its own quota moves only — not other
-// views', and not the splits and merges made on it — oldest first, with NaN
+// views', and not a shard split with the same subject — oldest first, with NaN
 // for a move that acted on no window.
 func TestWriteCSV(t *testing.T) {
 	l := NewLog()
 	l.Add(quota(1, 16, 8))
 	l.Add(quota(2, 16, 4))
-	l.Add(Decision{Loop: Split, Subject: 1, From: 1, To: 1 << 20, Reason: "cold segments"})
+	l.Add(Decision{Loop: ShardSplit, Subject: 1, From: 1, To: 2, Reason: "abort rate 0.500 >= 0.250"})
 	l.Add(Decision{Loop: Quota, Subject: 1, From: 8, To: 2, Delta: math.NaN(), Reason: "set"})
-	l.Add(Decision{Loop: Merge, Subject: 1, From: 1 << 20, To: 1, Reason: "co-accessed"})
 	l.Add(quota(1, 2, 1))
 	var b strings.Builder
 	if err := l.WriteCSV(&b, 1); err != nil {

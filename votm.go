@@ -44,7 +44,6 @@ import (
 	"votm/internal/rac"
 	"votm/internal/stm"
 	"votm/internal/trace"
-	"votm/internal/viewmgr"
 )
 
 // Addr is the address of a 64-bit word within a view.
@@ -133,8 +132,8 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 }
 
 // Decision is one entry of a Runtime's decision log, Runtime.Decisions: a
-// quota move, a view split or merge, or a votmd shard split, with when it
-// happened, old → new and why. The log keeps the last 1024 decisions:
+// quota move or a votmd shard split, with when it happened, old → new and
+// why. The log keeps the last 1024 decisions:
 //
 //	rt := votm.New(votm.Config{Threads: 8})
 //	...
@@ -145,8 +144,6 @@ type Decision = trace.Decision
 // The control loops a Decision comes from.
 const (
 	DecisionQuota      = trace.Quota
-	DecisionSplit      = trace.Split
-	DecisionMerge      = trace.Merge
 	DecisionShardSplit = trace.ShardSplit
 )
 
@@ -206,62 +203,3 @@ func ThrowConflict(msg string) { stm.Throw(msg) }
 // the runtime rolls the transaction back and releases admission before
 // re-raising the original value. Exposed for diagnostics and tests.
 type UserPanic = stm.UserPanic
-
-// Online view management — the subsystem that discovers Observation 2
-// violations (hot and cold objects fused into one view despite never being
-// accessed together) at runtime and repairs them by live repartitioning:
-// quiesce the view, migrate the words, forward stale accesses. The
-// low-level executor is available directly as View.Split, Runtime.MergeViews
-// and Runtime.Locate; EnableViewManager turns on the full closed loop.
-// See docs/ALGORITHMS.md, "Observation 2 online".
-
-// AddrRange is a half-open range [Lo, Hi) of word addresses, the unit of
-// View.Split.
-type AddrRange = core.AddrRange
-
-// MovedError is returned by Atomic when the transaction touched an address
-// whose ownership moved to another view (after a Split or MergeViews). The
-// transaction was rolled back; re-resolve the owning view with
-// Runtime.Locate and retry:
-//
-//	var me *votm.MovedError
-//	if errors.As(err, &me) {
-//		vid, _ := rt.Locate(me.View, me.Addr)
-//		view, _ = rt.View(vid)
-//		// retry
-//	}
-type MovedError = core.MovedError
-
-// ViewManager drives affinity sampling, split/merge planning, and live
-// repartitioning over a set of managed views.
-type ViewManager = viewmgr.Manager
-
-// ViewManagerConfig tunes a ViewManager (sampling rate and granularity,
-// planner thresholds, background planning interval).
-type ViewManagerConfig = viewmgr.Config
-
-// SamplerConfig tunes a view's affinity sampler (ViewManagerConfig.Sampler).
-type SamplerConfig = viewmgr.SamplerConfig
-
-// PlannerConfig tunes the split/merge decision rule (ViewManagerConfig.Planner).
-type PlannerConfig = viewmgr.PlannerConfig
-
-// EnableViewManager starts online view management on rt: every currently
-// existing view gets an affinity sampler (engines are rebuilt with the
-// sampling hook — a brief quiescence per view), and a background loop
-// periodically plans and executes splits and merges. Stop the returned
-// manager to halt the loop; every executed split and merge is a Decision in
-// rt.Decisions(). Samplers stay installed until removed with
-// Manager.Unmanage. Views created later are not managed automatically —
-// register them with Manager.Manage (split children are managed
-// automatically).
-func EnableViewManager(rt *Runtime, cfg ViewManagerConfig) (*ViewManager, error) {
-	m := viewmgr.New(rt, cfg)
-	for _, v := range rt.Views() {
-		if err := m.Manage(context.Background(), v); err != nil {
-			return nil, err
-		}
-	}
-	m.Start()
-	return m, nil
-}
