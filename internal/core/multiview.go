@@ -8,6 +8,11 @@
 // acquirer must pass its views in one global canonical order (votmd orders
 // by wire shard id, then view ID). Within that discipline pauses nest like
 // an ordered lock hierarchy and two coordinators can never cycle.
+//
+// A read that spans several views need not pause them: ReadAll reads
+// optimistically and validates against each view's writer count (NOrec's
+// single-counter validation, one counter per view), so it excludes nobody
+// and a writer that overlaps it only costs it a retry.
 package core
 
 import (
@@ -17,6 +22,7 @@ import (
 
 	"votm/internal/faultinject"
 	"votm/internal/rac"
+	"votm/internal/stm"
 )
 
 // AtomicAll quiesces every view of views — in the given order, which all
@@ -85,6 +91,16 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 		txs = append(txs, v.lockBody(readonly))
 	}
 	th.all = txs
+	if !readonly {
+		for _, v := range views {
+			v.wc.open()
+		}
+		defer func() {
+			for _, v := range views {
+				v.wc.close()
+			}
+		}()
+	}
 	err = fn(txs)
 	clear(txs)
 	settled = true
@@ -98,3 +114,114 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 	}
 	return err
 }
+
+// ReadAll runs fn once as an optimistic read of every view of views, with one
+// read-only handle per view (txs[i] reads views[i]). It takes no admission
+// slot and pauses nothing: it starts only when no view has a write under way
+// (its writer count's beg == end), reads through plain atomic heap loads, and
+// is valid iff no write began on any view before fn returned. ok reports
+// that: ok = false means fn saw nothing it can rely on — the caller retries or
+// takes another path — and its error, if any, is dropped. With ok, err is
+// fn's.
+//
+// A handle re-checks its view's count every 64 loads and before each run of
+// words it moves at once, so a torn state can neither loop fn forever nor
+// size a copy from a torn length; a write that began ends fn by a panic
+// ReadAll absorbs. Any panic out of fn while a count moved is a torn read's
+// and becomes ok = false; one on views that stayed still is fn's own and
+// propagates with its value. Store panics. A destroyed view answers
+// ErrViewDestroyed with ok. txs belongs to th, as AtomicAll's do.
+func ReadAll(th *Thread, views []*View, fn func(txs []Tx) error) (ok bool, err error) {
+	if th == nil {
+		return true, errors.New("core: nil thread handle")
+	}
+	if len(views) == 0 {
+		return true, errors.New("core: ReadAll with no views")
+	}
+	rds := th.rd[:0]
+	for _, v := range views {
+		if v.destroyed.Load() {
+			return true, ErrViewDestroyed
+		}
+		beg := v.wc.beg.Load()
+		if v.wc.end.Load() != beg {
+			return false, nil
+		}
+		rds = append(rds, readTx{heap: v.heap, wc: &v.wc, beg: beg})
+	}
+	th.rd = rds
+	txs := th.all[:0]
+	for i := range rds {
+		txs = append(txs, &rds[i])
+	}
+	th.all = txs
+	defer func() {
+		clear(txs)
+		if r := recover(); r != nil {
+			if !stable(rds) {
+				ok, err = false, nil
+				return
+			}
+			panic(r)
+		}
+	}()
+	err = fn(txs)
+	if !stable(rds) {
+		return false, nil
+	}
+	return true, err
+}
+
+// stable reports whether no write began on any of the handles' views since
+// the handle was made.
+func stable(rds []readTx) bool {
+	for i := range rds {
+		if rds[i].moved() {
+			return false
+		}
+	}
+	return true
+}
+
+// readTx is ReadAll's handle on one view: plain atomic loads, counted, and a
+// writer-count check every readCheckEvery of them.
+type readTx struct {
+	heap  *stm.Heap
+	wc    *writeCount
+	beg   uint64 // wc.beg when the read started
+	loads uint
+}
+
+// readCheckEvery is how many loads a readTx makes between checks of its
+// view's writer count: the longest a read runs on after a write began.
+const readCheckEvery = 64
+
+// errTornRead is the panic that ends fn once a handle sees its view's count
+// move; ReadAll absorbs it (the count moved, so the read is not stable).
+var errTornRead = errors.New("core: a write began during ReadAll")
+
+func (t *readTx) moved() bool { return t.wc.beg.Load() != t.beg }
+
+func (t *readTx) check() {
+	if t.moved() {
+		panic(errTornRead)
+	}
+}
+
+func (t *readTx) Load(a stm.Addr) uint64 {
+	if t.loads++; t.loads%readCheckEvery == 0 {
+		t.check()
+	}
+	return t.heap.Load(a)
+}
+
+func (t *readTx) Store(stm.Addr, uint64) { panic(errReadOnlyStore) }
+
+// AppendWords checks first: the run's length was read from the heap, and a
+// torn one must not size the copy.
+func (t *readTx) AppendWords(dst []byte, a stm.Addr, n int) []byte {
+	t.check()
+	return t.heap.AppendWords(dst, a, n)
+}
+
+func (t *readTx) StoreWords(stm.Addr, []byte) { panic(errReadOnlyStore) }

@@ -18,8 +18,10 @@ type Thread struct {
 	// Thread runs one transaction at a time, so one wrapper suffices and the
 	// read path stays allocation-free.
 	ro roTx
-	// all is AtomicAll's handle slice, reused for the same reason.
+	// all is AtomicAll's and ReadAll's handle slice, rd ReadAll's handles,
+	// reused for the same reason.
 	all []Tx
+	rd  []readTx
 }
 
 type txCacheEntry struct {

@@ -37,7 +37,29 @@ type View struct {
 	ltxRO lockTx
 
 	destroyed atomic.Bool
+
+	// wc brackets every write to the heap (see writeCount).
+	wc writeCount
 }
+
+// writeCount is a view's NOrec-style writer count: every path that writes the
+// heap — a lock-mode or escalated run that is not read-only, Exclusive, a
+// writing AtomicAll, a TM attempt's Commit (the engines redo-log, so commit is
+// their only heap write) — adds one to beg before its first write and one to
+// end after its last, on every exit. beg == end means no write is under way,
+// and an unchanged beg means none began: ReadAll's validation. The counters
+// get a cache line of their own, so the bumps on every commit do not share
+// one with the view's other fields.
+type writeCount struct {
+	_   [64]byte
+	beg atomic.Uint64
+	end atomic.Uint64
+	_   [48]byte
+}
+
+// open and close bracket one write.
+func (c *writeCount) open()  { c.beg.Add(1) }
+func (c *writeCount) close() { c.end.Add(1) }
 
 // engineHolder pairs an engine instance with its kind; it is swapped
 // atomically by SwitchEngine, and thread descriptor caches key on the
@@ -135,6 +157,8 @@ func (v *View) Exclusive(ctx context.Context, fn func(Tx) error) error {
 		return err
 	}
 	defer v.ctl.Resume()
+	v.wc.open()
+	defer v.wc.close()
 	return fn(v.lockBody(false))
 }
 
@@ -358,7 +382,7 @@ func (v *View) attemptTM(th *Thread, fn func(Tx) error, readonly bool, mode rac.
 		settled = true
 		v.exit(mode, rac.Aborted, start)
 		return attemptUserErr, userErr
-	case tx.Commit():
+	case v.commit(tx, readonly):
 		settled = true
 		v.exit(mode, rac.Committed, start)
 		return attemptCommitted, nil
@@ -367,6 +391,17 @@ func (v *View) attemptTM(th *Thread, fn func(Tx) error, readonly bool, mode rac.
 		v.exit(mode, rac.Aborted, start)
 		return attemptConflict, nil
 	}
+}
+
+// commit commits a TM attempt inside a write bracket unless it is read-only.
+// The bracket closes on every exit, a panic out of the engine included.
+func (v *View) commit(tx stm.Tx, readonly bool) bool {
+	if readonly {
+		return tx.Commit()
+	}
+	v.wc.open()
+	defer v.wc.close()
+	return tx.Commit()
 }
 
 // runLock executes fn in uninstrumented lock mode (admitted at Q == 1).
@@ -386,7 +421,7 @@ func (v *View) runLock(th *Thread, fn func(Tx) error, readonly bool, start time.
 	if h := v.rt.cfg.FaultHook; h != nil {
 		h(faultinject.OpAdmit, th.id, 0)
 	}
-	err = fn(v.lockBody(readonly))
+	err = v.runBody(fn, readonly)
 	settled = true
 	outcome := rac.Committed
 	if err != nil {
@@ -394,6 +429,16 @@ func (v *View) runLock(th *Thread, fn func(Tx) error, readonly bool, start time.
 	}
 	v.exit(rac.ModeLock, outcome, start)
 	return err
+}
+
+// runBody runs fn on the view's lock-mode handle, inside a write bracket
+// unless it is read-only.
+func (v *View) runBody(fn func(Tx) error, readonly bool) error {
+	if !readonly {
+		v.wc.open()
+		defer v.wc.close()
+	}
+	return fn(v.lockBody(readonly))
 }
 
 // runEscalated is the starvation escape hatch: it drains the view's
@@ -417,7 +462,7 @@ func (v *View) runEscalated(ctx context.Context, th *Thread, fn func(Tx) error, 
 	if h := v.rt.cfg.FaultHook; h != nil {
 		h(faultinject.OpAdmit, th.id, 0)
 	}
-	err = fn(v.lockBody(readonly))
+	err = v.runBody(fn, readonly)
 	settled = true
 	outcome := rac.Committed
 	if err != nil {

@@ -89,7 +89,7 @@ func (m *heapModel) badAddr(kind int) stm.Addr {
 }
 
 // check holds the allocator's counters against the oracle: the
-// conservation law InUse + FreeWords == Limit.
+// conservation law InUse + FreeWords == the oracle's word count.
 func (m *heapModel) check() {
 	m.t.Helper()
 	free := 0
@@ -99,9 +99,8 @@ func (m *heapModel) check() {
 		}
 	}
 	inUse := len(m.owner) - free
-	if m.a.Limit() != len(m.owner) || m.a.InUse() != inUse || m.a.FreeWords() != free {
-		m.t.Fatalf("limit/inUse/free = %d/%d/%d, oracle %d/%d/%d",
-			m.a.Limit(), m.a.InUse(), m.a.FreeWords(), len(m.owner), inUse, free)
+	if m.a.InUse() != inUse || m.a.FreeWords() != free {
+		m.t.Fatalf("inUse/free = %d/%d, oracle %d/%d", m.a.InUse(), m.a.FreeWords(), inUse, free)
 	}
 }
 
@@ -274,7 +273,7 @@ func FuzzAllocFree(f *testing.F) {
 			m.free(0)
 		}
 		m.check()
-		if _, err := m.a.Alloc(m.a.Limit()); err != nil {
+		if _, err := m.a.Alloc(len(m.owner)); err != nil {
 			t.Fatalf("full-capacity alloc after freeing all: %v", err)
 		}
 	})

@@ -259,13 +259,6 @@ func (a *Allocator) FreeWords() int {
 	return n
 }
 
-// Limit returns the current allocatable size in words.
-func (a *Allocator) Limit() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limit
-}
-
 // BlockSize returns the size of the allocated block at addr, or 0 if addr is
 // not an allocated block base.
 func (a *Allocator) BlockSize(addr stm.Addr) int {

@@ -113,16 +113,19 @@ func TestGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Grow(8)
-	if a.Limit() != 16 {
-		t.Errorf("Limit = %d, want 16", a.Limit())
-	}
 	if _, err := a.Alloc(8); err != nil {
 		t.Fatalf("alloc from grown region failed: %v", err)
 	}
+	if a.InUse() != 16 {
+		t.Errorf("InUse = %d after filling the grown heap, want 16", a.InUse())
+	}
 	a.Grow(0)  // no-op
 	a.Grow(-3) // no-op
-	if a.Limit() != 16 {
-		t.Errorf("Limit changed by no-op grows: %d", a.Limit())
+	if _, err := a.Alloc(1); err == nil {
+		t.Errorf("no-op grows made room: a 1-word alloc succeeded on a full 16-word heap")
+	}
+	if a.InUse() != 16 {
+		t.Errorf("InUse = %d after no-op grows, want 16", a.InUse())
 	}
 }
 

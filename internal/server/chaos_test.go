@@ -249,7 +249,7 @@ func runServerChaos(t *testing.T) {
 	if n := roundCoordinators(); n != baseCoordinators {
 		t.Errorf("%d round coordinator goroutines after the drain, %d before the server started", n, baseCoordinators)
 	}
-	if rs := srv.RoundStats(); rs.Rounds == 0 || rs.Pages == 0 || rs.Pages == rs.Tasks {
+	if rs := srv.RoundStats(); rs.Rounds == 0 || rs.Pages == 0 {
 		t.Errorf("chaos soak left ATOMIC rounds or SCAN pages unexercised: %+v", rs)
 	}
 	t.Logf("chaos: %d injected panics, %d client-visible faults, injector %+v",

@@ -108,18 +108,19 @@ func newTestCoordinator(t testing.TB, s *Server) *roundCoordinator {
 	return rc
 }
 
-// roundOf runs the tasks — planned ATOMICs and SCAN pages — as one round and
-// returns once it is answered.
+// roundOf takes the tasks — planned ATOMICs and SCAN pages — as the
+// coordinator takes a queue's worth: the batches as one round, a page once
+// the batches ahead of it have run. It returns once everything is answered.
 func (rc *roundCoordinator) roundOf(tasks ...task) {
 	rc.startRound(tasks...)
 	rc.idle()
 }
 
-// startRound runs the tasks as one round and returns as the coordinator
+// startRound takes the tasks as roundOf does and returns as the coordinator
 // would: a logging round is appended, its shares listed, nothing answered.
 func (rc *roundCoordinator) startRound(tasks ...task) {
 	for _, t := range tasks {
-		rc.admit(t)
+		rc.take(t)
 	}
 	rc.runRound()
 }

@@ -4,13 +4,16 @@
 // span them, a SCAN page, which consults them all — is never a shard worker's
 // business: the connection reader that planned it (conn.dispatch) puts it on
 // the server's one bounded round queue. A single coordinator goroutine takes
-// EVERYTHING queued and runs it as one round: one canonical-order walMu
-// acquisition, one quiesce of the union participant set (votm.AtomicAll — the
-// server's only call of it), the tasks back to back inside it, ONE prepare
-// record per writable participant — and then, every mutex released, goes
-// straight on to the next round. The coordinator is the only goroutine that
-// ever pauses more than one view, so the order it pauses them in is its
-// private business: no other acquirer exists to deadlock with.
+// the batches queued and runs them as one round: one canonical-order walMu
+// acquisition, one quiesce of the union participant set (votm.AtomicAll), the
+// batches back to back inside it, ONE prepare record per writable participant
+// — and then, every mutex released, goes straight on to the next round. A
+// page is no round's task: dequeued behind batches, it first ends the round
+// being built, then is served on its own by a validated read that pauses
+// nothing (scan.go), so it sees every batch queued ahead of it and none
+// behind. The coordinator is the only goroutine that ever pauses more than
+// one view, so the order it pauses them in is its private business: no other
+// acquirer exists to deadlock with.
 //
 // The coordinator never waits on a flush. A logging round rides a flight
 // record from its walMus to its answers: each participant's share of the
@@ -84,22 +87,13 @@ const roundBodyBudget = wal.MaxBatchBody / 2
 // ADD's 8-byte post-image and a share of the prepare wrapping it.
 const subRedoOverhead = 40
 
-// roundTask is one task's slot in a round: a spanning ATOMIC (its plan's
-// ownership remapped onto the round's union participant indices once the
-// round starts) or a SCAN page (t.batch == nil).
+// roundTask is one spanning ATOMIC's slot in a round, its plan's ownership
+// remapped onto the round's union participant indices once the round starts.
+// Its verdict is the batch's (multiBatch.err): nil means it may (still)
+// execute, or executed and is answered OK.
 type roundTask struct {
 	t        task
 	hasWrite bool
-	pageErr  error // a page's verdict; a batch carries its own (multiBatch.err)
-}
-
-// verdict is where the task's verdict lives: nil there means the task may
-// (still) execute, or executed and is answered OK.
-func (rt *roundTask) verdict() *error {
-	if b := rt.t.batch; b != nil {
-		return &b.err
-	}
-	return &rt.pageErr
 }
 
 // roundShare is one union participant's share of a round's redo records:
@@ -128,12 +122,16 @@ type flight struct {
 	err     error
 }
 
-// RoundStats counts the coordination rounds a server has run.
+// RoundStats counts the coordination rounds a server has run, and the SCAN
+// pages its coordinator served beside them.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
-	Tasks   uint64 // tasks they carried: spanning ATOMIC batches and SCAN pages
+	Tasks   uint64 // tasks they carried: spanning ATOMIC batches
 	Largest uint64 // most tasks in one round
-	Pages   uint64 // the SCAN pages among Tasks
+	// Pages counts the SCAN pages served; PageTries the validated reads they
+	// made (votm.ReadAll), PageFallbacks those that ran out of tries and read
+	// inside a quiesce instead.
+	Pages, PageTries, PageFallbacks uint64
 	// Logged counts the rounds that appended redo records; the write groups a
 	// round in doubt held back are AckStats.Gated.
 	Logged uint64
@@ -141,8 +139,9 @@ type RoundStats struct {
 	// flight, InDoubtHigh the most flights out at once (≤ maxInDoubt),
 	// FlightWaitNs the coordinator's wait for a free one — its only disk wait.
 	Overlapped, InDoubtHigh, FlightWaitNs uint64
-	// PausedNs sums the wall time of the rounds' quiesces (votm.AtomicAll,
-	// pause and drain included): the time their views served nothing else.
+	// PausedNs sums the wall time of the quiesces (votm.AtomicAll, pause and
+	// drain included) of the rounds and of the pages that fell back: the time
+	// their views served nothing else.
 	PausedNs uint64
 }
 
@@ -151,18 +150,21 @@ func (r RoundStats) MeanTasks() float64 { return float64(r.Tasks) / float64(max(
 
 // RoundStats returns the server's round counters. In-process only: the wire
 // STATS frame is per shard and a round belongs to none.
-func (s *Server) RoundStats() RoundStats {
-	rc := s.rounds
+func (s *Server) RoundStats() RoundStats { return s.rounds.stats() }
+
+func (rc *roundCoordinator) stats() RoundStats {
 	return RoundStats{
-		Rounds:       rc.nRounds.Load(),
-		Tasks:        rc.nTasks.Load(),
-		Largest:      rc.largest.Load(),
-		Pages:        rc.nPages.Load(),
-		Logged:       rc.nLogged.Load(),
-		Overlapped:   rc.nOverlapped.Load(),
-		InDoubtHigh:  rc.inDoubtHigh.Load(),
-		FlightWaitNs: rc.flightWaitNs.Load(),
-		PausedNs:     rc.pausedNs.Load(),
+		Rounds:        rc.nRounds.Load(),
+		Tasks:         rc.nTasks.Load(),
+		Largest:       rc.largest.Load(),
+		Pages:         rc.nPages.Load(),
+		PageTries:     rc.nPageTries.Load(),
+		PageFallbacks: rc.nPageFallbacks.Load(),
+		Logged:        rc.nLogged.Load(),
+		Overlapped:    rc.nOverlapped.Load(),
+		InDoubtHigh:   rc.inDoubtHigh.Load(),
+		FlightWaitNs:  rc.flightWaitNs.Load(),
+		PausedNs:      rc.pausedNs.Load(),
 	}
 }
 
@@ -183,9 +185,10 @@ type roundCoordinator struct {
 	queue chan task
 	done  chan struct{}
 
-	nRounds, nTasks, largest, nPages, nLogged atomic.Uint64
-	nOverlapped, inDoubtHigh, flightWaitNs    atomic.Uint64
-	pausedNs                                  atomic.Uint64
+	nRounds, nTasks, largest, nLogged      atomic.Uint64
+	nOverlapped, inDoubtHigh, flightWaitNs atomic.Uint64
+	pausedNs                               atomic.Uint64
+	nPages, nPageTries, nPageFallbacks     atomic.Uint64
 
 	// free holds the flight records not in use; inflight the rounds that took
 	// one, in xid order, settling that shareDone is at its head (both under fmu).
@@ -196,9 +199,6 @@ type roundCoordinator struct {
 
 	tasks []roundTask // the round being built or run
 	bytes int         // its redo volume (see roundBodyBudget)
-	// pages counts the round's SCAN pages, pageKeys sums their limits: the
-	// merge work the pause may have to carry (see next).
-	pages, pageKeys int
 
 	uindex     map[*shard]int // participant -> union index
 	union      []*shard
@@ -219,7 +219,10 @@ type roundCoordinator struct {
 	prepBuf     []byte        // prepare-record payload scratch
 	rec         [2]wal.Record // a prepare batch: the prepare, and room for an owed annotation
 
-	// A page's k-way merge state, per union participant (scan.go).
+	// A page's sub-shards and their views, and its k-way merge state per
+	// sub-shard (scan.go).
+	pageParts   []*shard
+	pageViews   []*votm.View
 	cursors     []ds.Ref
 	keys        []uint64
 	contributed []uint64
@@ -242,7 +245,7 @@ func newRoundCoordinator(s *Server) *roundCoordinator {
 	return rc
 }
 
-// submit queues a planned spanning ATOMIC or a SCAN page for the next round.
+// submit queues a planned spanning ATOMIC or a SCAN page for the coordinator.
 // False means the round queue is full: nothing executed, and the reader
 // answers BUSY.
 func (rc *roundCoordinator) submit(t task) bool {
@@ -272,27 +275,27 @@ func (rc *roundCoordinator) loop() {
 	}
 }
 
-// next blocks for one task, takes whatever else is queued and runs the lot as
-// one round; false means the queue is closed and empty. Dequeuing stops when
-// the queue is empty, the redo budget is spent, or the admitted pages' limits
-// sum to wire.MaxScanKeys — one maximal page of merge work per pause, the
-// most a single page could ask of it. Both bounds are checked before each
-// dequeue, so a round overshoots either by at most one task; what it leaves
-// queued runs in the next round.
+// next blocks for one task, takes whatever else is queued and runs the
+// batches as one round; false means the queue is closed and empty. A page
+// dequeued ends the round being built — it runs, appended, before the page
+// is served — so the page sees every batch queued ahead of it and none
+// behind. Dequeuing stops when the queue is empty or the redo budget is
+// spent, checked before each dequeue, so a round overshoots by at most one
+// task; what it leaves queued runs in the next round.
 func (rc *roundCoordinator) next() bool {
 	t, ok := <-rc.queue
 	if !ok {
 		return false
 	}
-	rc.admit(t)
+	rc.take(t)
 fill:
-	for rc.bytes < roundBodyBudget && rc.pageKeys < wire.MaxScanKeys {
+	for rc.bytes < roundBodyBudget {
 		select {
 		case t, ok := <-rc.queue:
 			if !ok {
 				break fill // the last round runs; the next receive reports the close
 			}
-			rc.admit(t)
+			rc.take(t)
 		default:
 			break fill
 		}
@@ -301,18 +304,24 @@ fill:
 	return true
 }
 
-// admit places one dequeued task into the round being built.
+// take places one dequeued task: a batch into the round being built; a page
+// is served once that round has run.
+func (rc *roundCoordinator) take(t task) {
+	if t.batch == nil {
+		rc.runRound()
+		rc.servePage(t)
+		return
+	}
+	rc.admit(t)
+}
+
+// admit places one dequeued batch into the round being built.
 func (rc *roundCoordinator) admit(t task) {
 	rt := roundTask{t: t}
-	if b := t.batch; b == nil {
-		rc.pages++
-		rc.pageKeys += int(t.req.Limit)
-	} else {
-		for _, sub := range b.subs {
-			if sub.Kind != wire.SubGet {
-				rt.hasWrite = true
-				rc.bytes += subRedoOverhead + len(sub.Value)
-			}
+	for _, sub := range t.batch.subs {
+		if sub.Kind != wire.SubGet {
+			rt.hasWrite = true
+			rc.bytes += subRedoOverhead + len(sub.Value)
 		}
 	}
 	rc.tasks = append(rc.tasks, rt)
@@ -332,71 +341,63 @@ func resized[T any](s []T, n int) []T {
 // undecided gives every task without a verdict the round's.
 func (rc *roundCoordinator) undecided(err error) {
 	for i := range rc.tasks {
-		if v := rc.tasks[i].verdict(); *v == nil {
-			*v = err
+		if b := rc.tasks[i].t.batch; b.err == nil {
+			b.err = err
 		}
 	}
 }
 
-// runTasks is the round's body inside the quiesce: every task that still has
+// runTasks is the round's body inside the quiesce: every batch that still has
 // no verdict executes, in task order, against the union's handles.
 func (rc *roundCoordinator) runTasks(txs []votm.Tx) error {
 	for i := range rc.tasks {
-		if v := rc.tasks[i].verdict(); *v == nil {
-			*v = rc.execContained(&rc.tasks[i], txs)
+		if b := rc.tasks[i].t.batch; b.err == nil {
+			b.err = rc.execContained(b, txs)
 		}
 	}
 	return nil
 }
 
-// execContained runs one task of the round, containing a panic to that task:
-// its round-mates already executed (or still can) inside the same irrevocable
-// quiesce, so the fault must not unwind them. (Routing is frozen, exec
-// checked every key and a page its membership, so any panic is a task-local
-// fault.)
-func (rc *roundCoordinator) execContained(rt *roundTask, txs []votm.Tx) (err error) {
+// execContained runs one batch of the round, containing a panic to that
+// batch: its round-mates already executed (or still can) inside the same
+// irrevocable quiesce, so the fault must not unwind them. (Routing is frozen
+// and exec checked every key, so any panic is a task-local fault.)
+func (rc *roundCoordinator) execContained(b *multiBatch, txs []votm.Tx) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = txFault{r}
 		}
 	}()
-	if b := rt.t.batch; b != nil {
-		return b.exec(rc.s, rc.union, txs, rc.fx)
-	}
-	return rc.runPage(rt.t.req, rt.t.resp, txs)
+	return b.exec(rc.s, rc.union, txs, rc.fx)
 }
 
-// runRound executes rc.tasks — spanning ATOMIC batches and SCAN pages, one or
-// many — as ONE coordination round: the union of their participant views is
-// quiesced once (votm.AtomicAll), the tasks run back to back inside it with
-// exclusive lock-mode access and per-task verdicts, and durability is one
-// prepare per participant (appendRound), flushed by the participants' own
-// flushers: a logging round returns appended and unanswered (see the header).
+// runRound executes rc.tasks — spanning ATOMIC batches, one or many — as ONE
+// coordination round: the union of their participant views is quiesced once
+// (votm.AtomicAll), the batches run back to back inside it with exclusive
+// lock-mode access and per-task verdicts, and durability is one prepare per
+// participant (appendRound), flushed by the participants' own flushers: a
+// logging round returns appended and unanswered (see the header).
 //
-//   - Only the union is paused. A page consults every serving sub-shard, so a
-//     round that carries one takes them all; a page-free round pauses exactly
-//     its batches' participants.
-//   - Task order is execution order: a page sees the batches queued before it
-//     and none queued after, and k queued pages share the one pause.
+//   - Only the union is paused: exactly the batches' participants.
+//   - Task order is execution order.
 //   - A task's failure (stale route, bad add, panic) lands in its own verdict
 //     and never touches its round-mates: validation precedes every write, so
 //     a failed batch wrote nothing. A round-level failure (pause error,
 //     cancellation, a panic before the body) means nothing executed and
 //     becomes every undecided task's verdict.
 //   - The plan the reader attached to a batch may be stale by now (a split
-//     between dispatch and round), and so may the sub-shard set a page's
-//     round snapshotted: exec re-verifies every key's owner inside the
-//     quiesce, before the batch's first write, a page the set's size before
-//     its first read, and either answers BUSY. Nothing re-plans.
+//     between dispatch and round): exec re-verifies every key's owner inside
+//     the quiesce, before the batch's first write, and answers BUSY. Nothing
+//     re-plans.
 //   - Every writable participant's walMu is taken in canonical order BEFORE
 //     any view is paused and held until its prepare is appended — never
 //     across the flush: each shard's log order equals its memory commit
 //     order, and — because group writers hold their one walMu before entering
 //     the view — a paused view can never contain a transaction that waits on
-//     a mutex held here. A read-only round (pages, GET-only batches) takes no
-//     walMu and no flight: it is answered at once, and may have read an
-//     earlier round's committed, not yet durable writes — what GET and SCAN
-//     promise too.
+//     a mutex held here. A read-only round (GET-only batches) takes no walMu
+//     and no flight: it is answered at once, and may have read an earlier
+//     round's committed, not yet durable writes — what GET and SCAN promise
+//     too.
 //   - A WAL failure anywhere abandons the WHOLE round's durability and that of
 //     every round in flight behind it (the header's sticky fault); a later one
 //     is refused the read-only participants under the walMus, before
@@ -409,15 +410,11 @@ func (rc *roundCoordinator) runRound() {
 	}
 
 	union := rc.union[:0]
-	if rc.pages > 0 {
-		union = s.appendSubShards(union)
-	} else {
-		for i := range tasks {
-			for _, p := range tasks[i].t.batch.parts {
-				if _, seen := rc.uindex[p]; !seen {
-					rc.uindex[p] = 0
-					union = append(union, p)
-				}
+	for i := range tasks {
+		for _, p := range tasks[i].t.batch.parts {
+			if _, seen := rc.uindex[p]; !seen {
+				rc.uindex[p] = 0
+				union = append(union, p)
 			}
 		}
 	}
@@ -430,7 +427,6 @@ func (rc *roundCoordinator) runRound() {
 
 	rc.nRounds.Add(1)
 	rc.nTasks.Add(uint64(len(tasks)))
-	rc.nPages.Add(uint64(rc.pages))
 	maxInto(&rc.largest, uint64(len(tasks)))
 
 	// Per-task setup: a batch's union-indexed ownership, write set and the
@@ -445,9 +441,6 @@ func (rc *roundCoordinator) runRound() {
 	for ti := range tasks {
 		rt := &tasks[ti]
 		b := rt.t.batch
-		if b == nil {
-			continue
-		}
 		for si, sub := range b.subs {
 			ui := rc.uindex[b.parts[b.owner[si]]]
 			b.owner[si] = ui
@@ -644,25 +637,21 @@ func (rc *roundCoordinator) answer(tasks []roundTask, walErr error) {
 	for i := range tasks {
 		rt := &tasks[i]
 		resp, b := rt.t.resp, rt.t.batch
-		switch err := *rt.verdict(); {
-		case err != nil:
-			resp.Entries = resp.Entries[:0] // a page that faulted mid-merge
-			resp.More, resp.Cursor = false, 0
-			status, detail := errStatus(err)
+		switch {
+		case b.err != nil:
+			status, detail := errStatus(b.err)
 			resp.Status = status
 			resp.SetDetail(detail)
 		case walErr != nil && rt.hasWrite:
 			resp.Status = wire.StatusTxFault
 			resp.SetDetail("wal: " + walErr.Error())
-		case b != nil:
+		default:
 			resp.Subs = b.results
 			for _, p := range b.parts {
 				p.xsGroups.Add(1)
 			}
 		}
-		if b != nil {
-			s.releaseBatch(b)
-		}
+		s.releaseBatch(b)
 		s.finish(rt.t)
 	}
 }
@@ -674,7 +663,7 @@ func (rc *roundCoordinator) reset() {
 	clear(rc.tasks)
 	rc.tasks = rc.tasks[:0]
 	clear(rc.uindex)
-	rc.bytes, rc.pages, rc.pageKeys = 0, 0, 0
+	rc.bytes = 0
 }
 
 // appendRound logs the round's committed batches, under the participants'

@@ -755,12 +755,12 @@ func (f *roundFixture) escalations() (n [3]int64) {
 	return n
 }
 
-// TestRoundCarriesPages drives a private coordinator through the three shapes
-// a SCAN page gives a round. A page between two transfers executes between
-// them — task order is execution order — under the round's ONE pause, which
-// the page widens to every sub-shard while a page-free round pauses only its
-// union. Queued pages share one round, and stop sharing once their limits sum
-// to one maximal page.
+// TestRoundCarriesPages drives a private coordinator through a queue that
+// mixes SCAN pages with cross-shard transfers. A page is no round's task: it
+// ends the round being built and is served after it, so it sees the transfers
+// queued ahead of it and none behind, and — read by a validated read that
+// pauses nothing — it leaves every view's escalation count where it was.
+// Rounds count only batches; queued pages are served one by one.
 func TestRoundCarriesPages(t *testing.T) {
 	f := newRoundFixture(t, Config{ShardWords: 1 << 12, WorkersPerShard: 1}, 1)
 	rc := newTestCoordinator(t, f.s)
@@ -771,7 +771,7 @@ func TestRoundCarriesPages(t *testing.T) {
 	}
 	page := func(id uint32, limit uint32) task { return queued(f.s, f.c, f.c.scanReq(id, 0, 1<<62, limit)) }
 
-	// A page-free round pauses its union only: shard 2 is left alone.
+	// A round pauses its union only: shard 2 is left alone.
 	before := f.escalations()
 	rc.roundOf(mkAtomic(f.s, f.c, 1,
 		wire.Sub{Kind: wire.SubAdd, Key: a, Delta: 100}, wire.Sub{Kind: wire.SubAdd, Key: b, Delta: 100}))
@@ -779,37 +779,52 @@ func TestRoundCarriesPages(t *testing.T) {
 		t.Fatalf("seed round: %v (%s)", r.status, r.value)
 	}
 	if got := f.escalations(); got != [3]int64{before[0] + 1, before[1] + 1, before[2]} {
-		t.Errorf("page-free round: escalations %v -> %v, want shards 0 and 1 paused once and shard 2 not at all", before, got)
+		t.Errorf("round: escalations %v -> %v, want shards 0 and 1 paused once and shard 2 not at all", before, got)
 	}
 
+	// page, transfer, page, transfer: the first page sees the seed alone, the
+	// second the first transfer and not the one behind it.
 	before = f.escalations()
-	rc.roundOf(transfer(2, a, b, 10), page(3, 64), transfer(4, b, a, 5))
-	got := collect(t, f.c, 3)
-	for id, r := range got {
-		if r.status != wire.StatusOK {
-			t.Fatalf("mixed round: request %d: %v (%s)", id, r.status, r.value)
+	for _, tk := range []task{page(2, 64), transfer(3, a, b, 10), page(4, 64), transfer(5, b, a, 5)} {
+		if !rc.submit(tk) {
+			t.Fatal("round queue full")
 		}
 	}
-	seen := map[uint64]uint64{}
-	for _, e := range got[3].entries {
-		seen[e.Key] = binary.LittleEndian.Uint64(e.Value)
+	rc.next()
+	rc.idle()
+	got := collect(t, f.c, 4)
+	for id, r := range got {
+		if r.status != wire.StatusOK {
+			t.Fatalf("mixed queue: request %d: %v (%s)", id, r.status, r.value)
+		}
 	}
-	if len(seen) != 2 || seen[a] != 90 || seen[b] != 110 {
-		t.Errorf("the page saw %v, want {%d: 90, %d: 110}: the transfer ahead of it and not the one behind", seen, a, b)
+	for _, want := range []struct {
+		id     uint32
+		va, vb uint64
+	}{{2, 100, 100}, {4, 90, 110}} {
+		seen := map[uint64]uint64{}
+		for _, e := range got[want.id].entries {
+			seen[e.Key] = binary.LittleEndian.Uint64(e.Value)
+		}
+		if len(seen) != 2 || seen[a] != want.va || seen[b] != want.vb {
+			t.Errorf("page %d saw %v, want {%d: %d, %d: %d}: the transfers ahead of it and none behind",
+				want.id, seen, a, want.va, b, want.vb)
+		}
 	}
 	va, _ := f.counter(t, 0, a)
 	vb, _ := f.counter(t, 1, b)
 	if va != 95 || vb != 105 {
-		t.Errorf("after the round: %d and %d, want 95 and 105", va, vb)
+		t.Errorf("after the queue: %d and %d, want 95 and 105", va, vb)
 	}
-	if got := f.escalations(); got != [3]int64{before[0] + 1, before[1] + 1, before[2] + 1} {
-		t.Errorf("mixed round: escalations %v -> %v, want every shard paused exactly once", before, got)
+	if got := f.escalations(); got != [3]int64{before[0] + 2, before[1] + 2, before[2]} {
+		t.Errorf("mixed queue: escalations %v -> %v, want shards 0 and 1 paused once per transfer and the pages pausing nothing",
+			before, got)
 	}
-	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 2 || p != 1 {
-		t.Errorf("%d rounds carrying %d pages, want 2 and 1", r, p)
+	if rs := rc.stats(); rs.Rounds != 3 || rs.Tasks != 3 || rs.Pages != 2 || rs.PageTries != 2 || rs.PageFallbacks != 0 {
+		t.Errorf("stats %+v, want 3 rounds of 3 batches and 2 pages read at the first try", rs)
 	}
 
-	// Eight queued pages are one round.
+	// Eight queued pages are served one by one, in no round.
 	for id := uint32(10); id < 18; id++ {
 		rc.submit(page(id, 32))
 	}
@@ -819,32 +834,18 @@ func TestRoundCarriesPages(t *testing.T) {
 			t.Errorf("queued page %d: %v, %d entries", id, r.status, len(r.entries))
 		}
 	}
-	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 3 || p != 9 {
-		t.Errorf("%d rounds carrying %d pages after eight queued pages, want 3 and 9", r, p)
+	if rs := rc.stats(); rs.Rounds != 3 || rs.Pages != 10 {
+		t.Errorf("after eight queued pages: %d rounds, %d pages; want 3 and 10", rs.Rounds, rs.Pages)
 	}
-
-	// Pages whose limits sum past one maximal page split across rounds: the
-	// coordinator stops admitting once the sum reaches wire.MaxScanKeys.
-	for id := uint32(20); id < 23; id++ {
-		rc.submit(page(id, wire.MaxScanKeys/2))
-	}
-	rc.next()
-	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 4 || p != 11 {
-		t.Errorf("%d rounds carrying %d pages, want the first two of three half-pages in round 4", r, p)
-	}
-	rc.next()
-	if r, p := rc.nRounds.Load(), rc.nPages.Load(); r != 5 || p != 12 {
-		t.Errorf("%d rounds carrying %d pages, want the third half-page in round 5", r, p)
-	}
-	collect(t, f.c, 3)
-	if s := f.s.StatsAll(); s[0].Scans != 12 || s[1].Scans+s[2].Scans != 0 {
-		t.Errorf("Scans = %d/%d/%d, want all 12 pages counted on the least sub-shard", s[0].Scans, s[1].Scans, s[2].Scans)
+	if s := f.s.StatsAll(); s[0].Scans != 10 || s[1].Scans+s[2].Scans != 0 {
+		t.Errorf("Scans = %d/%d/%d, want all 10 pages counted on the least sub-shard", s[0].Scans, s[1].Scans, s[2].Scans)
 	}
 }
 
 // TestSteadyStateScanAllocs pins the page's allocation floor at zero, at 2
-// shards and at 16: the per-participant merge scratch is pooled on the
-// coordinator, the quiesce's handle slice on its thread, and the entries'
+// shards and at 16, on the coordinator's page path (servePage): the
+// sub-shard set and the per-sub-shard merge scratch are pooled on the
+// coordinator, the validated read's handles on its thread, and the entries'
 // values are copied into the buffer the recycled response keeps.
 func TestSteadyStateScanAllocs(t *testing.T) {
 	if raceEnabled {
@@ -868,7 +869,7 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		c := newTestConn(s, 4)
 		rc := newTestCoordinator(t, s)
 		run := func() {
-			rc.roundOf(queued(s, c, c.scanReq(1, 0, 1<<62, 32)))
+			rc.servePage(queued(s, c, c.scanReq(1, 0, 1<<62, 32)))
 			r := <-c.out
 			if r.Status != wire.StatusOK || len(r.Entries) != 32 || !r.More {
 				t.Fatalf("page at %d shards: %v, %d entries, more=%v", shards, r.Status, len(r.Entries), r.More)
@@ -887,8 +888,10 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 	t.Logf("allocs per 32-entry page: %.0f at 2 shards, %.0f at 16", narrow, wide)
 }
 
-// TestRoundPausedTime: RoundStats.PausedNs reads 0 while only point ops run —
-// they never quiesce a view — and grows with every SCAN page's round.
+// TestRoundPausedTime: RoundStats.PausedNs reads 0 while only point ops and
+// SCAN pages run — neither quiesces a view: a page's validated read pauses
+// nothing — and grows for a page that a concurrent Exclusive writer forces
+// to fall back to a quiesce.
 func TestRoundPausedTime(t *testing.T) {
 	s, err := New(Config{Shards: 2, WorkersPerShard: 1})
 	if err != nil {
@@ -909,16 +912,41 @@ func TestRoundPausedTime(t *testing.T) {
 		answer(c.pointReq(wire.OpPut, uint32(k+1), k, "v"))
 		answer(c.pointReq(wire.OpGet, uint32(k+1), k, ""))
 	}
-	if rs := s.RoundStats(); rs.Rounds != 0 || rs.PausedNs != 0 {
-		t.Fatalf("after point ops alone: %d rounds, %d ns paused; want 0 and 0", rs.Rounds, rs.PausedNs)
-	}
-	var last uint64
 	for id := uint32(100); id < 103; id++ {
 		answer(c.scanReq(id, 0, 1<<62, 8))
-		rs := s.RoundStats()
-		if rs.Pages != uint64(id-99) || rs.PausedNs <= last {
-			t.Fatalf("after page %d: %d pages, %d ns paused (was %d); want the paused time to grow", id-99, rs.Pages, rs.PausedNs, last)
-		}
-		last = rs.PausedNs
+	}
+	if rs := s.RoundStats(); rs.Rounds != 0 || rs.Pages != 3 || rs.PageFallbacks != 0 || rs.PausedNs != 0 {
+		t.Fatalf("after point ops and three pages: %+v; want 0 rounds, 3 pages, no fallback and 0 ns paused", rs)
+	}
+
+	// An Exclusive section held on one shard's view: every validated read is
+	// refused, so the page falls back and its quiesce waits for the section.
+	view := (*s.shards[0].subs.Load())[0].view
+	inside, release, done := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		done <- view.Exclusive(context.Background(), func(votm.Tx) error {
+			close(inside)
+			<-release
+			return nil
+		})
+	}()
+	<-inside
+	c.dispatch(c.scanReq(200, 0, 1<<62, 8))
+	for s.RoundStats().PageFallbacks == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(2 * time.Millisecond)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("Exclusive: %v", err)
+	}
+	r := <-c.out
+	if r.Status != wire.StatusOK || len(r.Entries) != 8 {
+		t.Fatalf("fallen-back page: %v, %d entries", r.Status, len(r.Entries))
+	}
+	c.recycle(r)
+	rs := s.RoundStats()
+	if rs.Pages != 4 || rs.PageFallbacks != 1 || rs.PageTries != 3+pageTries || rs.PausedNs < uint64(2*time.Millisecond) {
+		t.Errorf("after the fallen-back page: %+v; want 4 pages, 1 fallback after %d tries, and the wait for the section paused", rs, pageTries)
 	}
 }

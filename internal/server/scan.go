@@ -1,19 +1,27 @@
 // Wire-level SCAN: ordered, consistent range reads over a hash-sharded
 // keyspace. Keys are placed by hash (ShardOf, then subMix), so one ordered
-// page necessarily consults EVERY serving sub-shard: a page is a read-only
-// task of a coordination round (round.go) whose union is the full sub-shard
-// set, and inside the round's one quiesce a k-way merge of per-shard
-// skip-list cursors yields the next run of keys in global order. Because
-// every view is paused, a page is a consistent snapshot: no concurrent
-// writer's partial effects and no half-migrated split can appear inside it,
-// and it sees exactly the round-mates queued ahead of it. Consistency is per
-// page, not across pages — the cursor a client resumes with names a key, not
-// a snapshot, exactly like the BUSY-retry contract elsewhere in the protocol.
+// page necessarily consults EVERY serving sub-shard: a k-way merge of
+// per-shard skip-list cursors yields the next run of keys in global order.
+// The round coordinator (round.go) serves each page as it dequeues it, after
+// the round being built ends, so the page sees every batch queued ahead of it
+// and none behind. It serves it by a validated read (votm.ReadAll) over every
+// serving sub-shard: no view is paused and no admission taken, shard workers
+// keep committing, and the read holds only if no write began on any of the
+// views while it ran — otherwise it is tried again, and after pageTries it
+// falls back to one read-only quiesce of them all (votm.AtomicAll). Either
+// way a page is a consistent snapshot: no concurrent writer's partial effects
+// and no half-migrated split can appear inside it. Consistency is per page,
+// not across pages — the cursor a client resumes with names a key, not a
+// snapshot, exactly like the BUSY-retry contract elsewhere in the protocol.
 // Like a GET, a page serves committed memory state: it does not wait for the
 // durability of the writes it reveals.
 package server
 
 import (
+	"runtime"
+	"slices"
+	"time"
+
 	"votm"
 	"votm/ds"
 	"votm/enc"
@@ -28,14 +36,92 @@ import (
 // a page always carries at least one entry when the range is non-empty.
 const scanByteBudget = 256 << 10
 
-// runPage answers one SCAN page inside the round's quiesce, against the
-// round's union — every serving sub-shard, snapshotted before the pause — and
-// its handles. The set is re-verified in here (splits publish under the
-// parent view's exclusive section, so membership is frozen while paused): a
-// set that grew in between would be missing the new child's keys, and the
-// page answers BUSY for the client's retry layer instead.
-func (rc *roundCoordinator) runPage(req *wire.Request, resp *wire.Response, txs []votm.Tx) error {
-	parts := rc.union
+// pageTries bounds the validated reads a page makes before it falls back to a
+// quiesce. Each refused or invalidated try yields first, so a write group
+// under way on some shard can finish.
+const pageTries = 32
+
+// servePage answers one SCAN page and hands its response back. A panic out of
+// a read on views nobody wrote is the page's own fault (TxFault), as a
+// round's task's is.
+func (rc *roundCoordinator) servePage(t task) {
+	err := rc.readPageRetried(t.req, t.resp)
+	resp := t.resp
+	rc.nPages.Add(1)
+	if err != nil {
+		resp.Entries = resp.Entries[:0]
+		resp.More, resp.Cursor = false, 0
+		status, detail := errStatus(err)
+		resp.Status = status
+		resp.SetDetail(detail)
+	} else {
+		rc.meterPage()
+	}
+	rc.s.finish(t)
+}
+
+// readPageRetried reads the page into resp: by validated reads over a fresh
+// snapshot of the sub-shard set, up to pageTries of them, then inside a
+// read-only quiesce of that set.
+func (rc *roundCoordinator) readPageRetried(req *wire.Request, resp *wire.Response) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = txFault{r}
+		}
+	}()
+	read := func(txs []votm.Tx) error {
+		resp.Entries, resp.More, resp.Cursor = resp.Entries[:0], false, 0
+		return rc.readPage(req, resp, txs)
+	}
+	for try := 0; try < pageTries; try++ {
+		if try > 0 {
+			runtime.Gosched()
+		}
+		rc.pageSet()
+		rc.nPageTries.Add(1)
+		if ok, err := votm.ReadAll(rc.th, rc.pageViews, read); ok {
+			return err
+		}
+	}
+	rc.nPageFallbacks.Add(1)
+	rc.pageSet()
+	start := time.Now()
+	err = votm.AtomicAll(rc.ctx(), rc.th, rc.pageViews, true, read)
+	rc.pausedNs.Add(uint64(time.Since(start)))
+	return err
+}
+
+// pageSet snapshots every serving sub-shard, in canonical order, and their
+// views.
+func (rc *roundCoordinator) pageSet() {
+	parts := rc.s.appendSubShards(rc.pageParts[:0])
+	slices.SortFunc(parts, shardCompare)
+	rc.pageParts = parts
+	rc.pageViews = resized(rc.pageViews, len(parts))
+	for i, p := range parts {
+		rc.pageViews[i] = p.view
+	}
+}
+
+// meterPage counts an answered page on the least sub-shard and its entries on
+// the sub-shards that gave them.
+func (rc *roundCoordinator) meterPage() {
+	rc.s.leastSubShard().scans.Add(1)
+	for i, n := range rc.contributed {
+		if n > 0 {
+			rc.pageParts[i].scannedKeys.Add(n)
+		}
+	}
+}
+
+// readPage reads one SCAN page into resp from the snapshotted sub-shard set
+// and its handles, one per sub-shard. The set is re-verified in here (splits
+// publish under the parent view's exclusive section, which a validated read
+// or a quiesce sees): a set that grew in between would be missing the new
+// child's keys, and the page answers BUSY for the client's retry layer
+// instead.
+func (rc *roundCoordinator) readPage(req *wire.Request, resp *wire.Response, txs []votm.Tx) error {
+	parts := rc.pageParts
 	if rc.s.subShardCount() != len(parts) {
 		return errStaleRoute
 	}
@@ -111,13 +197,6 @@ func (rc *roundCoordinator) runPage(req *wire.Request, resp *wire.Response, txs 
 		}
 		if !resp.More || keys[i] < resp.Cursor {
 			resp.More, resp.Cursor = true, keys[i]
-		}
-	}
-
-	rc.s.leastSubShard().scans.Add(1)
-	for i, n := range contributed {
-		if n > 0 {
-			parts[i].scannedKeys.Add(n)
 		}
 	}
 	return nil

@@ -121,7 +121,6 @@ type shardLoad struct {
 	QueueLen  int     // current request-queue depth
 	QueueCap  int     // request-queue capacity
 	AbortRate float64 // aborts / (commits + aborts)
-	Delta     float64 // δ(Q); NaN when undefined (Q ≤ 1)
 	Quota     int     // current admission quota
 }
 
@@ -179,7 +178,6 @@ func (s *Server) monitor() {
 					Keys:     sh.keys.Load(),
 					QueueLen: sh.queue.Len(),
 					QueueCap: sh.queue.Cap(),
-					Delta:    snap.Delta,
 					Quota:    snap.Quota,
 				}
 				if total := snap.Totals.Commits + snap.Totals.Aborts; total > 0 {

@@ -131,6 +131,18 @@ func AtomicAll(ctx context.Context, th *Thread, views []*View, readonly bool, fn
 	return core.AtomicAll(ctx, th, views, readonly, fn)
 }
 
+// ReadAll runs fn once as an optimistic, validated read of every view of
+// views — the multi-view read that pauses nobody. It takes no admission slot:
+// it starts only when no view has a write under way and holds iff no write
+// began on any of them before fn returned, which each view's writer count
+// tells. ok = false means the read was not valid (fn's error is dropped; a
+// panic out of fn during a torn read is absorbed) and the caller retries or
+// falls back to AtomicAll. With ok, err is fn's; a panic out of fn on views
+// that stayed still propagates. txs is th's, as AtomicAll's.
+func ReadAll(th *Thread, views []*View, fn func(txs []Tx) error) (ok bool, err error) {
+	return core.ReadAll(th, views, fn)
+}
+
 // Decision is one entry of a Runtime's decision log, Runtime.Decisions: a
 // quota move or a votmd shard split, with when it happened, old → new and
 // why. The log keeps the last 1024 decisions:
