@@ -6,21 +6,23 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
 
+	"votm"
 	"votm/wire"
 )
 
 // conn is one client connection. A read goroutine parses frames and either
-// answers inline (PING, STATS, rejections) or plans the request — the only
-// place a request is routed — and queues it on its executor: the owning
-// shard's ring for a point op or a same-shard ATOMIC, the round coordinator's
-// queue for a spanning ATOMIC or a SCAN page. The executors push responses
-// onto out, and a write goroutine flushes them — so responses complete out of
-// order and the connection pipelines.
+// answers inline (PING, STATS, rejections, point GETs) or plans the request —
+// the only place a request is routed — and queues it on its executor: the
+// owning shard's ring for a write or a same-shard ATOMIC, the round
+// coordinator's queue for a spanning ATOMIC or a SCAN page. The executors push
+// responses onto out, and a write goroutine flushes them — so responses
+// complete out of order and the connection pipelines.
 //
 // Between decode and encode a request touches only its connection's memory
 // (docs/ALGORITHMS.md, "Request lifecycle"): the connection holds the drain
@@ -46,6 +48,12 @@ type conn struct {
 	// publishing them can wait (docs/ALGORITHMS.md, "Request lifecycle").
 	runs []shardRun
 	more bool
+
+	// serveGet's thread and fallback context, answered GETs and meters.
+	th           *votm.Thread
+	rctx         reqContext
+	read         []groupOp
+	tries, falls uint64
 }
 
 // shardRun is the tasks a reader staged for one sub-shard's ring, in arrival
@@ -145,6 +153,10 @@ func (s *Server) serveConn(nc net.Conn) {
 // answered, and gives the connection's drain registration back.
 func (c *conn) hangUp() {
 	c.publish()
+	if c.th != nil {
+		c.th.Release()
+		c.rctx.close()
+	}
 	c.pending.Add(-c.credits)
 	c.credits = 0
 	c.pending.Wait()
@@ -302,6 +314,9 @@ func (c *conn) plan(req *wire.Request) {
 	}
 	var sh *shard
 	switch req.Op {
+	case wire.OpGet:
+		c.serveGet(t, getTries)
+		return
 	case wire.OpAtomic:
 		t.batch = s.acquireBatch(req.Subs)
 		if len(t.batch.parts) == 1 {
@@ -355,12 +370,25 @@ func (c *conn) stage(sh *shard, t task) {
 	}
 }
 
-// publish hands every staged run to its ring.
+// publish hands every staged run to its ring, then the answered GETs to the
+// writer as one chain (answer).
 func (c *conn) publish() {
 	for i := range c.runs {
 		if len(c.runs[i].tasks) > 0 {
 			c.publishRun(&c.runs[i])
 		}
+	}
+	c.answer()
+}
+
+func (c *conn) answer() {
+	if s := c.srv; len(c.read) > 0 {
+		s.rounds.nGets.Add(uint64(len(c.read)))
+		s.finishGroup(c.read)
+		c.read = s.recycleOps(c.read)
+		s.rounds.nGetTries.Add(c.tries)
+		s.rounds.nGetFallbacks.Add(c.falls)
+		c.tries, c.falls = 0, 0
 	}
 }
 
@@ -377,6 +405,67 @@ func (c *conn) publishRun(r *shardRun) {
 	}
 	clear(ts)
 	r.tasks = ts[:0]
+}
+
+// getTries bounds the validated reads a GET makes before it falls back to a
+// read-only transaction; each retry yields first to let a writer finish.
+const getTries = 32
+
+// serveGet answers a point GET on the reader: validated reads of its sub-shard
+// (votm.ReadAll), then one AtomicRead RAC admits, at Q = 1 behind the worker.
+func (c *conn) serveGet(t task, tries int) {
+	if found, err := c.readGet(t.req.Key, t.resp, tries); err != nil {
+		status, detail := errStatus(err)
+		t.resp.Status = status
+		t.resp.SetDetail(detail)
+	} else if !found {
+		t.resp.Status = wire.StatusNotFound
+	}
+	if c.read = append(c.read, groupOp{t: t}); len(c.read) >= c.srv.cfg.BatchMax {
+		c.answer()
+	}
+}
+
+// readGet reads key's value into resp.Value. Each read re-checks the route: a
+// split publishes under the parent's Exclusive section, which moves the writer
+// count and excludes admitted transactions, so a stale route is seen and
+// re-routed. A panic out of a read of a still view (an injected fault): TxFault.
+func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = txFault{r}
+		}
+	}()
+	s := c.srv
+	if c.th == nil {
+		c.th, c.rctx.timeout = s.rt.RegisterThread(), s.cfg.RequestTimeout
+	}
+	g := s.shards[s.Shard(key)]
+	sh, stale := g.route(key), false
+	read := func(tx votm.Tx) error {
+		owner := g.route(key)
+		if stale = owner != sh; !stale {
+			resp.Value, found = sh.get(tx, key, resp.Value[:0])
+		}
+		sh = owner
+		return nil
+	}
+	for try := 0; try < tries; try++ {
+		if try > 0 {
+			runtime.Gosched()
+		}
+		c.tries++
+		if ok, err := votm.ReadAll(c.th, []*votm.View{sh.view}, func(txs []votm.Tx) error { return read(txs[0]) }); ok && !stale {
+			return found, err
+		}
+	}
+	c.falls++
+	c.publish() // what was answered goes out before the fallback can wait
+	for {
+		if err := sh.view.AtomicRead(c.rctx.ctx(), c.th, read); err != nil || !stale {
+			return found, err
+		}
+	}
 }
 
 // validate applies size and shape limits a shard should never see violated.

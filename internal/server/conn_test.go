@@ -937,23 +937,64 @@ func TestStagedRunsPublishedWhileReaderBlocks(t *testing.T) {
 	}
 }
 
-// TestStagedRunsKeepArrivalOrder: staging keeps a connection's order on each
-// ring. A PUT and a GET of one key in one burst read the PUT's value, on
-// every shard and across runs published at the group bound.
+// TestStagedRunsKeepArrivalOrder pins the ordering contract (docs/PROTOCOL.md,
+// "Framing"): pipelined requests on one connection are not ordered with each
+// other, but writes to one sub-shard keep their arrival order — on these
+// one-worker shards a PUT → PUT of one key in one burst lands in order, on
+// every shard and across runs published at the group bound — and a read sees
+// every write whose answer the client had before it sent the read. So a GET
+// sent after its PUT's answer reads the PUT's value, and a GET pipelined
+// behind an unanswered PUT reads the old or the new value, nothing else.
 func TestStagedRunsKeepArrivalOrder(t *testing.T) {
 	s := stagingServer(t)
 	cli := pipeServe(t, s)
+	const n = 40
+	burst := func(reqs []wire.Request) map[uint32]*wire.Response {
+		t.Helper()
+		if _, err := cli.Write(encode(t, reqs...)); err != nil {
+			t.Fatal(err)
+		}
+		return answers(t, cli, len(reqs))
+	}
+	get := func(id uint32, key uint64) wire.Request { return wire.Request{Op: wire.OpGet, ID: id, Key: key} }
+	value := func(r *wire.Response) string {
+		if r.Status != wire.StatusOK {
+			return r.Status.String()
+		}
+		return string(r.Value)
+	}
+
 	var reqs []wire.Request
-	for i := uint32(0); i < 40; i++ {
-		reqs = append(reqs, put(2*i+1, uint64(i), fmt.Sprint("v", i)), wire.Request{Op: wire.OpGet, ID: 2*i + 2, Key: uint64(i)})
+	for i := uint32(0); i < n; i++ {
+		reqs = append(reqs, put(2*i+1, uint64(i), fmt.Sprint("first", i)), put(2*i+2, uint64(i), fmt.Sprint("old", i)))
 	}
-	if _, err := cli.Write(encode(t, reqs...)); err != nil {
-		t.Fatal(err)
+	burst(reqs)
+	reqs = reqs[:0]
+	for i := uint32(0); i < n; i++ {
+		reqs = append(reqs, get(i+1, uint64(i)))
 	}
-	got := answers(t, cli, len(reqs))
-	for i := uint32(0); i < 40; i++ {
-		if r := got[2*i+2]; r.Status != wire.StatusOK || string(r.Value) != fmt.Sprint("v", i) {
-			t.Fatalf("GET %d behind its PUT: %v %q", i, r.Status, r.Value)
+	for id, r := range burst(reqs) {
+		if got, want := value(r), fmt.Sprint("old", id-1); got != want {
+			t.Fatalf("GET %d after a PUT → PUT burst was answered: %s, want %s", id-1, got, want)
+		}
+	}
+
+	reqs = reqs[:0]
+	for i := uint32(0); i < n; i++ {
+		reqs = append(reqs, put(2*i+1, uint64(i), fmt.Sprint("new", i)), get(2*i+2, uint64(i)))
+	}
+	for i, got := range burst(reqs) {
+		if k := (i - 1) / 2; i%2 == 0 && value(got) != fmt.Sprint("old", k) && value(got) != fmt.Sprint("new", k) {
+			t.Fatalf("GET %d pipelined behind its PUT: %s, want old%d or new%d", k, value(got), k, k)
+		}
+	}
+	reqs = reqs[:0]
+	for i := uint32(0); i < n; i++ {
+		reqs = append(reqs, get(i+1, uint64(i)))
+	}
+	for id, r := range burst(reqs) {
+		if got, want := value(r), fmt.Sprint("new", id-1); got != want {
+			t.Fatalf("GET %d after its PUT was answered: %s, want %s", id-1, got, want)
 		}
 	}
 }
@@ -1088,13 +1129,15 @@ func (*memConn) SetReadDeadline(time.Time) error  { return nil }
 func (*memConn) SetWriteDeadline(time.Time) error { return nil }
 
 // BenchmarkRequestLifecycle times what a request costs between the socket
-// read and the socket write with no store work behind it: per connection, the
-// real read loop takes bursts of 64 encoded GETs from an in-memory client
-// that keeps 128 in flight, decodes them and stages and publishes them onto
-// the shard rings; one executor per shard drains its ring and answers what it
-// took in chains through finishGroup, without a transaction; the
-// connection's write loop encodes into the client, which counts the answers.
-// It runs {1, 2, 4} connections × {1, 4} executors.
+// read and the socket write. Its conns×execs cells put no store work behind
+// it: per connection, the real read loop takes bursts of 64 encoded PUTs from
+// an in-memory client that keeps 128 in flight, decodes them and stages and
+// publishes them onto the shard rings; one executor per shard drains its ring
+// and answers what it took in chains through finishGroup, without a
+// transaction; the connection's write loop encodes into the client, which
+// counts the answers. It runs {1, 2, 4} connections × {1, 4} executors. The
+// readerGet cell sends GETs of 64 preloaded keys to one real shard instead:
+// the reader answers each with a validated read and publishes the chain.
 func BenchmarkRequestLifecycle(b *testing.B) {
 	for _, conns := range []int{1, 2, 4} {
 		for _, execs := range []int{1, 4} {
@@ -1103,10 +1146,10 @@ func BenchmarkRequestLifecycle(b *testing.B) {
 			})
 		}
 	}
+	b.Run("readerGet", benchReaderGet)
 }
 
 func benchLifecycle(b *testing.B, conns, execs int) {
-	const window, burst = 128, 64
 	s := bareServer(execs)
 	var executors sync.WaitGroup
 	for _, g := range s.shards {
@@ -1123,7 +1166,6 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 				}
 				batch = sh.queue.PopBatch(append(batch[:0], t), s.cfg.BatchMax)
 				for _, t := range batch {
-					t.resp.Value = append(t.resp.Value[:0], "sixteen-byte-val"...)
 					ops = append(ops, groupOp{t: t})
 				}
 				s.finishGroup(ops)
@@ -1132,7 +1174,35 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 			}
 		}()
 	}
+	driveConns(b, s, conns, wire.Request{Op: wire.OpPut, Value: []byte("sixteen-byte-val")})
+	for _, g := range s.shards {
+		(*g.subs.Load())[0].queue.Close()
+	}
+	executors.Wait()
+}
 
+func benchReaderGet(b *testing.B) {
+	s, err := New(Config{Shards: 1, WorkersPerShard: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	th := s.rt.RegisterThread()
+	defer th.Release()
+	sh := (*s.shards[0].subs.Load())[0]
+	for k := uint64(0); k < 64; k++ {
+		if _, err := sh.testPut(context.Background(), th, k, []byte("sixteen-byte-val")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	driveConns(b, s, 1, wire.Request{Op: wire.OpGet})
+}
+
+// driveConns times b.N requests shaped like req over conns in-memory
+// connections served by s, each sending bursts of 64 keyed 0..63 (spread over
+// the connections) and keeping 128 in flight.
+func driveConns(b *testing.B, s *Server, conns int, req wire.Request) {
+	const window, burst = 128, 64
 	b.ReportAllocs()
 	b.ResetTimer()
 	var readers sync.WaitGroup
@@ -1144,7 +1214,8 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 			mc.left += b.N % conns
 		}
 		for i := 0; i < burst; i++ {
-			mc.burst, _ = wire.AppendRequest(mc.burst, &wire.Request{Op: wire.OpGet, ID: uint32(i + 1), Key: uint64(i*conns + ci)})
+			req.ID, req.Key = uint32(i+1), uint64(i*conns+ci)
+			mc.burst, _ = wire.AppendRequest(mc.burst, &req)
 		}
 		readers.Add(1)
 		go func() {
@@ -1163,8 +1234,4 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 	}
 	readers.Wait()
 	b.StopTimer()
-	for _, g := range s.shards {
-		(*g.subs.Load())[0].queue.Close()
-	}
-	executors.Wait()
 }

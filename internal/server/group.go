@@ -2,9 +2,10 @@
 // group bound of queued requests per wakeup and runs them as the group
 // (runGroup): ONE view transaction on the worker's own shard — one RAC
 // admission, one begin/validate/commit (at Q == 1 a single lock acquisition)
-// and one WAL append amortized over K members: GET/PUT/DELETE/CAS requests
-// and ATOMIC batches whose keys all live on this shard, each interpreted by
-// multiBatch (store.go) with its own validation pass and verdict. The group
+// and one WAL append amortized over K members: PUT/DELETE/CAS requests and
+// ATOMIC batches whose keys all live on this shard, each interpreted by
+// multiBatch (store.go) with its own validation pass and verdict — work that
+// can conflict; a point GET never gets here (conn.serveGet). The group
 // orchestrates and implements no store verb: it reserves once for all its
 // members, calls the shard's kernel per member inside the transaction, and
 // settles once. It plans nothing either: the connection reader routed every
@@ -536,7 +537,6 @@ func (w *groupWorker) runGroup() bool {
 		op := &ops[i]
 		req := op.t.req
 		switch req.Op {
-		case wire.OpGet:
 		case wire.OpPut, wire.OpCAS:
 			readonly = false
 			op.slot = fx.want(sh, req.Key, len(req.Value))
@@ -627,19 +627,15 @@ func (w *groupWorker) runGroup() bool {
 				resp.Status = wire.StatusBusy
 				continue
 			}
-			found := true
 			switch req.Op {
-			case wire.OpGet:
-				resp.Value, found = sh.get(tx, req.Key, resp.Value)
 			case wire.OpPut:
 				resp.Created = sh.put(tx, fx, op.slot, req.Key, req.Value)
 			case wire.OpDelete:
-				found = sh.del(tx, fx, req.Key)
+				if !sh.del(tx, fx, req.Key) {
+					resp.Status = wire.StatusNotFound
+				}
 			case wire.OpCAS:
 				resp.Status, resp.Value = sh.cas(tx, fx, op.slot, req.Key, req.OldValue, req.Value, resp.Value)
-			}
-			if !found {
-				resp.Status = wire.StatusNotFound
 			}
 		}
 		return nil

@@ -95,6 +95,12 @@ func mkAtomic(s *Server, c *conn, id uint32, subs ...wire.Sub) task {
 	return queued(s, c, c.atomicReq(id, subs...))
 }
 
+// mkSubGet builds a one-key read-only ATOMIC: the read that still rides a
+// group (a point GET is answered by the connection reader).
+func mkSubGet(s *Server, c *conn, id uint32, key uint64) task {
+	return mkAtomic(s, c, id, wire.Sub{Kind: wire.SubGet, Key: key})
+}
+
 // newTestCoordinator builds a round coordinator the test drives on its own
 // goroutine — admit and runRound called directly, nothing queued — so a test
 // decides exactly which tasks share a round. The server's own coordinator
@@ -205,19 +211,29 @@ func TestGroupedExecutionOracle(t *testing.T) {
 	w := newGroupWorker(s, sh, th)
 	defer w.close()
 	batch := []task{
-		mkTask(s, c, wire.OpGet, 1, 1, nil, nil),                               // "alpha"
+		mkSubGet(s, c, 1, 1), // "alpha"
 		mkTask(s, c, wire.OpPut, 2, 5, []byte("new"), nil),                     // created
 		mkTask(s, c, wire.OpPut, 3, 5, []byte("newer"), nil),                   // overwrites within the group
 		mkTask(s, c, wire.OpCAS, 4, 3, []byte("gamma2"), []byte("gamma")),      // matches
 		mkTask(s, c, wire.OpCAS, 5, 4, []byte("nope"), []byte("wrong-expect")), // mismatch, current in Value
-		mkTask(s, c, wire.OpDelete, 6, 1, nil, nil),                            // deletes the key GET 1 read
-		mkTask(s, c, wire.OpGet, 7, 1, nil, nil),                               // sees the group's own delete
-		mkTask(s, c, wire.OpDelete, 8, 99, nil, nil),                           // absent
-		mkTask(s, c, wire.OpGet, 9, 5, nil, nil),                               // sees "newer"
+		mkTask(s, c, wire.OpDelete, 6, 1, nil, nil),                            // deletes the key read 1 read
+		mkSubGet(s, c, 7, 1),                         // sees the group's own delete
+		mkTask(s, c, wire.OpDelete, 8, 99, nil, nil), // absent
+		mkSubGet(s, c, 9, 5),                         // sees "newer"
 	}
 	w.run(batch)
 	got := collect(t, c, len(batch))
 
+	// A one-key read's outcome is its sub-result's, as check reads it.
+	for id, r := range got {
+		if len(r.subs) == 1 {
+			if r.status != wire.StatusOK {
+				t.Fatalf("read %d: ATOMIC status %v", id, r.status)
+			}
+			r.status, r.value = r.subs[0].Status, r.subs[0].Value
+			got[id] = r
+		}
+	}
 	check := func(id uint32, status wire.Status, value string) {
 		t.Helper()
 		r, ok := got[id]
@@ -391,7 +407,7 @@ func TestGroupPanicAnswersEveryRequest(t *testing.T) {
 	batch := []task{
 		mkTask(s, c, wire.OpPut, 1, 1, []byte("after"), nil),
 		mkTask(s, c, wire.OpPut, 2, 2, []byte("fresh"), nil),
-		mkTask(s, c, wire.OpGet, 3, 1, nil, nil),
+		mkSubGet(s, c, 3, 1),
 	}
 	arm.Store(true)
 	w.run(batch)
@@ -423,106 +439,76 @@ func TestGroupPanicAnswersEveryRequest(t *testing.T) {
 }
 
 // TestSteadyStateGetAllocs is the serving-path allocation guard: once pools
-// and buffers are warm, executing a GET group end to end — pooled request,
-// route recheck, read-only grouped transaction, pooled response — allocates
-// nothing. This is what keeps PR 2's alloc-free STM work intact behind the
-// network layer.
+// and buffers are warm, a GET answered on the connection reader — pooled
+// request, plan, validated read with its route re-check, the chain's
+// publication, pooled response — allocates nothing, and neither does a GET
+// that falls back to an admitted read-only transaction. This is what keeps
+// PR 2's alloc-free STM work intact behind the network layer.
 func TestSteadyStateGetAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation guard: race instrumentation allocates on this path")
-	}
-	s, err := New(Config{
-		Shards: 1, ShardWords: 1 << 12, WorkersPerShard: 2,
-		RequestTimeout: time.Hour, // keep the amortized context from renewing mid-measurement
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
-	ctx := context.Background()
-	th := s.rt.RegisterThread()
-	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
-	if _, err := sh.testPut(ctx, th, 7, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
-		t.Fatal(err)
-	}
-
-	c := newTestConn(s, 4)
-	w := newGroupWorker(s, sh, th)
-	defer w.close()
-	batch := make([]task, 1)
-	run := func() {
-		batch[0] = mkTask(s, c, wire.OpGet, 1, 7, nil, nil)
-		w.run(batch)
-		r := <-c.out
-		if r.Status != wire.StatusOK || len(r.Value) != 64 {
-			t.Fatalf("get: %+v", r)
-		}
-		c.recycle(r)
-	}
-	for i := 0; i < 32; i++ {
-		run() // warm the pools, the tx descriptor and the response Value
-	}
-	if n := testing.AllocsPerRun(200, run); n != 0 {
-		t.Errorf("steady-state GET allocates %.1f/op, want 0", n)
-	}
+	steadyGetAllocs(t, Config{})
 }
 
 // TestSteadyStateGetAllocsDurable re-runs the serving-path allocation guard
 // with the per-shard WAL on: reads never touch walMu or the log, so turning
 // durability on must not cost the read path a single allocation.
 func TestSteadyStateGetAllocsDurable(t *testing.T) {
+	steadyGetAllocs(t, Config{Durability: DurabilityGroup, DataDir: t.TempDir(), SnapshotEvery: time.Hour})
+}
+
+func steadyGetAllocs(t *testing.T, cfg Config) {
 	if raceEnabled {
 		t.Skip("allocation guard: race instrumentation allocates on this path")
 	}
-	s, err := New(Config{
-		Shards: 1, ShardWords: 1 << 12, WorkersPerShard: 2,
-		RequestTimeout: time.Hour,
-		Durability:     DurabilityGroup,
-		DataDir:        t.TempDir(),
-		SnapshotEvery:  time.Hour, // no snapshot walk during the measurement
-	})
+	cfg.Shards, cfg.ShardWords, cfg.WorkersPerShard = 1, 1<<12, 2
+	cfg.RequestTimeout = time.Hour // keep the amortized context from renewing mid-measurement
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
-	ctx := context.Background()
+	shutdownServer(t, s)
 	th := s.rt.RegisterThread()
 	defer th.Release()
 	sh := (*s.shards[0].subs.Load())[0]
-	if sh.log == nil {
-		t.Fatal("durable shard has no WAL")
+	if (sh.log != nil) != (cfg.Durability == DurabilityGroup) {
+		t.Fatalf("shard WAL %v under %v", sh.log != nil, cfg.Durability)
 	}
-	if _, err := sh.testPut(ctx, th, 7, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+	if _, err := sh.testPut(context.Background(), th, 7, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
 		t.Fatal(err)
 	}
 
 	c := newTestConn(s, 4)
-	w := newGroupWorker(s, sh, th)
-	defer w.close()
-	batch := make([]task, 1)
-	run := func() {
-		batch[0] = mkTask(s, c, wire.OpGet, 1, 7, nil, nil)
-		w.run(batch)
-		r := <-c.out
-		if r.Status != wire.StatusOK || len(r.Value) != 64 {
-			t.Fatalf("get: %+v", r)
+	getReq := func() *wire.Request {
+		req := c.testReq(wire.OpGet, 1)
+		req.Key = 7
+		return req
+	}
+	for _, tc := range []struct {
+		name  string
+		serve func()
+	}{
+		{"validated read", func() { c.dispatch(getReq()) }},
+		{"fallback", func() { c.serveGet(queued(s, c, getReq()), 0); c.publish() }},
+	} {
+		run := func() {
+			tc.serve()
+			r := <-c.out
+			if r.Status != wire.StatusOK || len(r.Value) != 64 || r.Next != nil {
+				t.Fatalf("%s: get: %+v", tc.name, r)
+			}
+			c.recycle(r)
 		}
-		c.recycle(r)
+		for i := 0; i < 32; i++ {
+			run() // warm the pools, the tx descriptor and the response Value
+		}
+		if n := testing.AllocsPerRun(200, run); n != 0 {
+			t.Errorf("%s: steady-state GET allocates %.1f/op, want 0", tc.name, n)
+		}
 	}
-	for i := 0; i < 32; i++ {
-		run()
+	if rs := s.RoundStats(); rs.Gets != 2*233 || rs.GetTries != 233 || rs.GetFallbacks != 233 {
+		t.Errorf("GET meters %d served, %d tries, %d fallbacks; want 466, 233, 233", rs.Gets, rs.GetTries, rs.GetFallbacks)
 	}
-	if n := testing.AllocsPerRun(200, run); n != 0 {
-		t.Errorf("durable steady-state GET allocates %.1f/op, want 0", n)
+	if g := sh.groups.Load(); g != 0 {
+		t.Errorf("%d groups ran: a GET entered the ring", g)
 	}
 }
 
@@ -610,7 +596,7 @@ func TestGroupMergedDrain(t *testing.T) {
 
 	w.run([]task{
 		mkTask(s, c, wire.OpPut, 11, 1, []byte("one"), nil),
-		mkTask(s, c, wire.OpGet, 12, 3, nil, nil),
+		mkSubGet(s, c, 12, 3),
 		mkAtomic(s, c, 13,
 			wire.Sub{Kind: wire.SubPut, Key: 20, Value: []byte("x")},
 			wire.Sub{Kind: wire.SubAdd, Key: 21, Delta: 5},
@@ -630,8 +616,8 @@ func TestGroupMergedDrain(t *testing.T) {
 			t.Errorf("request %d: status %v, want %v (%s)", id, got[id].status, want, got[id].value)
 		}
 	}
-	if string(got[12].value) != "gamma" {
-		t.Errorf("GET#12 = %q, want gamma", got[12].value)
+	if subs := got[12].subs; len(subs) != 1 || string(subs[0].Value) != "gamma" {
+		t.Errorf("read #12 = %+v, want gamma", subs)
 	}
 	if subs := got[13].subs; len(subs) != 3 || subs[1].Sum != 5 || string(subs[2].Value) != "one" {
 		t.Errorf("ATOMIC#13 results = %+v, want sum 5 and its group-mate's value", subs)

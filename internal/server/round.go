@@ -122,8 +122,8 @@ type flight struct {
 	err     error
 }
 
-// RoundStats counts the coordination rounds a server has run, and the SCAN
-// pages its coordinator served beside them.
+// RoundStats counts the coordination rounds a server has run, the SCAN pages
+// its coordinator served beside them, and the connection readers' GETs.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
 	Tasks   uint64 // tasks they carried: spanning ATOMIC batches
@@ -132,6 +132,7 @@ type RoundStats struct {
 	// made (votm.ReadAll), PageFallbacks those that ran out of tries and read
 	// inside a quiesce instead.
 	Pages, PageTries, PageFallbacks uint64
+	Gets, GetTries, GetFallbacks    uint64 // the same for point GETs; they fall back to AtomicRead
 	// Logged counts the rounds that appended redo records; the write groups a
 	// round in doubt held back are AckStats.Gated.
 	Logged uint64
@@ -160,6 +161,9 @@ func (rc *roundCoordinator) stats() RoundStats {
 		Pages:         rc.nPages.Load(),
 		PageTries:     rc.nPageTries.Load(),
 		PageFallbacks: rc.nPageFallbacks.Load(),
+		Gets:          rc.nGets.Load(),
+		GetTries:      rc.nGetTries.Load(),
+		GetFallbacks:  rc.nGetFallbacks.Load(),
 		Logged:        rc.nLogged.Load(),
 		Overlapped:    rc.nOverlapped.Load(),
 		InDoubtHigh:   rc.inDoubtHigh.Load(),
@@ -189,6 +193,7 @@ type roundCoordinator struct {
 	nOverlapped, inDoubtHigh, flightWaitNs atomic.Uint64
 	pausedNs                               atomic.Uint64
 	nPages, nPageTries, nPageFallbacks     atomic.Uint64
+	nGets, nGetTries, nGetFallbacks        atomic.Uint64 // added by the connection readers
 
 	// free holds the flight records not in use; inflight the rounds that took
 	// one, in xid order, settling that shareDone is at its head (both under fmu).

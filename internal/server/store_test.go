@@ -620,7 +620,9 @@ func TestStoreKernelDifferential(t *testing.T) {
 			req := &wire.Request{ID: id, Key: key}
 			switch rng.Intn(6) {
 			case 0:
-				req.Op = wire.OpGet
+				// A read rides a group as a one-key read-only ATOMIC (a point
+				// GET is answered by the connection reader).
+				req.Op, req.Subs = wire.OpAtomic, []wire.Sub{{Kind: wire.SubGet, Key: key}}
 			case 1, 2:
 				req.Op, req.Value = wire.OpPut, value()
 			case 3:
@@ -656,8 +658,6 @@ func TestStoreKernelDifferential(t *testing.T) {
 			cur, found := oracle[req.Key]
 			wantStatus, wantValue, wantCreated := wire.StatusOK, []byte(nil), false
 			switch req.Op {
-			case wire.OpGet:
-				wantValue = cur
 			case wire.OpPut:
 				wantCreated = !found
 				oracle[req.Key] = req.Value
