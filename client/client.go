@@ -54,8 +54,8 @@ type Options struct {
 	RequestTimeout time.Duration
 
 	// BusyRetries enables opt-in retry of BUSY responses: when the server
-	// answers with wire.ErrBusy (its bounded shard queue is full, or a
-	// repartition moved the key mid-flight), the request is retried up to
+	// answers with wire.ErrBusy (a bounded queue is full, or a live handoff
+	// is moving the shard), the request is retried up to
 	// this many additional times with jittered exponential backoff. 0 (the
 	// default) disables retry and surfaces ErrBusy immediately. Only BUSY
 	// is retried — it is the one response that promises the request was

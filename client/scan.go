@@ -23,7 +23,7 @@ type ScanOptions struct {
 // ordered map under concurrent writers.
 //
 // Page fetches go through the client's normal request path, so BUSY
-// responses (a repartition moved sub-shards mid-scan, a saturated queue)
+// responses (a saturated queue)
 // are retried transparently under Options.BusyRetries; the continuation
 // cursor names a key, not server state, so a retried or resumed page is
 // always well-defined.

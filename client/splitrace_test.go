@@ -12,10 +12,9 @@ import (
 )
 
 // splitRaceServer is a stub votmd that answers the first `busy` ATOMIC requests
-// with BUSY — the response a real server gives when a concurrent repartition
-// moves a batch's keys between routing and execution (the split race), or
-// when another worker became the batch's coordinator mid-flight. Every later
-// request succeeds. BUSY promises the request was not executed, so a client
+// with BUSY — the response a real server gives when a live handoff is moving
+// a participant shard, or its queue is full. Every later request succeeds.
+// BUSY promises the request was not executed, so a client
 // configured with BusyRetries must absorb the race transparently.
 type splitRaceServer struct {
 	ln     net.Listener
@@ -58,7 +57,7 @@ func (s *splitRaceServer) serve(nc net.Conn) {
 		if req.Op == wire.OpAtomic {
 			if n := s.served.Add(1); n <= atomic.LoadInt32(&s.busy) {
 				resp.Status = wire.StatusBusy
-				resp.Value = []byte("server: batch keys moved by a concurrent repartition")
+				resp.Value = []byte("server: shard handoff in progress")
 			} else {
 				resp.Subs = make([]wire.SubResult, len(req.Subs))
 			}
@@ -69,10 +68,10 @@ func (s *splitRaceServer) serve(nc net.Conn) {
 	}
 }
 
-// TestAtomicRetriesSplitRace: a multi-shard ATOMIC that loses the routing
-// race against a live split is answered BUSY; with BusyRetries set the client
-// must retry until the new routing settles and return the committed results,
-// with the caller never seeing the race.
+// TestAtomicRetriesSplitRace: a multi-shard ATOMIC that races a handoff is
+// answered BUSY; with BusyRetries set the client must retry until the shard
+// serves again and return the committed results, with the caller never
+// seeing the race.
 func TestAtomicRetriesSplitRace(t *testing.T) {
 	const races = 3
 	s := newSplitRaceServer(t, races)
@@ -103,7 +102,7 @@ func TestAtomicRetriesSplitRace(t *testing.T) {
 	}
 }
 
-// TestAtomicSplitRaceSurfacesBusy: without BusyRetries the split race is the
+// TestAtomicSplitRaceSurfacesBusy: without BusyRetries the race is the
 // caller's to handle — the client must surface ErrBusy immediately rather
 // than retrying behind the caller's back.
 func TestAtomicSplitRaceSurfacesBusy(t *testing.T) {

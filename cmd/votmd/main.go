@@ -56,8 +56,6 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 5*time.Second, "per-request transaction timeout")
 		statsSec = flag.Duration("stats-every", 0, "log per-shard stats at this interval (0 = off)")
 
-		autoSplit = flag.Bool("auto-split", false, "split hot shards online, every 250ms, shards of 1024 keys and more, up to 8 sub-shards (live key migration; ATOMIC batches spanning sub-shards commit via the multi-view 2PC coordinator)")
-
 		dataDir = flag.String("data-dir", "", "durability root directory; setting it turns on crash durability (per-shard WAL, at most one fsync per write group), empty = memory-only")
 
 		clusterSeed = flag.Bool("cluster-seed", false, "host the cluster shard-map service; with -data-dir this node also serves data as the first member, without it the map service runs standalone (no data plane)")
@@ -126,7 +124,6 @@ func main() {
 		BatchMax:        *batchMax,
 		Engine:          votm.EngineKind(*engine),
 		RequestTimeout:  *reqTO,
-		AutoSplit:       *autoSplit,
 		DataDir:         *dataDir,
 
 		Logf: logf,
@@ -159,8 +156,8 @@ func main() {
 		go func() {
 			for range time.Tick(*statsSec) {
 				for _, r := range srv.StatsAll() {
-					line := fmt.Sprintf("shard %d [%s]: Q=%d commits=%d aborts=%d keys=%d delta=%.3f splits=%d scans=%d scannedKeys=%d ringFull=%d qhwWin=%d",
-						r.Shard, r.Engine, r.Quota, r.Commits, r.Aborts, r.Keys, r.Delta, r.Repartitions, r.Scans, r.ScannedKeys,
+					line := fmt.Sprintf("shard %d [%s]: Q=%d commits=%d aborts=%d keys=%d delta=%.3f scans=%d scannedKeys=%d ringFull=%d qhwWin=%d",
+						r.Shard, r.Engine, r.Quota, r.Commits, r.Aborts, r.Keys, r.Delta, r.Scans, r.ScannedKeys,
 						r.RingFullEvents, r.QueueHighWaterWin)
 					if durable {
 						age := "never"

@@ -76,7 +76,7 @@ run_until_term "$tmp/second.log" "$serving" "${durable[@]}"
 expect_log "$tmp/second.log" 'clean start (replay skipped)'
 expect_log "$tmp/second.log" 'drained cleanly'
 
-for f in -max-value=1024 -idle-timeout=1s -drain-timeout=1s -snapshot-every=1s -durability=group; do
+for f in -max-value=1024 -idle-timeout=1s -drain-timeout=1s -snapshot-every=1s -durability=group -auto-split; do
 	status=0
 	"$tmp/votmd" "$f" -addr 127.0.0.1:0 2>"$tmp/flag.log" || status=$?
 	if [ "$status" -ne 2 ]; then

@@ -38,7 +38,7 @@ func NewRuntime(cfg Config) *Runtime {
 func (r *Runtime) Config() Config { return r.cfg }
 
 // Decisions returns the runtime's decision log: every quota move of its
-// views, and the shard splits votmd makes on them.
+// views.
 func (r *Runtime) Decisions() *trace.Log { return r.log }
 
 // CreateView implements create_view(vid, size, q): it creates a view of

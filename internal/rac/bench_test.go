@@ -38,9 +38,12 @@ func BenchmarkEnterExitParallel(b *testing.B) {
 }
 
 func BenchmarkEnterExitParallelThrottled(b *testing.B) {
-	// Quota 2 with many goroutines: measures the waiter/broadcast path.
+	// Quota 2 with many goroutines: measures the waiter/broadcast path. Eight
+	// goroutines per P, so the quota is short of them on any GOMAXPROCS.
 	c := New(Params{Threads: 64, InitialQuota: 2})
 	ctx := context.Background()
+	b.SetParallelism(8)
+	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			m, _ := c.Enter(ctx)

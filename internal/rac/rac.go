@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -202,8 +203,11 @@ type Controller struct {
 	lockActive bool
 	paused     bool // admissions suspended (engine switch or escalation)
 	closed     bool // view destroyed: admissions permanently rejected
-	waiters    int
-	gate       chan struct{}
+	// waiting are the parked Enter and PauseAndDrain callers, all woken by the
+	// next broadcast; spare the waiters they left, reused so a wait allocates
+	// nothing once as many callers have waited at once before.
+	waiting []*waiter
+	spare   []*waiter
 
 	// pauseSem serializes pausers (engine switches and escalations): without
 	// it two concurrent PauseAndDrain calls could both observe p == 0 and
@@ -230,7 +234,6 @@ func New(p Params) *Controller {
 	return &Controller{
 		params:    p,
 		q:         p.InitialQuota,
-		gate:      make(chan struct{}),
 		pauseSem:  make(chan struct{}, 1),
 		residence: make(map[int]int64),
 	}
@@ -260,20 +263,45 @@ func (c *Controller) Enter(ctx context.Context) (Mode, error) {
 			c.mu.Unlock()
 			return mode, nil
 		}
-		gate := c.gate
-		c.waiters++
-		c.mu.Unlock()
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			c.mu.Lock()
-			c.waiters--
+		if err := c.waitLocked(ctx); err != nil {
 			c.mu.Unlock()
-			return ModeTM, ctx.Err()
+			return ModeTM, err
 		}
-		c.mu.Lock()
-		c.waiters--
 	}
+}
+
+// waiter is one parked caller. Its channel has room for the one wake-up a
+// broadcast sends, so the broadcaster never blocks.
+type waiter struct{ wake chan struct{} }
+
+// waitLocked parks the caller until the next broadcast or until ctx is done,
+// then returns with mu held again, as the caller held it.
+func (c *Controller) waitLocked(ctx context.Context) error {
+	var w *waiter
+	if n := len(c.spare); n > 0 {
+		w = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		w = &waiter{wake: make(chan struct{}, 1)}
+	}
+	c.waiting = append(c.waiting, w)
+	c.mu.Unlock()
+	var err error
+	select {
+	case <-w.wake:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	c.mu.Lock()
+	if err != nil {
+		if i := slices.Index(c.waiting, w); i >= 0 {
+			c.waiting = slices.Delete(c.waiting, i, i+1)
+		} else {
+			<-w.wake // a broadcast took w off the list and sent its wake-up
+		}
+	}
+	c.spare = append(c.spare, w)
+	return err
 }
 
 // Exit records the attempt's outcome and releases the admission slot.
@@ -349,11 +377,13 @@ func (c *Controller) setQuotaLocked(q int, delta float64, rule Rule) {
 	}
 }
 
+// broadcastLocked wakes every parked caller to re-check its condition.
 func (c *Controller) broadcastLocked() {
-	if c.waiters > 0 {
-		close(c.gate)
-		c.gate = make(chan struct{})
+	for i, w := range c.waiting {
+		w.wake <- struct{}{}
+		c.waiting[i] = nil
 	}
+	c.waiting = c.waiting[:0]
 }
 
 // PauseAndDrain suspends new admissions and blocks until every admitted
@@ -375,22 +405,13 @@ func (c *Controller) PauseAndDrain(ctx context.Context) error {
 	c.mu.Lock()
 	c.paused = true
 	for c.p > 0 {
-		gate := c.gate
-		c.waiters++
-		c.mu.Unlock()
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			c.mu.Lock()
-			c.waiters--
+		if err := c.waitLocked(ctx); err != nil {
 			c.paused = false
 			c.broadcastLocked()
 			c.mu.Unlock()
 			<-c.pauseSem
-			return ctx.Err()
+			return err
 		}
-		c.mu.Lock()
-		c.waiters--
 	}
 	c.mu.Unlock()
 	return nil

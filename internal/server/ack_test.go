@@ -492,7 +492,7 @@ func TestSteadyStateDurablePutAllocs(t *testing.T) {
 	shutdownServer(t, s)
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	c := newTestConn(s, 4)
 	w := newGroupWorker(s, sh, th)
 	defer w.close()

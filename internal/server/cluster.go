@@ -63,8 +63,7 @@ func (s *Server) tee(id int) func(uint64, []byte) {
 	return nil
 }
 
-// Shard is the plane's handle on a wire shard's one serving sub-shard (a
-// cluster never splits). Methods marked "WAL lock" run between Lock/Unlock.
+// Shard is the plane's handle on a wire shard. Methods marked "WAL lock" run between Lock/Unlock.
 type Shard struct {
 	s  *Server
 	sh *shard

@@ -43,7 +43,7 @@ type conn struct {
 	reqs  freeList[wire.Request]
 	resps freeList[wire.Response]
 
-	// runs are the reader's staged ring tasks, one run per sub-shard, and
+	// runs are the reader's staged ring tasks, one run per shard, and
 	// more tells dispatch that the next frame is already wholly buffered, so
 	// publishing them can wait (docs/ALGORITHMS.md, "Request lifecycle").
 	runs []shardRun
@@ -56,17 +56,21 @@ type conn struct {
 	tries, falls uint64
 }
 
-// shardRun is the tasks a reader staged for one sub-shard's ring, in arrival
+// shardRun is the tasks a reader staged for one shard's ring, in arrival
 // order.
 type shardRun struct {
 	sh    *shard
 	tasks []task
 }
 
-// freeList is one connection's idle requests or responses, at most stockMax
-// at each end. The reader takes from own without a lock and, once own runs
-// dry, swaps it for shared, where executors and the writer put back under mu
-// — one critical section per answered chain or per write.
+// freeList is one connection's idle requests or responses. The reader takes
+// from own without a lock and, once own runs dry, swaps it for shared, where
+// executors and the writer put back under mu — one critical section per
+// answered chain or per write. A list keeps every object given back to it (an
+// object past retainMax is dropped before): it makes one only when none is
+// idle, so it never holds more than its connection once had in flight, which
+// the credits the reader charged bound, and a pipeline of any depth the
+// queues admit runs from stock.
 type freeList[T any] struct {
 	own    []*T
 	mu     sync.Mutex
@@ -89,11 +93,7 @@ func (l *freeList[T]) take() *T {
 }
 
 // put returns x to the shared end; the caller holds mu.
-func (l *freeList[T]) put(x *T) {
-	if len(l.shared) < stockMax {
-		l.shared = append(l.shared, x)
-	}
-}
+func (l *freeList[T]) put(x *T) { l.shared = append(l.shared, x) }
 
 // reqFits reports whether req may be kept. Its frame buffer is as long as the
 // largest frame ever read into it and the check follows every use, so bounding
@@ -300,15 +300,14 @@ func (c *conn) plan(req *wire.Request) {
 	// The one plan. sh is the ring the task is staged for: the key's owner, or
 	// the single participant of an ATOMIC, which joins that shard's group
 	// with its plan attached. A nil sh means the request involves several
-	// sub-shards — a spanning ATOMIC, or a SCAN page, which consults them
-	// all — and goes straight to the round coordinator (round.go): it never
-	// enters a ring. Nothing re-plans after this; a plan a split made stale
-	// is caught by the executors' in-transaction route check (BUSY).
+	// shards — a spanning ATOMIC, or a SCAN page, which consults them all —
+	// and goes straight to the round coordinator (round.go): it never enters
+	// a ring. Nothing re-plans after this: a key's shard never changes.
 	t := task{req: req, resp: resp, c: c}
 	if stream {
 		// A stream keeps its place behind what this reader staged before it
 		// and goes out at once: only a full ring pushes back.
-		c.stage((*s.shards[req.Shard].subs.Load())[0], t)
+		c.stage(s.shards[req.Shard], t)
 		c.publish()
 		return
 	}
@@ -324,7 +323,7 @@ func (c *conn) plan(req *wire.Request) {
 		}
 	case wire.OpScan:
 	default:
-		sh = s.shards[s.Shard(req.Key)].route(req.Key)
+		sh = s.shards[s.Shard(req.Key)]
 	}
 	if sh != nil {
 		c.stage(sh, t)
@@ -334,8 +333,8 @@ func (c *conn) plan(req *wire.Request) {
 	c.publish()
 	if !s.rounds.submit(t) {
 		// The round queue is full. It belongs to no shard: meter an ATOMIC
-		// on its first participant, a page on the least sub-shard.
-		sh = s.leastSubShard()
+		// on its first participant, a page on shard 0.
+		sh = s.shards[0]
 		if t.batch != nil {
 			sh = t.batch.parts[0]
 		}
@@ -353,7 +352,7 @@ func (s *Server) busy(t task, meter *atomic.Uint64) {
 	s.finish(t)
 }
 
-// stage puts t on its sub-shard's run, publishing the run once it holds a
+// stage puts t on its shard's run, publishing the run once it holds a
 // full group.
 func (c *conn) stage(sh *shard, t task) {
 	i := 0
@@ -411,7 +410,7 @@ func (c *conn) publishRun(r *shardRun) {
 // read-only transaction; each retry yields first to let a writer finish.
 const getTries = 32
 
-// serveGet answers a point GET on the reader: validated reads of its sub-shard
+// serveGet answers a point GET on the reader: validated reads of its shard
 // (votm.ReadAll), then one AtomicRead RAC admits, at Q = 1 behind the worker.
 func (c *conn) serveGet(t task, tries int) {
 	if found, err := c.readGet(t.req.Key, t.resp, tries); err != nil {
@@ -426,10 +425,8 @@ func (c *conn) serveGet(t task, tries int) {
 	}
 }
 
-// readGet reads key's value into resp.Value. Each read re-checks the route: a
-// split publishes under the parent's Exclusive section, which moves the writer
-// count and excludes admitted transactions, so a stale route is seen and
-// re-routed. A panic out of a read of a still view (an injected fault): TxFault.
+// readGet reads key's value into resp.Value. A panic out of a read of a
+// still view (an injected fault): TxFault.
 func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -440,14 +437,9 @@ func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, 
 	if c.th == nil {
 		c.th, c.rctx.timeout = s.rt.RegisterThread(), s.cfg.RequestTimeout
 	}
-	g := s.shards[s.Shard(key)]
-	sh, stale := g.route(key), false
+	sh := s.shards[s.Shard(key)]
 	read := func(tx votm.Tx) error {
-		owner := g.route(key)
-		if stale = owner != sh; !stale {
-			resp.Value, found = sh.get(tx, key, resp.Value[:0])
-		}
-		sh = owner
+		resp.Value, found = sh.get(tx, key, resp.Value[:0])
 		return nil
 	}
 	for try := 0; try < tries; try++ {
@@ -455,17 +447,13 @@ func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, 
 			runtime.Gosched()
 		}
 		c.tries++
-		if ok, err := votm.ReadAll(c.th, []*votm.View{sh.view}, func(txs []votm.Tx) error { return read(txs[0]) }); ok && !stale {
+		if ok, err := votm.ReadAll(c.th, []*votm.View{sh.view}, func(txs []votm.Tx) error { return read(txs[0]) }); ok {
 			return found, err
 		}
 	}
 	c.falls++
 	c.publish() // what was answered goes out before the fallback can wait
-	for {
-		if err := sh.view.AtomicRead(c.rctx.ctx(), c.th, read); err != nil || !stale {
-			return found, err
-		}
-	}
+	return found, sh.view.AtomicRead(c.rctx.ctx(), c.th, read)
 }
 
 // validate applies size and shape limits a shard should never see violated.

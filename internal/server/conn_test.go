@@ -172,9 +172,9 @@ func TestDrainRefusesLateAccept(t *testing.T) {
 	}
 }
 
-// serverKeys sums the key counters of every sub-shard.
+// serverKeys sums the key counters of every shard.
 func serverKeys(s *Server) (n int64) {
-	for _, sh := range s.appendSubShards(nil) {
+	for _, sh := range s.shards {
 		n += sh.keys.Load()
 	}
 	return n
@@ -389,6 +389,44 @@ func (c *conn) gatherStock() {
 	gather(&c.resps, 16)
 }
 
+// TestSteadyStateDeepPipelineAllocs: a connection that keeps 640 requests in
+// flight takes every request and response from its own stock once warm: its
+// lists keep what it once had in flight, so a pipeline of any depth the queues
+// admit allocates nothing per request.
+func TestSteadyStateDeepPipelineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard: race instrumentation allocates on this path")
+	}
+	const inFlight = 640
+	s := bareServer(1)
+	sh := s.shards[0]
+	c := newTestConn(s, inFlight)
+	val := []byte("value")
+	batch := make([]task, 0, inFlight)
+	cycle := func() {
+		for i := 0; i < inFlight; i++ {
+			req := c.testReq(wire.OpPut, uint32(i+1))
+			req.Key, req.Value = uint64(i), val
+			c.dispatch(req)
+		}
+		batch = sh.queue.PopBatch(batch[:0], inFlight)
+		if len(batch) != inFlight {
+			t.Fatalf("%d of %d requests queued", len(batch), inFlight)
+		}
+		for _, tk := range batch {
+			s.finish(tk)
+		}
+		clear(batch)
+		for i := 0; i < inFlight; i++ {
+			c.recycle(<-c.out)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("%.0f allocations per %d pipelined requests, want 0", allocs, inFlight)
+	}
+}
+
 // TestSteadyStateConnRecycling: once warm, a connection carrying same-shard
 // and spanning ATOMICs, SCAN pages, REPLICATE frames its leader refuses and
 // requests dispatch rejects allocates no request or response: every object
@@ -474,7 +512,7 @@ func TestConnRetentionBound(t *testing.T) {
 	th := s.rt.RegisterThread()
 	defer th.Release()
 	for k := uint64(0); k < wire.MaxScanKeys+8; k++ {
-		sh := s.shards[s.Shard(k)].route(k)
+		sh := s.shards[s.Shard(k)]
 		if _, err := sh.testPut(context.Background(), th, k, []byte("small")); err != nil {
 			t.Fatalf("seed %d: %v", k, err)
 		}
@@ -730,7 +768,7 @@ func TestStagedRunAdmissionPrefix(t *testing.T) {
 	}
 	shutdownServer(t, s)
 	keys := keysOn(s, 16)
-	full, other := (*s.shards[0].subs.Load())[0], (*s.shards[1].subs.Load())[0]
+	full, other := s.shards[0], s.shards[1]
 	const room = 3
 
 	// Park full's one worker in its view's admission with a first filler PUT,
@@ -905,7 +943,7 @@ func TestStagedRunsPublishedWhileReaderBlocks(t *testing.T) {
 	keys := keysOn(s, 20)
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	full := make([]wire.Request, s.cfg.BatchMax)
 	for i := range full {
 		full[i] = put(uint32(i+1), keys[0][i], "a full group")
@@ -939,7 +977,7 @@ func TestStagedRunsPublishedWhileReaderBlocks(t *testing.T) {
 
 // TestStagedRunsKeepArrivalOrder pins the ordering contract (docs/PROTOCOL.md,
 // "Framing"): pipelined requests on one connection are not ordered with each
-// other, but writes to one sub-shard keep their arrival order — on these
+// other, but writes to one shard keep their arrival order — on these
 // one-worker shards a PUT → PUT of one key in one burst lands in order, on
 // every shard and across runs published at the group bound — and a read sees
 // every write whose answer the client had before it sent the read. So a GET
@@ -1004,10 +1042,7 @@ func TestStagedRunsKeepArrivalOrder(t *testing.T) {
 func bareServer(shards int) *Server {
 	s := &Server{cfg: Config{Shards: shards, QueueDepth: 1024}.withDefaults()}
 	for i := 0; i < shards; i++ {
-		g := &shardGroup{id: i}
-		subs := []*shard{s.newShard(i, nil, nil)}
-		g.subs.Store(&subs)
-		s.shards = append(s.shards, g)
+		s.shards = append(s.shards, s.newShard(i, nil, nil))
 	}
 	return s
 }
@@ -1069,7 +1104,7 @@ func TestReplicateKeepsRingOrder(t *testing.T) {
 	if _, err := cli.Write(encode(t, reqs...)); err != nil {
 		t.Fatal(err)
 	}
-	q := (*s.shards[0].subs.Load())[0].queue
+	q := s.shards[0].queue
 	for deadline := time.Now().Add(5 * time.Second); q.Len() < len(reqs); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d requests reached the ring", q.Len(), len(reqs))
@@ -1152,8 +1187,7 @@ func BenchmarkRequestLifecycle(b *testing.B) {
 func benchLifecycle(b *testing.B, conns, execs int) {
 	s := bareServer(execs)
 	var executors sync.WaitGroup
-	for _, g := range s.shards {
-		sh := (*g.subs.Load())[0]
+	for _, sh := range s.shards {
 		executors.Add(1)
 		go func() {
 			defer executors.Done()
@@ -1175,8 +1209,8 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 		}()
 	}
 	driveConns(b, s, conns, wire.Request{Op: wire.OpPut, Value: []byte("sixteen-byte-val")})
-	for _, g := range s.shards {
-		(*g.subs.Load())[0].queue.Close()
+	for _, sh := range s.shards {
+		sh.queue.Close()
 	}
 	executors.Wait()
 }
@@ -1189,7 +1223,7 @@ func benchReaderGet(b *testing.B) {
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	for k := uint64(0); k < 64; k++ {
 		if _, err := sh.testPut(context.Background(), th, k, []byte("sixteen-byte-val")); err != nil {
 			b.Fatal(err)

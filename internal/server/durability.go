@@ -379,7 +379,7 @@ func (s *Server) snapshotLoop() {
 			return
 		case <-ticker.C:
 		}
-		for _, sh := range s.appendSubShards(nil) {
+		for _, sh := range s.shards {
 			if sh.readOnly.Load() {
 				continue // state may be ahead of the log; keep the old snapshot
 			}

@@ -9,9 +9,8 @@
 // orchestrates and implements no store verb: it reserves once for all its
 // members, calls the shard's kernel per member inside the transaction, and
 // settles once. It plans nothing either: the connection reader routed every
-// request (conn.dispatch), work spanning sub-shards went to the round
-// coordinator (round.go) — the server's only other executor — and a plan a
-// split made stale is refused by the in-transaction route check (BUSY).
+// request (conn.dispatch), and work spanning shards went to the round
+// coordinator (round.go) — the server's only other executor.
 //
 // No worker waits on a flush. A durable group's built responses go on the
 // shard's completion list (ackStage), keyed by (WAL seq, doubt xid), and the
@@ -80,7 +79,7 @@ type AckStats struct {
 // AckStats returns the stage counters. In-process only, like RoundStats; all
 // zero when no shard has a WAL.
 func (s *Server) AckStats() (sum AckStats) {
-	for _, sh := range s.appendSubShards(nil) {
+	for _, sh := range s.shards {
 		if a := sh.ack; a != nil {
 			a.mu.Lock()
 			st := a.stats
@@ -474,12 +473,9 @@ func errStatus(err error) (wire.Status, string) {
 		return wire.StatusTxFault, err.Error()
 	case errors.Is(err, errBadAdd):
 		return wire.StatusBadRequest, err.Error()
-	case errors.Is(err, errStaleRoute):
-		// BUSY promises the request was not executed; errStaleRoute aborts
-		// before the batch's first write, so the promise holds.
-		return wire.StatusBusy, err.Error()
 	case errors.Is(err, errShardMoving):
-		// Same promise: the handoff barrier refuses before execution.
+		// BUSY promises the request was not executed: the handoff barrier
+		// refuses before execution.
 		return wire.StatusBusy, err.Error()
 	case errors.Is(err, votm.ErrViewDestroyed):
 		return wire.StatusShutdown, "shard shutting down"
@@ -611,22 +607,13 @@ func (w *groupWorker) runGroup() bool {
 				// The member keeps its own verdict: a refused batch wrote
 				// nothing (exec validates before its first write) and its
 				// group-mates carry on.
-				b.err = b.exec(w.s, w.self, w.selfTx, w.fx)
+				b.err = b.exec(w.self, w.selfTx, w.fx)
 				continue
 			}
 			req, resp := op.t.req, op.t.resp
 			resp.Status = wire.StatusOK
 			resp.Value = resp.Value[:0]
 			resp.Created = false
-			if w.s.shards[sh.id].route(req.Key) != sh {
-				// A split moved this key between dispatch and execution.
-				// Splits publish under this view's exclusive section, so the
-				// verdict is authoritative in here: answer BUSY (retryable)
-				// instead of operating on a stale owner. Only the moved
-				// requests drop out; the rest of the group still commits.
-				resp.Status = wire.StatusBusy
-				continue
-			}
 			switch req.Op {
 			case wire.OpPut:
 				resp.Created = sh.put(tx, fx, op.slot, req.Key, req.Value)

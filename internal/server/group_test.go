@@ -193,7 +193,7 @@ func TestGroupedExecutionOracle(t *testing.T) {
 	ctx := context.Background()
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 
 	// Seed with one kernel verb per transaction (store_test.go), outside any
 	// group.
@@ -300,79 +300,6 @@ func TestGroupedExecutionOracle(t *testing.T) {
 	}
 }
 
-// TestGroupAcrossSplitRouteChange splits the shard between dispatch and
-// execution: the batch was queued for the old root sub-shard, so moved keys
-// must be answered BUSY while the keys the root still owns commit normally.
-func TestGroupAcrossSplitRouteChange(t *testing.T) {
-	s, err := New(Config{Shards: 1, ShardWords: 1 << 12, WorkersPerShard: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
-	ctx := context.Background()
-	th := s.rt.RegisterThread()
-	defer th.Release()
-	g := s.shards[0]
-	root := (*g.subs.Load())[0]
-
-	const n = 32
-	for k := uint64(0); k < n; k++ {
-		if _, err := root.testPut(ctx, th, k, []byte("seed")); err != nil {
-			t.Fatalf("seed %d: %v", k, err)
-		}
-	}
-
-	// Dispatch-time state: every key routes to root. Build the batch, THEN
-	// split, then execute — exactly the race the in-transaction route check
-	// exists for.
-	c := newTestConn(s, n)
-	w := newGroupWorker(s, root, th)
-	defer w.close()
-	batch := make([]task, 0, n)
-	for k := uint64(0); k < n; k++ {
-		batch = append(batch, mkTask(s, c, wire.OpPut, uint32(k+1), k, []byte("updated"), nil))
-	}
-	if err := s.splitShard(g, root, "test"); err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	w.run(batch)
-	got := collect(t, c, n)
-
-	var busy, ok int
-	for k := uint64(0); k < n; k++ {
-		r := got[uint32(k+1)]
-		owner := g.route(k)
-		switch {
-		case owner == root && r.status == wire.StatusOK:
-			ok++
-		case owner != root && r.status == wire.StatusBusy:
-			busy++
-		default:
-			t.Errorf("key %d (owner==root: %v): status %v", k, owner == root, r.status)
-		}
-		// Moved keys kept their seed value; retained keys committed.
-		want := "updated"
-		if owner != root {
-			want = "seed"
-		}
-		val, found, err := owner.testGet(ctx, th, k)
-		if err != nil || !found {
-			t.Fatalf("get %d on owner: found=%v err=%v", k, found, err)
-		}
-		if string(val) != want {
-			t.Errorf("key %d: %q, want %q", k, val, want)
-		}
-	}
-	if busy == 0 || ok == 0 {
-		t.Fatalf("split bisected nothing: %d busy, %d ok", busy, ok)
-	}
-	t.Logf("split mid-batch: %d moved keys BUSY, %d committed", busy, ok)
-}
-
 // TestGroupPanicAnswersEveryRequest injects a panic into the middle of a
 // grouped transaction and asserts the containment contract: the whole group
 // fails with StatusTxFault, every member is answered, nothing committed,
@@ -396,7 +323,7 @@ func TestGroupPanicAnswersEveryRequest(t *testing.T) {
 	ctx := context.Background()
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	if _, err := sh.testPut(ctx, th, 1, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +367,7 @@ func TestGroupPanicAnswersEveryRequest(t *testing.T) {
 
 // TestSteadyStateGetAllocs is the serving-path allocation guard: once pools
 // and buffers are warm, a GET answered on the connection reader — pooled
-// request, plan, validated read with its route re-check, the chain's
+// request, plan, validated read, the chain's
 // publication, pooled response — allocates nothing, and neither does a GET
 // that falls back to an admitted read-only transaction. This is what keeps
 // PR 2's alloc-free STM work intact behind the network layer.
@@ -468,7 +395,7 @@ func steadyGetAllocs(t *testing.T, cfg Config) {
 	shutdownServer(t, s)
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	if (sh.log != nil) != (cfg.Durability == DurabilityGroup) {
 		t.Fatalf("shard WAL %v under %v", sh.log != nil, cfg.Durability)
 	}
@@ -579,7 +506,7 @@ func TestGroupMergedDrain(t *testing.T) {
 	shutdownServer(t, s)
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	c := newTestConn(s, 16)
 	w := newGroupWorker(s, sh, th)
 	defer w.close()
@@ -634,7 +561,7 @@ func TestGroupMergedDrain(t *testing.T) {
 		t.Helper()
 		th := s.rt.RegisterThread()
 		defer th.Release()
-		sh := (*s.shards[0].subs.Load())[0]
+		sh := s.shards[0]
 		for _, tc := range []struct {
 			key  uint64
 			want []byte // nil = absent
@@ -694,7 +621,7 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 		}
 	}
 	for i := range shards {
-		shards[i] = (*s.shards[i].subs.Load())[0]
+		shards[i] = s.shards[i]
 	}
 	c := newTestConn(s, 16)
 	w := newGroupWorker(s, shards[0], th)
@@ -785,7 +712,7 @@ func TestSteadyStateAtomicAllocs(t *testing.T) {
 	shutdownServer(t, s)
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	c := newTestConn(s, 4)
 	w := newGroupWorker(s, sh, th)
 	defer w.close()

@@ -48,7 +48,6 @@ func TestConfigValidation(t *testing.T) {
 		// A removed mode is refused, never reinterpreted as another.
 		{"removed mode", server.Config{Durability: "snapshot-only", DataDir: t.TempDir()}, `unknown Config.Durability "snapshot-only"`},
 		{"unknown engine", server.Config{Engine: "bogus"}, `unknown Config.Engine "bogus"`},
-		{"autosplit conflict", server.Config{Durability: server.DurabilityGroup, DataDir: t.TempDir(), AutoSplit: true}, "AutoSplit"},
 		// Zero means the default; a negative value is an error, never a
 		// silent default or a disabled mechanism.
 		{"negative shards", server.Config{Shards: -1}, "Shards must not be negative"},

@@ -89,7 +89,7 @@ func (q *ringQueue) Cap() int { return len(q.slots) }
 
 // Len is approximate: tail and head are read independently, so a racing
 // push or pop can skew it by a few — fine for its consumers (admission
-// threshold, STATS, the split advisor).
+// threshold, STATS).
 func (q *ringQueue) Len() int {
 	n := int64(q.tail.Load()) - int64(q.head.Load())
 	if n < 0 {

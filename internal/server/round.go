@@ -1,6 +1,6 @@
 // Multi-shard execution: one round coordinator per server.
 //
-// Work that involves more than one sub-shard — an ATOMIC batch whose keys
+// Work that involves more than one shard — an ATOMIC batch whose keys
 // span them, a SCAN page, which consults them all — is never a shard worker's
 // business: the connection reader that planned it (conn.dispatch) puts it on
 // the server's one bounded round queue. A single coordinator goroutine takes
@@ -224,9 +224,8 @@ type roundCoordinator struct {
 	prepBuf     []byte        // prepare-record payload scratch
 	rec         [2]wal.Record // a prepare batch: the prepare, and room for an owed annotation
 
-	// A page's sub-shards and their views, and its k-way merge state per
-	// sub-shard (scan.go).
-	pageParts   []*shard
+	// Every shard's view, in canonical order, and a page's k-way merge state
+	// per shard (scan.go).
 	pageViews   []*votm.View
 	cursors     []ds.Ref
 	keys        []uint64
@@ -246,6 +245,9 @@ func newRoundCoordinator(s *Server) *roundCoordinator {
 	}
 	for i := 0; i < maxInDoubt; i++ {
 		rc.free <- &flight{rc: rc}
+	}
+	for _, sh := range s.shards {
+		rc.pageViews = append(rc.pageViews, sh.view)
 	}
 	return rc
 }
@@ -365,15 +367,14 @@ func (rc *roundCoordinator) runTasks(txs []votm.Tx) error {
 
 // execContained runs one batch of the round, containing a panic to that
 // batch: its round-mates already executed (or still can) inside the same
-// irrevocable quiesce, so the fault must not unwind them. (Routing is frozen
-// and exec checked every key, so any panic is a task-local fault.)
+// irrevocable quiesce, so the fault must not unwind them.
 func (rc *roundCoordinator) execContained(b *multiBatch, txs []votm.Tx) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = txFault{r}
 		}
 	}()
-	return b.exec(rc.s, rc.union, txs, rc.fx)
+	return b.exec(rc.union, txs, rc.fx)
 }
 
 // runRound executes rc.tasks — spanning ATOMIC batches, one or many — as ONE
@@ -385,15 +386,11 @@ func (rc *roundCoordinator) execContained(b *multiBatch, txs []votm.Tx) (err err
 //
 //   - Only the union is paused: exactly the batches' participants.
 //   - Task order is execution order.
-//   - A task's failure (stale route, bad add, panic) lands in its own verdict
+//   - A task's failure (bad add, panic) lands in its own verdict
 //     and never touches its round-mates: validation precedes every write, so
 //     a failed batch wrote nothing. A round-level failure (pause error,
 //     cancellation, a panic before the body) means nothing executed and
 //     becomes every undecided task's verdict.
-//   - The plan the reader attached to a batch may be stale by now (a split
-//     between dispatch and round): exec re-verifies every key's owner inside
-//     the quiesce, before the batch's first write, and answers BUSY. Nothing
-//     re-plans.
 //   - Every writable participant's walMu is taken in canonical order BEFORE
 //     any view is paused and held until its prepare is appended — never
 //     across the flush: each shard's log order equals its memory commit

@@ -44,7 +44,7 @@ func newRoundFixture(t testing.TB, cfg Config, perShard int) *roundFixture {
 		}
 	}
 	for i := range f.shards {
-		f.shards[i] = (*s.shards[i].subs.Load())[0]
+		f.shards[i] = s.shards[i]
 	}
 	f.th = s.rt.RegisterThread()
 	t.Cleanup(f.th.Release)
@@ -159,7 +159,7 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	}
 	free := len(f.s.batchFree)
 	// The refused batch's first participant is shard 1: that is where its
-	// rejection is metered. The refused page is metered on the least sub-shard.
+	// rejection is metered. The refused page is metered on shard 0.
 	f.c.dispatch(f.c.atomicReq(4,
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[1][3], Value: val},
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[2][3], Value: val}))
@@ -178,7 +178,7 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 		t.Errorf("batch free list %d -> %d: the refused batch's plan was not released", free, n)
 	}
 	if a, p := f.shards[1].ringFull.Load(), f.shards[0].ringFull.Load(); a != 1 || p != 1 {
-		t.Errorf("full-queue rejections: %d on the batch's first participant, %d on the least sub-shard; want 1 and 1", a, p)
+		t.Errorf("full-queue rejections: %d on the batch's first participant, %d on shard 0; want 1 and 1", a, p)
 	}
 	if n := f.shards[0].scans.Load(); n != 0 {
 		t.Errorf("the refused page was counted as served (%d)", n)
@@ -625,127 +625,6 @@ func TestRoundFlushFaultCascades(t *testing.T) {
 	}
 }
 
-// TestSplitRacingQueuedRound splits a participant between the reader's plan
-// and execution. Nothing re-plans: a queued spanning batch's round, and the
-// group of a same-shard batch whose keys the split scattered, must each
-// answer BUSY from the in-transaction route check — BUSY means nothing
-// executed — and free what was pre-allocated on the old owner. The retry is
-// planned against the new routing (the scattered batch as cross-shard) and
-// commits.
-func TestSplitRacingQueuedRound(t *testing.T) {
-	s, err := New(Config{Shards: 2, ShardWords: 1 << 12, WorkersPerShard: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	shutdownServer(t, s)
-	ctx := context.Background()
-	th := s.rt.RegisterThread()
-	defer th.Release()
-	sh0, g1 := (*s.shards[0].subs.Load())[0], s.shards[1]
-	root1 := (*g1.subs.Load())[0]
-
-	// k0 lives on shard 0; k1 and kStay on shard 1, k1 among the keys a split
-	// moves away and kStay among those it leaves.
-	var k0, k1, kStay uint64
-	for k := uint64(1); k0 == 0 || k1 == 0 || kStay == 0; k++ {
-		switch {
-		case s.Shard(k) == 0 && k0 == 0:
-			k0 = k
-		case s.Shard(k) == 1 && subMix(k)&1 != 0 && k1 == 0:
-			k1 = k
-		case s.Shard(k) == 1 && subMix(k)&1 == 0 && kStay == 0:
-			kStay = k
-		}
-	}
-	for _, p := range []struct {
-		sh  *shard
-		key uint64
-	}{{sh0, k0}, {root1, k1}, {root1, kStay}} {
-		if _, err := p.sh.testPut(ctx, th, p.key, []byte("seed")); err != nil {
-			t.Fatalf("seed %d: %v", p.key, err)
-		}
-	}
-	put := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubPut, Key: key, Value: []byte("new")} }
-
-	// Stall the coordinator at the front of the acquisition order: view 0 is
-	// held exclusively, so the round blocks before it pauses anything.
-	entered, release := make(chan struct{}), make(chan struct{})
-	held := make(chan error, 1)
-	go func() {
-		held <- sh0.view.Exclusive(ctx, func(votm.Tx) error {
-			close(entered)
-			<-release
-			return nil
-		})
-	}()
-	<-entered
-
-	c := newTestConn(s, 4)
-	words0 := sh0.view.AllocatedWords()
-	c.dispatch(c.atomicReq(1, put(k0), put(k1)))
-	for deadline := time.Now().Add(5 * time.Second); len(s.rounds.queue) > 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the coordinator never took the queued task")
-		}
-	}
-	// Planned as a same-shard batch: both keys are root1's until the split.
-	scattered := mkAtomic(s, c, 2, put(k1), put(kStay))
-	if len(scattered.batch.parts) != 1 || scattered.batch.parts[0] != root1 {
-		t.Fatalf("the two shard-1 keys did not plan as a same-shard batch: %d participants", len(scattered.batch.parts))
-	}
-	if err := s.splitShard(g1, root1, "test"); err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	owner := g1.route(k1)
-	if owner == root1 || g1.route(kStay) != root1 {
-		t.Fatalf("the split did not scatter keys %d and %d", k1, kStay)
-	}
-	close(release)
-	if err := <-held; err != nil {
-		t.Fatalf("exclusive section: %v", err)
-	}
-	if r := collect(t, c, 1)[1]; r.status != wire.StatusBusy {
-		t.Fatalf("round over a stale plan: status %v (%s), want BUSY", r.status, r.value)
-	}
-	words1 := root1.view.AllocatedWords()
-	w := newGroupWorker(s, root1, th)
-	defer w.close()
-	w.run([]task{scattered})
-	if r := collect(t, c, 1)[2]; r.status != wire.StatusBusy {
-		t.Fatalf("group member over a stale plan: status %v (%s), want BUSY", r.status, r.value)
-	}
-	for _, p := range []struct {
-		sh  *shard
-		key uint64
-	}{{sh0, k0}, {owner, k1}, {root1, kStay}} {
-		if val, found, err := p.sh.testGet(ctx, th, p.key); err != nil || !found || string(val) != "seed" {
-			t.Errorf("key %d after BUSY: %q found=%v err=%v, want the seed", p.key, val, found, err)
-		}
-	}
-	if a, b := sh0.view.AllocatedWords(), root1.view.AllocatedWords(); a != words0 || b != words1 {
-		t.Errorf("allocated words: shard 0 %d -> %d, shard 1 root %d -> %d: a refused batch's pre-allocations leaked", words0, a, words1, b)
-	}
-	// The retries go through the reader again: both now plan as cross-shard.
-	c.dispatch(c.atomicReq(3, put(k0), put(k1)))
-	c.dispatch(c.atomicReq(4, put(k1), put(kStay)))
-	for id, r := range collect(t, c, 2) {
-		if r.status != wire.StatusOK {
-			t.Fatalf("retry %d after the split: status %v (%s)", id, r.status, r.value)
-		}
-	}
-	for _, p := range []struct {
-		sh  *shard
-		key uint64
-	}{{sh0, k0}, {owner, k1}, {root1, kStay}} {
-		if val, _, _ := p.sh.testGet(ctx, th, p.key); string(val) != "new" {
-			t.Errorf("key %d = %q, want the retry's value", p.key, val)
-		}
-	}
-	if rs := s.RoundStats(); rs.Tasks != 3 {
-		t.Errorf("rounds carried %d tasks, want 3: the stale batch and both retries", rs.Tasks)
-	}
-}
-
 // escalations reads every fixture shard's escalation count: AtomicAll accounts
 // one on each view it paused.
 func (f *roundFixture) escalations() (n [3]int64) {
@@ -838,14 +717,13 @@ func TestRoundCarriesPages(t *testing.T) {
 		t.Errorf("after eight queued pages: %d rounds, %d pages; want 3 and 10", rs.Rounds, rs.Pages)
 	}
 	if s := f.s.StatsAll(); s[0].Scans != 10 || s[1].Scans+s[2].Scans != 0 {
-		t.Errorf("Scans = %d/%d/%d, want all 10 pages counted on the least sub-shard", s[0].Scans, s[1].Scans, s[2].Scans)
+		t.Errorf("Scans = %d/%d/%d, want all 10 pages counted on shard 0", s[0].Scans, s[1].Scans, s[2].Scans)
 	}
 }
 
 // TestSteadyStateScanAllocs pins the page's allocation floor at zero, at 2
-// shards and at 16, on the coordinator's page path (servePage): the
-// sub-shard set and the per-sub-shard merge scratch are pooled on the
-// coordinator, the validated read's handles on its thread, and the entries'
+// shards and at 16, on the coordinator's page path (servePage): the views
+// and the per-shard merge scratch are pooled on the coordinator, the validated read's handles on its thread, and the entries'
 // values are copied into the buffer the recycled response keeps.
 func TestSteadyStateScanAllocs(t *testing.T) {
 	if raceEnabled {
@@ -861,7 +739,7 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		defer th.Release()
 		val := bytes.Repeat([]byte{0xAB}, 64)
 		for k := uint64(0); k < 64; k++ {
-			sh := s.shards[s.Shard(k)].route(k)
+			sh := s.shards[s.Shard(k)]
 			if _, err := sh.testPut(context.Background(), th, k, val); err != nil {
 				t.Fatalf("seed %d: %v", k, err)
 			}
@@ -921,7 +799,7 @@ func TestRoundPausedTime(t *testing.T) {
 
 	// An Exclusive section held on one shard's view: every validated read is
 	// refused, so the page falls back and its quiesce waits for the section.
-	view := (*s.shards[0].subs.Load())[0].view
+	view := s.shards[0].view
 	inside, release, done := make(chan struct{}), make(chan struct{}), make(chan error)
 	go func() {
 		done <- view.Exclusive(context.Background(), func(votm.Tx) error {

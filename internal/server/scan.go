@@ -1,16 +1,16 @@
 // Wire-level SCAN: ordered, consistent range reads over a hash-sharded
-// keyspace. Keys are placed by hash (ShardOf, then subMix), so one ordered
-// page necessarily consults EVERY serving sub-shard: a k-way merge of
-// per-shard skip-list cursors yields the next run of keys in global order.
+// keyspace. Keys are placed by hash (ShardOf), so one ordered page
+// necessarily consults EVERY shard: a k-way merge of per-shard skip-list
+// cursors yields the next run of keys in global order.
 // The round coordinator (round.go) serves each page as it dequeues it, after
 // the round being built ends, so the page sees every batch queued ahead of it
 // and none behind. It serves it by a validated read (votm.ReadAll) over every
-// serving sub-shard: no view is paused and no admission taken, shard workers
+// shard: no view is paused and no admission taken, shard workers
 // keep committing, and the read holds only if no write began on any of the
 // views while it ran — otherwise it is tried again, and after pageTries it
 // falls back to one read-only quiesce of them all (votm.AtomicAll). Either
 // way a page is a consistent snapshot: no concurrent writer's partial effects
-// and no half-migrated split can appear inside it. Consistency is per page,
+// can appear inside it. Consistency is per page,
 // not across pages — the cursor a client resumes with names a key, not a
 // snapshot, exactly like the BUSY-retry contract elsewhere in the protocol.
 // Like a GET, a page serves committed memory state: it does not wait for the
@@ -19,7 +19,6 @@ package server
 
 import (
 	"runtime"
-	"slices"
 	"time"
 
 	"votm"
@@ -60,9 +59,8 @@ func (rc *roundCoordinator) servePage(t task) {
 	rc.s.finish(t)
 }
 
-// readPageRetried reads the page into resp: by validated reads over a fresh
-// snapshot of the sub-shard set, up to pageTries of them, then inside a
-// read-only quiesce of that set.
+// readPageRetried reads the page into resp: by validated reads over every
+// shard, up to pageTries of them, then inside a read-only quiesce of them all.
 func (rc *roundCoordinator) readPageRetried(req *wire.Request, resp *wire.Response) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -77,54 +75,33 @@ func (rc *roundCoordinator) readPageRetried(req *wire.Request, resp *wire.Respon
 		if try > 0 {
 			runtime.Gosched()
 		}
-		rc.pageSet()
 		rc.nPageTries.Add(1)
 		if ok, err := votm.ReadAll(rc.th, rc.pageViews, read); ok {
 			return err
 		}
 	}
 	rc.nPageFallbacks.Add(1)
-	rc.pageSet()
 	start := time.Now()
 	err = votm.AtomicAll(rc.ctx(), rc.th, rc.pageViews, true, read)
 	rc.pausedNs.Add(uint64(time.Since(start)))
 	return err
 }
 
-// pageSet snapshots every serving sub-shard, in canonical order, and their
-// views.
-func (rc *roundCoordinator) pageSet() {
-	parts := rc.s.appendSubShards(rc.pageParts[:0])
-	slices.SortFunc(parts, shardCompare)
-	rc.pageParts = parts
-	rc.pageViews = resized(rc.pageViews, len(parts))
-	for i, p := range parts {
-		rc.pageViews[i] = p.view
-	}
-}
-
-// meterPage counts an answered page on the least sub-shard and its entries on
-// the sub-shards that gave them.
+// meterPage counts an answered page on shard 0 and its entries on the shards
+// that gave them.
 func (rc *roundCoordinator) meterPage() {
-	rc.s.leastSubShard().scans.Add(1)
+	rc.s.shards[0].scans.Add(1)
 	for i, n := range rc.contributed {
 		if n > 0 {
-			rc.pageParts[i].scannedKeys.Add(n)
+			rc.s.shards[i].scannedKeys.Add(n)
 		}
 	}
 }
 
-// readPage reads one SCAN page into resp from the snapshotted sub-shard set
-// and its handles, one per sub-shard. The set is re-verified in here (splits
-// publish under the parent view's exclusive section, which a validated read
-// or a quiesce sees): a set that grew in between would be missing the new
-// child's keys, and the page answers BUSY for the client's retry layer
-// instead.
+// readPage reads one SCAN page into resp from every shard, through its
+// handles, one per shard.
 func (rc *roundCoordinator) readPage(req *wire.Request, resp *wire.Response, txs []votm.Tx) error {
-	parts := rc.pageParts
-	if rc.s.subShardCount() != len(parts) {
-		return errStaleRoute
-	}
+	parts := rc.s.shards
 
 	lo := req.Key
 	if req.HasCursor {
@@ -156,8 +133,8 @@ func (rc *roundCoordinator) readPage(req *wire.Request, resp *wire.Response, txs
 	// them and the response is recycled.
 	buf, valBytes := resp.Value[:0], 0
 	for len(resp.Entries) < limit && valBytes < scanByteBudget {
-		// Routing partitions keys across sub-shards, so the minimum is
-		// unique: no tie-breaking needed.
+		// Routing partitions keys across shards, so the minimum is unique:
+		// no tie-breaking needed.
 		best := -1
 		for i, n := range cursors {
 			if n == ds.NilRef || keys[i] >= req.End {

@@ -17,7 +17,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -64,26 +63,11 @@ type Config struct {
 	// included). Default 5s.
 	RequestTimeout time.Duration
 
-	// AutoSplit enables automatic shard splitting (split.go): hot shards —
-	// by abort rate, queue pressure, or lock-mode collapse — are split into
-	// sub-shards with live key migration. An ATOMIC batch whose keys end up
-	// on different sub-shards after a split still executes with full
-	// atomicity, as one multi-view transaction over every participant
-	// (round.go runRound); the cost is a quiescence of each involved
-	// sub-shard, so point-op-dominated workloads split most profitably (see
-	// docs/PROTOCOL.md). The advisor (shouldSplit) runs every
-	// splitCheckEvery with fixed thresholds (no shard under 1024 keys
-	// splits), and a wire-level shard splits into at most splitMaxSubShards
-	// sub-shards. Default off.
-	AutoSplit bool
-
 	// Durability selects the crash-durability mode: DurabilityOff (default;
 	// memory-only fast path, nothing below applies) or DurabilityGroup
 	// (per-shard WAL, one append and at most one fsync per committed write
 	// group, responses released only after the group's durability point,
-	// periodic snapshots). Group durability requires DataDir and is mutually
-	// exclusive with AutoSplit: the data layout is one directory per
-	// wire-level shard.
+	// periodic snapshots). Group durability requires DataDir.
 	Durability string
 	// DataDir is the durability root; shard i's WAL segments and snapshots
 	// live in DataDir/shard-%04d. Required when Durability is not off.
@@ -176,9 +160,6 @@ func (c Config) validate() error {
 		if c.DataDir == "" {
 			return fmt.Errorf("server: Config.Durability %q requires Config.DataDir", c.Durability)
 		}
-		if c.AutoSplit {
-			return fmt.Errorf("server: Config.Durability %q is incompatible with Config.AutoSplit (the durable data layout is one directory per wire-level shard)", c.Durability)
-		}
 	default:
 		return fmt.Errorf("server: unknown Config.Durability %q (want %q or %q)", c.Durability, DurabilityOff, DurabilityGroup)
 	}
@@ -212,20 +193,10 @@ const (
 	writeBufSize = 16 << 10
 	// pendingBlock is the number of requests one conn.charge covers.
 	pendingBlock = 64
-	// stockMax bounds each end of a connection's free lists, above a client's
-	// pipelining window; an object holding a buffer past retainMax bytes (a
-	// large value, a long page or batch) is dropped instead of kept.
-	stockMax  = 256
+	// retainMax bounds the buffers a connection keeps for reuse: an object
+	// holding more (a large value, a long page or batch) is dropped instead.
 	retainMax = 8 << 10
-	// splitCheckEvery is the split advisor's polling period, and
-	// splitMaxSubShards the most sub-shards one wire-level shard splits into.
-	splitCheckEvery   = 250 * time.Millisecond
-	splitMaxSubShards = 8
 )
-
-// ErrServerDraining is returned for operations attempted after Shutdown
-// began (e.g. a shard split racing the drain).
-var ErrServerDraining = errors.New("server: draining")
 
 // ShardOf maps a key to its shard index: the cluster-wide placement hash,
 // wire.ShardOf.
@@ -235,12 +206,8 @@ func ShardOf(key uint64, shards int) int { return wire.ShardOf(key, shards) }
 type Server struct {
 	cfg    Config
 	rt     *votm.Runtime
-	shards []*shardGroup
+	shards []*shard // in id order, which is the canonical order (shardCompare)
 	start  time.Time
-
-	nextViewID  atomic.Int64 // view IDs for split-born sub-shards
-	monitorStop chan struct{}
-	monitorWG   sync.WaitGroup
 
 	// xidBase makes cross-shard round IDs unique across process
 	// incarnations: decided prepares stay behind in the logs, and recovery
@@ -302,7 +269,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConflictRetries: cfg.MaxConflictRetries,
 		FaultHook:          cfg.FaultHook,
 	})
-	s.nextViewID.Store(int64(cfg.Shards)) // IDs 1..Shards are the seed views
 	s.xidBase = uint64(time.Now().UnixNano()) << 20
 	durable := cfg.Durability != DurabilityOff
 	var recoveryTh *votm.Thread
@@ -311,7 +277,6 @@ func New(cfg Config) (*Server, error) {
 		recoveryTh = s.rt.RegisterThread()
 		defer recoveryTh.Release()
 	}
-	var seeds []*shard
 	for i := 0; i < cfg.Shards; i++ {
 		v, err := s.rt.CreateView(i+1, cfg.ShardWords, votm.AdaptiveQuota)
 		if err != nil {
@@ -331,11 +296,7 @@ func New(cfg Config) (*Server, error) {
 			}
 			s.recovery = append(s.recovery, rst)
 		}
-		g := &shardGroup{id: i}
-		subs := []*shard{sh}
-		g.subs.Store(&subs)
-		s.shards = append(s.shards, g)
-		seeds = append(seeds, sh)
+		s.shards = append(s.shards, sh)
 	}
 	if durable {
 		// Nothing is written until every shard has replayed, so a log New
@@ -343,14 +304,14 @@ func New(cfg Config) (*Server, error) {
 		// undecided by a crash needs every log's horizon too (it is committed
 		// iff all its participants' prepares are durable), so resolution
 		// runs here as well — before any worker can append new groups.
-		if err := s.startShardLogs(seeds, recoveryTh, cr); err != nil {
+		if err := s.startShardLogs(s.shards, recoveryTh, cr); err != nil {
 			return nil, err
 		}
 	}
 	s.batchFree = make(chan *multiBatch, cfg.QueueDepth)
 	s.rounds = newRoundCoordinator(s)
 	go s.rounds.loop()
-	for _, sh := range seeds {
+	for _, sh := range s.shards {
 		if sh.log != nil {
 			sh.ack = newAckStage(s, sh) // before the workers: they read it unsynchronized
 		}
@@ -364,14 +325,9 @@ func New(cfg Config) (*Server, error) {
 		s.snapshotWG.Add(1)
 		go s.snapshotLoop()
 	}
-	if cfg.AutoSplit {
-		s.monitorStop = make(chan struct{})
-		s.monitorWG.Add(1)
-		go s.monitor()
-	}
 	if m := cfg.Cluster; m != nil {
-		handles := make([]*Shard, len(seeds))
-		for i, sh := range seeds {
+		handles := make([]*Shard, len(s.shards))
+		for i, sh := range s.shards {
 			handles[i] = &Shard{s: s, sh: sh}
 		}
 		if err := m.Start(handles); err != nil {
@@ -382,42 +338,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newShard builds one serving sub-shard with its dispatch ring (New's seed
-// shards and split-born children alike).
+// newShard builds one serving shard with its dispatch ring.
 func (s *Server) newShard(id int, v *votm.View, idx *ds.SkipList) *shard {
 	sh := &shard{id: id, view: v, idx: idx, queue: newRingQueue(s.cfg.QueueDepth)}
 	sh.redo.sh = sh
 	return sh
 }
-
-// appendSubShards appends a snapshot of every serving sub-shard, across all
-// groups, to dst.
-func (s *Server) appendSubShards(dst []*shard) []*shard {
-	for _, g := range s.shards {
-		dst = append(dst, *g.subs.Load()...)
-	}
-	return dst
-}
-
-// subShardCount is len(appendSubShards(nil)). Sub-shard lists are append-only
-// (a failed split tears its child down before publication), so an unchanged
-// count means an unchanged set.
-func (s *Server) subShardCount() int {
-	n := 0
-	for _, g := range s.shards {
-		n += len(*g.subs.Load())
-	}
-	return n
-}
-
-// leastSubShard is the first sub-shard in canonical order (shardCompare):
-// shard 0's seed, whose view ID every split-born child's exceeds. Server-wide
-// SCAN meters are kept there.
-func (s *Server) leastSubShard() *shard { return (*s.shards[0].subs.Load())[0] }
-
-// Repartitions returns the total number of executed shard splits: each
-// added one sub-shard to a wire shard that started with one.
-func (s *Server) Repartitions() uint64 { return uint64(s.subShardCount() - len(s.shards)) }
 
 // Recovery returns the per-shard startup-recovery summaries, in shard
 // order; empty when durability is off.
@@ -519,13 +445,8 @@ func (s *Server) shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.reqMu.Unlock()
 
-	// Stop the split monitor first: once it has exited, the sub-shard sets
-	// are frozen and can be safely enumerated below. The periodic snapshot
-	// loop stops too; the drain writes its own final snapshots.
-	if s.monitorStop != nil {
-		close(s.monitorStop)
-		s.monitorWG.Wait()
-	}
+	// The periodic snapshot loop stops first; the drain writes its own final
+	// snapshots.
 	if s.snapshotStop != nil {
 		close(s.snapshotStop)
 		s.snapshotWG.Wait()
@@ -574,7 +495,7 @@ func (s *Server) retire() {
 	// completion list and settles every round in flight: a listed op and a
 	// round's task hold their connection's count — then retire the workers.
 	s.reqWG.Wait()
-	for _, sh := range s.appendSubShards(nil) {
+	for _, sh := range s.shards {
 		sh.queue.Close()
 	}
 	s.workersWG.Wait()
@@ -584,7 +505,7 @@ func (s *Server) retire() {
 	// nothing lists anymore, and a flusher that settled the last round has
 	// returned from it once it exits.
 	s.rounds.stop()
-	for _, sh := range s.appendSubShards(nil) {
+	for _, sh := range s.shards {
 		sh.ack.stop()
 	}
 
@@ -598,14 +519,14 @@ func (s *Server) retire() {
 	// skips tail replay (snapshot-on-clean-drain).
 	if s.cfg.Durability != DurabilityOff {
 		th := s.rt.RegisterThread()
-		for _, sh := range s.appendSubShards(nil) {
+		for _, sh := range s.shards {
 			s.closeShardDurability(sh, th)
 		}
 		th.Release()
 	}
 
 	// Close the RAC controllers (and reject any straggling admission).
-	for _, sh := range s.appendSubShards(nil) {
+	for _, sh := range s.shards {
 		if err := s.rt.DestroyView(sh.view.ID()); err != nil {
 			s.logf("votmd: destroy view %d: %v", sh.view.ID(), err)
 		}
@@ -658,72 +579,66 @@ func (s *Server) StatsAll() []wire.ShardStats {
 // connection's read goroutine — health and metrics must answer even when every
 // shard queue is saturated — and needs no transaction: quota/Totals come from
 // the view snapshot accessor and the key count from the shard's counter.
-func (s *Server) statsResponse(shard uint32, resp *wire.Response) {
-	var sel []*shardGroup
+func (s *Server) statsResponse(id uint32, resp *wire.Response) {
+	var sel []*shard
 	switch {
-	case shard == wire.AllShards:
+	case id == wire.AllShards:
 		sel = s.shards
-	case int(shard) < len(s.shards):
-		sel = s.shards[shard : shard+1]
+	case int(id) < len(s.shards):
+		sel = s.shards[id : id+1]
 	default:
 		resp.Status = wire.StatusBadRequest
-		resp.SetDetail(fmt.Sprintf("shard %d out of range", shard))
+		resp.SetDetail(fmt.Sprintf("shard %d out of range", id))
 		return
 	}
-	for _, g := range sel {
-		// One entry per serving sub-shard; a never-split shard reports
-		// exactly one, so the pre-split response shape is unchanged.
-		subs := *g.subs.Load()
-		for _, sh := range subs {
-			snap := sh.view.Snapshot()
-			var fsyncs uint64
-			if sh.log != nil {
-				fsyncs = sh.log.Fsyncs()
-			}
-			snapAge := wire.SnapshotNever
-			if at := sh.lastSnap.Load(); at != 0 {
-				snapAge = uint64(max(0, time.Now().Unix()-at))
-			}
-			resp.Stats = append(resp.Stats, wire.ShardStats{
-				Shard:          uint32(g.id),
-				Engine:         string(snap.Engine),
-				Quota:          uint32(snap.Quota),
-				SettledQuota:   uint32(snap.SettledQuota),
-				QuotaMoves:     uint64(snap.QuotaMoves),
-				Commits:        uint64(snap.Totals.Commits),
-				Aborts:         uint64(snap.Totals.Aborts),
-				Escalations:    uint64(snap.Totals.Escalations),
-				Panics:         uint64(snap.Totals.Panics),
-				SuccessNs:      uint64(snap.Totals.SuccessNs),
-				AbortNs:        uint64(snap.Totals.AbortNs),
-				Delta:          snap.Delta,
-				Keys:           uint64(sh.keys.Load()),
-				QuotaEvents:    uint64(snap.QuotaMoves),
-				Repartitions:   uint64(len(subs) - 1),
-				Groups:         sh.groups.Load(),
-				GroupOps:       sh.groupOps.Load(),
-				QueueHighWater: sh.queueHW.Load(),
-
-				EffectiveBatch:    uint64(s.cfg.BatchMax),
-				RingFullEvents:    sh.ringFull.Load(),
-				QueueHighWaterWin: sh.queueHWRecent(),
-
-				WalAppends:      sh.walAppends.Load(),
-				WalBytes:        sh.walBytes.Load(),
-				Fsyncs:          fsyncs,
-				SnapshotAgeSec:  snapAge,
-				ReplayedRecords: sh.replayed.Load(),
-
-				CrossShardGroups:   sh.xsGroups.Load(),
-				CrossShardPrepares: sh.xsPrepares.Load(),
-				PrepareAborts:      sh.xsPrepareAborts.Load(),
-
-				Scans:       sh.scans.Load(),
-				ScannedKeys: sh.scannedKeys.Load(),
-			})
+	for _, sh := range sel {
+		snap := sh.view.Snapshot()
+		var fsyncs uint64
+		if sh.log != nil {
+			fsyncs = sh.log.Fsyncs()
 		}
+		snapAge := wire.SnapshotNever
+		if at := sh.lastSnap.Load(); at != 0 {
+			snapAge = uint64(max(0, time.Now().Unix()-at))
+		}
+		resp.Stats = append(resp.Stats, wire.ShardStats{
+			Shard:          uint32(sh.id),
+			Engine:         string(snap.Engine),
+			Quota:          uint32(snap.Quota),
+			SettledQuota:   uint32(snap.SettledQuota),
+			QuotaMoves:     uint64(snap.QuotaMoves),
+			Commits:        uint64(snap.Totals.Commits),
+			Aborts:         uint64(snap.Totals.Aborts),
+			Escalations:    uint64(snap.Totals.Escalations),
+			Panics:         uint64(snap.Totals.Panics),
+			SuccessNs:      uint64(snap.Totals.SuccessNs),
+			AbortNs:        uint64(snap.Totals.AbortNs),
+			Delta:          snap.Delta,
+			Keys:           uint64(sh.keys.Load()),
+			QuotaEvents:    uint64(snap.QuotaMoves),
+			Groups:         sh.groups.Load(),
+			GroupOps:       sh.groupOps.Load(),
+			QueueHighWater: sh.queueHW.Load(),
+
+			EffectiveBatch:    uint64(s.cfg.BatchMax),
+			RingFullEvents:    sh.ringFull.Load(),
+			QueueHighWaterWin: sh.queueHWRecent(),
+
+			WalAppends:      sh.walAppends.Load(),
+			WalBytes:        sh.walBytes.Load(),
+			Fsyncs:          fsyncs,
+			SnapshotAgeSec:  snapAge,
+			ReplayedRecords: sh.replayed.Load(),
+
+			CrossShardGroups:   sh.xsGroups.Load(),
+			CrossShardPrepares: sh.xsPrepares.Load(),
+			PrepareAborts:      sh.xsPrepareAborts.Load(),
+
+			Scans:       sh.scans.Load(),
+			ScannedKeys: sh.scannedKeys.Load(),
+		})
 		if m := s.cfg.Cluster; m != nil {
-			m.Stats(g.id, &resp.Stats[len(resp.Stats)-1])
+			m.Stats(sh.id, &resp.Stats[len(resp.Stats)-1])
 		}
 	}
 }

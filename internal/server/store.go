@@ -12,6 +12,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,14 +25,12 @@ import (
 	"votm/wire"
 )
 
-// shard is one serving sub-shard: a view (own STM engine + RAC controller),
+// shard is one wire-level shard: a view (own STM engine + RAC controller),
 // its ordered key index, the bounded request queue feeding the shard's
 // workers, and a live-key counter kept outside the heap so STATS never needs
-// a transaction. A wire-level shard starts as exactly one sub-shard;
-// automatic splitting (split.go) adds more, each owning the keys whose
-// subMix matches its routeBits rule.
+// a transaction. It owns exactly the keys ShardOf places on it.
 type shard struct {
-	id    int // wire-level shard index (the routing group)
+	id    int // wire-level shard index
 	view  *votm.View
 	idx   *ds.SkipList
 	queue *ringQueue
@@ -47,13 +46,8 @@ type shard struct {
 
 	// ringFull counts BUSY answers from a full queue: this shard's ring, or
 	// the server's round queue when this shard is the first participant of a
-	// refused cross-shard ATOMIC (a refused SCAN page counts on the least
-	// sub-shard).
+	// refused cross-shard ATOMIC (a refused SCAN page counts on shard 0).
 	ringFull atomic.Uint64
-	// routeBits is the packed routing rule (packRoute): low 32 bits the
-	// prefix, high bits the depth. Published atomically by splitShard while
-	// the view is quiescent; {0, 0} matches every key.
-	routeBits atomic.Uint64
 
 	// Durability state (durability.go); all zero when the server runs
 	// memory-only, and log is non-nil on every durable shard. walMu
@@ -104,8 +98,8 @@ type shard struct {
 	xsPrepares      atomic.Uint64
 	xsPrepareAborts atomic.Uint64
 
-	// Scan meters (scan.go): pages served, counted on the least sub-shard,
-	// and entries this shard contributed to any page's merge.
+	// Scan meters (scan.go): pages served, counted on shard 0, and entries
+	// this shard contributed to any page's merge.
 	scans       atomic.Uint64
 	scannedKeys atomic.Uint64
 }
@@ -167,15 +161,6 @@ func (sh *shard) queueHWRecent() uint64 {
 	return max(sh.queueHWCur.Load(), sh.queueHWPrev.Load())
 }
 
-// shardGroup is one wire-level shard: the copy-on-write set of sub-shards
-// serving it. Splits are serialized by splitMu; each adds one sub-shard, so
-// len(subs) − 1 is the group's STATS Repartitions.
-type shardGroup struct {
-	id      int
-	subs    atomic.Pointer[[]*shard]
-	splitMu sync.Mutex
-}
-
 // task is one dispatched request: planned by its connection reader (conn.go),
 // executed by a shard worker or the round coordinator, answered on the
 // originating connection. resp is the response the reader took for it, with
@@ -194,11 +179,6 @@ const growQuantum = 1 << 14 // 16 Ki words = 128 KiB
 // errBadAdd refuses an ADD on a value that is not 8 bytes; it aborts the
 // ATOMIC batch that carried it (BAD_REQUEST).
 var errBadAdd = errors.New("server: ADD on a value that is not 8 bytes")
-
-// errStaleRoute aborts an ATOMIC or a SCAN page whose ownership map changed
-// between the reader's plan and execution (a concurrent split). Mapped to
-// StatusBusy: nothing executed, the client's retry is planned afresh.
-var errStaleRoute = errors.New("server: batch keys moved by a concurrent repartition")
 
 // --- the store kernel ------------------------------------------------------
 //
@@ -434,7 +414,7 @@ const (
 // chunk one reservation, ONE grouped transaction, one settle. It is the only
 // way state that did not arrive as a request gets into a shard — startup
 // replay, a follower's REPLICATE stream and handoff/bootstrap ENTRIES (through
-// redoApplier), snapshot restore, the wipe before an install, a split's child.
+// redoApplier), snapshot restore, the wipe before an install.
 // Nothing is logged: the records come from a log or a capture. On error the
 // chunks before the failing one stay applied.
 func (sh *shard) applyRecords(ctx context.Context, th *votm.Thread, recs []wal.Record) error {
@@ -515,6 +495,36 @@ func (b *multiBatch) writes() bool {
 	return false
 }
 
+// shardCompare is the canonical participant order: wire shard id. Plans list
+// their participants in it, and the round coordinator — the only goroutine
+// that ever holds more than one shard — quiesces and wal-locks its union in
+// it.
+func shardCompare(a, b *shard) int { return a.id - b.id }
+
+// atomicPlan resolves an ATOMIC batch's participant shards in canonical order
+// into b.parts, and each sub's index into that order into b.owner (owner[i]
+// is the participant owning subs[i]). It is the one place an ATOMIC's keys
+// are routed (conn.dispatch). A new participant is inserted at its sorted
+// position, so planning needs no scratch and allocates nothing once the
+// batch's slices are warm.
+func (s *Server) atomicPlan(b *multiBatch) {
+	parts, owner := b.parts[:0], b.owner[:0]
+	for _, sub := range b.subs {
+		sh := s.shards[s.Shard(sub.Key)]
+		idx, found := slices.BinarySearchFunc(parts, sh, shardCompare)
+		if !found {
+			parts = slices.Insert(parts, idx, sh)
+			for i, o := range owner {
+				if o >= idx {
+					owner[i] = o + 1
+				}
+			}
+		}
+		owner = append(owner, idx)
+	}
+	b.parts, b.owner = parts, owner
+}
+
 // want asks each owner's effects for the slot a SubPut or SubAdd may link;
 // the executor reserves them all at once, per participant.
 func (b *multiBatch) want(parts []*shard, fxs []effects) {
@@ -531,20 +541,12 @@ func (b *multiBatch) want(parts []*shard, fxs []effects) {
 	}
 }
 
-// exec runs the batch against its participants' transaction handles. The
-// route verdict comes first — repartitioning publishes under the owning
-// view's exclusive section, so inside a transaction of every participant it
-// holds for the whole execution — then a strictly read-only validation
-// pass: at Q == 1 and in a quiesced round the body runs in lock mode with
-// no rollback, so the batch must be known-good before its first write. A
-// non-nil error therefore means the batch wrote nothing and recorded nothing
-// in fxs.
-func (b *multiBatch) exec(s *Server, parts []*shard, txs []votm.Tx, fxs []effects) error {
-	for i, sub := range b.subs {
-		if s.shards[s.Shard(sub.Key)].route(sub.Key) != parts[b.owner[i]] {
-			return errStaleRoute
-		}
-	}
+// exec runs the batch against its participants' transaction handles. A
+// strictly read-only validation pass comes first: at Q == 1 and in a
+// quiesced round the body runs in lock mode with no rollback, so the batch
+// must be known-good before its first write. A non-nil error therefore means
+// the batch wrote nothing and recorded nothing in fxs.
+func (b *multiBatch) exec(parts []*shard, txs []votm.Tx, fxs []effects) error {
 	// effLen tracks the length each key's value would have at this point of
 	// the batch. A key routes to exactly one participant, so it can stay
 	// keyed by key alone.

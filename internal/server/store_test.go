@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -106,7 +105,7 @@ func TestRestartPastInitialHeap(t *testing.T) {
 	shutdownServer(t, s)
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	c := newTestConn(s, 64)
 	w := newGroupWorker(s, sh, th)
 	defer w.close()
@@ -162,7 +161,7 @@ func TestRestartPastInitialHeap(t *testing.T) {
 		check(re.Recovery()[0])
 		rth := re.rt.RegisterThread()
 		defer rth.Release()
-		rsh := (*re.shards[0].subs.Load())[0]
+		rsh := re.shards[0]
 		for k := uint64(0); k < n; k++ {
 			val, found, err := rsh.testGet(context.Background(), rth, k)
 			if err != nil || found != (want[k] != nil) || !bytes.Equal(val, want[k]) {
@@ -218,7 +217,7 @@ func TestValueSizeChurnStrandsNoMemory(t *testing.T) {
 	shutdownServer(t, s)
 	th := s.rt.RegisterThread()
 	defer th.Release()
-	sh := (*s.shards[0].subs.Load())[0]
+	sh := s.shards[0]
 	c := newTestConn(s, 64)
 	w := newGroupWorker(s, sh, th)
 	defer w.close()
@@ -359,9 +358,8 @@ func TestAtomicCreatesKeysPastInitialHeap(t *testing.T) {
 // TestIndexDirectoryGrowsOnEveryPath is the directory-growth row of
 // docs/ALGORITHMS.md's limits table. Shards of 1 Ki words start with a
 // 64-bucket directory; keys then arrive through write groups (shard 0),
-// rounds of spanning ATOMICs (all three shards), a crash-copy restart that
-// replays the whole log, and a split that hands half a grown shard to a child.
-// Each path must grow the directory — shard 0 through at least three
+// rounds of spanning ATOMICs (all three shards), and a crash-copy restart
+// that replays the whole log. Each path must grow the directory — shard 0 through at least three
 // doublings — so no shard ends with more keys than buckets, and no lookup may
 // miss a live key.
 func TestIndexDirectoryGrowsOnEveryPath(t *testing.T) {
@@ -431,36 +429,6 @@ func TestIndexDirectoryGrowsOnEveryPath(t *testing.T) {
 	}
 	re := f.bootCopy(t, nil)
 	verify("replayed", re.shards[:], re.th, live)
-
-	// A split: the child is populated through applyRecords, the parent sheds
-	// half its keys and keeps its directory.
-	s, err := New(growthConfig(1))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	shutdownServer(t, s)
-	g, root := s.shards[0], (*s.shards[0].subs.Load())[0]
-	sw := newGroupWorker(s, root, f.th)
-	defer sw.close()
-	c := newTestConn(s, 64)
-	for k := uint64(0); k < perShard; k++ {
-		batch = append(batch, mkTask(s, c, wire.OpPut, uint32(len(batch)+1), k, growthValue(k, 0), nil))
-		if len(batch) == 32 || k == perShard-1 {
-			sw.run(batch)
-			collect(t, c, len(batch))
-			batch = batch[:0]
-		}
-	}
-	if err := s.splitShard(g, root, "test"); err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	subs := *g.subs.Load()
-	owned := make([][]uint64, len(subs))
-	for k := uint64(0); k < perShard; k++ {
-		i := slices.Index(subs, g.route(k))
-		owned[i] = append(owned[i], k)
-	}
-	verify("split", subs, f.th, func(i int) []uint64 { return owned[i] })
 }
 
 // kvOracle is the differential test's reference: a plain Go map that shares

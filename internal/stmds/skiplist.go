@@ -99,9 +99,9 @@ func NewSkipList(v *core.View, maxLevel int) (*SkipList, error) {
 
 // slMix is the tower-height and bucket hash: heights take its low bits,
 // buckets its high half. Its constants deliberately differ from every other
-// key mix in the tree (shard placement, sub-shard routing, HashMap buckets),
-// so neither heights nor buckets correlate with key placement — a split
-// child's keys share subMix's low bits and must not share buckets.
+// key mix in the tree (shard placement, HashMap buckets), so neither heights
+// nor buckets correlate with key placement: a shard's keys share ShardOf's
+// value and must not share buckets.
 func slMix(key uint64) uint64 {
 	h := key
 	h ^= h >> 31

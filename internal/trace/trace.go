@@ -1,7 +1,6 @@
 // Package trace records why the control loops acted. The paper's analysis
 // is about *when* admission control reacts ("RAC will promptly drive Q
-// down"), so every runtime keeps a Log of its quota moves and votmd shard
-// splits; the contention example prints a quota timeline from it, and
+// down"), so every runtime keeps a Log of its quota moves; the contention example prints a quota timeline from it, and
 // votm-bench writes each view's quota moves as a CSV series.
 package trace
 
@@ -9,7 +8,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,24 +20,21 @@ type Loop uint8
 const (
 	// Quota: RAC moved a view's admission quota (Observation 1, Eq. 5).
 	Quota Loop = iota
-	// ShardSplit: votmd split a wire shard into one more sub-shard.
-	ShardSplit
 	numLoops
 )
 
 func (l Loop) String() string {
-	return [numLoops]string{"quota", "shard split"}[l]
+	return [numLoops]string{"quota"}[l]
 }
 
 // Decision is one control-loop decision.
 type Decision struct {
 	At      time.Duration // since the log's start
 	Loop    Loop
-	Subject int // the view decided about, or the wire shard for ShardSplit
-	// From → To is what changed: the quota (Quota) or the wire shard's
-	// sub-shard count (ShardSplit).
+	Subject int // the view decided about
+	// From → To is what changed: the quota (Quota).
 	From, To int
-	Delta    float64 // the window δ(Q) a Quota move acted on; NaN otherwise
+	Delta    float64 // the window δ(Q) the move acted on; NaN for a probe or a manual set
 	Reason   string  // the rule or plan that fired
 }
 
@@ -65,12 +60,9 @@ type Log struct {
 // NewLog creates a log whose clock starts now.
 func NewLog() *Log { return &Log{start: time.Now()} }
 
-// Add stamps d with its offset from the log's start (and a NaN Delta unless
-// it is a quota move), keeps it, and returns it as kept.
+// Add stamps d with its offset from the log's start, keeps it, and returns it
+// as kept.
 func (l *Log) Add(d Decision) Decision {
-	if d.Loop != Quota {
-		d.Delta = math.NaN()
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := time.Now()
@@ -106,7 +98,7 @@ func (l *Log) Count(loop Loop) int64 {
 func (l *Log) moves(subject int) []Decision {
 	var out []Decision
 	for _, d := range l.Entries() {
-		if d.Loop == Quota && d.Subject == subject {
+		if d.Subject == subject {
 			out = append(out, d)
 		}
 	}

@@ -16,12 +16,8 @@ func TestRecordAndEvents(t *testing.T) {
 	l.Add(quota(1, 16, 8))
 	l.Add(quota(1, 8, 4))
 	l.Add(quota(2, 16, 16))
-	split := l.Add(Decision{Loop: ShardSplit, Subject: 2, From: 1, To: 2, Delta: 3, Reason: "queue 100/128 >= 50%"})
-	if !math.IsNaN(split.Delta) {
-		t.Errorf("split kept δ %v, want NaN", split.Delta)
-	}
 	ev := l.Entries()
-	if len(ev) != 4 {
+	if len(ev) != 3 {
 		t.Fatalf("Entries = %d", len(ev))
 	}
 	if ev[0].From != 16 || ev[0].To != 8 || ev[0].Subject != 1 || ev[0].Delta != 1.5 {
@@ -32,45 +28,44 @@ func TestRecordAndEvents(t *testing.T) {
 			t.Error("empty decision string")
 		}
 	}
-	if got := ev[3].String(); !strings.Contains(got, "shard split") || !strings.Contains(got, "queue 100/128") {
-		t.Errorf("split string = %q", got)
+	if got := ev[2].String(); got != "quota 2: 16 -> 16 (δ > high)" {
+		t.Errorf("decision string = %q", got)
 	}
 	// Entries() must be a copy.
 	ev[0].Subject = 99
 	if l.Entries()[0].Subject != 1 {
 		t.Error("Entries leaked internal slice")
 	}
-	if l.Count(Quota) != 3 || l.Count(ShardSplit) != 1 {
-		t.Errorf("counts = %d/%d", l.Count(Quota), l.Count(ShardSplit))
+	if l.Count(Quota) != 3 {
+		t.Errorf("count = %d", l.Count(Quota))
 	}
 }
 
 // TestLimitDropsOldest: past Capacity the oldest decisions go first, the
-// rest stay in order, and the per-loop counts stay exact.
+// rest stay in order, and the count stays exact.
 func TestLimitDropsOldest(t *testing.T) {
 	l := NewLog()
 	const n = Capacity + 2
 	for i := 0; i < n; i++ {
 		l.Add(quota(1, i, i+1))
 	}
-	l.Add(Decision{Loop: ShardSplit, From: 1, To: 2})
 	ev := l.Entries()
 	if len(ev) != Capacity {
 		t.Fatalf("kept %d, want %d", len(ev), Capacity)
 	}
-	if ev[0].From != 3 {
-		t.Errorf("oldest kept From = %d, want 3", ev[0].From)
+	if ev[0].From != 2 {
+		t.Errorf("oldest kept From = %d, want 2", ev[0].From)
 	}
-	for k := 1; k < Capacity-1; k++ {
+	for k := 1; k < Capacity; k++ {
 		if ev[k].From != ev[k-1].To {
 			t.Fatalf("entry %d out of order: %+v after %+v", k, ev[k], ev[k-1])
 		}
 	}
-	if last := ev[Capacity-1]; last.Loop != ShardSplit {
+	if last := ev[Capacity-1]; last.To != n {
 		t.Errorf("newest kept = %+v", last)
 	}
-	if l.Count(Quota) != n || l.Count(ShardSplit) != 1 {
-		t.Errorf("counts = %d quota, %d shard split", l.Count(Quota), l.Count(ShardSplit))
+	if l.Count(Quota) != n {
+		t.Errorf("count = %d, want %d", l.Count(Quota), n)
 	}
 }
 
@@ -91,13 +86,12 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
-// TestPerView: a view's timeline shows its own quota moves only — not other
-// views', and not a shard split with the same subject.
+// TestPerView: a view's timeline shows its own quota moves only, not other
+// views'.
 func TestPerView(t *testing.T) {
 	l := NewLog()
 	l.Add(quota(1, 16, 8))
 	l.Add(quota(2, 16, 4))
-	l.Add(Decision{Loop: ShardSplit, Subject: 1, From: 1, To: 2})
 	l.Add(quota(1, 8, 16))
 	if tl := l.Timeline(1); strings.Count(tl, "->") != 2 || !strings.HasSuffix(tl, "-> 16") {
 		t.Errorf("view 1 timeline = %q", tl)
@@ -115,14 +109,12 @@ func TestZeroValueRecorder(t *testing.T) {
 	}
 }
 
-// TestWriteCSV: a view's series holds its own quota moves only — not other
-// views', and not a shard split with the same subject — oldest first, with NaN
-// for a move that acted on no window.
+// TestWriteCSV: a view's series holds its own quota moves only, not other
+// views', oldest first, with NaN for a move that acted on no window.
 func TestWriteCSV(t *testing.T) {
 	l := NewLog()
 	l.Add(quota(1, 16, 8))
 	l.Add(quota(2, 16, 4))
-	l.Add(Decision{Loop: ShardSplit, Subject: 1, From: 1, To: 2, Reason: "abort rate 0.500 >= 0.250"})
 	l.Add(Decision{Loop: Quota, Subject: 1, From: 8, To: 2, Delta: math.NaN(), Reason: "set"})
 	l.Add(quota(1, 2, 1))
 	var b strings.Builder

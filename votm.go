@@ -144,8 +144,7 @@ func ReadAll(th *Thread, views []*View, fn func(txs []Tx) error) (ok bool, err e
 }
 
 // Decision is one entry of a Runtime's decision log, Runtime.Decisions: a
-// quota move or a votmd shard split, with when it happened, old → new and
-// why. The log keeps the last 1024 decisions:
+// quota move, with when it happened, old → new and why. The log keeps the last 1024 decisions:
 //
 //	rt := votm.New(votm.Config{Threads: 8})
 //	...
@@ -155,8 +154,7 @@ type Decision = trace.Decision
 
 // The control loops a Decision comes from.
 const (
-	DecisionQuota      = trace.Quota
-	DecisionShardSplit = trace.ShardSplit
+	DecisionQuota = trace.Quota
 )
 
 // Errors re-exported from the runtime core.

@@ -265,8 +265,7 @@ type NodeInfo struct {
 
 // ShardRoute is one wire shard's placement: the node that leads it (serves
 // reads and writes), the follower nodes replicating its WAL, and the epoch
-// at which this assignment was made. Cluster routing is by parent wire
-// shard id — a node's internal auto-split sub-shards are invisible here.
+// at which this assignment was made. Cluster routing is by wire shard id.
 type ShardRoute struct {
 	Shard    uint32
 	Epoch    uint64
@@ -276,7 +275,7 @@ type ShardRoute struct {
 
 // ShardOf maps a key to its wire shard: the placement every node of a cluster
 // and every routing client agree on. Its mix differs from ds.HashMap's and
-// from the server's sub-shard mix, so a shard's keys spread over both.
+// from the skip list's bucket mix, so a shard's keys spread over both.
 func ShardOf(key uint64, shards int) int {
 	h := key
 	h ^= h >> 33
@@ -365,12 +364,12 @@ type ShardStats struct {
 	Delta        float64 // δ(Q) estimate; NaN encoded as its IEEE bits
 	Keys         uint64  // live keys in the shard
 	QuotaEvents  uint64  // quota changes of the shard's view; equals QuotaMoves
-	Repartitions uint64  // online splits executed on this shard (0 unless auto-split is on)
+	Repartitions uint64  // always 0, kept for the v6 layout
 
 	// Batching meters (group-commit shard workers): Groups counts committed
 	// group transactions, GroupOps the requests they carried (GroupOps /
 	// Groups = mean group size), and QueueHighWater the maximum observed
-	// depth of the sub-shard's request queue since startup.
+	// depth of the shard's request queue since startup.
 	Groups         uint64
 	GroupOps       uint64
 	QueueHighWater uint64
