@@ -174,9 +174,9 @@ func main() {
 					logger.Print(line)
 				}
 				rs := srv.RoundStats()
-				logger.Printf("cross-shard rounds: %d rounds, %d tasks, %.1f tasks/round, largest %d; %d logged, %d beside an earlier round's flush, %d in flight at most, coordinator waited %v for a flight; %d SCAN pages, %d validated-read tries, %d fell back; views paused %v; %d GETs on the readers, %d validated-read tries, %d fell back",
+				logger.Printf("cross-shard rounds: %d rounds, %d tasks, %.1f tasks/round, largest %d; %d logged, %d beside an earlier round's flush, %d in flight at most, coordinator waited %v for a flight; %d SCAN pages, %d validated-read tries, %d fell back; views paused %v; %d GETs on the readers, %d validated-read tries, %d fell back; %d write runs (%d ops) on the readers",
 					rs.Rounds, rs.Tasks, rs.MeanTasks(), rs.Largest, rs.Logged, rs.Overlapped, rs.InDoubtHigh, time.Duration(rs.FlightWaitNs), rs.Pages, rs.PageTries, rs.PageFallbacks, time.Duration(rs.PausedNs),
-					rs.Gets, rs.GetTries, rs.GetFallbacks)
+					rs.Gets, rs.GetTries, rs.GetFallbacks, rs.InlineRuns, rs.InlineOps)
 				if as := srv.AckStats(); as.Flushes > 0 {
 					logger.Printf("ack stage: %d flush cycles, %.1f groups/flush, %d groups behind a round in doubt, %d unanswered ops at most, %d back-pressure waits, flushers idle %.0f%%",
 						as.Flushes, float64(as.Groups)/float64(as.Flushes), as.Gated, as.HighWater, as.Stalls, 100*float64(as.IdleNs)/float64(as.UpNs))

@@ -18,11 +18,12 @@ import (
 
 // conn is one client connection. A read goroutine parses frames and either
 // answers inline (PING, STATS, rejections, point GETs) or plans the request —
-// the only place a request is routed — and queues it on its executor: the
-// owning shard's ring for a write or a same-shard ATOMIC, the round
-// coordinator's queue for a spanning ATOMIC or a SCAN page. The executors push
-// responses onto out, and a write goroutine flushes them — so responses
-// complete out of order and the connection pipelines.
+// the only place a request is routed — and hands it to its executor: the
+// owning shard for a write or a same-shard ATOMIC — the reader itself when
+// the shard is idle (runInline), its ring otherwise — the round coordinator's
+// queue for a spanning ATOMIC or a SCAN page. The executors push responses
+// onto out, and a write goroutine flushes them — so responses complete out of
+// order and the connection pipelines.
 //
 // Between decode and encode a request touches only its connection's memory
 // (docs/ALGORITHMS.md, "Request lifecycle"): the connection holds the drain
@@ -49,15 +50,16 @@ type conn struct {
 	runs []shardRun
 	more bool
 
-	// serveGet's thread and fallback context, answered GETs and meters.
-	th           *votm.Thread
-	rctx         reqContext
-	read         []groupOp
-	tries, falls uint64
+	// exec is the reader's execution state — its votm.Thread, request
+	// context and group scratch — built at the first GET or inline run; read
+	// holds the answered GETs, and the rest are meters added at answer.
+	exec                  *groupWorker
+	read                  []groupOp
+	tries, falls          uint64
+	inlineRuns, inlineOps uint64 // write runs and their ops executed on the reader
 }
 
-// shardRun is the tasks a reader staged for one shard's ring, in arrival
-// order.
+// shardRun is the tasks a reader staged for one shard, in arrival order.
 type shardRun struct {
 	sh    *shard
 	tasks []task
@@ -153,9 +155,9 @@ func (s *Server) serveConn(nc net.Conn) {
 // answered, and gives the connection's drain registration back.
 func (c *conn) hangUp() {
 	c.publish()
-	if c.th != nil {
-		c.th.Release()
-		c.rctx.close()
+	if w := c.exec; w != nil {
+		w.th.Release()
+		w.reqContext.close()
 	}
 	c.pending.Add(-c.credits)
 	c.credits = 0
@@ -191,6 +193,7 @@ func (c *conn) reply(req *wire.Request, resp *wire.Response, status wire.Status,
 
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, readBufSize)
+	var stop time.Time // when the reader stops reading, once a drain began
 	for {
 		// Re-arm the idle deadline only when the next read can actually
 		// block on the socket. A pipelined burst is served straight out of
@@ -203,10 +206,17 @@ func (c *conn) readLoop() {
 			_ = c.nc.SetReadDeadline(time.Now().Add(idleTimeout))
 		}
 		// Checked after the arm: Shutdown stores draining before it sets every
-		// deadline to now, so a re-arm that lands after that wake-up is seen
-		// here instead of sleeping out idleTimeout in the read below.
+		// deadline, so a re-arm that lands after that wake-up is seen here
+		// instead of sleeping out idleTimeout in the read below. From the
+		// first sight of the drain the reader reads on for drainGrace, and
+		// plan answers each frame SHUTTING_DOWN: frames that queued in the
+		// socket while it was executing a write run get an answer, not the
+		// reset of a close over unread data.
 		if c.srv.draining.Load() {
-			return
+			if stop.IsZero() {
+				stop = time.Now().Add(drainGrace)
+			}
+			_ = c.nc.SetReadDeadline(stop)
 		}
 		req := c.reqs.take()
 		if err := wire.ReadRequestReuse(br, req); err != nil {
@@ -220,7 +230,7 @@ func (c *conn) readLoop() {
 				c.send(resp)
 			}
 			// io.EOF: clean close. Deadline errors: idle cutoff or the
-			// drain wake-up. Either way the read side is done.
+			// drain's end. Either way the read side is done.
 			return
 		}
 		// more: the whole next frame is buffered, so reading it cannot block.
@@ -381,7 +391,8 @@ func (c *conn) publish() {
 }
 
 func (c *conn) answer() {
-	if s := c.srv; len(c.read) > 0 {
+	s := c.srv
+	if len(c.read) > 0 {
 		s.rounds.nGets.Add(uint64(len(c.read)))
 		s.finishGroup(c.read)
 		c.read = s.recycleOps(c.read)
@@ -389,21 +400,75 @@ func (c *conn) answer() {
 		s.rounds.nGetFallbacks.Add(c.falls)
 		c.tries, c.falls = 0, 0
 	}
+	if c.inlineRuns > 0 {
+		s.rounds.nInlineRuns.Add(c.inlineRuns)
+		s.rounds.nInlineOps.Add(c.inlineOps)
+		c.inlineRuns, c.inlineOps = 0, 0
+	}
 }
 
-// publishRun pushes the prefix of r the shard's ring has room for and answers
-// the rest BUSY, unexecuted: a full ring is the one bound on a shard's queue.
+// publishRun executes r on the reader when its shard is idle (runInline);
+// otherwise it pushes the prefix of r the shard's ring has room for and
+// answers the rest BUSY, unexecuted: a full ring is the one bound on a shard's
+// queue.
 func (c *conn) publishRun(r *shardRun) {
 	sh, ts := r.sh, r.tasks
-	n := sh.queue.PushBatch(ts)
-	if n > 0 {
-		sh.noteDepth(uint64(sh.queue.Len()))
-	}
-	for _, t := range ts[n:] {
-		c.srv.busy(t, &sh.ringFull)
+	if !c.runInline(sh, ts) {
+		sh.ringWork.Add(int64(len(ts)))
+		n := sh.queue.PushBatch(ts)
+		if n > 0 {
+			sh.noteDepth(uint64(sh.queue.Len()))
+		}
+		sh.ringWork.Add(int64(n - len(ts)))
+		for _, t := range ts[n:] {
+			c.srv.busy(t, &sh.ringFull)
+		}
 	}
 	clear(ts)
 	r.tasks = ts[:0]
+}
+
+// runInline runs ts as one group on the reader — the executor a shard worker
+// would be (groupWorker.run), on the connection's own state — when that waits
+// on nothing: nothing of the shard is queued or executing from its ring (so
+// the run cannot overtake what this connection queued before it), one of the
+// shard's executor tokens is free, the run carries no cluster stream op, and
+// its group starts at once (runGroup). It reports false, with nothing executed
+// or answered, otherwise.
+func (c *conn) runInline(sh *shard, ts []task) bool {
+	if sh.ringWork.Load() != 0 {
+		return false
+	}
+	for _, t := range ts {
+		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
+			return false
+		}
+	}
+	select {
+	case sh.execs <- struct{}{}:
+	default:
+		return false
+	}
+	w := c.executor()
+	w.bind(sh)
+	ran := w.run(ts)
+	<-sh.execs
+	if ran {
+		c.inlineRuns++
+		c.inlineOps += uint64(len(ts))
+	}
+	return ran
+}
+
+// executor returns the reader's execution state, registering the
+// connection's votm.Thread on first use.
+func (c *conn) executor() *groupWorker {
+	if c.exec == nil {
+		s := c.srv
+		c.exec = newGroupWorker(s, nil, s.rt.RegisterThread())
+		c.exec.reader = true
+	}
+	return c.exec
 }
 
 // getTries bounds the validated reads a GET makes before it falls back to a
@@ -434,9 +499,7 @@ func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, 
 		}
 	}()
 	s := c.srv
-	if c.th == nil {
-		c.th, c.rctx.timeout = s.rt.RegisterThread(), s.cfg.RequestTimeout
-	}
+	w := c.executor()
 	sh := s.shards[s.Shard(key)]
 	read := func(tx votm.Tx) error {
 		resp.Value, found = sh.get(tx, key, resp.Value[:0])
@@ -447,13 +510,13 @@ func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, 
 			runtime.Gosched()
 		}
 		c.tries++
-		if ok, err := votm.ReadAll(c.th, []*votm.View{sh.view}, func(txs []votm.Tx) error { return read(txs[0]) }); ok {
+		if ok, err := votm.ReadAll(w.th, []*votm.View{sh.view}, func(txs []votm.Tx) error { return read(txs[0]) }); ok {
 			return found, err
 		}
 	}
 	c.falls++
 	c.publish() // what was answered goes out before the fallback can wait
-	return found, sh.view.AtomicRead(c.rctx.ctx(), c.th, read)
+	return found, sh.view.AtomicRead(w.ctx(), w.th, read)
 }
 
 // validate applies size and shape limits a shard should never see violated.

@@ -301,9 +301,12 @@ func (s *Server) resolveCrossShard(th *votm.Thread, cr *crossRecovery) error {
 	return nil
 }
 
-// captureShardState walks one shard's full state as a read-only view
-// transaction with walMu held, so the captured WAL sequence exactly matches
-// the captured state (writes execute under walMu). Shared by snapshots,
+// captureShardState walks one shard's full state with walMu held, so the
+// captured WAL sequence exactly matches the captured state (writes execute
+// under walMu). walMu already keeps every writer out of a durable shard, so
+// the walk is a validated read (votm.ReadAll), which logs none of the words
+// it reads; a read-only view transaction takes over only when the read
+// reports a write under way. Shared by snapshots,
 // replication bootstraps and live handoffs — anything that needs a
 // consistent (state, seq) pair, i.e. a durability claim: an in-doubt shard
 // is waited out first (ackStage.awaitRound; the round's flush holds no mutex
@@ -328,7 +331,7 @@ func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([
 	if sh.redo.xid != 0 {
 		seq = sh.redo.from - 1 // a follower holding a prepare
 	}
-	err := sh.view.AtomicRead(context.Background(), th, func(tx votm.Tx) error {
+	walk := func(tx votm.Tx) error {
 		entries, blobs = entries[:0], blobs[:0]
 		sh.idx.ForEach(tx, func(key, val uint64) {
 			start := len(blobs)
@@ -336,7 +339,11 @@ func (s *Server) captureShardState(sh *shard, th *votm.Thread, lockFn func()) ([
 			entries = append(entries, wal.Entry{Key: key, Value: blobs[start:len(blobs):len(blobs)]})
 		})
 		return nil
-	})
+	}
+	ok, err := votm.ReadAll(th, []*votm.View{sh.view}, func(txs []votm.Tx) error { return walk(txs[0]) })
+	if !ok {
+		err = sh.view.AtomicRead(context.Background(), th, walk)
+	}
 	sh.walMu.Unlock()
 	if err != nil {
 		return nil, 0, err

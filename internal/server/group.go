@@ -1,6 +1,7 @@
 // Group-commit execution. A shard worker drains up to the controller's
 // group bound of queued requests per wakeup and runs them as the group
-// (runGroup): ONE view transaction on the worker's own shard — one RAC
+// (runGroup), and a connection reader runs its staged run for an idle shard
+// the same way (conn.runInline): ONE view transaction on that shard — one RAC
 // admission, one begin/validate/commit (at Q == 1 a single lock acquisition)
 // and one WAL append amortized over K members: PUT/DELETE/CAS requests and
 // ATOMIC batches whose keys all live on this shard, each interpreted by
@@ -21,7 +22,8 @@
 // round's share of the log is listed the same way (addShare): the last share
 // released settles the round (round.go). The list holds at most
 // Config.QueueDepth unanswered ops: a worker that finds it full waits for a
-// release, its ring fills, dispatch says BUSY.
+// release, its ring fills, dispatch says BUSY; a reader reserves its room
+// before it executes, and queues its run when there is none.
 //
 // Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created flags, an ATOMIC's
 // BAD_REQUEST) stay per-request statuses; a conflict abort re-executes the
@@ -126,17 +128,21 @@ func newAckStage(s *Server, sh *shard) *ackStage {
 }
 
 // add lists a committed group behind its appended batch and wakes the
-// flusher; the worker gets a recycled op slice for its next group. A full
-// list makes it wait for a release first — the shard's back-pressure: its ring
-// fills meanwhile and dispatch answers BUSY.
-func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp) {
+// flusher; the executor gets a recycled op slice for its next group. A full
+// list makes a worker wait for a release first — the shard's back-pressure:
+// its ring fills meanwhile and dispatch answers BUSY. A connection reader's
+// group comes reserved (reserve): its room was held before it executed.
+func (a *ackStage) add(ops []groupOp, seq, doubt uint64, reserved bool) (next []groupOp) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if bound := a.s.cfg.QueueDepth - len(ops); a.ops > max(bound, 0) {
-		a.stats.Stalls++
-		for a.ops > max(bound, 0) {
-			a.cond.Wait()
+	if !reserved {
+		if bound := a.s.cfg.QueueDepth - len(ops); a.ops > max(bound, 0) {
+			a.stats.Stalls++
+			for a.ops > max(bound, 0) {
+				a.cond.Wait()
+			}
 		}
+		a.ops += len(ops)
 	}
 	// Rival workers append under walMu but list after it: keep seq order.
 	i := len(a.list)
@@ -144,7 +150,7 @@ func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp) {
 		a.list[i] = a.list[i-1]
 	}
 	a.list[i] = ackGroup{ops: ops, seq: seq, doubt: doubt}
-	if a.ops += len(ops); doubt > a.settled {
+	if doubt > a.settled {
 		a.stats.Gated++
 	}
 	a.stats.HighWater = max(a.stats.HighWater, uint64(a.ops))
@@ -153,6 +159,27 @@ func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp) {
 	}
 	a.cond.Broadcast()
 	return next
+}
+
+// reserve holds room for n ops on the list for a connection reader's group,
+// which must not wait to start: false, with nothing held, when a worker's add
+// would stall — the run then goes to the ring, and its worker waits instead.
+// unreserve gives back the room of a group that was not listed after all.
+func (a *ackStage) reserve(n int) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.ops > max(a.s.cfg.QueueDepth-n, 0) {
+		return false
+	}
+	a.ops += n
+	return true
+}
+
+func (a *ackStage) unreserve(n int) {
+	a.mu.Lock()
+	a.ops -= n
+	a.cond.Broadcast()
+	a.mu.Unlock()
 }
 
 // addShare lists round fl's share of this log, just appended at seq, for the
@@ -328,14 +355,18 @@ func (a *ackStage) release() {
 	}
 }
 
-// groupWorker is one shard worker's retained execution state: the op
-// slots, the commit-side free lists and the amortized request context are
-// all reused across groups, so the steady-state execution path allocates
-// nothing.
+// groupWorker is one executor's retained execution state: a shard worker's,
+// or a connection reader's (conn.runInline), which binds it to the shard of
+// each run it executes. The op slots, the commit-side free lists and the
+// amortized request context are all reused across groups, so the
+// steady-state execution path allocates nothing.
 type groupWorker struct {
 	s  *Server
 	sh *shard
 	th *votm.Thread
+	// reader marks a connection reader's state: its groups never wait to
+	// start (runGroup) and are handed back instead.
+	reader bool
 
 	ops []groupOp
 	// self/selfTx/fx are the group's one-participant view of the
@@ -391,10 +422,15 @@ func (r *reqContext) close() {
 	}
 }
 
+// bind points a reader's state at the shard of the run it is about to execute.
+func (w *groupWorker) bind(sh *shard) { w.sh, w.self[0] = sh, sh }
+
 // run executes one drained batch as a single grouped transaction — point
 // ops and same-shard ATOMIC batches alike — with cluster stream ops run one by
-// one ahead of it. Every task is answered exactly once.
-func (w *groupWorker) run(batch []task) {
+// one ahead of it. Every task is answered exactly once, or, on a reader's
+// state only, none is: run reports false when the group could not start
+// without waiting (runGroup), and the caller queues the batch.
+func (w *groupWorker) run(batch []task) bool {
 	for _, t := range batch {
 		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
 			// Cluster stream ops carry WAL sequences, not keys. Listed groups
@@ -402,7 +438,7 @@ func (w *groupWorker) run(batch []task) {
 			// with an unflushed append.
 			w.sh.ack.drain()
 			if seq := w.s.cfg.Cluster.Stream(w.th, t.req, t.resp); seq != 0 {
-				w.sh.ack.add([]groupOp{{t: t}}, seq, 0)
+				w.sh.ack.add([]groupOp{{t: t}}, seq, 0, false)
 			} else {
 				w.s.finish(t)
 			}
@@ -410,10 +446,19 @@ func (w *groupWorker) run(batch []task) {
 		}
 		w.ops = append(w.ops, groupOp{t: t})
 	}
-	if len(w.ops) > 0 && w.runGroup() {
-		return // listed: the completion list owns that op slice now
+	if len(w.ops) == 0 {
+		return true
+	}
+	switch w.runGroup() {
+	case groupListed:
+		return true // the completion list owns that op slice now
+	case groupRefused:
+		clear(w.ops)
+		w.ops = w.ops[:0]
+		return false
 	}
 	w.ops = w.s.recycleOps(w.ops)
+	return true
 }
 
 // acquireBatch hands out recycled ATOMIC interpreter state bound to one
@@ -520,10 +565,20 @@ func (s *Server) noteShardWALFault(sh *shard, err error) {
 	}
 }
 
-// runGroup executes w.ops as one grouped transaction. It returns true when
-// the committed group went on the shard's completion list (w.ops is then a
-// fresh slice) and false when every member was answered inline.
-func (w *groupWorker) runGroup() bool {
+// groupEnd is how runGroup left its group.
+type groupEnd int
+
+const (
+	groupAnswered groupEnd = iota // every member answered
+	groupListed                   // committed and on the completion list, which owns the op slice
+	groupRefused                  // a reader's group that could not start without waiting: untouched
+)
+
+// runGroup executes w.ops as one grouped transaction. A reader's group
+// (w.reader) starts only if it need not wait: the view admits it at once
+// (View.TryAtomic), and on a durable shard walMu is free and its room on the
+// completion list is reserved; otherwise it is refused, nothing executed.
+func (w *groupWorker) runGroup() groupEnd {
 	// The group's ONE reservation, outside the transaction: a slot per PUT,
 	// CAS and linking ATOMIC sub, carved out in one allocator lock
 	// acquisition.
@@ -545,23 +600,11 @@ func (w *groupWorker) runGroup() bool {
 			readonly = false
 		}
 	}
-	if err := sh.reserve(fx); err != nil {
-		// reserve grows a live view, so this one is gone (the server is
-		// shutting down) and the group's transaction could only fail too.
-		status, detail := errStatus(err)
-		w.abortGroup(ops, status, detail)
-		return false
-	}
-
 	// A durable write group runs its execution and WAL append under walMu —
 	// commit order equals log order — and releases no response before its
 	// durability point. A shard whose WAL already failed is read-only:
 	// refuse the whole write group with TxFault rather than diverge.
 	durable := sh.log != nil && !readonly
-	if durable && sh.readOnly.Load() {
-		w.abortGroup(ops, wire.StatusTxFault, errShardReadOnly)
-		return false
-	}
 
 	// The runtime rolls back and releases admission before a body panic
 	// (an injected fault) reaches us: fail just this group, but answer
@@ -581,15 +624,52 @@ func (w *groupWorker) runGroup() bool {
 			sh.walMu.Unlock()
 		}
 	}()
+	held := 0 // completion-list room reserved for this group and not yet used
+	if w.reader {
+		// What would make a reader wait is checked before the allocator
+		// carves the group's slots, so a refusal costs no reservation: the
+		// view admits now (a hint; TryAtomic below decides), walMu is free,
+		// and the completion list has room for every op.
+		if !sh.view.Controller().Admits() || durable && !sh.walMu.TryLock() {
+			fx.sizes = fx.sizes[:0]
+			return groupRefused
+		}
+		walLocked = durable
+		if durable && !sh.readOnly.Load() {
+			if !sh.ack.reserve(len(ops)) {
+				fx.sizes = fx.sizes[:0]
+				return groupRefused
+			}
+			held = len(ops)
+			defer func() {
+				if held > 0 {
+					sh.ack.unreserve(held)
+				}
+			}()
+		}
+	}
+	if err := sh.reserve(fx); err != nil {
+		// reserve grows a live view, so this one is gone (the server is
+		// shutting down) and the group's transaction could only fail too.
+		status, detail := errStatus(err)
+		w.abortGroup(ops, status, detail)
+		return groupAnswered
+	}
+	if durable && sh.readOnly.Load() {
+		w.abortGroup(ops, wire.StatusTxFault, errShardReadOnly)
+		return groupAnswered
+	}
 	if durable {
-		sh.walMu.Lock()
-		walLocked = true
+		if !walLocked {
+			sh.walMu.Lock()
+			walLocked = true
+		}
 		if sh.moving.Load() {
 			// The handoff capture acquires walMu after setting moving:
 			// reaching here with it set means this group would commit behind
 			// the captured state — refuse every op instead (BUSY).
 			w.abortGroup(ops, wire.StatusBusy, errShardMoving.Error())
-			return false
+			return groupAnswered
 		}
 	}
 
@@ -629,15 +709,22 @@ func (w *groupWorker) runGroup() bool {
 	}
 
 	var err error
-	if readonly {
+	switch {
+	case w.reader:
+		var admitted bool
+		if admitted, err = sh.view.TryAtomic(w.ctx(), w.th, readonly, fn); !admitted {
+			sh.settle(fx, false)
+			return groupRefused
+		}
+	case readonly:
 		err = sh.view.AtomicRead(w.ctx(), w.th, fn)
-	} else {
+	default:
 		err = sh.view.Atomic(w.ctx(), w.th, fn)
 	}
 	if err != nil {
 		status, detail := errStatus(err)
 		w.abortGroup(ops, status, detail)
-		return false
+		return groupAnswered
 	}
 	sh.groups.Add(1)
 	sh.groupOps.Add(uint64(len(ops)))
@@ -684,20 +771,21 @@ func (w *groupWorker) runGroup() bool {
 		// accepting writes (the listed groups' flush fails the same way).
 		w.s.noteShardWALFault(sh, walErr)
 		w.s.failGroup(ops, wire.StatusTxFault, "wal: "+walErr.Error())
-		return false
+		return groupAnswered
 	}
 	if walSeq == 0 {
 		// Nothing mutated state (all NOT_FOUND / CAS_MISMATCH / refused
 		// batches): no redo batch, no durability point to wait for.
 		w.s.finishGroup(ops)
-		return false
+		return groupAnswered
 	}
 
 	// The answer is the acknowledgement stage's: an idle log flushes at once
 	// (a synchronous client waits one flush), a busy one takes every group
 	// appended during the flush in flight into the next.
-	w.ops = sh.ack.add(ops, walSeq, doubt)
-	return true
+	w.ops = sh.ack.add(ops, walSeq, doubt, held > 0)
+	held = 0
+	return groupListed
 }
 
 // abortGroup fails a group whose transaction did not commit: the reservation

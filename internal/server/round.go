@@ -123,7 +123,8 @@ type flight struct {
 }
 
 // RoundStats counts the coordination rounds a server has run, the SCAN pages
-// its coordinator served beside them, and the connection readers' GETs.
+// its coordinator served beside them, and the connection readers' GETs and
+// write runs.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
 	Tasks   uint64 // tasks they carried: spanning ATOMIC batches
@@ -133,6 +134,10 @@ type RoundStats struct {
 	// inside a quiesce instead.
 	Pages, PageTries, PageFallbacks uint64
 	Gets, GetTries, GetFallbacks    uint64 // the same for point GETs; they fall back to AtomicRead
+	// InlineRuns counts the write runs the connection readers executed
+	// themselves, their shard idle, and InlineOps the requests those carried;
+	// the rest of the writes went through a shard ring.
+	InlineRuns, InlineOps uint64
 	// Logged counts the rounds that appended redo records; the write groups a
 	// round in doubt held back are AckStats.Gated.
 	Logged uint64
@@ -164,6 +169,8 @@ func (rc *roundCoordinator) stats() RoundStats {
 		Gets:          rc.nGets.Load(),
 		GetTries:      rc.nGetTries.Load(),
 		GetFallbacks:  rc.nGetFallbacks.Load(),
+		InlineRuns:    rc.nInlineRuns.Load(),
+		InlineOps:     rc.nInlineOps.Load(),
 		Logged:        rc.nLogged.Load(),
 		Overlapped:    rc.nOverlapped.Load(),
 		InDoubtHigh:   rc.inDoubtHigh.Load(),
@@ -194,6 +201,7 @@ type roundCoordinator struct {
 	pausedNs                               atomic.Uint64
 	nPages, nPageTries, nPageFallbacks     atomic.Uint64
 	nGets, nGetTries, nGetFallbacks        atomic.Uint64 // added by the connection readers
+	nInlineRuns, nInlineOps                atomic.Uint64 // likewise
 
 	// free holds the flight records not in use; inflight the rounds that took
 	// one, in xid order, settling that shareDone is at its head (both under fmu).

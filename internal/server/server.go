@@ -180,6 +180,10 @@ const (
 	writeTimeout = 10 * time.Second
 	// idleTimeout closes a connection with no complete request for this long.
 	idleTimeout = 5 * time.Minute
+	// drainGrace is how long a reader reads on once it has seen a drain
+	// begin, answering SHUTTING_DOWN every frame that reaches it meanwhile
+	// rather than closing the socket over it (a reset for the client).
+	drainGrace = 10 * time.Millisecond
 	// maxValueLen bounds value sizes (PUT and CAS values, ATOMIC sub-values).
 	// A maximal value must still encode into one frame beside its key, status
 	// and framing (well under 1 KiB): the next line fails the build if not.
@@ -315,6 +319,7 @@ func New(cfg Config) (*Server, error) {
 		if sh.log != nil {
 			sh.ack = newAckStage(s, sh) // before the workers: they read it unsynchronized
 		}
+		sh.execs = make(chan struct{}, cfg.WorkersPerShard)
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			s.workersWG.Add(1)
 			go s.worker(sh)
@@ -461,13 +466,14 @@ func (s *Server) shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
-	// Unblock readers parked in a frame read; they observe draining and
-	// stop reading (no request is lost: anything fully read before this
-	// deadline was either dispatched — and will be answered — or rejected
-	// with a typed status). A reader re-arms its idle deadline before it
-	// checks draining, so none can re-arm after this wake-up unseen.
+	// Wake the readers parked in a frame read: each reads on for drainGrace
+	// and stops (conn.readLoop), answering SHUTTING_DOWN whatever arrives
+	// meanwhile (no request is lost: anything fully read was either
+	// dispatched — and will be answered — or rejected with a typed status). A
+	// reader re-arms its idle deadline before it checks draining, so none can
+	// re-arm after this wake-up unseen.
 	for nc := range s.conns {
-		_ = nc.SetReadDeadline(time.Now())
+		_ = nc.SetReadDeadline(time.Now().Add(drainGrace))
 	}
 	s.mu.Unlock()
 
@@ -544,11 +550,13 @@ func (s *Server) forceCloseConns() {
 
 // worker is one shard transaction worker: it owns a runtime thread handle
 // and a retained groupWorker, blocks for one task, then drains up to BatchMax
-// without blocking and executes the whole group as one transaction
-// (group.go). It never waits on a flush: a durable group's answers are the
-// acknowledgement stage's. At drain the closed queue first yields its
-// buffered remainder — grouped like any other batch, every request answered —
-// and then ends the loop.
+// without blocking, takes an executor token and executes the whole group as
+// one transaction (group.go). Only once the group has run does the shard's
+// ringWork drop, so a connection reader never runs a write beside, or ahead
+// of, ring work it queued earlier. It never waits on a flush: a durable
+// group's answers are the acknowledgement stage's. At drain the closed queue
+// first yields its buffered remainder — grouped like any other batch, every
+// request answered — and then ends the loop.
 func (s *Server) worker(sh *shard) {
 	defer s.workersWG.Done()
 	th := s.rt.RegisterThread()
@@ -562,7 +570,10 @@ func (s *Server) worker(sh *shard) {
 			return
 		}
 		batch = sh.queue.PopBatch(append(batch[:0], t), s.cfg.BatchMax)
+		sh.execs <- struct{}{}
 		w.run(batch)
+		<-sh.execs
+		sh.ringWork.Add(-int64(len(batch)))
 	}
 }
 

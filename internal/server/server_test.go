@@ -279,15 +279,21 @@ func TestLoopbackSoak(t *testing.T) {
 
 	// An ADD of an existing key makes 15 hook calls: 12 loads (its length
 	// check and the add each read the key's bucket chain, then the counter),
-	// one store, the commit, and the admission, which never conflicts. A
-	// conflict every 37th call thus aborts about two single-ADD attempts in
-	// five (a write group of several ADDs more) — enough pressure to drive
-	// delta(Q) and move the quota, low enough that transactions retry and
-	// commit instead of all burning straight through the retry budget into
-	// escalation (which starves the controller of commit signal). Twenty
-	// runs saw 102–544 hot-shard aborts (41–228 under -short).
+	// one store, the commit, and the admission, which never conflicts. Each
+	// client keeps one ADD in flight, so the connection readers run most of
+	// them themselves, one ADD per transaction, while the hot shard has a free
+	// executor token. delta(Q) weighs the time aborted attempts wasted against
+	// the time committed ones took, and an aborted single ADD wastes less than
+	// an aborted write group, so the same conflict rate moves the quota less:
+	// at one conflict in 37 calls, sixty runs left Q = N in five with readers
+	// executing (a median of 4 quota moves) and in none with every ADD on the
+	// ring (a median of 8). One conflict in 15 aborts about two single-ADD
+	// attempts in three — enough pressure to move the quota in sixty runs of
+	// sixty (at least 8 moves each) — and is low enough that transactions
+	// retry and commit instead of all burning straight through the retry
+	// budget into escalation (which starves the controller of commit signal).
 	inj := votm.NewFaultInjector(votm.FaultConfig{
-		ConflictEvery: 37,
+		ConflictEvery: 15,
 		LatencyEvery:  151,
 		Latency:       20 * time.Microsecond,
 	})
@@ -402,7 +408,10 @@ func TestLoopbackSoak(t *testing.T) {
 // worker, queue depth one, with injected per-operation latency — and asserts
 // the bounded in-flight queue rejects overload with a typed BUSY instead of
 // queueing unboundedly, while the requests that were admitted all commit
-// (the counter oracle still holds under backpressure).
+// (the counter oracle still holds under backpressure). The burst goes over
+// two connections: a lone connection's reader would run every ADD itself on
+// the idle shard, and nothing would queue; here one reader's run holds the
+// shard's one executor token, so the other's go to the ring and overflow it.
 func TestServerBusy(t *testing.T) {
 	inj := votm.NewFaultInjector(votm.FaultConfig{
 		LatencyEvery: 1,
@@ -415,7 +424,7 @@ func TestServerBusy(t *testing.T) {
 		RequestTimeout:  30 * time.Second,
 		FaultHook:       inj.Hook(),
 	})
-	c := dialClient(t, addr, client.Options{PoolSize: 1, RequestTimeout: 30 * time.Second})
+	c := dialClient(t, addr, client.Options{PoolSize: 2, RequestTimeout: 30 * time.Second})
 
 	const burst = 64
 	var (

@@ -34,7 +34,16 @@ type shard struct {
 	view  *votm.View
 	idx   *ds.SkipList
 	queue *ringQueue
-	keys  atomic.Int64
+	// ringWork counts the tasks pushed on queue whose group has not finished
+	// (raised at push, lowered when the worker's run returns, not at Pop), and
+	// execs holds one token per executor inside a run of this shard: a worker
+	// waits for one, a connection reader only takes a free one, so at most
+	// WorkersPerShard executors contend for the view. A reader runs its staged
+	// run itself only while ringWork is 0 (conn.runInline); a shard without
+	// workers has no execs and every run goes to its ring.
+	ringWork atomic.Int64
+	execs    chan struct{}
+	keys     atomic.Int64
 	// queueHW is the lifetime high-water mark of the queue depth observed
 	// at dispatch. Because it never decays, STATS also serves a windowed
 	// variant (queueHWCur/queueHWPrev, rotated every hwWindow), so an
