@@ -49,9 +49,9 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":7421", "TCP listen address")
 		shards   = flag.Int("shards", 8, "number of shards (one VOTM view each)")
-		workers  = flag.Int("workers", 4, "transaction workers per shard (RAC quota bound N)")
+		workers  = flag.Int("workers", 4, "executor tokens per shard (RAC quota bound N)")
 		queue    = flag.Int("queue", 128, "bounded per-shard request queue (overflow => BUSY)")
-		batchMax = flag.Int("batch-max", 16, "max requests one worker group-commits per transaction (1 = no grouping)")
+		batchMax = flag.Int("batch-max", 16, "max requests one executor group-commits per transaction (1 = no grouping)")
 		engine   = flag.String("engine", "norec", "TM engine: norec | oreceager | tl2")
 		reqTO    = flag.Duration("request-timeout", 5*time.Second, "per-request transaction timeout")
 		statsSec = flag.Duration("stats-every", 0, "log per-shard stats at this interval (0 = off)")
@@ -174,9 +174,9 @@ func main() {
 					logger.Print(line)
 				}
 				rs := srv.RoundStats()
-				logger.Printf("cross-shard rounds: %d rounds, %d tasks, %.1f tasks/round, largest %d; %d logged, %d beside an earlier round's flush, %d in flight at most, coordinator waited %v for a flight; %d SCAN pages, %d validated-read tries, %d fell back; views paused %v; %d GETs on the readers, %d validated-read tries, %d fell back; %d write runs (%d ops) on the readers",
+				logger.Printf("cross-shard rounds: %d rounds, %d tasks, %.1f tasks/round, largest %d; %d logged, %d beside an earlier round's flush, %d in flight at most, coordinator waited %v for a flight; %d SCAN pages, %d validated-read tries, %d fell back; views paused %v; %d GETs on the readers, %d validated-read tries, %d fell back",
 					rs.Rounds, rs.Tasks, rs.MeanTasks(), rs.Largest, rs.Logged, rs.Overlapped, rs.InDoubtHigh, time.Duration(rs.FlightWaitNs), rs.Pages, rs.PageTries, rs.PageFallbacks, time.Duration(rs.PausedNs),
-					rs.Gets, rs.GetTries, rs.GetFallbacks, rs.InlineRuns, rs.InlineOps)
+					rs.Gets, rs.GetTries, rs.GetFallbacks)
 				if as := srv.AckStats(); as.Flushes > 0 {
 					logger.Printf("ack stage: %d flush cycles, %.1f groups/flush, %d groups behind a round in doubt, %d unanswered ops at most, %d back-pressure waits, flushers idle %.0f%%",
 						as.Flushes, float64(as.Groups)/float64(as.Flushes), as.Gated, as.HighWater, as.Stalls, 100*float64(as.IdleNs)/float64(as.UpNs))
@@ -187,7 +187,7 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	logger.Printf("serving %d shards (%s, %d workers each) on %s", *shards, *engine, *workers, ln.Addr())
+	logger.Printf("serving %d shards (%s, %d executor tokens each) on %s", *shards, *engine, *workers, ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)

@@ -131,8 +131,8 @@ func NewMember(cfg Config) (*Member, error) {
 }
 
 // Start joins the cluster and launches the watch loop. The server calls it
-// at the end of New, after the workers exist: reconciliation may start
-// senders, which capture state through the same paths the workers use.
+// at the end of New, once the shards are built: reconciliation may start
+// senders, which capture state through the same paths the executors use.
 func (m *Member) Start(shards []*server.Shard) error {
 	m.shards = shards
 	for range shards {
@@ -285,7 +285,7 @@ func (m *Member) StopControl() {
 }
 
 // StopSenders retires every replication sender; the server calls it once
-// the workers are quiescent (nothing appends anymore).
+// every connection has been answered (nothing appends anymore).
 func (m *Member) StopSenders() {
 	for i := range m.states {
 		m.stopShardSenders(i)
@@ -295,7 +295,7 @@ func (m *Member) StopSenders() {
 
 // Gate intercepts cluster opcodes and gates data ops by role. Map ops are
 // answered here — a watch off the reader (Serve) — and stream ops go to
-// their shard's worker (Stream).
+// their shard's ring, whose executor runs them (Stream).
 func (m *Member) Gate(req *wire.Request, resp *wire.Response) server.Verdict {
 	switch req.Op {
 	case wire.OpShardMapGet, wire.OpShardMapJoin, wire.OpShardMapUpdate, wire.OpShardMapWatch:

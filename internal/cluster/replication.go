@@ -261,7 +261,7 @@ func (m *Member) attachReplica(r *replica, seq uint64) {
 }
 
 // Tee fans one appended frame out to every follower of the shard. It runs on
-// the appending worker with the WAL lock and the log's mutex held; before
+// the appending executor with the WAL lock and the log's mutex held; before
 // Start it has no follower to feed.
 func (m *Member) Tee(shardID int, seq uint64, frame []byte) {
 	if !m.started.Load() {
@@ -604,7 +604,8 @@ func (m *Member) WaitReplicated(shardID int, seq uint64) {
 
 // --- follower-side apply ---------------------------------------------------
 
-// Stream runs a REPLICATE or HANDOFF request on its shard's worker.
+// Stream runs a REPLICATE or HANDOFF request on the executor draining its
+// shard's ring.
 func (m *Member) Stream(th *votm.Thread, req *wire.Request, resp *wire.Response) uint64 {
 	if req.Op == wire.OpReplicate {
 		return m.replicate(th, req, resp)

@@ -259,28 +259,14 @@ func (v *View) AllocatedWords() int { return v.alloc.InUse() }
 //
 // ctx cancels waiting and retrying; a cancelled attempt returns ctx.Err().
 func (v *View) Atomic(ctx context.Context, th *Thread, fn func(Tx) error) error {
-	return v.atomic(ctx, th, fn, false, false)
+	return v.atomic(ctx, th, fn, false)
 }
 
 // AtomicRead implements acquire_Rview/release_view: like Atomic but the
 // transaction is read-only; Store panics.
 func (v *View) AtomicRead(ctx context.Context, th *Thread, fn func(Tx) error) error {
-	return v.atomic(ctx, th, fn, true, false)
+	return v.atomic(ctx, th, fn, true)
 }
-
-// TryAtomic is Atomic, or AtomicRead when readonly, for a caller that must
-// not wait to start: its first admission is tried (rac.Controller.TryEnter),
-// and ok = false, with fn never run, when the view is paused, full or held
-// in lock mode. Once admitted it runs, retries and escalates as Atomic does.
-func (v *View) TryAtomic(ctx context.Context, th *Thread, readonly bool, fn func(Tx) error) (ok bool, err error) {
-	if err = v.atomic(ctx, th, fn, readonly, true); err == errNotAdmitted {
-		return false, nil
-	}
-	return true, err
-}
-
-// errNotAdmitted is atomic's answer to a tried admission that would have waited.
-var errNotAdmitted = errors.New("core: admission would wait")
 
 // attemptOutcome classifies one TM-mode transaction attempt.
 type attemptOutcome int
@@ -291,8 +277,7 @@ const (
 	attemptUserErr                  // fn returned an error: rolled back, no retry
 )
 
-// atomic is Atomic and AtomicRead; try makes the first admission TryEnter's.
-func (v *View) atomic(ctx context.Context, th *Thread, fn func(Tx) error, readonly, try bool) error {
+func (v *View) atomic(ctx context.Context, th *Thread, fn func(Tx) error, readonly bool) error {
 	if th == nil {
 		return errors.New("core: nil thread handle")
 	}
@@ -317,15 +302,7 @@ func (v *View) atomic(ctx context.Context, th *Thread, fn func(Tx) error, readon
 			// multi-TM / plain-TM baselines: no admission control at all.
 		} else {
 			var err error
-			if try {
-				var ok bool
-				if mode, ok, err = v.ctl.TryEnter(); err == nil && !ok {
-					return errNotAdmitted
-				}
-				try = false
-			} else {
-				mode, err = v.ctl.Enter(ctx)
-			}
+			mode, err = v.ctl.Enter(ctx)
 			if err != nil {
 				if errors.Is(err, rac.ErrClosed) {
 					return ErrViewDestroyed

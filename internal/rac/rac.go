@@ -253,7 +253,13 @@ func (c *Controller) Enter(ctx context.Context) (Mode, error) {
 			c.mu.Unlock()
 			return ModeTM, ErrClosed
 		}
-		if mode, ok := c.admitLocked(); ok {
+		if !c.paused && !c.lockActive && c.p < c.q {
+			c.p++
+			mode := ModeTM
+			if c.q == 1 {
+				mode = ModeLock
+				c.lockActive = true
+			}
 			c.mu.Unlock()
 			return mode, nil
 		}
@@ -262,45 +268,6 @@ func (c *Controller) Enter(ctx context.Context) (Mode, error) {
 			return ModeTM, err
 		}
 	}
-}
-
-// TryEnter is Enter without the wait: ok = false, with nothing admitted, when
-// Enter would park — the view paused, Q threads inside, or a ModeLock holder
-// inside. A closed controller answers ErrClosed as Enter does.
-func (c *Controller) TryEnter() (mode Mode, ok bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ModeTM, false, ErrClosed
-	}
-	mode, ok = c.admitLocked()
-	return mode, ok, nil
-}
-
-// Admits reports whether Enter would admit a caller now without parking. It
-// is a hint — other callers may change the answer at once — for a caller that
-// would rather not prepare an attempt TryEnter is about to refuse.
-func (c *Controller) Admits() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.closed && c.openLocked()
-}
-
-// openLocked reports whether the view is neither paused, full nor held in
-// lock mode; the caller holds mu.
-func (c *Controller) openLocked() bool { return !c.paused && !c.lockActive && c.p < c.q }
-
-// admitLocked admits the caller if the view is open; the caller holds mu.
-func (c *Controller) admitLocked() (Mode, bool) {
-	if !c.openLocked() {
-		return ModeTM, false
-	}
-	c.p++
-	if c.q == 1 {
-		c.lockActive = true
-		return ModeLock, true
-	}
-	return ModeTM, true
 }
 
 // waiter is one parked caller. Its channel has room for the one wake-up a

@@ -58,60 +58,6 @@ func TestEnterExitBasic(t *testing.T) {
 	}
 }
 
-// TestTryEnterNeverParks: TryEnter admits exactly when Enter would without
-// waiting, and Admits says so beforehand — refusing a full view, a lock-mode
-// holder, a paused view and a closed one, with nothing admitted.
-func TestTryEnterNeverParks(t *testing.T) {
-	c := New(Params{Threads: 4, InitialQuota: 2})
-	try := func(want bool, why string) Mode {
-		t.Helper()
-		in := c.InFlight()
-		if got := c.Admits(); got != want {
-			t.Fatalf("%s: Admits = %v", why, got)
-		}
-		m, ok, err := c.TryEnter()
-		if err != nil || ok != want {
-			t.Fatalf("%s: TryEnter = %v, %v", why, ok, err)
-		}
-		if want {
-			in++
-		}
-		if c.InFlight() != in {
-			t.Fatalf("%s: %d in flight, want %d", why, c.InFlight(), in)
-		}
-		return m
-	}
-	m1 := try(true, "open view")
-	m2 := try(true, "one of two inside")
-	try(false, "full view")
-	c.Exit(m1, Committed, time.Microsecond)
-	c.Exit(m2, Committed, time.Microsecond)
-
-	c.SetQuota(1)
-	if m := try(true, "Q = 1, empty"); m != ModeLock {
-		t.Fatalf("TryEnter at Q = 1 gave mode %v", m)
-	} else {
-		c.SetQuota(4) // a raise must not admit beside the lock holder
-		try(false, "lock-mode holder inside")
-		c.Exit(m, Committed, time.Microsecond)
-	}
-
-	if err := c.PauseAndDrain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	try(false, "paused view")
-	c.Resume()
-	c.Exit(try(true, "resumed view"), Committed, time.Microsecond)
-
-	c.Close()
-	if c.Admits() {
-		t.Fatal("closed view: Admits = true")
-	}
-	if _, ok, err := c.TryEnter(); ok || err != ErrClosed {
-		t.Fatalf("closed view: TryEnter = %v, %v", ok, err)
-	}
-}
-
 func TestLockModeAtQuotaOne(t *testing.T) {
 	c := New(Params{Threads: 4, InitialQuota: 1})
 	m, err := c.Enter(context.Background())

@@ -14,7 +14,7 @@ import (
 	"votm/wire"
 )
 
-// heldFlush is a durable three-shard fixture (one worker per shard) whose disk
+// heldFlush is a durable three-shard fixture (one executor token per shard) whose disk
 // hook, once armed, stops the next flush inside its DiskSync site: whatever
 // was appended is not durable, holding is closed, and the flush returns what
 // the test sends on release.
@@ -96,7 +96,7 @@ next:
 // TestGetServesUnflushedWrites pins the read side of the durability contract
 // beside TestScanServesUnflushedWrites: the memory commit precedes every
 // acknowledgement, so a GET and a read-only ATOMIC serve a write whose flush
-// is still held — on another connection, through the same one worker — while
+// is still held — on another connection, through the same one token — while
 // the PUT itself stays unanswered. The same holds between rounds: a read-only
 // spanning ATOMIC, a round of its own that takes no flight, reads what a
 // round still in doubt committed.
@@ -208,10 +208,10 @@ func TestCoordinatorNeverWaitsOnFlush(t *testing.T) {
 	}
 }
 
-// TestNoWorkerWaitsOnFlush: with one worker per shard and the shard's flush
-// held, a second and a third write group still execute — their values are
-// readable, the log takes three appends — while the first is unanswered, and
-// no worker goroutine is inside a flush, a round wait or a replication wait.
+// TestNoWorkerWaitsOnFlush: with one executor token per shard and the shard's
+// flush held, a second and a third write group still execute — their values
+// are readable, the log takes three appends — while the first is unanswered,
+// and no executor is inside a flush, a round wait or a replication wait.
 // On release the three answer oldest first after ONE further flush: the held
 // one covered what was appended when it started, the next takes the rest.
 func TestNoWorkerWaitsOnFlush(t *testing.T) {
@@ -236,8 +236,8 @@ func TestNoWorkerWaitsOnFlush(t *testing.T) {
 		t.Errorf("%d flusher goroutines inside the held flush, want 1", n)
 	}
 	for _, wait := range []string{"wal.(*Log).Sync(", ".awaitRound(", ".WaitReplicated("} {
-		if n := serverGoroutines("(*Server).worker(", wait); n != 0 {
-			t.Errorf("%d worker goroutines inside %s", n, wait)
+		if n := serverGoroutines("(*conn).combine(", wait); n != 0 {
+			t.Errorf("%d executors inside %s", n, wait)
 		}
 	}
 
@@ -263,35 +263,40 @@ func TestNoWorkerWaitsOnFlush(t *testing.T) {
 }
 
 // TestAckListBoundsUnansweredOps: the completion list holds at most
-// QueueDepth unanswered ops. With the flush held, the worker that would list
-// one more waits for a release, the ring behind it fills, and from then on
-// dispatch answers BUSY — however much is offered, nothing more is retained.
+// QueueDepth unanswered ops. With the flush held, the executor that would list
+// one more waits for a release — a connection reader holding the shard's one
+// token, here on a goroutine of its own — the ring behind it fills, and from
+// then on dispatch answers BUSY — however much is offered, nothing more is
+// retained.
 func TestAckListBoundsUnansweredOps(t *testing.T) {
 	const depth = 4
 	h := newHeldFlush(t, Config{QueueDepth: depth})
 	sh, keys := h.shards[1], h.keys[1]
 	h.armed.Store(true)
 	id := uint32(0)
-	put := func(c *conn) { // one group each: the worker outruns a lone dispatcher
+	put := func(c *conn) { // one group each: a lone dispatcher executes its own
 		id++
 		h.putExecuted(t, c, 1, id, keys[int(id)%len(keys)], "v")
 	}
 	put(h.c)
 	<-h.holding
-	for i := 1; i <= depth; i++ {
-		put(h.c) // the last one executes, then stalls on the full list
+	for i := 1; i < depth; i++ {
+		put(h.c)
 	}
+	id++
+	go h.c.dispatch(h.c.pointReq(wire.OpPut, id, keys[int(id)%len(keys)], "v")) // executes, then stalls on the full list
 	for deadline := time.Now().Add(5 * time.Second); h.s.AckStats().Stalls != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("no worker stalled on a full list: %+v", h.s.AckStats())
+			t.Fatalf("no executor stalled on a full list: %+v", h.s.AckStats())
 		}
 	}
+	behind := newTestConn(h.s, sh.queue.Cap())
 	for i := 0; i < sh.queue.Cap(); i++ {
 		id++
-		h.c.dispatch(h.c.pointReq(wire.OpPut, id, keys[0], "queued"))
+		behind.dispatch(behind.pointReq(wire.OpPut, id, keys[0], "queued"))
 	}
-	accepted := id
 	unanswered(t, h.c, "with the list full and the flush held")
+	unanswered(t, behind, "with the list full and the flush held")
 
 	// Offered load beyond the bound is refused, not retained.
 	flood := newTestConn(h.s, 64)
@@ -321,7 +326,11 @@ func TestAckListBoundsUnansweredOps(t *testing.T) {
 	}
 
 	h.release <- nil
-	for rid, r := range collect(t, h.c, int(accepted)) {
+	got := collect(t, h.c, depth+1)
+	for rid, r := range collect(t, behind, sh.queue.Cap()) {
+		got[rid] = r
+	}
+	for rid, r := range got {
 		if r.status != wire.StatusOK {
 			t.Errorf("accepted request %d: %v (%s)", rid, r.status, r.value)
 		}
@@ -415,10 +424,10 @@ func TestRoundGatesGroupAckFlusherLast(t *testing.T) {
 // flush returns the drain it left behind completes — flushers stopped after
 // the lists emptied, before the logs closed — with no server goroutine left.
 func TestForcedShutdownLeaksNothing(t *testing.T) {
-	entries := []string{"(*Server).worker(", "(*ackStage).flusher(", "(*roundCoordinator).loop(", "(*Server).retire("}
+	entries := []string{"(*ackStage).flusher(", "(*roundCoordinator).loop(", "(*Server).retire("}
 	// The baseline is whatever earlier tests' servers left running; theirs
 	// may still be exiting, so sample until the counts hold still.
-	var base [4]int
+	var base [3]int
 	for same := 0; same < 3; time.Sleep(time.Millisecond) {
 		same++
 		for i, e := range entries {
@@ -441,9 +450,9 @@ func TestForcedShutdownLeaksNothing(t *testing.T) {
 	}
 	// One flusher per shard log (a goroutine that has not run yet shows no
 	// entry frame: wait for all three).
-	for deadline := time.Now().Add(5 * time.Second); serverGoroutines(entries[1])-base[1] != len(h.shards); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); serverGoroutines(entries[0])-base[0] != len(h.shards); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d flushers for %d durable shards", serverGoroutines(entries[1])-base[1], len(h.shards))
+			t.Fatalf("%d flushers for %d durable shards", serverGoroutines(entries[0])-base[0], len(h.shards))
 		}
 	}
 
@@ -478,7 +487,7 @@ func TestForcedShutdownLeaksNothing(t *testing.T) {
 
 // TestSteadyStateDurablePutAllocs pins the acknowledgement stage's allocation
 // cost: the completion list recycles the groups' op slices, so a durable write
-// group — executed by a worker, flushed and answered by the flusher —
+// group — executed by an executor, flushed and answered by the flusher —
 // allocates nothing in steady state.
 func TestSteadyStateDurablePutAllocs(t *testing.T) {
 	if raceEnabled {
@@ -495,7 +504,7 @@ func TestSteadyStateDurablePutAllocs(t *testing.T) {
 	sh := s.shards[0]
 	c := newTestConn(s, 4)
 	w := newGroupWorker(s, sh, th)
-	defer w.close()
+	defer w.testClose()
 	val := []byte(strings.Repeat("v", 64))
 	batch := make([]task, 2)
 	run := func() {

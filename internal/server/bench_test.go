@@ -62,7 +62,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 }
 
 // BenchmarkServerOverload is the backpressure proof: the pipelining window
-// (4096 deep) far exceeds what one worker drains in half a millisecond, the
+// (4096 deep) far exceeds what one executor drains in half a millisecond, the
 // regime where the queue bound alone sets the queueing delay an accepted
 // request can accumulate. static16's ring holds the whole window, so nothing
 // is shed and closed-loop latency grows toward window × per-op. queue512's
@@ -92,7 +92,7 @@ func BenchmarkServerOverload(b *testing.B) {
 // pipelined write-heavy load as BenchmarkServerThroughput, but every group
 // is appended to the per-shard WAL and answered only after its fsync. The
 // batch sweep shows where group commit earns the cost back: at batch=512 one
-// fsync covers hundreds of writes, and a second worker overlaps the next
+// fsync covers hundreds of writes, and a second executor overlaps the next
 // group's execution with the previous group's flush (wal.Log.Sync releases
 // walMu before fsyncing, and its watermark lets one fsync cover both).
 //
@@ -221,7 +221,7 @@ func benchServer(b *testing.B, cfg server.Config,
 
 // benchServerWindow is benchServer with an explicit pipelining window. The
 // durable cells need a window a few groups deep: responses release only at
-// the fsync, so a window one group deep would stall the second worker and
+// the fsync, so a window one group deep would stall the second executor and
 // serialize execution behind the flush instead of overlapping them.
 func benchServerWindow(b *testing.B, cfg server.Config, window int,
 	build func(*wire.Request, *rand.Rand, []byte)) {

@@ -22,7 +22,7 @@ import (
 // injected latency — and asserts the failure-containment contract:
 //
 //   - an injected panic surfaces to that one client as a typed TxFault
-//     response; the connection, the worker and every other request live on;
+//     response; the connection, its executor and every other request live on;
 //   - a TxFault response means the transaction did NOT commit, so a per-key
 //     oracle over the acknowledged ADDs stays uint64-exact;
 //   - after the storm the same clients still serve traffic (no wedged
@@ -221,7 +221,7 @@ func runServerChaos(t *testing.T) {
 		t.Errorf("GroupOps %d < Groups %d", groupOps, groups)
 	}
 
-	// Tear everything down and verify nothing leaked: no worker, connection,
+	// Tear everything down and verify nothing leaked: no connection,
 	// writer or demux goroutine may survive the drain.
 	for _, c := range clients {
 		_ = c.Close()

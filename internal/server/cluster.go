@@ -19,15 +19,17 @@ import (
 
 // Cluster is the cluster plane as the server sees it.
 type Cluster interface {
-	// Start joins the cluster once the workers run; shards[i] is wire shard i.
+	// Start joins the cluster once the shards are built; shards[i] is wire
+	// shard i.
 	Start(shards []*Shard) error
 	// Gate decides every request but PING and STATS on the connection reader,
 	// before validation.
 	Gate(req *wire.Request, resp *wire.Response) Verdict
 	// Serve answers a request Gate sent off the reader: a map watch's long poll.
 	Serve(req *wire.Request, resp *wire.Response)
-	// Stream runs a REPLICATE or HANDOFF request on shard req.Shard's worker,
-	// whose thread th is, and answers it in resp. A nonzero seq holds the
+	// Stream runs a REPLICATE or HANDOFF request for shard req.Shard on
+	// whichever connection reader drains that shard's ring — th is its
+	// thread — and answers it in resp. A nonzero seq holds the
 	// answer until the shard's log is flushed through seq.
 	Stream(th *votm.Thread, req *wire.Request, resp *wire.Response) (seq uint64)
 	// Tee hands the frame appended at seq to shard id's log to its followers,
@@ -51,7 +53,7 @@ type Verdict uint8
 const (
 	GatePass     Verdict = iota // not the plane's to decide: dispatch as usual
 	GateAnswered                // answered in resp: reply inline
-	GateStream                  // run it on shard req.Shard's worker (Stream)
+	GateStream                  // queue it on shard req.Shard's ring; its executor runs Stream
 	GateServe                   // run Serve off the reader, then reply
 )
 

@@ -19,11 +19,12 @@ import (
 // conn is one client connection. A read goroutine parses frames and either
 // answers inline (PING, STATS, rejections, point GETs) or plans the request —
 // the only place a request is routed — and hands it to its executor: the
-// owning shard for a write or a same-shard ATOMIC — the reader itself when
-// the shard is idle (runInline), its ring otherwise — the round coordinator's
-// queue for a spanning ATOMIC or a SCAN page. The executors push responses
-// onto out, and a write goroutine flushes them — so responses complete out of
-// order and the connection pipelines.
+// owning shard's ring for a write or a same-shard ATOMIC, which whichever
+// reader holds one of the shard's executor tokens drains (combine) — this
+// one, when it takes a token — or the round coordinator's queue for a
+// spanning ATOMIC or a SCAN page. The executors push responses onto out, and
+// a write goroutine flushes them — so responses complete out of order and the
+// connection pipelines.
 //
 // Between decode and encode a request touches only its connection's memory
 // (docs/ALGORITHMS.md, "Request lifecycle"): the connection holds the drain
@@ -51,12 +52,11 @@ type conn struct {
 	more bool
 
 	// exec is the reader's execution state — its votm.Thread, request
-	// context and group scratch — built at the first GET or inline run; read
-	// holds the answered GETs, and the rest are meters added at answer.
-	exec                  *groupWorker
-	read                  []groupOp
-	tries, falls          uint64
-	inlineRuns, inlineOps uint64 // write runs and their ops executed on the reader
+	// context and group scratch — built at the first GET or token it takes;
+	// read holds the answered GETs, and the rest are meters added at answer.
+	exec         *groupWorker
+	read         []groupOp
+	tries, falls uint64
 }
 
 // shardRun is the tasks a reader staged for one shard, in arrival order.
@@ -400,64 +400,41 @@ func (c *conn) answer() {
 		s.rounds.nGetFallbacks.Add(c.falls)
 		c.tries, c.falls = 0, 0
 	}
-	if c.inlineRuns > 0 {
-		s.rounds.nInlineRuns.Add(c.inlineRuns)
-		s.rounds.nInlineOps.Add(c.inlineOps)
-		c.inlineRuns, c.inlineOps = 0, 0
-	}
 }
 
-// publishRun executes r on the reader when its shard is idle (runInline);
-// otherwise it pushes the prefix of r the shard's ring has room for and
-// answers the rest BUSY, unexecuted: a full ring is the one bound on a shard's
-// queue.
+// publishRun pushes the prefix of r the shard's ring has room for, answers
+// the rest BUSY, unexecuted — a full ring is the one bound on a shard's queue
+// — and then combines.
 func (c *conn) publishRun(r *shardRun) {
 	sh, ts := r.sh, r.tasks
-	if !c.runInline(sh, ts) {
-		sh.ringWork.Add(int64(len(ts)))
-		n := sh.queue.PushBatch(ts)
-		if n > 0 {
-			sh.noteDepth(uint64(sh.queue.Len()))
-		}
-		sh.ringWork.Add(int64(n - len(ts)))
-		for _, t := range ts[n:] {
-			c.srv.busy(t, &sh.ringFull)
-		}
+	n := sh.queue.PushBatch(ts)
+	if n > 0 {
+		sh.noteDepth(uint64(sh.queue.Len()))
+	}
+	for _, t := range ts[n:] {
+		c.srv.busy(t, &sh.ringFull)
 	}
 	clear(ts)
 	r.tasks = ts[:0]
+	c.combine(sh)
 }
 
-// runInline runs ts as one group on the reader — the executor a shard worker
-// would be (groupWorker.run), on the connection's own state — when that waits
-// on nothing: nothing of the shard is queued or executing from its ring (so
-// the run cannot overtake what this connection queued before it), one of the
-// shard's executor tokens is free, the run carries no cluster stream op, and
-// its group starts at once (runGroup). It reports false, with nothing executed
-// or answered, otherwise.
-func (c *conn) runInline(sh *shard, ts []task) bool {
-	if sh.ringWork.Load() != 0 {
-		return false
-	}
-	for _, t := range ts {
-		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
-			return false
+// combine makes the reader one of sh's executors while its ring holds work
+// and a token is free (ringQueue.combine): it runs what the ring holds,
+// BatchMax at a time, each batch as one group (groupWorker.run) — its own run
+// and any other connection's alike — waiting as any executor does (admission,
+// walMu, a full completion list). Tasks run in ring order, and on a one-token
+// shard one group at a time.
+func (c *conn) combine(sh *shard) {
+	q, max := sh.queue, c.srv.cfg.BatchMax
+	q.combine(func() {
+		w := c.executor()
+		w.bind(sh)
+		for batch := q.PopBatch(w.batch[:0], max); len(batch) > 0; batch = q.PopBatch(w.batch[:0], max) {
+			w.run(batch)
+			clear(batch)
 		}
-	}
-	select {
-	case sh.execs <- struct{}{}:
-	default:
-		return false
-	}
-	w := c.executor()
-	w.bind(sh)
-	ran := w.run(ts)
-	<-sh.execs
-	if ran {
-		c.inlineRuns++
-		c.inlineOps += uint64(len(ts))
-	}
-	return ran
+	})
 }
 
 // executor returns the reader's execution state, registering the
@@ -466,7 +443,6 @@ func (c *conn) executor() *groupWorker {
 	if c.exec == nil {
 		s := c.srv
 		c.exec = newGroupWorker(s, nil, s.rt.RegisterThread())
-		c.exec.reader = true
 	}
 	return c.exec
 }
@@ -476,7 +452,8 @@ func (c *conn) executor() *groupWorker {
 const getTries = 32
 
 // serveGet answers a point GET on the reader: validated reads of its shard
-// (votm.ReadAll), then one AtomicRead RAC admits, at Q = 1 behind the worker.
+// (votm.ReadAll), then one AtomicRead RAC admits, at Q = 1 behind the
+// executor.
 func (c *conn) serveGet(t task, tries int) {
 	if found, err := c.readGet(t.req.Key, t.resp, tries); err != nil {
 		status, detail := errStatus(err)
@@ -586,8 +563,8 @@ func (c *conn) writeLoop(done chan struct{}) {
 	failed := false
 	for r := range c.out {
 		small, big, sent = small[:0], big[:0], sent[:0]
-		// encode consumes r and any responses chained behind it (a group
-		// worker hands a whole group's responses over as one chain — one
+		// encode consumes r and any responses chained behind it (a group's
+		// executor hands a whole group's responses over as one chain — one
 		// channel hand-off instead of one per response). Once the stream has
 		// failed it only collects them: out is drained until it is closed, so
 		// senders never block forever.

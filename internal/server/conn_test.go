@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -237,11 +238,11 @@ func (p *pipeliner) run(stop <-chan struct{}) {
 // keep PUTs pipelined. A reader reads frames in order and answers every frame
 // it read, so each connection's answers are exactly its first n requests: OK
 // up to the drain, SHUTDOWN after it, none lost. Every OK executed and
-// nothing else did, and no connection, worker or coordinator goroutine
-// outlives Shutdown.
+// nothing else did, and no connection or coordinator goroutine outlives
+// Shutdown.
 func TestDrainPipeliningConnections(t *testing.T) {
-	entries := []string{"(*Server).serveConn(", "(*conn).writeLoop(", "(*Server).worker(", "(*roundCoordinator).loop("}
-	var base [4]int
+	entries := []string{"(*Server).serveConn(", "(*conn).writeLoop(", "(*roundCoordinator).loop("}
+	var base [3]int
 	for same := 0; same < 3; time.Sleep(time.Millisecond) {
 		same++
 		for i, e := range entries {
@@ -693,7 +694,7 @@ func put(id uint32, key uint64, val string) wire.Request {
 	return wire.Request{Op: wire.OpPut, ID: id, Key: key, Value: []byte(val)}
 }
 
-// stagingServer is the two-shard, one-worker server the staging tests share,
+// stagingServer is the two-shard, one-token server the staging tests share,
 // shut down with the test.
 func stagingServer(t *testing.T) *Server {
 	t.Helper()
@@ -771,18 +772,20 @@ func TestStagedRunAdmissionPrefix(t *testing.T) {
 	full, other := s.shards[0], s.shards[1]
 	const room = 3
 
-	// Park full's one worker in its view's admission with a first filler PUT,
-	// then queue fillers behind it until room slots are left.
+	// Park full's one token holder in its view's admission with a first
+	// filler PUT — dispatched by a goroutine standing in for that connection's
+	// reader, which executes it — then queue fillers behind it from a second
+	// connection until room slots are left.
 	ctl := full.view.Controller()
 	if err := ctl.PauseAndDrain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer ctl.Resume() // a second Resume releases nothing
-	filler := newTestConn(s, 64)
-	filler.dispatch(filler.pointReq(wire.OpPut, 1, keys[0][8], "filler"))
-	for deadline := time.Now().Add(5 * time.Second); serverGoroutines("(*Server).worker(", "(*Controller).Enter(") == 0; time.Sleep(time.Millisecond) {
+	parked, filler := newTestConn(s, 64), newTestConn(s, 64)
+	go parked.dispatch(parked.pointReq(wire.OpPut, 1, keys[0][8], "filler"))
+	for deadline := time.Now().Add(5 * time.Second); serverGoroutines("(*conn).combine(", "(*Controller).Enter(") == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the worker never parked in admission")
+			t.Fatal("the token holder never parked in admission")
 		}
 	}
 	fillers := 1 + full.queue.Cap() - room
@@ -806,7 +809,8 @@ func TestStagedRunAdmissionPrefix(t *testing.T) {
 	for id, r := range answers(t, cli, room) {
 		got[id] = r
 	}
-	collect(t, filler, fillers)
+	collect(t, parked, 1)
+	collect(t, filler, fillers-1)
 
 	th := s.rt.RegisterThread()
 	defer th.Release()
@@ -990,7 +994,7 @@ func TestStagedRunsPublishedWhileReaderBlocks(t *testing.T) {
 // TestStagedRunsKeepArrivalOrder pins the ordering contract (docs/PROTOCOL.md,
 // "Framing"): pipelined requests on one connection are not ordered with each
 // other, but writes to one shard keep their arrival order — on these
-// one-worker shards a PUT → PUT of one key in one burst lands in order, on
+// one-token shards a PUT → PUT of one key in one burst lands in order, on
 // every shard and across runs published at the group bound — and a read sees
 // every write whose answer the client had before it sent the read. So a GET
 // sent after its PUT's answer reads the PUT's value, and a GET pipelined
@@ -1050,18 +1054,20 @@ func TestStagedRunsKeepArrivalOrder(t *testing.T) {
 }
 
 // bareServer is a server of shard rings with nothing behind them — no view,
-// no worker, no coordinator: the caller drains the rings.
+// no executor token, no coordinator: no reader combines, and the caller
+// drains the rings.
 func bareServer(shards int) *Server {
 	s := &Server{cfg: Config{Shards: shards, QueueDepth: 1024}.withDefaults()}
 	for i := 0; i < shards; i++ {
-		s.shards = append(s.shards, s.newShard(i, nil, nil))
+		s.shards = append(s.shards, &shard{id: i, queue: newRingQueue(s.cfg.QueueDepth, 0)})
 	}
 	return s
 }
 
 // stubCluster is a plane that leads every shard and does nothing else: it
-// passes every data op, sends REPLICATE and HANDOFF to their shard's worker
-// and answers them there WRONG_SHARD, as a leader refuses a stream.
+// passes every data op, sends REPLICATE and HANDOFF to their shard's ring
+// and answers them WRONG_SHARD where they are executed, as a leader refuses a
+// stream.
 type stubCluster struct{}
 
 func (stubCluster) Start([]*Shard) error { return nil }
@@ -1204,7 +1210,10 @@ func BenchmarkRequestLifecycle(b *testing.B) {
 
 func benchLifecycle(b *testing.B, conns, execs int) {
 	s := bareServer(execs)
-	var executors sync.WaitGroup
+	var (
+		executors sync.WaitGroup
+		done      atomic.Bool
+	)
 	for _, sh := range s.shards {
 		executors.Add(1)
 		go func() {
@@ -1212,11 +1221,13 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 			var batch []task
 			var ops []groupOp
 			for {
-				t, ok := sh.queue.Pop()
-				if !ok {
-					return
+				if batch = sh.queue.PopBatch(batch[:0], s.cfg.BatchMax); len(batch) == 0 {
+					if done.Load() {
+						return
+					}
+					runtime.Gosched()
+					continue
 				}
-				batch = sh.queue.PopBatch(append(batch[:0], t), s.cfg.BatchMax)
 				for _, t := range batch {
 					ops = append(ops, groupOp{t: t})
 				}
@@ -1227,9 +1238,7 @@ func benchLifecycle(b *testing.B, conns, execs int) {
 		}()
 	}
 	driveConns(b, s, conns, wire.Request{Op: wire.OpPut, Value: []byte("sixteen-byte-val")})
-	for _, sh := range s.shards {
-		sh.queue.Close()
-	}
+	done.Store(true) // every request was answered: the rings are empty
 	executors.Wait()
 }
 

@@ -1,7 +1,7 @@
 // Durability: per-shard write-ahead logging and snapshots (internal/wal)
 // layered on the group-commit execution path. Every durable shard has a log:
 // each committed write group appends one redo batch and is answered — by the
-// shard's acknowledgement stage (group.go), never by a waiting worker — only
+// shard's acknowledgement stage (group.go), never by a waiting executor — only
 // once the log's flusher has flushed it and the cross-shard round it logged
 // behind, if any (round.go), is settled; periodic snapshots bound the log
 // replay has to read. Startup recovery loads the newest valid
@@ -141,7 +141,7 @@ func (a *redoApplier) apply(ctx context.Context, th *votm.Thread, seq uint64, re
 }
 
 // decide appends kind as the held prepare's decision to the shard's own log
-// (the caller holds walMu, or runs before any worker) and applies it.
+// (the caller holds walMu, or runs before any connection) and applies it.
 func (a *redoApplier) decide(ctx context.Context, th *votm.Thread, kind wal.RecordKind) (uint64, error) {
 	dec := []wal.Record{{Kind: kind, Key: a.xid}}
 	seq, err := appendWAL(a.sh, dec)
@@ -173,7 +173,7 @@ func copyRecord(r wal.Record) wal.Record {
 // durable horizon in cr and leaves sh.log opened but not started. It writes
 // nothing but the torn-tail truncation replay performs, so a refusal on a
 // later shard leaves this one as it found it. It runs
-// during New, before any worker or connection exists, and applyRecords logs
+// during New, before any connection exists, and applyRecords logs
 // nothing, so no WAL interposition is needed. A log that ends with a
 // cross-shard prepare undecided leaves its applier in cr for
 // resolveCrossShard.
@@ -270,7 +270,7 @@ func (s *Server) startShardLogs(shards []*shard, th *votm.Thread, cr *crossRecov
 // as the log's own decision record and fed to the held applier like any
 // replayed one: each log is self-contained from here on. That can start the
 // next hold, so a log is decided until it holds nothing. Runs after every
-// shard replayed, before the workers start.
+// shard replayed, before any connection is served.
 func (s *Server) resolveCrossShard(th *votm.Thread, cr *crossRecovery) error {
 	ctx := context.Background()
 	for _, a := range cr.dangling {

@@ -1,9 +1,9 @@
-// Group-commit execution. A shard worker drains up to the controller's
-// group bound of queued requests per wakeup and runs them as the group
-// (runGroup), and a connection reader runs its staged run for an idle shard
-// the same way (conn.runInline): ONE view transaction on that shard — one RAC
-// admission, one begin/validate/commit (at Q == 1 a single lock acquisition)
-// and one WAL append amortized over K members: PUT/DELETE/CAS requests and
+// Group-commit execution. A connection reader holding one of a shard's
+// executor tokens pops up to BatchMax queued requests from the shard's ring
+// at a time and runs them as the group (conn.combine → runGroup): ONE view
+// transaction on that shard — one RAC admission, one begin/validate/commit
+// (at Q == 1 a single lock acquisition) and one WAL append amortized over K
+// members: PUT/DELETE/CAS requests and
 // ATOMIC batches whose keys all live on this shard, each interpreted by
 // multiBatch (store.go) with its own validation pass and verdict — work that
 // can conflict; a point GET never gets here (conn.serveGet). The group
@@ -13,17 +13,16 @@
 // request (conn.dispatch), and work spanning shards went to the round
 // coordinator (round.go) — the server's only other executor.
 //
-// No worker waits on a flush. A durable group's built responses go on the
+// No executor waits on a flush. A durable group's built responses go on the
 // shard's completion list (ackStage), keyed by (WAL seq, doubt xid), and the
-// worker returns to its ring; the log's one flusher flushes while anything
+// executor returns to the ring; the log's one flusher flushes while anything
 // listed is unflushed, and a group is answered — by the flusher, or by
 // whoever settles a round — once its seq is flushed, replicated under cluster
 // leadership, and the round it logged behind is settled. A cross-shard
 // round's share of the log is listed the same way (addShare): the last share
 // released settles the round (round.go). The list holds at most
-// Config.QueueDepth unanswered ops: a worker that finds it full waits for a
-// release, its ring fills, dispatch says BUSY; a reader reserves its room
-// before it executes, and queues its run when there is none.
+// Config.QueueDepth unanswered ops: an executor that finds it full waits for a
+// release, the ring fills meanwhile, and dispatch says BUSY.
 //
 // Per-request outcomes (NOT_FOUND, CAS_MISMATCH, created flags, an ATOMIC's
 // BAD_REQUEST) stay per-request statuses; a conflict abort re-executes the
@@ -49,7 +48,7 @@ import (
 // groupOp is one member of a grouped transaction.
 type groupOp struct {
 	t task
-	// slot is a PUT's or CAS's slot in the worker's effects (an ATOMIC
+	// slot is a PUT's or CAS's slot in the executor's effects (an ATOMIC
 	// member's are in its interpreter state, t.batch).
 	slot int
 }
@@ -71,8 +70,8 @@ type ackGroup struct {
 // AckStats counts the acknowledgement stages' work over the durable shards:
 // flush cycles started, listed groups released (answered or failed), those
 // (and rare state captures) that found the round they logged behind still in
-// doubt, the most unanswered ops one list held, workers that found a list full
-// and waited, and the time the flushers spent parked out of the time they
+// doubt, the most unanswered ops one list held, executors that found a list
+// full and waited, and the time the flushers spent parked out of the time they
 // existed.
 type AckStats struct {
 	Flushes, Groups, Gated, HighWater, Stalls, IdleNs, UpNs uint64
@@ -104,7 +103,7 @@ type ackStage struct {
 
 	mu sync.Mutex
 	// cond is broadcast on every change: a listing wakes the parked flusher, a
-	// release a stalled worker or a drain barrier.
+	// release a stalled executor or a drain barrier.
 	cond sync.Cond
 	list []ackGroup // in seq order; at most s.cfg.QueueDepth ops in all
 	ops  int
@@ -129,22 +128,19 @@ func newAckStage(s *Server, sh *shard) *ackStage {
 
 // add lists a committed group behind its appended batch and wakes the
 // flusher; the executor gets a recycled op slice for its next group. A full
-// list makes a worker wait for a release first — the shard's back-pressure:
-// its ring fills meanwhile and dispatch answers BUSY. A connection reader's
-// group comes reserved (reserve): its room was held before it executed.
-func (a *ackStage) add(ops []groupOp, seq, doubt uint64, reserved bool) (next []groupOp) {
+// list makes the executor wait for a release first — the shard's
+// back-pressure: its ring fills meanwhile and dispatch answers BUSY.
+func (a *ackStage) add(ops []groupOp, seq, doubt uint64) (next []groupOp) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !reserved {
-		if bound := a.s.cfg.QueueDepth - len(ops); a.ops > max(bound, 0) {
-			a.stats.Stalls++
-			for a.ops > max(bound, 0) {
-				a.cond.Wait()
-			}
+	if bound := a.s.cfg.QueueDepth - len(ops); a.ops > max(bound, 0) {
+		a.stats.Stalls++
+		for a.ops > max(bound, 0) {
+			a.cond.Wait()
 		}
-		a.ops += len(ops)
 	}
-	// Rival workers append under walMu but list after it: keep seq order.
+	a.ops += len(ops)
+	// Rival executors append under walMu but list after it: keep seq order.
 	i := len(a.list)
 	for a.list = append(a.list, ackGroup{}); i > 0 && a.list[i-1].seq > seq; i-- {
 		a.list[i] = a.list[i-1]
@@ -161,27 +157,6 @@ func (a *ackStage) add(ops []groupOp, seq, doubt uint64, reserved bool) (next []
 	return next
 }
 
-// reserve holds room for n ops on the list for a connection reader's group,
-// which must not wait to start: false, with nothing held, when a worker's add
-// would stall — the run then goes to the ring, and its worker waits instead.
-// unreserve gives back the room of a group that was not listed after all.
-func (a *ackStage) reserve(n int) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.ops > max(a.s.cfg.QueueDepth-n, 0) {
-		return false
-	}
-	a.ops += n
-	return true
-}
-
-func (a *ackStage) unreserve(n int) {
-	a.mu.Lock()
-	a.ops -= n
-	a.cond.Broadcast()
-	a.mu.Unlock()
-}
-
 // addShare lists round fl's share of this log, just appended at seq, for the
 // flusher to cover like a group's batch. The caller holds walMu, so seq is the
 // newest listed; a share holds no ops, so the list's bound never blocks it.
@@ -192,10 +167,9 @@ func (a *ackStage) addShare(fl *flight, seq uint64) {
 	a.mu.Unlock()
 }
 
-// drain is the one wait on a flush a worker has left, the barrier in front of
-// whatever rewrites the log beneath the list (a REPLICATE or HANDOFF stream
-// op) and at worker close: it returns once every listed group is flushed and
-// off the list.
+// drain is the one wait on a flush an executor has left, the barrier in front
+// of whatever rewrites the log beneath the list (a REPLICATE or HANDOFF stream
+// op): it returns once every listed group is flushed and off the list.
 func (a *ackStage) drain() {
 	if a == nil {
 		return
@@ -355,20 +329,18 @@ func (a *ackStage) release() {
 	}
 }
 
-// groupWorker is one executor's retained execution state: a shard worker's,
-// or a connection reader's (conn.runInline), which binds it to the shard of
-// each run it executes. The op slots, the commit-side free lists and the
+// groupWorker is one executor's retained execution state: a connection
+// reader's (conn.combine), which binds it to the shard whose token it holds.
+// The popped batch, the op slots, the commit-side free lists and the
 // amortized request context are all reused across groups, so the
 // steady-state execution path allocates nothing.
 type groupWorker struct {
 	s  *Server
 	sh *shard
 	th *votm.Thread
-	// reader marks a connection reader's state: its groups never wait to
-	// start (runGroup) and are handed back instead.
-	reader bool
 
-	ops []groupOp
+	batch []task
+	ops   []groupOp
 	// self/selfTx/fx are the group's one-participant view of the
 	// interpreter's (participants, handles, effects) triple: this shard, the
 	// group transaction, and the group's one reservation and effect list —
@@ -384,13 +356,8 @@ type groupWorker struct {
 }
 
 func newGroupWorker(s *Server, sh *shard, th *votm.Thread) *groupWorker {
-	return &groupWorker{s: s, sh: sh, th: th, self: []*shard{sh}, selfTx: make([]votm.Tx, 1), fx: make([]effects, 1),
-		reqContext: reqContext{timeout: s.cfg.RequestTimeout}}
-}
-
-func (w *groupWorker) close() {
-	w.sh.ack.drain()
-	w.reqContext.close()
+	return &groupWorker{s: s, sh: sh, th: th, batch: make([]task, 0, s.cfg.BatchMax), self: []*shard{sh},
+		selfTx: make([]votm.Tx, 1), fx: make([]effects, 1), reqContext: reqContext{timeout: s.cfg.RequestTimeout}}
 }
 
 // reqContext is an executor's amortized request context. Creating
@@ -422,15 +389,13 @@ func (r *reqContext) close() {
 	}
 }
 
-// bind points a reader's state at the shard of the run it is about to execute.
+// bind points a reader's state at the shard whose ring it is about to drain.
 func (w *groupWorker) bind(sh *shard) { w.sh, w.self[0] = sh, sh }
 
 // run executes one drained batch as a single grouped transaction — point
 // ops and same-shard ATOMIC batches alike — with cluster stream ops run one by
-// one ahead of it. Every task is answered exactly once, or, on a reader's
-// state only, none is: run reports false when the group could not start
-// without waiting (runGroup), and the caller queues the batch.
-func (w *groupWorker) run(batch []task) bool {
+// one ahead of it. Every task is answered exactly once.
+func (w *groupWorker) run(batch []task) {
 	for _, t := range batch {
 		if t.req.Op == wire.OpReplicate || t.req.Op == wire.OpHandoff {
 			// Cluster stream ops carry WAL sequences, not keys. Listed groups
@@ -438,7 +403,7 @@ func (w *groupWorker) run(batch []task) bool {
 			// with an unflushed append.
 			w.sh.ack.drain()
 			if seq := w.s.cfg.Cluster.Stream(w.th, t.req, t.resp); seq != 0 {
-				w.sh.ack.add([]groupOp{{t: t}}, seq, 0, false)
+				w.sh.ack.add([]groupOp{{t: t}}, seq, 0)
 			} else {
 				w.s.finish(t)
 			}
@@ -446,25 +411,16 @@ func (w *groupWorker) run(batch []task) bool {
 		}
 		w.ops = append(w.ops, groupOp{t: t})
 	}
-	if len(w.ops) == 0 {
-		return true
+	// A listed group's op slice is the completion list's now.
+	if len(w.ops) > 0 && !w.runGroup() {
+		w.ops = w.s.recycleOps(w.ops)
 	}
-	switch w.runGroup() {
-	case groupListed:
-		return true // the completion list owns that op slice now
-	case groupRefused:
-		clear(w.ops)
-		w.ops = w.ops[:0]
-		return false
-	}
-	w.ops = w.s.recycleOps(w.ops)
-	return true
 }
 
 // acquireBatch hands out recycled ATOMIC interpreter state bound to one
 // batch's subs, with its routing plan resolved. The free list is the
 // server's: a connection reader acquires every batch, and whoever settles it
-// — the worker for a group member, the round coordinator for a spanning
+// — the executor for a group member, the round coordinator for a spanning
 // batch — releases it. An empty list allocates.
 func (s *Server) acquireBatch(subs []wire.Sub) *multiBatch {
 	var b *multiBatch
@@ -565,20 +521,10 @@ func (s *Server) noteShardWALFault(sh *shard, err error) {
 	}
 }
 
-// groupEnd is how runGroup left its group.
-type groupEnd int
-
-const (
-	groupAnswered groupEnd = iota // every member answered
-	groupListed                   // committed and on the completion list, which owns the op slice
-	groupRefused                  // a reader's group that could not start without waiting: untouched
-)
-
-// runGroup executes w.ops as one grouped transaction. A reader's group
-// (w.reader) starts only if it need not wait: the view admits it at once
-// (View.TryAtomic), and on a durable shard walMu is free and its room on the
-// completion list is reserved; otherwise it is refused, nothing executed.
-func (w *groupWorker) runGroup() groupEnd {
+// runGroup executes w.ops as one grouped transaction. listed reports that
+// the group committed onto the completion list, which owns the op slice and
+// answers it; otherwise every member is answered already.
+func (w *groupWorker) runGroup() (listed bool) {
 	// The group's ONE reservation, outside the transaction: a slot per PUT,
 	// CAS and linking ATOMIC sub, carved out in one allocator lock
 	// acquisition.
@@ -624,52 +570,26 @@ func (w *groupWorker) runGroup() groupEnd {
 			sh.walMu.Unlock()
 		}
 	}()
-	held := 0 // completion-list room reserved for this group and not yet used
-	if w.reader {
-		// What would make a reader wait is checked before the allocator
-		// carves the group's slots, so a refusal costs no reservation: the
-		// view admits now (a hint; TryAtomic below decides), walMu is free,
-		// and the completion list has room for every op.
-		if !sh.view.Controller().Admits() || durable && !sh.walMu.TryLock() {
-			fx.sizes = fx.sizes[:0]
-			return groupRefused
-		}
-		walLocked = durable
-		if durable && !sh.readOnly.Load() {
-			if !sh.ack.reserve(len(ops)) {
-				fx.sizes = fx.sizes[:0]
-				return groupRefused
-			}
-			held = len(ops)
-			defer func() {
-				if held > 0 {
-					sh.ack.unreserve(held)
-				}
-			}()
-		}
-	}
 	if err := sh.reserve(fx); err != nil {
 		// reserve grows a live view, so this one is gone (the server is
 		// shutting down) and the group's transaction could only fail too.
 		status, detail := errStatus(err)
 		w.abortGroup(ops, status, detail)
-		return groupAnswered
+		return false
 	}
 	if durable && sh.readOnly.Load() {
 		w.abortGroup(ops, wire.StatusTxFault, errShardReadOnly)
-		return groupAnswered
+		return false
 	}
 	if durable {
-		if !walLocked {
-			sh.walMu.Lock()
-			walLocked = true
-		}
+		sh.walMu.Lock()
+		walLocked = true
 		if sh.moving.Load() {
 			// The handoff capture acquires walMu after setting moving:
 			// reaching here with it set means this group would commit behind
 			// the captured state — refuse every op instead (BUSY).
 			w.abortGroup(ops, wire.StatusBusy, errShardMoving.Error())
-			return groupAnswered
+			return false
 		}
 	}
 
@@ -709,22 +629,15 @@ func (w *groupWorker) runGroup() groupEnd {
 	}
 
 	var err error
-	switch {
-	case w.reader:
-		var admitted bool
-		if admitted, err = sh.view.TryAtomic(w.ctx(), w.th, readonly, fn); !admitted {
-			sh.settle(fx, false)
-			return groupRefused
-		}
-	case readonly:
+	if readonly {
 		err = sh.view.AtomicRead(w.ctx(), w.th, fn)
-	default:
+	} else {
 		err = sh.view.Atomic(w.ctx(), w.th, fn)
 	}
 	if err != nil {
 		status, detail := errStatus(err)
 		w.abortGroup(ops, status, detail)
-		return groupAnswered
+		return false
 	}
 	sh.groups.Add(1)
 	sh.groupOps.Add(uint64(len(ops)))
@@ -771,21 +684,20 @@ func (w *groupWorker) runGroup() groupEnd {
 		// accepting writes (the listed groups' flush fails the same way).
 		w.s.noteShardWALFault(sh, walErr)
 		w.s.failGroup(ops, wire.StatusTxFault, "wal: "+walErr.Error())
-		return groupAnswered
+		return false
 	}
 	if walSeq == 0 {
 		// Nothing mutated state (all NOT_FOUND / CAS_MISMATCH / refused
 		// batches): no redo batch, no durability point to wait for.
 		w.s.finishGroup(ops)
-		return groupAnswered
+		return false
 	}
 
 	// The answer is the acknowledgement stage's: an idle log flushes at once
 	// (a synchronous client waits one flush), a busy one takes every group
 	// appended during the flush in flight into the next.
-	w.ops = sh.ack.add(ops, walSeq, doubt, held > 0)
-	held = 0
-	return groupListed
+	w.ops = sh.ack.add(ops, walSeq, doubt)
+	return true
 }
 
 // abortGroup fails a group whose transaction did not commit: the reservation

@@ -34,6 +34,13 @@ func newTestConn(s *Server, depth int) *conn {
 	return c
 }
 
+// testClose retires an executor state a test drove by hand: it waits until
+// every group it listed is answered, then drops its request context.
+func (w *groupWorker) testClose() {
+	w.sh.ack.drain()
+	w.reqContext.close()
+}
+
 // testReq takes a request from c's stock as the reader does before a decode,
 // and clears it as the decode would.
 func (c *conn) testReq(op wire.Op, id uint32) *wire.Request {
@@ -209,7 +216,7 @@ func TestGroupedExecutionOracle(t *testing.T) {
 
 	c := newTestConn(s, 16)
 	w := newGroupWorker(s, sh, th)
-	defer w.close()
+	defer w.testClose()
 	batch := []task{
 		mkSubGet(s, c, 1, 1), // "alpha"
 		mkTask(s, c, wire.OpPut, 2, 5, []byte("new"), nil),                     // created
@@ -330,7 +337,7 @@ func TestGroupPanicAnswersEveryRequest(t *testing.T) {
 
 	c := newTestConn(s, 8)
 	w := newGroupWorker(s, sh, th)
-	defer w.close()
+	defer w.testClose()
 	batch := []task{
 		mkTask(s, c, wire.OpPut, 1, 1, []byte("after"), nil),
 		mkTask(s, c, wire.OpPut, 2, 2, []byte("fresh"), nil),
@@ -509,7 +516,7 @@ func TestGroupMergedDrain(t *testing.T) {
 	sh := s.shards[0]
 	c := newTestConn(s, 16)
 	w := newGroupWorker(s, sh, th)
-	defer w.close()
+	defer w.testClose()
 
 	// Seed through the worker so the seeds are in the log too: key 10 holds
 	// a 3-byte value (the bad ADD's target), key 3 the CAS's expectation.
@@ -625,7 +632,7 @@ func TestAtomicPanicFreesPreallocations(t *testing.T) {
 	}
 	c := newTestConn(s, 16)
 	w := newGroupWorker(s, shards[0], th)
-	defer w.close()
+	defer w.testClose()
 
 	inUse := func() (n [3]int) {
 		for i, sh := range shards {
@@ -715,7 +722,7 @@ func TestSteadyStateAtomicAllocs(t *testing.T) {
 	sh := s.shards[0]
 	c := newTestConn(s, 4)
 	w := newGroupWorker(s, sh, th)
-	defer w.close()
+	defer w.testClose()
 	val := bytes.Repeat([]byte{0xCD}, 64)
 	batch := make([]task, 1)
 	run := func() {

@@ -70,7 +70,7 @@ func roundTrip(cli net.Conn, reqs []wire.Request) (map[uint32]*wire.Response, er
 
 // TestReaderGetsNeverTorn races GETs answered on the connection readers
 // against PUTs that overwrite the same preloaded keys with self-checking
-// values, on a lock-mode shard (one worker, Q = 1) and on TM shards under
+// values, on a lock-mode shard (one token, Q = 1) and on TM shards under
 // each engine. Every GET must answer OK with a value that parses and names its
 // own key: a torn read or a read trusted after its validation failed shows as
 // a broken chain or a foreign key.

@@ -1,13 +1,15 @@
-// Bounded per-shard task queue: a lock-free MPSC ring (ringQueue).
-// Connection read loops are the producers, each pushing a run of tasks at a
-// time; the shard's workers take turns as the single draining consumer: each
-// blocks in Pop for one task, then takes what else is queued with PopBatch.
-// PushBatch never blocks (what a full queue refuses is the BUSY backpressure
-// signal — also how a full completion list, group.go, reaches the client);
-// Pop blocks until a task arrives or the queue is closed AND drained. Close
-// may not race an in-flight PushBatch — the server guarantees it by closing
-// queues only after every connection hung up (reqWG), and a reader publishes
-// what it staged before it hangs up.
+// Bounded per-shard task queue: a lock-free MPSC ring (ringQueue) that is
+// also the shard's publication list for flat combining (Hendler, Incze,
+// Shavit, Tzafrir, SPAA 2010). Connection readers are the producers, each
+// pushing a run of tasks at a time; PushBatch never blocks (what a full queue
+// refuses is the BUSY backpressure signal — also how a full completion list,
+// group.go, reaches the client). The ring carries the shard's executor tokens
+// too: a producer that has published tries for one, and whoever holds one
+// drains the ring with PopBatch and executes what it took (combine). Nobody
+// parks on the ring: a holder gives its token back and then rechecks, and a
+// producer publishes and then tries for a token — sequentially consistent
+// atomics on both sides, so one of the two always sees the other and no
+// published task is left without an executor.
 // The chan-based queue the ring replaced lives on in ring_test.go as the
 // differential-testing oracle.
 package server
@@ -32,10 +34,9 @@ type ringSlot struct {
 
 // ringQueue is a bounded MPSC ring. Producers claim a run of slots with one
 // CAS on tail and publish via the slots' sequence numbers — no lock and no
-// consumer wakeup while a consumer is running (the wake channel is touched
-// only when a consumer has announced it is parked). The consumer side is
-// serialized by consMu: whichever worker holds it drains an entire batch
-// with per-slot sequence reads and ONE head advance, then releases.
+// wakeup. The consumer side is serialized by consMu: whichever token holder
+// takes it drains an entire batch with per-slot sequence reads and ONE head
+// advance, then releases.
 type ringQueue struct {
 	_    [cacheLine]byte
 	tail atomic.Uint64 // next position a producer claims
@@ -46,25 +47,20 @@ type ringQueue struct {
 	mask  uint64
 	slots []ringSlot
 
-	// waiting is nonzero while a consumer is parked on wake. Producers
-	// check it after publishing (both sides use sequentially consistent
-	// atomics, so the consumer's announce-then-recheck cannot miss a
-	// publish-then-check producer: one of the two always sees the other).
-	waiting  atomic.Int32
-	closed   atomic.Bool
-	wake     chan struct{}
-	closedCh chan struct{}
+	// held counts the executor tokens taken, at most tokens (the shard's
+	// WorkersPerShard; 0 on a ring nobody combines). An atomic, not a
+	// buffered channel: the producer's publish-then-acquire and the holder's
+	// give-back-then-recheck are a Dekker pair, which needs the sequentially
+	// consistent order Go's atomics give and a channel's full-check does not.
+	held   atomic.Int32
+	tokens int32
 
-	// consMu serializes consumers (a shard runs WorkersPerShard of them).
-	// A blocking Pop parks on wake while KEEPING it: rival consumers queue
-	// on the mutex, so at most one parker exists and the waiting flag has a
-	// single owner — no lost wakeup with N workers. PopBatch uses TryLock:
-	// its caller already holds a task and must run it, not queue behind a
-	// parked rival.
+	// consMu serializes the token holders' pops (PopBatch's TryLock): a
+	// holder that finds a rival popping leaves the rest to it.
 	consMu sync.Mutex
 }
 
-func newRingQueue(depth int) *ringQueue {
+func newRingQueue(depth, tokens int) *ringQueue {
 	// Minimum 2: with a single slot the protocol's "free for position pos"
 	// (seq == pos) and "published for the consumer" (seq == head+1) states
 	// collide and a producer can overwrite an unconsumed task.
@@ -73,10 +69,9 @@ func newRingQueue(depth int) *ringQueue {
 		size <<= 1
 	}
 	q := &ringQueue{
-		mask:     uint64(size - 1),
-		slots:    make([]ringSlot, size),
-		wake:     make(chan struct{}, 1),
-		closedCh: make(chan struct{}),
+		mask:   uint64(size - 1),
+		slots:  make([]ringSlot, size),
+		tokens: int32(tokens),
 	}
 	for i := range q.slots {
 		q.slots[i].seq.Store(uint64(i))
@@ -102,11 +97,10 @@ func (q *ringQueue) Len() int {
 }
 
 // PushBatch enqueues the longest prefix of ts the queue has room for and
-// returns its length: 0 when the queue is full or closed. The prefix is
-// claimed with one CAS on tail, then filled and published slot by slot, and a
-// parked consumer is woken once.
+// returns its length: 0 when the queue is full. The prefix is claimed with
+// one CAS on tail, then filled and published slot by slot.
 func (q *ringQueue) PushBatch(ts []task) int {
-	if len(ts) == 0 || q.closed.Load() {
+	if len(ts) == 0 {
 		return 0
 	}
 	for {
@@ -132,20 +126,18 @@ func (q *ringQueue) PushBatch(ts []task) int {
 			slot.t = t
 			slot.seq.Store(pos + uint64(i) + 1)
 		}
-		if q.waiting.Load() != 0 {
-			select {
-			case q.wake <- struct{}{}:
-			default:
-			}
-		}
 		return n
 	}
 }
 
-// popLocked dequeues up to max tasks into dst. Caller holds consMu. Slots
-// are freed for producers as they are read (per-slot seq store), but the
-// drain is claimed with a single head advance at the end.
-func (q *ringQueue) popLocked(dst []task, max int) []task {
+// PopBatch appends queued tasks to dst without blocking until len(dst)
+// reaches max, the queue is empty or a rival holder is popping, returning the
+// extended slice. Slots are freed for producers as they are read (per-slot
+// seq store), but the drain is claimed with a single head advance at the end.
+func (q *ringQueue) PopBatch(dst []task, max int) []task {
+	if len(dst) >= max || !q.consMu.TryLock() {
+		return dst
+	}
 	pos := q.head.Load()
 	size := uint64(len(q.slots))
 	n := uint64(0)
@@ -162,59 +154,39 @@ func (q *ringQueue) popLocked(dst []task, max int) []task {
 	if n > 0 {
 		q.head.Store(pos + n)
 	}
-	return dst
-}
-
-// PopBatch appends queued tasks to dst without blocking until len(dst)
-// reaches max, the queue is empty or a rival consumer holds the drain,
-// returning the extended slice.
-func (q *ringQueue) PopBatch(dst []task, max int) []task {
-	if len(dst) >= max || !q.consMu.TryLock() {
-		return dst
-	}
-	dst = q.popLocked(dst, max)
 	q.consMu.Unlock()
 	return dst
 }
 
-// Pop blocks for one task; false means closed and fully drained.
-func (q *ringQueue) Pop() (task, bool) {
-	q.consMu.Lock()
-	defer q.consMu.Unlock()
-	var buf [1]task
-	for {
-		if got := q.popLocked(buf[:0], 1); len(got) == 1 {
-			return got[0], true
-		}
-		if q.closed.Load() {
-			// Closed while we looped. A push that completed just before
-			// Close may have landed after the drain check above: check once
-			// more now that closed is observed, then report end-of-queue
-			// (no push can still be in flight once Close ran).
-			if got := q.popLocked(buf[:0], 1); len(got) == 1 {
-				return got[0], true
-			}
-			return task{}, false
-		}
-		q.waiting.Store(1)
-		// Recheck after announcing (the producer's publish-then-check and
-		// this announce-then-recheck form the standard no-lost-wakeup pair).
-		if q.slots[q.head.Load()&q.mask].seq.Load() == q.head.Load()+1 || q.closed.Load() {
-			q.waiting.Store(0)
-			continue
-		}
-		select {
-		case <-q.wake:
-		case <-q.closedCh:
-		}
-		q.waiting.Store(0)
+// combine is flat combining on the ring: while a task waits there and one of
+// the ring's executor tokens is free, it takes the token and calls drain,
+// which pops until PopBatch finds the ring empty and executes what it took.
+// It gives the token back and then checks again: a producer that published
+// meanwhile and found every token held has left its tasks to the holders, and
+// this recheck, or a rival holder's, takes them. A producer calls combine
+// after each PushBatch.
+func (q *ringQueue) combine(drain func()) {
+	for q.ready() && q.acquire() {
+		drain()
+		q.held.Add(-1)
 	}
 }
 
-// Close stops the queue: pushes fail, Pop drains the remainder then reports
-// false. Idempotent.
-func (q *ringQueue) Close() {
-	if q.closed.CompareAndSwap(false, true) {
-		close(q.closedCh)
+// ready reports whether a published task waits at the head. It may miss one
+// while a rival holder is popping (the slot is freed before head advances) —
+// that holder drains on — or a run whose producer has claimed but not yet
+// published it: that producer combines once it has.
+func (q *ringQueue) ready() bool {
+	pos := q.head.Load()
+	return q.slots[pos&q.mask].seq.Load() == pos+1
+}
+
+// acquire takes one of the ring's executor tokens, false when all are held.
+func (q *ringQueue) acquire() bool {
+	for n := q.held.Load(); n < q.tokens; n = q.held.Load() {
+		if q.held.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
+	return false
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"votm/wire"
 )
@@ -16,11 +15,9 @@ import (
 // replaced, kept here as the semantics oracle.
 type taskQueue interface {
 	PushBatch(ts []task) int
-	Pop() (task, bool)
 	PopBatch(dst []task, max int) []task
 	Len() int
 	Cap() int
-	Close()
 }
 
 // queueImpls builds each implementation at a given depth.
@@ -28,16 +25,13 @@ var queueImpls = []struct {
 	name string
 	new  func(depth int) taskQueue
 }{
-	{"ring", func(depth int) taskQueue { return newRingQueue(depth) }},
+	{"ring", func(depth int) taskQueue { return newRingQueue(depth, 0) }},
 	{"channel", func(depth int) taskQueue { return &chanQueue{ch: make(chan task, depth)} }},
 }
 
 // chanQueue is the original chan-based queue: the reference the ring's
 // semantics are compared against.
-type chanQueue struct {
-	ch        chan task
-	closeOnce sync.Once
-}
+type chanQueue struct{ ch chan task }
 
 func (q *chanQueue) Cap() int { return cap(q.ch) }
 func (q *chanQueue) Len() int { return len(q.ch) }
@@ -55,18 +49,10 @@ func (q *chanQueue) PushBatch(ts []task) int {
 	return len(ts)
 }
 
-func (q *chanQueue) Pop() (task, bool) {
-	t, ok := <-q.ch
-	return t, ok
-}
-
 func (q *chanQueue) PopBatch(dst []task, max int) []task {
 	for len(dst) < max {
 		select {
-		case t, ok := <-q.ch:
-			if !ok {
-				return dst
-			}
+		case t := <-q.ch:
 			dst = append(dst, t)
 		default:
 			return dst
@@ -74,8 +60,6 @@ func (q *chanQueue) PopBatch(dst []task, max int) []task {
 	}
 	return dst
 }
-
-func (q *chanQueue) Close() { q.closeOnce.Do(func() { close(q.ch) }) }
 
 // qtask builds a uniquely identifiable task: producer p's n-th push (the
 // wire ID is 32 bits: producer in the top byte, sequence below).
@@ -100,8 +84,8 @@ func run(p, n, k int) []task {
 }
 
 // TestTaskQueueFIFO checks single-threaded semantics on both implementations:
-// FIFO order, a run that meets a full queue pushes the prefix that fits,
-// Close => drain then end-of-queue.
+// FIFO order, a run that meets a full queue pushes the prefix that fits, an
+// empty queue pops nothing.
 func TestTaskQueueFIFO(t *testing.T) {
 	for _, qi := range queueImpls {
 		impl, q := qi.name, qi.new(8)
@@ -123,11 +107,11 @@ func TestTaskQueueFIFO(t *testing.T) {
 		// Drain half one-at-a-time, half batched: order must be push order.
 		next := 0
 		for ; next < q.Cap()/2; next++ {
-			tk, ok := q.Pop()
-			if !ok {
-				t.Fatalf("%s: Pop reports closed with %d queued", impl, q.Len())
+			got := q.PopBatch(nil, 1)
+			if len(got) != 1 {
+				t.Fatalf("%s: PopBatch took %d with %d queued", impl, len(got), q.Len())
 			}
-			if _, n := qid(tk); n != next {
+			if _, n := qid(got[0]); n != next {
 				t.Fatalf("%s: popped %d, want %d (FIFO)", impl, n, next)
 			}
 		}
@@ -141,21 +125,8 @@ func TestTaskQueueFIFO(t *testing.T) {
 			}
 			next++
 		}
-		// Close with one task queued: Pop drains it, then reports closed.
-		if !push1(q, qtask(0, 100)) {
-			t.Fatalf("%s: push rejected on empty queue", impl)
-		}
-		q.Close()
-		// Pushing after Close is outside the contract (the server only closes
-		// after reqWG drains); the ring rejects it anyway, the channel cannot.
-		if impl == "ring" && push1(q, qtask(0, 101)) {
-			t.Fatalf("%s: push accepted after Close", impl)
-		}
-		if tk, ok := q.Pop(); !ok || tk.req.ID != qtask(0, 100).req.ID {
-			t.Fatalf("%s: Pop after Close = (%v, %v), want the queued task", impl, tk.req, ok)
-		}
-		if _, ok := q.Pop(); ok {
-			t.Fatalf("%s: Pop reported a task on a closed drained queue", impl)
+		if got := q.PopBatch(nil, q.Cap()); len(got) != 0 || q.Len() != 0 {
+			t.Fatalf("%s: drained queue popped %d, Len() = %d", impl, len(got), q.Len())
 		}
 	}
 }
@@ -165,7 +136,7 @@ func TestTaskQueueFIFO(t *testing.T) {
 // unconsumed task ("free for pos" and "published for head" states collide).
 // QueueDepth 1 must still hand every pushed task to the consumer.
 func TestRingQueueMinSize(t *testing.T) {
-	q := newRingQueue(1)
+	q := newRingQueue(1, 0)
 	if q.Cap() < 2 {
 		t.Fatalf("Cap() = %d, want >= 2 (size-1 rings degenerate)", q.Cap())
 	}
@@ -176,11 +147,11 @@ func TestRingQueueMinSize(t *testing.T) {
 		// With >= 2 slots a second push may land before the first pop...
 		push1(q, qtask(0, 1000+i))
 		// ...and both must come out, in order, without loss.
-		tk, ok := q.Pop()
-		if !ok {
+		got := q.PopBatch(nil, 1)
+		if len(got) != 1 {
 			t.Fatalf("round %d: pushed task lost", i)
 		}
-		if _, n := qid(tk); n != i {
+		if _, n := qid(got[0]); n != i {
 			t.Fatalf("round %d: popped %d, want %d", i, n, i)
 		}
 		for _, tk := range q.PopBatch(nil, 2) {
@@ -191,31 +162,9 @@ func TestRingQueueMinSize(t *testing.T) {
 	}
 }
 
-// TestTaskQueueCloseWakesPop checks Close unblocks a parked consumer.
-func TestTaskQueueCloseWakesPop(t *testing.T) {
-	for _, qi := range queueImpls {
-		impl, q := qi.name, qi.new(8)
-		done := make(chan bool, 1)
-		go func() {
-			_, ok := q.Pop()
-			done <- ok
-		}()
-		time.Sleep(10 * time.Millisecond) // let it park
-		q.Close()
-		select {
-		case ok := <-done:
-			if ok {
-				t.Fatalf("%s: Pop returned a task from an empty closed queue", impl)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: Pop still blocked after Close", impl)
-		}
-	}
-}
-
 // TestTaskQueueDifferential is the differential fuzz: N producers push runs
-// of random length (1–32) while consumers drain the queue with the same mixed
-// pop calls the worker loop uses, on BOTH implementations — the channel is
+// of random length (1–32) while consumers drain the queue with pops of random
+// bounds, on BOTH implementations — the channel is
 // the semantics oracle the ring must match. A run that meets a full queue
 // pushes a prefix, and its producer pushes the refused suffix again later.
 // Invariants: every task is consumed exactly once (no loss, no duplication —
@@ -254,7 +203,10 @@ func TestTaskQueueDifferential(t *testing.T) {
 			}
 
 			got := make(chan task, total)
-			var cwg sync.WaitGroup
+			var (
+				cwg  sync.WaitGroup
+				done atomic.Bool
+			)
 			for c := 0; c < consumers; c++ {
 				cwg.Add(1)
 				go func(seed int64) {
@@ -262,25 +214,25 @@ func TestTaskQueueDifferential(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					buf := make([]task, 0, 16)
 					for {
-						switch rng.Intn(2) {
-						case 0:
-							tk, ok := q.Pop()
-							if !ok {
+						// Read before the pop: a pop that finds nothing after
+						// the producers were done leaves nothing behind.
+						last := done.Load()
+						buf = q.PopBatch(buf[:0], 1+rng.Intn(16))
+						for _, tk := range buf {
+							got <- tk
+						}
+						if len(buf) == 0 {
+							if last && q.Len() == 0 {
 								return
 							}
-							got <- tk
-						default:
-							buf = q.PopBatch(buf[:0], 1+rng.Intn(16))
-							for _, tk := range buf {
-								got <- tk
-							}
+							runtime.Gosched()
 						}
 					}
 				}(int64(consumers*100 + c))
 			}
 
 			wg.Wait()
-			q.Close() // producers done: consumers drain the tail and exit
+			done.Store(true) // producers done: consumers drain the tail and exit
 			cwg.Wait()
 			close(got)
 
@@ -314,42 +266,49 @@ func TestTaskQueueDifferential(t *testing.T) {
 	}
 }
 
-// TestRingQueueWakeup checks the publish-then-check / announce-then-recheck
-// pairing: a consumer that parks on an empty ring is woken by the next push,
-// repeatedly, with no lost wakeups.
+// TestRingQueueWakeup checks the combining pair that replaces a parked
+// consumer (ringQueue.combine): producers publish and then try for an
+// executor token, and a holder drains, gives its token back and then
+// rechecks. Each round, producers
+// released together push a task each and combine; once every one of them has
+// returned, every task must have been taken — a producer that finds no token
+// relies on a holder's recheck, and a missing recheck strands its task on the
+// ring with nobody left to drain it.
 func TestRingQueueWakeup(t *testing.T) {
-	q := newRingQueue(8)
-	rounds := 500
+	const producers = 8
+	rounds := 2000
 	if testing.Short() {
-		rounds = 50
+		rounds = 200
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < rounds; i++ {
-			tk, ok := q.Pop()
-			if !ok {
-				return
-			}
-			if _, n := qid(tk); n != i {
-				t.Errorf("round %d: popped %d", i, n)
-				return
+	for _, tokens := range []int{1, 2} {
+		q := newRingQueue(64, tokens)
+		var popped atomic.Int64
+		drain := func() {
+			var buf [4]task
+			for got := q.PopBatch(buf[:0], 4); len(got) > 0; got = q.PopBatch(buf[:0], 4) {
+				popped.Add(int64(len(got)))
 			}
 		}
-	}()
-	for i := 0; i < rounds; i++ {
-		for !push1(q, qtask(0, i)) {
-			runtime.Gosched()
-		}
-		// Let the consumer drain and park again some of the time.
-		if i%7 == 0 {
-			time.Sleep(time.Millisecond)
+		for r := 0; r < rounds; r++ {
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for !push1(q, qtask(p, r)) {
+						runtime.Gosched()
+					}
+					q.combine(drain)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if n := q.Len(); n != 0 || popped.Load() != int64((r+1)*producers) {
+				t.Fatalf("%d tokens, round %d: %d tasks left on the ring with no combiner, %d of %d taken",
+					tokens, r, n, popped.Load(), (r+1)*producers)
+			}
 		}
 	}
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("consumer deadlocked: lost wakeup")
-	}
-	q.Close()
 }

@@ -1,7 +1,7 @@
 // Multi-shard execution: one round coordinator per server.
 //
 // Work that involves more than one shard — an ATOMIC batch whose keys
-// span them, a SCAN page, which consults them all — is never a shard worker's
+// span them, a SCAN page, which consults them all — is never a shard ring's
 // business: the connection reader that planned it (conn.dispatch) puts it on
 // the server's one bounded round queue. A single coordinator goroutine takes
 // the batches queued and runs them as one round: one canonical-order walMu
@@ -123,8 +123,7 @@ type flight struct {
 }
 
 // RoundStats counts the coordination rounds a server has run, the SCAN pages
-// its coordinator served beside them, and the connection readers' GETs and
-// write runs.
+// its coordinator served beside them, and the connection readers' GETs.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
 	Tasks   uint64 // tasks they carried: spanning ATOMIC batches
@@ -134,10 +133,6 @@ type RoundStats struct {
 	// inside a quiesce instead.
 	Pages, PageTries, PageFallbacks uint64
 	Gets, GetTries, GetFallbacks    uint64 // the same for point GETs; they fall back to AtomicRead
-	// InlineRuns counts the write runs the connection readers executed
-	// themselves, their shard idle, and InlineOps the requests those carried;
-	// the rest of the writes went through a shard ring.
-	InlineRuns, InlineOps uint64
 	// Logged counts the rounds that appended redo records; the write groups a
 	// round in doubt held back are AckStats.Gated.
 	Logged uint64
@@ -169,8 +164,6 @@ func (rc *roundCoordinator) stats() RoundStats {
 		Gets:          rc.nGets.Load(),
 		GetTries:      rc.nGetTries.Load(),
 		GetFallbacks:  rc.nGetFallbacks.Load(),
-		InlineRuns:    rc.nInlineRuns.Load(),
-		InlineOps:     rc.nInlineOps.Load(),
 		Logged:        rc.nLogged.Load(),
 		Overlapped:    rc.nOverlapped.Load(),
 		InDoubtHigh:   rc.inDoubtHigh.Load(),
@@ -201,7 +194,6 @@ type roundCoordinator struct {
 	pausedNs                               atomic.Uint64
 	nPages, nPageTries, nPageFallbacks     atomic.Uint64
 	nGets, nGetTries, nGetFallbacks        atomic.Uint64 // added by the connection readers
-	nInlineRuns, nInlineOps                atomic.Uint64 // likewise
 
 	// free holds the flight records not in use; inflight the rounds that took
 	// one, in xid order, settling that shareDone is at its head (both under fmu).

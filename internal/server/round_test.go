@@ -475,7 +475,7 @@ func (h *heldRound) putOn(t *testing.T, i int, id uint32, key uint64) chan struc
 	}
 	answered := make(chan struct{})
 	go func() {
-		w.close() // the drain barrier: returns once the list is empty
+		w.testClose() // the drain barrier: returns once the list is empty
 		th.Release()
 		close(answered)
 	}()

@@ -20,7 +20,7 @@ import (
 // TestRoundCombinesAcrossConnections is the combining proof for the
 // server-wide round coordinator. Four pipelined connections fire two-shard
 // transfers (ADD -x on one account, ADD +x on an account of another shard)
-// over every pair of shards, against a durable 4-shard × 2-worker server
+// over every pair of shards, against a durable 4-shard × 2-token server
 // whose flush takes a millisecond — so tasks pile up behind the running
 // round. It asserts more than one task per round on average, one flush per
 // round, every transfer acknowledged, and the zero-sum oracle intact (each

@@ -5,7 +5,7 @@
 // The round coordinator (round.go) serves each page as it dequeues it, after
 // the round being built ends, so the page sees every batch queued ahead of it
 // and none behind. It serves it by a validated read (votm.ReadAll) over every
-// shard: no view is paused and no admission taken, shard workers
+// shard: no view is paused and no admission taken, shard executors
 // keep committing, and the read holds only if no write began on any of the
 // views while it ran — otherwise it is tried again, and after pageTries it
 // falls back to one read-only quiesce of them all (votm.AtomicAll). Either

@@ -37,14 +37,15 @@ type Config struct {
 	// demand. Default 1 << 15.
 	ShardWords int
 
-	// WorkersPerShard is the number of transaction workers (and therefore
-	// the maximum admission quota N) per shard. Default 4.
+	// WorkersPerShard is the number of executor tokens per shard: how many
+	// connection readers may run groups of one shard at once, and therefore
+	// the maximum admission quota N. Default 4.
 	WorkersPerShard int
 	// QueueDepth bounds each shard's dispatched-but-unstarted requests
 	// (rounded up to a power of two by the ring queue, ring.go); overflow is
 	// answered with StatusBusy. Default 128.
 	QueueDepth int
-	// BatchMax bounds the group a shard worker drains per wakeup and
+	// BatchMax bounds the group an executor pops from a shard's ring and
 	// executes inside one view transaction — one RAC admission and one
 	// begin/commit (at Q=1, one lock acquisition) amortized over the whole
 	// group (see group.go). 1 disables grouping. Default 16.
@@ -174,7 +175,7 @@ func (c Config) validate() error {
 const (
 	// respChannel is the per-connection response channel capacity: how many
 	// completed responses may await the connection's write loop before
-	// whoever answers (worker, flusher, coordinator) blocks on the send.
+	// whoever answers (executor, flusher, coordinator) blocks on the send.
 	respChannel = 64
 	// writeTimeout bounds one response write.
 	writeTimeout = 10 * time.Second
@@ -217,7 +218,7 @@ type Server struct {
 	// incarnations: decided prepares stay behind in the logs, and recovery
 	// must never pair a stale prepare with a fresh decision. By the time new
 	// xids are issued, every prior incarnation's prepare has been resolved
-	// in-log (resolveCrossShard runs before the workers start), so the
+	// in-log (resolveCrossShard runs before any connection is served), so the
 	// startup-stamped base plus a counter suffices; the completion lists order
 	// rounds by it (ackStage.settled).
 	xidBase uint64
@@ -246,16 +247,15 @@ type Server struct {
 	rounds    *roundCoordinator
 	batchFree chan *multiBatch
 
-	workersWG sync.WaitGroup
-	connWG    sync.WaitGroup
+	connWG sync.WaitGroup
 
 	shutdownOnce sync.Once
 	shutdownErr  error
 }
 
 // New builds a server: one runtime, Shards views (IDs 1..Shards, adaptive
-// RAC quota each) and their worker pools. The server is not yet listening;
-// call Serve.
+// RAC quota each) and their rings. The server is not yet listening; call
+// Serve.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -292,7 +292,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		sh := s.newShard(i, v, idx)
 		if durable {
-			// Recover before any worker or connection exists: applyRecords
+			// Recover before any connection exists: applyRecords
 			// takes snapshot entries and replayed records WAL-free.
 			rst, err := s.recoverShard(sh, recoveryTh, cr)
 			if err != nil {
@@ -307,7 +307,7 @@ func New(cfg Config) (*Server, error) {
 		// refuses leaves every shard's files as it found them. A round left
 		// undecided by a crash needs every log's horizon too (it is committed
 		// iff all its participants' prepares are durable), so resolution
-		// runs here as well — before any worker can append new groups.
+		// runs here as well — before any executor can append new groups.
 		if err := s.startShardLogs(s.shards, recoveryTh, cr); err != nil {
 			return nil, err
 		}
@@ -317,12 +317,7 @@ func New(cfg Config) (*Server, error) {
 	go s.rounds.loop()
 	for _, sh := range s.shards {
 		if sh.log != nil {
-			sh.ack = newAckStage(s, sh) // before the workers: they read it unsynchronized
-		}
-		sh.execs = make(chan struct{}, cfg.WorkersPerShard)
-		for w := 0; w < cfg.WorkersPerShard; w++ {
-			s.workersWG.Add(1)
-			go s.worker(sh)
+			sh.ack = newAckStage(s, sh) // before any executor: they read it unsynchronized
 		}
 	}
 	if durable {
@@ -343,9 +338,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newShard builds one serving shard with its dispatch ring.
+// newShard builds one serving shard with its dispatch ring and the ring's
+// WorkersPerShard executor tokens.
 func (s *Server) newShard(id int, v *votm.View, idx *ds.SkipList) *shard {
-	sh := &shard{id: id, view: v, idx: idx, queue: newRingQueue(s.cfg.QueueDepth)}
+	sh := &shard{id: id, view: v, idx: idx, queue: newRingQueue(s.cfg.QueueDepth, s.cfg.WorkersPerShard)}
 	sh.redo.sh = sh
 	return sh
 }
@@ -435,8 +431,8 @@ func (s *Server) beginReq() bool {
 }
 
 // Shutdown drains the server gracefully: stop accepting, stop reading new
-// requests, finish and answer every dispatched transaction, stop the shard
-// workers, then destroy the views (closing their RAC controllers) and wait
+// requests, finish and answer every dispatched transaction, then destroy the
+// views (closing their RAC controllers) and wait
 // for the connections to flush. If ctx expires first, remaining connections
 // are force-closed and ctx.Err() is returned; the drain then finishes in the
 // background as the in-flight work completes.
@@ -498,13 +494,12 @@ func (s *Server) shutdown(ctx context.Context) error {
 // retire is the waiting half of a drain, in dependency order.
 func (s *Server) retire() {
 	// Every connection stopped reading and was answered — which empties every
-	// completion list and settles every round in flight: a listed op and a
-	// round's task hold their connection's count — then retire the workers.
+	// ring and completion list and settles every round in flight: a queued or
+	// listed op and a round's task hold their connection's count. A reader
+	// hangs up only after it published and combined what it staged, and a
+	// token holder leaves only once it has seen the ring empty, so nothing is
+	// left to execute.
 	s.reqWG.Wait()
-	for _, sh := range s.shards {
-		sh.queue.Close()
-	}
-	s.workersWG.Wait()
 	// The round queue's senders are the connection readers, and reqWG drained
 	// above: every reader exited and every task it queued is answered, so no
 	// send can race the close. Retire the coordinator, then the flushers —
@@ -520,7 +515,7 @@ func (s *Server) retire() {
 		m.StopSenders()
 	}
 
-	// Workers are quiescent and every answered write is on disk: write the
+	// Nothing executes anymore and every answered write is on disk: write the
 	// final snapshots and mark the logs cleanly closed so the next startup
 	// skips tail replay (snapshot-on-clean-drain).
 	if s.cfg.Durability != DurabilityOff {
@@ -545,35 +540,6 @@ func (s *Server) forceCloseConns() {
 	defer s.mu.Unlock()
 	for nc := range s.conns {
 		_ = nc.Close()
-	}
-}
-
-// worker is one shard transaction worker: it owns a runtime thread handle
-// and a retained groupWorker, blocks for one task, then drains up to BatchMax
-// without blocking, takes an executor token and executes the whole group as
-// one transaction (group.go). Only once the group has run does the shard's
-// ringWork drop, so a connection reader never runs a write beside, or ahead
-// of, ring work it queued earlier. It never waits on a flush: a durable
-// group's answers are the acknowledgement stage's. At drain the closed queue
-// first yields its buffered remainder — grouped like any other batch, every
-// request answered — and then ends the loop.
-func (s *Server) worker(sh *shard) {
-	defer s.workersWG.Done()
-	th := s.rt.RegisterThread()
-	defer th.Release()
-	w := newGroupWorker(s, sh, th)
-	defer w.close()
-	batch := make([]task, 0, s.cfg.BatchMax)
-	for {
-		t, ok := sh.queue.Pop()
-		if !ok {
-			return
-		}
-		batch = sh.queue.PopBatch(append(batch[:0], t), s.cfg.BatchMax)
-		sh.execs <- struct{}{}
-		w.run(batch)
-		<-sh.execs
-		sh.ringWork.Add(-int64(len(batch)))
 	}
 }
 

@@ -282,7 +282,8 @@ func TestLoopbackSoak(t *testing.T) {
 	// one store, the commit, and the admission, which never conflicts. Each
 	// client keeps one ADD in flight, so the connection readers run most of
 	// them themselves, one ADD per transaction, while the hot shard has a free
-	// executor token. delta(Q) weighs the time aborted attempts wasted against
+	// executor token; a reader that finds them all held leaves its ADD to a
+	// holder, which may group it with others. delta(Q) weighs the time aborted attempts wasted against
 	// the time committed ones took, and an aborted single ADD wastes less than
 	// an aborted write group, so the same conflict rate moves the quota less:
 	// at one conflict in 37 calls, sixty runs left Q = N in five with readers
@@ -405,13 +406,14 @@ func TestLoopbackSoak(t *testing.T) {
 }
 
 // TestServerBusy overwhelms a deliberately tiny server — one shard, one
-// worker, queue depth one, with injected per-operation latency — and asserts
+// executor token, queue depth one, with injected per-operation latency — and asserts
 // the bounded in-flight queue rejects overload with a typed BUSY instead of
 // queueing unboundedly, while the requests that were admitted all commit
 // (the counter oracle still holds under backpressure). The burst goes over
-// two connections: a lone connection's reader would run every ADD itself on
-// the idle shard, and nothing would queue; here one reader's run holds the
-// shard's one executor token, so the other's go to the ring and overflow it.
+// two connections: a lone connection's reader would drain every ADD itself,
+// one run at a time, and nothing would queue; here one reader holds the
+// shard's one executor token while it executes, so the other's ADDs wait on
+// the ring and overflow it.
 func TestServerBusy(t *testing.T) {
 	inj := votm.NewFaultInjector(votm.FaultConfig{
 		LatencyEvery: 1,
@@ -546,7 +548,7 @@ func TestShardOfDistribution(t *testing.T) {
 }
 
 // TestServerDrainMidGroup is TestServerDrain with grouping turned all the
-// way up: a single slow worker per shard, BatchMax wide enough that the
+// way up: a single slow executor per shard, BatchMax wide enough that the
 // burst lands in a handful of grouped transactions, and Shutdown arriving
 // while a group is mid-execution. The contract is identical — every
 // dispatched request resolves (committed in its group or refused with the
@@ -560,7 +562,7 @@ func TestServerDrainMidGroup(t *testing.T) {
 	})
 	srv, addr := startServer(t, server.Config{
 		Shards:          1,
-		WorkersPerShard: 1, // one worker: the burst queues behind each group
+		WorkersPerShard: 1, // one token: the burst queues behind each group
 		QueueDepth:      64,
 		BatchMax:        8,
 		RequestTimeout:  30 * time.Second,
@@ -576,7 +578,7 @@ func TestServerDrainMidGroup(t *testing.T) {
 			results <- err
 		}(i)
 	}
-	// Let the dispatcher queue the burst and the worker start chewing
+	// Let the readers queue the burst and the token holder start chewing
 	// through grouped transactions, then sample stats and drain mid-group.
 	time.Sleep(50 * time.Millisecond)
 	stats := srv.StatsAll()
@@ -618,7 +620,7 @@ func TestServerDrainMidGroup(t *testing.T) {
 		t.Errorf("GroupOps %d < Groups %d", groupOps, groups)
 	}
 	if hw == 0 {
-		t.Error("queue high-water mark never moved off zero despite a single slow worker")
+		t.Error("queue high-water mark never moved off zero despite a single slow executor")
 	}
 	t.Logf("groups=%d groupOps=%d (mean %.1f) queueHighWater=%d",
 		groups, groupOps, float64(groupOps)/float64(groups), hw)

@@ -26,24 +26,16 @@ import (
 )
 
 // shard is one wire-level shard: a view (own STM engine + RAC controller),
-// its ordered key index, the bounded request queue feeding the shard's
-// workers, and a live-key counter kept outside the heap so STATS never needs
-// a transaction. It owns exactly the keys ShardOf places on it.
+// its ordered key index, the bounded request queue whose executor-token
+// holders run its write groups (ring.go), and a live-key counter kept outside
+// the heap so STATS never needs a transaction. It owns exactly the keys
+// ShardOf places on it.
 type shard struct {
 	id    int // wire-level shard index
 	view  *votm.View
 	idx   *ds.SkipList
 	queue *ringQueue
-	// ringWork counts the tasks pushed on queue whose group has not finished
-	// (raised at push, lowered when the worker's run returns, not at Pop), and
-	// execs holds one token per executor inside a run of this shard: a worker
-	// waits for one, a connection reader only takes a free one, so at most
-	// WorkersPerShard executors contend for the view. A reader runs its staged
-	// run itself only while ringWork is 0 (conn.runInline); a shard without
-	// workers has no execs and every run goes to its ring.
-	ringWork atomic.Int64
-	execs    chan struct{}
-	keys     atomic.Int64
+	keys  atomic.Int64
 	// queueHW is the lifetime high-water mark of the queue depth observed
 	// at dispatch. Because it never decays, STATS also serves a windowed
 	// variant (queueHWCur/queueHWPrev, rotated every hwWindow), so an
@@ -93,7 +85,7 @@ type shard struct {
 	lastSnap   atomic.Int64  // unix seconds of the last snapshot; 0 = never
 
 	// Group meters, counted in every durability mode: committed group
-	// transactions (a worker's group, a redo chunk of applyRecords) and the
+	// transactions (an executor's group, a redo chunk of applyRecords) and the
 	// requests or records they carried, so groupOps/groups is the mean
 	// group size STATS serves.
 	groups   atomic.Uint64
@@ -171,8 +163,8 @@ func (sh *shard) queueHWRecent() uint64 {
 }
 
 // task is one dispatched request: planned by its connection reader (conn.go),
-// executed by a shard worker or the round coordinator, answered on the
-// originating connection. resp is the response the reader took for it, with
+// executed by a token holder of its shard's ring or the round coordinator,
+// answered on the originating connection. resp is the response the reader took for it, with
 // Op and ID set; batch is an ATOMIC's interpreter state with the reader's
 // routing plan attached, nil for every other op.
 type task struct {

@@ -108,7 +108,7 @@ func TestRestartPastInitialHeap(t *testing.T) {
 	sh := s.shards[0]
 	c := newTestConn(s, 64)
 	w := newGroupWorker(s, sh, th)
-	defer w.close()
+	defer w.testClose()
 
 	const n = 3000
 	want := make(map[uint64][]byte, n)
@@ -187,7 +187,7 @@ func TestRestartPastInitialHeap(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	w.close()
+	w.testClose()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestValueSizeChurnStrandsNoMemory(t *testing.T) {
 	sh := s.shards[0]
 	c := newTestConn(s, 64)
 	w := newGroupWorker(s, sh, th)
-	defer w.close()
+	defer w.testClose()
 
 	const keys, rounds = 600, 12
 	empty := sh.view.AllocatedWords() - sh.testBuckets()
@@ -294,7 +294,7 @@ func TestAtomicCreatesKeysPastInitialHeap(t *testing.T) {
 	const perShard = 1500
 	f := newRoundFixture(t, growthConfig(3), perShard)
 	w := newGroupWorker(f.s, f.shards[0], f.th)
-	defer w.close()
+	defer w.testClose()
 	rc := newTestCoordinator(t, f.s)
 	put := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubPut, Key: key, Value: growthValue(key, 0)} }
 	add := func(key uint64) wire.Sub { return wire.Sub{Kind: wire.SubAdd, Key: key, Delta: key} }
@@ -368,7 +368,7 @@ func TestIndexDirectoryGrowsOnEveryPath(t *testing.T) {
 	cfg.Durability, cfg.DataDir = DurabilityGroup, t.TempDir()
 	f := newRoundFixture(t, cfg, perShard)
 	w := newGroupWorker(f.s, f.shards[0], f.th)
-	defer w.close()
+	defer w.testClose()
 	rc := newTestCoordinator(t, f.s)
 	initial := f.shards[0].testBuckets()
 
@@ -485,7 +485,7 @@ func (o kvOracle) atomic(subs []wire.Sub) (results []wire.SubResult, ok bool) {
 
 // TestStoreKernelDifferential drives one seeded random stream of get / put /
 // delete / cas / add through every way state reaches a shard — groups of
-// random size on a shard worker (point ops and same-shard ATOMIC members
+// random size on a shard executor (point ops and same-shard ATOMIC members
 // mixed), rounds of spanning ATOMICs on a coordinator, and, on a second
 // server booted from the first one's log, the redo path — and holds each to a
 // map oracle: every answer, the final state, the key counters, and the
@@ -503,7 +503,7 @@ func TestStoreKernelDifferential(t *testing.T) {
 	var workers [3]*groupWorker
 	for i := range workers {
 		workers[i] = newGroupWorker(f.s, f.shards[i], f.th)
-		defer workers[i].close()
+		defer workers[i].testClose()
 	}
 	rc := newTestCoordinator(t, f.s)
 
