@@ -17,14 +17,15 @@ import (
 )
 
 // conn is one client connection. A read goroutine parses frames and either
-// answers inline (PING, STATS, rejections, point GETs) or plans the request —
-// the only place a request is routed — and hands it to its executor: the
-// owning shard's ring for a write or a same-shard ATOMIC, which whichever
-// reader holds one of the shard's executor tokens drains (combine) — this
-// one, when it takes a token — or the round coordinator's queue for a
-// spanning ATOMIC or a SCAN page. The executors push responses onto out, and
-// a write goroutine flushes them — so responses complete out of order and the
-// connection pipelines.
+// answers inline (PING, STATS, rejections, point GETs, SCAN pages) or plans
+// the request — the only place a request is routed — and hands it to its
+// executor: the owning shard's ring for a write or a same-shard ATOMIC, which
+// whichever reader holds one of the shard's executor tokens drains (combine)
+// — this one, when it takes a token — or the round coordinator's queue for a
+// spanning ATOMIC, and for a SCAN page planned while one of the connection's
+// round tasks is unanswered (inRound), so that it sees them whole. The
+// executors push responses onto out, and a write goroutine flushes them — so
+// responses complete out of order and the connection pipelines.
 //
 // Between decode and encode a request touches only its connection's memory
 // (docs/ALGORITHMS.md, "Request lifecycle"): the connection holds the drain
@@ -52,11 +53,17 @@ type conn struct {
 	more bool
 
 	// exec is the reader's execution state — its votm.Thread, request
-	// context and group scratch — built at the first GET or token it takes;
-	// read holds the answered GETs, and the rest are meters added at answer.
-	exec         *groupWorker
-	read         []groupOp
-	tries, falls uint64
+	// context, group scratch and pager — built at the first GET, page or
+	// token it takes; read holds the answered GETs and pages, and the rest
+	// are GET meters added at answer.
+	exec               *groupWorker
+	read               []groupOp
+	gets, tries, falls uint64
+
+	// inRound counts the connection's tasks on the round queue not yet
+	// answered: raised by the reader as it submits, lowered by the
+	// coordinator before the answer (roundCoordinator.reply).
+	inRound atomic.Int32
 }
 
 // shardRun is the tasks a reader staged for one shard, in arrival order.
@@ -220,6 +227,11 @@ func (c *conn) readLoop() {
 		}
 		req := c.reqs.take()
 		if err := wire.ReadRequestReuse(br, req); err != nil {
+			// Nothing was decoded into req: it goes back to the reader's end
+			// of the stock it came from, like any request an executor answers.
+			if reqFits(req) {
+				c.reqs.own = append(c.reqs.own, req)
+			}
 			if errors.Is(err, wire.ErrProtocol) {
 				// The stream is unframed from here on: answer once with the
 				// reserved OpError/ID-0 frame — which no pipelined request
@@ -309,10 +321,12 @@ func (c *conn) plan(req *wire.Request) {
 
 	// The one plan. sh is the ring the task is staged for: the key's owner, or
 	// the single participant of an ATOMIC, which joins that shard's group
-	// with its plan attached. A nil sh means the request involves several
-	// shards — a spanning ATOMIC, or a SCAN page, which consults them all —
-	// and goes straight to the round coordinator (round.go): it never enters
-	// a ring. Nothing re-plans after this: a key's shard never changes.
+	// with its plan attached. A GET is served here, and so is a SCAN page
+	// unless a round task of this connection is unanswered. A nil sh means
+	// the request involves several shards — a spanning ATOMIC, or such a
+	// page, queued behind that task — and goes straight to the round
+	// coordinator (round.go): it never enters a ring. Nothing re-plans after
+	// this: a key's shard never changes.
 	t := task{req: req, resp: resp, c: c}
 	if stream {
 		// A stream keeps its place behind what this reader staged before it
@@ -332,6 +346,10 @@ func (c *conn) plan(req *wire.Request) {
 			sh = t.batch.parts[0]
 		}
 	case wire.OpScan:
+		if c.inRound.Load() == 0 {
+			c.servePage(t)
+			return
+		}
 	default:
 		sh = s.shards[s.Shard(req.Key)]
 	}
@@ -379,8 +397,8 @@ func (c *conn) stage(sh *shard, t task) {
 	}
 }
 
-// publish hands every staged run to its ring, then the answered GETs to the
-// writer as one chain (answer).
+// publish hands every staged run to its ring, then the answered GETs and
+// pages to the writer as one chain (answer).
 func (c *conn) publish() {
 	for i := range c.runs {
 		if len(c.runs[i].tasks) > 0 {
@@ -390,15 +408,22 @@ func (c *conn) publish() {
 	c.answer()
 }
 
+// answer adds the reader's meters to RoundStats, then sends the answered
+// chain: whoever sees an answer sees it counted.
 func (c *conn) answer() {
 	s := c.srv
-	if len(c.read) > 0 {
-		s.rounds.nGets.Add(uint64(len(c.read)))
-		s.finishGroup(c.read)
-		c.read = s.recycleOps(c.read)
+	if w := c.exec; w != nil {
+		s.rounds.addPages(&w.pg)
+	}
+	if c.gets|c.tries|c.falls != 0 {
+		s.rounds.nGets.Add(c.gets)
 		s.rounds.nGetTries.Add(c.tries)
 		s.rounds.nGetFallbacks.Add(c.falls)
-		c.tries, c.falls = 0, 0
+		c.gets, c.tries, c.falls = 0, 0, 0
+	}
+	if len(c.read) > 0 {
+		s.finishGroup(c.read)
+		c.read = s.recycleOps(c.read)
 	}
 }
 
@@ -462,6 +487,21 @@ func (c *conn) serveGet(t task, tries int) {
 	} else if !found {
 		t.resp.Status = wire.StatusNotFound
 	}
+	c.gets++
+	c.answered(t)
+}
+
+// servePage answers a SCAN page on the reader, through its pager (scan.go).
+// Its staged runs stay staged: they are published only if the page falls
+// back, before its quiesce can wait.
+func (c *conn) servePage(t task) {
+	c.executor().pg.serve(t, c.publish)
+	c.answered(t)
+}
+
+// answered puts an answered GET or page on the reader's chain, which goes
+// out alone (answer) once it holds BatchMax of them.
+func (c *conn) answered(t task) {
 	if c.read = append(c.read, groupOp{t: t}); len(c.read) >= c.srv.cfg.BatchMax {
 		c.answer()
 	}

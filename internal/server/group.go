@@ -353,11 +353,16 @@ type groupWorker struct {
 	valBuf []byte       // SubAdd post-image scratch backing recs
 
 	reqContext
+	// pg serves the SCAN pages of the connection whose reader this is, on
+	// its thread and context (scan.go).
+	pg pager
 }
 
 func newGroupWorker(s *Server, sh *shard, th *votm.Thread) *groupWorker {
-	return &groupWorker{s: s, sh: sh, th: th, batch: make([]task, 0, s.cfg.BatchMax), self: []*shard{sh},
+	w := &groupWorker{s: s, sh: sh, th: th, batch: make([]task, 0, s.cfg.BatchMax), self: []*shard{sh},
 		selfTx: make([]votm.Tx, 1), fx: make([]effects, 1), reqContext: reqContext{timeout: s.cfg.RequestTimeout}}
+	w.pg = pager{s: s, th: th, rctx: &w.reqContext}
+	return w
 }
 
 // reqContext is an executor's amortized request context. Creating

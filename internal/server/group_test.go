@@ -129,10 +129,13 @@ func (rc *roundCoordinator) roundOf(tasks ...task) {
 	rc.idle()
 }
 
-// startRound takes the tasks as roundOf does and returns as the coordinator
-// would: a logging round is appended, its shares listed, nothing answered.
+// startRound takes the tasks as roundOf does, each counted on its
+// connection's unanswered round tasks as submit counts it, and returns as the
+// coordinator would: a logging round is appended, its shares listed, nothing
+// answered.
 func (rc *roundCoordinator) startRound(tasks ...task) {
 	for _, t := range tasks {
+		t.c.inRound.Add(1)
 		rc.take(t)
 	}
 	rc.runRound()

@@ -1,19 +1,18 @@
 // Multi-shard execution: one round coordinator per server.
 //
-// Work that involves more than one shard — an ATOMIC batch whose keys
-// span them, a SCAN page, which consults them all — is never a shard ring's
-// business: the connection reader that planned it (conn.dispatch) puts it on
-// the server's one bounded round queue. A single coordinator goroutine takes
-// the batches queued and runs them as one round: one canonical-order walMu
+// An ATOMIC batch whose keys span shards is never a shard ring's business:
+// the connection reader that planned it (conn.dispatch) puts it on the
+// server's one bounded round queue. A single coordinator goroutine takes the
+// batches queued and runs them as one round: one canonical-order walMu
 // acquisition, one quiesce of the union participant set (votm.AtomicAll), the
 // batches back to back inside it, ONE prepare record per writable participant
 // — and then, every mutex released, goes straight on to the next round. A
-// page is no round's task: dequeued behind batches, it first ends the round
-// being built, then is served on its own by a validated read that pauses
-// nothing (scan.go), so it sees every batch queued ahead of it and none
-// behind. The coordinator is the only goroutine that ever pauses more than
-// one view, so the order it pauses them in is its private business: no other
-// acquirer exists to deadlock with.
+// SCAN page joins the queue only behind its connection's own unanswered round
+// tasks (conn.inRound; a reader serves every other page itself, scan.go). It
+// is no round's task: dequeued behind batches, it first ends the round being
+// built, then is served on its own, so it sees every batch queued ahead of it
+// and none behind. The coordinator pauses a round's views in shard-id order,
+// the order every multi-view pauser shares (scan.go), so no two can cycle.
 //
 // The coordinator never waits on a flush. A logging round rides a flight
 // record from its walMus to its answers: each participant's share of the
@@ -69,7 +68,6 @@ import (
 	"time"
 
 	"votm"
-	"votm/ds"
 	"votm/internal/wal"
 	"votm/wire"
 )
@@ -122,8 +120,9 @@ type flight struct {
 	err     error
 }
 
-// RoundStats counts the coordination rounds a server has run, the SCAN pages
-// its coordinator served beside them, and the connection readers' GETs.
+// RoundStats counts the coordination rounds a server has run, and the SCAN
+// pages and point GETs served beside them — by the coordinator or, folded in
+// as each reader publishes its answers, by the connection readers.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
 	Tasks   uint64 // tasks they carried: spanning ATOMIC batches
@@ -191,9 +190,11 @@ type roundCoordinator struct {
 
 	nRounds, nTasks, largest, nLogged      atomic.Uint64
 	nOverlapped, inDoubtHigh, flightWaitNs atomic.Uint64
-	pausedNs                               atomic.Uint64
-	nPages, nPageTries, nPageFallbacks     atomic.Uint64
-	nGets, nGetTries, nGetFallbacks        atomic.Uint64 // added by the connection readers
+	// The page and GET meters are added to by every executor that serves
+	// them (addPages, conn.answer), pausedNs by rounds and fallen-back pages.
+	pausedNs                           atomic.Uint64
+	nPages, nPageTries, nPageFallbacks atomic.Uint64
+	nGets, nGetTries, nGetFallbacks    atomic.Uint64
 
 	// free holds the flight records not in use; inflight the rounds that took
 	// one, in xid order, settling that shareDone is at its head (both under fmu).
@@ -224,12 +225,9 @@ type roundCoordinator struct {
 	prepBuf     []byte        // prepare-record payload scratch
 	rec         [2]wal.Record // a prepare batch: the prepare, and room for an owed annotation
 
-	// Every shard's view, in canonical order, and a page's k-way merge state
-	// per shard (scan.go).
-	pageViews   []*votm.View
-	cursors     []ds.Ref
-	keys        []uint64
-	contributed []uint64
+	// pg serves the pages queued behind their connection's own round tasks
+	// (scan.go).
+	pg pager
 }
 
 func newRoundCoordinator(s *Server) *roundCoordinator {
@@ -246,22 +244,52 @@ func newRoundCoordinator(s *Server) *roundCoordinator {
 	for i := 0; i < maxInDoubt; i++ {
 		rc.free <- &flight{rc: rc}
 	}
-	for _, sh := range s.shards {
-		rc.pageViews = append(rc.pageViews, sh.view)
-	}
+	rc.pg = pager{s: s, th: rc.th, rctx: &rc.reqContext}
 	return rc
 }
 
-// submit queues a planned spanning ATOMIC or a SCAN page for the coordinator.
-// False means the round queue is full: nothing executed, and the reader
-// answers BUSY.
+// submit queues a planned spanning ATOMIC or a SCAN page for the coordinator,
+// counting it among its connection's unanswered round tasks first (the count
+// drops in reply). False means the round queue is full: nothing executed, the
+// count is back, and the reader answers BUSY.
 func (rc *roundCoordinator) submit(t task) bool {
+	t.c.inRound.Add(1)
 	select {
 	case rc.queue <- t:
 		return true
 	default:
+		t.c.inRound.Add(-1)
 		return false
 	}
+}
+
+// reply answers a queued task, taking it off its connection's unanswered
+// round tasks before the answer can reach the client: a page the client sends
+// after its last round answer is the reader's to serve.
+func (rc *roundCoordinator) reply(t task) {
+	t.c.inRound.Add(-1)
+	rc.s.finish(t)
+}
+
+// servePage serves a page queued behind its connection's round tasks.
+func (rc *roundCoordinator) servePage(t task) {
+	rc.pg.serve(t, rc.addOwnPages)
+	rc.addOwnPages()
+	rc.reply(t)
+}
+
+func (rc *roundCoordinator) addOwnPages() { rc.addPages(&rc.pg) }
+
+// addPages adds a pager's page meters to the totals and zeroes them.
+func (rc *roundCoordinator) addPages(p *pager) {
+	if p.pages|p.tries|p.falls|p.pausedNs == 0 {
+		return
+	}
+	rc.nPages.Add(p.pages)
+	rc.nPageTries.Add(p.tries)
+	rc.nPageFallbacks.Add(p.falls)
+	rc.pausedNs.Add(p.pausedNs)
+	p.pages, p.tries, p.falls, p.pausedNs = 0, 0, 0, 0
 }
 
 // stop ends the coordinator once every queued task is answered. The queue's
@@ -654,7 +682,7 @@ func (rc *roundCoordinator) answer(tasks []roundTask, walErr error) {
 			}
 		}
 		s.releaseBatch(b)
-		s.finish(rt.t)
+		rc.reply(rt.t)
 	}
 }
 

@@ -722,14 +722,16 @@ func TestRoundCarriesPages(t *testing.T) {
 }
 
 // TestSteadyStateScanAllocs pins the page's allocation floor at zero, at 2
-// shards and at 16, on the coordinator's page path (servePage): the views
-// and the per-shard merge scratch are pooled on the coordinator, the validated read's handles on its thread, and the entries'
-// values are copied into the buffer the recycled response keeps.
+// shards and at 16, on the reader's page path (dispatch, the connection
+// having no round task out) and on the coordinator's (servePage): the views
+// are the server's, the per-shard merge scratch is pooled on each executor's
+// pager, the validated read's handles on its thread, and the entries' values
+// are copied into the buffer the recycled response keeps.
 func TestSteadyStateScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard: race instrumentation allocates on this path")
 	}
-	perPage := func(shards int) float64 {
+	perPage := func(shards int, reader bool) float64 {
 		s, err := New(Config{Shards: shards, ShardWords: 1 << 12, WorkersPerShard: 1, RequestTimeout: time.Hour})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -747,7 +749,13 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		c := newTestConn(s, 4)
 		rc := newTestCoordinator(t, s)
 		run := func() {
-			rc.servePage(queued(s, c, c.scanReq(1, 0, 1<<62, 32)))
+			if reader {
+				c.dispatch(c.scanReq(1, 0, 1<<62, 32))
+			} else {
+				tk := queued(s, c, c.scanReq(1, 0, 1<<62, 32))
+				c.inRound.Add(1) // as submit counts it
+				rc.servePage(tk)
+			}
 			r := <-c.out
 			if r.Status != wire.StatusOK || len(r.Entries) != 32 || !r.More {
 				t.Fatalf("page at %d shards: %v, %d entries, more=%v", shards, r.Status, len(r.Entries), r.More)
@@ -757,19 +765,28 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			run()
 		}
-		return testing.AllocsPerRun(50, run)
+		n := testing.AllocsPerRun(50, run)
+		// The reader's pages count on the server, the test coordinator's on it.
+		if onReader, onRC := s.RoundStats().Pages, rc.stats().Pages; (onReader == 0) == reader || (onRC == 0) != reader {
+			t.Fatalf("reader=%v: the readers served %d pages, the test coordinator %d", reader, onReader, onRC)
+		}
+		return n
 	}
-	narrow, wide := perPage(2), perPage(16)
-	if narrow != 0 || wide != 0 {
-		t.Errorf("a 32-entry page allocates %.0f at 2 shards and %.0f at 16, want 0 at both", narrow, wide)
+	for _, reader := range []bool{true, false} {
+		narrow, wide := perPage(2, reader), perPage(16, reader)
+		if narrow != 0 || wide != 0 {
+			t.Errorf("reader=%v: a 32-entry page allocates %.0f at 2 shards and %.0f at 16, want 0 at both", reader, narrow, wide)
+		}
+		t.Logf("reader=%v: allocs per 32-entry page: %.0f at 2 shards, %.0f at 16", reader, narrow, wide)
 	}
-	t.Logf("allocs per 32-entry page: %.0f at 2 shards, %.0f at 16", narrow, wide)
 }
 
 // TestRoundPausedTime: RoundStats.PausedNs reads 0 while only point ops and
 // SCAN pages run — neither quiesces a view: a page's validated read pauses
 // nothing — and grows for a page that a concurrent Exclusive writer forces
-// to fall back to a quiesce.
+// to fall back to a quiesce. The reader serves the page inside dispatch, so
+// the fallen-back one is dispatched from a goroutine standing in for the
+// reader, which waits in the quiesce until the section ends.
 func TestRoundPausedTime(t *testing.T) {
 	s, err := New(Config{Shards: 2, WorkersPerShard: 1})
 	if err != nil {
@@ -809,7 +826,11 @@ func TestRoundPausedTime(t *testing.T) {
 		})
 	}()
 	<-inside
-	c.dispatch(c.scanReq(200, 0, 1<<62, 8))
+	page, dispatched := c.scanReq(200, 0, 1<<62, 8), make(chan struct{})
+	go func() {
+		defer close(dispatched)
+		c.dispatch(page)
+	}()
 	for s.RoundStats().PageFallbacks == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -819,6 +840,7 @@ func TestRoundPausedTime(t *testing.T) {
 		t.Fatalf("Exclusive: %v", err)
 	}
 	r := <-c.out
+	<-dispatched
 	if r.Status != wire.StatusOK || len(r.Entries) != 8 {
 		t.Fatalf("fallen-back page: %v, %d entries", r.Status, len(r.Entries))
 	}

@@ -2,19 +2,38 @@
 // keyspace. Keys are placed by hash (ShardOf), so one ordered page
 // necessarily consults EVERY shard: a k-way merge of per-shard skip-list
 // cursors yields the next run of keys in global order.
-// The round coordinator (round.go) serves each page as it dequeues it, after
-// the round being built ends, so the page sees every batch queued ahead of it
-// and none behind. It serves it by a validated read (votm.ReadAll) over every
-// shard: no view is paused and no admission taken, shard executors
-// keep committing, and the read holds only if no write began on any of the
-// views while it ran — otherwise it is tried again, and after pageTries it
-// falls back to one read-only quiesce of them all (votm.AtomicAll). Either
-// way a page is a consistent snapshot: no concurrent writer's partial effects
-// can appear inside it. Consistency is per page,
-// not across pages — the cursor a client resumes with names a key, not a
-// snapshot, exactly like the BUSY-retry contract elsewhere in the protocol.
-// Like a GET, a page serves committed memory state: it does not wait for the
-// durability of the writes it reveals.
+//
+// Who serves a page. The connection reader that decoded it serves it on its
+// own execution state (conn.exec), answered with its GETs, unless the
+// connection has a round task not yet answered (conn.inRound): then the page
+// goes behind it on the round queue, and the round coordinator (round.go)
+// serves it once the round being built ends, so the page sees every batch
+// queued ahead of it whole and none behind. Both executors serve it through
+// the same pager. A reader does not publish its staged runs before a page:
+// pipelined requests are not ordered, and a write the client had its answer
+// for has committed.
+//
+// How a page reads. By a validated read (votm.ReadAll) over every shard: no
+// view is paused and no admission taken, shard executors keep committing,
+// and the read holds only if no write began on any of the views while it ran
+// — otherwise it is tried again, and after pageTries it falls back to one
+// read-only quiesce of them all (votm.AtomicAll). Either way a page is a
+// consistent snapshot: no concurrent writer's partial effects can appear
+// inside it. A page sees a round whole or not at all: a round writes inside
+// one AtomicAll, which opens every view's writer count before its body
+// (core/multiview.go), and the redo and replication appliers
+// (shard.applyRecords) write one view per transaction.
+//
+// Reader fallbacks make the server's multi-view pausers many: the
+// coordinator and every reader whose page fell back. Pausers exclude each
+// other per view (rac.Controller.PauseAndDrain), and every multi-view pauser
+// takes its views in shard-id order — a round's union is sorted by
+// shardCompare, a page's views are s.shards' order — so no two can cycle.
+//
+// Consistency is per page, not across pages — the cursor a client resumes
+// with names a key, not a snapshot, exactly like the BUSY-retry contract
+// elsewhere in the protocol. Like a GET, a page serves committed memory
+// state: it does not wait for the durability of the writes it reveals.
 package server
 
 import (
@@ -40,28 +59,51 @@ const scanByteBudget = 256 << 10
 // under way on some shard can finish.
 const pageTries = 32
 
-// servePage answers one SCAN page and hands its response back. A panic out of
-// a read on views nobody wrote is the page's own fault (TxFault), as a
-// round's task's is.
-func (rc *roundCoordinator) servePage(t task) {
-	err := rc.readPageRetried(t.req, t.resp)
+// pager is one executor's page state — a connection reader's or the round
+// coordinator's: the executor's thread and request context, the page's k-way
+// merge scratch per shard, and the page meters its owner adds to RoundStats
+// (roundCoordinator.addPages).
+type pager struct {
+	s    *Server
+	th   *votm.Thread
+	rctx *reqContext
+
+	cursors     []ds.Ref
+	keys        []uint64
+	contributed []uint64
+
+	pages, tries, falls, pausedNs uint64
+}
+
+// serve reads one SCAN page into t's response and meters it; the caller
+// answers it. publish runs before the fallback can wait, so what the executor
+// holds goes out first. A panic out of a read of views nobody wrote is the
+// page's own fault (TxFault).
+func (p *pager) serve(t task, publish func()) {
 	resp := t.resp
-	rc.nPages.Add(1)
+	err := p.read(t.req, resp, publish)
+	p.pages++
 	if err != nil {
 		resp.Entries = resp.Entries[:0]
 		resp.More, resp.Cursor = false, 0
 		status, detail := errStatus(err)
 		resp.Status = status
 		resp.SetDetail(detail)
-	} else {
-		rc.meterPage()
+		return
 	}
-	rc.s.finish(t)
+	// An answered page counts on shard 0, its entries on the shards that
+	// gave them.
+	p.s.shards[0].scans.Add(1)
+	for i, n := range p.contributed {
+		if n > 0 {
+			p.s.shards[i].scannedKeys.Add(n)
+		}
+	}
 }
 
-// readPageRetried reads the page into resp: by validated reads over every
-// shard, up to pageTries of them, then inside a read-only quiesce of them all.
-func (rc *roundCoordinator) readPageRetried(req *wire.Request, resp *wire.Response) (err error) {
+// read reads the page into resp: by validated reads over every shard, up to
+// pageTries of them, then inside a read-only quiesce of them all.
+func (p *pager) read(req *wire.Request, resp *wire.Response, publish func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = txFault{r}
@@ -69,39 +111,30 @@ func (rc *roundCoordinator) readPageRetried(req *wire.Request, resp *wire.Respon
 	}()
 	read := func(txs []votm.Tx) error {
 		resp.Entries, resp.More, resp.Cursor = resp.Entries[:0], false, 0
-		return rc.readPage(req, resp, txs)
+		return p.readPage(req, resp, txs)
 	}
+	views := p.s.pageViews
 	for try := 0; try < pageTries; try++ {
 		if try > 0 {
 			runtime.Gosched()
 		}
-		rc.nPageTries.Add(1)
-		if ok, err := votm.ReadAll(rc.th, rc.pageViews, read); ok {
+		p.tries++
+		if ok, err := votm.ReadAll(p.th, views, read); ok {
 			return err
 		}
 	}
-	rc.nPageFallbacks.Add(1)
+	p.falls++
+	publish()
 	start := time.Now()
-	err = votm.AtomicAll(rc.ctx(), rc.th, rc.pageViews, true, read)
-	rc.pausedNs.Add(uint64(time.Since(start)))
+	err = votm.AtomicAll(p.rctx.ctx(), p.th, views, true, read)
+	p.pausedNs += uint64(time.Since(start))
 	return err
-}
-
-// meterPage counts an answered page on shard 0 and its entries on the shards
-// that gave them.
-func (rc *roundCoordinator) meterPage() {
-	rc.s.shards[0].scans.Add(1)
-	for i, n := range rc.contributed {
-		if n > 0 {
-			rc.s.shards[i].scannedKeys.Add(n)
-		}
-	}
 }
 
 // readPage reads one SCAN page into resp from every shard, through its
 // handles, one per shard.
-func (rc *roundCoordinator) readPage(req *wire.Request, resp *wire.Response, txs []votm.Tx) error {
-	parts := rc.s.shards
+func (p *pager) readPage(req *wire.Request, resp *wire.Response, txs []votm.Tx) error {
+	parts := p.s.shards
 
 	lo := req.Key
 	if req.HasCursor {
@@ -115,14 +148,14 @@ func (rc *roundCoordinator) readPage(req *wire.Request, resp *wire.Response, txs
 	// One skip-list cursor per participant, each parked at its first key >=
 	// lo; keys[i] caches the cursor's key so the merge loop costs one load per
 	// advance, not one per comparison.
-	rc.cursors = resized(rc.cursors, len(parts))
-	rc.keys = resized(rc.keys, len(parts))
-	rc.contributed = resized(rc.contributed, len(parts))
-	cursors, keys, contributed := rc.cursors, rc.keys, rc.contributed
-	for i, p := range parts {
-		cursors[i] = p.idx.Seek(txs[i], lo)
+	p.cursors = resized(p.cursors, len(parts))
+	p.keys = resized(p.keys, len(parts))
+	p.contributed = resized(p.contributed, len(parts))
+	cursors, keys, contributed := p.cursors, p.keys, p.contributed
+	for i, sh := range parts {
+		cursors[i] = sh.idx.Seek(txs[i], lo)
 		if cursors[i] != ds.NilRef {
-			keys[i] = p.idx.NodeKey(txs[i], cursors[i])
+			keys[i] = sh.idx.NodeKey(txs[i], cursors[i])
 		}
 	}
 
@@ -147,14 +180,14 @@ func (rc *roundCoordinator) readPage(req *wire.Request, resp *wire.Response, txs
 		if best < 0 {
 			break // range exhausted: final page
 		}
-		p, tx := parts[best], txs[best]
-		ref := p.idx.NodeVal(tx, cursors[best])
+		sh, tx := parts[best], txs[best]
+		ref := sh.idx.NodeVal(tx, cursors[best])
 		buf = enc.AppendBlob(buf, tx, votm.Addr(ref))
 		resp.Entries = append(resp.Entries, wire.ScanEntry{Key: keys[best], Value: buf[valBytes:]})
 		contributed[best]++
 		valBytes = len(buf)
-		if cursors[best] = p.idx.Next(tx, cursors[best]); cursors[best] != ds.NilRef {
-			keys[best] = p.idx.NodeKey(tx, cursors[best])
+		if cursors[best] = sh.idx.Next(tx, cursors[best]); cursors[best] != ds.NilRef {
+			keys[best] = sh.idx.NodeKey(tx, cursors[best])
 		}
 	}
 	// An append that grew buf left the entries before it on the old array;

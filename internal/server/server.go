@@ -212,7 +212,9 @@ type Server struct {
 	cfg    Config
 	rt     *votm.Runtime
 	shards []*shard // in id order, which is the canonical order (shardCompare)
-	start  time.Time
+	// pageViews is every shard's view, in that order: what a SCAN page reads.
+	pageViews []*votm.View
+	start     time.Time
 
 	// xidBase makes cross-shard round IDs unique across process
 	// incarnations: decided prepares stay behind in the logs, and recovery
@@ -301,6 +303,7 @@ func New(cfg Config) (*Server, error) {
 			s.recovery = append(s.recovery, rst)
 		}
 		s.shards = append(s.shards, sh)
+		s.pageViews = append(s.pageViews, sh.view)
 	}
 	if durable {
 		// Nothing is written until every shard has replayed, so a log New
