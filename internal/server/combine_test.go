@@ -60,7 +60,10 @@ func TestInlineRunNeverOvertakesRing(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the first PUT never reached the view")
 	}
-	if held := sh.queue.held.Load(); held != sh.queue.tokens {
+	sh.queue.mu.Lock()
+	held := sh.queue.held
+	sh.queue.mu.Unlock()
+	if held != sh.queue.tokens {
 		t.Fatalf("%d of %d tokens held: the second PUT could take one anyway", held, sh.queue.tokens)
 	}
 

@@ -338,7 +338,7 @@ func (c *conn) plan(req *wire.Request) {
 	var sh *shard
 	switch req.Op {
 	case wire.OpGet:
-		c.serveGet(t, getTries)
+		c.serveGet(t, readTries)
 		return
 	case wire.OpAtomic:
 		t.batch = s.acquireBatch(req.Subs)
@@ -432,9 +432,9 @@ func (c *conn) answer() {
 // — and then combines.
 func (c *conn) publishRun(r *shardRun) {
 	sh, ts := r.sh, r.tasks
-	n := sh.queue.PushBatch(ts)
+	n, depth := sh.queue.PushBatch(ts)
 	if n > 0 {
-		sh.noteDepth(uint64(sh.queue.Len()))
+		sh.noteDepth(uint64(depth))
 	}
 	for _, t := range ts[n:] {
 		c.srv.busy(t, &sh.ringFull)
@@ -472,9 +472,29 @@ func (c *conn) executor() *groupWorker {
 	return c.exec
 }
 
-// getTries bounds the validated reads a GET makes before it falls back to a
-// read-only transaction; each retry yields first to let a writer finish.
-const getTries = 32
+// readTries bounds the validated reads a GET or a SCAN page makes before it
+// falls back to a transaction.
+const readTries = 32
+
+// tryRead runs read by votm.ReadAll over views until one try holds, at most
+// tries times; each retry yields first, so a write under way on some view
+// can finish. Every try counts in *tried. If none held it counts a fall in
+// *fell and calls publish, so what the executor holds goes out before the
+// caller's fallback can wait, and reports false.
+func tryRead(th *votm.Thread, views []*votm.View, tries int, tried, fell *uint64, publish func(), read func([]votm.Tx) error) (held bool, err error) {
+	for try := 0; try < tries; try++ {
+		if try > 0 {
+			runtime.Gosched()
+		}
+		*tried++
+		if ok, err := votm.ReadAll(th, views, read); ok {
+			return true, err
+		}
+	}
+	*fell++
+	publish()
+	return false, nil
+}
 
 // serveGet answers a point GET on the reader: validated reads of its shard
 // (votm.ReadAll), then one AtomicRead RAC admits, at Q = 1 behind the
@@ -522,17 +542,10 @@ func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, 
 		resp.Value, found = sh.get(tx, key, resp.Value[:0])
 		return nil
 	}
-	for try := 0; try < tries; try++ {
-		if try > 0 {
-			runtime.Gosched()
-		}
-		c.tries++
-		if ok, err := votm.ReadAll(w.th, []*votm.View{sh.view}, func(txs []votm.Tx) error { return read(txs[0]) }); ok {
-			return found, err
-		}
+	if held, err := tryRead(w.th, []*votm.View{sh.view}, tries, &c.tries, &c.falls, c.publish,
+		func(txs []votm.Tx) error { return read(txs[0]) }); held {
+		return found, err
 	}
-	c.falls++
-	c.publish() // what was answered goes out before the fallback can wait
 	return found, sh.view.AtomicRead(w.ctx(), w.th, read)
 }
 

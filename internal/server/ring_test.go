@@ -14,7 +14,7 @@ import (
 // implementations to: the ring the server runs, and the chan-based queue it
 // replaced, kept here as the semantics oracle.
 type taskQueue interface {
-	PushBatch(ts []task) int
+	PushBatch(ts []task) (pushed, depth int)
 	PopBatch(dst []task, max int) []task
 	Len() int
 	Cap() int
@@ -37,16 +37,16 @@ func (q *chanQueue) Cap() int { return cap(q.ch) }
 func (q *chanQueue) Len() int { return len(q.ch) }
 
 // PushBatch has the ring's prefix semantics: it enqueues tasks in order until
-// the channel is full and returns how many it took.
-func (q *chanQueue) PushBatch(ts []task) int {
+// the channel is full and returns how many it took and the depth it left.
+func (q *chanQueue) PushBatch(ts []task) (pushed, depth int) {
 	for i, t := range ts {
 		select {
 		case q.ch <- t:
 		default:
-			return i
+			return i, len(q.ch)
 		}
 	}
-	return len(ts)
+	return len(ts), len(q.ch)
 }
 
 func (q *chanQueue) PopBatch(dst []task, max int) []task {
@@ -72,7 +72,10 @@ func qid(t task) (p, n int) {
 }
 
 // push1 pushes a run of one.
-func push1(q taskQueue, t task) bool { return q.PushBatch([]task{t}) == 1 }
+func push1(q taskQueue, t task) bool {
+	n, _ := q.PushBatch([]task{t})
+	return n == 1
+}
 
 // run builds producer p's tasks n, n+1, ... n+k-1.
 func run(p, n, k int) []task {
@@ -92,11 +95,11 @@ func TestTaskQueueFIFO(t *testing.T) {
 		if q.Cap() != 8 {
 			t.Fatalf("%s: Cap() = %d, want 8", impl, q.Cap())
 		}
-		if n := q.PushBatch(run(0, 0, 5)); n != 5 {
-			t.Fatalf("%s: a run of 5 on an empty queue pushed %d", impl, n)
+		if n, depth := q.PushBatch(run(0, 0, 5)); n != 5 || depth != 5 {
+			t.Fatalf("%s: a run of 5 on an empty queue pushed %d, depth %d", impl, n, depth)
 		}
-		if n := q.PushBatch(run(0, 5, 5)); n != 3 {
-			t.Fatalf("%s: a run of 5 with room for 3 pushed %d", impl, n)
+		if n, depth := q.PushBatch(run(0, 5, 5)); n != 3 || depth != 8 {
+			t.Fatalf("%s: a run of 5 with room for 3 pushed %d, depth %d", impl, n, depth)
 		}
 		if push1(q, qtask(0, 99)) {
 			t.Fatalf("%s: push accepted on a full queue", impl)
@@ -131,34 +134,34 @@ func TestTaskQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestRingQueueMinSize is the regression for the size-1 degeneration: a
-// Vyukov ring needs at least two slots or a second producer can overwrite an
-// unconsumed task ("free for pos" and "published for head" states collide).
-// QueueDepth 1 must still hand every pushed task to the consumer.
+// TestRingQueueMinSize: QueueDepth 1 is a queue of exactly one task. A run
+// pushes its first task and is refused the rest until that task is popped,
+// and every task pushed comes out once, in push order, as the one cursor
+// wraps on every pop.
 func TestRingQueueMinSize(t *testing.T) {
 	q := newRingQueue(1, 0)
-	if q.Cap() < 2 {
-		t.Fatalf("Cap() = %d, want >= 2 (size-1 rings degenerate)", q.Cap())
+	if q.Cap() != 1 {
+		t.Fatalf("Cap() = %d, want 1", q.Cap())
 	}
+	next := 0
 	for i := 0; i < 100; i++ {
-		if !push1(q, qtask(0, i)) {
-			t.Fatalf("push %d rejected on empty ring", i)
+		if n, depth := q.PushBatch(run(0, next, 3)); n != 1 || depth != 1 {
+			t.Fatalf("round %d: a run of 3 on an empty queue of one pushed %d, depth %d", i, n, depth)
 		}
-		// With >= 2 slots a second push may land before the first pop...
-		push1(q, qtask(0, 1000+i))
-		// ...and both must come out, in order, without loss.
-		got := q.PopBatch(nil, 1)
+		if push1(q, qtask(0, next+1)) {
+			t.Fatalf("round %d: a second task pushed into a queue of one", i)
+		}
+		got := q.PopBatch(nil, 2)
 		if len(got) != 1 {
-			t.Fatalf("round %d: pushed task lost", i)
+			t.Fatalf("round %d: popped %d tasks, want 1", i, len(got))
 		}
-		if _, n := qid(got[0]); n != i {
-			t.Fatalf("round %d: popped %d, want %d", i, n, i)
+		if _, n := qid(got[0]); n != next {
+			t.Fatalf("round %d: popped %d, want %d", i, n, next)
 		}
-		for _, tk := range q.PopBatch(nil, 2) {
-			if _, n := qid(tk); n != 1000+i {
-				t.Fatalf("round %d: second pop = %d, want %d", i, n, 1000+i)
-			}
+		if q.Len() != 0 {
+			t.Fatalf("round %d: Len() = %d after the pop", i, q.Len())
 		}
+		next++
 	}
 }
 
@@ -190,7 +193,7 @@ func TestTaskQueueDifferential(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(p)))
 					for n := 0; n < perProducer; {
 						k := min(1+rng.Intn(32), perProducer-n)
-						pushed := q.PushBatch(run(p, n, k))
+						pushed, _ := q.PushBatch(run(p, n, k))
 						switch {
 						case pushed == 0:
 							runtime.Gosched() // full: the BUSY path, just retry here
@@ -266,10 +269,10 @@ func TestTaskQueueDifferential(t *testing.T) {
 	}
 }
 
-// TestRingQueueWakeup checks the combining pair that replaces a parked
-// consumer (ringQueue.combine): producers publish and then try for an
-// executor token, and a holder drains, gives its token back and then
-// rechecks. Each round, producers
+// TestRingQueueWakeup checks the combining rule that replaces a parked
+// consumer (ringQueue.combine): producers push and then try for an executor
+// token, and a holder drains, gives its token back and then rechecks, both
+// under the queue's lock. Each round, producers
 // released together push a task each and combine; once every one of them has
 // returned, every task must have been taken — a producer that finds no token
 // relies on a holder's recheck, and a missing recheck strands its task on the

@@ -846,7 +846,7 @@ func TestRoundPausedTime(t *testing.T) {
 	}
 	c.recycle(r)
 	rs := s.RoundStats()
-	if rs.Pages != 4 || rs.PageFallbacks != 1 || rs.PageTries != 3+pageTries || rs.PausedNs < uint64(2*time.Millisecond) {
-		t.Errorf("after the fallen-back page: %+v; want 4 pages, 1 fallback after %d tries, and the wait for the section paused", rs, pageTries)
+	if rs.Pages != 4 || rs.PageFallbacks != 1 || rs.PageTries != 3+readTries || rs.PausedNs < uint64(2*time.Millisecond) {
+		t.Errorf("after the fallen-back page: %+v; want 4 pages, 1 fallback after %d tries, and the wait for the section paused", rs, readTries)
 	}
 }

@@ -16,7 +16,7 @@
 // How a page reads. By a validated read (votm.ReadAll) over every shard: no
 // view is paused and no admission taken, shard executors keep committing,
 // and the read holds only if no write began on any of the views while it ran
-// — otherwise it is tried again, and after pageTries it falls back to one
+// — otherwise it is tried again, and after readTries it falls back to one
 // read-only quiesce of them all (votm.AtomicAll). Either way a page is a
 // consistent snapshot: no concurrent writer's partial effects can appear
 // inside it. A page sees a round whole or not at all: a round writes inside
@@ -37,7 +37,6 @@
 package server
 
 import (
-	"runtime"
 	"time"
 
 	"votm"
@@ -53,11 +52,6 @@ import (
 // the configured limits. The budget is checked after an entry is added, so
 // a page always carries at least one entry when the range is non-empty.
 const scanByteBudget = 256 << 10
-
-// pageTries bounds the validated reads a page makes before it falls back to a
-// quiesce. Each refused or invalidated try yields first, so a write group
-// under way on some shard can finish.
-const pageTries = 32
 
 // pager is one executor's page state — a connection reader's or the round
 // coordinator's: the executor's thread and request context, the page's k-way
@@ -102,7 +96,7 @@ func (p *pager) serve(t task, publish func()) {
 }
 
 // read reads the page into resp: by validated reads over every shard, up to
-// pageTries of them, then inside a read-only quiesce of them all.
+// readTries of them, then inside a read-only quiesce of them all.
 func (p *pager) read(req *wire.Request, resp *wire.Response, publish func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -114,17 +108,9 @@ func (p *pager) read(req *wire.Request, resp *wire.Response, publish func()) (er
 		return p.readPage(req, resp, txs)
 	}
 	views := p.s.pageViews
-	for try := 0; try < pageTries; try++ {
-		if try > 0 {
-			runtime.Gosched()
-		}
-		p.tries++
-		if ok, err := votm.ReadAll(p.th, views, read); ok {
-			return err
-		}
+	if held, err := tryRead(p.th, views, readTries, &p.tries, &p.falls, publish, read); held {
+		return err
 	}
-	p.falls++
-	publish()
 	start := time.Now()
 	err = votm.AtomicAll(p.rctx.ctx(), p.th, views, true, read)
 	p.pausedNs += uint64(time.Since(start))

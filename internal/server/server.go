@@ -42,8 +42,8 @@ type Config struct {
 	// the maximum admission quota N. Default 4.
 	WorkersPerShard int
 	// QueueDepth bounds each shard's dispatched-but-unstarted requests
-	// (rounded up to a power of two by the ring queue, ring.go); overflow is
-	// answered with StatusBusy. Default 128.
+	// (its ring, ring.go) and the round queue; overflow is answered with
+	// StatusBusy. Default 128.
 	QueueDepth int
 	// BatchMax bounds the group an executor pops from a shard's ring and
 	// executes inside one view transaction — one RAC admission and one
