@@ -149,8 +149,8 @@ func TestScanPagination(t *testing.T) {
 	}
 }
 
-// TestScanBusyMidScan: the server BUSYs between two pages (a saturated
-// queue) and the client's
+// TestScanBusyMidScan: the server BUSYs between two pages (a cluster
+// member mid-handoff) and the client's
 // jittered retry layer must resume the SAME page — same bounds, same
 // cursor — transparently.
 func TestScanBusyMidScan(t *testing.T) {

@@ -22,10 +22,9 @@ import (
 // executor: the owning shard's ring for a write or a same-shard ATOMIC, which
 // whichever reader holds one of the shard's executor tokens drains (combine)
 // — this one, when it takes a token — or the round coordinator's queue for a
-// spanning ATOMIC, and for a SCAN page planned while one of the connection's
-// round tasks is unanswered (inRound), so that it sees them whole. The
-// executors push responses onto out, and a write goroutine flushes them — so
-// responses complete out of order and the connection pipelines.
+// spanning ATOMIC. The executors push responses onto out, and a write
+// goroutine flushes them — so responses complete out of order and the
+// connection pipelines.
 //
 // Between decode and encode a request touches only its connection's memory
 // (docs/ALGORITHMS.md, "Request lifecycle"): the connection holds the drain
@@ -54,16 +53,11 @@ type conn struct {
 
 	// exec is the reader's execution state — its votm.Thread, request
 	// context, group scratch and pager — built at the first GET, page or
-	// token it takes; read holds the answered GETs and pages, and the rest
-	// are GET meters added at answer.
-	exec               *groupWorker
-	read               []groupOp
-	gets, tries, falls uint64
-
-	// inRound counts the connection's tasks on the round queue not yet
-	// answered: raised by the reader as it submits, lowered by the
-	// coordinator before the answer (roundCoordinator.reply).
-	inRound atomic.Int32
+	// token it takes; read holds the answered GETs and pages, and get the
+	// GET meters added at answer.
+	exec *groupWorker
+	read []groupOp
+	get  readMeter
 }
 
 // shardRun is the tasks a reader staged for one shard, in arrival order.
@@ -321,12 +315,10 @@ func (c *conn) plan(req *wire.Request) {
 
 	// The one plan. sh is the ring the task is staged for: the key's owner, or
 	// the single participant of an ATOMIC, which joins that shard's group
-	// with its plan attached. A GET is served here, and so is a SCAN page
-	// unless a round task of this connection is unanswered. A nil sh means
-	// the request involves several shards — a spanning ATOMIC, or such a
-	// page, queued behind that task — and goes straight to the round
-	// coordinator (round.go): it never enters a ring. Nothing re-plans after
-	// this: a key's shard never changes.
+	// with its plan attached. A GET or a SCAN page is served here. A nil sh
+	// means a spanning ATOMIC, which goes straight to the round coordinator
+	// (round.go): it never enters a ring. Nothing re-plans after this: a
+	// key's shard never changes.
 	t := task{req: req, resp: resp, c: c}
 	if stream {
 		// A stream keeps its place behind what this reader staged before it
@@ -346,10 +338,8 @@ func (c *conn) plan(req *wire.Request) {
 			sh = t.batch.parts[0]
 		}
 	case wire.OpScan:
-		if c.inRound.Load() == 0 {
-			c.servePage(t)
-			return
-		}
+		c.servePage(t)
+		return
 	default:
 		sh = s.shards[s.Shard(req.Key)]
 	}
@@ -360,13 +350,9 @@ func (c *conn) plan(req *wire.Request) {
 	// A round must not overtake what this reader planned before it.
 	c.publish()
 	if !s.rounds.submit(t) {
-		// The round queue is full. It belongs to no shard: meter an ATOMIC
-		// on its first participant, a page on shard 0.
-		sh = s.shards[0]
-		if t.batch != nil {
-			sh = t.batch.parts[0]
-		}
-		s.busy(t, &sh.ringFull)
+		// The round queue is full. It belongs to no shard: meter the refusal
+		// on the batch's first participant.
+		s.busy(t, &t.batch.parts[0].ringFull)
 	}
 }
 
@@ -413,14 +399,13 @@ func (c *conn) publish() {
 func (c *conn) answer() {
 	s := c.srv
 	if w := c.exec; w != nil {
-		s.rounds.addPages(&w.pg)
+		s.rounds.pages.add(&w.pg.readMeter)
+		if w.pg.pausedNs != 0 {
+			s.rounds.pausedNs.Add(w.pg.pausedNs)
+			w.pg.pausedNs = 0
+		}
 	}
-	if c.gets|c.tries|c.falls != 0 {
-		s.rounds.nGets.Add(c.gets)
-		s.rounds.nGetTries.Add(c.tries)
-		s.rounds.nGetFallbacks.Add(c.falls)
-		c.gets, c.tries, c.falls = 0, 0, 0
-	}
+	s.rounds.gets.add(&c.get)
 	if len(c.read) > 0 {
 		s.finishGroup(c.read)
 		c.read = s.recycleOps(c.read)
@@ -476,23 +461,29 @@ func (c *conn) executor() *groupWorker {
 // falls back to a transaction.
 const readTries = 32
 
-// tryRead runs read by votm.ReadAll over views until one try holds, at most
-// tries times; each retry yields first, so a write under way on some view
-// can finish. Every try counts in *tried. If none held it counts a fall in
-// *fell and calls publish, so what the executor holds goes out before the
-// caller's fallback can wait, and reports false.
-func tryRead(th *votm.Thread, views []*votm.View, tries int, tried, fell *uint64, publish func(), read func([]votm.Tx) error) (held bool, err error) {
+// readMeter counts one reader's validated reads of one kind, GETs or pages:
+// the reads served, the tries they made and those that fell back. answer
+// adds it to RoundStats.
+type readMeter struct{ n, tries, falls uint64 }
+
+// tryRead runs read by votm.ReadAll over views on the reader's thread until
+// one try holds, at most tries times; each retry yields first, so a write
+// under way on some view can finish. Every try counts in m. If none held it
+// counts a fall, publishes what the reader holds, so that it goes out before
+// the caller's fallback can wait, and reports false.
+func (c *conn) tryRead(views []*votm.View, tries int, m *readMeter, read func([]votm.Tx) error) (held bool, err error) {
+	th := c.exec.th
 	for try := 0; try < tries; try++ {
 		if try > 0 {
 			runtime.Gosched()
 		}
-		*tried++
+		m.tries++
 		if ok, err := votm.ReadAll(th, views, read); ok {
 			return true, err
 		}
 	}
-	*fell++
-	publish()
+	m.falls++
+	c.publish()
 	return false, nil
 }
 
@@ -507,15 +498,7 @@ func (c *conn) serveGet(t task, tries int) {
 	} else if !found {
 		t.resp.Status = wire.StatusNotFound
 	}
-	c.gets++
-	c.answered(t)
-}
-
-// servePage answers a SCAN page on the reader, through its pager (scan.go).
-// Its staged runs stay staged: they are published only if the page falls
-// back, before its quiesce can wait.
-func (c *conn) servePage(t task) {
-	c.executor().pg.serve(t, c.publish)
+	c.get.n++
 	c.answered(t)
 }
 
@@ -542,7 +525,7 @@ func (c *conn) readGet(key uint64, resp *wire.Response, tries int) (found bool, 
 		resp.Value, found = sh.get(tx, key, resp.Value[:0])
 		return nil
 	}
-	if held, err := tryRead(w.th, []*votm.View{sh.view}, tries, &c.tries, &c.falls, c.publish,
+	if held, err := c.tryRead([]*votm.View{sh.view}, tries, &c.get,
 		func(txs []votm.Tx) error { return read(txs[0]) }); held {
 		return found, err
 	}

@@ -121,22 +121,18 @@ func newTestCoordinator(t testing.TB, s *Server) *roundCoordinator {
 	return rc
 }
 
-// roundOf takes the tasks — planned ATOMICs and SCAN pages — as the
-// coordinator takes a queue's worth: the batches as one round, a page once
-// the batches ahead of it have run. It returns once everything is answered.
+// roundOf runs the tasks — planned spanning ATOMICs — as the coordinator
+// runs a queue's worth: as one round. It returns once everything is answered.
 func (rc *roundCoordinator) roundOf(tasks ...task) {
 	rc.startRound(tasks...)
 	rc.idle()
 }
 
-// startRound takes the tasks as roundOf does, each counted on its
-// connection's unanswered round tasks as submit counts it, and returns as the
-// coordinator would: a logging round is appended, its shares listed, nothing
-// answered.
+// startRound admits the tasks as roundOf does and returns as the coordinator
+// would: a logging round is appended, its shares listed, nothing answered.
 func (rc *roundCoordinator) startRound(tasks ...task) {
 	for _, t := range tasks {
-		t.c.inRound.Add(1)
-		rc.take(t)
+		rc.admit(t)
 	}
 	rc.runRound()
 }

@@ -190,7 +190,7 @@ func TestReaderPagesNeverTorn(t *testing.T) {
 		}(i)
 		<-inside
 		waitFor("every reader in a fallen-back page at once", func() bool {
-			return serverGoroutines("(*pager).read(", "AtomicAll(") >= readers
+			return serverGoroutines("(*conn).readPage(", "AtomicAll(") >= readers
 		})
 		close(release)
 		if err := <-done; err != nil {
@@ -212,12 +212,16 @@ func TestReaderPagesNeverTorn(t *testing.T) {
 	t.Logf("%d pages (%d tries, %d fell back) beside %d rounds", rs.Pages, rs.PageTries, rs.PageFallbacks, rs.Rounds)
 }
 
-// TestReaderPagesQueueBehindOwnRound pins SCAN's contract over the wire: a
-// page pipelined behind its connection's own unanswered cross-shard ATOMIC
-// goes to the round queue and sees the transfer whole, answered while the
-// ATOMIC's flush is still held; a page sent after the ATOMIC's answer is the
-// reader's, answered while the coordinator is stuck waiting for a flight.
-func TestReaderPagesQueueBehindOwnRound(t *testing.T) {
+// TestReaderPagesBesideOwnRound pins SCAN's read rule over the wire: a
+// page follows the framing rule of every request, so one pipelined behind
+// its connection's own unanswered cross-shard ATOMIC is served by the reader
+// at once and need not see it. Every flush is held and the coordinator is
+// stopped — two rounds of another connection in doubt, a third waiting for a
+// flight — so the connection's transfer waits on the round queue, not yet
+// executed, when the page behind it in the same burst is answered: first,
+// with the transfer not at all, and never torn. A page sent after the
+// transfer's answer sees it whole.
+func TestReaderPagesBesideOwnRound(t *testing.T) {
 	var held atomic.Pointer[chan struct{}]
 	s, err := New(Config{
 		Shards: 3, ShardWords: 1 << 12, WorkersPerShard: 1,
@@ -248,8 +252,10 @@ func TestReaderPagesQueueBehindOwnRound(t *testing.T) {
 		t.Cleanup(release)
 		return release
 	}
-	on := keysOn(s, 1)
-	a, b := on[0][0], on[1][0]
+	// a and b are the connection's counters; the stalling transfers move
+	// between c and d, so every page's entries sum to 200 (mod 2^64).
+	on := keysOn(s, 2)
+	a, b, c, d := on[0][0], on[1][0], on[2][0], on[0][1]
 	cli := pipeServe(t, s)
 	seed := []wire.Request{
 		{Op: wire.OpAtomic, ID: 1, Subs: []wire.Sub{{Kind: wire.SubAdd, Key: a, Delta: 100}}},
@@ -272,37 +278,15 @@ func TestReaderPagesQueueBehindOwnRound(t *testing.T) {
 		}
 		return va, vb
 	}
-	read := func(c net.Conn) *wire.Response {
+	read := func(conn net.Conn) *wire.Response {
 		t.Helper()
-		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-		r, err := wire.ReadResponse(c)
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		r, err := wire.ReadResponse(conn)
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		return r
 	}
-
-	// One burst: the transfer, then a page. The round executes and its flush
-	// is held, so the ATOMIC stays unanswered; the page, queued behind it,
-	// is answered first and shows the transfer.
-	release := hold()
-	burst := encode(t, transfer(10, a, b, 10), page(11))
-	if _, err := cli.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-	if r := read(cli); r.ID != 11 || r.Status != wire.StatusOK {
-		t.Fatalf("first answer: request %d, %v; want the page while the ATOMIC's flush is held", r.ID, r.Status)
-	} else if va, vb := counters(r); va != 90 || vb != 110 {
-		t.Fatalf("the page behind the transfer saw %d and %d, want 90 and 110: the transfer whole", va, vb)
-	}
-	release()
-	if r := read(cli); r.ID != 10 || r.Status != wire.StatusOK {
-		t.Fatalf("transfer: request %d, %v (%s)", r.ID, r.Status, r.Value)
-	}
-
-	// Stop the coordinator: two rounds in doubt behind held flushes, a third
-	// waiting for a flight. A page from the first connection, whose round is
-	// answered, is served by its reader all the same.
 	inFlight := func() uint64 {
 		s.rounds.fmu.Lock()
 		defer s.rounds.fmu.Unlock()
@@ -316,32 +300,63 @@ func TestReaderPagesQueueBehindOwnRound(t *testing.T) {
 			}
 		}
 	}
-	waitFor("the first round to settle", func() bool { return inFlight() == 0 })
-	release = hold()
+
+	// Stop the coordinator: two rounds in doubt behind held flushes, a third
+	// waiting for a flight.
+	release := hold()
 	other := pipeServe(t, s)
 	r0 := s.RoundStats().Rounds
 	for i := uint64(1); i <= 3; i++ {
-		req := transfer(uint32(20+i), a, b, 1)
+		req := transfer(uint32(20+i), c, d, 1)
 		if err := wire.WriteRequest(other, &req); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(fmt.Sprintf("round %d to start", i), func() bool { return s.RoundStats().Rounds == r0+i })
 		waitFor(fmt.Sprintf("round %d to take a flight", i), func() bool { return inFlight() == min(i, maxInDoubt) })
 	}
-	req := page(30)
+
+	// One burst: the transfer, then a page. The transfer waits on the round
+	// queue behind the stopped coordinator; the page is the reader's.
+	if _, err := cli.Write(encode(t, transfer(10, a, b, 10), page(11))); err != nil {
+		t.Fatal(err)
+	}
+	r := read(cli)
+	if r.ID != 11 {
+		t.Fatalf("first answer: request %d, %v; want the page while the transfer waits for the coordinator", r.ID, r.Status)
+	}
+	if err := pageSum(r, 4, 200); err != nil {
+		t.Fatal(err)
+	}
+	if va, vb := counters(r); va != 100 || vb != 100 {
+		t.Fatalf("the page beside the waiting transfer saw %d and %d, want 100 and 100: the transfer not at all", va, vb)
+	}
+	if rs := s.RoundStats(); rs.Rounds != r0+3 || rs.Pages != 1 || inFlight() != maxInDoubt {
+		t.Fatalf("after the page: %+v, %d in flight; want round %d still waiting for a flight and the page served by the reader",
+			rs, inFlight(), r0+3)
+	}
+
+	release()
+	if r := read(cli); r.ID != 10 || r.Status != wire.StatusOK {
+		t.Fatalf("transfer: request %d, %v (%s)", r.ID, r.Status, r.Value)
+	}
+	for i := 0; i < 3; i++ {
+		if r := read(other); r.Status != wire.StatusOK {
+			t.Fatalf("stalling transfer %d: %v (%s)", r.ID, r.Status, r.Value)
+		}
+	}
+	req := page(12)
 	if err := wire.WriteRequest(cli, &req); err != nil {
 		t.Fatal(err)
 	}
-	if r := read(cli); r.ID != 30 || r.Status != wire.StatusOK {
+	r = read(cli)
+	if r.ID != 12 {
 		t.Fatalf("page after the answer: request %d, %v", r.ID, r.Status)
-	} else if va, vb := counters(r); va != 88 || vb != 112 {
-		t.Fatalf("the reader's page saw %d and %d, want 88 and 112: the two rounds executed, not the waiting one", va, vb)
 	}
-	release()
-	for i := 0; i < 3; i++ {
-		if r := read(other); r.Status != wire.StatusOK {
-			t.Fatalf("transfer %d: %v (%s)", r.ID, r.Status, r.Value)
-		}
+	if err := pageSum(r, 4, 200); err != nil {
+		t.Fatal(err)
+	}
+	if va, vb := counters(r); va != 90 || vb != 110 {
+		t.Fatalf("the page after the transfer's answer saw %d and %d, want 90 and 110: the transfer whole", va, vb)
 	}
 	if rs := s.RoundStats(); rs.Pages != 2 {
 		t.Fatalf("meters %+v: want 2 pages", rs)

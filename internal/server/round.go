@@ -6,13 +6,11 @@
 // batches queued and runs them as one round: one canonical-order walMu
 // acquisition, one quiesce of the union participant set (votm.AtomicAll), the
 // batches back to back inside it, ONE prepare record per writable participant
-// — and then, every mutex released, goes straight on to the next round. A
-// SCAN page joins the queue only behind its connection's own unanswered round
-// tasks (conn.inRound; a reader serves every other page itself, scan.go). It
-// is no round's task: dequeued behind batches, it first ends the round being
-// built, then is served on its own, so it sees every batch queued ahead of it
-// and none behind. The coordinator pauses a round's views in shard-id order,
-// the order every multi-view pauser shares (scan.go), so no two can cycle.
+// — and then, every mutex released, goes straight on to the next round. The
+// queue carries nothing else: a SCAN page, like a GET, is served by the reader
+// that decoded it (scan.go). The coordinator pauses a round's views in
+// shard-id order, the order every multi-view pauser shares (scan.go), so no
+// two can cycle.
 //
 // The coordinator never waits on a flush. A logging round rides a flight
 // record from its walMus to its answers: each participant's share of the
@@ -121,8 +119,8 @@ type flight struct {
 }
 
 // RoundStats counts the coordination rounds a server has run, and the SCAN
-// pages and point GETs served beside them — by the coordinator or, folded in
-// as each reader publishes its answers, by the connection readers.
+// pages and point GETs the connection readers served beside them, folded in
+// as each reader publishes its answers.
 type RoundStats struct {
 	Rounds  uint64 // rounds executed
 	Tasks   uint64 // tasks they carried: spanning ATOMIC batches
@@ -157,12 +155,12 @@ func (rc *roundCoordinator) stats() RoundStats {
 		Rounds:        rc.nRounds.Load(),
 		Tasks:         rc.nTasks.Load(),
 		Largest:       rc.largest.Load(),
-		Pages:         rc.nPages.Load(),
-		PageTries:     rc.nPageTries.Load(),
-		PageFallbacks: rc.nPageFallbacks.Load(),
-		Gets:          rc.nGets.Load(),
-		GetTries:      rc.nGetTries.Load(),
-		GetFallbacks:  rc.nGetFallbacks.Load(),
+		Pages:         rc.pages.n.Load(),
+		PageTries:     rc.pages.tries.Load(),
+		PageFallbacks: rc.pages.falls.Load(),
+		Gets:          rc.gets.n.Load(),
+		GetTries:      rc.gets.tries.Load(),
+		GetFallbacks:  rc.gets.falls.Load(),
 		Logged:        rc.nLogged.Load(),
 		Overlapped:    rc.nOverlapped.Load(),
 		InDoubtHigh:   rc.inDoubtHigh.Load(),
@@ -190,11 +188,10 @@ type roundCoordinator struct {
 
 	nRounds, nTasks, largest, nLogged      atomic.Uint64
 	nOverlapped, inDoubtHigh, flightWaitNs atomic.Uint64
-	// The page and GET meters are added to by every executor that serves
-	// them (addPages, conn.answer), pausedNs by rounds and fallen-back pages.
-	pausedNs                           atomic.Uint64
-	nPages, nPageTries, nPageFallbacks atomic.Uint64
-	nGets, nGetTries, nGetFallbacks    atomic.Uint64
+	// The page and GET totals are added to by the readers (conn.answer),
+	// pausedNs by rounds and by them for their fallen-back pages.
+	pausedNs    atomic.Uint64
+	pages, gets readTotals
 
 	// free holds the flight records not in use; inflight the rounds that took
 	// one, in xid order, settling that shareDone is at its head (both under fmu).
@@ -224,10 +221,6 @@ type roundCoordinator struct {
 	parts, deps []wal.Participant
 	prepBuf     []byte        // prepare-record payload scratch
 	rec         [2]wal.Record // a prepare batch: the prepare, and room for an owed annotation
-
-	// pg serves the pages queued behind their connection's own round tasks
-	// (scan.go).
-	pg pager
 }
 
 func newRoundCoordinator(s *Server) *roundCoordinator {
@@ -244,52 +237,32 @@ func newRoundCoordinator(s *Server) *roundCoordinator {
 	for i := 0; i < maxInDoubt; i++ {
 		rc.free <- &flight{rc: rc}
 	}
-	rc.pg = pager{s: s, th: rc.th, rctx: &rc.reqContext}
 	return rc
 }
 
-// submit queues a planned spanning ATOMIC or a SCAN page for the coordinator,
-// counting it among its connection's unanswered round tasks first (the count
-// drops in reply). False means the round queue is full: nothing executed, the
-// count is back, and the reader answers BUSY.
+// submit queues a planned spanning ATOMIC for the coordinator. False means
+// the round queue is full: nothing executed, and the reader answers BUSY.
 func (rc *roundCoordinator) submit(t task) bool {
-	t.c.inRound.Add(1)
 	select {
 	case rc.queue <- t:
 		return true
 	default:
-		t.c.inRound.Add(-1)
 		return false
 	}
 }
 
-// reply answers a queued task, taking it off its connection's unanswered
-// round tasks before the answer can reach the client: a page the client sends
-// after its last round answer is the reader's to serve.
-func (rc *roundCoordinator) reply(t task) {
-	t.c.inRound.Add(-1)
-	rc.s.finish(t)
-}
+// readTotals sums the readers' meters of one kind of validated read.
+type readTotals struct{ n, tries, falls atomic.Uint64 }
 
-// servePage serves a page queued behind its connection's round tasks.
-func (rc *roundCoordinator) servePage(t task) {
-	rc.pg.serve(t, rc.addOwnPages)
-	rc.addOwnPages()
-	rc.reply(t)
-}
-
-func (rc *roundCoordinator) addOwnPages() { rc.addPages(&rc.pg) }
-
-// addPages adds a pager's page meters to the totals and zeroes them.
-func (rc *roundCoordinator) addPages(p *pager) {
-	if p.pages|p.tries|p.falls|p.pausedNs == 0 {
+// add adds m to the totals and zeroes it.
+func (t *readTotals) add(m *readMeter) {
+	if m.n|m.tries|m.falls == 0 {
 		return
 	}
-	rc.nPages.Add(p.pages)
-	rc.nPageTries.Add(p.tries)
-	rc.nPageFallbacks.Add(p.falls)
-	rc.pausedNs.Add(p.pausedNs)
-	p.pages, p.tries, p.falls, p.pausedNs = 0, 0, 0, 0
+	t.n.Add(m.n)
+	t.tries.Add(m.tries)
+	t.falls.Add(m.falls)
+	*m = readMeter{}
 }
 
 // stop ends the coordinator once every queued task is answered. The queue's
@@ -311,18 +284,16 @@ func (rc *roundCoordinator) loop() {
 }
 
 // next blocks for one task, takes whatever else is queued and runs the
-// batches as one round; false means the queue is closed and empty. A page
-// dequeued ends the round being built — it runs, appended, before the page
-// is served — so the page sees every batch queued ahead of it and none
-// behind. Dequeuing stops when the queue is empty or the redo budget is
-// spent, checked before each dequeue, so a round overshoots by at most one
-// task; what it leaves queued runs in the next round.
+// batches as one round; false means the queue is closed and empty. Dequeuing
+// stops when the queue is empty or the redo budget is spent, checked before
+// each dequeue, so a round overshoots by at most one task; what it leaves
+// queued runs in the next round.
 func (rc *roundCoordinator) next() bool {
 	t, ok := <-rc.queue
 	if !ok {
 		return false
 	}
-	rc.take(t)
+	rc.admit(t)
 fill:
 	for rc.bytes < roundBodyBudget {
 		select {
@@ -330,24 +301,13 @@ fill:
 			if !ok {
 				break fill // the last round runs; the next receive reports the close
 			}
-			rc.take(t)
+			rc.admit(t)
 		default:
 			break fill
 		}
 	}
 	rc.runRound()
 	return true
-}
-
-// take places one dequeued task: a batch into the round being built; a page
-// is served once that round has run.
-func (rc *roundCoordinator) take(t task) {
-	if t.batch == nil {
-		rc.runRound()
-		rc.servePage(t)
-		return
-	}
-	rc.admit(t)
 }
 
 // admit places one dequeued batch into the round being built.
@@ -682,7 +642,7 @@ func (rc *roundCoordinator) answer(tasks []roundTask, walErr error) {
 			}
 		}
 		s.releaseBatch(b)
-		rc.reply(rt.t)
+		s.finish(rt.t)
 	}
 }
 

@@ -126,9 +126,10 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 
 // TestRoundQueueFullAnswersBusy stalls the coordinator inside a round (a
 // participant's walMu is held), fills the round queue behind it and checks
-// that the reader answers the next spanning ATOMIC and the next SCAN page BUSY
-// at once, having executed nothing and kept nothing — and that every queued
-// task still commits once the coordinator moves again.
+// that the reader answers the next spanning ATOMIC BUSY at once, having
+// executed nothing and kept nothing, while a SCAN page — served by the
+// reader, never queued — is answered OK beside the full queue; and that every
+// queued task still commits once the coordinator moves again.
 func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	f := newRoundFixture(t, Config{
 		ShardWords: 1 << 12, WorkersPerShard: 1, QueueDepth: 2,
@@ -159,15 +160,17 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	}
 	free := len(f.s.batchFree)
 	// The refused batch's first participant is shard 1: that is where its
-	// rejection is metered. The refused page is metered on shard 0.
+	// rejection is metered.
 	f.c.dispatch(f.c.atomicReq(4,
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[1][3], Value: val},
 		wire.Sub{Kind: wire.SubPut, Key: f.keys[2][3], Value: val}))
 	f.c.dispatch(f.c.scanReq(5, 0, 1<<62, 8))
-	for id, r := range collect(t, f.c, 2) {
-		if r.status != wire.StatusBusy {
-			t.Fatalf("request %d against a full round queue: status %v, want BUSY", id, r.status)
-		}
+	got := collect(t, f.c, 2)
+	if r := got[4]; r.status != wire.StatusBusy {
+		t.Fatalf("a spanning ATOMIC against a full round queue: status %v, want BUSY", r.status)
+	}
+	if r := got[5]; r.status != wire.StatusOK {
+		t.Fatalf("a page beside a full round queue: status %v (%s), want OK", r.status, r.value)
 	}
 	for i, sh := range f.shards {
 		if n := sh.view.AllocatedWords(); n != before[i] {
@@ -177,11 +180,11 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 	if n := len(f.s.batchFree); n != max(free, 1) {
 		t.Errorf("batch free list %d -> %d: the refused batch's plan was not released", free, n)
 	}
-	if a, p := f.shards[1].ringFull.Load(), f.shards[0].ringFull.Load(); a != 1 || p != 1 {
-		t.Errorf("full-queue rejections: %d on the batch's first participant, %d on shard 0; want 1 and 1", a, p)
+	if a, p := f.shards[1].ringFull.Load(), f.shards[0].ringFull.Load(); a != 1 || p != 0 {
+		t.Errorf("full-queue rejections: %d on the batch's first participant, %d on shard 0; want 1 and 0", a, p)
 	}
-	if n := f.shards[0].scans.Load(); n != 0 {
-		t.Errorf("the refused page was counted as served (%d)", n)
+	if n := f.shards[0].scans.Load(); n != 1 {
+		t.Errorf("Scans = %d after the page was answered, want 1", n)
 	}
 
 	f.shards[2].walMu.Unlock()
@@ -202,9 +205,10 @@ func TestRoundQueueFullAnswersBusy(t *testing.T) {
 }
 
 // TestShutdownAnswersQueuedRounds drains a server whose round queue holds
-// ATOMICs and SCAN pages behind a stalled round: Shutdown must wait, every
-// queued task must be answered, and the coordinator goroutine must be gone
-// when it returns.
+// ATOMICs behind a stalled round: Shutdown must wait, every queued task must
+// be answered, and the coordinator goroutine must be gone when it returns.
+// The SCAN pages dispatched between them are the reader's: answered at once,
+// never queued.
 func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	f := newRoundFixture(t, Config{
 		ShardWords: 1 << 12, WorkersPerShard: 1,
@@ -218,6 +222,11 @@ func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	f.c.dispatch(f.c.scanReq(3, 0, 1<<62, 64))
 	f.c.dispatch(f.spanningReq(4, 2, val))
 	f.c.dispatch(f.c.scanReq(5, 0, 1<<62, 64))
+	for id, r := range collect(t, f.c, 2) {
+		if (id != 3 && id != 5) || r.status != wire.StatusOK {
+			t.Fatalf("request %d answered first: status %v (%s); want the two pages, OK", id, r.status, r.value)
+		}
+	}
 
 	shut := make(chan error, 1)
 	go func() {
@@ -227,22 +236,17 @@ func TestShutdownAnswersQueuedRounds(t *testing.T) {
 	}()
 	select {
 	case err := <-shut:
-		t.Fatalf("Shutdown returned (%v) with five queued tasks unanswered", err)
+		t.Fatalf("Shutdown returned (%v) with three queued tasks unanswered", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	f.shards[1].walMu.Unlock()
 	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	got := collect(t, f.c, 5)
-	for id, r := range got {
+	for id, r := range collect(t, f.c, 3) {
 		if r.status != wire.StatusOK {
 			t.Errorf("request %d: status %v (%s)", id, r.status, r.value)
 		}
-	}
-	// Task order is execution order: each page sees the batches ahead of it.
-	if a, b := len(got[3].entries), len(got[5].entries); a != 6 || b != 9 {
-		t.Errorf("the queued pages returned %d and %d entries, want 6 and 9", a, b)
 	}
 	select {
 	case <-f.s.rounds.done:
@@ -634,104 +638,37 @@ func (f *roundFixture) escalations() (n [3]int64) {
 	return n
 }
 
-// TestRoundCarriesPages drives a private coordinator through a queue that
-// mixes SCAN pages with cross-shard transfers. A page is no round's task: it
-// ends the round being built and is served after it, so it sees the transfers
-// queued ahead of it and none behind, and — read by a validated read that
-// pauses nothing — it leaves every view's escalation count where it was.
-// Rounds count only batches; queued pages are served one by one.
-func TestRoundCarriesPages(t *testing.T) {
+// TestRoundPausesItsUnionOnly runs a two-shard transfer on a private
+// coordinator of a three-shard server: the round quiesces its participants
+// once each and leaves the third shard's view alone.
+func TestRoundPausesItsUnionOnly(t *testing.T) {
 	f := newRoundFixture(t, Config{ShardWords: 1 << 12, WorkersPerShard: 1}, 1)
 	rc := newTestCoordinator(t, f.s)
 	a, b := f.keys[0][0], f.keys[1][0]
-	transfer := func(id uint32, from, to uint64, d uint64) task {
-		return mkAtomic(f.s, f.c, id,
-			wire.Sub{Kind: wire.SubAdd, Key: from, Delta: -d}, wire.Sub{Kind: wire.SubAdd, Key: to, Delta: d})
-	}
-	page := func(id uint32, limit uint32) task { return queued(f.s, f.c, f.c.scanReq(id, 0, 1<<62, limit)) }
-
-	// A round pauses its union only: shard 2 is left alone.
 	before := f.escalations()
 	rc.roundOf(mkAtomic(f.s, f.c, 1,
 		wire.Sub{Kind: wire.SubAdd, Key: a, Delta: 100}, wire.Sub{Kind: wire.SubAdd, Key: b, Delta: 100}))
 	if r := collect(t, f.c, 1)[1]; r.status != wire.StatusOK {
-		t.Fatalf("seed round: %v (%s)", r.status, r.value)
+		t.Fatalf("round: %v (%s)", r.status, r.value)
 	}
 	if got := f.escalations(); got != [3]int64{before[0] + 1, before[1] + 1, before[2]} {
 		t.Errorf("round: escalations %v -> %v, want shards 0 and 1 paused once and shard 2 not at all", before, got)
 	}
-
-	// page, transfer, page, transfer: the first page sees the seed alone, the
-	// second the first transfer and not the one behind it.
-	before = f.escalations()
-	for _, tk := range []task{page(2, 64), transfer(3, a, b, 10), page(4, 64), transfer(5, b, a, 5)} {
-		if !rc.submit(tk) {
-			t.Fatal("round queue full")
-		}
-	}
-	rc.next()
-	rc.idle()
-	got := collect(t, f.c, 4)
-	for id, r := range got {
-		if r.status != wire.StatusOK {
-			t.Fatalf("mixed queue: request %d: %v (%s)", id, r.status, r.value)
-		}
-	}
-	for _, want := range []struct {
-		id     uint32
-		va, vb uint64
-	}{{2, 100, 100}, {4, 90, 110}} {
-		seen := map[uint64]uint64{}
-		for _, e := range got[want.id].entries {
-			seen[e.Key] = binary.LittleEndian.Uint64(e.Value)
-		}
-		if len(seen) != 2 || seen[a] != want.va || seen[b] != want.vb {
-			t.Errorf("page %d saw %v, want {%d: %d, %d: %d}: the transfers ahead of it and none behind",
-				want.id, seen, a, want.va, b, want.vb)
-		}
-	}
-	va, _ := f.counter(t, 0, a)
-	vb, _ := f.counter(t, 1, b)
-	if va != 95 || vb != 105 {
-		t.Errorf("after the queue: %d and %d, want 95 and 105", va, vb)
-	}
-	if got := f.escalations(); got != [3]int64{before[0] + 2, before[1] + 2, before[2]} {
-		t.Errorf("mixed queue: escalations %v -> %v, want shards 0 and 1 paused once per transfer and the pages pausing nothing",
-			before, got)
-	}
-	if rs := rc.stats(); rs.Rounds != 3 || rs.Tasks != 3 || rs.Pages != 2 || rs.PageTries != 2 || rs.PageFallbacks != 0 {
-		t.Errorf("stats %+v, want 3 rounds of 3 batches and 2 pages read at the first try", rs)
-	}
-
-	// Eight queued pages are served one by one, in no round.
-	for id := uint32(10); id < 18; id++ {
-		rc.submit(page(id, 32))
-	}
-	rc.next()
-	for id, r := range collect(t, f.c, 8) {
-		if r.status != wire.StatusOK || len(r.entries) != 2 {
-			t.Errorf("queued page %d: %v, %d entries", id, r.status, len(r.entries))
-		}
-	}
-	if rs := rc.stats(); rs.Rounds != 3 || rs.Pages != 10 {
-		t.Errorf("after eight queued pages: %d rounds, %d pages; want 3 and 10", rs.Rounds, rs.Pages)
-	}
-	if s := f.s.StatsAll(); s[0].Scans != 10 || s[1].Scans+s[2].Scans != 0 {
-		t.Errorf("Scans = %d/%d/%d, want all 10 pages counted on shard 0", s[0].Scans, s[1].Scans, s[2].Scans)
+	if rs := rc.stats(); rs.Rounds != 1 || rs.Tasks != 1 {
+		t.Errorf("stats %+v, want 1 round of 1 batch", rs)
 	}
 }
 
 // TestSteadyStateScanAllocs pins the page's allocation floor at zero, at 2
-// shards and at 16, on the reader's page path (dispatch, the connection
-// having no round task out) and on the coordinator's (servePage): the views
-// are the server's, the per-shard merge scratch is pooled on each executor's
-// pager, the validated read's handles on its thread, and the entries' values
-// are copied into the buffer the recycled response keeps.
+// shards and at 16, on the reader's page path (dispatch): the views are the
+// server's, the per-shard merge scratch is pooled on the reader's pager, the
+// validated read's handles on its thread, and the entries' values are copied
+// into the buffer the recycled response keeps.
 func TestSteadyStateScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard: race instrumentation allocates on this path")
 	}
-	perPage := func(shards int, reader bool) float64 {
+	perPage := func(shards int) float64 {
 		s, err := New(Config{Shards: shards, ShardWords: 1 << 12, WorkersPerShard: 1, RequestTimeout: time.Hour})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -747,15 +684,8 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 			}
 		}
 		c := newTestConn(s, 4)
-		rc := newTestCoordinator(t, s)
 		run := func() {
-			if reader {
-				c.dispatch(c.scanReq(1, 0, 1<<62, 32))
-			} else {
-				tk := queued(s, c, c.scanReq(1, 0, 1<<62, 32))
-				c.inRound.Add(1) // as submit counts it
-				rc.servePage(tk)
-			}
+			c.dispatch(c.scanReq(1, 0, 1<<62, 32))
 			r := <-c.out
 			if r.Status != wire.StatusOK || len(r.Entries) != 32 || !r.More {
 				t.Fatalf("page at %d shards: %v, %d entries, more=%v", shards, r.Status, len(r.Entries), r.More)
@@ -765,25 +695,18 @@ func TestSteadyStateScanAllocs(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			run()
 		}
-		n := testing.AllocsPerRun(50, run)
-		// The reader's pages count on the server, the test coordinator's on it.
-		if onReader, onRC := s.RoundStats().Pages, rc.stats().Pages; (onReader == 0) == reader || (onRC == 0) != reader {
-			t.Fatalf("reader=%v: the readers served %d pages, the test coordinator %d", reader, onReader, onRC)
-		}
-		return n
+		return testing.AllocsPerRun(50, run)
 	}
-	for _, reader := range []bool{true, false} {
-		narrow, wide := perPage(2, reader), perPage(16, reader)
-		if narrow != 0 || wide != 0 {
-			t.Errorf("reader=%v: a 32-entry page allocates %.0f at 2 shards and %.0f at 16, want 0 at both", reader, narrow, wide)
-		}
-		t.Logf("reader=%v: allocs per 32-entry page: %.0f at 2 shards, %.0f at 16", reader, narrow, wide)
+	narrow, wide := perPage(2), perPage(16)
+	if narrow != 0 || wide != 0 {
+		t.Errorf("a 32-entry page allocates %.0f at 2 shards and %.0f at 16, want 0 at both", narrow, wide)
 	}
+	t.Logf("allocs per 32-entry page: %.0f at 2 shards, %.0f at 16", narrow, wide)
 }
 
 // TestRoundPausedTime: RoundStats.PausedNs reads 0 while only point ops and
 // SCAN pages run — neither quiesces a view: a page's validated read pauses
-// nothing — and grows for a page that a concurrent Exclusive writer forces
+// nothing and counts no escalation — and grows for a page that a concurrent Exclusive writer forces
 // to fall back to a quiesce. The reader serves the page inside dispatch, so
 // the fallen-back one is dispatched from a goroutine standing in for the
 // reader, which waits in the quiesce until the section ends.
@@ -807,11 +730,24 @@ func TestRoundPausedTime(t *testing.T) {
 		answer(c.pointReq(wire.OpPut, uint32(k+1), k, "v"))
 		answer(c.pointReq(wire.OpGet, uint32(k+1), k, ""))
 	}
+	escalations := func() (n [2]int64) {
+		for i, sh := range s.shards {
+			n[i] = sh.view.Snapshot().Totals.Escalations
+		}
+		return n
+	}
+	before := escalations()
 	for id := uint32(100); id < 103; id++ {
 		answer(c.scanReq(id, 0, 1<<62, 8))
 	}
 	if rs := s.RoundStats(); rs.Rounds != 0 || rs.Pages != 3 || rs.PageFallbacks != 0 || rs.PausedNs != 0 {
 		t.Fatalf("after point ops and three pages: %+v; want 0 rounds, 3 pages, no fallback and 0 ns paused", rs)
+	}
+	if got := escalations(); got != before {
+		t.Errorf("three validated pages: escalations %v -> %v, want no view paused", before, got)
+	}
+	if st := s.StatsAll(); st[0].Scans != 3 || st[1].Scans != 0 {
+		t.Errorf("Scans = %d/%d, want all 3 pages counted on shard 0", st[0].Scans, st[1].Scans)
 	}
 
 	// An Exclusive section held on one shard's view: every validated read is

@@ -3,15 +3,13 @@
 // necessarily consults EVERY shard: a k-way merge of per-shard skip-list
 // cursors yields the next run of keys in global order.
 //
-// Who serves a page. The connection reader that decoded it serves it on its
-// own execution state (conn.exec), answered with its GETs, unless the
-// connection has a round task not yet answered (conn.inRound): then the page
-// goes behind it on the round queue, and the round coordinator (round.go)
-// serves it once the round being built ends, so the page sees every batch
-// queued ahead of it whole and none behind. Both executors serve it through
-// the same pager. A reader does not publish its staged runs before a page:
-// pipelined requests are not ordered, and a write the client had its answer
-// for has committed.
+// Who serves a page. The connection reader that decoded it, on its own
+// execution state (conn.exec), answered with its GETs. A page follows the
+// read rule of every request (docs/PROTOCOL.md, Framing): pipelined requests
+// are not ordered, so the reader does not publish its staged runs before it,
+// and a page pipelined behind a write of its own connection may or may not
+// see it — a write the client had its answer for has committed. A page
+// takes no admission and no queue slot, so it is never answered BUSY.
 //
 // How a page reads. By a validated read (votm.ReadAll) over every shard: no
 // view is paused and no admission taken, shard executors keep committing,
@@ -24,11 +22,12 @@
 // (core/multiview.go), and the redo and replication appliers
 // (shard.applyRecords) write one view per transaction.
 //
-// Reader fallbacks make the server's multi-view pausers many: the
-// coordinator and every reader whose page fell back. Pausers exclude each
-// other per view (rac.Controller.PauseAndDrain), and every multi-view pauser
-// takes its views in shard-id order — a round's union is sorted by
-// shardCompare, a page's views are s.shards' order — so no two can cycle.
+// Reader fallbacks make the server's multi-view pausers many: the round
+// coordinator (round.go) and every reader whose page fell back. Pausers
+// exclude each other per view (rac.Controller.PauseAndDrain), and every
+// multi-view pauser takes its views in shard-id order — a round's union is
+// sorted by shardCompare, a page's views are s.shards' order — so no two can
+// cycle.
 //
 // Consistency is per page, not across pages — the cursor a client resumes
 // with names a key, not a snapshot, exactly like the BUSY-retry contract
@@ -53,75 +52,72 @@ import (
 // a page always carries at least one entry when the range is non-empty.
 const scanByteBudget = 256 << 10
 
-// pager is one executor's page state — a connection reader's or the round
-// coordinator's: the executor's thread and request context, the page's k-way
-// merge scratch per shard, and the page meters its owner adds to RoundStats
-// (roundCoordinator.addPages).
+// pager is a connection reader's page state, kept with its execution state
+// (groupWorker.pg): the page's k-way merge scratch per shard, and the page
+// meters conn.answer adds to RoundStats — the pages served, their validated
+// reads and fallbacks, and the wall time their quiesces paused.
 type pager struct {
-	s    *Server
-	th   *votm.Thread
-	rctx *reqContext
-
 	cursors     []ds.Ref
 	keys        []uint64
 	contributed []uint64
 
-	pages, tries, falls, pausedNs uint64
+	readMeter
+	pausedNs uint64
 }
 
-// serve reads one SCAN page into t's response and meters it; the caller
-// answers it. publish runs before the fallback can wait, so what the executor
-// holds goes out first. A panic out of a read of views nobody wrote is the
-// page's own fault (TxFault).
-func (p *pager) serve(t task, publish func()) {
-	resp := t.resp
-	err := p.read(t.req, resp, publish)
-	p.pages++
+// servePage answers a SCAN page on the reader. Its staged runs stay staged:
+// they are published only if the page falls back, before its quiesce can
+// wait (tryRead). A panic out of a read of views nobody wrote is the page's
+// own fault (TxFault).
+func (c *conn) servePage(t task) {
+	s, resp := c.srv, t.resp
+	p := &c.executor().pg
+	err := c.readPage(p, t.req, resp)
+	p.n++
 	if err != nil {
 		resp.Entries = resp.Entries[:0]
 		resp.More, resp.Cursor = false, 0
 		status, detail := errStatus(err)
 		resp.Status = status
 		resp.SetDetail(detail)
-		return
-	}
-	// An answered page counts on shard 0, its entries on the shards that
-	// gave them.
-	p.s.shards[0].scans.Add(1)
-	for i, n := range p.contributed {
-		if n > 0 {
-			p.s.shards[i].scannedKeys.Add(n)
+	} else {
+		// An answered page counts on shard 0, its entries on the shards that
+		// gave them.
+		s.shards[0].scans.Add(1)
+		for i, n := range p.contributed {
+			if n > 0 {
+				s.shards[i].scannedKeys.Add(n)
+			}
 		}
 	}
+	c.answered(t)
 }
 
-// read reads the page into resp: by validated reads over every shard, up to
-// readTries of them, then inside a read-only quiesce of them all.
-func (p *pager) read(req *wire.Request, resp *wire.Response, publish func()) (err error) {
+// readPage reads the page into resp: by validated reads over every shard, up
+// to readTries of them, then inside a read-only quiesce of them all.
+func (c *conn) readPage(p *pager, req *wire.Request, resp *wire.Response) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = txFault{r}
 		}
 	}()
+	s, w := c.srv, c.exec
 	read := func(txs []votm.Tx) error {
 		resp.Entries, resp.More, resp.Cursor = resp.Entries[:0], false, 0
-		return p.readPage(req, resp, txs)
+		return p.merge(s.shards, req, resp, txs)
 	}
-	views := p.s.pageViews
-	if held, err := tryRead(p.th, views, readTries, &p.tries, &p.falls, publish, read); held {
+	if held, err := c.tryRead(s.pageViews, readTries, &p.readMeter, read); held {
 		return err
 	}
 	start := time.Now()
-	err = votm.AtomicAll(p.rctx.ctx(), p.th, views, true, read)
+	err = votm.AtomicAll(w.ctx(), w.th, s.pageViews, true, read)
 	p.pausedNs += uint64(time.Since(start))
 	return err
 }
 
-// readPage reads one SCAN page into resp from every shard, through its
-// handles, one per shard.
-func (p *pager) readPage(req *wire.Request, resp *wire.Response, txs []votm.Tx) error {
-	parts := p.s.shards
-
+// merge reads one SCAN page into resp from every shard of parts, through
+// its handles, one per shard.
+func (p *pager) merge(parts []*shard, req *wire.Request, resp *wire.Response, txs []votm.Tx) error {
 	lo := req.Key
 	if req.HasCursor {
 		lo = req.Cursor

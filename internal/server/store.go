@@ -47,7 +47,7 @@ type shard struct {
 
 	// ringFull counts BUSY answers from a full queue: this shard's ring, or
 	// the server's round queue when this shard is the first participant of a
-	// refused cross-shard ATOMIC (a refused SCAN page counts on shard 0).
+	// refused cross-shard ATOMIC.
 	ringFull atomic.Uint64
 
 	// Durability state (durability.go); all zero when the server runs

@@ -563,7 +563,8 @@ func FuzzSkipList(f *testing.F) {
 
 // TestSkipListConcurrentDisjointKeys has several goroutines churn disjoint
 // key ranges of one shared list under NOrec, then validates every range —
-// the shard worker's access pattern.
+// the access pattern of the connection readers that hold one shard's
+// executor tokens and run its write groups side by side.
 func TestSkipListConcurrentDisjointKeys(t *testing.T) {
 	const (
 		workers = 4

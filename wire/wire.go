@@ -366,10 +366,11 @@ type ShardStats struct {
 	QuotaEvents  uint64  // quota changes of the shard's view; equals QuotaMoves
 	Repartitions uint64  // always 0, kept for the v6 layout
 
-	// Batching meters (group-commit shard workers): Groups counts committed
-	// group transactions, GroupOps the requests they carried (GroupOps /
-	// Groups = mean group size), and QueueHighWater the maximum observed
-	// depth of the shard's request queue since startup.
+	// Batching meters (write groups, run by the connection readers holding
+	// the shard's executor tokens): Groups counts committed group
+	// transactions, GroupOps the requests they carried (GroupOps / Groups =
+	// mean group size), and QueueHighWater the maximum observed depth of the
+	// shard's request queue since startup.
 	Groups         uint64
 	GroupOps       uint64
 	QueueHighWater uint64
@@ -395,8 +396,8 @@ type ShardStats struct {
 	CrossShardPrepares uint64
 	PrepareAborts      uint64
 
-	// Scan meters. Scans counts SCAN pages this shard coordinated; ScannedKeys the entries it
-	// contributed to any page's merge.
+	// Scan meters. Scans counts the SCAN pages served, all on shard 0; ScannedKeys the entries
+	// this shard contributed to any page's merge.
 	Scans       uint64
 	ScannedKeys uint64
 
